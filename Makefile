@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all test short race race-sessions race-chunks race-backends race-obs race-kernels race-daemon bench bench-json vet fuzz
+.PHONY: all test short race race-sessions race-chunks race-backends race-obs race-kernels race-daemon bench bench-check vet fuzz
 
 all: vet test
 
@@ -69,39 +69,29 @@ race-daemon:
 race-kernels:
 	$(GO) test -race -count=3 -timeout 30m ./internal/prf ./internal/bitutil ./internal/ot ./internal/cuckoo ./internal/psi
 
-# Worker-count scaling benchmarks for the parallel kernels (IKNP
-# extension, garbling/evaluation, bit-matrix transpose) plus the
-# remaining micro-benchmarks. Paper-figure benchmarks live behind
-# `go test -bench Figure .` and cmd/secyan-bench.
+# The canonical benchmark (bench/README.md): four workloads, one child
+# process each, every result checked against the plaintext engine;
+# writes bench/out/result.json. `make bench ARGS='-trace 1'` adds the
+# per-layer run. The Go micro-benchmarks stay behind
+# `go test -bench . ./internal/...`.
 bench:
-	$(GO) test -run '^$$' -bench 'Workers' -benchmem ./internal/...
+	$(GO) run ./bench $(ARGS)
 
-# Regenerate the committed figure points (BENCH_pr4.json) with the
-# plan-driven offline phase enabled, at laptop-friendly scales. The
-# offline/online split per measured secure point lands in the JSON as
-# offline_seconds/online_seconds/offline_bytes. BENCH_pr7.json adds the
-# chosen-vs-forced backend deltas on Q3/Q10/Q18 (-backends): one
-# measured secure point per backend, the "backend" field naming the
-# forced variant (absent = cost-based selection). BENCH_pr8.json attaches
-# each measured secure point's flight-recorder records ("flight"): the
-# per-query plan digest, per-phase bytes/rounds/time, and auction
-# outcomes behind the headline numbers. BENCH_pr9.json covers all five
-# figures after the fixed-key AES kernel switch and adds the "kernels"
-# field: per-point OT/garble/evaluate/PSI kernel throughputs.
-bench-json:
-	$(GO) run ./cmd/secyan-bench -precompute -scales 0.02,0.06,0.12 -securecap 0.12 -json BENCH_pr4.json
-	$(GO) run ./cmd/secyan-bench -fig 0 -backends -scales 0.02,0.06 -securecap 0.06 -json BENCH_pr7.json
-	$(GO) run ./cmd/secyan-bench -fig 2 -scales 0.02,0.06 -securecap 0.06 -json BENCH_pr8.json
-	$(GO) run ./cmd/secyan-bench -fig 0 -scales 0.02,0.06 -securecap 0.06 -json BENCH_pr9.json
+# Apply the benchmark's bounds to two result files; exits 1 on any
+# metric that got worse: make bench-check BASE=old/result.json NEW=bench/out/result.json
+bench-check:
+	$(GO) run ./bench -compare $(BASE) $(NEW)
 
 vet:
 	$(GO) vet ./...
 
 # Short fuzz bursts for the transpose involution, the TCP framing
-# decoder and the SQL front end (seeded with the TPC-H query strings);
-# extend -fuzztime locally for real fuzzing sessions.
+# decoder, the SQL front end (seeded with the TPC-H query strings), the
+# chunked scan and both base-OT message decoders; extend -fuzztime
+# locally for real fuzzing sessions.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTranspose -fuzztime 10s ./internal/bitutil
 	$(GO) test -run '^$$' -fuzz FuzzRecvFraming -fuzztime 10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/sqlfront
 	$(GO) test -run '^$$' -fuzz FuzzChunkedScan -fuzztime 10s ./internal/relation
+	$(GO) test -run '^$$' -fuzz FuzzBaseOTMessages -fuzztime 10s ./internal/ot

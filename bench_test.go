@@ -21,7 +21,6 @@ import (
 	"secyan/internal/mpc"
 	"secyan/internal/oep"
 	"secyan/internal/ot"
-	"secyan/internal/prf"
 	"secyan/internal/psi"
 	"secyan/internal/queries"
 	"secyan/internal/relation"
@@ -254,13 +253,12 @@ func BenchmarkAblationOEPPermuteVsExtended(b *testing.B) {
 }
 
 // BenchmarkAblationOTExtension compares IKNP-extended OTs against raw
-// Naor-Pinkas base OTs for a batch of 256 transfers, demonstrating why
-// the extension matters (the base OT costs three 2048-bit
-// exponentiations per transfer).
+// elliptic-curve base OTs for a batch of 256 transfers, demonstrating
+// why the extension matters (the base OT costs three P-256 scalar
+// multiplications per transfer).
 func BenchmarkAblationOTExtension(b *testing.B) {
 	const batch = 256
 	pairs := make([][2][]byte, batch)
-	seedPairs := make([][2]prf.Seed, batch)
 	choices := make([]bool, batch)
 	for i := range pairs {
 		pairs[i] = [2][]byte{make([]byte, 16), make([]byte, 16)}
@@ -299,7 +297,7 @@ func BenchmarkAblationOTExtension(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			ca, cb := transport.Pair()
 			done := make(chan error, 1)
-			go func() { done <- ot.BaseSend(ca, seedPairs) }()
+			go func() { _, err := ot.BaseSend(ca, batch); done <- err }()
 			if _, err := ot.BaseRecv(cb, choices); err != nil {
 				b.Fatal(err)
 			}

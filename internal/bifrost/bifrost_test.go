@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"secyan/internal/gc"
 	"secyan/internal/mpc"
 	"secyan/internal/share"
 )
@@ -180,5 +181,25 @@ func warmOT(t *testing.T, alice, bob *mpc.Party) {
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("bob OT setup: %v", err)
+	}
+}
+
+// TestCircuitDimsMatchBuiltCircuits pins the bin-count interpolation of
+// the comparison circuit against circuits built outright, for every bin
+// count up to 64 and a handful of larger ones: the planner prices every
+// bifrost bid from circuitDims and never builds the full circuit.
+func TestCircuitDimsMatchBuiltCircuits(t *testing.T) {
+	const ell = 32
+	sizes := []int{97, 200, 333}
+	for b := 1; b <= 64; b++ {
+		sizes = append(sizes, b)
+	}
+	for _, rl := range [][2]int{{1, 1}, {3, 4}} {
+		for _, b := range sizes {
+			pr := Params{B: b, R: rl[0], L: rl[1]}
+			if got, want := circuitDims(pr, ell), gc.DimsOf(buildCircuit(pr, ell)); got != want {
+				t.Fatalf("B=%d R=%d L=%d: interpolated %+v, built %+v", b, rl[0], rl[1], got, want)
+			}
+		}
 	}
 }

@@ -48,7 +48,10 @@ type preparedCirc struct {
 // protocol run on this party pair should execute the same query, which
 // then consumes the staged material transparently. It returns the
 // offline trace: one TraceStep (Phase "offline") per plan step that did
-// offline work, with EstBytes carrying the step's EstOfflineBytes.
+// offline work, with EstBytes carrying the step's EstOfflineBytes, then
+// "stage-circuits" (the wait for this party's ahead-of-time garbling)
+// and "rendezvous" (the wait for the peer's), neither with payload
+// bytes.
 //
 // Staged material is single-use and plan-shaped. Running a different
 // query next is safe but wasteful: the first mismatching step drops the
@@ -105,6 +108,32 @@ func PrecomputeOpts(ctx context.Context, p *mpc.Party, q *Query, po PlanOptions)
 	}()
 
 	tr := &Trace{}
+	record := func(rec TraceStep) {
+		tr.Steps = append(tr.Steps, rec)
+		if pp.Observer != nil {
+			pp.Observer(rec)
+		}
+	}
+	// exchange runs one offline exchange and records what it moved.
+	exchange := func(st *PlanStep, f func() error) error {
+		before := pp.Conn.Stats()
+		start := time.Now()
+		err := f()
+		after := pp.Conn.Stats()
+		record(TraceStep{Phase: "offline", Op: st.Op, Node: st.Node, N: st.N,
+			EstBytes: st.EstOfflineBytes,
+			Bytes:    after.TotalBytes() - before.TotalBytes(),
+			Messages: (after.MessagesSent + after.MessagesRecv) - (before.MessagesSent + before.MessagesRecv),
+			Rounds:   after.Rounds - before.Rounds,
+			Elapsed:  time.Since(start)})
+		if err == nil {
+			return nil
+		}
+		if cerr := ctx.Err(); cerr != nil {
+			err = cerr
+		}
+		return stepErr(st, err)
+	}
 	for si := range plan.Steps {
 		st := &plan.Steps[si]
 		if cerr := ctx.Err(); cerr != nil {
@@ -122,29 +151,42 @@ func PrecomputeOpts(ctx context.Context, p *mpc.Party, q *Query, po PlanOptions)
 		if !work {
 			continue
 		}
-		before := pp.Conn.Stats()
-		start := time.Now()
-		err := ex1Offline(pp, st)
-		after := pp.Conn.Stats()
-		rec := TraceStep{Phase: "offline", Op: st.Op, Node: st.Node, N: st.N,
-			EstBytes: st.EstOfflineBytes,
-			Bytes:    after.TotalBytes() - before.TotalBytes(),
-			Messages: (after.MessagesSent + after.MessagesRecv) - (before.MessagesSent + before.MessagesRecv),
-			Rounds:   after.Rounds - before.Rounds,
-			Elapsed:  time.Since(start)}
-		tr.Steps = append(tr.Steps, rec)
-		if pp.Observer != nil {
-			pp.Observer(rec)
-		}
-		if err != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				err = cerr
-			}
+		if err := exchange(st, func() error { return ex1Offline(pp, st) }); err != nil {
 			<-done
-			return tr, stepErr(st, err)
+			return tr, err
 		}
 	}
+
+	// Join the background staging. Base OTs are milliseconds, so the
+	// pool fills usually finish first and the caller pays this wait; the
+	// trace shows it as an offline step of its own.
+	start := time.Now()
 	<-done
+	staged := 0
+	for si := range prepared {
+		staged += len(prepared[si])
+	}
+	if staged == 0 && len(tr.Steps) == 0 {
+		return tr, nil // nothing to precompute, nothing to wait for
+	}
+	record(TraceStep{Phase: "offline", Op: "stage-circuits", N: staged, Elapsed: time.Since(start)})
+
+	// Rendezvous. The parties garble different shares of the plan, so
+	// one finishes staging well before the other. An empty message each
+	// way (no payload bytes: every estimate stays exact) makes both
+	// return together, so the online run that follows does not absorb
+	// the peer's leftover garbling and the wait appears in this party's
+	// trace instead of between its traces.
+	err = exchange(&PlanStep{Phase: "offline", Op: "rendezvous"}, func() error {
+		if err := pp.Conn.Send(nil); err != nil {
+			return err
+		}
+		_, err := pp.Conn.Recv()
+		return err
+	})
+	if err != nil {
+		return tr, err
+	}
 
 	for si := range plan.Steps {
 		for _, pc := range prepared[si] {

@@ -162,6 +162,27 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// settled polls until the scheduler has booked every admitted query and
+// returns that snapshot. A client holds its reply before
+// scheduler.complete has run, so a snapshot taken right after the last
+// Run returns can be one completion short. Once nothing is queued or
+// running the books must balance: admitted = completed + failed +
+// rejected (tests that reject before admission cannot use this).
+func settled(t *testing.T, d *Daemon) Snapshot {
+	t.Helper()
+	var snap Snapshot
+	waitFor(t, "every admitted query booked", func() bool {
+		snap = d.Snapshot()
+		return snap.Running == 0 && snap.Queued == 0
+	})
+	for _, ts := range snap.Tenants {
+		if booked := ts.Completed + ts.Failed + ts.RejectedOverload + ts.RejectedQuota; ts.Admitted != booked {
+			t.Errorf("tenant %s: admitted %d, booked %d (%+v)", ts.Name, ts.Admitted, booked, ts)
+		}
+	}
+	return snap
+}
+
 // TestDaemonTwoTenantsConcurrent runs two tenants' queries concurrently
 // over real TCP against one daemon and checks every result against the
 // plaintext engine.
@@ -210,7 +231,7 @@ func TestDaemonTwoTenantsConcurrent(t *testing.T) {
 		t.Error(err)
 	}
 
-	snap := d.Snapshot()
+	snap := settled(t, d)
 	if snap.Sessions != 2 {
 		t.Fatalf("sessions = %d, want 2", snap.Sessions)
 	}
@@ -483,7 +504,7 @@ func TestDaemonFarmInventoryHits(t *testing.T) {
 	runOnce() // seen 2: predicted, build queued; likely still a miss
 	waitFor(t, "staged inventory", func() bool { return d.farm.inventoryReady(digest) })
 	runOnce() // must attach the staged bundle
-	farm := d.Snapshot().Farm
+	farm := settled(t, d).Farm
 	if farm.HitsCircuits < 1 {
 		t.Fatalf("staged-circuit hits = %d, want >= 1 (farm %+v)", farm.HitsCircuits, farm)
 	}

@@ -58,22 +58,51 @@ func (d Dims) add(o Dims, k int) Dims {
 	}
 }
 
-// interpolateProbe is the size at which InterpolateDims switches from
-// building the circuit outright to extrapolating. Every operator
-// circuit in this codebase repeats an identical gadget per tuple (only
-// the first tuple may differ), so Dims is affine in n for n ≥ 2 and two
-// probes determine it exactly.
-const interpolateProbe = 48
+// interpolateProbe is the smallest size InterpolateDims probes at.
+// Every operator circuit in this codebase repeats an identical gadget
+// per tuple (or per hash bin); only the first may differ, and each
+// further one adds the same gates, so Dims is a polynomial in n from
+// n = 1 on and the probes can be tiny: the planner prices dozens of
+// losing bids per query and must not build a 48-bin comparison circuit
+// for each.
+const interpolateProbe = 1
 
 // InterpolateDims returns DimsOf(build(n)) without materializing large
-// circuits: small instances are built outright; larger ones are
-// extrapolated from two consecutive probes, which is exact for circuits
-// whose per-tuple structure is size-independent.
+// circuits, for circuits whose Dims is affine in n: instances up to the
+// probe sizes are built outright; larger ones are extrapolated from two
+// consecutive probes, which is exact when the per-tuple structure is
+// size-independent.
 func InterpolateDims(build func(n int) *Circuit, n int) Dims {
-	if n <= interpolateProbe+1 {
+	return interpolateDims(build, n, 1)
+}
+
+// InterpolateDimsQuadratic is InterpolateDims for circuits with a
+// size-independent gadget per *pair* of tuples (an n×n selector matrix,
+// say): Dims is a degree-2 polynomial in n, fixed by three probes.
+func InterpolateDimsQuadratic(build func(n int) *Circuit, n int) Dims {
+	return interpolateDims(build, n, 2)
+}
+
+// interpolateDims evaluates the Newton forward-difference form through
+// the probes at interpolateProbe … interpolateProbe+degree. Everything
+// stays in integers: the k-th difference is multiplied by C(n-probe, k).
+func interpolateDims(build func(n int) *Circuit, n, degree int) Dims {
+	if n <= interpolateProbe+degree {
 		return DimsOf(build(n))
 	}
-	lo := DimsOf(build(interpolateProbe))
-	hi := DimsOf(build(interpolateProbe + 1))
-	return lo.add(hi.sub(lo), n-interpolateProbe)
+	diffs := make([]Dims, degree+1)
+	for i := range diffs {
+		diffs[i] = DimsOf(build(interpolateProbe + i))
+	}
+	for k := 1; k <= degree; k++ {
+		for i := degree; i >= k; i-- {
+			diffs[i] = diffs[i].sub(diffs[i-1])
+		}
+	}
+	d, binom := diffs[0], 1
+	for k := 1; k <= degree; k++ {
+		binom = binom * (n - interpolateProbe - k + 1) / k
+		d = d.add(diffs[k], binom)
+	}
+	return d
 }

@@ -32,14 +32,43 @@ func testOpCircuit(n int) *Circuit {
 	return b.Build()
 }
 
-// TestInterpolateDimsExact verifies that the affine extrapolation
-// reproduces the dimensions of actually-built circuits.
+// testPairCircuit is shaped like gcbaseline's merge circuit: one gadget
+// per (i, j) pair on top of per-tuple work, so Dims is quadratic in n.
+func testPairCircuit(n int) *Circuit {
+	const ell = 8
+	b := NewBuilder()
+	vs := make([]Word, n)
+	for i := range vs {
+		vs[i] = b.AddPrivate(b.EvalInputWord(ell), b.PrivateWord(ell))
+	}
+	for i := 0; i < n; i++ {
+		acc := b.GarblerInputWord(ell)
+		for j := 0; j < n; j++ {
+			acc = b.Add(acc, b.ANDWordBit(vs[j], b.EvalInput()))
+		}
+		if i > 0 {
+			acc = b.ANDWordBit(acc, b.EvalInput())
+		}
+		b.OutputWordToEval(acc)
+	}
+	return b.Build()
+}
+
+// TestInterpolateDimsExact verifies that extrapolating from the tiny
+// probes reproduces the dimensions of actually-built circuits, for the
+// affine and the quadratic shape, at every n ≤ 64 and a handful of
+// larger sizes.
 func TestInterpolateDimsExact(t *testing.T) {
-	for _, n := range []int{1, 2, 3, interpolateProbe, interpolateProbe + 1, interpolateProbe + 2, 97, 200} {
-		want := DimsOf(testOpCircuit(n))
-		got := InterpolateDims(testOpCircuit, n)
-		if got != want {
-			t.Fatalf("n=%d: interpolated %+v, built %+v", n, got, want)
+	sizes := []int{97, 128, 200}
+	for n := 1; n <= 64; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
+		if got, want := InterpolateDims(testOpCircuit, n), DimsOf(testOpCircuit(n)); got != want {
+			t.Fatalf("affine n=%d: interpolated %+v, built %+v", n, got, want)
+		}
+		if got, want := InterpolateDimsQuadratic(testPairCircuit, n), DimsOf(testPairCircuit(n)); got != want {
+			t.Fatalf("quadratic n=%d: interpolated %+v, built %+v", n, got, want)
 		}
 	}
 }

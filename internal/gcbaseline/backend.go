@@ -243,13 +243,13 @@ func AlignCost(m, n, ell int) int64 {
 }
 
 // MergeCost predicts the total bytes of one merge execution. The
-// selector matrix makes the circuit quadratic in n, so no affine
-// interpolation applies; the planner only prices this backend at tiny
-// cardinalities, where building the circuit outright is cheap (callers
-// cache by (n, ell, or)).
+// selector matrix makes the circuit quadratic in n — one fixed gadget
+// per (sorted position, tuple) pair on top of the per-tuple chain — so
+// Dims is a degree-2 polynomial in n and three tiny probes fix it.
 func MergeCost(n, ell int, or bool) int64 {
 	if n == 0 {
 		return 0
 	}
-	return gc.DimsOf(MergeCircuit(n, ell, or)).MessageCost()
+	d := gc.InterpolateDimsQuadratic(func(nn int) *gc.Circuit { return MergeCircuit(nn, ell, or) }, n)
+	return d.MessageCost()
 }

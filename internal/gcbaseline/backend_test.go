@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"secyan/internal/gc"
 	"secyan/internal/mpc"
 	"secyan/internal/share"
 )
@@ -202,5 +203,31 @@ func warmOT(t *testing.T, alice, bob *mpc.Party) {
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("bob OT setup: %v", err)
+	}
+}
+
+// TestCostsMatchBuiltCircuits pins both interpolated predictors — the
+// affine AlignCost and the quadratic MergeCost — against circuits built
+// outright, for every size up to 64 and a handful of larger ones.
+func TestCostsMatchBuiltCircuits(t *testing.T) {
+	const ell = 32
+	sizes := []int{97, 128}
+	if !testing.Short() {
+		sizes = append(sizes, 256) // the backend's applicability cap
+	}
+	for n := 1; n <= 64; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
+		for _, children := range []int{1, 7} {
+			if got, want := AlignCost(n, children, ell), gc.DimsOf(AlignCircuit(n, children, ell)).MessageCost(); got != want {
+				t.Fatalf("align m=%d n=%d: predicted %d bytes, built circuit costs %d", n, children, got, want)
+			}
+		}
+		for _, or := range []bool{false, true} {
+			if got, want := MergeCost(n, ell, or), gc.DimsOf(MergeCircuit(n, ell, or)).MessageCost(); got != want {
+				t.Fatalf("merge n=%d or=%v: predicted %d bytes, built circuit costs %d", n, or, got, want)
+			}
+		}
 	}
 }

@@ -1,19 +1,27 @@
-// Package ot implements 1-out-of-2 oblivious transfer: the Naor–Pinkas
-// protocol over a 2048-bit MODP group as the base OT, and the IKNP'03
+// Package ot implements 1-out-of-2 oblivious transfer: the Chou–Orlandi
+// "simplest OT" over the NIST P-256 curve as the base OT, and the IKNP'03
 // extension that turns κ=128 base OTs into an effectively unlimited stream
 // of fast OTs built from symmetric primitives only. Oblivious transfer is
 // the root primitive of this repository: garbled-circuit input labels,
 // oblivious switching networks (OEP), and hence PSI and every secure
 // Yannakakis operator are built on top of it.
 //
+// The base OT is a *random* OT: the protocol itself produces the sender's
+// two seeds per instance and the receiver's chosen one — which is all
+// IKNP needs — in two messages (one curve point from the sender, one
+// point per instance back) and no ciphertexts; see DESIGN.md §17.
+//
 // All protocols here are semi-honest, matching the paper's security model
-// (§4).
+// (§4). Malformed peer messages are still rejected with a *MessageError
+// rather than a panic: semi-honest is the privacy model, not the
+// availability model.
 package ot
 
 import (
+	"bytes"
+	"crypto/elliptic"
 	"crypto/rand"
 	"fmt"
-	"math/big"
 	"time"
 
 	"secyan/internal/obs"
@@ -21,11 +29,11 @@ import (
 	"secyan/internal/transport"
 )
 
-// OT metrics: base-OT instances (public-key operations, the expensive
-// setup) and extension instances (symmetric-only, the bulk workload)
-// with per-call latency histograms. Collection is off until obs.Enable.
+// OT metrics: base-OT instances (public-key operations, the setup) and
+// extension instances (symmetric-only, the bulk workload) with per-call
+// latency histograms. Collection is off until obs.Enable.
 var (
-	mBaseOTs    = obs.NewCounter("secyan_ot_base_total", "Naor-Pinkas base OT instances executed (sender+receiver sides of this process).")
+	mBaseOTs    = obs.NewCounter("secyan_ot_base_total", "Elliptic-curve base OT instances executed (sender+receiver sides of this process).")
 	mBaseNs     = obs.NewHistogram("secyan_ot_base_ns", "Latency of one base-OT batch (BaseSend/BaseRecv call), nanoseconds.")
 	mExtOTs     = obs.NewCounter("secyan_ot_ext_total", "IKNP extension OT instances executed (sender+receiver sides of this process).")
 	mExtBatches = obs.NewCounter("secyan_ot_ext_batches_total", "IKNP extension batches (Send/Receive calls).")
@@ -39,166 +47,142 @@ var (
 // compute the aggregate OTs/second of one measured run.
 func ExtKernelTotals() (ots, ns int64) { return mExtOTs.Value(), mExtNs.Sum() }
 
-// groupP is the 2048-bit MODP prime of RFC 3526 group 14; groupG is its
-// canonical generator 2. The group provides κ=112+ bits of computational
-// security for the base OTs, in line with the paper's asymmetric security
-// parameter (§4: κ=1024 "for asymmetric encryption" was considered
-// sufficient in 2021; we use the stronger 2048-bit group).
-var (
-	groupP, _ = new(big.Int).SetString(
-		"FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD1"+
-			"29024E088A67CC74020BBEA63B139B22514A08798E3404DD"+
-			"EF9519B3CD3A431B302B0A6DF25F14374FE1356D6D51C245"+
-			"E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED"+
-			"EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3D"+
-			"C2007CB8A163BF0598DA48361C55D39A69163FA8FD24CF5F"+
-			"83655D23DCA3AD961C62F356208552BB9ED529077096966D"+
-			"670C354E4ABC9804F1746C08CA18217C32905E462E36CE3B"+
-			"E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9"+
-			"DE2BCBF6955817183995497CEA956AE515D2261898FA0510"+
-			"15728E5A8AACAA68FFFFFFFFFFFFFFFF", 16)
-	groupG = big.NewInt(2)
-)
+// curve is the group of the base OTs: NIST P-256, prime order, ≈128-bit
+// security — the level of κ and of every symmetric primitive downstream.
+var curve = elliptic.P256()
 
-// exponentBytes is the length of the short exponents used for group
-// exponentiation (256 bits, standard for 2048-bit MODP groups under the
-// discrete-log-with-short-exponent assumption).
-const exponentBytes = 32
+// pointLen is the byte length of a SEC 1 compressed P-256 point, the
+// only encoding the base OTs put on the wire.
+const pointLen = 33
 
-func randomExponent() *big.Int {
-	buf := make([]byte, exponentBytes)
-	if _, err := rand.Read(buf); err != nil {
-		panic("ot: system entropy source failed: " + err.Error())
-	}
-	return new(big.Int).SetBytes(buf)
+// MessageError reports a base-OT message from the peer that cannot be
+// used: wrong length, not a curve point, or a point chosen so that a
+// key would be the point at infinity.
+type MessageError struct {
+	Index  int // OT instance the point belongs to; -1 for the batch as a whole or the sender's setup point
+	Reason string
 }
 
-// groupElementLen is the byte length of a serialized group element.
-var groupElementLen = (groupP.BitLen() + 7) / 8
-
-func encodeElement(x *big.Int) []byte {
-	return x.FillBytes(make([]byte, groupElementLen))
+func (e *MessageError) Error() string {
+	if e.Index < 0 {
+		return "ot: base OT: " + e.Reason
+	}
+	return fmt.Sprintf("ot: base OT %d: %s", e.Index, e.Reason)
 }
 
-// BaseSend runs n = len(pairs) Naor–Pinkas OTs as the sender. Message i is
-// the κ-bit pair pairs[i]; the receiver learns exactly one of the two.
-func BaseSend(conn transport.Conn, pairs [][2]prf.Seed) error {
-	n := len(pairs)
-	sp := obs.Begin("ot", "ot.base.send")
-	defer sp.EndN(int64(n))
-	var startT time.Time
-	if obs.Enabled() {
-		startT = time.Now()
-		defer func() {
-			mBaseOTs.Add(int64(n))
-			mBaseNs.Observe(time.Since(startT).Nanoseconds())
-		}()
+// keySeed hashes the compressed encoding of instance i's shared point
+// into a seed. SHA-256 as a random oracle over the group element is what
+// the protocol's CDH argument needs (DESIGN.md §15, §17).
+func keySeed(i int, point []byte) (s prf.Seed) {
+	h := prf.Hash(uint64(i), point)
+	copy(s[:], h[:])
+	return s
+}
+
+// observeBase opens the span and metrics of one BaseSend/BaseRecv call
+// and returns the function that closes them.
+func observeBase(name string, n int) func() {
+	sp := obs.Begin("ot", name)
+	if !obs.Enabled() {
+		return func() { sp.EndN(int64(n)) }
 	}
-	// Publish the random group element C whose discrete log nobody knows.
-	c := new(big.Int).Exp(groupG, randomExponent(), groupP)
-	if err := conn.Send(encodeElement(c)); err != nil {
-		return err
+	startT := time.Now()
+	return func() {
+		mBaseOTs.Add(int64(n))
+		mBaseNs.Observe(time.Since(startT).Nanoseconds())
+		sp.EndN(int64(n))
 	}
-	// Receive PK0 for every OT instance.
-	pkMsg, err := conn.Recv()
+}
+
+// BaseSend runs n random OTs as the sender and returns the seed pair of
+// each instance; the receiver learns exactly one seed of every pair.
+//
+// The sender publishes S = y·G, receives R_i = c_i·S + x_i·G and derives
+// seed0 = H(i, y·R_i), seed1 = H(i, y·R_i − y·S): whichever of the two
+// equals the receiver's H(i, x_i·S), the other is y·(x_i ∓ y)·G, a CDH
+// instance in (S, R_i) for the receiver.
+func BaseSend(conn transport.Conn, n int) ([][2]prf.Seed, error) {
+	defer observeBase("ot.base.send", n)()
+	y, sx, sy, err := elliptic.GenerateKey(curve, rand.Reader)
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("ot: base OT entropy: %w", err)
 	}
-	if len(pkMsg) != n*groupElementLen {
-		return fmt.Errorf("ot: base OT public keys: got %d bytes, want %d", len(pkMsg), n*groupElementLen)
+	sEnc := elliptic.MarshalCompressed(curve, sx, sy)
+	if err := conn.Send(sEnc); err != nil {
+		return nil, err
 	}
-	out := make([]byte, 0, n*(groupElementLen+2*prf.SeedSize))
-	for i := 0; i < n; i++ {
-		pk0 := new(big.Int).SetBytes(pkMsg[i*groupElementLen : (i+1)*groupElementLen])
-		if pk0.Sign() == 0 || pk0.Cmp(groupP) >= 0 {
-			return fmt.Errorf("ot: base OT %d: public key out of range", i)
+	// −T for T = y·S, computed once. The compressed encoding's prefix is
+	// the parity of the y-coordinate and p is odd, so flipping it negates.
+	tx, ty := curve.ScalarMult(sx, sy, y)
+	negT := elliptic.MarshalCompressed(curve, tx, ty)
+	negT[0] ^= 1
+	ntx, nty := elliptic.UnmarshalCompressed(curve, negT)
+
+	msg, err := conn.Recv()
+	if err != nil {
+		return nil, err
+	}
+	if len(msg) != n*pointLen {
+		return nil, &MessageError{-1, fmt.Sprintf("receiver points: got %d bytes, want %d", len(msg), n*pointLen)}
+	}
+	pairs := make([][2]prf.Seed, n)
+	for i := range pairs {
+		enc := msg[i*pointLen : (i+1)*pointLen]
+		rx, ry := elliptic.UnmarshalCompressed(curve, enc)
+		if rx == nil {
+			return nil, &MessageError{i, "receiver point is not a compressed P-256 point"}
 		}
-		pk0Inv := new(big.Int).ModInverse(pk0, groupP)
-		pk1 := new(big.Int).Mul(c, pk0Inv)
-		pk1.Mod(pk1, groupP)
-
-		r := randomExponent()
-		gr := new(big.Int).Exp(groupG, r, groupP)
-		k0 := new(big.Int).Exp(pk0, r, groupP)
-		k1 := new(big.Int).Exp(pk1, r, groupP)
-
-		e0 := prf.Hash(uint64(2*i), encodeElement(k0))
-		e1 := prf.Hash(uint64(2*i+1), encodeElement(k1))
-		var c0, c1 [prf.SeedSize]byte
-		prf.XORBytes(c0[:], pairs[i][0][:], e0[:prf.SeedSize])
-		prf.XORBytes(c1[:], pairs[i][1][:], e1[:prf.SeedSize])
-
-		out = append(out, encodeElement(gr)...)
-		out = append(out, c0[:]...)
-		out = append(out, c1[:]...)
+		if bytes.Equal(enc, sEnc) {
+			return nil, &MessageError{i, "receiver point equals the setup point (key at infinity)"}
+		}
+		kx, ky := curve.ScalarMult(rx, ry, y)
+		pairs[i][0] = keySeed(i, elliptic.MarshalCompressed(curve, kx, ky))
+		kx, ky = curve.Add(kx, ky, ntx, nty)
+		pairs[i][1] = keySeed(i, elliptic.MarshalCompressed(curve, kx, ky))
 	}
-	return conn.Send(out)
+	return pairs, nil
 }
 
-// BaseRecv runs len(choices) Naor–Pinkas OTs as the receiver and returns
-// the chosen message of each instance.
+// BaseRecv runs len(choices) random OTs as the receiver and returns the
+// chosen seed of each instance: seed choices[i] of the sender's pair i.
 func BaseRecv(conn transport.Conn, choices []bool) ([]prf.Seed, error) {
 	n := len(choices)
-	sp := obs.Begin("ot", "ot.base.recv")
-	defer sp.EndN(int64(n))
-	var startT time.Time
-	if obs.Enabled() {
-		startT = time.Now()
-		defer func() {
-			mBaseOTs.Add(int64(n))
-			mBaseNs.Observe(time.Since(startT).Nanoseconds())
-		}()
-	}
-	cMsg, err := conn.Recv()
+	defer observeBase("ot.base.recv", n)()
+	sEnc, err := conn.Recv()
 	if err != nil {
 		return nil, err
 	}
-	if len(cMsg) != groupElementLen {
-		return nil, fmt.Errorf("ot: base OT setup element: got %d bytes", len(cMsg))
+	if len(sEnc) != pointLen {
+		return nil, &MessageError{-1, fmt.Sprintf("setup point: got %d bytes, want %d", len(sEnc), pointLen)}
 	}
-	c := new(big.Int).SetBytes(cMsg)
-	if c.Sign() == 0 || c.Cmp(groupP) >= 0 {
-		return nil, fmt.Errorf("ot: base OT setup element out of range")
+	sx, sy := elliptic.UnmarshalCompressed(curve, sEnc)
+	if sx == nil {
+		return nil, &MessageError{-1, "setup point is not a compressed P-256 point"}
 	}
-
-	ks := make([]*big.Int, n)
-	pkMsg := make([]byte, 0, n*groupElementLen)
-	for i := 0; i < n; i++ {
-		ks[i] = randomExponent()
-		pkc := new(big.Int).Exp(groupG, ks[i], groupP)
-		pk0 := pkc
-		if choices[i] {
-			inv := new(big.Int).ModInverse(pkc, groupP)
-			pk0 = inv.Mul(c, inv)
-			pk0.Mod(pk0, groupP)
+	xs := make([][]byte, n)
+	msg := make([]byte, 0, n*pointLen)
+	for i, c := range choices {
+		x, rx, ry, err := elliptic.GenerateKey(curve, rand.Reader)
+		if err != nil {
+			return nil, fmt.Errorf("ot: base OT entropy: %w", err)
 		}
-		pkMsg = append(pkMsg, encodeElement(pk0)...)
+		// Add unconditionally so the work does not depend on the choice.
+		ax, ay := curve.Add(rx, ry, sx, sy)
+		if c {
+			rx, ry = ax, ay
+		}
+		msg = append(msg, elliptic.MarshalCompressed(curve, rx, ry)...)
+		xs[i] = x
 	}
-	if err := conn.Send(pkMsg); err != nil {
+	if err := conn.Send(msg); err != nil {
 		return nil, err
 	}
-
-	ctMsg, err := conn.Recv()
-	if err != nil {
-		return nil, err
+	// The keys come after the points are on their way: this half of the
+	// receiver's work overlaps the sender's.
+	seeds := make([]prf.Seed, n)
+	for i, x := range xs {
+		kx, ky := curve.ScalarMult(sx, sy, x)
+		seeds[i] = keySeed(i, elliptic.MarshalCompressed(curve, kx, ky))
 	}
-	rec := groupElementLen + 2*prf.SeedSize
-	if len(ctMsg) != n*rec {
-		return nil, fmt.Errorf("ot: base OT ciphertexts: got %d bytes, want %d", len(ctMsg), n*rec)
-	}
-	out := make([]prf.Seed, n)
-	for i := 0; i < n; i++ {
-		chunk := ctMsg[i*rec : (i+1)*rec]
-		gr := new(big.Int).SetBytes(chunk[:groupElementLen])
-		key := new(big.Int).Exp(gr, ks[i], groupP)
-		domain := uint64(2 * i)
-		ct := chunk[groupElementLen : groupElementLen+prf.SeedSize]
-		if choices[i] {
-			domain = uint64(2*i + 1)
-			ct = chunk[groupElementLen+prf.SeedSize:]
-		}
-		pad := prf.Hash(domain, encodeElement(key))
-		prf.XORBytes(out[i][:], ct, pad[:prf.SeedSize])
-	}
-	return out, nil
+	return seeds, nil
 }

@@ -1,7 +1,5 @@
 package ot
 
-import "secyan/internal/prf"
-
 // This file is the single source of truth for the wire cost of the OT
 // layer. The plan compiler in internal/core uses these closed forms to
 // predict traffic exactly; cost_test.go asserts they match the bytes a
@@ -11,12 +9,10 @@ import "secyan/internal/prf"
 // base OTs that bootstrap one OT-extension session, i.e. one
 // NewSender/NewReceiver pair:
 //
-//	NewReceiver runs BaseSend:  cMsg (one group element) + κ records of
-//	                            (group element + two encrypted seeds)
-//	NewSender runs BaseRecv:    κ public keys (group elements)
+//	NewReceiver runs BaseSend:  the setup point S
+//	NewSender runs BaseRecv:    κ points R_i
 func SetupCost() int64 {
-	rec := groupElementLen + 2*prf.SeedSize
-	return int64(groupElementLen) + int64(kappa)*int64(rec) + int64(kappa)*int64(groupElementLen)
+	return int64(1+kappa) * pointLen
 }
 
 // ExtCost returns the total bytes (both directions) of one IKNP

@@ -67,21 +67,20 @@ func NewSender(conn transport.Conn) (*Sender, error) {
 	return snd, nil
 }
 
-// NewReceiver runs the base-OT setup (acting as base-OT *sender* with κ
-// random seed pairs) and returns a ready extension receiver.
+// NewReceiver runs the base-OT setup (acting as base-OT *sender*; the
+// random OTs return the κ seed pairs) and returns a ready extension
+// receiver.
 func NewReceiver(conn transport.Conn) (*Receiver, error) {
-	pairs := make([][2]prf.Seed, kappa)
+	pairs, err := BaseSend(conn, kappa)
+	if err != nil {
+		return nil, fmt.Errorf("ot: receiver setup: %w", err)
+	}
 	r := &Receiver{conn: conn}
 	r.streams0 = make([]*prf.PRG, kappa)
 	r.streams1 = make([]*prf.PRG, kappa)
 	for i := range pairs {
-		pairs[i][0] = prf.RandomSeed()
-		pairs[i][1] = prf.RandomSeed()
 		r.streams0[i] = prf.NewPRG(pairs[i][0])
 		r.streams1[i] = prf.NewPRG(pairs[i][1])
-	}
-	if err := BaseSend(r.conn, pairs); err != nil {
-		return nil, fmt.Errorf("ot: receiver setup: %w", err)
 	}
 	return r, nil
 }

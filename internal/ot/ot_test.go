@@ -5,48 +5,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"secyan/internal/prf"
 	"secyan/internal/transport"
 )
-
-func TestBaseOT(t *testing.T) {
-	a, b := transport.Pair()
-	defer a.Close()
-	defer b.Close()
-
-	const n = 16
-	rng := rand.New(rand.NewSource(1))
-	pairs := make([][2]prf.Seed, n)
-	choices := make([]bool, n)
-	for i := range pairs {
-		rng.Read(pairs[i][0][:])
-		rng.Read(pairs[i][1][:])
-		choices[i] = rng.Intn(2) == 1
-	}
-
-	errCh := make(chan error, 1)
-	go func() { errCh <- BaseSend(a, pairs) }()
-	got, err := BaseRecv(b, choices)
-	if err != nil {
-		t.Fatalf("BaseRecv: %v", err)
-	}
-	if err := <-errCh; err != nil {
-		t.Fatalf("BaseSend: %v", err)
-	}
-	for i := range got {
-		want := pairs[i][0]
-		other := pairs[i][1]
-		if choices[i] {
-			want, other = other, want
-		}
-		if got[i] != want {
-			t.Fatalf("OT %d: wrong message", i)
-		}
-		if got[i] == other {
-			t.Fatalf("OT %d: received both messages?!", i)
-		}
-	}
-}
 
 // setupExtension creates a connected sender/receiver pair over an
 // in-memory transport.

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"secyan/internal/prf"
 	"secyan/internal/transport"
 )
 
@@ -45,38 +44,41 @@ func tcpPair(t *testing.T) (transport.Conn, transport.Conn) {
 	return a, b
 }
 
-// TestBaseOTOverTCP runs the Naor–Pinkas style base OT over a real
-// socket instead of the in-memory pipe.
+// TestBaseOTOverTCP runs the elliptic-curve base OT over a real socket
+// instead of the in-memory pipe.
 func TestBaseOTOverTCP(t *testing.T) {
 	a, b := tcpPair(t)
-
-	const n = 8
 	rng := rand.New(rand.NewSource(11))
-	pairs := make([][2]prf.Seed, n)
-	choices := make([]bool, n)
-	for i := range pairs {
-		rng.Read(pairs[i][0][:])
-		rng.Read(pairs[i][1][:])
+	choices := make([]bool, 8)
+	for i := range choices {
 		choices[i] = rng.Intn(2) == 1
 	}
+	pairs, got := runBaseOT(t, a, b, choices)
+	checkBaseOT(t, pairs, got, choices)
+}
 
-	errCh := make(chan error, 1)
-	go func() { errCh <- BaseSend(a, pairs) }()
-	got, err := BaseRecv(b, choices)
-	if err != nil {
-		t.Fatalf("BaseRecv: %v", err)
+// TestBaseOTCloseMidProtocol closes the base-OT receiver's socket after
+// the setup point went out, while the sender is blocked waiting for the
+// receiver's points, and requires transport.ErrClosed rather than a
+// hang or a raw network error.
+func TestBaseOTCloseMidProtocol(t *testing.T) {
+	a, b := tcpPair(t)
+	done := make(chan error, 1)
+	go func() {
+		_, err := BaseSend(a, 8)
+		done <- err
+	}()
+	if _, err := b.Recv(); err != nil {
+		t.Fatalf("setup point: %v", err)
 	}
-	if err := <-errCh; err != nil {
-		t.Fatalf("BaseSend: %v", err)
-	}
-	for i := range got {
-		want := pairs[i][0]
-		if choices[i] {
-			want = pairs[i][1]
+	b.Close()
+	select {
+	case err := <-done:
+		if !errors.Is(err, transport.ErrClosed) {
+			t.Fatalf("BaseSend returned %v, want transport.ErrClosed", err)
 		}
-		if got[i] != want {
-			t.Fatalf("seed %d mismatch", i)
-		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("BaseSend hung after peer close")
 	}
 }
 

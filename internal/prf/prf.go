@@ -3,9 +3,9 @@
 // (MMO-style) hash family used by the garbled-circuit garbler, the IKNP
 // OT-extension break-correlation step and the PSI bin hashing — single
 // (HashBlock), batched (HashBlocks) and width-expanding (HashToWidthAES)
-// — and SHA-256 hashing for the call sites whose security model needs a
-// full random oracle over variable-length input (the Naor–Pinkas base
-// OTs hash 2048-bit group elements, outside the fixed-permutation
+// — and SHA-256 hashing for the call site whose security model needs a
+// full random oracle (the base OTs extract seeds from Diffie–Hellman
+// points on P-256, outside the fixed-permutation
 // correlation-robustness model).
 //
 // Every MMO call site shares one public fixed-key permutation π; the

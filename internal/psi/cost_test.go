@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"secyan/internal/gc"
 	"secyan/internal/mpc"
 	"secyan/internal/share"
 )
@@ -76,5 +77,31 @@ func TestCostExact(t *testing.T) {
 		run("indexed-shared", IndexedCost(sz.m, sz.n, ring.Bits, true),
 			func(a *mpc.Party) error { _, err := RunSharedPayloadReceiver(a, xs, sz.n, zeroShares); return err },
 			func(b *mpc.Party) error { _, err := RunSharedPayloadSender(b, ys, payloads, sz.m); return err })
+	}
+}
+
+// TestCircuitDimsMatchBuiltCircuits pins the bin-count interpolation of
+// both comparison circuits against circuits built outright, for every
+// bin count up to 64 and a handful of larger ones: the planner prices
+// every PSI bid from circuitDims and never builds the full circuit.
+func TestCircuitDimsMatchBuiltCircuits(t *testing.T) {
+	const ell = 32
+	sizes := []int{97, 200, 333}
+	for b := 1; b <= 64; b++ {
+		sizes = append(sizes, b)
+	}
+	builders := map[string]func(Params) *gc.Circuit{
+		"direct":      func(pr Params) *gc.Circuit { return buildCircuit(pr, ell) },
+		"clear-index": func(pr Params) *gc.Circuit { return buildClearIndexCircuit(pr, ell, 11) },
+	}
+	for name, build := range builders {
+		for _, l := range []int{1, 5} {
+			for _, b := range sizes {
+				pr := Params{B: b, L: l}
+				if got, want := circuitDims(pr, build), gc.DimsOf(build(pr)); got != want {
+					t.Fatalf("%s B=%d L=%d: interpolated %+v, built %+v", name, b, l, got, want)
+				}
+			}
+		}
 	}
 }
