@@ -64,10 +64,11 @@ race-daemon:
 # The crypto-kernel packages under the race detector, repeated: the
 # fixed-key AES hash layer (batched MMO, the 8-wide AESENC kernel, the
 # noescape scratch laundering), the IKNP extension that hashes matrix
-# rows through it, PSI/cuckoo bin sweeps, and the packed bit-matrix
-# plumbing underneath (see DESIGN.md §15).
+# rows through it, the slot-parallel garbling kernel whose workers share
+# one message buffer (DESIGN.md §7), PSI/cuckoo bin sweeps, and the
+# packed bit-matrix plumbing underneath (see DESIGN.md §15).
 race-kernels:
-	$(GO) test -race -count=3 -timeout 30m ./internal/prf ./internal/bitutil ./internal/ot ./internal/cuckoo ./internal/psi
+	$(GO) test -race -count=3 -timeout 30m ./internal/prf ./internal/bitutil ./internal/ot ./internal/gc ./internal/cuckoo ./internal/psi
 
 # The canonical benchmark (bench/README.md): four workloads, one child
 # process each, every result checked against the plaintext engine;
@@ -87,11 +88,13 @@ vet:
 
 # Short fuzz bursts for the transpose involution, the TCP framing
 # decoder, the SQL front end (seeded with the TPC-H query strings), the
-# chunked scan and both base-OT message decoders; extend -fuzztime
-# locally for real fuzzing sessions.
+# chunked scan, both base-OT message decoders and the evaluator's view of
+# the garbler's message; extend -fuzztime locally for real fuzzing
+# sessions.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTranspose -fuzztime 10s ./internal/bitutil
 	$(GO) test -run '^$$' -fuzz FuzzRecvFraming -fuzztime 10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/sqlfront
 	$(GO) test -run '^$$' -fuzz FuzzChunkedScan -fuzztime 10s ./internal/relation
 	$(GO) test -run '^$$' -fuzz FuzzBaseOTMessages -fuzztime 10s ./internal/ot
+	$(GO) test -run '^$$' -fuzz FuzzGarbledMessage -fuzztime 10s ./internal/gc

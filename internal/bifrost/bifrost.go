@@ -119,38 +119,41 @@ type Result struct {
 	SlotOf    map[uint64]int // receiver side only
 }
 
+// binGadget emits the comparison gadget of one bin: the sender's L keys
+// and payloads enter as garbler-private constants; for each of the
+// receiver's R slots, the evaluator inputs her composed key, the payloads
+// of matching sender entries are summed (at most one matches, by the
+// uniqueness precondition), and the sender's mask r enters as a regular
+// garbler input. Output per slot, revealed to the evaluator: pay - r.
+func binGadget(b *gc.Builder, pr Params, ell int) {
+	ykeys := make([][]gc.PBit, pr.L)
+	ypays := make([][]gc.PBit, pr.L)
+	for j := 0; j < pr.L; j++ {
+		ykeys[j] = b.PrivateWord(keyBits)
+		ypays[j] = b.PrivateWord(ell)
+	}
+	for r := 0; r < pr.R; r++ {
+		akey := b.EvalInputWord(keyBits)
+		var pay gc.Word
+		for j := 0; j < pr.L; j++ {
+			masked := b.ANDGWordBit(ypays[j], b.EqPrivate(akey, ykeys[j]))
+			if j == 0 {
+				pay = masked
+			} else {
+				pay = b.Add(pay, masked)
+			}
+		}
+		rPay := b.GarblerInputWord(ell)
+		b.OutputWordToEval(b.Sub(pay, rPay))
+	}
+}
+
 // buildCircuit constructs the batched comparison circuit shared by both
-// parties. Per bin: the sender's L keys and payloads enter as
-// garbler-private constants; for each of the receiver's R slots, the
-// evaluator inputs her composed key, the payloads of matching sender
-// entries are summed (at most one matches, by the uniqueness
-// precondition), and the sender's mask r enters as a regular garbler
-// input. Output per slot, revealed to the evaluator: pay - r.
+// parties: binGadget as one circuit slot, repeated once per bin.
 func buildCircuit(pr Params, ell int) *gc.Circuit {
 	b := gc.NewBuilder()
-	for bin := 0; bin < pr.B; bin++ {
-		ykeys := make([][]gc.PBit, pr.L)
-		ypays := make([][]gc.PBit, pr.L)
-		for j := 0; j < pr.L; j++ {
-			ykeys[j] = b.PrivateWord(keyBits)
-			ypays[j] = b.PrivateWord(ell)
-		}
-		for r := 0; r < pr.R; r++ {
-			akey := b.EvalInputWord(keyBits)
-			var pay gc.Word
-			for j := 0; j < pr.L; j++ {
-				masked := b.ANDGWordBit(ypays[j], b.EqPrivate(akey, ykeys[j]))
-				if j == 0 {
-					pay = masked
-				} else {
-					pay = b.Add(pay, masked)
-				}
-			}
-			rPay := b.GarblerInputWord(ell)
-			b.OutputWordToEval(b.Sub(pay, rPay))
-		}
-	}
-	return b.Build()
+	binGadget(b, pr, ell)
+	return b.BuildSlots(pr.B)
 }
 
 // BuildCircuitForEstimate exposes the comparison circuit to the plan

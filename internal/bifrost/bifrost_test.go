@@ -184,10 +184,11 @@ func warmOT(t *testing.T, alice, bob *mpc.Party) {
 	}
 }
 
-// TestCircuitDimsMatchBuiltCircuits pins the bin-count interpolation of
-// the comparison circuit against circuits built outright, for every bin
-// count up to 64 and a handful of larger ones: the planner prices every
-// bifrost bid from circuitDims and never builds the full circuit.
+// TestCircuitDimsMatchBuiltCircuits pins the slot-built comparison
+// circuit against the same bin gadget looped B times in one builder —
+// how it was built before circuits had slots — for every bin count up to
+// 64 and a handful of larger ones: the planner prices every bifrost bid
+// from these dimensions, and the wire format must not have moved.
 func TestCircuitDimsMatchBuiltCircuits(t *testing.T) {
 	const ell = 32
 	sizes := []int{97, 200, 333}
@@ -197,8 +198,12 @@ func TestCircuitDimsMatchBuiltCircuits(t *testing.T) {
 	for _, rl := range [][2]int{{1, 1}, {3, 4}} {
 		for _, b := range sizes {
 			pr := Params{B: b, R: rl[0], L: rl[1]}
-			if got, want := circuitDims(pr, ell), gc.DimsOf(buildCircuit(pr, ell)); got != want {
-				t.Fatalf("B=%d R=%d L=%d: interpolated %+v, built %+v", b, rl[0], rl[1], got, want)
+			looped := gc.NewBuilder()
+			for i := 0; i < b; i++ {
+				binGadget(looped, pr, ell)
+			}
+			if got, want := gc.DimsOf(buildCircuit(pr, ell)), gc.DimsOf(looped.Build()); got != want {
+				t.Fatalf("B=%d R=%d L=%d: slot-built %+v, looped %+v", b, rl[0], rl[1], got, want)
 			}
 		}
 	}

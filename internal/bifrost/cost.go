@@ -7,19 +7,8 @@ import (
 
 // Wire-cost predictor for the bifrost join, used by the plan compiler in
 // internal/core. It composes the hash-seed message with the comparison
-// circuit, whose dimensions are interpolated over the bin count — the
-// per-bin gadget is fixed by R and L, so Dims is affine in B, exactly as
-// in psi's cost model. cost_test.go pins it to measured traffic.
-
-// circuitDims interpolates the comparison-circuit dimensions in the bin
-// count with the per-bin loads R, L (and every other parameter) fixed.
-func circuitDims(pr Params, ell int) gc.Dims {
-	return gc.InterpolateDims(func(b int) *gc.Circuit {
-		probe := pr
-		probe.B = b
-		return buildCircuit(probe, ell)
-	}, pr.B)
-}
+// circuit, built outright: it is one bin's gadget and a bin count.
+// cost_test.go pins it to measured traffic.
 
 // AlignCost returns the total bytes (both directions) of one
 // RunReceiver/RunSender execution for public set sizes m (receiver) and
@@ -28,5 +17,5 @@ func circuitDims(pr Params, ell int) gc.Dims {
 // separately (oep.Cost(Slots, m, false)).
 func AlignCost(m, n, ell int) int64 {
 	pr := NewParams(m, n)
-	return int64(prf.SeedSize) + circuitDims(pr, ell).MessageCost()
+	return int64(prf.SeedSize) + gc.DimsOf(buildCircuit(pr, ell)).MessageCost()
 }

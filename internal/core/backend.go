@@ -297,13 +297,18 @@ func cachedCost(k costKey, f func() int64) int64 {
 
 func mergeCost(n, ell int, kind mergeKind) int64 {
 	return cachedCost(costKey{op: "merge", n: n, ell: ell, variant: int(kind)}, func() int64 {
-		return interpCost(n, func(m int) *gc.Circuit { return buildMergeCircuit(m, ell, kind) })
+		// The merge chain threads a running aggregate through every
+		// tuple, so it is one slot of n tuples, affine in n from n = 1.
+		if n == 0 {
+			return 0
+		}
+		return gc.InterpolateDims(func(m int) *gc.Circuit { return buildMergeCircuit(m, ell, kind) }, n).MessageCost()
 	})
 }
 
 func mulCost(n, ell int) int64 {
 	return cachedCost(costKey{op: "mul", n: n, ell: ell}, func() int64 {
-		return interpCost(n, func(m int) *gc.Circuit { return buildMulCircuit(m, ell) })
+		return circuitCost(buildMulCircuit(n, ell))
 	})
 }
 

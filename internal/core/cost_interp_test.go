@@ -6,29 +6,48 @@ import (
 	"secyan/internal/gc"
 )
 
-// TestOperatorCostsMatchBuiltCircuits pins the tuple-count interpolation
-// behind every operator estimate (merge chain, annotation product and
-// multiplication, reveal) against circuits built outright, for every n
-// up to 64 and a handful of larger sizes: interpCost probes at tiny n,
-// and the byte-exact plan estimates rest on the extrapolation.
+// TestOperatorCostsMatchBuiltCircuits pins what every operator estimate
+// rests on, for every n up to 64 and a handful of larger sizes: the
+// merge chain's tuple-count interpolation against circuits built
+// outright, and each slot-built operator circuit (annotation product and
+// multiplication, reveal) against the same per-tuple gadget looped n
+// times in one builder — how it was built before circuits had slots, so
+// the byte-exact plan estimates have not moved.
 func TestOperatorCostsMatchBuiltCircuits(t *testing.T) {
 	const ell = 32
-	builders := map[string]func(n int) *gc.Circuit{
-		"merge-sum":   func(n int) *gc.Circuit { return buildMergeCircuit(n, ell, mergeSum) },
-		"merge-or":    func(n int) *gc.Circuit { return buildMergeCircuit(n, ell, mergeOr) },
-		"mul":         func(n int) *gc.Circuit { return buildMulCircuit(n, ell) },
-		"product-3":   func(n int) *gc.Circuit { return buildProductCircuit(n, 3, ell) },
-		"reveal":      func(n int) *gc.Circuit { return buildRevealCircuit(n, 2, ell, false) },
-		"reveal-rows": func(n int) *gc.Circuit { return buildRevealCircuit(n, 2, ell, true) },
-	}
 	sizes := []int{97, 200}
 	for n := 1; n <= 64; n++ {
 		sizes = append(sizes, n)
 	}
-	for name, build := range builders {
+	for name, kind := range map[string]mergeKind{"merge-sum": mergeSum, "merge-or": mergeOr} {
 		for _, n := range sizes {
-			if got, want := interpCost(n, build), gc.DimsOf(build(n)).MessageCost(); got != want {
+			if got, want := mergeCost(n, ell, kind), gc.DimsOf(buildMergeCircuit(n, ell, kind)).MessageCost(); got != want {
 				t.Fatalf("%s n=%d: predicted %d bytes, built circuit costs %d", name, n, got, want)
+			}
+		}
+	}
+	type shape struct {
+		build  func(n int) *gc.Circuit
+		gadget func(b *gc.Builder)
+	}
+	shapes := map[string]shape{
+		"mul": {func(n int) *gc.Circuit { return buildMulCircuit(n, ell) },
+			func(b *gc.Builder) { mulGadget(b, ell) }},
+		"product-3": {func(n int) *gc.Circuit { return buildProductCircuit(n, 3, ell) },
+			func(b *gc.Builder) { productGadget(b, 3, ell) }},
+		"reveal": {func(n int) *gc.Circuit { return buildRevealCircuit(n, 2, ell, false) },
+			func(b *gc.Builder) { revealGadget(b, 2, ell, false) }},
+		"reveal-rows": {func(n int) *gc.Circuit { return buildRevealCircuit(n, 2, ell, true) },
+			func(b *gc.Builder) { revealGadget(b, 2, ell, true) }},
+	}
+	for name, sh := range shapes {
+		for _, n := range sizes {
+			looped := gc.NewBuilder()
+			for i := 0; i < n; i++ {
+				sh.gadget(looped)
+			}
+			if got, want := circuitCost(sh.build(n)), gc.DimsOf(looped.Build()).MessageCost(); got != want {
+				t.Fatalf("%s n=%d: slot-built circuit costs %d bytes, looped gadget %d", name, n, got, want)
 			}
 		}
 	}

@@ -621,14 +621,11 @@ func (ex *executor) annotationProduct() error {
 				for fi := 0; fi < k; fi++ {
 					priv = gc.AppendBits(priv, ex.factors[fi][row], ell)
 				}
+				annot[row] = p.Ring.Random(p.PRG)
+				priv = gc.AppendBits(priv, p.Ring.Neg(annot[row]), ell)
 			}
 			return nil
 		})
-		for row := 0; row < out; row++ {
-			r := p.Ring.Random(p.PRG)
-			annot[row] = r
-			priv = gc.AppendBits(priv, p.Ring.Neg(r), ell)
-		}
 		if _, err := p.RunCircuit(circ, nil, priv, mpc.Bob); err != nil {
 			return err
 		}

@@ -35,33 +35,34 @@ const dummyMarker = ^uint64(0)
 // attrBits is the width of revealed attribute values.
 const attrBits = 64
 
-// buildRevealCircuit builds the §6.3 step-1 circuit for n tuples with
-// `cols` columns each. Per tuple: the evaluator (Alice) inputs her
-// annotation share; the garbler's share enters as private bits; if
-// withRows is true the garbler's column values follow as private bits and
-// the circuit reveals (zero ? dummyMarker : value) per column; otherwise
-// only the zero bit is revealed (Alice already holds the rows).
+// revealGadget is the §6.3 step-1 gadget of one tuple with `cols`
+// columns: the evaluator (Alice) inputs her annotation share; the
+// garbler's share enters as private bits; if withRows is true the
+// garbler's column values follow as private bits and the gadget reveals
+// (zero ? dummyMarker : value) per column; otherwise only the zero bit is
+// revealed (Alice already holds the rows).
+func revealGadget(b *gc.Builder, cols, ell int, withRows bool) {
+	z := b.IsZero(b.AddPrivate(b.EvalInputWord(ell), b.PrivateWord(ell)))
+	if !withRows {
+		b.OutputToEval(z)
+		return
+	}
+	nz := b.Not(z)
+	for c := 0; c < cols; c++ {
+		val := b.PrivateWord(attrBits)
+		out := make(gc.Word, attrBits)
+		for k := 0; k < attrBits; k++ {
+			out[k] = b.XOR(b.ANDG(nz, val[k]), z)
+		}
+		b.OutputWordToEval(out)
+	}
+}
+
+// buildRevealCircuit repeats revealGadget once per tuple.
 func buildRevealCircuit(n, cols, ell int, withRows bool) *gc.Circuit {
 	b := gc.NewBuilder()
-	for i := 0; i < n; i++ {
-		ve := b.EvalInputWord(ell)
-		vg := b.PrivateWord(ell)
-		z := b.IsZero(b.AddPrivate(ve, vg))
-		if !withRows {
-			b.OutputToEval(z)
-			continue
-		}
-		nz := b.Not(z)
-		for c := 0; c < cols; c++ {
-			val := b.PrivateWord(attrBits)
-			out := make(gc.Word, attrBits)
-			for k := 0; k < attrBits; k++ {
-				out[k] = b.XOR(b.ANDG(nz, val[k]), z)
-			}
-			b.OutputWordToEval(out)
-		}
-	}
-	return b.Build()
+	revealGadget(b, cols, ell, withRows)
+	return b.BuildSlots(n)
 }
 
 // revealNonzeroRows reveals the nonzero-annotated tuples of s to Alice.
@@ -209,31 +210,26 @@ func revealPlainRows(p *mpc.Party, s *SharedRelation, chunk int) (*relation.Rela
 	return res, nil
 }
 
-// buildProductCircuit multiplies k shared factors per row over n rows.
-// Private-bit order: per row, per factor, the garbler's share; after all
-// rows, the n negated masks.
+// productGadget multiplies the k shared factors of one row. Private-bit
+// order: per factor, the garbler's share; then the negated output mask.
+func productGadget(b *gc.Builder, k, ell int) {
+	var acc gc.Word
+	for f := 0; f < k; f++ {
+		v := b.AddPrivate(b.EvalInputWord(ell), b.PrivateWord(ell))
+		if f == 0 {
+			acc = v
+		} else {
+			acc = b.Mul(acc, v)
+		}
+	}
+	b.OutputWordToEval(b.AddPrivate(acc, b.PrivateWord(ell)))
+}
+
+// buildProductCircuit repeats productGadget once per row.
 func buildProductCircuit(n, k, ell int) *gc.Circuit {
 	b := gc.NewBuilder()
-	prods := make([]gc.Word, n)
-	for i := 0; i < n; i++ {
-		var acc gc.Word
-		for f := 0; f < k; f++ {
-			ve := b.EvalInputWord(ell)
-			vg := b.PrivateWord(ell)
-			v := b.AddPrivate(ve, vg)
-			if f == 0 {
-				acc = v
-			} else {
-				acc = b.Mul(acc, v)
-			}
-		}
-		prods[i] = acc
-	}
-	for i := 0; i < n; i++ {
-		mask := b.PrivateWord(ell)
-		b.OutputWordToEval(b.AddPrivate(prods[i], mask))
-	}
-	return b.Build()
+	productGadget(b, k, ell)
+	return b.BuildSlots(n)
 }
 
 // JoinResult is one party's view of the oblivious join output: Alice has
@@ -353,11 +349,8 @@ func ObliviousJoin(p *mpc.Party, tree *jointree.Tree, srs []*SharedRelation, nod
 			for fi := range order {
 				priv = gc.AppendBits(priv, factors[fi][row], ell)
 			}
-		}
-		for row := 0; row < out; row++ {
-			r := p.Ring.Random(p.PRG)
-			annot[row] = r
-			priv = gc.AppendBits(priv, p.Ring.Neg(r), ell)
+			annot[row] = p.Ring.Random(p.PRG)
+			priv = gc.AppendBits(priv, p.Ring.Neg(annot[row]), ell)
 		}
 		if _, err := p.RunCircuit(circ, nil, priv, mpc.Bob); err != nil {
 			return nil, err

@@ -215,18 +215,31 @@ type nodeState struct {
 	holder mpc.Role
 }
 
-// interpCost is the common shape of the garbled-circuit estimators:
-// interpolate the circuit dimensions in the tuple count and price the
-// resulting messages.
-func interpCost(n int, build func(int) *gc.Circuit) int64 {
-	if n == 0 {
+// circuitCost prices the messages of one slot-built garbled circuit; an
+// empty relation runs no circuit at all. The operator circuits are one
+// gadget and a slot count, so building one to read its dimensions costs
+// the same at any size.
+func circuitCost(c *gc.Circuit) int64 {
+	if c.Slots == 0 {
 		return 0
 	}
-	return gc.InterpolateDims(build, n).MessageCost()
+	return gc.DimsOf(c).MessageCost()
 }
 
 func productCost(n, k, ell int) int64 {
-	return interpCost(n, func(m int) *gc.Circuit { return buildProductCircuit(m, k, ell) })
+	return cachedCost(costKey{op: "product", n: n, ell: ell, variant: k}, func() int64 {
+		return circuitCost(buildProductCircuit(n, k, ell))
+	})
+}
+
+func revealCost(n, cols, ell int, withRows bool) int64 {
+	v := 0
+	if withRows {
+		v = 1
+	}
+	return cachedCost(costKey{op: "reveal", m: cols, n: n, ell: ell, variant: v}, func() int64 {
+		return circuitCost(buildRevealCircuit(n, cols, ell, withRows))
+	})
 }
 
 // compileQuery compiles q into its physical plan with default options.
@@ -335,8 +348,7 @@ func compileTree(q *Query, tree *jointree.Tree, ringBits int, po PlanOptions) (*
 		circs := []preCirc{{mpc.Bob,
 			func() *gc.Circuit { return buildRevealCircuit(n, cols, ell, withRows) }}}
 		ots := []preOT{{mpc.Bob, n * ell}}
-		cost := interpCost(n, func(m int) *gc.Circuit { return buildRevealCircuit(m, cols, ell, withRows) })
-		return cost, ots, circs
+		return revealCost(n, cols, ell, withRows), ots, circs
 	}
 
 	// Phase 1: Reduce (§6.4 step 1), replayed on public state.

@@ -19,11 +19,12 @@ import (
 //     pad derivation — and the matrix transmission — happen now, and the
 //     online batch derandomizes the pooled randomness with a few
 //     correction bytes (internal/ot);
-//   - every circuit a step declares (PlanStep.preCircs) is built and
-//     garbled (or schedule-prepared, on the evaluating side) in a
-//     background goroutine, overlapping the pure compute with the pool
-//     fills' network traffic; RunCircuit later recognizes the staged
-//     material by shape (internal/gc, internal/mpc).
+//   - every circuit a step declares (PlanStep.preCircs) and this party
+//     garbles is built and garbled in a background goroutine,
+//     overlapping the pure compute with the pool fills' network traffic;
+//     RunCircuit later recognizes the staged material by shape
+//     (internal/gc, internal/mpc). Circuits this party only evaluates
+//     need nothing ahead of time.
 //
 // The online run needs no flag: the session queues and pools make the
 // fast path transparent, and any divergence from the plan falls back to
@@ -33,17 +34,23 @@ import (
 
 var mPrecomputeRuns = obs.NewCounter("secyan_core_precompute_runs_total", "Offline precompute passes executed (per party side in this process).")
 
-// preparedCirc is one ahead-of-time circuit on this party's side of the
-// protocol: exactly one of the two fields is set, depending on whether
-// this party garbles or evaluates it.
-type preparedCirc struct {
-	garb *gc.PreGarbled
-	eval *gc.PreEval
+// garbleAhead garbles, in plan order, every circuit plan declares with
+// role as the garbling party. Pure compute: no network.
+func garbleAhead(plan *Plan, role mpc.Role) []*gc.PreGarbled {
+	var staged []*gc.PreGarbled
+	for si := range plan.Steps {
+		for _, d := range plan.Steps[si].preCircs {
+			if d.garbler == role {
+				staged = append(staged, gc.GarbleAhead(d.build()))
+			}
+		}
+	}
+	return staged
 }
 
 // Precompute executes the offline phase of q's plan on party p: base-OT
 // setup, one random-OT pool fill per planned OT batch, and ahead-of-time
-// garbling of every planned circuit. Both parties must call it
+// garbling of every planned circuit this party garbles. Both parties must call it
 // concurrently — the offline phase has its own traffic — and the next
 // protocol run on this party pair should execute the same query, which
 // then consumes the staged material transparently. It returns the
@@ -89,22 +96,13 @@ func PrecomputeOpts(ctx context.Context, p *mpc.Party, q *Query, po PlanOptions)
 	// Circuit building and garbling are pure compute — no network — so
 	// they run in the background, overlapping the pool fills' traffic.
 	// The channel is closed when every planned circuit is staged; the
-	// foreground joins before enqueueing so the queues are complete and
+	// foreground joins before enqueueing so the queue is complete and
 	// in plan order.
-	prepared := make([][]preparedCirc, len(plan.Steps))
+	var staged []*gc.PreGarbled
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for si := range plan.Steps {
-			for _, d := range plan.Steps[si].preCircs {
-				c := d.build()
-				if d.garbler == p.Role {
-					prepared[si] = append(prepared[si], preparedCirc{garb: gc.GarbleAhead(c)})
-				} else {
-					prepared[si] = append(prepared[si], preparedCirc{eval: gc.PrepareEval(c)})
-				}
-			}
-		}
+		staged = garbleAhead(plan, p.Role)
 	}()
 
 	tr := &Trace{}
@@ -162,14 +160,10 @@ func PrecomputeOpts(ctx context.Context, p *mpc.Party, q *Query, po PlanOptions)
 	// trace shows it as an offline step of its own.
 	start := time.Now()
 	<-done
-	staged := 0
-	for si := range prepared {
-		staged += len(prepared[si])
-	}
-	if staged == 0 && len(tr.Steps) == 0 {
+	if !plan.hasCircuits() && len(tr.Steps) == 0 {
 		return tr, nil // nothing to precompute, nothing to wait for
 	}
-	record(TraceStep{Phase: "offline", Op: "stage-circuits", N: staged, Elapsed: time.Since(start)})
+	record(TraceStep{Phase: "offline", Op: "stage-circuits", N: len(staged), Elapsed: time.Since(start)})
 
 	// Rendezvous. The parties garble different shares of the plan, so
 	// one finishes staging well before the other. An empty message each
@@ -188,59 +182,54 @@ func PrecomputeOpts(ctx context.Context, p *mpc.Party, q *Query, po PlanOptions)
 		return tr, err
 	}
 
-	for si := range plan.Steps {
-		for _, pc := range prepared[si] {
-			if pc.garb != nil {
-				p.EnqueuePreGarbled(pc.garb)
-			} else {
-				p.EnqueuePreEval(pc.eval)
-			}
-		}
+	for _, pg := range staged {
+		p.EnqueuePreGarbled(pg)
 	}
 	return tr, nil
 }
 
+// hasCircuits reports whether any step declares a garbled circuit, on
+// either side — a property of the plan, so both parties agree on it.
+func (pl *Plan) hasCircuits() bool {
+	for si := range pl.Steps {
+		if len(pl.Steps[si].preCircs) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // StagedCircuits is the network-free half of a precompute pass for one
-// role: every circuit a plan declares, built and garbled ahead of time
-// (or schedule-prepared, on the evaluating side) with zero traffic.
-// Unlike PrecomputeOpts it involves only this process — garbling is
-// data-independent pure compute and RunCircuit's staged fast path is
-// wire-identical to the direct path, so one side may stage alone
-// without any cross-party agreement. The daemon's precompute farm
-// builds these in the background against predicted query shapes.
+// role: every circuit a plan declares with that role garbling, built and
+// garbled ahead of time with zero traffic. Unlike PrecomputeOpts it
+// involves only this process — garbling is data-independent pure compute
+// and RunCircuit's staged fast path is wire-identical to the direct
+// path, so one side may stage alone without any cross-party agreement.
+// The daemon's precompute farm builds these in the background against
+// predicted query shapes.
 //
 // Staged material is single-use: Attach hands it to exactly one Party
 // about to execute the same plan shape.
 type StagedCircuits struct {
-	role     mpc.Role
-	digest   uint64
-	prepared []preparedCirc
+	role   mpc.Role
+	digest uint64
+	staged []*gc.PreGarbled
 }
 
 // PrepareCircuits compiles q's plan (shape only — q needs no relations)
-// under po and stages every declared circuit for role. It returns nil
-// when the plan declares no circuits.
+// under po and garbles every declared circuit role garbles. It returns
+// nil when there is none.
 func PrepareCircuits(q *Query, ringBits int, role mpc.Role, po PlanOptions) (*StagedCircuits, error) {
 	po.EstOut, po.ChunkSize = 0, 0
 	plan, err := compileQueryOpts(q, ringBits, po)
 	if err != nil {
 		return nil, err
 	}
-	sc := &StagedCircuits{role: role, digest: plan.Digest()}
-	for si := range plan.Steps {
-		for _, d := range plan.Steps[si].preCircs {
-			c := d.build()
-			if d.garbler == role {
-				sc.prepared = append(sc.prepared, preparedCirc{garb: gc.GarbleAhead(c)})
-			} else {
-				sc.prepared = append(sc.prepared, preparedCirc{eval: gc.PrepareEval(c)})
-			}
-		}
-	}
-	if len(sc.prepared) == 0 {
+	staged := garbleAhead(plan, role)
+	if len(staged) == 0 {
 		return nil, nil
 	}
-	return sc, nil
+	return &StagedCircuits{role: role, digest: plan.Digest(), staged: staged}, nil
 }
 
 // Len returns the number of staged circuits.
@@ -248,7 +237,7 @@ func (sc *StagedCircuits) Len() int {
 	if sc == nil {
 		return 0
 	}
-	return len(sc.prepared)
+	return len(sc.staged)
 }
 
 // Digest returns the shape digest of the plan the circuits were staged
@@ -261,7 +250,7 @@ func (sc *StagedCircuits) Digest() uint64 {
 }
 
 // Attach enqueues the staged circuits onto p's precomputed-circuit
-// queues, in plan order. p must have the staging role and be about to
+// queue, in plan order. p must have the staging role and be about to
 // run the same plan shape; a mismatched run falls back to the direct
 // protocols (dropping the queue), which stays correct. Attach consumes
 // the material — a second call is a no-op.
@@ -269,14 +258,10 @@ func (sc *StagedCircuits) Attach(p *mpc.Party) {
 	if sc == nil || p.Role != sc.role {
 		return
 	}
-	for _, pc := range sc.prepared {
-		if pc.garb != nil {
-			p.EnqueuePreGarbled(pc.garb)
-		} else {
-			p.EnqueuePreEval(pc.eval)
-		}
+	for _, pg := range sc.staged {
+		p.EnqueuePreGarbled(pg)
 	}
-	sc.prepared = nil
+	sc.staged = nil
 }
 
 // ex1Offline performs one step's offline work: establishing the base-OT

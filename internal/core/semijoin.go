@@ -30,30 +30,21 @@ import (
 // Semijoin computes the general R_F ⋉^⊗ R_{F'} by first applying the
 // oblivious π¹ to the child (§6.2: R_F ⋈^⊗ π¹_{F∩F'}(R_{F'})).
 
-// buildMulCircuit multiplies n pairs of shared values: per item, the
-// evaluator inputs its shares of a and b; the garbler's shares and the
-// negated output mask enter as private bits; the evaluator receives
-// (a·b - r).
-//
-// Private-bit order: per item, garbler share of a, then of b; after all
-// items, the n negated masks.
+// mulGadget multiplies one pair of shared values: the evaluator inputs
+// its shares of a and b; the garbler's shares and the negated output mask
+// enter as private bits, in that order; the evaluator receives (a·b - r).
+func mulGadget(b *gc.Builder, ell int) {
+	a := b.AddPrivate(b.EvalInputWord(ell), b.PrivateWord(ell))
+	bb := b.AddPrivate(b.EvalInputWord(ell), b.PrivateWord(ell))
+	b.OutputWordToEval(b.AddPrivate(b.Mul(a, bb), b.PrivateWord(ell)))
+}
+
+// buildMulCircuit multiplies n pairs of shared values: mulGadget as one
+// slot, repeated per item.
 func buildMulCircuit(n, ell int) *gc.Circuit {
 	b := gc.NewBuilder()
-	prods := make([]gc.Word, n)
-	for i := 0; i < n; i++ {
-		ae := b.EvalInputWord(ell)
-		ag := b.PrivateWord(ell)
-		be := b.EvalInputWord(ell)
-		bg := b.PrivateWord(ell)
-		a := b.AddPrivate(ae, ag)
-		bb := b.AddPrivate(be, bg)
-		prods[i] = b.Mul(a, bb)
-	}
-	for i := 0; i < n; i++ {
-		mask := b.PrivateWord(ell)
-		b.OutputWordToEval(b.AddPrivate(prods[i], mask))
-	}
-	return b.Build()
+	mulGadget(b, ell)
+	return b.BuildSlots(n)
 }
 
 // mulShares runs buildMulCircuit over aligned share vectors: the result
@@ -93,19 +84,16 @@ func mulShares(p *mpc.Party, aShares, bShares []uint64, evalRole mpc.Role, chunk
 		return res, nil
 	}
 	priv := make([]bool, 0, 3*n*ell)
+	res := make([]uint64, n)
 	relation.Range(n, chunk, func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
+			res[i] = p.Ring.Random(p.PRG)
 			priv = gc.AppendBits(priv, aShares[i], ell)
 			priv = gc.AppendBits(priv, bShares[i], ell)
+			priv = gc.AppendBits(priv, p.Ring.Neg(res[i]), ell)
 		}
 		return nil
 	})
-	res := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		r := p.Ring.Random(p.PRG)
-		res[i] = r
-		priv = gc.AppendBits(priv, p.Ring.Neg(r), ell)
-	}
 	if _, err := p.RunCircuit(circ, nil, priv, evalRole.Other()); err != nil {
 		return nil, err
 	}

@@ -11,11 +11,17 @@
 // package ot. Evaluating a circuit takes a constant number of
 // communication rounds regardless of its depth, the property the paper
 // relies on for its constant-round operator protocols.
+//
+// A Circuit is one slot of gates repeated Slots times, and garbling,
+// evaluation, ahead-of-time correction and plaintext evaluation all run
+// on one slot-parallel kernel (forBatches): memory beyond the protocol
+// messages is O(workers × slot), not O(circuit).
 package gc
 
 import (
 	"fmt"
-	"sync"
+
+	"secyan/internal/parallel"
 )
 
 // Wire identifies a Boolean wire in a circuit.
@@ -50,43 +56,102 @@ type Gate struct {
 	Out  Wire
 }
 
-// Circuit is an immutable Boolean circuit produced by a Builder.
+// Circuit is an immutable Boolean circuit produced by a Builder: one
+// slot — a gate list over slot-local wires — repeated Slots times. The
+// operator protocols run one small gadget per tuple or per hash bin;
+// describing the gadget once keeps construction, garbling scratch and
+// evaluation scratch O(slot) however many tuples there are. A circuit
+// that is not a replicated gadget (the merge chain, the ratio and
+// baseline circuits) is simply Slots == 1.
+//
+// NumWires, Gates, the input/output wire lists and NumAnd/NumAndG/
+// NumPrivate describe ONE slot. Everything a party supplies or receives
+// is slot-major: slot 0's garbler inputs, then slot 1's, and likewise
+// evaluator inputs, private bits and both output lists. The slots share
+// nothing but the Const0 label, so the wire layout is exactly that of
+// the same gadget looped Slots times in one builder. DimsOf, TableBlocks
+// and NumGates report whole-circuit totals.
 type Circuit struct {
+	// Slots is the number of times the slot repeats.
+	Slots    int
 	NumWires int
 	Gates    []Gate
 	// Const0 is a wire fixed to false; the garbler transmits its label.
 	Const0 Wire
-	// GarblerInputs and EvalInputs list input wires in the order the
-	// parties supply their bits.
+	// GarblerInputs and EvalInputs list a slot's input wires in the order
+	// the parties supply their bits.
 	GarblerInputs []Wire
 	EvalInputs    []Wire
-	// EvalOutputs and GarblerOutputs list output wires revealed to the
-	// respective party, in the order results are returned.
+	// EvalOutputs and GarblerOutputs list a slot's output wires revealed
+	// to the respective party, in the order results are returned.
 	EvalOutputs    []Wire
 	GarblerOutputs []Wire
-	// NumAnd is the number of AND gates; NumAndG the number of ANDG
-	// gates. Together they determine the table size (2 blocks per AND,
-	// 1 per ANDG).
+	// NumAnd is the number of AND gates in a slot; NumAndG the number of
+	// ANDG gates. Together they determine the table size (2 blocks per
+	// AND, 1 per ANDG).
 	NumAnd  int
 	NumAndG int
-	// NumPrivate is the number of garbler-private bits referenced by
-	// XORG/ANDG gates. The garbler supplies them separately from its
+	// NumPrivate is the number of garbler-private bits a slot's XORG/ANDG
+	// gates reference. The garbler supplies them separately from its
 	// regular inputs; they cost no wire labels on the network.
 	NumPrivate int
-
-	// Cached parallel execution plan; computed lazily by scheduleOf.
-	// Circuits must be shared by pointer once garbled or evaluated.
-	schedOnce sync.Once
-	sched     *schedule
 }
 
-// TableBlocks returns the number of 128-bit ciphertexts in the garbled
-// tables.
-func (c *Circuit) TableBlocks() int { return 2*c.NumAnd + c.NumAndG }
+// slotBlocks is the number of table ciphertexts — equally, of hash
+// tweaks — one slot consumes: an AND gate takes two of each, an ANDG
+// gate one, so a gate's tweak index and table offset coincide.
+func (c *Circuit) slotBlocks() int { return 2*c.NumAnd + c.NumAndG }
 
-// Prepare forces construction of the cached parallel execution schedule,
-// letting precomputation pay the one-time cost off the critical path.
-func (c *Circuit) Prepare() { c.scheduleOf() }
+// TableBlocks returns the number of 128-bit ciphertexts in the garbled
+// tables of the whole circuit.
+func (c *Circuit) TableBlocks() int { return c.Slots * c.slotBlocks() }
+
+// NumGates returns the number of gates of the whole circuit (all kinds,
+// free gates included).
+func (c *Circuit) NumGates() int { return c.Slots * len(c.Gates) }
+
+// Prepare does nothing: the slot kernel needs no per-circuit preparation.
+// It exists because bench/probes.go, which the repository's benchmark
+// freezes, calls it.
+func (c *Circuit) Prepare() {}
+
+// lanes is the number of consecutive slots a worker sweeps together,
+// gate by gate, so that each half-gate hash of a gate fills the 8-wide
+// AES pipeline of prf.HashBlocks once. It also makes every batch own
+// whole bytes of the slot-major packed bit vectors (8·k bits per batch),
+// which is what lets workers write decode bits without synchronisation.
+const lanes = 8
+
+// forBatches partitions the slots into batches of up to lanes consecutive
+// slots and runs body(scratch, s0, k) for each — slots s0 … s0+k-1 — on
+// the worker pool. Batch boundaries depend on Slots alone, and every
+// kernel derives what it reads and writes from the slot index, so results
+// are byte-identical at any worker count. A worker keeps its scratch
+// from one chunk of batches to the next — a used scratch is as good as a
+// fresh one, since a kernel writes a wire before reading it or, like
+// applyPrivate's input wires, never writes it at all — so a call
+// allocates O(workers) scratches, however many slots there are.
+func forBatches[T any](c *Circuit, scratch func() T, body func(w T, s0, k int)) {
+	// About Workers() chunks run at once, so that many scratches exist;
+	// neither side of the free list blocks should the pool be resized.
+	free := make(chan T, parallel.Workers())
+	parallel.For((c.Slots+lanes-1)/lanes, 1, func(lo, hi int) {
+		var w T
+		select {
+		case w = <-free:
+		default:
+			w = scratch()
+		}
+		for b := lo; b < hi; b++ {
+			s0 := b * lanes
+			body(w, s0, min(lanes, c.Slots-s0))
+		}
+		select {
+		case free <- w:
+		default:
+		}
+	})
+}
 
 // Builder constructs circuits. The zero value is not usable; call
 // NewBuilder.
@@ -254,13 +319,23 @@ func (b *Builder) OutputToEval(w Wire) { b.eOut = append(b.eOut, w) }
 // OutputToGarbler marks w as an output revealed to the garbler.
 func (b *Builder) OutputToGarbler(w Wire) { b.gOut = append(b.gOut, w) }
 
-// Build finalizes the circuit. The builder must not be used afterwards.
-func (b *Builder) Build() *Circuit {
+// Build finalizes a single-slot circuit: the gates are the whole graph.
+// The builder must not be used afterwards.
+func (b *Builder) Build() *Circuit { return b.BuildSlots(1) }
+
+// BuildSlots finalizes the circuit as the described slot repeated slots
+// times (see Circuit). slots == 0 is the empty circuit. The builder must
+// not be used afterwards.
+func (b *Builder) BuildSlots(slots int) *Circuit {
 	if b.built {
 		panic("gc: Build called twice")
 	}
+	if slots < 0 {
+		panic("gc: negative slot count")
+	}
 	b.built = true
 	return &Circuit{
+		Slots:          slots,
 		NumWires:       b.nWires,
 		Gates:          b.gates,
 		Const0:         b.const0,
@@ -274,9 +349,13 @@ func (b *Builder) Build() *Circuit {
 	}
 }
 
-// Validate checks wire ordering invariants; used by tests and when
-// accepting circuits from untrusted descriptions.
+// Validate checks the slot's wire ordering invariants — every kernel
+// indexes its scratch by them unchecked; used by tests and when accepting
+// circuits from untrusted descriptions.
 func (c *Circuit) Validate() error {
+	if c.Slots < 0 {
+		return fmt.Errorf("gc: negative slot count %d", c.Slots)
+	}
 	defined := make([]bool, c.NumWires)
 	mark := func(w Wire) error {
 		if int(w) >= c.NumWires || w < 0 {
@@ -330,42 +409,49 @@ func (c *Circuit) Validate() error {
 }
 
 // EvalPlain evaluates the circuit in the clear; used by tests and by the
-// garbled-circuit cost baseline. privBits supplies the garbler-private
-// bits (may be nil when the circuit uses none). Returns
-// evaluator-destined and garbler-destined outputs.
+// garbled-circuit cost baseline. All three inputs are slot-major;
+// privBits supplies the garbler-private bits (may be nil when the
+// circuit uses none). Returns evaluator-destined and garbler-destined
+// outputs, slot-major.
 func (c *Circuit) EvalPlain(garblerBits, evalBits, privBits []bool) (evalOut, garblerOut []bool, err error) {
-	if len(garblerBits) != len(c.GarblerInputs) || len(evalBits) != len(c.EvalInputs) || len(privBits) != c.NumPrivate {
+	nG, nE, nP := len(c.GarblerInputs), len(c.EvalInputs), c.NumPrivate
+	if len(garblerBits) != c.Slots*nG || len(evalBits) != c.Slots*nE || len(privBits) != c.Slots*nP {
 		return nil, nil, fmt.Errorf("gc: EvalPlain input count mismatch (%d/%d garbler, %d/%d eval, %d/%d private)",
-			len(garblerBits), len(c.GarblerInputs), len(evalBits), len(c.EvalInputs), len(privBits), c.NumPrivate)
+			len(garblerBits), c.Slots*nG, len(evalBits), c.Slots*nE, len(privBits), c.Slots*nP)
 	}
-	vals := make([]bool, c.NumWires)
-	for i, w := range c.GarblerInputs {
-		vals[w] = garblerBits[i]
-	}
-	for i, w := range c.EvalInputs {
-		vals[w] = evalBits[i]
-	}
-	for _, g := range c.Gates {
-		switch g.Kind {
-		case GateXOR:
-			vals[g.Out] = vals[g.A] != vals[g.B]
-		case GateAND:
-			vals[g.Out] = vals[g.A] && vals[g.B]
-		case GateNOT:
-			vals[g.Out] = !vals[g.A]
-		case GateXORG:
-			vals[g.Out] = vals[g.A] != privBits[g.B]
-		case GateANDG:
-			vals[g.Out] = vals[g.A] && privBits[g.B]
+	nEO, nGO := len(c.EvalOutputs), len(c.GarblerOutputs)
+	evalOut = make([]bool, c.Slots*nEO)
+	garblerOut = make([]bool, c.Slots*nGO)
+	forBatches(c, func() []bool { return make([]bool, c.NumWires) }, func(vals []bool, s0, k int) {
+		for s := s0; s < s0+k; s++ {
+			for i, w := range c.GarblerInputs {
+				vals[w] = garblerBits[s*nG+i]
+			}
+			for i, w := range c.EvalInputs {
+				vals[w] = evalBits[s*nE+i]
+			}
+			priv := privBits[s*nP : (s+1)*nP]
+			for _, g := range c.Gates {
+				switch g.Kind {
+				case GateXOR:
+					vals[g.Out] = vals[g.A] != vals[g.B]
+				case GateAND:
+					vals[g.Out] = vals[g.A] && vals[g.B]
+				case GateNOT:
+					vals[g.Out] = !vals[g.A]
+				case GateXORG:
+					vals[g.Out] = vals[g.A] != priv[g.B]
+				case GateANDG:
+					vals[g.Out] = vals[g.A] && priv[g.B]
+				}
+			}
+			for i, w := range c.EvalOutputs {
+				evalOut[s*nEO+i] = vals[w]
+			}
+			for i, w := range c.GarblerOutputs {
+				garblerOut[s*nGO+i] = vals[w]
+			}
 		}
-	}
-	evalOut = make([]bool, len(c.EvalOutputs))
-	for i, w := range c.EvalOutputs {
-		evalOut[i] = vals[w]
-	}
-	garblerOut = make([]bool, len(c.GarblerOutputs))
-	for i, w := range c.GarblerOutputs {
-		garblerOut[i] = vals[w]
-	}
+	})
 	return evalOut, garblerOut, nil
 }

@@ -14,14 +14,15 @@ type Dims struct {
 	GarblerOutputs int
 }
 
-// DimsOf extracts the wire-cost dimensions of a built circuit.
+// DimsOf extracts the wire-cost dimensions of a built circuit: totals
+// over all of its slots.
 func DimsOf(c *Circuit) Dims {
 	return Dims{
 		TableBlocks:    c.TableBlocks(),
-		GarblerInputs:  len(c.GarblerInputs),
-		EvalInputs:     len(c.EvalInputs),
-		EvalOutputs:    len(c.EvalOutputs),
-		GarblerOutputs: len(c.GarblerOutputs),
+		GarblerInputs:  c.Slots * len(c.GarblerInputs),
+		EvalInputs:     c.Slots * len(c.EvalInputs),
+		EvalOutputs:    c.Slots * len(c.EvalOutputs),
+		GarblerOutputs: c.Slots * len(c.GarblerOutputs),
 	}
 }
 
@@ -58,13 +59,14 @@ func (d Dims) add(o Dims, k int) Dims {
 	}
 }
 
-// interpolateProbe is the smallest size InterpolateDims probes at.
-// Every operator circuit in this codebase repeats an identical gadget
-// per tuple (or per hash bin); only the first may differ, and each
-// further one adds the same gates, so Dims is a polynomial in n from
-// n = 1 on and the probes can be tiny: the planner prices dozens of
-// losing bids per query and must not build a 48-bin comparison circuit
-// for each.
+// interpolateProbe is the smallest size InterpolateDims probes at. The
+// circuits still priced by interpolation are single-slot graphs that
+// grow with the tuple count — the merge chain threads one running
+// aggregate through every tuple — and add the same gates per further
+// tuple from the first on, so Dims is a polynomial in n from n = 1 and
+// the probes can be tiny. (Circuits that repeat an independent gadget
+// per tuple or bin are slot-built and need no interpolation:
+// DimsOf(build(n)) costs the same at any n.)
 const interpolateProbe = 1
 
 // InterpolateDims returns DimsOf(build(n)) without materializing large

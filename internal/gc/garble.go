@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"secyan/internal/obs"
-	"secyan/internal/parallel"
 	"secyan/internal/prf"
 )
 
@@ -43,220 +42,334 @@ func KernelTotals() (gatesGarbled, garbleNs, gatesEvaled, evalNs int64) {
 	return mGatesGarbled.Value(), mGarbleNs.Sum(), mGatesEvaled.Value(), mEvalNs.Sum()
 }
 
-// garbled holds the garbler's view of a garbled circuit: the zero-label of
-// every wire, the global free-XOR offset Δ, and the AND-gate tables.
+// garbled is what the garbler keeps of a garbled circuit — only what the
+// message exchange reads afterwards, never a label per wire.
 type garbled struct {
-	delta  prf.Block
-	labels []prf.Block // zero labels, indexed by wire
-	tables []prf.Block // two blocks per AND gate, one per ANDG, in gate order
+	delta prf.Block
+	// msg is the garbler's message, built in place: tables ‖ Const0 label
+	// ‖ garbler-input zero labels ‖ evaluator-output decode bits, all
+	// slot-major. finishGarbler turns the zero labels into active ones
+	// and sends the buffer as it stands.
+	msg []byte
+	// evalIn holds the zero labels of the evaluator's inputs, slot-major,
+	// for the input-label OTs.
+	evalIn []prf.Block
+	// outPerm packs the permute bits (zero-label LSBs) of the garbler's
+	// outputs, slot-major; they unmask what the evaluator returns.
+	outPerm []byte
+	// perm is kept only for ahead-of-time garbling: for batch b and tweak
+	// index t, byte b·slotBlocks+t packs over the batch's lanes the
+	// permute bit of the gate input hashed under that tweak (input A at an
+	// AND's first tweak and at an ANDG's only one, input B at an AND's
+	// second). applyPrivate needs nothing else of the interior wires.
+	perm []byte
 }
 
+// msgLayout returns the byte offsets of the label region (Const0 label,
+// then garbler-input labels) and of the decode bits in the garbler's
+// message, and its total length.
+func (c *Circuit) msgLayout() (labels, decode, total int) {
+	labels = 16 * c.TableBlocks()
+	decode = labels + 16 + 16*c.Slots*len(c.GarblerInputs)
+	return labels, decode, decode + (c.Slots*len(c.EvalOutputs)+7)/8
+}
+
+// stride is the number of lanes a label scratch holds per wire: lanes,
+// or fewer when the circuit has fewer slots — a single-slot circuit's
+// scratch is one label per wire.
+func (c *Circuit) stride() int { return min(lanes, c.Slots) }
+
+// labelScratch allocates one worker's label scratch, wire-major: the
+// lanes of wire x are w[x·stride : x·stride+k], contiguous so that they
+// hash in one prf.HashBlocks call.
+func (c *Circuit) labelScratch() []prf.Block { return make([]prf.Block, c.NumWires*c.stride()) }
+
+// lsbs packs the point-and-permute bits of up to lanes labels, lane l at
+// bit l.
+func lsbs(ls []prf.Block) (m byte) {
+	for l := range ls {
+		m |= ls[l].LSB() << l
+	}
+	return m
+}
+
+// Packed slot-major bit vectors use the layout of bitutil.Vector.Bytes:
+// bit i at byte i/8, position i%8.
+func getBit(v []byte, i int) bool { return v[i>>3]>>(i&7)&1 == 1 }
+
+func orBit(v []byte, i int, b uint8) { v[i>>3] |= b << (i & 7) }
+
 // garble garbles c using randomness from g. The point-and-permute
-// invariant lsb(Δ)=1 makes the label's LSB a masked truth value. priv
-// supplies the garbler-private bits consumed by XORG/ANDG gates.
+// invariant lsb(Δ)=1 makes a label's LSB a masked truth value. priv
+// supplies the garbler-private bits consumed by XORG/ANDG gates,
+// slot-major. keepPerm retains the per-gate permute bits applyPrivate
+// needs.
 //
-// Gates are processed layer by layer (see schedule.go): free gates
-// serially, the independent AND/ANDG gates of each layer in parallel.
-// All randomness is drawn before the gate sweep and every gate's tweak
-// and table offset comes from the serial order, so the resulting labels
-// and tables are byte-identical at any worker count.
-func garble(c *Circuit, g *prf.PRG, priv []bool) *garbled {
+// All randomness — Δ, the Const0 label, every input zero label — is
+// drawn before the sweep, in an order that does not depend on priv or
+// on the worker count. The sweep itself is the slot kernel (forBatches):
+// a worker takes a batch of slots and walks the slot's gate list once
+// over a scratch of NumWires×stride labels, wire-major so that the lanes
+// of one wire are contiguous and each of the four half-gate hashes of an
+// AND is one prf.HashBlocks call. The gate with running tweak index t in
+// slot s hashes under tweak s·slotBlocks+t and owns table blocks from
+// that same offset — what a serial sweep over the gadget looped Slots
+// times would assign — so labels and tables are byte-identical at any
+// worker count.
+func garble(c *Circuit, g *prf.PRG, priv []bool, keepPerm bool) *garbled {
 	sp := obs.Begin("gc", "gc.garble")
-	defer sp.EndN(int64(len(c.Gates)))
-	var startT time.Time
+	defer sp.EndN(int64(c.NumGates()))
 	if obs.Enabled() {
-		startT = time.Now()
+		startT := time.Now()
 		defer func() {
 			d := time.Since(startT)
 			mCircuitsGarb.Inc()
-			mGatesGarbled.Add(int64(len(c.Gates)))
-			mAndsGarbled.Add(int64(c.NumAnd + c.NumAndG))
+			mGatesGarbled.Add(int64(c.NumGates()))
+			mAndsGarbled.Add(int64(c.Slots * (c.NumAnd + c.NumAndG)))
 			mGarbleNs.Observe(d.Nanoseconds())
-			mGarbleGateRate.Set(gateRate(len(c.Gates), d))
+			mGarbleGateRate.Set(gateRate(c.NumGates(), d))
 		}()
 	}
+	labelsOff, decodeOff, total := c.msgLayout()
+	nG, nE, nP := len(c.GarblerInputs), len(c.EvalInputs), c.NumPrivate
+	nEO, nGO := len(c.EvalOutputs), len(c.GarblerOutputs)
+	sb, stride := c.slotBlocks(), c.stride()
 	gb := &garbled{
-		labels: make([]prf.Block, c.NumWires),
-		tables: make([]prf.Block, c.TableBlocks()),
+		msg:     make([]byte, total),
+		evalIn:  make([]prf.Block, c.Slots*nE),
+		outPerm: make([]byte, (c.Slots*nGO+7)/8),
 	}
-	randBlock := func() prf.Block {
-		var b prf.Block
-		g.Read(b[:])
-		return b
+	if keepPerm {
+		gb.perm = make([]byte, (c.Slots+lanes-1)/lanes*sb)
 	}
-	gb.delta = randBlock()
+	g.Read(gb.delta[:])
 	gb.delta[15] |= 1 // lsb(Δ) = 1 for point-and-permute
+	g.Read(gb.msg[labelsOff:decodeOff])
+	g.Read(prf.BlockBytes(gb.evalIn))
 
-	gb.labels[c.Const0] = randBlock()
-	for _, w := range c.GarblerInputs {
-		gb.labels[w] = randBlock()
-	}
-	for _, w := range c.EvalInputs {
-		gb.labels[w] = randBlock()
-	}
-
-	sched := c.scheduleOf()
-	for _, ly := range sched.layers {
-		for _, gi := range ly.free {
-			gate := c.Gates[gi]
+	delta := gb.delta
+	tables := prf.BlocksOf(gb.msg[:labelsOff])
+	labels := prf.BlocksOf(gb.msg[labelsOff:decodeOff])
+	gIn := labels[1:]
+	decode := gb.msg[decodeOff:]
+	forBatches(c, c.labelScratch, func(w []prf.Block, s0, k int) {
+		lane := func(x Wire) []prf.Block { return w[int(x)*stride:][:k] }
+		for l := 0; l < k; l++ {
+			w[int(c.Const0)*stride+l] = labels[0]
+			for i, x := range c.GarblerInputs {
+				w[int(x)*stride+l] = gIn[(s0+l)*nG+i]
+			}
+			for i, x := range c.EvalInputs {
+				w[int(x)*stride+l] = gb.evalIn[(s0+l)*nE+i]
+			}
+		}
+		var perm []byte
+		if keepPerm {
+			perm = gb.perm[s0/lanes*sb:][:sb]
+		}
+		t, step := 0, uint64(sb)
+		for _, gate := range c.Gates {
+			a, out := lane(gate.A), lane(gate.Out)
 			switch gate.Kind {
 			case GateXOR:
-				gb.labels[gate.Out] = prf.XORBlockValue(gb.labels[gate.A], gb.labels[gate.B])
+				b := lane(gate.B)
+				for l := range out {
+					prf.XORBlock(&out[l], a[l], b[l])
+				}
 			case GateNOT:
 				// The zero-label of the output is the one-label of the input.
-				gb.labels[gate.Out] = prf.XORBlockValue(gb.labels[gate.A], gb.delta)
+				for l := range out {
+					prf.XORBlock(&out[l], a[l], delta)
+				}
 			case GateXORG:
 				// XOR with a garbler-private constant: flip the zero-label's
 				// meaning when the bit is set. Free for the evaluator.
-				l := gb.labels[gate.A]
-				if priv[gate.B] {
-					l = prf.XORBlockValue(l, gb.delta)
+				for l := range out {
+					out[l] = a[l]
+					if priv[(s0+l)*nP+int(gate.B)] {
+						prf.XORBlock(&out[l], a[l], delta)
+					}
 				}
-				gb.labels[gate.Out] = l
+			case GateAND:
+				b := lane(gate.B)
+				var a1, b1, ha0, ha1, hb0, hb1 [lanes]prf.Block
+				for l := range a {
+					prf.XORBlock(&a1[l], a[l], delta)
+					prf.XORBlock(&b1[l], b[l], delta)
+				}
+				tw := uint64(s0*sb + t)
+				prf.HashBlocks(ha0[:k], a, tw, step)
+				prf.HashBlocks(ha1[:k], a1[:k], tw, step)
+				prf.HashBlocks(hb0[:k], b, tw+1, step)
+				prf.HashBlocks(hb1[:k], b1[:k], tw+1, step)
+				for l := range out {
+					pa, pb := a[l].LSB(), b[l].LSB()
+					// Garbler half-gate.
+					tg := prf.XORBlockValue(ha0[l], ha1[l])
+					if pb == 1 {
+						prf.XORBlock(&tg, tg, delta)
+					}
+					wg := ha0[l]
+					if pa == 1 {
+						prf.XORBlock(&wg, wg, tg)
+					}
+					// Evaluator half-gate.
+					te := prf.XORBlockValue(prf.XORBlockValue(hb0[l], hb1[l]), a[l])
+					we := hb0[l]
+					if pb == 1 {
+						prf.XORBlock(&we, we, prf.XORBlockValue(te, a[l]))
+					}
+					prf.XORBlock(&out[l], wg, we)
+					ti := (s0+l)*sb + t
+					tables[ti], tables[ti+1] = tg, te
+				}
+				if keepPerm {
+					perm[t], perm[t+1] = lsbs(a), lsbs(b)
+				}
+				t += 2
+			case GateANDG:
+				// AND with a garbler-private constant: a single garbler
+				// half-gate (one ciphertext).
+				var a1, ha0, ha1 [lanes]prf.Block
+				for l := range a {
+					prf.XORBlock(&a1[l], a[l], delta)
+				}
+				tw := uint64(s0*sb + t)
+				prf.HashBlocks(ha0[:k], a, tw, step)
+				prf.HashBlocks(ha1[:k], a1[:k], tw, step)
+				for l := range out {
+					tg := prf.XORBlockValue(ha0[l], ha1[l])
+					if priv[(s0+l)*nP+int(gate.B)] {
+						prf.XORBlock(&tg, tg, delta)
+					}
+					out[l] = ha0[l]
+					if a[l].LSB() == 1 {
+						prf.XORBlock(&out[l], ha0[l], tg)
+					}
+					tables[(s0+l)*sb+t] = tg
+				}
+				if keepPerm {
+					perm[t] = lsbs(a)
+				}
+				t++
 			}
 		}
-		parallel.For(len(ly.and), 16, func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				gb.garbleAnd(c, sched, int(ly.and[k]), priv)
+		// A batch of lanes slots owns whole bytes of both packed vectors.
+		for l := 0; l < k; l++ {
+			for i, x := range c.EvalOutputs {
+				orBit(decode, (s0+l)*nEO+i, w[int(x)*stride+l].LSB())
 			}
-		})
-	}
+			for i, x := range c.GarblerOutputs {
+				orBit(gb.outPerm, (s0+l)*nGO+i, w[int(x)*stride+l].LSB())
+			}
+		}
+	})
 	return gb
 }
 
-// garbleAnd garbles the AND or ANDG gate at index gi. It reads only
-// labels produced by earlier layers and writes only the gate's output
-// label and its own table slots, so gates of one layer may run
-// concurrently.
-func (gb *garbled) garbleAnd(c *Circuit, sched *schedule, gi int, priv []bool) {
-	gate := c.Gates[gi]
-	switch gate.Kind {
-	case GateAND:
-		a0 := gb.labels[gate.A]
-		b0 := gb.labels[gate.B]
-		a1 := prf.XORBlockValue(a0, gb.delta)
-		b1 := prf.XORBlockValue(b0, gb.delta)
-		pa := a0.LSB()
-		pb := b0.LSB()
-		t1 := sched.tweak[gi]
-		t2 := t1 + 1
-
-		// Garbler half-gate.
-		ha0 := prf.HashBlock(a0, t1)
-		ha1 := prf.HashBlock(a1, t1)
-		tg := prf.XORBlockValue(ha0, ha1)
-		if pb == 1 {
-			tg = prf.XORBlockValue(tg, gb.delta)
-		}
-		wg := ha0
-		if pa == 1 {
-			wg = prf.XORBlockValue(wg, tg)
-		}
-
-		// Evaluator half-gate.
-		hb0 := prf.HashBlock(b0, t2)
-		hb1 := prf.HashBlock(b1, t2)
-		te := prf.XORBlockValue(prf.XORBlockValue(hb0, hb1), a0)
-		we := hb0
-		if pb == 1 {
-			we = prf.XORBlockValue(we, prf.XORBlockValue(te, a0))
-		}
-
-		gb.labels[gate.Out] = prf.XORBlockValue(wg, we)
-		gb.tables[sched.table[gi]] = tg
-		gb.tables[sched.table[gi]+1] = te
-	case GateANDG:
-		// AND with a garbler-private constant: a single garbler
-		// half-gate (one ciphertext).
-		a0 := gb.labels[gate.A]
-		a1 := prf.XORBlockValue(a0, gb.delta)
-		pa := a0.LSB()
-		t := sched.tweak[gi]
-		ha0 := prf.HashBlock(a0, t)
-		ha1 := prf.HashBlock(a1, t)
-		tg := prf.XORBlockValue(ha0, ha1)
-		if priv[gate.B] {
-			tg = prf.XORBlockValue(tg, gb.delta)
-		}
-		out := ha0
-		if pa == 1 {
-			out = prf.XORBlockValue(out, tg)
-		}
-		gb.labels[gate.Out] = out
-		gb.tables[sched.table[gi]] = tg
+// evaluate runs the evaluator's side of c over the garbler's message —
+// read in place, tables included — and the active labels of its own
+// inputs, slot-major. It returns the evaluator's output bits and the
+// packed masked bits (active-label LSBs) of the garbler's outputs. It is
+// the same slot kernel as garble, with the same determinism guarantee,
+// and it checks every length before the first read: msg comes from the
+// peer.
+func evaluate(c *Circuit, msg []byte, evalIn [][]byte) (out []bool, masked []byte, err error) {
+	labelsOff, decodeOff, total := c.msgLayout()
+	if len(msg) != total {
+		return nil, nil, fmt.Errorf("gc: garbled message has %d bytes, want %d", len(msg), total)
 	}
-}
-
-// evaluate runs the evaluator side over active labels. active must contain
-// the active labels of Const0, all inputs; tables are the AND tables. It
-// follows the same layered schedule as garble, with the same
-// determinism guarantee.
-func evaluate(c *Circuit, active []prf.Block, tables []prf.Block) error {
-	if len(tables) != c.TableBlocks() {
-		return fmt.Errorf("gc: got %d table blocks, want %d", len(tables), c.TableBlocks())
+	nG, nE := len(c.GarblerInputs), len(c.EvalInputs)
+	nEO, nGO := len(c.EvalOutputs), len(c.GarblerOutputs)
+	if len(evalIn) != c.Slots*nE {
+		return nil, nil, fmt.Errorf("gc: got %d evaluator input labels, want %d", len(evalIn), c.Slots*nE)
+	}
+	for i := range evalIn {
+		if len(evalIn[i]) != 16 {
+			return nil, nil, fmt.Errorf("gc: evaluator input label %d has %d bytes, want 16", i, len(evalIn[i]))
+		}
 	}
 	sp := obs.Begin("gc", "gc.evaluate")
-	defer sp.EndN(int64(len(c.Gates)))
-	var startT time.Time
+	defer sp.EndN(int64(c.NumGates()))
 	if obs.Enabled() {
-		startT = time.Now()
+		startT := time.Now()
 		defer func() {
 			d := time.Since(startT)
 			mCircuitsEval.Inc()
-			mGatesEvaled.Add(int64(len(c.Gates)))
-			mAndsEvaled.Add(int64(c.NumAnd + c.NumAndG))
+			mGatesEvaled.Add(int64(c.NumGates()))
+			mAndsEvaled.Add(int64(c.Slots * (c.NumAnd + c.NumAndG)))
 			mEvalNs.Observe(d.Nanoseconds())
-			mEvalGateRate.Set(gateRate(len(c.Gates), d))
+			mEvalGateRate.Set(gateRate(c.NumGates(), d))
 		}()
 	}
-	sched := c.scheduleOf()
-	for _, ly := range sched.layers {
-		for _, gi := range ly.free {
-			gate := c.Gates[gi]
+	sb, stride := c.slotBlocks(), c.stride()
+	tables := prf.BlocksOf(msg[:labelsOff])
+	labels := prf.BlocksOf(msg[labelsOff:decodeOff])
+	gIn := labels[1:]
+	decode := msg[decodeOff:]
+	out = make([]bool, c.Slots*nEO)
+	masked = make([]byte, (c.Slots*nGO+7)/8)
+	forBatches(c, c.labelScratch, func(w []prf.Block, s0, k int) {
+		lane := func(x Wire) []prf.Block { return w[int(x)*stride:][:k] }
+		for l := 0; l < k; l++ {
+			w[int(c.Const0)*stride+l] = labels[0]
+			for i, x := range c.GarblerInputs {
+				w[int(x)*stride+l] = gIn[(s0+l)*nG+i]
+			}
+			for i, x := range c.EvalInputs {
+				copy(w[int(x)*stride+l][:], evalIn[(s0+l)*nE+i])
+			}
+		}
+		t, step := 0, uint64(sb)
+		for _, gate := range c.Gates {
+			a, o := lane(gate.A), lane(gate.Out)
 			switch gate.Kind {
 			case GateXOR:
-				active[gate.Out] = prf.XORBlockValue(active[gate.A], active[gate.B])
+				b := lane(gate.B)
+				for l := range o {
+					prf.XORBlock(&o[l], a[l], b[l])
+				}
 			case GateNOT, GateXORG:
-				active[gate.Out] = active[gate.A]
+				copy(o, a)
+			case GateAND:
+				b := lane(gate.B)
+				var hg, he [lanes]prf.Block
+				tw := uint64(s0*sb + t)
+				prf.HashBlocks(hg[:k], a, tw, step)
+				prf.HashBlocks(he[:k], b, tw+1, step)
+				for l := range o {
+					ti := (s0+l)*sb + t
+					wg, we := hg[l], he[l]
+					if a[l].LSB() == 1 {
+						prf.XORBlock(&wg, wg, tables[ti])
+					}
+					if b[l].LSB() == 1 {
+						prf.XORBlock(&we, we, prf.XORBlockValue(tables[ti+1], a[l]))
+					}
+					prf.XORBlock(&o[l], wg, we)
+				}
+				t += 2
+			case GateANDG:
+				var h [lanes]prf.Block
+				prf.HashBlocks(h[:k], a, uint64(s0*sb+t), step)
+				for l := range o {
+					o[l] = h[l]
+					if a[l].LSB() == 1 {
+						prf.XORBlock(&o[l], h[l], tables[(s0+l)*sb+t])
+					}
+				}
+				t++
 			}
 		}
-		parallel.For(len(ly.and), 16, func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				evalAnd(c, sched, int(ly.and[k]), active, tables)
+		for l := 0; l < k; l++ {
+			for i, x := range c.EvalOutputs {
+				j := (s0+l)*nEO + i
+				out[j] = (w[int(x)*stride+l].LSB() == 1) != getBit(decode, j)
 			}
-		})
-	}
-	return nil
-}
-
-// evalAnd evaluates the AND or ANDG gate at index gi over active labels.
-func evalAnd(c *Circuit, sched *schedule, gi int, active, tables []prf.Block) {
-	gate := c.Gates[gi]
-	switch gate.Kind {
-	case GateAND:
-		wa := active[gate.A]
-		wb := active[gate.B]
-		sa := wa.LSB()
-		sb := wb.LSB()
-		tg := tables[sched.table[gi]]
-		te := tables[sched.table[gi]+1]
-		tweak := sched.tweak[gi]
-		wg := prf.HashBlock(wa, tweak)
-		if sa == 1 {
-			wg = prf.XORBlockValue(wg, tg)
+			for i, x := range c.GarblerOutputs {
+				orBit(masked, (s0+l)*nGO+i, w[int(x)*stride+l].LSB())
+			}
 		}
-		we := prf.HashBlock(wb, tweak+1)
-		if sb == 1 {
-			we = prf.XORBlockValue(we, prf.XORBlockValue(te, wa))
-		}
-		active[gate.Out] = prf.XORBlockValue(wg, we)
-	case GateANDG:
-		wa := active[gate.A]
-		tg := tables[sched.table[gi]]
-		out := prf.HashBlock(wa, sched.tweak[gi])
-		if wa.LSB() == 1 {
-			out = prf.XORBlockValue(out, tg)
-		}
-		active[gate.Out] = out
-	}
+	})
+	return out, masked, nil
 }

@@ -37,31 +37,23 @@ type PreGarbled struct {
 }
 
 // GarbleAhead garbles c before its inputs or private bits are known.
-// Pure computation — nothing touches the network until RunOnline.
+// Pure computation — nothing touches the network until RunOnline. Besides
+// the message-shaped material every garbling keeps, it retains one
+// permute bit per table block (see garbled.perm): all applyPrivate needs
+// of the interior wires.
 func GarbleAhead(c *Circuit) *PreGarbled {
-	zero := make([]bool, c.NumPrivate)
-	return &PreGarbled{C: c, gb: garble(c, prf.NewPRG(prf.RandomSeed()), zero)}
-}
-
-// PreEval is the evaluator's half of ahead-of-time work: the circuit with
-// its parallel evaluation schedule already built.
-type PreEval struct {
-	C *Circuit
-}
-
-// PrepareEval forces the one-time schedule construction of c offline so
-// the online evaluate call starts hashing immediately.
-func PrepareEval(c *Circuit) *PreEval {
-	c.Prepare()
-	return &PreEval{C: c}
+	zero := make([]bool, c.Slots*c.NumPrivate)
+	return &PreGarbled{C: c, gb: garble(c, prf.NewPRG(prf.RandomSeed()), zero, true)}
 }
 
 // SameShape reports whether two circuits have identical dimensions. The
 // operators build circuits deterministically from public cardinalities,
 // so dimension equality is how the runtime recognizes that a pre-built
-// circuit is the one the current step would have built.
+// circuit is the one the current step would have built. The same slot
+// repeated a different number of times is a different shape.
 func SameShape(a, b *Circuit) bool {
-	return a.NumWires == b.NumWires &&
+	return a.Slots == b.Slots &&
+		a.NumWires == b.NumWires &&
 		len(a.Gates) == len(b.Gates) &&
 		a.NumAnd == b.NumAnd &&
 		a.NumAndG == b.NumAndG &&
@@ -74,50 +66,71 @@ func SameShape(a, b *Circuit) bool {
 }
 
 // applyPrivate specializes zero-private garbled material to the true
-// private bits. It XORs f·Δ into the affected table entries in place and
-// returns the per-wire flip bits f, which finishGarbler uses to translate
-// label LSBs into the corrected decode bits. One serial sweep of boolean
-// and XOR operations; c.Gates is topologically ordered, so each gate sees
-// its input flips resolved.
-func applyPrivate(c *Circuit, gb *garbled, priv []bool) []bool {
+// private bits, in place: it XORs f·Δ into the affected table entries and
+// flips the decode and output permute bits of the output wires whose
+// label meaning changed, after which gb is what a direct garble with the
+// same randomness would have produced. The slot kernel again, one slot at
+// a time over a scratch of per-wire flip bits f (input wires are never
+// written, so they stay unflipped across slots); each gate sees its
+// input flips resolved because the gate list is topologically ordered.
+func applyPrivate(c *Circuit, gb *garbled, priv []bool) {
 	sp := obs.Begin("gc", "gc.correct")
-	defer sp.EndN(int64(len(c.Gates)))
+	defer sp.EndN(int64(c.NumGates()))
 	mCircuitsCorrected.Inc()
-	sched := c.scheduleOf()
-	flips := make([]bool, c.NumWires)
-	for gi, gate := range c.Gates {
-		switch gate.Kind {
-		case GateXOR:
-			flips[gate.Out] = flips[gate.A] != flips[gate.B]
-		case GateNOT:
-			flips[gate.Out] = flips[gate.A]
-		case GateXORG:
-			flips[gate.Out] = flips[gate.A] != priv[gate.B]
-		case GateAND:
-			alpha := flips[gate.A]
-			beta := flips[gate.B]
-			pa := gb.labels[gate.A].LSB() == 1
-			pb := gb.labels[gate.B].LSB() == 1
-			ti := sched.table[gi]
-			if beta {
-				gb.tables[ti] = prf.XORBlockValue(gb.tables[ti], gb.delta)
+	labelsOff, decodeOff, _ := c.msgLayout()
+	tables := prf.BlocksOf(gb.msg[:labelsOff])
+	decode := gb.msg[decodeOff:]
+	delta := gb.delta
+	sb, nP := c.slotBlocks(), c.NumPrivate
+	nEO, nGO := len(c.EvalOutputs), len(c.GarblerOutputs)
+	forBatches(c, func() []bool { return make([]bool, c.NumWires) }, func(f []bool, s0, k int) {
+		perm := gb.perm[s0/lanes*sb:][:sb]
+		for l := 0; l < k; l++ {
+			s := s0 + l
+			p := priv[s*nP:][:nP]
+			tbl := tables[s*sb:][:sb]
+			t := 0
+			for _, gate := range c.Gates {
+				switch gate.Kind {
+				case GateXOR:
+					f[gate.Out] = f[gate.A] != f[gate.B]
+				case GateNOT:
+					f[gate.Out] = f[gate.A]
+				case GateXORG:
+					f[gate.Out] = f[gate.A] != p[gate.B]
+				case GateAND:
+					alpha, beta := f[gate.A], f[gate.B]
+					pa, pb := perm[t]>>l&1 == 1, perm[t+1]>>l&1 == 1
+					if beta {
+						prf.XORBlock(&tbl[t], tbl[t], delta)
+					}
+					if alpha {
+						prf.XORBlock(&tbl[t+1], tbl[t+1], delta)
+					}
+					f[gate.Out] = (pa && beta) != (alpha && (pb != beta))
+					t += 2
+				case GateANDG:
+					pv, alpha := p[gate.B], f[gate.A]
+					if pv {
+						prf.XORBlock(&tbl[t], tbl[t], delta)
+					}
+					f[gate.Out] = pv && (perm[t]>>l&1 == 1) != alpha
+					t++
+				}
 			}
-			if alpha {
-				gb.tables[ti+1] = prf.XORBlockValue(gb.tables[ti+1], gb.delta)
+			for i, x := range c.EvalOutputs {
+				if f[x] {
+					decode[(s*nEO+i)>>3] ^= 1 << ((s*nEO + i) & 7)
+				}
 			}
-			flips[gate.Out] = (pa && beta) != (alpha && (pb != beta))
-		case GateANDG:
-			p := priv[gate.B]
-			alpha := flips[gate.A]
-			if p {
-				ti := sched.table[gi]
-				gb.tables[ti] = prf.XORBlockValue(gb.tables[ti], gb.delta)
+			for i, x := range c.GarblerOutputs {
+				if f[x] {
+					gb.outPerm[(s*nGO+i)>>3] ^= 1 << ((s*nGO + i) & 7)
+				}
 			}
-			pa := gb.labels[gate.A].LSB() == 1
-			flips[gate.Out] = p && (pa != alpha)
 		}
-	}
-	return flips
+	})
+	gb.perm = nil
 }
 
 // RunOnline runs the thin online step of a pre-garbled circuit: apply the
@@ -129,14 +142,11 @@ func (pg *PreGarbled) RunOnline(conn transport.Conn, otSend *ot.Sender, inputs, 
 	if pg.gb == nil {
 		return nil, fmt.Errorf("gc: pre-garbled circuit already consumed")
 	}
-	if len(inputs) != len(c.GarblerInputs) {
-		return nil, fmt.Errorf("gc: garbler got %d input bits, want %d", len(inputs), len(c.GarblerInputs))
-	}
-	if len(priv) != c.NumPrivate {
-		return nil, fmt.Errorf("gc: garbler got %d private bits, want %d", len(priv), c.NumPrivate)
+	if err := c.checkGarblerBits(inputs, priv); err != nil {
+		return nil, err
 	}
 	gb := pg.gb
-	pg.gb = nil // single-use: applyPrivate mutates the tables
-	flips := applyPrivate(c, gb, priv)
-	return finishGarbler(conn, otSend, c, gb, inputs, flips)
+	pg.gb = nil // single-use: applyPrivate mutates the material
+	applyPrivate(c, gb, priv)
+	return finishGarbler(conn, otSend, c, gb, inputs)
 }

@@ -1,6 +1,7 @@
 package gc
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -9,11 +10,10 @@ import (
 	"secyan/internal/transport"
 )
 
-// correctionCircuit exercises every gate kind, with garbler-private bits
+// correctionGadget exercises every gate kind, with garbler-private bits
 // feeding XORG and ANDG gates at several depths so flips have to
 // propagate through XOR/NOT/AND chains.
-func correctionCircuit() *Circuit {
-	b := NewBuilder()
+func correctionGadget(b *Builder) {
 	g := b.GarblerInputWord(8)
 	e := b.EvalInputWord(8)
 	p := b.PrivateWord(8)
@@ -26,8 +26,9 @@ func correctionCircuit() *Circuit {
 	b.OutputWordToEval(out)
 	b.OutputWordToGarbler(b.Sub(out, g))
 	b.OutputToEval(b.Not(eq))
-	return b.Build()
 }
+
+func correctionCircuit() *Circuit { return slotted(correctionGadget, 1) }
 
 func randBits(rng *rand.Rand, n int) []bool {
 	out := make([]bool, n)
@@ -40,42 +41,31 @@ func randBits(rng *rand.Rand, n int) []bool {
 // TestAppliedCorrectionsMatchDirectGarble pins the core precomputation
 // property: garbling with zero privates and then applying the true
 // private bits yields material byte-identical to a direct garble with
-// the same randomness — tables equal, and every wire label equal up to
-// the computed flip times Δ. This is what makes the pre-garbled online
-// path emit the exact bytes RunGarbler would.
+// the same randomness — the whole message (tables, labels, decode bits),
+// the evaluator-input labels and the garbler-output permute bits — at
+// one slot and across batches, at workers 1 and 4. This is what makes
+// the pre-garbled online path emit the exact bytes RunGarbler would.
 func TestAppliedCorrectionsMatchDirectGarble(t *testing.T) {
-	c := correctionCircuit()
 	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 20; trial++ {
-		priv := randBits(rng, c.NumPrivate)
-		seed := prf.Seed{byte(trial), 0x5e}
-
-		direct := garble(c, prf.NewPRG(seed), priv)
-		off := garble(c, prf.NewPRG(seed), make([]bool, c.NumPrivate))
-		flips := applyPrivate(c, off, priv)
-
-		if direct.delta != off.delta {
-			t.Fatal("delta depends on private bits")
-		}
-		for i := range direct.tables {
-			if direct.tables[i] != off.tables[i] {
-				t.Fatalf("trial %d: corrected table block %d differs from direct garble", trial, i)
-			}
-		}
-		for w := 0; w < c.NumWires; w++ {
-			got := off.labels[w]
-			if flips[w] {
-				got = prf.XORBlockValue(got, off.delta)
-			}
-			if got != direct.labels[w] {
-				t.Fatalf("trial %d: wire %d zero-label differs (flip=%v)", trial, w, flips[w])
+	for _, n := range []int{1, 19} {
+		c := slotted(correctionGadget, n)
+		for trial := 0; trial < 10; trial++ {
+			priv := randBits(rng, c.Slots*c.NumPrivate)
+			seed := prf.Seed{byte(trial), 0x5e}
+			direct := garble(c, prf.NewPRG(seed), priv, false)
+			for _, workers := range []int{1, 4} {
+				off := atWorkers(workers, func() *garbled {
+					off := garble(c, prf.NewPRG(seed), make([]bool, len(priv)), true)
+					applyPrivate(c, off, priv)
+					return off
+				})
+				sameGarbling(t, fmt.Sprintf("%d slots, trial %d, workers=%d", n, trial, workers), off, direct)
 			}
 		}
 	}
 }
 
-// run2PCPre mirrors run2PC but garbles ahead of time on the garbler side
-// and prepares the evaluator's schedule offline.
+// run2PCPre mirrors run2PC but garbles ahead of time on the garbler side.
 func run2PCPre(t testing.TB, c *Circuit, garblerBits, evalBits, priv []bool) ([]bool, []bool) {
 	t.Helper()
 	a, b := transport.Pair()
@@ -83,7 +73,6 @@ func run2PCPre(t testing.TB, c *Circuit, garblerBits, evalBits, priv []bool) ([]
 	defer b.Close()
 
 	pg := GarbleAhead(c) // offline: before inputs exist
-	pe := PrepareEval(c)
 
 	type gres struct {
 		out []bool
@@ -103,7 +92,7 @@ func run2PCPre(t testing.TB, c *Circuit, garblerBits, evalBits, priv []bool) ([]
 	if err != nil {
 		t.Fatalf("ot receiver: %v", err)
 	}
-	evalOut, err := RunEvaluator(b, rcv, pe.C, evalBits)
+	evalOut, err := RunEvaluator(b, rcv, c, evalBits)
 	if err != nil {
 		t.Fatalf("RunEvaluator: %v", err)
 	}
@@ -121,9 +110,7 @@ func TestPreGarbledProtocolMatchesPlain(t *testing.T) {
 	c := correctionCircuit()
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 8; trial++ {
-		gBits := randBits(rng, len(c.GarblerInputs))
-		eBits := randBits(rng, len(c.EvalInputs))
-		priv := randBits(rng, c.NumPrivate)
+		gBits, eBits, priv := randomInputs(rng, c)
 
 		wantEval, wantGarb, err := c.EvalPlain(gBits, eBits, priv)
 		if err != nil {
@@ -167,5 +154,15 @@ func TestSameShape(t *testing.T) {
 	nb.OutputWordToEval(w)
 	if SameShape(a, nb.Build()) {
 		t.Fatal("different circuits must not share a shape")
+	}
+	// The same slot repeated a different number of times is a different
+	// circuit: a queue holding one must not be consumed for the other.
+	if !SameShape(slotted(correctionGadget, 5), slotted(correctionGadget, 5)) {
+		t.Fatal("equal slot counts must share a shape")
+	}
+	for _, n := range []int{0, 2, 6} {
+		if SameShape(slotted(correctionGadget, n), slotted(correctionGadget, 5)) {
+			t.Fatalf("%d and 5 repetitions of one slot must not share a shape", n)
+		}
 	}
 }

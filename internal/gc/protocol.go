@@ -3,15 +3,15 @@ package gc
 import (
 	"fmt"
 
-	"secyan/internal/bitutil"
 	"secyan/internal/ot"
 	"secyan/internal/prf"
 	"secyan/internal/transport"
 )
 
 // RunGarbler executes the 2PC evaluation of c as the garbling party.
-// inputs are the garbler's private input bits (len(c.GarblerInputs)).
-// It returns the bits of c.GarblerOutputs. The protocol is:
+// inputs are the garbler's private input bits and priv its private bits,
+// both slot-major. It returns the bits of the garbler outputs, slot-major.
+// The protocol is:
 //
 //  1. garbler → evaluator: AND tables ‖ const label ‖ active garbler input
 //     labels ‖ evaluator-output decode bits
@@ -21,62 +21,49 @@ import (
 // This is a constant number of rounds regardless of circuit size or depth,
 // the property the paper's operator protocols rely on (§5.2).
 func RunGarbler(conn transport.Conn, otSend *ot.Sender, c *Circuit, inputs, priv []bool) ([]bool, error) {
-	if len(inputs) != len(c.GarblerInputs) {
-		return nil, fmt.Errorf("gc: garbler got %d input bits, want %d", len(inputs), len(c.GarblerInputs))
+	if err := c.checkGarblerBits(inputs, priv); err != nil {
+		return nil, err
 	}
-	if len(priv) != c.NumPrivate {
-		return nil, fmt.Errorf("gc: garbler got %d private bits, want %d", len(priv), c.NumPrivate)
-	}
-	gb := garble(c, prf.NewPRG(prf.RandomSeed()), priv)
-	return finishGarbler(conn, otSend, c, gb, inputs, nil)
+	gb := garble(c, prf.NewPRG(prf.RandomSeed()), priv, false)
+	return finishGarbler(conn, otSend, c, gb, inputs)
 }
 
-// finishGarbler runs the garbler's message exchange over already-garbled
-// material. flips are the per-wire label-meaning corrections from
-// applyPrivate (nil on the direct path, where labels already encode the
-// true private bits); they adjust only how LSBs decode, never the labels
-// or tables themselves, so both paths emit identical message layouts.
-func finishGarbler(conn transport.Conn, otSend *ot.Sender, c *Circuit, gb *garbled, inputs []bool, flips []bool) ([]bool, error) {
-	// One exactly-sized message: tables ‖ const label ‖ active garbler
-	// input labels ‖ decode bits. The table region — nearly all of the
-	// bytes — lands with a single bulk copy.
-	tablesLen := 16 * len(gb.tables)
-	msg := make([]byte, tablesLen+16+16*len(c.GarblerInputs)+(len(c.EvalOutputs)+7)/8)
-	copy(msg, prf.BlockBytes(gb.tables))
-	off := tablesLen
-	copy(msg[off:], gb.labels[c.Const0][:])
-	off += 16
-	for i, w := range c.GarblerInputs {
-		l := gb.labels[w]
-		if inputs[i] {
-			l = prf.XORBlockValue(l, gb.delta)
-		}
-		copy(msg[off:], l[:])
-		off += 16
+func (c *Circuit) checkGarblerBits(inputs, priv []bool) error {
+	if want := c.Slots * len(c.GarblerInputs); len(inputs) != want {
+		return fmt.Errorf("gc: garbler got %d input bits, want %d", len(inputs), want)
 	}
-	decode := bitutil.NewVector(len(c.EvalOutputs))
-	for i, w := range c.EvalOutputs {
-		bit := gb.labels[w].LSB() == 1
-		if flips != nil && flips[w] {
-			bit = !bit
-		}
-		decode.Set(i, bit)
+	if want := c.Slots * c.NumPrivate; len(priv) != want {
+		return fmt.Errorf("gc: garbler got %d private bits, want %d", len(priv), want)
 	}
-	copy(msg[off:], decode.Bytes())
-	if err := conn.Send(msg); err != nil {
+	return nil
+}
+
+// finishGarbler runs the garbler's message exchange over garbled
+// material, direct or pre-garbled and corrected alike: gb.msg already has
+// the wire layout, so the table region — nearly all of the bytes — is
+// sent from the buffer it was garbled into.
+func finishGarbler(conn transport.Conn, otSend *ot.Sender, c *Circuit, gb *garbled, inputs []bool) ([]bool, error) {
+	labelsOff, decodeOff, _ := c.msgLayout()
+	gIn := prf.BlocksOf(gb.msg[labelsOff+16 : decodeOff])
+	for i, v := range inputs {
+		if v {
+			prf.XORBlock(&gIn[i], gIn[i], gb.delta)
+		}
+	}
+	if err := conn.Send(gb.msg); err != nil {
 		return nil, err
 	}
 
 	// Evaluator input labels via OT, the pairs flattened over one
 	// contiguous backing array.
-	if len(c.EvalInputs) > 0 {
-		back := make([]byte, 32*len(c.EvalInputs))
-		pairs := make([][2][]byte, len(c.EvalInputs))
-		for i, w := range c.EvalInputs {
+	if len(gb.evalIn) > 0 {
+		back := make([]byte, 32*len(gb.evalIn))
+		pairs := make([][2][]byte, len(gb.evalIn))
+		for i, l0 := range gb.evalIn {
 			p0 := back[32*i : 32*i+16 : 32*i+16]
 			p1 := back[32*i+16 : 32*i+32 : 32*i+32]
-			copy(p0, gb.labels[w][:])
-			l1 := prf.XORBlockValue(gb.labels[w], gb.delta)
+			copy(p0, l0[:])
+			l1 := prf.XORBlockValue(l0, gb.delta)
 			copy(p1, l1[:])
 			pairs[i] = [2][]byte{p0, p1}
 		}
@@ -86,80 +73,54 @@ func finishGarbler(conn transport.Conn, otSend *ot.Sender, c *Circuit, gb *garbl
 	}
 
 	// Garbler outputs: the evaluator returns lsb(active); unmask with
-	// lsb(zero label), corrected by the wire's flip bit.
-	if len(c.GarblerOutputs) == 0 {
+	// the zero label's permute bit.
+	nOut := c.Slots * len(c.GarblerOutputs)
+	if nOut == 0 {
 		return nil, nil
 	}
-	maskedMsg, err := conn.Recv()
+	masked, err := conn.Recv()
 	if err != nil {
 		return nil, err
 	}
-	masked := bitutil.VectorFromBytes(maskedMsg, len(c.GarblerOutputs))
-	out := make([]bool, len(c.GarblerOutputs))
-	for i, w := range c.GarblerOutputs {
-		bit := gb.labels[w].LSB() == 1
-		if flips != nil && flips[w] {
-			bit = !bit
-		}
-		out[i] = masked.Get(i) != bit
+	if len(masked) != len(gb.outPerm) {
+		return nil, fmt.Errorf("gc: masked outputs have %d bytes, want %d", len(masked), len(gb.outPerm))
+	}
+	out := make([]bool, nOut)
+	for i := range out {
+		out[i] = getBit(masked, i) != getBit(gb.outPerm, i)
 	}
 	return out, nil
 }
 
 // RunEvaluator executes the 2PC evaluation of c as the evaluating party.
-// inputs are the evaluator's private input bits. It returns the bits of
-// c.EvalOutputs.
+// inputs are the evaluator's private input bits, slot-major. It returns
+// the bits of the evaluator outputs, slot-major. The garbler's message is
+// evaluated where it was received; nothing is copied out of it.
 func RunEvaluator(conn transport.Conn, otRecv *ot.Receiver, c *Circuit, inputs []bool) ([]bool, error) {
-	if len(inputs) != len(c.EvalInputs) {
-		return nil, fmt.Errorf("gc: evaluator got %d input bits, want %d", len(inputs), len(c.EvalInputs))
+	if want := c.Slots * len(c.EvalInputs); len(inputs) != want {
+		return nil, fmt.Errorf("gc: evaluator got %d input bits, want %d", len(inputs), want)
 	}
 	msg, err := conn.Recv()
 	if err != nil {
 		return nil, err
 	}
-	wantLen := 16*c.TableBlocks() + 16 + 16*len(c.GarblerInputs) + (len(c.EvalOutputs)+7)/8
-	if len(msg) != wantLen {
-		return nil, fmt.Errorf("gc: garbled message has %d bytes, want %d", len(msg), wantLen)
+	if _, _, want := c.msgLayout(); len(msg) != want {
+		return nil, fmt.Errorf("gc: garbled message has %d bytes, want %d", len(msg), want)
 	}
-	tables := make([]prf.Block, c.TableBlocks())
-	copy(prf.BlockBytes(tables), msg[:16*len(tables)])
-	off := 16 * len(tables)
-	active := make([]prf.Block, c.NumWires)
-	copy(active[c.Const0][:], msg[off:off+16])
-	off += 16
-	for _, w := range c.GarblerInputs {
-		copy(active[w][:], msg[off:off+16])
-		off += 16
-	}
-	decode := bitutil.VectorFromBytes(msg[off:], len(c.EvalOutputs))
-
-	if len(c.EvalInputs) > 0 {
-		labels, err := otRecv.Receive(inputs, 16)
-		if err != nil {
+	var labels [][]byte
+	if len(inputs) > 0 {
+		if labels, err = otRecv.Receive(inputs, 16); err != nil {
 			return nil, err
 		}
-		for i, w := range c.EvalInputs {
-			copy(active[w][:], labels[i])
-		}
 	}
-
-	if err := evaluate(c, active, tables); err != nil {
+	out, masked, err := evaluate(c, msg, labels)
+	if err != nil {
 		return nil, err
 	}
-
-	if len(c.GarblerOutputs) > 0 {
-		masked := bitutil.NewVector(len(c.GarblerOutputs))
-		for i, w := range c.GarblerOutputs {
-			masked.Set(i, active[w].LSB() == 1)
-		}
-		if err := conn.Send(masked.Bytes()); err != nil {
+	if len(masked) > 0 {
+		if err := conn.Send(masked); err != nil {
 			return nil, err
 		}
-	}
-
-	out := make([]bool, len(c.EvalOutputs))
-	for i, w := range c.EvalOutputs {
-		out[i] = (active[w].LSB() == 1) != decode.Get(i)
 	}
 	return out, nil
 }

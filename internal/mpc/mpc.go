@@ -79,7 +79,7 @@ type Party struct {
 // are pinned to the raw conn (not a context wrapper) so their stream
 // positions stay aligned with the peer across composed runs; a
 // cancelled context still unblocks them because its watcher closes the
-// underlying conn. The precomputed-circuit queues live here for the same
+// underlying conn. The precomputed-circuit queue lives here for the same
 // reason: material staged by core.Precompute under one context must be
 // visible to the RunContext that consumes it.
 type session struct {
@@ -87,12 +87,12 @@ type session struct {
 	otSend *ot.Sender   // this party as OT sender
 	otRecv *ot.Receiver // this party as OT receiver
 
-	// FIFO queues of ahead-of-time garbled material, consumed by
+	// FIFO queue of ahead-of-time garbled material, consumed by
 	// RunCircuit in plan order. No mutex: the protocol itself is
 	// single-threaded per party, and Precompute joins its background
-	// garbling goroutine before enqueueing.
+	// garbling goroutine before enqueueing. The evaluating side has
+	// nothing to stage: evaluation needs no per-circuit preparation.
 	preGarb []*gc.PreGarbled
-	preEval []*gc.PreEval
 }
 
 // NewParty creates a session context. Ring defaults to share.Default when
@@ -157,14 +157,15 @@ func (p *Party) OTReceiver() (*ot.Receiver, error) {
 }
 
 // Circuit-queue metrics, mirroring the OT pool's fill/hit/miss triple.
+// Only garbling is counted: the evaluating side has no queue to hit.
 var (
-	mPreCircHits   = obs.NewCounter("secyan_mpc_precircuit_hit_total", "Circuits served from the ahead-of-time garbling queues.")
+	mPreCircHits   = obs.NewCounter("secyan_mpc_precircuit_hit_total", "Circuits served from the ahead-of-time garbling queue.")
 	mPreCircMisses = obs.NewCounter("secyan_mpc_precircuit_miss_total", "Circuits run on the direct path (queue empty or shape mismatch).")
 )
 
 // noteCircuit bumps the hit/miss counter and mirrors the outcome into
 // the structured event log under this party's query tag.
-func (p *Party) noteCircuit(hit bool, side string) {
+func (p *Party) noteCircuit(hit bool) {
 	if hit {
 		mPreCircHits.Inc()
 	} else {
@@ -175,7 +176,7 @@ func (p *Party) noteCircuit(hit bool, side string) {
 		if hit {
 			kind = "precompute.hit"
 		}
-		lg.Emit(kind, p.Tag, slog.String("what", "circuit"), slog.String("side", side))
+		lg.Emit(kind, p.Tag, slog.String("what", "circuit"))
 	}
 }
 
@@ -187,20 +188,12 @@ func (p *Party) EnqueuePreGarbled(pg *gc.PreGarbled) {
 	st.preGarb = append(st.preGarb, pg)
 }
 
-// EnqueuePreEval appends a schedule-prepared circuit this party will
-// evaluate.
-func (p *Party) EnqueuePreEval(pe *gc.PreEval) {
-	st := p.state()
-	st.preEval = append(st.preEval, pe)
-}
-
 // ClearPrecomputed drops all staged circuits and both OT pools. Both
 // parties must clear at the same protocol point, or pooled OT batches
 // will desynchronize.
 func (p *Party) ClearPrecomputed() {
 	st := p.state()
 	st.preGarb = nil
-	st.preEval = nil
 	if st.otSend != nil {
 		st.otSend.Pool().Clear()
 	}
@@ -214,46 +207,37 @@ func (p *Party) ClearPrecomputed() {
 // garbles, evaluator inputs otherwise); the returned bits are the outputs
 // destined to this party.
 //
-// When the head of this party's precomputed queue matches c's shape, the
-// circuit runs on its thin online path (private-bit corrections plus the
-// standard exchange); the wire format is identical either way, so the
-// queues need no cross-party agreement. A shape mismatch — execution has
-// diverged from the precomputed plan — drops the rest of the queue and
-// falls back to the direct path, which is always correct.
+// When this party garbles and the head of its precomputed queue matches
+// c's shape, the circuit runs on its thin online path (private-bit
+// corrections plus the standard exchange); the wire format is identical
+// either way, so the queue needs no cross-party agreement. A shape
+// mismatch — execution has diverged from the precomputed plan — drops
+// the rest of the queue and falls back to the direct path, which is
+// always correct.
 func (p *Party) RunCircuit(c *gc.Circuit, myInputs, myPriv []bool, garbler Role) ([]bool, error) {
-	st := p.state()
-	if p.Role == garbler {
-		snd, err := p.OTSender()
+	if p.Role != garbler {
+		rcv, err := p.OTReceiver()
 		if err != nil {
 			return nil, err
 		}
-		if len(st.preGarb) > 0 {
-			pg := st.preGarb[0]
-			if gc.SameShape(pg.C, c) {
-				st.preGarb = st.preGarb[1:]
-				p.noteCircuit(true, "garble")
-				return pg.RunOnline(p.Conn, snd, myInputs, myPriv)
-			}
-			st.preGarb = nil
-		}
-		p.noteCircuit(false, "garble")
-		return gc.RunGarbler(p.Conn, snd, c, myInputs, myPriv)
+		return gc.RunEvaluator(p.Conn, rcv, c, myInputs)
 	}
-	rcv, err := p.OTReceiver()
+	snd, err := p.OTSender()
 	if err != nil {
 		return nil, err
 	}
-	if len(st.preEval) > 0 {
-		pe := st.preEval[0]
-		if gc.SameShape(pe.C, c) {
-			st.preEval = st.preEval[1:]
-			p.noteCircuit(true, "eval")
-			return gc.RunEvaluator(p.Conn, rcv, pe.C, myInputs)
+	st := p.state()
+	if len(st.preGarb) > 0 {
+		pg := st.preGarb[0]
+		if gc.SameShape(pg.C, c) {
+			st.preGarb = st.preGarb[1:]
+			p.noteCircuit(true)
+			return pg.RunOnline(p.Conn, snd, myInputs, myPriv)
 		}
-		st.preEval = nil
+		st.preGarb = nil
 	}
-	p.noteCircuit(false, "eval")
-	return gc.RunEvaluator(p.Conn, rcv, c, myInputs)
+	p.noteCircuit(false)
+	return gc.RunGarbler(p.Conn, snd, c, myInputs, myPriv)
 }
 
 // Pair returns two connected in-memory parties, for tests and in-process

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"secyan/internal/gc"
+	"secyan/internal/obs"
 	"secyan/internal/share"
 )
 
@@ -126,5 +127,68 @@ func TestDefaultRing(t *testing.T) {
 	}
 	if Alice.String() != "Alice" || Bob.String() != "Bob" {
 		t.Fatal("String")
+	}
+}
+
+// TestRunCircuitQueueMatchesSlotCount pins the staged-circuit queue's
+// shape check against slot replication: material garbled for the same
+// slot repeated a different number of times must be a miss — dropped,
+// with the circuit run on the direct path and still correct — while an
+// equal count is consumed from the queue.
+func TestRunCircuitQueueMatchesSlotCount(t *testing.T) {
+	build := func(slots int) *gc.Circuit {
+		b := gc.NewBuilder()
+		sum := b.Add(b.GarblerInputWord(8), b.EvalInputWord(8))
+		b.OutputWordToEval(sum)
+		b.OutputWordToGarbler(b.XORGWord(sum, b.PrivateWord(8)))
+		return b.BuildSlots(slots)
+	}
+	const slots = 9
+	var gBits, eBits, priv []bool
+	for s := 0; s < slots; s++ {
+		gBits = gc.AppendBits(gBits, uint64(10+s), 8)
+		eBits = gc.AppendBits(eBits, uint64(3*s), 8)
+		priv = gc.AppendBits(priv, 0xF0, 8)
+	}
+	for _, tc := range []struct {
+		staged  int
+		wantHit bool
+	}{{slots, true}, {slots - 1, false}, {1, false}} {
+		obs.Enable()
+		hits0, misses0 := mPreCircHits.Value(), mPreCircMisses.Value()
+		alice, bob := Pair(share.Ring{Bits: 8})
+		bob.EnqueuePreGarbled(gc.GarbleAhead(build(tc.staged)))
+		bob.EnqueuePreGarbled(gc.GarbleAhead(build(slots))) // dropped with the queue on a miss
+		c := build(slots)
+		aOut, bOut, err := Run2PC(alice, bob,
+			func(p *Party) ([]bool, error) { return p.RunCircuit(c, eBits, nil, Bob) },
+			func(p *Party) ([]bool, error) { return p.RunCircuit(c, gBits, priv, Bob) },
+		)
+		alice.Conn.Close()
+		bob.Conn.Close()
+		hits, misses := mPreCircHits.Value()-hits0, mPreCircMisses.Value()-misses0
+		obs.Disable()
+		if err != nil {
+			t.Fatalf("staged %d slots: %v", tc.staged, err)
+		}
+		for s := 0; s < slots; s++ {
+			want := uint64(10+s+3*s) & 0xFF
+			if got := gc.UintOfBits(aOut[8*s : 8*s+8]); got != want {
+				t.Fatalf("staged %d slots: evaluator slot %d = %d, want %d", tc.staged, s, got, want)
+			}
+			if got := gc.UintOfBits(bOut[8*s : 8*s+8]); got != want^0xF0 {
+				t.Fatalf("staged %d slots: garbler slot %d = %d, want %d", tc.staged, s, got, want^0xF0)
+			}
+		}
+		wantQueue := 0
+		if tc.wantHit {
+			wantQueue = 1
+		}
+		if got := len(bob.state().preGarb); got != wantQueue {
+			t.Fatalf("staged %d slots: %d circuits left in the queue, want %d", tc.staged, got, wantQueue)
+		}
+		if tc.wantHit != (hits == 1) || tc.wantHit != (misses == 0) {
+			t.Fatalf("staged %d slots: %d hits, %d misses", tc.staged, hits, misses)
+		}
 	}
 }

@@ -34,10 +34,12 @@ func init() {
 // issue the same (input, tweak) query to π. Within a site the low 62
 // bits are owned by the caller:
 //
-//	SiteGC:  the half-gates garbler/evaluator; per-gate serial tweaks
-//	         assigned by the circuit schedule (AND gates consume two
-//	         consecutive tweaks, ANDG one). Kept at prefix 0 so garbled
-//	         tables are bit-identical to the pre-partition scheme.
+//	SiteGC:  the half-gates garbler/evaluator; the tweak of a gate is
+//	         its circuit slot's index times the tweaks one slot consumes,
+//	         plus the gate's running count within the slot (AND gates
+//	         consume two consecutive tweaks, ANDG one) — unique per gate
+//	         half across the circuit. Kept at prefix 0 so garbled tables
+//	         are bit-identical to the pre-partition scheme.
 //	SiteOT:  IKNP break-correlation hashing and random-OT pad
 //	         derivation; the low bits carry the session-global OT
 //	         instance index. The two pads of instance j (rows q_j and
@@ -156,11 +158,11 @@ func HashToWidthAES(dst []byte, x Block, tweak uint64) {
 	}
 }
 
-// XORBlock sets *dst = a ^ b.
+// XORBlock sets *dst = a ^ b, as two 64-bit words: the free gates of a
+// garbled circuit are nothing but this.
 func XORBlock(dst *Block, a, b Block) {
-	for i := range dst {
-		dst[i] = a[i] ^ b[i]
-	}
+	binary.LittleEndian.PutUint64(dst[:8], binary.LittleEndian.Uint64(a[:8])^binary.LittleEndian.Uint64(b[:8]))
+	binary.LittleEndian.PutUint64(dst[8:], binary.LittleEndian.Uint64(a[8:])^binary.LittleEndian.Uint64(b[8:]))
 }
 
 // XORBlockValue returns a ^ b.

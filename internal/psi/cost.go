@@ -8,27 +8,16 @@ import (
 
 // Wire-cost predictors for the PSI variants, used by the plan compiler
 // in internal/core. Each composes the hash-seed message, the comparison
-// circuit (dimensions interpolated over the bin count — the per-bin
-// gadget is identical, so Dims is affine in B) and the OEP stages of
-// the indexed construction. cost_test.go pins them to measured traffic.
-
-// circuitDims interpolates the comparison-circuit dimensions in the bin
-// count with the per-bin load L (and every other parameter) fixed.
-func circuitDims(pr Params, build func(Params) *gc.Circuit) gc.Dims {
-	return gc.InterpolateDims(func(b int) *gc.Circuit {
-		probe := pr
-		probe.B = b
-		return build(probe)
-	}, pr.B)
-}
+// circuit (built outright: it is one bin's gadget and a bin count) and
+// the OEP stages of the indexed construction. cost_test.go pins them to
+// measured traffic.
 
 // DirectCost returns the total bytes (both directions) of one
 // RunReceiver/RunSender execution for public set sizes m (receiver) and
 // n (sender) with ell-bit payloads, excluding one-time base-OT setup.
 func DirectCost(m, n, ell int) int64 {
 	pr := NewParams(m, n)
-	d := circuitDims(pr, func(probe Params) *gc.Circuit { return buildCircuit(probe, ell) })
-	return int64(prf.SeedSize) + d.MessageCost()
+	return int64(prf.SeedSize) + gc.DimsOf(buildCircuit(pr, ell)).MessageCost()
 }
 
 // IndexedCost returns the total bytes (both directions) of one indexed
@@ -43,8 +32,7 @@ func IndexedCost(m, n, ell int, sharedPayload bool) int64 {
 	if sharedPayload {
 		cost += oep.Cost(npb, npb, true)
 	}
-	d := circuitDims(pr, func(probe Params) *gc.Circuit { return buildClearIndexCircuit(probe, ell, idxW) })
-	cost += d.MessageCost()
+	cost += gc.DimsOf(buildClearIndexCircuit(pr, ell, idxW)).MessageCost()
 	cost += oep.Cost(npb, pr.B, false)
 	return cost
 }

@@ -80,26 +80,36 @@ func TestCostExact(t *testing.T) {
 	}
 }
 
-// TestCircuitDimsMatchBuiltCircuits pins the bin-count interpolation of
-// both comparison circuits against circuits built outright, for every
-// bin count up to 64 and a handful of larger ones: the planner prices
-// every PSI bid from circuitDims and never builds the full circuit.
+// TestCircuitDimsMatchBuiltCircuits pins the slot-built comparison
+// circuits against the same bin gadget looped B times in one builder —
+// how they were built before circuits had slots — for every bin count up
+// to 64 and a handful of larger ones: the planner prices every PSI bid
+// from these dimensions, and the wire format must not have moved.
 func TestCircuitDimsMatchBuiltCircuits(t *testing.T) {
 	const ell = 32
 	sizes := []int{97, 200, 333}
 	for b := 1; b <= 64; b++ {
 		sizes = append(sizes, b)
 	}
-	builders := map[string]func(Params) *gc.Circuit{
-		"direct":      func(pr Params) *gc.Circuit { return buildCircuit(pr, ell) },
-		"clear-index": func(pr Params) *gc.Circuit { return buildClearIndexCircuit(pr, ell, 11) },
+	type shape struct {
+		build  func(Params) *gc.Circuit
+		gadget func(b *gc.Builder, load int)
 	}
-	for name, build := range builders {
+	shapes := map[string]shape{
+		"direct": {func(pr Params) *gc.Circuit { return buildCircuit(pr, ell) },
+			func(b *gc.Builder, load int) { binGadget(b, load, ell) }},
+		"clear-index": {func(pr Params) *gc.Circuit { return buildClearIndexCircuit(pr, ell, 11) },
+			func(b *gc.Builder, load int) { clearIndexBinGadget(b, load, ell, 11) }},
+	}
+	for name, sh := range shapes {
 		for _, l := range []int{1, 5} {
-			for _, b := range sizes {
-				pr := Params{B: b, L: l}
-				if got, want := circuitDims(pr, build), gc.DimsOf(build(pr)); got != want {
-					t.Fatalf("%s B=%d L=%d: interpolated %+v, built %+v", name, b, l, got, want)
+			for _, bins := range sizes {
+				looped := gc.NewBuilder()
+				for i := 0; i < bins; i++ {
+					sh.gadget(looped, l)
+				}
+				if got, want := gc.DimsOf(sh.build(Params{B: bins, L: l})), gc.DimsOf(looped.Build()); got != want {
+					t.Fatalf("%s B=%d L=%d: slot-built %+v, looped %+v", name, bins, l, got, want)
 				}
 			}
 		}

@@ -197,37 +197,40 @@ func receiverKeys(t *cuckoo.Table) ([]uint64, error) {
 	return out, nil
 }
 
+// binGadget emits the comparison gadget of one bin: the evaluator
+// (receiver) inputs her composed key; the sender's L keys and payloads
+// enter as garbler-private constants; the sender's masks r_ind, r_pay are
+// regular garbler inputs. Outputs, revealed to the evaluator:
+// (ind - r_ind, pay - r_pay), each ell bits — the receiver's shares.
+func binGadget(b *gc.Builder, load, ell int) {
+	akey := b.EvalInputWord(keyBits)
+	sels := make([]gc.Wire, load)
+	var pay gc.Word
+	for j := 0; j < load; j++ {
+		ykey := b.PrivateWord(keyBits)
+		ypay := b.PrivateWord(ell)
+		sels[j] = b.EqPrivate(akey, ykey)
+		masked := b.ANDGWordBit(ypay, sels[j])
+		if j == 0 {
+			pay = masked
+		} else {
+			pay = b.Add(pay, masked)
+		}
+	}
+	ind := b.OrTree(sels)
+	rInd := b.GarblerInputWord(ell)
+	rPay := b.GarblerInputWord(ell)
+	indWord := b.ZeroExtend(gc.Word{ind}, ell)
+	b.OutputWordToEval(b.Sub(indWord, rInd))
+	b.OutputWordToEval(b.Sub(pay, rPay))
+}
+
 // buildCircuit constructs the batched comparison circuit shared by both
-// parties. Per bin: the evaluator (receiver) inputs her composed key; the
-// sender's keys and payloads enter as garbler-private constants; the
-// sender's masks r_ind, r_pay are regular garbler inputs. Outputs, per
-// bin, revealed to the evaluator: (ind - r_ind, pay - r_pay), each ell
-// bits — the receiver's shares.
+// parties: binGadget as one slot, repeated once per bin.
 func buildCircuit(pr Params, ell int) *gc.Circuit {
 	b := gc.NewBuilder()
-	for bin := 0; bin < pr.B; bin++ {
-		akey := b.EvalInputWord(keyBits)
-		sels := make([]gc.Wire, pr.L)
-		var pay gc.Word
-		for j := 0; j < pr.L; j++ {
-			ykey := b.PrivateWord(keyBits)
-			ypay := b.PrivateWord(ell)
-			sels[j] = b.EqPrivate(akey, ykey)
-			masked := b.ANDGWordBit(ypay, sels[j])
-			if j == 0 {
-				pay = masked
-			} else {
-				pay = b.Add(pay, masked)
-			}
-		}
-		ind := b.OrTree(sels)
-		rInd := b.GarblerInputWord(ell)
-		rPay := b.GarblerInputWord(ell)
-		indWord := b.ZeroExtend(gc.Word{ind}, ell)
-		b.OutputWordToEval(b.Sub(indWord, rInd))
-		b.OutputWordToEval(b.Sub(pay, rPay))
-	}
-	return b.Build()
+	binGadget(b, pr.L, ell)
+	return b.BuildSlots(pr.B)
 }
 
 // RunReceiver executes the PSI as Alice with set xs (distinct values) and

@@ -48,36 +48,39 @@ func IndexWidth(m, n int) int {
 	return idxWidth(pr.N + pr.B)
 }
 
-// buildClearIndexCircuit is the §5.5 variant of the comparison circuit:
-// per bin, it reveals the selected index in the clear to the evaluator and
-// outputs the indicator in shared form. The sender's per-bin default index
-// enters as a garbler-private constant.
+// clearIndexBinGadget is the §5.5 variant of binGadget: it reveals the
+// bin's selected index in the clear to the evaluator and outputs the
+// indicator in shared form. The sender's default index for the bin enters
+// as a garbler-private constant.
+func clearIndexBinGadget(b *gc.Builder, load, ell, idxW int) {
+	akey := b.EvalInputWord(keyBits)
+	sels := make([]gc.Wire, load)
+	var idx gc.Word
+	for j := 0; j < load; j++ {
+		ykey := b.PrivateWord(keyBits)
+		yidx := b.PrivateWord(idxW)
+		sels[j] = b.EqPrivate(akey, ykey)
+		masked := b.ANDGWordBit(yidx, sels[j])
+		if j == 0 {
+			idx = masked
+		} else {
+			idx = b.Add(idx, masked)
+		}
+	}
+	ind := b.OrTree(sels)
+	def := b.PrivateWord(idxW)
+	idx = b.Add(idx, b.ANDGWordBit(def, b.Not(ind)))
+	b.OutputWordToEval(idx) // in the clear: a uniformly random index
+
+	rInd := b.GarblerInputWord(ell)
+	b.OutputWordToEval(b.Sub(b.ZeroExtend(gc.Word{ind}, ell), rInd))
+}
+
+// buildClearIndexCircuit repeats clearIndexBinGadget once per bin.
 func buildClearIndexCircuit(pr Params, ell, idxW int) *gc.Circuit {
 	b := gc.NewBuilder()
-	for bin := 0; bin < pr.B; bin++ {
-		akey := b.EvalInputWord(keyBits)
-		sels := make([]gc.Wire, pr.L)
-		var idx gc.Word
-		for j := 0; j < pr.L; j++ {
-			ykey := b.PrivateWord(keyBits)
-			yidx := b.PrivateWord(idxW)
-			sels[j] = b.EqPrivate(akey, ykey)
-			masked := b.ANDGWordBit(yidx, sels[j])
-			if j == 0 {
-				idx = masked
-			} else {
-				idx = b.Add(idx, masked)
-			}
-		}
-		ind := b.OrTree(sels)
-		def := b.PrivateWord(idxW)
-		idx = b.Add(idx, b.ANDGWordBit(def, b.Not(ind)))
-		b.OutputWordToEval(idx) // in the clear: a uniformly random index
-
-		rInd := b.GarblerInputWord(ell)
-		b.OutputWordToEval(b.Sub(b.ZeroExtend(gc.Word{ind}, ell), rInd))
-	}
-	return b.Build()
+	clearIndexBinGadget(b, pr.L, ell, idxW)
+	return b.BuildSlots(pr.B)
 }
 
 // RunSharedPayloadReceiver executes §5.5 as Alice. xs are her distinct
