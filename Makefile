@@ -55,11 +55,11 @@ race-obs:
 # The secyand daemon suites under the race detector, repeated: WFQ
 # fairness/starvation, typed quota and overload shedding, the
 # precompute farm's inventory and cooperative-warm paths, graceful
-# drain — all over real TCP — plus the per-query RunOption API's
-# precedence and wrapper-equivalence tests (see DESIGN.md §16).
+# drain — all over real TCP — plus the root options model's precedence
+# tests (see DESIGN.md §16).
 race-daemon:
 	$(GO) test -race -count=3 -timeout 30m ./internal/daemon
-	$(GO) test -race -count=3 -timeout 30m -run 'QueryUnified|RunOption|QueryDeadline|ExplainMerges' .
+	$(GO) test -race -count=3 -timeout 30m -run 'QueryUnifiedAPI|OptionPrecedence' .
 
 # The crypto-kernel packages under the race detector, repeated: the
 # fixed-key AES hash layer (batched MMO, the 8-wide AESENC kernel, the
@@ -83,8 +83,11 @@ bench:
 bench-check:
 	$(GO) run ./bench -compare $(BASE) $(NEW)
 
+# go vet, plus gofmt: any file gofmt would rewrite fails the target.
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 # Short fuzz bursts for the transpose involution, the TCP framing
 # decoder, the SQL front end (seeded with the TPC-H query strings), the

@@ -11,6 +11,7 @@ package secyan
 // a Xeon server).
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"testing"
@@ -393,8 +394,14 @@ func BenchmarkAblationLocalOpt(b *testing.B) {
 				qa, qb := mkQuery(mode.noOpt)
 				alice, bob := benchPair()
 				_, _, err := mpc.Run2PC(alice, bob,
-					func(p *mpc.Party) (*relation.Relation, error) { return core.Run(p, qa) },
-					func(p *mpc.Party) (*relation.Relation, error) { return core.Run(p, qb) },
+					func(p *mpc.Party) (*relation.Relation, error) {
+						rel, _, err := core.Run(context.Background(), p, qa, core.Options{})
+						return rel, err
+					},
+					func(p *mpc.Party) (*relation.Relation, error) {
+						rel, _, err := core.Run(context.Background(), p, qb, core.Options{})
+						return rel, err
+					},
 				)
 				if err != nil {
 					b.Fatal(err)

@@ -3,9 +3,9 @@ package secyan
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
-	"secyan/internal/parallel"
 	"secyan/internal/relation"
 )
 
@@ -21,33 +21,27 @@ type chunkOutcome struct {
 	aStats, bStats Stats
 }
 
-// runExampleChunked runs the quickstart query once with the given
-// process-wide chunk size, worker count and transport, capturing the
-// canonicalized result and both endpoints' transport stats.
+// runExampleChunked runs the quickstart query once with the given chunk
+// size, worker count and transport, capturing the canonicalized result
+// and both endpoints' transport stats.
 func runExampleChunked(t *testing.T, useTCP bool, workers, chunk int) chunkOutcome {
 	t.Helper()
-	prevW := parallel.SetWorkers(workers)
-	defer parallel.SetWorkers(prevW)
-	prevC := relation.SetDefaultChunkSize(chunk)
-	defer relation.SetDefaultChunkSize(prevC)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 
 	_, _, _, build := exampleQuery()
-	var alice, bob *Party
+	var alice, bob *Session
 	if useTCP {
-		alice, bob = tcpParties(t)
+		alice, bob = tcpSessions(t, WithChunkSize(chunk))
 	} else {
-		alice, bob = LocalParties(DefaultRing)
-		defer alice.Conn.Close()
-		defer bob.Conn.Close()
+		alice, bob = OpenLocal(WithChunkSize(chunk))
+		defer alice.Close()
+		defer bob.Close()
 	}
-	res, _, err := Run2PC(alice, bob,
-		func(p *Party) (*Relation, error) { return Run(p, build(Alice)) },
-		func(p *Party) (*Relation, error) { return Run(p, build(Bob)) },
-	)
+	res, _, err := queryBoth(alice, bob, build)
 	if err != nil {
 		t.Fatalf("chunk=%d workers=%d tcp=%v: %v", chunk, workers, useTCP, err)
 	}
-	return chunkOutcome{resultKey(res), alice.Conn.Stats(), bob.Conn.Stats()}
+	return chunkOutcome{resultKey(res), alice.Stats().Data, bob.Stats().Data}
 }
 
 func requireOutcomeEqual(t *testing.T, label string, got, want chunkOutcome) {
@@ -109,17 +103,17 @@ func TestSessionWithChunkSize(t *testing.T) {
 		defer bob.Close()
 		done := make(chan error, 1)
 		go func() {
-			_, err := bob.Run(ctx, build(Bob))
+			_, err := bob.Query(ctx, build(Bob))
 			done <- err
 		}()
-		res, err := alice.Run(ctx, build(Alice))
+		res, err := alice.Query(ctx, build(Alice))
 		if err != nil {
 			t.Fatalf("chunk=%d: alice: %v", chunk, err)
 		}
 		if err := <-done; err != nil {
 			t.Fatalf("chunk=%d: bob: %v", chunk, err)
 		}
-		return resultKey(res), alice.Stats().Data
+		return resultKey(res.Relation), alice.Stats().Data
 	}
 
 	baseRes, baseData := run(relation.Unbounded)

@@ -25,7 +25,6 @@ import (
 	"secyan/internal/benchmark"
 	"secyan/internal/core"
 	"secyan/internal/obs"
-	"secyan/internal/parallel"
 	"secyan/internal/queries"
 	"secyan/internal/share"
 )
@@ -37,7 +36,6 @@ func main() {
 	q9nations := flag.Int("q9nations", 2, "nations in the Q9 decomposition (paper: 25)")
 	seed := flag.Int64("seed", 1, "data generation seed")
 	ell := flag.Int("ell", 32, "annotation bit width (paper: 32)")
-	workers := flag.Int("workers", 0, "crypto-kernel worker count, 0 for GOMAXPROCS; pin to 1 for strictly serial reference runs")
 	phases := flag.Bool("phases", false, "after each figure, print the per-phase communication/round/time breakdown of the measured secure runs")
 	precompute := flag.Bool("precompute", false, "run the plan-driven offline phase (OT pools, ahead-of-time garbling) before each measured secure run and report the offline/online split")
 	chunk := flag.Int("chunk", 0, "executor chunk size in tuples for measured secure runs: bounds the tuple-plane working set without changing a byte on the wire (0 = default 4096, negative = fully materialized)")
@@ -52,9 +50,6 @@ func main() {
 	flightN := flag.Int("flight", 0, "flight-recorder capacity for the measured secure runs (0 = default 128); records are attached to -json points either way")
 	flag.Parse()
 
-	if *workers > 0 {
-		parallel.SetWorkers(*workers)
-	}
 	if *logJSON {
 		obs.Events().SetJSONSink(os.Stderr)
 	}

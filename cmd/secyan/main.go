@@ -88,15 +88,14 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *chunk != 0 {
-		relation.SetDefaultChunkSize(*chunk)
-	}
+	// The one options value explain, precompute and run all see.
+	opts := core.Options{ChunkSize: *chunk, Backend: backend}
 	db := tpch.Generate(tpch.Config{ScaleMB: *scale, Seed: *seed})
 	fmt.Printf("dataset: %.3g MB (%d tuples total), query %s\n", *scale, db.TotalRows(), spec.Name)
 	ring := share.Ring{Bits: 32}
 
 	if *explain {
-		if err := printExplain(spec, db, ring, backend); err != nil {
+		if err := printExplain(spec, db, ring, opts); err != nil {
 			fmt.Fprintf(os.Stderr, "secyan: explain: %v\n", err)
 			os.Exit(1)
 		}
@@ -126,11 +125,11 @@ func main() {
 
 	switch {
 	case *daemonAddr != "":
-		runDaemonClient(spec, db, ring, *backendName, *daemonAddr, *tenant, *count, *maxRows, *heartbeat, *deadline)
+		runDaemonClient(spec, db, ring, *backendName, *chunk, *daemonAddr, *tenant, *count, *maxRows, *heartbeat, *deadline)
 	case *role == "":
-		runInProcess(spec, db, ring, backend, *maxRows, *analyze, *precompute, tracer)
+		runInProcess(spec, db, ring, opts, *maxRows, *analyze, *precompute, tracer)
 	default:
-		runDistributed(spec, db, ring, backend, *role, *listen, *connect, *maxRows, *analyze, *precompute, *heartbeat, *deadline, tracer)
+		runDistributed(spec, db, ring, opts, *role, *listen, *connect, *maxRows, *analyze, *precompute, *heartbeat, *deadline, tracer)
 	}
 
 	if tracer != nil {
@@ -167,12 +166,12 @@ func writeTrace(tracer *obs.Tracer, path string) error {
 // Query specs prepare their own core.Query values internally, so we
 // re-derive a representative one from the database shape: the masked
 // relations have the same public sizes as the originals.
-func printExplain(spec queries.Spec, db *tpch.DB, ring share.Ring, backend core.BackendID) error {
+func printExplain(spec queries.Spec, db *tpch.DB, ring share.Ring, opts core.Options) error {
 	q, err := queries.PlanFor(spec, db)
 	if err != nil {
 		return err
 	}
-	plan, err := core.ExplainOpts(q, ring.Bits, core.PlanOptions{Backend: backend})
+	plan, err := core.ExplainOpts(q, ring.Bits, opts)
 	if err != nil {
 		return err
 	}
@@ -180,7 +179,7 @@ func printExplain(spec queries.Spec, db *tpch.DB, ring share.Ring, backend core.
 	return nil
 }
 
-func runInProcess(spec queries.Spec, db *tpch.DB, ring share.Ring, backend core.BackendID, maxRows int, analyze, precompute bool, tracer *obs.Tracer) {
+func runInProcess(spec queries.Spec, db *tpch.DB, ring share.Ring, opts core.Options, maxRows int, analyze, precompute bool, tracer *obs.Tracer) {
 	alice, bob := mpc.Pair(ring)
 	defer alice.Conn.Close()
 	defer bob.Conn.Close()
@@ -202,7 +201,7 @@ func runInProcess(spec queries.Spec, db *tpch.DB, ring share.Ring, backend core.
 			os.Exit(1)
 		}
 		pre := func(p *mpc.Party) (*core.Trace, error) {
-			return core.PrecomputeOpts(context.Background(), p, planQ, core.PlanOptions{Backend: backend})
+			return core.PrecomputeOpts(context.Background(), p, planQ, opts)
 		}
 		_, _, err = mpc.Run2PC(alice, bob, pre, pre)
 		if err != nil {
@@ -213,7 +212,7 @@ func runInProcess(spec queries.Spec, db *tpch.DB, ring share.Ring, backend core.
 		offBytes = alice.Conn.Stats().TotalBytes()
 	}
 	run := func(p *mpc.Party) (*relation.Relation, error) {
-		return spec.SecureOpts(p, db, core.ExecOptions{Backend: backend})
+		return spec.SecureOpts(p, db, opts)
 	}
 	res, _, err := mpc.Run2PC(alice, bob, run, run)
 	if err != nil {
@@ -241,7 +240,7 @@ func runInProcess(spec queries.Spec, db *tpch.DB, ring share.Ring, backend core.
 	}
 }
 
-func runDistributed(spec queries.Spec, db *tpch.DB, ring share.Ring, backend core.BackendID, role, listen, connect string, maxRows int, analyze, precompute bool, heartbeat, deadline time.Duration, tracer *obs.Tracer) {
+func runDistributed(spec queries.Spec, db *tpch.DB, ring share.Ring, opts core.Options, role, listen, connect string, maxRows int, analyze, precompute bool, heartbeat, deadline time.Duration, tracer *obs.Tracer) {
 	var conn transport.Conn
 	var err error
 	var r mpc.Role
@@ -298,14 +297,14 @@ func runDistributed(spec queries.Spec, db *tpch.DB, ring share.Ring, backend cor
 			fmt.Fprintf(os.Stderr, "secyan: precompute: %v\n", perr)
 			os.Exit(1)
 		}
-		if _, perr = core.PrecomputeOpts(context.Background(), p, planQ, core.PlanOptions{Backend: backend}); perr != nil {
+		if _, perr = core.PrecomputeOpts(context.Background(), p, planQ, opts); perr != nil {
 			fmt.Fprintf(os.Stderr, "secyan: precompute: %v\n", perr)
 			os.Exit(1)
 		}
 		offElapsed = time.Since(start)
 		offBytes = p.Conn.Stats().TotalBytes()
 	}
-	res, err := spec.SecureOpts(p, db, core.ExecOptions{Backend: backend})
+	res, err := spec.SecureOpts(p, db, opts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "secyan: %v\n", err)
 		os.Exit(1)
@@ -336,7 +335,7 @@ func runDistributed(spec queries.Spec, db *tpch.DB, ring share.Ring, backend cor
 // runDaemonClient executes the query through a secyand daemon: this
 // process plays Alice under the daemon's admission control and fair
 // scheduler, and receives the results from its own protocol runs.
-func runDaemonClient(spec queries.Spec, db *tpch.DB, ring share.Ring, backend, addr, tenant string, count, maxRows int, heartbeat, deadline time.Duration) {
+func runDaemonClient(spec queries.Spec, db *tpch.DB, ring share.Ring, backend string, chunk int, addr, tenant string, count, maxRows int, heartbeat, deadline time.Duration) {
 	catalog := daemon.TPCHCatalog(db)
 	c, err := daemon.Dial(addr, tenant, catalog, daemon.ClientConfig{Ring: ring, Heartbeat: heartbeat})
 	if err != nil {
@@ -348,7 +347,7 @@ func runDaemonClient(spec queries.Spec, db *tpch.DB, ring share.Ring, backend, a
 	for i := 0; i < count; i++ {
 		start := time.Now()
 		res, err := c.Run(context.Background(), daemon.RunSpec{
-			Name: spec.Name, Backend: backend, Deadline: deadline,
+			Name: spec.Name, Backend: backend, Chunk: chunk, Deadline: deadline,
 		})
 		switch {
 		case errors.Is(err, daemon.ErrQuotaExceeded):

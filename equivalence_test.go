@@ -3,10 +3,10 @@ package secyan
 import (
 	"fmt"
 	"net"
+	"runtime"
 	"sort"
 	"testing"
 
-	"secyan/internal/parallel"
 	"secyan/internal/transport"
 )
 
@@ -35,19 +35,15 @@ func TestQueryTranscriptEquivalenceAcrossWorkers(t *testing.T) {
 		aStats, bStats Stats
 	}
 	runAt := func(workers int) outcome {
-		prev := parallel.SetWorkers(workers)
-		defer parallel.SetWorkers(prev)
-		alice, bob := LocalParties(DefaultRing)
-		defer alice.Conn.Close()
-		defer bob.Conn.Close()
-		res, _, err := Run2PC(alice, bob,
-			func(p *Party) (*Relation, error) { return Run(p, build(Alice)) },
-			func(p *Party) (*Relation, error) { return Run(p, build(Bob)) },
-		)
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+		alice, bob := OpenLocal()
+		defer alice.Close()
+		defer bob.Close()
+		res, _, err := queryBoth(alice, bob, build)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		return outcome{resultKey(res), alice.Conn.Stats(), bob.Conn.Stats()}
+		return outcome{resultKey(res), alice.Stats().Data, bob.Stats().Data}
 	}
 
 	ref := runAt(1)
@@ -70,9 +66,9 @@ func TestQueryTranscriptEquivalenceAcrossWorkers(t *testing.T) {
 	}
 }
 
-// tcpParties joins Alice and Bob over a real loopback TCP socket instead
+// tcpSessions joins Alice and Bob over a real loopback TCP socket instead
 // of the in-memory pipe.
-func tcpParties(t *testing.T) (alice, bob *Party) {
+func tcpSessions(t *testing.T, opts ...Option) (alice, bob *Session) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -94,11 +90,15 @@ func tcpParties(t *testing.T) (alice, bob *Party) {
 		t.Fatalf("accept: %v", err)
 	}
 	server := <-acc
-	alice = NewParty(Alice, transport.NewConn(server), DefaultRing)
-	bob = NewParty(Bob, transport.NewConn(client), DefaultRing)
+	if alice, err = Open(Alice, transport.NewConn(server), opts...); err != nil {
+		t.Fatalf("open alice: %v", err)
+	}
+	if bob, err = Open(Bob, transport.NewConn(client), opts...); err != nil {
+		t.Fatalf("open bob: %v", err)
+	}
 	t.Cleanup(func() {
-		alice.Conn.Close()
-		bob.Conn.Close()
+		alice.Close()
+		bob.Close()
 	})
 	return alice, bob
 }
@@ -110,22 +110,16 @@ func tcpParties(t *testing.T) (alice, bob *Party) {
 func TestQueryOverTCP(t *testing.T) {
 	_, _, _, build := exampleQuery()
 
-	memAlice, memBob := LocalParties(DefaultRing)
-	defer memAlice.Conn.Close()
-	defer memBob.Conn.Close()
-	memRes, _, err := Run2PC(memAlice, memBob,
-		func(p *Party) (*Relation, error) { return Run(p, build(Alice)) },
-		func(p *Party) (*Relation, error) { return Run(p, build(Bob)) },
-	)
+	memAlice, memBob := OpenLocal()
+	defer memAlice.Close()
+	defer memBob.Close()
+	memRes, _, err := queryBoth(memAlice, memBob, build)
 	if err != nil {
 		t.Fatalf("in-memory run: %v", err)
 	}
 
-	alice, bob := tcpParties(t)
-	res, bobRes, err := Run2PC(alice, bob,
-		func(p *Party) (*Relation, error) { return Run(p, build(Alice)) },
-		func(p *Party) (*Relation, error) { return Run(p, build(Bob)) },
-	)
+	alice, bob := tcpSessions(t)
+	res, bobRes, err := queryBoth(alice, bob, build)
 	if err != nil {
 		t.Fatalf("tcp run: %v", err)
 	}
@@ -143,10 +137,10 @@ func TestQueryOverTCP(t *testing.T) {
 			t.Fatalf("tcp result row %q, want %q", got[i], want[i])
 		}
 	}
-	if a, m := alice.Conn.Stats(), memAlice.Conn.Stats(); a != m {
+	if a, m := alice.Stats().Data, memAlice.Stats().Data; a != m {
 		t.Fatalf("tcp alice stats %+v, in-memory %+v", a, m)
 	}
-	if b, m := bob.Conn.Stats(), memBob.Conn.Stats(); b != m {
+	if b, m := bob.Stats().Data, memBob.Stats().Data; b != m {
 		t.Fatalf("tcp bob stats %+v, in-memory %+v", b, m)
 	}
 }

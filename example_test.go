@@ -1,6 +1,7 @@
 package secyan_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -40,20 +41,26 @@ func Example() {
 		return q
 	}
 
-	alice, bob := secyan.LocalParties(secyan.DefaultRing)
-	defer alice.Conn.Close()
-	defer bob.Conn.Close()
-	res, _, err := secyan.Run2PC(alice, bob,
-		func(p *secyan.Party) (*secyan.Relation, error) { return secyan.Run(p, queryFor(secyan.Alice)) },
-		func(p *secyan.Party) (*secyan.Relation, error) { return secyan.Run(p, queryFor(secyan.Bob)) },
-	)
+	alice, bob := secyan.OpenLocal()
+	defer alice.Close()
+	defer bob.Close()
+	ctx := context.Background()
+	bobDone := make(chan error, 1)
+	go func() {
+		_, err := bob.Query(ctx, queryFor(secyan.Bob))
+		bobDone <- err
+	}()
+	res, err := alice.Query(ctx, queryFor(secyan.Alice))
 	if err != nil {
+		log.Fatal(err)
+	}
+	if err := <-bobDone; err != nil {
 		log.Fatal(err)
 	}
 	type row struct{ class, payout uint64 }
 	var rows []row
-	for i := range res.Tuples {
-		rows = append(rows, row{res.Tuples[i][0], res.Annot[i]})
+	for i := range res.Relation.Tuples {
+		rows = append(rows, row{res.Relation.Tuples[i][0], res.Relation.Annot[i]})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].class < rows[j].class })
 	for _, r := range rows {
@@ -64,8 +71,8 @@ func Example() {
 	// class 2: 25000
 }
 
-// ExampleExecSQL evaluates the same query written as SQL.
-func ExampleExecSQL() {
+// ExampleSession_ExecSQL evaluates the same query written as SQL.
+func ExampleSession_ExecSQL() {
 	records := secyan.NewRelation("person", "disease", "cost")
 	records.Append([]uint64{1, 100, 1000}, 1)
 	classes := secyan.NewRelation("disease", "class")
@@ -87,14 +94,20 @@ func ExampleExecSQL() {
 		FROM records, classes WHERE records.disease = classes.disease
 		GROUP BY classes.class`
 
-	alice, bob := secyan.LocalParties(secyan.DefaultRing)
-	defer alice.Conn.Close()
-	defer bob.Conn.Close()
-	res, _, err := secyan.Run2PC(alice, bob,
-		func(p *secyan.Party) (*secyan.Relation, error) { return secyan.ExecSQL(p, query, catalogFor(p.Role)) },
-		func(p *secyan.Party) (*secyan.Relation, error) { return secyan.ExecSQL(p, query, catalogFor(p.Role)) },
-	)
+	alice, bob := secyan.OpenLocal()
+	defer alice.Close()
+	defer bob.Close()
+	ctx := context.Background()
+	bobDone := make(chan error, 1)
+	go func() {
+		_, err := bob.ExecSQL(ctx, query, catalogFor(secyan.Bob))
+		bobDone <- err
+	}()
+	res, err := alice.ExecSQL(ctx, query, catalogFor(secyan.Alice))
 	if err != nil {
+		log.Fatal(err)
+	}
+	if err := <-bobDone; err != nil {
 		log.Fatal(err)
 	}
 	for i := range res.Tuples {

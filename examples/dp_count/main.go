@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -46,11 +47,11 @@ func main() {
 		return q
 	}
 
-	alice, bob := secyan.LocalParties(secyan.DefaultRing)
+	alice, bob := mpc.Pair(secyan.DefaultRing)
 	defer alice.Conn.Close()
 	defer bob.Conn.Close()
 	run := func(p *mpc.Party) (uint64, error) {
-		res, err := core.RunShared(p, queryFor(p.Role))
+		res, _, err := core.RunShared(context.Background(), p, queryFor(p.Role), core.Options{})
 		if err != nil {
 			return 0, err
 		}
@@ -73,7 +74,7 @@ func main() {
 		}
 		return dp.NoisyReveal(p, res, delta, epsilon)
 	}
-	noisy, _, err := secyan.Run2PC(alice, bob, run, run)
+	noisy, _, err := mpc.Run2PC(alice, bob, run, run)
 	if err != nil {
 		log.Fatal(err)
 	}

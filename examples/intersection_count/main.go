@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -43,19 +44,25 @@ func main() {
 		return q
 	}
 
-	alice, bob := secyan.LocalParties(secyan.DefaultRing)
-	defer alice.Conn.Close()
-	defer bob.Conn.Close()
-	res, _, err := secyan.Run2PC(alice, bob,
-		func(p *secyan.Party) (*secyan.Relation, error) { return secyan.Run(p, queryFor(secyan.Alice)) },
-		func(p *secyan.Party) (*secyan.Relation, error) { return secyan.Run(p, queryFor(secyan.Bob)) },
-	)
+	alice, bob := secyan.OpenLocal()
+	defer alice.Close()
+	defer bob.Close()
+	ctx := context.Background()
+	bobDone := make(chan error, 1)
+	go func() {
+		_, err := bob.Query(ctx, queryFor(secyan.Bob))
+		bobDone <- err
+	}()
+	res, err := alice.Query(ctx, queryFor(secyan.Alice))
 	if err != nil {
 		log.Fatal(err)
 	}
+	if err := <-bobDone; err != nil {
+		log.Fatal(err)
+	}
 	count := uint64(0)
-	if res.Len() == 1 {
-		count = res.Annot[0]
+	if res.Relation.Len() == 1 {
+		count = res.Relation.Annot[0]
 	}
 	fmt.Printf("shared accounts: %d (expected: multiples of 6 below 40 = 7)\n", count)
 }

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -52,26 +53,35 @@ func main() {
 		return q
 	}
 
-	alice, bob := secyan.LocalParties(secyan.DefaultRing)
-	defer alice.Conn.Close()
-	defer bob.Conn.Close()
+	alice, bob := secyan.OpenLocal()
+	defer alice.Close()
+	defer bob.Close()
 
-	run := func(p *secyan.Party) (*secyan.Relation, error) {
+	ctx := context.Background()
+	run := func(s *secyan.Session, role secyan.Role) (*secyan.Relation, error) {
 		// Two shared runs over the same tuples (different annotations),
 		// then one division circuit: avg = sum / count.
-		sum, err := secyan.RunShared(p, queryFor(p.Role, sumRel))
+		sum, err := s.Query(ctx, queryFor(role, sumRel), secyan.WithSharedResult())
 		if err != nil {
 			return nil, err
 		}
-		cnt, err := secyan.RunShared(p, queryFor(p.Role, cntRel))
+		cnt, err := s.Query(ctx, queryFor(role, cntRel), secyan.WithSharedResult())
 		if err != nil {
 			return nil, err
 		}
-		return secyan.RevealRatio(p, sum, cnt, 1)
+		return s.RevealRatio(ctx, sum.Shared, cnt.Shared, 1)
 	}
 
-	result, _, err := secyan.Run2PC(alice, bob, run, run)
+	bobDone := make(chan error, 1)
+	go func() {
+		_, err := run(bob, secyan.Bob)
+		bobDone <- err
+	}()
+	result, err := run(alice, secyan.Alice)
 	if err != nil {
+		log.Fatal(err)
+	}
+	if err := <-bobDone; err != nil {
 		log.Fatal(err)
 	}
 

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -72,26 +73,38 @@ func main() {
 	}
 
 	// --- Run both parties in-process -----------------------------------
-	alice, bob := secyan.LocalParties(secyan.DefaultRing)
-	defer alice.Conn.Close()
-	defer bob.Conn.Close()
+	alice, bob := secyan.OpenLocal()
+	defer alice.Close()
+	defer bob.Close()
 
-	result, bobResult, err := secyan.Run2PC(alice, bob,
-		func(p *secyan.Party) (*secyan.Relation, error) { return secyan.Run(p, queryFor(secyan.Alice)) },
-		func(p *secyan.Party) (*secyan.Relation, error) { return secyan.Run(p, queryFor(secyan.Bob)) },
-	)
+	ctx := context.Background()
+	type half struct {
+		res *secyan.Result
+		err error
+	}
+	bobDone := make(chan half, 1)
+	go func() {
+		res, err := bob.Query(ctx, queryFor(secyan.Bob))
+		bobDone <- half{res, err}
+	}()
+	res, err := alice.Query(ctx, queryFor(secyan.Alice))
 	if err != nil {
 		log.Fatal(err)
 	}
-	if bobResult != nil {
+	bobHalf := <-bobDone
+	if bobHalf.err != nil {
+		log.Fatal(bobHalf.err)
+	}
+	if bobHalf.res.Relation != nil {
 		log.Fatal("Bob must learn nothing")
 	}
+	result := res.Relation
 
 	fmt.Println("expected payout by disease class (cents × 100):")
 	for i := range result.Tuples {
 		fmt.Printf("  class %d: %d\n", result.Tuples[i][0], result.Annot[i])
 	}
-	st := alice.Conn.Stats()
+	st := alice.Stats().Data
 	fmt.Printf("transcript: %d bytes, %d rounds — and nothing about the other party's rows\n",
 		st.TotalBytes(), st.Rounds)
 }

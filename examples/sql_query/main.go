@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -46,14 +47,20 @@ func main() {
 		}}
 	}
 
-	alice, bob := secyan.LocalParties(secyan.DefaultRing)
-	defer alice.Conn.Close()
-	defer bob.Conn.Close()
-	res, _, err := secyan.Run2PC(alice, bob,
-		func(p *secyan.Party) (*secyan.Relation, error) { return secyan.ExecSQL(p, query, catalogFor(p.Role)) },
-		func(p *secyan.Party) (*secyan.Relation, error) { return secyan.ExecSQL(p, query, catalogFor(p.Role)) },
-	)
+	alice, bob := secyan.OpenLocal()
+	defer alice.Close()
+	defer bob.Close()
+	ctx := context.Background()
+	bobDone := make(chan error, 1)
+	go func() {
+		_, err := bob.ExecSQL(ctx, query, catalogFor(secyan.Bob))
+		bobDone <- err
+	}()
+	res, err := alice.ExecSQL(ctx, query, catalogFor(secyan.Alice))
 	if err != nil {
+		log.Fatal(err)
+	}
+	if err := <-bobDone; err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("SQL over private data:")

@@ -15,6 +15,8 @@ import (
 	"time"
 
 	"secyan"
+	"secyan/internal/core"
+	"secyan/internal/mpc"
 	"secyan/internal/queries"
 	"secyan/internal/tpch"
 )
@@ -28,15 +30,13 @@ func main() {
 		db.Customer.Len(), db.Orders.Len(), db.Lineitem.Len())
 
 	spec := queries.Q3()
-	alice, bob := secyan.LocalParties(secyan.DefaultRing)
+	alice, bob := mpc.Pair(secyan.DefaultRing)
 	defer alice.Conn.Close()
 	defer bob.Conn.Close()
 
 	start := time.Now()
-	secure, _, err := secyan.Run2PC(alice, bob,
-		func(p *secyan.Party) (*secyan.Relation, error) { return spec.Secure(p, db) },
-		func(p *secyan.Party) (*secyan.Relation, error) { return spec.Secure(p, db) },
-	)
+	run := func(p *mpc.Party) (*secyan.Relation, error) { return spec.SecureOpts(p, db, core.Options{}) }
+	secure, _, err := mpc.Run2PC(alice, bob, run, run)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -185,7 +185,7 @@ type Options struct {
 	// runs: one "query@scale/party" track pair per run, exportable with
 	// Tracer.WriteChrome.
 	Tracer *obs.Tracer
-	// Precompute runs the plan-driven offline phase (core.Precompute)
+	// Precompute runs the plan-driven offline phase (core.PrecomputeOpts)
 	// before each measured secure run and reports the offline/online
 	// split on the resulting point. Composed queries (Q8, Q9) execute
 	// the shape several times; only the first pass is primed, the rest
@@ -193,7 +193,7 @@ type Options struct {
 	Precompute bool
 	// ChunkSize bounds the executor's tuple-plane working set during
 	// measured secure runs: > 0 streams relations in windows of that
-	// many tuples, 0 keeps the process default, < 0 materializes fully.
+	// many tuples, 0 keeps the default, < 0 materializes fully.
 	// Transcript-invariant — Bytes is identical for every setting.
 	ChunkSize int
 	// Backend forces every applicable semijoin/aggregate step of the
@@ -349,10 +349,7 @@ func startHeapSampler() (stop func() int64) {
 // runSecure executes the full protocol once and measures wall time and
 // Alice's total traffic.
 func runSecure(spec queries.Spec, db *tpch.DB, scale float64, opt Options) (Point, error) {
-	if opt.ChunkSize != 0 {
-		prev := relation.SetDefaultChunkSize(opt.ChunkSize)
-		defer relation.SetDefaultChunkSize(prev)
-	}
+	co := core.Options{ChunkSize: opt.ChunkSize, Backend: opt.Backend}
 	alice, bob := mpc.Pair(opt.Ring)
 	defer alice.Conn.Close()
 	defer bob.Conn.Close()
@@ -400,7 +397,7 @@ func runSecure(spec queries.Spec, db *tpch.DB, scale float64, opt Options) (Poin
 		}
 		ctx := context.Background()
 		pre := func(p *mpc.Party) (*core.Trace, error) {
-			return core.PrecomputeOpts(ctx, p, planQ, core.PlanOptions{Backend: opt.Backend})
+			return core.PrecomputeOpts(ctx, p, planQ, co)
 		}
 		_, _, err = mpc.Run2PC(alice, bob, pre, pre)
 		if err != nil {
@@ -413,7 +410,7 @@ func runSecure(spec queries.Spec, db *tpch.DB, scale float64, opt Options) (Poin
 		offBytes = alice.Conn.Stats().TotalBytes()
 	}
 	run := func(p *mpc.Party) (*relation.Relation, error) {
-		return spec.SecureOpts(p, db, core.ExecOptions{Backend: opt.Backend})
+		return spec.SecureOpts(p, db, co)
 	}
 	res, _, err := mpc.Run2PC(alice, bob, run, run)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"secyan/internal/core"
 	"secyan/internal/mpc"
 	"secyan/internal/queries"
 	"secyan/internal/tpch"
@@ -98,10 +99,10 @@ func RunSessions(spec queries.Spec, n int, opt Options, w io.Writer) (*SessionsP
 		runOne := func(u unit) error {
 			errc := make(chan error, 1)
 			go func() {
-				_, err := spec.Secure(u.pb, db)
+				_, err := spec.SecureOpts(u.pb, db, core.Options{})
 				errc <- err
 			}()
-			if _, err := spec.Secure(u.pa, db); err != nil {
+			if _, err := spec.SecureOpts(u.pa, db, core.Options{}); err != nil {
 				<-errc
 				return err
 			}

@@ -4,9 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
-
-	"secyan/internal/parallel"
 )
 
 // TestTransposeByteIdenticalAcrossWorkers requires the parallel block
@@ -22,19 +21,19 @@ func TestTransposeByteIdenticalAcrossWorkers(t *testing.T) {
 				m.Set(i, j, rng.Intn(2) == 1)
 			}
 		}
-		prev := parallel.SetWorkers(1)
-		ref := m.Transpose()
+		transposeAt := func(workers int) *Matrix {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+			return m.Transpose()
+		}
+		ref := transposeAt(1)
 		for _, workers := range []int{2, 4} {
-			parallel.SetWorkers(workers)
-			got := m.Transpose()
+			got := transposeAt(workers)
 			for r := 0; r < ref.Rows; r++ {
 				if !bytes.Equal(got.RowBytes(r), ref.RowBytes(r)) {
-					parallel.SetWorkers(prev)
 					t.Fatalf("%dx%d workers=%d: transpose row %d differs", rows, cols, workers, r)
 				}
 			}
 		}
-		parallel.SetWorkers(prev)
 	}
 }
 
@@ -52,8 +51,7 @@ func BenchmarkTransposeWorkers(b *testing.B) {
 	}
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			prev := parallel.SetWorkers(workers)
-			defer parallel.SetWorkers(prev)
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 			b.SetBytes(rows * cols / 8)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

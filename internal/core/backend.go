@@ -275,7 +275,7 @@ func semijoinBids(par, child nodeState, ell int) []backendBid {
 }
 
 // costCache memoizes the circuit-dimension predictors: candidate-tree
-// enumeration in compileQueryOpts prices the same (size, width) pairs
+// enumeration in ExplainOpts prices the same (size, width) pairs
 // repeatedly, and interpolation garbles probe circuits.
 var costCache sync.Map
 

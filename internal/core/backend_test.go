@@ -52,16 +52,16 @@ func runBackend(t *testing.T, q *Query, rels []*relation.Relation, b BackendID) 
 	defer alice.Conn.Close()
 	defer bob.Conn.Close()
 	ctx := context.Background()
-	opts := ExecOptions{Backend: b}
+	opts := Options{Backend: b}
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := RunContextOpts(ctx, bob, splitQuery(q, rels, mpc.Bob), opts)
+		_, _, err := Run(ctx, bob, splitQuery(q, rels, mpc.Bob), opts)
 		if err != nil {
 			bob.Conn.Close()
 		}
 		done <- err
 	}()
-	rel, tr, err := RunContextOpts(ctx, alice, splitQuery(q, rels, mpc.Alice), opts)
+	rel, tr, err := Run(ctx, alice, splitQuery(q, rels, mpc.Alice), opts)
 	if err != nil {
 		t.Fatalf("alice run (backend %q): %v", b, err)
 	}
@@ -93,7 +93,7 @@ func TestBackendForcedEquivalence(t *testing.T) {
 // wins on ties), and exactly one alternative is marked chosen.
 func TestBackendDefaultIsArgmin(t *testing.T) {
 	for _, tc := range backendFixtures(t) {
-		plan, err := Explain(tc.q, testRing.Bits, 0)
+		plan, err := ExplainOpts(tc.q, testRing.Bits, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func TestBackendDefaultIsArgmin(t *testing.T) {
 func TestBackendForcedPlanRecorded(t *testing.T) {
 	for _, tc := range backendFixtures(t) {
 		for _, b := range []BackendID{BackendPSIOEP, BackendBifrost, BackendGC} {
-			plan, err := ExplainOpts(tc.q, testRing.Bits, PlanOptions{Backend: b})
+			plan, err := ExplainOpts(tc.q, testRing.Bits, Options{Backend: b})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -37,18 +37,18 @@ func runChunked(t *testing.T, q *Query, rels []*relation.Relation, chunk int, pr
 	defer alice.Conn.Close()
 	defer bob.Conn.Close()
 	ctx := context.Background()
-	opts := ExecOptions{ChunkSize: chunk}
+	opts := Options{ChunkSize: chunk}
 
 	if precompute {
 		offErr := make(chan error, 1)
 		go func() {
-			_, err := Precompute(ctx, bob, splitQuery(q, rels, mpc.Bob))
+			_, err := PrecomputeOpts(ctx, bob, splitQuery(q, rels, mpc.Bob), opts)
 			if err != nil {
 				bob.Conn.Close()
 			}
 			offErr <- err
 		}()
-		if _, err := Precompute(ctx, alice, splitQuery(q, rels, mpc.Alice)); err != nil {
+		if _, err := PrecomputeOpts(ctx, alice, splitQuery(q, rels, mpc.Alice), opts); err != nil {
 			t.Fatalf("alice precompute (chunk %d): %v", chunk, err)
 		}
 		if err := <-offErr; err != nil {
@@ -60,13 +60,13 @@ func runChunked(t *testing.T, q *Query, rels []*relation.Relation, chunk int, pr
 
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := RunContextOpts(ctx, bob, splitQuery(q, rels, mpc.Bob), opts)
+		_, _, err := Run(ctx, bob, splitQuery(q, rels, mpc.Bob), opts)
 		if err != nil {
 			bob.Conn.Close()
 		}
 		done <- err
 	}()
-	rel, tr, err := RunContextOpts(ctx, alice, splitQuery(q, rels, mpc.Alice), opts)
+	rel, tr, err := Run(ctx, alice, splitQuery(q, rels, mpc.Alice), opts)
 	if err != nil {
 		t.Fatalf("alice run (chunk %d): %v", chunk, err)
 	}
@@ -135,26 +135,26 @@ func TestChunkedTranscriptEquivalence(t *testing.T) {
 }
 
 // TestChunkedPlanMetadata pins the IR side: the compiled plan records
-// the normalized chunk size and per-step chunk counts, and ExplainChunked
-// never changes the step list or estimates relative to Explain.
+// the normalized chunk size and per-step chunk counts, and the chunk
+// size never changes the step list or estimates.
 func TestChunkedPlanMetadata(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	q, _ := multiNodeQuery(rng)
 
-	base, err := Explain(q, testRing.Bits, 0)
+	base, err := ExplainOpts(q, testRing.Bits, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if base.ChunkSize != relation.DefaultChunkSize() {
-		t.Fatalf("Explain plan ChunkSize = %d, want process default %d", base.ChunkSize, relation.DefaultChunkSize())
+		t.Fatalf("Explain plan ChunkSize = %d, want the default %d", base.ChunkSize, relation.DefaultChunkSize())
 	}
 	for _, chunk := range []int{1, 3, 64, relation.Unbounded} {
-		p, err := ExplainChunked(q, testRing.Bits, 0, chunk)
+		p, err := ExplainOpts(q, testRing.Bits, Options{ChunkSize: chunk})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if p.ChunkSize != chunk {
-			t.Fatalf("ExplainChunked(%d) plan ChunkSize = %d", chunk, p.ChunkSize)
+			t.Fatalf("ExplainOpts(ChunkSize: %d) plan ChunkSize = %d", chunk, p.ChunkSize)
 		}
 		if len(p.Steps) != len(base.Steps) {
 			t.Fatalf("chunk %d: %d steps, baseline %d", chunk, len(p.Steps), len(base.Steps))

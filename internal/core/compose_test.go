@@ -30,11 +30,11 @@ func runComposed(t *testing.T, q *Query, relsA, relsB []*relation.Relation,
 		return cq
 	}
 	run := func(p *mpc.Party) (*relation.Relation, error) {
-		ra, err := RunShared(p, queryFor(p.Role, relsA))
+		ra, err := runShared(p, queryFor(p.Role, relsA))
 		if err != nil {
 			return nil, err
 		}
-		rb, err := RunShared(p, queryFor(p.Role, relsB))
+		rb, err := runShared(p, queryFor(p.Role, relsB))
 		if err != nil {
 			return nil, err
 		}

@@ -51,7 +51,7 @@ func ShareInput(p *mpc.Party, owner mpc.Role, rel *relation.Relation, schema rel
 }
 
 // shareInputChunked is ShareInput with an explicit tuple-plane chunk size
-// (0 = process default, negative = unbounded). The share exchange itself
+// (0 = the default, negative = unbounded). The share exchange itself
 // is a single message of public size regardless of chunking.
 func shareInputChunked(p *mpc.Party, owner mpc.Role, rel *relation.Relation, schema relation.Schema, n, chunk int) (*SharedRelation, error) {
 	if p.Role == owner {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"secyan/internal/mpc"
@@ -11,6 +12,18 @@ import (
 type A = relation.Attr
 
 var testRing = share.Ring{Bits: 32}
+
+// runQuery and runShared are Run and RunShared under a background
+// context and default options, without the trace.
+func runQuery(p *mpc.Party, q *Query) (*relation.Relation, error) {
+	rel, _, err := Run(context.Background(), p, q, Options{})
+	return rel, err
+}
+
+func runShared(p *mpc.Party, q *Query) (*SharedResult, error) {
+	res, _, err := RunShared(context.Background(), p, q, Options{})
+	return res, err
+}
 
 // runBoth executes the same protocol function on two connected parties,
 // one of which owns rel; the other passes rel == nil.

@@ -33,8 +33,8 @@ func runSecure(t *testing.T, q *Query, rels []*relation.Relation) *relation.Rela
 		return cq
 	}
 	res, _, err := mpc.Run2PC(alice, bob,
-		func(p *mpc.Party) (*relation.Relation, error) { return Run(p, queryFor(mpc.Alice)) },
-		func(p *mpc.Party) (*relation.Relation, error) { return Run(p, queryFor(mpc.Bob)) },
+		func(p *mpc.Party) (*relation.Relation, error) { return runQuery(p, queryFor(mpc.Alice)) },
+		func(p *mpc.Party) (*relation.Relation, error) { return runQuery(p, queryFor(mpc.Bob)) },
 	)
 	if err != nil {
 		t.Fatalf("secure run: %v", err)
@@ -281,8 +281,8 @@ func TestTranscriptObliviousness(t *testing.T) {
 			return cq
 		}
 		_, _, err := mpc.Run2PC(alice, bob,
-			func(p *mpc.Party) (*relation.Relation, error) { return Run(p, queryFor(mpc.Alice)) },
-			func(p *mpc.Party) (*relation.Relation, error) { return Run(p, queryFor(mpc.Bob)) },
+			func(p *mpc.Party) (*relation.Relation, error) { return runQuery(p, queryFor(mpc.Alice)) },
+			func(p *mpc.Party) (*relation.Relation, error) { return runQuery(p, queryFor(mpc.Bob)) },
 		)
 		if err != nil {
 			t.Fatal(err)
@@ -347,8 +347,8 @@ func TestLocalOptimizationEquivalence(t *testing.T) {
 			return cq
 		}
 		res, _, err := mpc.Run2PC(alice, bob,
-			func(p *mpc.Party) (*relation.Relation, error) { return Run(p, queryFor(mpc.Alice)) },
-			func(p *mpc.Party) (*relation.Relation, error) { return Run(p, queryFor(mpc.Bob)) },
+			func(p *mpc.Party) (*relation.Relation, error) { return runQuery(p, queryFor(mpc.Alice)) },
+			func(p *mpc.Party) (*relation.Relation, error) { return runQuery(p, queryFor(mpc.Bob)) },
 		)
 		if err != nil {
 			t.Fatalf("noOpt=%v: %v", noOpt, err)

@@ -53,62 +53,17 @@ var (
 // annotations, dummy and zero-annotated rows removed); Bob receives nil.
 // Both parties must call Run with structurally identical queries (same
 // schemas, owners, sizes, output), differing only in which relations they
-// hold.
-func Run(p *mpc.Party, q *Query) (*relation.Relation, error) {
-	rel, _, err := RunContext(context.Background(), p, q)
-	return rel, err
-}
-
-// ExecOptions tunes a plan execution without affecting its transcript.
-type ExecOptions struct {
-	// ChunkSize bounds the tuple-plane working set of every operator: a
-	// positive tuple count streams relations in chunks of that size, 0
-	// uses the process default (relation.DefaultChunkSize), and any
-	// negative value (relation.Unbounded) materializes fully. Results,
-	// per-step traces and per-stream transport stats are byte-identical
-	// for every value — the chunk-invariance suites pin this.
-	ChunkSize int
-	// Backend forces every semijoin/aggregate step onto one backend
-	// wherever it is applicable (see PlanOptions.Backend). Unlike
-	// ChunkSize this changes the transcript: both parties must pass the
-	// same value.
-	Backend BackendID
-	// Tag carries the session/query IDs minted by the session layer, so
-	// events, labeled metrics and flight records attribute to the right
-	// query. Zero falls back to Party.Tag, and a fresh query ID is
-	// minted if observation is active with neither set. Tags are
-	// process-local bookkeeping only — never on the wire.
-	Tag obs.QueryTag
-}
-
-// RunContext is Run with cancellation and per-step observability: it
-// additionally returns the execution trace (one TraceStep per plan
-// step, in plan order), which is valid — as a prefix — even on error.
-func RunContext(ctx context.Context, p *mpc.Party, q *Query) (*relation.Relation, *Trace, error) {
-	return RunContextOpts(ctx, p, q, ExecOptions{})
-}
-
-// RunContextOpts is RunContext with execution options.
-func RunContextOpts(ctx context.Context, p *mpc.Party, q *Query, opts ExecOptions) (*relation.Relation, *Trace, error) {
+// hold. The returned execution trace (one TraceStep per plan step, in
+// plan order) is valid — as a prefix — even on error.
+func Run(ctx context.Context, p *mpc.Party, q *Query, opts Options) (*relation.Relation, *Trace, error) {
 	_, rel, tr, err := runPlan(ctx, p, q, false, opts)
 	return rel, tr, err
 }
 
-// RunShared executes the protocol but stops before revealing the result
-// annotations, returning them in shared form — the building block of the
-// query compositions of §7 (avg, ratios, differences; see compose.go).
-func RunShared(p *mpc.Party, q *Query) (*SharedResult, error) {
-	res, _, err := RunSharedContext(context.Background(), p, q)
-	return res, err
-}
-
-// RunSharedContext is RunShared with cancellation and tracing.
-func RunSharedContext(ctx context.Context, p *mpc.Party, q *Query) (*SharedResult, *Trace, error) {
-	return RunSharedContextOpts(ctx, p, q, ExecOptions{})
-}
-
-// RunSharedContextOpts is RunSharedContext with execution options.
-func RunSharedContextOpts(ctx context.Context, p *mpc.Party, q *Query, opts ExecOptions) (*SharedResult, *Trace, error) {
+// RunShared is Run stopping before the result annotations are revealed,
+// returning them in shared form — the building block of the query
+// compositions of §7 (avg, ratios, differences; see compose.go).
+func RunShared(ctx context.Context, p *mpc.Party, q *Query, opts Options) (*SharedResult, *Trace, error) {
 	res, _, tr, err := runPlan(ctx, p, q, true, opts)
 	return res, tr, err
 }
@@ -116,14 +71,11 @@ func RunSharedContextOpts(ctx context.Context, p *mpc.Party, q *Query, opts Exec
 // runPlan compiles q and executes the plan step by step. When shared is
 // true the final reveal steps are skipped and the shared result
 // returned; otherwise the result relation is revealed to Alice.
-func runPlan(ctx context.Context, p *mpc.Party, q *Query, shared bool, opts ExecOptions) (res *SharedResult, rel *relation.Relation, tr *Trace, err error) {
+func runPlan(ctx context.Context, p *mpc.Party, q *Query, shared bool, opts Options) (res *SharedResult, rel *relation.Relation, tr *Trace, err error) {
 	if err := q.Validate(p.Role); err != nil {
 		return nil, nil, nil, err
 	}
-	// Run compiles with estOut=0: the step sequence is estOut-independent
-	// and the true output size is only known at run time.
-	plan, err := compileQueryOpts(q, p.Ring.Bits,
-		PlanOptions{ChunkSize: opts.ChunkSize, Backend: opts.Backend})
+	plan, err := ExplainOpts(q, p.Ring.Bits, opts)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -161,9 +113,6 @@ func runPlan(ctx context.Context, p *mpc.Party, q *Query, shared bool, opts Exec
 		}()
 	}
 	live := obs.Enabled()
-	if live {
-		defer obs.ClearCurrentStep(p.Role.String())
-	}
 
 	// Query-scoped observability: resolve the tag (explicit option wins
 	// over the party's session tag), minting a query ID for untagged
@@ -185,6 +134,9 @@ func runPlan(ctx context.Context, p *mpc.Party, q *Query, shared bool, opts Exec
 			tag.QID = obs.NextQueryID()
 		}
 		shape = plan.Root + ":" + plan.DigestString()[:8]
+	}
+	if live {
+		defer obs.ClearCurrentStep(tag.QID)
 	}
 	if eventsOn {
 		lg.Emit("query.start", tag,
@@ -263,6 +215,7 @@ func runPlan(ctx context.Context, p *mpc.Party, q *Query, shared bool, opts Exec
 		}
 		if live {
 			obs.SetCurrentStep(obs.StepStatus{
+				QID: tag.QID, SID: tag.SID, Tenant: tag.Tenant,
 				Party: p.Role.String(), Phase: st.Phase, Op: st.Op, Node: st.Node,
 				N: st.N, Step: si + 1, Steps: len(plan.Steps),
 				StartedUnixNano: time.Now().UnixNano()})

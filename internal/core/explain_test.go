@@ -20,7 +20,7 @@ func explainExampleQuery(t *testing.T, noOpt bool) (*Query, []*relation.Relation
 
 func TestExplainStructure(t *testing.T) {
 	q, _ := explainExampleQuery(t, false)
-	plan, err := Explain(q, 32, 10)
+	plan, err := ExplainOpts(q, 32, Options{EstOut: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestExplainMultiNodeHasJoinPhase(t *testing.T) {
 		},
 		Output: []relation.Attr{"g1", "k", "g2"},
 	}
-	plan, err := Explain(q, 32, 25)
+	plan, err := ExplainOpts(q, 32, Options{EstOut: 25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestExplainMultiNodeHasJoinPhase(t *testing.T) {
 // claim (round paddings and OT batching are approximated).
 func TestExplainTracksMeasuredCost(t *testing.T) {
 	q, rels := explainExampleQuery(t, false)
-	plan, err := Explain(q, testRing.Bits, 0)
+	plan, err := ExplainOpts(q, testRing.Bits, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +101,8 @@ func TestExplainTracksMeasuredCost(t *testing.T) {
 		return cq
 	}
 	_, _, err = mpc.Run2PC(alice, bob,
-		func(p *mpc.Party) (*relation.Relation, error) { return Run(p, queryFor(mpc.Alice)) },
-		func(p *mpc.Party) (*relation.Relation, error) { return Run(p, queryFor(mpc.Bob)) },
+		func(p *mpc.Party) (*relation.Relation, error) { return runQuery(p, queryFor(mpc.Alice)) },
+		func(p *mpc.Party) (*relation.Relation, error) { return runQuery(p, queryFor(mpc.Bob)) },
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -118,11 +118,11 @@ func TestExplainTracksMeasuredCost(t *testing.T) {
 func TestExplainOptimizationVisible(t *testing.T) {
 	qOpt, _ := explainExampleQuery(t, false)
 	qRaw, _ := explainExampleQuery(t, true)
-	pOpt, err := Explain(qOpt, 32, 0)
+	pOpt, err := ExplainOpts(qOpt, 32, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pRaw, err := Explain(qRaw, 32, 0)
+	pRaw, err := ExplainOpts(qRaw, 32, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestExplainOptimizationVisible(t *testing.T) {
 
 func TestExplainFormat(t *testing.T) {
 	q, _ := explainExampleQuery(t, false)
-	plan, err := Explain(q, 32, 5)
+	plan, err := ExplainOpts(q, 32, Options{EstOut: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestExplainRejectsBadQueries(t *testing.T) {
 		{Name: "b", Schema: relation.MustSchema("y", "z"), N: 1},
 		{Name: "c", Schema: relation.MustSchema("z", "x"), N: 1},
 	}}
-	if _, err := Explain(q, 32, 0); err == nil {
+	if _, err := ExplainOpts(q, 32, Options{}); err == nil {
 		t.Fatal("cyclic query explained")
 	}
 }

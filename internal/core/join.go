@@ -403,7 +403,7 @@ func RevealRelation(p *mpc.Party, s *SharedRelation) (*relation.Relation, error)
 }
 
 // revealRelationChunked is RevealRelation with an explicit tuple-plane
-// chunk size (0 = process default, negative = unbounded).
+// chunk size (0 = the default, negative = unbounded).
 func revealRelationChunked(p *mpc.Party, s *SharedRelation, chunk int) (*relation.Relation, error) {
 	revealed, err := revealNonzeroRows(p, s, chunk)
 	if err != nil {

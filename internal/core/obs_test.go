@@ -266,10 +266,10 @@ func TestObsBlameOnFailure(t *testing.T) {
 	ctx := context.Background()
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := RunContext(ctx, bob, splitQuery(q, rels, mpc.Bob))
+		_, _, err := Run(ctx, bob, splitQuery(q, rels, mpc.Bob), Options{})
 		done <- err
 	}()
-	_, _, aerr := RunContext(ctx, alice, splitQuery(q, rels, mpc.Alice))
+	_, _, aerr := Run(ctx, alice, splitQuery(q, rels, mpc.Alice), Options{})
 	berr := <-done
 	if aerr == nil && berr == nil {
 		t.Fatalf("run succeeded despite severed connection")
@@ -288,5 +288,98 @@ func TestObsBlameOnFailure(t *testing.T) {
 		if r.Blame == "" {
 			t.Errorf("%s: failed record carries no blame: %+v", r.Party, r)
 		}
+	}
+}
+
+// TestObsStatusConcurrentQueries pins the live step status to the query,
+// not the role: two queries running concurrently on one session pair each
+// have their own /debug/step entry on Alice's side, and the first to
+// finish clears only its own.
+func TestObsStatusConcurrentQueries(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+
+	rng := rand.New(rand.NewSource(37))
+	q, rels := example11Query(rng, 8, 12)
+
+	sa, sb := mpc.SessionPair(testRing, mpc.SessionConfig{})
+	defer sa.Close()
+	defer sb.Close()
+
+	// Each query's Alice half parks after its first step until released.
+	type held struct {
+		qid     uint64
+		reached chan struct{}
+		release chan struct{}
+		done    chan error
+	}
+	start := func(stream uint32) *held {
+		pa, err := sa.PartyOn(stream, mpc.PartyOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pb, err := sb.PartyOn(stream, mpc.PartyOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := &held{qid: obs.NextQueryID(), reached: make(chan struct{}),
+			release: make(chan struct{}), done: make(chan error, 2)}
+		first := true
+		pa.Observer = func(TraceStep) {
+			if first {
+				first = false
+				close(h.reached)
+				<-h.release
+			}
+		}
+		ctx := context.Background()
+		go func() {
+			_, _, err := Run(ctx, pb, splitQuery(q, rels, mpc.Bob), Options{})
+			h.done <- err
+		}()
+		go func() {
+			_, _, err := Run(ctx, pa, splitQuery(q, rels, mpc.Alice), Options{Tag: obs.QueryTag{QID: h.qid}})
+			h.done <- err
+		}()
+		return h
+	}
+	finish := func(h *held) {
+		close(h.release)
+		for i := 0; i < 2; i++ {
+			if err := <-h.done; err != nil {
+				t.Fatalf("query %d: %v", h.qid, err)
+			}
+		}
+	}
+	live := func() map[uint64]obs.StepStatus {
+		out := map[uint64]obs.StepStatus{}
+		for _, st := range obs.CurrentSteps() {
+			out[st.QID] = st
+		}
+		return out
+	}
+
+	a, b := start(0), start(1)
+	<-a.reached
+	<-b.reached
+	now := live()
+	for _, h := range []*held{a, b} {
+		if st, ok := now[h.qid]; !ok || st.Party != "Alice" {
+			t.Fatalf("query %d has no live step entry of its own while both run: %+v", h.qid, obs.CurrentSteps())
+		}
+	}
+
+	finish(a)
+	now = live()
+	if _, ok := now[a.qid]; ok {
+		t.Errorf("finished query %d still has a live step entry: %+v", a.qid, obs.CurrentSteps())
+	}
+	if _, ok := now[b.qid]; !ok {
+		t.Errorf("query %d finishing cleared the entry of query %d, which is still running: %+v", a.qid, b.qid, obs.CurrentSteps())
+	}
+
+	finish(b)
+	if now = live(); len(now) != 0 {
+		t.Errorf("live step entries after every query finished: %+v", obs.CurrentSteps())
 	}
 }

@@ -10,13 +10,14 @@ import (
 	"secyan/internal/gc"
 	"secyan/internal/jointree"
 	"secyan/internal/mpc"
+	"secyan/internal/obs"
 	"secyan/internal/oep"
 	"secyan/internal/ot"
 	"secyan/internal/relation"
 )
 
 // This file is the plan compiler: the single place that decides which
-// operators a query executes. compileQuery replays the driver's control
+// operators a query executes. ExplainOpts replays the driver's control
 // flow over public parameters only (schemas, sizes, owners, plainness),
 // so both parties — and Explain — derive the identical Plan; the
 // executor in exec.go then walks the steps without re-deciding anything.
@@ -170,39 +171,67 @@ func (p *Plan) Digest() uint64 {
 // DigestString renders Digest as 16 hex digits.
 func (p *Plan) DigestString() string { return fmt.Sprintf("%016x", p.Digest()) }
 
-// PlanOptions parameterize compilation.
-type PlanOptions struct {
-	// EstOut is the assumed output size, used only by the join-phase
-	// steps of multi-survivor queries.
+// Options is the one configuration value of a query: Explain, Precompute
+// and Run compile the same plan from the same Options, so a holder keeps
+// a single value and passes it unchanged to all three.
+type Options struct {
+	// EstOut is the assumed output size, used only to price the
+	// join-phase steps of multi-survivor queries (the step sequence does
+	// not depend on it; the run learns the true size). Because the
+	// join-tree root is chosen by total estimate, both parties must pass
+	// the same value.
 	EstOut int
-	// ChunkSize is the tuple-plane streaming granularity (0 = the
-	// process default, negative = relation.Unbounded).
+	// ChunkSize bounds the tuple-plane working set of every operator: a
+	// positive tuple count streams relations in chunks of that size, 0
+	// uses relation.DefaultChunkSize, and any negative value
+	// (relation.Unbounded) materializes fully. Results, per-step traces
+	// and per-stream transport stats are byte-identical for every value
+	// — the chunk-invariance suites pin this.
 	ChunkSize int
 	// Backend forces every semijoin/aggregate step onto one backend
 	// wherever it is applicable; inapplicable steps keep the cost-based
-	// choice. Empty means cost-based selection everywhere.
+	// choice. Empty means cost-based selection everywhere. This changes
+	// the transcript: both parties must pass the same value.
 	Backend BackendID
+	// Tag carries the session/query IDs minted by the session layer, so
+	// events, labeled metrics and flight records attribute to the right
+	// query. Zero falls back to Party.Tag, and a fresh query ID is
+	// minted if observation is active with neither set. Tags are
+	// process-local bookkeeping only — never on the wire.
+	Tag obs.QueryTag
 }
 
-// Explain builds the plan for q with estOut as the assumed output size
-// (used only by the join-phase steps of multi-survivor queries). The
-// returned Plan is the same object the executor runs: Run differs only
-// in feeding it data.
-func Explain(q *Query, ringBits, estOut int) (*Plan, error) {
-	return compileQueryOpts(q, ringBits, PlanOptions{EstOut: estOut})
-}
+// ExecOptions and PlanOptions are the names the frozen bench/adapt.go
+// spells Options by; nothing else uses them.
+type (
+	ExecOptions = Options
+	PlanOptions = Options
+)
 
-// ExplainChunked is Explain with an explicit chunk size (0 = the
-// process default, negative = relation.Unbounded), populating the
-// plan's ChunkSize and per-step chunk demands.
-func ExplainChunked(q *Query, ringBits, estOut, chunk int) (*Plan, error) {
-	return compileQueryOpts(q, ringBits, PlanOptions{EstOut: estOut, ChunkSize: chunk})
-}
-
-// ExplainOpts is Explain with full PlanOptions, including a forced
-// backend.
-func ExplainOpts(q *Query, ringBits int, po PlanOptions) (*Plan, error) {
-	return compileQueryOpts(q, ringBits, po)
+// ExplainOpts compiles q into its physical plan: the same object the
+// executor runs — Run differs only in feeding it data. The join-tree
+// root is itself chosen by cost: every candidate rooted tree the
+// planner accepts is compiled (with the same options, including any
+// forced backend) and the one with the smallest total estimate wins;
+// ties keep the planner's first candidate, which is the tree the
+// pre-costing planner would have picked.
+func ExplainOpts(q *Query, ringBits int, opts Options) (*Plan, error) {
+	switch opts.Backend {
+	case "", BackendPSIOEP, BackendBifrost, BackendGC:
+	default:
+		return nil, fmt.Errorf("core: unknown backend %q (want auto, psi-oep, bifrost or gc)", opts.Backend)
+	}
+	tree, err := q.Hypergraph().PlanCosted(q.Output, func(t *jointree.Tree) (int64, error) {
+		pl, err := compileTree(q, t, ringBits, opts)
+		if err != nil {
+			return 0, err
+		}
+		return pl.EstBytes, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return compileTree(q, tree, ringBits, opts)
 }
 
 // nodeState is the public protocol state of one tree node during
@@ -242,43 +271,13 @@ func revealCost(n, cols, ell int, withRows bool) int64 {
 	})
 }
 
-// compileQuery compiles q into its physical plan with default options.
-func compileQuery(q *Query, ringBits, estOut, chunk int) (*Plan, error) {
-	return compileQueryOpts(q, ringBits, PlanOptions{EstOut: estOut, ChunkSize: chunk})
-}
-
-// compileQueryOpts compiles q into its physical plan. The join-tree
-// root is itself chosen by cost: every candidate rooted tree the
-// planner accepts is compiled (with the same options, including any
-// forced backend) and the one with the smallest total estimate wins;
-// ties keep the planner's first candidate, which is the tree the
-// pre-costing planner would have picked.
-func compileQueryOpts(q *Query, ringBits int, po PlanOptions) (*Plan, error) {
-	switch po.Backend {
-	case "", BackendPSIOEP, BackendBifrost, BackendGC:
-	default:
-		return nil, fmt.Errorf("core: unknown backend %q (want auto, psi-oep, bifrost or gc)", po.Backend)
-	}
-	tree, err := q.Hypergraph().PlanCosted(q.Output, func(t *jointree.Tree) (int64, error) {
-		pl, err := compileTree(q, t, ringBits, po)
-		if err != nil {
-			return 0, err
-		}
-		return pl.EstBytes, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return compileTree(q, tree, ringBits, po)
-}
-
 // compileTree compiles q over one rooted join tree, mirroring the
-// three-phase driver on nodeState. po.EstOut sizes the join-phase
+// three-phase driver on nodeState. opts.EstOut sizes the join-phase
 // estimates only; the step sequence is independent of it, so a plan
-// compiled with EstOut=0 (as Run does) produces the same trace shape as
-// one compiled with the true output size.
-func compileTree(q *Query, tree *jointree.Tree, ringBits int, po PlanOptions) (*Plan, error) {
-	estOut, chunk := po.EstOut, po.ChunkSize
+// compiled with EstOut=0 produces the same trace shape as one compiled
+// with the true output size.
+func compileTree(q *Query, tree *jointree.Tree, ringBits int, opts Options) (*Plan, error) {
+	estOut, chunk := opts.EstOut, opts.ChunkSize
 	if chunk == 0 {
 		chunk = relation.DefaultChunkSize()
 	}
@@ -319,13 +318,13 @@ func compileTree(q *Query, tree *jointree.Tree, ringBits int, po PlanOptions) (*
 	// plan alone. chooseAgg and chooseSemijoin merge the winner's
 	// OT-extension directions into needOT.
 	chooseAgg := func(st nodeState, kind mergeKind) (backendBid, []BackendChoice) {
-		bid, alts := pickBackend(aggBids(st, kind, ell), po.Backend)
+		bid, alts := pickBackend(aggBids(st, kind, ell), opts.Backend)
 		needOT[0] = needOT[0] || bid.needs[0]
 		needOT[1] = needOT[1] || bid.needs[1]
 		return bid, alts
 	}
 	chooseSemijoin := func(par, child nodeState) (backendBid, []BackendChoice) {
-		bid, alts := pickBackend(semijoinBids(par, child, ell), po.Backend)
+		bid, alts := pickBackend(semijoinBids(par, child, ell), opts.Backend)
 		needOT[0] = needOT[0] || bid.needs[0]
 		needOT[1] = needOT[1] || bid.needs[1]
 		return bid, alts

@@ -35,13 +35,13 @@ func runTraced(ctx context.Context, q *Query, rels []*relation.Relation) (rel *r
 	defer bob.Conn.Close()
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := RunContext(ctx, bob, splitQuery(q, rels, mpc.Bob))
+		_, _, err := Run(ctx, bob, splitQuery(q, rels, mpc.Bob), Options{})
 		if err != nil {
 			bob.Conn.Close()
 		}
 		done <- err
 	}()
-	rel, tr, aliceErr = RunContext(ctx, alice, splitQuery(q, rels, mpc.Alice))
+	rel, tr, aliceErr = Run(ctx, alice, splitQuery(q, rels, mpc.Alice), Options{})
 	if aliceErr != nil {
 		alice.Conn.Close()
 	}
@@ -105,7 +105,7 @@ func TestTraceMatchesPlan(t *testing.T) {
 					out = s.N
 				}
 			}
-			plan, err := Explain(tc.q, testRing.Bits, out)
+			plan, err := ExplainOpts(tc.q, testRing.Bits, Options{EstOut: out})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,11 +136,11 @@ func TestTraceMatchesPlan(t *testing.T) {
 func TestRunMatchesExplainWithoutEstOut(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	q, _ := multiNodeQuery(rng)
-	p0, err := Explain(q, testRing.Bits, 0)
+	p0, err := ExplainOpts(q, testRing.Bits, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p9, err := Explain(q, testRing.Bits, 9)
+	p9, err := ExplainOpts(q, testRing.Bits, Options{EstOut: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,11 +181,11 @@ func TestCancellationMidProtocol(t *testing.T) {
 	}
 	ch := make(chan res, 2)
 	go func() {
-		_, _, err := RunContext(ctx, alice, splitQuery(q, rels, mpc.Alice))
+		_, _, err := Run(ctx, alice, splitQuery(q, rels, mpc.Alice), Options{})
 		ch <- res{"alice", err}
 	}()
 	go func() {
-		_, _, err := RunContext(ctx, bob, splitQuery(q, rels, mpc.Bob))
+		_, _, err := Run(ctx, bob, splitQuery(q, rels, mpc.Bob), Options{})
 		ch <- res{"bob", err}
 	}()
 	for i := 0; i < 2; i++ {

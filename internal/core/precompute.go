@@ -10,7 +10,7 @@ import (
 )
 
 // This file implements the offline phase of the plan-driven
-// offline/online split. Precompute walks the same Plan the executor
+// offline/online split. PrecomputeOpts walks the same Plan the executor
 // runs, but instead of executing operators it stages their expensive
 // ingredients ahead of time:
 //
@@ -48,17 +48,17 @@ func garbleAhead(plan *Plan, role mpc.Role) []*gc.PreGarbled {
 	return staged
 }
 
-// Precompute executes the offline phase of q's plan on party p: base-OT
-// setup, one random-OT pool fill per planned OT batch, and ahead-of-time
-// garbling of every planned circuit this party garbles. Both parties must call it
-// concurrently — the offline phase has its own traffic — and the next
-// protocol run on this party pair should execute the same query, which
-// then consumes the staged material transparently. It returns the
-// offline trace: one TraceStep (Phase "offline") per plan step that did
-// offline work, with EstBytes carrying the step's EstOfflineBytes, then
-// "stage-circuits" (the wait for this party's ahead-of-time garbling)
-// and "rendezvous" (the wait for the peer's), neither with payload
-// bytes.
+// PrecomputeOpts executes the offline phase of q's plan on party p:
+// base-OT setup, one random-OT pool fill per planned OT batch, and
+// ahead-of-time garbling of every planned circuit this party garbles. Both
+// parties must call it concurrently — the offline phase has its own
+// traffic — and the next protocol run on this party pair should execute
+// the same query under the same opts, which then consumes the staged
+// material transparently. It returns the offline trace: one TraceStep
+// (Phase "offline") per plan step that did offline work, with EstBytes
+// carrying the step's EstOfflineBytes, then "stage-circuits" (the wait
+// for this party's ahead-of-time garbling) and "rendezvous" (the wait
+// for the peer's), neither with payload bytes.
 //
 // Staged material is single-use and plan-shaped. Running a different
 // query next is safe but wasteful: the first mismatching step drops the
@@ -66,19 +66,11 @@ func garbleAhead(plan *Plan, role mpc.Role) []*gc.PreGarbled {
 // Party.ClearPrecomputed to discard staged material deliberately — on
 // both parties at the same protocol point, since pooled OT batches must
 // stay symmetric.
-func Precompute(ctx context.Context, p *mpc.Party, q *Query) (*Trace, error) {
-	return PrecomputeOpts(ctx, p, q, PlanOptions{})
-}
-
-// PrecomputeOpts is Precompute with explicit plan options: the staged
-// material is shaped by the same backend selection (forced or
-// cost-based) the online run must then use.
-func PrecomputeOpts(ctx context.Context, p *mpc.Party, q *Query, po PlanOptions) (*Trace, error) {
+func PrecomputeOpts(ctx context.Context, p *mpc.Party, q *Query, opts Options) (*Trace, error) {
 	// No Validate: the offline phase is data-independent, so q may be a
 	// bare query shape (schemas, owners, sizes) with no relations
 	// attached — e.g. queries.PlanFor output.
-	po.EstOut, po.ChunkSize = 0, 0
-	plan, err := compileQueryOpts(q, p.Ring.Bits, po)
+	plan, err := ExplainOpts(q, p.Ring.Bits, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -217,11 +209,10 @@ type StagedCircuits struct {
 }
 
 // PrepareCircuits compiles q's plan (shape only — q needs no relations)
-// under po and garbles every declared circuit role garbles. It returns
+// under opts and garbles every declared circuit role garbles. It returns
 // nil when there is none.
-func PrepareCircuits(q *Query, ringBits int, role mpc.Role, po PlanOptions) (*StagedCircuits, error) {
-	po.EstOut, po.ChunkSize = 0, 0
-	plan, err := compileQueryOpts(q, ringBits, po)
+func PrepareCircuits(q *Query, ringBits int, role mpc.Role, opts Options) (*StagedCircuits, error) {
+	plan, err := ExplainOpts(q, ringBits, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -23,13 +23,13 @@ func runPrecomputed(t *testing.T, q *Query, rels []*relation.Relation) (*relatio
 
 	offErr := make(chan error, 1)
 	go func() {
-		_, err := Precompute(ctx, bob, splitQuery(q, rels, mpc.Bob))
+		_, err := PrecomputeOpts(ctx, bob, splitQuery(q, rels, mpc.Bob), Options{})
 		if err != nil {
 			bob.Conn.Close()
 		}
 		offErr <- err
 	}()
-	offTr, err := Precompute(ctx, alice, splitQuery(q, rels, mpc.Alice))
+	offTr, err := PrecomputeOpts(ctx, alice, splitQuery(q, rels, mpc.Alice), Options{})
 	if err != nil {
 		t.Fatalf("alice precompute: %v", err)
 	}
@@ -39,13 +39,13 @@ func runPrecomputed(t *testing.T, q *Query, rels []*relation.Relation) (*relatio
 
 	onErr := make(chan error, 1)
 	go func() {
-		_, _, err := RunContext(ctx, bob, splitQuery(q, rels, mpc.Bob))
+		_, _, err := Run(ctx, bob, splitQuery(q, rels, mpc.Bob), Options{})
 		if err != nil {
 			bob.Conn.Close()
 		}
 		onErr <- err
 	}()
-	rel, onTr, err := RunContext(ctx, alice, splitQuery(q, rels, mpc.Alice))
+	rel, onTr, err := Run(ctx, alice, splitQuery(q, rels, mpc.Alice), Options{})
 	if err != nil {
 		t.Fatalf("alice run: %v", err)
 	}
@@ -148,7 +148,7 @@ func TestPrecomputeMatchesDirect(t *testing.T) {
 					out = s.N
 				}
 			}
-			plan, err := Explain(tc.q, testRing.Bits, out)
+			plan, err := ExplainOpts(tc.q, testRing.Bits, Options{EstOut: out})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -207,13 +207,13 @@ func TestPrecomputeFallback(t *testing.T) {
 
 	offErr := make(chan error, 1)
 	go func() {
-		_, err := Precompute(ctx, bob, splitQuery(primedQ, primedRels, mpc.Bob))
+		_, err := PrecomputeOpts(ctx, bob, splitQuery(primedQ, primedRels, mpc.Bob), Options{})
 		if err != nil {
 			bob.Conn.Close()
 		}
 		offErr <- err
 	}()
-	if _, err := Precompute(ctx, alice, splitQuery(primedQ, primedRels, mpc.Alice)); err != nil {
+	if _, err := PrecomputeOpts(ctx, alice, splitQuery(primedQ, primedRels, mpc.Alice), Options{}); err != nil {
 		t.Fatalf("alice precompute: %v", err)
 	}
 	if berr := <-offErr; berr != nil {
@@ -222,13 +222,13 @@ func TestPrecomputeFallback(t *testing.T) {
 
 	onErr := make(chan error, 1)
 	go func() {
-		_, _, err := RunContext(ctx, bob, splitQuery(runQ, runRels, mpc.Bob))
+		_, _, err := Run(ctx, bob, splitQuery(runQ, runRels, mpc.Bob), Options{})
 		if err != nil {
 			bob.Conn.Close()
 		}
 		onErr <- err
 	}()
-	got, _, err := RunContext(ctx, alice, splitQuery(runQ, runRels, mpc.Alice))
+	got, _, err := Run(ctx, alice, splitQuery(runQ, runRels, mpc.Alice), Options{})
 	if err != nil {
 		t.Fatalf("alice run: %v", err)
 	}
@@ -259,10 +259,10 @@ func TestClearPrecomputed(t *testing.T) {
 
 	offErr := make(chan error, 1)
 	go func() {
-		_, err := Precompute(ctx, bob, splitQuery(q, rels, mpc.Bob))
+		_, err := PrecomputeOpts(ctx, bob, splitQuery(q, rels, mpc.Bob), Options{})
 		offErr <- err
 	}()
-	if _, err := Precompute(ctx, alice, splitQuery(q, rels, mpc.Alice)); err != nil {
+	if _, err := PrecomputeOpts(ctx, alice, splitQuery(q, rels, mpc.Alice), Options{}); err != nil {
 		t.Fatalf("alice precompute: %v", err)
 	}
 	if berr := <-offErr; berr != nil {
@@ -273,13 +273,13 @@ func TestClearPrecomputed(t *testing.T) {
 
 	onErr := make(chan error, 1)
 	go func() {
-		_, _, err := RunContext(ctx, bob, splitQuery(q, rels, mpc.Bob))
+		_, _, err := Run(ctx, bob, splitQuery(q, rels, mpc.Bob), Options{})
 		if err != nil {
 			bob.Conn.Close()
 		}
 		onErr <- err
 	}()
-	got, _, err := RunContext(ctx, alice, splitQuery(q, rels, mpc.Alice))
+	got, _, err := Run(ctx, alice, splitQuery(q, rels, mpc.Alice), Options{})
 	if err != nil {
 		t.Fatalf("alice run: %v", err)
 	}

@@ -37,7 +37,7 @@ func TestConstantRounds(t *testing.T) {
 			return cq
 		}
 		run := func(p *mpc.Party, q *Query) (*relation.Relation, error) {
-			rel, _, err := RunContextOpts(context.Background(), p, q, ExecOptions{Backend: BackendPSIOEP})
+			rel, _, err := Run(context.Background(), p, q, Options{Backend: BackendPSIOEP})
 			return rel, err
 		}
 		_, _, err := mpc.Run2PC(alice, bob,
@@ -110,8 +110,8 @@ func TestMalformedMessagesErrorNotPanic(t *testing.T) {
 				return cq
 			}
 			_, _, err := mpc.Run2PC(alice, bob,
-				func(p *mpc.Party) (*relation.Relation, error) { return Run(p, queryFor(mpc.Alice)) },
-				func(p *mpc.Party) (*relation.Relation, error) { return Run(p, queryFor(mpc.Bob)) },
+				func(p *mpc.Party) (*relation.Relation, error) { return runQuery(p, queryFor(mpc.Alice)) },
+				func(p *mpc.Party) (*relation.Relation, error) { return runQuery(p, queryFor(mpc.Bob)) },
 			)
 			if err == nil {
 				t.Fatalf("corruption at message %d went unnoticed", corruptAt)

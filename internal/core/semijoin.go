@@ -134,7 +134,7 @@ func SemijoinInto(p *mpc.Party, dg *relation.DummyGen, parent, child *SharedRela
 }
 
 // semijoinIntoChunked is SemijoinInto with an explicit tuple-plane chunk
-// size (0 = process default, negative = unbounded) and backend. The
+// size (0 = the default, negative = unbounded) and backend. The
 // backend selects the cross-party alignment protocol only; the
 // degenerate and same-party cases have a single implementation, and an
 // empty backend means the default PSI pipeline.

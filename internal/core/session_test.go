@@ -42,8 +42,10 @@ func TestSessionConcurrentTranscriptEquivalence(t *testing.T) {
 	// Serial baseline on a bare connection pair.
 	alice, bob := mpc.Pair(testRing)
 	res, _, err := mpc.Run2PC(alice, bob,
-		func(p *mpc.Party) (*relation.Relation, error) { return Run(p, sessionQueryFor(q, rels, mpc.Alice)) },
-		func(p *mpc.Party) (*relation.Relation, error) { return Run(p, sessionQueryFor(q, rels, mpc.Bob)) },
+		func(p *mpc.Party) (*relation.Relation, error) {
+			return runQuery(p, sessionQueryFor(q, rels, mpc.Alice))
+		},
+		func(p *mpc.Party) (*relation.Relation, error) { return runQuery(p, sessionQueryFor(q, rels, mpc.Bob)) },
 	)
 	if err != nil {
 		t.Fatalf("serial baseline: %v", err)
@@ -77,7 +79,7 @@ func TestSessionConcurrentTranscriptEquivalence(t *testing.T) {
 		wg.Add(2)
 		go func(i int, p *mpc.Party) {
 			defer wg.Done()
-			r, err := Run(p, sessionQueryFor(q, rels, mpc.Alice))
+			r, err := runQuery(p, sessionQueryFor(q, rels, mpc.Alice))
 			resMu.Lock()
 			outs[i], errs[2*i], stats[2*i] = r, err, p.Conn.Stats()
 			resMu.Unlock()
@@ -85,7 +87,7 @@ func TestSessionConcurrentTranscriptEquivalence(t *testing.T) {
 		}(i, pa)
 		go func(i int, p *mpc.Party) {
 			defer wg.Done()
-			_, err := Run(p, sessionQueryFor(q, rels, mpc.Bob))
+			_, err := runQuery(p, sessionQueryFor(q, rels, mpc.Bob))
 			resMu.Lock()
 			errs[2*i+1], stats[2*i+1] = err, p.Conn.Stats()
 			resMu.Unlock()
@@ -146,8 +148,8 @@ func TestSessionPrecomputeOverlapsOnlineQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	preDone := make(chan error, 2)
-	go func() { _, err := Precompute(context.Background(), pa0, shape); preDone <- err }()
-	go func() { _, err := Precompute(context.Background(), pb0, shape); preDone <- err }()
+	go func() { _, err := PrecomputeOpts(context.Background(), pa0, shape, Options{}); preDone <- err }()
+	go func() { _, err := PrecomputeOpts(context.Background(), pb0, shape, Options{}); preDone <- err }()
 
 	// Stream 1: an online query runs while the offline pass is going.
 	pa1, err := sa.PartyOn(1, mpc.PartyOpts{})
@@ -160,10 +162,10 @@ func TestSessionPrecomputeOverlapsOnlineQuery(t *testing.T) {
 	}
 	onlineDone := make(chan error, 1)
 	go func() {
-		_, err := Run(pb1, sessionQueryFor(q, rels, mpc.Bob))
+		_, err := runQuery(pb1, sessionQueryFor(q, rels, mpc.Bob))
 		onlineDone <- err
 	}()
-	res, err := Run(pa1, sessionQueryFor(q, rels, mpc.Alice))
+	res, err := runQuery(pa1, sessionQueryFor(q, rels, mpc.Alice))
 	if err != nil {
 		t.Fatalf("online run during precompute: %v", err)
 	}
@@ -182,10 +184,10 @@ func TestSessionPrecomputeOverlapsOnlineQuery(t *testing.T) {
 	// material already in hand.
 	stagedDone := make(chan error, 1)
 	go func() {
-		_, err := Run(pb0, sessionQueryFor(q, rels, mpc.Bob))
+		_, err := runQuery(pb0, sessionQueryFor(q, rels, mpc.Bob))
 		stagedDone <- err
 	}()
-	res, err = Run(pa0, sessionQueryFor(q, rels, mpc.Alice))
+	res, err = runQuery(pa0, sessionQueryFor(q, rels, mpc.Alice))
 	if err != nil {
 		t.Fatalf("staged run: %v", err)
 	}

@@ -11,7 +11,7 @@ import (
 
 // TraceStep is one executed plan step's record; it aliases mpc.StepTrace
 // so observers subscribed through Party.Observer and consumers of the
-// Trace returned by RunContext see the same type.
+// Trace returned by Run see the same type.
 type TraceStep = mpc.StepTrace
 
 // Trace is the execution record of one plan run: one entry per executed

@@ -26,7 +26,7 @@ type Runner struct {
 	Shape func() (*core.Query, error)
 	// Run executes this party's half on p. Alice receives the revealed
 	// result rows; Bob receives nil.
-	Run func(ctx context.Context, p *mpc.Party, opts core.ExecOptions) (*relation.Relation, error)
+	Run func(ctx context.Context, p *mpc.Party, opts core.Options) (*relation.Relation, error)
 }
 
 // Catalog maps query names to runners. Both endpoints need catalogs
@@ -43,8 +43,8 @@ func RunnerForQuery(q *core.Query) Runner {
 	}
 	return Runner{
 		Shape: func() (*core.Query, error) { return shape, nil },
-		Run: func(ctx context.Context, p *mpc.Party, opts core.ExecOptions) (*relation.Relation, error) {
-			rel, _, err := core.RunContextOpts(ctx, p, q, opts)
+		Run: func(ctx context.Context, p *mpc.Party, opts core.Options) (*relation.Relation, error) {
+			rel, _, err := core.Run(ctx, p, q, opts)
 			return rel, err
 		},
 	}
@@ -59,7 +59,7 @@ func TPCHCatalog(db *tpch.DB) Catalog {
 		spec := spec
 		cat[spec.Name] = Runner{
 			Shape: func() (*core.Query, error) { return queries.PlanFor(spec, db) },
-			Run: func(ctx context.Context, p *mpc.Party, opts core.ExecOptions) (*relation.Relation, error) {
+			Run: func(ctx context.Context, p *mpc.Party, opts core.Options) (*relation.Relation, error) {
 				pp, release := p.WithContext(ctx)
 				defer release()
 				return spec.SecureOpts(pp, db, opts)
@@ -69,16 +69,15 @@ func TPCHCatalog(db *tpch.DB) Catalog {
 	return cat
 }
 
-// shapeDigest compiles the runner's shape under po and returns the
+// shapeDigest compiles the runner's shape under opts and returns the
 // plan, its shape digest and estimated total communication — the
 // admission cost the scheduler charges.
-func shapeDigest(r Runner, ringBits int, po core.PlanOptions) (*core.Query, *core.Plan, error) {
+func shapeDigest(r Runner, ringBits int, opts core.Options) (*core.Query, *core.Plan, error) {
 	shape, err := r.Shape()
 	if err != nil {
 		return nil, nil, fmt.Errorf("secyand: catalog shape: %w", err)
 	}
-	po.EstOut, po.ChunkSize = 0, 0
-	plan, err := core.ExplainOpts(shape, ringBits, po)
+	plan, err := core.ExplainOpts(shape, ringBits, opts)
 	if err != nil {
 		return nil, nil, fmt.Errorf("secyand: catalog plan: %w", err)
 	}

@@ -162,7 +162,7 @@ func (c *Client) Run(ctx context.Context, spec RunSpec) (*relation.Relation, err
 	if err != nil {
 		return nil, err
 	}
-	po := core.PlanOptions{Backend: backend}
+	opts := core.Options{ChunkSize: spec.Chunk, Backend: backend}
 	shape, err := runner.Shape()
 	if err != nil {
 		return nil, err
@@ -220,7 +220,7 @@ func (c *Client) Run(ctx context.Context, spec RunSpec) (*relation.Relation, err
 				continue // daemon's half fails too; it falls back
 			}
 			p.Tag.Tenant = c.tenant
-			if _, err := core.PrecomputeOpts(ctx, p, shape, po); err != nil {
+			if _, err := core.PrecomputeOpts(ctx, p, shape, opts); err != nil {
 				p.Conn.Close()
 				continue
 			}
@@ -243,9 +243,7 @@ func (c *Client) Run(ctx context.Context, spec RunSpec) (*relation.Relation, err
 				p.Tag.Tenant = c.tenant
 			}
 			defer p.Conn.Close()
-			return runner.Run(ctx, p, core.ExecOptions{
-				ChunkSize: spec.Chunk, Backend: backend, Tag: p.Tag,
-			})
+			return runner.Run(ctx, p, opts)
 
 		default:
 			return nil, fmt.Errorf("secyand: unexpected control message %q", m.Type)

@@ -332,8 +332,7 @@ type queryState struct {
 	id     uint64 // client request id
 	runner Runner
 	shape  *core.Query
-	po     core.PlanOptions
-	chunk  int
+	opts   core.Options // resolved once at admission; explain, warm and run all see it
 	ctx    context.Context
 	cancel context.CancelFunc
 
@@ -369,14 +368,14 @@ func (cc *clientConn) handleQuery(m *ctrlMsg) {
 		reject(codeBadRequest, err.Error())
 		return
 	}
-	po := core.PlanOptions{Backend: backend}
-	shape, plan, err := shapeDigest(runner, d.ring.Bits, po)
+	opts := core.Options{ChunkSize: m.Chunk, Backend: backend}
+	shape, plan, err := shapeDigest(runner, d.ring.Bits, opts)
 	if err != nil {
 		reject(codeInternal, err.Error())
 		return
 	}
 	digest := plan.DigestString()
-	predicted := d.farm.observe(digest, m.Name, shape, po)
+	predicted := d.farm.observe(digest, m.Name, shape, opts)
 
 	var ctx context.Context
 	var cancel context.CancelFunc
@@ -386,8 +385,8 @@ func (cc *clientConn) handleQuery(m *ctrlMsg) {
 		ctx, cancel = context.WithCancel(context.Background())
 	}
 	qs := &queryState{
-		cc: cc, id: m.ID, runner: runner, shape: shape, po: po,
-		chunk: m.Chunk, ctx: ctx, cancel: cancel,
+		cc: cc, id: m.ID, runner: runner, shape: shape, opts: opts,
+		ctx: ctx, cancel: cancel,
 	}
 	t := d.sched.tenantRef(cc.tenant)
 	if t == nil {
@@ -441,7 +440,10 @@ func (cc *clientConn) handleQuery(m *ctrlMsg) {
 				return
 			}
 			p.Tag = obs.QueryTag{SID: cc.sid, QID: j.qid, Tenant: cc.tenant}
-			if err := d.farm.warm(qs.ctx, p, qs.shape, qs.po); err != nil {
+			// The warm pass: OT pool fills (two-party traffic) plus
+			// ahead-of-time garbling, staged onto p for the online run
+			// that follows on the same stream.
+			if _, err := core.PrecomputeOpts(qs.ctx, p, qs.shape, qs.opts); err != nil {
 				p.Conn.Close()
 				qs.warmErr = err
 				return
@@ -529,9 +531,7 @@ func (qs *queryState) exec(j *job) {
 	}
 
 	before := p.Conn.Stats().TotalBytes()
-	_, err := qs.runner.Run(qs.ctx, p, core.ExecOptions{
-		ChunkSize: qs.chunk, Backend: qs.po.Backend, Tag: p.Tag,
-	})
+	_, err := qs.runner.Run(qs.ctx, p, qs.opts)
 	bytes := p.Conn.Stats().TotalBytes() - before
 	p.Conn.Close()
 	d.sched.complete(j, err, bytes)
@@ -546,4 +546,3 @@ func (qs *queryState) exec(j *job) {
 		lg.Emit("daemon.complete", p.Tag, attrs...)
 	}
 }
-

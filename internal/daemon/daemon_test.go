@@ -112,7 +112,7 @@ func sideCatalogs(name string, q *core.Query, rels []*relation.Relation) (daemon
 func slowed(r Runner, d time.Duration) Runner {
 	return Runner{
 		Shape: r.Shape,
-		Run: func(ctx context.Context, p *mpc.Party, opts core.ExecOptions) (*relation.Relation, error) {
+		Run: func(ctx context.Context, p *mpc.Party, opts core.Options) (*relation.Relation, error) {
 			time.Sleep(d)
 			return r.Run(ctx, p, opts)
 		},
@@ -494,7 +494,7 @@ func TestDaemonFarmInventoryHits(t *testing.T) {
 			}
 		}
 	}
-	_, plan, err := shapeDigest(dcat["hot"], d.ring.Bits, core.PlanOptions{})
+	_, plan, err := shapeDigest(dcat["hot"], d.ring.Bits, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

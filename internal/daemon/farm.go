@@ -1,7 +1,6 @@
 package daemon
 
 import (
-	"context"
 	"sort"
 	"sync"
 	"time"
@@ -25,7 +24,7 @@ import (
 //   - Cooperative warm passes (two-party): OT pool fills need real
 //     traffic, so they can only be warmed with the client's help. When
 //     an admitted query of a predicted shape must wait for a slot, the
-//     daemon asks the client to co-run core.Precompute on the query's
+//     daemon asks the client to co-run core.PrecomputeOpts on the query's
 //     stream during the wait; the online run then consumes pooled OTs
 //     and staged circuits on both sides ("hit-offline").
 //
@@ -51,7 +50,7 @@ const (
 type shapeInfo struct {
 	name    string
 	q       *core.Query
-	po      core.PlanOptions
+	opts    core.Options
 	admits  int64 // admissions observed by the daemon
 	flight  int64 // occurrences in the flight recorder
 	last    time.Time
@@ -118,7 +117,7 @@ func (f *farm) shutdown() {
 // builds once the shape crosses the warm threshold. It returns whether
 // the shape is predicted (already seen warmAfter times, counting this
 // one), which gates the cooperative warm pass.
-func (f *farm) observe(digest, name string, q *core.Query, po core.PlanOptions) (predicted bool) {
+func (f *farm) observe(digest, name string, q *core.Query, opts core.Options) (predicted bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	si := f.shapes[digest]
@@ -126,7 +125,7 @@ func (f *farm) observe(digest, name string, q *core.Query, po core.PlanOptions) 
 		if len(f.shapes) >= defaultMaxShapes {
 			f.evictColdestLocked()
 		}
-		si = &shapeInfo{name: name, q: q, po: po}
+		si = &shapeInfo{name: name, q: q, opts: opts}
 		f.shapes[digest] = si
 	}
 	si.admits++
@@ -193,15 +192,15 @@ func (f *farm) builder() {
 			f.mu.Lock()
 			si := f.shapes[digest]
 			var q *core.Query
-			var po core.PlanOptions
+			var opts core.Options
 			if si != nil {
-				q, po = si.q, si.po
+				q, opts = si.q, si.opts
 			}
 			f.mu.Unlock()
 			if q == nil {
 				continue
 			}
-			sc, err := core.PrepareCircuits(q, f.ringBits, f.role, po)
+			sc, err := core.PrepareCircuits(q, f.ringBits, f.role, opts)
 			f.mu.Lock()
 			if si = f.shapes[digest]; si != nil {
 				si.pending = false
@@ -258,15 +257,6 @@ func (f *farm) miss() {
 	mFarm.Inc("miss")
 }
 
-// warm co-runs the offline phase with the client on p's stream: OT
-// pool fills (two-party traffic) plus ahead-of-time garbling, staged
-// onto p for the online run that follows on the same stream.
-func (f *farm) warm(ctx context.Context, p *mpc.Party, q *core.Query, po core.PlanOptions) error {
-	po.EstOut, po.ChunkSize = 0, 0
-	_, err := core.PrecomputeOpts(ctx, p, q, po)
-	return err
-}
-
 // ShapeStatus is one tracked shape in FarmStatus.
 type ShapeStatus struct {
 	Digest    string `json:"digest"`
@@ -278,12 +268,12 @@ type ShapeStatus struct {
 
 // FarmStatus is the farm's externally visible state.
 type FarmStatus struct {
-	WarmAfter      int64         `json:"warm_after"`
-	HitsOffline    int64         `json:"hits_offline"`
-	HitsCircuits   int64         `json:"hits_circuits"`
-	Misses         int64         `json:"misses"`
-	HitRate        float64       `json:"hit_rate"`
-	Shapes         []ShapeStatus `json:"shapes"`
+	WarmAfter    int64         `json:"warm_after"`
+	HitsOffline  int64         `json:"hits_offline"`
+	HitsCircuits int64         `json:"hits_circuits"`
+	Misses       int64         `json:"misses"`
+	HitRate      float64       `json:"hit_rate"`
+	Shapes       []ShapeStatus `json:"shapes"`
 }
 
 func (f *farm) status() FarmStatus {

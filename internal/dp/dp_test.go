@@ -1,6 +1,7 @@
 package dp
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -102,7 +103,7 @@ func TestNoisyRevealJoinCount(t *testing.T) {
 		} else {
 			q.Inputs[1].Rel = mine
 		}
-		res, err := core.RunShared(p, q)
+		res, _, err := core.RunShared(context.Background(), p, q, core.Options{})
 		if err != nil {
 			return 0, err
 		}

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"secyan/internal/ot"
-	"secyan/internal/parallel"
 	"secyan/internal/prf"
 	"secyan/internal/transport"
 )
@@ -205,8 +204,7 @@ func TestSlotCircuitEqualsLoopedGadget(t *testing.T) {
 
 // atWorkers runs f with the worker count pinned.
 func atWorkers[T any](workers int, f func() T) T {
-	prev := parallel.SetWorkers(workers)
-	defer parallel.SetWorkers(prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 	return f()
 }
 
@@ -299,8 +297,7 @@ func TestProtocol2PCStatsInvariantAcrossWorkers(t *testing.T) {
 			aStats, bStats      transport.Stats
 		}
 		runAt := func(workers int) result {
-			prev := parallel.SetWorkers(workers)
-			defer parallel.SetWorkers(prev)
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 			a, b := transport.Pair()
 			defer a.Close()
 			defer b.Close()
@@ -438,8 +435,7 @@ func BenchmarkGarbleWorkers(b *testing.B) {
 		seed := prf.Seed{9}
 		for _, workers := range []int{1, 2, 4} {
 			b.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(b *testing.B) {
-				prev := parallel.SetWorkers(workers)
-				defer parallel.SetWorkers(prev)
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 				b.ReportAllocs()
 				b.ReportMetric(float64(c.Slots*c.NumAnd), "and_gates")
 				b.ResetTimer()
@@ -460,8 +456,7 @@ func BenchmarkEvaluateWorkers(b *testing.B) {
 		labels := activeLabels(gb, make([]bool, len(gb.evalIn)))
 		for _, workers := range []int{1, 2, 4} {
 			b.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(b *testing.B) {
-				prev := parallel.SetWorkers(workers)
-				defer parallel.SetWorkers(prev)
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

@@ -80,8 +80,8 @@ type Party struct {
 // positions stay aligned with the peer across composed runs; a
 // cancelled context still unblocks them because its watcher closes the
 // underlying conn. The precomputed-circuit queue lives here for the same
-// reason: material staged by core.Precompute under one context must be
-// visible to the RunContext that consumes it.
+// reason: material staged by core.PrecomputeOpts under one context must
+// be visible to the core.Run that consumes it.
 type session struct {
 	raw    transport.Conn
 	otSend *ot.Sender   // this party as OT sender

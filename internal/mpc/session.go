@@ -27,9 +27,6 @@ type SessionConfig struct {
 	Heartbeat   time.Duration
 	PeerTimeout time.Duration
 	Deadline    time.Duration
-	// StreamDeadline, when positive, bounds every stream opened
-	// through this session (overridable per stream via PartyOpts).
-	StreamDeadline time.Duration
 	// WrapStream, when set, wraps each new stream's Conn before the
 	// Party is built around it — the hook the fault-injection
 	// robustness suite uses to perturb exactly one of N runs.
@@ -84,22 +81,17 @@ func (s *Session) Ring() share.Ring { return s.ring }
 
 // PartyOpts tune one stream-scoped Party.
 type PartyOpts struct {
-	// Deadline bounds this stream; 0 falls back to the session's
-	// StreamDeadline (0 there too means unbounded).
+	// Deadline bounds this stream; 0 means unbounded.
 	Deadline time.Duration
 }
 
 // OpenStream opens logical stream id for non-protocol traffic — e.g. a
 // daemon's admission/control channel riding the same session as its
 // query streams. The peer must open the same id. The stream follows the
-// session's deadline fallback and WrapStream hook exactly like a
+// session's WrapStream hook exactly like a
 // protocol stream; closing it releases only this stream.
 func (s *Session) OpenStream(id uint32, opts PartyOpts) (transport.Conn, error) {
-	dl := opts.Deadline
-	if dl == 0 {
-		dl = s.cfg.StreamDeadline
-	}
-	c, err := s.mux.OpenStream(id, transport.StreamOptions{Deadline: dl})
+	c, err := s.mux.OpenStream(id, transport.StreamOptions{Deadline: opts.Deadline})
 	if err != nil {
 		return nil, err
 	}

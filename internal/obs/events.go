@@ -15,7 +15,7 @@ import (
 // outcomes, precompute pool hits/misses, mux faults and heartbeat
 // timeouts. Every event carries the query-scoped tag (session ID +
 // query ID) minted in the root session layer and plumbed through
-// core.ExecOptions / mpc.Party, so a single query's life can be
+// core.Options / mpc.Party, so a single query's life can be
 // reconstructed across layers. An optional log/slog JSON sink mirrors
 // the stream to a writer (stderr under the CLIs' -log-json flag).
 //

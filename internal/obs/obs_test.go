@@ -169,9 +169,9 @@ func TestDebugServer(t *testing.T) {
 		t.Fatal("ServeDebug must enable metric collection")
 	}
 
-	SetCurrentStep(StepStatus{Party: "Alice", Phase: "reduce", Op: "psi-payload",
+	SetCurrentStep(StepStatus{QID: 7, Party: "Alice", Phase: "reduce", Op: "psi-payload",
 		Node: "lineitem→orders", N: 42, Step: 3, Steps: 10})
-	defer ClearCurrentStep("Alice")
+	defer ClearCurrentStep(7)
 
 	get := func(path string) []byte {
 		resp, err := http.Get("http://" + addr + path)

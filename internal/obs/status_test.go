@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 )
@@ -14,13 +13,13 @@ func TestStatusConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			party := fmt.Sprintf("party-%d", g)
+			qid := uint64(g + 1)
 			for i := 0; i < 300; i++ {
-				SetCurrentStep(StepStatus{Party: party, Phase: "join", Op: "psi", Step: i})
+				SetCurrentStep(StepStatus{QID: qid, Phase: "join", Op: "psi", Step: i})
 				if i%25 == 0 {
 					CurrentSteps()
 				}
-				ClearCurrentStep(party)
+				ClearCurrentStep(qid)
 			}
 		}(g)
 	}
@@ -40,12 +39,12 @@ func TestStatusConcurrent(t *testing.T) {
 }
 
 func TestStatusSorted(t *testing.T) {
-	SetCurrentStep(StepStatus{Party: "b-party"})
-	SetCurrentStep(StepStatus{Party: "a-party"})
-	defer ClearCurrentStep("a-party")
-	defer ClearCurrentStep("b-party")
+	SetCurrentStep(StepStatus{QID: 9, Party: "Alice"})
+	SetCurrentStep(StepStatus{QID: 4, Party: "Alice"})
+	defer ClearCurrentStep(4)
+	defer ClearCurrentStep(9)
 	got := CurrentSteps()
-	if len(got) != 2 || got[0].Party != "a-party" || got[1].Party != "b-party" {
-		t.Errorf("CurrentSteps not sorted by party: %+v", got)
+	if len(got) != 2 || got[0].QID != 4 || got[1].QID != 9 {
+		t.Errorf("CurrentSteps not sorted by query ID: %+v", got)
 	}
 }

@@ -3,9 +3,9 @@ package ot
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
-	"secyan/internal/parallel"
 	"secyan/internal/transport"
 )
 
@@ -48,8 +48,7 @@ func extAllocsPerRun(t *testing.T, snd *Sender, rcv *Receiver, m, msgLen int) fl
 // scratch-buffer rework the per-instance cost was ≥ 3 allocations
 // (sender pads, receiver pad and message), i.e. ≥ 3.0 on this metric.
 func TestExtOTAllocsDoNotScaleWithBatchSize(t *testing.T) {
-	prev := parallel.SetWorkers(1)
-	defer parallel.SetWorkers(prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	snd, rcv, done := newExtPair(t)
 	defer done()
 

@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
-	"secyan/internal/parallel"
 	"secyan/internal/transport"
 )
 
@@ -58,8 +58,7 @@ type extensionRun struct {
 
 func runExtensionAt(t *testing.T, workers, m, msgLen int, seed int64) extensionRun {
 	t.Helper()
-	prev := parallel.SetWorkers(workers)
-	defer parallel.SetWorkers(prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 
 	rawA, rawB := transport.Pair()
 	defer rawA.Close()
@@ -169,8 +168,7 @@ func BenchmarkExtensionWorkers(b *testing.B) {
 	const msgLen = 16
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			prev := parallel.SetWorkers(workers)
-			defer parallel.SetWorkers(prev)
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 
 			ca, cb := transport.Pair()
 			defer ca.Close()

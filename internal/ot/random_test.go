@@ -161,7 +161,7 @@ func TestPoolExhaustionAndRefill(t *testing.T) {
 
 // TestPoolMismatchFallsBack proves that a batch whose dimensions disagree
 // with the pool head drops the whole pool on both endpoints and runs
-// direct — the fallback contract RunContext relies on when a different
+// direct — the fallback contract core.Run relies on when a different
 // query follows Precompute.
 func TestPoolMismatchFallsBack(t *testing.T) {
 	snd, rcv, done := newExtPair(t)

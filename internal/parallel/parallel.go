@@ -12,16 +12,13 @@
 // disjoint output region. Worker count only decides how many goroutines
 // drain the chunk queue.
 //
-// The worker count defaults to runtime.GOMAXPROCS(0). It can be pinned
-// process-wide with SetWorkers (used by the equivalence tests and the
-// reproducible-benchmark runs documented in DESIGN.md) or via the
-// SECYAN_WORKERS environment variable.
+// The worker count is runtime.GOMAXPROCS(0): the Go runtime's own
+// deployment knob (the GOMAXPROCS environment variable, or
+// runtime.GOMAXPROCS in a test) is the only one.
 package parallel
 
 import (
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,35 +38,8 @@ var (
 	mWorkers  = obs.NewGauge("secyan_parallel_workers", "Worker count of the most recent parallel For call.")
 )
 
-// override holds a pinned worker count; 0 means "use GOMAXPROCS".
-var override atomic.Int32
-
-func init() {
-	if s := os.Getenv("SECYAN_WORKERS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			override.Store(int32(n))
-		}
-	}
-}
-
-// Workers reports the worker count For will use: the pinned value if one
-// is set, otherwise runtime.GOMAXPROCS(0).
-func Workers() int {
-	if n := override.Load(); n > 0 {
-		return int(n)
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// SetWorkers pins the process-wide worker count. n <= 0 removes the pin,
-// restoring the GOMAXPROCS default. It returns the previous pin (0 if
-// none) so tests can restore it.
-func SetWorkers(n int) int {
-	if n < 0 {
-		n = 0
-	}
-	return int(override.Swap(int32(n)))
-}
+// Workers reports the worker count For will use.
+func Workers() int { return runtime.GOMAXPROCS(0) }
 
 // For executes fn over the index range [0, n), partitioned into
 // contiguous chunks of at least grain indices. Chunk boundaries are a

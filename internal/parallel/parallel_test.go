@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -8,8 +9,8 @@ import (
 // withWorkers pins the worker count for the duration of the test.
 func withWorkers(t *testing.T, n int) {
 	t.Helper()
-	prev := SetWorkers(n)
-	t.Cleanup(func() { SetWorkers(prev) })
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 func TestForCoversRangeExactlyOnce(t *testing.T) {
@@ -62,20 +63,6 @@ func TestForChunkBoundariesIndependentOfWorkerCount(t *testing.T) {
 				t.Fatalf("workers=%d: index %d = %d, want %d", workers, i, got[i], want[i])
 			}
 		}
-	}
-}
-
-func TestSetWorkersRoundTrip(t *testing.T) {
-	prev := SetWorkers(3)
-	defer SetWorkers(prev)
-	if Workers() != 3 {
-		t.Fatalf("Workers() = %d, want 3", Workers())
-	}
-	if got := SetWorkers(0); got != 3 {
-		t.Fatalf("SetWorkers returned %d, want 3", got)
-	}
-	if Workers() < 1 {
-		t.Fatalf("Workers() = %d after unpin, want >= 1", Workers())
 	}
 }
 

@@ -42,21 +42,12 @@ var (
 	mPSIEmptyBins = obs.NewCounter("secyan_psi_receiver_empty_bins_total", "Receiver cuckoo bins left empty (filled with dummies).")
 	mPSIElements  = obs.NewCounter("secyan_psi_elements_total", "Real elements fed into PSI executions (both sides).")
 	mPSINs        = obs.NewHistogram("secyan_psi_ns", "Latency of one PSI execution (either side, direct or indexed), nanoseconds.")
-	mPSIRate      = obs.NewGauge("secyan_psi_bins_per_second", "Throughput of the most recent PSI execution, receiver bins/second.")
 )
-
-// binRate converts a bin count and elapsed time to bins/second.
-func binRate(b int, d time.Duration) int64 {
-	if d <= 0 {
-		return 0
-	}
-	return int64(float64(b) / d.Seconds())
-}
 
 // observeRun records one PSI execution's dimensions on the obs layer and
 // returns a stop function that, when obs is enabled, folds the run's
-// latency into the histogram and throughput gauge. The no-obs path costs
-// one atomic load and allocates nothing.
+// latency into the histogram. The no-obs path costs one atomic load and
+// allocates nothing.
 func observeRun(bins, elements int) func() {
 	if !obs.Enabled() {
 		return func() {}
@@ -65,11 +56,7 @@ func observeRun(bins, elements int) func() {
 	mPSIElements.Add(int64(elements))
 	mPSIBins.Observe(int64(bins))
 	startT := time.Now()
-	return func() {
-		d := time.Since(startT)
-		mPSINs.Observe(d.Nanoseconds())
-		mPSIRate.Set(binRate(bins, d))
-	}
+	return func() { mPSINs.Observe(time.Since(startT).Nanoseconds()) }
 }
 
 // KernelTotals reports the cumulative receiver-bin count and summed

@@ -266,7 +266,7 @@ func runIndexedSender(p *mpc.Party, ys []uint64, myPayShares []uint64, mReceiver
 }
 
 // BuildClearIndexCircuitForEstimate exposes the indexed comparison
-// circuit construction so that cost estimators (core.Explain) can count
+// circuit construction so that cost estimators (core.ExplainOpts) can count
 // its gates without running the protocol.
 func BuildClearIndexCircuitForEstimate(pr Params, ell int) *gc.Circuit {
 	return buildClearIndexCircuit(pr, ell, idxWidth(pr.N+pr.B))
@@ -274,7 +274,7 @@ func BuildClearIndexCircuitForEstimate(pr Params, ell int) *gc.Circuit {
 
 // BuildDirectCircuitForEstimate exposes the direct comparison circuit
 // (payload carried in the circuit, §5.4) the same way, for estimators
-// and for ahead-of-time garbling in core.Precompute.
+// and for ahead-of-time garbling in core.PrecomputeOpts.
 func BuildDirectCircuitForEstimate(pr Params, ell int) *gc.Circuit {
 	return buildCircuit(pr, ell)
 }

@@ -23,7 +23,7 @@ func runSpecBackend(t *testing.T, spec Spec, db *tpch.DB, b core.BackendID) *rel
 	defer alice.Conn.Close()
 	defer bob.Conn.Close()
 	run := func(p *mpc.Party) (*relation.Relation, error) {
-		return spec.SecureOpts(p, db, core.ExecOptions{Backend: b})
+		return spec.SecureOpts(p, db, core.Options{Backend: b})
 	}
 	res, _, err := mpc.Run2PC(alice, bob, run, run)
 	if err != nil {
@@ -65,7 +65,7 @@ func TestTPCHBackendChoicesRecorded(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
-		plan, err := core.Explain(q, 32, 0)
+		plan, err := core.ExplainOpts(q, 32, core.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}

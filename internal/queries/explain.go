@@ -11,7 +11,7 @@ import (
 
 // PlanFor returns a representative core.Query for a spec — the shape of
 // its (first) secure execution, with public schemas, owners and sizes
-// but no data attached. It feeds core.Explain: plans and cost estimates
+// but no data attached. It feeds core.ExplainOpts: plans and cost estimates
 // depend only on public parameters. Composed queries (Q8, Q9, Q14) run
 // the returned query shape multiple times; the per-run estimate applies
 // to each pass.

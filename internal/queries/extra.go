@@ -45,13 +45,13 @@ func Q1() Spec {
 		Name:        "Q1",
 		Figure:      0,
 		Description: "pricing summary: revenue by return flag over lineitem alone (no join)",
-		SecureOpts: func(p *mpc.Party, db *tpch.DB, opts core.ExecOptions) (*relation.Relation, error) {
+		SecureOpts: func(p *mpc.Party, db *tpch.DB, opts core.Options) (*relation.Relation, error) {
 			li := q1Relations(db)
 			q := &core.Query{
 				Inputs: []core.Input{inputFor(p, "lineitem", mpc.Bob, li)},
 				Output: q1Output,
 			}
-			rel, _, err := core.RunContextOpts(context.Background(), p, q, opts)
+			rel, _, err := core.Run(context.Background(), p, q, opts)
 			return rel, err
 		},
 		Plain: func(db *tpch.DB, bits int) (*relation.Relation, error) {
@@ -92,7 +92,7 @@ func Q12() Spec {
 		Name:        "Q12",
 		Figure:      0,
 		Description: "shipping modes: counts by shipmode over orders ⋈ lineitem",
-		SecureOpts: func(p *mpc.Party, db *tpch.DB, opts core.ExecOptions) (*relation.Relation, error) {
+		SecureOpts: func(p *mpc.Party, db *tpch.DB, opts core.Options) (*relation.Relation, error) {
 			ord, li := q12Relations(db)
 			q := &core.Query{
 				Inputs: []core.Input{
@@ -101,7 +101,7 @@ func Q12() Spec {
 				},
 				Output: q12Output,
 			}
-			rel, _, err := core.RunContextOpts(context.Background(), p, q, opts)
+			rel, _, err := core.Run(context.Background(), p, q, opts)
 			return rel, err
 		},
 		Plain: func(db *tpch.DB, bits int) (*relation.Relation, error) {
@@ -153,7 +153,7 @@ func Q14() Spec {
 		Name:        "Q14",
 		Figure:      0,
 		Description: "promotion effect: promo revenue share over part ⋈ lineitem",
-		SecureOpts: func(p *mpc.Party, db *tpch.DB, opts core.ExecOptions) (*relation.Relation, error) {
+		SecureOpts: func(p *mpc.Party, db *tpch.DB, opts core.Options) (*relation.Relation, error) {
 			partNum, partDen, li := q14Relations(db)
 			build := func(part *relation.Relation) *core.Query {
 				return &core.Query{
@@ -164,11 +164,11 @@ func Q14() Spec {
 					Output: nil, // single grand aggregate
 				}
 			}
-			num, _, err := core.RunSharedContextOpts(context.Background(), p, build(partNum), opts)
+			num, _, err := core.RunShared(context.Background(), p, build(partNum), opts)
 			if err != nil {
 				return nil, fmt.Errorf("q14 numerator: %w", err)
 			}
-			den, _, err := core.RunSharedContextOpts(context.Background(), p, build(partDen), opts)
+			den, _, err := core.RunShared(context.Background(), p, build(partDen), opts)
 			if err != nil {
 				return nil, fmt.Errorf("q14 denominator: %w", err)
 			}

@@ -30,7 +30,7 @@ func TestGoldenPlans(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			plan, err := core.Explain(q, 32, goldenEstOut)
+			plan, err := core.ExplainOpts(q, 32, core.Options{EstOut: goldenEstOut})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -31,10 +31,9 @@ type Spec struct {
 	Name        string
 	Figure      int // paper figure number reproducing this query
 	Description string
-	// SecureOpts executes the 2PC protocol with explicit execution
-	// options (forced backend, chunk size); Alice receives the results.
-	// Both parties must pass the same backend.
-	SecureOpts func(p *mpc.Party, db *tpch.DB, opts core.ExecOptions) (*relation.Relation, error)
+	// SecureOpts executes the 2PC protocol under opts; Alice receives
+	// the results. Both parties must pass the same backend.
+	SecureOpts func(p *mpc.Party, db *tpch.DB, opts core.Options) (*relation.Relation, error)
 	// Plain evaluates the query in the clear with the plaintext
 	// Yannakakis engine over the same ring.
 	Plain func(db *tpch.DB, bits int) (*relation.Relation, error)
@@ -99,12 +98,6 @@ func inputFor(p *mpc.Party, name string, owner mpc.Role, rel *relation.Relation)
 	return in
 }
 
-// Secure executes the 2PC protocol with default options; Alice
-// receives the results.
-func (s Spec) Secure(p *mpc.Party, db *tpch.DB) (*relation.Relation, error) {
-	return s.SecureOpts(p, db, core.ExecOptions{})
-}
-
 // plainRun evaluates a prepared query in the clear.
 func plainRun(inputs []*relation.Relation, names []string, output []Attr, bits int) (*relation.Relation, error) {
 	h := &core.Query{}
@@ -153,7 +146,7 @@ func Q3() Spec {
 		Name:        "Q3",
 		Figure:      2,
 		Description: "revenue by order over customer ⋈ orders ⋈ lineitem, private selections",
-		SecureOpts: func(p *mpc.Party, db *tpch.DB, opts core.ExecOptions) (*relation.Relation, error) {
+		SecureOpts: func(p *mpc.Party, db *tpch.DB, opts core.Options) (*relation.Relation, error) {
 			cust, ord, li := q3Relations(db)
 			q := &core.Query{
 				Inputs: []core.Input{
@@ -163,7 +156,7 @@ func Q3() Spec {
 				},
 				Output: q3Output,
 			}
-			rel, _, err := core.RunContextOpts(context.Background(), p, q, opts)
+			rel, _, err := core.Run(context.Background(), p, q, opts)
 			return rel, err
 		},
 		Plain: func(db *tpch.DB, bits int) (*relation.Relation, error) {
@@ -207,7 +200,7 @@ func Q10() Spec {
 		Name:        "Q10",
 		Figure:      3,
 		Description: "revenue by customer over customer ⋈ orders ⋈ lineitem (nation public)",
-		SecureOpts: func(p *mpc.Party, db *tpch.DB, opts core.ExecOptions) (*relation.Relation, error) {
+		SecureOpts: func(p *mpc.Party, db *tpch.DB, opts core.Options) (*relation.Relation, error) {
 			cust, ord, li := q10Relations(db)
 			q := &core.Query{
 				Inputs: []core.Input{
@@ -217,7 +210,7 @@ func Q10() Spec {
 				},
 				Output: q10Output,
 			}
-			rel, _, err := core.RunContextOpts(context.Background(), p, q, opts)
+			rel, _, err := core.Run(context.Background(), p, q, opts)
 			return rel, err
 		},
 		Plain: func(db *tpch.DB, bits int) (*relation.Relation, error) {
@@ -283,7 +276,7 @@ func q18WithThreshold(threshold uint64) Spec {
 		Name:        "Q18",
 		Figure:      4,
 		Description: "large orders: customer ⋈ orders ⋈ lineitem ⋈ (having sum(qty) > threshold)",
-		SecureOpts: func(p *mpc.Party, db *tpch.DB, opts core.ExecOptions) (*relation.Relation, error) {
+		SecureOpts: func(p *mpc.Party, db *tpch.DB, opts core.Options) (*relation.Relation, error) {
 			cust, ord, li, sub := q18Relations(db, threshold)
 			q := &core.Query{
 				Inputs: []core.Input{
@@ -294,7 +287,7 @@ func q18WithThreshold(threshold uint64) Spec {
 				},
 				Output: q18Output,
 			}
-			rel, _, err := core.RunContextOpts(context.Background(), p, q, opts)
+			rel, _, err := core.Run(context.Background(), p, q, opts)
 			return rel, err
 		},
 		Plain: func(db *tpch.DB, bits int) (*relation.Relation, error) {
@@ -368,7 +361,7 @@ func Q8() Spec {
 		Name:        "Q8",
 		Figure:      5,
 		Description: "market share by year: ratio of two sums over a 5-relation join",
-		SecureOpts: func(p *mpc.Party, db *tpch.DB, opts core.ExecOptions) (*relation.Relation, error) {
+		SecureOpts: func(p *mpc.Party, db *tpch.DB, opts core.Options) (*relation.Relation, error) {
 			part, supNum, supDen, li, ord, cust := q8Relations(db)
 			build := func(sup *relation.Relation) *core.Query {
 				return &core.Query{
@@ -382,11 +375,11 @@ func Q8() Spec {
 					Output: q8Output,
 				}
 			}
-			num, _, err := core.RunSharedContextOpts(context.Background(), p, build(supNum), opts)
+			num, _, err := core.RunShared(context.Background(), p, build(supNum), opts)
 			if err != nil {
 				return nil, fmt.Errorf("q8 numerator: %w", err)
 			}
-			den, _, err := core.RunSharedContextOpts(context.Background(), p, build(supDen), opts)
+			den, _, err := core.RunShared(context.Background(), p, build(supDen), opts)
 			if err != nil {
 				return nil, fmt.Errorf("q8 denominator: %w", err)
 			}
@@ -438,7 +431,7 @@ func Q9(numNations int) Spec {
 		Name:        "Q9",
 		Figure:      6,
 		Description: "profit by nation and year: 25 × 2 decomposed join-aggregate queries",
-		SecureOpts: func(p *mpc.Party, db *tpch.DB, opts core.ExecOptions) (*relation.Relation, error) {
+		SecureOpts: func(p *mpc.Party, db *tpch.DB, opts core.Options) (*relation.Relation, error) {
 			out := relation.New(relation.MustSchema("s_nationkey", "o_year"))
 			for nation := 0; nation < numNations; nation++ {
 				rel, err := q9Nation(p, db, uint64(nation), opts)
@@ -533,7 +526,7 @@ func q9Relations(db *tpch.DB, nation uint64) (part, sup, liV, liQ, psOne, psCost
 
 // q9Nation runs the two shared queries for one nation and reveals the
 // difference.
-func q9Nation(p *mpc.Party, db *tpch.DB, nation uint64, opts core.ExecOptions) (*relation.Relation, error) {
+func q9Nation(p *mpc.Party, db *tpch.DB, nation uint64, opts core.Options) (*relation.Relation, error) {
 	part, sup, liV, liQ, psOne, psCost, ord := q9Relations(db, nation)
 	build := func(li, ps *relation.Relation) *core.Query {
 		return &core.Query{
@@ -547,11 +540,11 @@ func q9Nation(p *mpc.Party, db *tpch.DB, nation uint64, opts core.ExecOptions) (
 			Output: q9Output,
 		}
 	}
-	rev, _, err := core.RunSharedContextOpts(context.Background(), p, build(liV, psOne), opts)
+	rev, _, err := core.RunShared(context.Background(), p, build(liV, psOne), opts)
 	if err != nil {
 		return nil, fmt.Errorf("revenue: %w", err)
 	}
-	cost, _, err := core.RunSharedContextOpts(context.Background(), p, build(liQ, psCost), opts)
+	cost, _, err := core.RunShared(context.Background(), p, build(liQ, psCost), opts)
 	if err != nil {
 		return nil, fmt.Errorf("cost: %w", err)
 	}

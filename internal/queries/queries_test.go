@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"secyan/internal/core"
 	"secyan/internal/mpc"
 	"secyan/internal/relation"
 	"secyan/internal/share"
@@ -28,8 +29,8 @@ func runSpec(t *testing.T, spec Spec, db *tpch.DB) (*relation.Relation, *relatio
 	defer alice.Conn.Close()
 	defer bob.Conn.Close()
 	secure, _, err := mpc.Run2PC(alice, bob,
-		func(p *mpc.Party) (*relation.Relation, error) { return spec.Secure(p, db) },
-		func(p *mpc.Party) (*relation.Relation, error) { return spec.Secure(p, db) },
+		func(p *mpc.Party) (*relation.Relation, error) { return spec.SecureOpts(p, db, core.Options{}) },
+		func(p *mpc.Party) (*relation.Relation, error) { return spec.SecureOpts(p, db, core.Options{}) },
 	)
 	if err != nil {
 		t.Fatalf("%s secure: %v", spec.Name, err)

@@ -24,8 +24,8 @@ func runSpecTraced(t *testing.T, spec Spec, db *tpch.DB) []core.TraceStep {
 	var steps []core.TraceStep
 	alice.Observer = func(s core.TraceStep) { steps = append(steps, s) }
 	_, _, err := mpc.Run2PC(alice, bob,
-		func(p *mpc.Party) (*relation.Relation, error) { return spec.Secure(p, db) },
-		func(p *mpc.Party) (*relation.Relation, error) { return spec.Secure(p, db) },
+		func(p *mpc.Party) (*relation.Relation, error) { return spec.SecureOpts(p, db, core.Options{}) },
+		func(p *mpc.Party) (*relation.Relation, error) { return spec.SecureOpts(p, db, core.Options{}) },
 	)
 	if err != nil {
 		t.Fatalf("%s secure: %v", spec.Name, err)
@@ -54,7 +54,7 @@ func TestTraceMatchesEstimates(t *testing.T) {
 					out = s.N
 				}
 			}
-			plan, err := core.Explain(q, 32, out)
+			plan, err := core.ExplainOpts(q, 32, core.Options{EstOut: out})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -17,42 +17,25 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync/atomic"
 )
 
 // Unbounded disables chunking: the whole relation forms a single chunk,
 // reproducing fully materialized execution.
 const Unbounded = -1
 
-// defaultChunkSize is the process-wide chunk size used when a caller
-// passes chunk size 0 ("use the default"). 4096 tuples keeps the tuple
-// plane comfortably inside cache while amortizing per-chunk overhead.
-var defaultChunkSize atomic.Int64
+// defaultChunkSize is the chunk size used when a caller passes chunk
+// size 0 ("use the default"). 4096 tuples keeps the tuple plane
+// comfortably inside cache while amortizing per-chunk overhead.
+const defaultChunkSize = 4096
 
-func init() { defaultChunkSize.Store(4096) }
-
-// DefaultChunkSize returns the process-wide default chunk size
-// (Unbounded when streaming is disabled by default).
-func DefaultChunkSize() int { return int(defaultChunkSize.Load()) }
-
-// SetDefaultChunkSize sets the process-wide default chunk size and
-// returns the previous value. n > 0 selects that many tuples per chunk;
-// n <= 0 (conventionally Unbounded) disables chunking by default.
-// Like parallel.SetWorkers, this is a process-wide knob intended for
-// main() or test setup, not for concurrent mutation mid-run.
-func SetDefaultChunkSize(n int) int {
-	if n <= 0 {
-		n = Unbounded
-	}
-	return int(defaultChunkSize.Swap(int64(n)))
-}
+// DefaultChunkSize returns the default chunk size.
+func DefaultChunkSize() int { return defaultChunkSize }
 
 // EffectiveChunkSize resolves a chunk-size parameter to a positive
-// tuple count: 0 means the process default, any negative value (or a
-// default of Unbounded) means no bound.
+// tuple count: 0 means the default, any negative value means no bound.
 func EffectiveChunkSize(chunk int) int {
 	if chunk == 0 {
-		chunk = DefaultChunkSize()
+		chunk = defaultChunkSize
 	}
 	if chunk <= 0 {
 		return math.MaxInt

@@ -174,25 +174,12 @@ func TestRangeAndNumChunks(t *testing.T) {
 	}
 }
 
-func TestDefaultChunkSizeKnob(t *testing.T) {
-	orig := DefaultChunkSize()
-	defer SetDefaultChunkSize(orig)
-	prev := SetDefaultChunkSize(17)
-	if prev != orig {
-		t.Fatalf("SetDefaultChunkSize returned %d, want %d", prev, orig)
-	}
-	if got := DefaultChunkSize(); got != 17 {
-		t.Fatalf("DefaultChunkSize = %d, want 17", got)
-	}
-	if got := EffectiveChunkSize(0); got != 17 {
-		t.Fatalf("EffectiveChunkSize(0) = %d, want 17", got)
+func TestDefaultChunkSize(t *testing.T) {
+	if got := EffectiveChunkSize(0); got != DefaultChunkSize() {
+		t.Fatalf("EffectiveChunkSize(0) = %d, want the default %d", got, DefaultChunkSize())
 	}
 	if got := EffectiveChunkSize(5); got != 5 {
 		t.Fatalf("EffectiveChunkSize(5) = %d, want 5", got)
-	}
-	SetDefaultChunkSize(Unbounded)
-	if got := NumChunks(100, 0); got != 1 {
-		t.Fatalf("NumChunks under unbounded default = %d, want 1", got)
 	}
 }
 

@@ -1,6 +1,7 @@
 package sqlfront
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -352,23 +353,26 @@ func (c *Compiled) Check() error {
 	return err
 }
 
-// Exec runs the compiled query as party p. For SUM/COUNT this is one
-// secure Yannakakis execution; for AVG it is the §7 composition: two
-// shared runs (sum and count over identical tuples) divided by a final
-// circuit. Alice receives the result relation; Bob receives nil.
-func (c *Compiled) Exec(p *mpc.Party) (*relation.Relation, error) {
+// Exec runs the compiled query as party p under opts. For SUM/COUNT this
+// is one secure Yannakakis execution; for AVG it is the §7 composition:
+// two shared runs (sum and count over identical tuples) divided by a
+// final circuit. Alice receives the result relation; Bob receives nil.
+func (c *Compiled) Exec(ctx context.Context, p *mpc.Party, opts core.Options) (*relation.Relation, error) {
 	if !c.Avg {
-		return core.Run(p, c.query(p.Role, 0))
+		rel, _, err := core.Run(ctx, p, c.query(p.Role, 0), opts)
+		return rel, err
 	}
-	sum, err := core.RunShared(p, c.query(p.Role, 0))
+	sum, _, err := core.RunShared(ctx, p, c.query(p.Role, 0), opts)
 	if err != nil {
 		return nil, fmt.Errorf("sql: AVG sum pass: %w", err)
 	}
-	cnt, err := core.RunShared(p, c.query(p.Role, 1))
+	cnt, _, err := core.RunShared(ctx, p, c.query(p.Role, 1), opts)
 	if err != nil {
 		return nil, fmt.Errorf("sql: AVG count pass: %w", err)
 	}
-	return core.RevealRatio(p, sum, cnt, 1)
+	pp, release := p.WithContext(ctx)
+	defer release()
+	return core.RevealRatio(pp, sum, cnt, 1)
 }
 
 // unionFind over qualified columns.

@@ -1,9 +1,11 @@
 package sqlfront
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"secyan/internal/core"
 	"secyan/internal/mpc"
 	"secyan/internal/relation"
 	"secyan/internal/share"
@@ -132,7 +134,7 @@ func TestCompileAndExecEndToEnd(t *testing.T) {
 		if err := c.Check(); err != nil {
 			return nil, err
 		}
-		return c.Exec(p)
+		return c.Exec(context.Background(), p, core.Options{})
 	}
 	res, bobRes, err := mpc.Run2PC(alice, bob, run, run)
 	if err != nil {
@@ -172,7 +174,7 @@ func TestCompileAvgComposition(t *testing.T) {
 		if !c.Avg {
 			t.Error("AVG not detected")
 		}
-		return c.Exec(p)
+		return c.Exec(context.Background(), p, core.Options{})
 	}
 	res, _, err := mpc.Run2PC(alice, bob, run, run)
 	if err != nil {
@@ -207,7 +209,7 @@ func TestCompileWithSelections(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return c.Exec(p)
+		return c.Exec(context.Background(), p, core.Options{})
 	}
 	res, _, err := mpc.Run2PC(alice, bob, run, run)
 	if err != nil {

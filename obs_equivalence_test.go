@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"secyan/internal/core"
+	"secyan/internal/mpc"
 	"secyan/internal/obs"
 )
 
@@ -31,7 +32,6 @@ func TestTranscriptEquivalenceWithObservability(t *testing.T) {
 		if observed {
 			obs.Enable()
 			tracer := obs.NewTracer()
-			obs.Install(tracer)
 			lg := obs.Events()
 			lg.SetJSONSink(io.Discard)
 			obs.Flight().Reset()
@@ -43,31 +43,23 @@ func TestTranscriptEquivalenceWithObservability(t *testing.T) {
 				obs.Install(nil)
 				obs.Disable()
 			}()
-			alice, bob := LocalParties(DefaultRing)
-			defer alice.Conn.Close()
-			defer bob.Conn.Close()
-			alice.Track = tracer.Track("Alice")
-			bob.Track = tracer.Track("Bob")
-			res, _, err := Run2PC(alice, bob,
-				func(p *Party) (*Relation, error) { return Run(p, build(Alice)) },
-				func(p *Party) (*Relation, error) { return Run(p, build(Bob)) },
-			)
+			alice, bob := OpenLocal(WithTracer(tracer))
+			defer alice.Close()
+			defer bob.Close()
+			res, _, err := queryBoth(alice, bob, build)
 			if err != nil {
 				t.Fatalf("observed run: %v", err)
 			}
-			return outcome{resultKey(res), alice.Conn.Stats(), bob.Conn.Stats()}
+			return outcome{resultKey(res), alice.Stats().Data, bob.Stats().Data}
 		}
-		alice, bob := LocalParties(DefaultRing)
-		defer alice.Conn.Close()
-		defer bob.Conn.Close()
-		res, _, err := Run2PC(alice, bob,
-			func(p *Party) (*Relation, error) { return Run(p, build(Alice)) },
-			func(p *Party) (*Relation, error) { return Run(p, build(Bob)) },
-		)
+		alice, bob := OpenLocal()
+		defer alice.Close()
+		defer bob.Close()
+		res, _, err := queryBoth(alice, bob, build)
 		if err != nil {
 			t.Fatalf("unobserved run: %v", err)
 		}
-		return outcome{resultKey(res), alice.Conn.Stats(), bob.Conn.Stats()}
+		return outcome{resultKey(res), alice.Stats().Data, bob.Stats().Data}
 	}
 
 	ref := run(false)
@@ -113,7 +105,7 @@ func TestChromeTraceMatchesTrace(t *testing.T) {
 	obs.Install(tracer)
 	defer obs.Install(nil)
 
-	alice, bob := LocalParties(DefaultRing)
+	alice, bob := mpc.Pair(DefaultRing)
 	defer alice.Conn.Close()
 	defer bob.Conn.Close()
 	alice.Track = tracer.Track("Alice")
@@ -123,13 +115,13 @@ func TestChromeTraceMatchesTrace(t *testing.T) {
 		res *Relation
 		tr  *core.Trace
 	}
-	a, _, err := Run2PC(alice, bob,
-		func(p *Party) (ares, error) {
-			res, tr, err := core.RunContext(context.Background(), p, build(Alice))
+	a, _, err := mpc.Run2PC(alice, bob,
+		func(p *mpc.Party) (ares, error) {
+			res, tr, err := core.Run(context.Background(), p, build(Alice), core.Options{})
 			return ares{res, tr}, err
 		},
-		func(p *Party) (ares, error) {
-			res, tr, err := core.RunContext(context.Background(), p, build(Bob))
+		func(p *mpc.Party) (ares, error) {
+			res, tr, err := core.Run(context.Background(), p, build(Bob), core.Options{})
 			return ares{res, tr}, err
 		},
 	)

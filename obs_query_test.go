@@ -39,14 +39,14 @@ func TestObsSessionEventPlumbing(t *testing.T) {
 	var berr error
 	go func() {
 		defer wg.Done()
-		_, berr = bob.Run(ctx, viewFor(q, rels, Bob))
+		_, berr = bob.Query(ctx, viewFor(q, rels, Bob))
 	}()
-	res, aerr := alice.Run(ctx, viewFor(q, rels, Alice))
+	res, aerr := alice.Query(ctx, viewFor(q, rels, Alice))
 	wg.Wait()
 	if aerr != nil || berr != nil {
 		t.Fatalf("run: alice %v, bob %v", aerr, berr)
 	}
-	if res == nil {
+	if res.Relation == nil {
 		t.Fatal("Alice received no result")
 	}
 	alice.Close()

@@ -15,19 +15,16 @@ func TestPrecomputeTranscriptEquivalence(t *testing.T) {
 	_, _, _, build := exampleQuery()
 
 	// Direct reference run.
-	alice, bob := LocalParties(DefaultRing)
-	ref, _, err := Run2PC(alice, bob,
-		func(p *Party) (*Relation, error) { return Run(p, build(Alice)) },
-		func(p *Party) (*Relation, error) { return Run(p, build(Bob)) },
-	)
+	alice, bob := OpenLocal()
+	ref, _, err := queryBoth(alice, bob, build)
 	if err != nil {
-		alice.Conn.Close()
-		bob.Conn.Close()
+		alice.Close()
+		bob.Close()
 		t.Fatalf("direct run: %v", err)
 	}
-	directBytes := alice.Conn.Stats().TotalBytes()
-	alice.Conn.Close()
-	bob.Conn.Close()
+	directBytes := alice.Stats().Data.TotalBytes()
+	alice.Close()
+	bob.Close()
 
 	// Precomputed run. The offline phase is data-independent, so each
 	// party precomputes from a shape with every relation stripped.
@@ -38,22 +35,18 @@ func TestPrecomputeTranscriptEquivalence(t *testing.T) {
 		}
 		return q
 	}
-	alice, bob = LocalParties(DefaultRing)
-	defer alice.Conn.Close()
-	defer bob.Conn.Close()
+	alice, bob = OpenLocal()
+	defer alice.Close()
+	defer bob.Close()
 	ctx := context.Background()
-	_, _, err = Run2PC(alice, bob,
-		func(p *Party) (*Trace, error) { return Precompute(ctx, p, shapeFor(Alice)) },
-		func(p *Party) (*Trace, error) { return Precompute(ctx, p, shapeFor(Bob)) },
-	)
+	_, _, err = both(alice, bob, func(s *Session) (*Trace, error) {
+		return s.Precompute(ctx, shapeFor(s.role))
+	})
 	if err != nil {
 		t.Fatalf("precompute: %v", err)
 	}
-	offBytes := alice.Conn.Stats().TotalBytes()
-	got, _, err := Run2PC(alice, bob,
-		func(p *Party) (*Relation, error) { return Run(p, build(Alice)) },
-		func(p *Party) (*Relation, error) { return Run(p, build(Bob)) },
-	)
+	offBytes := alice.Stats().Data.TotalBytes()
+	got, _, err := queryBoth(alice, bob, build)
 	if err != nil {
 		t.Fatalf("precomputed run: %v", err)
 	}
@@ -68,7 +61,7 @@ func TestPrecomputeTranscriptEquivalence(t *testing.T) {
 		}
 	}
 
-	onlineBytes := alice.Conn.Stats().TotalBytes() - offBytes
+	onlineBytes := alice.Stats().Data.TotalBytes() - offBytes
 	if offBytes <= 0 {
 		t.Error("offline phase moved no bytes")
 	}

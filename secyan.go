@@ -13,10 +13,11 @@
 // standard library's crypto primitives (see DESIGN.md for the full
 // inventory).
 //
-// The public entry point is the Session API: each party opens one
-// Session over its end of a connection and issues context-first calls
-// on it, any number of which may run concurrently — every execution
-// gets its own logical stream over the shared transport:
+// A protocol runs through a Session, and only through one: each party
+// opens one Session over its end of a connection and issues
+// context-first calls on it, any number of which may run concurrently —
+// every execution gets its own logical stream over the shared
+// transport:
 //
 //	alice, bob := secyan.OpenLocal()
 //	defer alice.Close()
@@ -30,17 +31,20 @@
 //	}
 //	// Both parties run their half concurrently; each party's query
 //	// carries only its own relations (peer Inputs have Rel = nil).
-//	go bob.Run(ctx, qBob)
-//	res, err := alice.Run(ctx, qAlice)
+//	go bob.Query(ctx, qBob)
+//	res, err := alice.Query(ctx, qAlice) // res.Relation: Alice's rows
 //
 // For two processes, open the session over a TCP conn (ListenSession /
-// DialSession) and add WithHeartbeat for peer-liveness detection. The
-// free functions (Run, RunShared, Precompute, NewParty, LocalParties)
-// remain as thin wrappers over a caller-managed Party and connection.
+// DialSession) and add WithHeartbeat for peer-liveness detection.
+//
+// There is one Option type. Options given at Open are the session's
+// defaults; the same options given to a call (Query, Precompute,
+// RevealRatio, ExecSQL, Explain) override them for that call; the
+// result is resolved once, at admission, into the single value the
+// planner, the offline phase and the executor all see.
 package secyan
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -70,8 +74,6 @@ type (
 	Ring = share.Ring
 	// Role identifies a party (Alice or Bob).
 	Role = mpc.Role
-	// Party is one endpoint of a two-party session.
-	Party = mpc.Party
 	// Conn is the message transport between the parties.
 	Conn = transport.Conn
 	// Input declares one base relation of a query.
@@ -146,93 +148,6 @@ func NewRelation(attrs ...Attr) *Relation {
 	return relation.New(relation.MustSchema(attrs...))
 }
 
-// NewParty wraps a connection into a protocol endpoint. Pass a zero Ring
-// for the default 32-bit annotations.
-//
-// Deprecated: prefer Open, which multiplexes any number of protocol
-// executions over the connection with deadlines and heartbeats.
-func NewParty(role Role, conn Conn, ring Ring) *Party {
-	return mpc.NewParty(role, conn, ring)
-}
-
-// LocalParties returns two connected in-process parties, for tests,
-// benchmarks and demos.
-//
-// Deprecated: prefer OpenLocal, the Session form of the same.
-func LocalParties(ring Ring) (alice, bob *Party) {
-	return mpc.Pair(ring)
-}
-
-// Listen accepts one TCP connection and wraps it for the given role.
-//
-// Deprecated: prefer ListenSession.
-func Listen(addr string, role Role, ring Ring) (*Party, error) {
-	c, err := transport.Listen(addr)
-	if err != nil {
-		return nil, err
-	}
-	return mpc.NewParty(role, c, ring), nil
-}
-
-// Dial connects to a listening peer and wraps the connection.
-//
-// Deprecated: prefer DialSession.
-func Dial(addr string, role Role, ring Ring) (*Party, error) {
-	c, err := transport.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	return mpc.NewParty(role, c, ring), nil
-}
-
-// Run2PC drives both halves of an in-process protocol run concurrently.
-func Run2PC[A, B any](alice, bob *Party, fa func(*Party) (A, error), fb func(*Party) (B, error)) (A, B, error) {
-	return mpc.Run2PC(alice, bob, fa, fb)
-}
-
-// Run executes the secure Yannakakis protocol. Alice receives the query
-// results; Bob receives nil. Both parties must describe the same query
-// and attach only their own relations.
-//
-// Deprecated: prefer Session.Run, which is context-first and runs on
-// its own stream of a multiplexed session.
-func Run(p *Party, q *Query) (*Relation, error) {
-	return core.Run(p, q)
-}
-
-// Precompute executes the offline phase of q's plan: base-OT setup,
-// random-OT pool fills, and ahead-of-time garbling of every planned
-// circuit. Both parties must call it concurrently — the offline phase
-// has its own traffic — and the next Run on the same parties consumes
-// the staged material transparently, leaving only derandomization and
-// evaluation on the critical path. The offline phase is data-independent:
-// q may be a bare query shape (schemas, owners, sizes) with no relations
-// attached. Staged material is single-use; running a different query
-// next is safe but falls back to the direct protocols.
-//
-// Deprecated: prefer Session.Precompute, which stages material on a
-// background stream that the next Session.Run consumes.
-func Precompute(ctx context.Context, p *Party, q *Query) (*Trace, error) {
-	return core.Precompute(ctx, p, q)
-}
-
-// RunShared executes the protocol but keeps the result annotations in
-// secret-shared form, enabling the compositions of paper §7 (avg,
-// ratios, differences of sums).
-//
-// Deprecated: prefer Session.RunShared.
-func RunShared(p *Party, q *Query) (*SharedResult, error) {
-	return core.RunShared(p, q)
-}
-
-// RevealRatio reveals (num·scale)/den per result row to Alice — the
-// composition used for AVG and market-share style aggregates.
-//
-// Deprecated: prefer Session.RevealRatio.
-func RevealRatio(p *Party, num, den *SharedResult, scale uint64) (*Relation, error) {
-	return core.RevealRatio(p, num, den, scale)
-}
-
 // CheckFreeConnex verifies that the query is answerable by the protocol,
 // returning ErrCyclic, ErrNotFreeConnex, or nil.
 func CheckFreeConnex(q *Query, output []Attr) error {
@@ -268,15 +183,14 @@ type Plan = core.Plan
 
 // Explain derives the execution plan and a communication estimate for a
 // query from public parameters only (both parties compute identical
-// plans — a restatement of obliviousness). Options: WithRing selects
-// the annotation ring (default DefaultRing), WithEstOut the assumed
-// output size for the join-phase steps of multi-survivor queries,
-// WithChunkSize the streaming chunk size recorded in the plan, and
-// WithBackend a forced secure-join backend.
+// plans — a restatement of obliviousness), without a session. Options:
+// WithRing selects the annotation ring (default DefaultRing), WithEstOut
+// the assumed output size for the join-phase steps of multi-survivor
+// queries, WithChunkSize the streaming chunk size recorded in the plan,
+// and WithBackend a forced secure-join backend.
 func Explain(q *Query, opts ...Option) (*Plan, error) {
 	cfg := buildConfig(opts)
-	return core.ExplainOpts(q, cfg.ring.Bits,
-		core.PlanOptions{EstOut: cfg.estOut, ChunkSize: cfg.chunk, Backend: cfg.backend})
+	return core.ExplainOpts(q, cfg.ring.Bits, cfg.plan())
 }
 
 // Query-scoped observability (see DESIGN.md §14): every execution on a

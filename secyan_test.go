@@ -1,6 +1,7 @@
 package secyan
 
 import (
+	"context"
 	"testing"
 )
 
@@ -37,16 +38,43 @@ func exampleQuery() (policies, records, classes *Relation, build func(Role) *Que
 	return
 }
 
+// both runs f on the two sessions concurrently — the two parties of one
+// execution, Bob in the background — and returns each side's value and
+// the first error.
+func both[T any](alice, bob *Session, f func(*Session) (T, error)) (a, b T, err error) {
+	type out struct {
+		v   T
+		err error
+	}
+	ch := make(chan out, 1)
+	go func() {
+		v, err := f(bob)
+		ch <- out{v, err}
+	}()
+	a, err = f(alice)
+	bo := <-ch
+	if err == nil {
+		err = bo.err
+	}
+	return a, bo.v, err
+}
+
+// queryBoth runs one query on both sessions, each party attaching its
+// own relations, and returns Alice's and Bob's revealed relations.
+func queryBoth(alice, bob *Session, build func(Role) *Query, opts ...Option) (a, b *Relation, err error) {
+	return both(alice, bob, func(s *Session) (*Relation, error) {
+		res, err := s.Query(context.Background(), build(s.role), opts...)
+		return res.Relation, err
+	})
+}
+
 func TestPublicAPIEndToEnd(t *testing.T) {
 	_, _, _, build := exampleQuery()
-	alice, bob := LocalParties(DefaultRing)
-	defer alice.Conn.Close()
-	defer bob.Conn.Close()
+	alice, bob := OpenLocal()
+	defer alice.Close()
+	defer bob.Close()
 
-	res, bobRes, err := Run2PC(alice, bob,
-		func(p *Party) (*Relation, error) { return Run(p, build(Alice)) },
-		func(p *Party) (*Relation, error) { return Run(p, build(Bob)) },
-	)
+	res, bobRes, err := queryBoth(alice, bob, build)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,18 +143,18 @@ func TestPublicAPIOverTCP(t *testing.T) {
 	_, _, _, build := exampleQuery()
 	const addr = "127.0.0.1:39613"
 	type ares struct {
-		p   *Party
+		s   *Session
 		err error
 	}
 	ch := make(chan ares, 1)
 	go func() {
-		p, err := Listen(addr, Alice, DefaultRing)
-		ch <- ares{p, err}
+		s, err := ListenSession(addr, Alice)
+		ch <- ares{s, err}
 	}()
-	var bob *Party
+	var bob *Session
 	var err error
 	for i := 0; i < 200; i++ {
-		bob, err = Dial(addr, Bob, DefaultRing)
+		bob, err = DialSession(addr, Bob)
 		if err == nil {
 			break
 		}
@@ -138,14 +166,11 @@ func TestPublicAPIOverTCP(t *testing.T) {
 	if ar.err != nil {
 		t.Fatalf("listen: %v", ar.err)
 	}
-	alice := ar.p
-	defer alice.Conn.Close()
-	defer bob.Conn.Close()
+	alice := ar.s
+	defer alice.Close()
+	defer bob.Close()
 
-	res, _, err := Run2PC(alice, bob,
-		func(p *Party) (*Relation, error) { return Run(p, build(Alice)) },
-		func(p *Party) (*Relation, error) { return Run(p, build(Bob)) },
-	)
+	res, _, err := queryBoth(alice, bob, build)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,11 @@
 package secyan
 
-// The Session API is the package's public entry point: one Session per
-// party multiplexes any number of protocol executions — online queries,
-// shared-result compositions, background Precompute passes — over a
-// single connection, with deadlines, heartbeats and per-stream fault
-// isolation provided by the transport session layer. The free
-// functions (Run, RunShared, Precompute, ...) remain as thin wrappers
-// over a caller-managed Party for code written against the original
-// one-query-per-connection API.
+// The Session API is the package's one way to run a protocol: one
+// Session per party multiplexes any number of executions — online
+// queries, shared-result compositions, SQL statements, background
+// Precompute passes — over a single connection, with deadlines,
+// heartbeats and per-stream fault isolation provided by the transport
+// session layer.
 
 import (
 	"context"
@@ -20,7 +18,6 @@ import (
 	"secyan/internal/core"
 	"secyan/internal/mpc"
 	"secyan/internal/obs"
-	"secyan/internal/parallel"
 	"secyan/internal/transport"
 )
 
@@ -44,12 +41,12 @@ type StreamError = transport.StreamError
 // ErrPeerTimeout reports a peer that stopped answering heartbeats.
 var ErrPeerTimeout = transport.ErrPeerTimeout
 
-// config collects every knob of the functional-options model. The same
-// Option values configure Open/OpenLocal and, where meaningful,
-// Explain; options that do not apply to a call are ignored by it.
+// config is the one configuration value behind every Option: Open keeps
+// it as the session's defaults, and each call on the session resolves
+// its own copy (defaults, then the call's options on top) exactly once,
+// at admission.
 type config struct {
 	ring           Ring
-	workers        int
 	tracer         *Tracer
 	deadline       time.Duration
 	streamDeadline time.Duration
@@ -60,19 +57,30 @@ type config struct {
 	chunk          int
 	backend        core.BackendID
 	tenant         string
+	shared         bool
 	wrapStream     func(id uint32, c Conn) Conn
 }
 
-// Option configures Open, OpenLocal or Explain.
+// plan is the config's view of one query: the core.Options that
+// Explain, Precompute and Query all compile the same plan from.
+func (c *config) plan() core.Options {
+	return core.Options{EstOut: c.estOut, ChunkSize: c.chunk, Backend: c.backend}
+}
+
+// Option configures a session and the executions on it. Given to Open
+// (OpenLocal, ListenSession, DialSession) an option sets the session's
+// default; the options that describe a single execution — WithBackend,
+// WithChunkSize, WithEstOut, WithTenant, WithStreamDeadline,
+// WithSharedResult — may also be given to Query, Precompute,
+// RevealRatio, ExecSQL and Explain, where they override that default
+// for the one call. Options that shape the connection (WithRing on a
+// Session, WithHeartbeat, WithQueueCap, ...) are fixed at Open and
+// ignored per call.
 type Option func(*config)
 
 // WithRing selects the annotation ring (default: DefaultRing, the
 // paper's ℓ=32).
 func WithRing(r Ring) Option { return func(c *config) { c.ring = r } }
-
-// WithWorkers pins the crypto-kernel worker count for this process
-// (the pool is process-wide; 0 keeps GOMAXPROCS).
-func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
 // WithTracer records run/phase/step/kernel span timelines of every
 // execution on the session, one track per party and stream.
@@ -82,8 +90,10 @@ func WithTracer(tr *Tracer) Option { return func(c *config) { c.tracer = tr } }
 // fails with context.DeadlineExceeded.
 func WithDeadline(d time.Duration) Option { return func(c *config) { c.deadline = d } }
 
-// WithStreamDeadline bounds each individual protocol execution opened
-// through the session.
+// WithStreamDeadline bounds each individual protocol execution: it runs
+// under a context that expires after d, so it fails with
+// context.DeadlineExceeded (wrapped in the execution's StreamError)
+// when exceeded, and the rest of the session carries on.
 func WithStreamDeadline(d time.Duration) Option { return func(c *config) { c.streamDeadline = d } }
 
 // WithHeartbeat enables idle heartbeats on the session: pings every
@@ -100,31 +110,30 @@ func WithPeerTimeout(d time.Duration) Option { return func(c *config) { c.peerTi
 // the flow-control window and must match between the two endpoints.
 func WithQueueCap(n int) Option { return func(c *config) { c.queueCap = n } }
 
-// WithEstOut sets the assumed output size Explain uses for the
-// join-phase steps of multi-survivor queries. Ignored by Open.
+// WithEstOut sets the assumed output size that prices the join-phase
+// steps of multi-survivor queries. The join-tree root is chosen by
+// total estimate, so both parties must configure the same value.
 func WithEstOut(n int) Option { return func(c *config) { c.estOut = n } }
 
 // WithChunkSize bounds the executor's tuple-plane working set: each
 // operator streams its relations in windows of at most n tuples, so
 // per-step memory is O(n) instead of O(relation). n == 0 keeps the
-// process default (see relation.DefaultChunkSize, 4096); n < 0 disables
-// chunking and materializes fully. Chunking is transcript-invariant:
-// for every n, results and per-stream traffic are byte-identical (see
-// DESIGN.md §12).
+// default (4096); n < 0 disables chunking and materializes fully.
+// Chunking is transcript-invariant: for every n, results and per-stream
+// traffic are byte-identical (see DESIGN.md §12).
 func WithChunkSize(n int) Option { return func(c *config) { c.chunk = n } }
 
-// WithBackend forces every semijoin/aggregate step of this session's
-// plans onto one secure-join backend wherever it is applicable
-// (BackendPSIOEP, BackendBifrost, BackendGC); steps where it does not
-// apply keep the cost-based choice. The zero value selects the cheapest
-// applicable backend per step. Both parties must configure the same
-// backend — unlike chunking, this changes the transcript.
+// WithBackend forces every semijoin/aggregate step onto one secure-join
+// backend wherever it is applicable (BackendPSIOEP, BackendBifrost,
+// BackendGC); steps where it does not apply keep the cost-based choice.
+// The zero value selects the cheapest applicable backend per step. Both
+// parties must configure the same backend — unlike chunking, this
+// changes the transcript.
 func WithBackend(b BackendID) Option { return func(c *config) { c.backend = b } }
 
-// WithTenant labels every query on the session with a tenant — the
-// billing/scheduling principal carried on events, labeled metrics and
-// flight records (and used by the secyand daemon for fair scheduling
-// and quota accounting). Overridable per query via WithQueryTag.
+// WithTenant labels queries with a tenant — the billing/scheduling
+// principal carried on events, labeled metrics and flight records (and
+// used by the secyand daemon for fair scheduling and quota accounting).
 // Process-local bookkeeping only, never on the wire.
 func WithTenant(name string) Option { return func(c *config) { c.tenant = name } }
 
@@ -135,74 +144,31 @@ func WithStreamWrapper(f func(id uint32, c Conn) Conn) Option {
 	return func(c *config) { c.wrapStream = f }
 }
 
-// runConfig is the per-query view of the session config: the fields a
-// single execution may override. Session-level Options seed it
-// (defaults); RunOptions then apply on top, so per-query values always
-// win — TestRunOptionPrecedence pins this order.
-type runConfig struct {
-	chunk    int
-	backend  core.BackendID
-	tenant   string
-	deadline time.Duration
-	shared   bool
-}
-
-// RunOption tunes one query execution on a Session, as a trailing
-// variadic to Query, Run, RunTrace, RunShared, Precompute and
-// RevealRatio. Per-query options override the session-level defaults
-// set by Options at Open.
-type RunOption func(*runConfig)
-
-// WithQueryBackend forces this query's semijoin/aggregate steps onto
-// one backend, overriding the session's WithBackend default. Both
-// parties must pass the same value — like WithBackend, this changes
-// the transcript.
-func WithQueryBackend(b BackendID) RunOption { return func(c *runConfig) { c.backend = b } }
-
-// WithQueryChunkSize overrides the session's WithChunkSize default for
-// this query only (transcript-invariant; see WithChunkSize).
-func WithQueryChunkSize(n int) RunOption { return func(c *runConfig) { c.chunk = n } }
-
-// WithQueryDeadline bounds this query's wall time: the execution runs
-// under a context that expires after d, so it fails with
-// context.DeadlineExceeded (wrapped in the step's StreamError) when
-// exceeded. Independent of the session-wide WithDeadline and the
-// per-stream WithStreamDeadline.
-func WithQueryDeadline(d time.Duration) RunOption { return func(c *runConfig) { c.deadline = d } }
-
-// WithQueryTag labels this query with a tenant, overriding the
-// session's WithTenant default; see WithTenant.
-func WithQueryTag(tenant string) RunOption { return func(c *runConfig) { c.tenant = tenant } }
-
 // WithSharedResult keeps the result annotations secret-shared instead
 // of revealing them to Alice: Query returns Result.Shared in place of
 // Result.Relation — the building block of the paper-§7 compositions
-// (see RevealRatio). RunShared is shorthand for this option.
-func WithSharedResult() RunOption { return func(c *runConfig) { c.shared = true } }
+// (see RevealRatio).
+func WithSharedResult() Option { return func(c *config) { c.shared = true } }
 
-// runConfig seeds the per-query config from the session defaults and
-// applies opts on top.
-func (s *Session) runConfig(opts []RunOption) runConfig {
-	rc := runConfig{chunk: s.cfg.chunk, backend: s.cfg.backend, tenant: s.cfg.tenant}
-	for _, o := range opts {
-		o(&rc)
-	}
-	return rc
-}
-
-func buildConfig(opts []Option) config {
-	c := config{ring: DefaultRing}
+// with is the one place a configuration is decided: c as the defaults,
+// opts applied on top.
+func (c config) with(opts []Option) config {
 	for _, o := range opts {
 		o(&c)
 	}
+	return c
+}
+
+func buildConfig(opts []Option) config {
+	c := config{ring: DefaultRing}.with(opts)
 	c.ring = c.ring.OrDefault()
 	return c
 }
 
 // Session is one party's endpoint of a multiplexed protocol session:
-// concurrent Run/RunShared/Precompute calls each execute on their own
-// logical stream over the shared connection. The two parties must
-// issue the same sequence of session calls (the symmetry every 2PC
+// concurrent Query/Precompute/RevealRatio/ExecSQL calls each execute on
+// their own logical stream over the shared connection. The two parties
+// must issue the same sequence of session calls (the symmetry every 2PC
 // protocol here already requires); concurrent calls pair by stream
 // open order, so heterogeneous concurrent queries should be issued in
 // a deterministic order on both sides.
@@ -221,10 +187,10 @@ type Session struct {
 // queries emit.
 func (s *Session) SID() uint64 { return s.sid }
 
-// stagedParty is a stream whose Party holds material from a Precompute
-// pass, parked until the next Run consumes it.
+// stagedParty is a stream whose party holds material from a Precompute
+// pass, parked until the next execution consumes it.
 type stagedParty struct {
-	p  *Party
+	p  *mpc.Party
 	id uint32
 }
 
@@ -237,9 +203,6 @@ func Open(role Role, conn Conn, opts ...Option) (*Session, error) {
 		return nil, fmt.Errorf("secyan: invalid role %d", role)
 	}
 	cfg := buildConfig(opts)
-	if cfg.workers > 0 {
-		parallel.SetWorkers(cfg.workers)
-	}
 	if cfg.tracer != nil {
 		obs.Install(cfg.tracer)
 	}
@@ -249,13 +212,12 @@ func Open(role Role, conn Conn, opts ...Option) (*Session, error) {
 		role: role,
 		sid:  sid,
 		sess: mpc.NewSession(role, conn, cfg.ring, mpc.SessionConfig{
-			QueueCap:       cfg.queueCap,
-			Heartbeat:      cfg.heartbeat,
-			PeerTimeout:    cfg.peerTimeout,
-			Deadline:       cfg.deadline,
-			StreamDeadline: cfg.streamDeadline,
-			WrapStream:     cfg.wrapStream,
-			SID:            sid,
+			QueueCap:    cfg.queueCap,
+			Heartbeat:   cfg.heartbeat,
+			PeerTimeout: cfg.peerTimeout,
+			Deadline:    cfg.deadline,
+			WrapStream:  cfg.wrapStream,
+			SID:         sid,
 		}),
 	}
 	if lg := obs.Events(); lg.On() {
@@ -291,30 +253,63 @@ func DialSession(addr string, role Role, opts ...Option) (*Session, error) {
 	return Open(role, c, opts...)
 }
 
-// party obtains the Party for the next protocol execution: a staged
-// (precomputed) stream if one is parked, otherwise a fresh stream.
-func (s *Session) party() (*Party, uint32, error) {
-	s.mu.Lock()
-	if len(s.staged) > 0 {
-		sp := s.staged[0]
-		s.staged = s.staged[1:]
-		s.mu.Unlock()
-		return sp.p, sp.id, nil
-	}
-	s.mu.Unlock()
-	p, id, err := s.sess.NextParty(mpc.PartyOpts{})
-	if err != nil {
-		return nil, 0, err
-	}
-	if s.cfg.tracer != nil {
-		p.Track = s.cfg.tracer.Track(fmt.Sprintf("%s/stream-%d", s.role, id))
-	}
-	return p, id, nil
+// execution is one admitted protocol execution: its stream-scoped
+// party, the context bounded by the resolved per-execution deadline,
+// and the core.Options every core call of the execution receives
+// unchanged.
+type execution struct {
+	ctx    context.Context
+	cancel context.CancelFunc
+	p      *mpc.Party
+	id     uint32
+	opts   core.Options
 }
 
-// Result is the unified outcome of one query execution on a Session.
-// Exactly one of Relation and Shared is populated on success, depending
-// on WithSharedResult (and on the party: only Alice receives revealed
+// admit turns a resolved config into an execution. It obtains the
+// stream — a parked Precompute stream if one is staged and fresh is
+// false, a new one otherwise — arms the deadline, mints the query ID,
+// stamps it on the party's tag (so events emitted below the executor
+// attribute correctly) and emits the query.admit event. Admission is
+// pure process-local bookkeeping: with observation off it is two atomic
+// loads and, when a record could ever be produced, one counter
+// increment.
+func (s *Session) admit(ctx context.Context, cfg config, kind string, fresh bool) (*execution, error) {
+	var sp stagedParty
+	s.mu.Lock()
+	if !fresh && len(s.staged) > 0 {
+		sp, s.staged = s.staged[0], s.staged[1:]
+	}
+	s.mu.Unlock()
+	if sp.p == nil {
+		var err error
+		if sp.p, sp.id, err = s.sess.NextParty(mpc.PartyOpts{}); err != nil {
+			return nil, err
+		}
+		if s.cfg.tracer != nil {
+			sp.p.Track = s.cfg.tracer.Track(fmt.Sprintf("%s/stream-%d", s.role, sp.id))
+		}
+	}
+	x := &execution{ctx: ctx, cancel: func() {}, p: sp.p, id: sp.id, opts: cfg.plan()}
+	if cfg.streamDeadline > 0 {
+		x.ctx, x.cancel = context.WithTimeout(ctx, cfg.streamDeadline)
+	}
+	tag := obs.QueryTag{SID: s.sid, Tenant: cfg.tenant}
+	if lg := obs.Events(); lg.On() || obs.Enabled() {
+		tag.QID = obs.NextQueryID()
+		if lg.On() {
+			lg.Emit("query.admit", tag,
+				slog.String("kind", kind),
+				slog.String("role", s.role.String()),
+				slog.Uint64("stream", uint64(sp.id)))
+		}
+	}
+	x.p.Tag, x.opts.Tag = tag, tag
+	return x, nil
+}
+
+// Result is the outcome of one query execution on a Session. Exactly
+// one of Relation and Shared is populated on success, depending on
+// WithSharedResult (and on the party: only Alice receives revealed
 // rows). Trace is always attached — valid as a prefix even when the
 // execution failed.
 type Result struct {
@@ -329,147 +324,79 @@ type Result struct {
 }
 
 // Query executes the secure Yannakakis protocol for q on its own
-// stream and returns the unified Result. It is the single entry point
-// the deprecated Run/RunTrace/RunShared wrap: a revealing run fills
-// Result.Relation (Alice) and Result.Trace; WithSharedResult fills
-// Result.Shared instead. A preceding Precompute of the same query
-// shape is consumed transparently. The returned Result is non-nil even
-// on error, carrying the prefix trace.
-func (s *Session) Query(ctx context.Context, q *Query, opts ...RunOption) (*Result, error) {
-	rc := s.runConfig(opts)
+// stream. Alice receives the query results in Result.Relation; Bob
+// receives none. With WithSharedResult the annotations stay
+// secret-shared and Result.Shared is filled instead. A preceding
+// Precompute of the same query shape is consumed transparently. The
+// returned Result is non-nil even on error, carrying the prefix trace.
+func (s *Session) Query(ctx context.Context, q *Query, opts ...Option) (*Result, error) {
+	cfg := s.cfg.with(opts)
+	kind := "run"
+	if cfg.shared {
+		kind = "run-shared"
+	}
 	res := &Result{}
-	p, id, err := s.party()
+	x, err := s.admit(ctx, cfg, kind, false)
 	if err != nil {
 		return res, err
 	}
-	defer p.Conn.Close()
-	if rc.deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, rc.deadline)
-		defer cancel()
-	}
-	kind := "run"
-	if rc.shared {
-		kind = "run-shared"
-	}
-	tag := s.admit(p, id, kind, rc.tenant)
-	eo := core.ExecOptions{ChunkSize: rc.chunk, Backend: rc.backend, Tag: tag}
-	if rc.shared {
-		res.Shared, res.Trace, err = core.RunSharedContextOpts(ctx, p, q, eo)
+	defer x.cancel()
+	defer x.p.Conn.Close()
+	if cfg.shared {
+		res.Shared, res.Trace, err = core.RunShared(x.ctx, x.p, q, x.opts)
 	} else {
-		res.Relation, res.Trace, err = core.RunContextOpts(ctx, p, q, eo)
+		res.Relation, res.Trace, err = core.Run(x.ctx, x.p, q, x.opts)
 	}
-	if err != nil {
-		return res, s.labeled(id, err)
-	}
-	return res, nil
-}
-
-// Run executes the secure Yannakakis protocol for q on its own stream.
-// Alice receives the query results; Bob receives nil. A preceding
-// Precompute of the same query shape is consumed transparently.
-//
-// Deprecated: use Query, which returns the unified Result. Run remains
-// as a thin wrapper and is transcript-identical.
-func (s *Session) Run(ctx context.Context, q *Query, opts ...RunOption) (*Relation, error) {
-	res, err := s.Query(ctx, q, opts...)
-	return res.Relation, err
-}
-
-// RunTrace is Run returning the per-step execution trace as well
-// (valid as a prefix even on error).
-//
-// Deprecated: use Query, which returns the unified Result. RunTrace
-// remains as a thin wrapper and is transcript-identical.
-func (s *Session) RunTrace(ctx context.Context, q *Query, opts ...RunOption) (*Relation, *Trace, error) {
-	res, err := s.Query(ctx, q, opts...)
-	return res.Relation, res.Trace, err
-}
-
-// RunShared executes the protocol but keeps the result annotations
-// secret-shared, enabling the compositions of paper §7. The returned
-// result is stream-independent data: it may be combined (RevealRatio)
-// with results from other runs of this session.
-//
-// Deprecated: use Query with WithSharedResult. RunShared remains as a
-// thin wrapper and is transcript-identical.
-func (s *Session) RunShared(ctx context.Context, q *Query, opts ...RunOption) (*SharedResult, error) {
-	all := make([]RunOption, 0, len(opts)+1)
-	all = append(all, opts...)
-	all = append(all, WithSharedResult())
-	res, err := s.Query(ctx, q, all...)
-	return res.Shared, err
+	return res, s.labeled(x.id, err)
 }
 
 // Precompute executes the offline phase of q's plan on a background
 // stream — OT pool fills and ahead-of-time garbling can overlap online
-// queries running on other streams. The staged material is parked and
-// consumed by the next Run/RunShared on this session; both parties
-// must keep their call sequences aligned, as always.
-func (s *Session) Precompute(ctx context.Context, q *Query, opts ...RunOption) (*Trace, error) {
-	rc := s.runConfig(opts)
-	p, id, err := s.sess.NextParty(mpc.PartyOpts{})
+// queries running on other streams — under the same resolved options
+// the query itself must then run with. The offline phase is
+// data-independent: q may be a bare query shape (schemas, owners,
+// sizes) with no relations attached. The staged material is parked and
+// consumed by the next execution on this session; both parties must
+// keep their call sequences aligned, as always.
+func (s *Session) Precompute(ctx context.Context, q *Query, opts ...Option) (*Trace, error) {
+	x, err := s.admit(ctx, s.cfg.with(opts), "precompute", true)
 	if err != nil {
 		return nil, err
 	}
-	if s.cfg.tracer != nil {
-		p.Track = s.cfg.tracer.Track(fmt.Sprintf("%s/stream-%d", s.role, id))
-	}
-	if rc.deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, rc.deadline)
-		defer cancel()
-	}
-	s.admit(p, id, "precompute", rc.tenant)
-	tr, err := core.PrecomputeOpts(ctx, p, q, core.PlanOptions{Backend: rc.backend})
+	defer x.cancel()
+	tr, err := core.PrecomputeOpts(x.ctx, x.p, q, x.opts)
 	if err != nil {
-		p.Conn.Close()
-		return tr, s.labeled(id, err)
+		x.p.Conn.Close()
+		return tr, s.labeled(x.id, err)
 	}
 	s.mu.Lock()
-	s.staged = append(s.staged, stagedParty{p: p, id: id})
+	s.staged = append(s.staged, stagedParty{p: x.p, id: x.id})
 	s.mu.Unlock()
 	return tr, nil
 }
 
 // RevealRatio reveals (num·scale)/den per result row to Alice on a
 // fresh stream — the composition used for AVG and market-share style
-// aggregates over two RunShared results.
-func (s *Session) RevealRatio(ctx context.Context, num, den *SharedResult, scale uint64, opts ...RunOption) (*Relation, error) {
-	rc := s.runConfig(opts)
-	p, id, err := s.party()
+// aggregates over two WithSharedResult results.
+func (s *Session) RevealRatio(ctx context.Context, num, den *SharedResult, scale uint64, opts ...Option) (*Relation, error) {
+	x, err := s.admit(ctx, s.cfg.with(opts), "reveal-ratio", false)
 	if err != nil {
 		return nil, err
 	}
-	defer p.Conn.Close()
-	if rc.deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, rc.deadline)
-		defer cancel()
-	}
-	s.admit(p, id, "reveal-ratio", rc.tenant)
-	pp, release := p.WithContext(ctx)
+	defer x.cancel()
+	defer x.p.Conn.Close()
+	pp, release := x.p.WithContext(x.ctx)
 	defer release()
 	rel, err := core.RevealRatio(pp, num, den, scale)
-	if err != nil {
-		return nil, s.labeled(id, err)
-	}
-	return rel, nil
+	return rel, s.labeled(x.id, err)
 }
 
 // Explain derives the execution plan and communication estimate for q
-// under this session's ring. opts merge onto the session's own config —
-// a session opened WithChunkSize/WithBackend sees those in its Explain
-// output, and per-call opts override them (the same precedence as
-// RunOptions on Query; TestSessionExplainMergesSessionConfig pins it).
-// Options: WithEstOut, WithChunkSize, WithBackend.
+// from public parameters only, under the same resolved options a Query
+// with the same opts would run with.
 func (s *Session) Explain(q *Query, opts ...Option) (*Plan, error) {
-	cfg := s.cfg
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return core.ExplainOpts(q, cfg.ring.OrDefault().Bits,
-		core.PlanOptions{EstOut: cfg.estOut, ChunkSize: cfg.chunk, Backend: cfg.backend})
+	cfg := s.cfg.with(opts)
+	return core.ExplainOpts(q, cfg.ring.OrDefault().Bits, cfg.plan())
 }
 
 // Stats snapshots the session's rolled-up traffic.
@@ -486,37 +413,12 @@ func (s *Session) Close() error {
 	return s.sess.Close()
 }
 
-// admit mints the query ID for one protocol execution, stamps it on the
-// party's tag (so events emitted below the executor attribute
-// correctly) and emits the query.admit event. The returned tag is
-// passed to the executor through ExecOptions. Admission is pure
-// process-local bookkeeping: with observation off it is two atomic
-// loads and, when a record could ever be produced, one counter
-// increment.
-func (s *Session) admit(p *Party, id uint32, kind, tenant string) obs.QueryTag {
-	tag := obs.QueryTag{SID: s.sid, Tenant: tenant}
-	lg := obs.Events()
-	if !lg.On() && !obs.Enabled() {
-		p.Tag = tag
-		return tag
-	}
-	tag.QID = obs.NextQueryID()
-	p.Tag = tag
-	if lg.On() {
-		lg.Emit("query.admit", tag,
-			slog.String("kind", kind),
-			slog.String("role", s.role.String()),
-			slog.Uint64("stream", uint64(id)))
-	}
-	return tag
-}
-
 // labeled ensures an execution error carries its stream id (executor
 // errors are already phase/op-labeled; transport errors arrive
 // pre-labeled by the mux and are left alone).
 func (s *Session) labeled(id uint32, err error) error {
 	var se *StreamError
-	if errors.As(err, &se) {
+	if err == nil || errors.As(err, &se) {
 		return err
 	}
 	return &StreamError{Stream: id, Err: err}

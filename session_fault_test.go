@@ -101,10 +101,10 @@ func TestSessionFaultMatrix(t *testing.T) {
 					defer cancel()
 					bobErr := make(chan error, 1)
 					go func() {
-						_, err := bob.Run(ctx, viewFor(q, rels, Bob))
+						_, err := bob.Query(ctx, viewFor(q, rels, Bob))
 						bobErr <- err
 					}()
-					_, errA := alice.Run(ctx, viewFor(q, rels, Alice))
+					_, errA := alice.Query(ctx, viewFor(q, rels, Alice))
 					errB := <-bobErr
 					if errA == nil && errB == nil {
 						t.Fatalf("fault %v at send %d went unnoticed by both parties", mode, at)
@@ -136,17 +136,17 @@ func TestSessionFaultMatrix(t *testing.T) {
 					ctx2, cancel2 := context.WithTimeout(context.Background(), 30*time.Second)
 					defer cancel2()
 					go func() {
-						_, err := bob.Run(ctx2, viewFor(q, rels, Bob))
+						_, err := bob.Query(ctx2, viewFor(q, rels, Bob))
 						bobErr <- err
 					}()
-					res, err := alice.Run(ctx2, viewFor(q, rels, Alice))
+					res, err := alice.Query(ctx2, viewFor(q, rels, Alice))
 					if err != nil {
 						t.Fatalf("query after fault: %v", err)
 					}
 					if err := <-bobErr; err != nil {
 						t.Fatalf("query after fault (bob): %v", err)
 					}
-					if got := sumByClass(res); len(got) != len(wantSums) {
+					if got := sumByClass(res.Relation); len(got) != len(wantSums) {
 						t.Fatalf("post-fault result %v want %v", got, wantSums)
 					}
 				})
@@ -178,10 +178,10 @@ func TestSessionFaultCloseMidProtocol(t *testing.T) {
 	defer cancel()
 	bobErr := make(chan error, 1)
 	go func() {
-		_, err := bob.Run(ctx, viewFor(q, rels, Bob))
+		_, err := bob.Query(ctx, viewFor(q, rels, Bob))
 		bobErr <- err
 	}()
-	_, errA := alice.Run(ctx, viewFor(q, rels, Alice))
+	_, errA := alice.Query(ctx, viewFor(q, rels, Alice))
 	errB := <-bobErr
 	if errA == nil || errB == nil {
 		t.Fatalf("mid-protocol close unnoticed: alice %v bob %v", errA, errB)
@@ -189,8 +189,12 @@ func TestSessionFaultCloseMidProtocol(t *testing.T) {
 	if !errors.Is(errA, transport.ErrClosed) {
 		t.Fatalf("alice error not ErrClosed-compatible: %v", errA)
 	}
-	if alice.Err() == nil {
-		t.Fatal("session survived the death of its transport")
+	// The failed send returns to the query at once; the session records
+	// its fatal error when the mux's reader goroutine sees the close.
+	for deadline := time.Now().Add(5 * time.Second); alice.Err() == nil; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("session survived the death of its transport")
+		}
 	}
 }
 
@@ -220,10 +224,10 @@ func TestSeededFaultCampaign(t *testing.T) {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		bobErr := make(chan error, 1)
 		go func() {
-			_, err := bob.Run(ctx, viewFor(q, rels, Bob))
+			_, err := bob.Query(ctx, viewFor(q, rels, Bob))
 			bobErr <- err
 		}()
-		_, errA := alice.Run(ctx, viewFor(q, rels, Alice))
+		_, errA := alice.Query(ctx, viewFor(q, rels, Alice))
 		errB := <-bobErr
 		cancel()
 		for who, err := range map[string]error{"alice": errA, "bob": errB} {

@@ -2,209 +2,192 @@ package secyan
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
+
+	"secyan/internal/obs"
+	"secyan/internal/relation"
 )
 
-// runPair issues the same session call on both parties concurrently and
-// returns Alice's outcome.
-func runPair(t *testing.T, alice, bob *Session, f func(s *Session) (*Result, error)) *Result {
-	t.Helper()
-	type out struct {
-		res *Result
-		err error
-	}
-	ch := make(chan out, 1)
-	go func() {
-		res, err := f(bob)
-		ch <- out{res, err}
-	}()
-	res, err := f(alice)
-	bo := <-ch
-	if err != nil {
-		t.Fatalf("alice: %v", err)
-	}
-	if bo.err != nil {
-		t.Fatalf("bob: %v", bo.err)
-	}
-	return res
-}
-
-// TestQueryUnifiedAPI pins that the deprecated Run/RunTrace/RunShared
-// wrappers and the unified Query entry point are interchangeable: same
-// results, and byte-identical transcripts (equal per-step traffic).
+// TestQueryUnifiedAPI pins the two shapes of the one entry point: a
+// revealing Query fills Result.Relation and Result.Trace, and
+// WithSharedResult fills Result.Shared instead.
 func TestQueryUnifiedAPI(t *testing.T) {
 	q, rels := sessionExampleQuery(11, 10, 18)
 
-	run := func(f func(s *Session, view *Query) (*Result, error)) *Result {
+	run := func(opts ...Option) *Result {
 		alice, bob := OpenLocal()
 		defer alice.Close()
 		defer bob.Close()
-		return runPair(t, alice, bob, func(s *Session) (*Result, error) {
-			return f(s, viewFor(q, rels, s.role))
+		res, _, err := both(alice, bob, func(s *Session) (*Result, error) {
+			return s.Query(context.Background(), viewFor(q, rels, s.role), opts...)
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
 
-	viaQuery := run(func(s *Session, view *Query) (*Result, error) {
-		return s.Query(context.Background(), view)
-	})
-	viaRun := run(func(s *Session, view *Query) (*Result, error) {
-		rel, err := s.Run(context.Background(), view)
-		return &Result{Relation: rel}, err
-	})
-	viaTrace := run(func(s *Session, view *Query) (*Result, error) {
-		rel, tr, err := s.RunTrace(context.Background(), view)
-		return &Result{Relation: rel, Trace: tr}, err
-	})
-
+	viaQuery := run()
 	if viaQuery.Relation == nil || viaQuery.Shared != nil {
 		t.Fatalf("Query (revealing): Relation=%v Shared=%v, want relation only", viaQuery.Relation, viaQuery.Shared)
 	}
 	if viaQuery.Trace == nil || len(viaQuery.Trace.Steps) == 0 {
 		t.Fatal("Query: missing trace")
 	}
-	want := sumByClass(viaQuery.Relation)
-	for name, res := range map[string]*Result{"Run": viaRun, "RunTrace": viaTrace} {
-		if got := sumByClass(res.Relation); len(got) != len(want) {
-			t.Fatalf("%s result differs from Query: %v vs %v", name, got, want)
-		} else {
-			for k, v := range want {
-				if got[k] != v {
-					t.Fatalf("%s result differs from Query at class %d: %d vs %d", name, k, got[k], v)
-				}
-			}
-		}
-	}
-	// Transcript equivalence: the wrapper and the unified entry point
-	// must move exactly the same bytes.
-	if a, b := viaQuery.Trace.TotalBytes(), viaTrace.Trace.TotalBytes(); a != b {
-		t.Fatalf("transcript bytes differ: Query %d vs RunTrace %d", a, b)
-	}
 
-	viaShared := run(func(s *Session, view *Query) (*Result, error) {
-		return s.Query(context.Background(), view, WithSharedResult())
-	})
+	viaShared := run(WithSharedResult())
 	if viaShared.Shared == nil || viaShared.Relation != nil {
 		t.Fatalf("Query(WithSharedResult): Shared=%v Relation=%v, want shared only", viaShared.Shared, viaShared.Relation)
 	}
-	viaRunShared := run(func(s *Session, view *Query) (*Result, error) {
-		sh, err := s.RunShared(context.Background(), view)
-		return &Result{Shared: sh}, err
-	})
-	if viaRunShared.Shared == nil {
-		t.Fatal("RunShared: nil shared result")
-	}
 }
 
-// TestRunOptionPrecedence pins the override order: session Options set
-// defaults, per-query RunOptions win.
-func TestRunOptionPrecedence(t *testing.T) {
+// TestOptionPrecedence pins the one rule of the options model — options
+// given at Open are defaults, the same options given per call override
+// them — over {backend, chunk size, tenant, deadline}, and that Explain,
+// Precompute and Query of one call all see the same resolved values:
+// the plan's ChunkSize and step backends, the offline trace's bytes, the
+// online trace's step backends, and the flight record's chunk_size and
+// tenant.
+func TestOptionPrecedence(t *testing.T) {
 	q, rels := sessionExampleQuery(13, 8, 14)
 
-	// backendsIn collects the secure backends the trace's steps ran on
-	// ("local" marks steps outside the secure-join backends' domain and
-	// is unaffected by backend forcing).
-	backendsIn := func(res *Result) map[string]bool {
-		got := map[string]bool{}
-		for _, st := range res.Trace.Steps {
-			if st.Backend != "" && st.Backend != "local" {
-				got[st.Backend] = true
-			}
-		}
-		return got
-	}
-
-	// Session default applies when no per-query option is given.
-	alice, bob := OpenLocal(WithBackend(BackendGC))
-	res := runPair(t, alice, bob, func(s *Session) (*Result, error) {
-		return s.Query(context.Background(), viewFor(q, rels, s.role))
-	})
-	if got := backendsIn(res); !got[string(BackendGC)] || len(got) != 1 {
-		t.Fatalf("session WithBackend(gc) default not honored: step backends %v", got)
-	}
-
-	// Per-query option overrides the session default.
-	res = runPair(t, alice, bob, func(s *Session) (*Result, error) {
-		return s.Query(context.Background(), viewFor(q, rels, s.role), WithQueryBackend(BackendPSIOEP))
-	})
-	if got := backendsIn(res); got[string(BackendGC)] {
-		t.Fatalf("WithQueryBackend(psi-oep) did not override session gc default: %v", got)
-	}
-	alice.Close()
-	bob.Close()
-
-	// Tenant precedence lands on the flight record.
-	EnableObservability()
-	SetFlightCapacity(16)
-	alice, bob = OpenLocal(WithTenant("session-tenant"))
-	defer alice.Close()
-	defer bob.Close()
-	runPair(t, alice, bob, func(s *Session) (*Result, error) {
-		return s.Query(context.Background(), viewFor(q, rels, s.role))
-	})
-	runPair(t, alice, bob, func(s *Session) (*Result, error) {
-		return s.Query(context.Background(), viewFor(q, rels, s.role), WithQueryTag("query-tenant"))
-	})
-	recs := FlightRecords()
-	if len(recs) < 4 {
-		t.Fatalf("want >=4 flight records, got %d", len(recs))
-	}
-	// Records are newest-first: the override run, then the default run.
-	if recs[0].Tenant != "query-tenant" || recs[1].Tenant != "query-tenant" {
-		t.Fatalf("WithQueryTag did not override session tenant: newest records %q, %q", recs[0].Tenant, recs[1].Tenant)
-	}
-	if recs[2].Tenant != "session-tenant" || recs[3].Tenant != "session-tenant" {
-		t.Fatalf("WithTenant default missing from flight records: %q, %q", recs[2].Tenant, recs[3].Tenant)
-	}
-}
-
-// TestQueryDeadline pins that WithQueryDeadline bounds a single query's
-// wall time via its context.
-func TestQueryDeadline(t *testing.T) {
-	q, rels := sessionExampleQuery(17, 64, 128)
-	alice, bob := OpenLocal()
-	defer alice.Close()
-	defer bob.Close()
-	type out struct{ err error }
-	ch := make(chan out, 1)
-	go func() {
-		_, err := bob.Query(context.Background(), viewFor(q, rels, Bob))
-		ch <- out{err}
+	lg := obs.Events()
+	lg.Reset()
+	lg.Enable()
+	SetFlightCapacity(64)
+	defer func() {
+		lg.Disable()
+		lg.Reset()
+		obs.Disable()
+		obs.Flight().Reset()
 	}()
-	_, err := alice.Query(context.Background(), viewFor(q, rels, Alice), WithQueryDeadline(time.Nanosecond))
-	<-ch
-	if err == nil {
-		t.Fatal("1ns per-query deadline did not fail the run")
-	}
-}
 
-// TestSessionExplainMergesSessionConfig pins that Session.Explain sees
-// the session's own WithChunkSize/WithBackend configuration, with
-// per-call opts overriding it — the same precedence RunOptions have.
-func TestSessionExplainMergesSessionConfig(t *testing.T) {
-	q, rels := sessionExampleQuery(19, 8, 14)
-	alice, bob := OpenLocal(WithChunkSize(128), WithBackend(BackendGC))
-	defer alice.Close()
-	defer bob.Close()
+	session := []Option{WithBackend(BackendGC), WithChunkSize(128), WithTenant("session-tenant"), WithStreamDeadline(time.Minute)}
+	for _, tc := range []struct {
+		name       string
+		open, call []Option
+		// The resolved values every layer must see.
+		backend BackendID
+		chunk   int
+		tenant  string
+		expired bool
+	}{
+		{name: "built-in defaults", chunk: relation.DefaultChunkSize()},
+		{name: "session default", open: session,
+			backend: BackendGC, chunk: 128, tenant: "session-tenant"},
+		{name: "per-call override", open: session,
+			call:    []Option{WithBackend(BackendPSIOEP), WithChunkSize(16), WithTenant("call-tenant")},
+			backend: BackendPSIOEP, chunk: 16, tenant: "call-tenant"},
+		{name: "session deadline", open: []Option{WithStreamDeadline(time.Nanosecond)},
+			expired: true},
+		{name: "per-call deadline tightens", open: session,
+			call:    []Option{WithStreamDeadline(time.Nanosecond)},
+			expired: true},
+		{name: "per-call deadline relaxes", open: []Option{WithStreamDeadline(time.Nanosecond)},
+			call:  []Option{WithStreamDeadline(time.Minute)},
+			chunk: relation.DefaultChunkSize()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			alice, bob := OpenLocal(tc.open...)
+			defer alice.Close()
+			defer bob.Close()
+			ctx := context.Background()
 
-	plan, err := alice.Explain(viewFor(q, rels, Alice))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.ChunkSize != 128 {
-		t.Fatalf("Explain dropped session WithChunkSize(128): got %d", plan.ChunkSize)
-	}
-	for _, st := range plan.Steps {
-		if st.Backend != "" && st.Backend != "local" && st.Backend != BackendGC {
-			t.Fatalf("Explain dropped session WithBackend(gc): step backend %q", st.Backend)
-		}
-	}
+			pre, _, preErr := both(alice, bob, func(s *Session) (*Trace, error) {
+				return s.Precompute(ctx, viewFor(q, nil, Role(255)), tc.call...)
+			})
+			res, _, runErr := both(alice, bob, func(s *Session) (*Result, error) {
+				return s.Query(ctx, viewFor(q, rels, s.role), tc.call...)
+			})
+			if tc.expired {
+				if !errors.Is(preErr, context.DeadlineExceeded) || !errors.Is(runErr, context.DeadlineExceeded) {
+					t.Fatalf("resolved 1ns deadline: Precompute %v, Query %v, want DeadlineExceeded from both", preErr, runErr)
+				}
+				return
+			}
+			if preErr != nil || runErr != nil {
+				t.Fatalf("Precompute %v, Query %v", preErr, runErr)
+			}
 
-	over, err := alice.Explain(viewFor(q, rels, Alice), WithChunkSize(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if over.ChunkSize != 16 {
-		t.Fatalf("per-call WithChunkSize(16) did not override session default: got %d", over.ChunkSize)
+			// Explain: the resolved chunk size and backend, in the plan.
+			plan, err := alice.Explain(viewFor(q, rels, Alice), tc.call...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan.ChunkSize != tc.chunk {
+				t.Errorf("Explain plan ChunkSize = %d, want %d", plan.ChunkSize, tc.chunk)
+			}
+			secure := map[BackendID]bool{}
+			for _, st := range plan.Steps {
+				if st.Backend != "" && st.Backend != "local" {
+					secure[st.Backend] = true
+				}
+			}
+			switch tc.backend {
+			case BackendGC:
+				if !secure[BackendGC] || len(secure) != 1 {
+					t.Errorf("forced gc not honored: plan step backends %v", secure)
+				}
+			case BackendPSIOEP:
+				if secure[BackendGC] {
+					t.Errorf("forced psi-oep did not displace gc: plan step backends %v", secure)
+				}
+			}
+
+			// Precompute staged that plan: its offline estimate, exactly.
+			// (The offline phase has no tuple plane, so the chunk size has
+			// nothing to show here.)
+			var offEst int64
+			for _, st := range pre.Steps {
+				offEst += st.EstBytes
+			}
+			if offEst != plan.EstOfflineBytes {
+				t.Errorf("Precompute staged %d estimated offline bytes, Explain plans %d", offEst, plan.EstOfflineBytes)
+			}
+			var preTenant string
+			for _, e := range RecentEvents(0) {
+				if e.SID != alice.SID() || e.Kind != "query.admit" {
+					continue
+				}
+				for _, a := range e.Attrs {
+					if a.Key == "kind" && a.Value.String() == "precompute" {
+						preTenant = e.Tenant
+					}
+				}
+			}
+			if preTenant != tc.tenant {
+				t.Errorf("Precompute admitted under tenant %q, want %q", preTenant, tc.tenant)
+			}
+
+			// Query ran that plan: the same backend step by step, the staged
+			// material consumed, and the flight record carrying the chunk
+			// size and tenant.
+			if len(res.Trace.Steps) != len(plan.Steps) {
+				t.Fatalf("Query ran %d steps, Explain plans %d", len(res.Trace.Steps), len(plan.Steps))
+			}
+			for i, st := range res.Trace.Steps {
+				if st.Backend != string(plan.Steps[i].Backend) {
+					t.Errorf("step %d (%s): Query ran backend %q, Explain plans %q", i, st.Op, st.Backend, plan.Steps[i].Backend)
+				}
+			}
+			if got := res.Trace.TotalBytes(); got != plan.EstOnlineBytes {
+				t.Errorf("Query moved %d bytes online, the plan's online estimate is %d: Precompute staged a different plan", got, plan.EstOnlineBytes)
+			}
+			var recs int
+			for _, r := range FlightRecords() {
+				if r.SID != alice.SID() {
+					continue
+				}
+				recs++
+				if r.ChunkSize != tc.chunk || r.Tenant != tc.tenant {
+					t.Errorf("flight record chunk_size=%d tenant=%q, want %d and %q", r.ChunkSize, r.Tenant, tc.chunk, tc.tenant)
+				}
+			}
+			if recs != 1 {
+				t.Errorf("%d flight records for Alice's session, want 1", recs)
+			}
+		})
 	}
 }

@@ -89,17 +89,17 @@ func TestSessionConcurrentRuns(t *testing.T) {
 	const n = 3
 	ctx := context.Background()
 	var wg sync.WaitGroup
-	results := make([]*Relation, n)
+	results := make([]*Result, n)
 	errs := make([]error, 2*n)
 	for i := 0; i < n; i++ {
 		wg.Add(2)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[2*i+1] = bob.Run(ctx, viewFor(q, rels, Bob))
+			_, errs[2*i+1] = bob.Query(ctx, viewFor(q, rels, Bob))
 		}(i)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[2*i] = alice.Run(ctx, viewFor(q, rels, Alice))
+			results[i], errs[2*i] = alice.Query(ctx, viewFor(q, rels, Alice))
 		}(i)
 	}
 	wg.Wait()
@@ -110,7 +110,7 @@ func TestSessionConcurrentRuns(t *testing.T) {
 	}
 	wantSums := sumByClass(want)
 	for i := 0; i < n; i++ {
-		if got := sumByClass(results[i]); !reflect.DeepEqual(got, wantSums) {
+		if got := sumByClass(results[i].Relation); !reflect.DeepEqual(got, wantSums) {
 			t.Fatalf("run %d: %v want %v", i, got, wantSums)
 		}
 	}
@@ -158,10 +158,10 @@ func TestSessionPrecomputeThenRun(t *testing.T) {
 
 	runDone := make(chan error, 1)
 	go func() {
-		_, err := bob.Run(ctx, viewFor(q, rels, Bob))
+		_, err := bob.Query(ctx, viewFor(q, rels, Bob))
 		runDone <- err
 	}()
-	res, err := alice.Run(ctx, viewFor(q, rels, Alice))
+	res, err := alice.Query(ctx, viewFor(q, rels, Alice))
 	if err != nil {
 		t.Fatalf("staged run: %v", err)
 	}
@@ -176,7 +176,7 @@ func TestSessionPrecomputeThenRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, w := sumByClass(res), sumByClass(want); !reflect.DeepEqual(got, w) {
+	if got, w := sumByClass(res.Relation), sumByClass(want); !reflect.DeepEqual(got, w) {
 		t.Fatalf("staged result %v want %v", got, w)
 	}
 	// The staged stream was consumed: both endpoints opened exactly two
@@ -187,7 +187,7 @@ func TestSessionPrecomputeThenRun(t *testing.T) {
 }
 
 // TestSessionSharedComposition reproduces the §7 AVG composition
-// through the Session API: two RunShared results combined by
+// through the Session API: two WithSharedResult results combined by
 // RevealRatio on a third stream.
 func TestSessionSharedComposition(t *testing.T) {
 	q, rels := sessionExampleQuery(13, 10, 16)
@@ -210,28 +210,28 @@ func TestSessionSharedComposition(t *testing.T) {
 
 	bobDone := make(chan error, 1)
 	go func() {
-		numB, err := bob.RunShared(ctx, viewFor(q, rels, Bob))
+		numB, err := bob.Query(ctx, viewFor(q, rels, Bob), WithSharedResult())
 		if err != nil {
 			bobDone <- err
 			return
 		}
-		denB, err := bob.RunShared(ctx, viewFor(q, cntRels, Bob))
+		denB, err := bob.Query(ctx, viewFor(q, cntRels, Bob), WithSharedResult())
 		if err != nil {
 			bobDone <- err
 			return
 		}
-		_, err = bob.RevealRatio(ctx, numB, denB, 1)
+		_, err = bob.RevealRatio(ctx, numB.Shared, denB.Shared, 1)
 		bobDone <- err
 	}()
-	num, err := alice.RunShared(ctx, sum)
+	num, err := alice.Query(ctx, sum, WithSharedResult())
 	if err != nil {
 		t.Fatalf("shared sum: %v", err)
 	}
-	den, err := alice.RunShared(ctx, cnt)
+	den, err := alice.Query(ctx, cnt, WithSharedResult())
 	if err != nil {
 		t.Fatalf("shared count: %v", err)
 	}
-	avg, err := alice.RevealRatio(ctx, num, den, 1)
+	avg, err := alice.RevealRatio(ctx, num.Shared, den.Shared, 1)
 	if err != nil {
 		t.Fatalf("reveal ratio: %v", err)
 	}
@@ -307,7 +307,7 @@ func TestMissingRelationErrors(t *testing.T) {
 	defer alice.Close()
 	defer bob.Close()
 	hole := viewFor(q, nil, Role(255))
-	_, err = alice.Run(context.Background(), hole)
+	_, err = alice.Query(context.Background(), hole)
 	if !errors.Is(err, ErrMissingRelation) {
 		t.Fatalf("secure hole: got %v, want ErrMissingRelation", err)
 	}
@@ -329,7 +329,7 @@ func TestSessionStreamDeadline(t *testing.T) {
 	// Deliberately lonely run: bob issues nothing, so alice times out.
 	// (The deadline fires before any data arrives from the peer.)
 	start := time.Now()
-	_, err := alice.Run(context.Background(), viewFor(q, rels, Alice))
+	_, err := alice.Query(context.Background(), viewFor(q, rels, Alice))
 	if err == nil {
 		t.Fatal("lonely run succeeded")
 	}
@@ -349,7 +349,7 @@ func TestSessionStreamDeadline(t *testing.T) {
 
 	// Bob opens his half of the expired stream and fails fast, keeping
 	// the two endpoints' stream sequences aligned for the next query.
-	if _, err := bob.Run(context.Background(), viewFor(q, rels, Bob)); err == nil {
+	if _, err := bob.Query(context.Background(), viewFor(q, rels, Bob)); err == nil {
 		t.Fatal("bob's half of the expired stream succeeded")
 	}
 }
@@ -363,7 +363,7 @@ func TestSessionContextCancel(t *testing.T) {
 	defer bob.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	_, err := alice.Run(ctx, viewFor(q, rels, Alice))
+	_, err := alice.Query(ctx, viewFor(q, rels, Alice))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("canceled run: got %v", err)
 	}

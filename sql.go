@@ -1,7 +1,8 @@
 package secyan
 
 import (
-	"secyan/internal/mpc"
+	"context"
+
 	"secyan/internal/sqlfront"
 )
 
@@ -21,33 +22,19 @@ import (
 // 'YYYY-MM-DD' date literals).
 
 type (
-	// SQLStatement is a parsed SQL query.
-	SQLStatement = sqlfront.Statement
 	// SQLCatalog maps table names to their (per-party) definitions.
 	SQLCatalog = sqlfront.Catalog
 	// SQLTable defines one catalog table: owner, public columns and
 	// size, plus the data on the owner's side.
 	SQLTable = sqlfront.TableDef
-	// SQLQuery is a compiled, executable secure query.
-	SQLQuery = sqlfront.Compiled
 )
 
-// ParseSQL parses the SQL subset.
-func ParseSQL(src string) (*SQLStatement, error) {
-	return sqlfront.Parse(src)
-}
-
-// CompileSQL type-checks a parsed statement against this party's catalog
-// and prepares the secure query plan. Both parties compile the same
-// statement against their own catalog views (identical apart from which
-// tables carry data) and then call Exec concurrently.
-func CompileSQL(st *SQLStatement, cat *SQLCatalog) (*SQLQuery, error) {
-	return sqlfront.Compile(st, cat)
-}
-
-// ExecSQL parses, compiles and runs a query in one call. Alice receives
-// the result relation; Bob receives nil.
-func ExecSQL(p *Party, src string, cat *SQLCatalog) (*Relation, error) {
+// ExecSQL parses src, type-checks it against this party's catalog and
+// runs it on its own stream. Both parties execute the same statement
+// against their own catalog views (identical apart from which tables
+// carry data) concurrently. Alice receives the result relation; Bob
+// receives nil.
+func (s *Session) ExecSQL(ctx context.Context, src string, cat *SQLCatalog, opts ...Option) (*Relation, error) {
 	st, err := sqlfront.Parse(src)
 	if err != nil {
 		return nil, err
@@ -59,10 +46,17 @@ func ExecSQL(p *Party, src string, cat *SQLCatalog) (*Relation, error) {
 	if err := c.Check(); err != nil {
 		return nil, err
 	}
-	return c.Exec(p)
+	x, err := s.admit(ctx, s.cfg.with(opts), "sql", false)
+	if err != nil {
+		return nil, err
+	}
+	defer x.cancel()
+	defer x.p.Conn.Close()
+	rel, err := c.Exec(x.ctx, x.p, x.opts)
+	return rel, s.labeled(x.id, err)
 }
 
 // NewSQLTable builds a catalog entry. Pass rel only on the owner's side.
 func NewSQLTable(owner Role, columns []Attr, n int, rel *Relation) *SQLTable {
-	return &sqlfront.TableDef{Owner: mpc.Role(owner), Columns: columns, N: n, Rel: rel}
+	return &sqlfront.TableDef{Owner: owner, Columns: columns, N: n, Rel: rel}
 }
