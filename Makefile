@@ -38,12 +38,12 @@ race-chunks:
 	$(GO) test -race -count=3 -timeout 30m -run 'Chunk' ./internal/relation ./internal/core ./internal/benchmark .
 
 # The backend-equivalence suites under the race detector, repeated:
-# every secure-join backend (psi-oep, bifrost, gc) must produce the
-# results of the cost-based default, win its auctions when forced, and
-# keep transcripts deterministic and oblivious (see DESIGN.md Â§13).
+# every secure-join backend (psi-oep, gc) must produce the results of
+# the cost-based default, win its auctions when forced, and keep
+# transcripts deterministic and oblivious (see DESIGN.md §13).
 race-backends:
 	$(GO) test -race -count=3 -timeout 30m -run 'Backend|PlanCosted' ./internal/core ./internal/jointree
-	$(GO) test -race -count=3 -timeout 30m ./internal/bifrost ./internal/gcbaseline
+	$(GO) test -race -count=3 -timeout 30m ./internal/gcbaseline
 
 # The observability suites under the race detector, repeated: labeled
 # metric vecs, the structured event log, the flight recorder, the live
@@ -91,9 +91,9 @@ vet:
 
 # Short fuzz bursts for the transpose involution, the TCP framing
 # decoder, the SQL front end (seeded with the TPC-H query strings), the
-# chunked scan, both base-OT message decoders and the evaluator's view of
-# the garbler's message; extend -fuzztime locally for real fuzzing
-# sessions.
+# chunked scan, both base-OT message decoders, the evaluator's view of
+# the garbler's message and the PSI's hint and OPRF-correction decoders;
+# extend -fuzztime locally for real fuzzing sessions.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTranspose -fuzztime 10s ./internal/bitutil
 	$(GO) test -run '^$$' -fuzz FuzzRecvFraming -fuzztime 10s ./internal/transport
@@ -101,3 +101,4 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzChunkedScan -fuzztime 10s ./internal/relation
 	$(GO) test -run '^$$' -fuzz FuzzBaseOTMessages -fuzztime 10s ./internal/ot
 	$(GO) test -run '^$$' -fuzz FuzzGarbledMessage -fuzztime 10s ./internal/gc
+	$(GO) test -run '^$$' -fuzz FuzzPSIMessages -fuzztime 10s ./internal/psi

@@ -41,7 +41,7 @@ func main() {
 	chunk := flag.Int("chunk", 0, "executor chunk size in tuples for measured secure runs: bounds the tuple-plane working set without changing a byte on the wire (0 = default 4096, negative = fully materialized)")
 	mem := flag.Bool("mem", false, "after each figure, print the memory profile of the measured secure runs (sampled peak heap, live-heap delta, bytes allocated)")
 	jsonOut := flag.String("json", "", "write all figure points as JSON to this file (\"-\" for stdout)")
-	backendName := flag.String("backend", "auto", "secure-join backend for the measured secure runs: auto (cost-based per step), psi-oep, bifrost or gc")
+	backendName := flag.String("backend", "auto", "secure-join backend for the measured secure runs: auto (cost-based per step), psi-oep or gc")
 	backends := flag.Bool("backends", false, "after each of the Q3/Q10/Q18 figures, measure the chosen-vs-forced backend deltas (one secure run per backend at the largest real scale) and include them in the JSON output")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /debug/vars, /debug/pprof and /debug/step on this address while benchmarking (enables metrics collection)")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON of the measured secure runs to this file")

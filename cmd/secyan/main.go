@@ -57,7 +57,7 @@ func main() {
 	debugLinger := flag.Duration("debug-linger", 0, "keep the debug server (and process) alive this long after the run finishes, so the final metrics can still be scraped")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON of the run to this file (open in chrome://tracing or ui.perfetto.dev)")
 	chunk := flag.Int("chunk", 0, "executor chunk size in tuples: bounds per-operator memory without changing a byte on the wire (0 = default 4096, negative = fully materialized); parties may even choose different sizes, transcripts are identical")
-	backendName := flag.String("backend", "auto", "secure-join backend for every applicable semijoin/aggregate step: auto (cost-based per step), psi-oep, bifrost or gc; unlike -chunk this changes the transcript, so both parties must agree")
+	backendName := flag.String("backend", "auto", "secure-join backend for every applicable semijoin/aggregate step: auto (cost-based per step), psi-oep or gc; unlike -chunk this changes the transcript, so both parties must agree")
 	logJSON := flag.Bool("log-json", false, "emit the structured observability event log (session/query lifecycle, backend auctions, precompute hits, transport faults) as JSON lines on stderr")
 	flightN := flag.Int("flight", 0, "retain the last N completed-query flight records, print them as a table after the run, and serve them at /debug/queries with -debug-addr (0 = off)")
 	daemonAddr := flag.String("daemon", "", "run as a client of a secyand daemon at this address (plays alice; -role/-listen/-connect are ignored); the daemon must serve a catalog generated with the same -scale and -seed")

@@ -18,7 +18,7 @@ import (
 // comparedBackends are the forced variants measured against the
 // cost-based default (listed first as the empty BackendID).
 var comparedBackends = []core.BackendID{
-	"", core.BackendPSIOEP, core.BackendBifrost, core.BackendGC,
+	"", core.BackendPSIOEP, core.BackendGC,
 }
 
 // RunBackendComparison executes spec once per backend — cost-based

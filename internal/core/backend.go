@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"sync"
 
-	"secyan/internal/bifrost"
 	"secyan/internal/gc"
 	"secyan/internal/gcbaseline"
 	"secyan/internal/oep"
+	"secyan/internal/ot"
 	"secyan/internal/psi"
 )
 
@@ -16,24 +16,17 @@ import (
 // its byte estimate plus the precompute demands (OT batches, circuits)
 // and OT-extension directions it would consume — and the compiler picks
 // the cheapest bid (or the forced one, where applicable), recording the
-// rejected alternatives on the step for Explain. The psi-oep bids
-// replicate the pre-backend cost logic exactly, so forcing psi-oep
-// reproduces the old plans byte for byte.
+// rejected alternatives on the step for Explain.
 
 // BackendID names a secure-join backend. The empty ID means "choose by
 // cost" in options; on a compiled PlanStep the ID is always concrete.
 type BackendID string
 
 const (
-	// BackendPSIOEP is the paper's circuit-phasing PSI + OEP pipeline
-	// (internal/psi, internal/oep) — the default path, applicable to
-	// every semijoin and aggregate.
+	// BackendPSIOEP is the paper's OPPRF-based circuit PSI + OEP
+	// pipeline (internal/psi, internal/oep) — the default path,
+	// applicable to every semijoin and aggregate.
 	BackendPSIOEP BackendID = "psi-oep"
-	// BackendBifrost is the simple-hashing comparison-circuit join of
-	// internal/bifrost, applicable to cross-party semijoins whose child
-	// annotations are plaintext at the child holder (the child's join
-	// key is unique by construction: it is always aggregated first).
-	BackendBifrost BackendID = "bifrost"
 	// BackendGC is the monolithic garbled-circuit baseline of
 	// internal/gcbaseline: quadratic circuits with no PSI or OEP,
 	// applicable (and occasionally cheapest) at tiny cardinalities.
@@ -53,12 +46,10 @@ func ParseBackend(s string) (BackendID, error) {
 		return "", nil
 	case string(BackendPSIOEP):
 		return BackendPSIOEP, nil
-	case string(BackendBifrost):
-		return BackendBifrost, nil
 	case string(BackendGC):
 		return BackendGC, nil
 	}
-	return "", fmt.Errorf("core: unknown backend %q (want auto, psi-oep, bifrost or gc)", s)
+	return "", fmt.Errorf("core: unknown backend %q (want auto, psi-oep or gc)", s)
 }
 
 // BackendChoice is one entry of a step's pricing table: a backend that
@@ -169,10 +160,7 @@ func semijoinBids(par, child nodeState, ell int) []backendBid {
 		b.cost += mulCost(par.n, ell)
 		if par.n > 0 {
 			b.needs[par.holder.Other()] = true
-			parN := par.n
-			b.circs = append(b.circs, preCirc{par.holder.Other(),
-				func() *gc.Circuit { return buildMulCircuit(parN, ell) }})
-			b.ots = append(b.ots, preOT{par.holder.Other(), 2 * par.n * ell})
+			b.ots = append(b.ots, preOT{par.holder.Other(), mulOTs(par.n, ell), mulMsgLen(ell)})
 		}
 		return b
 	}
@@ -186,76 +174,51 @@ func semijoinBids(par, child nodeState, ell int) []backendBid {
 		// annotation; no alternative alignment exists.
 		b := backendBid{id: BackendPSIOEP,
 			cost: oep.Cost(child.n, par.n, false),
-			ots:  []preOT{{par.holder.Other(), oep.Gates(child.n, par.n, false)}}}
+			ots:  []preOT{{sender: par.holder.Other(), m: oep.Gates(child.n, par.n, false)}}}
 		b.needs[par.holder.Other()] = true
 		return []backendBid{finish(b)}
 	case par.holder == child.holder:
 		// Same-party alignment is one OEP over the holder's local index
-		// map; PSI/bifrost/gc address the cross-party case only.
+		// map; PSI and gc address the cross-party case only.
 		b := backendBid{id: BackendPSIOEP,
 			cost: oep.Cost(child.n+1, par.n, false),
-			ots:  []preOT{{par.holder.Other(), oep.Gates(child.n+1, par.n, false)}}}
+			ots:  []preOT{{sender: par.holder.Other(), m: oep.Gates(child.n+1, par.n, false)}}}
 		b.needs[par.holder.Other()] = true
 		return []backendBid{finish(b)}
 	}
-	// Cross-party alignment: the contested case.
+	// Cross-party alignment: the contested case. Either PSI variant runs
+	// one OPRF batch and one per-bin circuit, both with the child holder
+	// as OT sender; the indexed one adds the ξ₂ OEP and, for shared
+	// payloads, the ξ₁ OEP in the opposite direction.
 	var bids []backendBid
 	{
+		pr := psi.NewParams(par.n, child.n)
+		npb := pr.N + pr.B
 		b := backendBid{id: BackendPSIOEP}
-		if child.plain {
-			pr := psi.NewParams(par.n, child.n)
-			if ell <= psi.IndexWidth(par.n, child.n) {
-				b.cost += psiDirectCost(par.n, child.n, ell)
-				b.circs = append(b.circs, preCirc{child.holder,
-					func() *gc.Circuit { return psi.BuildDirectCircuitForEstimate(pr, ell) }})
-				b.ots = append(b.ots, preOT{child.holder, pr.B * 64})
-			} else {
-				b.cost += psiIndexedCost(par.n, child.n, ell, false)
-				b.circs = append(b.circs, preCirc{child.holder,
-					func() *gc.Circuit { return psi.BuildClearIndexCircuitForEstimate(pr, ell) }})
-				b.ots = append(b.ots,
-					preOT{child.holder, pr.B * 64},
-					preOT{child.holder, oep.Gates(pr.N+pr.B, pr.B, false)})
-			}
-			b.cost += oep.Cost(pr.B, par.n, false)
-			b.ots = append(b.ots, preOT{child.holder, oep.Gates(pr.B, par.n, false)})
-			b.needs[par.holder.Other()] = true
-		} else {
-			pr := psi.NewParams(par.n, child.n)
-			npb := pr.N + pr.B
-			b.cost += psiIndexedCost(par.n, child.n, ell, true)
-			b.cost += oep.Cost(pr.B, par.n, false)
-			b.needs[par.holder.Other()] = true
-			// ξ1 runs with reversed roles: the child holder programs the
-			// permutation, so the parent holder is the OT sender.
-			b.needs[par.holder] = true
+		b.needs[child.holder] = true
+		bins := func(indexed bool) {
+			oprf, inputs, circ := pr.Demands(ell, indexed)
+			b.circs = append(b.circs, preCirc{child.holder, circ})
 			b.ots = append(b.ots,
-				preOT{par.holder, oep.Gates(npb, npb, true)},
-				preOT{par.holder.Other(), pr.B * 64},
-				preOT{par.holder.Other(), oep.Gates(npb, pr.B, false)},
-				preOT{par.holder.Other(), oep.Gates(pr.B, par.n, false)})
-			b.circs = append(b.circs, preCirc{par.holder.Other(),
-				func() *gc.Circuit { return psi.BuildClearIndexCircuitForEstimate(pr, ell) }})
+				preOT{sender: child.holder, m: oprf}, preOT{sender: child.holder, m: inputs})
 		}
-		bids = append(bids, finish(b))
-	}
-	// bifrost: simple hashing + one comparison circuit producing payload
-	// shares per receiver slot, then an OEP scattering slots onto parent
-	// tuples. Requires the child annotations plaintext at the child
-	// holder (its unique-key precondition holds: children are always
-	// aggregated on the join attributes first).
-	if child.plain && par.n > 0 && child.n > 0 {
-		pr := bifrost.NewParams(par.n, child.n)
-		slots := pr.Slots()
-		b := backendBid{id: BackendBifrost,
-			cost: bifrostAlignCost(par.n, child.n, ell) + oep.Cost(slots, par.n, false),
-			ots: []preOT{
-				{child.holder, slots * 64},
-				{child.holder, oep.Gates(slots, par.n, false)},
-			},
-			circs: []preCirc{{child.holder,
-				func() *gc.Circuit { return bifrost.BuildCircuitForEstimate(pr, ell) }}}}
-		b.needs[par.holder.Other()] = true
+		switch {
+		case child.plain && plainPSIDirect(par.n, child.n, ell):
+			b.cost += psiDirectCost(par.n, child.n, ell)
+			bins(false)
+		default:
+			b.cost += psiIndexedCost(par.n, child.n, ell, !child.plain)
+			if !child.plain {
+				// ξ1 runs with reversed roles: the child holder programs
+				// the permutation, so the parent holder is the OT sender.
+				b.needs[par.holder] = true
+				b.ots = append(b.ots, preOT{sender: par.holder, m: oep.Gates(npb, npb, true)})
+			}
+			bins(true)
+			b.ots = append(b.ots, preOT{sender: child.holder, m: oep.Gates(npb, pr.B, false)})
+		}
+		b.cost += oep.Cost(pr.B, par.n, false)
+		b.ots = append(b.ots, preOT{sender: child.holder, m: oep.Gates(pr.B, par.n, false)})
 		bids = append(bids, finish(b))
 	}
 	// gc: one monolithic circuit comparing every parent key against
@@ -265,7 +228,7 @@ func semijoinBids(par, child nodeState, ell int) []backendBid {
 		m, n := par.n, child.n
 		b := backendBid{id: BackendGC,
 			cost: gcAlignCost(m, n, ell),
-			ots:  []preOT{{child.holder, n*ell + m*64}},
+			ots:  []preOT{{sender: child.holder, m: n*ell + m*64}},
 			circs: []preCirc{{child.holder,
 				func() *gc.Circuit { return gcbaseline.AlignCircuit(m, n, ell) }}}}
 		b.needs[par.holder.Other()] = true
@@ -306,10 +269,19 @@ func mergeCost(n, ell int, kind mergeKind) int64 {
 	})
 }
 
-func mulCost(n, ell int) int64 {
-	return cachedCost(costKey{op: "mul", n: n, ell: ell}, func() int64 {
-		return circuitCost(buildMulCircuit(n, ell))
-	})
+// mulCost prices mulShares: one OT batch (see semijoin.go).
+func mulCost(n, ell int) int64 { return ot.ExtCost(mulOTs(n, ell), mulMsgLen(ell)) }
+
+// plainPSIDirect decides how a plaintext child annotation travels through
+// the cross-party PSI (§6.5): directly, as the hint's payload, or as an
+// index into the sender's locally shuffled vector (§5.5 without the ξ₁
+// OEP). Both are exact closed forms over public sizes, so the planner and
+// both parties' operators reach the same verdict: the cheaper one. The
+// direct hint carries ℓ bits per slot where the indexed one carries
+// ⌈log₂(N+B)⌉ but pays a second OEP over N+B elements, so direct wins
+// for large children and indexed for small ones.
+func plainPSIDirect(m, n, ell int) bool {
+	return psiDirectCost(m, n, ell) <= psiIndexedCost(m, n, ell, false)
 }
 
 func psiDirectCost(m, n, ell int) int64 {
@@ -325,12 +297,6 @@ func psiIndexedCost(m, n, ell int, shared bool) int64 {
 	}
 	return cachedCost(costKey{op: "psi-indexed", m: m, n: n, ell: ell, variant: v}, func() int64 {
 		return psi.IndexedCost(m, n, ell, shared)
-	})
-}
-
-func bifrostAlignCost(m, n, ell int) int64 {
-	return cachedCost(costKey{op: "bifrost-align", m: m, n: n, ell: ell}, func() int64 {
-		return bifrost.AlignCost(m, n, ell)
 	})
 }
 

@@ -14,8 +14,8 @@ import (
 // Backend-equivalence suite (DESIGN.md §13): every secure-join backend
 // must compute the same query results as the cost-based default, the
 // default must be the cheapest applicable bid of every auction, and the
-// bifrost/gc transcripts must be as deterministic and oblivious as the
-// PSI+OEP path they replace. `make race-backends` repeats this suite
+// gc transcripts must be as deterministic and oblivious as the PSI+OEP
+// path they replace. `make race-backends` repeats this suite
 // under the race detector.
 
 // backendFixtures are the driver shapes the suite runs: a reduce-only
@@ -80,7 +80,7 @@ func TestBackendForcedEquivalence(t *testing.T) {
 			want := plaintextReference(t, tc.q, tc.rels)
 			base, _, _, _ := runBackend(t, tc.q, tc.rels, "")
 			compareResults(t, tc.name+"/auto", base, want)
-			for _, b := range []BackendID{BackendPSIOEP, BackendBifrost, BackendGC} {
+			for _, b := range []BackendID{BackendPSIOEP, BackendGC} {
 				got, _, _, _ := runBackend(t, tc.q, tc.rels, b)
 				compareResults(t, tc.name+"/"+string(b), got, want)
 			}
@@ -137,7 +137,7 @@ func TestBackendDefaultIsArgmin(t *testing.T) {
 // own bid (not the cheapest one's).
 func TestBackendForcedPlanRecorded(t *testing.T) {
 	for _, tc := range backendFixtures(t) {
-		for _, b := range []BackendID{BackendPSIOEP, BackendBifrost, BackendGC} {
+		for _, b := range []BackendID{BackendPSIOEP, BackendGC} {
 			plan, err := ExplainOpts(tc.q, testRing.Bits, Options{Backend: b})
 			if err != nil {
 				t.Fatal(err)
@@ -176,7 +176,7 @@ func TestBackendForcedPlanRecorded(t *testing.T) {
 func TestBackendTranscriptDeterminism(t *testing.T) {
 	for _, tc := range backendFixtures(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, b := range []BackendID{BackendPSIOEP, BackendBifrost, BackendGC} {
+			for _, b := range []BackendID{BackendPSIOEP, BackendGC} {
 				r1, t1, a1, b1 := runBackend(t, tc.q, tc.rels, b)
 				r2, t2, a2, b2 := runBackend(t, tc.q, tc.rels, b)
 				if !relsEqual(r1, r2) {
@@ -199,7 +199,7 @@ func TestBackendTranscriptDeterminism(t *testing.T) {
 // to the forced backends: two executions over different private data of
 // identical public dimensions must exchange identical byte counts.
 func TestBackendObliviousness(t *testing.T) {
-	for _, b := range []BackendID{BackendBifrost, BackendGC} {
+	for _, b := range []BackendID{BackendPSIOEP, BackendGC} {
 		run := func(seed int64) (transport.Stats, transport.Stats) {
 			rng := rand.New(rand.NewSource(seed))
 			q, rels := example11Query(rng, 10, 16)
@@ -222,7 +222,7 @@ func TestBackendObliviousness(t *testing.T) {
 // just the default.
 func TestBackendEstimatesMatchMeasured(t *testing.T) {
 	for _, tc := range backendFixtures(t) {
-		for _, b := range []BackendID{"", BackendPSIOEP, BackendBifrost, BackendGC} {
+		for _, b := range []BackendID{"", BackendPSIOEP, BackendGC} {
 			_, tr, _, _ := runBackend(t, tc.q, tc.rels, b)
 			for _, s := range tr.Steps {
 				if s.Phase != "reduce" && s.Phase != "semijoin" {
@@ -247,7 +247,7 @@ func TestBackendParse(t *testing.T) {
 		{"", "", true},
 		{"auto", "", true},
 		{"psi-oep", BackendPSIOEP, true},
-		{"bifrost", BackendBifrost, true},
+		{"bifrost", "", false},
 		{"gc", BackendGC, true},
 		{"local", "", false},
 		{"yao", "", false},

@@ -4,15 +4,17 @@ import (
 	"testing"
 
 	"secyan/internal/gc"
+	"secyan/internal/ot"
 )
 
 // TestOperatorCostsMatchBuiltCircuits pins what every operator estimate
 // rests on, for every n up to 64 and a handful of larger sizes: the
 // merge chain's tuple-count interpolation against circuits built
-// outright, and each slot-built operator circuit (annotation product and
-// multiplication, reveal) against the same per-tuple gadget looped n
-// times in one builder — how it was built before circuits had slots, so
-// the byte-exact plan estimates have not moved.
+// outright, and each slot-built operator circuit (annotation product,
+// reveal) against the same per-tuple gadget looped n
+// times in one builder — how it was built before circuits had slots.
+// The share multiplication is no circuit: mulCost is the closed form of
+// its one OT batch, pinned here to the OT layer's own predictor.
 func TestOperatorCostsMatchBuiltCircuits(t *testing.T) {
 	const ell = 32
 	sizes := []int{97, 200}
@@ -26,13 +28,16 @@ func TestOperatorCostsMatchBuiltCircuits(t *testing.T) {
 			}
 		}
 	}
+	for _, n := range sizes {
+		if got, want := mulCost(n, ell), ot.ExtCost(2*n*ell, ell/8); got != want {
+			t.Fatalf("mul n=%d: predicted %d bytes, one batch of 2nℓ OTs costs %d", n, got, want)
+		}
+	}
 	type shape struct {
 		build  func(n int) *gc.Circuit
 		gadget func(b *gc.Builder)
 	}
 	shapes := map[string]shape{
-		"mul": {func(n int) *gc.Circuit { return buildMulCircuit(n, ell) },
-			func(b *gc.Builder) { mulGadget(b, ell) }},
 		"product-3": {func(n int) *gc.Circuit { return buildProductCircuit(n, 3, ell) },
 			func(b *gc.Builder) { productGadget(b, 3, ell) }},
 		"reveal": {func(n int) *gc.Circuit { return buildRevealCircuit(n, 2, ell, false) },

@@ -22,10 +22,9 @@ var (
 	// Per-backend step counters: how often the auction (or a forced
 	// option) routed a semijoin/aggregate step to each backend.
 	mBackendSteps = map[BackendID]*obs.Counter{
-		BackendPSIOEP:  obs.NewCounter("secyan_core_backend_psi_oep_steps_total", "Plan steps served by the psi-oep backend."),
-		BackendBifrost: obs.NewCounter("secyan_core_backend_bifrost_steps_total", "Plan steps served by the bifrost backend."),
-		BackendGC:      obs.NewCounter("secyan_core_backend_gc_steps_total", "Plan steps served by the gc backend."),
-		BackendLocal:   obs.NewCounter("secyan_core_backend_local_steps_total", "Plan steps with no protocol choice (local/degenerate)."),
+		BackendPSIOEP: obs.NewCounter("secyan_core_backend_psi_oep_steps_total", "Plan steps served by the psi-oep backend."),
+		BackendGC:     obs.NewCounter("secyan_core_backend_gc_steps_total", "Plan steps served by the gc backend."),
+		BackendLocal:  obs.NewCounter("secyan_core_backend_local_steps_total", "Plan steps with no protocol choice (local/degenerate)."),
 	}
 	// Query-scoped labeled metrics (bounded cardinality, see
 	// DESIGN.md §14): per-phase/backend step attribution and per-shape

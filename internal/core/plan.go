@@ -43,18 +43,29 @@ const (
 	stepRevealAnnotations
 )
 
-// otMsgLen is the message width of every protocol-level OT batch: gc
-// input labels and oep/psi payload pairs are all 16 bytes.
+// otMsgLen is the message width of every protocol-level OT batch but the
+// share multiplication's: gc input labels, oep payload pairs and the PSI
+// OPRF's pads are all 16 bytes.
 const otMsgLen = 16
 
 // preOT is one OT-extension batch a plan step will run, identified by
-// the sending role and the batch size. The sequence of preOTs across a
-// plan's steps is exactly the sequence of Send/Receive batches the
-// executor issues per direction, which is what lets Precompute fill the
-// random-OT pools so every online batch derandomizes a pooled one.
+// the sending role, the batch size and the message width. The sequence
+// of preOTs across a plan's steps is exactly the sequence of batches —
+// chosen-message or random — the executor issues per direction, which
+// is what lets Precompute fill the random-OT pools so every online
+// batch derandomizes a pooled one.
 type preOT struct {
 	sender mpc.Role
 	m      int
+	msgLen int // 0 = otMsgLen
+}
+
+// width is the batch's message width in bytes.
+func (d preOT) width() int {
+	if d.msgLen == 0 {
+		return otMsgLen
+	}
+	return d.msgLen
 }
 
 // preCirc is one garbled circuit a plan step will run. The build closure
@@ -217,21 +228,23 @@ type (
 // pre-costing planner would have picked.
 func ExplainOpts(q *Query, ringBits int, opts Options) (*Plan, error) {
 	switch opts.Backend {
-	case "", BackendPSIOEP, BackendBifrost, BackendGC:
+	case "", BackendPSIOEP, BackendGC:
 	default:
-		return nil, fmt.Errorf("core: unknown backend %q (want auto, psi-oep, bifrost or gc)", opts.Backend)
+		return nil, fmt.Errorf("core: unknown backend %q (want auto, psi-oep or gc)", opts.Backend)
 	}
+	plans := map[*jointree.Tree]*Plan{}
 	tree, err := q.Hypergraph().PlanCosted(q.Output, func(t *jointree.Tree) (int64, error) {
 		pl, err := compileTree(q, t, ringBits, opts)
 		if err != nil {
 			return 0, err
 		}
+		plans[t] = pl
 		return pl.EstBytes, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return compileTree(q, tree, ringBits, opts)
+	return plans[tree], nil
 }
 
 // nodeState is the public protocol state of one tree node during
@@ -287,7 +300,10 @@ func compileTree(q *Query, tree *jointree.Tree, ringBits int, opts Options) (*Pl
 	ell := ringBits
 	plan := &Plan{Root: q.Inputs[tree.Root].Name, EstOut: estOut, ChunkSize: chunk,
 		tree: tree, singleNode: -1}
-	var steps []PlanStep
+	// Room for every step a node can contribute: the candidate trees of
+	// one ExplainOpts are all compiled, so regrowing here is what a warm
+	// plan mostly costs.
+	steps := make([]PlanStep, 0, 10*len(q.Inputs)+3)
 	add := func(s PlanStep) { steps = append(steps, s) }
 	// needOT tracks which OT-extension directions the plan uses, indexed
 	// by the sending role; matching setup steps are prepended at the end.
@@ -346,7 +362,7 @@ func compileTree(q *Query, tree *jointree.Tree, ringBits int, opts Options) (*Pl
 		withRows := st.holder == mpc.Bob
 		circs := []preCirc{{mpc.Bob,
 			func() *gc.Circuit { return buildRevealCircuit(n, cols, ell, withRows) }}}
-		ots := []preOT{{mpc.Bob, n * ell}}
+		ots := []preOT{{sender: mpc.Bob, m: n * ell}}
 		return revealCost(n, cols, ell, withRows), ots, circs
 	}
 
@@ -524,7 +540,7 @@ func compileTree(q *Query, tree *jointree.Tree, ringBits int, opts Options) (*Pl
 // composed query reuses a party's existing OT sessions the setup steps
 // execute as free cache hits.
 func (p *Plan) seal(steps []PlanStep, needOT [2]bool) *Plan {
-	var all []PlanStep
+	all := make([]PlanStep, 0, 2+len(steps))
 	for _, r := range []mpc.Role{mpc.Alice, mpc.Bob} {
 		if needOT[r] {
 			all = append(all, PlanStep{Phase: "setup", Op: "base-ot", Node: r.String() + " sends",
@@ -543,10 +559,13 @@ func (p *Plan) seal(steps []PlanStep, needOT [2]bool) *Plan {
 		if s.kind == stepOTSetup {
 			s.EstOfflineBytes = s.EstBytes
 		} else {
+			// A pooled batch trades its correction matrix for one
+			// derandomization bit per OT, chosen-message and random
+			// (ot.RandomCost) batches alike.
 			var saved int64
 			for _, d := range s.preOTs {
 				s.EstOfflineBytes += ot.ExtOfflineCost(d.m)
-				saved += ot.ExtCost(d.m, otMsgLen) - ot.ExtOnlineCost(d.m, otMsgLen)
+				saved += ot.ExtCost(d.m, d.width()) - ot.ExtOnlineCost(d.m, d.width())
 			}
 			s.EstOnlineBytes = s.EstBytes - saved
 		}

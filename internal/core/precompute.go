@@ -278,7 +278,7 @@ func ex1Offline(pp *mpc.Party, st *PlanStep) error {
 			if err != nil {
 				return err
 			}
-			if err := snd.FillRandom(d.m, otMsgLen); err != nil {
+			if err := snd.FillRandom(d.m, d.width()); err != nil {
 				return err
 			}
 		} else {
@@ -286,7 +286,7 @@ func ex1Offline(pp *mpc.Party, st *PlanStep) error {
 			if err != nil {
 				return err
 			}
-			if err := rcv.FillRandom(d.m, otMsgLen); err != nil {
+			if err := rcv.FillRandom(d.m, d.width()); err != nil {
 				return err
 			}
 		}

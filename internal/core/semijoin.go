@@ -1,9 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
-	"secyan/internal/bifrost"
 	"secyan/internal/gc"
 	"secyan/internal/gcbaseline"
 	"secyan/internal/mpc"
@@ -22,36 +22,31 @@ import (
 //
 //   - cross-party (paper §6.2 main protocol): PSI with secret-shared
 //     payloads aligns child annotations to the parent holder's cuckoo
-//     bins, an OEP maps bins to parent tuples, and a garbled circuit
-//     multiplies;
+//     bins, an OEP maps bins to parent tuples, and an OT batch
+//     multiplies (mulShares);
 //   - same-party (paper §6.2 last paragraph): the holder pairs tuples
-//     locally, one OEP replaces the PSI, and the same circuit multiplies.
+//     locally, one OEP replaces the PSI, and the same batch multiplies.
 //
 // Semijoin computes the general R_F ⋉^⊗ R_{F'} by first applying the
 // oblivious π¹ to the child (§6.2: R_F ⋈^⊗ π¹_{F∩F'}(R_{F'})).
 
-// mulGadget multiplies one pair of shared values: the evaluator inputs
-// its shares of a and b; the garbler's shares and the negated output mask
-// enter as private bits, in that order; the evaluator receives (a·b - r).
-func mulGadget(b *gc.Builder, ell int) {
-	a := b.AddPrivate(b.EvalInputWord(ell), b.PrivateWord(ell))
-	bb := b.AddPrivate(b.EvalInputWord(ell), b.PrivateWord(ell))
-	b.OutputWordToEval(b.AddPrivate(b.Mul(a, bb), b.PrivateWord(ell)))
-}
+// mulOTs and mulMsgLen are the dimensions of mulShares' one OT batch: a
+// 1-out-of-2 OT per bit of both of the receiver's shares of every pair,
+// with ℓ-bit messages.
+func mulOTs(n, ell int) int { return 2 * n * ell }
+func mulMsgLen(ell int) int { return (ell + 7) / 8 }
 
-// buildMulCircuit multiplies n pairs of shared values: mulGadget as one
-// slot, repeated per item.
-func buildMulCircuit(n, ell int) *gc.Circuit {
-	b := gc.NewBuilder()
-	mulGadget(b, ell)
-	return b.BuildSlots(n)
-}
-
-// mulShares runs buildMulCircuit over aligned share vectors: the result
-// is a fresh sharing of a_i ⊗ b_i. evalRole receives the circuit outputs;
-// the other party garbles. Bit assembly strides in chunks; the single
-// circuit execution is the protocol's wire contract and stays whole.
-func mulShares(p *mpc.Party, aShares, bShares []uint64, evalRole mpc.Role, chunk int) ([]uint64, error) {
+// mulShares multiplies aligned share vectors: the result is a fresh
+// sharing of a_i ⊗ b_i. Each party multiplies its own two shares
+// locally; the two cross terms of (a₀+a₁)(b₀+b₁) go through one OT batch
+// (Gilboa): for bit k of recvRole's share of b the other party offers
+// (r, r + a·2^k) for a fresh random r, so the chosen messages sum to
+// a·b_recv + Σr while the sender keeps −Σr, and likewise for the bits of
+// recvRole's share of a against the sender's b. The sender's r's make
+// its output share uniform, hence the sharing fresh. Message assembly
+// strides in chunks; the single batch is the protocol's wire contract
+// and stays whole.
+func mulShares(p *mpc.Party, aShares, bShares []uint64, recvRole mpc.Role, chunk int) ([]uint64, error) {
 	if len(aShares) != len(bShares) {
 		return nil, fmt.Errorf("core: mulShares length mismatch %d vs %d", len(aShares), len(bShares))
 	}
@@ -59,42 +54,67 @@ func mulShares(p *mpc.Party, aShares, bShares []uint64, evalRole mpc.Role, chunk
 	if n == 0 {
 		return nil, nil
 	}
-	ell := p.Ring.Bits
-	circ := buildMulCircuit(n, ell)
-	if p.Role == evalRole {
-		evalBits := make([]bool, 0, 2*n*ell)
-		relation.Range(n, chunk, func(lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				evalBits = gc.AppendBits(evalBits, aShares[i], ell)
-				evalBits = gc.AppendBits(evalBits, bShares[i], ell)
-			}
-			return nil
-		})
-		out, err := p.RunCircuit(circ, evalBits, nil, evalRole.Other())
+	ring := p.Ring
+	ell, msgLen := ring.Bits, mulMsgLen(ring.Bits)
+	res := make([]uint64, n)
+	if p.Role == recvRole {
+		rcv, err := p.OTReceiver()
 		if err != nil {
 			return nil, err
 		}
-		res := make([]uint64, n)
+		choices := make([]bool, 0, mulOTs(n, ell))
 		relation.Range(n, chunk, func(lo, hi int) error {
 			for i := lo; i < hi; i++ {
-				res[i] = p.Ring.Mask(gc.UintOfBits(out[i*ell : (i+1)*ell]))
+				choices = gc.AppendBits(choices, bShares[i], ell)
+				choices = gc.AppendBits(choices, aShares[i], ell)
+			}
+			return nil
+		})
+		msgs, err := rcv.Receive(choices, msgLen)
+		if err != nil {
+			return nil, err
+		}
+		var word [8]byte
+		relation.Range(n, chunk, func(lo, hi int) error {
+			for i := lo; i < hi; i++ {
+				sum := aShares[i] * bShares[i]
+				for _, m := range msgs[2*ell*i : 2*ell*(i+1)] {
+					copy(word[:], m)
+					sum += binary.LittleEndian.Uint64(word[:])
+				}
+				res[i] = ring.Mask(sum)
 			}
 			return nil
 		})
 		return res, nil
 	}
-	priv := make([]bool, 0, 3*n*ell)
-	res := make([]uint64, n)
+	snd, err := p.OTSender()
+	if err != nil {
+		return nil, err
+	}
+	pairs := make([][2][]byte, mulOTs(n, ell))
+	back := make([]byte, 2*len(pairs)*msgLen)
+	var word [8]byte
 	relation.Range(n, chunk, func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
-			res[i] = p.Ring.Random(p.PRG)
-			priv = gc.AppendBits(priv, aShares[i], ell)
-			priv = gc.AppendBits(priv, bShares[i], ell)
-			priv = gc.AppendBits(priv, p.Ring.Neg(res[i]), ell)
+			sum := aShares[i] * bShares[i]
+			for half, x := range [2]uint64{aShares[i], bShares[i]} {
+				for k := 0; k < ell; k++ {
+					j := (2*i+half)*ell + k
+					r := ring.Random(p.PRG)
+					sum -= r
+					for c, v := range [2]uint64{r, ring.Mask(r + x<<uint(k))} {
+						binary.LittleEndian.PutUint64(word[:], v)
+						pairs[j][c] = back[(2*j+c)*msgLen : (2*j+c+1)*msgLen]
+						copy(pairs[j][c], word[:])
+					}
+				}
+			}
+			res[i] = ring.Mask(sum)
 		}
 		return nil
 	})
-	if _, err := p.RunCircuit(circ, nil, priv, evalRole.Other()); err != nil {
+	if err := snd.Send(pairs); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -149,7 +169,7 @@ func semijoinIntoChunked(p *mpc.Party, dg *relation.DummyGen, parent, child *Sha
 	switch {
 	case child.N == 0:
 		// An empty child annihilates every parent annotation: multiply by
-		// a (trivial) sharing of zero, refreshed by the product circuit.
+		// a (trivial) sharing of zero, refreshed by the multiplication.
 		zShares = make([]uint64, parent.N)
 	case len(child.Schema.Attrs) == 0:
 		// Scalar child (no attributes): by construction of the oblivious
@@ -158,8 +178,6 @@ func semijoinIntoChunked(p *mpc.Party, dg *relation.DummyGen, parent, child *Sha
 		zShares, err = alignScalar(p, parent, child)
 	case parent.Holder == child.Holder:
 		zShares, err = alignSameParty(p, dg, parent, child, chunk)
-	case backend == BackendBifrost:
-		zShares, err = alignBifrost(p, dg, parent, child, chunk)
 	case backend == BackendGC:
 		zShares, err = alignGC(p, parent, child, chunk)
 	case child.Plain:
@@ -278,15 +296,14 @@ func binAlignment(p *mpc.Party, res *psi.Result, keyOf []uint64) ([]uint64, erro
 }
 
 // alignCrossPartyPlain is the §6.5 fast path: the child's annotations are
-// plaintext to its holder. Two plain-payload strategies exist in this
-// instantiation and the cheaper one is chosen from public parameters:
-// carrying the ℓ-bit payload directly in the PSI comparison circuit
-// (wins when ℓ is below the index width), or the indexed construction of
-// §5.5 with the first OEP replaced by the sender's free local shuffle
-// (wins for typical ℓ=32 annotations).
+// plaintext to its holder. Two plain-payload strategies exist and the
+// cheaper one is chosen from public parameters (plainPSIDirect): carrying
+// the ℓ-bit payload directly through the PSI's hint and circuit, or the
+// indexed construction of §5.5 with the first OEP replaced by the
+// sender's free local shuffle.
 func alignCrossPartyPlain(p *mpc.Party, dg *relation.DummyGen, parent, child *SharedRelation, chunk int) ([]uint64, error) {
 	m := parent.N
-	direct := p.Ring.Bits <= psi.IndexWidth(m, child.N)
+	direct := plainPSIDirect(m, child.N, p.Ring.Bits)
 	if p.Role != parent.Holder {
 		keys, err := childKeys(child.Rel, chunk)
 		if err != nil {
@@ -317,45 +334,6 @@ func alignCrossPartyPlain(p *mpc.Party, dg *relation.DummyGen, parent, child *Sh
 		return nil, err
 	}
 	return binAlignment(p, res, keyOf)
-}
-
-// alignBifrost is the bifrost backend's cross-party alignment: both
-// parties simple-hash the join keys, one comparison circuit produces
-// payload shares per receiver slot, and the parent holder's OEP
-// scatters slots onto parent tuples — no cuckoo table and no separate
-// index circuit. Selected by the planner only when the child's
-// annotations are plaintext at its holder (§6.5 conditions), which also
-// guarantees bifrost's unique-sender-key precondition.
-func alignBifrost(p *mpc.Party, dg *relation.DummyGen, parent, child *SharedRelation, chunk int) ([]uint64, error) {
-	m := parent.N
-	if p.Role != parent.Holder {
-		keys, err := childKeys(child.Rel, chunk)
-		if err != nil {
-			return nil, err
-		}
-		res, err := bifrost.RunSender(p, keys, child.Annot, m)
-		if err != nil {
-			return nil, err
-		}
-		return oep.RunHelper(p, res.Params.Slots(), m, res.PayShares)
-	}
-	xs, keyOf, err := parentKeysForPSI(parent, child, dg, chunk)
-	if err != nil {
-		return nil, err
-	}
-	res, err := bifrost.RunReceiver(p, xs, child.N)
-	if err != nil {
-		return nil, err
-	}
-	xi := make([]int, m)
-	for j, k := range keyOf {
-		s, ok := res.SlotOf[k]
-		if !ok {
-			return nil, fmt.Errorf("core: parent key missing from bifrost slots")
-		}
-		xi[j] = s
-	}
-	return oep.RunProgrammer(p, xi, res.Params.Slots(), res.PayShares)
 }
 
 // alignGC is the monolithic-GC backend's cross-party alignment: a

@@ -46,11 +46,12 @@ func NumBins(m int) int {
 	return b
 }
 
-// binKey builds the fixed-key AES input block for element x under seed:
+// KeyBlock builds the fixed-key AES input block for element x under seed:
 // the 128-bit seed with x folded into its low 8 bytes. Distinct elements
 // give distinct blocks for any seed, and the random per-table seed makes
-// the bin assignment fresh per build.
-func binKey(seed prf.Seed, x uint64) prf.Block {
+// the bin assignment (and the PSI's hint rows, which hash the same block
+// under their own tweak) fresh per build.
+func KeyBlock(seed prf.Seed, x uint64) prf.Block {
 	k := prf.Block(seed)
 	binary.LittleEndian.PutUint64(k[:8],
 		binary.LittleEndian.Uint64(k[:8])^x)
@@ -63,11 +64,11 @@ func binOfHash(h prf.Block, b int) int {
 }
 
 // BinOf returns hash function `which` (0..2) of x over b bins, keyed by
-// seed: the fixed-key AES MMO hash of binKey(seed, x) under the PSI
+// seed: the fixed-key AES MMO hash of KeyBlock(seed, x) under the PSI
 // tweak domain, with `which` as the tweak. Both parties evaluate it on
 // their own sets, so it must be cheap and deterministic.
 func BinOf(seed prf.Seed, b int, x uint64, which int) int {
-	return binOfHash(prf.HashBlock(binKey(seed, x), prf.SitePSI|uint64(which)), b)
+	return binOfHash(prf.HashBlock(KeyBlock(seed, x), prf.SitePSI|uint64(which)), b)
 }
 
 // BinsOf computes BinOf for every element of xs under one hash function
@@ -83,7 +84,7 @@ func BinsOf(seed prf.Seed, b int, xs []uint64, which int, out []int) {
 			n = len(blk)
 		}
 		for k := 0; k < n; k++ {
-			blk[k] = binKey(seed, xs[base+k])
+			blk[k] = KeyBlock(seed, xs[base+k])
 		}
 		prf.HashBlocks(blk[:n], blk[:n], prf.SitePSI|uint64(which), 0)
 		for k := 0; k < n; k++ {

@@ -154,6 +154,36 @@ func TestMul(t *testing.T) {
 		func(x, y uint64) uint64 { return x * y })
 }
 
+// TestMulGateCount pins the multiplier's size at every width up to 64
+// and its value against uint64 arithmetic: partial product i has i known
+// zero low bits, so it is added at width n−i — n(n+1)/2 partial-product
+// ANDs plus (n−1)(n−2)/2 adder ANDs (993 at ℓ = 32, where adding every
+// partial product at full width spent 1 489).
+func TestMulGateCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for n := 1; n <= 64; n++ {
+		b := NewBuilder()
+		x := b.GarblerInputWord(n)
+		y := b.EvalInputWord(n)
+		b.OutputWordToEval(b.Mul(x, y))
+		c := b.Build()
+		if want := n*(n+1)/2 + (n-1)*(n-2)/2; c.NumAnd != want || c.NumAndG != 0 {
+			t.Fatalf("n=%d: %d AND + %d ANDG gates, want %d AND", n, c.NumAnd, c.NumAndG, want)
+		}
+		mask := ^uint64(0) >> uint(64-n)
+		for i := 0; i < 20; i++ {
+			xv, yv := rng.Uint64()&mask, rng.Uint64()&mask
+			out, _, err := c.EvalPlain(BitsOfUint(xv, n), BitsOfUint(yv, n), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := UintOfBits(out); got != xv*yv&mask {
+				t.Fatalf("n=%d: %d·%d = %d, want %d", n, xv, yv, got, xv*yv&mask)
+			}
+		}
+	}
+}
+
 func TestNeg(t *testing.T) {
 	checkWordOpPlain(t, "neg", func(b *Builder, x, y Word) Word { return b.Add(b.Neg(x), y) },
 		func(x, y uint64) uint64 { return y - x })

@@ -78,12 +78,9 @@ func finishGarbler(conn transport.Conn, otSend *ot.Sender, c *Circuit, gb *garbl
 	if nOut == 0 {
 		return nil, nil
 	}
-	masked, err := conn.Recv()
+	masked, err := transport.RecvSized(conn, "gc: masked outputs", len(gb.outPerm))
 	if err != nil {
 		return nil, err
-	}
-	if len(masked) != len(gb.outPerm) {
-		return nil, fmt.Errorf("gc: masked outputs have %d bytes, want %d", len(masked), len(gb.outPerm))
 	}
 	out := make([]bool, nOut)
 	for i := range out {
@@ -100,12 +97,10 @@ func RunEvaluator(conn transport.Conn, otRecv *ot.Receiver, c *Circuit, inputs [
 	if want := c.Slots * len(c.EvalInputs); len(inputs) != want {
 		return nil, fmt.Errorf("gc: evaluator got %d input bits, want %d", len(inputs), want)
 	}
-	msg, err := conn.Recv()
+	_, _, want := c.msgLayout()
+	msg, err := transport.RecvSized(conn, "gc: garbled message", want)
 	if err != nil {
 		return nil, err
-	}
-	if _, _, want := c.msgLayout(); len(msg) != want {
-		return nil, fmt.Errorf("gc: garbled message has %d bytes, want %d", len(msg), want)
 	}
 	var labels [][]byte
 	if len(inputs) > 0 {

@@ -218,20 +218,16 @@ func (b *Builder) GreaterEq(x, y Word) Wire {
 
 // Mul returns (x * y) mod 2^n via shift-and-add; O(n²) AND gates. This is
 // the ⊗ of the (Z_{2^ℓ}, +, ×) semiring used for sum-of-products queries.
+// Partial product i is x·y[i] shifted left by i, so its low i bits are
+// known zeros and only its n−i significant bits are added, into the top
+// n−i bits of the accumulator: (n−1)(n−2)/2 adder ANDs on top of the
+// n(n+1)/2 partial-product ANDs.
 func (b *Builder) Mul(x, y Word) Word {
 	mustSameLen(x, y)
 	n := len(x)
 	acc := b.ANDWordBit(x, y[0])
 	for i := 1; i < n; i++ {
-		// partial product: (x << i) & y[i], truncated to n bits
-		part := make(Word, n)
-		for j := 0; j < i; j++ {
-			part[j] = b.Const0()
-		}
-		for j := i; j < n; j++ {
-			part[j] = b.AND(x[j-i], y[i])
-		}
-		acc = b.Add(acc, part)
+		copy(acc[i:], b.Add(acc[i:], b.ANDWordBit(x[:n-i], y[i])))
 	}
 	return acc
 }

@@ -38,7 +38,6 @@ var (
 	mExtOTs     = obs.NewCounter("secyan_ot_ext_total", "IKNP extension OT instances executed (sender+receiver sides of this process).")
 	mExtBatches = obs.NewCounter("secyan_ot_ext_batches_total", "IKNP extension batches (Send/Receive calls).")
 	mExtNs      = obs.NewHistogram("secyan_ot_ext_ns", "Latency of one IKNP extension batch, nanoseconds.")
-	mExtRate    = obs.NewGauge("secyan_ot_ext_ots_per_second", "Throughput of the most recent online IKNP extension batch (Send/Receive call), OTs/second.")
 )
 
 // ExtKernelTotals reports the cumulative online extension-OT count and

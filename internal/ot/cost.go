@@ -27,6 +27,13 @@ func ExtCost(m, msgLen int) int64 {
 	return int64(kappa/8)*int64(mPad) + 2*int64(m)*int64(msgLen)
 }
 
+// RandomCost returns the total bytes of one direct SendRandom/
+// ReceiveRandom batch of m random OTs: the receiver's κ×mPad correction
+// matrix and nothing else — the pads are the outputs, so no ciphertext
+// follows. It is what FillRandom moves for a batch of the same size; a
+// pooled batch costs ⌈m/8⌉ derandomization bits online instead.
+func RandomCost(m int) int64 { return ExtOfflineCost(m) }
+
 // ExtOfflineCost returns the bytes a precomputed (FillRandom) batch of m
 // OTs moves during the offline phase: only the receiver's κ×mPad
 // correction matrix. Message width is irrelevant offline — pads are

@@ -14,12 +14,19 @@ import (
 // kappa is the number of base OTs / the width of the IKNP matrix.
 const kappa = 128
 
-// otRate converts an instance count and elapsed time to OTs/second.
-func otRate(m int, d time.Duration) int64 {
-	if d <= 0 {
-		return 0
+// observeExt records one online extension batch of m OTs on the obs
+// layer when the returned function runs; with obs off it costs one
+// atomic load.
+func observeExt(m int) func() {
+	if !obs.Enabled() {
+		return func() {}
 	}
-	return int64(float64(m) / d.Seconds())
+	startT := time.Now()
+	return func() {
+		mExtOTs.Add(int64(m))
+		mExtBatches.Inc()
+		mExtNs.Observe(time.Since(startT).Nanoseconds())
+	}
 }
 
 // Sender is the message-sending endpoint of an IKNP OT-extension session.
@@ -112,10 +119,12 @@ func derivePad(dst []byte, idx uint64, row prf.Block) {
 // hashRowPads derives the pads of OT instances [lo, hi) in bulk:
 // instance j's key is row j of rows (XORed with mask when non-nil),
 // hashed under tweak idx+j, and its pad lands at
-// dst[j·stride·msgLen : j·stride·msgLen+msgLen]. The protocol-standard
-// msgLen of 16 bytes runs the batched HashBlocks kernel — one row
-// gather and one AES sweep per padBatch instances; other widths fall
-// back to per-instance derivation. Zero heap allocations either way.
+// dst[j·stride·msgLen : j·stride·msgLen+msgLen]. Pads of at most one
+// block — the 16-byte labels and switch payloads, the ℓ/8-byte products
+// of share multiplication — run the batched HashBlocks kernel, one row
+// gather and one AES sweep per padBatch instances, truncated to msgLen;
+// wider ones fall back to per-instance derivation. Zero heap allocations
+// either way.
 func hashRowPads(dst []byte, stride int, rows *bitutil.Matrix, mask *[kappa / 8]byte, idx uint64, lo, hi, msgLen int) {
 	var src, out [padBatch]prf.Block
 	for base := lo; base < hi; base += padBatch {
@@ -129,7 +138,7 @@ func hashRowPads(dst []byte, stride int, rows *bitutil.Matrix, mask *[kappa / 8]
 				prf.XORBytes(src[k][:], src[k][:], mask[:])
 			}
 		}
-		if msgLen == 16 {
+		if msgLen <= 16 {
 			prf.HashBlocks(out[:n], src[:n], otTweak(idx+uint64(base)), 1)
 			for k := 0; k < n; k++ {
 				off := (base + k) * stride * msgLen
@@ -155,17 +164,7 @@ func (r *Receiver) Receive(choices []bool, msgLen int) ([][]byte, error) {
 	if m == 0 {
 		return nil, nil
 	}
-	var startT time.Time
-	if obs.Enabled() {
-		startT = time.Now()
-		defer func() {
-			d := time.Since(startT)
-			mExtOTs.Add(int64(m))
-			mExtBatches.Inc()
-			mExtNs.Observe(d.Nanoseconds())
-			mExtRate.Set(otRate(m, d))
-		}()
-	}
+	defer observeExt(m)()
 	if b := r.pool.take(m, msgLen); b != nil {
 		return r.receiveDerandomized(b, choices)
 	}
@@ -176,31 +175,15 @@ func (r *Receiver) receiveDirect(choices []bool, msgLen int) ([][]byte, error) {
 	m := len(choices)
 	sp := obs.Begin("ot", "ot.ext.recv")
 	defer sp.EndN(int64(m))
-	mPad := (m + 63) &^ 63
-	rowBytes := mPad / 8
 
-	// Choice bits as a padded bit vector (padding bits random: they
-	// correspond to discarded OT instances).
-	g := prf.NewPRG(prf.RandomSeed())
-	rv := bitutil.NewVector(mPad)
-	for i, c := range choices {
-		rv.Set(i, c)
-	}
-	for i := m; i < mPad; i++ {
-		rv.Set(i, g.Bool())
-	}
-
-	tt, err := r.expandColumns(rv.Bytes(), mPad, rowBytes)
+	tt, err := r.expandColumns(choices)
 	if err != nil {
 		return nil, err
 	}
 
-	ct, err := r.conn.Recv()
+	ct, err := transport.RecvSized(r.conn, "ot: extension ciphertexts", 2*m*msgLen)
 	if err != nil {
 		return nil, err
-	}
-	if len(ct) != 2*m*msgLen {
-		return nil, fmt.Errorf("ot: extension ciphertexts: got %d bytes, want %d", len(ct), 2*m*msgLen)
 	}
 	// OT instances are independent: instance j reads row j of Tᵀ and its
 	// own ciphertext slice and writes only out[j]. All outputs share one
@@ -220,17 +203,35 @@ func (r *Receiver) receiveDirect(choices []bool, msgLen int) ([][]byte, error) {
 			out[j] = msg
 		}
 	})
-	r.idx += uint64(mPad)
+	r.idx += padTo64(m)
 	return out, nil
 }
 
-// expandColumns derives the T matrix from the base-OT streams, sends the
-// correction matrix u_i = t_i ⊕ PRG(k_i^1) ⊕ r, and returns Tᵀ whose
-// rows are the per-instance keys.
+// padTo64 rounds a batch size up to the matrix width IKNP expands: whole
+// 64-bit words, the unit both of the transpose and of the idx counter.
+func padTo64(m int) uint64 { return uint64(m+63) &^ 63 }
+
+// expandColumns derives the T matrix of one batch from the base-OT
+// streams, sends the correction matrix u_i = t_i ⊕ PRG(k_i^1) ⊕ r for
+// the choice vector r, and returns Tᵀ whose rows are the per-instance
+// keys. The batch is padded to whole words with random choice bits:
+// they belong to discarded OT instances.
 //
 // Each column owns its two PRG streams and a disjoint slice of uMsg, so
 // the expansion parallelizes with byte-identical output.
-func (r *Receiver) expandColumns(rBytes []byte, mPad, rowBytes int) (*bitutil.Matrix, error) {
+func (r *Receiver) expandColumns(choices []bool) (*bitutil.Matrix, error) {
+	m := len(choices)
+	mPad := int(padTo64(m))
+	rowBytes := mPad / 8
+	g := prf.NewPRG(prf.RandomSeed())
+	rv := bitutil.NewVector(mPad)
+	for i, c := range choices {
+		rv.Set(i, c)
+	}
+	for i := m; i < mPad; i++ {
+		rv.Set(i, g.Bool())
+	}
+	rBytes := rv.Bytes()
 	tm := bitutil.NewMatrix(kappa, mPad)
 	uMsg := make([]byte, kappa*rowBytes)
 	parallel.For(kappa, 8, func(lo, hi int) {
@@ -257,17 +258,7 @@ func (s *Sender) Send(pairs [][2][]byte) error {
 	if m == 0 {
 		return nil
 	}
-	var startT time.Time
-	if obs.Enabled() {
-		startT = time.Now()
-		defer func() {
-			d := time.Since(startT)
-			mExtOTs.Add(int64(m))
-			mExtBatches.Inc()
-			mExtNs.Observe(d.Nanoseconds())
-			mExtRate.Set(otRate(m, d))
-		}()
-	}
+	defer observeExt(m)()
 	msgLen := len(pairs[0][0])
 	for _, p := range pairs {
 		if len(p[0]) != msgLen || len(p[1]) != msgLen {
@@ -284,10 +275,8 @@ func (s *Sender) sendDirect(pairs [][2][]byte, msgLen int) error {
 	m := len(pairs)
 	sp := obs.Begin("ot", "ot.ext.send")
 	defer sp.EndN(int64(m))
-	mPad := (m + 63) &^ 63
-	rowBytes := mPad / 8
 
-	qt, err := s.expandColumns(mPad, rowBytes)
+	qt, err := s.expandColumns(m)
 	if err != nil {
 		return err
 	}
@@ -307,20 +296,20 @@ func (s *Sender) sendDirect(pairs [][2][]byte, msgLen int) error {
 			prf.XORBytes(c1, c1, pairs[j][1])
 		}
 	})
-	s.idx += uint64(mPad)
+	s.idx += padTo64(m)
 	return s.conn.Send(ct)
 }
 
-// expandColumns receives the peer's correction matrix, applies the secret
-// s correction per column, and returns Qᵀ whose rows are the instance
-// keys. Column i owns stream i and writes only row i of the Q matrix.
-func (s *Sender) expandColumns(mPad, rowBytes int) (*bitutil.Matrix, error) {
-	uMsg, err := s.conn.Recv()
+// expandColumns receives the peer's correction matrix for a batch of m
+// OTs, applies the secret s correction per column, and returns Qᵀ whose
+// rows are the instance keys. Column i owns stream i and writes only row
+// i of the Q matrix.
+func (s *Sender) expandColumns(m int) (*bitutil.Matrix, error) {
+	mPad := int(padTo64(m))
+	rowBytes := mPad / 8
+	uMsg, err := transport.RecvSized(s.conn, "ot: extension matrix", kappa*rowBytes)
 	if err != nil {
 		return nil, err
-	}
-	if len(uMsg) != kappa*rowBytes {
-		return nil, fmt.Errorf("ot: extension matrix: got %d bytes, want %d", len(uMsg), kappa*rowBytes)
 	}
 	qm := bitutil.NewMatrix(kappa, mPad)
 	parallel.For(kappa, 8, func(lo, hi int) {

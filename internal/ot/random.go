@@ -8,6 +8,7 @@ import (
 	"secyan/internal/obs"
 	"secyan/internal/parallel"
 	"secyan/internal/prf"
+	"secyan/internal/transport"
 )
 
 // This file implements Beaver-style OT precomputation on top of the IKNP
@@ -23,6 +24,12 @@ import (
 // the receiver's stored pad opens exactly the chosen one. The online
 // round structure is unchanged (receiver speaks first, one round trip),
 // costs ⌈m/8⌉ extra bytes, and uses no cryptography beyond XOR.
+//
+// SendRandom/ReceiveRandom expose the random OTs themselves, with the
+// receiver choosing its bits: the pads are the outputs, so a direct batch
+// is the matrix and nothing else, and a pooled one is the correction bits
+// and nothing else — the sender swaps a pooled pad pair where the bit is
+// set. The PSI's per-bin OPRF is built on them.
 
 // Pool metrics. Fills count offline work; hits/misses classify how online
 // batches were served (a miss is any batch that ran the direct protocol,
@@ -106,6 +113,48 @@ func (s *Sender) Pool() *Pool { return &s.pool }
 // Pool returns the receiver's precomputed random-OT pool.
 func (r *Receiver) Pool() *Pool { return &r.pool }
 
+// randomPads runs the input-independent half of one extension batch of m
+// OTs as the sender — receive the correction matrix, expand, hash — and
+// returns both pads of every instance, flat m×msgLen each. Nothing is
+// sent: the pads themselves are the sender's random-OT outputs.
+func (s *Sender) randomPads(m, msgLen int) (r0, r1 []byte, err error) {
+	if msgLen <= 0 {
+		return nil, nil, fmt.Errorf("ot: random-OT message length %d", msgLen)
+	}
+	qt, err := s.expandColumns(m)
+	if err != nil {
+		return nil, nil, err
+	}
+	r0 = make([]byte, m*msgLen)
+	r1 = make([]byte, m*msgLen)
+	parallel.For(m, 32, func(lo, hi int) {
+		hashRowPads(r0, 1, qt, nil, s.idx, lo, hi, msgLen)
+		hashRowPads(r1, 1, qt, &s.sRow, s.idx, lo, hi, msgLen)
+	})
+	s.idx += padTo64(m)
+	return r0, r1, nil
+}
+
+// randomPads is the receiver half: it sends the correction matrix for
+// the given choice bits and returns the chosen-side pad of every
+// instance, flat m×msgLen.
+func (r *Receiver) randomPads(choices []bool, msgLen int) ([]byte, error) {
+	if msgLen <= 0 {
+		return nil, fmt.Errorf("ot: random-OT message length %d", msgLen)
+	}
+	m := len(choices)
+	tt, err := r.expandColumns(choices)
+	if err != nil {
+		return nil, err
+	}
+	rc := make([]byte, m*msgLen)
+	parallel.For(m, 32, func(lo, hi int) {
+		hashRowPads(rc, 1, tt, nil, r.idx, lo, hi, msgLen)
+	})
+	r.idx += padTo64(m)
+	return rc, nil
+}
+
 // FillRandom executes the offline half of one extension batch of m OTs
 // with msgLen-byte messages and pushes the material onto the sender's
 // pool. The peer must run Receiver.FillRandom with identical dimensions;
@@ -115,24 +164,12 @@ func (s *Sender) FillRandom(m, msgLen int) error {
 	if m == 0 {
 		return nil
 	}
-	if msgLen <= 0 {
-		return fmt.Errorf("ot: FillRandom message length %d", msgLen)
-	}
 	sp := obs.Begin("ot", "ot.pool.fill.send")
 	defer sp.EndN(int64(m))
-	mPad := (m + 63) &^ 63
-	rowBytes := mPad / 8
-	qt, err := s.expandColumns(mPad, rowBytes)
+	r0, r1, err := s.randomPads(m, msgLen)
 	if err != nil {
 		return err
 	}
-	r0 := make([]byte, m*msgLen)
-	r1 := make([]byte, m*msgLen)
-	parallel.For(m, 32, func(lo, hi int) {
-		hashRowPads(r0, 1, qt, nil, s.idx, lo, hi, msgLen)
-		hashRowPads(r1, 1, qt, &s.sRow, s.idx, lo, hi, msgLen)
-	})
-	s.idx += uint64(mPad)
 	s.pool.push(&randBatch{m: m, msgLen: msgLen, r0: r0, r1: r1})
 	return nil
 }
@@ -143,35 +180,94 @@ func (r *Receiver) FillRandom(m, msgLen int) error {
 	if m == 0 {
 		return nil
 	}
-	if msgLen <= 0 {
-		return fmt.Errorf("ot: FillRandom message length %d", msgLen)
-	}
 	sp := obs.Begin("ot", "ot.pool.fill.recv")
 	defer sp.EndN(int64(m))
-	mPad := (m + 63) &^ 63
-	rowBytes := mPad / 8
-
 	g := prf.NewPRG(prf.RandomSeed())
-	rv := bitutil.NewVector(mPad)
 	bits := make([]bool, m)
 	for i := range bits {
 		bits[i] = g.Bool()
-		rv.Set(i, bits[i])
 	}
-	for i := m; i < mPad; i++ {
-		rv.Set(i, g.Bool())
-	}
-	tt, err := r.expandColumns(rv.Bytes(), mPad, rowBytes)
+	rc, err := r.randomPads(bits, msgLen)
 	if err != nil {
 		return err
 	}
-	rc := make([]byte, m*msgLen)
-	parallel.For(m, 32, func(lo, hi int) {
-		hashRowPads(rc, 1, tt, nil, r.idx, lo, hi, msgLen)
-	})
-	r.idx += uint64(mPad)
 	r.pool.push(&randBatch{m: m, msgLen: msgLen, bits: bits, rc: rc})
 	return nil
+}
+
+// SendRandom performs m random OTs as the sender: it returns both pads
+// of every instance, flat m×msgLen each, and the peer's matching
+// ReceiveRandom learns the pad its choice bit selects. No ciphertext
+// crosses the wire — the IKNP pads are the outputs — so a direct batch
+// costs the correction matrix alone (RandomCost) and the sender sends
+// nothing. A matching pooled batch is served by derandomization: one
+// correction bit per instance says whether the receiver's wanted choice
+// differs from the pooled one, and the sender swaps that instance's
+// pads.
+func (s *Sender) SendRandom(m, msgLen int) (r0, r1 []byte, err error) {
+	if m == 0 {
+		return nil, nil, nil
+	}
+	defer observeExt(m)()
+	sp := obs.Begin("ot", "ot.ext.random.send")
+	defer sp.EndN(int64(m))
+	b := s.pool.take(m, msgLen)
+	if b == nil {
+		return s.randomPads(m, msgLen)
+	}
+	d, err := s.recvCorrections(m)
+	if err != nil {
+		return nil, nil, err
+	}
+	for j := 0; j < m; j++ {
+		if d.Get(j) {
+			a, c := b.r0[j*msgLen:(j+1)*msgLen], b.r1[j*msgLen:(j+1)*msgLen]
+			for k := range a {
+				a[k], c[k] = c[k], a[k]
+			}
+		}
+	}
+	return b.r0, b.r1, nil
+}
+
+// ReceiveRandom performs len(choices) random OTs as the receiver and
+// returns pad choices[j] of every instance j of the peer's SendRandom,
+// flat m×msgLen.
+func (r *Receiver) ReceiveRandom(choices []bool, msgLen int) ([]byte, error) {
+	m := len(choices)
+	if m == 0 {
+		return nil, nil
+	}
+	defer observeExt(m)()
+	sp := obs.Begin("ot", "ot.ext.random.recv")
+	defer sp.EndN(int64(m))
+	b := r.pool.take(m, msgLen)
+	if b == nil {
+		return r.randomPads(choices, msgLen)
+	}
+	if err := r.sendCorrections(b, choices); err != nil {
+		return nil, err
+	}
+	return b.rc, nil
+}
+
+// sendCorrections sends the derandomization bits dⱼ = cⱼ ⊕ bⱼ that turn
+// the pooled choices b into the wanted ones.
+func (r *Receiver) sendCorrections(b *randBatch, choices []bool) error {
+	d := bitutil.NewVector(len(choices))
+	for j, c := range choices {
+		d.Set(j, c != b.bits[j])
+	}
+	return r.conn.Send(d.Bytes())
+}
+
+// recvCorrections receives the m derandomization bits of a pooled batch.
+func (s *Sender) recvCorrections(m int) (*bitutil.Vector, error) {
+	dMsg, err := transport.RecvSized(s.conn, "ot: derandomization corrections", (m+7)/8)
+	if err != nil {
+		return nil, err
+	}
+	return bitutil.VectorFromBytes(dMsg, m), nil
 }
 
 // receiveDerandomized serves one Receive call from precomputed material:
@@ -181,19 +277,12 @@ func (r *Receiver) receiveDerandomized(b *randBatch, choices []bool) ([][]byte, 
 	msgLen := b.msgLen
 	sp := obs.Begin("ot", "ot.ext.derand.recv")
 	defer sp.EndN(int64(m))
-	d := bitutil.NewVector(m)
-	for j, c := range choices {
-		d.Set(j, c != b.bits[j])
-	}
-	if err := r.conn.Send(d.Bytes()); err != nil {
+	if err := r.sendCorrections(b, choices); err != nil {
 		return nil, err
 	}
-	ct, err := r.conn.Recv()
+	ct, err := transport.RecvSized(r.conn, "ot: derandomized ciphertexts", 2*m*msgLen)
 	if err != nil {
 		return nil, err
-	}
-	if len(ct) != 2*m*msgLen {
-		return nil, fmt.Errorf("ot: derandomized ciphertexts: got %d bytes, want %d", len(ct), 2*m*msgLen)
 	}
 	out := make([][]byte, m)
 	outBack := make([]byte, m*msgLen)
@@ -216,14 +305,10 @@ func (s *Sender) sendDerandomized(b *randBatch, pairs [][2][]byte, msgLen int) e
 	m := len(pairs)
 	sp := obs.Begin("ot", "ot.ext.derand.send")
 	defer sp.EndN(int64(m))
-	dMsg, err := s.conn.Recv()
+	d, err := s.recvCorrections(m)
 	if err != nil {
 		return err
 	}
-	if len(dMsg) != (m+7)/8 {
-		return fmt.Errorf("ot: derandomization corrections: got %d bytes, want %d", len(dMsg), (m+7)/8)
-	}
-	d := bitutil.VectorFromBytes(dMsg, m)
 	ct := make([]byte, 2*m*msgLen)
 	parallel.For(m, 32, func(lo, hi int) {
 		for j := lo; j < hi; j++ {

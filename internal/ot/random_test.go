@@ -2,6 +2,7 @@ package ot
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -197,4 +198,144 @@ func TestPoolClear(t *testing.T) {
 		t.Fatal("Clear left batches behind")
 	}
 	runBatch(t, snd, rcv, rng, 9, 16)
+}
+
+// runRandomBatch executes one SendRandom/ReceiveRandom pair and checks
+// the random-OT contract: the receiver holds exactly the pad its choice
+// bit selects of every instance, and the two pads of an instance differ.
+func runRandomBatch(t *testing.T, snd *Sender, rcv *Receiver, rng *rand.Rand, m, msgLen int) {
+	t.Helper()
+	choices := make([]bool, m)
+	for j := range choices {
+		choices[j] = rng.Intn(2) == 1
+	}
+	type pads struct {
+		r0, r1 []byte
+		err    error
+	}
+	ch := make(chan pads, 1)
+	go func() {
+		r0, r1, err := snd.SendRandom(m, msgLen)
+		ch <- pads{r0, r1, err}
+	}()
+	rc, err := rcv.ReceiveRandom(choices, msgLen)
+	if err != nil {
+		t.Fatalf("ReceiveRandom: %v", err)
+	}
+	s := <-ch
+	if s.err != nil {
+		t.Fatalf("SendRandom: %v", s.err)
+	}
+	if len(rc) != m*msgLen || len(s.r0) != m*msgLen || len(s.r1) != m*msgLen {
+		t.Fatalf("pad lengths %d/%d/%d, want %d", len(rc), len(s.r0), len(s.r1), m*msgLen)
+	}
+	for j, c := range choices {
+		want, other := s.r0[j*msgLen:(j+1)*msgLen], s.r1[j*msgLen:(j+1)*msgLen]
+		if c {
+			want, other = other, want
+		}
+		if !bytes.Equal(rc[j*msgLen:(j+1)*msgLen], want) {
+			t.Fatalf("instance %d (choice %v): receiver pad is not the chosen one", j, c)
+		}
+		if msgLen >= 8 && bytes.Equal(want, other) {
+			t.Fatalf("instance %d: both pads equal", j)
+		}
+	}
+}
+
+// TestRandomOTPooledMatchesDirect runs SendRandom/ReceiveRandom on both
+// paths — direct (the correction matrix carries the choices) and pooled
+// (one derandomization bit per instance) — interleaved with chosen-message
+// batches, over the padding grid: both must satisfy the same contract,
+// move exactly RandomCost resp. ⌈m/8⌉ bytes, and leave the two endpoints'
+// idx counters equal.
+func TestRandomOTPooledMatchesDirect(t *testing.T) {
+	snd, rcv, done := newExtPair(t)
+	defer done()
+	rng := rand.New(rand.NewSource(15))
+	moved := func() int64 { return rcv.conn.Stats().TotalBytes() }
+	for _, m := range []int{0, 1, 63, 64, 65, 200} {
+		for _, msgLen := range []int{4, 16, 40} {
+			before := moved()
+			runRandomBatch(t, snd, rcv, rng, m, msgLen) // direct
+			if got := moved() - before; got != RandomCost(m) {
+				t.Fatalf("direct m=%d: moved %d bytes, RandomCost predicts %d", m, got, RandomCost(m))
+			}
+			if m > 0 {
+				fillBoth(t, snd, rcv, m, msgLen)
+			}
+			before = moved()
+			runRandomBatch(t, snd, rcv, rng, m, msgLen) // pooled
+			if got := moved() - before; got != int64((m+7)/8) {
+				t.Fatalf("pooled m=%d: moved %d bytes, want %d", m, got, (m+7)/8)
+			}
+			if snd.pool.Len() != 0 || rcv.pool.Len() != 0 {
+				t.Fatalf("pools not drained: sender %d, receiver %d", snd.pool.Len(), rcv.pool.Len())
+			}
+			runBatch(t, snd, rcv, rng, m, msgLen)
+			if snd.idx != rcv.idx {
+				t.Fatalf("idx diverged: sender %d, receiver %d", snd.idx, rcv.idx)
+			}
+		}
+	}
+}
+
+// TestExtensionMessagesAreSizeChecked plays a misbehaving peer against
+// every extension-layer decoder: a correction matrix, a ciphertext
+// message or a derandomization message of the wrong length must come
+// back as a *transport.SizeError naming both lengths — before anything is read
+// from it or sized by it.
+func TestExtensionMessagesAreSizeChecked(t *testing.T) {
+	snd, rcv, done := newExtPair(t)
+	defer done()
+	const m, msgLen = 70, 16
+	pairs, choices := makeBatch(1, m, msgLen)
+	expect := func(name string, err error, want int) {
+		t.Helper()
+		var se *transport.SizeError
+		if !errors.As(err, &se) || se.Got != 5 || se.Want != want {
+			t.Fatalf("%s: %v, want a *transport.SizeError{Got: 5, Want: %d}", name, err, want)
+		}
+	}
+	bogus := make([]byte, 5)
+
+	// The sender's view of the receiver's messages.
+	for name, call := range map[string]func() error{
+		"Send":       func() error { return snd.Send(pairs) },
+		"FillRandom": func() error { return snd.FillRandom(m, msgLen) },
+		"SendRandom": func() error { _, _, err := snd.SendRandom(m, msgLen); return err },
+	} {
+		if err := rcv.conn.Send(bogus); err != nil {
+			t.Fatal(err)
+		}
+		expect(name+" matrix", call(), int(RandomCost(m)))
+	}
+	for name, call := range map[string]func() error{
+		"Send":       func() error { return snd.Send(pairs) },
+		"SendRandom": func() error { _, _, err := snd.SendRandom(m, msgLen); return err },
+	} {
+		fillBoth(t, snd, rcv, m, msgLen)
+		rcv.pool.Clear()
+		if err := rcv.conn.Send(bogus); err != nil {
+			t.Fatal(err)
+		}
+		expect(name+" corrections", call(), (m+7)/8)
+	}
+
+	// The receiver's view of the sender's ciphertexts, direct and pooled.
+	if err := snd.conn.Send(bogus); err != nil {
+		t.Fatal(err)
+	}
+	_, err := rcv.Receive(choices, msgLen)
+	expect("Receive ciphertexts", err, 2*m*msgLen)
+	if _, err := snd.conn.Recv(); err != nil { // the matrix Receive sent
+		t.Fatal(err)
+	}
+	fillBoth(t, snd, rcv, m, msgLen)
+	snd.pool.Clear()
+	if err := snd.conn.Send(bogus); err != nil {
+		t.Fatal(err)
+	}
+	_, err = rcv.Receive(choices, msgLen)
+	expect("derandomized ciphertexts", err, 2*m*msgLen)
 }

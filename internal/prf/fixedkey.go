@@ -45,8 +45,9 @@ func init() {
 //	         instance index. The two pads of instance j (rows q_j and
 //	         q_j ⊕ s) deliberately share one tweak — that pair is
 //	         exactly the correlation-robustness game.
-//	SitePSI: cuckoo/PSI bin hashing; the low bits carry the hash-
-//	         function index (0..2).
+//	SitePSI: cuckoo/PSI hashing; the low bits carry the hash-function
+//	         index (0..2) for bin assignment, 3 for the PSI's OPRF
+//	         output hash and 4 for its hint-row derivation.
 //	SiteKDF: wide-output expansion inside HashToWidthAES; the low bits
 //	         carry the block counter of the expanded stream.
 const (

@@ -11,7 +11,7 @@ import (
 
 // warmOT forces both OT-extension sessions into existence so that the
 // measured PSI traffic excludes one-time base-OT setup.
-func warmOT(t *testing.T, alice, bob *mpc.Party) {
+func warmOT(t testing.TB, alice, bob *mpc.Party) {
 	t.Helper()
 	done := make(chan error, 1)
 	go func() {
@@ -80,36 +80,41 @@ func TestCostExact(t *testing.T) {
 	}
 }
 
-// TestCircuitDimsMatchBuiltCircuits pins the slot-built comparison
-// circuits against the same bin gadget looped B times in one builder —
-// how they were built before circuits had slots — for every bin count up
-// to 64 and a handful of larger ones: the planner prices every PSI bid
-// from these dimensions, and the wire format must not have moved.
+// TestCircuitDimsMatchBuiltCircuits pins the slot-built per-bin circuit
+// against the same bin gadget looped B times in one builder, for every
+// bin count up to 64 and a handful of larger ones, and pins the gadget
+// itself to one comparison per bin: τ − 1 + w AND gates and ℓ
+// single-ciphertext ones whatever the sender's load bound L — the
+// planner prices every PSI bid from these dimensions.
 func TestCircuitDimsMatchBuiltCircuits(t *testing.T) {
 	const ell = 32
 	sizes := []int{97, 200, 333}
 	for b := 1; b <= 64; b++ {
 		sizes = append(sizes, b)
 	}
-	type shape struct {
-		build  func(Params) *gc.Circuit
-		gadget func(b *gc.Builder, load int)
-	}
-	shapes := map[string]shape{
-		"direct": {func(pr Params) *gc.Circuit { return buildCircuit(pr, ell) },
-			func(b *gc.Builder, load int) { binGadget(b, load, ell) }},
-		"clear-index": {func(pr Params) *gc.Circuit { return buildClearIndexCircuit(pr, ell, 11) },
-			func(b *gc.Builder, load int) { clearIndexBinGadget(b, load, ell, 11) }},
-	}
-	for name, sh := range shapes {
-		for _, l := range []int{1, 5} {
+	for name, w := range map[string]int{"direct": ell, "clear-index": 11} {
+		for _, l := range []int{1, 5, 44} {
 			for _, bins := range sizes {
+				pr := Params{B: bins, L: l}
 				looped := gc.NewBuilder()
 				for i := 0; i < bins; i++ {
-					sh.gadget(looped, l)
+					binGadget(looped, pr.tau(), w, ell)
 				}
-				if got, want := gc.DimsOf(sh.build(Params{B: bins, L: l})), gc.DimsOf(looped.Build()); got != want {
+				c := buildCircuit(pr, w, ell)
+				if got, want := gc.DimsOf(c), gc.DimsOf(looped.Build()); got != want {
 					t.Fatalf("%s B=%d L=%d: slot-built %+v, looped %+v", name, bins, l, got, want)
+				}
+				if name == "clear-index" {
+					pr.N = 1<<11 - bins // so that idxWidth(N+B) is the 11 bits built above
+				}
+				oprf, inputs, circ := pr.Demands(ell, name == "clear-index")
+				if oprf != bins*keyBits || inputs != gc.DimsOf(c).EvalInputs || gc.DimsOf(circ()) != gc.DimsOf(c) {
+					t.Fatalf("%s B=%d: demands (%d, %d, %+v), circuit %+v",
+						name, bins, oprf, inputs, gc.DimsOf(circ()), gc.DimsOf(c))
+				}
+				if c.NumAnd != pr.tau()-1+w || c.NumAndG != ell || len(c.EvalInputs) != pr.tau()+w || len(c.GarblerInputs) != 0 {
+					t.Fatalf("%s B=%d L=%d: bin gadget has %d AND, %d ANDG, %d evaluator inputs",
+						name, bins, l, c.NumAnd, c.NumAndG, len(c.EvalInputs))
 				}
 			}
 		}

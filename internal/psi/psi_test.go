@@ -1,11 +1,15 @@
 package psi
 
 import (
+	"errors"
+	"math/bits"
 	"math/rand"
 	"testing"
 
 	"secyan/internal/mpc"
+	"secyan/internal/prf"
 	"secyan/internal/share"
+	"secyan/internal/transport"
 )
 
 // makeSets builds X and Y with a planted intersection.
@@ -207,5 +211,187 @@ func TestIdxWidth(t *testing.T) {
 		if got := idxWidth(n); got != want {
 			t.Errorf("idxWidth(%d) = %d, want %d", n, got, want)
 		}
+	}
+}
+
+// TestHintRoundTrip programs one bin at every load 0…L and decodes it:
+// each programmed key must decode to its value, whatever the free slots
+// drew, at hint shapes from the smallest table (B = 4) up to a wide
+// multi-word row.
+func TestHintRoundTrip(t *testing.T) {
+	g := prf.NewPRG(prf.Seed{7})
+	for _, pr := range []Params{{B: 4, L: 1}, {B: 4, L: 9}, {B: 229, L: 44}, {B: 1 << 20, L: 130}} {
+		for _, w := range []int{1, 10, 32, 64} {
+			h := pr.hint(w)
+			if h.slots != pr.L+pr.tau() || h.tau != Sigma+bits.Len(uint(pr.B-1)) {
+				t.Fatalf("%+v: hint dims %+v", pr, h)
+			}
+			coder := newHintCoder(h, g.Seed(), pr.L)
+			bin := make([]byte, h.binBytes())
+			for load := 0; load <= pr.L; load++ {
+				keys, vals := make([]uint64, load), make([]value, load)
+				for i := range keys {
+					keys[i] = uint64(i)<<2 | uint64(i%3) // distinct composed keys
+					vals[i] = h.mask(value{g.Uint64(), g.Uint64()})
+				}
+				if err := coder.encode(bin, keys, vals, g); err != nil {
+					t.Fatalf("%+v w=%d load=%d: %v", pr, w, load, err)
+				}
+				for i, k := range keys {
+					if got := coder.decode(bin, k); got != vals[i] {
+						t.Fatalf("%+v w=%d load=%d: key %d decodes to %+v, programmed %+v", pr, w, load, i, got, vals[i])
+					}
+				}
+				if v := coder.decode(bin, receiverDummyKey); v != h.mask(v) {
+					t.Fatalf("%+v w=%d: decoded value %+v exceeds the slot widths", pr, w, v)
+				}
+			}
+		}
+	}
+}
+
+// TestHintRejectsEqualKeys pins why the senders merge or refuse
+// duplicates: one key programmed twice is a rank-deficient system.
+func TestHintRejectsEqualKeys(t *testing.T) {
+	h := Params{B: 4, L: 3}.hint(32)
+	coder := newHintCoder(h, prf.Seed{1}, 3)
+	err := coder.encode(make([]byte, h.binBytes()), []uint64{8, 8}, []value{{1, 2}, {3, 4}}, prf.NewPRG(prf.Seed{2}))
+	if err == nil {
+		t.Fatal("a key programmed twice was accepted")
+	}
+}
+
+// TestReceiverDummyBinsNeverMatch runs receiver sets that leave most of
+// the table empty — M = 1 in B = 4 bins — against senders holding the
+// whole candidate range: the dummy bins must come out as shares of
+// (0, 0) in every variant, since no composed key carries the dummy's tag.
+func TestReceiverDummyBinsNeverMatch(t *testing.T) {
+	for which := 0; which < 3; which++ {
+		if k, _ := Compose(MaxElement, which); k == receiverDummyKey {
+			t.Fatalf("Compose(MaxElement, %d) is the receiver's dummy key", which)
+		}
+	}
+	ring := share.Ring{Bits: 32}
+	ys := []uint64{MaxElement, MaxElement - 1, 0, 1, 2, 3}
+	payloads := []uint64{11, 12, 13, 14, 15, 16}
+	zeros := make([]uint64, len(ys))
+	type half func(p *mpc.Party) (*Result, error)
+	for seed := uint64(0); seed < 8; seed++ {
+		xs := []uint64{seed % 5} // in ys for seed%5 < 4
+		for name, run := range map[string][2]half{
+			"direct": {func(p *mpc.Party) (*Result, error) { return RunReceiver(p, xs, len(ys)) },
+				func(p *mpc.Party) (*Result, error) { return RunSender(p, ys, payloads, 1) }},
+			"indexed-plain": {func(p *mpc.Party) (*Result, error) { return RunIndexedPlainReceiver(p, xs, len(ys)) },
+				func(p *mpc.Party) (*Result, error) { return RunIndexedPlainSender(p, ys, payloads, 1) }},
+			"indexed-shared": {func(p *mpc.Party) (*Result, error) { return RunSharedPayloadReceiver(p, xs, len(ys), zeros) },
+				func(p *mpc.Party) (*Result, error) { return RunSharedPayloadSender(p, ys, payloads, 1) }},
+		} {
+			alice, bob := mpc.Pair(ring)
+			ra, rb, err := mpc.Run2PC(alice, bob, run[0], run[1])
+			alice.Conn.Close()
+			bob.Conn.Close()
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", name, seed, err)
+			}
+			if ra.Params.B != 4 {
+				t.Fatalf("B = %d, want 4", ra.Params.B)
+			}
+			checkPSIResult(t, ring, xs, ys, payloads, ra, rb)
+		}
+	}
+}
+
+// TestTranscriptDependsOnSizesOnly is the PSI's obliviousness check: for
+// fixed public (M, N) the bytes, messages and rounds of every variant are
+// the same whether the sets are disjoint, identical, or — where the
+// sender may hold them — full of duplicates.
+func TestTranscriptDependsOnSizesOnly(t *testing.T) {
+	ring := share.Ring{Bits: 32}
+	const m, n = 12, 20
+	rng := rand.New(rand.NewSource(3))
+	type input struct{ xs, ys []uint64 }
+	var inputs []input
+	for _, common := range []int{0, 5, m} {
+		xs, ys := makeSets(rng, m, n, common)
+		inputs = append(inputs, input{xs, ys})
+	}
+	dup := input{inputs[1].xs, append([]uint64(nil), inputs[1].ys...)}
+	for i := range dup.ys {
+		dup.ys[i] = dup.ys[i%3]
+	}
+	payloads := make([]uint64, n)
+	for i := range payloads {
+		payloads[i] = rng.Uint64()
+	}
+	type half func(p *mpc.Party, in input) (*Result, error)
+	for name, v := range map[string]struct {
+		recv, send half
+		dups       bool
+	}{
+		"direct": {func(p *mpc.Party, in input) (*Result, error) { return RunReceiver(p, in.xs, n) },
+			func(p *mpc.Party, in input) (*Result, error) { return RunSender(p, in.ys, payloads, m) }, true},
+		"indexed-plain": {func(p *mpc.Party, in input) (*Result, error) { return RunIndexedPlainReceiver(p, in.xs, n) },
+			func(p *mpc.Party, in input) (*Result, error) { return RunIndexedPlainSender(p, in.ys, payloads, m) }, true},
+		"indexed-shared": {func(p *mpc.Party, in input) (*Result, error) {
+			return RunSharedPayloadReceiver(p, in.xs, n, payloads)
+		},
+			func(p *mpc.Party, in input) (*Result, error) { return RunSharedPayloadSender(p, in.ys, payloads, m) }, false},
+	} {
+		ins := inputs
+		if v.dups {
+			ins = append(ins[:len(ins):len(ins)], dup)
+		}
+		var want transport.Stats
+		for i, in := range ins {
+			alice, bob := mpc.Pair(ring)
+			warmOT(t, alice, bob)
+			alice.Conn.ResetStats()
+			bob.Conn.ResetStats()
+			_, _, err := mpc.Run2PC(alice, bob,
+				func(p *mpc.Party) (*Result, error) { return v.recv(p, in) },
+				func(p *mpc.Party) (*Result, error) { return v.send(p, in) })
+			got := alice.Conn.Stats()
+			alice.Conn.Close()
+			bob.Conn.Close()
+			if err != nil {
+				t.Fatalf("%s input %d: %v", name, i, err)
+			}
+			if i == 0 {
+				want = got
+			} else if got != want {
+				t.Fatalf("%s: transcript shape depends on the data: input %d %+v, input 0 %+v", name, i, got, want)
+			}
+		}
+	}
+}
+
+// TestIndexedPlainDuplicatesSumPayloads is the §5.5 twin of
+// TestPSIDuplicateSenderElementsSumPayloads, and the shared-payload
+// sender — who cannot merge what it only holds shares of — must refuse
+// duplicates with ErrDuplicateKey before any traffic.
+func TestIndexedPlainDuplicatesSumPayloads(t *testing.T) {
+	ring := share.Ring{Bits: 32}
+	xs := []uint64{100, 200}
+	ys := []uint64{100, 300, 100, 100}
+	payloads := []uint64{5, 9, 7, 1 << 31}
+	alice, bob := mpc.Pair(ring)
+	defer alice.Conn.Close()
+	defer bob.Conn.Close()
+	ra, rb, err := mpc.Run2PC(alice, bob,
+		func(p *mpc.Party) (*Result, error) { return RunIndexedPlainReceiver(p, xs, len(ys)) },
+		func(p *mpc.Party) (*Result, error) { return RunIndexedPlainSender(p, ys, payloads, len(xs)) },
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPSIResult(t, ring, xs, ys, payloads, ra, rb)
+
+	before := bob.Conn.Stats()
+	_, err = RunSharedPayloadSender(bob, ys, payloads, len(xs))
+	if !errors.Is(err, ErrDuplicateKey) {
+		t.Fatalf("shared-payload sender with duplicates: %v, want ErrDuplicateKey", err)
+	}
+	if bob.Conn.Stats() != before {
+		t.Fatal("the duplicate check ran after traffic")
 	}
 }

@@ -4,12 +4,9 @@ import (
 	"fmt"
 	"math/bits"
 
-	"secyan/internal/cuckoo"
-	"secyan/internal/gc"
 	"secyan/internal/mpc"
 	"secyan/internal/obs"
 	"secyan/internal/oep"
-	"secyan/internal/prf"
 )
 
 // This file implements "PSI with secret-shared payloads" (paper §5.5):
@@ -21,7 +18,8 @@ import (
 //  2. Bob draws a random permutation ξ₁ of [N+B] and an OEP (Bob as
 //     programmer) re-shares the extended vector as z'_k = z_{ξ₁(k)};
 //  3. the parties run PSI where the payload of y_j is the *index*
-//     ξ₁⁻¹(j), and the circuit reveals to Alice, per bin i, the value
+//     ξ₁⁻¹(j), programmed into the hint under a per-bin mask, and the
+//     circuit reveals to Alice, per bin i, the value
 //     k_i = ξ₁⁻¹(j) on a match and k_i = ξ₁⁻¹(N+i) otherwise — a uniform
 //     sample of distinct values that carries no information;
 //  4. a second OEP (Alice as programmer, ξ₂(i) = k_i) maps the z' shares
@@ -37,50 +35,6 @@ func idxWidth(n int) int {
 		return 1
 	}
 	return bits.Len64(uint64(n - 1))
-}
-
-// IndexWidth exposes the clear-index circuit width for sets of the given
-// public sizes; callers use it to choose between carrying payloads
-// directly in the comparison circuit (cheaper when the payload width is
-// below this) and the indexed construction.
-func IndexWidth(m, n int) int {
-	pr := NewParams(m, n)
-	return idxWidth(pr.N + pr.B)
-}
-
-// clearIndexBinGadget is the §5.5 variant of binGadget: it reveals the
-// bin's selected index in the clear to the evaluator and outputs the
-// indicator in shared form. The sender's default index for the bin enters
-// as a garbler-private constant.
-func clearIndexBinGadget(b *gc.Builder, load, ell, idxW int) {
-	akey := b.EvalInputWord(keyBits)
-	sels := make([]gc.Wire, load)
-	var idx gc.Word
-	for j := 0; j < load; j++ {
-		ykey := b.PrivateWord(keyBits)
-		yidx := b.PrivateWord(idxW)
-		sels[j] = b.EqPrivate(akey, ykey)
-		masked := b.ANDGWordBit(yidx, sels[j])
-		if j == 0 {
-			idx = masked
-		} else {
-			idx = b.Add(idx, masked)
-		}
-	}
-	ind := b.OrTree(sels)
-	def := b.PrivateWord(idxW)
-	idx = b.Add(idx, b.ANDGWordBit(def, b.Not(ind)))
-	b.OutputWordToEval(idx) // in the clear: a uniformly random index
-
-	rInd := b.GarblerInputWord(ell)
-	b.OutputWordToEval(b.Sub(b.ZeroExtend(gc.Word{ind}, ell), rInd))
-}
-
-// buildClearIndexCircuit repeats clearIndexBinGadget once per bin.
-func buildClearIndexCircuit(pr Params, ell, idxW int) *gc.Circuit {
-	b := gc.NewBuilder()
-	clearIndexBinGadget(b, pr.L, ell, idxW)
-	return b.BuildSlots(pr.B)
 }
 
 // RunSharedPayloadReceiver executes §5.5 as Alice. xs are her distinct
@@ -124,40 +78,17 @@ func runIndexedReceiver(p *mpc.Party, xs []uint64, nSender int, myPayShares []ui
 		}
 	}
 
-	// Step 3: PSI with clear index outputs.
-	table, err := cuckoo.Build(p.PRG, xs)
+	// Step 3: PSI whose per-bin output is the selected index, in the clear.
+	table, idx, ind, err := recvBins(p, pr, idxWidth(npb), xs)
 	if err != nil {
 		return nil, err
 	}
-	if err := p.Conn.Send(table.Seed[:]); err != nil {
-		return nil, err
-	}
-	akeys, err := receiverKeys(table)
-	if err != nil {
-		return nil, err
-	}
-	ell := p.Ring.Bits
-	idxW := idxWidth(npb)
-	circ := buildClearIndexCircuit(pr, ell, idxW)
-	evalBits := make([]bool, 0, pr.B*keyBits)
-	for _, k := range akeys {
-		evalBits = gc.AppendBits(evalBits, k, keyBits)
-	}
-	out, err := p.RunCircuit(circ, evalBits, nil, p.Role.Other())
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Params: pr, Table: table,
-		IndShares: make([]uint64, pr.B), PayShares: make([]uint64, pr.B)}
 	xi := make([]int, pr.B)
-	for bin := 0; bin < pr.B; bin++ {
-		off := bin * (idxW + ell)
-		k := gc.UintOfBits(out[off : off+idxW])
+	for bin, k := range idx {
 		if k >= uint64(npb) {
 			return nil, fmt.Errorf("psi: revealed index %d out of range %d", k, npb)
 		}
 		xi[bin] = int(k)
-		res.IndShares[bin] = gc.UintOfBits(out[off+idxW : off+idxW+ell])
 	}
 
 	// Step 4: Alice programs the second OEP with ξ₂(i) = k_i.
@@ -165,21 +96,30 @@ func runIndexedReceiver(p *mpc.Party, xs []uint64, nSender int, myPayShares []ui
 	if err != nil {
 		return nil, fmt.Errorf("psi: ξ2 OEP: %w", err)
 	}
-	res.PayShares = pays
-	return res, nil
+	return &Result{Params: pr, Table: table, IndShares: ind, PayShares: pays}, nil
 }
 
-// RunSharedPayloadSender executes §5.5 as Bob with elements ys, his shares
-// of the N payloads, and the public receiver set size mReceiver.
+// RunSharedPayloadSender executes §5.5 as Bob with distinct elements ys,
+// his shares of the N payloads, and the public receiver set size
+// mReceiver. A repeated element is ErrDuplicateKey: shared payloads
+// cannot be merged locally.
 func RunSharedPayloadSender(p *mpc.Party, ys []uint64, myPayShares []uint64, mReceiver int) (*Result, error) {
 	if len(ys) != len(myPayShares) {
 		return nil, fmt.Errorf("psi: %d elements with %d payload shares", len(ys), len(myPayShares))
+	}
+	seen := make(map[uint64]struct{}, len(ys))
+	for _, y := range ys {
+		if _, dup := seen[y]; dup {
+			return nil, fmt.Errorf("%w: %d", ErrDuplicateKey, y)
+		}
+		seen[y] = struct{}{}
 	}
 	return runIndexedSender(p, ys, myPayShares, mReceiver, false)
 }
 
 // RunIndexedPlainSender is the sender side of the plain-payload variant:
-// payloads are this party's plaintext values.
+// payloads are this party's plaintext values. Duplicates in ys sum their
+// payloads, as in RunSender.
 func RunIndexedPlainSender(p *mpc.Party, ys []uint64, payloads []uint64, mReceiver int) (*Result, error) {
 	if len(ys) != len(payloads) {
 		return nil, fmt.Errorf("psi: %d elements with %d payloads", len(ys), len(payloads))
@@ -193,6 +133,11 @@ func runIndexedSender(p *mpc.Party, ys []uint64, myPayShares []uint64, mReceiver
 	defer sp.EndN(int64(pr.B))
 	defer observeRun(pr.B, len(ys))()
 	npb := pr.N + pr.B
+	if plain {
+		// Merged duplicates leave the tail of the N payload slots zero and
+		// unreferenced; the public sizes do not move.
+		ys, myPayShares = mergeDuplicates(p.Ring, ys, myPayShares)
+	}
 
 	// Steps 1-2: extend and permute by a fresh random ξ₁ — obliviously
 	// when the payloads are shared; as a free local shuffle when this
@@ -218,63 +163,18 @@ func runIndexedSender(p *mpc.Party, ys []uint64, myPayShares []uint64, mReceiver
 		}
 	}
 
-	// Step 3: PSI with index payloads and per-bin defaults ξ₁⁻¹(N+i).
-	seedMsg, err := p.Conn.Recv()
+	// Step 3: PSI with index payloads ξ₁⁻¹(j) and per-bin defaults
+	// ξ₁⁻¹(N+i).
+	ind, err := sendBins(p, pr, idxWidth(npb), ys,
+		func(j, _ int) uint64 { return inv[j] }, inv[pr.N:])
 	if err != nil {
-		return nil, err
-	}
-	if len(seedMsg) != prf.SeedSize {
-		return nil, fmt.Errorf("psi: bad hash seed length %d", len(seedMsg))
-	}
-	var seed prf.Seed
-	copy(seed[:], seedMsg)
-
-	idxPayloads := inv[:pr.N]
-	keys, pays, err := senderBins(seed, pr, ys, idxPayloads)
-	if err != nil {
-		return nil, err
-	}
-	ell := p.Ring.Bits
-	idxW := idxWidth(npb)
-	circ := buildClearIndexCircuit(pr, ell, idxW)
-
-	res := &Result{Params: pr,
-		IndShares: make([]uint64, pr.B), PayShares: make([]uint64, pr.B)}
-	garblerBits := make([]bool, 0, pr.B*ell)
-	privBits := make([]bool, 0, pr.B*(pr.L*(keyBits+idxW)+idxW))
-	for bin := 0; bin < pr.B; bin++ {
-		for j := 0; j < pr.L; j++ {
-			privBits = gc.AppendBits(privBits, keys[bin][j], keyBits)
-			privBits = gc.AppendBits(privBits, pays[bin][j], idxW)
-		}
-		privBits = gc.AppendBits(privBits, inv[pr.N+bin], idxW)
-		rInd := p.Ring.Random(p.PRG)
-		res.IndShares[bin] = rInd
-		garblerBits = gc.AppendBits(garblerBits, rInd, ell)
-	}
-	if _, err := p.RunCircuit(circ, garblerBits, privBits, p.Role); err != nil {
 		return nil, err
 	}
 
 	// Step 4: helper side of Alice's ξ₂ OEP.
-	paysOut, err := oep.RunHelper(p, npb, pr.B, zp)
+	pays, err := oep.RunHelper(p, npb, pr.B, zp)
 	if err != nil {
 		return nil, fmt.Errorf("psi: ξ2 OEP: %w", err)
 	}
-	res.PayShares = paysOut
-	return res, nil
-}
-
-// BuildClearIndexCircuitForEstimate exposes the indexed comparison
-// circuit construction so that cost estimators (core.ExplainOpts) can count
-// its gates without running the protocol.
-func BuildClearIndexCircuitForEstimate(pr Params, ell int) *gc.Circuit {
-	return buildClearIndexCircuit(pr, ell, idxWidth(pr.N+pr.B))
-}
-
-// BuildDirectCircuitForEstimate exposes the direct comparison circuit
-// (payload carried in the circuit, §5.4) the same way, for estimators
-// and for ahead-of-time garbling in core.PrecomputeOpts.
-func BuildDirectCircuitForEstimate(pr Params, ell int) *gc.Circuit {
-	return buildCircuit(pr, ell)
+	return &Result{Params: pr, IndShares: ind, PayShares: pays}, nil
 }

@@ -47,7 +47,7 @@ func TestTPCHBackendEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s plain: %v", spec.Name, err)
 			}
-			for _, b := range []core.BackendID{"", core.BackendPSIOEP, core.BackendBifrost, core.BackendGC} {
+			for _, b := range []core.BackendID{"", core.BackendPSIOEP, core.BackendGC} {
 				got := runSpecBackend(t, spec, db, b)
 				compare(t, spec.Name+"/"+string(b), got, plain)
 			}

@@ -200,6 +200,32 @@ func (p *pipeEnd) Close() error {
 	return nil
 }
 
+// SizeError reports a message from the peer whose length differs from
+// the one the protocol's public parameters fix.
+type SizeError struct {
+	What      string // which message, prefixed with its package
+	Got, Want int    // bytes
+}
+
+func (e *SizeError) Error() string {
+	return fmt.Sprintf("%s: got %d bytes, want %d", e.What, e.Got, e.Want)
+}
+
+// RecvSized receives one message and checks it against the length the
+// receiver derived from public parameters, so that a short, long or
+// peer-sized message is a *SizeError before a byte of it is read or
+// anything is allocated from it.
+func RecvSized(c Conn, what string, want int) ([]byte, error) {
+	msg, err := c.Recv()
+	if err != nil {
+		return nil, err
+	}
+	if len(msg) != want {
+		return nil, &SizeError{what, len(msg), want}
+	}
+	return msg, nil
+}
+
 // SendUint64s encodes vs in little-endian and sends them as one message.
 func SendUint64s(c Conn, vs []uint64) error {
 	buf := make([]byte, 8*len(vs))

@@ -107,10 +107,6 @@ const (
 	// BackendPSIOEP is the paper's protocol stack: PSI payload sharing
 	// composed with oblivious extended permutations.
 	BackendPSIOEP = core.BackendPSIOEP
-	// BackendBifrost aligns through a cuckoo-hashed slot table; it
-	// applies when the child side of a semijoin is a plaintext relation
-	// with unique join keys.
-	BackendBifrost = core.BackendBifrost
 	// BackendGC runs the step as one monolithic garbled circuit — the
 	// baseline the paper compares against, practical at small sizes.
 	BackendGC = core.BackendGC

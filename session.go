@@ -124,8 +124,7 @@ func WithEstOut(n int) Option { return func(c *config) { c.estOut = n } }
 func WithChunkSize(n int) Option { return func(c *config) { c.chunk = n } }
 
 // WithBackend forces every semijoin/aggregate step onto one secure-join
-// backend wherever it is applicable (BackendPSIOEP, BackendBifrost,
-// BackendGC); steps where it does not apply keep the cost-based choice.
+// backend wherever it is applicable (BackendPSIOEP, BackendGC); steps where it does not apply keep the cost-based choice.
 // The zero value selects the cheapest applicable backend per step. Both
 // parties must configure the same backend — unlike chunking, this
 // changes the transcript.
