@@ -92,8 +92,9 @@ vet:
 # Short fuzz bursts for the transpose involution, the TCP framing
 # decoder, the SQL front end (seeded with the TPC-H query strings), the
 # chunked scan, both base-OT message decoders, the evaluator's view of
-# the garbler's message and the PSI's hint and OPRF-correction decoders;
-# extend -fuzztime locally for real fuzzing sessions.
+# the garbler's message, the PSI's hint and OPRF-correction decoders and
+# a whole OEP against a hostile peer; extend -fuzztime locally for real
+# fuzzing sessions.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTranspose -fuzztime 10s ./internal/bitutil
 	$(GO) test -run '^$$' -fuzz FuzzRecvFraming -fuzztime 10s ./internal/transport
@@ -102,3 +103,4 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzBaseOTMessages -fuzztime 10s ./internal/ot
 	$(GO) test -run '^$$' -fuzz FuzzGarbledMessage -fuzztime 10s ./internal/gc
 	$(GO) test -run '^$$' -fuzz FuzzPSIMessages -fuzztime 10s ./internal/psi
+	$(GO) test -run '^$$' -fuzz FuzzOEPMessages -fuzztime 10s ./internal/oep

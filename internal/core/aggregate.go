@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"secyan/internal/gc"
-	"secyan/internal/gcbaseline"
 	"secyan/internal/mpc"
 	"secyan/internal/oep"
 	"secyan/internal/relation"
@@ -13,14 +12,22 @@ import (
 
 // This file implements the oblivious projection-aggregation operators of
 // paper §6.1: π^⊕ (Aggregate) and π¹ (ProjectOne). The holder sorts its
-// relation by the group-by attributes, an OEP re-aligns the shared
-// annotations with the sorted order, and a single garbled circuit chains
-// N-1 "merge gates" that accumulate group aggregates. The output relation
-// keeps exactly N tuples: the last tuple of each group carries the
-// group's aggregate (in shares); every other position becomes a dummy
-// tuple whose share-of-zero annotation falls out of the same circuit.
+// relation by the group-by attributes and a bijective OEP re-aligns the
+// shared annotations with the sorted order. The output relation keeps
+// exactly N tuples: the last tuple of each group carries the group's
+// aggregate (in shares); every other position becomes a dummy tuple
+// annotated with a fresh share of zero.
+//
+//   - π^⊕ needs no circuit (groupSums). Both parties take prefix sums P of
+//     their sorted shares, and a second bijective OEP programmed by the
+//     holder hands each group end the prefix sum at the previous group end
+//     and every other position its own, so P minus the OEP's output is the
+//     group's sum at its end and zero elsewhere.
+//   - π¹ must test annotations for zero, which shares cannot do locally:
+//     one garbled circuit chains N−1 merge gates over the sorted shares
+//     and the holder's group-boundary bits.
 
-// mergeKind selects the accumulation semantics of the merge-gate chain.
+// mergeKind selects the aggregation: π^⊕ or π¹.
 type mergeKind int
 
 const (
@@ -28,64 +35,46 @@ const (
 	mergeOr                   // π¹: OR of nonzero indicators
 )
 
-// buildMergeCircuit constructs the chained aggregation circuit for n
-// tuples over ell-bit annotations.
+// buildProjectOneCircuit constructs π¹'s merge-gate chain for n tuples
+// over ell-bit annotations.
 //
 // Evaluator (= holder) inputs, in order per tuple i: its share of v_i
 // (ell bits), then for i ≥ 1 the group-boundary bit eq_i =
-// Ind(t_{i-1} ≈ t_i). Garbler-private bits per tuple: the garbler's share
-// of v_i, then the negated output mask -r_i. Outputs to the evaluator:
-// out_i + (-r_i) where out_i is the group aggregate at the last position
-// of each group and 0 elsewhere.
-func buildMergeCircuit(n, ell int, kind mergeKind) *gc.Circuit {
+// Ind(t_{i-1} ≈ t_i). Garbler-private bits: per tuple the negation of its
+// share of v_i, then per tuple the negated output mask -r_i. Outputs to
+// the evaluator: out_i + (-r_i) where out_i is 1 at the last position of
+// each group holding a nonzero annotation and 0 elsewhere.
+func buildProjectOneCircuit(n, ell int) *gc.Circuit {
 	b := gc.NewBuilder()
-	type tupleWires struct {
-		v  gc.Word
-		eq gc.Wire
-	}
-	tw := make([]tupleWires, n)
-	for i := 0; i < n; i++ {
-		ve := b.EvalInputWord(ell)
-		vg := b.PrivateWord(ell)
-		tw[i].v = b.AddPrivate(ve, vg)
+	nz := make([]gc.Wire, n)
+	eq := make([]gc.Wire, n)
+	for i := range nz {
+		// v_i ≠ 0 ⇔ the evaluator's share differs from minus the garbler's.
+		nz[i] = b.Not(b.EqPrivate(b.EvalInputWord(ell), b.PrivateWord(ell)))
 		if i > 0 {
-			tw[i].eq = b.EvalInput()
+			eq[i] = b.EvalInput()
 		}
 	}
-	outs := make([]gc.Word, n)
-	switch kind {
-	case mergeSum:
-		run := tw[0].v
-		for i := 1; i < n; i++ {
-			outs[i-1] = b.ANDWordBit(run, b.Not(tw[i].eq))
-			run = b.Add(b.ANDWordBit(run, tw[i].eq), tw[i].v)
-		}
-		outs[n-1] = run
-	case mergeOr:
-		run := b.NonZero(tw[0].v)
-		for i := 1; i < n; i++ {
-			outs[i-1] = b.ZeroExtend(gc.Word{b.AND(run, b.Not(tw[i].eq))}, ell)
-			run = b.OR(b.AND(run, tw[i].eq), b.NonZero(tw[i].v))
-		}
-		outs[n-1] = b.ZeroExtend(gc.Word{run}, ell)
+	outs := make([]gc.Wire, n)
+	run := nz[0]
+	for i := 1; i < n; i++ {
+		outs[i-1] = b.AND(run, b.Not(eq[i]))
+		run = b.OR(b.AND(run, eq[i]), nz[i])
 	}
-	for i := 0; i < n; i++ {
-		mask := b.PrivateWord(ell)
-		b.OutputWordToEval(b.AddPrivate(outs[i], mask))
+	outs[n-1] = run
+	for _, out := range outs {
+		b.OutputWordToEval(b.AddPrivate(b.ZeroExtend(gc.Word{out}, ell), b.PrivateWord(ell)))
 	}
 	return b.Build()
 }
 
-// runMerge executes the sort + OEP + merge-chain pipeline shared by
-// Aggregate and ProjectOne, returning the new SharedRelation. The
-// holder's sorted view is streamed: SortPermByColumns derives the
-// permutation without cloning the relation, a PermScanner yields
-// chunk-bounded sorted windows, and the merge chain's adjacent-row
-// group-boundary bits need exactly one row of carry between chunks —
-// the tuple-plane working set is O(chunk) where the materialized path
-// cloned the whole relation. The OEP program, circuit bits and output
-// relation remain O(n): they are the protocol's public-size wire
-// contract, identical for every chunk size.
+// runMerge executes the sort + OEP pipeline shared by Aggregate and
+// ProjectOne, returning the new SharedRelation. The holder's sorted view
+// is streamed: SortPermByColumns derives the permutation without cloning
+// the relation, and PermScanner yields chunk-bounded sorted windows for
+// the group-boundary scan and the output relation. The OEP programs,
+// circuit bits and output relation remain O(n): they are the protocol's
+// public-size wire contract, identical for every chunk size.
 func runMerge(p *mpc.Party, dg *relation.DummyGen, s *SharedRelation, groupBy []relation.Attr, kind mergeKind, chunk int) (*SharedRelation, error) {
 	outSchema, err := relation.NewSchema(groupBy...)
 	if err != nil {
@@ -101,77 +90,159 @@ func runMerge(p *mpc.Party, dg *relation.DummyGen, s *SharedRelation, groupBy []
 		// aggregation is local — no OEP, no circuit, no communication.
 		return localMerge(p, dg, s, groupBy, kind, outSchema, chunk)
 	}
-	ell := p.Ring.Bits
-	circ := buildMergeCircuit(n, ell, kind)
-
-	if s.IsHolder(p) {
-		cols, err := s.Schema.Positions(groupBy)
-		if err != nil {
-			return nil, err
-		}
-		perm := relation.SortPermByColumns(s.Rel, cols)
-		annot, err := oep.RunPermuteProgrammer(p, perm, s.Annot)
+	out := &SharedRelation{Holder: s.Holder, Schema: outSchema, N: n}
+	if !s.IsHolder(p) {
+		sorted, err := oep.RunPermuteHelper(p, n, s.Annot)
 		if err != nil {
 			return nil, fmt.Errorf("core: aggregate OEP: %w", err)
 		}
-		// Evaluator inputs: shares and group-boundary bits, streamed over
-		// the sorted view with a one-row carry across chunk boundaries.
-		evalBits := make([]bool, 0, n*(ell+1))
-		var prev []uint64
-		i := 0
-		if err := scanChunks(relation.NewPermScanner(s.Rel, perm, nil, chunk), func(ch *relation.Chunk) error {
-			for r := range ch.Tuples {
-				evalBits = gc.AppendBits(evalBits, annot[i], ell)
-				if i > 0 {
-					evalBits = append(evalBits, rowsMatch(prev, ch.Tuples[r], cols))
-				}
-				prev = ch.Tuples[r]
-				i++
-			}
-			return nil
-		}); err != nil {
-			return nil, err
+		if kind == mergeSum {
+			out.Annot, err = groupSums(p, sorted, nil)
+		} else {
+			out.Annot, err = projectOneGarbler(p, sorted, s.Holder)
 		}
-		out, err := p.RunCircuit(circ, evalBits, nil, s.Holder.Other())
 		if err != nil {
 			return nil, err
 		}
-		newAnnot := make([]uint64, n)
-		relation.Range(n, chunk, func(lo, hi int) error {
-			for j := lo; j < hi; j++ {
-				newAnnot[j] = p.Ring.Mask(gc.UintOfBits(out[j*ell : (j+1)*ell]))
-			}
-			return nil
-		})
-		res, err := mergeOutputRel(s, perm, cols, outSchema, dg, chunk)
-		if err != nil {
-			return nil, err
-		}
-		return &SharedRelation{Holder: s.Holder, Schema: outSchema, N: n, Rel: res, Annot: newAnnot}, nil
+		return out, nil
 	}
-
-	// Helper side: OEP helper, then garbler with private share/mask bits.
-	annot, err := oep.RunPermuteHelper(p, n, s.Annot)
+	cols, err := s.Schema.Positions(groupBy)
+	if err != nil {
+		return nil, err
+	}
+	perm := relation.SortPermByColumns(s.Rel, cols)
+	sorted, err := oep.RunPermuteProgrammer(p, perm, s.Annot)
 	if err != nil {
 		return nil, fmt.Errorf("core: aggregate OEP: %w", err)
 	}
-	// Private-bit order must match circuit allocation: the per-tuple share
-	// words come first (allocated while wiring inputs), then the n output
-	// mask words.
-	priv := make([]bool, 0, 2*n*ell)
-	for i := 0; i < n; i++ {
-		priv = gc.AppendBits(priv, annot[i], ell)
-	}
-	newAnnot := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		r := p.Ring.Random(p.PRG)
-		newAnnot[i] = r
-		priv = gc.AppendBits(priv, p.Ring.Neg(r), ell)
-	}
-	if _, err := p.RunCircuit(circ, nil, priv, s.Holder.Other()); err != nil {
+	eq, err := groupBoundaries(s, perm, cols, chunk)
+	if err != nil {
 		return nil, err
 	}
-	return &SharedRelation{Holder: s.Holder, Schema: outSchema, N: n, Annot: newAnnot}, nil
+	if kind == mergeSum {
+		out.Annot, err = groupSums(p, sorted, groupShift(eq))
+	} else {
+		out.Annot, err = projectOneHolder(p, sorted, eq, s.Holder, chunk)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if out.Rel, err = mergeOutputRel(s, perm, cols, outSchema, dg, chunk); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// groupBoundaries scans the holder's sorted view once, with one row of
+// carry across chunks: eq[i] reports whether sorted rows i−1 and i fall
+// in the same group (eq[0] is false).
+func groupBoundaries(s *SharedRelation, perm, cols []int, chunk int) ([]bool, error) {
+	eq := make([]bool, 0, s.N)
+	var prev []uint64
+	err := scanChunks(relation.NewPermScanner(s.Rel, perm, nil, chunk), func(ch *relation.Chunk) error {
+		for _, row := range ch.Tuples {
+			eq = append(eq, prev != nil && rowsMatch(prev, row, cols))
+			prev = row
+		}
+		return nil
+	})
+	return eq, err
+}
+
+// groupShift is the holder's program for π^⊕'s second OEP: output i reads
+// input groupShift(eq)[i]. Every position reads itself except the group
+// ends e₁ < … < e_k (e_k = n−1 always): e_g reads e_{g−1}, and e₁ reads
+// slot n−1. The ends map onto the ends, so the program is a permutation.
+func groupShift(eq []bool) []int {
+	n := len(eq)
+	sigma := make([]int, n)
+	prevEnd := n - 1
+	for i := range sigma {
+		sigma[i] = i
+		if i == n-1 || !eq[i+1] {
+			sigma[i], prevEnd = prevEnd, i
+		}
+	}
+	return sigma
+}
+
+// groupSums finishes π^⊕ from fresh shares y of the sorted annotations:
+// each party takes prefix sums P of its own shares, zeroes its share of
+// P at slot n−1 — which only e₁ reads, and e₁ must subtract nothing — and
+// runs the second OEP over the result, programmed with sigma by the
+// holder (sigma == nil on the other side). out_i = P_i − P_{σ(i)} is then
+// the group's sum at every group end and zero elsewhere, and fresh
+// everywhere because the OEP re-randomizes every output.
+func groupSums(p *mpc.Party, y []uint64, sigma []int) ([]uint64, error) {
+	n := len(y)
+	sums := make([]uint64, n)
+	var acc uint64
+	for i, v := range y {
+		acc += v
+		sums[i] = acc
+	}
+	in := append(sums[:n-1:n-1], 0)
+	var prev []uint64
+	var err error
+	if sigma != nil {
+		prev, err = oep.RunPermuteProgrammer(p, sigma, in)
+	} else {
+		prev, err = oep.RunPermuteHelper(p, n, in)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: aggregate OEP: %w", err)
+	}
+	out := make([]uint64, n)
+	for i := range out {
+		out[i] = p.Ring.Mask(sums[i] - prev[i])
+	}
+	return out, nil
+}
+
+// projectOneHolder runs π¹'s merge chain as its evaluator over the sorted
+// shares and group-boundary bits, returning its output shares.
+func projectOneHolder(p *mpc.Party, sorted []uint64, eq []bool, holder mpc.Role, chunk int) ([]uint64, error) {
+	n, ell := len(sorted), p.Ring.Bits
+	evalBits := make([]bool, 0, n*(ell+1))
+	for i, v := range sorted {
+		evalBits = gc.AppendBits(evalBits, v, ell)
+		if i > 0 {
+			evalBits = append(evalBits, eq[i])
+		}
+	}
+	out, err := p.RunCircuit(buildProjectOneCircuit(n, ell), evalBits, nil, holder.Other())
+	if err != nil {
+		return nil, err
+	}
+	annot := make([]uint64, n)
+	relation.Range(n, chunk, func(lo, hi int) error {
+		for j := lo; j < hi; j++ {
+			annot[j] = p.Ring.Mask(gc.UintOfBits(out[j*ell : (j+1)*ell]))
+		}
+		return nil
+	})
+	return annot, nil
+}
+
+// projectOneGarbler runs π¹'s merge chain as its garbler: its negated
+// sorted shares, then the negated output masks, enter as private bits
+// (the order buildProjectOneCircuit allocates them); the masks are its
+// output shares.
+func projectOneGarbler(p *mpc.Party, sorted []uint64, holder mpc.Role) ([]uint64, error) {
+	n, ell := len(sorted), p.Ring.Bits
+	priv := make([]bool, 0, 2*n*ell)
+	for _, v := range sorted {
+		priv = gc.AppendBits(priv, p.Ring.Neg(v), ell)
+	}
+	annot := make([]uint64, n)
+	for i := range annot {
+		annot[i] = p.Ring.Random(p.PRG)
+		priv = gc.AppendBits(priv, p.Ring.Neg(annot[i]), ell)
+	}
+	if _, err := p.RunCircuit(buildProjectOneCircuit(n, ell), nil, priv, holder.Other()); err != nil {
+		return nil, err
+	}
+	return annot, nil
 }
 
 // mergeOutputRel rebuilds the holder-side output relation of an
@@ -208,59 +279,6 @@ func mergeOutputRel(s *SharedRelation, perm, cols []int, outSchema relation.Sche
 	}
 	emit(held, true)
 	return res, nil
-}
-
-// runMergeGC executes the aggregation on the monolithic-GC backend (see
-// gcbaseline): the holder's sort permutation enters the circuit as
-// selector bits instead of being applied by an OEP, so the pipeline is
-// sort + one circuit. Output structure and share semantics match
-// runMerge exactly — the planner picks between them on cost alone.
-func runMergeGC(p *mpc.Party, dg *relation.DummyGen, s *SharedRelation, groupBy []relation.Attr, kind mergeKind, chunk int) (*SharedRelation, error) {
-	if s.Plain || s.N == 0 {
-		// No protocol choice exists here; the planner never routes these
-		// to a backend, but stay behavior-compatible if called directly.
-		return runMerge(p, dg, s, groupBy, kind, chunk)
-	}
-	outSchema, err := relation.NewSchema(groupBy...)
-	if err != nil {
-		return nil, err
-	}
-	n := s.N
-	or := kind == mergeOr
-	if !s.IsHolder(p) {
-		newAnnot, err := gcbaseline.RunMergeGarbler(p, s.Annot, or)
-		if err != nil {
-			return nil, err
-		}
-		return &SharedRelation{Holder: s.Holder, Schema: outSchema, N: n, Annot: newAnnot}, nil
-	}
-	cols, err := s.Schema.Positions(groupBy)
-	if err != nil {
-		return nil, err
-	}
-	perm := relation.SortPermByColumns(s.Rel, cols)
-	eq := make([]bool, 0, n-1)
-	var prev []uint64
-	if err := scanChunks(relation.NewPermScanner(s.Rel, perm, nil, chunk), func(ch *relation.Chunk) error {
-		for r := range ch.Tuples {
-			if prev != nil {
-				eq = append(eq, rowsMatch(prev, ch.Tuples[r], cols))
-			}
-			prev = ch.Tuples[r]
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	newAnnot, err := gcbaseline.RunMergeEvaluator(p, s.Annot, perm, eq, or)
-	if err != nil {
-		return nil, err
-	}
-	res, err := mergeOutputRel(s, perm, cols, outSchema, dg, chunk)
-	if err != nil {
-		return nil, err
-	}
-	return &SharedRelation{Holder: s.Holder, Schema: outSchema, N: n, Rel: res, Annot: newAnnot}, nil
 }
 
 // localMerge is the plaintext-annotation fast path of the aggregation

@@ -28,8 +28,9 @@ const (
 	// applicable to every semijoin and aggregate.
 	BackendPSIOEP BackendID = "psi-oep"
 	// BackendGC is the monolithic garbled-circuit baseline of
-	// internal/gcbaseline: quadratic circuits with no PSI or OEP,
-	// applicable (and occasionally cheapest) at tiny cardinalities.
+	// internal/gcbaseline: a quadratic semijoin circuit with no PSI or
+	// OEP, applicable (and occasionally cheapest) at tiny cardinalities.
+	// It does not bid for aggregations.
 	BackendGC BackendID = "gc"
 	// BackendLocal marks steps with no protocol choice: plain-side
 	// aggregates and semijoins against empty children, which move only
@@ -72,13 +73,10 @@ type backendBid struct {
 	circs []preCirc
 }
 
-// Applicability caps for the quadratic GC baseline: beyond these the
-// monolithic circuits cannot win on cost and pricing them would only
-// slow compilation down.
-const (
-	gcAlignMaxCombos = 1 << 12 // parent·child comparison pairs
-	gcMergeMaxTuples = 256     // selector matrix is n² bits
-)
+// gcAlignMaxCombos caps the parent·child comparison pairs at which the
+// quadratic GC baseline bids: beyond it the monolithic circuit cannot win
+// on cost and pricing it would only slow compilation down.
+const gcAlignMaxCombos = 1 << 12
 
 // pickBackend selects a bid: the forced backend if it is among the
 // bids, else the minimum estimate (ties keep the earlier bid, and bids
@@ -109,47 +107,34 @@ func pickBackend(bids []backendBid, forced BackendID) (backendBid, []BackendChoi
 	return bids[sel], alts
 }
 
-// aggBids prices every backend applicable to one oblivious aggregation
-// (π^⊕ or π¹) of st. The §6.5 plain path has no protocol choice.
+// aggBids prices an oblivious aggregation (π^⊕ or π¹) of st. Only the
+// OEP construction bids: a circuit that also applies the sort
+// permutation (the gc backend's shape) loses to it by 6–71 × at every
+// size. The §6.5 plain path has no protocol choice.
 func aggBids(st nodeState, kind mergeKind, ell int) []backendBid {
 	if st.plain || st.n == 0 {
 		return []backendBid{{id: BackendLocal}}
 	}
 	n := st.n
-	garb := st.holder.Other()
-	// psi-oep: a bijective OEP aligning the shares with the holder's
-	// sort order plus the merge-gate chain. The holder programs the OEP
-	// and evaluates the merge circuit, so the other party sends both
-	// batches: one OT per OEP gate, then the circuit's n·ℓ share bits
-	// and n−1 group-boundary bits.
-	psiBid := backendBid{
-		id:   BackendPSIOEP,
-		cost: oep.Cost(n, n, true) + mergeCost(n, ell, kind),
-		ots: []preOT{
-			{sender: garb, m: oep.Gates(n, n, true)},
-			{sender: garb, m: n*(ell+1) - 1},
-		},
-		circs: []preCirc{{garbler: garb,
-			build: func() *gc.Circuit { return buildMergeCircuit(n, ell, kind) }}},
+	// The holder programs both OEPs and evaluates π¹'s circuit, so the
+	// other party sends every batch: one OT per gate of the sort OEP,
+	// then for π^⊕ one per gate of the group-shift OEP, for π¹ the
+	// circuit's n·ℓ share bits and n−1 group-boundary bits.
+	helper := st.holder.Other()
+	sortOEP := preOT{sender: helper, m: oep.Gates(n, n, true)}
+	b := backendBid{id: BackendPSIOEP, cost: oep.Cost(n, n, true), ots: []preOT{sortOEP}}
+	b.needs[helper] = true
+	switch kind {
+	case mergeSum:
+		b.cost += oep.Cost(n, n, true)
+		b.ots = append(b.ots, sortOEP)
+	case mergeOr:
+		b.cost += projectOneCost(n, ell)
+		b.ots = append(b.ots, preOT{sender: helper, m: n*(ell+1) - 1})
+		b.circs = []preCirc{{garbler: helper,
+			build: func() *gc.Circuit { return buildProjectOneCircuit(n, ell) }}}
 	}
-	psiBid.needs[garb] = true
-	bids := []backendBid{psiBid}
-	// gc: the sort permutation enters the circuit as n² selector bits,
-	// so no OEP precedes it. Evaluator inputs: n·ℓ share bits, the
-	// selector matrix, n−1 boundary bits.
-	if n <= gcMergeMaxTuples {
-		or := kind == mergeOr
-		gcBid := backendBid{
-			id:   BackendGC,
-			cost: gcMergeCost(n, ell, or),
-			ots:  []preOT{{sender: garb, m: n*ell + n*n + n - 1}},
-			circs: []preCirc{{garbler: garb,
-				build: func() *gc.Circuit { return gcbaseline.MergeCircuit(n, ell, or) }}},
-		}
-		gcBid.needs[garb] = true
-		bids = append(bids, gcBid)
-	}
-	return bids
+	return []backendBid{b}
 }
 
 // semijoinBids prices every backend applicable to parent ⋈^⊗ child.
@@ -258,14 +243,11 @@ func cachedCost(k costKey, f func() int64) int64 {
 	return v
 }
 
-func mergeCost(n, ell int, kind mergeKind) int64 {
-	return cachedCost(costKey{op: "merge", n: n, ell: ell, variant: int(kind)}, func() int64 {
-		// The merge chain threads a running aggregate through every
+func projectOneCost(n, ell int) int64 {
+	return cachedCost(costKey{op: "project-one", n: n, ell: ell}, func() int64 {
+		// The merge chain threads a running indicator through every
 		// tuple, so it is one slot of n tuples, affine in n from n = 1.
-		if n == 0 {
-			return 0
-		}
-		return gc.InterpolateDims(func(m int) *gc.Circuit { return buildMergeCircuit(m, ell, kind) }, n).MessageCost()
+		return gc.InterpolateDims(func(m int) *gc.Circuit { return buildProjectOneCircuit(m, ell) }, n).MessageCost()
 	})
 }
 
@@ -303,15 +285,5 @@ func psiIndexedCost(m, n, ell int, shared bool) int64 {
 func gcAlignCost(m, n, ell int) int64 {
 	return cachedCost(costKey{op: "gc-align", m: m, n: n, ell: ell}, func() int64 {
 		return gcbaseline.AlignCost(m, n, ell)
-	})
-}
-
-func gcMergeCost(n, ell int, or bool) int64 {
-	v := 0
-	if or {
-		v = 1
-	}
-	return cachedCost(costKey{op: "gc-merge", n: n, ell: ell, variant: v}, func() int64 {
-		return gcbaseline.MergeCost(n, ell, or)
 	})
 }

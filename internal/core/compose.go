@@ -74,9 +74,9 @@ func (r *SharedResult) Subtract(ring interface{ Sub(a, b uint64) uint64 }, other
 
 // buildRatioCircuit computes, per row, q = (a·scale)/b over shared a and
 // b, revealing to the evaluator (Alice) the masked quotient nz(b) ? q : 0
-// in the clear, plus either the row values (holder = Bob, garbler-private)
-// or the nz bit (holder = Alice). Division follows the restoring-division
-// circuit; scale is a public constant.
+// in the clear and the nz bit, plus — when Bob holds the rows — the row
+// values as a payload keyed to nz (see revealGadget). Division follows
+// the restoring-division circuit; scale is a public constant.
 func buildRatioCircuit(n, cols, ell int, scale uint64, withRows bool) *gc.Circuit {
 	b := gc.NewBuilder()
 	scaleW := b.ConstWord(scale, ell)
@@ -91,15 +91,7 @@ func buildRatioCircuit(n, cols, ell int, scale uint64, withRows bool) *gc.Circui
 		q, _ := b.DivMod(b.Mul(a, scaleW), den)
 		b.OutputWordToEval(b.ANDWordBit(q, nz))
 		if withRows {
-			z := b.Not(nz)
-			for c := 0; c < cols; c++ {
-				val := b.PrivateWord(attrBits)
-				out := make(gc.Word, attrBits)
-				for k := 0; k < attrBits; k++ {
-					out[k] = b.XOR(b.ANDG(nz, val[k]), z)
-				}
-				b.OutputWordToEval(out)
-			}
+			b.OutputPayloadIf(nz, b.PrivateWord(cols*attrBits))
 		} else {
 			b.OutputToEval(nz)
 		}
@@ -144,22 +136,21 @@ func RevealRatio(p *mpc.Party, num, den *SharedResult, scale uint64) (*relation.
 		res := relation.New(a.Schema)
 		per := ell + 1
 		if withRows {
-			per = ell + cols*attrBits
+			per += cols * attrBits
 		}
 		for i := 0; i < n; i++ {
 			off := i * per
 			q := gc.UintOfBits(out[off : off+ell])
 			row := make([]uint64, cols)
-			keep := true
+			keep := out[off+ell]
 			if withRows {
 				for c := 0; c < cols; c++ {
-					row[c] = gc.UintOfBits(out[off+ell+c*attrBits : off+ell+(c+1)*attrBits])
-					if row[c] == dummyMarker || relation.IsDummyValue(row[c]) {
+					row[c] = gc.UintOfBits(out[off+ell+1+c*attrBits : off+ell+1+(c+1)*attrBits])
+					if relation.IsDummyValue(row[c]) {
 						keep = false
 					}
 				}
 			} else {
-				keep = out[off+ell]
 				copy(row, a.Rel.Tuples[i])
 				if a.Rel.IsDummy(i) {
 					keep = false

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"secyan/internal/mpc"
@@ -247,6 +249,41 @@ func TestRevealRelation(t *testing.T) {
 		}
 		if got[1] != 42 || got[5] != 7 {
 			t.Fatalf("owner=%v: wrong reveal %v", owner, got)
+		}
+	}
+}
+
+// TestProductTree multiplies k = 1 … 5 shared factors elementwise and
+// checks the reconstruction against the product of the reconstructed
+// factors, with values that overflow the ring.
+func TestProductTree(t *testing.T) {
+	alice, bob := mpc.Pair(testRing)
+	defer alice.Conn.Close()
+	defer bob.Conn.Close()
+	rng := rand.New(rand.NewSource(18))
+	const n = 6
+	for k := 1; k <= 5; k++ {
+		fa, fb := make([][]uint64, k), make([][]uint64, k)
+		want := make([]uint64, n)
+		for i := range want {
+			want[i] = 1
+		}
+		for f := 0; f < k; f++ {
+			fa[f], fb[f] = make([]uint64, n), make([]uint64, n)
+			for i := 0; i < n; i++ {
+				v := rng.Uint64()
+				fa[f][i], fb[f][i] = testRing.Split(alice.PRG, v)
+				want[i] = testRing.Mask(want[i] * v)
+			}
+		}
+		pa, pb, err := mpc.Run2PC(alice, bob,
+			func(p *mpc.Party) ([]uint64, error) { return productTree(p, fa, 0) },
+			func(p *mpc.Party) ([]uint64, error) { return productTree(p, fb, 0) })
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		if got := testRing.CombineSlice(pa, pb); !reflect.DeepEqual(got, want) {
+			t.Fatalf("k=%d: product %v, want %v", k, got, want)
 		}
 	}
 }

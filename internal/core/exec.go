@@ -6,7 +6,6 @@ import (
 	"log/slog"
 	"time"
 
-	"secyan/internal/gc"
 	"secyan/internal/mpc"
 	"secyan/internal/obs"
 	"secyan/internal/oep"
@@ -443,13 +442,10 @@ func (ex *executor) exec(st *PlanStep) error {
 	return fmt.Errorf("core: unknown plan step kind %d", st.kind)
 }
 
-// merge dispatches one aggregate/project-one step to the backend the
-// plan chose for it.
+// merge runs one aggregate/project-one step; its only bids are psi-oep
+// and, for plain or empty inputs, local.
 func (ex *executor) merge(st *PlanStep, s *SharedRelation, kind mergeKind) (*SharedRelation, error) {
 	countBackendStep(st)
-	if st.Backend == BackendGC {
-		return runMergeGC(ex.p, ex.dg, s, st.attrs, kind, ex.chunk)
-	}
 	return runMerge(ex.p, ex.dg, s, st.attrs, kind, ex.chunk)
 }
 
@@ -528,8 +524,8 @@ func (ex *executor) alignNode(node int) error {
 	return nil
 }
 
-// annotationProduct is §6.3 step 3b: one garbled circuit multiplies the
-// aligned factors per join row, yielding shared result annotations, and
+// annotationProduct is §6.3 step 3b: productTree multiplies the aligned
+// factors per join row, yielding shared result annotations, and
 // assembles the JoinResult (rows on Alice's side).
 func (ex *executor) annotationProduct() error {
 	p := ex.p
@@ -542,45 +538,9 @@ func (ex *executor) annotationProduct() error {
 		}
 		return nil
 	}
-	k := len(ex.plan.joinOrder)
-	ell := p.Ring.Bits
-	circ := buildProductCircuit(out, k, ell)
-	annot := make([]uint64, out)
-	if p.Role == mpc.Alice {
-		evalBits := make([]bool, 0, out*k*ell)
-		relation.Range(out, ex.chunk, func(lo, hi int) error {
-			for row := lo; row < hi; row++ {
-				for fi := 0; fi < k; fi++ {
-					evalBits = gc.AppendBits(evalBits, ex.factors[fi][row], ell)
-				}
-			}
-			return nil
-		})
-		bits, err := p.RunCircuit(circ, evalBits, nil, mpc.Bob)
-		if err != nil {
-			return err
-		}
-		relation.Range(out, ex.chunk, func(lo, hi int) error {
-			for row := lo; row < hi; row++ {
-				annot[row] = p.Ring.Mask(gc.UintOfBits(bits[row*ell : (row+1)*ell]))
-			}
-			return nil
-		})
-	} else {
-		priv := make([]bool, 0, out*(k+1)*ell)
-		relation.Range(out, ex.chunk, func(lo, hi int) error {
-			for row := lo; row < hi; row++ {
-				for fi := 0; fi < k; fi++ {
-					priv = gc.AppendBits(priv, ex.factors[fi][row], ell)
-				}
-				annot[row] = p.Ring.Random(p.PRG)
-				priv = gc.AppendBits(priv, p.Ring.Neg(annot[row]), ell)
-			}
-			return nil
-		})
-		if _, err := p.RunCircuit(circ, nil, priv, mpc.Bob); err != nil {
-			return err
-		}
+	annot, err := productTree(p, ex.factors, ex.chunk)
+	if err != nil {
+		return err
 	}
 	ex.jr = &JoinResult{N: out, Schema: schema, Annot: annot}
 	if p.Role == mpc.Alice {
@@ -600,6 +560,43 @@ func (ex *executor) annotationProduct() error {
 		ex.jr.Rows = rows
 	}
 	return nil
+}
+
+// productTree multiplies equal-length share vectors elementwise. Each
+// level of a balanced tree multiplies adjacent pairs in one mulShares
+// batch over their concatenation — an odd vector out waits for the next
+// level — so k factors take ⌈log₂k⌉ batches. Bob sends every batch: the
+// OT direction the join's alignment OEPs already use.
+func productTree(p *mpc.Party, factors [][]uint64, chunk int) ([]uint64, error) {
+	for len(factors) > 1 {
+		pairs, n := len(factors)/2, len(factors[0])
+		a := make([]uint64, 0, pairs*n)
+		b := make([]uint64, 0, pairs*n)
+		for i := 0; i < pairs; i++ {
+			a = append(a, factors[2*i]...)
+			b = append(b, factors[2*i+1]...)
+		}
+		prod, err := mulShares(p, a, b, mpc.Alice, chunk)
+		if err != nil {
+			return nil, err
+		}
+		next := make([][]uint64, 0, pairs+1)
+		for i := 0; i < pairs; i++ {
+			next = append(next, prod[i*n:(i+1)*n])
+		}
+		factors = append(next, factors[2*pairs:]...)
+	}
+	return factors[0], nil
+}
+
+// productTreeCost prices productTree over k vectors of n shares: one
+// mulShares batch per level.
+func productTreeCost(n, k, ell int) int64 {
+	var cost int64
+	for ; k > 1; k = (k + 1) / 2 {
+		cost += mulCost(n*(k/2), ell)
+	}
+	return cost
 }
 
 // revealJoin reveals the join annotations to Alice and filters the

@@ -2,15 +2,11 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"secyan/internal/gc"
-	"secyan/internal/jointree"
 	"secyan/internal/mpc"
-	"secyan/internal/oep"
 	"secyan/internal/relation"
 	"secyan/internal/transport"
-	"secyan/internal/yannakakis"
 )
 
 // This file implements the oblivious join of paper §6.3, the final
@@ -25,8 +21,11 @@ import (
 //  2. lets Alice join the revealed relations locally with the plaintext
 //     Yannakakis engine, tracking provenance, and sends |J*| to Bob;
 //  3. re-aligns each relation's annotation shares to the join rows with
-//     an OEP programmed by Alice, and multiplies the factors per row in
-//     one garbled circuit, yielding shared result annotations.
+//     an OEP programmed by Alice, and multiplies the factors per row with
+//     OT-based share multiplications (mulShares), pairwise in ⌈log₂k⌉
+//     batches for k relations, yielding shared result annotations.
+//
+// The executor (exec.go) runs these as separate plan steps.
 
 // dummyMarker is the revealed value of a suppressed column: all ones,
 // which no real value (< 2^61) or padding dummy (< 2^62) can equal.
@@ -36,26 +35,20 @@ const dummyMarker = ^uint64(0)
 const attrBits = 64
 
 // revealGadget is the §6.3 step-1 gadget of one tuple with `cols`
-// columns: the evaluator (Alice) inputs her annotation share; the
-// garbler's share enters as private bits; if withRows is true the
-// garbler's column values follow as private bits and the gadget reveals
-// (zero ? dummyMarker : value) per column; otherwise only the zero bit is
-// revealed (Alice already holds the rows).
+// columns. The evaluator (Alice) inputs her annotation share and the
+// garbler (Bob) the negation of his as private bits; Alice learns nz,
+// whether the annotation is nonzero — whether her share differs from
+// minus his, ℓ−1 ANDs. If withRows is true Bob's column values follow as
+// private bits, revealed as a payload keyed to nz: Alice reads the row
+// exactly when its annotation is nonzero, for cols × 8 bytes and no
+// gate. Otherwise Alice already holds the rows and learns nz alone.
 func revealGadget(b *gc.Builder, cols, ell int, withRows bool) {
-	z := b.IsZero(b.AddPrivate(b.EvalInputWord(ell), b.PrivateWord(ell)))
+	nz := b.Not(b.EqPrivate(b.EvalInputWord(ell), b.PrivateWord(ell)))
 	if !withRows {
-		b.OutputToEval(z)
+		b.OutputToEval(nz)
 		return
 	}
-	nz := b.Not(z)
-	for c := 0; c < cols; c++ {
-		val := b.PrivateWord(attrBits)
-		out := make(gc.Word, attrBits)
-		for k := 0; k < attrBits; k++ {
-			out[k] = b.XOR(b.ANDG(nz, val[k]), z)
-		}
-		b.OutputWordToEval(out)
-	}
+	b.OutputPayloadIf(nz, b.PrivateWord(cols*attrBits))
 }
 
 // buildRevealCircuit repeats revealGadget once per tuple.
@@ -96,27 +89,31 @@ func revealNonzeroRows(p *mpc.Party, s *SharedRelation, chunk int) (*relation.Re
 		if err != nil {
 			return nil, err
 		}
+		// Per tuple Alice receives nz, then — when Bob holds the rows —
+		// the row's columns, zeros unless nz.
+		stride := 1
+		if withRows {
+			stride += cols * attrBits
+		}
 		res := relation.New(s.Schema)
 		relation.Range(n, chunk, func(lo, hi int) error {
 			for i := lo; i < hi; i++ {
-				if !withRows {
-					zero := out[i]
-					row := append([]uint64(nil), s.Rel.Tuples[i]...)
-					flag := uint64(1)
-					if zero || s.Rel.IsDummy(i) {
-						flag = 0
+				var row []uint64
+				dummy := false
+				if withRows {
+					row = make([]uint64, cols)
+					for c := range row {
+						off := i*stride + 1 + c*attrBits
+						row[c] = gc.UintOfBits(out[off : off+attrBits])
+						dummy = dummy || relation.IsDummyValue(row[c])
 					}
-					res.Append(row, flag)
-					continue
+				} else {
+					row = append(row, s.Rel.Tuples[i]...)
+					dummy = s.Rel.IsDummy(i)
 				}
-				row := make([]uint64, cols)
-				flag := uint64(1)
-				for c := 0; c < cols; c++ {
-					off := (i*cols + c) * attrBits
-					row[c] = gc.UintOfBits(out[off : off+attrBits])
-					if row[c] == dummyMarker || relation.IsDummyValue(row[c]) {
-						flag = 0
-					}
+				flag := uint64(0)
+				if out[i*stride] && !dummy {
+					flag = 1
 				}
 				res.Append(row, flag)
 			}
@@ -125,12 +122,12 @@ func revealNonzeroRows(p *mpc.Party, s *SharedRelation, chunk int) (*relation.Re
 		return res, nil
 	}
 
-	// Bob's side: garbler with private shares (and rows when he holds
-	// them).
+	// Bob's side: garbler with his negated shares (and the rows when he
+	// holds them) as private bits.
 	priv := make([]bool, 0, n*(ell+cols*attrBits))
 	relation.Range(n, chunk, func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
-			priv = gc.AppendBits(priv, s.Annot[i], ell)
+			priv = gc.AppendBits(priv, p.Ring.Neg(s.Annot[i]), ell)
 			if withRows {
 				for c := 0; c < cols; c++ {
 					priv = gc.AppendBits(priv, s.Rel.Tuples[i][c], attrBits)
@@ -210,28 +207,6 @@ func revealPlainRows(p *mpc.Party, s *SharedRelation, chunk int) (*relation.Rela
 	return res, nil
 }
 
-// productGadget multiplies the k shared factors of one row. Private-bit
-// order: per factor, the garbler's share; then the negated output mask.
-func productGadget(b *gc.Builder, k, ell int) {
-	var acc gc.Word
-	for f := 0; f < k; f++ {
-		v := b.AddPrivate(b.EvalInputWord(ell), b.PrivateWord(ell))
-		if f == 0 {
-			acc = v
-		} else {
-			acc = b.Mul(acc, v)
-		}
-	}
-	b.OutputWordToEval(b.AddPrivate(acc, b.PrivateWord(ell)))
-}
-
-// buildProductCircuit repeats productGadget once per row.
-func buildProductCircuit(n, k, ell int) *gc.Circuit {
-	b := gc.NewBuilder()
-	productGadget(b, k, ell)
-	return b.BuildSlots(n)
-}
-
 // JoinResult is one party's view of the oblivious join output: Alice has
 // the join rows (already filtered to real tuples) and both parties hold
 // shares of each row's annotation.
@@ -240,141 +215,6 @@ type JoinResult struct {
 	Schema relation.Schema
 	Rows   *relation.Relation // Alice only
 	Annot  []uint64
-}
-
-// ObliviousJoin executes §6.3 over the surviving tree nodes. srs is
-// indexed by tree node; nodes lists the participating node indices.
-func ObliviousJoin(p *mpc.Party, tree *jointree.Tree, srs []*SharedRelation, nodes []int) (*JoinResult, error) {
-	if len(nodes) == 0 {
-		return nil, fmt.Errorf("core: oblivious join over no relations")
-	}
-	order := append([]int(nil), nodes...)
-	sort.Ints(order)
-
-	// Step 1: reveal nonzero tuples of every participating relation.
-	revealed := make(map[int]*relation.Relation, len(order))
-	for _, node := range order {
-		r, err := revealNonzeroRows(p, srs[node], 0)
-		if err != nil {
-			return nil, fmt.Errorf("core: reveal node %d: %w", node, err)
-		}
-		revealed[node] = r
-	}
-
-	// Step 2: Alice joins locally with provenance and shares OUT.
-	var out int
-	var prov *yannakakis.Provenance
-	if p.Role == mpc.Alice {
-		rels := make([]*relation.Relation, len(srs))
-		for i, s := range srs {
-			if r, ok := revealed[i]; ok {
-				rels[i] = r
-			} else {
-				rels[i] = relation.New(s.Schema)
-			}
-		}
-		var err error
-		prov, err = yannakakis.JoinProvenance(tree, rels, order)
-		if err != nil {
-			return nil, err
-		}
-		out = prov.Result.Len()
-		if err := sendPublicSize(p.Conn, out); err != nil {
-			return nil, err
-		}
-	} else {
-		var err error
-		out, err = recvPublicSize(p.Conn)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// Union schema in join order (r's attrs, then new attrs per node).
-	schema := unionSchema(srs, order)
-	if out == 0 {
-		res := &JoinResult{N: 0, Schema: schema}
-		if p.Role == mpc.Alice {
-			res.Rows = relation.New(schema)
-		}
-		return res, nil
-	}
-
-	// Step 3: align annotation shares per relation via OEP, then multiply.
-	factors := make([][]uint64, len(order))
-	for fi, node := range order {
-		if p.Role == mpc.Alice {
-			xi := make([]int, out)
-			for row := 0; row < out; row++ {
-				src := prov.Sources[row][node]
-				if src < 0 {
-					return nil, fmt.Errorf("core: missing provenance for node %d", node)
-				}
-				xi[row] = src
-			}
-			f, err := oep.RunProgrammer(p, xi, srs[node].N, srs[node].Annot)
-			if err != nil {
-				return nil, err
-			}
-			factors[fi] = f
-		} else {
-			f, err := oep.RunHelper(p, srs[node].N, out, srs[node].Annot)
-			if err != nil {
-				return nil, err
-			}
-			factors[fi] = f
-		}
-	}
-
-	ell := p.Ring.Bits
-	circ := buildProductCircuit(out, len(order), ell)
-	annot := make([]uint64, out)
-	if p.Role == mpc.Alice {
-		evalBits := make([]bool, 0, out*len(order)*ell)
-		for row := 0; row < out; row++ {
-			for fi := range order {
-				evalBits = gc.AppendBits(evalBits, factors[fi][row], ell)
-			}
-		}
-		bits, err := p.RunCircuit(circ, evalBits, nil, mpc.Bob)
-		if err != nil {
-			return nil, err
-		}
-		for row := 0; row < out; row++ {
-			annot[row] = p.Ring.Mask(gc.UintOfBits(bits[row*ell : (row+1)*ell]))
-		}
-	} else {
-		priv := make([]bool, 0, out*(len(order)+1)*ell)
-		for row := 0; row < out; row++ {
-			for fi := range order {
-				priv = gc.AppendBits(priv, factors[fi][row], ell)
-			}
-			annot[row] = p.Ring.Random(p.PRG)
-			priv = gc.AppendBits(priv, p.Ring.Neg(annot[row]), ell)
-		}
-		if _, err := p.RunCircuit(circ, nil, priv, mpc.Bob); err != nil {
-			return nil, err
-		}
-	}
-
-	res := &JoinResult{N: out, Schema: schema, Annot: annot}
-	if p.Role == mpc.Alice {
-		// Reorder the provenance result columns to the union schema.
-		rows := relation.New(schema)
-		cols, err := prov.Result.Schema.Positions(schema.Attrs)
-		if err != nil {
-			return nil, err
-		}
-		for i := range prov.Result.Tuples {
-			row := make([]uint64, len(cols))
-			for c, cc := range cols {
-				row[c] = prov.Result.Tuples[i][cc]
-			}
-			rows.Append(row, 0)
-		}
-		res.Rows = rows
-	}
-	return res, nil
 }
 
 // unionSchema concatenates the node schemas, deduplicating attributes in

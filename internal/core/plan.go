@@ -268,12 +268,6 @@ func circuitCost(c *gc.Circuit) int64 {
 	return gc.DimsOf(c).MessageCost()
 }
 
-func productCost(n, k, ell int) int64 {
-	return cachedCost(costKey{op: "product", n: n, ell: ell, variant: k}, func() int64 {
-		return circuitCost(buildProductCircuit(n, k, ell))
-	})
-}
-
 func revealCost(n, cols, ell int, withRows bool) int64 {
 	v := 0
 	if withRows {
@@ -529,7 +523,7 @@ func compileTree(q *Query, tree *jointree.Tree, ringBits int, opts Options) (*Pl
 			N: estOut, EstBytes: est, kind: stepAlignAnnotations, node: i})
 	}
 	add(PlanStep{Phase: "join", Op: "annotation-product", Node: joinLabel,
-		N: estOut, EstBytes: productCost(estOut, len(order), ell), kind: stepAnnotationProduct})
+		N: estOut, EstBytes: productTreeCost(estOut, len(order), ell), kind: stepAnnotationProduct})
 	add(PlanStep{Phase: "reveal", Op: "reveal-annotations", Node: "result",
 		N: estOut, EstBytes: int64(8 * estOut), kind: stepRevealAnnotations, final: true})
 	return plan.seal(steps, needOT), nil

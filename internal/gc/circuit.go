@@ -92,9 +92,38 @@ type Circuit struct {
 	NumAnd  int
 	NumAndG int
 	// NumPrivate is the number of garbler-private bits a slot's XORG/ANDG
-	// gates reference. The garbler supplies them separately from its
-	// regular inputs; they cost no wire labels on the network.
+	// gates and payloads reference. The garbler supplies them separately
+	// from its regular inputs; they cost no wire labels on the network.
 	NumPrivate int
+	// Payloads lists a slot's keyed payloads (see Builder.OutputPayloadIf)
+	// in EvalOutputs order. What the evaluator receives of a slot is its
+	// EvalOutputs with each payload's bits right after its keying wire's.
+	Payloads []Payload
+}
+
+// Payload is a garbler-private word the evaluator can read only when the
+// keying wire W — itself the evaluator output EvalOutputs[Out] — is 1.
+type Payload struct {
+	W    Wire
+	Out  int
+	Bits []PBit
+}
+
+// payloadShape returns a slot's payload bits (what the evaluator
+// receives beyond EvalOutputs) and payload ciphertext bytes.
+func (c *Circuit) payloadShape() (bits, bytes int) {
+	for _, p := range c.Payloads {
+		bits += len(p.Bits)
+		bytes += (len(p.Bits) + 7) / 8
+	}
+	return bits, bytes
+}
+
+// evalOutBits is the number of bits a slot delivers to the evaluator:
+// its EvalOutputs and every payload's bits.
+func (c *Circuit) evalOutBits() int {
+	bits, _ := c.payloadShape()
+	return len(c.EvalOutputs) + bits
 }
 
 // slotBlocks is the number of table ciphertexts — equally, of hash
@@ -166,6 +195,7 @@ type Builder struct {
 	nAnd   int
 	nAndG  int
 	nPriv  int
+	pays   []Payload
 	built  bool
 	// cache for NOT-of-wire so repeated negations reuse a single gate
 	notCache map[Wire]Wire
@@ -319,6 +349,17 @@ func (b *Builder) OutputToEval(w Wire) { b.eOut = append(b.eOut, w) }
 // OutputToGarbler marks w as an output revealed to the garbler.
 func (b *Builder) OutputToGarbler(w Wire) { b.gOut = append(b.gOut, w) }
 
+// OutputPayloadIf reveals w to the evaluator and, when w is 1, the
+// garbler-private word ps as well. No gate touches ps: the garbler
+// encrypts it under a hash of w's 1-label with a fresh tweak per slot
+// (prf.SitePay), so it costs ⌈len(ps)/8⌉ bytes of ciphertext, and an
+// evaluator holding w's 0-label learns nothing of it. The evaluator
+// receives w's bit followed by ps, or by zeros when w is 0.
+func (b *Builder) OutputPayloadIf(w Wire, ps []PBit) {
+	b.pays = append(b.pays, Payload{W: w, Out: len(b.eOut), Bits: ps})
+	b.OutputToEval(w)
+}
+
 // Build finalizes a single-slot circuit: the gates are the whole graph.
 // The builder must not be used afterwards.
 func (b *Builder) Build() *Circuit { return b.BuildSlots(1) }
@@ -346,6 +387,7 @@ func (b *Builder) BuildSlots(slots int) *Circuit {
 		NumAnd:         b.nAnd,
 		NumAndG:        b.nAndG,
 		NumPrivate:     b.nPriv,
+		Payloads:       b.pays,
 	}
 }
 
@@ -405,6 +447,19 @@ func (c *Circuit) Validate() error {
 			return fmt.Errorf("gc: output wire %d undefined", w)
 		}
 	}
+	for j, p := range c.Payloads {
+		if p.Out < 0 || p.Out >= len(c.EvalOutputs) || c.EvalOutputs[p.Out] != p.W {
+			return fmt.Errorf("gc: payload keyed to wire %d is not evaluator output %d", p.W, p.Out)
+		}
+		if j > 0 && p.Out <= c.Payloads[j-1].Out {
+			return fmt.Errorf("gc: payloads out of evaluator-output order")
+		}
+		for _, pb := range p.Bits {
+			if pb < 0 || int(pb) >= c.NumPrivate {
+				return fmt.Errorf("gc: payload references private bit %d of %d", pb, c.NumPrivate)
+			}
+		}
+	}
 	return nil
 }
 
@@ -412,14 +467,15 @@ func (c *Circuit) Validate() error {
 // garbled-circuit cost baseline. All three inputs are slot-major;
 // privBits supplies the garbler-private bits (may be nil when the
 // circuit uses none). Returns evaluator-destined and garbler-destined
-// outputs, slot-major.
+// outputs, slot-major, each payload's bits right after its keying
+// wire's, as RunEvaluator delivers them.
 func (c *Circuit) EvalPlain(garblerBits, evalBits, privBits []bool) (evalOut, garblerOut []bool, err error) {
 	nG, nE, nP := len(c.GarblerInputs), len(c.EvalInputs), c.NumPrivate
 	if len(garblerBits) != c.Slots*nG || len(evalBits) != c.Slots*nE || len(privBits) != c.Slots*nP {
 		return nil, nil, fmt.Errorf("gc: EvalPlain input count mismatch (%d/%d garbler, %d/%d eval, %d/%d private)",
 			len(garblerBits), c.Slots*nG, len(evalBits), c.Slots*nE, len(privBits), c.Slots*nP)
 	}
-	nEO, nGO := len(c.EvalOutputs), len(c.GarblerOutputs)
+	nEO, nGO := c.evalOutBits(), len(c.GarblerOutputs)
 	evalOut = make([]bool, c.Slots*nEO)
 	garblerOut = make([]bool, c.Slots*nGO)
 	forBatches(c, func() []bool { return make([]bool, c.NumWires) }, func(vals []bool, s0, k int) {
@@ -445,8 +501,17 @@ func (c *Circuit) EvalPlain(garblerBits, evalBits, privBits []bool) (evalOut, ga
 					vals[g.Out] = vals[g.A] && priv[g.B]
 				}
 			}
+			o, j := s*nEO, 0
 			for i, w := range c.EvalOutputs {
-				evalOut[s*nEO+i] = vals[w]
+				evalOut[o] = vals[w]
+				o++
+				if j < len(c.Payloads) && c.Payloads[j].Out == i {
+					for _, pb := range c.Payloads[j].Bits {
+						evalOut[o] = vals[w] && priv[pb]
+						o++
+					}
+					j++
+				}
 			}
 			for i, w := range c.GarblerOutputs {
 				garblerOut[s*nGO+i] = vals[w]

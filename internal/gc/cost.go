@@ -12,26 +12,30 @@ type Dims struct {
 	EvalInputs     int
 	EvalOutputs    int
 	GarblerOutputs int
+	PayloadBytes   int
 }
 
 // DimsOf extracts the wire-cost dimensions of a built circuit: totals
 // over all of its slots.
 func DimsOf(c *Circuit) Dims {
+	_, pb := c.payloadShape()
 	return Dims{
 		TableBlocks:    c.TableBlocks(),
 		GarblerInputs:  c.Slots * len(c.GarblerInputs),
 		EvalInputs:     c.Slots * len(c.EvalInputs),
 		EvalOutputs:    c.Slots * len(c.EvalOutputs),
 		GarblerOutputs: c.Slots * len(c.GarblerOutputs),
+		PayloadBytes:   c.Slots * pb,
 	}
 }
 
 // MessageCost returns the total bytes (both directions) that
 // RunGarbler/RunEvaluator exchange for a circuit with these dimensions:
-// the garbled-tables message, the evaluator-input OT batch (16-byte
-// labels), and the masked garbler-output bits if any.
+// the garbled-tables message (payload ciphertexts included), the
+// evaluator-input OT batch (16-byte labels), and the masked
+// garbler-output bits if any.
 func (d Dims) MessageCost() int64 {
-	cost := int64(16*d.TableBlocks + 16 + 16*d.GarblerInputs + (d.EvalOutputs+7)/8)
+	cost := int64(16*d.TableBlocks + 16 + 16*d.GarblerInputs + (d.EvalOutputs+7)/8 + d.PayloadBytes)
 	cost += ot.ExtCost(d.EvalInputs, 16)
 	if d.GarblerOutputs > 0 {
 		cost += int64((d.GarblerOutputs + 7) / 8)
@@ -46,6 +50,7 @@ func (d Dims) sub(o Dims) Dims {
 		EvalInputs:     d.EvalInputs - o.EvalInputs,
 		EvalOutputs:    d.EvalOutputs - o.EvalOutputs,
 		GarblerOutputs: d.GarblerOutputs - o.GarblerOutputs,
+		PayloadBytes:   d.PayloadBytes - o.PayloadBytes,
 	}
 }
 
@@ -56,17 +61,18 @@ func (d Dims) add(o Dims, k int) Dims {
 		EvalInputs:     d.EvalInputs + k*o.EvalInputs,
 		EvalOutputs:    d.EvalOutputs + k*o.EvalOutputs,
 		GarblerOutputs: d.GarblerOutputs + k*o.GarblerOutputs,
+		PayloadBytes:   d.PayloadBytes + k*o.PayloadBytes,
 	}
 }
 
 // interpolateProbe is the smallest size InterpolateDims probes at. The
 // circuits still priced by interpolation are single-slot graphs that
-// grow with the tuple count — the merge chain threads one running
-// aggregate through every tuple — and add the same gates per further
-// tuple from the first on, so Dims is a polynomial in n from n = 1 and
-// the probes can be tiny. (Circuits that repeat an independent gadget
-// per tuple or bin are slot-built and need no interpolation:
-// DimsOf(build(n)) costs the same at any n.)
+// grow with the tuple count — the π¹ merge chain threads one running
+// indicator through every tuple — and add the same gates per further
+// tuple from the first on, so Dims is affine in n from n = 1 and the
+// probes can be tiny. (Circuits that repeat an independent gadget per
+// tuple or bin are slot-built and need no interpolation: DimsOf(build(n))
+// costs the same at any n.)
 const interpolateProbe = 1
 
 // InterpolateDims returns DimsOf(build(n)) without materializing large
@@ -75,36 +81,10 @@ const interpolateProbe = 1
 // consecutive probes, which is exact when the per-tuple structure is
 // size-independent.
 func InterpolateDims(build func(n int) *Circuit, n int) Dims {
-	return interpolateDims(build, n, 1)
-}
-
-// InterpolateDimsQuadratic is InterpolateDims for circuits with a
-// size-independent gadget per *pair* of tuples (an n×n selector matrix,
-// say): Dims is a degree-2 polynomial in n, fixed by three probes.
-func InterpolateDimsQuadratic(build func(n int) *Circuit, n int) Dims {
-	return interpolateDims(build, n, 2)
-}
-
-// interpolateDims evaluates the Newton forward-difference form through
-// the probes at interpolateProbe … interpolateProbe+degree. Everything
-// stays in integers: the k-th difference is multiplied by C(n-probe, k).
-func interpolateDims(build func(n int) *Circuit, n, degree int) Dims {
-	if n <= interpolateProbe+degree {
+	if n <= interpolateProbe+1 {
 		return DimsOf(build(n))
 	}
-	diffs := make([]Dims, degree+1)
-	for i := range diffs {
-		diffs[i] = DimsOf(build(interpolateProbe + i))
-	}
-	for k := 1; k <= degree; k++ {
-		for i := degree; i >= k; i-- {
-			diffs[i] = diffs[i].sub(diffs[i-1])
-		}
-	}
-	d, binom := diffs[0], 1
-	for k := 1; k <= degree; k++ {
-		binom = binom * (n - interpolateProbe - k + 1) / k
-		d = d.add(diffs[k], binom)
-	}
-	return d
+	first := DimsOf(build(interpolateProbe))
+	step := DimsOf(build(interpolateProbe + 1)).sub(first)
+	return first.add(step, n-interpolateProbe)
 }

@@ -9,7 +9,8 @@ import (
 
 // testOpCircuit builds a circuit shaped like the engine's operator
 // circuits: a per-tuple gadget repeated n times with the first tuple
-// slightly different, private garbler bits, and outputs to both sides.
+// slightly different, private garbler bits, outputs to both sides and a
+// ragged keyed payload per tuple.
 func testOpCircuit(n int) *Circuit {
 	const ell = 32
 	b := NewBuilder()
@@ -24,7 +25,9 @@ func testOpCircuit(n int) *Circuit {
 			eq := b.Eq(x, b.GarblerInputWord(ell))
 			acc = b.MuxWord(eq, b.Add(acc, s), s)
 		}
-		b.OutputWordToEval(b.ANDWordBit(s, b.NonZero(acc)))
+		nz := b.NonZero(acc)
+		b.OutputWordToEval(b.ANDWordBit(s, nz))
+		b.OutputPayloadIf(nz, m[:13])
 	}
 	if n > 0 {
 		b.OutputToGarbler(b.IsZero(acc))
@@ -32,32 +35,9 @@ func testOpCircuit(n int) *Circuit {
 	return b.Build()
 }
 
-// testPairCircuit is shaped like gcbaseline's merge circuit: one gadget
-// per (i, j) pair on top of per-tuple work, so Dims is quadratic in n.
-func testPairCircuit(n int) *Circuit {
-	const ell = 8
-	b := NewBuilder()
-	vs := make([]Word, n)
-	for i := range vs {
-		vs[i] = b.AddPrivate(b.EvalInputWord(ell), b.PrivateWord(ell))
-	}
-	for i := 0; i < n; i++ {
-		acc := b.GarblerInputWord(ell)
-		for j := 0; j < n; j++ {
-			acc = b.Add(acc, b.ANDWordBit(vs[j], b.EvalInput()))
-		}
-		if i > 0 {
-			acc = b.ANDWordBit(acc, b.EvalInput())
-		}
-		b.OutputWordToEval(acc)
-	}
-	return b.Build()
-}
-
 // TestInterpolateDimsExact verifies that extrapolating from the tiny
-// probes reproduces the dimensions of actually-built circuits, for the
-// affine and the quadratic shape, at every n ≤ 64 and a handful of
-// larger sizes.
+// probes reproduces the dimensions of actually-built circuits at every
+// n ≤ 64 and a handful of larger sizes.
 func TestInterpolateDimsExact(t *testing.T) {
 	sizes := []int{97, 128, 200}
 	for n := 1; n <= 64; n++ {
@@ -65,10 +45,7 @@ func TestInterpolateDimsExact(t *testing.T) {
 	}
 	for _, n := range sizes {
 		if got, want := InterpolateDims(testOpCircuit, n), DimsOf(testOpCircuit(n)); got != want {
-			t.Fatalf("affine n=%d: interpolated %+v, built %+v", n, got, want)
-		}
-		if got, want := InterpolateDimsQuadratic(testPairCircuit, n), DimsOf(testPairCircuit(n)); got != want {
-			t.Fatalf("quadratic n=%d: interpolated %+v, built %+v", n, got, want)
+			t.Fatalf("n=%d: interpolated %+v, built %+v", n, got, want)
 		}
 	}
 }

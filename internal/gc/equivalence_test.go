@@ -35,7 +35,8 @@ func equivCircuit() *Circuit {
 // randomGadget returns a builder routine that emits the same
 // pseudo-random gadget every time it is called: a few word operations
 // over garbler inputs, evaluator inputs and private words, with outputs
-// to both parties. Calling it n times in one builder and calling it once
+// to both parties and a keyed payload. Calling it n times in one builder
+// and calling it once
 // before BuildSlots(n) must describe the same computation.
 func randomGadget(seed int64) func(b *Builder) {
 	return func(b *Builder) {
@@ -68,6 +69,7 @@ func randomGadget(seed int64) func(b *Builder) {
 		}
 		b.OutputWordToEval(pool[len(pool)-1])
 		b.OutputToEval(b.EqPrivate(pick(), b.PrivateWord(w)))
+		b.OutputPayloadIf(pick()[0], b.PrivateWord(1+rng.Intn(12)))
 		b.OutputWordToGarbler(pool[len(pool)-2])
 	}
 }
@@ -115,6 +117,9 @@ func sameGarbling(t *testing.T, what string, got, want *garbled) {
 	if !bytes.Equal(got.perm, want.perm) {
 		t.Fatalf("%s: retained gate permute bits differ", what)
 	}
+	if !bytes.Equal(got.payFlip, want.payFlip) {
+		t.Fatalf("%s: retained payload pad corrections differ", what)
+	}
 }
 
 // activeLabels selects the evaluator's active input labels from a
@@ -134,7 +139,7 @@ func activeLabels(gb *garbled, ebits []bool) [][]byte {
 // activate turns the garbler-input zero labels of gb.msg into active
 // ones, as finishGarbler does before sending.
 func activate(c *Circuit, gb *garbled, gbits []bool) []byte {
-	labelsOff, decodeOff, _ := c.msgLayout()
+	labelsOff, decodeOff, _, _ := c.msgLayout()
 	msg := append([]byte(nil), gb.msg...)
 	gIn := prf.BlocksOf(msg[labelsOff+16 : decodeOff])
 	for i, v := range gbits {
@@ -374,7 +379,7 @@ func TestKernelAllocationIndependentOfSlots(t *testing.T) {
 
 		var gb *garbled
 		got := allocated(func() { gb = garble(c, prf.NewPRG(prf.Seed{7}), priv, true) })
-		kept := int64(len(gb.msg) + 16*len(gb.evalIn) + len(gb.outPerm) + len(gb.perm))
+		kept := int64(len(gb.msg) + 16*len(gb.evalIn) + len(gb.outPerm) + len(gb.perm) + len(gb.payFlip))
 		if limit := kept + scratch + slack; got > limit {
 			t.Fatalf("garble, %d slots: allocated %d bytes, want ≤ %d (kept %d + scratch %d)", n, got, limit, kept, scratch)
 		}

@@ -47,9 +47,9 @@ func KernelTotals() (gatesGarbled, garbleNs, gatesEvaled, evalNs int64) {
 type garbled struct {
 	delta prf.Block
 	// msg is the garbler's message, built in place: tables ‖ Const0 label
-	// ‖ garbler-input zero labels ‖ evaluator-output decode bits, all
-	// slot-major. finishGarbler turns the zero labels into active ones
-	// and sends the buffer as it stands.
+	// ‖ garbler-input zero labels ‖ evaluator-output decode bits ‖
+	// payload ciphertexts, all slot-major. finishGarbler turns the zero
+	// labels into active ones and sends the buffer as it stands.
 	msg []byte
 	// evalIn holds the zero labels of the evaluator's inputs, slot-major,
 	// for the input-label OTs.
@@ -63,15 +63,38 @@ type garbled struct {
 	// AND's first tweak and at an ANDG's only one, input B at an AND's
 	// second). applyPrivate needs nothing else of the interior wires.
 	perm []byte
+	// payFlip is kept only for ahead-of-time garbling, laid out like the
+	// message's payload region: per payload, pad(zero label) ⊕ pad(one
+	// label) of its keying wire — what applyPrivate XORs in when a
+	// private bit flips that wire's meaning.
+	payFlip []byte
 }
 
 // msgLayout returns the byte offsets of the label region (Const0 label,
-// then garbler-input labels) and of the decode bits in the garbler's
-// message, and its total length.
-func (c *Circuit) msgLayout() (labels, decode, total int) {
+// then garbler-input labels), of the decode bits and of the payload
+// ciphertexts in the garbler's message, and its total length.
+func (c *Circuit) msgLayout() (labels, decode, payload, total int) {
 	labels = 16 * c.TableBlocks()
 	decode = labels + 16 + 16*c.Slots*len(c.GarblerInputs)
-	return labels, decode, decode + (c.Slots*len(c.EvalOutputs)+7)/8
+	payload = decode + (c.Slots*len(c.EvalOutputs)+7)/8
+	_, perSlot := c.payloadShape()
+	return labels, decode, payload, payload + c.Slots*perSlot
+}
+
+// payTweak is the pad tweak of payload j of slot s: unique per payload
+// across the circuit, and disjoint from every gate tweak.
+func (c *Circuit) payTweak(s, j int) uint64 {
+	return prf.SitePay | uint64(s*len(c.Payloads)+j)
+}
+
+// xorPayload XORs the payload's private bits, packed little-endian, into
+// dst.
+func xorPayload(dst []byte, bits []PBit, priv []bool) {
+	for i, pb := range bits {
+		if priv[pb] {
+			dst[i>>3] ^= 1 << (i & 7)
+		}
+	}
 }
 
 // stride is the number of lanes a label scratch holds per wire: lanes,
@@ -130,10 +153,11 @@ func garble(c *Circuit, g *prf.PRG, priv []bool, keepPerm bool) *garbled {
 			mGarbleGateRate.Set(gateRate(c.NumGates(), d))
 		}()
 	}
-	labelsOff, decodeOff, total := c.msgLayout()
+	labelsOff, decodeOff, payOff, total := c.msgLayout()
 	nG, nE, nP := len(c.GarblerInputs), len(c.EvalInputs), c.NumPrivate
 	nEO, nGO := len(c.EvalOutputs), len(c.GarblerOutputs)
 	sb, stride := c.slotBlocks(), c.stride()
+	_, pb := c.payloadShape()
 	gb := &garbled{
 		msg:     make([]byte, total),
 		evalIn:  make([]prf.Block, c.Slots*nE),
@@ -141,6 +165,7 @@ func garble(c *Circuit, g *prf.PRG, priv []bool, keepPerm bool) *garbled {
 	}
 	if keepPerm {
 		gb.perm = make([]byte, (c.Slots+lanes-1)/lanes*sb)
+		gb.payFlip = make([]byte, total-payOff)
 	}
 	g.Read(gb.delta[:])
 	gb.delta[15] |= 1 // lsb(Δ) = 1 for point-and-permute
@@ -151,7 +176,8 @@ func garble(c *Circuit, g *prf.PRG, priv []bool, keepPerm bool) *garbled {
 	tables := prf.BlocksOf(gb.msg[:labelsOff])
 	labels := prf.BlocksOf(gb.msg[labelsOff:decodeOff])
 	gIn := labels[1:]
-	decode := gb.msg[decodeOff:]
+	decode := gb.msg[decodeOff:payOff]
+	pay := gb.msg[payOff:]
 	forBatches(c, c.labelScratch, func(w []prf.Block, s0, k int) {
 		lane := func(x Wire) []prf.Block { return w[int(x)*stride:][:k] }
 		for l := 0; l < k; l++ {
@@ -262,6 +288,22 @@ func garble(c *Circuit, g *prf.PRG, priv []bool, keepPerm bool) *garbled {
 			for i, x := range c.GarblerOutputs {
 				orBit(gb.outPerm, (s0+l)*nGO+i, w[int(x)*stride+l].LSB())
 			}
+			// Keyed payloads: the pad of the keying wire's 1-label, with
+			// the payload XORed in. Ahead of time the payload bits are
+			// zero, and the other label's pad is kept for the correction.
+			s, off := s0+l, (s0+l)*pb
+			for j, p := range c.Payloads {
+				ct := pay[off:][:(len(p.Bits)+7)/8]
+				zero := w[int(p.W)*stride+l]
+				prf.HashToWidthAES(ct, prf.XORBlockValue(zero, delta), c.payTweak(s, j))
+				if keepPerm {
+					fl := gb.payFlip[off:][:len(ct)]
+					prf.HashToWidthAES(fl, zero, c.payTweak(s, j))
+					prf.XORBytes(fl, fl, ct)
+				}
+				xorPayload(ct, p.Bits, priv[s*nP:])
+				off += len(ct)
+			}
 		}
 	})
 	return gb
@@ -269,18 +311,19 @@ func garble(c *Circuit, g *prf.PRG, priv []bool, keepPerm bool) *garbled {
 
 // evaluate runs the evaluator's side of c over the garbler's message —
 // read in place, tables included — and the active labels of its own
-// inputs, slot-major. It returns the evaluator's output bits and the
-// packed masked bits (active-label LSBs) of the garbler's outputs. It is
-// the same slot kernel as garble, with the same determinism guarantee,
-// and it checks every length before the first read: msg comes from the
-// peer.
+// inputs, slot-major. It returns the evaluator's output bits (each
+// payload's bits right after its keying wire's) and the packed masked bits
+// (active-label LSBs) of the garbler's outputs. It is the same slot
+// kernel as garble, with the same determinism guarantee, and it checks
+// every length before the first read: msg comes from the peer.
 func evaluate(c *Circuit, msg []byte, evalIn [][]byte) (out []bool, masked []byte, err error) {
-	labelsOff, decodeOff, total := c.msgLayout()
+	labelsOff, decodeOff, payOff, total := c.msgLayout()
 	if len(msg) != total {
 		return nil, nil, fmt.Errorf("gc: garbled message has %d bytes, want %d", len(msg), total)
 	}
 	nG, nE := len(c.GarblerInputs), len(c.EvalInputs)
-	nEO, nGO := len(c.EvalOutputs), len(c.GarblerOutputs)
+	nEO, nGO, nOut := len(c.EvalOutputs), len(c.GarblerOutputs), c.evalOutBits()
+	_, pb := c.payloadShape()
 	if len(evalIn) != c.Slots*nE {
 		return nil, nil, fmt.Errorf("gc: got %d evaluator input labels, want %d", len(evalIn), c.Slots*nE)
 	}
@@ -306,8 +349,9 @@ func evaluate(c *Circuit, msg []byte, evalIn [][]byte) (out []bool, masked []byt
 	tables := prf.BlocksOf(msg[:labelsOff])
 	labels := prf.BlocksOf(msg[labelsOff:decodeOff])
 	gIn := labels[1:]
-	decode := msg[decodeOff:]
-	out = make([]bool, c.Slots*nEO)
+	decode := msg[decodeOff:payOff]
+	pay := msg[payOff:]
+	out = make([]bool, c.Slots*nOut)
 	masked = make([]byte, (c.Slots*nGO+7)/8)
 	forBatches(c, c.labelScratch, func(w []prf.Block, s0, k int) {
 		lane := func(x Wire) []prf.Block { return w[int(x)*stride:][:k] }
@@ -361,13 +405,33 @@ func evaluate(c *Circuit, msg []byte, evalIn [][]byte) (out []bool, masked []byt
 				t++
 			}
 		}
+		var pad []byte
 		for l := 0; l < k; l++ {
+			s := s0 + l
+			o, j, off := s*nOut, 0, s*pb
 			for i, x := range c.EvalOutputs {
-				j := (s0+l)*nEO + i
-				out[j] = (w[int(x)*stride+l].LSB() == 1) != getBit(decode, j)
+				on := (w[int(x)*stride+l].LSB() == 1) != getBit(decode, s*nEO+i)
+				out[o] = on
+				o++
+				if j == len(c.Payloads) || c.Payloads[j].Out != i {
+					continue
+				}
+				// A payload whose keying wire came out 1 is under the pad
+				// of the label held; one keyed to a 0 stays zeros.
+				p := c.Payloads[j]
+				ct := pay[off:][:(len(p.Bits)+7)/8]
+				if on {
+					pad = append(pad[:0], ct...)
+					prf.HashToWidthAES(pad, w[int(x)*stride+l], c.payTweak(s, j))
+					prf.XORBytes(pad, pad, ct)
+					for b := range p.Bits {
+						out[o+b] = pad[b>>3]>>(b&7)&1 == 1
+					}
+				}
+				o, j, off = o+len(p.Bits), j+1, off+len(ct)
 			}
 			for i, x := range c.GarblerOutputs {
-				orBit(masked, (s0+l)*nGO+i, w[int(x)*stride+l].LSB())
+				orBit(masked, s*nGO+i, w[int(x)*stride+l].LSB())
 			}
 		}
 	})

@@ -2,6 +2,7 @@ package gc
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -180,6 +181,92 @@ func TestMulGateCount(t *testing.T) {
 			if got := UintOfBits(out); got != xv*yv&mask {
 				t.Fatalf("n=%d: %d·%d = %d, want %d", n, xv, yv, got, xv*yv&mask)
 			}
+		}
+	}
+}
+
+// TestAddPrivateGateCount pins AddPrivate's size at every width up to 64,
+// for a full evaluator word and for a zero-extended bit (the π¹ output
+// shape, ZeroExtend(bit) + mask), and its value against uint64
+// arithmetic: a bit whose wire operand or carry in is the constant-false
+// wire carries out through one ANDG, so a full word spends n−2 ANDs and
+// one ANDG, a zero-extended bit n−1 ANDGs and no AND.
+func TestAddPrivateGateCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for n := 1; n <= 64; n++ {
+		for _, ext := range []bool{false, true} {
+			b := NewBuilder()
+			x := b.EvalInputWord(n)
+			if ext {
+				x = b.ZeroExtend(x[:1], n)
+			}
+			b.OutputWordToEval(b.AddPrivate(x, b.PrivateWord(n)))
+			c := b.Build()
+			wantAnd, wantAndG := max(n-2, 0), min(n-1, 1)
+			if ext {
+				wantAnd, wantAndG = 0, n-1
+			}
+			if c.NumAnd != wantAnd || c.NumAndG != wantAndG {
+				t.Fatalf("n=%d ext=%v: %d AND + %d ANDG gates, want %d + %d", n, ext, c.NumAnd, c.NumAndG, wantAnd, wantAndG)
+			}
+			mask := ^uint64(0) >> uint(64-n)
+			for i := 0; i < 20; i++ {
+				xv, pv := rng.Uint64()&mask, rng.Uint64()&mask
+				in := xv
+				if ext {
+					in &= 1
+				}
+				out, _, err := c.EvalPlain(nil, BitsOfUint(xv, n), BitsOfUint(pv, n))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := UintOfBits(out); got != (in+pv)&mask {
+					t.Fatalf("n=%d ext=%v: %d+%d = %d, want %d", n, ext, in, pv, got, (in+pv)&mask)
+				}
+			}
+		}
+	}
+}
+
+// TestOutputPayloadIf2PC runs a keyed payload through the real protocol,
+// direct and pre-garbled, on both values of its keying wire and a
+// private bit that flips the wire's meaning: the evaluator reads the
+// payload exactly when the wire is 1, and zeros otherwise. Each payload
+// costs its ⌈bits/8⌉ bytes of ciphertext on the wire and no gate.
+func TestOutputPayloadIf2PC(t *testing.T) {
+	const bits = 21
+	b := NewBuilder()
+	key := b.XORG(b.EvalInput(), b.PrivateBit())
+	pay := b.PrivateWord(bits)
+	b.OutputPayloadIf(key, pay)
+	c := b.BuildSlots(3)
+	if c.TableBlocks() != 0 || DimsOf(c).PayloadBytes != 3*((bits+7)/8) {
+		t.Fatalf("payload costs %d table blocks and %d bytes", c.TableBlocks(), DimsOf(c).PayloadBytes)
+	}
+	rng := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 8; trial++ {
+		ebits := randBits(rng, c.Slots)
+		priv := randBits(rng, c.Slots*c.NumPrivate)
+		want, _, err := c.EvalPlain(nil, ebits, priv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < c.Slots; s++ {
+			on := ebits[s] != priv[s*c.NumPrivate]
+			got := UintOfBits(want[s*(1+bits)+1 : (s+1)*(1+bits)])
+			var p uint64
+			if on {
+				p = UintOfBits(priv[s*c.NumPrivate+1 : (s+1)*c.NumPrivate])
+			}
+			if want[s*(1+bits)] != on || got != p {
+				t.Fatalf("trial %d slot %d: plain evaluation gives key %v payload %d, want %v %d", trial, s, want[s*(1+bits)], got, on, p)
+			}
+		}
+		if e, _ := run2PC(t, c, nil, ebits, priv); !reflect.DeepEqual(e, want) {
+			t.Fatalf("trial %d: direct 2PC gives %v, want %v", trial, e, want)
+		}
+		if e, _ := run2PCPre(t, c, nil, ebits, priv); !reflect.DeepEqual(e, want) {
+			t.Fatalf("trial %d: pre-garbled 2PC gives %v, want %v", trial, e, want)
 		}
 	}
 }

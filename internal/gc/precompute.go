@@ -52,7 +52,10 @@ func GarbleAhead(c *Circuit) *PreGarbled {
 // circuit is the one the current step would have built. The same slot
 // repeated a different number of times is a different shape.
 func SameShape(a, b *Circuit) bool {
+	aBits, aBytes := a.payloadShape()
+	bBits, bBytes := b.payloadShape()
 	return a.Slots == b.Slots &&
+		len(a.Payloads) == len(b.Payloads) && aBits == bBits && aBytes == bBytes &&
 		a.NumWires == b.NumWires &&
 		len(a.Gates) == len(b.Gates) &&
 		a.NumAnd == b.NumAnd &&
@@ -66,23 +69,27 @@ func SameShape(a, b *Circuit) bool {
 }
 
 // applyPrivate specializes zero-private garbled material to the true
-// private bits, in place: it XORs f·Δ into the affected table entries and
+// private bits, in place: it XORs f·Δ into the affected table entries,
 // flips the decode and output permute bits of the output wires whose
-// label meaning changed, after which gb is what a direct garble with the
-// same randomness would have produced. The slot kernel again, one slot at
-// a time over a scratch of per-wire flip bits f (input wires are never
-// written, so they stay unflipped across slots); each gate sees its
-// input flips resolved because the gate list is topologically ordered.
+// label meaning changed and XORs the payloads — re-padded where their
+// keying wire flipped — into their ciphertexts, after which gb is what a
+// direct garble with the same randomness would have produced. The slot
+// kernel again, one slot at a time over a scratch of per-wire flip bits
+// f (input wires are never written, so they stay unflipped across
+// slots); each gate sees its input flips resolved because the gate list
+// is topologically ordered.
 func applyPrivate(c *Circuit, gb *garbled, priv []bool) {
 	sp := obs.Begin("gc", "gc.correct")
 	defer sp.EndN(int64(c.NumGates()))
 	mCircuitsCorrected.Inc()
-	labelsOff, decodeOff, _ := c.msgLayout()
+	labelsOff, decodeOff, payOff, _ := c.msgLayout()
 	tables := prf.BlocksOf(gb.msg[:labelsOff])
-	decode := gb.msg[decodeOff:]
+	decode := gb.msg[decodeOff:payOff]
+	pay := gb.msg[payOff:]
 	delta := gb.delta
 	sb, nP := c.slotBlocks(), c.NumPrivate
 	nEO, nGO := len(c.EvalOutputs), len(c.GarblerOutputs)
+	_, pb := c.payloadShape()
 	forBatches(c, func() []bool { return make([]bool, c.NumWires) }, func(f []bool, s0, k int) {
 		perm := gb.perm[s0/lanes*sb:][:sb]
 		for l := 0; l < k; l++ {
@@ -128,9 +135,20 @@ func applyPrivate(c *Circuit, gb *garbled, priv []bool) {
 					gb.outPerm[(s*nGO+i)>>3] ^= 1 << ((s*nGO + i) & 7)
 				}
 			}
+			// A flipped keying wire swaps which label is the 1-label,
+			// hence which pad the payload sits under; then the payload.
+			off := s * pb
+			for _, pl := range c.Payloads {
+				ct := pay[off:][:(len(pl.Bits)+7)/8]
+				if f[pl.W] {
+					prf.XORBytes(ct, ct, gb.payFlip[off:][:len(ct)])
+				}
+				xorPayload(ct, pl.Bits, p)
+				off += len(ct)
+			}
 		}
 	})
-	gb.perm = nil
+	gb.perm, gb.payFlip = nil, nil
 }
 
 // RunOnline runs the thin online step of a pre-garbled circuit: apply the

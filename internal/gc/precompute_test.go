@@ -12,7 +12,8 @@ import (
 
 // correctionGadget exercises every gate kind, with garbler-private bits
 // feeding XORG and ANDG gates at several depths so flips have to
-// propagate through XOR/NOT/AND chains.
+// propagate through XOR/NOT/AND chains, and two keyed payloads — one
+// whole byte, one ragged — on wires whose meaning private bits flip.
 func correctionGadget(b *Builder) {
 	g := b.GarblerInputWord(8)
 	e := b.EvalInputWord(8)
@@ -26,6 +27,8 @@ func correctionGadget(b *Builder) {
 	b.OutputWordToEval(out)
 	b.OutputWordToGarbler(b.Sub(out, g))
 	b.OutputToEval(b.Not(eq))
+	b.OutputPayloadIf(eq, q)
+	b.OutputPayloadIf(b.Not(eq), append(p[:5:5], q[:6]...))
 }
 
 func correctionCircuit() *Circuit { return slotted(correctionGadget, 1) }

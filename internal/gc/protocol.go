@@ -14,7 +14,7 @@ import (
 // The protocol is:
 //
 //  1. garbler → evaluator: AND tables ‖ const label ‖ active garbler input
-//     labels ‖ evaluator-output decode bits
+//     labels ‖ evaluator-output decode bits ‖ payload ciphertexts
 //  2. one OT batch delivering the evaluator's input labels
 //  3. evaluator → garbler: masked bits of garbler outputs (if any)
 //
@@ -43,7 +43,7 @@ func (c *Circuit) checkGarblerBits(inputs, priv []bool) error {
 // the wire layout, so the table region — nearly all of the bytes — is
 // sent from the buffer it was garbled into.
 func finishGarbler(conn transport.Conn, otSend *ot.Sender, c *Circuit, gb *garbled, inputs []bool) ([]bool, error) {
-	labelsOff, decodeOff, _ := c.msgLayout()
+	labelsOff, decodeOff, _, _ := c.msgLayout()
 	gIn := prf.BlocksOf(gb.msg[labelsOff+16 : decodeOff])
 	for i, v := range inputs {
 		if v {
@@ -91,13 +91,14 @@ func finishGarbler(conn transport.Conn, otSend *ot.Sender, c *Circuit, gb *garbl
 
 // RunEvaluator executes the 2PC evaluation of c as the evaluating party.
 // inputs are the evaluator's private input bits, slot-major. It returns
-// the bits of the evaluator outputs, slot-major. The garbler's message is
+// the bits of the evaluator outputs, slot-major, each payload's bits
+// right after its keying wire's. The garbler's message is
 // evaluated where it was received; nothing is copied out of it.
 func RunEvaluator(conn transport.Conn, otRecv *ot.Receiver, c *Circuit, inputs []bool) ([]bool, error) {
 	if want := c.Slots * len(c.EvalInputs); len(inputs) != want {
 		return nil, fmt.Errorf("gc: evaluator got %d input bits, want %d", len(inputs), want)
 	}
-	_, _, want := c.msgLayout()
+	_, _, _, want := c.msgLayout()
 	msg, err := transport.RecvSized(conn, "gc: garbled message", want)
 	if err != nil {
 		return nil, err

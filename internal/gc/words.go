@@ -112,10 +112,14 @@ func (b *Builder) Sub(x, y Word) Word {
 }
 
 // AddPrivate returns (x + p) mod 2^n where p is a garbler-private word.
-// Same AND count as Add, but the private operand costs no wire labels.
-// Protocols use it to fold the garbler's additive shares and masks into a
-// circuit: the garbler supplies its share (or the negated mask) as private
-// bits instead of paying 128-bit input labels per bit.
+// At most the AND count of Add, but the private operand costs no wire
+// labels. Protocols use it to fold the garbler's additive shares and
+// masks into a circuit: the garbler supplies its share (or the negated
+// mask) as private bits instead of paying 128-bit input labels per bit.
+// Where one of a bit's two wire operands — x's bit or the carry in — is
+// the constant-false wire, the carry out is the other one ∧ p: one ANDG
+// instead of an AND, and nothing at all when both are. A zero-extended
+// bit plus a mask, say, costs one ANDG per high bit.
 func (b *Builder) AddPrivate(x Word, ps []PBit) Word {
 	if len(x) != len(ps) {
 		panic("gc: AddPrivate width mismatch")
@@ -124,10 +128,18 @@ func (b *Builder) AddPrivate(x Word, ps []PBit) Word {
 	carry := b.Const0()
 	for i := range x {
 		axc := b.XOR(x[i], carry)
-		pxc := b.XORG(carry, ps[i])
 		out[i] = b.XORG(axc, ps[i])
-		if i < len(x)-1 {
-			carry = b.XOR(carry, b.AND(axc, pxc))
+		if i == len(x)-1 {
+			break // the last carry is discarded (mod 2^n)
+		}
+		switch {
+		case x[i] == b.const0 && carry == b.const0:
+		case x[i] == b.const0:
+			carry = b.ANDG(carry, ps[i])
+		case carry == b.const0:
+			carry = b.ANDG(x[i], ps[i])
+		default:
+			carry = b.XOR(carry, b.AND(axc, b.XORG(carry, ps[i])))
 		}
 	}
 	return out

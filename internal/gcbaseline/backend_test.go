@@ -2,7 +2,6 @@ package gcbaseline
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 
 	"secyan/internal/gc"
@@ -59,71 +58,8 @@ func TestAlignSharesCombine(t *testing.T) {
 	}
 }
 
-func TestMergeSharesCombine(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	ring := share.Ring{Bits: 32}
-	for _, or := range []bool{false, true} {
-		for _, n := range []int{1, 2, 9, 16} {
-			groups := make([]int, n) // group label per original tuple
-			vals := make([]uint64, n)
-			for i := range groups {
-				groups[i] = rng.Intn(3)
-				vals[i] = uint64(rng.Intn(1 << 10))
-			}
-			perm := make([]int, n)
-			for i := range perm {
-				perm[i] = i
-			}
-			sort.SliceStable(perm, func(a, b int) bool { return groups[perm[a]] < groups[perm[b]] })
-			eq := make([]bool, n-1)
-			for i := 1; i < n; i++ {
-				eq[i-1] = groups[perm[i-1]] == groups[perm[i]]
-			}
-			evalShares := make([]uint64, n)
-			garbShares := make([]uint64, n)
-			for i := range vals {
-				evalShares[i] = ring.Mask(rng.Uint64())
-				garbShares[i] = ring.Sub(vals[i], evalShares[i])
-			}
-			alice, bob := mpc.Pair(ring)
-			wa, wb, err := mpc.Run2PC(alice, bob,
-				func(p *mpc.Party) ([]uint64, error) { return RunMergeEvaluator(p, evalShares, perm, eq, or) },
-				func(p *mpc.Party) ([]uint64, error) { return RunMergeGarbler(p, garbShares, or) },
-			)
-			alice.Conn.Close()
-			bob.Conn.Close()
-			if err != nil {
-				t.Fatalf("or=%v n=%d: %v", or, n, err)
-			}
-			// Expected: last sorted position of each group carries the group
-			// aggregate; every other position is zero.
-			for i := 0; i < n; i++ {
-				last := i == n-1 || groups[perm[i]] != groups[perm[i+1]]
-				var want uint64
-				if last {
-					for j := 0; j < n; j++ {
-						if groups[j] != groups[perm[i]] {
-							continue
-						}
-						if or {
-							if vals[j] != 0 {
-								want = 1
-							}
-						} else {
-							want = ring.Add(want, vals[j])
-						}
-					}
-				}
-				if got := ring.Combine(wa[i], wb[i]); got != want {
-					t.Errorf("or=%v n=%d sorted pos %d: out = %d, want %d", or, n, i, got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestBackendCostExact pins AlignCost/MergeCost to measured traffic —
-// the plan compiler prices backend alternatives with these predictors.
+// TestBackendCostExact pins AlignCost to measured traffic — the plan
+// compiler prices the gc semijoin bid with this predictor.
 func TestBackendCostExact(t *testing.T) {
 	ring := share.Ring{Bits: 32}
 	rng := rand.New(rand.NewSource(3))
@@ -163,23 +99,6 @@ func TestBackendCostExact(t *testing.T) {
 			t.Fatalf("align m=%d n=%d moved %d bytes, predictor says %d", tc.m, tc.n, got, want)
 		}
 	}
-
-	for _, or := range []bool{false, true} {
-		n := 9
-		perm := make([]int, n)
-		for i := range perm {
-			perm[i] = n - 1 - i
-		}
-		got := measure(
-			func(p *mpc.Party) error {
-				_, err := RunMergeEvaluator(p, make([]uint64, n), perm, make([]bool, n-1), or)
-				return err
-			},
-			func(p *mpc.Party) error { _, err := RunMergeGarbler(p, make([]uint64, n), or); return err })
-		if want := MergeCost(n, ring.Bits, or); got != want {
-			t.Fatalf("merge or=%v moved %d bytes, predictor says %d", or, got, want)
-		}
-	}
 }
 
 // warmOT forces both OT-extension sessions into existence so measured
@@ -206,15 +125,12 @@ func warmOT(t *testing.T, alice, bob *mpc.Party) {
 	}
 }
 
-// TestCostsMatchBuiltCircuits pins both interpolated predictors — the
-// affine AlignCost and the quadratic MergeCost — against circuits built
-// outright, for every size up to 64 and a handful of larger ones.
+// TestCostsMatchBuiltCircuits pins the interpolated AlignCost against
+// circuits built outright, for every size up to 64 and a handful of
+// larger ones.
 func TestCostsMatchBuiltCircuits(t *testing.T) {
 	const ell = 32
-	sizes := []int{97, 128}
-	if !testing.Short() {
-		sizes = append(sizes, 256) // the backend's applicability cap
-	}
+	sizes := []int{97, 128, 256}
 	for n := 1; n <= 64; n++ {
 		sizes = append(sizes, n)
 	}
@@ -222,11 +138,6 @@ func TestCostsMatchBuiltCircuits(t *testing.T) {
 		for _, children := range []int{1, 7} {
 			if got, want := AlignCost(n, children, ell), gc.DimsOf(AlignCircuit(n, children, ell)).MessageCost(); got != want {
 				t.Fatalf("align m=%d n=%d: predicted %d bytes, built circuit costs %d", n, children, got, want)
-			}
-		}
-		for _, or := range []bool{false, true} {
-			if got, want := MergeCost(n, ell, or), gc.DimsOf(MergeCircuit(n, ell, or)).MessageCost(); got != want {
-				t.Fatalf("merge n=%d or=%v: predicted %d bytes, built circuit costs %d", n, or, got, want)
 			}
 		}
 	}

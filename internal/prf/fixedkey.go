@@ -39,7 +39,13 @@ func init() {
 //	         plus the gate's running count within the slot (AND gates
 //	         consume two consecutive tweaks, ANDG one) — unique per gate
 //	         half across the circuit. Kept at prefix 0 so garbled tables
-//	         are bit-identical to the pre-partition scheme.
+//	         are bit-identical to the pre-partition scheme. Gate tweaks
+//	         stay below 2^61, so the upper half of the site is free:
+//	SitePay: the keyed payloads of a garbled circuit (gc.Builder's
+//	         OutputPayloadIf), carved out of SiteGC at bit 61; the low bits
+//	         carry the slot index times the payloads per slot plus the
+//	         payload's index, unique per payload across the circuit. The
+//	         pad is HashToWidthAES of the keying wire's 1-label.
 //	SiteOT:  IKNP break-correlation hashing and random-OT pad
 //	         derivation; the low bits carry the session-global OT
 //	         instance index. The two pads of instance j (rows q_j and
@@ -55,6 +61,7 @@ const (
 	SiteOT  uint64 = 1 << 62
 	SitePSI uint64 = 2 << 62
 	SiteKDF uint64 = 3 << 62
+	SitePay        = SiteGC | 1<<61
 )
 
 // mmoScratch is the two-block workspace of one MMO evaluation: the
