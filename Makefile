@@ -45,18 +45,21 @@ race-backends:
 	$(GO) test -race -count=3 -timeout 30m -run 'Backend|PlanCosted' ./internal/core ./internal/jointree
 	$(GO) test -race -count=3 -timeout 30m ./internal/gcbaseline
 
-# The observability suites under the race detector, repeated: labeled
-# metric vecs, the structured event log, the flight recorder, the live
-# step-status map, the debug server's graceful shutdown, and the
-# fully-observed transcript-neutrality tests (see DESIGN.md §14).
+# The observability suites under the race detector, repeated: all of
+# internal/obs (metric families, the goroutine-to-track binding map,
+# kernel spans, the event log, the flight recorder, the live step
+# status, the debug server), then the executor's and the root's
+# fully-observed transcript-neutrality and Chrome-trace tests (see
+# DESIGN.md §9).
 race-obs:
-	$(GO) test -race -count=3 -timeout 30m -run 'Obs|Event|Flight|Label|Status|Prom|Shutdown' ./internal/obs ./internal/core .
+	$(GO) test -race -count=3 -timeout 30m ./internal/obs
+	$(GO) test -race -count=3 -timeout 30m -run 'Obs|Event|Flight|Label|Status|Prom|Shutdown|Chrome' ./internal/core .
 
 # The secyand daemon suites under the race detector, repeated: WFQ
 # fairness/starvation, typed quota and overload shedding, the
 # precompute farm's inventory and cooperative-warm paths, graceful
 # drain — all over real TCP — plus the root options model's precedence
-# tests (see DESIGN.md §16).
+# tests (see DESIGN.md §15).
 race-daemon:
 	$(GO) test -race -count=3 -timeout 30m ./internal/daemon
 	$(GO) test -race -count=3 -timeout 30m -run 'QueryUnifiedAPI|OptionPrecedence' .
@@ -66,7 +69,7 @@ race-daemon:
 # noescape scratch laundering), the IKNP extension that hashes matrix
 # rows through it, the slot-parallel garbling kernel whose workers share
 # one message buffer (DESIGN.md §7), PSI/cuckoo bin sweeps, and the
-# packed bit-matrix plumbing underneath (see DESIGN.md §15).
+# packed bit-matrix plumbing underneath (see DESIGN.md §14).
 race-kernels:
 	$(GO) test -race -count=3 -timeout 30m ./internal/prf ./internal/bitutil ./internal/ot ./internal/gc ./internal/cuckoo ./internal/psi
 

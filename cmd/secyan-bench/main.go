@@ -93,7 +93,6 @@ func main() {
 	}
 	if *traceOut != "" {
 		opt.Tracer = obs.NewTracer()
-		obs.Install(opt.Tracer)
 	}
 
 	specs := []queries.Spec{queries.Q3(), queries.Q10(), queries.Q18(), queries.Q8(), queries.Q9(*q9nations)}

@@ -103,7 +103,7 @@ func main() {
 	}
 
 	if *logJSON {
-		obs.Events().SetJSONSink(os.Stderr)
+		obs.Events().SetJSONSink(os.Stderr) // enables obs
 	}
 	if *flightN > 0 {
 		obs.Flight().SetCapacity(*flightN)
@@ -120,7 +120,6 @@ func main() {
 	var tracer *obs.Tracer
 	if *traceOut != "" {
 		tracer = obs.NewTracer()
-		obs.Install(tracer)
 	}
 
 	switch {

@@ -25,12 +25,9 @@ import (
 	"time"
 
 	"secyan/internal/core"
-	"secyan/internal/gc"
 	"secyan/internal/gcbaseline"
 	"secyan/internal/mpc"
 	"secyan/internal/obs"
-	"secyan/internal/ot"
-	"secyan/internal/psi"
 	"secyan/internal/queries"
 	"secyan/internal/relation"
 	"secyan/internal/share"
@@ -116,9 +113,10 @@ type kernelTotals struct {
 }
 
 func snapshotKernels() (k kernelTotals) {
-	k.ots, k.otNs = ot.ExtKernelTotals()
-	k.gg, k.ggNs, k.ge, k.geNs = gc.KernelTotals()
-	k.bins, k.binNs = psi.KernelTotals()
+	k.ots, k.otNs = obs.KernelTotal("ot.ext.")
+	k.gg, k.ggNs = obs.KernelTotal("gc.garble")
+	k.ge, k.geNs = obs.KernelTotal("gc.evaluate")
+	k.bins, k.binNs = obs.KernelTotal("psi.")
 	return k
 }
 

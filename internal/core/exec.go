@@ -13,28 +13,18 @@ import (
 	"secyan/internal/yannakakis"
 )
 
-// Executor metrics: one increment per plan run / plan step on this
-// party's side. Like all obs collection, off until obs.Enable.
+// Executor metrics, labeled with bounded cardinality (DESIGN.md §9):
+// per-phase/backend step attribution, and per-shape runs and latency
+// SLO histograms keyed by "root:digest". Σ steps_by_label is the step
+// count, and its backend label the per-backend one.
 var (
-	mPlanRuns  = obs.NewCounter("secyan_core_plan_runs_total", "Plan executions started (per party side in this process).")
-	mPlanSteps = obs.NewCounter("secyan_core_plan_steps_total", "Plan steps executed (per party side in this process).")
-	// Per-backend step counters: how often the auction (or a forced
-	// option) routed a semijoin/aggregate step to each backend.
-	mBackendSteps = map[BackendID]*obs.Counter{
-		BackendPSIOEP: obs.NewCounter("secyan_core_backend_psi_oep_steps_total", "Plan steps served by the psi-oep backend."),
-		BackendGC:     obs.NewCounter("secyan_core_backend_gc_steps_total", "Plan steps served by the gc backend."),
-		BackendLocal:  obs.NewCounter("secyan_core_backend_local_steps_total", "Plan steps with no protocol choice (local/degenerate)."),
-	}
-	// Query-scoped labeled metrics (bounded cardinality, see
-	// DESIGN.md §14): per-phase/backend step attribution and per-shape
-	// latency SLO histograms keyed by "root:digest".
-	mStepsByLabel = obs.NewCounterVec("secyan_core_steps_by_label_total",
+	mStepsByLabel = obs.NewCounter("secyan_core_steps_by_label_total",
 		"Plan steps executed, by protocol phase and serving backend.", "phase", "backend")
-	mStepBytesByLabel = obs.NewCounterVec("secyan_core_step_bytes_by_label_total",
+	mStepBytesByLabel = obs.NewCounter("secyan_core_step_bytes_by_label_total",
 		"Measured per-step communication in bytes (both directions), by protocol phase and serving backend.", "phase", "backend")
-	mQueryLatency = obs.NewHistogramVec("secyan_core_query_latency_ns",
+	mQueryLatency = obs.NewHistogram("secyan_core_query_latency_ns",
 		"Wall time of completed plan executions in nanoseconds, by query shape (root:digest).", "query")
-	mQueryRuns = obs.NewCounterVec("secyan_core_query_runs_by_shape_total",
+	mQueryRuns = obs.NewCounter("secyan_core_query_runs_by_shape_total",
 		"Completed plan executions, by query shape (root:digest) and outcome (ok | error).", "query", "outcome")
 )
 
@@ -92,7 +82,6 @@ func runPlan(ctx context.Context, p *mpc.Party, q *Query, shared bool, opts Opti
 		dg:  relation.NewDummyGenAfter(ownRels...),
 		srs: make([]*SharedRelation, len(q.Inputs)), revealed: map[int]*relation.Relation{}}
 
-	mPlanRuns.Inc()
 	// Span tracing: the whole run is one span, each plan phase and step a
 	// child, and Track.Bind routes kernel spans (gc, ot, psi) under the
 	// step executing them. All of it reads clocks and appends to
@@ -123,20 +112,15 @@ func runPlan(ctx context.Context, p *mpc.Party, q *Query, shared bool, opts Opti
 		tag.Tenant = p.Tag.Tenant
 	}
 	lg := obs.Events()
-	eventsOn := lg.On()
 	var shape string
 	var blame string
 	runStart := time.Now()
-	if live || eventsOn {
+	if live {
 		if tag.QID == 0 {
 			tag.QID = obs.NextQueryID()
 		}
 		shape = plan.Root + ":" + plan.DigestString()[:8]
-	}
-	if live {
 		defer obs.ClearCurrentStep(tag.QID)
-	}
-	if eventsOn {
 		lg.Emit("query.start", tag,
 			slog.String("party", p.Role.String()),
 			slog.String("root", plan.Root),
@@ -159,7 +143,7 @@ func runPlan(ctx context.Context, p *mpc.Party, q *Query, shared bool, opts Opti
 		}
 	}
 	defer func() {
-		if !live && !eventsOn {
+		if !live {
 			return
 		}
 		elapsed := time.Since(runStart)
@@ -167,28 +151,24 @@ func runPlan(ctx context.Context, p *mpc.Party, q *Query, shared bool, opts Opti
 		if rel != nil {
 			rows = rel.Len()
 		}
-		if live {
-			mQueryLatency.Observe(int64(elapsed), shape)
-			outcome := "ok"
-			if err != nil {
-				outcome = "error"
-			}
-			mQueryRuns.Add(1, shape, outcome)
-			obs.Flight().Record(flightRecord(p, plan, tag, tr, rows, runStart, elapsed, err, blame))
+		mQueryLatency.Observe(int64(elapsed), shape)
+		outcome := "ok"
+		if err != nil {
+			outcome = "error"
 		}
-		if eventsOn {
-			attrs := make([]slog.Attr, 0, 6)
-			attrs = append(attrs,
-				slog.String("party", p.Role.String()),
-				slog.Int64("bytes", tr.TotalBytes()),
-				slog.Int64("rounds", tr.TotalRounds()),
-				slog.Duration("elapsed", elapsed),
-				slog.Int("rows", rows))
-			if err != nil {
-				attrs = append(attrs, slog.String("error", err.Error()))
-			}
-			lg.Emit("query.finish", tag, attrs...)
+		mQueryRuns.Add(1, shape, outcome)
+		obs.Flight().Record(flightRecord(p, plan, tag, tr, rows, runStart, elapsed, err, blame))
+		attrs := make([]slog.Attr, 0, 6)
+		attrs = append(attrs,
+			slog.String("party", p.Role.String()),
+			slog.Int64("bytes", tr.TotalBytes()),
+			slog.Int64("rounds", tr.TotalRounds()),
+			slog.Duration("elapsed", elapsed),
+			slog.Int("rows", rows))
+		if err != nil {
+			attrs = append(attrs, slog.String("error", err.Error()))
 		}
+		lg.Emit("query.finish", tag, attrs...)
 	}()
 
 	tr = &Trace{}
@@ -201,7 +181,6 @@ func runPlan(ctx context.Context, p *mpc.Party, q *Query, shared bool, opts Opti
 			blame = st.Phase + "/" + st.Op + "[" + st.Node + "]"
 			return nil, nil, tr, stepErr(st, cerr)
 		}
-		mPlanSteps.Inc()
 		var stepSpan obs.Span
 		if track != nil {
 			if st.Phase != curPhase {
@@ -244,8 +223,6 @@ func runPlan(ctx context.Context, p *mpc.Party, q *Query, shared bool, opts Opti
 			}
 			mStepsByLabel.Add(1, st.Phase, backendLbl)
 			mStepBytesByLabel.Add(rec.Bytes, st.Phase, backendLbl)
-		}
-		if eventsOn {
 			lg.Emit("query.step", tag,
 				slog.String("party", p.Role.String()),
 				slog.String("phase", st.Phase),
@@ -389,7 +366,7 @@ func (ex *executor) exec(st *PlanStep) error {
 		ex.srs[st.node] = sr
 		return nil
 	case stepAggregate:
-		agg, err := ex.merge(st, ex.srs[st.node], mergeSum)
+		agg, err := runMerge(p, ex.dg, ex.srs[st.node], st.attrs, mergeSum, ex.chunk)
 		if err != nil {
 			return err
 		}
@@ -400,7 +377,7 @@ func (ex *executor) exec(st *PlanStep) error {
 		}
 		return nil
 	case stepProjectOne:
-		ind, err := ex.merge(st, ex.srs[st.node], mergeOr)
+		ind, err := runMerge(p, ex.dg, ex.srs[st.node], st.attrs, mergeOr, ex.chunk)
 		if err != nil {
 			return err
 		}
@@ -409,7 +386,6 @@ func (ex *executor) exec(st *PlanStep) error {
 	case stepSemijoinInto:
 		child := ex.pending
 		ex.pending = nil
-		countBackendStep(st)
 		joined, err := semijoinIntoChunked(p, ex.dg, ex.srs[st.parent], child, ex.chunk, st.Backend)
 		if err != nil {
 			return err
@@ -440,21 +416,6 @@ func (ex *executor) exec(st *PlanStep) error {
 		return ex.revealJoin()
 	}
 	return fmt.Errorf("core: unknown plan step kind %d", st.kind)
-}
-
-// merge runs one aggregate/project-one step; its only bids are psi-oep
-// and, for plain or empty inputs, local.
-func (ex *executor) merge(st *PlanStep, s *SharedRelation, kind mergeKind) (*SharedRelation, error) {
-	countBackendStep(st)
-	return runMerge(ex.p, ex.dg, s, st.attrs, kind, ex.chunk)
-}
-
-// countBackendStep bumps the per-backend obs counter for one executed
-// semijoin/aggregate step.
-func countBackendStep(st *PlanStep) {
-	if c := mBackendSteps[st.Backend]; c != nil {
-		c.Inc()
-	}
 }
 
 // localJoin is §6.3 step 2: Alice joins the revealed relations with the

@@ -159,9 +159,9 @@ func TestObsStepMetricLabels(t *testing.T) {
 func TestObsQueryEventLifecycle(t *testing.T) {
 	lg := obs.Events()
 	lg.Reset()
-	lg.Enable()
+	obs.Enable()
 	defer func() {
-		lg.Disable()
+		obs.Disable()
 		lg.Reset()
 	}()
 
@@ -217,7 +217,6 @@ func TestObsTranscriptNeutralityCore(t *testing.T) {
 	obs.Flight().Reset()
 	defer func() {
 		lg.SetJSONSink(nil)
-		lg.Disable()
 		lg.Reset()
 		obs.Disable()
 		obs.Flight().Reset()

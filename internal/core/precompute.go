@@ -6,7 +6,6 @@ import (
 
 	"secyan/internal/gc"
 	"secyan/internal/mpc"
-	"secyan/internal/obs"
 )
 
 // This file implements the offline phase of the plan-driven
@@ -31,8 +30,6 @@ import (
 // the direct protocols, which remain correct (only slower). Join-phase
 // steps scale with the data-dependent output size, declare no demands,
 // and always run direct.
-
-var mPrecomputeRuns = obs.NewCounter("secyan_core_precompute_runs_total", "Offline precompute passes executed (per party side in this process).")
 
 // garbleAhead garbles, in plan order, every circuit plan declares with
 // role as the garbling party. Pure compute: no network.
@@ -77,7 +74,6 @@ func PrecomputeOpts(ctx context.Context, p *mpc.Party, q *Query, opts Options) (
 	pp, release := p.WithContext(ctx)
 	defer release()
 
-	mPrecomputeRuns.Inc()
 	if track := pp.Track; track != nil {
 		unbind := track.Bind()
 		defer unbind()

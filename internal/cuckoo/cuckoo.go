@@ -17,10 +17,9 @@ import (
 
 // Cuckoo-hashing metrics. Rehashes should stay at (or near) zero — each
 // retry has probability < 2^-σ for σ=40-sized tables — so a nonzero
-// rehash counter in a metrics snapshot is itself a signal. Collection is
-// off until obs.Enable.
+// rehash counter in a metrics snapshot is itself a signal. The kicks
+// histogram's count is the number of tables built.
 var (
-	mBuilds   = obs.NewCounter("secyan_cuckoo_builds_total", "Cuckoo tables built successfully.")
 	mRehashes = obs.NewCounter("secyan_cuckoo_rehashes_total", "Full-table rehash retries after a failed insertion walk.")
 	mKicks    = obs.NewHistogram("secyan_cuckoo_kicks", "Eviction kicks per successful table build.")
 )
@@ -144,7 +143,6 @@ func Build(g *prf.PRG, items []uint64) (*Table, error) {
 			BinsOf(t.Seed, b, items, w, cand[w])
 		}
 		if kicks, ok := t.tryBuild(g, &cand); ok {
-			mBuilds.Inc()
 			mKicks.Observe(int64(kicks))
 			return t, nil
 		}

@@ -82,7 +82,6 @@ func New(cfg Config) (*Daemon, error) {
 	d.sched = newScheduler(cfg.Slots, cfg.MaxQueued, cfg.Tenants, cfg.DefaultQuota)
 	d.farm = newFarm(mpc.Bob, d.ring.Bits, cfg.WarmAfter, cfg.InventoryDepth)
 	obs.Enable()
-	obs.Events().Enable()
 	obs.RegisterDebugPage("/debug/tenants", d.tenantsHandler)
 	return d, nil
 }
@@ -271,8 +270,8 @@ func (d *Daemon) handleConn(nc net.Conn) {
 	d.conns[cc] = struct{}{}
 	d.mu.Unlock()
 	mSessions.Add(1)
-	if lg := obs.Events(); lg.On() {
-		lg.Emit("daemon.session.open", obs.QueryTag{SID: sid, Tenant: cc.tenant})
+	if obs.Enabled() {
+		obs.Events().Emit("daemon.session.open", obs.QueryTag{SID: sid, Tenant: cc.tenant})
 	}
 	defer func() {
 		d.mu.Lock()
@@ -280,8 +279,8 @@ func (d *Daemon) handleConn(nc net.Conn) {
 		d.mu.Unlock()
 		mSessions.Add(-1)
 		cc.cancelOutstanding()
-		if lg := obs.Events(); lg.On() {
-			lg.Emit("daemon.session.close", obs.QueryTag{SID: sid, Tenant: cc.tenant})
+		if obs.Enabled() {
+			obs.Events().Emit("daemon.session.close", obs.QueryTag{SID: sid, Tenant: cc.tenant})
 		}
 	}()
 
@@ -352,8 +351,8 @@ func (cc *clientConn) handleQuery(m *ctrlMsg) {
 	d := cc.d
 	reject := func(code, detail string) {
 		cc.send(&ctrlMsg{Type: msgRejected, ID: m.ID, Code: code, Detail: detail})
-		if lg := obs.Events(); lg.On() {
-			lg.Emit("daemon.reject", obs.QueryTag{SID: cc.sid, Tenant: cc.tenant},
+		if obs.Enabled() {
+			obs.Events().Emit("daemon.reject", obs.QueryTag{SID: cc.sid, Tenant: cc.tenant},
 				slog.String("query", m.Name), slog.String("code", code), slog.String("detail", detail))
 		}
 	}
@@ -414,8 +413,8 @@ func (cc *clientConn) handleQuery(m *ctrlMsg) {
 		reject(codeFor(err), err.Error())
 		return
 	}
-	if lg := obs.Events(); lg.On() {
-		lg.Emit("daemon.enqueue", obs.QueryTag{SID: cc.sid, QID: j.qid, Tenant: cc.tenant},
+	if obs.Enabled() {
+		obs.Events().Emit("daemon.enqueue", obs.QueryTag{SID: cc.sid, QID: j.qid, Tenant: cc.tenant},
 			slog.String("query", m.Name),
 			slog.String("plan_digest", digest),
 			slog.Int64("cost", j.cost),
@@ -449,8 +448,8 @@ func (cc *clientConn) handleQuery(m *ctrlMsg) {
 				return
 			}
 			qs.warmParty = p
-			if lg := obs.Events(); lg.On() {
-				lg.Emit("daemon.warm", p.Tag, slog.String("query", m.Name), slog.Uint64("stream", uint64(stream)))
+			if obs.Enabled() {
+				obs.Events().Emit("daemon.warm", p.Tag, slog.String("query", m.Name), slog.Uint64("stream", uint64(stream)))
 			}
 		}()
 		return
@@ -467,8 +466,8 @@ func (qs *queryState) shed(j *job, err error) {
 		p.Conn.Close()
 	}
 	qs.cc.send(&ctrlMsg{Type: msgRejected, ID: qs.id, Code: codeFor(err), Detail: err.Error()})
-	if lg := obs.Events(); lg.On() {
-		lg.Emit("daemon.reject", obs.QueryTag{SID: qs.cc.sid, QID: j.qid, Tenant: j.tenant.name},
+	if obs.Enabled() {
+		obs.Events().Emit("daemon.reject", obs.QueryTag{SID: qs.cc.sid, QID: j.qid, Tenant: j.tenant.name},
 			slog.String("query", j.name), slog.String("code", codeFor(err)), slog.String("detail", err.Error()))
 	}
 }
@@ -523,8 +522,8 @@ func (qs *queryState) exec(j *job) {
 		}
 	}
 	cc.send(&ctrlMsg{Type: msgAdmitted, ID: qs.id, Stream: stream, Warm: warmed})
-	if lg := obs.Events(); lg.On() {
-		lg.Emit("daemon.dispatch", p.Tag,
+	if obs.Enabled() {
+		obs.Events().Emit("daemon.dispatch", p.Tag,
 			slog.String("query", j.name),
 			slog.Uint64("stream", uint64(stream)),
 			slog.Bool("warm", warmed))
@@ -535,7 +534,7 @@ func (qs *queryState) exec(j *job) {
 	bytes := p.Conn.Stats().TotalBytes() - before
 	p.Conn.Close()
 	d.sched.complete(j, err, bytes)
-	if lg := obs.Events(); lg.On() {
+	if obs.Enabled() {
 		attrs := []slog.Attr{
 			slog.String("query", j.name),
 			slog.Int64("bytes", bytes),
@@ -543,6 +542,6 @@ func (qs *queryState) exec(j *job) {
 		if err != nil {
 			attrs = append(attrs, slog.String("error", err.Error()))
 		}
-		lg.Emit("daemon.complete", p.Tag, attrs...)
+		obs.Events().Emit("daemon.complete", p.Tag, attrs...)
 	}
 }

@@ -7,7 +7,7 @@
 // of dropped connections; and a background precompute farm watches
 // recent query shapes (via the flight recorder) to keep garbled
 // circuits staged and OT pools warm against predicted shapes. See
-// DESIGN.md §16.
+// DESIGN.md §15.
 package daemon
 
 import (

@@ -208,8 +208,8 @@ func (f *farm) builder() {
 					si.inv = append(si.inv, sc)
 					si.builds++
 					mFarm.Inc("staged")
-					if lg := obs.Events(); lg.On() {
-						lg.Emit("daemon.farm.staged", obs.QueryTag{})
+					if obs.Enabled() {
+						obs.Events().Emit("daemon.farm.staged", obs.QueryTag{})
 					}
 				}
 			}

@@ -4,21 +4,21 @@ import "secyan/internal/obs"
 
 // Daemon metrics: per-tenant admission outcomes, live scheduler gauges,
 // measured per-tenant communication, queue-wait latency and farm
-// effectiveness. Bounded-cardinality labeled vecs (DESIGN.md §14) —
+// effectiveness. Bounded-cardinality labeled families (DESIGN.md §9) —
 // tenant names are operator-configured, not attacker-controlled.
 var (
-	mQueries = obs.NewCounterVec("secyan_daemon_queries_total",
+	mQueries = obs.NewCounter("secyan_daemon_queries_total",
 		"Daemon queries by admission outcome (admitted | rejected-overloaded | rejected-quota | completed | failed).",
 		"tenant", "outcome")
-	mRunning = obs.NewGaugeVec("secyan_daemon_running",
+	mRunning = obs.NewGauge("secyan_daemon_running",
 		"Queries currently executing, by tenant.", "tenant")
-	mQueued = obs.NewGaugeVec("secyan_daemon_queued",
+	mQueued = obs.NewGauge("secyan_daemon_queued",
 		"Queries admitted and waiting for dispatch, by tenant.", "tenant")
-	mQueryBytes = obs.NewCounterVec("secyan_daemon_query_bytes_total",
+	mQueryBytes = obs.NewCounter("secyan_daemon_query_bytes_total",
 		"Measured per-query communication (both directions) of completed daemon queries, by tenant.", "tenant")
-	mQueueWait = obs.NewHistogramVec("secyan_daemon_queue_wait_ns",
+	mQueueWait = obs.NewHistogram("secyan_daemon_queue_wait_ns",
 		"Admission-to-dispatch queue wait in nanoseconds, by tenant.", "tenant")
-	mFarm = obs.NewCounterVec("secyan_daemon_farm_events_total",
+	mFarm = obs.NewCounter("secyan_daemon_farm_events_total",
 		"Precompute-farm outcomes at dispatch (hit-offline | hit-circuits | miss) and background builds (staged).",
 		"outcome")
 	mSessions = obs.NewGauge("secyan_daemon_sessions",

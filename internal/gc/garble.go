@@ -2,45 +2,18 @@ package gc
 
 import (
 	"fmt"
-	"time"
 
 	"secyan/internal/obs"
 	"secyan/internal/prf"
 )
 
-// Garbling-kernel metrics. Counters advance once per circuit (never per
-// gate, so the gate loops stay contention-free); the gates-per-second
-// gauges capture the most recent kernel's throughput, the histograms
-// the latency distribution. Everything is off until obs.Enable; the
+// The garbling and evaluation kernels, measured once per circuit in
+// gates (never per gate, so the gate loops stay contention-free). The
 // disabled fast path is guarded by BenchmarkObsDisabled.
 var (
-	mGatesGarbled   = obs.NewCounter("secyan_gc_gates_garbled_total", "Gates garbled (all kinds; free gates included).")
-	mAndsGarbled    = obs.NewCounter("secyan_gc_and_gates_garbled_total", "AND/ANDG gates garbled (the ones that cost ciphertexts).")
-	mGatesEvaled    = obs.NewCounter("secyan_gc_gates_evaluated_total", "Gates evaluated (all kinds; free gates included).")
-	mAndsEvaled     = obs.NewCounter("secyan_gc_and_gates_evaluated_total", "AND/ANDG gates evaluated.")
-	mCircuitsGarb   = obs.NewCounter("secyan_gc_circuits_garbled_total", "Circuits garbled.")
-	mCircuitsEval   = obs.NewCounter("secyan_gc_circuits_evaluated_total", "Circuits evaluated.")
-	mGarbleNs       = obs.NewHistogram("secyan_gc_garble_ns", "Latency of garbling one circuit, nanoseconds.")
-	mEvalNs         = obs.NewHistogram("secyan_gc_evaluate_ns", "Latency of evaluating one circuit, nanoseconds.")
-	mGarbleGateRate = obs.NewGauge("secyan_gc_garble_gates_per_second", "Throughput of the most recent garbling kernel, gates/second.")
-	mEvalGateRate   = obs.NewGauge("secyan_gc_evaluate_gates_per_second", "Throughput of the most recent evaluation kernel, gates/second.")
+	kGarble   = obs.NewKernel("gc.garble")
+	kEvaluate = obs.NewKernel("gc.evaluate")
 )
-
-// gateRate converts a gate count and elapsed time to gates/second.
-func gateRate(gates int, d time.Duration) int64 {
-	if d <= 0 {
-		return 0
-	}
-	return int64(float64(gates) / d.Seconds())
-}
-
-// KernelTotals returns the cumulative garbling and evaluation kernel
-// aggregates — gates processed and nanoseconds spent — since obs was
-// enabled. Benchmark drivers difference two snapshots around a measured
-// run to report per-query kernel throughput.
-func KernelTotals() (gatesGarbled, garbleNs, gatesEvaled, evalNs int64) {
-	return mGatesGarbled.Value(), mGarbleNs.Sum(), mGatesEvaled.Value(), mEvalNs.Sum()
-}
 
 // garbled is what the garbler keeps of a garbled circuit — only what the
 // message exchange reads afterwards, never a label per wire.
@@ -140,19 +113,8 @@ func orBit(v []byte, i int, b uint8) { v[i>>3] |= b << (i & 7) }
 // times would assign — so labels and tables are byte-identical at any
 // worker count.
 func garble(c *Circuit, g *prf.PRG, priv []bool, keepPerm bool) *garbled {
-	sp := obs.Begin("gc", "gc.garble")
+	sp := kGarble.Begin()
 	defer sp.EndN(int64(c.NumGates()))
-	if obs.Enabled() {
-		startT := time.Now()
-		defer func() {
-			d := time.Since(startT)
-			mCircuitsGarb.Inc()
-			mGatesGarbled.Add(int64(c.NumGates()))
-			mAndsGarbled.Add(int64(c.Slots * (c.NumAnd + c.NumAndG)))
-			mGarbleNs.Observe(d.Nanoseconds())
-			mGarbleGateRate.Set(gateRate(c.NumGates(), d))
-		}()
-	}
 	labelsOff, decodeOff, payOff, total := c.msgLayout()
 	nG, nE, nP := len(c.GarblerInputs), len(c.EvalInputs), c.NumPrivate
 	nEO, nGO := len(c.EvalOutputs), len(c.GarblerOutputs)
@@ -332,19 +294,8 @@ func evaluate(c *Circuit, msg []byte, evalIn [][]byte) (out []bool, masked []byt
 			return nil, nil, fmt.Errorf("gc: evaluator input label %d has %d bytes, want 16", i, len(evalIn[i]))
 		}
 	}
-	sp := obs.Begin("gc", "gc.evaluate")
+	sp := kEvaluate.Begin()
 	defer sp.EndN(int64(c.NumGates()))
-	if obs.Enabled() {
-		startT := time.Now()
-		defer func() {
-			d := time.Since(startT)
-			mCircuitsEval.Inc()
-			mGatesEvaled.Add(int64(c.NumGates()))
-			mAndsEvaled.Add(int64(c.Slots * (c.NumAnd + c.NumAndG)))
-			mEvalNs.Observe(d.Nanoseconds())
-			mEvalGateRate.Set(gateRate(c.NumGates(), d))
-		}()
-	}
 	sb, stride := c.slotBlocks(), c.stride()
 	tables := prf.BlocksOf(msg[:labelsOff])
 	labels := prf.BlocksOf(msg[labelsOff:decodeOff])

@@ -21,10 +21,10 @@ func benchCircuit() *Circuit {
 	return bb.Build()
 }
 
-// BenchmarkObsDisabled measures the garbling hot loop with no metrics
-// sink and no tracer attached — the default state. Compare allocs/op
-// and ns/op against BenchmarkObsEnabled: the disabled fast path must
-// not add allocations (the ones reported belong to garbling itself;
+// BenchmarkObsDisabled measures the garbling hot loop with observation
+// off and no track bound — the default state. Compare allocs/op and
+// ns/op against BenchmarkObsEnabled: the disabled fast path must not add
+// allocations (the ones reported belong to garbling itself;
 // TestObsDisabledGarblePathAllocs pins the obs contribution to zero).
 func BenchmarkObsDisabled(b *testing.B) {
 	c := benchCircuit()
@@ -37,18 +37,14 @@ func BenchmarkObsDisabled(b *testing.B) {
 }
 
 // BenchmarkObsEnabled is the counterpart with metrics collection on and
-// a tracer installed, for measuring the observation overhead.
+// a track bound, for measuring the observation overhead.
 func BenchmarkObsEnabled(b *testing.B) {
 	c := benchCircuit()
 	g := prf.NewPRG(prf.Seed{1})
 	obs.Enable()
-	tracer := obs.NewTracer()
-	obs.Install(tracer)
-	track := tracer.Track("bench")
-	release := track.Bind()
+	release := obs.NewTracer().Track("bench").Bind()
 	defer func() {
 		release()
-		obs.Install(nil)
 		obs.Disable()
 	}()
 	b.ReportAllocs()
@@ -60,16 +56,16 @@ func BenchmarkObsEnabled(b *testing.B) {
 
 // TestObsDisabledGarblePathAllocs is the allocation guard behind
 // BenchmarkObsDisabled: the exact obs sequence the garble and evaluate
-// kernels execute per circuit — package-level span begin/end plus the
-// Enabled gate — must allocate nothing when no sink is attached.
+// kernels execute per circuit — the kernel span's begin and end — must
+// allocate nothing when observation is off and no track is bound.
 func TestObsDisabledGarblePathAllocs(t *testing.T) {
-	if obs.Enabled() || obs.Installed() != nil {
+	if obs.Enabled() {
 		t.Fatal("test requires the default disabled state")
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		sp := obs.Begin("gc", "gc.garble")
-		if obs.Enabled() {
-			t.Fatal("unexpectedly enabled")
+		sp := kGarble.Begin()
+		if sp != (obs.Span{}) {
+			t.Fatal("kernel span opened with observation off and no track bound")
 		}
 		sp.EndN(1234)
 	})

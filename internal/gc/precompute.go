@@ -27,8 +27,6 @@ import (
 // private bits would have produced. The wire format therefore does not
 // change at all; precompute_test.go pins this equality.
 
-var mCircuitsCorrected = obs.NewCounter("secyan_gc_circuits_corrected_total", "Pre-garbled circuits specialized to their private bits online.")
-
 // PreGarbled is a circuit garbled ahead of time, waiting for its online
 // inputs. It is single-use: RunOnline consumes the garbled material.
 type PreGarbled struct {
@@ -81,7 +79,6 @@ func SameShape(a, b *Circuit) bool {
 func applyPrivate(c *Circuit, gb *garbled, priv []bool) {
 	sp := obs.Begin("gc", "gc.correct")
 	defer sp.EndN(int64(c.NumGates()))
-	mCircuitsCorrected.Inc()
 	labelsOff, decodeOff, payOff, _ := c.msgLayout()
 	tables := prf.BlocksOf(gb.msg[:labelsOff])
 	decode := gb.msg[decodeOff:payOff]

@@ -171,12 +171,12 @@ func (p *Party) noteCircuit(hit bool) {
 	} else {
 		mPreCircMisses.Inc()
 	}
-	if lg := obs.Events(); lg.On() {
+	if obs.Enabled() {
 		kind := "precompute.miss"
 		if hit {
 			kind = "precompute.hit"
 		}
-		lg.Emit(kind, p.Tag, slog.String("what", "circuit"))
+		obs.Events().Emit(kind, p.Tag, slog.String("what", "circuit"))
 	}
 }
 

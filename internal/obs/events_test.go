@@ -11,7 +11,6 @@ import (
 
 func TestEventRingWrapRecentNewestFirst(t *testing.T) {
 	l := NewLogger(3)
-	l.Enable()
 	for i := 1; i <= 5; i++ {
 		l.Emit("query.start", QueryTag{QID: uint64(i)})
 	}
@@ -36,8 +35,9 @@ func TestEventRingWrapRecentNewestFirst(t *testing.T) {
 func TestEventJSONSinkLines(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewLogger(8)
+	l.on.Store(false)
 	l.SetJSONSink(&buf)
-	if !l.On() {
+	if !l.on.Load() {
 		t.Fatalf("SetJSONSink did not enable the log")
 	}
 	l.Emit("query.finish", QueryTag{SID: 2, QID: 7},
@@ -76,7 +76,6 @@ func TestEventJSONSinkLines(t *testing.T) {
 
 func TestEventMarshalJSONFlattens(t *testing.T) {
 	l := NewLogger(4)
-	l.Enable()
 	l.Emit("backend.auction", QueryTag{SID: 1, QID: 2},
 		slog.String("step", "join[orders]"), slog.Int64("bid_psi", 100))
 	ev := l.Recent(1)[0]
@@ -106,6 +105,7 @@ func TestEventMarshalJSONFlattens(t *testing.T) {
 // atomic load and a branch, with the variadic attrs never escaping.
 func TestEventDisabledAllocs(t *testing.T) {
 	l := NewLogger(4)
+	l.on.Store(false)
 	tag := QueryTag{SID: 1, QID: 2}
 	allocs := testing.AllocsPerRun(1000, func() {
 		l.Emit("query.step", tag,

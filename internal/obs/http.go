@@ -7,7 +7,7 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/pprof"
+	_ "net/http/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,18 +29,16 @@ func Ready() bool { return ready.Load() }
 const shutdownGrace = 5 * time.Second
 
 // Extra debug pages registered by higher layers (the daemon's
-// /debug/tenants). A registry rather than handler wrapping keeps
-// DebugHandler the single route source for both ServeDebug and
-// embedders.
+// /debug/tenants), so DebugHandler stays the single route source for
+// both ServeDebug and embedders.
 var (
 	pagesMu sync.Mutex
 	pages   = map[string]http.HandlerFunc{}
 )
 
 // RegisterDebugPage mounts h at path on every handler DebugHandler
-// builds after the call. Registering a path again replaces the handler;
-// fixed routes cannot be overridden. Register before starting the debug
-// server — handlers already built keep their routes.
+// builds after the call (nil h removes it). Fixed routes cannot be
+// overridden.
 func RegisterDebugPage(path string, h http.HandlerFunc) {
 	pagesMu.Lock()
 	defer pagesMu.Unlock()
@@ -52,8 +50,8 @@ func RegisterDebugPage(path string, h http.HandlerFunc) {
 }
 
 // ServeDebug starts the debug HTTP server on addr (host:port; port 0
-// picks a free one), enables metric collection and marks the process
-// ready. It serves:
+// picks a free one), enables observation and marks the process ready.
+// It serves:
 //
 //	/healthz        liveness: 200 "ok" while the server runs
 //	/readyz         readiness: 200 "ok" after SetReady(true), 503 before
@@ -61,7 +59,7 @@ func RegisterDebugPage(path string, h http.HandlerFunc) {
 //	/debug/vars     expvar JSON (includes the registry under "secyan")
 //	/debug/pprof/   the standard net/http/pprof profile endpoints
 //	/debug/step     live JSON snapshot of the currently executing plan
-//	                step of every party in this process
+//	                step of every query in this process
 //	/debug/queries  the flight recorder's completed-query records as
 //	                JSON (append ?format=table for the human table)
 //	/debug/events   the event log's retained events, newest first
@@ -105,39 +103,39 @@ func serveDebug(addr string, h http.Handler) (string, func() error, error) {
 	return ln.Addr().String(), shutdown, nil
 }
 
+// writeText and writeJSON render one debug response.
+func writeText(w http.ResponseWriter, code int, s string) {
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	w.WriteHeader(code)
+	io.WriteString(w, s)
+}
+
+func writeJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	enc.Encode(v)
+}
+
 // DebugHandler returns the debug server's route multiplexer, so tests
 // and daemons can drive the endpoints without a socket.
 func DebugHandler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		io.WriteString(w, "ok\n")
-	})
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) { writeText(w, http.StatusOK, "ok\n") })
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		if !Ready() {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			io.WriteString(w, "not ready\n")
+			writeText(w, http.StatusServiceUnavailable, "not ready\n")
 			return
 		}
-		io.WriteString(w, "ok\n")
+		writeText(w, http.StatusOK, "ok\n")
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		Default().WritePrometheus(w)
 	})
 	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/debug/step", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(CurrentSteps())
-	})
+	mux.Handle("/debug/pprof/", http.DefaultServeMux) // where net/http/pprof registers
+	mux.HandleFunc("/debug/step", func(w http.ResponseWriter, _ *http.Request) { writeJSON(w, CurrentSteps()) })
 	mux.HandleFunc("/debug/queries", func(w http.ResponseWriter, r *http.Request) {
 		recs := Flight().Records()
 		if r.URL.Query().Get("format") == "table" {
@@ -145,17 +143,9 @@ func DebugHandler() http.Handler {
 			WriteFlightTable(w, recs)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(recs)
+		writeJSON(w, recs)
 	})
-	mux.HandleFunc("/debug/events", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(Events().Recent(0))
-	})
+	mux.HandleFunc("/debug/events", func(w http.ResponseWriter, _ *http.Request) { writeJSON(w, Events().Recent(0)) })
 	pagesMu.Lock()
 	for path, h := range pages {
 		mux.HandleFunc(path, h)

@@ -76,9 +76,9 @@ func TestDebugObsEndpoints(t *testing.T) {
 		PlanDigest: "00112233aabbccdd", Steps: 5, Seconds: 0.1, Bytes: 512, Rounds: 8})
 	defer Flight().Reset()
 	lg := Events()
-	lg.Enable()
+	Enable()
 	lg.Emit("query.start", QueryTag{SID: 1, QID: 1})
-	defer func() { lg.Disable(); lg.Reset() }()
+	defer func() { Disable(); lg.Reset() }()
 
 	addr, shutdown, err := ServeDebug("127.0.0.1:0")
 	if err != nil {

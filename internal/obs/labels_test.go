@@ -8,12 +8,12 @@ import (
 
 func TestLabelVecExposition(t *testing.T) {
 	r := NewRegistry()
-	cv := r.NewCounterVec("t_steps_total", "steps", "phase", "backend")
+	cv := r.NewCounter("t_steps_total", "steps", "phase", "backend")
 	cv.Add(3, "join", "psi")
 	cv.Add(2, "agg", "gc")
 	cv.Inc("join", "psi")
 
-	gv := r.NewGaugeVec("t_depth", "depth", "tenant")
+	gv := r.NewGauge("t_depth", "depth", "tenant")
 	gv.Set(7, "acme")
 	gv.Add(-2, "acme")
 
@@ -41,7 +41,7 @@ func TestLabelVecExposition(t *testing.T) {
 
 func TestLabelVecHistogramExposition(t *testing.T) {
 	r := NewRegistry()
-	hv := r.NewHistogramVec("t_lat_ns", "latency", "query")
+	hv := r.NewHistogram("t_lat_ns", "latency", "query")
 	hv.Observe(1, "Q3")
 	hv.Observe(3, "Q3")
 	hv.Observe(1000, "Q10")
@@ -73,8 +73,8 @@ func TestLabelVecHistogramExposition(t *testing.T) {
 // whose every label value is "overflow".
 func TestLabelCardinalityCap(t *testing.T) {
 	r := NewRegistry()
-	cv := r.NewCounterVec("t_capped_total", "capped", "query")
-	cv.SetMaxSeries(2)
+	cv := r.NewCounter("t_capped_total", "capped", "query")
+	cv.max = 2
 	cv.Add(1, "a")
 	cv.Add(1, "b")
 	cv.Add(5, "c") // beyond the cap: folds into overflow
@@ -100,8 +100,8 @@ func TestLabelCardinalityCap(t *testing.T) {
 		t.Errorf("capped series leaked into exposition:\n%s", b.String())
 	}
 
-	hv := r.NewHistogramVec("t_capped_ns", "capped", "query")
-	hv.SetMaxSeries(1)
+	hv := r.NewHistogram("t_capped_ns", "capped", "query")
+	hv.max = 1
 	hv.Observe(10, "a")
 	hv.Observe(10, "b")
 	hv.Observe(10, "c")
@@ -122,9 +122,9 @@ func TestLabelVecDisabledAllocs(t *testing.T) {
 	// disabled gate is the same atomic-load-and-branch either way.
 	r := NewRegistry()
 	r.on.Store(false)
-	cv := r.NewCounterVec("t_disabled_steps_total", "t", "phase", "backend")
-	gv := r.NewGaugeVec("t_disabled_depth", "t", "tenant")
-	hv := r.NewHistogramVec("t_disabled_lat_ns", "t", "query")
+	cv := r.NewCounter("t_disabled_steps_total", "t", "phase", "backend")
+	gv := r.NewGauge("t_disabled_depth", "t", "tenant")
+	hv := r.NewHistogram("t_disabled_lat_ns", "t", "query")
 	allocs := testing.AllocsPerRun(1000, func() {
 		cv.Add(1, "join", "psi")
 		cv.Inc("agg", "gc")
@@ -138,9 +138,9 @@ func TestLabelVecDisabledAllocs(t *testing.T) {
 
 func TestLabelVecConcurrent(t *testing.T) {
 	r := NewRegistry()
-	cv := r.NewCounterVec("t_conc_total", "t", "phase")
-	cv.SetMaxSeries(4)
-	hv := r.NewHistogramVec("t_conc_ns", "t", "phase")
+	cv := r.NewCounter("t_conc_total", "t", "phase")
+	cv.max = 4
+	hv := r.NewHistogram("t_conc_ns", "t", "phase")
 	phases := []string{"join", "agg", "reveal", "semi", "extra1", "extra2"}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -169,7 +169,7 @@ func TestLabelVecConcurrent(t *testing.T) {
 
 func TestLabelVecArityPanics(t *testing.T) {
 	r := NewRegistry()
-	cv := r.NewCounterVec("t_arity_total", "t", "a", "b")
+	cv := r.NewCounter("t_arity_total", "t", "a", "b")
 	defer func() {
 		if recover() == nil {
 			t.Errorf("Add with wrong label arity did not panic")
@@ -180,7 +180,7 @@ func TestLabelVecArityPanics(t *testing.T) {
 
 func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
-	cv := r.NewCounterVec("t_escape_total", "t", "query")
+	cv := r.NewCounter("t_escape_total", "t", "query")
 	cv.Add(1, "evil \"name\"\\\n")
 	var b strings.Builder
 	r.WritePrometheus(&b)

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestCounterGaugeGating(t *testing.T) {
@@ -100,21 +101,30 @@ func TestSnapshot(t *testing.T) {
 	}
 }
 
+// Default-registry instruments of the tests below, registered once per
+// test binary so that -count=N runs do not register them twice.
+var (
+	tAllocCounter = NewCounter("t_alloc_total", "alloc test")
+	tAllocGauge   = NewGauge("t_alloc_gauge", "alloc test")
+	tAllocHist    = NewHistogram("t_alloc_ns", "alloc test")
+	tHTTPCounter  = NewCounter("t_http_total", "visible on /metrics")
+)
+
 // TestDisabledPathAllocs is the nil-sink fast-path contract: with
-// metrics disabled and no tracer installed, every instrumentation
-// primitive must allocate nothing.
+// metrics disabled and no track bound, every instrumentation primitive
+// must allocate nothing.
 func TestDisabledPathAllocs(t *testing.T) {
 	Disable()
-	Install(nil)
-	c := NewCounter("t_alloc_total", "alloc test")
-	g := NewGauge("t_alloc_gauge", "alloc test")
-	h := NewHistogram("t_alloc_ns", "alloc test")
+	c, g, h := tAllocCounter, tAllocGauge, tAllocHist
+	k := NewKernel("t.alloc")
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Add(5)
 		g.Set(1)
 		h.Observe(7)
 		sp := Begin("gc", "gc.garble")
 		sp.EndN(128)
+		ks := k.Begin()
+		ks.EndN(128)
 		if Enabled() {
 			t.Fatal("metrics unexpectedly enabled")
 		}
@@ -126,8 +136,6 @@ func TestDisabledPathAllocs(t *testing.T) {
 
 func TestGoroutineTrackBinding(t *testing.T) {
 	tr := NewTracer()
-	defer Install(nil)
-	Install(tr)
 	alice := tr.Track("Alice")
 	bob := tr.Track("Bob")
 
@@ -155,11 +163,48 @@ func TestGoroutineTrackBinding(t *testing.T) {
 	if len(bob.spans) != 1 || bob.spans[0].name != "ot.ext.recv" || bob.spans[0].n != 64 {
 		t.Fatalf("bob track spans = %+v", bob.spans)
 	}
+	if n := nbound.Load(); n != 0 {
+		t.Fatalf("%d bindings live after every release, want 0", n)
+	}
+}
+
+// TestKernelSpanFeedsMetrics pins that one kernel call is measured once:
+// the Chrome-trace span and the kernel family's latency and units all
+// come from the same two clock reads.
+func TestKernelSpanFeedsMetrics(t *testing.T) {
+	Enable()
+	defer Disable()
+	tr := scriptedTracer(t, us(10), us(17))
+	tk := tr.Track("Alice")
+	k := NewKernel("t.kernel.once")
+	NewKernel("t.kernel.other") // shares the prefix "t.kernel." only
+	units0, ns0 := KernelTotal("t.kernel.once")
+	release := tk.Bind()
+	sp := k.Begin()
+	sp.EndN(42)
+	release()
+	units, ns := KernelTotal("t.kernel.once")
+	if units-units0 != 42 || ns-ns0 != int64(7*time.Microsecond) {
+		t.Fatalf("kernel totals advanced by %d units / %d ns, want 42 / %d", units-units0, ns-ns0, 7*time.Microsecond)
+	}
+	if len(tk.spans) != 1 || tk.spans[0].cat != "t" || tk.spans[0].dur != 7*time.Microsecond || tk.spans[0].n != 42 {
+		t.Fatalf("kernel span = %+v, want one t/t.kernel.once span of 7µs, n=42", tk.spans)
+	}
+
+	// Metrics only, no track: still measured.
+	sp = k.Begin()
+	sp.EndN(8)
+	if units, _ := KernelTotal("t.kernel.once"); units-units0 != 50 {
+		t.Fatalf("untraced kernel call not counted: units advanced by %d, want 50", units-units0)
+	}
+	if all, _ := KernelTotal("t.kernel."); all < 50 {
+		t.Fatalf("prefix total %d misses the kernel's own 50 units", all)
+	}
 }
 
 func TestDebugServer(t *testing.T) {
 	defer Disable()
-	NewCounter("t_http_total", "visible on /metrics").Add(0)
+	tHTTPCounter.Add(0)
 	addr, shutdown, err := ServeDebug("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("ServeDebug: %v", err)

@@ -125,10 +125,10 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	h.Observe(1 << 30)
 
 	evil := "q\"uo\\te\nline"
-	cv := r.NewCounterVec("rt_labeled_total", "t", "query", "backend")
+	cv := r.NewCounter("rt_labeled_total", "t", "query", "backend")
 	cv.Add(2, evil, "psi")
 	cv.Add(9, "Q3", "gc")
-	hv := r.NewHistogramVec("rt_labeled_ns", "t", "query")
+	hv := r.NewHistogram("rt_labeled_ns", "t", "query")
 	hv.Observe(7, evil)
 	hv.Observe(7000, evil)
 	hv.Observe(3, "Q3")

@@ -4,20 +4,15 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 )
 
 // Flight recorder: a fixed-size ring of completed-query records. Where
 // the event log answers "what is happening", the recorder answers "what
-// did query 17 cost": one self-contained record per finished plan
-// execution — plan digest, chosen-vs-rejected backends, per-phase
-// bytes/rounds/wall time folded from the measured Trace, chunk size,
-// peer, and error/fault blame. Served at /debug/queries (JSON and a
-// human table) and attached to secyan-bench's -json points.
-//
-// The recorder itself does not gate on the obs switch — the executor
-// only assembles records when observation is active, so a disabled run
-// pays nothing.
+// did query 17 cost": plan digest, backend auctions, per-phase
+// bytes/rounds/wall time from the measured Trace, chunk size, peer and
+// error blame. Served at /debug/queries and attached to secyan-bench's
+// -json points. The executor only assembles records while obs is
+// enabled.
 
 // PhaseStat aggregates a query's measured per-step trace over one
 // protocol phase.
@@ -31,12 +26,9 @@ type PhaseStat struct {
 // AuctionOutcome records one backend auction on a plan step: every bid
 // (estimated on-wire bytes by backend) and the winner actually run.
 type AuctionOutcome struct {
-	// Step is the plan step's "op[node]" label.
-	Step string `json:"step"`
-	// Chosen is the backend that won (or was forced).
-	Chosen string `json:"chosen"`
-	// Bids maps backend name to its estimated total bytes.
-	Bids map[string]int64 `json:"bids"`
+	Step   string           `json:"step"`   // the plan step's "op[node]" label
+	Chosen string           `json:"chosen"` // the backend that won (or was forced)
+	Bids   map[string]int64 `json:"bids"`   // estimated total bytes by backend
 }
 
 // QueryRecord is one completed plan execution as retained by the flight
@@ -73,12 +65,7 @@ const DefaultFlightCapacity = 128
 
 // FlightRecorder is a fixed-size ring of QueryRecords. The process-wide
 // instance is Flight(); independent instances exist for tests.
-type FlightRecorder struct {
-	mu   sync.Mutex
-	ring []QueryRecord
-	next int
-	full bool
-}
+type FlightRecorder struct{ ring ring[QueryRecord] }
 
 // flight is the process-wide recorder.
 var flight = NewFlightRecorder(DefaultFlightCapacity)
@@ -86,76 +73,29 @@ var flight = NewFlightRecorder(DefaultFlightCapacity)
 // Flight returns the process-wide flight recorder.
 func Flight() *FlightRecorder { return flight }
 
-// NewFlightRecorder returns an independent recorder retaining up to cap
-// records.
+// NewFlightRecorder returns an independent recorder retaining up to
+// capacity records.
 func NewFlightRecorder(capacity int) *FlightRecorder {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &FlightRecorder{ring: make([]QueryRecord, capacity)}
+	f := &FlightRecorder{}
+	f.ring.resize(capacity)
+	return f
 }
 
-// SetCapacity resizes the ring, discarding retained records.
-func (f *FlightRecorder) SetCapacity(n int) {
-	if n < 1 {
-		n = 1
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.ring = make([]QueryRecord, n)
-	f.next = 0
-	f.full = false
-}
+// SetCapacity resizes the ring to n records (at least 1), discarding
+// retained records.
+func (f *FlightRecorder) SetCapacity(n int) { f.ring.resize(n) }
 
 // Reset discards retained records.
-func (f *FlightRecorder) Reset() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for i := range f.ring {
-		f.ring[i] = QueryRecord{}
-	}
-	f.next = 0
-	f.full = false
-}
+func (f *FlightRecorder) Reset() { f.ring.clear() }
 
 // Record retains r, evicting the oldest record once the ring is full.
-func (f *FlightRecorder) Record(r QueryRecord) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.ring[f.next] = r
-	f.next++
-	if f.next == len(f.ring) {
-		f.next = 0
-		f.full = true
-	}
-}
+func (f *FlightRecorder) Record(r QueryRecord) { f.ring.put(r) }
 
 // Len returns the number of retained records.
-func (f *FlightRecorder) Len() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.full {
-		return len(f.ring)
-	}
-	return f.next
-}
+func (f *FlightRecorder) Len() int { return len(f.Records()) }
 
-// Records returns the retained records, newest first. The slice is
-// always non-nil, so JSON encodes as [] when empty.
-func (f *FlightRecorder) Records() []QueryRecord {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	n := f.next
-	if f.full {
-		n = len(f.ring)
-	}
-	out := make([]QueryRecord, 0, n)
-	for i := 0; i < n; i++ {
-		idx := (f.next - 1 - i + 2*len(f.ring)) % len(f.ring)
-		out = append(out, f.ring[idx])
-	}
-	return out
-}
+// Records returns the retained records, newest first, never nil.
+func (f *FlightRecorder) Records() []QueryRecord { return f.ring.recent(0) }
 
 // WriteFlightTable renders records as a human-readable table (the
 // ?format=table view of /debug/queries and cmd/secyan's -flight output).

@@ -19,26 +19,21 @@ type StepStatus struct {
 	Op     string `json:"op"`
 	Node   string `json:"node"`
 	N      int    `json:"n"`
-	// Step is the 1-based index of the executing step; Steps the plan's
-	// total step count.
-	Step  int `json:"step"`
-	Steps int `json:"steps"`
-	// StartedUnixNano is the wall-clock start of the step.
-	StartedUnixNano int64 `json:"started_unix_nano"`
+	Step   int    `json:"step"`  // 1-based index of the executing step
+	Steps  int    `json:"steps"` // the plan's step count
+
+	StartedUnixNano int64 `json:"started_unix_nano"` // wall-clock start of the step
 }
 
 var (
 	statusMu sync.Mutex
-	current  map[uint64]StepStatus
+	current  = map[uint64]StepStatus{}
 )
 
 // SetCurrentStep publishes the step query st.QID is executing right
 // now. Callers gate on Enabled(), so an unobserved run pays nothing.
 func SetCurrentStep(st StepStatus) {
 	statusMu.Lock()
-	if current == nil {
-		current = make(map[uint64]StepStatus)
-	}
 	current[st.QID] = st
 	statusMu.Unlock()
 }

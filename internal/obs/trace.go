@@ -5,6 +5,7 @@ import (
 	"io"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,20 +15,17 @@ import (
 // step → crypto kernel — and exports them as Chrome trace-event JSON
 // loadable in chrome://tracing or https://ui.perfetto.dev.
 //
-// A Tracer owns one or more Tracks; a Track is one timeline (one party,
-// rendered as one "thread" in the viewer). Structured layers that hold
-// a *Track (the plan executor via mpc.Party.Track) begin spans on it
-// directly. Kernel layers (gc, ot, psi) have no party handle, so a
-// track can be bound to the executing goroutine with Track.Bind; the
-// package-level Begin then resolves the calling goroutine's track. With
-// no tracer installed, Begin is a single atomic load returning a no-op
-// span.
+// A Tracer owns Tracks, one timeline (one "thread" in the viewer) per
+// party. The plan executor begins spans on its party's *Track directly.
+// Kernel layers (gc, ot, psi) have no party handle, so the executor binds
+// the track to its goroutine (Track.Bind) and Begin / Kernel.Begin
+// resolve the calling goroutine's track — a single atomic load while no
+// track is bound anywhere in the process.
 
 // Tracer accumulates spans for one traced execution.
 type Tracer struct {
-	start time.Time
-	// now returns the elapsed time since start; replaced by tests that
-	// need deterministic timestamps.
+	// now returns the elapsed time since the tracer was created; tests
+	// replace it with a scripted clock.
 	now func() time.Duration
 
 	mu     sync.Mutex
@@ -36,13 +34,12 @@ type Tracer struct {
 
 // NewTracer returns an empty tracer whose clock starts now.
 func NewTracer() *Tracer {
-	t := &Tracer{start: time.Now()}
-	t.now = func() time.Duration { return time.Since(t.start) }
-	return t
+	start := time.Now()
+	return &Tracer{now: func() time.Duration { return time.Since(start) }}
 }
 
 // Track creates a new timeline named name (typically the party: "Alice",
-// "Bob"). Tracks render as separate threads in the Chrome trace viewer.
+// "Bob").
 func (t *Tracer) Track(name string) *Track {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -50,16 +47,6 @@ func (t *Tracer) Track(name string) *Track {
 	t.tracks = append(t.tracks, tk)
 	return tk
 }
-
-// installed is the process-wide tracer kernel spans attach to.
-var installed atomic.Pointer[Tracer]
-
-// Install makes t the process-wide tracer that package-level Begin
-// resolves against. Install(nil) uninstalls.
-func Install(t *Tracer) { installed.Store(t) }
-
-// Installed returns the process-wide tracer, or nil.
-func Installed() *Tracer { return installed.Load() }
 
 // spanRecord is one completed span on a track.
 type spanRecord struct {
@@ -84,6 +71,7 @@ type Track struct {
 // reads.
 type Span struct {
 	track     *Track
+	k         *Kernel // set when the span also feeds the kernel metrics
 	name, cat string
 	start     time.Duration
 }
@@ -100,25 +88,43 @@ func (tk *Track) Begin(cat, name string) Span {
 func (s Span) End() { s.end(0, false) }
 
 // EndN closes the span recording a work count n (gates, OT instances,
-// rows) as the span's "n" argument in the exported trace.
+// rows): the span's "n" argument in the exported trace, and the
+// kernel's units for a span from Kernel.Begin.
 func (s Span) EndN(n int64) { s.end(n, true) }
 
-func (s Span) end(n int64, hasN bool) {
-	if s.track == nil {
-		return
+// epoch is the clock of kernel spans that feed metrics only.
+var epoch = time.Now()
+
+func (s Span) now() time.Duration {
+	if s.track != nil {
+		return s.track.tr.now()
 	}
-	end := s.track.tr.now()
-	s.track.mu.Lock()
-	s.track.spans = append(s.track.spans, spanRecord{
-		name: s.name, cat: s.cat, start: s.start, dur: end - s.start, n: n, hasN: hasN})
-	s.track.mu.Unlock()
+	return time.Since(epoch)
 }
 
-// Goroutine → track binding, so kernel code can emit spans without a
-// party handle. The map is consulted only when a tracer is installed.
+func (s Span) end(n int64, hasN bool) {
+	if s.track == nil && s.k == nil {
+		return
+	}
+	dur := s.now() - s.start
+	if s.k != nil {
+		s.k.ns.observe(int64(dur))
+		s.k.units.v.Add(n)
+	}
+	if s.track != nil {
+		s.track.mu.Lock()
+		s.track.spans = append(s.track.spans, spanRecord{
+			name: s.name, cat: s.cat, start: s.start, dur: dur, n: n, hasN: hasN})
+		s.track.mu.Unlock()
+	}
+}
+
+// Goroutine → track binding. The map is consulted only while nbound,
+// the number of live bindings in the process, is nonzero.
 var (
+	nbound atomic.Int64
 	bindMu sync.Mutex
-	bound  map[uint64]*Track
+	bound  = map[uint64]*Track{}
 )
 
 // Bind associates the calling goroutine with this track until the
@@ -130,13 +136,12 @@ func (tk *Track) Bind() (release func()) {
 	}
 	id := goid()
 	bindMu.Lock()
-	if bound == nil {
-		bound = make(map[uint64]*Track)
-	}
 	prev, had := bound[id]
 	bound[id] = tk
 	bindMu.Unlock()
+	nbound.Add(1)
 	return func() {
+		nbound.Add(-1)
 		bindMu.Lock()
 		if had {
 			bound[id] = prev
@@ -147,30 +152,24 @@ func (tk *Track) Bind() (release func()) {
 	}
 }
 
-// Begin opens a kernel span on the track bound to the calling
-// goroutine. With no tracer installed it returns a no-op span without
-// touching the clock or the binding table; with a tracer but no bound
-// track the span is dropped (kernels running outside a traced plan).
-func Begin(cat, name string) Span {
-	if installed.Load() == nil {
-		return Span{}
+// boundTrack returns the track bound to the calling goroutine, or nil.
+func boundTrack() *Track {
+	if nbound.Load() == 0 {
+		return nil
 	}
 	id := goid()
 	bindMu.Lock()
-	tk := bound[id]
-	bindMu.Unlock()
-	return tk.Begin(cat, name)
+	defer bindMu.Unlock()
+	return bound[id]
 }
 
 // goid parses the calling goroutine's id from its stack header
-// ("goroutine N [running]:"). Only called when a tracer is installed;
-// costs on the order of a microsecond.
+// ("goroutine N [running]:"), on the order of a microsecond.
 func goid() uint64 {
 	var buf [40]byte
 	n := runtime.Stack(buf[:], false)
-	const prefix = len("goroutine ")
 	var id uint64
-	for _, c := range buf[prefix:n] {
+	for _, c := range buf[len("goroutine "):n] {
 		if c < '0' || c > '9' {
 			break
 		}
@@ -179,9 +178,65 @@ func goid() uint64 {
 	return id
 }
 
-// chromeEvent is one entry of the Chrome trace-event format. Field
-// order here is the serialization order (encoding/json preserves struct
-// order), which the golden tests pin down.
+// Begin opens a span on the track bound to the calling goroutine; with
+// none bound it is the no-op zero Span.
+func Begin(cat, name string) Span { return boundTrack().Begin(cat, name) }
+
+// Kernel is the measurement handle of one crypto kernel, declared once
+// per call site. Its span is the kernel's only clock: Begin/EndN record
+// the Chrome-trace span when a track is bound, and the
+// secyan_kernel_ns{kernel} histogram plus the
+// secyan_kernel_units_total{kernel} counter when obs is enabled, from
+// the same two clock reads.
+type Kernel struct {
+	cat, name string
+	ns, units *series
+}
+
+var (
+	kernelNs = NewHistogram("secyan_kernel_ns",
+		"Latency of one crypto-kernel call in nanoseconds, by kernel.", "kernel")
+	kernelUnits = NewCounter("secyan_kernel_units_total",
+		"Work units (gates, OT instances, PSI bins) of crypto-kernel calls, by kernel; units / ns is the kernel's rate.", "kernel")
+)
+
+// NewKernel returns the handle of the kernel called name; its span
+// category is the part of name before the first dot ("gc.garble" → gc).
+func NewKernel(name string) *Kernel {
+	cat, _, _ := strings.Cut(name, ".")
+	key := []string{name}
+	return &Kernel{cat: cat, name: name, ns: kernelNs.get(key), units: kernelUnits.get(key)}
+}
+
+// Begin opens one call of the kernel; close it with EndN(units).
+func (k *Kernel) Begin() Span {
+	s := Span{track: boundTrack(), name: k.name, cat: k.cat}
+	if enabled.Load() {
+		s.k = k
+	}
+	if s.track == nil && s.k == nil {
+		return Span{}
+	}
+	s.start = s.now()
+	return s
+}
+
+// KernelTotal returns the units processed and nanoseconds spent, while
+// obs was enabled, by the kernels whose name starts with prefix.
+// Benchmark drivers difference two snapshots around a measured run to
+// report per-query kernel rates.
+func KernelTotal(prefix string) (units, ns int64) {
+	for _, s := range kernelNs.sorted() {
+		if name := s.vals[0]; strings.HasPrefix(name, prefix) {
+			units += kernelUnits.Value(name)
+			ns += s.sum.Load()
+		}
+	}
+	return units, ns
+}
+
+// chromeEvent is one span of the Chrome trace-event format; field order
+// is the serialization order the golden tests pin.
 type chromeEvent struct {
 	Name string           `json:"name"`
 	Cat  string           `json:"cat,omitempty"`
@@ -193,22 +248,16 @@ type chromeEvent struct {
 	Args map[string]int64 `json:"args,omitempty"`
 }
 
-// usOf converts a duration to fractional microseconds, the unit of the
-// Chrome trace format.
-func usOf(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
-
 // WriteChrome writes the accumulated spans as Chrome trace-event JSON:
 // one thread per track (named via metadata events), one complete ("X")
-// event per span. Within a track, events are ordered by start time with
-// enclosing spans before the spans they contain, so the output is
-// deterministic given deterministic timestamps.
+// event per span, in microseconds. Within a track, events are ordered by
+// start time with enclosing spans first, so the output is deterministic
+// given deterministic timestamps.
 func (t *Tracer) WriteChrome(w io.Writer) error {
 	t.mu.Lock()
-	tracks := make([]*Track, len(t.tracks))
-	copy(tracks, t.tracks)
+	tracks := append([]*Track(nil), t.tracks...)
 	t.mu.Unlock()
 
-	var events []chromeEvent
 	type metaEvent struct {
 		Name string            `json:"name"`
 		Ph   string            `json:"ph"`
@@ -216,17 +265,15 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 		Tid  int               `json:"tid"`
 		Args map[string]string `json:"args"`
 	}
-	var metas []metaEvent
+	events := []any{}
 	for _, tk := range tracks {
-		metas = append(metas, metaEvent{
-			Name: "thread_name", Ph: "M", Pid: 0, Tid: tk.id,
+		events = append(events, metaEvent{Name: "thread_name", Ph: "M", Tid: tk.id,
 			Args: map[string]string{"name": tk.name}})
 	}
-
+	us := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 	for _, tk := range tracks {
 		tk.mu.Lock()
-		spans := make([]spanRecord, len(tk.spans))
-		copy(spans, tk.spans)
+		spans := append([]spanRecord(nil), tk.spans...)
 		tk.mu.Unlock()
 		sort.SliceStable(spans, func(i, j int) bool {
 			if spans[i].start != spans[j].start {
@@ -235,46 +282,15 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 			return spans[i].dur > spans[j].dur
 		})
 		for _, sp := range spans {
-			ev := chromeEvent{Name: sp.name, Cat: sp.cat, Ph: "X",
-				Ts: usOf(sp.start), Dur: usOf(sp.dur), Pid: 0, Tid: tk.id}
+			ev := chromeEvent{Name: sp.name, Cat: sp.cat, Ph: "X", Ts: us(sp.start), Dur: us(sp.dur), Tid: tk.id}
 			if sp.hasN {
 				ev.Args = map[string]int64{"n": sp.n}
 			}
 			events = append(events, ev)
 		}
 	}
-
-	// Hand-assemble the envelope so metadata events (string args) and
-	// span events (int args) can coexist in one array with stable field
-	// ordering.
-	if _, err := io.WriteString(w, "{\"traceEvents\":["); err != nil {
-		return err
-	}
-	first := true
-	writeItem := func(v any) error {
-		b, err := json.Marshal(v)
-		if err != nil {
-			return err
-		}
-		if !first {
-			if _, err := io.WriteString(w, ","); err != nil {
-				return err
-			}
-		}
-		first = false
-		_, err = w.Write(b)
-		return err
-	}
-	for _, m := range metas {
-		if err := writeItem(m); err != nil {
-			return err
-		}
-	}
-	for _, ev := range events {
-		if err := writeItem(ev); err != nil {
-			return err
-		}
-	}
-	_, err := io.WriteString(w, "],\"displayTimeUnit\":\"ms\"}\n")
-	return err
+	return json.NewEncoder(w).Encode(struct {
+		TraceEvents     []any  `json:"traceEvents"`
+		DisplayTimeUnit string `json:"displayTimeUnit"`
+	}{events, "ms"})
 }

@@ -9,7 +9,7 @@
 // The base OT is a *random* OT: the protocol itself produces the sender's
 // two seeds per instance and the receiver's chosen one — which is all
 // IKNP needs — in two messages (one curve point from the sender, one
-// point per instance back) and no ciphertexts; see DESIGN.md §17.
+// point per instance back) and no ciphertexts; see DESIGN.md §16.
 //
 // All protocols here are semi-honest, matching the paper's security model
 // (§4). Malformed peer messages are still rejected with a *MessageError
@@ -22,29 +22,26 @@ import (
 	"crypto/elliptic"
 	"crypto/rand"
 	"fmt"
-	"time"
 
 	"secyan/internal/obs"
 	"secyan/internal/prf"
 	"secyan/internal/transport"
 )
 
-// OT metrics: base-OT instances (public-key operations, the setup) and
-// extension instances (symmetric-only, the bulk workload) with per-call
-// latency histograms. Collection is off until obs.Enable.
+// The OT kernels, measured in OT instances per call: base OTs (public-key
+// operations, the setup) and the online extension batches (symmetric
+// only, the bulk workload) — direct, derandomized from a pool, and
+// random.
 var (
-	mBaseOTs    = obs.NewCounter("secyan_ot_base_total", "Elliptic-curve base OT instances executed (sender+receiver sides of this process).")
-	mBaseNs     = obs.NewHistogram("secyan_ot_base_ns", "Latency of one base-OT batch (BaseSend/BaseRecv call), nanoseconds.")
-	mExtOTs     = obs.NewCounter("secyan_ot_ext_total", "IKNP extension OT instances executed (sender+receiver sides of this process).")
-	mExtBatches = obs.NewCounter("secyan_ot_ext_batches_total", "IKNP extension batches (Send/Receive calls).")
-	mExtNs      = obs.NewHistogram("secyan_ot_ext_ns", "Latency of one IKNP extension batch, nanoseconds.")
+	kBaseSend   = obs.NewKernel("ot.base.send")
+	kBaseRecv   = obs.NewKernel("ot.base.recv")
+	kExtSend    = obs.NewKernel("ot.ext.send")
+	kExtRecv    = obs.NewKernel("ot.ext.recv")
+	kDerandSend = obs.NewKernel("ot.ext.derand.send")
+	kDerandRecv = obs.NewKernel("ot.ext.derand.recv")
+	kRandomSend = obs.NewKernel("ot.ext.random.send")
+	kRandomRecv = obs.NewKernel("ot.ext.random.recv")
 )
-
-// ExtKernelTotals reports the cumulative online extension-OT count and
-// the summed per-batch latency observed by the obs layer (both zero
-// until obs.Enable). The benchmark harness differences two snapshots to
-// compute the aggregate OTs/second of one measured run.
-func ExtKernelTotals() (ots, ns int64) { return mExtOTs.Value(), mExtNs.Sum() }
 
 // curve is the group of the base OTs: NIST P-256, prime order, ≈128-bit
 // security — the level of κ and of every symmetric primitive downstream.
@@ -71,26 +68,11 @@ func (e *MessageError) Error() string {
 
 // keySeed hashes the compressed encoding of instance i's shared point
 // into a seed. SHA-256 as a random oracle over the group element is what
-// the protocol's CDH argument needs (DESIGN.md §15, §17).
+// the protocol's CDH argument needs (DESIGN.md §14, §16).
 func keySeed(i int, point []byte) (s prf.Seed) {
 	h := prf.Hash(uint64(i), point)
 	copy(s[:], h[:])
 	return s
-}
-
-// observeBase opens the span and metrics of one BaseSend/BaseRecv call
-// and returns the function that closes them.
-func observeBase(name string, n int) func() {
-	sp := obs.Begin("ot", name)
-	if !obs.Enabled() {
-		return func() { sp.EndN(int64(n)) }
-	}
-	startT := time.Now()
-	return func() {
-		mBaseOTs.Add(int64(n))
-		mBaseNs.Observe(time.Since(startT).Nanoseconds())
-		sp.EndN(int64(n))
-	}
 }
 
 // BaseSend runs n random OTs as the sender and returns the seed pair of
@@ -101,7 +83,8 @@ func observeBase(name string, n int) func() {
 // equals the receiver's H(i, x_i·S), the other is y·(x_i ∓ y)·G, a CDH
 // instance in (S, R_i) for the receiver.
 func BaseSend(conn transport.Conn, n int) ([][2]prf.Seed, error) {
-	defer observeBase("ot.base.send", n)()
+	sp := kBaseSend.Begin()
+	defer sp.EndN(int64(n))
 	y, sx, sy, err := elliptic.GenerateKey(curve, rand.Reader)
 	if err != nil {
 		return nil, fmt.Errorf("ot: base OT entropy: %w", err)
@@ -146,7 +129,8 @@ func BaseSend(conn transport.Conn, n int) ([][2]prf.Seed, error) {
 // chosen seed of each instance: seed choices[i] of the sender's pair i.
 func BaseRecv(conn transport.Conn, choices []bool) ([]prf.Seed, error) {
 	n := len(choices)
-	defer observeBase("ot.base.recv", n)()
+	sp := kBaseRecv.Begin()
+	defer sp.EndN(int64(n))
 	sEnc, err := conn.Recv()
 	if err != nil {
 		return nil, err

@@ -2,10 +2,8 @@ package ot
 
 import (
 	"fmt"
-	"time"
 
 	"secyan/internal/bitutil"
-	"secyan/internal/obs"
 	"secyan/internal/parallel"
 	"secyan/internal/prf"
 	"secyan/internal/transport"
@@ -13,21 +11,6 @@ import (
 
 // kappa is the number of base OTs / the width of the IKNP matrix.
 const kappa = 128
-
-// observeExt records one online extension batch of m OTs on the obs
-// layer when the returned function runs; with obs off it costs one
-// atomic load.
-func observeExt(m int) func() {
-	if !obs.Enabled() {
-		return func() {}
-	}
-	startT := time.Now()
-	return func() {
-		mExtOTs.Add(int64(m))
-		mExtBatches.Inc()
-		mExtNs.Observe(time.Since(startT).Nanoseconds())
-	}
-}
 
 // Sender is the message-sending endpoint of an IKNP OT-extension session.
 // After a one-time Setup (κ base OTs in the reverse direction), every call
@@ -164,7 +147,6 @@ func (r *Receiver) Receive(choices []bool, msgLen int) ([][]byte, error) {
 	if m == 0 {
 		return nil, nil
 	}
-	defer observeExt(m)()
 	if b := r.pool.take(m, msgLen); b != nil {
 		return r.receiveDerandomized(b, choices)
 	}
@@ -173,7 +155,7 @@ func (r *Receiver) Receive(choices []bool, msgLen int) ([][]byte, error) {
 
 func (r *Receiver) receiveDirect(choices []bool, msgLen int) ([][]byte, error) {
 	m := len(choices)
-	sp := obs.Begin("ot", "ot.ext.recv")
+	sp := kExtRecv.Begin()
 	defer sp.EndN(int64(m))
 
 	tt, err := r.expandColumns(choices)
@@ -258,7 +240,6 @@ func (s *Sender) Send(pairs [][2][]byte) error {
 	if m == 0 {
 		return nil
 	}
-	defer observeExt(m)()
 	msgLen := len(pairs[0][0])
 	for _, p := range pairs {
 		if len(p[0]) != msgLen || len(p[1]) != msgLen {
@@ -273,7 +254,7 @@ func (s *Sender) Send(pairs [][2][]byte) error {
 
 func (s *Sender) sendDirect(pairs [][2][]byte, msgLen int) error {
 	m := len(pairs)
-	sp := obs.Begin("ot", "ot.ext.send")
+	sp := kExtSend.Begin()
 	defer sp.EndN(int64(m))
 
 	qt, err := s.expandColumns(m)

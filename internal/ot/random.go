@@ -31,14 +31,12 @@ import (
 // and nothing else — the sender swaps a pooled pad pair where the bit is
 // set. The PSI's per-bin OPRF is built on them.
 
-// Pool metrics. Fills count offline work; hits/misses classify how online
-// batches were served (a miss is any batch that ran the direct protocol,
-// whether the pool was empty or held mismatched material).
+// Pool metrics: how online batches were served (a miss is any batch
+// that ran the direct protocol, whether the pool was empty or held
+// mismatched material).
 var (
-	mPoolFillBatches = obs.NewCounter("secyan_ot_pool_fill_batches_total", "Random-OT batches precomputed into pools (FillRandom calls).")
-	mPoolFillOTs     = obs.NewCounter("secyan_ot_pool_fill_total", "Random-OT instances precomputed into pools.")
-	mPoolHits        = obs.NewCounter("secyan_ot_pool_hit_total", "Extension batches served from a precomputed random-OT pool.")
-	mPoolMisses      = obs.NewCounter("secyan_ot_pool_miss_total", "Extension batches that ran the direct protocol (pool empty or mismatched).")
+	mPoolHits   = obs.NewCounter("secyan_ot_pool_hit_total", "Extension batches served from a precomputed random-OT pool.")
+	mPoolMisses = obs.NewCounter("secyan_ot_pool_miss_total", "Extension batches that ran the direct protocol (pool empty or mismatched).")
 )
 
 // randBatch is one precomputed random-OT batch. Each endpoint stores only
@@ -64,8 +62,6 @@ func (p *Pool) push(b *randBatch) {
 	p.mu.Lock()
 	p.batches = append(p.batches, b)
 	p.mu.Unlock()
-	mPoolFillBatches.Inc()
-	mPoolFillOTs.Add(int64(b.m))
 }
 
 // take pops the head batch when it matches the requested dimensions. A
@@ -208,8 +204,7 @@ func (s *Sender) SendRandom(m, msgLen int) (r0, r1 []byte, err error) {
 	if m == 0 {
 		return nil, nil, nil
 	}
-	defer observeExt(m)()
-	sp := obs.Begin("ot", "ot.ext.random.send")
+	sp := kRandomSend.Begin()
 	defer sp.EndN(int64(m))
 	b := s.pool.take(m, msgLen)
 	if b == nil {
@@ -238,8 +233,7 @@ func (r *Receiver) ReceiveRandom(choices []bool, msgLen int) ([]byte, error) {
 	if m == 0 {
 		return nil, nil
 	}
-	defer observeExt(m)()
-	sp := obs.Begin("ot", "ot.ext.random.recv")
+	sp := kRandomRecv.Begin()
 	defer sp.EndN(int64(m))
 	b := r.pool.take(m, msgLen)
 	if b == nil {
@@ -275,7 +269,7 @@ func (s *Sender) recvCorrections(m int) (*bitutil.Vector, error) {
 func (r *Receiver) receiveDerandomized(b *randBatch, choices []bool) ([][]byte, error) {
 	m := len(choices)
 	msgLen := b.msgLen
-	sp := obs.Begin("ot", "ot.ext.derand.recv")
+	sp := kDerandRecv.Begin()
 	defer sp.EndN(int64(m))
 	if err := r.sendCorrections(b, choices); err != nil {
 		return nil, err
@@ -303,7 +297,7 @@ func (r *Receiver) receiveDerandomized(b *randBatch, choices []bool) ([][]byte, 
 // receiver's chosen-side pad always opens pairs[j][cⱼ].
 func (s *Sender) sendDerandomized(b *randBatch, pairs [][2][]byte, msgLen int) error {
 	m := len(pairs)
-	sp := obs.Begin("ot", "ot.ext.derand.send")
+	sp := kDerandSend.Begin()
 	defer sp.EndN(int64(m))
 	d, err := s.recvCorrections(m)
 	if err != nil {

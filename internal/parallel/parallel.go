@@ -21,21 +21,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"secyan/internal/obs"
-)
-
-// Worker-pool metrics. Busy time is the sum of per-chunk kernel time
-// across all workers; span time is workers × wall time of each For
-// call, so busy/span is the pool's utilization. All reads of the clock
-// are gated on obs.Enabled, keeping the disabled path free.
-var (
-	mForCalls = obs.NewCounter("secyan_parallel_for_total", "parallel.For invocations.")
-	mChunks   = obs.NewCounter("secyan_parallel_chunks_total", "Work chunks executed by the pool (serial fast-path counts one).")
-	mBusyNs   = obs.NewCounter("secyan_parallel_busy_ns_total", "Nanoseconds workers spent inside kernels.")
-	mSpanNs   = obs.NewCounter("secyan_parallel_span_ns_total", "Workers times wall nanoseconds of each For call; busy/span is pool occupancy.")
-	mWorkers  = obs.NewGauge("secyan_parallel_workers", "Worker count of the most recent parallel For call.")
 )
 
 // Workers reports the worker count For will use.
@@ -55,51 +40,19 @@ func For(n, grain int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	if grain < 1 {
-		grain = 1
-	}
-	measured := obs.Enabled()
-	var start time.Time
-	if measured {
-		mForCalls.Inc()
-		start = time.Now()
-	}
+	grain = max(grain, 1)
 	workers := Workers()
-	if workers == 1 || n <= grain {
-		fn(0, n)
-		if measured {
-			d := time.Since(start).Nanoseconds()
-			mChunks.Inc()
-			mBusyNs.Add(d)
-			mSpanNs.Add(d)
-			mWorkers.Set(1)
-		}
-		return
-	}
 	// Aim for a few chunks per worker for load balance, but never chunks
 	// smaller than grain (kernel work below grain is cheaper serial than
 	// the handoff).
-	size := (n + 4*workers - 1) / (4 * workers)
-	if size < grain {
-		size = grain
-	}
+	size := max((n+4*workers-1)/(4*workers), grain)
 	chunks := (n + size - 1) / size
-	if chunks == 1 {
+	if workers == 1 || chunks == 1 {
 		fn(0, n)
-		if measured {
-			d := time.Since(start).Nanoseconds()
-			mChunks.Inc()
-			mBusyNs.Add(d)
-			mSpanNs.Add(d)
-			mWorkers.Set(1)
-		}
 		return
 	}
-	if workers > chunks {
-		workers = chunks
-	}
+	workers = min(workers, chunks)
 	var next atomic.Int64
-	var busy atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -111,25 +64,9 @@ func For(n, grain int, fn func(lo, hi int)) {
 					return
 				}
 				lo := c * size
-				hi := lo + size
-				if hi > n {
-					hi = n
-				}
-				if measured {
-					t0 := time.Now()
-					fn(lo, hi)
-					busy.Add(time.Since(t0).Nanoseconds())
-				} else {
-					fn(lo, hi)
-				}
+				fn(lo, min(lo+size, n))
 			}
 		}()
 	}
 	wg.Wait()
-	if measured {
-		mChunks.Add(int64(chunks))
-		mBusyNs.Add(busy.Load())
-		mSpanNs.Add(int64(workers) * time.Since(start).Nanoseconds())
-		mWorkers.Set(int64(workers))
-	}
 }

@@ -18,7 +18,7 @@ import (
 // with H the fixed-key hash under oprfTweak. The sender holds both pads
 // of every pair and evaluates F_b anywhere; the receiver holds one pad
 // per pair, so for any y ≠ x the XOR includes a pad she never saw
-// (DESIGN.md §15). The pads are the IKNP outputs themselves
+// (DESIGN.md §14). The pads are the IKNP outputs themselves
 // (ot.SendRandom): keyBits OTs per bin, no ciphertexts, servable from a
 // precomputed pool at one bit each.
 

@@ -28,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"time"
 
 	"secyan/internal/cuckoo"
 	"secyan/internal/gc"
@@ -39,36 +38,14 @@ import (
 	"secyan/internal/transport"
 )
 
-// PSI metrics: executions and bin-space dimensions. Collection is off
-// until obs.Enable.
+// The PSI kernels, measured per execution in cuckoo bins B, on both
+// sides and on the direct and indexed paths.
 var (
-	mPSIRuns      = obs.NewCounter("secyan_psi_runs_total", "PSI executions (receiver+sender sides of this process).")
-	mPSIBins      = obs.NewHistogram("secyan_psi_bins", "Cuckoo bin count B per PSI execution.")
-	mPSIEmptyBins = obs.NewCounter("secyan_psi_receiver_empty_bins_total", "Receiver cuckoo bins left empty (filled with dummies).")
-	mPSIElements  = obs.NewCounter("secyan_psi_elements_total", "Real elements fed into PSI executions (both sides).")
-	mPSINs        = obs.NewHistogram("secyan_psi_ns", "Latency of one PSI execution (either side, direct or indexed), nanoseconds.")
+	kRecv        = obs.NewKernel("psi.recv")
+	kSend        = obs.NewKernel("psi.send")
+	kIndexedRecv = obs.NewKernel("psi.indexed.recv")
+	kIndexedSend = obs.NewKernel("psi.indexed.send")
 )
-
-// observeRun records one PSI execution's dimensions on the obs layer and
-// returns a stop function that, when obs is enabled, folds the run's
-// latency into the histogram. The no-obs path costs one atomic load and
-// allocates nothing.
-func observeRun(bins, elements int) func() {
-	if !obs.Enabled() {
-		return func() {}
-	}
-	mPSIRuns.Inc()
-	mPSIElements.Add(int64(elements))
-	mPSIBins.Observe(int64(bins))
-	startT := time.Now()
-	return func() { mPSINs.Observe(time.Since(startT).Nanoseconds()) }
-}
-
-// KernelTotals reports the cumulative receiver-bin count and summed
-// execution latency observed by the obs layer (both zero until
-// obs.Enable). The benchmark harness differences two snapshots to
-// compute the aggregate bins/second of one measured run.
-func KernelTotals() (bins, ns int64) { return mPSIBins.Sum(), mPSINs.Sum() }
 
 // Sigma is the statistical security parameter (paper §4: σ = 40): it
 // bounds the sender's bin overflow, the hint's rank failure and the
@@ -165,12 +142,10 @@ func senderBins(seed prf.Seed, pr Params, ys []uint64) (keys [][]uint64, elem []
 // bin, with dummies for empty bins.
 func receiverKeys(t *cuckoo.Table) ([]uint64, error) {
 	out := make([]uint64, t.B)
-	var empty int64
 	for b := 0; b < t.B; b++ {
 		v, ok := t.BinItem(b)
 		if !ok {
 			out[b] = receiverDummyKey
-			empty++
 			continue
 		}
 		k, err := Compose(v, t.BinHash(b))
@@ -179,7 +154,6 @@ func receiverKeys(t *cuckoo.Table) ([]uint64, error) {
 		}
 		out[b] = k
 	}
-	mPSIEmptyBins.Add(empty)
 	return out, nil
 }
 
@@ -341,9 +315,8 @@ func mergeDuplicates(ring share.Ring, ys, payloads []uint64) ([]uint64, []uint64
 // receives only shares.
 func RunReceiver(p *mpc.Party, xs []uint64, nSender int) (*Result, error) {
 	pr := NewParams(len(xs), nSender)
-	sp := obs.Begin("psi", "psi.recv")
+	sp := kRecv.Begin()
 	defer sp.EndN(int64(pr.B))
-	defer observeRun(pr.B, len(xs))()
 	table, pay, ind, err := recvBins(p, pr, p.Ring.Bits, xs)
 	if err != nil {
 		return nil, err
@@ -362,9 +335,8 @@ func RunSender(p *mpc.Party, ys, payloads []uint64, mReceiver int) (*Result, err
 		return nil, fmt.Errorf("psi: %d elements with %d payloads", len(ys), len(payloads))
 	}
 	pr := NewParams(mReceiver, len(ys))
-	sp := obs.Begin("psi", "psi.send")
+	sp := kSend.Begin()
 	defer sp.EndN(int64(pr.B))
-	defer observeRun(pr.B, len(ys))()
 	ys, payloads = mergeDuplicates(p.Ring, ys, payloads)
 
 	// Bob's payload share r of a bin is drawn up front: a match must hand

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 
 	"secyan/internal/mpc"
-	"secyan/internal/obs"
 	"secyan/internal/oep"
 )
 
@@ -58,9 +57,8 @@ func RunIndexedPlainReceiver(p *mpc.Party, xs []uint64, nSender int) (*Result, e
 
 func runIndexedReceiver(p *mpc.Party, xs []uint64, nSender int, myPayShares []uint64, plain bool) (*Result, error) {
 	pr := NewParams(len(xs), nSender)
-	sp := obs.Begin("psi", "psi.indexed.recv")
+	sp := kIndexedRecv.Begin()
 	defer sp.EndN(int64(pr.B))
-	defer observeRun(pr.B, len(xs))()
 	npb := pr.N + pr.B
 
 	// Step 1-2: extend with zero shares; Bob permutes — via OEP when the
@@ -129,9 +127,8 @@ func RunIndexedPlainSender(p *mpc.Party, ys []uint64, payloads []uint64, mReceiv
 
 func runIndexedSender(p *mpc.Party, ys []uint64, myPayShares []uint64, mReceiver int, plain bool) (*Result, error) {
 	pr := NewParams(mReceiver, len(ys))
-	sp := obs.Begin("psi", "psi.indexed.send")
+	sp := kIndexedSend.Begin()
 	defer sp.EndN(int64(pr.B))
-	defer observeRun(pr.B, len(ys))()
 	npb := pr.N + pr.B
 	if plain {
 		// Merged duplicates leave the tail of the N payload slots zero and

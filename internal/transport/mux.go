@@ -330,8 +330,8 @@ func (m *Mux) fail(err error) {
 	m.mu.Unlock()
 	// Session faults land in the event log; orderly Close (ErrClosed)
 	// and the already-evented peer timeout do not double-report.
-	if lg := obs.Events(); lg.On() && !errors.Is(err, ErrClosed) && !errors.Is(err, ErrPeerTimeout) {
-		lg.Emit("mux.fault", obs.QueryTag{SID: m.cfg.SID}, slog.String("error", err.Error()))
+	if obs.Enabled() && !errors.Is(err, ErrClosed) && !errors.Is(err, ErrPeerTimeout) {
+		obs.Events().Emit("mux.fault", obs.QueryTag{SID: m.cfg.SID}, slog.String("error", err.Error()))
 	}
 	close(m.done)
 	m.base.Close()
@@ -460,8 +460,8 @@ func (m *Mux) heartbeatLoop() {
 			m.liveMu.Unlock()
 			if silent > m.cfg.PeerTimeout {
 				mMuxPeerTimeouts.Inc()
-				if lg := obs.Events(); lg.On() {
-					lg.Emit("heartbeat.timeout", obs.QueryTag{SID: m.cfg.SID},
+				if obs.Enabled() {
+					obs.Events().Emit("heartbeat.timeout", obs.QueryTag{SID: m.cfg.SID},
 						slog.Duration("silent", silent), slog.Duration("limit", m.cfg.PeerTimeout))
 				}
 				m.fail(fmt.Errorf("%w: nothing heard for %v", ErrPeerTimeout, silent.Round(time.Millisecond)))
@@ -551,8 +551,8 @@ func (s *muxStream) fail(err error) {
 		return
 	}
 	mMuxStreamsFailed.Inc()
-	if lg := obs.Events(); lg.On() {
-		lg.Emit("stream.fail", obs.QueryTag{SID: s.m.cfg.SID},
+	if obs.Enabled() {
+		obs.Events().Emit("stream.fail", obs.QueryTag{SID: s.m.cfg.SID},
 			slog.Uint64("stream", uint64(s.id)), slog.String("error", err.Error()))
 	}
 	if handed && !closed {

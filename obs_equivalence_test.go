@@ -15,8 +15,8 @@ import (
 
 // TestTranscriptEquivalenceWithObservability is the observability
 // counterpart of the worker-count equivalence test: a fully-observed
-// query run — metrics collection enabled, a tracer installed with both
-// parties emitting spans, the structured event log mirroring to a JSON
+// query run — metrics collection enabled, a tracer with both parties
+// emitting spans, the structured event log mirroring to a JSON
 // sink, and the flight recorder retaining records — must produce
 // byte-identical transport statistics and identical results to an
 // unobserved run. Observation reads clocks and writes process-local
@@ -37,10 +37,8 @@ func TestTranscriptEquivalenceWithObservability(t *testing.T) {
 			obs.Flight().Reset()
 			defer func() {
 				lg.SetJSONSink(nil)
-				lg.Disable()
 				lg.Reset()
 				obs.Flight().Reset()
-				obs.Install(nil)
 				obs.Disable()
 			}()
 			alice, bob := OpenLocal(WithTracer(tracer))
@@ -102,8 +100,6 @@ func TestChromeTraceMatchesTrace(t *testing.T) {
 	_, _, _, build := exampleQuery()
 
 	tracer := obs.NewTracer()
-	obs.Install(tracer)
-	defer obs.Install(nil)
 
 	alice, bob := mpc.Pair(DefaultRing)
 	defer alice.Conn.Close()
@@ -203,5 +199,36 @@ func TestChromeTraceMatchesTrace(t *testing.T) {
 	}
 	if a.res == nil {
 		t.Fatal("Alice received no result")
+	}
+}
+
+// TestObsTracingEndsWithSession pins that tracing a Session is scoped
+// to its executions: once a traced OpenLocal pair has run a query and
+// closed, a kernel span anywhere in the process is the no-op zero Span
+// again — no goroutine-id lookup, no lock, no allocation.
+func TestObsTracingEndsWithSession(t *testing.T) {
+	_, _, _, build := exampleQuery()
+	tracer := obs.NewTracer()
+	alice, bob := OpenLocal(WithTracer(tracer))
+	if _, _, err := queryBoth(alice, bob, build); err != nil {
+		t.Fatalf("traced run: %v", err)
+	}
+	alice.Close()
+	bob.Close()
+
+	var buf bytes.Buffer
+	if err := tracer.WriteChrome(&buf); err != nil {
+		t.Fatalf("WriteChrome: %v", err)
+	}
+	if !bytes.Contains(buf.Bytes(), []byte(`"cat":"ot"`)) {
+		t.Fatal("the traced session recorded no kernel spans")
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if sp := obs.Begin("gc", "gc.garble"); sp != (obs.Span{}) {
+			t.Fatal("obs.Begin opened a span after every traced session closed")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("obs.Begin allocates %v times after the traced session closed, want 0", allocs)
 	}
 }

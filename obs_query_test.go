@@ -17,11 +17,9 @@ import (
 func TestObsSessionEventPlumbing(t *testing.T) {
 	lg := obs.Events()
 	lg.Reset()
-	lg.Enable()
 	EnableObservability()
 	obs.Flight().Reset()
 	defer func() {
-		lg.Disable()
 		lg.Reset()
 		obs.Disable()
 		obs.Flight().Reset()

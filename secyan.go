@@ -189,7 +189,7 @@ func Explain(q *Query, opts ...Option) (*Plan, error) {
 	return core.ExplainOpts(q, cfg.ring.Bits, cfg.plan())
 }
 
-// Query-scoped observability (see DESIGN.md §14): every execution on a
+// Query-scoped observability (see DESIGN.md §9): every execution on a
 // Session carries a process-local session ID and query ID; the event
 // log streams its lifecycle and the flight recorder retains one record
 // per completed run. All of it is process-local bookkeeping — a fully
@@ -217,15 +217,14 @@ func SetFlightCapacity(n int) {
 
 // LogEventsJSON mirrors the structured event log to w as JSON lines
 // (session/query lifecycle, backend auctions, precompute pool hits,
-// transport faults) and enables event collection. A nil w detaches the
-// sink.
+// transport faults) and enables observation. A nil w detaches the sink.
 func LogEventsJSON(w io.Writer) { obs.Events().SetJSONSink(w) }
 
 // RecentEvents returns up to max retained events, newest first
 // (max <= 0 returns all).
 func RecentEvents(max int) []Event { return obs.Events().Recent(max) }
 
-// EnableObservability turns on metric collection, the flight recorder
-// and the live step status for this process (the programmatic
-// equivalent of starting the obs debug server).
+// EnableObservability turns on metric collection, the event log, the
+// flight recorder and the live step status for this process (the
+// programmatic equivalent of starting the obs debug server).
 func EnableObservability() { obs.Enable() }

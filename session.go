@@ -202,9 +202,6 @@ func Open(role Role, conn Conn, opts ...Option) (*Session, error) {
 		return nil, fmt.Errorf("secyan: invalid role %d", role)
 	}
 	cfg := buildConfig(opts)
-	if cfg.tracer != nil {
-		obs.Install(cfg.tracer)
-	}
 	sid := obs.NextSessionID()
 	sess := &Session{
 		cfg:  cfg,
@@ -219,8 +216,8 @@ func Open(role Role, conn Conn, opts ...Option) (*Session, error) {
 			SID:         sid,
 		}),
 	}
-	if lg := obs.Events(); lg.On() {
-		lg.Emit("session.open", obs.QueryTag{SID: sid}, slog.String("role", role.String()))
+	if obs.Enabled() {
+		obs.Events().Emit("session.open", obs.QueryTag{SID: sid}, slog.String("role", role.String()))
 	}
 	return sess, nil
 }
@@ -269,9 +266,8 @@ type execution struct {
 // false, a new one otherwise — arms the deadline, mints the query ID,
 // stamps it on the party's tag (so events emitted below the executor
 // attribute correctly) and emits the query.admit event. Admission is
-// pure process-local bookkeeping: with observation off it is two atomic
-// loads and, when a record could ever be produced, one counter
-// increment.
+// pure process-local bookkeeping: with observation off it is one atomic
+// load.
 func (s *Session) admit(ctx context.Context, cfg config, kind string, fresh bool) (*execution, error) {
 	var sp stagedParty
 	s.mu.Lock()
@@ -293,14 +289,12 @@ func (s *Session) admit(ctx context.Context, cfg config, kind string, fresh bool
 		x.ctx, x.cancel = context.WithTimeout(ctx, cfg.streamDeadline)
 	}
 	tag := obs.QueryTag{SID: s.sid, Tenant: cfg.tenant}
-	if lg := obs.Events(); lg.On() || obs.Enabled() {
+	if obs.Enabled() {
 		tag.QID = obs.NextQueryID()
-		if lg.On() {
-			lg.Emit("query.admit", tag,
-				slog.String("kind", kind),
-				slog.String("role", s.role.String()),
-				slog.Uint64("stream", uint64(sp.id)))
-		}
+		obs.Events().Emit("query.admit", tag,
+			slog.String("kind", kind),
+			slog.String("role", s.role.String()),
+			slog.Uint64("stream", uint64(sp.id)))
 	}
 	x.p.Tag, x.opts.Tag = tag, tag
 	return x, nil
@@ -406,8 +400,8 @@ func (s *Session) Err() error { return s.sess.Err() }
 
 // Close ends the session; in-flight executions fail with ErrClosed.
 func (s *Session) Close() error {
-	if lg := obs.Events(); lg.On() {
-		lg.Emit("session.close", obs.QueryTag{SID: s.sid}, slog.String("role", s.role.String()))
+	if obs.Enabled() {
+		obs.Events().Emit("session.close", obs.QueryTag{SID: s.sid}, slog.String("role", s.role.String()))
 	}
 	return s.sess.Close()
 }

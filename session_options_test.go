@@ -55,10 +55,8 @@ func TestOptionPrecedence(t *testing.T) {
 
 	lg := obs.Events()
 	lg.Reset()
-	lg.Enable()
 	SetFlightCapacity(64)
 	defer func() {
-		lg.Disable()
 		lg.Reset()
 		obs.Disable()
 		obs.Flight().Reset()
