@@ -95,9 +95,10 @@ vet:
 # Short fuzz bursts for the transpose involution, the TCP framing
 # decoder, the SQL front end (seeded with the TPC-H query strings), the
 # chunked scan, both base-OT message decoders, the evaluator's view of
-# the garbler's message, the PSI's hint and OPRF-correction decoders and
-# a whole OEP against a hostile peer; extend -fuzztime locally for real
-# fuzzing sessions.
+# the garbler's message and both sides of the label OT (corrections,
+# label shifts, derandomization bits), the PSI's hint and
+# OPRF-correction decoders and a whole OEP, direct and pooled, against a
+# hostile peer; extend -fuzztime locally for real fuzzing sessions.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTranspose -fuzztime 10s ./internal/bitutil
 	$(GO) test -run '^$$' -fuzz FuzzRecvFraming -fuzztime 10s ./internal/transport

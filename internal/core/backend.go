@@ -121,16 +121,16 @@ func aggBids(st nodeState, kind mergeKind, ell int) []backendBid {
 	// then for π^⊕ one per gate of the group-shift OEP, for π¹ the
 	// circuit's n·ℓ share bits and n−1 group-boundary bits.
 	helper := st.holder.Other()
-	sortOEP := preOT{sender: helper, m: oep.Gates(n, n, true)}
-	b := backendBid{id: BackendPSIOEP, cost: oep.Cost(n, n, true), ots: []preOT{sortOEP}}
+	sortOEP := oepOTs(helper, n, n, ell, true)
+	b := backendBid{id: BackendPSIOEP, cost: oep.Cost(n, n, ell, true), ots: []preOT{sortOEP}}
 	b.needs[helper] = true
 	switch kind {
 	case mergeSum:
-		b.cost += oep.Cost(n, n, true)
+		b.cost += oep.Cost(n, n, ell, true)
 		b.ots = append(b.ots, sortOEP)
 	case mergeOr:
 		b.cost += projectOneCost(n, ell)
-		b.ots = append(b.ots, preOT{sender: helper, m: n*(ell+1) - 1})
+		b.ots = append(b.ots, labelOTs(helper, n*(ell+1)-1))
 		b.circs = []preCirc{{garbler: helper,
 			build: func() *gc.Circuit { return buildProjectOneCircuit(n, ell) }}}
 	}
@@ -145,7 +145,7 @@ func semijoinBids(par, child nodeState, ell int) []backendBid {
 		b.cost += mulCost(par.n, ell)
 		if par.n > 0 {
 			b.needs[par.holder.Other()] = true
-			b.ots = append(b.ots, preOT{par.holder.Other(), mulOTs(par.n, ell), mulMsgLen(ell)})
+			b.ots = append(b.ots, preOT{sender: par.holder.Other(), m: mulOTs(par.n, ell), msgLen: mulMsgLen(ell)})
 		}
 		return b
 	}
@@ -158,16 +158,16 @@ func semijoinBids(par, child nodeState, ell int) []backendBid {
 		// Scalar child: a single extended permutation broadcasts the one
 		// annotation; no alternative alignment exists.
 		b := backendBid{id: BackendPSIOEP,
-			cost: oep.Cost(child.n, par.n, false),
-			ots:  []preOT{{sender: par.holder.Other(), m: oep.Gates(child.n, par.n, false)}}}
+			cost: oep.Cost(child.n, par.n, ell, false),
+			ots:  []preOT{oepOTs(par.holder.Other(), child.n, par.n, ell, false)}}
 		b.needs[par.holder.Other()] = true
 		return []backendBid{finish(b)}
 	case par.holder == child.holder:
 		// Same-party alignment is one OEP over the holder's local index
 		// map; PSI and gc address the cross-party case only.
 		b := backendBid{id: BackendPSIOEP,
-			cost: oep.Cost(child.n+1, par.n, false),
-			ots:  []preOT{{sender: par.holder.Other(), m: oep.Gates(child.n+1, par.n, false)}}}
+			cost: oep.Cost(child.n+1, par.n, ell, false),
+			ots:  []preOT{oepOTs(par.holder.Other(), child.n+1, par.n, ell, false)}}
 		b.needs[par.holder.Other()] = true
 		return []backendBid{finish(b)}
 	}
@@ -185,7 +185,7 @@ func semijoinBids(par, child nodeState, ell int) []backendBid {
 			oprf, inputs, circ := pr.Demands(ell, indexed)
 			b.circs = append(b.circs, preCirc{child.holder, circ})
 			b.ots = append(b.ots,
-				preOT{sender: child.holder, m: oprf}, preOT{sender: child.holder, m: inputs})
+				preOT{sender: child.holder, m: oprf, msgLen: 16, kind: otRandom}, labelOTs(child.holder, inputs))
 		}
 		switch {
 		case child.plain && plainPSIDirect(par.n, child.n, ell):
@@ -197,13 +197,13 @@ func semijoinBids(par, child nodeState, ell int) []backendBid {
 				// ξ1 runs with reversed roles: the child holder programs
 				// the permutation, so the parent holder is the OT sender.
 				b.needs[par.holder] = true
-				b.ots = append(b.ots, preOT{sender: par.holder, m: oep.Gates(npb, npb, true)})
+				b.ots = append(b.ots, oepOTs(par.holder, npb, npb, ell, true))
 			}
 			bins(true)
-			b.ots = append(b.ots, preOT{sender: child.holder, m: oep.Gates(npb, pr.B, false)})
+			b.ots = append(b.ots, oepOTs(child.holder, npb, pr.B, ell, false))
 		}
-		b.cost += oep.Cost(pr.B, par.n, false)
-		b.ots = append(b.ots, preOT{sender: child.holder, m: oep.Gates(pr.B, par.n, false)})
+		b.cost += oep.Cost(pr.B, par.n, ell, false)
+		b.ots = append(b.ots, oepOTs(child.holder, pr.B, par.n, ell, false))
 		bids = append(bids, finish(b))
 	}
 	// gc: one monolithic circuit comparing every parent key against
@@ -213,7 +213,7 @@ func semijoinBids(par, child nodeState, ell int) []backendBid {
 		m, n := par.n, child.n
 		b := backendBid{id: BackendGC,
 			cost: gcAlignCost(m, n, ell),
-			ots:  []preOT{{sender: child.holder, m: n*ell + m*64}},
+			ots:  []preOT{labelOTs(child.holder, n*ell+m*64)},
 			circs: []preCirc{{child.holder,
 				func() *gc.Circuit { return gcbaseline.AlignCircuit(m, n, ell) }}}}
 		b.needs[par.holder.Other()] = true
@@ -251,8 +251,8 @@ func projectOneCost(n, ell int) int64 {
 	})
 }
 
-// mulCost prices mulShares: one OT batch (see semijoin.go).
-func mulCost(n, ell int) int64 { return ot.ExtCost(mulOTs(n, ell), mulMsgLen(ell)) }
+// mulCost prices mulShares: one correlated-OT batch (see semijoin.go).
+func mulCost(n, ell int) int64 { return ot.CorrelatedCost(mulOTs(n, ell), mulMsgLen(ell)) }
 
 // plainPSIDirect decides how a plaintext child annotation travels through
 // the cross-party PSI (§6.5): directly, as the hint's payload, or as an

@@ -122,7 +122,7 @@ func appendShareBits(dst []bool, shares []uint64, ell int) []bool {
 func sendPublicSize(c transport.Conn, n int) error { return transport.SendUint64(c, uint64(n)) }
 
 func recvPublicSize(c transport.Conn) (int, error) {
-	v, err := transport.RecvUint64(c)
+	v, err := transport.RecvUint64(c, "core: public size")
 	if err != nil {
 		return 0, err
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"secyan/internal/mpc"
+	"secyan/internal/ot"
 	"secyan/internal/relation"
 	"secyan/internal/share"
 )
@@ -284,6 +285,59 @@ func TestProductTree(t *testing.T) {
 		}
 		if got := testRing.CombineSlice(pa, pb); !reflect.DeepEqual(got, want) {
 			t.Fatalf("k=%d: product %v, want %v", k, got, want)
+		}
+	}
+}
+
+// TestMulSharesOneRoundTrip pins Gilboa's batch, direct and pooled: the
+// products reconstruct, the traffic is mulCost resp. the pooled
+// correlated-OT closed form, and it is one round trip.
+func TestMulSharesOneRoundTrip(t *testing.T) {
+	alice, bob := mpc.Pair(testRing)
+	defer alice.Conn.Close()
+	defer bob.Conn.Close()
+	rng := rand.New(rand.NewSource(19))
+	const n = 7
+	ell := testRing.Bits
+	m, msgLen := mulOTs(n, ell), mulMsgLen(ell)
+	for _, pooled := range []bool{false, true, false} {
+		a, b := make([]uint64, n), make([]uint64, n)
+		for i := range a {
+			a[i], b[i] = rng.Uint64(), rng.Uint64()
+		}
+		aA, aB := testRing.SplitSlice(alice.PRG, a)
+		bA, bB := testRing.SplitSlice(alice.PRG, b)
+		want := mulCost(n, ell)
+		if pooled {
+			if _, _, err := mpc.Run2PC(alice, bob,
+				func(p *mpc.Party) (any, error) { r, _ := p.OTReceiver(); return nil, r.FillRandom(m, msgLen) },
+				func(p *mpc.Party) (any, error) { s, _ := p.OTSender(); return nil, s.FillRandom(m, msgLen) },
+			); err != nil {
+				t.Fatal(err)
+			}
+			want = ot.CorrelatedOnlineCost(m, msgLen)
+		}
+		before := alice.Conn.Stats()
+		pa, pb, err := mpc.Run2PC(alice, bob,
+			func(p *mpc.Party) ([]uint64, error) { return mulShares(p, aA, bA, mpc.Alice, 0) },
+			func(p *mpc.Party) ([]uint64, error) { return mulShares(p, aB, bB, mpc.Alice, 0) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := alice.Conn.Stats()
+		for i := range a {
+			if got := testRing.Combine(pa[i], pb[i]); got != testRing.Mul(a[i], b[i]) {
+				t.Fatalf("pooled=%v: product %d = %d, want %d", pooled, i, got, testRing.Mul(a[i], b[i]))
+			}
+		}
+		if before.MessagesSent+before.MessagesRecv == 0 {
+			continue // the first run also set up the OT sessions
+		}
+		if got := after.TotalBytes() - before.TotalBytes(); got != want {
+			t.Fatalf("pooled=%v: moved %d bytes, closed form %d", pooled, got, want)
+		}
+		if got := after.MessagesSent + after.MessagesRecv - before.MessagesSent - before.MessagesRecv; got != 2 {
+			t.Fatalf("pooled=%v: %d messages, want one round trip", pooled, got)
 		}
 	}
 }

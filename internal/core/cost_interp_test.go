@@ -26,14 +26,14 @@ func TestOperatorCostsMatchBuiltCircuits(t *testing.T) {
 		if got, want := projectOneCost(n, ell), gc.DimsOf(buildProjectOneCircuit(n, ell)).MessageCost(); got != want {
 			t.Fatalf("project-one n=%d: predicted %d bytes, built circuit costs %d", n, got, want)
 		}
-		if got, want := mulCost(n, ell), ot.ExtCost(2*n*ell, ell/8); got != want {
+		if got, want := mulCost(n, ell), ot.CorrelatedCost(2*n*ell, ell/8); got != want {
 			t.Fatalf("mul n=%d: predicted %d bytes, one batch of 2nℓ OTs costs %d", n, got, want)
 		}
 		// Pairs multiplied per tree level, for k = 2 … 5 factors.
 		for k, levels := range map[int][]int{2: {1}, 3: {1, 1}, 4: {2, 1}, 5: {2, 1, 1}} {
 			var want int64
 			for _, pairs := range levels {
-				want += ot.ExtCost(2*pairs*n*ell, ell/8)
+				want += ot.CorrelatedCost(2*pairs*n*ell, ell/8)
 			}
 			if got := productTreeCost(n, k, ell); got != want {
 				t.Fatalf("product n=%d k=%d: predicted %d bytes, its batches cost %d", n, k, got, want)

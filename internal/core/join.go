@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"secyan/internal/gc"
 	"secyan/internal/mpc"
 	"secyan/internal/relation"
@@ -182,12 +180,9 @@ func revealPlainRows(p *mpc.Party, s *SharedRelation, chunk int) (*relation.Rela
 		})
 		return nil, transport.SendUint64s(p.Conn, msg)
 	}
-	vals, err := transport.RecvUint64s(p.Conn)
+	vals, err := transport.RecvUint64s(p.Conn, "core: plain reveal rows", s.N*cols)
 	if err != nil {
 		return nil, err
-	}
-	if len(vals) != s.N*cols {
-		return nil, fmt.Errorf("core: plain reveal got %d values, want %d", len(vals), s.N*cols)
 	}
 	res := relation.New(s.Schema)
 	relation.Range(s.N, chunk, func(lo, hi int) error {

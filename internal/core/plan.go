@@ -43,29 +43,62 @@ const (
 	stepRevealAnnotations
 )
 
-// otMsgLen is the message width of every protocol-level OT batch but the
-// share multiplication's: gc input labels, oep payload pairs and the PSI
-// OPRF's pads are all 16 bytes.
-const otMsgLen = 16
-
 // preOT is one OT-extension batch a plan step will run, identified by
-// the sending role, the batch size and the message width. The sequence
-// of preOTs across a plan's steps is exactly the sequence of batches —
-// chosen-message or random — the executor issues per direction, which
-// is what lets Precompute fill the random-OT pools so every online
-// batch derandomizes a pooled one.
+// the sending role, the batch size, the message width and the kind of
+// batch. The sequence of preOTs across a plan's steps is exactly the
+// sequence of batches the executor issues per direction, which is what
+// lets Precompute fill the random-OT pools so every online batch
+// derandomizes a pooled one.
 type preOT struct {
 	sender mpc.Role
 	m      int
-	msgLen int // 0 = otMsgLen
+	msgLen int
+	kind   otKind
 }
 
-// width is the batch's message width in bytes.
-func (d preOT) width() int {
-	if d.msgLen == 0 {
-		return otMsgLen
+// otKind is what an OT batch's reply carries, which fixes its bytes on
+// both paths.
+type otKind uint8
+
+const (
+	// otCorrelated is a correlated batch: OEP switches, Gilboa products.
+	otCorrelated otKind = iota
+	// otRandom is a random batch with no reply: the PSI's OPRF.
+	otRandom
+	// otLabels is a garbled circuit's input-label batch: correlated when
+	// direct, chosen-message (corrections plus label shifts) when pooled.
+	otLabels
+)
+
+// labelOTs is the label batch of a circuit with m evaluator inputs.
+func labelOTs(sender mpc.Role, m int) preOT {
+	return preOT{sender: sender, m: m, msgLen: 16, kind: otLabels}
+}
+
+// oepOTs is the switch batch of an OEP from m to n ell-bit shares.
+func oepOTs(sender mpc.Role, m, n, ell int, bijection bool) preOT {
+	return preOT{sender: sender, m: oep.Gates(m, n, bijection), msgLen: oep.MsgLen(ell)}
+}
+
+// direct returns the batch's bytes when it runs direct, as the step's
+// EstBytes prices it.
+func (d preOT) direct() int64 {
+	if d.kind == otRandom {
+		return ot.RandomCost(d.m)
 	}
-	return d.msgLen
+	return ot.CorrelatedCost(d.m, d.msgLen)
+}
+
+// online returns the batch's online bytes when it derandomizes a pooled
+// batch; ot.ExtOfflineCost(m) moved offline.
+func (d preOT) online() int64 {
+	switch d.kind {
+	case otRandom:
+		return ot.RandomOnlineCost(d.m)
+	case otLabels:
+		return ot.ExtOnlineCost(d.m, d.msgLen)
+	}
+	return ot.CorrelatedOnlineCost(d.m, d.msgLen)
 }
 
 // preCirc is one garbled circuit a plan step will run. The build closure
@@ -356,7 +389,7 @@ func compileTree(q *Query, tree *jointree.Tree, ringBits int, opts Options) (*Pl
 		withRows := st.holder == mpc.Bob
 		circs := []preCirc{{mpc.Bob,
 			func() *gc.Circuit { return buildRevealCircuit(n, cols, ell, withRows) }}}
-		ots := []preOT{{sender: mpc.Bob, m: n * ell}}
+		ots := []preOT{labelOTs(mpc.Bob, n*ell)}
 		return revealCost(n, cols, ell, withRows), ots, circs
 	}
 
@@ -517,7 +550,7 @@ func compileTree(q *Query, tree *jointree.Tree, ringBits int, opts Options) (*Pl
 	for _, i := range order {
 		var est int64
 		if estOut > 0 {
-			est = oep.Cost(state[i].n, estOut, false)
+			est = oep.Cost(state[i].n, estOut, ell, false)
 		}
 		add(PlanStep{Phase: "join", Op: "align-annotations", Node: q.Inputs[i].Name,
 			N: estOut, EstBytes: est, kind: stepAlignAnnotations, node: i})
@@ -554,14 +587,13 @@ func (p *Plan) seal(steps []PlanStep, needOT [2]bool) *Plan {
 			s.EstOfflineBytes = s.EstBytes
 		} else {
 			// A pooled batch trades its correction matrix for one
-			// derandomization bit per OT, chosen-message and random
-			// (ot.RandomCost) batches alike.
-			var saved int64
+			// derandomization bit per OT; a pooled label batch also
+			// carries one label shift per OT.
+			s.EstOnlineBytes = s.EstBytes
 			for _, d := range s.preOTs {
 				s.EstOfflineBytes += ot.ExtOfflineCost(d.m)
-				saved += ot.ExtCost(d.m, d.width()) - ot.ExtOnlineCost(d.m, d.width())
+				s.EstOnlineBytes += d.online() - d.direct()
 			}
-			s.EstOnlineBytes = s.EstBytes - saved
 		}
 		p.EstOfflineBytes += s.EstOfflineBytes
 		p.EstOnlineBytes += s.EstOnlineBytes

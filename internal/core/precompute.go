@@ -191,8 +191,10 @@ func (pl *Plan) hasCircuits() bool {
 // role: every circuit a plan declares with that role garbling, built and
 // garbled ahead of time with zero traffic. Unlike PrecomputeOpts it
 // involves only this process — garbling is data-independent pure compute
-// and RunCircuit's staged fast path is wire-identical to the direct
-// path, so one side may stage alone without any cross-party agreement.
+// and the wire format follows the OT pools, never the staged queue, so
+// one side may stage alone without any cross-party agreement. Without
+// pools only the circuits that have no evaluator inputs are served from
+// the stage; the rest are dropped for a direct garble (mpc.RunCircuit).
 // The daemon's precompute farm builds these in the background against
 // predicted query shapes.
 //
@@ -274,7 +276,7 @@ func ex1Offline(pp *mpc.Party, st *PlanStep) error {
 			if err != nil {
 				return err
 			}
-			if err := snd.FillRandom(d.m, d.width()); err != nil {
+			if err := snd.FillRandom(d.m, d.msgLen); err != nil {
 				return err
 			}
 		} else {
@@ -282,7 +284,7 @@ func ex1Offline(pp *mpc.Party, st *PlanStep) error {
 			if err != nil {
 				return err
 			}
-			if err := rcv.FillRandom(d.m, d.width()); err != nil {
+			if err := rcv.FillRandom(d.m, d.msgLen); err != nil {
 				return err
 			}
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -178,6 +179,30 @@ func TestDuplicateChildKeysRejected(t *testing.T) {
 	for _, chunk := range []int{0, 1, relation.Unbounded} {
 		if _, err := childKeys(rel, chunk); err == nil {
 			t.Fatalf("duplicate child keys accepted (chunk %d)", chunk)
+		}
+	}
+}
+
+// TestPlainRevealRowsSizeChecked plays a Bob whose plain reveal message
+// is short, long or of odd length: Alice's revealPlainRows must fail
+// with a *transport.SizeError before decoding a row.
+func TestPlainRevealRowsSizeChecked(t *testing.T) {
+	alice, bob := mpc.Pair(testRing)
+	defer alice.Conn.Close()
+	defer bob.Conn.Close()
+	const n, cols = 3, 2
+	s := &SharedRelation{Holder: mpc.Bob, Schema: relation.MustSchema("a", "b"), N: n,
+		Annot: make([]uint64, n), Plain: true}
+	for _, tc := range []struct {
+		name string
+		len  int
+	}{{"short", 8 * (n*cols - 1)}, {"long", 8 * (n*cols + 1)}, {"odd", 8*n*cols + 5}} {
+		if err := bob.Conn.Send(make([]byte, tc.len)); err != nil {
+			t.Fatal(err)
+		}
+		var se *transport.SizeError
+		if _, err := revealPlainRows(alice, s, 0); !errors.As(err, &se) || se.Got != tc.len || se.Want != 8*n*cols {
+			t.Fatalf("%s: %v, want a *transport.SizeError{Got: %d, Want: %d}", tc.name, err, tc.len, 8*n*cols)
 		}
 	}
 }

@@ -31,21 +31,22 @@ import (
 // oblivious π¹ to the child (§6.2: R_F ⋈^⊗ π¹_{F∩F'}(R_{F'})).
 
 // mulOTs and mulMsgLen are the dimensions of mulShares' one OT batch: a
-// 1-out-of-2 OT per bit of both of the receiver's shares of every pair,
+// correlated OT per bit of both of the receiver's shares of every pair,
 // with ℓ-bit messages.
 func mulOTs(n, ell int) int { return 2 * n * ell }
 func mulMsgLen(ell int) int { return (ell + 7) / 8 }
 
 // mulShares multiplies aligned share vectors: the result is a fresh
 // sharing of a_i ⊗ b_i. Each party multiplies its own two shares
-// locally; the two cross terms of (a₀+a₁)(b₀+b₁) go through one OT batch
-// (Gilboa): for bit k of recvRole's share of b the other party offers
-// (r, r + a·2^k) for a fresh random r, so the chosen messages sum to
-// a·b_recv + Σr while the sender keeps −Σr, and likewise for the bits of
-// recvRole's share of a against the sender's b. The sender's r's make
-// its output share uniform, hence the sharing fresh. Message assembly
-// strides in chunks; the single batch is the protocol's wire contract
-// and stays whole.
+// locally; the two cross terms of (a₀+a₁)(b₀+b₁) go through one
+// correlated-OT batch (Gilboa): for bit k of recvRole's share of b the
+// other party's OT offers (r, r + a·2^k), where r is the OT's own first
+// message, so the chosen messages sum to a·b_recv + Σr while the sender
+// keeps −Σr, and likewise for the bits of recvRole's share of a against
+// the sender's b. The r's are pads the receiver never sees unless it
+// chose 0, which makes the sender's output share uniform, hence the
+// sharing fresh. Message assembly strides in chunks; the single batch is
+// the protocol's wire contract and stays whole.
 func mulShares(p *mpc.Party, aShares, bShares []uint64, recvRole mpc.Role, chunk int) ([]uint64, error) {
 	if len(aShares) != len(bShares) {
 		return nil, fmt.Errorf("core: mulShares length mismatch %d vs %d", len(aShares), len(bShares))
@@ -56,6 +57,11 @@ func mulShares(p *mpc.Party, aShares, bShares []uint64, recvRole mpc.Role, chunk
 	}
 	ring := p.Ring
 	ell, msgLen := ring.Bits, mulMsgLen(ring.Bits)
+	word := func(b []byte) uint64 {
+		var w [8]byte
+		copy(w[:], b)
+		return binary.LittleEndian.Uint64(w[:])
+	}
 	res := make([]uint64, n)
 	if p.Role == recvRole {
 		rcv, err := p.OTReceiver()
@@ -70,17 +76,15 @@ func mulShares(p *mpc.Party, aShares, bShares []uint64, recvRole mpc.Role, chunk
 			}
 			return nil
 		})
-		msgs, err := rcv.Receive(choices, msgLen)
+		msgs, err := rcv.ReceiveCorrelated(choices, msgLen)
 		if err != nil {
 			return nil, err
 		}
-		var word [8]byte
 		relation.Range(n, chunk, func(lo, hi int) error {
 			for i := lo; i < hi; i++ {
 				sum := aShares[i] * bShares[i]
-				for _, m := range msgs[2*ell*i : 2*ell*(i+1)] {
-					copy(word[:], m)
-					sum += binary.LittleEndian.Uint64(word[:])
+				for j := 2 * ell * i; j < 2*ell*(i+1); j++ {
+					sum += word(msgs[j*msgLen : (j+1)*msgLen])
 				}
 				res[i] = ring.Mask(sum)
 			}
@@ -92,31 +96,31 @@ func mulShares(p *mpc.Party, aShares, bShares []uint64, recvRole mpc.Role, chunk
 	if err != nil {
 		return nil, err
 	}
-	pairs := make([][2][]byte, mulOTs(n, ell))
-	back := make([]byte, 2*len(pairs)*msgLen)
-	var word [8]byte
+	// OT j multiplies bit k = j mod ℓ of the receiver's share by x, the
+	// sender's a for j in the first ℓ of pair i and its b in the second.
+	x0s, err := snd.SendCorrelated(mulOTs(n, ell), msgLen, func(j int, x0, x1 []byte) {
+		i, half, k := j/(2*ell), j/ell%2, j%ell
+		x := aShares[i]
+		if half == 1 {
+			x = bShares[i]
+		}
+		var w [8]byte
+		binary.LittleEndian.PutUint64(w[:], word(x0)+x<<uint(k))
+		copy(x1, w[:])
+	})
+	if err != nil {
+		return nil, err
+	}
 	relation.Range(n, chunk, func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			sum := aShares[i] * bShares[i]
-			for half, x := range [2]uint64{aShares[i], bShares[i]} {
-				for k := 0; k < ell; k++ {
-					j := (2*i+half)*ell + k
-					r := ring.Random(p.PRG)
-					sum -= r
-					for c, v := range [2]uint64{r, ring.Mask(r + x<<uint(k))} {
-						binary.LittleEndian.PutUint64(word[:], v)
-						pairs[j][c] = back[(2*j+c)*msgLen : (2*j+c+1)*msgLen]
-						copy(pairs[j][c], word[:])
-					}
-				}
+			for j := 2 * ell * i; j < 2*ell*(i+1); j++ {
+				sum -= word(x0s[j*msgLen : (j+1)*msgLen])
 			}
 			res[i] = ring.Mask(sum)
 		}
 		return nil
 	})
-	if err := snd.Send(pairs); err != nil {
-		return nil, err
-	}
 	return res, nil
 }
 

@@ -15,11 +15,13 @@ import (
 // driven by the same shape history:
 //
 //   - Staged-circuit inventory (daemon-local): garbling is pure,
-//     data-independent compute and the staged fast path is
-//     wire-identical to the direct one (core.PrepareCircuits), so a
+//     data-independent compute and the wire format follows the OT
+//     pools, not the staged queue (core.PrepareCircuits), so a
 //     background builder pre-garbles the circuits of hot shapes with
 //     no client involvement. Dispatch attaches a bundle when the
-//     digest matches ("hit-circuits").
+//     digest matches ("hit-circuits"). Without pools, only circuits
+//     that have no evaluator inputs are served from it; the others
+//     are garbled afresh for their direct label OT.
 //
 //   - Cooperative warm passes (two-party): OT pool fills need real
 //     traffic, so they can only be warmed with the client's help. When
@@ -228,6 +230,7 @@ func (f *farm) takeInventory(digest string) *core.StagedCircuits {
 		return nil
 	}
 	sc := si.inv[0]
+	si.inv[0] = nil // the backing array must not keep an attached bundle alive
 	si.inv = si.inv[1:]
 	f.requestBuildLocked(digest, si)
 	return sc

@@ -30,13 +30,14 @@ func DimsOf(c *Circuit) Dims {
 }
 
 // MessageCost returns the total bytes (both directions) that
-// RunGarbler/RunEvaluator exchange for a circuit with these dimensions:
-// the garbled-tables message (payload ciphertexts included), the
-// evaluator-input OT batch (16-byte labels), and the masked
-// garbler-output bits if any.
+// RunGarbler/RunEvaluator exchange for a circuit with these dimensions on
+// the direct path: the garbled-tables message (payload ciphertexts
+// included), the evaluator-input label batch (a correlated OT of 16-byte
+// labels), and the masked garbler-output bits if any. A pooled label
+// batch moves ot.ExtOnlineCost online instead.
 func (d Dims) MessageCost() int64 {
 	cost := int64(16*d.TableBlocks + 16 + 16*d.GarblerInputs + (d.EvalOutputs+7)/8 + d.PayloadBytes)
-	cost += ot.ExtCost(d.EvalInputs, 16)
+	cost += ot.CorrelatedCost(d.EvalInputs, 16)
 	if d.GarblerOutputs > 0 {
 		cost += int64((d.GarblerOutputs + 7) / 8)
 	}

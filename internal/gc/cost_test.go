@@ -51,7 +51,9 @@ func TestInterpolateDimsExact(t *testing.T) {
 }
 
 // TestMessageCostExact runs the real protocol and compares measured
-// traffic (minus the one-time base-OT setup) to Dims.MessageCost.
+// traffic (minus the one-time base-OT setup) to Dims.MessageCost, and a
+// pre-garbled run over a pooled label batch to the same cost with the
+// batch priced online: the bits, corrections and label shifts.
 func TestMessageCostExact(t *testing.T) {
 	a, b := transport.Pair()
 	defer a.Close()
@@ -95,6 +97,31 @@ func TestMessageCostExact(t *testing.T) {
 		}
 		if got, want := a.Stats().TotalBytes(), DimsOf(c).MessageCost(); got != want {
 			t.Fatalf("n=%d: protocol moved %d bytes, MessageCost predicts %d", n, got, want)
+		}
+
+		nE := len(eIn)
+		go func() { ch <- res{snd.FillRandom(nE, 16)} }()
+		if err := rcv.FillRandom(nE, 16); err != nil {
+			t.Fatal(err)
+		}
+		if r := <-ch; r.err != nil {
+			t.Fatal(r.err)
+		}
+		pg := GarbleAhead(c)
+		a.ResetStats()
+		go func() {
+			_, err := pg.RunOnline(a, snd, gIn, priv)
+			ch <- res{err}
+		}()
+		if _, err := RunEvaluator(b, rcv, c, eIn); err != nil {
+			t.Fatalf("n=%d: pooled RunEvaluator: %v", n, err)
+		}
+		if r := <-ch; r.err != nil {
+			t.Fatalf("n=%d: RunOnline: %v", n, r.err)
+		}
+		want := DimsOf(c).MessageCost() - ot.CorrelatedCost(nE, 16) + ot.ExtOnlineCost(nE, 16)
+		if got := a.Stats().TotalBytes(); got != want {
+			t.Fatalf("n=%d: pooled protocol moved %d bytes, want %d", n, got, want)
 		}
 	}
 }

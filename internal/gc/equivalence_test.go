@@ -123,17 +123,16 @@ func sameGarbling(t *testing.T, what string, got, want *garbled) {
 }
 
 // activeLabels selects the evaluator's active input labels from a
-// garbling, in the shape ot.Receiver.Receive delivers them.
-func activeLabels(gb *garbled, ebits []bool) [][]byte {
-	out := make([][]byte, len(ebits))
+// garbling, flat, as the label OT delivers them.
+func activeLabels(gb *garbled, ebits []bool) []byte {
+	out := make([]prf.Block, len(ebits))
 	for i, v := range ebits {
-		l := gb.evalIn[i]
+		out[i] = gb.evalIn[i]
 		if v {
-			l = prf.XORBlockValue(l, gb.delta)
+			out[i] = prf.XORBlockValue(out[i], gb.delta)
 		}
-		out[i] = append([]byte(nil), l[:]...)
 	}
-	return out
+	return prf.BlockBytes(out)
 }
 
 // activate turns the garbler-input zero labels of gb.msg into active
@@ -193,7 +192,7 @@ func TestSlotCircuitEqualsLoopedGadget(t *testing.T) {
 			}
 
 			gseed := prf.Seed{byte(seed), byte(n), 0x51}
-			sameGarbling(t, name, garble(sc, prf.NewPRG(gseed), priv, false), garble(lc, prf.NewPRG(gseed), priv, false))
+			sameGarbling(t, name, garble(sc, prf.NewPRG(gseed), priv, false, nil), garble(lc, prf.NewPRG(gseed), priv, false, nil))
 
 			e, g := run2PC(t, sc, gbits, ebits, priv)
 			if !reflect.DeepEqual(e, wantE) || !reflect.DeepEqual(g, wantG) {
@@ -231,7 +230,7 @@ func TestGarbleByteIdenticalAcrossWorkers(t *testing.T) {
 		seed := prf.Seed{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
 		for _, keep := range []bool{false, true} {
 			garbleAt := func(workers int) *garbled {
-				return atWorkers(workers, func() *garbled { return garble(c, prf.NewPRG(seed), priv, keep) })
+				return atWorkers(workers, func() *garbled { return garble(c, prf.NewPRG(seed), priv, keep, nil) })
 			}
 			ref := garbleAt(1)
 			for _, workers := range []int{2, 4} {
@@ -248,7 +247,7 @@ func TestGarbleByteIdenticalAcrossWorkers(t *testing.T) {
 func TestEvaluateByteIdenticalAcrossWorkers(t *testing.T) {
 	for name, c := range equivalenceCircuits() {
 		gbits, ebits, priv := randomInputs(rand.New(rand.NewSource(6)), c)
-		gb := garble(c, prf.NewPRG(prf.Seed{42}), priv, false)
+		gb := garble(c, prf.NewPRG(prf.Seed{42}), priv, false, nil)
 		msg, labels := activate(c, gb, gbits), activeLabels(gb, ebits)
 
 		type result struct {
@@ -365,8 +364,9 @@ func allocated(f func()) int64 {
 }
 
 // TestKernelAllocationIndependentOfSlots pins the memory contract of the
-// slot kernel: garbling allocates its message, the evaluator-input
-// labels the OTs need and the packed permute bits, plus one
+// slot kernel: garbling allocates its message (with room for the label
+// OT's tail), the evaluator-input labels the OTs need and the packed
+// permute bits, plus one
 // lanes × slot-wires scratch per worker chunk — nothing else that grows
 // with the slot count. Evaluating allocates its output bits and scratch
 // only: the message is read where it was received.
@@ -378,8 +378,8 @@ func TestKernelAllocationIndependentOfSlots(t *testing.T) {
 		scratch := int64(16 * c.stride() * c.NumWires)
 
 		var gb *garbled
-		got := allocated(func() { gb = garble(c, prf.NewPRG(prf.Seed{7}), priv, true) })
-		kept := int64(len(gb.msg) + 16*len(gb.evalIn) + len(gb.outPerm) + len(gb.perm) + len(gb.payFlip))
+		got := allocated(func() { gb = garble(c, prf.NewPRG(prf.Seed{7}), priv, true, nil) })
+		kept := int64(cap(gb.msg) + 16*len(gb.evalIn) + len(gb.outPerm) + len(gb.perm) + len(gb.payFlip))
 		if limit := kept + scratch + slack; got > limit {
 			t.Fatalf("garble, %d slots: allocated %d bytes, want ≤ %d (kept %d + scratch %d)", n, got, limit, kept, scratch)
 		}
@@ -445,7 +445,7 @@ func BenchmarkGarbleWorkers(b *testing.B) {
 				b.ReportMetric(float64(c.Slots*c.NumAnd), "and_gates")
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					_ = garble(c, prf.NewPRG(seed), priv, false)
+					_ = garble(c, prf.NewPRG(seed), priv, false, nil)
 				}
 			})
 		}
@@ -457,7 +457,7 @@ func BenchmarkGarbleWorkers(b *testing.B) {
 func BenchmarkEvaluateWorkers(b *testing.B) {
 	for name, c := range map[string]*Circuit{"tree": benchTree(), "slots": benchSlots()} {
 		priv := make([]bool, c.Slots*c.NumPrivate)
-		gb := garble(c, prf.NewPRG(prf.Seed{9}), priv, false)
+		gb := garble(c, prf.NewPRG(prf.Seed{9}), priv, false, nil)
 		labels := activeLabels(gb, make([]bool, len(gb.evalIn)))
 		for _, workers := range []int{1, 2, 4} {
 			b.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(b *testing.B) {

@@ -21,11 +21,13 @@ type garbled struct {
 	delta prf.Block
 	// msg is the garbler's message, built in place: tables ‖ Const0 label
 	// ‖ garbler-input zero labels ‖ evaluator-output decode bits ‖
-	// payload ciphertexts, all slot-major. finishGarbler turns the zero
-	// labels into active ones and sends the buffer as it stands.
+	// payload ciphertexts, all slot-major, with capacity for the
+	// input-label OT's tail (labelTail). runGarbler turns the zero labels
+	// into active ones, appends the tail and sends the buffer.
 	msg []byte
-	// evalIn holds the zero labels of the evaluator's inputs, slot-major,
-	// for the input-label OTs.
+	// evalIn holds the zero labels of the evaluator's inputs, slot-major:
+	// the OT's x0 when garbled for a direct label batch, drawn from the
+	// PRG otherwise.
 	evalIn []prf.Block
 	// outPerm packs the permute bits (zero-label LSBs) of the garbler's
 	// outputs, slot-major; they unmask what the evaluator returns.
@@ -99,7 +101,9 @@ func orBit(v []byte, i int, b uint8) { v[i>>3] |= b << (i & 7) }
 // invariant lsb(Δ)=1 makes a label's LSB a masked truth value. priv
 // supplies the garbler-private bits consumed by XORG/ANDG gates,
 // slot-major. keepPerm retains the per-gate permute bits applyPrivate
-// needs.
+// needs. evalIn, when non-nil, supplies the evaluator-input zero labels
+// (a direct label OT's x0, which need no shift); otherwise they are drawn
+// from g and the message keeps room for the pooled path's shifts.
 //
 // All randomness — Δ, the Const0 label, every input zero label — is
 // drawn before the sweep, in an order that does not depend on priv or
@@ -112,7 +116,7 @@ func orBit(v []byte, i int, b uint8) { v[i>>3] |= b << (i & 7) }
 // that same offset — what a serial sweep over the gadget looped Slots
 // times would assign — so labels and tables are byte-identical at any
 // worker count.
-func garble(c *Circuit, g *prf.PRG, priv []bool, keepPerm bool) *garbled {
+func garble(c *Circuit, g *prf.PRG, priv []bool, keepPerm bool, evalIn []prf.Block) *garbled {
 	sp := kGarble.Begin()
 	defer sp.EndN(int64(c.NumGates()))
 	labelsOff, decodeOff, payOff, total := c.msgLayout()
@@ -121,8 +125,8 @@ func garble(c *Circuit, g *prf.PRG, priv []bool, keepPerm bool) *garbled {
 	sb, stride := c.slotBlocks(), c.stride()
 	_, pb := c.payloadShape()
 	gb := &garbled{
-		msg:     make([]byte, total),
-		evalIn:  make([]prf.Block, c.Slots*nE),
+		msg:     make([]byte, total, total+labelTail(c.Slots*nE, evalIn == nil)),
+		evalIn:  evalIn,
 		outPerm: make([]byte, (c.Slots*nGO+7)/8),
 	}
 	if keepPerm {
@@ -132,7 +136,10 @@ func garble(c *Circuit, g *prf.PRG, priv []bool, keepPerm bool) *garbled {
 	g.Read(gb.delta[:])
 	gb.delta[15] |= 1 // lsb(Δ) = 1 for point-and-permute
 	g.Read(gb.msg[labelsOff:decodeOff])
-	g.Read(prf.BlockBytes(gb.evalIn))
+	if evalIn == nil {
+		gb.evalIn = make([]prf.Block, c.Slots*nE)
+		g.Read(prf.BlockBytes(gb.evalIn))
+	}
 
 	delta := gb.delta
 	tables := prf.BlocksOf(gb.msg[:labelsOff])
@@ -273,12 +280,12 @@ func garble(c *Circuit, g *prf.PRG, priv []bool, keepPerm bool) *garbled {
 
 // evaluate runs the evaluator's side of c over the garbler's message —
 // read in place, tables included — and the active labels of its own
-// inputs, slot-major. It returns the evaluator's output bits (each
+// inputs, flat and slot-major. It returns the evaluator's output bits (each
 // payload's bits right after its keying wire's) and the packed masked bits
 // (active-label LSBs) of the garbler's outputs. It is the same slot
 // kernel as garble, with the same determinism guarantee, and it checks
 // every length before the first read: msg comes from the peer.
-func evaluate(c *Circuit, msg []byte, evalIn [][]byte) (out []bool, masked []byte, err error) {
+func evaluate(c *Circuit, msg []byte, evalIn []byte) (out []bool, masked []byte, err error) {
 	labelsOff, decodeOff, payOff, total := c.msgLayout()
 	if len(msg) != total {
 		return nil, nil, fmt.Errorf("gc: garbled message has %d bytes, want %d", len(msg), total)
@@ -286,14 +293,10 @@ func evaluate(c *Circuit, msg []byte, evalIn [][]byte) (out []bool, masked []byt
 	nG, nE := len(c.GarblerInputs), len(c.EvalInputs)
 	nEO, nGO, nOut := len(c.EvalOutputs), len(c.GarblerOutputs), c.evalOutBits()
 	_, pb := c.payloadShape()
-	if len(evalIn) != c.Slots*nE {
-		return nil, nil, fmt.Errorf("gc: got %d evaluator input labels, want %d", len(evalIn), c.Slots*nE)
+	if len(evalIn) != 16*c.Slots*nE {
+		return nil, nil, fmt.Errorf("gc: got %d bytes of evaluator input labels, want %d", len(evalIn), 16*c.Slots*nE)
 	}
-	for i := range evalIn {
-		if len(evalIn[i]) != 16 {
-			return nil, nil, fmt.Errorf("gc: evaluator input label %d has %d bytes, want 16", i, len(evalIn[i]))
-		}
-	}
+	eIn := prf.BlocksOf(evalIn)
 	sp := kEvaluate.Begin()
 	defer sp.EndN(int64(c.NumGates()))
 	sb, stride := c.slotBlocks(), c.stride()
@@ -312,7 +315,7 @@ func evaluate(c *Circuit, msg []byte, evalIn [][]byte) (out []bool, masked []byt
 				w[int(x)*stride+l] = gIn[(s0+l)*nG+i]
 			}
 			for i, x := range c.EvalInputs {
-				copy(w[int(x)*stride+l][:], evalIn[(s0+l)*nE+i])
+				w[int(x)*stride+l] = eIn[(s0+l)*nE+i]
 			}
 		}
 		t, step := 0, uint64(sb)

@@ -24,8 +24,14 @@ import (
 // computable from the offline labels alone, and — because garble() draws
 // its randomness in a private-independent order — the corrected material
 // is byte-identical to what a direct garble of the same seed and true
-// private bits would have produced. The wire format therefore does not
-// change at all; precompute_test.go pins this equality.
+// private bits would have produced; precompute_test.go pins this
+// equality.
+//
+// The evaluator-input labels are fixed offline, so pre-garbled material
+// serves only a pooled label OT, whose online reply shifts each pooled
+// x0 onto its label for the same bytes a chosen-message OT costs
+// (runGarbler). On a direct label batch the OT defines the labels, and
+// the material is dropped in favour of a fresh garble.
 
 // PreGarbled is a circuit garbled ahead of time, waiting for its online
 // inputs. It is single-use: RunOnline consumes the garbled material.
@@ -41,7 +47,7 @@ type PreGarbled struct {
 // of the interior wires.
 func GarbleAhead(c *Circuit) *PreGarbled {
 	zero := make([]bool, c.Slots*c.NumPrivate)
-	return &PreGarbled{C: c, gb: garble(c, prf.NewPRG(prf.RandomSeed()), zero, true)}
+	return &PreGarbled{C: c, gb: garble(c, prf.NewPRG(prf.RandomSeed()), zero, true, nil)}
 }
 
 // SameShape reports whether two circuits have identical dimensions. The
@@ -148,10 +154,20 @@ func applyPrivate(c *Circuit, gb *garbled, priv []bool) {
 	gb.perm, gb.payFlip = nil, nil
 }
 
+// Serves reports whether RunOnline over otSend would use the material:
+// the circuit has no evaluator inputs, or otSend's pool will serve its
+// label batch.
+func (pg *PreGarbled) Serves(otSend *ot.Sender) bool {
+	nE := pg.C.Slots * len(pg.C.EvalInputs)
+	return nE == 0 || otSend.Pool().Ready(nE, 16)
+}
+
 // RunOnline runs the thin online step of a pre-garbled circuit: apply the
-// private-bit corrections, then the standard garbler message exchange
-// (tables ‖ labels ‖ decode bits, input-label OTs, masked outputs). The
-// bytes on the wire are exactly those RunGarbler would send.
+// private-bit corrections, then the garbler message exchange (RunGarbler's
+// protocol). The material serves a pooled label batch or a circuit
+// without evaluator inputs; on a direct label batch it is dropped and the
+// circuit garbled afresh, so the bytes on the wire are always exactly
+// those RunGarbler would send.
 func (pg *PreGarbled) RunOnline(conn transport.Conn, otSend *ot.Sender, inputs, priv []bool) ([]bool, error) {
 	c := pg.C
 	if pg.gb == nil {
@@ -162,6 +178,5 @@ func (pg *PreGarbled) RunOnline(conn transport.Conn, otSend *ot.Sender, inputs, 
 	}
 	gb := pg.gb
 	pg.gb = nil // single-use: applyPrivate mutates the material
-	applyPrivate(c, gb, priv)
-	return finishGarbler(conn, otSend, c, gb, inputs)
+	return runGarbler(conn, otSend, c, gb, inputs, priv)
 }

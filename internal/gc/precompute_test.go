@@ -55,10 +55,10 @@ func TestAppliedCorrectionsMatchDirectGarble(t *testing.T) {
 		for trial := 0; trial < 10; trial++ {
 			priv := randBits(rng, c.Slots*c.NumPrivate)
 			seed := prf.Seed{byte(trial), 0x5e}
-			direct := garble(c, prf.NewPRG(seed), priv, false)
+			direct := garble(c, prf.NewPRG(seed), priv, false, nil)
 			for _, workers := range []int{1, 4} {
 				off := atWorkers(workers, func() *garbled {
-					off := garble(c, prf.NewPRG(seed), make([]bool, len(priv)), true)
+					off := garble(c, prf.NewPRG(seed), make([]bool, len(priv)), true, nil)
 					applyPrivate(c, off, priv)
 					return off
 				})
@@ -68,7 +68,9 @@ func TestAppliedCorrectionsMatchDirectGarble(t *testing.T) {
 	}
 }
 
-// run2PCPre mirrors run2PC but garbles ahead of time on the garbler side.
+// run2PCPre mirrors run2PC but garbles ahead of time on the garbler side
+// and fills both OT pools with the label batch, so the online run takes
+// the pooled path the pre-garbled material serves.
 func run2PCPre(t testing.TB, c *Circuit, garblerBits, evalBits, priv []bool) ([]bool, []bool) {
 	t.Helper()
 	a, b := transport.Pair()
@@ -76,6 +78,7 @@ func run2PCPre(t testing.TB, c *Circuit, garblerBits, evalBits, priv []bool) ([]
 	defer b.Close()
 
 	pg := GarbleAhead(c) // offline: before inputs exist
+	nE := c.Slots * len(c.EvalInputs)
 
 	type gres struct {
 		out []bool
@@ -84,6 +87,9 @@ func run2PCPre(t testing.TB, c *Circuit, garblerBits, evalBits, priv []bool) ([]
 	ch := make(chan gres, 1)
 	go func() {
 		snd, err := ot.NewSender(a)
+		if err == nil && nE > 0 {
+			err = snd.FillRandom(nE, 16)
+		}
 		if err != nil {
 			ch <- gres{nil, err}
 			return
@@ -92,6 +98,9 @@ func run2PCPre(t testing.TB, c *Circuit, garblerBits, evalBits, priv []bool) ([]
 		ch <- gres{out, err}
 	}()
 	rcv, err := ot.NewReceiver(b)
+	if err == nil && nE > 0 {
+		err = rcv.FillRandom(nE, 16)
+	}
 	if err != nil {
 		t.Fatalf("ot receiver: %v", err)
 	}

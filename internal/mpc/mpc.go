@@ -160,7 +160,7 @@ func (p *Party) OTReceiver() (*ot.Receiver, error) {
 // Only garbling is counted: the evaluating side has no queue to hit.
 var (
 	mPreCircHits   = obs.NewCounter("secyan_mpc_precircuit_hit_total", "Circuits served from the ahead-of-time garbling queue.")
-	mPreCircMisses = obs.NewCounter("secyan_mpc_precircuit_miss_total", "Circuits run on the direct path (queue empty or shape mismatch).")
+	mPreCircMisses = obs.NewCounter("secyan_mpc_precircuit_miss_total", "Circuits garbled on the direct path (queue empty, shape mismatch or direct label OT).")
 )
 
 // noteCircuit bumps the hit/miss counter and mirrors the outcome into
@@ -208,9 +208,12 @@ func (p *Party) ClearPrecomputed() {
 // destined to this party.
 //
 // When this party garbles and the head of its precomputed queue matches
-// c's shape, the circuit runs on its thin online path (private-bit
-// corrections plus the standard exchange); the wire format is identical
-// either way, so the queue needs no cross-party agreement. A shape
+// c's shape, the queued material is consumed: it runs on its thin online
+// path (private-bit corrections plus the exchange) when its label OT is
+// pooled, and is dropped for a fresh garble when that batch is direct,
+// because a direct batch defines the labels itself (gc.RunGarbler). The
+// wire format follows the OT pools, which both parties agree on, never
+// the queue, so the queue needs no cross-party agreement. A shape
 // mismatch — execution has diverged from the precomputed plan — drops
 // the rest of the queue and falls back to the direct path, which is
 // always correct.
@@ -229,12 +232,13 @@ func (p *Party) RunCircuit(c *gc.Circuit, myInputs, myPriv []bool, garbler Role)
 	st := p.state()
 	if len(st.preGarb) > 0 {
 		pg := st.preGarb[0]
-		if gc.SameShape(pg.C, c) {
-			st.preGarb = st.preGarb[1:]
+		st.preGarb[0] = nil // consumed or dropped, never kept alive by the queue
+		if !gc.SameShape(pg.C, c) {
+			st.preGarb = nil
+		} else if st.preGarb = st.preGarb[1:]; pg.Serves(snd) {
 			p.noteCircuit(true)
 			return pg.RunOnline(p.Conn, snd, myInputs, myPriv)
 		}
-		st.preGarb = nil
 	}
 	p.noteCircuit(false)
 	return gc.RunGarbler(p.Conn, snd, c, myInputs, myPriv)
@@ -293,16 +297,10 @@ func (p *Party) ShareToPeer(vs []uint64) ([]uint64, error) {
 	return mine, nil
 }
 
-// RecvShares receives the shares produced by the peer's ShareToPeer.
+// RecvShares receives the n shares produced by the peer's ShareToPeer; a
+// message of any other length is a *transport.SizeError.
 func (p *Party) RecvShares(n int) ([]uint64, error) {
-	vs, err := transport.RecvUint64s(p.Conn)
-	if err != nil {
-		return nil, err
-	}
-	if len(vs) != n {
-		return nil, fmt.Errorf("mpc: expected %d shares, got %d", n, len(vs))
-	}
-	return vs, nil
+	return transport.RecvUint64s(p.Conn, "mpc: shares", n)
 }
 
 // RevealToPeer sends this party's shares so the peer can reconstruct; it
@@ -313,14 +311,12 @@ func (p *Party) RevealToPeer(myShares []uint64) error {
 }
 
 // RecvReveal combines the peer's shares with this party's to reconstruct
-// the values.
+// the values; a message of other than len(myShares) shares is a
+// *transport.SizeError.
 func (p *Party) RecvReveal(myShares []uint64) ([]uint64, error) {
-	theirs, err := transport.RecvUint64s(p.Conn)
+	theirs, err := transport.RecvUint64s(p.Conn, "mpc: revealed shares", len(myShares))
 	if err != nil {
 		return nil, err
-	}
-	if len(theirs) != len(myShares) {
-		return nil, fmt.Errorf("mpc: reveal share count mismatch: %d vs %d", len(theirs), len(myShares))
 	}
 	return p.Ring.CombineSlice(myShares, theirs), nil
 }

@@ -1,11 +1,13 @@
 package mpc
 
 import (
+	"errors"
 	"testing"
 
 	"secyan/internal/gc"
 	"secyan/internal/obs"
 	"secyan/internal/share"
+	"secyan/internal/transport"
 )
 
 func TestShareRevealRoundTrip(t *testing.T) {
@@ -134,7 +136,8 @@ func TestDefaultRing(t *testing.T) {
 // shape check against slot replication: material garbled for the same
 // slot repeated a different number of times must be a miss — dropped,
 // with the circuit run on the direct path and still correct — while an
-// equal count is consumed from the queue.
+// equal count is consumed from the queue: served when its label OT is
+// pooled, dropped for a fresh garble when it is direct.
 func TestRunCircuitQueueMatchesSlotCount(t *testing.T) {
 	build := func(slots int) *gc.Circuit {
 		b := gc.NewBuilder()
@@ -151,15 +154,25 @@ func TestRunCircuitQueueMatchesSlotCount(t *testing.T) {
 		priv = gc.AppendBits(priv, 0xF0, 8)
 	}
 	for _, tc := range []struct {
-		staged  int
-		wantHit bool
-	}{{slots, true}, {slots - 1, false}, {1, false}} {
+		staged    int
+		pooled    bool
+		wantHit   bool
+		wantQueue int
+	}{{slots, true, true, 1}, {slots, false, false, 1}, {slots - 1, true, false, 0}, {1, true, false, 0}} {
 		obs.Enable()
 		hits0, misses0 := mPreCircHits.Value(), mPreCircMisses.Value()
 		alice, bob := Pair(share.Ring{Bits: 8})
 		bob.EnqueuePreGarbled(gc.GarbleAhead(build(tc.staged)))
-		bob.EnqueuePreGarbled(gc.GarbleAhead(build(slots))) // dropped with the queue on a miss
+		bob.EnqueuePreGarbled(gc.GarbleAhead(build(slots))) // dropped with the queue on a mismatch
 		c := build(slots)
+		if tc.pooled {
+			if _, _, err := Run2PC(alice, bob,
+				func(p *Party) (any, error) { r, err := p.OTReceiver(); return nil, fill(r, err, len(eBits)) },
+				func(p *Party) (any, error) { s, err := p.OTSender(); return nil, fill(s, err, len(eBits)) },
+			); err != nil {
+				t.Fatal(err)
+			}
+		}
 		aOut, bOut, err := Run2PC(alice, bob,
 			func(p *Party) ([]bool, error) { return p.RunCircuit(c, eBits, nil, Bob) },
 			func(p *Party) ([]bool, error) { return p.RunCircuit(c, gBits, priv, Bob) },
@@ -180,15 +193,109 @@ func TestRunCircuitQueueMatchesSlotCount(t *testing.T) {
 				t.Fatalf("staged %d slots: garbler slot %d = %d, want %d", tc.staged, s, got, want^0xF0)
 			}
 		}
-		wantQueue := 0
-		if tc.wantHit {
-			wantQueue = 1
-		}
-		if got := len(bob.state().preGarb); got != wantQueue {
-			t.Fatalf("staged %d slots: %d circuits left in the queue, want %d", tc.staged, got, wantQueue)
+		if got := len(bob.state().preGarb); got != tc.wantQueue {
+			t.Fatalf("staged %d slots: %d circuits left in the queue, want %d", tc.staged, got, tc.wantQueue)
 		}
 		if tc.wantHit != (hits == 1) || tc.wantHit != (misses == 0) {
 			t.Fatalf("staged %d slots: %d hits, %d misses", tc.staged, hits, misses)
+		}
+	}
+}
+
+// fill fills one label batch of m OTs into an OT endpoint's pool.
+func fill(e interface{ FillRandom(m, msgLen int) error }, err error, m int) error {
+	if err != nil {
+		return err
+	}
+	return e.FillRandom(m, 16)
+}
+
+// TestShareReceivesAreSizeChecked plays a peer sending a short, a long
+// and an odd-length share message to RecvShares and RecvReveal: each
+// must be a *transport.SizeError before anything is decoded.
+func TestShareReceivesAreSizeChecked(t *testing.T) {
+	alice, bob := Pair(share.Ring{Bits: 32})
+	defer alice.Conn.Close()
+	defer bob.Conn.Close()
+	const n = 5
+	for _, site := range []struct {
+		name string
+		recv func() error
+	}{
+		{"RecvShares", func() error { _, err := alice.RecvShares(n); return err }},
+		{"RecvReveal", func() error { _, err := alice.RecvReveal(make([]uint64, n)); return err }},
+	} {
+		for _, tc := range []struct {
+			name string
+			len  int
+		}{{"short", 8 * (n - 1)}, {"long", 8 * (n + 1)}, {"odd", 8*n - 3}} {
+			if err := bob.Conn.Send(make([]byte, tc.len)); err != nil {
+				t.Fatal(err)
+			}
+			var se *transport.SizeError
+			if err := site.recv(); !errors.As(err, &se) || se.Got != tc.len || se.Want != 8*n {
+				t.Fatalf("%s %s: %v, want a *transport.SizeError{Got: %d, Want: %d}", site.name, tc.name, err, tc.len, 8*n)
+			}
+		}
+	}
+}
+
+// TestRunCircuitMessageCount pins the label transfer's place in the
+// circuit protocol: the evaluator opens the label OT, the garbler answers
+// with the garbled message and the OT reply in one message, and the
+// evaluator returns the garbler's masked outputs if there are any — 2
+// messages, or 3 with garbler outputs, pooled or direct. A circuit
+// without evaluator inputs is the garbler's one message.
+func TestRunCircuitMessageCount(t *testing.T) {
+	build := func(evalIn, garblerOut bool) *gc.Circuit {
+		b := gc.NewBuilder()
+		x := b.GarblerInputWord(8)
+		if evalIn {
+			x = b.Add(x, b.EvalInputWord(8))
+		}
+		b.OutputWordToEval(x)
+		if garblerOut {
+			b.OutputWordToGarbler(x)
+		}
+		return b.BuildSlots(3)
+	}
+	alice, bob := Pair(share.Ring{Bits: 8})
+	defer alice.Conn.Close()
+	defer bob.Conn.Close()
+	if _, _, err := Run2PC(alice, bob, // base OTs off the count
+		func(p *Party) (any, error) { _, err := p.OTReceiver(); return nil, err },
+		func(p *Party) (any, error) { _, err := p.OTSender(); return nil, err },
+	); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		evalIn, garblerOut, pooled bool
+		msgs                       int64
+	}{
+		{true, false, false, 2}, {true, true, false, 3},
+		{true, false, true, 2}, {true, true, true, 3},
+		{false, false, false, 1}, {false, true, false, 2},
+	} {
+		c := build(tc.evalIn, tc.garblerOut)
+		eBits := make([]bool, c.Slots*len(c.EvalInputs))
+		if tc.pooled {
+			if _, _, err := Run2PC(alice, bob,
+				func(p *Party) (any, error) { r, err := p.OTReceiver(); return nil, fill(r, err, len(eBits)) },
+				func(p *Party) (any, error) { s, err := p.OTSender(); return nil, fill(s, err, len(eBits)) },
+			); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := alice.Conn.Stats()
+		if _, _, err := Run2PC(alice, bob,
+			func(p *Party) ([]bool, error) { return p.RunCircuit(c, eBits, nil, Bob) },
+			func(p *Party) ([]bool, error) { return p.RunCircuit(c, make([]bool, c.Slots*8), nil, Bob) },
+		); err != nil {
+			t.Fatalf("%+v: %v", tc, err)
+		}
+		after := alice.Conn.Stats()
+		if got := after.MessagesSent + after.MessagesRecv - before.MessagesSent - before.MessagesRecv; got != tc.msgs {
+			t.Fatalf("%+v: %d messages, want %d", tc, got, tc.msgs)
 		}
 	}
 }

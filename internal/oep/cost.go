@@ -31,9 +31,9 @@ func Gates(m, n int, bijection bool) int {
 	return 2*benesSwaps(w) + (w - 1)
 }
 
-// Cost returns the total bytes (both directions) of one OEP execution:
-// the protocol is exactly one OT-extension batch with a 16-byte message
-// per gate.
-func Cost(m, n int, bijection bool) int64 {
-	return ot.ExtCost(Gates(m, n, bijection), msgLen)
+// Cost returns the total bytes (both directions) of one OEP execution
+// over ell-bit shares: the protocol is exactly one correlated-OT batch
+// with a MsgLen(ell)-byte message per gate.
+func Cost(m, n, ell int, bijection bool) int64 {
+	return ot.CorrelatedCost(Gates(m, n, bijection), MsgLen(ell))
 }

@@ -19,7 +19,9 @@ import (
 //
 // side 0 attacks the helper (the fuzzer sends the programmer's
 // OT-extension matrix), side 1 the programmer (the fuzzer sends the
-// helper's ciphertexts); mode 0 leaves the message alone, 1 truncates it
+// helper's correlated-OT corrections); sides 2 and 3 are the same on a
+// pooled batch, so the fuzzer sends derandomization bits resp.
+// corrections after them. mode 0 leaves the message alone, 1 truncates it
 // by cut bytes, 2 appends cut bytes, 3 flips bit `bit`. One party pair
 // serves the whole run: the OT sessions' states drift apart as
 // iterations consume them, which only garbles pads — lengths, the
@@ -36,7 +38,7 @@ func FuzzOEPMessages(f *testing.F) {
 		f.Fatal(err)
 	}
 
-	for side := uint8(0); side < 2; side++ {
+	for side := uint8(0); side < 4; side++ {
 		for mode := uint8(0); mode < 4; mode++ {
 			for ext := uint8(0); ext < 2; ext++ {
 				f.Add(side, mode, ext, uint32(1), uint32(9))
@@ -51,10 +53,18 @@ func FuzzOEPMessages(f *testing.F) {
 			m, n, bijection = 4, 7, false
 			xi = []int{3, 3, 0, 2, 1, 0, 3}
 		}
-		gates := Gates(m, n, bijection)
-		goodLen := 2 * gates * msgLen // the helper's ciphertexts
-		if side%2 == 0 {
+		gates, msgLen := Gates(m, n, bijection), MsgLen(alice.Ring.Bits)
+		pooled := side%4 >= 2
+		goodLen := gates * msgLen // the helper's corrections
+		switch {
+		case side%2 == 1:
+		case pooled:
+			goodLen = int(ot.RandomOnlineCost(gates)) // the programmer's derandomization bits
+		default:
 			goodLen = int(ot.ExtOfflineCost(gates)) // the programmer's matrix
+		}
+		if pooled {
+			fillBoth(t, alice, bob, gates, msgLen)
 		}
 		msg := make([]byte, goodLen)
 		switch mode % 4 {
@@ -69,6 +79,10 @@ func FuzzOEPMessages(f *testing.F) {
 
 		var err error
 		if side%2 == 0 {
+			if pooled {
+				rcv, _ := alice.OTReceiver()
+				rcv.Pool().Clear() // the fuzzer stands in for its batch
+			}
 			if err := alice.Conn.Send(msg); err != nil {
 				t.Fatal(err)
 			}
@@ -78,7 +92,7 @@ func FuzzOEPMessages(f *testing.F) {
 				_, err = RunHelper(bob, m, n, shares)
 			}
 			if err == nil {
-				// Keep the pipe in step: drop the helper's ciphertexts.
+				// Keep the pipe in step: drop the helper's corrections.
 				if _, err := alice.Conn.Recv(); err != nil {
 					t.Fatal(err)
 				}
@@ -94,8 +108,12 @@ func FuzzOEPMessages(f *testing.F) {
 				}
 				res <- err
 			}()
-			if _, err := bob.Conn.Recv(); err != nil { // the programmer's matrix
+			if _, err := bob.Conn.Recv(); err != nil { // the programmer's matrix or bits
 				t.Fatal(err)
+			}
+			if pooled {
+				snd, _ := bob.OTSender()
+				snd.Pool().Clear() // the fuzzer stands in for its batch
 			}
 			if err := bob.Conn.Send(msg); err != nil {
 				t.Fatal(err)
@@ -110,4 +128,25 @@ func FuzzOEPMessages(f *testing.F) {
 			t.Fatalf("side %d: message of %d bytes (want %d): %v, want a *transport.SizeError", side%2, len(msg), goodLen, err)
 		}
 	})
+}
+
+// fillBoth fills one pooled batch of m OTs on the pair, Alice receiving.
+func fillBoth(t *testing.T, alice, bob *mpc.Party, m, msgLen int) {
+	t.Helper()
+	rcv, err := alice.OTReceiver()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snd, err := bob.OTSender()
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- snd.FillRandom(m, msgLen) }()
+	if err := rcv.FillRandom(m, msgLen); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
 }

@@ -6,19 +6,24 @@
 // neither ξ nor any value.
 //
 // Construction: the extended permutation is decomposed by package permnet
-// into conditional-swap and duplication gates. The helper locally
-// simulates the network over its own shares, drawing a fresh random share
-// for every gate output and emitting, for each gate, the pair of masked
-// messages corresponding to the two settings of the gate's control bit.
-// One 1-out-of-2 OT per gate delivers the programmer's selection. Because
-// the helper's fresh shares are chosen up front, all OTs run in a single
-// batch: the whole protocol is one OT round regardless of vector length,
+// into conditional-swap and duplication gates. Both parties simulate the
+// network over their own shares; one correlated OT per gate (internal/ot)
+// re-shares its outputs. The OT defines the first message x0 = (a, b) of
+// each gate, and the helper's fresh output shares are defined by it —
+// s_p − a and s_q − b for a swap, s_q − a for a duplication — so it only
+// sends how the programmer's other option differs: m1 − m0 =
+// (s_q − s_p, s_p − s_q) for a swap, s_p − s_q for a duplication. A
+// programmer that chose 0 adds x0 to its own shares, one that chose 1
+// swaps (or duplicates) and adds x1. Because every gate's correlation is
+// computable once the pads exist, all OTs run in a single batch: the
+// whole protocol is one OT round trip regardless of vector length,
 // preserving the constant-round property the paper's operators need.
 //
-// Shares are carried modulo 2^64 (which projects onto any ring Z_{2^ℓ},
-// see package share); every output position is re-randomized, so the
-// output shares reveal nothing about the inputs (§5.4's "fresh
-// randomness" remark).
+// Shares are carried at ring width: a gate message is the two ℓ-bit
+// halves, ⌈2ℓ/8⌉ bytes (MsgLen), and every output is reduced modulo 2^ℓ.
+// Every output position is re-randomized — the helper's by the pads, the
+// programmer's by the chosen option — so the output shares reveal nothing
+// about the inputs (§5.4's "fresh randomness" remark).
 package oep
 
 import (
@@ -27,11 +32,39 @@ import (
 
 	"secyan/internal/mpc"
 	"secyan/internal/permnet"
+	"secyan/internal/share"
 )
 
-// msgLen is the OT message length: two uint64 values (swap gates use
-// both; duplication gates use the first and pad the second).
-const msgLen = 16
+// MsgLen is the OT message length at ring width ell: the two ell-bit
+// halves of a gate's option, packed little-endian (duplication gates use
+// the first and leave the second unchanged).
+func MsgLen(ell int) int { return (2*ell + 7) / 8 }
+
+// unpack reads the two ell-bit halves of a gate message.
+func unpack(msg []byte, ring share.Ring) (a, b uint64) {
+	var w [16]byte
+	copy(w[:], msg)
+	lo, hi := binary.LittleEndian.Uint64(w[:8]), binary.LittleEndian.Uint64(w[8:])
+	if ring.Bits == 64 {
+		return lo, hi
+	}
+	return ring.Mask(lo), ring.Mask(lo>>ring.Bits | hi<<(64-ring.Bits))
+}
+
+// pack writes the two ell-bit halves a and b of a gate message into msg,
+// every byte of it.
+func pack(msg []byte, ring share.Ring, a, b uint64) {
+	var w [16]byte
+	a, b = ring.Mask(a), ring.Mask(b)
+	if ring.Bits == 64 {
+		binary.LittleEndian.PutUint64(w[:8], a)
+		binary.LittleEndian.PutUint64(w[8:], b)
+	} else {
+		binary.LittleEndian.PutUint64(w[:8], a|b<<ring.Bits)
+		binary.LittleEndian.PutUint64(w[8:], b>>(64-ring.Bits))
+	}
+	copy(msg, w[:len(msg)])
+}
 
 // gateKind distinguishes the two oblivious gate types.
 type gateKind uint8
@@ -175,32 +208,35 @@ func runProgrammer(p *mpc.Party, xi []int, m, n int, myShares []uint64, bijectio
 	if err != nil {
 		return nil, err
 	}
-	msgs, err := recv.Receive(bits, msgLen)
+	ring := p.Ring
+	msgLen := MsgLen(ring.Bits)
+	msgs, err := recv.ReceiveCorrelated(bits, msgLen)
 	if err != nil {
 		return nil, err
 	}
 
-	// Simulate the network over this party's shares, applying the selected
-	// corrections.
+	// Simulate the network over this party's shares, adding the chosen
+	// option of every gate.
 	state := make([]uint64, pl.width)
-	copy(state, myShares)
+	for i, v := range myShares {
+		state[i] = ring.Mask(v)
+	}
 	for gi, g := range pl.gates {
-		a := binary.LittleEndian.Uint64(msgs[gi][:8])
-		b := binary.LittleEndian.Uint64(msgs[gi][8:])
+		a, b := unpack(msgs[gi*msgLen:(gi+1)*msgLen], ring)
 		switch g.kind {
 		case gateSwap:
 			sp, sq := state[g.p], state[g.q]
 			if bits[gi] {
 				sp, sq = sq, sp
 			}
-			state[g.p] = sp + a
-			state[g.q] = sq + b
+			state[g.p] = ring.Add(sp, a)
+			state[g.q] = ring.Add(sq, b)
 		case gateDup:
 			src := state[g.q]
 			if bits[gi] {
 				src = state[g.p]
 			}
-			state[g.q] = src + a
+			state[g.q] = ring.Add(src, a)
 		}
 	}
 	return state[:n], nil
@@ -214,44 +250,34 @@ func runHelper(p *mpc.Party, m, n int, myShares []uint64, bijection bool) ([]uin
 	if err != nil {
 		return nil, err
 	}
-
-	// Simulate the network over this party's shares, re-randomizing every
-	// gate output and emitting the two masked options per gate. All OT
-	// messages are computable up front because each gate's fresh shares
-	// are drawn before moving on.
-	state := make([]uint64, pl.width)
-	copy(state, myShares)
-	pairs := make([][2][]byte, len(pl.gates))
-	for gi, g := range pl.gates {
-		switch g.kind {
-		case gateSwap:
-			r1 := p.PRG.Uint64()
-			r2 := p.PRG.Uint64()
-			m0 := make([]byte, msgLen)
-			m1 := make([]byte, msgLen)
-			binary.LittleEndian.PutUint64(m0[:8], state[g.p]-r1)
-			binary.LittleEndian.PutUint64(m0[8:], state[g.q]-r2)
-			binary.LittleEndian.PutUint64(m1[:8], state[g.q]-r1)
-			binary.LittleEndian.PutUint64(m1[8:], state[g.p]-r2)
-			pairs[gi] = [2][]byte{m0, m1}
-			state[g.p] = r1
-			state[g.q] = r2
-		case gateDup:
-			r := p.PRG.Uint64()
-			m0 := make([]byte, msgLen)
-			m1 := make([]byte, msgLen)
-			binary.LittleEndian.PutUint64(m0[:8], state[g.q]-r)
-			binary.LittleEndian.PutUint64(m1[:8], state[g.p]-r)
-			pairs[gi] = [2][]byte{m0, m1}
-			state[g.q] = r
-		}
-	}
-
 	snd, err := p.OTSender()
 	if err != nil {
 		return nil, err
 	}
-	if err := snd.Send(pairs); err != nil {
+
+	// Simulate the network over this party's shares gate by gate as the
+	// corrections are built: each gate's fresh output shares are its
+	// shares minus the OT's x0, and its correlation is the difference of
+	// the programmer's two options.
+	ring := p.Ring
+	state := make([]uint64, pl.width)
+	for i, v := range myShares {
+		state[i] = ring.Mask(v)
+	}
+	_, err = snd.SendCorrelated(len(pl.gates), MsgLen(ring.Bits), func(gi int, x0, x1 []byte) {
+		g := pl.gates[gi]
+		a, b := unpack(x0, ring)
+		sp, sq := state[g.p], state[g.q]
+		switch g.kind {
+		case gateSwap:
+			pack(x1, ring, a+sq-sp, b+sp-sq)
+			state[g.p], state[g.q] = ring.Sub(sp, a), ring.Sub(sq, b)
+		case gateDup:
+			pack(x1, ring, a+sp-sq, b)
+			state[g.q] = ring.Sub(sq, a)
+		}
+	})
+	if err != nil {
 		return nil, err
 	}
 	return state[:n], nil

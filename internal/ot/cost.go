@@ -15,23 +15,27 @@ func SetupCost() int64 {
 	return int64(1+kappa) * pointLen
 }
 
-// ExtCost returns the total bytes (both directions) of one IKNP
-// extension batch of m OTs with msgLen-byte messages: the receiver's
-// κ×mPad correction matrix plus the sender's 2m ciphertexts. A batch of
-// zero OTs exchanges nothing.
+// ExtCost returns the total bytes (both directions) of one direct
+// chosen-message batch (Send/Receive) of m OTs with msgLen-byte messages:
+// the receiver's κ×mPad correction matrix plus the sender's reply, one
+// correction and one word per instance. A batch of zero OTs exchanges
+// nothing.
 func ExtCost(m, msgLen int) int64 {
-	if m == 0 {
-		return 0
-	}
-	mPad := (m + 63) &^ 63
-	return int64(kappa/8)*int64(mPad) + 2*int64(m)*int64(msgLen)
+	return CorrelatedCost(m, msgLen) + int64(m)*int64(msgLen)
+}
+
+// CorrelatedCost returns the total bytes of one direct correlated-OT
+// batch (SendCorrelated/ReceiveCorrelated) of m OTs: the receiver's
+// κ×mPad correction matrix plus one msgLen-byte correction per instance.
+func CorrelatedCost(m, msgLen int) int64 {
+	return ExtOfflineCost(m) + int64(m)*int64(msgLen)
 }
 
 // RandomCost returns the total bytes of one direct SendRandom/
 // ReceiveRandom batch of m random OTs: the receiver's κ×mPad correction
 // matrix and nothing else — the pads are the outputs, so no ciphertext
 // follows. It is what FillRandom moves for a batch of the same size; a
-// pooled batch costs ⌈m/8⌉ derandomization bits online instead.
+// pooled batch costs RandomOnlineCost instead.
 func RandomCost(m int) int64 { return ExtOfflineCost(m) }
 
 // ExtOfflineCost returns the bytes a precomputed (FillRandom) batch of m
@@ -46,14 +50,21 @@ func ExtOfflineCost(m int) int64 {
 	return int64(kappa/8) * int64(mPad)
 }
 
-// ExtOnlineCost returns the bytes the derandomized online exchange moves
-// for a precomputed batch: ⌈m/8⌉ packed correction bits from the
-// receiver plus the sender's usual 2m ciphertexts. Summed with
-// ExtOfflineCost this exceeds ExtCost by exactly the correction bits —
-// the total additive overhead of precomputation.
+// RandomOnlineCost returns the online bytes of a pooled random-OT batch:
+// the receiver's ⌈m/8⌉ packed derandomization bits.
+func RandomOnlineCost(m int) int64 { return int64((m + 7) / 8) }
+
+// CorrelatedOnlineCost returns the online bytes of a pooled correlated-OT
+// batch: the derandomization bits plus the sender's m corrections.
+// Summed with ExtOfflineCost it exceeds CorrelatedCost by exactly the
+// bits — the total additive overhead of precomputation.
+func CorrelatedOnlineCost(m, msgLen int) int64 {
+	return RandomOnlineCost(m) + int64(m)*int64(msgLen)
+}
+
+// ExtOnlineCost returns the online bytes of a pooled chosen-message
+// batch: the derandomization bits plus the sender's corrections and
+// words.
 func ExtOnlineCost(m, msgLen int) int64 {
-	if m == 0 {
-		return 0
-	}
-	return int64((m+7)/8) + 2*int64(m)*int64(msgLen)
+	return CorrelatedOnlineCost(m, msgLen) + int64(m)*int64(msgLen)
 }

@@ -13,9 +13,9 @@ import (
 const kappa = 128
 
 // Sender is the message-sending endpoint of an IKNP OT-extension session.
-// After a one-time Setup (κ base OTs in the reverse direction), every call
-// to Send transfers an arbitrary batch of message pairs using only
-// symmetric cryptography, in a single round trip.
+// After a one-time Setup (κ base OTs in the reverse direction), every
+// batch — random, correlated or chosen-message (correlated.go) — uses
+// only symmetric cryptography and at most one round trip.
 type Sender struct {
 	conn    transport.Conn
 	s       *bitutil.Vector // the κ secret selection bits
@@ -102,13 +102,13 @@ func derivePad(dst []byte, idx uint64, row prf.Block) {
 // hashRowPads derives the pads of OT instances [lo, hi) in bulk:
 // instance j's key is row j of rows (XORed with mask when non-nil),
 // hashed under tweak idx+j, and its pad lands at
-// dst[j·stride·msgLen : j·stride·msgLen+msgLen]. Pads of at most one
-// block — the 16-byte labels and switch payloads, the ℓ/8-byte products
-// of share multiplication — run the batched HashBlocks kernel, one row
+// dst[j·msgLen : (j+1)·msgLen]. Pads of at most one block — the 16-byte
+// labels, the ⌈2ℓ/8⌉-byte switch payloads, the ℓ/8-byte products of
+// share multiplication — run the batched HashBlocks kernel, one row
 // gather and one AES sweep per padBatch instances, truncated to msgLen;
 // wider ones fall back to per-instance derivation. Zero heap allocations
 // either way.
-func hashRowPads(dst []byte, stride int, rows *bitutil.Matrix, mask *[kappa / 8]byte, idx uint64, lo, hi, msgLen int) {
+func hashRowPads(dst []byte, rows *bitutil.Matrix, mask *[kappa / 8]byte, idx uint64, lo, hi, msgLen int) {
 	var src, out [padBatch]prf.Block
 	for base := lo; base < hi; base += padBatch {
 		n := hi - base
@@ -124,69 +124,16 @@ func hashRowPads(dst []byte, stride int, rows *bitutil.Matrix, mask *[kappa / 8]
 		if msgLen <= 16 {
 			prf.HashBlocks(out[:n], src[:n], otTweak(idx+uint64(base)), 1)
 			for k := 0; k < n; k++ {
-				off := (base + k) * stride * msgLen
+				off := (base + k) * msgLen
 				copy(dst[off:off+msgLen], out[k][:])
 			}
 		} else {
 			for k := 0; k < n; k++ {
-				off := (base + k) * stride * msgLen
+				off := (base + k) * msgLen
 				derivePad(dst[off:off+msgLen], idx+uint64(base+k), src[k])
 			}
 		}
 	}
-}
-
-// Receive performs len(choices) OTs, returning the chosen message of each
-// pair sent by the peer's matching Send call. All messages have msgLen
-// bytes. When the pool holds a precomputed batch of matching dimensions
-// it is consumed by derandomization; otherwise the direct IKNP batch
-// runs. Both paths produce messages of identical distribution, so
-// callers never observe which one served them.
-func (r *Receiver) Receive(choices []bool, msgLen int) ([][]byte, error) {
-	m := len(choices)
-	if m == 0 {
-		return nil, nil
-	}
-	if b := r.pool.take(m, msgLen); b != nil {
-		return r.receiveDerandomized(b, choices)
-	}
-	return r.receiveDirect(choices, msgLen)
-}
-
-func (r *Receiver) receiveDirect(choices []bool, msgLen int) ([][]byte, error) {
-	m := len(choices)
-	sp := kExtRecv.Begin()
-	defer sp.EndN(int64(m))
-
-	tt, err := r.expandColumns(choices)
-	if err != nil {
-		return nil, err
-	}
-
-	ct, err := transport.RecvSized(r.conn, "ot: extension ciphertexts", 2*m*msgLen)
-	if err != nil {
-		return nil, err
-	}
-	// OT instances are independent: instance j reads row j of Tᵀ and its
-	// own ciphertext slice and writes only out[j]. All outputs share one
-	// flat backing array, pads are hashed in padBatch-sized AES sweeps
-	// straight into it, and the loop performs no per-instance allocation.
-	out := make([][]byte, m)
-	outBack := make([]byte, m*msgLen)
-	parallel.For(m, 32, func(lo, hi int) {
-		hashRowPads(outBack, 1, tt, nil, r.idx, lo, hi, msgLen)
-		for j := lo; j < hi; j++ {
-			msg := outBack[j*msgLen : (j+1)*msgLen]
-			c := ct[2*j*msgLen : (2*j+1)*msgLen]
-			if choices[j] {
-				c = ct[(2*j+1)*msgLen : (2*j+2)*msgLen]
-			}
-			prf.XORBytes(msg, msg, c)
-			out[j] = msg
-		}
-	})
-	r.idx += padTo64(m)
-	return out, nil
 }
 
 // padTo64 rounds a batch size up to the matrix width IKNP expands: whole
@@ -230,55 +177,6 @@ func (r *Receiver) expandColumns(choices []bool) (*bitutil.Matrix, error) {
 		return nil, err
 	}
 	return tm.Transpose(), nil
-}
-
-// Send performs len(pairs) OTs as sender; pairs[j][c] is delivered iff the
-// receiver chose c. All messages must have equal length. Like Receive, a
-// matching pooled batch short-circuits to the derandomized path.
-func (s *Sender) Send(pairs [][2][]byte) error {
-	m := len(pairs)
-	if m == 0 {
-		return nil
-	}
-	msgLen := len(pairs[0][0])
-	for _, p := range pairs {
-		if len(p[0]) != msgLen || len(p[1]) != msgLen {
-			return fmt.Errorf("ot: all messages must have length %d", msgLen)
-		}
-	}
-	if b := s.pool.take(m, msgLen); b != nil {
-		return s.sendDerandomized(b, pairs, msgLen)
-	}
-	return s.sendDirect(pairs, msgLen)
-}
-
-func (s *Sender) sendDirect(pairs [][2][]byte, msgLen int) error {
-	m := len(pairs)
-	sp := kExtSend.Begin()
-	defer sp.EndN(int64(m))
-
-	qt, err := s.expandColumns(m)
-	if err != nil {
-		return err
-	}
-
-	// Instance j derives both pads from row j alone and writes the
-	// disjoint ciphertext slice ct[2j·msgLen : (2j+2)·msgLen]; pads are
-	// hashed in batched AES sweeps (one per correlation side) directly
-	// into the ciphertext buffer, so no per-instance allocation.
-	ct := make([]byte, 2*m*msgLen)
-	parallel.For(m, 32, func(lo, hi int) {
-		hashRowPads(ct, 2, qt, nil, s.idx, lo, hi, msgLen)
-		hashRowPads(ct[msgLen:], 2, qt, &s.sRow, s.idx, lo, hi, msgLen)
-		for j := lo; j < hi; j++ {
-			c0 := ct[2*j*msgLen : (2*j+1)*msgLen]
-			c1 := ct[(2*j+1)*msgLen : (2*j+2)*msgLen]
-			prf.XORBytes(c0, c0, pairs[j][0])
-			prf.XORBytes(c1, c1, pairs[j][1])
-		}
-	})
-	s.idx += padTo64(m)
-	return s.conn.Send(ct)
 }
 
 // expandColumns receives the peer's correction matrix for a batch of m

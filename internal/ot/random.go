@@ -12,24 +12,25 @@ import (
 )
 
 // This file implements Beaver-style OT precomputation on top of the IKNP
-// extension. FillRandom runs the input-independent half of an extension
-// batch ahead of time: the receiver draws random choice bits, both sides
-// expand the matrix and derive the per-instance pads, and only the
-// κ×mPad correction matrix crosses the wire. The resulting random OTs —
-// the sender holds pads (r⁰ⱼ, r¹ⱼ), the receiver holds (bⱼ, r^{bⱼ}ⱼ) —
-// wait in a Pool. A later Send/Receive call of matching dimensions is
-// then served by derandomization (Beaver 1995): the receiver sends one
-// correction bit dⱼ = cⱼ ⊕ bⱼ per instance and the sender replies with
-// the usual 2m ciphertexts, masking message k with r^{k⊕dⱼ}ⱼ, so that
-// the receiver's stored pad opens exactly the chosen one. The online
-// round structure is unchanged (receiver speaks first, one round trip),
-// costs ⌈m/8⌉ extra bytes, and uses no cryptography beyond XOR.
+// extension, and the random OT every other batch kind is built on.
+// FillRandom runs the input-independent half of an extension batch ahead
+// of time: the receiver draws random choice bits, both sides expand the
+// matrix and derive the per-instance pads, and only the κ×mPad correction
+// matrix crosses the wire. The resulting random OTs — the sender holds
+// pads (r⁰ⱼ, r¹ⱼ), the receiver holds (bⱼ, r^{bⱼ}ⱼ) — wait in a Pool. A
+// later batch of matching dimensions is then served by derandomization
+// (Beaver 1995): the receiver sends one correction bit dⱼ = cⱼ ⊕ bⱼ per
+// instance and the sender swaps the pads of every instance whose bit is
+// set, after which the receiver's stored pad is the one its wanted choice
+// cⱼ selects. The online round structure is unchanged (receiver speaks
+// first), it costs ⌈m/8⌉ bytes instead of the matrix, and it uses no
+// cryptography beyond XOR.
 //
 // SendRandom/ReceiveRandom expose the random OTs themselves, with the
 // receiver choosing its bits: the pads are the outputs, so a direct batch
 // is the matrix and nothing else, and a pooled one is the correction bits
-// and nothing else — the sender swaps a pooled pad pair where the bit is
-// set. The PSI's per-bin OPRF is built on them.
+// and nothing else. The PSI's per-bin OPRF is built on them; correlated
+// and chosen-message batches (correlated.go) add the sender's one reply.
 
 // Pool metrics: how online batches were served (a miss is any batch
 // that ran the direct protocol, whether the pool was empty or held
@@ -83,9 +84,18 @@ func (p *Pool) take(m, msgLen int) *randBatch {
 		mPoolMisses.Inc()
 		return nil
 	}
+	p.batches[0] = nil // the backing array must not keep consumed pads alive
 	p.batches = p.batches[1:]
 	mPoolHits.Inc()
 	return head
+}
+
+// Ready reports whether the next batch of m OTs with msgLen-byte messages
+// will be served from the pool. The peer's pool gives the same answer.
+func (p *Pool) Ready(m, msgLen int) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.batches) > 0 && p.batches[0].m == m && p.batches[0].msgLen == msgLen
 }
 
 // Len reports the number of unconsumed precomputed batches.
@@ -124,8 +134,8 @@ func (s *Sender) randomPads(m, msgLen int) (r0, r1 []byte, err error) {
 	r0 = make([]byte, m*msgLen)
 	r1 = make([]byte, m*msgLen)
 	parallel.For(m, 32, func(lo, hi int) {
-		hashRowPads(r0, 1, qt, nil, s.idx, lo, hi, msgLen)
-		hashRowPads(r1, 1, qt, &s.sRow, s.idx, lo, hi, msgLen)
+		hashRowPads(r0, qt, nil, s.idx, lo, hi, msgLen)
+		hashRowPads(r1, qt, &s.sRow, s.idx, lo, hi, msgLen)
 	})
 	s.idx += padTo64(m)
 	return r0, r1, nil
@@ -145,7 +155,7 @@ func (r *Receiver) randomPads(choices []bool, msgLen int) ([]byte, error) {
 	}
 	rc := make([]byte, m*msgLen)
 	parallel.For(m, 32, func(lo, hi int) {
-		hashRowPads(rc, 1, tt, nil, r.idx, lo, hi, msgLen)
+		hashRowPads(rc, tt, nil, r.idx, lo, hi, msgLen)
 	})
 	r.idx += padTo64(m)
 	return rc, nil
@@ -196,24 +206,28 @@ func (r *Receiver) FillRandom(m, msgLen int) error {
 // ReceiveRandom learns the pad its choice bit selects. No ciphertext
 // crosses the wire — the IKNP pads are the outputs — so a direct batch
 // costs the correction matrix alone (RandomCost) and the sender sends
-// nothing. A matching pooled batch is served by derandomization: one
-// correction bit per instance says whether the receiver's wanted choice
-// differs from the pooled one, and the sender swaps that instance's
-// pads.
+// nothing; a matching pooled batch costs the derandomization bits alone.
 func (s *Sender) SendRandom(m, msgLen int) (r0, r1 []byte, err error) {
 	if m == 0 {
 		return nil, nil, nil
 	}
 	sp := kRandomSend.Begin()
 	defer sp.EndN(int64(m))
-	b := s.pool.take(m, msgLen)
+	return s.sendRandom(s.pool.take(m, msgLen), m, msgLen)
+}
+
+// sendRandom serves m random OTs from the pool batch b — receive the
+// derandomization bits and swap the pads of every instance whose bit is
+// set — or, when b is nil, from a direct extension batch.
+func (s *Sender) sendRandom(b *randBatch, m, msgLen int) (r0, r1 []byte, err error) {
 	if b == nil {
 		return s.randomPads(m, msgLen)
 	}
-	d, err := s.recvCorrections(m)
+	dMsg, err := transport.RecvSized(s.conn, "ot: derandomization corrections", (m+7)/8)
 	if err != nil {
 		return nil, nil, err
 	}
+	d := bitutil.VectorFromBytes(dMsg, m)
 	for j := 0; j < m; j++ {
 		if d.Get(j) {
 			a, c := b.r0[j*msgLen:(j+1)*msgLen], b.r1[j*msgLen:(j+1)*msgLen]
@@ -235,85 +249,23 @@ func (r *Receiver) ReceiveRandom(choices []bool, msgLen int) ([]byte, error) {
 	}
 	sp := kRandomRecv.Begin()
 	defer sp.EndN(int64(m))
-	b := r.pool.take(m, msgLen)
+	return r.receiveRandom(r.pool.take(m, msgLen), choices, msgLen)
+}
+
+// receiveRandom is the receiver half of sendRandom: it sends the
+// derandomization bits dⱼ = cⱼ ⊕ bⱼ that turn the pooled choices of b
+// into the wanted ones and returns the stored pads, or runs a direct
+// batch when b is nil.
+func (r *Receiver) receiveRandom(b *randBatch, choices []bool, msgLen int) ([]byte, error) {
 	if b == nil {
 		return r.randomPads(choices, msgLen)
 	}
-	if err := r.sendCorrections(b, choices); err != nil {
-		return nil, err
-	}
-	return b.rc, nil
-}
-
-// sendCorrections sends the derandomization bits dⱼ = cⱼ ⊕ bⱼ that turn
-// the pooled choices b into the wanted ones.
-func (r *Receiver) sendCorrections(b *randBatch, choices []bool) error {
 	d := bitutil.NewVector(len(choices))
 	for j, c := range choices {
 		d.Set(j, c != b.bits[j])
 	}
-	return r.conn.Send(d.Bytes())
-}
-
-// recvCorrections receives the m derandomization bits of a pooled batch.
-func (s *Sender) recvCorrections(m int) (*bitutil.Vector, error) {
-	dMsg, err := transport.RecvSized(s.conn, "ot: derandomization corrections", (m+7)/8)
-	if err != nil {
+	if err := r.conn.Send(d.Bytes()); err != nil {
 		return nil, err
 	}
-	return bitutil.VectorFromBytes(dMsg, m), nil
-}
-
-// receiveDerandomized serves one Receive call from precomputed material:
-// send correction bits, receive ciphertexts, unmask with the stored pads.
-func (r *Receiver) receiveDerandomized(b *randBatch, choices []bool) ([][]byte, error) {
-	m := len(choices)
-	msgLen := b.msgLen
-	sp := kDerandRecv.Begin()
-	defer sp.EndN(int64(m))
-	if err := r.sendCorrections(b, choices); err != nil {
-		return nil, err
-	}
-	ct, err := transport.RecvSized(r.conn, "ot: derandomized ciphertexts", 2*m*msgLen)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]byte, m)
-	outBack := make([]byte, m*msgLen)
-	for j := range out {
-		c := ct[2*j*msgLen : (2*j+1)*msgLen]
-		if choices[j] {
-			c = ct[(2*j+1)*msgLen : (2*j+2)*msgLen]
-		}
-		msg := outBack[j*msgLen : (j+1)*msgLen]
-		prf.XORBytes(msg, c, b.rc[j*msgLen:(j+1)*msgLen])
-		out[j] = msg
-	}
-	return out, nil
-}
-
-// sendDerandomized serves one Send call from precomputed material. The
-// correction bit dⱼ swaps which stored pad masks which message, so the
-// receiver's chosen-side pad always opens pairs[j][cⱼ].
-func (s *Sender) sendDerandomized(b *randBatch, pairs [][2][]byte, msgLen int) error {
-	m := len(pairs)
-	sp := kDerandSend.Begin()
-	defer sp.EndN(int64(m))
-	d, err := s.recvCorrections(m)
-	if err != nil {
-		return err
-	}
-	ct := make([]byte, 2*m*msgLen)
-	parallel.For(m, 32, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			r0 := b.r0[j*msgLen : (j+1)*msgLen]
-			r1 := b.r1[j*msgLen : (j+1)*msgLen]
-			if d.Get(j) {
-				r0, r1 = r1, r0
-			}
-			prf.XORBytes(ct[2*j*msgLen:(2*j+1)*msgLen], pairs[j][0], r0)
-			prf.XORBytes(ct[(2*j+1)*msgLen:(2*j+2)*msgLen], pairs[j][1], r1)
-		}
-	})
-	return s.conn.Send(ct)
+	return b.rc, nil
 }

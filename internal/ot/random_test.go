@@ -281,10 +281,10 @@ func TestRandomOTPooledMatchesDirect(t *testing.T) {
 }
 
 // TestExtensionMessagesAreSizeChecked plays a misbehaving peer against
-// every extension-layer decoder: a correction matrix, a ciphertext
-// message or a derandomization message of the wrong length must come
-// back as a *transport.SizeError naming both lengths — before anything is read
-// from it or sized by it.
+// every extension-layer decoder: a correction matrix, a ciphertext or
+// correction message or a derandomization message of the wrong length
+// must come back as a *transport.SizeError naming both lengths — before
+// anything is read from it or sized by it.
 func TestExtensionMessagesAreSizeChecked(t *testing.T) {
 	snd, rcv, done := newExtPair(t)
 	defer done()
@@ -300,10 +300,13 @@ func TestExtensionMessagesAreSizeChecked(t *testing.T) {
 	bogus := make([]byte, 5)
 
 	// The sender's view of the receiver's messages.
+	same := func(j int, x0, x1 []byte) { copy(x1, x0) }
+	sendCorrelated := func() error { _, err := snd.SendCorrelated(m, msgLen, same); return err }
 	for name, call := range map[string]func() error{
-		"Send":       func() error { return snd.Send(pairs) },
-		"FillRandom": func() error { return snd.FillRandom(m, msgLen) },
-		"SendRandom": func() error { _, _, err := snd.SendRandom(m, msgLen); return err },
+		"Send":           func() error { return snd.Send(pairs) },
+		"FillRandom":     func() error { return snd.FillRandom(m, msgLen) },
+		"SendRandom":     func() error { _, _, err := snd.SendRandom(m, msgLen); return err },
+		"SendCorrelated": sendCorrelated,
 	} {
 		if err := rcv.conn.Send(bogus); err != nil {
 			t.Fatal(err)
@@ -311,8 +314,9 @@ func TestExtensionMessagesAreSizeChecked(t *testing.T) {
 		expect(name+" matrix", call(), int(RandomCost(m)))
 	}
 	for name, call := range map[string]func() error{
-		"Send":       func() error { return snd.Send(pairs) },
-		"SendRandom": func() error { _, _, err := snd.SendRandom(m, msgLen); return err },
+		"Send":           func() error { return snd.Send(pairs) },
+		"SendRandom":     func() error { _, _, err := snd.SendRandom(m, msgLen); return err },
+		"SendCorrelated": sendCorrelated,
 	} {
 		fillBoth(t, snd, rcv, m, msgLen)
 		rcv.pool.Clear()
@@ -338,4 +342,22 @@ func TestExtensionMessagesAreSizeChecked(t *testing.T) {
 	}
 	_, err = rcv.Receive(choices, msgLen)
 	expect("derandomized ciphertexts", err, 2*m*msgLen)
+
+	// The receiver's view of a correlated batch's corrections, direct and
+	// pooled.
+	if err := snd.conn.Send(bogus); err != nil {
+		t.Fatal(err)
+	}
+	_, err = rcv.ReceiveCorrelated(choices, msgLen)
+	expect("correlated corrections", err, m*msgLen)
+	if _, err := snd.conn.Recv(); err != nil { // the matrix ReceiveCorrelated sent
+		t.Fatal(err)
+	}
+	fillBoth(t, snd, rcv, m, msgLen)
+	snd.pool.Clear()
+	if err := snd.conn.Send(bogus); err != nil {
+		t.Fatal(err)
+	}
+	_, err = rcv.ReceiveCorrelated(choices, msgLen)
+	expect("derandomized corrections", err, m*msgLen)
 }

@@ -47,9 +47,9 @@ func DirectCost(m, n, ell int) int64 {
 func IndexedCost(m, n, ell int, sharedPayload bool) int64 {
 	pr := NewParams(m, n)
 	npb := pr.N + pr.B
-	cost := binsCost(pr, idxWidth(npb), ell) + oep.Cost(npb, pr.B, false)
+	cost := binsCost(pr, idxWidth(npb), ell) + oep.Cost(npb, pr.B, ell, false)
 	if sharedPayload {
-		cost += oep.Cost(npb, npb, true)
+		cost += oep.Cost(npb, npb, ell, true)
 	}
 	return cost
 }

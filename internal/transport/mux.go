@@ -658,6 +658,7 @@ func (s *muxStream) Recv() ([]byte, error) {
 		return nil, s.labeled(err)
 	}
 	msg := s.queue[0]
+	s.queue[0] = nil // the backing array must not keep a consumed message alive
 	s.queue = s.queue[1:]
 	s.unacked++
 	grant := 0

@@ -110,6 +110,7 @@ func (q *unboundedQueue) pop() ([]byte, error) {
 		return nil, ErrClosed
 	}
 	m := q.items[0]
+	q.items[0] = nil // the backing array must not keep a consumed message alive
 	q.items = q.items[1:]
 	return m, nil
 }
@@ -235,16 +236,16 @@ func SendUint64s(c Conn, vs []uint64) error {
 	return c.Send(buf)
 }
 
-// RecvUint64s receives one message and decodes it as little-endian uint64s.
-func RecvUint64s(c Conn) ([]uint64, error) {
-	buf, err := c.Recv()
+// RecvUint64s receives one message of exactly n little-endian uint64s —
+// a count the receiver derives from public parameters — and decodes it.
+// A message of any other length is a *SizeError naming what, before
+// anything is decoded or allocated from it.
+func RecvUint64s(c Conn, what string, n int) ([]uint64, error) {
+	buf, err := RecvSized(c, what, 8*n)
 	if err != nil {
 		return nil, err
 	}
-	if len(buf)%8 != 0 {
-		return nil, fmt.Errorf("transport: uint64 message has odd length %d", len(buf))
-	}
-	vs := make([]uint64, len(buf)/8)
+	vs := make([]uint64, n)
 	for i := range vs {
 		vs[i] = binary.LittleEndian.Uint64(buf[8*i:])
 	}
@@ -254,14 +255,12 @@ func RecvUint64s(c Conn) ([]uint64, error) {
 // SendUint64 sends a single little-endian uint64.
 func SendUint64(c Conn, v uint64) error { return SendUint64s(c, []uint64{v}) }
 
-// RecvUint64 receives a single little-endian uint64.
-func RecvUint64(c Conn) (uint64, error) {
-	vs, err := RecvUint64s(c)
+// RecvUint64 receives a single little-endian uint64; any other length is
+// a *SizeError naming what.
+func RecvUint64(c Conn, what string) (uint64, error) {
+	vs, err := RecvUint64s(c, what, 1)
 	if err != nil {
 		return 0, err
-	}
-	if len(vs) != 1 {
-		return 0, fmt.Errorf("transport: expected 1 uint64, got %d", len(vs))
 	}
 	return vs[0], nil
 }

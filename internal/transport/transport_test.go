@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"errors"
 	"sync"
 	"testing"
 )
@@ -159,7 +160,7 @@ func TestUint64Helpers(t *testing.T) {
 	defer b.Close()
 	want := []uint64{0, 1, ^uint64(0), 1 << 40}
 	go func() { _ = SendUint64s(a, want) }()
-	got, err := RecvUint64s(b)
+	got, err := RecvUint64s(b, "test: values", len(want))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestUint64Helpers(t *testing.T) {
 	}
 
 	go func() { _ = SendUint64(a, 7) }()
-	v, err := RecvUint64(b)
+	v, err := RecvUint64(b, "test: value")
 	if err != nil || v != 7 {
 		t.Fatalf("RecvUint64: %d, %v", v, err)
 	}
@@ -223,5 +224,35 @@ func TestTCPTransport(t *testing.T) {
 	}
 	if client.Stats().BytesSent != 4 {
 		t.Fatalf("tcp stats: %+v", client.Stats())
+	}
+}
+
+// TestUint64ReceivesAreSizeChecked sends a short, a long and an
+// odd-length message to both uint64 decoders: each must be a *SizeError
+// naming the message and both lengths, before anything is decoded.
+func TestUint64ReceivesAreSizeChecked(t *testing.T) {
+	a, b := Pair()
+	defer a.Close()
+	defer b.Close()
+	for _, site := range []struct {
+		name string
+		n    int
+		recv func() error
+	}{
+		{"RecvUint64s", 4, func() error { _, err := RecvUint64s(b, "test: values", 4); return err }},
+		{"RecvUint64", 1, func() error { _, err := RecvUint64(b, "test: values"); return err }},
+	} {
+		for _, tc := range []struct {
+			name string
+			len  int
+		}{{"short", 8*site.n - 8}, {"long", 8*site.n + 8}, {"odd", 8*site.n + 3}} {
+			if err := a.Send(make([]byte, tc.len)); err != nil {
+				t.Fatal(err)
+			}
+			var se *SizeError
+			if err := site.recv(); !errors.As(err, &se) || se.What != "test: values" || se.Got != tc.len || se.Want != 8*site.n {
+				t.Fatalf("%s %s: %v, want a *SizeError{test: values, %d, %d}", site.name, tc.name, err, tc.len, 8*site.n)
+			}
+		}
 	}
 }
