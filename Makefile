@@ -56,10 +56,11 @@ race-obs:
 	$(GO) test -race -count=3 -timeout 30m -run 'Obs|Event|Flight|Label|Status|Prom|Shutdown|Chrome' ./internal/core .
 
 # The secyand daemon suites under the race detector, repeated: WFQ
-# fairness/starvation, typed quota and overload shedding, the
-# precompute farm's inventory and cooperative-warm paths, graceful
-# drain — all over real TCP — plus the root options model's precedence
-# tests (see DESIGN.md §15).
+# fairness/starvation, typed quota and overload shedding,
+# cancel-on-disconnect, the precompute farm's warm pass, graceful drain
+# — all over real TCP — the scheduler's refill timer, per-tenant
+# concurrency and FIFO release without TCP, plus the root options
+# model's precedence tests (see DESIGN.md §15).
 race-daemon:
 	$(GO) test -race -count=3 -timeout 30m ./internal/daemon
 	$(GO) test -race -count=3 -timeout 30m -run 'QueryUnifiedAPI|OptionPrecedence' .
@@ -97,8 +98,9 @@ vet:
 # chunked scan, both base-OT message decoders, the evaluator's view of
 # the garbler's message and both sides of the label OT (corrections,
 # label shifts, derandomization bits), the PSI's hint and
-# OPRF-correction decoders and a whole OEP, direct and pooled, against a
-# hostile peer; extend -fuzztime locally for real fuzzing sessions.
+# OPRF-correction decoders, a whole OEP, direct and pooled, against a
+# hostile peer, and the daemon's control line (any bytes, also as the
+# hello); extend -fuzztime locally for real fuzzing sessions.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTranspose -fuzztime 10s ./internal/bitutil
 	$(GO) test -run '^$$' -fuzz FuzzRecvFraming -fuzztime 10s ./internal/transport
@@ -108,3 +110,4 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzGarbledMessage -fuzztime 10s ./internal/gc
 	$(GO) test -run '^$$' -fuzz FuzzPSIMessages -fuzztime 10s ./internal/psi
 	$(GO) test -run '^$$' -fuzz FuzzOEPMessages -fuzztime 10s ./internal/oep
+	$(GO) test -run '^$$' -fuzz FuzzControlMessage -fuzztime 10s ./internal/daemon

@@ -62,7 +62,7 @@ func main() {
 	flightN := flag.Int("flight", 0, "retain the last N completed-query flight records, print them as a table after the run, and serve them at /debug/queries with -debug-addr (0 = off)")
 	daemonAddr := flag.String("daemon", "", "run as a client of a secyand daemon at this address (plays alice; -role/-listen/-connect are ignored); the daemon must serve a catalog generated with the same -scale and -seed")
 	tenant := flag.String("tenant", "default", "daemon mode: tenant name to run queries as")
-	count := flag.Int("count", 1, "daemon mode: run the query this many times sequentially (repeated shapes exercise the daemon's precompute farm)")
+	count := flag.Int("count", 1, "daemon mode: run the query this many times sequentially")
 	flag.Parse()
 
 	backend, err := core.ParseBackend(*backendName)

@@ -7,10 +7,10 @@
 // queued depth, and estimated bytes per second) and a weighted
 // fair-queueing scheduler before execution, so a heavy tenant cannot
 // starve a light one; shed queries get typed rejections over the
-// control stream, never dropped connections. A background precompute
-// farm watches recent query shapes and keeps garbled-circuit inventory
-// staged — and co-runs OT-pool warmups with waiting clients — so hot
-// shapes start their online phase with the offline work already done.
+// control stream, never dropped connections. A query that must wait for
+// a slot spends the wait on its own offline phase (OT pools and
+// garbled circuits), co-run with its client, so it starts online with
+// that work already done.
 //
 //	secyand -listen :9440 -scale 1 -tenants "acme:4,globex:1" -debug-addr localhost:6060
 //
@@ -48,13 +48,11 @@ func main() {
 	maxQueuedTenant := flag.Int("tenant-max-queued", daemon.DefaultMaxQueued, "per-tenant queued-depth bound before shedding with quota-exceeded")
 	bytesPerSec := flag.Int64("tenant-bytes-per-sec", 0, "per-tenant estimated-bytes-per-second budget (0 = unlimited)")
 	burst := flag.Int64("tenant-burst", 0, "per-tenant byte-budget burst capacity (0 = 4x the rate)")
-	warmAfter := flag.Int("warm-after", daemon.DefaultWarmAfter, "shape observations before the precompute farm warms it")
-	inventory := flag.Int("inventory", daemon.DefaultInventoryDepth, "staged circuit bundles kept per hot shape")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /debug/tenants, /debug/queries, /healthz, /readyz on this address")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown bound for running queries on SIGTERM")
 	heartbeat := flag.Duration("heartbeat", 0, "session heartbeat interval (0 = transport default)")
 	logJSON := flag.Bool("log-json", false, "emit the structured event log as JSON lines on stderr")
-	flightN := flag.Int("flight", 256, "completed-query flight records to retain (feeds the precompute farm's shape history)")
+	flightN := flag.Int("flight", 256, "completed-query flight records to retain (served at /debug/queries)")
 	flag.Parse()
 
 	base := daemon.Quota{
@@ -82,14 +80,12 @@ func main() {
 	db := tpch.Generate(tpch.Config{ScaleMB: *scale, Seed: *seed})
 
 	d, err := daemon.New(daemon.Config{
-		Catalog:        daemon.TPCHCatalog(db),
-		Slots:          *slots,
-		MaxQueued:      *maxQueued,
-		Tenants:        quotas,
-		DefaultQuota:   defQuota,
-		WarmAfter:      *warmAfter,
-		InventoryDepth: *inventory,
-		Heartbeat:      *heartbeat,
+		Catalog:      daemon.TPCHCatalog(db),
+		Slots:        *slots,
+		MaxQueued:    *maxQueued,
+		Tenants:      quotas,
+		DefaultQuota: defQuota,
+		Heartbeat:    *heartbeat,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "secyand: %v\n", err)

@@ -31,20 +31,6 @@ import (
 // steps scale with the data-dependent output size, declare no demands,
 // and always run direct.
 
-// garbleAhead garbles, in plan order, every circuit plan declares with
-// role as the garbling party. Pure compute: no network.
-func garbleAhead(plan *Plan, role mpc.Role) []*gc.PreGarbled {
-	var staged []*gc.PreGarbled
-	for si := range plan.Steps {
-		for _, d := range plan.Steps[si].preCircs {
-			if d.garbler == role {
-				staged = append(staged, gc.GarbleAhead(d.build()))
-			}
-		}
-	}
-	return staged
-}
-
 // PrecomputeOpts executes the offline phase of q's plan on party p:
 // base-OT setup, one random-OT pool fill per planned OT batch, and
 // ahead-of-time garbling of every planned circuit this party garbles. Both
@@ -90,7 +76,13 @@ func PrecomputeOpts(ctx context.Context, p *mpc.Party, q *Query, opts Options) (
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		staged = garbleAhead(plan, p.Role)
+		for si := range plan.Steps {
+			for _, d := range plan.Steps[si].preCircs {
+				if d.garbler == p.Role {
+					staged = append(staged, gc.GarbleAhead(d.build()))
+				}
+			}
+		}
 	}()
 
 	tr := &Trace{}
@@ -185,72 +177,6 @@ func (pl *Plan) hasCircuits() bool {
 		}
 	}
 	return false
-}
-
-// StagedCircuits is the network-free half of a precompute pass for one
-// role: every circuit a plan declares with that role garbling, built and
-// garbled ahead of time with zero traffic. Unlike PrecomputeOpts it
-// involves only this process — garbling is data-independent pure compute
-// and the wire format follows the OT pools, never the staged queue, so
-// one side may stage alone without any cross-party agreement. Without
-// pools only the circuits that have no evaluator inputs are served from
-// the stage; the rest are dropped for a direct garble (mpc.RunCircuit).
-// The daemon's precompute farm builds these in the background against
-// predicted query shapes.
-//
-// Staged material is single-use: Attach hands it to exactly one Party
-// about to execute the same plan shape.
-type StagedCircuits struct {
-	role   mpc.Role
-	digest uint64
-	staged []*gc.PreGarbled
-}
-
-// PrepareCircuits compiles q's plan (shape only — q needs no relations)
-// under opts and garbles every declared circuit role garbles. It returns
-// nil when there is none.
-func PrepareCircuits(q *Query, ringBits int, role mpc.Role, opts Options) (*StagedCircuits, error) {
-	plan, err := ExplainOpts(q, ringBits, opts)
-	if err != nil {
-		return nil, err
-	}
-	staged := garbleAhead(plan, role)
-	if len(staged) == 0 {
-		return nil, nil
-	}
-	return &StagedCircuits{role: role, digest: plan.Digest(), staged: staged}, nil
-}
-
-// Len returns the number of staged circuits.
-func (sc *StagedCircuits) Len() int {
-	if sc == nil {
-		return 0
-	}
-	return len(sc.staged)
-}
-
-// Digest returns the shape digest of the plan the circuits were staged
-// for.
-func (sc *StagedCircuits) Digest() uint64 {
-	if sc == nil {
-		return 0
-	}
-	return sc.digest
-}
-
-// Attach enqueues the staged circuits onto p's precomputed-circuit
-// queue, in plan order. p must have the staging role and be about to
-// run the same plan shape; a mismatched run falls back to the direct
-// protocols (dropping the queue), which stays correct. Attach consumes
-// the material — a second call is a no-op.
-func (sc *StagedCircuits) Attach(p *mpc.Party) {
-	if sc == nil || p.Role != sc.role {
-		return
-	}
-	for _, pg := range sc.staged {
-		p.EnqueuePreGarbled(pg)
-	}
-	sc.staged = nil
 }
 
 // ex1Offline performs one step's offline work: establishing the base-OT

@@ -38,11 +38,6 @@ type Config struct {
 	// DefaultQuota, when non-nil, admits unknown tenants with this
 	// quota.
 	DefaultQuota *Quota
-	// WarmAfter is the shape-observation count that triggers farm
-	// warming (default DefaultWarmAfter); InventoryDepth the staged
-	// bundles kept per hot shape (default DefaultInventoryDepth).
-	WarmAfter      int
-	InventoryDepth int
 	// QueueCap / Heartbeat / PeerTimeout configure each client
 	// session's transport (see mpc.SessionConfig).
 	QueueCap    int
@@ -58,7 +53,9 @@ type Daemon struct {
 	cfg   Config
 	ring  share.Ring
 	sched *scheduler
-	farm  *farm
+
+	// Precompute-farm outcomes at dispatch: a hit consumed a warm pass.
+	farmHits, farmMisses atomic.Int64
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -80,7 +77,6 @@ func New(cfg Config) (*Daemon, error) {
 		conns: map[*clientConn]struct{}{},
 	}
 	d.sched = newScheduler(cfg.Slots, cfg.MaxQueued, cfg.Tenants, cfg.DefaultQuota)
-	d.farm = newFarm(mpc.Bob, d.ring.Bits, cfg.WarmAfter, cfg.InventoryDepth)
 	obs.Enable()
 	obs.RegisterDebugPage("/debug/tenants", d.tenantsHandler)
 	return d, nil
@@ -155,7 +151,6 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 	d.mu.Unlock()
 	d.wg.Wait()
 	d.sched.shutdown()
-	d.farm.shutdown()
 	return err
 }
 
@@ -171,6 +166,24 @@ type Snapshot struct {
 	Farm     FarmStatus     `json:"farm"`
 }
 
+// FarmStatus is the precompute farm's externally visible state. A hit
+// is a dispatch that consumed its query's warm pass; every other
+// dispatch is a miss.
+type FarmStatus struct {
+	HitsOffline int64 `json:"hits_offline"`
+	// HitsCircuits is always 0; it stays because bench/ reads it.
+	HitsCircuits int64   `json:"hits_circuits"`
+	Misses       int64   `json:"misses"`
+	HitRate      float64 `json:"hit_rate"`
+	// Shapes is always empty; it stays because bench/ reads it.
+	Shapes []ShapeStatus `json:"shapes"`
+}
+
+// ShapeStatus is the element type of FarmStatus.Shapes.
+type ShapeStatus struct {
+	Builds int64 `json:"builds"`
+}
+
 // Snapshot assembles the current scheduler, tenant and farm state.
 func (d *Daemon) Snapshot() Snapshot {
 	tenants, running, queued, draining := d.sched.snapshotTenants()
@@ -178,6 +191,10 @@ func (d *Daemon) Snapshot() Snapshot {
 	d.mu.Lock()
 	sessions := len(d.conns)
 	d.mu.Unlock()
+	farm := FarmStatus{HitsOffline: d.farmHits.Load(), Misses: d.farmMisses.Load()}
+	if total := farm.HitsOffline + farm.Misses; total > 0 {
+		farm.HitRate = float64(farm.HitsOffline) / float64(total)
+	}
 	return Snapshot{
 		Draining: draining,
 		Slots:    d.sched.slots,
@@ -185,7 +202,7 @@ func (d *Daemon) Snapshot() Snapshot {
 		Queued:   queued,
 		Sessions: sessions,
 		Tenants:  tenants,
-		Farm:     d.farm.status(),
+		Farm:     farm,
 	}
 }
 
@@ -335,18 +352,24 @@ type queryState struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	// Cooperative warm pass state: warmDone is non-nil once a warm was
-	// launched; the runner joins it before going online.
+	// Warm pass state: warmDone is non-nil once a warm was launched; the
+	// runner joins it before going online.
 	warmDone   chan struct{}
 	warmStream uint32
 	warmParty  *mpc.Party
-	warmErr    error
 }
 
 // handleQuery admits one query request: price it, enqueue it under the
-// tenant's quota, optionally launch the cooperative warm pass, and
-// hand it to the scheduler. Rejections answer on the control stream —
-// the connection always stays open.
+// tenant's quota, launch the warm pass if it will wait, and hand it to
+// the scheduler. Rejections answer on the control stream — the
+// connection always stays open.
+//
+// The warm pass is the precompute farm. Every OT batch and circuit of a
+// query follows from its plan's public sizes, so a query that must wait
+// for a slot spends the wait on its own offline phase: daemon and
+// client co-run core.PrecomputeOpts on the query's stream, and the
+// online run consumes the pooled OTs and pre-garbled circuits on both
+// sides.
 func (cc *clientConn) handleQuery(m *ctrlMsg) {
 	d := cc.d
 	reject := func(code, detail string) {
@@ -373,9 +396,6 @@ func (cc *clientConn) handleQuery(m *ctrlMsg) {
 		reject(codeInternal, err.Error())
 		return
 	}
-	digest := plan.DigestString()
-	predicted := d.farm.observe(digest, m.Name, shape, opts)
-
 	var ctx context.Context
 	var cancel context.CancelFunc
 	if m.DeadlineMS > 0 {
@@ -397,7 +417,6 @@ func (cc *clientConn) handleQuery(m *ctrlMsg) {
 		tenant: t,
 		qid:    obs.NextQueryID(),
 		name:   m.Name,
-		digest: digest,
 		cost:   plan.EstBytes,
 		exec:   qs.exec,
 		shed:   qs.shed,
@@ -416,16 +435,14 @@ func (cc *clientConn) handleQuery(m *ctrlMsg) {
 	if obs.Enabled() {
 		obs.Events().Emit("daemon.enqueue", obs.QueryTag{SID: cc.sid, QID: j.qid, Tenant: cc.tenant},
 			slog.String("query", m.Name),
-			slog.String("plan_digest", digest),
+			slog.String("plan_digest", plan.DigestString()),
 			slog.Int64("cost", j.cost),
 			slog.Bool("waits", willWait))
 	}
 
-	// Cooperative warm: only worth the traffic when the job will sit in
-	// the queue and the shape is predicted. The job stays unready until
-	// the decision (and the warm itself) lands, so dispatch cannot race
-	// it.
-	if willWait && predicted {
+	// Warm only a job that will sit in the queue. It stays unready until
+	// the warm lands, so dispatch cannot race it.
+	if willWait {
 		stream := cc.allocStream()
 		qs.warmDone = make(chan struct{})
 		qs.warmStream = stream
@@ -433,18 +450,14 @@ func (cc *clientConn) handleQuery(m *ctrlMsg) {
 		go func() {
 			defer close(qs.warmDone)
 			defer d.sched.markReady(j)
+			// A failed warm leaves warmParty nil, and dispatch runs cold.
 			p, err := cc.sess.PartyOn(stream, mpc.PartyOpts{})
 			if err != nil {
-				qs.warmErr = err
 				return
 			}
 			p.Tag = obs.QueryTag{SID: cc.sid, QID: j.qid, Tenant: cc.tenant}
-			// The warm pass: OT pool fills (two-party traffic) plus
-			// ahead-of-time garbling, staged onto p for the online run
-			// that follows on the same stream.
 			if _, err := core.PrecomputeOpts(qs.ctx, p, qs.shape, qs.opts); err != nil {
 				p.Conn.Close()
-				qs.warmErr = err
 				return
 			}
 			qs.warmParty = p
@@ -482,27 +495,24 @@ func (qs *queryState) joinWarm() *mpc.Party {
 	return qs.warmParty
 }
 
-// exec runs one dispatched query: pick up warm material (or a staged
-// inventory bundle), tell the client which stream to run on, execute
-// the daemon's half, and report completion to the scheduler.
+// exec runs one dispatched query: pick up its warm pass, tell the
+// client which stream to run on, execute the daemon's half, and report
+// completion to the scheduler.
 func (qs *queryState) exec(j *job) {
 	cc := qs.cc
 	d := cc.d
 	defer qs.cancel()
 	defer cc.dropJob(qs.id)
 
-	var p *mpc.Party
-	warmed := false
-	if qs.warmDone != nil {
-		if p = qs.joinWarm(); p != nil {
-			warmed = true
-			d.farm.hit("offline")
-		} else {
-			d.farm.miss()
-		}
-	}
+	p := qs.joinWarm()
+	warmed := p != nil
 	stream := qs.warmStream
-	if p == nil {
+	if warmed {
+		d.farmHits.Add(1)
+		mFarm.Inc("hit-offline")
+	} else {
+		d.farmMisses.Add(1)
+		mFarm.Inc("miss")
 		stream = cc.allocStream()
 		var err error
 		p, err = cc.sess.PartyOn(stream, mpc.PartyOpts{})
@@ -512,14 +522,6 @@ func (qs *queryState) exec(j *job) {
 			return
 		}
 		p.Tag = obs.QueryTag{SID: cc.sid, QID: j.qid, Tenant: j.tenant.name}
-		if qs.warmDone == nil {
-			if sc := d.farm.takeInventory(j.digest); sc != nil {
-				sc.Attach(p)
-				d.farm.hit("circuits")
-			} else {
-				d.farm.miss()
-			}
-		}
 	}
 	cc.send(&ctrlMsg{Type: msgAdmitted, ID: qs.id, Stream: stream, Warm: warmed})
 	if obs.Enabled() {

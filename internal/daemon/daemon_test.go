@@ -19,9 +19,7 @@ import (
 )
 
 // testQuery builds a small three-relation join-aggregate (the DESIGN.md
-// running example) with deterministic data. Varying sizes across tests
-// varies the plan digest, keeping each test's farm shape history
-// isolated despite the process-global flight recorder.
+// running example) with deterministic data.
 func testQuery(seed int64, nPersons, nRecords int) (*core.Query, []*relation.Relation) {
 	rng := rand.New(rand.NewSource(seed))
 	r1 := relation.New(relation.MustSchema("person", "coinsurance"))
@@ -194,7 +192,6 @@ func TestDaemonTwoTenantsConcurrent(t *testing.T) {
 		Catalog:      dcat,
 		Slots:        2,
 		DefaultQuota: &Quota{},
-		WarmAfter:    100, // farm out of the picture
 	})
 
 	const perTenant = 3
@@ -269,7 +266,6 @@ func TestDaemonFairnessNoStarvation(t *testing.T) {
 			"heavy": {Weight: 1},
 			"light": {Weight: 16},
 		},
-		WarmAfter: 100,
 	})
 
 	order := make(chan string, heavyJobs+1)
@@ -334,10 +330,9 @@ func TestDaemonQuotaQueueDepth(t *testing.T) {
 		dcat[name] = slowed(r, 200*time.Millisecond)
 	}
 	d, addr := startDaemon(t, Config{
-		Catalog:   dcat,
-		Slots:     1,
-		Tenants:   map[string]Quota{"acme": {MaxQueued: 1}},
-		WarmAfter: 100,
+		Catalog: dcat,
+		Slots:   1,
+		Tenants: map[string]Quota{"acme": {MaxQueued: 1}},
 	})
 	c := dialTenant(t, addr, "acme", ccat)
 	rejectedBefore := mQueries.Value("acme", "rejected-quota")
@@ -403,12 +398,14 @@ func TestDaemonQuotaBytesBurst(t *testing.T) {
 	q, rels := testQuery(17, 8, 12)
 	dcat, ccat := sideCatalogs("example", q, rels)
 	_, addr := startDaemon(t, Config{
-		Catalog:   dcat,
-		Tenants:   map[string]Quota{"tiny": {BytesPerSec: 1, Burst: 1}},
-		WarmAfter: 100,
+		Catalog: dcat,
+		Tenants: map[string]Quota{"tiny": {BytesPerSec: 1, Burst: 1}},
 	})
 	c := dialTenant(t, addr, "tiny", ccat)
-	_, err := c.Run(context.Background(), RunSpec{Name: "example"})
+	// Unshed, the query would wait forever for tokens it cannot afford.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	_, err := c.Run(ctx, RunSpec{Name: "example"})
 	if !errors.Is(err, ErrQuotaExceeded) {
 		t.Fatalf("got %v, want ErrQuotaExceeded", err)
 	}
@@ -427,7 +424,6 @@ func TestDaemonOverloaded(t *testing.T) {
 		Slots:        1,
 		MaxQueued:    1,
 		DefaultQuota: &Quota{},
-		WarmAfter:    100,
 	})
 	c := dialTenant(t, addr, "acme", ccat)
 
@@ -465,86 +461,10 @@ func TestDaemonOverloaded(t *testing.T) {
 	}
 }
 
-// TestDaemonFarmInventoryHits pins the daemon-local half of the farm: a
-// repeated query shape crosses the warm threshold, the background
-// builder stages circuit bundles, dispatch attaches them, and the hit
-// rate goes positive — visible in /debug/tenants.
-func TestDaemonFarmInventoryHits(t *testing.T) {
-	q, rels := testQuery(23, 14, 24)
-	want := wantByClass(rels)
-	dcat, ccat := sideCatalogs("hot", q, rels)
-	d, addr := startDaemon(t, Config{
-		Catalog:      dcat,
-		Slots:        2, // free slots: no waiting, so no cooperative warms
-		DefaultQuota: &Quota{},
-		WarmAfter:    2,
-	})
-	c := dialTenant(t, addr, "acme", ccat)
-
-	digest := ""
-	runOnce := func() {
-		res, err := c.Run(context.Background(), RunSpec{Name: "hot"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := gotByClass(res)
-		for k, v := range want {
-			if got[k] != v {
-				t.Fatalf("class %d: got %d, want %d", k, got[k], v)
-			}
-		}
-	}
-	_, plan, err := shapeDigest(dcat["hot"], d.ring.Bits, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	digest = plan.DigestString()
-
-	runOnce() // seen 1: miss
-	runOnce() // seen 2: predicted, build queued; likely still a miss
-	waitFor(t, "staged inventory", func() bool { return d.farm.inventoryReady(digest) })
-	runOnce() // must attach the staged bundle
-	farm := settled(t, d).Farm
-	if farm.HitsCircuits < 1 {
-		t.Fatalf("staged-circuit hits = %d, want >= 1 (farm %+v)", farm.HitsCircuits, farm)
-	}
-	if farm.HitRate <= 0 {
-		t.Fatalf("farm hit rate = %v, want > 0", farm.HitRate)
-	}
-
-	// The same numbers serve over HTTP at /debug/tenants.
-	srv := httptest.NewServer(obs.DebugHandler())
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL + "/debug/tenants")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var snap struct {
-		Tenants []TenantStatus `json:"tenants"`
-		Farm    FarmStatus     `json:"farm"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Farm.HitsCircuits+snap.Farm.HitsOffline < 1 {
-		t.Fatalf("/debug/tenants farm hits = %+v, want >= 1", snap.Farm)
-	}
-	foundTenant := false
-	for _, ts := range snap.Tenants {
-		if ts.Name == "acme" && ts.Completed >= 3 {
-			foundTenant = true
-		}
-	}
-	if !foundTenant {
-		t.Fatalf("/debug/tenants lacks tenant acme with >=3 completions: %+v", snap.Tenants)
-	}
-}
-
-// TestDaemonFarmCooperativeWarm pins the two-party half: when a
-// predicted-shape query waits for a slot, daemon and client co-run the
-// offline phase on the assigned stream and the dispatch consumes it
-// ("hit-offline"), with correct results.
+// TestDaemonFarmCooperativeWarm pins the precompute farm: when a query
+// waits for a slot, daemon and client co-run its offline phase on the
+// assigned stream and the dispatch consumes it ("hit-offline"), with
+// correct results and the hit visible in /debug/tenants.
 func TestDaemonFarmCooperativeWarm(t *testing.T) {
 	q, rels := testQuery(29, 16, 28)
 	want := wantByClass(rels)
@@ -556,7 +476,6 @@ func TestDaemonFarmCooperativeWarm(t *testing.T) {
 		Catalog:      dcat,
 		Slots:        1,
 		DefaultQuota: &Quota{},
-		WarmAfter:    1, // predicted from the first repeat
 	})
 	c := dialTenant(t, addr, "acme", ccat)
 
@@ -573,8 +492,8 @@ func TestDaemonFarmCooperativeWarm(t *testing.T) {
 		return nil
 	}
 
-	// Occupy the slot, then submit the (already predicted) shape again:
-	// it must wait, triggering the cooperative warm.
+	// Occupy the slot, then submit the query again: it must wait,
+	// triggering the warm pass.
 	var wg sync.WaitGroup
 	errs := make(chan error, 2)
 	wg.Add(1)
@@ -598,6 +517,104 @@ func TestDaemonFarmCooperativeWarm(t *testing.T) {
 	if hits := d.Snapshot().Farm.HitsOffline; hits < 1 {
 		t.Fatalf("cooperative warm hits = %d, want >= 1 (farm %+v)", hits, d.Snapshot().Farm)
 	}
+
+	// The same numbers serve over HTTP at /debug/tenants.
+	settled(t, d)
+	srv := httptest.NewServer(obs.DebugHandler())
+	defer srv.Close()
+	resp, err := srv.Client().Get(srv.URL + "/debug/tenants")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap struct {
+		Tenants []TenantStatus `json:"tenants"`
+		Farm    FarmStatus     `json:"farm"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.Farm.HitsOffline < 1 || snap.Farm.HitRate <= 0 {
+		t.Fatalf("/debug/tenants farm = %+v, want >= 1 hit", snap.Farm)
+	}
+	foundTenant := false
+	for _, ts := range snap.Tenants {
+		if ts.Name == "acme" && ts.Completed >= 2 {
+			foundTenant = true
+		}
+	}
+	if !foundTenant {
+		t.Fatalf("/debug/tenants lacks tenant acme with >=2 completions: %+v", snap.Tenants)
+	}
+}
+
+// TestDaemonCancelOnDisconnect pins cancel-on-disconnect: when a client
+// closes with a query still queued, that query is booked failed at
+// once, while the slot it waited for is still busy, and the books
+// balance once the slot frees.
+func TestDaemonCancelOnDisconnect(t *testing.T) {
+	q, rels := testQuery(41, 8, 12)
+	dcat, ccat := sideCatalogs("example", q, rels)
+	release := make(chan struct{})
+	var once sync.Once
+	free := func() { once.Do(func() { close(release) }) }
+	for name, r := range dcat {
+		run := r.Run
+		dcat[name] = Runner{
+			Shape: r.Shape,
+			Run: func(ctx context.Context, p *mpc.Party, opts core.Options) (*relation.Relation, error) {
+				<-release
+				return run(ctx, p, opts)
+			},
+		}
+	}
+	d, addr := startDaemon(t, Config{
+		Catalog:      dcat,
+		Slots:        1,
+		DefaultQuota: &Quota{},
+	})
+	t.Cleanup(free) // before the daemon's shutdown, which waits for the holder
+	holder := dialTenant(t, addr, "holder", ccat)
+	leaver := dialTenant(t, addr, "leaver", ccat)
+
+	held := make(chan error, 1)
+	go func() {
+		_, err := holder.Run(context.Background(), RunSpec{Name: "example"})
+		held <- err
+	}()
+	waitFor(t, "holder running", func() bool { return d.Snapshot().Running == 1 })
+	left := make(chan error, 1)
+	go func() {
+		_, err := leaver.Run(context.Background(), RunSpec{Name: "example"})
+		left <- err
+	}()
+	waitFor(t, "leaver queued", func() bool { return d.Snapshot().Queued == 1 })
+	leaver.Close()
+	if err := <-left; err == nil {
+		t.Fatal("run on a closed client succeeded")
+	}
+	failed := func(s Snapshot, name string) int64 {
+		for _, ts := range s.Tenants {
+			if ts.Name == name {
+				return ts.Failed
+			}
+		}
+		return 0
+	}
+	waitFor(t, "queued query booked failed with the slot still busy", func() bool {
+		s := d.Snapshot()
+		return s.Running == 1 && s.Queued == 0 && failed(s, "leaver") == 1
+	})
+
+	free()
+	if err := <-held; err != nil {
+		t.Fatalf("holder: %v", err)
+	}
+	for _, ts := range settled(t, d).Tenants {
+		if ts.Name == "leaver" && (ts.Failed != 1 || ts.Completed != 0) {
+			t.Fatalf("leaver booked %+v, want 1 failed and 0 completed", ts)
+		}
+	}
 }
 
 // TestDaemonGracefulDrain pins shutdown semantics: running queries
@@ -613,7 +630,6 @@ func TestDaemonGracefulDrain(t *testing.T) {
 		Catalog:      dcat,
 		Slots:        1,
 		DefaultQuota: &Quota{},
-		WarmAfter:    100,
 	})
 	c := dialTenant(t, addr, "acme", ccat)
 
@@ -663,9 +679,8 @@ func TestDaemonRejectsUnknowns(t *testing.T) {
 	q, rels := testQuery(37, 8, 12)
 	dcat, ccat := sideCatalogs("example", q, rels)
 	_, addr := startDaemon(t, Config{
-		Catalog:   dcat,
-		Tenants:   map[string]Quota{"acme": {}},
-		WarmAfter: 100,
+		Catalog: dcat,
+		Tenants: map[string]Quota{"acme": {}},
 	})
 
 	if _, err := Dial(addr, "mallory", ccat, ClientConfig{}); err == nil {

@@ -4,10 +4,9 @@
 // playing Alice over its own TCP connection/session. A weighted-fair
 // scheduler with admission control decides which query runs next on
 // whose budget; per-tenant quotas shed load with typed errors instead
-// of dropped connections; and a background precompute farm watches
-// recent query shapes (via the flight recorder) to keep garbled
-// circuits staged and OT pools warm against predicted shapes. See
-// DESIGN.md §15.
+// of dropped connections; and the precompute farm spends a queued
+// query's wait on that query's own offline phase, co-run with its
+// client. See DESIGN.md §15.
 package daemon
 
 import (

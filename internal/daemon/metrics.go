@@ -19,7 +19,7 @@ var (
 	mQueueWait = obs.NewHistogram("secyan_daemon_queue_wait_ns",
 		"Admission-to-dispatch queue wait in nanoseconds, by tenant.", "tenant")
 	mFarm = obs.NewCounter("secyan_daemon_farm_events_total",
-		"Precompute-farm outcomes at dispatch (hit-offline | hit-circuits | miss) and background builds (staged).",
+		"Precompute-farm outcomes at dispatch (hit-offline | miss).",
 		"outcome")
 	mSessions = obs.NewGauge("secyan_daemon_sessions",
 		"Client sessions currently connected.")

@@ -30,15 +30,13 @@ type job struct {
 	tenant *tenant
 	qid    uint64
 	name   string
-	digest string
 	cost   int64 // estimated total bytes (plan EstBytes)
 
 	stag, ftag float64 // WFQ virtual start/finish tags
 	enqueued   time.Time
 
 	// ready gates dispatch: the owning connection marks the job ready
-	// once it has decided (and possibly launched) the cooperative warm
-	// pass, so dispatch cannot race that decision.
+	// once its warm pass, if it has one, has landed.
 	ready     bool
 	cancelled bool
 
@@ -310,6 +308,7 @@ func (s *scheduler) dispatch() {
 					kept = append(kept, j)
 				}
 			}
+			clear(t.queue[len(kept):]) // the backing array must not keep shed jobs alive
 			t.queue = kept
 			mQueued.Set(int64(len(t.queue)), t.name)
 		}
@@ -345,6 +344,7 @@ func (s *scheduler) dispatch() {
 			break
 		}
 		t := best.tenant
+		t.queue[0] = nil // the backing array must not keep a dispatched job alive
 		t.queue = t.queue[1:]
 		s.queued--
 		if t.quota.BytesPerSec > 0 {

@@ -17,8 +17,8 @@ import (
 //	client → daemon   hello{tenant, proto, ring_bits}
 //	daemon → client   welcome{proto, ring_bits}   | error{code, detail}
 //	client → daemon   query{id, name, backend, chunk, deadline_ms}
-//	daemon → client   warm{id, name, stream}          (optional: run
-//	                  Precompute for name on stream while queued)
+//	daemon → client   warm{id, name, stream}          (the query will
+//	                  wait: co-run Precompute for name on stream)
 //	daemon → client   admitted{id, stream, warm}      (run on stream;
 //	                  warm reports whether the warm pass is consumable)
 //	daemon → client   rejected{id, code, detail}      (typed shedding —
@@ -27,12 +27,18 @@ import (
 //
 // The query results never ride this channel: the client is Alice and
 // receives them from its own protocol execution on the query stream.
+// Every message is at most maxCtrlMsg bytes; a longer one is a
+// *transport.SizeError before anything is decoded.
 
 // protoVersion is the control protocol version; both ends must match.
 const protoVersion = 1
 
 // ctrlStream is the logical stream id of the control channel.
 const ctrlStream = 0
+
+// maxCtrlMsg bounds a control message. The largest legitimate one, a
+// rejection carrying an error's text, is a few hundred bytes.
+const maxCtrlMsg = 4096
 
 // Message type tags.
 const (
@@ -90,6 +96,9 @@ func recvCtrl(c transport.Conn) (*ctrlMsg, error) {
 	data, err := c.Recv()
 	if err != nil {
 		return nil, err
+	}
+	if len(data) > maxCtrlMsg {
+		return nil, &transport.SizeError{What: "secyand: control message", Got: len(data), Want: maxCtrlMsg}
 	}
 	m := new(ctrlMsg)
 	if err := json.Unmarshal(data, m); err != nil {
