@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all test short race race-sessions race-chunks race-backends race-obs race-kernels race-daemon bench bench-check vet fuzz
+.PHONY: all test short race race-sessions race-backends race-obs race-kernels race-daemon bench bench-check vet fuzz
 
 all: vet test
 
@@ -29,13 +29,6 @@ race:
 # transcript-equivalence tests.
 race-sessions:
 	$(GO) test -race -count=3 -timeout 30m -run 'Mux|Fault|Session' ./internal/transport ./internal/mpc ./internal/core .
-
-# The chunk-invariance suites under the race detector, repeated: the
-# streaming executor must produce byte-identical transcripts at every
-# chunk size, including under concurrent workers and the offline/online
-# overlap (see DESIGN.md §12).
-race-chunks:
-	$(GO) test -race -count=3 -timeout 30m -run 'Chunk' ./internal/relation ./internal/core ./internal/benchmark .
 
 # The backend-equivalence suites under the race detector, repeated:
 # every secure-join backend (psi-oep, gc) must produce the results of
@@ -95,7 +88,7 @@ vet:
 
 # Short fuzz bursts for the transpose involution, the TCP framing
 # decoder, the SQL front end (seeded with the TPC-H query strings), the
-# chunked scan, both base-OT message decoders, the evaluator's view of
+# sorted view by permutation, both base-OT message decoders, the evaluator's view of
 # the garbler's message and both sides of the label OT (corrections,
 # label shifts, derandomization bits), the PSI's hint and
 # OPRF-correction decoders, a whole OEP, direct and pooled, against a
@@ -105,7 +98,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTranspose -fuzztime 10s ./internal/bitutil
 	$(GO) test -run '^$$' -fuzz FuzzRecvFraming -fuzztime 10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/sqlfront
-	$(GO) test -run '^$$' -fuzz FuzzChunkedScan -fuzztime 10s ./internal/relation
+	$(GO) test -run '^$$' -fuzz FuzzSortPermWalk -fuzztime 10s ./internal/relation
 	$(GO) test -run '^$$' -fuzz FuzzBaseOTMessages -fuzztime 10s ./internal/ot
 	$(GO) test -run '^$$' -fuzz FuzzGarbledMessage -fuzztime 10s ./internal/gc
 	$(GO) test -run '^$$' -fuzz FuzzPSIMessages -fuzztime 10s ./internal/psi

@@ -150,7 +150,7 @@ func BenchmarkAblationSamePartySemijoin(b *testing.B) {
 					return nil, err
 				}
 				var dg relation.DummyGen
-				return core.SemijoinInto(p, &dg, ps, cs)
+				return core.SemijoinInto(p, &dg, ps, cs, "")
 			}
 			if _, _, err := mpc.Run2PC(alice, bob, do, do); err != nil {
 				b.Fatal(err)
@@ -474,7 +474,7 @@ func BenchmarkOperatorScaling(b *testing.B) {
 						return nil, err
 					}
 					var dg relation.DummyGen
-					return core.SemijoinInto(p, &dg, ps, cs)
+					return core.SemijoinInto(p, &dg, ps, cs, "")
 				}
 				if _, _, err := mpc.Run2PC(alice, bob, do, do); err != nil {
 					b.Fatal(err)

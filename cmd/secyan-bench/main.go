@@ -38,7 +38,6 @@ func main() {
 	ell := flag.Int("ell", 32, "annotation bit width (paper: 32)")
 	phases := flag.Bool("phases", false, "after each figure, print the per-phase communication/round/time breakdown of the measured secure runs")
 	precompute := flag.Bool("precompute", false, "run the plan-driven offline phase (OT pools, ahead-of-time garbling) before each measured secure run and report the offline/online split")
-	chunk := flag.Int("chunk", 0, "executor chunk size in tuples for measured secure runs: bounds the tuple-plane working set without changing a byte on the wire (0 = default 4096, negative = fully materialized)")
 	mem := flag.Bool("mem", false, "after each figure, print the memory profile of the measured secure runs (sampled peak heap, live-heap delta, bytes allocated)")
 	jsonOut := flag.String("json", "", "write all figure points as JSON to this file (\"-\" for stdout)")
 	backendName := flag.String("backend", "auto", "secure-join backend for the measured secure runs: auto (cost-based per step), psi-oep or gc")
@@ -85,7 +84,6 @@ func main() {
 		Ring:        share.Ring{Bits: *ell},
 		Seed:        *seed,
 		Precompute:  *precompute,
-		ChunkSize:   *chunk,
 		Backend:     backend,
 		// JSON output gains the per-query flight records: per-phase,
 		// per-backend attribution for every measured secure point.

@@ -56,8 +56,7 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /debug/vars, /debug/pprof and /debug/step on this address (enables metrics collection)")
 	debugLinger := flag.Duration("debug-linger", 0, "keep the debug server (and process) alive this long after the run finishes, so the final metrics can still be scraped")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON of the run to this file (open in chrome://tracing or ui.perfetto.dev)")
-	chunk := flag.Int("chunk", 0, "executor chunk size in tuples: bounds per-operator memory without changing a byte on the wire (0 = default 4096, negative = fully materialized); parties may even choose different sizes, transcripts are identical")
-	backendName := flag.String("backend", "auto", "secure-join backend for every applicable semijoin/aggregate step: auto (cost-based per step), psi-oep or gc; unlike -chunk this changes the transcript, so both parties must agree")
+	backendName := flag.String("backend", "auto", "secure-join backend for every applicable semijoin/aggregate step: auto (cost-based per step), psi-oep or gc; this changes the transcript, so both parties must agree")
 	logJSON := flag.Bool("log-json", false, "emit the structured observability event log (session/query lifecycle, backend auctions, precompute hits, transport faults) as JSON lines on stderr")
 	flightN := flag.Int("flight", 0, "retain the last N completed-query flight records, print them as a table after the run, and serve them at /debug/queries with -debug-addr (0 = off)")
 	daemonAddr := flag.String("daemon", "", "run as a client of a secyand daemon at this address (plays alice; -role/-listen/-connect are ignored); the daemon must serve a catalog generated with the same -scale and -seed")
@@ -89,7 +88,7 @@ func main() {
 	}
 
 	// The one options value explain, precompute and run all see.
-	opts := core.Options{ChunkSize: *chunk, Backend: backend}
+	opts := core.Options{Backend: backend}
 	db := tpch.Generate(tpch.Config{ScaleMB: *scale, Seed: *seed})
 	fmt.Printf("dataset: %.3g MB (%d tuples total), query %s\n", *scale, db.TotalRows(), spec.Name)
 	ring := share.Ring{Bits: 32}
@@ -124,7 +123,7 @@ func main() {
 
 	switch {
 	case *daemonAddr != "":
-		runDaemonClient(spec, db, ring, *backendName, *chunk, *daemonAddr, *tenant, *count, *maxRows, *heartbeat, *deadline)
+		runDaemonClient(spec, db, ring, *backendName, *daemonAddr, *tenant, *count, *maxRows, *heartbeat, *deadline)
 	case *role == "":
 		runInProcess(spec, db, ring, opts, *maxRows, *analyze, *precompute, tracer)
 	default:
@@ -334,7 +333,7 @@ func runDistributed(spec queries.Spec, db *tpch.DB, ring share.Ring, opts core.O
 // runDaemonClient executes the query through a secyand daemon: this
 // process plays Alice under the daemon's admission control and fair
 // scheduler, and receives the results from its own protocol runs.
-func runDaemonClient(spec queries.Spec, db *tpch.DB, ring share.Ring, backend string, chunk int, addr, tenant string, count, maxRows int, heartbeat, deadline time.Duration) {
+func runDaemonClient(spec queries.Spec, db *tpch.DB, ring share.Ring, backend, addr, tenant string, count, maxRows int, heartbeat, deadline time.Duration) {
 	catalog := daemon.TPCHCatalog(db)
 	c, err := daemon.Dial(addr, tenant, catalog, daemon.ClientConfig{Ring: ring, Heartbeat: heartbeat})
 	if err != nil {
@@ -346,7 +345,7 @@ func runDaemonClient(spec queries.Spec, db *tpch.DB, ring share.Ring, backend st
 	for i := 0; i < count; i++ {
 		start := time.Now()
 		res, err := c.Run(context.Background(), daemon.RunSpec{
-			Name: spec.Name, Backend: backend, Chunk: chunk, Deadline: deadline,
+			Name: spec.Name, Backend: backend, Deadline: deadline,
 		})
 		switch {
 		case errors.Is(err, daemon.ErrQuotaExceeded):

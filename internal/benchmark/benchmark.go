@@ -70,7 +70,7 @@ type Point struct {
 	HeapAllocDeltaBytes  int64 `json:"heap_alloc_delta_bytes,omitempty"`
 	TotalAllocDeltaBytes int64 `json:"total_alloc_delta_bytes,omitempty"`
 	// PeakHeapBytes is the largest live heap sampled during a measured
-	// secure run — the memory ceiling the chunk size is meant to bound.
+	// secure run.
 	// Zero for extrapolated points and other methods.
 	PeakHeapBytes int64 `json:"peak_heap_bytes,omitempty"`
 	// Phases breaks the measured secure run down by protocol phase, in
@@ -189,15 +189,10 @@ type Options struct {
 	// the shape several times; only the first pass is primed, the rest
 	// fall back to the direct protocols.
 	Precompute bool
-	// ChunkSize bounds the executor's tuple-plane working set during
-	// measured secure runs: > 0 streams relations in windows of that
-	// many tuples, 0 keeps the default, < 0 materializes fully.
-	// Transcript-invariant — Bytes is identical for every setting.
-	ChunkSize int
 	// Backend forces every applicable semijoin/aggregate step of the
 	// measured secure runs onto one secure-join backend; the zero value
-	// keeps cost-based per-step selection. Unlike ChunkSize this changes
-	// the transcript (and so Bytes).
+	// keeps cost-based per-step selection. This changes the transcript
+	// (and so Bytes).
 	Backend core.BackendID
 	// Flight enables observability during the measured secure runs and
 	// attaches the flight-recorder records of each run to its Point
@@ -347,7 +342,7 @@ func startHeapSampler() (stop func() int64) {
 // runSecure executes the full protocol once and measures wall time and
 // Alice's total traffic.
 func runSecure(spec queries.Spec, db *tpch.DB, scale float64, opt Options) (Point, error) {
-	co := core.Options{ChunkSize: opt.ChunkSize, Backend: opt.Backend}
+	co := core.Options{Backend: opt.Backend}
 	alice, bob := mpc.Pair(opt.Ring)
 	defer alice.Conn.Close()
 	defer bob.Conn.Close()
@@ -454,8 +449,7 @@ func PrintPhases(w io.Writer, points []Point) {
 }
 
 // PrintMemory renders the allocator view of each measured secure point:
-// live-heap growth, cumulative allocation, and the sampled peak heap
-// the chunk size bounds.
+// live-heap growth, cumulative allocation, and the sampled peak heap.
 func PrintMemory(w io.Writer, points []Point) {
 	for _, p := range points {
 		if p.Method != MethodSecure || p.Extrapolated || p.PeakHeapBytes == 0 {

@@ -1,7 +1,6 @@
 package benchmark
 
 import (
-	"io"
 	"runtime"
 	"testing"
 
@@ -9,16 +8,14 @@ import (
 	"secyan/internal/tpch"
 )
 
-// Memory-ceiling regression for the chunk-oriented executor. The
-// streaming win is in the operators' sorted data plane: the
-// materialized path clones each relation to sort it (O(n) rows + row
-// headers retained for the whole step), while the chunked path keeps
-// only a sort permutation (8 bytes/row) plus an O(chunk) window. This
-// test pins that ratio on the TPC-H Q3 and Q10 input relations at the
-// seed benchmark scale: the chunked pass must retain at most 50% of
-// the materialized pass's live heap. Full-protocol peak-heap numbers
-// (which add the O(n) wire-contract buffers identical in both modes)
-// are recorded in EXPERIMENTS.md.
+// Memory-ceiling regression for the merge operators' sorted view. The
+// operators walk a sort permutation (SortPermByColumns, 8 bytes/row)
+// instead of cloning each relation to sort it (Clone + SortByColumns:
+// O(n) rows + row headers retained for the whole step). This test pins
+// that ratio on the TPC-H Q3 and Q10 input relations at the seed
+// benchmark scale: the permutation walk must retain at most 50% of the
+// sorted clone's live heap. Full-protocol peak-heap numbers (which add
+// the O(n) public-size message buffers) are recorded in EXPERIMENTS.md.
 
 // retainedBytes measures the live heap retained by what f returns:
 // settle, snapshot, run f, collect its garbage, snapshot again.
@@ -34,29 +31,21 @@ func retainedBytes(f func() interface{}) int64 {
 	return delta
 }
 
-// drainSorted consumes a sorted streamed view exactly like the merge
-// operators do: one pass, one row of carry, no retention.
-func drainSorted(sc relation.Scanner) uint64 {
+// walkSorted consumes a sorted view exactly like the merge operators
+// do: one pass over the permutation, one row of carry, no retention.
+func walkSorted(r *relation.Relation, perm []int) uint64 {
 	var acc uint64
-	for {
-		ch, err := sc.Next()
-		if err == io.EOF {
-			return acc
-		}
-		if err != nil {
-			panic(err)
-		}
-		for i := range ch.Tuples {
-			acc ^= ch.Tuples[i][0] + ch.Annot[i]
-		}
+	for _, old := range perm {
+		acc ^= r.Tuples[old][0] + r.Annot[old]
 	}
+	return acc
 }
 
-// TestChunkedMemoryCeiling: for the input relations of Q3 and Q10, the
-// chunked sorted data plane (SortPermByColumns + PermScanner at the
-// default chunk size) must retain no more than 50% of what the
-// materialized one (Clone + SortByColumns) retains.
-func TestChunkedMemoryCeiling(t *testing.T) {
+// TestSortedViewMemoryCeiling: for the input relations of Q3 and Q10,
+// the permutation walk (SortPermByColumns, then one pass over perm) must
+// retain no more than 50% of what the sorted clone (Clone +
+// SortByColumns) retains.
+func TestSortedViewMemoryCeiling(t *testing.T) {
 	db := tpch.Generate(tpch.Config{ScaleMB: 0.5, Seed: 1})
 	for _, tc := range []struct {
 		query string
@@ -78,11 +67,11 @@ func TestChunkedMemoryCeiling(t *testing.T) {
 				}
 				return out
 			})
-			chunked := retainedBytes(func() interface{} {
+			walked := retainedBytes(func() interface{} {
 				out := make([][]int, len(tc.rels))
 				for i, r := range tc.rels {
 					perm := relation.SortPermByColumns(r, tc.cols)
-					drainSorted(relation.NewPermScanner(r, perm, nil, 0))
+					walkSorted(r, perm)
 					out[i] = perm
 				}
 				return out
@@ -91,14 +80,14 @@ func TestChunkedMemoryCeiling(t *testing.T) {
 			for _, r := range tc.rels {
 				rows += r.Len()
 			}
-			t.Logf("%s (%d rows): materialized data plane %d B, chunked %d B (%.1f%%)",
-				tc.query, rows, materialized, chunked, 100*float64(chunked)/float64(materialized))
+			t.Logf("%s (%d rows): sorted clone %d B, permutation walk %d B (%.1f%%)",
+				tc.query, rows, materialized, walked, 100*float64(walked)/float64(materialized))
 			if materialized <= 0 {
-				t.Fatalf("materialized pass retained %d bytes; measurement broken", materialized)
+				t.Fatalf("sorted clone retained %d bytes; measurement broken", materialized)
 			}
-			if chunked*2 > materialized {
-				t.Fatalf("chunked data plane retains %d B, more than 50%% of materialized %d B",
-					chunked, materialized)
+			if walked*2 > materialized {
+				t.Fatalf("permutation walk retains %d B, more than 50%% of the sorted clone's %d B",
+					walked, materialized)
 			}
 		})
 	}

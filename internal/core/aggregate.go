@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 
 	"secyan/internal/gc"
 	"secyan/internal/mpc"
@@ -69,13 +68,12 @@ func buildProjectOneCircuit(n, ell int) *gc.Circuit {
 }
 
 // runMerge executes the sort + OEP pipeline shared by Aggregate and
-// ProjectOne, returning the new SharedRelation. The holder's sorted view
-// is streamed: SortPermByColumns derives the permutation without cloning
-// the relation, and PermScanner yields chunk-bounded sorted windows for
-// the group-boundary scan and the output relation. The OEP programs,
-// circuit bits and output relation remain O(n): they are the protocol's
-// public-size wire contract, identical for every chunk size.
-func runMerge(p *mpc.Party, dg *relation.DummyGen, s *SharedRelation, groupBy []relation.Attr, kind mergeKind, chunk int) (*SharedRelation, error) {
+// ProjectOne, returning the new SharedRelation. The holder never
+// materializes its sorted relation: SortPermByColumns derives the
+// permutation, and the group-boundary scan and the output relation walk
+// it directly. The OEP programs, circuit bits and output relation are
+// O(n): they are the protocol's public-size wire contract.
+func runMerge(p *mpc.Party, dg *relation.DummyGen, s *SharedRelation, groupBy []relation.Attr, kind mergeKind) (*SharedRelation, error) {
 	outSchema, err := relation.NewSchema(groupBy...)
 	if err != nil {
 		return nil, err
@@ -88,7 +86,7 @@ func runMerge(p *mpc.Party, dg *relation.DummyGen, s *SharedRelation, groupBy []
 	if s.Plain {
 		// §6.5: the holder knows the annotations, so the whole
 		// aggregation is local — no OEP, no circuit, no communication.
-		return localMerge(p, dg, s, groupBy, kind, outSchema, chunk)
+		return localMerge(p, dg, s, groupBy, kind, outSchema)
 	}
 	out := &SharedRelation{Holder: s.Holder, Schema: outSchema, N: n}
 	if !s.IsHolder(p) {
@@ -115,38 +113,31 @@ func runMerge(p *mpc.Party, dg *relation.DummyGen, s *SharedRelation, groupBy []
 	if err != nil {
 		return nil, fmt.Errorf("core: aggregate OEP: %w", err)
 	}
-	eq, err := groupBoundaries(s, perm, cols, chunk)
-	if err != nil {
-		return nil, err
-	}
+	eq := groupBoundaries(s, perm, cols)
 	if kind == mergeSum {
 		out.Annot, err = groupSums(p, sorted, groupShift(eq))
 	} else {
-		out.Annot, err = projectOneHolder(p, sorted, eq, s.Holder, chunk)
+		out.Annot, err = projectOneHolder(p, sorted, eq, s.Holder)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if out.Rel, err = mergeOutputRel(s, perm, cols, outSchema, dg, chunk); err != nil {
-		return nil, err
-	}
+	out.Rel = mergeOutputRel(s, perm, cols, outSchema, dg)
 	return out, nil
 }
 
-// groupBoundaries scans the holder's sorted view once, with one row of
-// carry across chunks: eq[i] reports whether sorted rows i−1 and i fall
-// in the same group (eq[0] is false).
-func groupBoundaries(s *SharedRelation, perm, cols []int, chunk int) ([]bool, error) {
+// groupBoundaries walks the holder's sorted view once, carrying one row:
+// eq[i] reports whether sorted rows i−1 and i fall in the same group
+// (eq[0] is false).
+func groupBoundaries(s *SharedRelation, perm, cols []int) []bool {
 	eq := make([]bool, 0, s.N)
 	var prev []uint64
-	err := scanChunks(relation.NewPermScanner(s.Rel, perm, nil, chunk), func(ch *relation.Chunk) error {
-		for _, row := range ch.Tuples {
-			eq = append(eq, prev != nil && rowsMatch(prev, row, cols))
-			prev = row
-		}
-		return nil
-	})
-	return eq, err
+	for _, old := range perm {
+		row := s.Rel.Tuples[old]
+		eq = append(eq, prev != nil && rowsMatch(prev, row, cols))
+		prev = row
+	}
+	return eq
 }
 
 // groupShift is the holder's program for π^⊕'s second OEP: output i reads
@@ -201,7 +192,7 @@ func groupSums(p *mpc.Party, y []uint64, sigma []int) ([]uint64, error) {
 
 // projectOneHolder runs π¹'s merge chain as its evaluator over the sorted
 // shares and group-boundary bits, returning its output shares.
-func projectOneHolder(p *mpc.Party, sorted []uint64, eq []bool, holder mpc.Role, chunk int) ([]uint64, error) {
+func projectOneHolder(p *mpc.Party, sorted []uint64, eq []bool, holder mpc.Role) ([]uint64, error) {
 	n, ell := len(sorted), p.Ring.Bits
 	evalBits := make([]bool, 0, n*(ell+1))
 	for i, v := range sorted {
@@ -215,12 +206,9 @@ func projectOneHolder(p *mpc.Party, sorted []uint64, eq []bool, holder mpc.Role,
 		return nil, err
 	}
 	annot := make([]uint64, n)
-	relation.Range(n, chunk, func(lo, hi int) error {
-		for j := lo; j < hi; j++ {
-			annot[j] = p.Ring.Mask(gc.UintOfBits(out[j*ell : (j+1)*ell]))
-		}
-		return nil
-	})
+	for j := range annot {
+		annot[j] = p.Ring.Mask(gc.UintOfBits(out[j*ell : (j+1)*ell]))
+	}
 	return annot, nil
 }
 
@@ -246,11 +234,11 @@ func projectOneGarbler(p *mpc.Party, sorted []uint64, holder mpc.Role) ([]uint64
 }
 
 // mergeOutputRel rebuilds the holder-side output relation of an
-// oblivious merge in a streamed pass over the sorted view: the last row
-// of each group keeps its group values; every other row becomes a fresh
-// dummy. "Last" looks one row ahead, so each row is emitted when its
-// successor arrives (held across chunks).
-func mergeOutputRel(s *SharedRelation, perm, cols []int, outSchema relation.Schema, dg *relation.DummyGen, chunk int) (*relation.Relation, error) {
+// oblivious merge in one pass over the sorted view: the last row of each
+// group keeps its group values; every other row becomes a fresh dummy.
+// "Last" looks one row ahead, so each row is emitted when its successor
+// arrives.
+func mergeOutputRel(s *SharedRelation, perm, cols []int, outSchema relation.Schema, dg *relation.DummyGen) *relation.Relation {
 	res := relation.New(outSchema)
 	emit := func(held []uint64, last bool) {
 		row := make([]uint64, len(cols))
@@ -266,19 +254,15 @@ func mergeOutputRel(s *SharedRelation, perm, cols []int, outSchema relation.Sche
 		res.Append(row, 0)
 	}
 	var held []uint64
-	if err := scanChunks(relation.NewPermScanner(s.Rel, perm, nil, chunk), func(ch *relation.Chunk) error {
-		for r := range ch.Tuples {
-			if held != nil {
-				emit(held, !rowsMatch(held, ch.Tuples[r], cols))
-			}
-			held = ch.Tuples[r]
+	for _, old := range perm {
+		row := s.Rel.Tuples[old]
+		if held != nil {
+			emit(held, !rowsMatch(held, row, cols))
 		}
-		return nil
-	}); err != nil {
-		return nil, err
+		held = row
 	}
 	emit(held, true)
-	return res, nil
+	return res
 }
 
 // localMerge is the plaintext-annotation fast path of the aggregation
@@ -286,9 +270,9 @@ func mergeOutputRel(s *SharedRelation, perm, cols []int, outSchema relation.Sche
 // reproducing the exact output structure of the oblivious protocol (last
 // tuple of each sorted group carries the aggregate, all other positions
 // are fresh dummies), so downstream operators cannot tell the difference.
-// Like runMerge, the sorted view is streamed — no clone — with the
-// running aggregate and one held row carried across chunk boundaries.
-func localMerge(p *mpc.Party, dg *relation.DummyGen, s *SharedRelation, groupBy []relation.Attr, kind mergeKind, outSchema relation.Schema, chunk int) (*SharedRelation, error) {
+// Like runMerge, it walks the sort permutation instead of a sorted clone,
+// carrying the running aggregate and one held row.
+func localMerge(p *mpc.Party, dg *relation.DummyGen, s *SharedRelation, groupBy []relation.Attr, kind mergeKind, outSchema relation.Schema) (*SharedRelation, error) {
 	n := s.N
 	if !s.IsHolder(p) {
 		return &SharedRelation{Holder: s.Holder, Schema: outSchema, N: n,
@@ -320,27 +304,21 @@ func localMerge(p *mpc.Party, dg *relation.DummyGen, s *SharedRelation, groupBy 
 		}
 		res.Append(row, 0)
 	}
-	i := 0
-	if err := scanChunks(relation.NewPermScanner(s.Rel, perm, s.Annot, chunk), func(ch *relation.Chunk) error {
-		for r := range ch.Tuples {
-			if held != nil {
-				emit(!rowsMatch(held, ch.Tuples[r], cols))
-			}
-			switch kind {
-			case mergeSum:
-				run = p.Ring.Add(run, ch.Annot[r])
-			case mergeOr:
-				if ch.Annot[r] != 0 {
-					run = 1
-				}
-			}
-			held = ch.Tuples[r]
-			heldIdx = i
-			i++
+	for i, old := range perm {
+		row := s.Rel.Tuples[old]
+		if held != nil {
+			emit(!rowsMatch(held, row, cols))
 		}
-		return nil
-	}); err != nil {
-		return nil, err
+		switch kind {
+		case mergeSum:
+			run = p.Ring.Add(run, s.Annot[old])
+		case mergeOr:
+			if s.Annot[old] != 0 {
+				run = 1
+			}
+		}
+		held = row
+		heldIdx = i
 	}
 	emit(true)
 	return &SharedRelation{Holder: s.Holder, Schema: outSchema, N: n, Rel: res,
@@ -357,22 +335,6 @@ func rowsMatch(a, b []uint64, cols []int) bool {
 	return true
 }
 
-// scanChunks drains a Scanner, invoking fn per chunk.
-func scanChunks(sc relation.Scanner, fn func(*relation.Chunk) error) error {
-	for {
-		ch, err := sc.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := fn(ch); err != nil {
-			return err
-		}
-	}
-}
-
 // holderRel returns rel on the holder side and nil elsewhere.
 func holderRel(p *mpc.Party, s *SharedRelation, rel *relation.Relation) *relation.Relation {
 	if s.IsHolder(p) {
@@ -385,12 +347,12 @@ func holderRel(p *mpc.Party, s *SharedRelation, rel *relation.Relation) *relatio
 // (paper §6.1). The output has the same public size as the input; dummy
 // positions carry shares of zero.
 func Aggregate(p *mpc.Party, dg *relation.DummyGen, s *SharedRelation, groupBy []relation.Attr) (*SharedRelation, error) {
-	return runMerge(p, dg, s, groupBy, mergeSum, 0)
+	return runMerge(p, dg, s, groupBy, mergeSum)
 }
 
 // ProjectOne computes the oblivious π¹_attrs(s) (paper §6.1): the output
 // relation is semantically equivalent to the distinct attrs-values of the
 // nonzero-annotated tuples, each annotated with a share of 1.
 func ProjectOne(p *mpc.Party, dg *relation.DummyGen, s *SharedRelation, attrs []relation.Attr) (*SharedRelation, error) {
-	return runMerge(p, dg, s, attrs, mergeOr, 0)
+	return runMerge(p, dg, s, attrs, mergeOr)
 }

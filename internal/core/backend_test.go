@@ -169,6 +169,17 @@ func TestBackendForcedPlanRecorded(t *testing.T) {
 	}
 }
 
+// traceShape strips the only nondeterministic field (Elapsed), keeping
+// phase, operator, node, size and the measured bytes/messages/rounds.
+func traceShape(tr *Trace) []TraceStep {
+	steps := make([]TraceStep, len(tr.Steps))
+	for i, s := range tr.Steps {
+		s.Elapsed = 0
+		steps[i] = s
+	}
+	return steps
+}
+
 // TestBackendTranscriptDeterminism runs each forced backend twice over
 // identical inputs and requires identical traces (modulo wall time) and
 // identical per-connection transport stats: the new backends must be as

@@ -47,24 +47,14 @@ func (s *SharedRelation) IsHolder(p *mpc.Party) bool { return p.Role == s.Holder
 // annotations with the peer. The non-owner calls it with rel == nil and
 // the public schema and size.
 func ShareInput(p *mpc.Party, owner mpc.Role, rel *relation.Relation, schema relation.Schema, n int) (*SharedRelation, error) {
-	return shareInputChunked(p, owner, rel, schema, n, 0)
-}
-
-// shareInputChunked is ShareInput with an explicit tuple-plane chunk size
-// (0 = the default, negative = unbounded). The share exchange itself
-// is a single message of public size regardless of chunking.
-func shareInputChunked(p *mpc.Party, owner mpc.Role, rel *relation.Relation, schema relation.Schema, n, chunk int) (*SharedRelation, error) {
 	if p.Role == owner {
 		if rel == nil {
 			return nil, fmt.Errorf("core: owner must supply the relation")
 		}
 		masked := make([]uint64, rel.Len())
-		relation.Range(rel.Len(), chunk, func(lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				masked[i] = p.Ring.Mask(rel.Annot[i])
-			}
-			return nil
-		})
+		for i, v := range rel.Annot {
+			masked[i] = p.Ring.Mask(v)
+		}
 		mine, err := p.ShareToPeer(masked)
 		if err != nil {
 			return nil, err

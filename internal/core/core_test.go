@@ -170,8 +170,8 @@ func TestSemijoinIntoCrossAndSameParty(t *testing.T) {
 		ca, cb := shareBoth(t, alice, bob, tc.childOwner, child)
 		var dgA, dgB relation.DummyGen
 		oa, ob, err := mpc.Run2PC(alice, bob,
-			func(p *mpc.Party) (*SharedRelation, error) { return SemijoinInto(p, &dgA, pa, ca) },
-			func(p *mpc.Party) (*SharedRelation, error) { return SemijoinInto(p, &dgB, pb, cb) },
+			func(p *mpc.Party) (*SharedRelation, error) { return SemijoinInto(p, &dgA, pa, ca, "") },
+			func(p *mpc.Party) (*SharedRelation, error) { return SemijoinInto(p, &dgB, pb, cb, "") },
 		)
 		alice.Conn.Close()
 		bob.Conn.Close()
@@ -278,8 +278,8 @@ func TestProductTree(t *testing.T) {
 			}
 		}
 		pa, pb, err := mpc.Run2PC(alice, bob,
-			func(p *mpc.Party) ([]uint64, error) { return productTree(p, fa, 0) },
-			func(p *mpc.Party) ([]uint64, error) { return productTree(p, fb, 0) })
+			func(p *mpc.Party) ([]uint64, error) { return productTree(p, fa) },
+			func(p *mpc.Party) ([]uint64, error) { return productTree(p, fb) })
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -319,8 +319,8 @@ func TestMulSharesOneRoundTrip(t *testing.T) {
 		}
 		before := alice.Conn.Stats()
 		pa, pb, err := mpc.Run2PC(alice, bob,
-			func(p *mpc.Party) ([]uint64, error) { return mulShares(p, aA, bA, mpc.Alice, 0) },
-			func(p *mpc.Party) ([]uint64, error) { return mulShares(p, aB, bB, mpc.Alice, 0) })
+			func(p *mpc.Party) ([]uint64, error) { return mulShares(p, aA, bA, mpc.Alice) },
+			func(p *mpc.Party) ([]uint64, error) { return mulShares(p, aB, bB, mpc.Alice) })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -78,8 +78,11 @@ func runPlan(ctx context.Context, p *mpc.Party, q *Query, shared bool, opts Opti
 			ownRels = append(ownRels, in.Rel)
 		}
 	}
-	ex := &executor{p: pp, q: q, plan: plan, chunk: plan.ChunkSize,
-		dg:  relation.NewDummyGenAfter(ownRels...),
+	dg, err := relation.NewDummyGenAfter(ownRels...)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	ex := &executor{p: pp, q: q, plan: plan, dg: dg,
 		srs: make([]*SharedRelation, len(q.Inputs)), revealed: map[int]*relation.Relation{}}
 
 	// Span tracing: the whole run is one span, each plan phase and step a
@@ -273,7 +276,6 @@ func flightRecord(p *mpc.Party, plan *Plan, tag obs.QueryTag, tr *Trace, rows in
 		Query:         plan.Root,
 		PlanDigest:    plan.DigestString(),
 		Steps:         len(plan.Steps),
-		ChunkSize:     plan.ChunkSize,
 		StartUnixNano: start.UnixNano(),
 		Seconds:       elapsed.Seconds(),
 		OutputRows:    rows,
@@ -321,11 +323,10 @@ func stepErr(st *PlanStep, err error) error {
 
 // executor is the mutable state of one plan execution on one party.
 type executor struct {
-	p     *mpc.Party
-	q     *Query
-	plan  *Plan
-	dg    *relation.DummyGen
-	chunk int // tuple-plane streaming granularity (plan.ChunkSize)
+	p    *mpc.Party
+	q    *Query
+	plan *Plan
+	dg   *relation.DummyGen
 
 	srs      []*SharedRelation          // per tree node, updated in place
 	pending  *SharedRelation            // aggregate/π¹ result feeding the next semijoin-into
@@ -356,7 +357,7 @@ func (ex *executor) exec(st *PlanStep) error {
 		var sr *SharedRelation
 		var err error
 		if st.kind == stepShareInput {
-			sr, err = shareInputChunked(p, in.Owner, in.Rel, in.Schema, in.N, ex.chunk)
+			sr, err = ShareInput(p, in.Owner, in.Rel, in.Schema, in.N)
 		} else {
 			sr, err = NewPlainInput(p, in.Owner, in.Rel, in.Schema, in.N)
 		}
@@ -366,7 +367,7 @@ func (ex *executor) exec(st *PlanStep) error {
 		ex.srs[st.node] = sr
 		return nil
 	case stepAggregate:
-		agg, err := runMerge(p, ex.dg, ex.srs[st.node], st.attrs, mergeSum, ex.chunk)
+		agg, err := runMerge(p, ex.dg, ex.srs[st.node], st.attrs, mergeSum)
 		if err != nil {
 			return err
 		}
@@ -377,7 +378,7 @@ func (ex *executor) exec(st *PlanStep) error {
 		}
 		return nil
 	case stepProjectOne:
-		ind, err := runMerge(p, ex.dg, ex.srs[st.node], st.attrs, mergeOr, ex.chunk)
+		ind, err := runMerge(p, ex.dg, ex.srs[st.node], st.attrs, mergeOr)
 		if err != nil {
 			return err
 		}
@@ -386,21 +387,21 @@ func (ex *executor) exec(st *PlanStep) error {
 	case stepSemijoinInto:
 		child := ex.pending
 		ex.pending = nil
-		joined, err := semijoinIntoChunked(p, ex.dg, ex.srs[st.parent], child, ex.chunk, st.Backend)
+		joined, err := SemijoinInto(p, ex.dg, ex.srs[st.parent], child, st.Backend)
 		if err != nil {
 			return err
 		}
 		ex.srs[st.parent] = joined
 		return nil
 	case stepRevealRelation:
-		res, err := revealRelationChunked(p, ex.srs[st.node], ex.chunk)
+		res, err := RevealRelation(p, ex.srs[st.node])
 		if err != nil {
 			return err
 		}
 		ex.result = res
 		return nil
 	case stepRevealRows:
-		r, err := revealNonzeroRows(p, ex.srs[st.node], ex.chunk)
+		r, err := revealNonzeroRows(p, ex.srs[st.node])
 		if err != nil {
 			return err
 		}
@@ -459,20 +460,13 @@ func (ex *executor) alignNode(node int) error {
 	var f []uint64
 	var err error
 	if p.Role == mpc.Alice {
-		// The OEP program is O(out) by protocol shape; its assembly
-		// strides in chunks like every other tuple-plane loop.
 		xi := make([]int, ex.out)
-		if err := relation.Range(ex.out, ex.chunk, func(lo, hi int) error {
-			for row := lo; row < hi; row++ {
-				src := ex.prov.Sources[row][node]
-				if src < 0 {
-					return fmt.Errorf("core: missing provenance for node %d", node)
-				}
-				xi[row] = src
+		for row := range xi {
+			src := ex.prov.Sources[row][node]
+			if src < 0 {
+				return fmt.Errorf("core: missing provenance for node %d", node)
 			}
-			return nil
-		}); err != nil {
-			return err
+			xi[row] = src
 		}
 		f, err = oep.RunProgrammer(p, xi, s.N, s.Annot)
 	} else {
@@ -499,7 +493,7 @@ func (ex *executor) annotationProduct() error {
 		}
 		return nil
 	}
-	annot, err := productTree(p, ex.factors, ex.chunk)
+	annot, err := productTree(p, ex.factors)
 	if err != nil {
 		return err
 	}
@@ -528,7 +522,7 @@ func (ex *executor) annotationProduct() error {
 // batch over their concatenation — an odd vector out waits for the next
 // level — so k factors take ⌈log₂k⌉ batches. Bob sends every batch: the
 // OT direction the join's alignment OEPs already use.
-func productTree(p *mpc.Party, factors [][]uint64, chunk int) ([]uint64, error) {
+func productTree(p *mpc.Party, factors [][]uint64) ([]uint64, error) {
 	for len(factors) > 1 {
 		pairs, n := len(factors)/2, len(factors[0])
 		a := make([]uint64, 0, pairs*n)
@@ -537,7 +531,7 @@ func productTree(p *mpc.Party, factors [][]uint64, chunk int) ([]uint64, error) 
 			a = append(a, factors[2*i]...)
 			b = append(b, factors[2*i+1]...)
 		}
-		prod, err := mulShares(p, a, b, mpc.Alice, chunk)
+		prod, err := mulShares(p, a, b, mpc.Alice)
 		if err != nil {
 			return nil, err
 		}

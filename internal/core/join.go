@@ -59,10 +59,8 @@ func buildRevealCircuit(n, cols, ell int, withRows bool) *gc.Circuit {
 // revealNonzeroRows reveals the nonzero-annotated tuples of s to Alice.
 // On Alice's side it returns a relation with s.N rows whose annotation
 // field is 1 for revealed (real, nonzero) tuples and 0 otherwise; Bob
-// receives nil. Message sizes depend only on public parameters. Bit and
-// row assembly stride in chunks; the single circuit (or single direct
-// message) is the wire contract and stays whole.
-func revealNonzeroRows(p *mpc.Party, s *SharedRelation, chunk int) (*relation.Relation, error) {
+// receives nil. Message sizes depend only on public parameters.
+func revealNonzeroRows(p *mpc.Party, s *SharedRelation) (*relation.Relation, error) {
 	n := s.N
 	cols := len(s.Schema.Attrs)
 	ell := p.Ring.Bits
@@ -77,7 +75,7 @@ func revealNonzeroRows(p *mpc.Party, s *SharedRelation, chunk int) (*relation.Re
 		// §6.5: the holder knows the zero pattern, so no circuit is
 		// needed — Alice filters locally, or Bob sends rows-or-dummies
 		// directly (revealing exactly R*, which the model permits).
-		return revealPlainRows(p, s, chunk)
+		return revealPlainRows(p, s)
 	}
 	circ := buildRevealCircuit(n, cols, ell, withRows)
 
@@ -94,46 +92,40 @@ func revealNonzeroRows(p *mpc.Party, s *SharedRelation, chunk int) (*relation.Re
 			stride += cols * attrBits
 		}
 		res := relation.New(s.Schema)
-		relation.Range(n, chunk, func(lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				var row []uint64
-				dummy := false
-				if withRows {
-					row = make([]uint64, cols)
-					for c := range row {
-						off := i*stride + 1 + c*attrBits
-						row[c] = gc.UintOfBits(out[off : off+attrBits])
-						dummy = dummy || relation.IsDummyValue(row[c])
-					}
-				} else {
-					row = append(row, s.Rel.Tuples[i]...)
-					dummy = s.Rel.IsDummy(i)
+		for i := 0; i < n; i++ {
+			var row []uint64
+			dummy := false
+			if withRows {
+				row = make([]uint64, cols)
+				for c := range row {
+					off := i*stride + 1 + c*attrBits
+					row[c] = gc.UintOfBits(out[off : off+attrBits])
+					dummy = dummy || relation.IsDummyValue(row[c])
 				}
-				flag := uint64(0)
-				if out[i*stride] && !dummy {
-					flag = 1
-				}
-				res.Append(row, flag)
+			} else {
+				row = append(row, s.Rel.Tuples[i]...)
+				dummy = s.Rel.IsDummy(i)
 			}
-			return nil
-		})
+			flag := uint64(0)
+			if out[i*stride] && !dummy {
+				flag = 1
+			}
+			res.Append(row, flag)
+		}
 		return res, nil
 	}
 
 	// Bob's side: garbler with his negated shares (and the rows when he
 	// holds them) as private bits.
 	priv := make([]bool, 0, n*(ell+cols*attrBits))
-	relation.Range(n, chunk, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			priv = gc.AppendBits(priv, p.Ring.Neg(s.Annot[i]), ell)
-			if withRows {
-				for c := 0; c < cols; c++ {
-					priv = gc.AppendBits(priv, s.Rel.Tuples[i][c], attrBits)
-				}
+	for i := 0; i < n; i++ {
+		priv = gc.AppendBits(priv, p.Ring.Neg(s.Annot[i]), ell)
+		if withRows {
+			for _, v := range s.Rel.Tuples[i] {
+				priv = gc.AppendBits(priv, v, attrBits)
 			}
 		}
-		return nil
-	})
+	}
 	if _, err := p.RunCircuit(circ, nil, priv, mpc.Bob); err != nil {
 		return nil, err
 	}
@@ -142,42 +134,35 @@ func revealNonzeroRows(p *mpc.Party, s *SharedRelation, chunk int) (*relation.Re
 
 // revealPlainRows is the plaintext-annotation fast path of the reveal
 // step: no garbled circuit, at most one direct message.
-func revealPlainRows(p *mpc.Party, s *SharedRelation, chunk int) (*relation.Relation, error) {
+func revealPlainRows(p *mpc.Party, s *SharedRelation) (*relation.Relation, error) {
 	cols := len(s.Schema.Attrs)
 	if s.Holder == mpc.Alice {
 		if p.Role != mpc.Alice {
 			return nil, nil // nothing to do: Alice filters locally
 		}
 		res := relation.New(s.Schema)
-		relation.Range(s.N, chunk, func(lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				flag := uint64(1)
-				if s.Annot[i] == 0 || s.Rel.IsDummy(i) {
-					flag = 0
-				}
-				res.Append(append([]uint64(nil), s.Rel.Tuples[i]...), flag)
+		for i, row := range s.Rel.Tuples {
+			flag := uint64(1)
+			if s.Annot[i] == 0 || s.Rel.IsDummy(i) {
+				flag = 0
 			}
-			return nil
-		})
+			res.Append(append([]uint64(nil), row...), flag)
+		}
 		return res, nil
 	}
 	// Bob holds the rows: he sends each real nonzero row, or dummy
-	// markers, in one message of public size. Chunking assembles the
-	// message in windows but never splits it — one message either way.
+	// markers, in one message of public size.
 	if p.Role == mpc.Bob {
 		msg := make([]uint64, 0, s.N*cols)
-		relation.Range(s.N, chunk, func(lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				for c := 0; c < cols; c++ {
-					v := s.Rel.Tuples[i][c]
-					if s.Annot[i] == 0 || s.Rel.IsDummy(i) {
-						v = dummyMarker
-					}
-					msg = append(msg, v)
+		for i, row := range s.Rel.Tuples {
+			hide := s.Annot[i] == 0 || s.Rel.IsDummy(i)
+			for _, v := range row {
+				if hide {
+					v = dummyMarker
 				}
+				msg = append(msg, v)
 			}
-			return nil
-		})
+		}
 		return nil, transport.SendUint64s(p.Conn, msg)
 	}
 	vals, err := transport.RecvUint64s(p.Conn, "core: plain reveal rows", s.N*cols)
@@ -185,20 +170,16 @@ func revealPlainRows(p *mpc.Party, s *SharedRelation, chunk int) (*relation.Rela
 		return nil, err
 	}
 	res := relation.New(s.Schema)
-	relation.Range(s.N, chunk, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			row := make([]uint64, cols)
-			flag := uint64(1)
-			for c := 0; c < cols; c++ {
-				row[c] = vals[i*cols+c]
-				if row[c] == dummyMarker || relation.IsDummyValue(row[c]) {
-					flag = 0
-				}
+	for i := 0; i < s.N; i++ {
+		row := append([]uint64(nil), vals[i*cols:(i+1)*cols]...)
+		flag := uint64(1)
+		for _, v := range row {
+			if v == dummyMarker || relation.IsDummyValue(v) {
+				flag = 0
 			}
-			res.Append(row, flag)
 		}
-		return nil
-	})
+		res.Append(row, flag)
+	}
 	return res, nil
 }
 
@@ -234,13 +215,7 @@ func unionSchema(srs []*SharedRelation, order []int) relation.Schema {
 // single node (e.g. TPC-H Q3, §8.1), where the relation *is* the query
 // result. Alice receives the filtered relation; Bob receives nil.
 func RevealRelation(p *mpc.Party, s *SharedRelation) (*relation.Relation, error) {
-	return revealRelationChunked(p, s, 0)
-}
-
-// revealRelationChunked is RevealRelation with an explicit tuple-plane
-// chunk size (0 = the default, negative = unbounded).
-func revealRelationChunked(p *mpc.Party, s *SharedRelation, chunk int) (*relation.Relation, error) {
-	revealed, err := revealNonzeroRows(p, s, chunk)
+	revealed, err := revealNonzeroRows(p, s)
 	if err != nil {
 		return nil, err
 	}

@@ -68,18 +68,18 @@ func TestOperatorTranscriptsDataIndependent(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			joined, err := SemijoinInto(p, &dg, agg, ind)
+			joined, err := SemijoinInto(p, &dg, agg, ind, "")
 			if err != nil {
 				return nil, err
 			}
 			for _, s := range []*SharedRelation{joined, cs} {
-				if _, err := revealNonzeroRows(p, s, 0); err != nil {
+				if _, err := revealNonzeroRows(p, s); err != nil {
 					return nil, err
 				}
 			}
 			f := [][]uint64{joined.Annot[:9], cs.Annot, agg.Annot[9:18]}
 			for _, k := range []int{2, 3} {
-				if _, err := productTree(p, f[:k], 0); err != nil {
+				if _, err := productTree(p, f[:k]); err != nil {
 					return nil, fmt.Errorf("product k=%d: %w", k, err)
 				}
 			}

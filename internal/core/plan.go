@@ -119,12 +119,6 @@ type PlanStep struct {
 	// directions). Join-phase steps scale with the (unknown) output size
 	// and use EstOut.
 	EstBytes int64
-	// Chunks is the step's chunk demand under the plan's ChunkSize: the
-	// number of chunk-sized windows its tuple-plane loops process
-	// (⌈N/ChunkSize⌉; 0 for size-independent steps). It sits next to the
-	// preOT/preCirc demands: a description of the step's data plane, with
-	// no effect on the wire — chunking is transcript-invariant.
-	Chunks int
 	// EstOfflineBytes and EstOnlineBytes split the step's traffic under
 	// the precomputed schedule: offline moves the base OTs and the
 	// OT-extension correction matrices, online keeps everything else
@@ -177,12 +171,6 @@ type Plan struct {
 	EstOnlineBytes  int64
 	// EstOut is the output-size assumption used for join-phase steps.
 	EstOut int
-	// ChunkSize is the tuple-plane streaming granularity the executor
-	// will run this plan with: a positive tuple count, or
-	// relation.Unbounded for fully materialized execution. It bounds
-	// per-operator working-set memory and nothing else — transcripts are
-	// identical for every value (see DESIGN.md §12).
-	ChunkSize int
 
 	tree       *jointree.Tree
 	joinOrder  []int // sorted surviving nodes of the final join (nil when single)
@@ -225,13 +213,6 @@ type Options struct {
 	// join-tree root is chosen by total estimate, both parties must pass
 	// the same value.
 	EstOut int
-	// ChunkSize bounds the tuple-plane working set of every operator: a
-	// positive tuple count streams relations in chunks of that size, 0
-	// uses relation.DefaultChunkSize, and any negative value
-	// (relation.Unbounded) materializes fully. Results, per-step traces
-	// and per-stream transport stats are byte-identical for every value
-	// — the chunk-invariance suites pin this.
-	ChunkSize int
 	// Backend forces every semijoin/aggregate step onto one backend
 	// wherever it is applicable; inapplicable steps keep the cost-based
 	// choice. Empty means cost-based selection everywhere. This changes
@@ -317,16 +298,9 @@ func revealCost(n, cols, ell int, withRows bool) int64 {
 // compiled with EstOut=0 produces the same trace shape as one compiled
 // with the true output size.
 func compileTree(q *Query, tree *jointree.Tree, ringBits int, opts Options) (*Plan, error) {
-	estOut, chunk := opts.EstOut, opts.ChunkSize
-	if chunk == 0 {
-		chunk = relation.DefaultChunkSize()
-	}
-	if chunk <= 0 {
-		chunk = relation.Unbounded
-	}
+	estOut := opts.EstOut
 	ell := ringBits
-	plan := &Plan{Root: q.Inputs[tree.Root].Name, EstOut: estOut, ChunkSize: chunk,
-		tree: tree, singleNode: -1}
+	plan := &Plan{Root: q.Inputs[tree.Root].Name, EstOut: estOut, tree: tree, singleNode: -1}
 	// Room for every step a node can contribute: the candidate trees of
 	// one ExplainOpts are all compiled, so regrowing here is what a warm
 	// plan mostly costs.
@@ -578,7 +552,6 @@ func (p *Plan) seal(steps []PlanStep, needOT [2]bool) *Plan {
 	p.EstBytes = 0
 	for i := range p.Steps {
 		s := &p.Steps[i]
-		s.Chunks = relation.NumChunks(s.N, p.ChunkSize)
 		p.EstBytes += s.EstBytes
 		// Phase split: base OTs move entirely offline; for every other
 		// step, offline carries its OT batches' correction matrices and

@@ -4,26 +4,27 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"secyan/internal/mpc"
 	"secyan/internal/relation"
+	"secyan/internal/transport"
 )
 
-// Property-based safety net for the secure operators (ROADMAP 5c): seeded
-// random free-connex queries the suite did not hand-write, run through
-// every surviving backend, chunk size and the cold / precomputed paths,
-// each checked against the plaintext engine. The PSI and the share
-// multiplication sit under every semijoin, so this is the net a change
-// to either falls into.
+// Property-based safety net for the secure operators (ROADMAP 5c, 7(a),
+// 7(b)): seeded random free-connex queries the suite did not hand-write,
+// run through every surviving backend and the cold / precomputed paths
+// over two databases of the same public shape, each run checked against
+// the plaintext engine and the two databases' plans and transcripts
+// checked against each other. The PSI and the share multiplication sit
+// under every semijoin, so this is the net a change to either falls
+// into.
 
 // randomQuery draws a join tree of 2–4 relations — every edge a join
 // attribute shared by its endpoints, some relations with an attribute of
-// their own — with random owners, and an output set the planner accepts.
-// Data varies what the operators are sensitive to: the key domain (from
-// nearly every key colliding to nearly none), relation sizes down to
-// empty, relations whose every tuple is a zero-annotated dummy, and
-// annotations that overflow the ring in every product.
+// their own — with random owners and sizes down to empty, an output set
+// the planner accepts, and a database for it (randomData).
 func randomQuery(rng *rand.Rand) (*Query, []*relation.Relation) {
 	for {
 		k := 2 + rng.Intn(3)
@@ -49,44 +50,143 @@ func randomQuery(rng *rand.Rand) (*Query, []*relation.Relation) {
 			}
 			seen[a] = true
 		}
-		domain := uint64(2 + rng.Intn(1+rng.Intn(40)))
-		rels := make([]*relation.Relation, k)
-		for i := range rels {
-			rel := relation.New(relation.MustSchema(attrs[i]...))
+		for i := range attrs {
 			n := rng.Intn(25)
 			if rng.Intn(8) == 0 {
 				n = 0
 			}
-			for r := 0; r < n; r++ {
-				row := make([]uint64, len(attrs[i]))
-				for c := range row {
-					row[c] = rng.Uint64() % domain
-				}
-				annot := uint64(rng.Intn(5))
-				if rng.Intn(2) == 0 {
-					annot = rng.Uint64() & (1<<uint(testRing.Bits) - 1)
-				}
-				rel.Append(row, annot)
-			}
-			if rng.Intn(8) == 0 {
-				var dg relation.DummyGen
-				rel = rel.ReplaceWithDummies(func([]uint64) bool { return false }, &dg)
-			}
-			rels[i] = rel
 			q.Inputs = append(q.Inputs, Input{Name: fmt.Sprintf("R%d", i), Owner: mpc.Role(rng.Intn(2)),
-				Schema: rel.Schema, N: rel.Len()})
+				Schema: relation.MustSchema(attrs[i]...), N: n})
 		}
 		if _, err := q.Hypergraph().Plan(q.Output); err == nil {
-			return q, rels
+			return q, randomData(rng, q)
 		}
 	}
 }
 
-// TestPropertySecureMatchesPlaintext runs every generated query under
-// backend ∈ {cost-chosen, psi-oep, gc} × chunk ∈ {1, 64, unbounded} ×
-// {cold, precomputed} on one party pair, requires the plaintext engine's
-// result every time, and on the cold runs requires every reduce- and
-// semijoin-phase estimate to be byte-exact.
+// randomData draws a database of q's public shape (schemas, sizes).
+// Data varies what the operators are sensitive to: the key domain (from
+// nearly every key colliding to nearly none), relations whose every
+// tuple is a zero-annotated dummy, and annotations that overflow the
+// ring in every product.
+func randomData(rng *rand.Rand, q *Query) []*relation.Relation {
+	domain := uint64(2 + rng.Intn(1+rng.Intn(40)))
+	rels := make([]*relation.Relation, len(q.Inputs))
+	for i, in := range q.Inputs {
+		rel := relation.New(in.Schema)
+		for r := 0; r < in.N; r++ {
+			row := make([]uint64, len(in.Schema.Attrs))
+			for c := range row {
+				row[c] = rng.Uint64() % domain
+			}
+			annot := uint64(rng.Intn(5))
+			if rng.Intn(2) == 0 {
+				annot = rng.Uint64() & (1<<uint(testRing.Bits) - 1)
+			}
+			rel.Append(row, annot)
+		}
+		if rng.Intn(8) == 0 {
+			var dg relation.DummyGen
+			rel = rel.ReplaceWithDummies(func([]uint64) bool { return false }, &dg)
+		}
+		rels[i] = rel
+	}
+	return rels
+}
+
+// lenPair is a party pair whose every sent message is recorded by
+// length (lenConn), one pair per database so both see the same run
+// history.
+type lenPair struct {
+	p    [2]*mpc.Party
+	lens [2]*lenConn
+}
+
+func newLenPair() *lenPair {
+	ca, cb := transport.Pair()
+	lp := &lenPair{lens: [2]*lenConn{{Conn: ca}, {Conn: cb}}}
+	lp.p[mpc.Alice] = mpc.NewParty(mpc.Alice, lp.lens[mpc.Alice], testRing)
+	lp.p[mpc.Bob] = mpc.NewParty(mpc.Bob, lp.lens[mpc.Bob], testRing)
+	return lp
+}
+
+func (lp *lenPair) close() {
+	lp.lens[mpc.Alice].Close()
+	lp.lens[mpc.Bob].Close()
+}
+
+// run executes f on both parties and returns Alice's relation and trace
+// and each party's view: the lengths of the messages it sent during the
+// run, through the local-join step when the plan has one. Later
+// join-phase messages scale with OUT, which the reveal makes public.
+func (lp *lenPair) run(t *testing.T, name string, q *Query, rels []*relation.Relation,
+	f func(p *mpc.Party, q *Query) (*relation.Relation, *Trace, error)) (*relation.Relation, *Trace, [2][]int) {
+	t.Helper()
+	var start, cut [2]int
+	for r := range lp.p {
+		lc := lp.lens[r]
+		start[r], cut[r] = len(lc.lens), -1
+		lp.p[r].Observer = func(s TraceStep) {
+			if s.Op == "local-join" {
+				cut[r] = len(lc.lens)
+			}
+		}
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := f(lp.p[mpc.Bob], splitQuery(q, rels, mpc.Bob))
+		if err != nil {
+			lp.lens[mpc.Bob].Close()
+		}
+		done <- err
+	}()
+	rel, tr, err := f(lp.p[mpc.Alice], splitQuery(q, rels, mpc.Alice))
+	if err != nil {
+		lp.lens[mpc.Alice].Close()
+	}
+	if berr := <-done; err != nil || berr != nil {
+		t.Fatalf("%s: alice: %v, bob: %v\nquery: %+v", name, err, berr, q)
+	}
+	var view [2][]int
+	for r := range view {
+		if cut[r] < 0 {
+			cut[r] = len(lp.lens[r].lens)
+		}
+		view[r] = lp.lens[r].lens[start[r]:cut[r]]
+	}
+	return rel, tr, view
+}
+
+// requireSamePlan fails unless the two plans agree on everything the
+// planner decides: root, digest, and every step's pricing table.
+func requireSamePlan(t *testing.T, name string, a, b *Plan) {
+	t.Helper()
+	if a.Root != b.Root || a.Digest() != b.Digest() || len(a.Steps) != len(b.Steps) {
+		t.Fatalf("%s: plan depends on data: root %s/%s, digest %s/%s, %d/%d steps",
+			name, a.Root, b.Root, a.DigestString(), b.DigestString(), len(a.Steps), len(b.Steps))
+	}
+	for i := range a.Steps {
+		sa, sb := &a.Steps[i], &b.Steps[i]
+		if sa.EstBytes != sb.EstBytes || !reflect.DeepEqual(sa.Alternatives, sb.Alternatives) {
+			t.Fatalf("%s: step %s %s priced differently across databases: %d %+v vs %d %+v",
+				name, sa.Op, sa.Node, sa.EstBytes, sa.Alternatives, sb.EstBytes, sb.Alternatives)
+		}
+	}
+}
+
+// TestPropertySecureMatchesPlaintext draws, per seed, a query and two
+// databases of its public shape — equal cardinalities and owners, fresh
+// keys, match patterns, dummies and annotations — and runs both under
+// backend ∈ {cost-chosen, psi-oep, gc} × {cold, precomputed}, each
+// database on its own party pair. It requires
+//   - the plaintext engine's result on every run, and byte-exact
+//     reduce- and semijoin-phase estimates on the cold runs;
+//   - planning reads public data only (ROADMAP 7(b)): both databases,
+//     seen from either party, compile to the same root, digest and
+//     per-step pricing tables;
+//   - obliviousness (ROADMAP 7(a)): on every run, offline and online,
+//     both parties send the same sequence of message lengths on both
+//     databases, through the local-join step.
 func TestPropertySecureMatchesPlaintext(t *testing.T) {
 	seeds := 20
 	if testing.Short() {
@@ -96,52 +196,57 @@ func TestPropertySecureMatchesPlaintext(t *testing.T) {
 	for seed := 0; seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(int64(1000 + seed)))
 		q, rels := randomQuery(rng)
-		want := plaintextReference(t, q, rels)
-		alice, bob := mpc.Pair(testRing)
-		both := func(name string, f func(p *mpc.Party, q *Query) (*relation.Relation, *Trace, error)) (*relation.Relation, *Trace) {
-			t.Helper()
-			done := make(chan error, 1)
-			go func() {
-				_, _, err := f(bob, splitQuery(q, rels, mpc.Bob))
-				if err != nil {
-					bob.Conn.Close()
-				}
-				done <- err
-			}()
-			rel, tr, err := f(alice, splitQuery(q, rels, mpc.Alice))
-			if err != nil {
-				alice.Conn.Close()
-			}
-			if berr := <-done; err != nil || berr != nil {
-				t.Fatalf("seed %d %s: alice: %v, bob: %v\nquery: %+v", seed, name, err, berr, q)
-			}
-			return rel, tr
+		dbs := [2][]*relation.Relation{rels, randomData(rng, q)}
+		var want [2]*relation.Relation
+		var pairs [2]*lenPair
+		for d := range dbs {
+			want[d] = plaintextReference(t, q, dbs[d])
+			pairs[d] = newLenPair()
 		}
 		for _, backend := range []BackendID{"", BackendPSIOEP, BackendGC} {
-			for _, chunk := range []int{1, 64, relation.Unbounded} {
-				for _, pre := range []bool{false, true} {
-					opts := Options{Backend: backend, ChunkSize: chunk}
-					name := fmt.Sprintf("backend=%q chunk=%d precomputed=%v", backend, chunk, pre)
+			opts := Options{Backend: backend}
+			for _, role := range []mpc.Role{mpc.Alice, mpc.Bob} {
+				var plans [2]*Plan
+				for d := range dbs {
+					pl, err := ExplainOpts(splitQuery(q, dbs[d], role), testRing.Bits, opts)
+					if err != nil {
+						t.Fatalf("seed %d backend=%q: explain: %v", seed, backend, err)
+					}
+					plans[d] = pl
+				}
+				requireSamePlan(t, fmt.Sprintf("seed %d backend=%q %v", seed, backend, role), plans[0], plans[1])
+			}
+			for _, pre := range []bool{false, true} {
+				var views [2][][2][]int // per database: (offline,) online
+				for d := range dbs {
+					name := fmt.Sprintf("seed %d db %d backend=%q precomputed=%v", seed, d, backend, pre)
 					if pre {
-						both(name+" (offline)", func(p *mpc.Party, q *Query) (*relation.Relation, *Trace, error) {
+						_, _, off := pairs[d].run(t, name+" (offline)", q, dbs[d], func(p *mpc.Party, q *Query) (*relation.Relation, *Trace, error) {
 							tr, err := PrecomputeOpts(ctx, p, q, opts)
 							return nil, tr, err
 						})
+						views[d] = append(views[d], off)
 					}
-					got, tr := both(name, func(p *mpc.Party, q *Query) (*relation.Relation, *Trace, error) {
+					got, tr, view := pairs[d].run(t, name, q, dbs[d], func(p *mpc.Party, q *Query) (*relation.Relation, *Trace, error) {
 						return Run(ctx, p, q, opts)
 					})
-					compareResults(t, fmt.Sprintf("seed %d %s", seed, name), got, want)
+					views[d] = append(views[d], view)
+					compareResults(t, name, got, want[d])
 					for _, s := range tr.Steps {
 						if !pre && (s.Phase == "reduce" || s.Phase == "semijoin") && s.EstBytes != s.Bytes {
-							t.Errorf("seed %d %s: step %s %s (%s): estimated %d bytes, measured %d",
-								seed, name, s.Op, s.Node, s.Backend, s.EstBytes, s.Bytes)
+							t.Errorf("%s: step %s %s (%s): estimated %d bytes, measured %d",
+								name, s.Op, s.Node, s.Backend, s.EstBytes, s.Bytes)
 						}
 					}
 				}
+				if !reflect.DeepEqual(views[0], views[1]) {
+					t.Errorf("seed %d backend=%q precomputed=%v: message lengths depend on data ([alice bob] per run):\n%v\nvs\n%v\nquery: %+v",
+						seed, backend, pre, views[0], views[1], q)
+				}
 			}
 		}
-		alice.Conn.Close()
-		bob.Conn.Close()
+		for _, lp := range pairs {
+			lp.close()
+		}
 	}
 }

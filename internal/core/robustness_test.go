@@ -164,7 +164,7 @@ func TestSemijoinIntoSchemaValidation(t *testing.T) {
 	parent := &SharedRelation{Schema: relation.MustSchema("a"), N: 1, Annot: []uint64{0}}
 	child := &SharedRelation{Schema: relation.MustSchema("zzz"), N: 1, Annot: []uint64{0}}
 	var dg relation.DummyGen
-	if _, err := SemijoinInto(alice, &dg, parent, child); err == nil {
+	if _, err := SemijoinInto(alice, &dg, parent, child, ""); err == nil {
 		t.Fatal("child attrs outside parent accepted")
 	}
 }
@@ -176,10 +176,8 @@ func TestDuplicateChildKeysRejected(t *testing.T) {
 	rel := relation.New(relation.MustSchema("k"))
 	rel.Append([]uint64{7}, 1)
 	rel.Append([]uint64{7}, 2)
-	for _, chunk := range []int{0, 1, relation.Unbounded} {
-		if _, err := childKeys(rel, chunk); err == nil {
-			t.Fatalf("duplicate child keys accepted (chunk %d)", chunk)
-		}
+	if _, err := childKeys(rel); err == nil {
+		t.Fatal("duplicate child keys accepted")
 	}
 }
 
@@ -201,7 +199,7 @@ func TestPlainRevealRowsSizeChecked(t *testing.T) {
 			t.Fatal(err)
 		}
 		var se *transport.SizeError
-		if _, err := revealPlainRows(alice, s, 0); !errors.As(err, &se) || se.Got != tc.len || se.Want != 8*n*cols {
+		if _, err := revealPlainRows(alice, s); !errors.As(err, &se) || se.Got != tc.len || se.Want != 8*n*cols {
 			t.Fatalf("%s: %v, want a *transport.SizeError{Got: %d, Want: %d}", tc.name, err, tc.len, 8*n*cols)
 		}
 	}

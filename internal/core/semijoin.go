@@ -45,9 +45,8 @@ func mulMsgLen(ell int) int { return (ell + 7) / 8 }
 // keeps −Σr, and likewise for the bits of recvRole's share of a against
 // the sender's b. The r's are pads the receiver never sees unless it
 // chose 0, which makes the sender's output share uniform, hence the
-// sharing fresh. Message assembly strides in chunks; the single batch is
-// the protocol's wire contract and stays whole.
-func mulShares(p *mpc.Party, aShares, bShares []uint64, recvRole mpc.Role, chunk int) ([]uint64, error) {
+// sharing fresh.
+func mulShares(p *mpc.Party, aShares, bShares []uint64, recvRole mpc.Role) ([]uint64, error) {
 	if len(aShares) != len(bShares) {
 		return nil, fmt.Errorf("core: mulShares length mismatch %d vs %d", len(aShares), len(bShares))
 	}
@@ -69,27 +68,21 @@ func mulShares(p *mpc.Party, aShares, bShares []uint64, recvRole mpc.Role, chunk
 			return nil, err
 		}
 		choices := make([]bool, 0, mulOTs(n, ell))
-		relation.Range(n, chunk, func(lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				choices = gc.AppendBits(choices, bShares[i], ell)
-				choices = gc.AppendBits(choices, aShares[i], ell)
-			}
-			return nil
-		})
+		for i := range bShares {
+			choices = gc.AppendBits(choices, bShares[i], ell)
+			choices = gc.AppendBits(choices, aShares[i], ell)
+		}
 		msgs, err := rcv.ReceiveCorrelated(choices, msgLen)
 		if err != nil {
 			return nil, err
 		}
-		relation.Range(n, chunk, func(lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				sum := aShares[i] * bShares[i]
-				for j := 2 * ell * i; j < 2*ell*(i+1); j++ {
-					sum += word(msgs[j*msgLen : (j+1)*msgLen])
-				}
-				res[i] = ring.Mask(sum)
+		for i := range res {
+			sum := aShares[i] * bShares[i]
+			for j := 2 * ell * i; j < 2*ell*(i+1); j++ {
+				sum += word(msgs[j*msgLen : (j+1)*msgLen])
 			}
-			return nil
-		})
+			res[i] = ring.Mask(sum)
+		}
 		return res, nil
 	}
 	snd, err := p.OTSender()
@@ -111,58 +104,44 @@ func mulShares(p *mpc.Party, aShares, bShares []uint64, recvRole mpc.Role, chunk
 	if err != nil {
 		return nil, err
 	}
-	relation.Range(n, chunk, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			sum := aShares[i] * bShares[i]
-			for j := 2 * ell * i; j < 2*ell*(i+1); j++ {
-				sum -= word(x0s[j*msgLen : (j+1)*msgLen])
-			}
-			res[i] = ring.Mask(sum)
+	for i := range res {
+		sum := aShares[i] * bShares[i]
+		for j := 2 * ell * i; j < 2*ell*(i+1); j++ {
+			sum -= word(x0s[j*msgLen : (j+1)*msgLen])
 		}
-		return nil
-	})
+		res[i] = ring.Mask(sum)
+	}
 	return res, nil
 }
 
 // childKeys extracts the child relation's single-uint64 keys over all its
 // attributes and verifies they are distinct (guaranteed when the child
 // went through an oblivious aggregation, which the reduce phase ensures).
-func childKeys(rel *relation.Relation, chunk int) ([]uint64, error) {
+func childKeys(rel *relation.Relation) ([]uint64, error) {
 	cols := make([]int, len(rel.Schema.Attrs))
 	for i := range cols {
 		cols[i] = i
 	}
 	keys := make([]uint64, rel.Len())
 	seen := make(map[uint64]bool, rel.Len())
-	if err := relation.Range(rel.Len(), chunk, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			k := rel.Key(i, cols)
-			if seen[k] {
-				return fmt.Errorf("core: child relation has duplicate join key %d; aggregate it first", k)
-			}
-			seen[k] = true
-			keys[i] = k
+	for i := range keys {
+		k := rel.Key(i, cols)
+		if seen[k] {
+			return nil, fmt.Errorf("core: child relation has duplicate join key %d; aggregate it first", k)
 		}
-		return nil
-	}); err != nil {
-		return nil, err
+		seen[k] = true
+		keys[i] = k
 	}
 	return keys, nil
 }
 
 // SemijoinInto computes parent ⋈^⊗ child with child.Schema ⊆
 // parent.Schema (paper §6.2). The result keeps the parent's tuples and
-// holder; only the annotation shares change.
-func SemijoinInto(p *mpc.Party, dg *relation.DummyGen, parent, child *SharedRelation) (*SharedRelation, error) {
-	return semijoinIntoChunked(p, dg, parent, child, 0, "")
-}
-
-// semijoinIntoChunked is SemijoinInto with an explicit tuple-plane chunk
-// size (0 = the default, negative = unbounded) and backend. The
-// backend selects the cross-party alignment protocol only; the
-// degenerate and same-party cases have a single implementation, and an
-// empty backend means the default PSI pipeline.
-func semijoinIntoChunked(p *mpc.Party, dg *relation.DummyGen, parent, child *SharedRelation, chunk int, backend BackendID) (*SharedRelation, error) {
+// holder; only the annotation shares change. The backend selects the
+// cross-party alignment protocol only; the degenerate and same-party
+// cases have a single implementation, and an empty backend means the
+// default PSI pipeline.
+func SemijoinInto(p *mpc.Party, dg *relation.DummyGen, parent, child *SharedRelation, backend BackendID) (*SharedRelation, error) {
 	for _, a := range child.Schema.Attrs {
 		if !parent.Schema.Has(a) {
 			return nil, fmt.Errorf("core: SemijoinInto requires child attrs ⊆ parent attrs (missing %q)", a)
@@ -181,20 +160,20 @@ func semijoinIntoChunked(p *mpc.Party, dg *relation.DummyGen, parent, child *Sha
 		// public knowledge — so a constant-programmed OEP aligns it.
 		zShares, err = alignScalar(p, parent, child)
 	case parent.Holder == child.Holder:
-		zShares, err = alignSameParty(p, dg, parent, child, chunk)
+		zShares, err = alignSameParty(p, dg, parent, child)
 	case backend == BackendGC:
-		zShares, err = alignGC(p, parent, child, chunk)
+		zShares, err = alignGC(p, parent, child)
 	case child.Plain:
 		// §6.5: the child holder knows its annotations, so the cheaper
 		// plain-payload PSI replaces the secret-shared-payload protocol.
-		zShares, err = alignCrossPartyPlain(p, dg, parent, child, chunk)
+		zShares, err = alignCrossPartyPlain(p, dg, parent, child)
 	default:
-		zShares, err = alignCrossParty(p, dg, parent, child, chunk)
+		zShares, err = alignCrossParty(p, dg, parent, child)
 	}
 	if err != nil {
 		return nil, err
 	}
-	newAnnot, err := mulShares(p, parent.Annot, zShares, parent.Holder, chunk)
+	newAnnot, err := mulShares(p, parent.Annot, zShares, parent.Holder)
 	if err != nil {
 		return nil, err
 	}
@@ -219,14 +198,14 @@ func alignScalar(p *mpc.Party, parent, child *SharedRelation) ([]uint64, error) 
 // party holds both relations: the holder pairs each parent tuple with its
 // unique matching child tuple (or a virtual dummy at index N_child) and a
 // single extended OEP re-shares the child annotations in parent order.
-func alignSameParty(p *mpc.Party, dg *relation.DummyGen, parent, child *SharedRelation, chunk int) ([]uint64, error) {
+func alignSameParty(p *mpc.Party, dg *relation.DummyGen, parent, child *SharedRelation) ([]uint64, error) {
 	m := parent.N
 	ext := make([]uint64, child.N+1)
 	copy(ext, child.Annot) // the extra slot is a shared zero (0,0)
 	if p.Role != parent.Holder {
 		return oep.RunHelper(p, child.N+1, m, ext)
 	}
-	keys, err := childKeys(child.Rel, chunk)
+	keys, err := childKeys(child.Rel)
 	if err != nil {
 		return nil, err
 	}
@@ -239,23 +218,20 @@ func alignSameParty(p *mpc.Party, dg *relation.DummyGen, parent, child *SharedRe
 		return nil, err
 	}
 	xi := make([]int, m)
-	relation.Range(m, chunk, func(lo, hi int) error {
-		for j := lo; j < hi; j++ {
-			if i, ok := idx[parent.Rel.Key(j, cols)]; ok {
-				xi[j] = i
-			} else {
-				xi[j] = child.N // dummy slot
-			}
+	for j := range xi {
+		if i, ok := idx[parent.Rel.Key(j, cols)]; ok {
+			xi[j] = i
+		} else {
+			xi[j] = child.N // dummy slot
 		}
-		return nil
-	})
+	}
 	return oep.RunProgrammer(p, xi, child.N+1, ext)
 }
 
 // parentKeysForPSI builds the receiver-side PSI input: the distinct
 // child-attribute keys of the parent, padded with dummies to the public
 // size, plus the per-tuple key lookup.
-func parentKeysForPSI(parent, child *SharedRelation, dg *relation.DummyGen, chunk int) (xs, keyOf []uint64, err error) {
+func parentKeysForPSI(parent, child *SharedRelation, dg *relation.DummyGen) (xs, keyOf []uint64, err error) {
 	cols, err := parent.Schema.Positions(child.Schema.Attrs)
 	if err != nil {
 		return nil, nil, err
@@ -264,17 +240,14 @@ func parentKeysForPSI(parent, child *SharedRelation, dg *relation.DummyGen, chun
 	xs = make([]uint64, 0, m)
 	seen := make(map[uint64]bool, m)
 	keyOf = make([]uint64, m)
-	relation.Range(m, chunk, func(lo, hi int) error {
-		for j := lo; j < hi; j++ {
-			k := parent.Rel.Key(j, cols)
-			keyOf[j] = k
-			if !seen[k] {
-				seen[k] = true
-				xs = append(xs, k)
-			}
+	for j := range keyOf {
+		k := parent.Rel.Key(j, cols)
+		keyOf[j] = k
+		if !seen[k] {
+			seen[k] = true
+			xs = append(xs, k)
 		}
-		return nil
-	})
+	}
 	for len(xs) < m {
 		xs = append(xs, dg.Next())
 	}
@@ -305,11 +278,11 @@ func binAlignment(p *mpc.Party, res *psi.Result, keyOf []uint64) ([]uint64, erro
 // the ℓ-bit payload directly through the PSI's hint and circuit, or the
 // indexed construction of §5.5 with the first OEP replaced by the
 // sender's free local shuffle.
-func alignCrossPartyPlain(p *mpc.Party, dg *relation.DummyGen, parent, child *SharedRelation, chunk int) ([]uint64, error) {
+func alignCrossPartyPlain(p *mpc.Party, dg *relation.DummyGen, parent, child *SharedRelation) ([]uint64, error) {
 	m := parent.N
 	direct := plainPSIDirect(m, child.N, p.Ring.Bits)
 	if p.Role != parent.Holder {
-		keys, err := childKeys(child.Rel, chunk)
+		keys, err := childKeys(child.Rel)
 		if err != nil {
 			return nil, err
 		}
@@ -324,7 +297,7 @@ func alignCrossPartyPlain(p *mpc.Party, dg *relation.DummyGen, parent, child *Sh
 		}
 		return oep.RunHelper(p, res.Params.B, m, res.PayShares)
 	}
-	xs, keyOf, err := parentKeysForPSI(parent, child, dg, chunk)
+	xs, keyOf, err := parentKeysForPSI(parent, child, dg)
 	if err != nil {
 		return nil, err
 	}
@@ -346,9 +319,9 @@ func alignCrossPartyPlain(p *mpc.Party, dg *relation.DummyGen, parent, child *Sh
 // parent tuple. Works for plain and shared child annotations alike —
 // each side feeds its Annot vector (the non-holder's is all zeros when
 // the child is plain), and the circuit reconstructs the sum.
-func alignGC(p *mpc.Party, parent, child *SharedRelation, chunk int) ([]uint64, error) {
+func alignGC(p *mpc.Party, parent, child *SharedRelation) ([]uint64, error) {
 	if p.Role != parent.Holder {
-		keys, err := childKeys(child.Rel, chunk)
+		keys, err := childKeys(child.Rel)
 		if err != nil {
 			return nil, err
 		}
@@ -358,14 +331,10 @@ func alignGC(p *mpc.Party, parent, child *SharedRelation, chunk int) ([]uint64, 
 	if err != nil {
 		return nil, err
 	}
-	m := parent.N
-	parentKeys := make([]uint64, m)
-	relation.Range(m, chunk, func(lo, hi int) error {
-		for j := lo; j < hi; j++ {
-			parentKeys[j] = parent.Rel.Key(j, cols)
-		}
-		return nil
-	})
+	parentKeys := make([]uint64, parent.N)
+	for j := range parentKeys {
+		parentKeys[j] = parent.Rel.Key(j, cols)
+	}
 	return gcbaseline.RunAlignEvaluator(p, parentKeys, child.Annot)
 }
 
@@ -373,11 +342,11 @@ func alignGC(p *mpc.Party, parent, child *SharedRelation, chunk int) ([]uint64, 
 // parties: PSI with secret-shared payloads (paper §5.5) delivers per-bin
 // shares of the matching child annotation, and an extended OEP programmed
 // by the parent holder maps bins to parent tuple positions.
-func alignCrossParty(p *mpc.Party, dg *relation.DummyGen, parent, child *SharedRelation, chunk int) ([]uint64, error) {
+func alignCrossParty(p *mpc.Party, dg *relation.DummyGen, parent, child *SharedRelation) ([]uint64, error) {
 	m := parent.N
 	if p.Role != parent.Holder {
 		// Child holder: PSI sender, then OEP helper.
-		keys, err := childKeys(child.Rel, chunk)
+		keys, err := childKeys(child.Rel)
 		if err != nil {
 			return nil, err
 		}
@@ -389,7 +358,7 @@ func alignCrossParty(p *mpc.Party, dg *relation.DummyGen, parent, child *SharedR
 	}
 	// Parent holder: build X = the distinct child-attribute keys of the
 	// parent, padded with dummies to the public size m.
-	xs, keyOf, err := parentKeysForPSI(parent, child, dg, chunk)
+	xs, keyOf, err := parentKeysForPSI(parent, child, dg)
 	if err != nil {
 		return nil, err
 	}
@@ -412,5 +381,5 @@ func Semijoin(p *mpc.Party, dg *relation.DummyGen, target, by *SharedRelation) (
 	if err != nil {
 		return nil, err
 	}
-	return SemijoinInto(p, dg, target, ind)
+	return SemijoinInto(p, dg, target, ind, "")
 }

@@ -141,8 +141,6 @@ type RunSpec struct {
 	// Backend forces the secure-join backend ("" or "auto" keeps the
 	// cost-based choice); agreed with the daemon via the request.
 	Backend string
-	// Chunk overrides this side's streaming chunk size (0 default).
-	Chunk int
 	// Deadline bounds the query's wall time on the daemon (and is a
 	// good idea on ctx too).
 	Deadline time.Duration
@@ -162,7 +160,7 @@ func (c *Client) Run(ctx context.Context, spec RunSpec) (*relation.Relation, err
 	if err != nil {
 		return nil, err
 	}
-	opts := core.Options{ChunkSize: spec.Chunk, Backend: backend}
+	opts := core.Options{Backend: backend}
 	shape, err := runner.Shape()
 	if err != nil {
 		return nil, err
@@ -185,7 +183,7 @@ func (c *Client) Run(ctx context.Context, spec RunSpec) (*relation.Relation, err
 
 	if err := sendCtrl(&c.sendMu, c.ctrl, &ctrlMsg{
 		Type: msgQuery, ID: id, Name: spec.Name, Backend: spec.Backend,
-		Chunk: spec.Chunk, DeadlineMS: spec.Deadline.Milliseconds(),
+		DeadlineMS: spec.Deadline.Milliseconds(),
 	}); err != nil {
 		return nil, err
 	}

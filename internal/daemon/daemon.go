@@ -390,7 +390,7 @@ func (cc *clientConn) handleQuery(m *ctrlMsg) {
 		reject(codeBadRequest, err.Error())
 		return
 	}
-	opts := core.Options{ChunkSize: m.Chunk, Backend: backend}
+	opts := core.Options{Backend: backend}
 	shape, plan, err := shapeDigest(runner, d.ring.Bits, opts)
 	if err != nil {
 		reject(codeInternal, err.Error())

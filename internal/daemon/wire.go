@@ -16,7 +16,7 @@ import (
 //
 //	client → daemon   hello{tenant, proto, ring_bits}
 //	daemon → client   welcome{proto, ring_bits}   | error{code, detail}
-//	client → daemon   query{id, name, backend, chunk, deadline_ms}
+//	client → daemon   query{id, name, backend, deadline_ms}
 //	daemon → client   warm{id, name, stream}          (the query will
 //	                  wait: co-run Precompute for name on stream)
 //	daemon → client   admitted{id, stream, warm}      (run on stream;
@@ -67,7 +67,6 @@ type ctrlMsg struct {
 	ID         uint64 `json:"id,omitempty"`
 	Name       string `json:"name,omitempty"`
 	Backend    string `json:"backend,omitempty"`
-	Chunk      int    `json:"chunk,omitempty"`
 	DeadlineMS int64  `json:"deadline_ms,omitempty"`
 
 	// warm / admitted

@@ -9,8 +9,7 @@ import (
 // Flight recorder: a fixed-size ring of completed-query records. Where
 // the event log answers "what is happening", the recorder answers "what
 // did query 17 cost": plan digest, backend auctions, per-phase
-// bytes/rounds/wall time from the measured Trace, chunk size, peer and
-// error blame. Served at /debug/queries and attached to secyan-bench's
+// bytes/rounds/wall time from the measured Trace, peer and error blame. Served at /debug/queries and attached to secyan-bench's
 // -json points. The executor only assembles records while obs is
 // enabled.
 
@@ -42,7 +41,6 @@ type QueryRecord struct {
 	Query      string `json:"query"`
 	PlanDigest string `json:"plan_digest"`
 	Steps      int    `json:"steps"`
-	ChunkSize  int    `json:"chunk_size,omitempty"`
 
 	StartUnixNano int64   `json:"start_unix_nano"`
 	Seconds       float64 `json:"seconds"`

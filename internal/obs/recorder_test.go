@@ -38,7 +38,7 @@ func TestFlightRecorderRing(t *testing.T) {
 func TestFlightRecordJSONShape(t *testing.T) {
 	r := QueryRecord{
 		QID: 7, SID: 2, Party: "Alice", Peer: "Bob", Query: "Q3",
-		PlanDigest: "deadbeef01234567", Steps: 12, ChunkSize: 4096,
+		PlanDigest: "deadbeef01234567", Steps: 12,
 		Seconds: 1.5, Bytes: 1 << 20, Rounds: 40, OutputRows: 10,
 		Phases:   []PhaseStat{{Phase: "join", Bytes: 100, Rounds: 3, Seconds: 0.5}},
 		Auctions: []AuctionOutcome{{Step: "join[orders]", Chosen: "psi", Bids: map[string]int64{"psi": 100, "gc": 900}}},
@@ -49,7 +49,7 @@ func TestFlightRecordJSONShape(t *testing.T) {
 	}
 	for _, want := range []string{
 		`"qid":7`, `"sid":2`, `"plan_digest":"deadbeef01234567"`,
-		`"chunk_size":4096`, `"output_rows":10`, `"phases":[{"phase":"join"`,
+		`"steps":12`, `"output_rows":10`, `"phases":[{"phase":"join"`,
 		`"chosen":"psi"`,
 	} {
 		if !strings.Contains(string(b), want) {
@@ -58,7 +58,7 @@ func TestFlightRecordJSONShape(t *testing.T) {
 	}
 	// Zero-valued optional fields stay out of the wire format.
 	b2, _ := json.Marshal(QueryRecord{QID: 1, Party: "Bob", Peer: "Alice", Query: "Q8"})
-	for _, absent := range []string{"sid", "chunk_size", "output_rows", "error", "blame", "phases", "auctions"} {
+	for _, absent := range []string{"sid", "output_rows", "error", "blame", "phases", "auctions"} {
 		if strings.Contains(string(b2), `"`+absent+`"`) {
 			t.Errorf("minimal record JSON should omit %q:\n%s", absent, b2)
 		}

@@ -1,28 +1,23 @@
 package relation
 
 import (
-	"io"
 	"testing"
 )
 
-// FuzzChunkedScan round-trips fuzzer-shaped relations through
-// Scanner→ChunkWriter at fuzzer-chosen chunk sizes: chunk boundaries,
-// dummy-row placement and annotation carry-over must all be exact, and
-// the permuted scan must agree with the materialized sort. The data
-// bytes drive row values (with the high bit selecting dummy rows), so
-// the fuzzer explores dummies landing on, before and after chunk
-// boundaries.
-func FuzzChunkedScan(f *testing.F) {
+// FuzzSortPermWalk checks the sorted view the merge operators use
+// instead of a sorted clone: over fuzzer-shaped relations with dummy
+// rows, SortPermByColumns must be a permutation of the row indices, and
+// walking it (row := r.Tuples[perm[i]]) must reproduce SortByColumns'
+// rows and annotations exactly while leaving r untouched. The data bytes
+// drive row values (the high bit of a row's first byte makes it a dummy
+// row) and the sort columns.
+func FuzzSortPermWalk(f *testing.F) {
 	f.Add(uint8(3), uint8(1), []byte{1, 2, 3, 4, 5, 6})
 	f.Add(uint8(2), uint8(0), []byte{0x80, 0, 0x80, 7})
 	f.Add(uint8(1), uint8(5), []byte{9, 9, 9, 9, 0x81, 1})
 	f.Add(uint8(4), uint8(255), []byte{})
-	f.Fuzz(func(t *testing.T, width, chunkByte uint8, data []byte) {
+	f.Fuzz(func(t *testing.T, width, colMask uint8, data []byte) {
 		w := int(width%4) + 1 // 1..4 columns
-		chunk := int(chunkByte)
-		if chunkByte == 255 {
-			chunk = Unbounded
-		}
 
 		attrs := make([]Attr, w)
 		for i := range attrs {
@@ -40,60 +35,45 @@ func FuzzChunkedScan(f *testing.F) {
 					row[c] = uint64(data[pos+c])
 				}
 			}
-			annot := uint64(data[pos] & 0x7f)
-			r.Append(row, annot)
+			r.Append(row, uint64(data[pos]&0x7f))
+		}
+		// Sort columns: the mask's set bits among the w columns, in
+		// descending order so multi-column sorts are not always a prefix.
+		var cols []int
+		for c := w - 1; c >= 0; c-- {
+			if colMask&(1<<c) != 0 {
+				cols = append(cols, c)
+			}
+		}
+		if len(cols) == 0 {
+			cols = []int{0}
 		}
 
-		// Round trip: Scanner → MemWriter must reproduce the relation
-		// exactly, for any chunk size.
-		w1 := NewMemWriter(r.Schema)
-		moved, err := Copy(w1, NewScanner(r, chunk))
-		if err != nil {
-			t.Fatalf("copy: %v", err)
-		}
-		if moved != r.Len() {
-			t.Fatalf("moved %d of %d tuples", moved, r.Len())
-		}
-		assertSame(t, r, w1.Rel)
+		orig := r.Clone()
+		perm := SortPermByColumns(r, cols)
+		assertSame(t, orig, r) // computing the permutation moves nothing
 
-		// Chunk invariants: sizes bounded, bases contiguous, views alias
-		// the source rows.
-		eff := EffectiveChunkSize(chunk)
-		sc := NewScanner(r, chunk)
-		next := 0
-		for {
-			ch, err := sc.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ch.Len() == 0 || ch.Len() > eff {
-				t.Fatalf("chunk of %d tuples under size %d", ch.Len(), eff)
-			}
-			if ch.Base != next {
-				t.Fatalf("chunk base %d, want %d", ch.Base, next)
-			}
-			next += ch.Len()
+		if len(perm) != r.Len() {
+			t.Fatalf("perm has %d entries for %d rows", len(perm), r.Len())
 		}
-		if next != r.Len() {
-			t.Fatalf("chunks covered %d of %d tuples", next, r.Len())
+		seen := make([]bool, r.Len())
+		for _, old := range perm {
+			if old < 0 || old >= r.Len() || seen[old] {
+				t.Fatalf("perm %v is not a permutation of %d rows", perm, r.Len())
+			}
+			seen[old] = true
 		}
 
-		// Permuted stream vs materialized sort (annotation carry-over
-		// through the permutation included).
-		if w >= 1 && r.Len() > 0 {
-			cols := []int{0}
-			sorted := r.Clone()
-			sorted.SortByColumns(cols)
-			perm := SortPermByColumns(r, cols)
-			w2 := NewMemWriter(r.Schema)
-			if _, err := Copy(w2, NewPermScanner(r, perm, nil, chunk)); err != nil {
-				t.Fatal(err)
+		sorted := r.Clone()
+		wantPerm := sorted.SortByColumns(cols)
+		walked := New(r.Schema)
+		for i, old := range perm {
+			if old != wantPerm[i] {
+				t.Fatalf("perm[%d] = %d, SortByColumns applied %d", i, old, wantPerm[i])
 			}
-			assertSame(t, sorted, w2.Rel)
+			walked.Append(r.Tuples[old], r.Annot[old])
 		}
+		assertSame(t, sorted, walked)
 	})
 }
 

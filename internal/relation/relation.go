@@ -39,6 +39,11 @@ type DummyGen struct {
 func (d *DummyGen) Next() uint64 {
 	v := DummyBase + d.next
 	d.next++
+	// Unreachable from peer input: a generator starts after the dummies
+	// of this party's own relations (NewDummyGenAfter), and a query draws
+	// a number of dummies fixed by public sizes, which the protocol caps
+	// at 2^40 each. Only own input already holding dummy values near the
+	// top of the 2^61-value region can exhaust it.
 	if v >= uint64(1)<<62 {
 		panic("relation: dummy value space exhausted")
 	}
@@ -48,8 +53,10 @@ func (d *DummyGen) Next() uint64 {
 // NewDummyGenAfter returns a generator whose values are disjoint from all
 // dummy values already present in the given relations. The secure driver
 // uses it so that pre-protocol padding (e.g. private selections, §7) and
-// protocol-internal padding never collide within one party's data.
-func NewDummyGenAfter(rels ...*Relation) *DummyGen {
+// protocol-internal padding never collide within one party's data. A
+// value at or above 2^62 lies outside the attribute domain (it cannot
+// embed into a PSI element) and is an error.
+func NewDummyGenAfter(rels ...*Relation) (*DummyGen, error) {
 	var max uint64
 	for _, r := range rels {
 		if r == nil {
@@ -57,13 +64,16 @@ func NewDummyGenAfter(rels ...*Relation) *DummyGen {
 		}
 		for _, row := range r.Tuples {
 			for _, v := range row {
+				if v >= uint64(1)<<62 {
+					return nil, fmt.Errorf("relation: attribute value %#x outside the 62-bit domain", v)
+				}
 				if IsDummyValue(v) && v-DummyBase+1 > max {
 					max = v - DummyBase + 1
 				}
 			}
 		}
 	}
-	return &DummyGen{next: max}
+	return &DummyGen{next: max}, nil
 }
 
 // Schema is an ordered list of attributes.
@@ -83,7 +93,10 @@ func NewSchema(attrs ...Attr) (Schema, error) {
 	return Schema{Attrs: attrs}, nil
 }
 
-// MustSchema is NewSchema for statically known attribute lists.
+// MustSchema is NewSchema for statically known attribute lists. Its panic
+// is unreachable from peer input: schemas are public configuration each
+// party builds locally (no message carries one), so a duplicate is a
+// local configuration error, never a peer's doing.
 func MustSchema(attrs ...Attr) Schema {
 	s, err := NewSchema(attrs...)
 	if err != nil {
@@ -145,7 +158,11 @@ func New(schema Schema) *Relation {
 	return &Relation{Schema: schema}
 }
 
-// Append adds one tuple; row length must match the schema.
+// Append adds one tuple; row length must match the schema. A mismatch is
+// a programming error, unreachable from peer input: rows decoded from
+// peer messages are built at the schema's width from messages whose
+// length the receiver checks first (transport.RecvUint64s, the circuit's
+// fixed output count).
 func (r *Relation) Append(row []uint64, annot uint64) {
 	if len(row) != len(r.Schema.Attrs) {
 		panic(fmt.Sprintf("relation: row width %d != schema width %d", len(row), len(r.Schema.Attrs)))
@@ -231,6 +248,24 @@ func (r *Relation) SortByColumns(cols []int) []int {
 	r.Annot = newAnnot
 	return idx
 }
+
+// SortPermByColumns computes — without reordering or copying r — the
+// permutation that SortByColumns would apply: a stable lexicographic
+// sort by cols with perm[newPos] = oldPos. Walking perm (row :=
+// r.Tuples[perm[i]]) visits r in sorted order without the cloned
+// relation that Clone + SortByColumns would allocate.
+func SortPermByColumns(r *Relation, cols []int) []int {
+	idx := make([]int, r.Len())
+	for i := range idx {
+		idx[i] = i
+	}
+	stableSortBy(idx, r, cols)
+	return idx
+}
+
+// DefaultChunkSize is kept only for the benchmark harness, which records
+// it among its environment fields; nothing in the program reads it.
+func DefaultChunkSize() int { return 4096 }
 
 // stableSortBy stably sorts the index slice by the rows it references,
 // lexicographically on cols — the single comparator shared by

@@ -213,6 +213,50 @@ func TestDummyGenUnique(t *testing.T) {
 	}
 }
 
+// TestNewDummyGenAfter pins the generator's start past a party's own
+// dummies, and the typed rejection of values outside the 62-bit domain:
+// before the check, a value near 2^64 made Next wrap to real values.
+func TestNewDummyGenAfter(t *testing.T) {
+	r := New(MustSchema("a", "b"))
+	r.Append([]uint64{7, DummyBase + 41}, 0)
+	dg, err := NewDummyGenAfter(nil, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := dg.Next(); v != DummyBase+42 {
+		t.Fatalf("first dummy %#x, want %#x", v, DummyBase+42)
+	}
+	for _, bad := range []uint64{1 << 62, ^uint64(0)} {
+		r := New(MustSchema("a"))
+		r.Append([]uint64{bad}, 1)
+		if _, err := NewDummyGenAfter(r); err == nil {
+			t.Fatalf("value %#x accepted", bad)
+		}
+	}
+}
+
+// TestGroupIndexCollisions forces hash-bucket sharing and verifies the
+// exact-match confirmation keeps groups separate.
+func TestGroupIndexCollisions(t *testing.T) {
+	cols := []int{0}
+	g := newGroupIndex(cols, 4)
+	rows := [][]uint64{{1}, {2}, {1}, {3}}
+	for i, row := range rows {
+		if g.lookup(row, cols) < 0 {
+			g.insert(row, i)
+		}
+	}
+	if got := g.lookup([]uint64{1}, cols); got != 0 {
+		t.Fatalf("lookup(1) = %d, want 0", got)
+	}
+	if got := g.lookup([]uint64{3}, cols); got != 3 {
+		t.Fatalf("lookup(3) = %d, want 3", got)
+	}
+	if got := g.lookup([]uint64{4}, cols); got != -1 {
+		t.Fatalf("lookup(4) = %d, want -1", got)
+	}
+}
+
 func TestReplaceWithDummies(t *testing.T) {
 	var dg DummyGen
 	r := New(MustSchema("a"))

@@ -182,8 +182,7 @@ type Plan = core.Plan
 // plans — a restatement of obliviousness), without a session. Options:
 // WithRing selects the annotation ring (default DefaultRing), WithEstOut
 // the assumed output size for the join-phase steps of multi-survivor
-// queries, WithChunkSize the streaming chunk size recorded in the plan,
-// and WithBackend a forced secure-join backend.
+// queries, and WithBackend a forced secure-join backend.
 func Explain(q *Query, opts ...Option) (*Plan, error) {
 	cfg := buildConfig(opts)
 	return core.ExplainOpts(q, cfg.ring.Bits, cfg.plan())
@@ -197,7 +196,7 @@ func Explain(q *Query, opts ...Option) (*Plan, error) {
 
 // QueryRecord is one completed execution's flight-recorder record:
 // plan digest, chosen-vs-rejected backends, per-phase bytes/rounds/wall
-// time, chunk size, peer, and error/fault blame.
+// time, peer, and error/fault blame.
 type QueryRecord = obs.QueryRecord
 
 // Event is one structured lifecycle event retained by the event log.

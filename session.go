@@ -54,7 +54,6 @@ type config struct {
 	peerTimeout    time.Duration
 	queueCap       int
 	estOut         int
-	chunk          int
 	backend        core.BackendID
 	tenant         string
 	shared         bool
@@ -64,16 +63,15 @@ type config struct {
 // plan is the config's view of one query: the core.Options that
 // Explain, Precompute and Query all compile the same plan from.
 func (c *config) plan() core.Options {
-	return core.Options{EstOut: c.estOut, ChunkSize: c.chunk, Backend: c.backend}
+	return core.Options{EstOut: c.estOut, Backend: c.backend}
 }
 
 // Option configures a session and the executions on it. Given to Open
 // (OpenLocal, ListenSession, DialSession) an option sets the session's
 // default; the options that describe a single execution — WithBackend,
-// WithChunkSize, WithEstOut, WithTenant, WithStreamDeadline,
-// WithSharedResult — may also be given to Query, Precompute,
-// RevealRatio, ExecSQL and Explain, where they override that default
-// for the one call. Options that shape the connection (WithRing on a
+// WithEstOut, WithTenant, WithStreamDeadline, WithSharedResult — may
+// also be given to Query, Precompute, RevealRatio, ExecSQL and Explain,
+// where they override that default for the one call. Options that shape the connection (WithRing on a
 // Session, WithHeartbeat, WithQueueCap, ...) are fixed at Open and
 // ignored per call.
 type Option func(*config)
@@ -115,19 +113,10 @@ func WithQueueCap(n int) Option { return func(c *config) { c.queueCap = n } }
 // total estimate, so both parties must configure the same value.
 func WithEstOut(n int) Option { return func(c *config) { c.estOut = n } }
 
-// WithChunkSize bounds the executor's tuple-plane working set: each
-// operator streams its relations in windows of at most n tuples, so
-// per-step memory is O(n) instead of O(relation). n == 0 keeps the
-// default (4096); n < 0 disables chunking and materializes fully.
-// Chunking is transcript-invariant: for every n, results and per-stream
-// traffic are byte-identical (see DESIGN.md §12).
-func WithChunkSize(n int) Option { return func(c *config) { c.chunk = n } }
-
 // WithBackend forces every semijoin/aggregate step onto one secure-join
 // backend wherever it is applicable (BackendPSIOEP, BackendGC); steps where it does not apply keep the cost-based choice.
 // The zero value selects the cheapest applicable backend per step. Both
-// parties must configure the same backend — unlike chunking, this
-// changes the transcript.
+// parties must configure the same backend: it changes the transcript.
 func WithBackend(b BackendID) Option { return func(c *config) { c.backend = b } }
 
 // WithTenant labels queries with a tenant — the billing/scheduling

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"secyan/internal/obs"
-	"secyan/internal/relation"
 )
 
 // TestQueryUnifiedAPI pins the two shapes of the one entry point: a
@@ -45,11 +44,10 @@ func TestQueryUnifiedAPI(t *testing.T) {
 
 // TestOptionPrecedence pins the one rule of the options model — options
 // given at Open are defaults, the same options given per call override
-// them — over {backend, chunk size, tenant, deadline}, and that Explain,
-// Precompute and Query of one call all see the same resolved values:
-// the plan's ChunkSize and step backends, the offline trace's bytes, the
-// online trace's step backends, and the flight record's chunk_size and
-// tenant.
+// them — over {backend, tenant, deadline}, and that Explain, Precompute
+// and Query of one call all see the same resolved values: the plan's
+// step backends, the offline trace's bytes, the online trace's step
+// backends, and the flight record's plan digest and tenant.
 func TestOptionPrecedence(t *testing.T) {
 	q, rels := sessionExampleQuery(13, 8, 14)
 
@@ -62,30 +60,28 @@ func TestOptionPrecedence(t *testing.T) {
 		obs.Flight().Reset()
 	}()
 
-	session := []Option{WithBackend(BackendGC), WithChunkSize(128), WithTenant("session-tenant"), WithStreamDeadline(time.Minute)}
+	session := []Option{WithBackend(BackendGC), WithTenant("session-tenant"), WithStreamDeadline(time.Minute)}
 	for _, tc := range []struct {
 		name       string
 		open, call []Option
 		// The resolved values every layer must see.
 		backend BackendID
-		chunk   int
 		tenant  string
 		expired bool
 	}{
-		{name: "built-in defaults", chunk: relation.DefaultChunkSize()},
+		{name: "built-in defaults"},
 		{name: "session default", open: session,
-			backend: BackendGC, chunk: 128, tenant: "session-tenant"},
+			backend: BackendGC, tenant: "session-tenant"},
 		{name: "per-call override", open: session,
-			call:    []Option{WithBackend(BackendPSIOEP), WithChunkSize(16), WithTenant("call-tenant")},
-			backend: BackendPSIOEP, chunk: 16, tenant: "call-tenant"},
+			call:    []Option{WithBackend(BackendPSIOEP), WithTenant("call-tenant")},
+			backend: BackendPSIOEP, tenant: "call-tenant"},
 		{name: "session deadline", open: []Option{WithStreamDeadline(time.Nanosecond)},
 			expired: true},
 		{name: "per-call deadline tightens", open: session,
 			call:    []Option{WithStreamDeadline(time.Nanosecond)},
 			expired: true},
 		{name: "per-call deadline relaxes", open: []Option{WithStreamDeadline(time.Nanosecond)},
-			call:  []Option{WithStreamDeadline(time.Minute)},
-			chunk: relation.DefaultChunkSize()},
+			call: []Option{WithStreamDeadline(time.Minute)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			alice, bob := OpenLocal(tc.open...)
@@ -109,13 +105,10 @@ func TestOptionPrecedence(t *testing.T) {
 				t.Fatalf("Precompute %v, Query %v", preErr, runErr)
 			}
 
-			// Explain: the resolved chunk size and backend, in the plan.
+			// Explain: the resolved backend, in the plan.
 			plan, err := alice.Explain(viewFor(q, rels, Alice), tc.call...)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if plan.ChunkSize != tc.chunk {
-				t.Errorf("Explain plan ChunkSize = %d, want %d", plan.ChunkSize, tc.chunk)
 			}
 			secure := map[BackendID]bool{}
 			gcLost := 0 // steps gc bid for but did not serve
@@ -142,8 +135,6 @@ func TestOptionPrecedence(t *testing.T) {
 			}
 
 			// Precompute staged that plan: its offline estimate, exactly.
-			// (The offline phase has no tuple plane, so the chunk size has
-			// nothing to show here.)
 			var offEst int64
 			for _, st := range pre.Steps {
 				offEst += st.EstBytes
@@ -167,8 +158,8 @@ func TestOptionPrecedence(t *testing.T) {
 			}
 
 			// Query ran that plan: the same backend step by step, the staged
-			// material consumed, and the flight record carrying the chunk
-			// size and tenant.
+			// material consumed, and the flight record carrying the plan's
+			// digest and the tenant.
 			if len(res.Trace.Steps) != len(plan.Steps) {
 				t.Fatalf("Query ran %d steps, Explain plans %d", len(res.Trace.Steps), len(plan.Steps))
 			}
@@ -186,8 +177,8 @@ func TestOptionPrecedence(t *testing.T) {
 					continue
 				}
 				recs++
-				if r.ChunkSize != tc.chunk || r.Tenant != tc.tenant {
-					t.Errorf("flight record chunk_size=%d tenant=%q, want %d and %q", r.ChunkSize, r.Tenant, tc.chunk, tc.tenant)
+				if r.PlanDigest != plan.DigestString() || r.Tenant != tc.tenant {
+					t.Errorf("flight record plan_digest=%s tenant=%q, want %s and %q", r.PlanDigest, r.Tenant, plan.DigestString(), tc.tenant)
 				}
 			}
 			if recs != 1 {
