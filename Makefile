@@ -88,10 +88,12 @@ vet:
 
 # Short fuzz bursts for the transpose involution, the TCP framing
 # decoder, the SQL front end (seeded with the TPC-H query strings), the
-# sorted view by permutation, both base-OT message decoders, the evaluator's view of
-# the garbler's message and both sides of the label OT (corrections,
-# label shifts, derandomization bits), the PSI's hint and
-# OPRF-correction decoders, a whole OEP, direct and pooled, against a
+# sorted view by permutation, both base-OT message decoders, the
+# evaluator's view of the garbler's message (keyed payloads and selects
+# included) and both sides of the label OT (corrections, label shifts,
+# derandomization bits), the PSI's hint and OPRF-correction decoders and
+# both halves of its ρ-OT (opening, direct and pooled, and
+# corrections), a whole OEP, direct and pooled, against a
 # hostile peer, and the daemon's control line (any bytes, also as the
 # hello); extend -fuzztime locally for real fuzzing sessions.
 fuzz:

@@ -172,20 +172,24 @@ func semijoinBids(par, child nodeState, ell int) []backendBid {
 		return []backendBid{finish(b)}
 	}
 	// Cross-party alignment: the contested case. Either PSI variant runs
-	// one OPRF batch and one per-bin circuit, both with the child holder
-	// as OT sender; the indexed one adds the ξ₂ OEP and, for shared
-	// payloads, the ξ₁ OEP in the opposite direction.
+	// one OPRF batch and one per-bin circuit with the child holder as OT
+	// sender, and between them the ρ-OT with the parent holder as OT
+	// sender; the indexed one adds the ξ₂ OEP and, for shared payloads,
+	// the ξ₁ OEP in the opposite direction.
 	var bids []backendBid
 	{
 		pr := psi.NewParams(par.n, child.n)
 		npb := pr.N + pr.B
 		b := backendBid{id: BackendPSIOEP}
 		b.needs[child.holder] = true
+		b.needs[par.holder] = true
 		bins := func(indexed bool) {
-			oprf, inputs, circ := pr.Demands(ell, indexed)
-			b.circs = append(b.circs, preCirc{child.holder, circ})
+			d := pr.Demands(ell, indexed)
+			b.circs = append(b.circs, preCirc{child.holder, d.Circuit})
 			b.ots = append(b.ots,
-				preOT{sender: child.holder, m: oprf, msgLen: 16, kind: otRandom}, labelOTs(child.holder, inputs))
+				preOT{sender: child.holder, m: d.OPRF, msgLen: 16, kind: otRandom},
+				preOT{sender: par.holder, m: d.Rho, msgLen: d.RhoLen},
+				labelOTs(child.holder, d.Labels))
 		}
 		switch {
 		case child.plain && plainPSIDirect(par.n, child.n, ell):
@@ -196,7 +200,6 @@ func semijoinBids(par, child nodeState, ell int) []backendBid {
 			if !child.plain {
 				// ξ1 runs with reversed roles: the child holder programs
 				// the permutation, so the parent holder is the OT sender.
-				b.needs[par.holder] = true
 				b.ots = append(b.ots, oepOTs(par.holder, npb, npb, ell, true))
 			}
 			bins(true)

@@ -191,6 +191,78 @@ func TestSemijoinIntoCrossAndSameParty(t *testing.T) {
 	}
 }
 
+// TestCrossPartySemijoinRounds pins the round count of a cross-party
+// semijoin on both PSI paths — direct (a plaintext child large enough
+// that plainPSIDirect picks it) and indexed (a secret-shared child) — with
+// its result: the ρ-OT that takes the payload out of the bin circuit
+// rides in flights the bin already sends, so it adds no round.
+func TestCrossPartySemijoinRounds(t *testing.T) {
+	const m, n = 30, 116
+	parent := relation.New(relation.MustSchema("a", "b"))
+	for i := 0; i < m; i++ {
+		parent.Append([]uint64{uint64(i), uint64(2 * i)}, uint64(i+1))
+	}
+	child := relation.New(relation.MustSchema("b"))
+	want := make([]uint64, m)
+	for j := 0; j < n; j++ {
+		child.Append([]uint64{uint64(3 * j)}, uint64(j+7))
+		if k := 3 * j; k%2 == 0 && k/2 < m {
+			want[k/2] = uint64(k/2+1) * uint64(j+7)
+		}
+	}
+	if !plainPSIDirect(m, n, testRing.Bits) {
+		t.Fatalf("plainPSIDirect(%d, %d) picks the indexed path; the direct case needs a larger child", m, n)
+	}
+	for _, tc := range []struct {
+		name   string
+		plain  bool
+		rounds int64
+	}{{"direct", true, 4}, {"indexed", false, 6}} {
+		alice, bob := mpc.Pair(testRing)
+		pa, pb := shareBoth(t, alice, bob, mpc.Alice, parent)
+		ca, cb := shareBoth(t, alice, bob, mpc.Bob, child)
+		if tc.plain {
+			ca = &SharedRelation{Holder: mpc.Bob, Schema: child.Schema, N: n, Annot: make([]uint64, n), Plain: true}
+			cb = &SharedRelation{Holder: mpc.Bob, Schema: child.Schema, N: n, Rel: child, Annot: child.Annot, Plain: true}
+		}
+		if _, _, err := mpc.Run2PC(alice, bob, warmOTs, warmOTs); err != nil {
+			t.Fatal(err)
+		}
+		alice.Conn.ResetStats()
+		bob.Conn.ResetStats()
+		var dgA, dgB relation.DummyGen
+		oa, ob, err := mpc.Run2PC(alice, bob,
+			func(p *mpc.Party) (*SharedRelation, error) { return SemijoinInto(p, &dgA, pa, ca, "") },
+			func(p *mpc.Party) (*SharedRelation, error) { return SemijoinInto(p, &dgB, pb, cb, "") },
+		)
+		alice.Conn.Close()
+		bob.Conn.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := reconstruct(oa, ob); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: annotations %v, want %v", tc.name, got, want)
+		}
+		if got := max(alice.Conn.Stats().Rounds, bob.Conn.Stats().Rounds); got != tc.rounds {
+			t.Fatalf("%s: %d rounds, want %d", tc.name, got, tc.rounds)
+		}
+	}
+}
+
+// warmOTs creates both of a party's OT-extension sessions, so that a
+// later exchange's stats exclude base-OT setup.
+func warmOTs(p *mpc.Party) (any, error) {
+	send := func() error { _, err := p.OTSender(); return err }
+	recv := func() error { _, err := p.OTReceiver(); return err }
+	if p.Role == mpc.Bob {
+		send, recv = recv, send
+	}
+	if err := send(); err != nil {
+		return nil, err
+	}
+	return nil, recv()
+}
+
 func TestSemijoinGeneral(t *testing.T) {
 	// target ⋉ by where `by` has extra attributes and duplicate join keys.
 	alice, bob := mpc.Pair(testRing)

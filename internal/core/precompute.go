@@ -92,18 +92,18 @@ func PrecomputeOpts(ctx context.Context, p *mpc.Party, q *Query, opts Options) (
 			pp.Observer(rec)
 		}
 	}
-	// exchange runs one offline exchange and records what it moved.
-	exchange := func(st *PlanStep, f func() error) error {
+	// measure runs one offline exchange of step st and adds what it moved
+	// to st's record rec.
+	measure := func(st *PlanStep, rec *TraceStep, f func() error) error {
 		before := pp.Conn.Stats()
 		start := time.Now()
 		err := f()
 		after := pp.Conn.Stats()
-		record(TraceStep{Phase: "offline", Op: st.Op, Node: st.Node, N: st.N,
-			EstBytes: st.EstOfflineBytes,
-			Bytes:    after.TotalBytes() - before.TotalBytes(),
-			Messages: (after.MessagesSent + after.MessagesRecv) - (before.MessagesSent + before.MessagesRecv),
-			Rounds:   after.Rounds - before.Rounds,
-			Elapsed:  time.Since(start)})
+		rec.Phase, rec.Op, rec.Node, rec.N, rec.EstBytes = "offline", st.Op, st.Node, st.N, st.EstOfflineBytes
+		rec.Bytes += after.TotalBytes() - before.TotalBytes()
+		rec.Messages += (after.MessagesSent + after.MessagesRecv) - (before.MessagesSent + before.MessagesRecv)
+		rec.Rounds += after.Rounds - before.Rounds
+		rec.Elapsed += time.Since(start)
 		if err == nil {
 			return nil
 		}
@@ -112,28 +112,42 @@ func PrecomputeOpts(ctx context.Context, p *mpc.Party, q *Query, opts Options) (
 		}
 		return stepErr(st, err)
 	}
-	for si := range plan.Steps {
-		st := &plan.Steps[si]
-		if cerr := ctx.Err(); cerr != nil {
-			<-done
-			return tr, stepErr(st, cerr)
-		}
-		// Steps without offline traffic of their own are skipped: their
-		// circuits (if any) are still staged by the background build.
-		work := st.kind == stepOTSetup
-		for _, d := range st.preOTs {
-			if d.m > 0 {
-				work = true
+	// The base OTs, then the pool fills in one sweep over the plan per OT
+	// direction. In a fill sweep one party sends every correction matrix
+	// and the other only receives, so the fills cost a round per direction
+	// however often the steps' directions alternate (a PSI's ρ-OT runs
+	// against the rest of its step). Each direction's pools still fill in
+	// plan order, the order the online run drains them. A step's record
+	// sums its parts of the sweeps; steps without offline traffic get none
+	// (their circuits, if any, are still staged by the background build).
+	recs := make([]TraceStep, len(plan.Steps))
+	flush := func() {
+		for si := range recs {
+			if recs[si].Phase != "" {
+				record(recs[si])
 			}
 		}
-		if !work {
-			continue
-		}
-		if err := exchange(st, func() error { return ex1Offline(pp, st) }); err != nil {
-			<-done
-			return tr, err
+	}
+	for _, sw := range []sweep{{setup: true}, {sender: mpc.Alice}, {sender: mpc.Bob}} {
+		for si := range plan.Steps {
+			st := &plan.Steps[si]
+			if !sw.has(st) {
+				continue
+			}
+			err := ctx.Err()
+			if err != nil {
+				err = stepErr(st, err)
+			} else {
+				err = measure(st, &recs[si], func() error { return ex1Offline(pp, st, sw) })
+			}
+			if err != nil {
+				<-done
+				flush()
+				return tr, err
+			}
 		}
 	}
+	flush()
 
 	// Join the background staging. Base OTs are milliseconds, so the
 	// pool fills usually finish first and the caller pays this wait; the
@@ -151,13 +165,15 @@ func PrecomputeOpts(ctx context.Context, p *mpc.Party, q *Query, opts Options) (
 	// return together, so the online run that follows does not absorb
 	// the peer's leftover garbling and the wait appears in this party's
 	// trace instead of between its traces.
-	err = exchange(&PlanStep{Phase: "offline", Op: "rendezvous"}, func() error {
+	var rv TraceStep
+	err = measure(&PlanStep{Phase: "offline", Op: "rendezvous"}, &rv, func() error {
 		if err := pp.Conn.Send(nil); err != nil {
 			return err
 		}
 		_, err := pp.Conn.Recv()
 		return err
 	})
+	record(rv)
 	if err != nil {
 		return tr, err
 	}
@@ -179,13 +195,34 @@ func (pl *Plan) hasCircuits() bool {
 	return false
 }
 
-// ex1Offline performs one step's offline work: establishing the base-OT
-// session for setup steps, and one pool fill per declared OT batch
-// otherwise. Both parties walk identical plans, so the fills proceed in
-// lockstep (a fill is half a round: the receiver sends its correction
-// matrix, the sender only receives).
-func ex1Offline(pp *mpc.Party, st *PlanStep) error {
-	if st.kind == stepOTSetup {
+// sweep is one pass of the offline phase over the plan: the base-OT
+// setup steps, or the pool fills of one OT direction, named by its OT
+// sender.
+type sweep struct {
+	setup  bool
+	sender mpc.Role
+}
+
+// has reports whether step st has a part in the sweep.
+func (sw sweep) has(st *PlanStep) bool {
+	if sw.setup {
+		return st.kind == stepOTSetup
+	}
+	for _, d := range st.preOTs {
+		if d.m > 0 && d.sender == sw.sender {
+			return true
+		}
+	}
+	return false
+}
+
+// ex1Offline performs step st's part of sweep sw: establishing the
+// base-OT session of a setup step, or one pool fill per declared batch of
+// the sweep's direction. Both parties walk identical plans, so the fills
+// proceed in lockstep (a fill is half a round: the receiver sends its
+// correction matrix, the sender only receives).
+func ex1Offline(pp *mpc.Party, st *PlanStep, sw sweep) error {
+	if sw.setup {
 		if pp.Role == st.sender {
 			_, err := pp.OTSender()
 			return err
@@ -194,7 +231,7 @@ func ex1Offline(pp *mpc.Party, st *PlanStep) error {
 		return err
 	}
 	for _, d := range st.preOTs {
-		if d.m <= 0 {
+		if d.m <= 0 || d.sender != sw.sender {
 			continue
 		}
 		if d.sender == pp.Role {

@@ -95,26 +95,49 @@ type Circuit struct {
 	// gates and payloads reference. The garbler supplies them separately
 	// from its regular inputs; they cost no wire labels on the network.
 	NumPrivate int
-	// Payloads lists a slot's keyed payloads (see Builder.OutputPayloadIf)
-	// in EvalOutputs order. What the evaluator receives of a slot is its
-	// EvalOutputs with each payload's bits right after its keying wire's.
+	// Payloads lists a slot's payloads (Builder.OutputPayloadIf and
+	// Builder.OutputSelect) in the order the evaluator receives them: a
+	// slot delivers its EvalOutputs with each payload's bits inserted
+	// after the first Out of them.
 	Payloads []Payload
 }
 
-// Payload is a garbler-private word the evaluator can read only when the
-// keying wire W — itself the evaluator output EvalOutputs[Out] — is 1.
+// Payload is a garbler-private word the evaluator receives through the
+// labels of a keying wire W, with no gate touching the word. Its pads are
+// hashes of W's labels. The two modes share everything but the
+// ciphertext count:
+//
+//   - keyed (Select false): W is revealed as the evaluator output
+//     EvalOutputs[Out-1], and she reads P1 when W is 1 and zeros
+//     otherwise. One ciphertext, under W's 1-label; P0 is nil.
+//   - select (Select true): W stays hidden, and she reads P1 when W is 1
+//     and P0 when W is 0. Two ciphertexts, one under each label, ordered
+//     by the labels' colour bits, so the one her label's colour points at
+//     is hers.
 type Payload struct {
-	W    Wire
-	Out  int
-	Bits []PBit
+	W      Wire
+	Out    int
+	Select bool
+	P0, P1 []PBit
+}
+
+// ctBytes is the length of one of the payload's ciphertexts.
+func (p *Payload) ctBytes() int { return (len(p.P1) + 7) / 8 }
+
+// bytes is the length of all of the payload's ciphertexts.
+func (p *Payload) bytes() int {
+	if p.Select {
+		return 2 * p.ctBytes()
+	}
+	return p.ctBytes()
 }
 
 // payloadShape returns a slot's payload bits (what the evaluator
 // receives beyond EvalOutputs) and payload ciphertext bytes.
 func (c *Circuit) payloadShape() (bits, bytes int) {
-	for _, p := range c.Payloads {
-		bits += len(p.Bits)
-		bytes += (len(p.Bits) + 7) / 8
+	for i := range c.Payloads {
+		bits += len(c.Payloads[i].P1)
+		bytes += c.Payloads[i].bytes()
 	}
 	return bits, bytes
 }
@@ -319,6 +342,8 @@ func (b *Builder) ANDG(x Wire, p PBit) Wire {
 // XORGWord XORs a garbler-private word into x (free).
 func (b *Builder) XORGWord(x Word, ps []PBit) Word {
 	if len(x) != len(ps) {
+		// Builder misuse: circuits are built in-process from public
+		// shapes, so no peer message can reach this.
 		panic("gc: XORGWord width mismatch")
 	}
 	out := make(Word, len(x))
@@ -351,13 +376,30 @@ func (b *Builder) OutputToGarbler(w Wire) { b.gOut = append(b.gOut, w) }
 
 // OutputPayloadIf reveals w to the evaluator and, when w is 1, the
 // garbler-private word ps as well. No gate touches ps: the garbler
-// encrypts it under a hash of w's 1-label with a fresh tweak per slot
-// (prf.SitePay), so it costs ⌈len(ps)/8⌉ bytes of ciphertext, and an
-// evaluator holding w's 0-label learns nothing of it. The evaluator
+// encrypts it under a hash of w's 1-label with a fresh tweak per payload
+// and slot (prf.SitePay), so it costs ⌈len(ps)/8⌉ bytes of ciphertext, and
+// an evaluator holding w's 0-label learns nothing of it. The evaluator
 // receives w's bit followed by ps, or by zeros when w is 0.
 func (b *Builder) OutputPayloadIf(w Wire, ps []PBit) {
-	b.pays = append(b.pays, Payload{W: w, Out: len(b.eOut), Bits: ps})
 	b.OutputToEval(w)
+	b.pays = append(b.pays, Payload{W: w, Out: len(b.eOut), P1: ps})
+}
+
+// OutputSelect delivers to the evaluator the garbler-private word p1 when
+// w is 1 and p0 when w is 0, without revealing w. No gate touches either
+// word: the garbler encrypts p0 under a hash of w's 0-label and p1 under
+// one of its 1-label (both with the payload's prf.SitePay tweak) and sends
+// the two ciphertexts in colour-bit order, so the evaluator opens the one
+// her label's colour points at. That costs 2·⌈len(p1)/8⌉ bytes. Her bits
+// follow the evaluator outputs declared so far. She learns p_w, which
+// tells her w only if the two words do.
+func (b *Builder) OutputSelect(w Wire, p0, p1 []PBit) {
+	if len(p0) != len(p1) || len(p1) == 0 {
+		// Builder misuse: circuits are built in-process from public
+		// shapes, so no peer message can reach this.
+		panic("gc: OutputSelect needs two words of one nonzero width")
+	}
+	b.pays = append(b.pays, Payload{W: w, Out: len(b.eOut), Select: true, P0: p0, P1: p1})
 }
 
 // Build finalizes a single-slot circuit: the gates are the whole graph.
@@ -368,6 +410,8 @@ func (b *Builder) Build() *Circuit { return b.BuildSlots(1) }
 // times (see Circuit). slots == 0 is the empty circuit. The builder must
 // not be used afterwards.
 func (b *Builder) BuildSlots(slots int) *Circuit {
+	// Builder misuse: circuits are built in-process, their slot counts
+	// from public cardinalities, so no peer message can reach either.
 	if b.built {
 		panic("gc: Build called twice")
 	}
@@ -447,16 +491,25 @@ func (c *Circuit) Validate() error {
 			return fmt.Errorf("gc: output wire %d undefined", w)
 		}
 	}
-	for j, p := range c.Payloads {
-		if p.Out < 0 || p.Out >= len(c.EvalOutputs) || c.EvalOutputs[p.Out] != p.W {
-			return fmt.Errorf("gc: payload keyed to wire %d is not evaluator output %d", p.W, p.Out)
-		}
-		if j > 0 && p.Out <= c.Payloads[j-1].Out {
+	prev := 0
+	for _, p := range c.Payloads {
+		if p.Out < prev || p.Out > len(c.EvalOutputs) {
 			return fmt.Errorf("gc: payloads out of evaluator-output order")
 		}
-		for _, pb := range p.Bits {
-			if pb < 0 || int(pb) >= c.NumPrivate {
-				return fmt.Errorf("gc: payload references private bit %d of %d", pb, c.NumPrivate)
+		prev = p.Out
+		switch {
+		case !p.Select && (p.Out == 0 || c.EvalOutputs[p.Out-1] != p.W || p.P0 != nil):
+			return fmt.Errorf("gc: payload keyed to wire %d is not evaluator output %d", p.W, p.Out-1)
+		case p.Select && (len(p.P0) != len(p.P1) || len(p.P1) == 0):
+			return fmt.Errorf("gc: select words of widths %d and %d", len(p.P0), len(p.P1))
+		case int(p.W) >= c.NumWires || p.W < 0 || !defined[p.W]:
+			return fmt.Errorf("gc: payload keyed to undefined wire %d", p.W)
+		}
+		for _, word := range [2][]PBit{p.P0, p.P1} {
+			for _, pb := range word {
+				if pb < 0 || int(pb) >= c.NumPrivate {
+					return fmt.Errorf("gc: payload references private bit %d of %d", pb, c.NumPrivate)
+				}
 			}
 		}
 	}
@@ -467,8 +520,8 @@ func (c *Circuit) Validate() error {
 // garbled-circuit cost baseline. All three inputs are slot-major;
 // privBits supplies the garbler-private bits (may be nil when the
 // circuit uses none). Returns evaluator-destined and garbler-destined
-// outputs, slot-major, each payload's bits right after its keying
-// wire's, as RunEvaluator delivers them.
+// outputs, slot-major, with the payloads' bits where Circuit.Payloads
+// places them, as RunEvaluator delivers them.
 func (c *Circuit) EvalPlain(garblerBits, evalBits, privBits []bool) (evalOut, garblerOut []bool, err error) {
 	nG, nE, nP := len(c.GarblerInputs), len(c.EvalInputs), c.NumPrivate
 	if len(garblerBits) != c.Slots*nG || len(evalBits) != c.Slots*nE || len(privBits) != c.Slots*nP {
@@ -501,16 +554,27 @@ func (c *Circuit) EvalPlain(garblerBits, evalBits, privBits []bool) (evalOut, ga
 					vals[g.Out] = vals[g.A] && priv[g.B]
 				}
 			}
-			o, j := s*nEO, 0
-			for i, w := range c.EvalOutputs {
-				evalOut[o] = vals[w]
-				o++
-				if j < len(c.Payloads) && c.Payloads[j].Out == i {
-					for _, pb := range c.Payloads[j].Bits {
-						evalOut[o] = vals[w] && priv[pb]
-						o++
-					}
-					j++
+			o, i := s*nEO, 0
+			for j := 0; j <= len(c.Payloads); j++ {
+				end := len(c.EvalOutputs)
+				if j < len(c.Payloads) {
+					end = c.Payloads[j].Out
+				}
+				for ; i < end; i++ {
+					evalOut[o] = vals[c.EvalOutputs[i]]
+					o++
+				}
+				if j == len(c.Payloads) {
+					break
+				}
+				p := &c.Payloads[j]
+				word := p.P0 // nil for a keyed payload: zeros
+				if vals[p.W] {
+					word = p.P1
+				}
+				for k := range p.P1 {
+					evalOut[o] = k < len(word) && priv[word[k]]
+					o++
 				}
 			}
 			for i, w := range c.GarblerOutputs {

@@ -9,8 +9,8 @@ import (
 
 // testOpCircuit builds a circuit shaped like the engine's operator
 // circuits: a per-tuple gadget repeated n times with the first tuple
-// slightly different, private garbler bits, outputs to both sides and a
-// ragged keyed payload per tuple.
+// slightly different, private garbler bits, outputs to both sides, and a
+// ragged keyed payload and a ragged select per tuple.
 func testOpCircuit(n int) *Circuit {
 	const ell = 32
 	b := NewBuilder()
@@ -28,6 +28,7 @@ func testOpCircuit(n int) *Circuit {
 		nz := b.NonZero(acc)
 		b.OutputWordToEval(b.ANDWordBit(s, nz))
 		b.OutputPayloadIf(nz, m[:13])
+		b.OutputSelect(s[i%ell], m[13:22], m[:9])
 	}
 	if n > 0 {
 		b.OutputToGarbler(b.IsZero(acc))

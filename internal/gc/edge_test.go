@@ -97,14 +97,20 @@ func TestTableBlocksAccounting(t *testing.T) {
 	}
 }
 
-// TestMuxWordWidthMismatchPanics pins the builder's contract violations
-// to panics rather than silent miswiring.
+// TestBuilderContractPanics pins the builder's contract violations to
+// panics rather than silent miswiring: every panic site of the package.
+// Only in-process builder code, with shapes from public parameters,
+// reaches them; Validate is the error-returning check for a circuit
+// description from anywhere else.
 func TestBuilderContractPanics(t *testing.T) {
 	cases := []func(b *Builder){
 		func(b *Builder) { b.Add(b.EvalInputWord(2), b.EvalInputWord(3)) },
 		func(b *Builder) { b.XORGWord(b.EvalInputWord(2), b.PrivateWord(3)) },
 		func(b *Builder) { b.AddPrivate(b.EvalInputWord(2), b.PrivateWord(3)) },
+		func(b *Builder) { b.OutputSelect(b.EvalInput(), b.PrivateWord(2), b.PrivateWord(3)) },
+		func(b *Builder) { b.OutputSelect(b.EvalInput(), nil, nil) },
 		func(b *Builder) { b.Build(); b.Build() },
+		func(b *Builder) { b.BuildSlots(-1) },
 	}
 	for i, f := range cases {
 		func() {

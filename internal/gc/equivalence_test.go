@@ -35,9 +35,9 @@ func equivCircuit() *Circuit {
 // randomGadget returns a builder routine that emits the same
 // pseudo-random gadget every time it is called: a few word operations
 // over garbler inputs, evaluator inputs and private words, with outputs
-// to both parties and a keyed payload. Calling it n times in one builder
-// and calling it once
-// before BuildSlots(n) must describe the same computation.
+// to both parties, a keyed payload and a select. Calling it n times in one
+// builder and calling it once before BuildSlots(n) must describe the same
+// computation.
 func randomGadget(seed int64) func(b *Builder) {
 	return func(b *Builder) {
 		rng := rand.New(rand.NewSource(seed))
@@ -70,6 +70,8 @@ func randomGadget(seed int64) func(b *Builder) {
 		b.OutputWordToEval(pool[len(pool)-1])
 		b.OutputToEval(b.EqPrivate(pick(), b.PrivateWord(w)))
 		b.OutputPayloadIf(pick()[0], b.PrivateWord(1+rng.Intn(12)))
+		sw := 1 + rng.Intn(20)
+		b.OutputSelect(pick()[rng.Intn(w)], b.PrivateWord(sw), b.PrivateWord(sw))
 		b.OutputWordToGarbler(pool[len(pool)-2])
 	}
 }

@@ -39,9 +39,11 @@ type garbled struct {
 	// second). applyPrivate needs nothing else of the interior wires.
 	perm []byte
 	// payFlip is kept only for ahead-of-time garbling, laid out like the
-	// message's payload region: per payload, pad(zero label) ⊕ pad(one
-	// label) of its keying wire — what applyPrivate XORs in when a
-	// private bit flips that wire's meaning.
+	// message's payload region: per keyed payload, pad(zero label) ⊕
+	// pad(one label) of its keying wire — what applyPrivate XORs in when a
+	// private bit flips that wire's meaning; per select, the keying wire's
+	// permute bit in the region's first byte, which fixes what each of its
+	// colour-ordered ciphertexts carries.
 	payFlip []byte
 }
 
@@ -57,9 +59,20 @@ func (c *Circuit) msgLayout() (labels, decode, payload, total int) {
 }
 
 // payTweak is the pad tweak of payload j of slot s: unique per payload
-// across the circuit, and disjoint from every gate tweak.
+// across the circuit, and disjoint from every gate tweak. A select's two
+// pads share it, as a half gate's two hashes share theirs.
 func (c *Circuit) payTweak(s, j int) uint64 {
 	return prf.SitePay | uint64(s*len(c.Payloads)+j)
+}
+
+// selectCts splits a select's ciphertexts, two of n bytes in colour
+// order, into the one under the keying wire's 0-label and the one under
+// its 1-label, given the 0-label's permute bit lam.
+func selectCts(ct []byte, n int, lam uint8) (under0, under1 []byte) {
+	if lam == 1 {
+		return ct[n:], ct[:n]
+	}
+	return ct[:n], ct[n:]
 }
 
 // xorPayload XORs the payload's private bits, packed little-endian, into
@@ -257,20 +270,35 @@ func garble(c *Circuit, g *prf.PRG, priv []bool, keepPerm bool, evalIn []prf.Blo
 			for i, x := range c.GarblerOutputs {
 				orBit(gb.outPerm, (s0+l)*nGO+i, w[int(x)*stride+l].LSB())
 			}
-			// Keyed payloads: the pad of the keying wire's 1-label, with
-			// the payload XORed in. Ahead of time the payload bits are
-			// zero, and the other label's pad is kept for the correction.
+			// Payloads: each word XORed into the pad of the label that
+			// delivers it. Ahead of time the payload bits are zero, and
+			// applyPrivate gets what it needs to move them: a keyed
+			// payload's other pad, a select's permute bit.
 			s, off := s0+l, (s0+l)*pb
-			for j, p := range c.Payloads {
-				ct := pay[off:][:(len(p.Bits)+7)/8]
+			for j := range c.Payloads {
+				p := &c.Payloads[j]
+				n, tw := p.ctBytes(), c.payTweak(s, j)
+				ct := pay[off:][:p.bytes()]
 				zero := w[int(p.W)*stride+l]
-				prf.HashToWidthAES(ct, prf.XORBlockValue(zero, delta), c.payTweak(s, j))
-				if keepPerm {
-					fl := gb.payFlip[off:][:len(ct)]
-					prf.HashToWidthAES(fl, zero, c.payTweak(s, j))
-					prf.XORBytes(fl, fl, ct)
+				one := prf.XORBlockValue(zero, delta)
+				if p.Select {
+					under0, under1 := selectCts(ct, n, zero.LSB())
+					prf.HashToWidthAES(under0, zero, tw)
+					prf.HashToWidthAES(under1, one, tw)
+					xorPayload(under0, p.P0, priv[s*nP:])
+					xorPayload(under1, p.P1, priv[s*nP:])
+					if keepPerm {
+						gb.payFlip[off] = zero.LSB()
+					}
+				} else {
+					prf.HashToWidthAES(ct, one, tw)
+					if keepPerm {
+						fl := gb.payFlip[off:][:n]
+						prf.HashToWidthAES(fl, zero, tw)
+						prf.XORBytes(fl, fl, ct)
+					}
+					xorPayload(ct, p.P1, priv[s*nP:])
 				}
-				xorPayload(ct, p.Bits, priv[s*nP:])
 				off += len(ct)
 			}
 		}
@@ -280,8 +308,8 @@ func garble(c *Circuit, g *prf.PRG, priv []bool, keepPerm bool, evalIn []prf.Blo
 
 // evaluate runs the evaluator's side of c over the garbler's message —
 // read in place, tables included — and the active labels of its own
-// inputs, flat and slot-major. It returns the evaluator's output bits (each
-// payload's bits right after its keying wire's) and the packed masked bits
+// inputs, flat and slot-major. It returns the evaluator's output bits (the
+// payloads' where Circuit.Payloads places them) and the packed masked bits
 // (active-label LSBs) of the garbler's outputs. It is the same slot
 // kernel as garble, with the same determinism guarantee, and it checks
 // every length before the first read: msg comes from the peer.
@@ -362,27 +390,41 @@ func evaluate(c *Circuit, msg []byte, evalIn []byte) (out []bool, masked []byte,
 		var pad []byte
 		for l := 0; l < k; l++ {
 			s := s0 + l
-			o, j, off := s*nOut, 0, s*pb
-			for i, x := range c.EvalOutputs {
-				on := (w[int(x)*stride+l].LSB() == 1) != getBit(decode, s*nEO+i)
-				out[o] = on
-				o++
-				if j == len(c.Payloads) || c.Payloads[j].Out != i {
-					continue
+			o, i, off := s*nOut, 0, s*pb
+			for j := 0; j <= len(c.Payloads); j++ {
+				end := nEO
+				if j < len(c.Payloads) {
+					end = c.Payloads[j].Out
 				}
-				// A payload whose keying wire came out 1 is under the pad
-				// of the label held; one keyed to a 0 stays zeros.
-				p := c.Payloads[j]
-				ct := pay[off:][:(len(p.Bits)+7)/8]
-				if on {
+				for ; i < end; i++ {
+					out[o] = (w[int(c.EvalOutputs[i])*stride+l].LSB() == 1) != getBit(decode, s*nEO+i)
+					o++
+				}
+				if j == len(c.Payloads) {
+					break
+				}
+				// A select's ciphertext is the one the held label's colour
+				// points at; a keyed payload's is under the 1-label, so it
+				// opens when its keying wire — the output just decoded —
+				// came out 1, and stays zeros otherwise.
+				p := &c.Payloads[j]
+				n, label := p.ctBytes(), w[int(p.W)*stride+l]
+				var ct []byte
+				switch {
+				case p.Select:
+					ct = pay[off+int(label.LSB())*n:][:n]
+				case out[o-1]:
+					ct = pay[off:][:n]
+				}
+				if ct != nil {
 					pad = append(pad[:0], ct...)
-					prf.HashToWidthAES(pad, w[int(x)*stride+l], c.payTweak(s, j))
+					prf.HashToWidthAES(pad, label, c.payTweak(s, j))
 					prf.XORBytes(pad, pad, ct)
-					for b := range p.Bits {
+					for b := range p.P1 {
 						out[o+b] = pad[b>>3]>>(b&7)&1 == 1
 					}
 				}
-				o, j, off = o+len(p.Bits), j+1, off+len(ct)
+				o, off = o+len(p.P1), off+p.bytes()
 			}
 			for i, x := range c.GarblerOutputs {
 				orBit(masked, s*nGO+i, w[int(x)*stride+l].LSB())

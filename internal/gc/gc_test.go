@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"secyan/internal/ot"
+	"secyan/internal/prf"
 	"secyan/internal/transport"
 )
 
@@ -271,6 +272,74 @@ func TestOutputPayloadIf2PC(t *testing.T) {
 	}
 }
 
+// TestOutputSelect2PC runs a select through the real protocol, direct and
+// pre-garbled, at widths 1, 8, 33 and 65 bits, keyed to a wire a private
+// bit flips: the evaluator reads p1 where the wire is 1 and p0 where it
+// is 0, and nothing else — no bit of the wire itself. The trials must
+// cover both keying values and both colours of the label she holds (the
+// key's active label is her input's, whose LSB a seeded garble exposes).
+// Each select costs two ⌈bits/8⌉-byte ciphertexts and no gate.
+func TestOutputSelect2PC(t *testing.T) {
+	for _, bits := range []int{1, 8, 33, 65} {
+		b := NewBuilder()
+		key := b.XORG(b.EvalInput(), b.PrivateBit())
+		p0, p1 := b.PrivateWord(bits), b.PrivateWord(bits)
+		b.OutputSelect(key, p0, p1)
+		c := b.BuildSlots(3)
+		if c.TableBlocks() != 0 || DimsOf(c).PayloadBytes != 3*2*((bits+7)/8) || c.evalOutBits() != bits {
+			t.Fatalf("%d bits: select costs %d table blocks and %d bytes, delivers %d bits",
+				bits, c.TableBlocks(), DimsOf(c).PayloadBytes, c.evalOutBits())
+		}
+		rng := rand.New(rand.NewSource(int64(bits)))
+		var seen [2][2]bool // [key][colour]
+		for trial := 0; trial < 8; trial++ {
+			ebits := randBits(rng, c.Slots)
+			priv := randBits(rng, c.Slots*c.NumPrivate)
+			want, _, err := c.EvalPlain(nil, ebits, priv)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gb := garble(c, prf.NewPRG(prf.Seed{byte(bits), byte(trial)}), priv, false, nil)
+			got, _, err := evaluate(c, gb.msg, activeLabels(gb, ebits))
+			if err != nil {
+				t.Fatal(err)
+			}
+			labels := prf.BlocksOf(activeLabels(gb, ebits))
+			for s := 0; s < c.Slots; s++ {
+				sp := priv[s*c.NumPrivate:][:c.NumPrivate]
+				on := ebits[s] != sp[0]
+				word := sp[1 : 1+bits]
+				if on {
+					word = sp[1+bits:]
+				}
+				if !reflect.DeepEqual(want[s*bits:(s+1)*bits], word) {
+					t.Fatalf("%d bits trial %d slot %d: plain evaluation selects the wrong word", bits, trial, s)
+				}
+				seen[b2i(on)][labels[s].LSB()] = true
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d bits trial %d: seeded evaluation gives %v, want %v", bits, trial, got, want)
+			}
+			if e, _ := run2PC(t, c, nil, ebits, priv); !reflect.DeepEqual(e, want) {
+				t.Fatalf("%d bits trial %d: direct 2PC gives %v, want %v", bits, trial, e, want)
+			}
+			if e, _ := run2PCPre(t, c, nil, ebits, priv); !reflect.DeepEqual(e, want) {
+				t.Fatalf("%d bits trial %d: pre-garbled 2PC gives %v, want %v", bits, trial, e, want)
+			}
+		}
+		if seen != [2][2]bool{{true, true}, {true, true}} {
+			t.Fatalf("%d bits: trials covered only (key, colour) %v", bits, seen)
+		}
+	}
+}
+
+func b2i(v bool) int {
+	if v {
+		return 1
+	}
+	return 0
+}
+
 func TestNeg(t *testing.T) {
 	checkWordOpPlain(t, "neg", func(b *Builder, x, y Word) Word { return b.Add(b.Neg(x), y) },
 		func(x, y uint64) uint64 { return y - x })
@@ -450,6 +519,31 @@ func TestValidateRejectsBadCircuits(t *testing.T) {
 	c = &Circuit{NumWires: 3, Const0: 0, Gates: []Gate{{GateAND, 1, 0, 2}}}
 	if err := c.Validate(); err == nil {
 		t.Fatal("expected undefined-wire error")
+	}
+	// Payloads: each mutation of a valid keyed payload and select.
+	good := func() *Circuit {
+		b := NewBuilder()
+		x := b.EvalInput()
+		b.OutputPayloadIf(x, b.PrivateWord(3))
+		b.OutputSelect(x, b.PrivateWord(2), b.PrivateWord(2))
+		return b.Build()
+	}
+	if err := good().Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for name, mutate := range map[string]func(c *Circuit){
+		"keyed to a wire it does not reveal": func(c *Circuit) { c.Payloads[0].Out = 0 },
+		"select past the outputs":            func(c *Circuit) { c.Payloads[1].Out = 2 },
+		"out of order":                       func(c *Circuit) { c.Payloads[1].Out, c.Payloads[0].Out = 0, 1 },
+		"select words of two widths":         func(c *Circuit) { c.Payloads[1].P0 = c.Payloads[1].P0[:1] },
+		"select keyed to a missing wire":     func(c *Circuit) { c.Payloads[1].W = 9 },
+		"private bit out of range":           func(c *Circuit) { c.Payloads[1].P0[0] = 99 },
+	} {
+		c := good()
+		mutate(c)
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 

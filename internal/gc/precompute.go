@@ -75,8 +75,9 @@ func SameShape(a, b *Circuit) bool {
 // applyPrivate specializes zero-private garbled material to the true
 // private bits, in place: it XORs f·Δ into the affected table entries,
 // flips the decode and output permute bits of the output wires whose
-// label meaning changed and XORs the payloads — re-padded where their
-// keying wire flipped — into their ciphertexts, after which gb is what a
+// label meaning changed and XORs the payloads — re-padded, or for a select
+// swapped between its ciphertexts, where their keying wire flipped — into
+// their ciphertexts, after which gb is what a
 // direct garble with the same randomness would have produced. The slot
 // kernel again, one slot at a time over a scratch of per-wire flip bits
 // f (input wires are never written, so they stay unflipped across
@@ -138,15 +139,28 @@ func applyPrivate(c *Circuit, gb *garbled, priv []bool) {
 					gb.outPerm[(s*nGO+i)>>3] ^= 1 << ((s*nGO + i) & 7)
 				}
 			}
-			// A flipped keying wire swaps which label is the 1-label,
-			// hence which pad the payload sits under; then the payload.
+			// A flipped keying wire swaps which label is the 1-label. A
+			// keyed payload moves to the other label's pad; a select's
+			// pads stay in colour order, and its permute bit, flipped,
+			// says which of them now delivers which word. Then the words.
 			off := s * pb
-			for _, pl := range c.Payloads {
-				ct := pay[off:][:(len(pl.Bits)+7)/8]
-				if f[pl.W] {
-					prf.XORBytes(ct, ct, gb.payFlip[off:][:len(ct)])
+			for j := range c.Payloads {
+				pl := &c.Payloads[j]
+				ct := pay[off:][:pl.bytes()]
+				if pl.Select {
+					lam := gb.payFlip[off]
+					if f[pl.W] {
+						lam ^= 1
+					}
+					under0, under1 := selectCts(ct, pl.ctBytes(), lam)
+					xorPayload(under0, pl.P0, p)
+					xorPayload(under1, pl.P1, p)
+				} else {
+					if f[pl.W] {
+						prf.XORBytes(ct, ct, gb.payFlip[off:][:len(ct)])
+					}
+					xorPayload(ct, pl.P1, p)
 				}
-				xorPayload(ct, pl.Bits, p)
 				off += len(ct)
 			}
 		}

@@ -12,8 +12,10 @@ import (
 
 // correctionGadget exercises every gate kind, with garbler-private bits
 // feeding XORG and ANDG gates at several depths so flips have to
-// propagate through XOR/NOT/AND chains, and two keyed payloads — one
-// whole byte, one ragged — on wires whose meaning private bits flip.
+// propagate through XOR/NOT/AND chains, two keyed payloads — one whole
+// byte, one ragged — and two selects — one before any evaluator output,
+// one between two keyed payloads — on wires whose meaning private bits
+// flip.
 func correctionGadget(b *Builder) {
 	g := b.GarblerInputWord(8)
 	e := b.EvalInputWord(8)
@@ -24,10 +26,12 @@ func correctionGadget(b *Builder) {
 	sum := b.Add(b.XORGWord(e, p), g) // XORG into ripple-carry ANDs
 	prod := b.Mul(sum, b.Add(sel, e))
 	out := b.Add(prod, b.MuxWord(eq, sum, sel))
+	b.OutputSelect(eq, append(q[:4:4], p[:5]...), append(p[:3:3], q[2:8]...))
 	b.OutputWordToEval(out)
 	b.OutputWordToGarbler(b.Sub(out, g))
 	b.OutputToEval(b.Not(eq))
 	b.OutputPayloadIf(eq, q)
+	b.OutputSelect(sel[1], p, q)
 	b.OutputPayloadIf(b.Not(eq), append(p[:5:5], q[:6]...))
 }
 

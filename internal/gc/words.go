@@ -122,6 +122,8 @@ func (b *Builder) Sub(x, y Word) Word {
 // bit plus a mask, say, costs one ANDG per high bit.
 func (b *Builder) AddPrivate(x Word, ps []PBit) Word {
 	if len(x) != len(ps) {
+		// Builder misuse: circuits are built in-process from public
+		// shapes, so no peer message can reach this.
 		panic("gc: AddPrivate width mismatch")
 	}
 	out := make(Word, len(x))
@@ -284,6 +286,8 @@ func (b *Builder) ZeroExtend(x Word, n int) Word {
 	return out
 }
 
+// mustSameLen panics on builder misuse: circuits are built in-process
+// from public shapes, so no peer message can reach it.
 func mustSameLen(x, y Word) {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("gc: word width mismatch: %d vs %d", len(x), len(y)))

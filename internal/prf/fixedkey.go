@@ -41,11 +41,13 @@ func init() {
 //	         half across the circuit. Kept at prefix 0 so garbled tables
 //	         are bit-identical to the pre-partition scheme. Gate tweaks
 //	         stay below 2^61, so the upper half of the site is free:
-//	SitePay: the keyed payloads of a garbled circuit (gc.Builder's
-//	         OutputPayloadIf), carved out of SiteGC at bit 61; the low bits
-//	         carry the slot index times the payloads per slot plus the
-//	         payload's index, unique per payload across the circuit. The
-//	         pad is HashToWidthAES of the keying wire's 1-label.
+//	SitePay: the payloads of a garbled circuit (gc.Builder's
+//	         OutputPayloadIf and OutputSelect), carved out of SiteGC at
+//	         bit 61; the low bits carry the slot index times the payloads
+//	         per slot plus the payload's index, unique per payload across
+//	         the circuit. The pad is HashToWidthAES of the keying wire's
+//	         1-label, and a select's second pad that of its 0-label under
+//	         the same tweak, as a half gate hashes both labels of a wire.
 //	SiteOT:  IKNP break-correlation hashing and random-OT pad
 //	         derivation; the low bits carry the session-global OT
 //	         instance index. The two pads of instance j (rows q_j and

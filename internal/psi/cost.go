@@ -9,28 +9,38 @@ import (
 
 // Wire-cost predictors for the PSI variants, used by the plan compiler
 // in internal/core: closed forms over the public parameters. Each
-// composes the per-bin protocol — hash seed, OPRF batch, hint, and the
-// comparison circuit (built outright: it is one bin's gadget and a bin
-// count) — with the OEP stages of the indexed construction.
+// composes the per-bin protocol — hash seed, OPRF batch, hint, ρ-OT and
+// the comparison circuit (built outright: it is one bin's gadget and a
+// bin count) — with the OEP stages of the indexed construction.
 // cost_test.go pins them to measured traffic.
 
 // binsCost is the traffic of recvBins/sendBins for w-bit payloads.
 func binsCost(pr Params, w, ell int) int64 {
 	return int64(prf.SeedSize) + ot.RandomCost(pr.B*keyBits) + int64(pr.B*pr.hint(w).binBytes()) +
-		gc.DimsOf(buildCircuit(pr, w, ell)).MessageCost()
+		ot.CorrelatedCost(pr.B, rhoBytes(w)) + gc.DimsOf(buildCircuit(pr, w, ell)).MessageCost()
 }
 
-// Demands returns what one execution — direct, or indexed (§5.5) — asks
-// of an offline phase, all of it the PSI sender's: the sizes of its two
-// OT batches in order (the OPRF's random OTs, then the per-bin circuit's
-// evaluator inputs, which are what the receiver's hint decoded to) and
-// the constructor of the circuit it garbles.
-func (pr Params) Demands(ell int, indexed bool) (oprf, inputs int, circ func() *gc.Circuit) {
+// Demand is what one execution — direct, or indexed (§5.5) — asks of an
+// offline phase: its three OT batches, in the order it runs them, and
+// the circuit it garbles. The PSI sender is the OT sender of the OPRF and
+// label batches and garbles the circuit; the PSI receiver is the OT
+// sender of the ρ-OT.
+type Demand struct {
+	OPRF    int // random OTs of 16-byte pads
+	Rho     int // correlated OTs of RhoLen-byte messages
+	RhoLen  int
+	Labels  int // the circuit's evaluator inputs: what the receiver's hint decoded to
+	Circuit func() *gc.Circuit
+}
+
+// Demands returns the Demand of one execution with ell-bit shares.
+func (pr Params) Demands(ell int, indexed bool) Demand {
 	w := ell
 	if indexed {
 		w = idxWidth(pr.N + pr.B)
 	}
-	return pr.B * keyBits, pr.B * (pr.tau() + w), func() *gc.Circuit { return buildCircuit(pr, w, ell) }
+	return Demand{OPRF: pr.B * keyBits, Rho: pr.B, RhoLen: rhoBytes(w), Labels: pr.B * pr.tau(),
+		Circuit: func() *gc.Circuit { return buildCircuit(pr, w, ell) }}
 }
 
 // DirectCost returns the total bytes (both directions) of one

@@ -83,9 +83,9 @@ func TestCostExact(t *testing.T) {
 // TestCircuitDimsMatchBuiltCircuits pins the slot-built per-bin circuit
 // against the same bin gadget looped B times in one builder, for every
 // bin count up to 64 and a handful of larger ones, and pins the gadget
-// itself to one comparison per bin: τ − 1 + w AND gates and ℓ
-// single-ciphertext ones whatever the sender's load bound L — the
-// planner prices every PSI bid from these dimensions.
+// itself to one comparison per bin: τ − 1 AND gates, no ANDG, τ evaluator
+// inputs and one select of two w + ℓ + 1-bit words, whatever the sender's
+// load bound L — the planner prices every PSI bid from these dimensions.
 func TestCircuitDimsMatchBuiltCircuits(t *testing.T) {
 	const ell = 32
 	sizes := []int{97, 200, 333}
@@ -107,14 +107,19 @@ func TestCircuitDimsMatchBuiltCircuits(t *testing.T) {
 				if name == "clear-index" {
 					pr.N = 1<<11 - bins // so that idxWidth(N+B) is the 11 bits built above
 				}
-				oprf, inputs, circ := pr.Demands(ell, name == "clear-index")
-				if oprf != bins*keyBits || inputs != gc.DimsOf(c).EvalInputs || gc.DimsOf(circ()) != gc.DimsOf(c) {
-					t.Fatalf("%s B=%d: demands (%d, %d, %+v), circuit %+v",
-						name, bins, oprf, inputs, gc.DimsOf(circ()), gc.DimsOf(c))
+				d := pr.Demands(ell, name == "clear-index")
+				if d.OPRF != bins*keyBits || d.Rho != bins || d.RhoLen != (w+7)/8 ||
+					d.Labels != gc.DimsOf(c).EvalInputs || gc.DimsOf(d.Circuit()) != gc.DimsOf(c) {
+					t.Fatalf("%s B=%d: demands %+v with circuit %+v, built %+v",
+						name, bins, d, gc.DimsOf(d.Circuit()), gc.DimsOf(c))
 				}
-				if c.NumAnd != pr.tau()-1+w || c.NumAndG != ell || len(c.EvalInputs) != pr.tau()+w || len(c.GarblerInputs) != 0 {
-					t.Fatalf("%s B=%d L=%d: bin gadget has %d AND, %d ANDG, %d evaluator inputs",
-						name, bins, l, c.NumAnd, c.NumAndG, len(c.EvalInputs))
+				if c.NumAnd != pr.tau()-1 || c.NumAndG != 0 || len(c.EvalInputs) != pr.tau() ||
+					len(c.GarblerInputs) != 0 || len(c.EvalOutputs) != 0 {
+					t.Fatalf("%s B=%d L=%d: bin gadget has %d AND, %d ANDG, %d evaluator inputs, %d outputs",
+						name, bins, l, c.NumAnd, c.NumAndG, len(c.EvalInputs), len(c.EvalOutputs))
+				}
+				if dims := gc.DimsOf(c); dims.PayloadBytes != bins*2*((w+ell+1+7)/8) {
+					t.Fatalf("%s B=%d: %d select bytes, want two %d-bit words per bin", name, bins, dims.PayloadBytes, w+ell+1)
 				}
 			}
 		}

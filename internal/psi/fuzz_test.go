@@ -11,19 +11,22 @@ import (
 	"secyan/internal/transport"
 )
 
-// FuzzPSIMessages feeds the two decoders this package owns hostile peer
+// FuzzPSIMessages feeds the decoders this package owns hostile peer
 // messages. The receiver reads the sender's hint through views of the
-// peer's bytes, and the sender sizes its OPRF keys from the receiver's
+// peer's bytes, the sender sizes its OPRF keys from the receiver's
 // correction message (the IKNP matrix on the direct path, one bit per OT
-// on the pooled one); both lengths are fixed by the public parameters,
-// so a truncated or oversized message must be a typed error before the
-// first read, and a message of the right length with flipped bits must
-// decode to garbage — never panic, never read past the buffer, never
-// size an allocation. The untouched hint must still decode to what was
-// programmed.
+// on the pooled one), and the ρ-OT runs the other way: the receiver, as
+// OT sender, reads the sender's opening message (matrix or bits), and the
+// sender reads her corrections. Every length is fixed by the public
+// parameters, so a truncated or oversized message must be a typed error
+// before the first read, and a message of the right length with flipped
+// bits must decode to garbage — never panic, never read past the buffer,
+// never size an allocation. The untouched hint must still decode to what
+// was programmed.
 //
-// what selects the message (0 hint, 1 direct correction, 2 pooled
-// correction), mode the mutation (0 none, 1 truncate by cut bytes, 2
+// what selects the message (0 hint, 1 direct OPRF correction, 2 pooled
+// OPRF correction, 3 direct ρ-OT opening, 4 pooled ρ-OT opening, 5 ρ-OT
+// corrections), mode the mutation (0 none, 1 truncate by cut bytes, 2
 // append cut bytes, 3 flip bit `bit`).
 func FuzzPSIMessages(f *testing.F) {
 	pr := NewParams(5, 9)
@@ -46,25 +49,38 @@ func FuzzPSIMessages(f *testing.F) {
 		}
 	}
 
-	// One party pair for the whole run: the fuzzer plays Alice's protocol
-	// code by writing raw messages to her end of the pipe. Bob's sender
-	// state drifts from her receiver's as iterations consume it, which
-	// only garbles pads — lengths, the subject here, are unaffected.
+	// One party pair for the whole run: the fuzzer plays one party's
+	// protocol code by writing raw messages to its end of the pipe —
+	// Alice's, except for the ρ-OT openings, which are Bob's. The OT
+	// states of the two ends drift apart as iterations consume one side,
+	// which only garbles pads — lengths, the subject here, are unaffected.
 	alice, bob := mpc.Pair(share.Ring{Bits: 32})
 	f.Cleanup(func() { alice.Conn.Close(); bob.Conn.Close() })
 	warmOT(f, alice, bob)
 	m := pr.B * keyBits
-	goodMatrix := make([]byte, ot.RandomCost(m))
-	goodBits := make([]byte, (m+7)/8)
+	const w = 32
+	us := make([]uint64, pr.B)
+	for bin := range us {
+		us[bin] = g.Uint64() & lowBits(w)
+	}
+	goods := [][]byte{
+		goodHint,
+		make([]byte, ot.RandomCost(m)), // OPRF matrix
+		make([]byte, (m+7)/8),          // OPRF bits
+		make([]byte, ot.RandomCost(pr.B)),
+		make([]byte, (pr.B+7)/8),
+		make([]byte, pr.B*rhoBytes(w)),
+	}
 
-	for what := uint8(0); what < 3; what++ {
+	for what := uint8(0); what < 6; what++ {
 		for mode := uint8(0); mode < 4; mode++ {
 			f.Add(what, mode, uint32(1), uint32(77))
 			f.Add(what, mode, uint32(len(goodHint)), uint32(len(goodHint)*8-1))
 		}
 	}
 	f.Fuzz(func(t *testing.T, what, mode uint8, cut, bit uint32) {
-		good := [][]byte{goodHint, goodMatrix, goodBits}[what%3]
+		what %= 6
+		good := goods[what]
 		msg := append([]byte(nil), good...)
 		switch mode % 4 {
 		case 1:
@@ -75,34 +91,77 @@ func FuzzPSIMessages(f *testing.F) {
 			msg[int(bit/8)%len(msg)] ^= 1 << (bit % 8)
 		}
 		sized := len(msg) == len(good)
-		if what%3 == 2 {
-			// Stage a pooled batch first, so that the sender expects one
-			// derandomization bit per OT instead of the matrix.
-			snd, _ := bob.OTSender()
-			rcv, _ := alice.OTReceiver()
+		// Stage a pooled batch first, so that the OT sender expects one
+		// derandomization bit per OT instead of the matrix.
+		pool := func(snd *ot.Sender, rcv *ot.Receiver, m, msgLen int) {
 			done := make(chan error, 1)
-			go func() { done <- rcv.FillRandom(m, padLen) }()
-			if err := snd.FillRandom(m, padLen); err != nil {
+			go func() { done <- rcv.FillRandom(m, msgLen) }()
+			if err := snd.FillRandom(m, msgLen); err != nil {
 				t.Fatal(err)
 			}
 			if err := <-done; err != nil {
 				t.Fatal(err)
 			}
-			defer rcv.Pool().Clear()
+			t.Cleanup(rcv.Pool().Clear)
+		}
+		var se *transport.SizeError
+		check := func(err error, what string) {
+			t.Helper()
+			switch {
+			case sized && err != nil:
+				t.Fatalf("well-sized %s rejected: %v", what, err)
+			case !sized && !errors.As(err, &se):
+				t.Fatalf("%s of %d bytes (want %d): %v, want a *transport.SizeError", what, len(msg), len(good), err)
+			}
+		}
+		switch what {
+		case 2:
+			snd, _ := bob.OTSender()
+			rcv, _ := alice.OTReceiver()
+			pool(snd, rcv, m, padLen)
+		case 4:
+			snd, _ := alice.OTSender()
+			rcv, _ := bob.OTReceiver()
+			pool(snd, rcv, pr.B, rhoBytes(w))
+		}
+		if what == 3 || what == 4 {
+			// Bob's opening, read by Alice's half; a well-sized one draws
+			// her corrections, which the fuzzer drains as Bob.
+			if err := bob.Conn.Send(msg); err != nil {
+				t.Fatal(err)
+			}
+			s, err := rhoSend(alice, us, w)
+			check(err, "ρ-OT opening")
+			if sized {
+				if len(s) != pr.B {
+					t.Fatalf("ρ-OT returned %d words, want %d", len(s), pr.B)
+				}
+				if _, err := bob.Conn.Recv(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return
 		}
 		if err := alice.Conn.Send(msg); err != nil {
 			t.Fatal(err)
 		}
+		if what == 5 {
+			// Alice's corrections, read by Bob's half after it sends its
+			// (direct) opening, which the fuzzer drains as Alice.
+			rho, x, err := rhoReceive(bob, pr.B, w)
+			check(err, "ρ-OT corrections")
+			if sized && (len(rho) != pr.B || len(x) != pr.B) {
+				t.Fatalf("ρ-OT returned %d choices and %d words, want %d", len(rho), len(x), pr.B)
+			}
+			if _, err := alice.Conn.Recv(); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
 
-		if what%3 == 0 {
+		if what == 0 {
 			hint, err := transport.RecvSized(bob.Conn, "psi: hint", pr.B*bb)
-			var me *transport.SizeError
-			switch {
-			case sized && err != nil:
-				t.Fatalf("well-sized hint rejected: %v", err)
-			case !sized && !errors.As(err, &me):
-				t.Fatalf("hint of %d bytes (want %d): %v, want a *transport.SizeError", len(msg), len(good), err)
-			case !sized:
+			if check(err, "hint"); !sized {
 				return
 			}
 			dec := newHintCoder(h, seed, 0)
@@ -118,14 +177,8 @@ func FuzzPSIMessages(f *testing.F) {
 		}
 
 		keysOut, err := oprfSend(bob, h, pr.B)
-		var se *transport.SizeError
-		switch {
-		case sized && err != nil:
-			t.Fatalf("well-sized correction rejected: %v", err)
-		case sized && len(keysOut.r0) != m:
+		if check(err, "OPRF correction"); sized && len(keysOut.r0) != m {
 			t.Fatalf("OPRF returned %d pads, want %d", len(keysOut.r0), m)
-		case !sized && !errors.As(err, &se):
-			t.Fatalf("correction of %d bytes (want %d): %v, want a *transport.SizeError", len(msg), len(good), err)
 		}
 	})
 }

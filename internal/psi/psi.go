@@ -11,11 +11,14 @@
 // bin the parties run an oblivious PRF on Alice's one item (oprf.go);
 // Bob draws a random τ-bit target t_b and sends a fixed-size hint
 // (hint.go) that, unmasked with the PRF, decodes at each of his keys of
-// the bin to t_b and a masked payload, and to noise elsewhere. A garbled
-// circuit then does ONE comparison per bin — Alice's decoded target
-// against t_b — and selects the payload or a default, producing in
-// secret-shared form an intersection indicator and the matching payload
-// (or 0) for every bin.
+// the bin to t_b and a masked payload u′, and to noise elsewhere. A
+// garbled circuit then does ONE comparison per bin — Alice's decoded
+// target against t_b — and nothing else: the comparison bit keys a
+// garbled select (gc.Builder.OutputSelect) that hands Alice her
+// indicator share and, folded with one correlated OT per bin that moves
+// u′ outside the circuit, the matching payload or a default. The result
+// is, for every bin, an intersection indicator and the matching payload
+// (or 0) in secret-shared form.
 //
 // Elements are composed with the index of the hash function that placed
 // them, so that an element of X placed by h_i only matches a copy of the
@@ -25,6 +28,7 @@
 package psi
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -157,33 +161,63 @@ func receiverKeys(t *cuckoo.Table) ([]uint64, error) {
 	return out, nil
 }
 
-// binGadget emits the gadget of one bin, shared by the direct and the
-// indexed (§5.5) protocol. The evaluator (receiver) inputs what her hint
-// decoded to: a τ-bit target t′ and a w-bit word u′. Everything of the
-// sender's enters as garbler-private constants: the bin's target t, the
-// words c and d, and his indicator share r. With eq = (t′ = t), the
-// evaluator learns
+// The per-bin protocol, shared by the direct and the indexed (§5.5)
+// construction, for w-bit payloads and ℓ-bit indicator shares. The
+// receiver's hint decodes to a τ-bit target t′ and a w-bit word u′; the
+// sender holds the bin's target t, a uniform word c, the default d and
+// his indicator share r, and programmed u′ = v ⊕ c ⊕ d for the value v a
+// match must deliver. The receiver must end with
 //
-//	eq ? u′ ⊕ c ⊕ d : d      (w bits)
+//	d ⊕ eq·(c ⊕ u′)          (w bits: v on a match, d otherwise)
 //	eq ? 1 − r : −r          (ℓ bits, her indicator share)
 //
-// The sender programmed u′ = v ⊕ c ⊕ d for the value v a match must
-// deliver, with c uniform, so the first output is v on a match and the
-// default d otherwise, and u′ — which she sees — is uniform either way
-// and independent of it. τ − 1 + w AND gates and ℓ single-ciphertext
-// ones: one comparison per bin.
+// for eq = (t′ = t). Only eq needs a circuit (binGadget). The rest is
+//
+//  1. the ρ-OT, before the circuit: one correlated OT per bin of w-bit
+//     messages, with the roles reversed. The receiver is the OT sender
+//     under the correlation x1 = x0 ⊕ u′ and keeps s = x0; the sender
+//     chooses a uniform bit ρ and gets x_ρ = s ⊕ ρ·u′;
+//  2. one select per bin, keyed to eq, whose word for b ∈ {0, 1} is
+//     P_b = (d ⊕ b·c ⊕ x_ρ) ‖ (b ? 1 − r : −r) ‖ (b ⊕ ρ);
+//  3. the receiver reads e = eq ⊕ ρ off P_eq's last bit and outputs
+//     P_eq's first field ⊕ s ⊕ e·u′ = d ⊕ eq·c ⊕ (ρ ⊕ e)·u′, which is
+//     d ⊕ eq·(c ⊕ u′).
+//
+// She sees u′, uniform whatever v is, and e, uniform because ρ is hidden
+// from her; the sender sees x_ρ, uniform because s is. The ρ-OT's opening
+// message follows the hint and its corrections precede the label-OT
+// matrix, each in the same flight, so the bin keeps its round count.
+// DESIGN.md §4 has the simulator argument.
+
+// binGadget emits the circuit of one bin: the evaluator's τ-bit target
+// t′ against the sender's garbler-private t, and one select keyed to the
+// comparison bit over two garbler-private words of selWidth bits (P0 then
+// P1; sendBins fills them). τ − 1 AND gates, τ evaluator inputs and two
+// ⌈selWidth/8⌉-byte ciphertexts: one comparison per bin.
 func binGadget(b *gc.Builder, tau, w, ell int) {
-	t := b.EvalInputWord(tau)
-	u := b.EvalInputWord(w)
-	eq := b.EqPrivate(t, b.PrivateWord(tau))
-	c, d := b.PrivateWord(w), b.PrivateWord(w)
-	for i := range u {
-		b.OutputToEval(b.XORG(b.AND(eq, b.XORG(u[i], c[i])), d[i]))
-	}
-	flip, negR := b.PrivateWord(ell), b.PrivateWord(ell)
-	for i := range flip {
-		b.OutputToEval(b.XORG(b.ANDG(eq, flip[i]), negR[i]))
-	}
+	eq := b.EqPrivate(b.EvalInputWord(tau), b.PrivateWord(tau))
+	b.OutputSelect(eq, b.PrivateWord(selWidth(w, ell)), b.PrivateWord(selWidth(w, ell)))
+}
+
+// selWidth is the width of a bin's select words: the w-bit output field,
+// the ℓ-bit indicator share and the e bit.
+func selWidth(w, ell int) int { return w + ell + 1 }
+
+// rhoBytes is the message width of the ρ-OT: a w-bit word in whole bytes.
+func rhoBytes(w int) int { return (w + 7) / 8 }
+
+// getWord and putWord move a little-endian word of at most 8 bytes, one
+// ρ-OT message, to and from a uint64.
+func getWord(b []byte) uint64 {
+	var x [8]byte
+	copy(x[:], b)
+	return binary.LittleEndian.Uint64(x[:])
+}
+
+func putWord(dst []byte, v uint64) {
+	var x [8]byte
+	binary.LittleEndian.PutUint64(x[:], v)
+	copy(dst, x[:])
 }
 
 // buildCircuit constructs the batched per-bin circuit shared by both
@@ -196,8 +230,8 @@ func buildCircuit(pr Params, w, ell int) *gc.Circuit {
 
 // recvBins is the receiver's half of the per-bin protocol for w-bit
 // payloads: cuckoo table and seed, OPRF on her bin keys, hint decoding,
-// and the comparison circuit. It returns her table and, per bin, the
-// circuit's w-bit output and her indicator share.
+// the ρ-OT and the comparison circuit. It returns her table and, per bin,
+// the w-bit output and her indicator share.
 func recvBins(p *mpc.Party, pr Params, w int, xs []uint64) (*cuckoo.Table, []uint64, []uint64, error) {
 	table, err := cuckoo.Build(p.PRG, xs)
 	if err != nil {
@@ -221,11 +255,16 @@ func recvBins(p *mpc.Party, pr Params, w int, xs []uint64) (*cuckoo.Table, []uin
 		return nil, nil, nil, err
 	}
 	coder := newHintCoder(h, table.Seed, 0)
-	evalBits := make([]bool, 0, pr.B*(h.tau+w))
+	evalBits := make([]bool, 0, pr.B*h.tau)
+	us := make([]uint64, pr.B)
 	for bin, k := range akeys {
 		v := coder.decode(hint[bin*bb:(bin+1)*bb], k).xor(fs[bin])
 		evalBits = gc.AppendBits(evalBits, v.t, h.tau)
-		evalBits = gc.AppendBits(evalBits, v.u, w)
+		us[bin] = v.u
+	}
+	s, err := rhoSend(p, us, w)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	ell := p.Ring.Bits
 	bits, err := p.RunCircuit(buildCircuit(pr, w, ell), evalBits, nil, p.Role.Other())
@@ -233,18 +272,67 @@ func recvBins(p *mpc.Party, pr Params, w int, xs []uint64) (*cuckoo.Table, []uin
 		return nil, nil, nil, err
 	}
 	out, ind := make([]uint64, pr.B), make([]uint64, pr.B)
+	n := selWidth(w, ell)
 	for bin := range out {
-		off := bin * (w + ell)
-		out[bin] = gc.UintOfBits(bits[off : off+w])
-		ind[bin] = gc.UintOfBits(bits[off+w : off+w+ell])
+		sel := bits[bin*n : (bin+1)*n]
+		out[bin] = gc.UintOfBits(sel[:w]) ^ s[bin]
+		if sel[w+ell] { // e
+			out[bin] ^= us[bin]
+		}
+		ind[bin] = gc.UintOfBits(sel[w : w+ell])
 	}
 	return table, out, ind, nil
 }
 
+// rhoSend is the receiver's half of the ρ-OT, one correlated OT per
+// decoded word u′ as OT sender under x1 = x0 ⊕ u′. It returns every s =
+// x0, cut to w bits.
+func rhoSend(p *mpc.Party, us []uint64, w int) ([]uint64, error) {
+	snd, err := p.OTSender()
+	if err != nil {
+		return nil, err
+	}
+	rb := rhoBytes(w)
+	x0, err := snd.SendCorrelated(len(us), rb, func(bin int, x0, x1 []byte) { putWord(x1, getWord(x0)^us[bin]) })
+	if err != nil {
+		return nil, err
+	}
+	s := make([]uint64, len(us))
+	for bin := range s {
+		s[bin] = getWord(x0[bin*rb:(bin+1)*rb]) & lowBits(w)
+	}
+	return s, nil
+}
+
+// rhoReceive is the sender's half: one correlated OT per bin as OT
+// receiver, with uniform choices ρ. It returns ρ and every x_ρ = s ⊕ ρ·u′,
+// cut to w bits.
+func rhoReceive(p *mpc.Party, bins, w int) ([]bool, []uint64, error) {
+	rcv, err := p.OTReceiver()
+	if err != nil {
+		return nil, nil, err
+	}
+	rho := make([]bool, bins)
+	for bin := range rho {
+		rho[bin] = p.PRG.Bool()
+	}
+	rb := rhoBytes(w)
+	msgs, err := rcv.ReceiveCorrelated(rho, rb)
+	if err != nil {
+		return nil, nil, err
+	}
+	x := make([]uint64, bins)
+	for bin := range x {
+		x[bin] = getWord(msgs[bin*rb:(bin+1)*rb]) & lowBits(w)
+	}
+	return rho, x, nil
+}
+
 // sendBins is the sender's half for distinct elements ys: per bin it
 // draws the target and the mask, programs the hint so that element j
-// delivers target(j, bin), and garbles the comparison circuit with
-// def[bin] as the no-match output. It returns his indicator shares.
+// delivers target(j, bin), runs the ρ-OT and garbles the comparison
+// circuit with def[bin] as the no-match output. It returns his indicator
+// shares.
 func sendBins(p *mpc.Party, pr Params, w int, ys []uint64, target func(j, bin int) uint64, def []uint64) ([]uint64, error) {
 	seedMsg, err := transport.RecvSized(p.Conn, "psi: hash seed", prf.SeedSize)
 	if err != nil {
@@ -261,36 +349,54 @@ func sendBins(p *mpc.Party, pr Params, w int, ys []uint64, target func(j, bin in
 	if err != nil {
 		return nil, err
 	}
-	ell := p.Ring.Bits
 	bb := h.binBytes()
 	hint := make([]byte, pr.B*bb)
 	coder := newHintCoder(h, seed, pr.L)
 	vals := make([]value, pr.L)
-	ind := make([]uint64, pr.B)
-	priv := make([]bool, 0, pr.B*(h.tau+2*w+2*ell))
-	for bin := 0; bin < pr.B; bin++ {
-		t, c := p.PRG.Uint64()&lowBits(h.tau), p.PRG.Uint64()&lowBits(w)
+	ts, cs := make([]uint64, pr.B), make([]uint64, pr.B)
+	for bin := range ts {
+		ts[bin], cs[bin] = p.PRG.Uint64()&lowBits(h.tau), p.PRG.Uint64()&lowBits(w)
 		for i, k := range keys[bin] {
-			vals[i] = value{t, target(elem[bin][i], bin) ^ c ^ def[bin]}.xor(oprf.eval(bin, k))
+			vals[i] = value{ts[bin], target(elem[bin][i], bin) ^ cs[bin] ^ def[bin]}.xor(oprf.eval(bin, k))
 		}
 		if err := coder.encode(hint[bin*bb:(bin+1)*bb], keys[bin], vals[:len(keys[bin])], p.PRG); err != nil {
 			return nil, err
 		}
-		r := p.Ring.Random(p.PRG)
-		ind[bin] = r
-		priv = gc.AppendBits(priv, t, h.tau)
-		priv = gc.AppendBits(priv, c, w)
-		priv = gc.AppendBits(priv, def[bin], w)
-		priv = gc.AppendBits(priv, p.Ring.Sub(1, r)^p.Ring.Neg(r), ell)
-		priv = gc.AppendBits(priv, p.Ring.Neg(r), ell)
 	}
 	if err := p.Conn.Send(hint); err != nil {
 		return nil, err
+	}
+	rho, x, err := rhoReceive(p, pr.B, w)
+	if err != nil {
+		return nil, err
+	}
+	ell := p.Ring.Bits
+	n := selWidth(w, ell)
+	ind := make([]uint64, pr.B)
+	priv := make([]bool, 0, pr.B*(h.tau+2*n))
+	for bin := range ind {
+		r := p.Ring.Random(p.PRG)
+		ind[bin] = r
+		var e0 uint64 // P_0's e bit: ρ
+		if rho[bin] {
+			e0 = 1
+		}
+		priv = gc.AppendBits(priv, ts[bin], h.tau)
+		priv = appendSelWord(priv, w, ell, def[bin]^x[bin], p.Ring.Neg(r), e0)
+		priv = appendSelWord(priv, w, ell, def[bin]^cs[bin]^x[bin], p.Ring.Sub(1, r), e0^1)
 	}
 	if _, err := p.RunCircuit(buildCircuit(pr, w, ell), nil, priv, p.Role); err != nil {
 		return nil, err
 	}
 	return ind, nil
+}
+
+// appendSelWord appends one select word of a bin to dst: the w-bit output
+// field, the ℓ-bit indicator share and the e bit.
+func appendSelWord(dst []bool, w, ell int, out, ind, e uint64) []bool {
+	dst = gc.AppendBits(dst, out, w)
+	dst = gc.AppendBits(dst, ind, ell)
+	return gc.AppendBits(dst, e, 1)
 }
 
 // mergeDuplicates folds repeated sender elements into their first

@@ -301,6 +301,64 @@ func TestReceiverDummyBinsNeverMatch(t *testing.T) {
 	}
 }
 
+// TestBinSharesCombine pins what Result means per bin — the contract the
+// semijoin operators and the benchmark's PSI probe read: IndShares
+// combine to 1 and PayShares to the matched payload on a bin whose item
+// the sender holds, and both to 0 on a bin whose item he lacks and on a
+// dummy (empty) bin. Every variant runs at ring widths 32 and 64 (the
+// widest select word, w + ℓ + 1 = 129 bits on the direct path) over sets
+// that leave all three kinds of bin in the table.
+func TestBinSharesCombine(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	type half func(p *mpc.Party) (*Result, error)
+	for _, bits := range []int{32, 64} {
+		ring := share.Ring{Bits: bits}
+		xs, ys := makeSets(rng, 9, 14, 4)
+		payloads := make([]uint64, len(ys))
+		payA, payB := make([]uint64, len(ys)), make([]uint64, len(ys))
+		for i := range payloads {
+			payloads[i] = ring.Mask(rng.Uint64())
+			payA[i] = ring.Mask(rng.Uint64())
+			payB[i] = ring.Sub(payloads[i], payA[i])
+		}
+		for name, run := range map[string][2]half{
+			"direct": {func(p *mpc.Party) (*Result, error) { return RunReceiver(p, xs, len(ys)) },
+				func(p *mpc.Party) (*Result, error) { return RunSender(p, ys, payloads, len(xs)) }},
+			"indexed-plain": {func(p *mpc.Party) (*Result, error) { return RunIndexedPlainReceiver(p, xs, len(ys)) },
+				func(p *mpc.Party) (*Result, error) { return RunIndexedPlainSender(p, ys, payloads, len(xs)) }},
+			"indexed-shared": {func(p *mpc.Party) (*Result, error) { return RunSharedPayloadReceiver(p, xs, len(ys), payA) },
+				func(p *mpc.Party) (*Result, error) { return RunSharedPayloadSender(p, ys, payB, len(xs)) }},
+		} {
+			alice, bob := mpc.Pair(ring)
+			ra, rb, err := mpc.Run2PC(alice, bob, run[0], run[1])
+			alice.Conn.Close()
+			bob.Conn.Close()
+			if err != nil {
+				t.Fatalf("%s ℓ=%d: %v", name, bits, err)
+			}
+			checkPSIResult(t, ring, xs, ys, payloads, ra, rb)
+			inY := map[uint64]bool{}
+			for _, y := range ys {
+				inY[y] = true
+			}
+			var kinds [3]int // matching, non-matching, dummy
+			for b := 0; b < ra.Params.B; b++ {
+				switch v, ok := ra.Table.BinItem(b); {
+				case !ok:
+					kinds[2]++
+				case inY[v]:
+					kinds[0]++
+				default:
+					kinds[1]++
+				}
+			}
+			if kinds[0] == 0 || kinds[1] == 0 || kinds[2] == 0 {
+				t.Fatalf("%s ℓ=%d: bins (matching, non-matching, dummy) = %v; the test needs all three", name, bits, kinds)
+			}
+		}
+	}
+}
+
 // TestTranscriptDependsOnSizesOnly is the PSI's obliviousness check: for
 // fixed public (M, N) the bytes, messages and rounds of every variant are
 // the same whether the sets are disjoint, identical, or — where the
