@@ -25,8 +25,8 @@ race:
 
 # The session layer's concurrency and robustness suites under the race
 # detector, repeated to shake out interleavings: stream multiplexing,
-# heartbeats/deadlines, fault injection, and the concurrent-session
-# transcript-equivalence tests.
+# credits, heartbeats, released and unopened stream records, fault
+# injection, and the concurrent-session transcript-equivalence tests.
 race-sessions:
 	$(GO) test -race -count=3 -timeout 30m -run 'Mux|Fault|Session' ./internal/transport ./internal/mpc ./internal/core .
 
@@ -87,7 +87,8 @@ vet:
 		echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 # Short fuzz bursts for the transpose involution, the TCP framing
-# decoder, the SQL front end (seeded with the TPC-H query strings), the
+# decoder, arbitrary frame sequences into one mux endpoint, the SQL
+# front end (seeded with the TPC-H query strings), the
 # sorted view by permutation, both base-OT message decoders, the
 # evaluator's view of the garbler's message (keyed payloads and selects
 # included) and both sides of the label OT (corrections, label shifts,
@@ -99,6 +100,7 @@ vet:
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTranspose -fuzztime 10s ./internal/bitutil
 	$(GO) test -run '^$$' -fuzz FuzzRecvFraming -fuzztime 10s ./internal/transport
+	$(GO) test -run '^$$' -fuzz FuzzMuxFrames -fuzztime 10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/sqlfront
 	$(GO) test -run '^$$' -fuzz FuzzSortPermWalk -fuzztime 10s ./internal/relation
 	$(GO) test -run '^$$' -fuzz FuzzBaseOTMessages -fuzztime 10s ./internal/ot

@@ -353,7 +353,7 @@ func BenchmarkTPCHGeneration(b *testing.B) {
 }
 
 // BenchmarkAblationLocalOpt measures the §6.5 plaintext-annotation fast
-// paths (free local aggregation + plain-payload indexed PSI) against the
+// paths (free local aggregation + plain-payload PSI) against the
 // fully general protocol on Example 1.1-shaped data.
 func BenchmarkAblationLocalOpt(b *testing.B) {
 	mkQuery := func(noOpt bool) (*core.Query, *core.Query) {

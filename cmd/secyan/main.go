@@ -52,7 +52,7 @@ func main() {
 	analyze := flag.Bool("analyze", false, "run the query and print the per-step trace (plan columns plus measured bytes, messages, rounds, wall time)")
 	precompute := flag.Bool("precompute", false, "run the plan-driven offline phase (OT pools, ahead-of-time garbling) first and report the offline/online split; in distributed mode both parties must pass it (the offline phase has its own traffic)")
 	heartbeat := flag.Duration("heartbeat", 0, "distributed mode: session heartbeat interval for peer-liveness detection (0 = off); the run fails cleanly if the peer goes silent for 3x this interval")
-	deadline := flag.Duration("deadline", 0, "distributed mode: overall session deadline (0 = none)")
+	deadline := flag.Duration("deadline", 0, "distributed and daemon mode: bound on the query's wall time, precompute included (0 = none)")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /debug/vars, /debug/pprof and /debug/step on this address (enables metrics collection)")
 	debugLinger := flag.Duration("debug-linger", 0, "keep the debug server (and process) alive this long after the run finishes, so the final metrics can still be scraped")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON of the run to this file (open in chrome://tracing or ui.perfetto.dev)")
@@ -268,15 +268,29 @@ func runDistributed(spec queries.Spec, db *tpch.DB, ring share.Ring, opts core.O
 	}
 
 	// The connection runs under the session layer: the protocol gets a
-	// logical stream, and the session adds heartbeats and deadlines.
-	sess := mpc.NewSession(r, conn, ring, mpc.SessionConfig{
-		Heartbeat: heartbeat,
-		Deadline:  deadline,
-	})
+	// logical stream, and the session adds heartbeats. The deadline is a
+	// context around precompute and run.
+	sess := mpc.NewSession(r, conn, ring, mpc.SessionConfig{Heartbeat: heartbeat})
 	defer sess.Close()
-	p, err := sess.PartyOn(0, mpc.PartyOpts{})
+	p, err := sess.PartyOn(0)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "secyan: session: %v\n", err)
+		os.Exit(1)
+	}
+	ctx := context.Background()
+	if deadline > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, deadline)
+		defer cancel()
+	}
+	p, release := p.WithContext(ctx)
+	defer release()
+	// fatal reports a failed run, naming the deadline when it ended it.
+	fatal := func(what string, err error) {
+		if ctx.Err() != nil {
+			err = fmt.Errorf("-deadline %v: %w: %v", deadline, ctx.Err(), err)
+		}
+		fmt.Fprintf(os.Stderr, "secyan: %s%v\n", what, err)
 		os.Exit(1)
 	}
 	var trace core.Trace
@@ -295,17 +309,15 @@ func runDistributed(spec queries.Spec, db *tpch.DB, ring share.Ring, opts core.O
 			fmt.Fprintf(os.Stderr, "secyan: precompute: %v\n", perr)
 			os.Exit(1)
 		}
-		if _, perr = core.PrecomputeOpts(context.Background(), p, planQ, opts); perr != nil {
-			fmt.Fprintf(os.Stderr, "secyan: precompute: %v\n", perr)
-			os.Exit(1)
+		if _, perr = core.PrecomputeOpts(ctx, p, planQ, opts); perr != nil {
+			fatal("precompute: ", perr)
 		}
 		offElapsed = time.Since(start)
 		offBytes = p.Conn.Stats().TotalBytes()
 	}
 	res, err := spec.SecureOpts(p, db, opts)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "secyan: %v\n", err)
-		os.Exit(1)
+		fatal("", err)
 	}
 	elapsed := time.Since(start)
 	if analyze {

@@ -86,11 +86,11 @@ func RunSessions(spec queries.Spec, n int, opt Options, w io.Writer) (*SessionsP
 		type unit struct{ pa, pb *mpc.Party }
 		units := make([]unit, n)
 		for i := 0; i < n; i++ {
-			pa, err := sa.PartyOn(uint32(i), mpc.PartyOpts{})
+			pa, err := sa.PartyOn(uint32(i))
 			if err != nil {
 				return 0, transport.SessionStats{}, err
 			}
-			pb, err := sb.PartyOn(uint32(i), mpc.PartyOpts{})
+			pb, err := sb.PartyOn(uint32(i))
 			if err != nil {
 				return 0, transport.SessionStats{}, err
 			}

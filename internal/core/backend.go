@@ -171,38 +171,31 @@ func semijoinBids(par, child nodeState, ell int) []backendBid {
 		b.needs[par.holder.Other()] = true
 		return []backendBid{finish(b)}
 	}
-	// Cross-party alignment: the contested case. Either PSI variant runs
-	// one OPRF batch and one per-bin circuit with the child holder as OT
-	// sender, and between them the ρ-OT with the parent holder as OT
-	// sender; the indexed one adds the ξ₂ OEP and, for shared payloads,
-	// the ξ₁ OEP in the opposite direction.
+	// Cross-party alignment: the contested case. A plain child's PSI
+	// carries the annotation as its payload (direct); a shared child's
+	// carries an index (§5.5) and adds two OEPs around the bins. Either
+	// runs one OPRF batch and one per-bin circuit with the child holder as
+	// OT sender, and between them the ρ-OT with the parent holder as OT
+	// sender.
 	var bids []backendBid
 	{
 		pr := psi.NewParams(par.n, child.n)
 		npb := pr.N + pr.B
-		b := backendBid{id: BackendPSIOEP}
+		b := backendBid{id: BackendPSIOEP, cost: psiCost(par.n, child.n, ell, child.plain)}
 		b.needs[child.holder] = true
 		b.needs[par.holder] = true
-		bins := func(indexed bool) {
-			d := pr.Demands(ell, indexed)
-			b.circs = append(b.circs, preCirc{child.holder, d.Circuit})
-			b.ots = append(b.ots,
-				preOT{sender: child.holder, m: d.OPRF, msgLen: 16, kind: otRandom},
-				preOT{sender: par.holder, m: d.Rho, msgLen: d.RhoLen},
-				labelOTs(child.holder, d.Labels))
+		if !child.plain {
+			// ξ1 runs with reversed roles: the child holder programs the
+			// permutation, so the parent holder is the OT sender.
+			b.ots = append(b.ots, oepOTs(par.holder, npb, npb, ell, true))
 		}
-		switch {
-		case child.plain && plainPSIDirect(par.n, child.n, ell):
-			b.cost += psiDirectCost(par.n, child.n, ell)
-			bins(false)
-		default:
-			b.cost += psiIndexedCost(par.n, child.n, ell, !child.plain)
-			if !child.plain {
-				// ξ1 runs with reversed roles: the child holder programs
-				// the permutation, so the parent holder is the OT sender.
-				b.ots = append(b.ots, oepOTs(par.holder, npb, npb, ell, true))
-			}
-			bins(true)
+		d := pr.Demands(ell, !child.plain)
+		b.circs = append(b.circs, preCirc{child.holder, d.Circuit})
+		b.ots = append(b.ots,
+			preOT{sender: child.holder, m: d.OPRF, msgLen: 16, kind: otRandom},
+			preOT{sender: par.holder, m: d.Rho, msgLen: d.RhoLen},
+			labelOTs(child.holder, d.Labels))
+		if !child.plain {
 			b.ots = append(b.ots, oepOTs(child.holder, npb, pr.B, ell, false))
 		}
 		b.cost += oep.Cost(pr.B, par.n, ell, false)
@@ -257,31 +250,16 @@ func projectOneCost(n, ell int) int64 {
 // mulCost prices mulShares: one correlated-OT batch (see semijoin.go).
 func mulCost(n, ell int) int64 { return ot.CorrelatedCost(mulOTs(n, ell), mulMsgLen(ell)) }
 
-// plainPSIDirect decides how a plaintext child annotation travels through
-// the cross-party PSI (§6.5): directly, as the hint's payload, or as an
-// index into the sender's locally shuffled vector (§5.5 without the ξ₁
-// OEP). Both are exact closed forms over public sizes, so the planner and
-// both parties' operators reach the same verdict: the cheaper one. The
-// direct hint carries ℓ bits per slot where the indexed one carries
-// ⌈log₂(N+B)⌉ but pays a second OEP over N+B elements, so direct wins
-// for large children and indexed for small ones.
-func plainPSIDirect(m, n, ell int) bool {
-	return psiDirectCost(m, n, ell) <= psiIndexedCost(m, n, ell, false)
-}
-
-func psiDirectCost(m, n, ell int) int64 {
-	return cachedCost(costKey{op: "psi-direct", m: m, n: n, ell: ell}, func() int64 {
-		return psi.DirectCost(m, n, ell)
-	})
-}
-
-func psiIndexedCost(m, n, ell int, shared bool) int64 {
-	v := 0
-	if shared {
-		v = 1
+// psiCost prices a semijoin's cross-party PSI: the direct one for a
+// plain child (§6.5), the indexed one for a secret-shared child (§5.5).
+func psiCost(m, n, ell int, plain bool) int64 {
+	if plain {
+		return cachedCost(costKey{op: "psi-direct", m: m, n: n, ell: ell}, func() int64 {
+			return psi.DirectCost(m, n, ell)
+		})
 	}
-	return cachedCost(costKey{op: "psi-indexed", m: m, n: n, ell: ell, variant: v}, func() int64 {
-		return psi.IndexedCost(m, n, ell, shared)
+	return cachedCost(costKey{op: "psi-indexed", m: m, n: n, ell: ell}, func() int64 {
+		return psi.IndexedCost(m, n, ell)
 	})
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"secyan/internal/mpc"
+	"secyan/internal/obs"
 	"secyan/internal/ot"
 	"secyan/internal/relation"
 	"secyan/internal/share"
@@ -192,10 +193,10 @@ func TestSemijoinIntoCrossAndSameParty(t *testing.T) {
 }
 
 // TestCrossPartySemijoinRounds pins the round count of a cross-party
-// semijoin on both PSI paths — direct (a plaintext child large enough
-// that plainPSIDirect picks it) and indexed (a secret-shared child) — with
-// its result: the ρ-OT that takes the payload out of the bin circuit
-// rides in flights the bin already sends, so it adds no round.
+// semijoin on both PSIs — direct (a plaintext child) and indexed (a
+// secret-shared child) — with its result: the ρ-OT that takes the payload
+// out of the bin circuit rides in flights the bin already sends, so it
+// adds no round.
 func TestCrossPartySemijoinRounds(t *testing.T) {
 	const m, n = 30, 116
 	parent := relation.New(relation.MustSchema("a", "b"))
@@ -209,9 +210,6 @@ func TestCrossPartySemijoinRounds(t *testing.T) {
 		if k := 3 * j; k%2 == 0 && k/2 < m {
 			want[k/2] = uint64(k/2+1) * uint64(j+7)
 		}
-	}
-	if !plainPSIDirect(m, n, testRing.Bits) {
-		t.Fatalf("plainPSIDirect(%d, %d) picks the indexed path; the direct case needs a larger child", m, n)
 	}
 	for _, tc := range []struct {
 		name   string
@@ -245,6 +243,78 @@ func TestCrossPartySemijoinRounds(t *testing.T) {
 		}
 		if got := max(alice.Conn.Stats().Rounds, bob.Conn.Stats().Rounds); got != tc.rounds {
 			t.Fatalf("%s: %d rounds, want %d", tc.name, got, tc.rounds)
+		}
+	}
+}
+
+// TestCrossPartyPlainSemijoinIsDirect runs a cross-party semijoin of a
+// plain child at ℓ = 64 on tiny sizes, where a PSI carrying an index
+// instead of the annotation would be a few percent cheaper: the plain
+// child still takes the direct PSI, whose result matches plaintext, whose
+// traffic equals its bid's estimate to the byte, and whose rounds are the
+// direct path's 4; no indexed PSI kernel runs.
+func TestCrossPartyPlainSemijoinIsDirect(t *testing.T) {
+	ring := share.Ring{Bits: 64}
+	obs.Enable()
+	defer obs.Disable()
+	for _, sz := range []struct{ m, n int }{{5, 1}, {9, 4}, {23, 2}} {
+		parent := relation.New(relation.MustSchema("a", "b"))
+		for i := 0; i < sz.m; i++ {
+			parent.Append([]uint64{uint64(i), uint64(i % 3)}, uint64(i+1)<<40)
+		}
+		child := relation.New(relation.MustSchema("b"))
+		for j := 0; j < sz.n; j++ {
+			child.Append([]uint64{uint64(2 * j)}, ^uint64(j))
+		}
+		want := make([]uint64, sz.m)
+		for i, tup := range parent.Tuples {
+			if b := tup[1]; b%2 == 0 && int(b/2) < sz.n {
+				want[i] = ring.Mask(parent.Annot[i] * child.Annot[b/2])
+			}
+		}
+		var est int64 = -1
+		for _, b := range semijoinBids(nodeState{schema: parent.Schema, n: sz.m, holder: mpc.Alice},
+			nodeState{schema: child.Schema, n: sz.n, plain: true, holder: mpc.Bob}, ring.Bits) {
+			if b.id == BackendPSIOEP {
+				est = b.cost
+			}
+		}
+
+		alice, bob := mpc.Pair(ring)
+		pa, pb := shareBoth(t, alice, bob, mpc.Alice, parent)
+		ca := &SharedRelation{Holder: mpc.Bob, Schema: child.Schema, N: sz.n, Annot: make([]uint64, sz.n), Plain: true}
+		cb := &SharedRelation{Holder: mpc.Bob, Schema: child.Schema, N: sz.n, Rel: child, Annot: child.Annot, Plain: true}
+		if _, _, err := mpc.Run2PC(alice, bob, warmOTs, warmOTs); err != nil {
+			t.Fatal(err)
+		}
+		alice.Conn.ResetStats()
+		bob.Conn.ResetStats()
+		direct0, _ := obs.KernelTotal("psi.recv")
+		indexed0, _ := obs.KernelTotal("psi.indexed.")
+		var dgA, dgB relation.DummyGen
+		oa, ob, err := mpc.Run2PC(alice, bob,
+			func(p *mpc.Party) (*SharedRelation, error) { return SemijoinInto(p, &dgA, pa, ca, "") },
+			func(p *mpc.Party) (*SharedRelation, error) { return SemijoinInto(p, &dgB, pb, cb, "") },
+		)
+		alice.Conn.Close()
+		bob.Conn.Close()
+		if err != nil {
+			t.Fatalf("m=%d n=%d: %v", sz.m, sz.n, err)
+		}
+		if got := ring.CombineSlice(oa.Annot, ob.Annot); !reflect.DeepEqual(got, want) {
+			t.Fatalf("m=%d n=%d: annotations %v, want %v", sz.m, sz.n, got, want)
+		}
+		if got := alice.Conn.Stats().TotalBytes(); got != est {
+			t.Fatalf("m=%d n=%d: moved %d bytes, the psi-oep bid estimates %d", sz.m, sz.n, got, est)
+		}
+		if got := max(alice.Conn.Stats().Rounds, bob.Conn.Stats().Rounds); got != 4 {
+			t.Fatalf("m=%d n=%d: %d rounds, want the direct path's 4", sz.m, sz.n, got)
+		}
+		if direct, _ := obs.KernelTotal("psi.recv"); direct == direct0 {
+			t.Fatalf("m=%d n=%d: the direct PSI did not run", sz.m, sz.n)
+		}
+		if indexed, _ := obs.KernelTotal("psi.indexed."); indexed != indexed0 {
+			t.Fatalf("m=%d n=%d: an indexed PSI kernel ran", sz.m, sz.n)
 		}
 	}
 }

@@ -313,11 +313,11 @@ func TestObsStatusConcurrentQueries(t *testing.T) {
 		done    chan error
 	}
 	start := func(stream uint32) *held {
-		pa, err := sa.PartyOn(stream, mpc.PartyOpts{})
+		pa, err := sa.PartyOn(stream)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pb, err := sb.PartyOn(stream, mpc.PartyOpts{})
+		pb, err := sb.PartyOn(stream)
 		if err != nil {
 			t.Fatal(err)
 		}

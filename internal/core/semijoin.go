@@ -20,10 +20,11 @@ import (
 // annotation of the unique child tuple joining with t (or 0). Two
 // implementations are selected automatically:
 //
-//   - cross-party (paper §6.2 main protocol): PSI with secret-shared
-//     payloads aligns child annotations to the parent holder's cuckoo
-//     bins, an OEP maps bins to parent tuples, and an OT batch
-//     multiplies (mulShares);
+//   - cross-party (paper §6.2 main protocol): a PSI — with the child's
+//     annotations as payloads when its holder knows them (§6.5), with
+//     secret-shared payloads otherwise (§5.5) — aligns child annotations
+//     to the parent holder's cuckoo bins, an OEP maps bins to parent
+//     tuples, and an OT batch multiplies (mulShares);
 //   - same-party (paper §6.2 last paragraph): the holder pairs tuples
 //     locally, one OEP replaces the PSI, and the same batch multiplies.
 //
@@ -163,10 +164,6 @@ func SemijoinInto(p *mpc.Party, dg *relation.DummyGen, parent, child *SharedRela
 		zShares, err = alignSameParty(p, dg, parent, child)
 	case backend == BackendGC:
 		zShares, err = alignGC(p, parent, child)
-	case child.Plain:
-		// §6.5: the child holder knows its annotations, so the cheaper
-		// plain-payload PSI replaces the secret-shared-payload protocol.
-		zShares, err = alignCrossPartyPlain(p, dg, parent, child)
 	default:
 		zShares, err = alignCrossParty(p, dg, parent, child)
 	}
@@ -272,47 +269,6 @@ func binAlignment(p *mpc.Party, res *psi.Result, keyOf []uint64) ([]uint64, erro
 	return oep.RunProgrammer(p, xi, res.Params.B, res.PayShares)
 }
 
-// alignCrossPartyPlain is the §6.5 fast path: the child's annotations are
-// plaintext to its holder. Two plain-payload strategies exist and the
-// cheaper one is chosen from public parameters (plainPSIDirect): carrying
-// the ℓ-bit payload directly through the PSI's hint and circuit, or the
-// indexed construction of §5.5 with the first OEP replaced by the
-// sender's free local shuffle.
-func alignCrossPartyPlain(p *mpc.Party, dg *relation.DummyGen, parent, child *SharedRelation) ([]uint64, error) {
-	m := parent.N
-	direct := plainPSIDirect(m, child.N, p.Ring.Bits)
-	if p.Role != parent.Holder {
-		keys, err := childKeys(child.Rel)
-		if err != nil {
-			return nil, err
-		}
-		var res *psi.Result
-		if direct {
-			res, err = psi.RunSender(p, keys, child.Annot, m)
-		} else {
-			res, err = psi.RunIndexedPlainSender(p, keys, child.Annot, m)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return oep.RunHelper(p, res.Params.B, m, res.PayShares)
-	}
-	xs, keyOf, err := parentKeysForPSI(parent, child, dg)
-	if err != nil {
-		return nil, err
-	}
-	var res *psi.Result
-	if direct {
-		res, err = psi.RunReceiver(p, xs, child.N)
-	} else {
-		res, err = psi.RunIndexedPlainReceiver(p, xs, child.N)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return binAlignment(p, res, keyOf)
-}
-
 // alignGC is the monolithic-GC backend's cross-party alignment: a
 // single quadratic circuit compares every parent key against every
 // child key and emits fresh shares of the matching child annotation per
@@ -339,9 +295,11 @@ func alignGC(p *mpc.Party, parent, child *SharedRelation) ([]uint64, error) {
 }
 
 // alignCrossParty aligns child annotation shares to parent tuples across
-// parties: PSI with secret-shared payloads (paper §5.5) delivers per-bin
-// shares of the matching child annotation, and an extended OEP programmed
-// by the parent holder maps bins to parent tuple positions.
+// parties: a PSI delivers per-bin shares of the matching child
+// annotation, and an extended OEP programmed by the parent holder maps
+// bins to parent tuple positions. The child's payload kind picks the PSI:
+// a plain child's annotation is the direct PSI's payload (§6.5), a
+// secret-shared one travels by index (§5.5).
 func alignCrossParty(p *mpc.Party, dg *relation.DummyGen, parent, child *SharedRelation) ([]uint64, error) {
 	m := parent.N
 	if p.Role != parent.Holder {
@@ -350,7 +308,11 @@ func alignCrossParty(p *mpc.Party, dg *relation.DummyGen, parent, child *SharedR
 		if err != nil {
 			return nil, err
 		}
-		res, err := psi.RunSharedPayloadSender(p, keys, child.Annot, m)
+		send := psi.RunSharedPayloadSender
+		if child.Plain {
+			send = psi.RunSender
+		}
+		res, err := send(p, keys, child.Annot, m)
 		if err != nil {
 			return nil, err
 		}
@@ -362,7 +324,12 @@ func alignCrossParty(p *mpc.Party, dg *relation.DummyGen, parent, child *SharedR
 	if err != nil {
 		return nil, err
 	}
-	res, err := psi.RunSharedPayloadReceiver(p, xs, child.N, child.Annot)
+	var res *psi.Result
+	if child.Plain {
+		res, err = psi.RunReceiver(p, xs, child.N)
+	} else {
+		res, err = psi.RunSharedPayloadReceiver(p, xs, child.N, child.Annot)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -68,11 +68,11 @@ func TestSessionConcurrentTranscriptEquivalence(t *testing.T) {
 		stats = make([]transport.Stats, 2*n)
 	)
 	for i := 0; i < n; i++ {
-		pa, err := sa.PartyOn(uint32(i), mpc.PartyOpts{})
+		pa, err := sa.PartyOn(uint32(i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		pb, err := sb.PartyOn(uint32(i), mpc.PartyOpts{})
+		pb, err := sb.PartyOn(uint32(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,11 +139,11 @@ func TestSessionPrecomputeOverlapsOnlineQuery(t *testing.T) {
 		in.Rel = nil
 		shape.Inputs[i] = in
 	}
-	pa0, err := sa.PartyOn(0, mpc.PartyOpts{})
+	pa0, err := sa.PartyOn(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb0, err := sb.PartyOn(0, mpc.PartyOpts{})
+	pb0, err := sb.PartyOn(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,11 +152,11 @@ func TestSessionPrecomputeOverlapsOnlineQuery(t *testing.T) {
 	go func() { _, err := PrecomputeOpts(context.Background(), pb0, shape, Options{}); preDone <- err }()
 
 	// Stream 1: an online query runs while the offline pass is going.
-	pa1, err := sa.PartyOn(1, mpc.PartyOpts{})
+	pa1, err := sa.PartyOn(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb1, err := sb.PartyOn(1, mpc.PartyOpts{})
+	pb1, err := sb.PartyOn(1)
 	if err != nil {
 		t.Fatal(err)
 	}

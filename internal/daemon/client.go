@@ -39,11 +39,8 @@ type Client struct {
 type ClientConfig struct {
 	// Ring must match the daemon's (zero means share.DefaultRing).
 	Ring share.Ring
-	// QueueCap / Heartbeat / PeerTimeout configure the session
-	// transport; QueueCap must match the daemon's.
-	QueueCap    int
-	Heartbeat   time.Duration
-	PeerTimeout time.Duration
+	// Heartbeat configures the session transport.
+	Heartbeat time.Duration
 }
 
 // Dial connects to a daemon at addr, introduces tenant, and returns a
@@ -56,12 +53,10 @@ func Dial(addr, tenant string, catalog Catalog, cfg ClientConfig) (*Client, erro
 	}
 	ring := cfg.Ring.OrDefault()
 	sess := mpc.NewSession(mpc.Alice, nc, ring, mpc.SessionConfig{
-		QueueCap:    cfg.QueueCap,
-		Heartbeat:   cfg.Heartbeat,
-		PeerTimeout: cfg.PeerTimeout,
-		SID:         obs.NextSessionID(),
+		Heartbeat: cfg.Heartbeat,
+		SID:       obs.NextSessionID(),
 	})
-	ctrl, err := sess.OpenStream(ctrlStream, mpc.PartyOpts{})
+	ctrl, err := sess.OpenStream(ctrlStream)
 	if err != nil {
 		sess.Close()
 		return nil, err
@@ -213,7 +208,7 @@ func (c *Client) Run(ctx context.Context, spec RunSpec) (*relation.Relation, err
 			// Co-run the offline phase on the assigned stream while the
 			// query waits for a slot; the daemon runs its half
 			// concurrently and sends admitted when both are done.
-			p, err := c.sess.PartyOn(m.Stream, mpc.PartyOpts{})
+			p, err := c.sess.PartyOn(m.Stream)
 			if err != nil {
 				continue // daemon's half fails too; it falls back
 			}
@@ -234,7 +229,7 @@ func (c *Client) Run(ctx context.Context, spec RunSpec) (*relation.Relation, err
 			} else {
 				dropWarm()
 				var err error
-				p, err = c.sess.PartyOn(m.Stream, mpc.PartyOpts{})
+				p, err = c.sess.PartyOn(m.Stream)
 				if err != nil {
 					return nil, err
 				}

@@ -38,11 +38,9 @@ type Config struct {
 	// DefaultQuota, when non-nil, admits unknown tenants with this
 	// quota.
 	DefaultQuota *Quota
-	// QueueCap / Heartbeat / PeerTimeout configure each client
-	// session's transport (see mpc.SessionConfig).
-	QueueCap    int
-	Heartbeat   time.Duration
-	PeerTimeout time.Duration
+	// Heartbeat configures each client session's transport (see
+	// mpc.SessionConfig).
+	Heartbeat time.Duration
 }
 
 // Daemon is the secyand server: it accepts client sessions, admits and
@@ -242,13 +240,11 @@ func (cc *clientConn) send(m *ctrlMsg) { sendCtrl(&cc.sendMu, cc.ctrl, m) }
 func (d *Daemon) handleConn(nc net.Conn) {
 	sid := obs.NextSessionID()
 	sess := mpc.NewSession(mpc.Bob, transport.NewConn(nc), d.ring, mpc.SessionConfig{
-		QueueCap:    d.cfg.QueueCap,
-		Heartbeat:   d.cfg.Heartbeat,
-		PeerTimeout: d.cfg.PeerTimeout,
-		SID:         sid,
+		Heartbeat: d.cfg.Heartbeat,
+		SID:       sid,
 	})
 	defer sess.Close()
-	ctrl, err := sess.OpenStream(ctrlStream, mpc.PartyOpts{})
+	ctrl, err := sess.OpenStream(ctrlStream)
 	if err != nil {
 		return
 	}
@@ -451,7 +447,7 @@ func (cc *clientConn) handleQuery(m *ctrlMsg) {
 			defer close(qs.warmDone)
 			defer d.sched.markReady(j)
 			// A failed warm leaves warmParty nil, and dispatch runs cold.
-			p, err := cc.sess.PartyOn(stream, mpc.PartyOpts{})
+			p, err := cc.sess.PartyOn(stream)
 			if err != nil {
 				return
 			}
@@ -515,7 +511,7 @@ func (qs *queryState) exec(j *job) {
 		mFarm.Inc("miss")
 		stream = cc.allocStream()
 		var err error
-		p, err = cc.sess.PartyOn(stream, mpc.PartyOpts{})
+		p, err = cc.sess.PartyOn(stream)
 		if err != nil {
 			cc.send(&ctrlMsg{Type: msgRejected, ID: qs.id, Code: codeInternal, Detail: err.Error()})
 			d.sched.complete(j, err, 0)

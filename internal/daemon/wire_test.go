@@ -67,7 +67,7 @@ func FuzzControlMessage(f *testing.F) {
 			sess.Close()
 			<-served // the daemon lets go of a departed client
 		}()
-		ctrl, err := sess.OpenStream(ctrlStream, mpc.PartyOpts{})
+		ctrl, err := sess.OpenStream(ctrlStream)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -158,79 +158,23 @@ func (h *Hypergraph) IsFreeConnex(output []relation.Attr) bool {
 }
 
 // Plan finds a rooted join tree satisfying the free-connex condition for
-// the output attributes, by exhaustive search over labeled trees (Prüfer
-// enumeration) with the running-intersection property and condition (2)
-// of §3.1 as filters. It returns ErrCyclic or ErrNotFreeConnex when no
-// tree qualifies.
+// the output attributes: the first of Candidates. It returns ErrCyclic or
+// ErrNotFreeConnex when no tree qualifies.
 func (h *Hypergraph) Plan(output []relation.Attr) (*Tree, error) {
-	k := len(h.Edges)
-	if k == 0 {
-		return nil, fmt.Errorf("jointree: empty hypergraph")
+	cands, err := h.Candidates(output)
+	if err != nil {
+		return nil, err
 	}
-	all := toSet(h.AllAttrs())
-	for _, a := range output {
-		if !all[a] {
-			return nil, fmt.Errorf("jointree: output attribute %q not in any relation", a)
-		}
-	}
-	if k > maxPlanEdges {
-		return nil, fmt.Errorf("jointree: planner supports at most %d relations, got %d", maxPlanEdges, k)
-	}
-	if k == 1 {
-		return newTree(h, 0, []int{-1})
-	}
-	sets := edgeSets(h.Edges)
-	outSet := toSet(output)
-
-	foundJoinTree := false
-	var result, fallback *Tree
-	forEachLabeledTree(k, func(adj [][]int) bool {
-		if !hasRunningIntersection(sets, adj) {
-			return false
-		}
-		foundJoinTree = true
-		for root := 0; root < k; root++ {
-			parent := rootTree(adj, root)
-			if satisfiesFreeConnex(sets, outSet, parent, root) {
-				t, err := newTree(h, root, parent)
-				if err == nil {
-					result = t
-					return true
-				}
-			}
-			// The paper's condition (2) is sufficient but not necessary:
-			// some queries whose augmented hypergraph H∪{O} is acyclic
-			// (the textbook free-connex characterization) admit no
-			// condition-(2) tree, yet the engine evaluates them in
-			// O(IN+OUT) because it aggregates every surviving node.
-			// Accept such trees as a fallback by simulating the reduce
-			// phase.
-			if fallback == nil && reduceSimulationAccepts(sets, outSet, parent, root) {
-				if t, err := newTree(h, root, parent); err == nil {
-					fallback = t
-				}
-			}
-		}
-		return false
-	})
-	if result != nil {
-		return result, nil
-	}
-	if fallback != nil {
-		return fallback, nil
-	}
-	if !foundJoinTree {
-		return nil, ErrCyclic
-	}
-	return nil, ErrNotFreeConnex
+	return cands[0], nil
 }
 
-// Candidates enumerates every rooted join tree the planner would accept
-// for the output attributes, in preference order: all trees satisfying
-// condition (2) of §3.1 first (the tier Plan picks from), then the
-// reduce-simulation fallback tier. Within each tier the order is the
-// Prüfer enumeration order, so Candidates[0] is exactly the tree Plan
-// returns. It reports the same errors as Plan when no tree qualifies.
+// Candidates enumerates every rooted join tree the planner accepts for
+// the output attributes, by exhaustive search over labeled trees (Prüfer
+// enumeration) with the running-intersection property as the filter, in
+// preference order: all trees satisfying condition (2) of §3.1 first,
+// then — only if there are none — the reduce-simulation fallback tier.
+// Within each tier the order is the Prüfer enumeration order. It returns
+// ErrCyclic or ErrNotFreeConnex when no tree qualifies.
 func (h *Hypergraph) Candidates(output []relation.Attr) ([]*Tree, error) {
 	k := len(h.Edges)
 	if k == 0 {
@@ -257,9 +201,9 @@ func (h *Hypergraph) Candidates(output []relation.Attr) ([]*Tree, error) {
 
 	foundJoinTree := false
 	var preferred, fallback []*Tree
-	forEachLabeledTree(k, func(adj [][]int) bool {
+	forEachLabeledTree(k, func(adj [][]int) {
 		if !hasRunningIntersection(sets, adj) {
-			return false
+			return
 		}
 		foundJoinTree = true
 		for root := 0; root < k; root++ {
@@ -269,12 +213,18 @@ func (h *Hypergraph) Candidates(output []relation.Attr) ([]*Tree, error) {
 					preferred = append(preferred, t)
 				}
 			} else if reduceSimulationAccepts(sets, outSet, parent, root) {
+				// The paper's condition (2) is sufficient but not
+				// necessary: some queries whose augmented hypergraph H∪{O}
+				// is acyclic (the textbook free-connex characterization)
+				// admit no condition-(2) tree, yet the engine evaluates
+				// them in O(IN+OUT) because it aggregates every surviving
+				// node. Such trees are accepted by simulating the reduce
+				// phase.
 				if t, err := newTree(h, root, parent); err == nil {
 					fallback = append(fallback, t)
 				}
 			}
 		}
-		return false
 	})
 	if len(preferred) > 0 {
 		return preferred, nil
@@ -395,25 +345,23 @@ func reduceSimulationAccepts(sets []attrSet, output attrSet, parent []int, root 
 }
 
 // forEachLabeledTree enumerates all labeled trees on k ≥ 2 nodes via
-// Prüfer sequences, stopping early when visit returns true.
-func forEachLabeledTree(k int, visit func(adj [][]int) bool) {
+// Prüfer sequences.
+func forEachLabeledTree(k int, visit func(adj [][]int)) {
 	if k == 2 {
 		visit([][]int{{1}, {0}})
 		return
 	}
 	seq := make([]int, k-2)
-	var rec func(pos int) bool
-	rec = func(pos int) bool {
+	var rec func(pos int)
+	rec = func(pos int) {
 		if pos == len(seq) {
-			return visit(pruferDecode(seq, k))
+			visit(pruferDecode(seq, k))
+			return
 		}
 		for v := 0; v < k; v++ {
 			seq[pos] = v
-			if rec(pos + 1) {
-				return true
-			}
+			rec(pos + 1)
 		}
-		return false
 	}
 	rec(0)
 }

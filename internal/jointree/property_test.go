@@ -180,39 +180,3 @@ func TestPropertyPlanCostedIsArgmin(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestPropertyCandidatesFirstIsPlan pins the tie-preservation contract:
-// Candidates[0] is exactly the tree Plan returns.
-func TestPropertyCandidatesFirstIsPlan(t *testing.T) {
-	f := func(seed int64, kRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		k := int(kRaw%5) + 1
-		h := randomAcyclicHypergraph(rng, k)
-		var output []relation.Attr
-		for _, a := range h.AllAttrs() {
-			if rng.Intn(2) == 0 {
-				output = append(output, a)
-			}
-		}
-		cands, err := h.Candidates(output)
-		if err != nil {
-			return err != ErrCyclic
-		}
-		planned, err := h.Plan(output)
-		if err != nil || len(cands) == 0 {
-			return false
-		}
-		if cands[0].Root != planned.Root || len(cands[0].PostOrder) != len(planned.PostOrder) {
-			return false
-		}
-		for i := range planned.PostOrder {
-			if cands[0].PostOrder[i] != planned.PostOrder[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}

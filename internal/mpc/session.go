@@ -21,12 +21,9 @@ import (
 
 // SessionConfig tunes a protocol session.
 type SessionConfig struct {
-	// QueueCap, Heartbeat, PeerTimeout and Deadline configure the
-	// underlying transport.Mux; see transport.MuxConfig.
-	QueueCap    int
-	Heartbeat   time.Duration
-	PeerTimeout time.Duration
-	Deadline    time.Duration
+	// Heartbeat configures the underlying transport.Mux; see
+	// transport.MuxConfig.
+	Heartbeat time.Duration
 	// WrapStream, when set, wraps each new stream's Conn before the
 	// Party is built around it — the hook the fault-injection
 	// robustness suite uses to perturb exactly one of N runs.
@@ -49,18 +46,14 @@ type Session struct {
 }
 
 // NewSession starts a multiplexed protocol session over conn. The
-// session owns conn. Both endpoints must use compatible configs (the
-// queue capacity is the flow-control window).
+// session owns conn.
 func NewSession(role Role, conn transport.Conn, ring share.Ring, cfg SessionConfig) *Session {
 	return &Session{
 		role: role,
 		ring: ring.OrDefault(),
 		mux: transport.NewMux(conn, transport.MuxConfig{
-			QueueCap:    cfg.QueueCap,
-			Heartbeat:   cfg.Heartbeat,
-			PeerTimeout: cfg.PeerTimeout,
-			Deadline:    cfg.Deadline,
-			SID:         cfg.SID,
+			Heartbeat: cfg.Heartbeat,
+			SID:       cfg.SID,
 		}),
 		cfg: cfg,
 	}
@@ -79,19 +72,17 @@ func (s *Session) Role() Role { return s.role }
 // Ring returns the session's annotation ring.
 func (s *Session) Ring() share.Ring { return s.ring }
 
-// PartyOpts tune one stream-scoped Party.
-type PartyOpts struct {
-	// Deadline bounds this stream; 0 means unbounded.
-	Deadline time.Duration
-}
+// PartyOpts is NextParty's option set. It is empty: a stream's deadline
+// is its caller's context (Party.WithContext).
+type PartyOpts struct{}
 
 // OpenStream opens logical stream id for non-protocol traffic — e.g. a
 // daemon's admission/control channel riding the same session as its
 // query streams. The peer must open the same id. The stream follows the
-// session's WrapStream hook exactly like a
-// protocol stream; closing it releases only this stream.
-func (s *Session) OpenStream(id uint32, opts PartyOpts) (transport.Conn, error) {
-	c, err := s.mux.OpenStream(id, transport.StreamOptions{Deadline: opts.Deadline})
+// session's WrapStream hook exactly like a protocol stream; closing it
+// releases only this stream.
+func (s *Session) OpenStream(id uint32) (transport.Conn, error) {
+	c, err := s.mux.Open(id)
 	if err != nil {
 		return nil, err
 	}
@@ -105,8 +96,8 @@ func (s *Session) OpenStream(id uint32, opts PartyOpts) (transport.Conn, error) 
 // must call PartyOn with the same id for the paired run. Closing the
 // party's Conn releases only this stream; the session and its other
 // streams are unaffected.
-func (s *Session) PartyOn(id uint32, opts PartyOpts) (*Party, error) {
-	c, err := s.OpenStream(id, opts)
+func (s *Session) PartyOn(id uint32) (*Party, error) {
+	c, err := s.OpenStream(id)
 	if err != nil {
 		return nil, err
 	}
@@ -120,9 +111,9 @@ func (s *Session) PartyOn(id uint32, opts PartyOpts) (*Party, error) {
 // calls — the same symmetry every 2PC protocol here already requires
 // of its call order. Concurrent heterogeneous runs should use PartyOn
 // with explicit ids instead.
-func (s *Session) NextParty(opts PartyOpts) (*Party, uint32, error) {
+func (s *Session) NextParty(PartyOpts) (*Party, uint32, error) {
 	id := s.next.Add(1) - 1
-	p, err := s.PartyOn(id, opts)
+	p, err := s.PartyOn(id)
 	return p, id, err
 }
 

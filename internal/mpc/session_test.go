@@ -1,6 +1,7 @@
 package mpc
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -22,11 +23,11 @@ func TestSessionConcurrentShareExchanges(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, 2*n)
 	for i := uint32(0); i < n; i++ {
-		pa, err := sa.PartyOn(i, PartyOpts{})
+		pa, err := sa.PartyOn(i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pb, err := sb.PartyOn(i, PartyOpts{})
+		pb, err := sb.PartyOn(i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,29 +96,29 @@ func TestSessionNextPartySequentialIDs(t *testing.T) {
 	}
 }
 
-// TestSessionStreamDeadlineIsolated: a stream past its deadline fails
-// with context-style errors while a sibling keeps working.
+// TestSessionStreamDeadlineIsolated: a stream run under a context
+// deadline fails with the context's error once it passes, while a
+// sibling keeps working.
 func TestSessionStreamDeadlineIsolated(t *testing.T) {
 	sa, sb := SessionPair(share.Ring{}, SessionConfig{})
 	defer sa.Close()
 	defer sb.Close()
-	pa, err := sa.PartyOn(0, PartyOpts{Deadline: 20 * time.Millisecond})
+	pa, err := sa.PartyOn(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pa.Conn.Recv(); err == nil {
-		t.Fatal("recv survived stream deadline")
-	} else {
-		var se *transport.StreamError
-		if !errors.As(err, &se) || se.Stream != 0 {
-			t.Fatalf("deadline error not stream-labeled: %v", err)
-		}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	pd, release := pa.WithContext(ctx)
+	defer release()
+	if _, err := pd.Conn.Recv(); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("recv past the deadline: %v", err)
 	}
-	p2a, err := sa.PartyOn(1, PartyOpts{})
+	p2a, err := sa.PartyOn(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2b, err := sb.PartyOn(1, PartyOpts{})
+	p2b, err := sb.PartyOn(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,10 +151,10 @@ func TestSessionWrapStreamHook(t *testing.T) {
 	sb := NewSession(Bob, cb, share.Ring{}, SessionConfig{})
 	defer sa.Close()
 	defer sb.Close()
-	if _, err := sa.PartyOn(0, PartyOpts{}); err != nil {
+	if _, err := sa.PartyOn(0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sa.PartyOn(5, PartyOpts{}); err != nil {
+	if _, err := sa.PartyOn(5); err != nil {
 		t.Fatal(err)
 	}
 	if len(wrapped) != 2 || wrapped[0] != 0 || wrapped[1] != 5 {

@@ -7,12 +7,12 @@ import (
 	"secyan/internal/prf"
 )
 
-// Wire-cost predictors for the PSI variants, used by the plan compiler
-// in internal/core: closed forms over the public parameters. Each
-// composes the per-bin protocol — hash seed, OPRF batch, hint, ρ-OT and
-// the comparison circuit (built outright: it is one bin's gadget and a
-// bin count) — with the OEP stages of the indexed construction.
-// cost_test.go pins them to measured traffic.
+// Wire-cost predictors for the two PSIs, used by the plan compiler in
+// internal/core: closed forms over the public parameters. Each composes
+// the per-bin protocol — hash seed, OPRF batch, hint, ρ-OT and the
+// comparison circuit (built outright: it is one bin's gadget and a bin
+// count) — with, for the indexed PSI, its two OEPs. cost_test.go pins
+// them to measured traffic.
 
 // binsCost is the traffic of recvBins/sendBins for w-bit payloads.
 func binsCost(pr Params, w, ell int) int64 {
@@ -50,16 +50,12 @@ func DirectCost(m, n, ell int) int64 {
 	return binsCost(NewParams(m, n), ell, ell)
 }
 
-// IndexedCost returns the total bytes (both directions) of one indexed
-// PSI execution (§5.5): RunSharedPayloadReceiver/Sender when
-// sharedPayload is true, RunIndexedPlainReceiver/Sender otherwise (the
-// plain variant replaces the ξ₁ OEP with a free local shuffle).
-func IndexedCost(m, n, ell int, sharedPayload bool) int64 {
+// IndexedCost returns the total bytes (both directions) of one
+// RunSharedPayloadReceiver/Sender execution (§5.5) — the ξ₁ OEP, the
+// bins on index payloads and the ξ₂ OEP — for public set sizes m
+// (receiver) and n (sender) with ell-bit shares.
+func IndexedCost(m, n, ell int) int64 {
 	pr := NewParams(m, n)
 	npb := pr.N + pr.B
-	cost := binsCost(pr, idxWidth(npb), ell) + oep.Cost(npb, pr.B, ell, false)
-	if sharedPayload {
-		cost += oep.Cost(npb, npb, ell, true)
-	}
-	return cost
+	return oep.Cost(npb, npb, ell, true) + binsCost(pr, idxWidth(npb), ell) + oep.Cost(npb, pr.B, ell, false)
 }

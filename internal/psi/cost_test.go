@@ -69,12 +69,8 @@ func TestCostExact(t *testing.T) {
 			func(a *mpc.Party) error { _, err := RunReceiver(a, xs, sz.n); return err },
 			func(b *mpc.Party) error { _, err := RunSender(b, ys, payloads, sz.m); return err })
 
-		run("indexed-plain", IndexedCost(sz.m, sz.n, ring.Bits, false),
-			func(a *mpc.Party) error { _, err := RunIndexedPlainReceiver(a, xs, sz.n); return err },
-			func(b *mpc.Party) error { _, err := RunIndexedPlainSender(b, ys, payloads, sz.m); return err })
-
 		zeroShares := make([]uint64, sz.n)
-		run("indexed-shared", IndexedCost(sz.m, sz.n, ring.Bits, true),
+		run("indexed", IndexedCost(sz.m, sz.n, ring.Bits),
 			func(a *mpc.Party) error { _, err := RunSharedPayloadReceiver(a, xs, sz.n, zeroShares); return err },
 			func(b *mpc.Party) error { _, err := RunSharedPayloadSender(b, ys, payloads, sz.m); return err })
 	}

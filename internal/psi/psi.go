@@ -2,9 +2,17 @@
 // primitive the Secure Yannakakis paper uses inside its oblivious semijoin
 // operators (§5.3, §5.5).
 //
-// The construction is the paper's: the OPPRF-based circuit PSI of Pinkas,
-// Schneider, Tkachenko and Yanai (reference [27]; DESIGN.md §4 says which
-// of its building blocks are substituted). The receiver (Alice)
+// There is one PSI per payload kind. RunReceiver/RunSender carry a
+// payload the sender knows in the clear straight through the per-bin
+// protocol below: the semijoin of a child whose annotations are plaintext
+// to their owner (§5.3 with the §6.5 fast path). RunSharedPayloadReceiver/
+// RunSharedPayloadSender carry a secret-shared payload as an index into a
+// vector two OEPs permute (§5.5, sharedpayload.go): the semijoin of a
+// secret-shared child. Both run the same bins; cost.go prices each.
+//
+// The per-bin construction is the paper's: the OPPRF-based circuit PSI
+// of Pinkas, Schneider, Tkachenko and Yanai (reference [27]; DESIGN.md §4
+// says which of its building blocks are substituted). The receiver (Alice)
 // cuckoo-hashes her set into B = 1.27·M bins using 3 hash functions; the
 // sender (Bob) simple-hashes every element of his set into all 3
 // candidate bins, at most L per bin except with probability 2^-σ. Per
@@ -43,7 +51,7 @@ import (
 )
 
 // The PSI kernels, measured per execution in cuckoo bins B, on both
-// sides and on the direct and indexed paths.
+// sides of the direct (plain-payload) and indexed (shared-payload) PSI.
 var (
 	kRecv        = obs.NewKernel("psi.recv")
 	kSend        = obs.NewKernel("psi.send")
@@ -162,7 +170,7 @@ func receiverKeys(t *cuckoo.Table) ([]uint64, error) {
 }
 
 // The per-bin protocol, shared by the direct and the indexed (§5.5)
-// construction, for w-bit payloads and ℓ-bit indicator shares. The
+// PSI, for w-bit payloads and ℓ-bit indicator shares. The
 // receiver's hint decodes to a τ-bit target t′ and a w-bit word u′; the
 // sender holds the bin's target t, a uniform word c, the default d and
 // his indicator share r, and programmed u′ = v ⊕ c ⊕ d for the value v a

@@ -107,28 +107,28 @@ func TestPSIPlainPayloads(t *testing.T) {
 	}
 }
 
+// TestPSIDuplicateSenderElementsSumPayloads: a receiver element matching
+// several sender copies gets the sum of their payloads, adjacent or not
+// and wrapping the ring, while an unmatched sender element and an
+// unmatched receiver element stay 0.
 func TestPSIDuplicateSenderElementsSumPayloads(t *testing.T) {
 	ring := share.Ring{Bits: 32}
 	xs := []uint64{100, 200}
-	ys := []uint64{100, 100, 300}
-	payloads := []uint64{5, 7, 9}
-	alice, bob := mpc.Pair(ring)
-	defer alice.Conn.Close()
-	defer bob.Conn.Close()
-	ra, rb, err := mpc.Run2PC(alice, bob,
-		func(p *mpc.Party) (*Result, error) { return RunReceiver(p, xs, len(ys)) },
-		func(p *mpc.Party) (*Result, error) { return RunSender(p, ys, payloads, len(xs)) },
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for b := 0; b < ra.Params.B; b++ {
-		if v, ok := ra.Table.BinItem(b); ok && v == 100 {
-			pay := ring.Combine(ra.PayShares[b], rb.PayShares[b])
-			if pay != 12 {
-				t.Fatalf("duplicate payloads: got %d, want 12", pay)
-			}
+	for _, tc := range []struct{ ys, payloads []uint64 }{
+		{[]uint64{100, 100, 300}, []uint64{5, 7, 9}},
+		{[]uint64{100, 300, 100, 100}, []uint64{5, 9, 7, 1 << 31}},
+	} {
+		alice, bob := mpc.Pair(ring)
+		ra, rb, err := mpc.Run2PC(alice, bob,
+			func(p *mpc.Party) (*Result, error) { return RunReceiver(p, xs, len(tc.ys)) },
+			func(p *mpc.Party) (*Result, error) { return RunSender(p, tc.ys, tc.payloads, len(xs)) },
+		)
+		alice.Conn.Close()
+		bob.Conn.Close()
+		if err != nil {
+			t.Fatal(err)
 		}
+		checkPSIResult(t, ring, xs, tc.ys, tc.payloads, ra, rb)
 	}
 }
 
@@ -203,6 +203,15 @@ func TestPSIValidation(t *testing.T) {
 	if _, err := RunSharedPayloadReceiver(alice, []uint64{1}, 3, nil); err == nil {
 		t.Error("receiver share length mismatch accepted")
 	}
+	// The shared-payload sender cannot merge what it only holds shares of:
+	// duplicates are refused before any traffic.
+	before := bob.Conn.Stats()
+	if _, err := RunSharedPayloadSender(bob, []uint64{100, 300, 100}, []uint64{5, 9, 7}, 2); !errors.Is(err, ErrDuplicateKey) {
+		t.Errorf("shared-payload sender with duplicates: %v, want ErrDuplicateKey", err)
+	}
+	if bob.Conn.Stats() != before {
+		t.Error("the duplicate check ran after traffic")
+	}
 }
 
 func TestIdxWidth(t *testing.T) {
@@ -264,7 +273,7 @@ func TestHintRejectsEqualKeys(t *testing.T) {
 // TestReceiverDummyBinsNeverMatch runs receiver sets that leave most of
 // the table empty — M = 1 in B = 4 bins — against senders holding the
 // whole candidate range: the dummy bins must come out as shares of
-// (0, 0) in every variant, since no composed key carries the dummy's tag.
+// (0, 0) in both PSIs, since no composed key carries the dummy's tag.
 func TestReceiverDummyBinsNeverMatch(t *testing.T) {
 	for which := 0; which < 3; which++ {
 		if k, _ := Compose(MaxElement, which); k == receiverDummyKey {
@@ -281,9 +290,7 @@ func TestReceiverDummyBinsNeverMatch(t *testing.T) {
 		for name, run := range map[string][2]half{
 			"direct": {func(p *mpc.Party) (*Result, error) { return RunReceiver(p, xs, len(ys)) },
 				func(p *mpc.Party) (*Result, error) { return RunSender(p, ys, payloads, 1) }},
-			"indexed-plain": {func(p *mpc.Party) (*Result, error) { return RunIndexedPlainReceiver(p, xs, len(ys)) },
-				func(p *mpc.Party) (*Result, error) { return RunIndexedPlainSender(p, ys, payloads, 1) }},
-			"indexed-shared": {func(p *mpc.Party) (*Result, error) { return RunSharedPayloadReceiver(p, xs, len(ys), zeros) },
+			"indexed": {func(p *mpc.Party) (*Result, error) { return RunSharedPayloadReceiver(p, xs, len(ys), zeros) },
 				func(p *mpc.Party) (*Result, error) { return RunSharedPayloadSender(p, ys, payloads, 1) }},
 		} {
 			alice, bob := mpc.Pair(ring)
@@ -305,7 +312,7 @@ func TestReceiverDummyBinsNeverMatch(t *testing.T) {
 // semijoin operators and the benchmark's PSI probe read: IndShares
 // combine to 1 and PayShares to the matched payload on a bin whose item
 // the sender holds, and both to 0 on a bin whose item he lacks and on a
-// dummy (empty) bin. Every variant runs at ring widths 32 and 64 (the
+// dummy (empty) bin. Both PSIs run at ring widths 32 and 64 (the
 // widest select word, w + ℓ + 1 = 129 bits on the direct path) over sets
 // that leave all three kinds of bin in the table.
 func TestBinSharesCombine(t *testing.T) {
@@ -324,9 +331,7 @@ func TestBinSharesCombine(t *testing.T) {
 		for name, run := range map[string][2]half{
 			"direct": {func(p *mpc.Party) (*Result, error) { return RunReceiver(p, xs, len(ys)) },
 				func(p *mpc.Party) (*Result, error) { return RunSender(p, ys, payloads, len(xs)) }},
-			"indexed-plain": {func(p *mpc.Party) (*Result, error) { return RunIndexedPlainReceiver(p, xs, len(ys)) },
-				func(p *mpc.Party) (*Result, error) { return RunIndexedPlainSender(p, ys, payloads, len(xs)) }},
-			"indexed-shared": {func(p *mpc.Party) (*Result, error) { return RunSharedPayloadReceiver(p, xs, len(ys), payA) },
+			"indexed": {func(p *mpc.Party) (*Result, error) { return RunSharedPayloadReceiver(p, xs, len(ys), payA) },
 				func(p *mpc.Party) (*Result, error) { return RunSharedPayloadSender(p, ys, payB, len(xs)) }},
 		} {
 			alice, bob := mpc.Pair(ring)
@@ -360,7 +365,7 @@ func TestBinSharesCombine(t *testing.T) {
 }
 
 // TestTranscriptDependsOnSizesOnly is the PSI's obliviousness check: for
-// fixed public (M, N) the bytes, messages and rounds of every variant are
+// fixed public (M, N) the bytes, messages and rounds of both PSIs are
 // the same whether the sets are disjoint, identical, or — where the
 // sender may hold them — full of duplicates.
 func TestTranscriptDependsOnSizesOnly(t *testing.T) {
@@ -388,9 +393,7 @@ func TestTranscriptDependsOnSizesOnly(t *testing.T) {
 	}{
 		"direct": {func(p *mpc.Party, in input) (*Result, error) { return RunReceiver(p, in.xs, n) },
 			func(p *mpc.Party, in input) (*Result, error) { return RunSender(p, in.ys, payloads, m) }, true},
-		"indexed-plain": {func(p *mpc.Party, in input) (*Result, error) { return RunIndexedPlainReceiver(p, in.xs, n) },
-			func(p *mpc.Party, in input) (*Result, error) { return RunIndexedPlainSender(p, in.ys, payloads, m) }, true},
-		"indexed-shared": {func(p *mpc.Party, in input) (*Result, error) {
+		"indexed": {func(p *mpc.Party, in input) (*Result, error) {
 			return RunSharedPayloadReceiver(p, in.xs, n, payloads)
 		},
 			func(p *mpc.Party, in input) (*Result, error) { return RunSharedPayloadSender(p, in.ys, payloads, m) }, false},
@@ -420,36 +423,5 @@ func TestTranscriptDependsOnSizesOnly(t *testing.T) {
 				t.Fatalf("%s: transcript shape depends on the data: input %d %+v, input 0 %+v", name, i, got, want)
 			}
 		}
-	}
-}
-
-// TestIndexedPlainDuplicatesSumPayloads is the §5.5 twin of
-// TestPSIDuplicateSenderElementsSumPayloads, and the shared-payload
-// sender — who cannot merge what it only holds shares of — must refuse
-// duplicates with ErrDuplicateKey before any traffic.
-func TestIndexedPlainDuplicatesSumPayloads(t *testing.T) {
-	ring := share.Ring{Bits: 32}
-	xs := []uint64{100, 200}
-	ys := []uint64{100, 300, 100, 100}
-	payloads := []uint64{5, 9, 7, 1 << 31}
-	alice, bob := mpc.Pair(ring)
-	defer alice.Conn.Close()
-	defer bob.Conn.Close()
-	ra, rb, err := mpc.Run2PC(alice, bob,
-		func(p *mpc.Party) (*Result, error) { return RunIndexedPlainReceiver(p, xs, len(ys)) },
-		func(p *mpc.Party) (*Result, error) { return RunIndexedPlainSender(p, ys, payloads, len(xs)) },
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkPSIResult(t, ring, xs, ys, payloads, ra, rb)
-
-	before := bob.Conn.Stats()
-	_, err = RunSharedPayloadSender(bob, ys, payloads, len(xs))
-	if !errors.Is(err, ErrDuplicateKey) {
-		t.Fatalf("shared-payload sender with duplicates: %v, want ErrDuplicateKey", err)
-	}
-	if bob.Conn.Stats() != before {
-		t.Fatal("the duplicate check ran after traffic")
 	}
 }

@@ -8,25 +8,24 @@ import (
 	"secyan/internal/oep"
 )
 
-// This file implements "PSI with secret-shared payloads" (paper §5.5):
-// the sender's payloads z_j are themselves additively shared between the
-// parties, so they cannot enter the comparison circuit in plaintext.
-// Following the paper:
+// This file implements "PSI with secret-shared payloads" (paper §5.5),
+// the PSI of a semijoin whose child annotations are secret-shared: the
+// sender's payloads z_j are additively shared between the parties, so
+// they cannot enter the hint as they are. Following the paper:
 //
 //  1. both parties extend the shares {⟦z_j⟧}_{j≤N} with B shares of zero;
 //  2. Bob draws a random permutation ξ₁ of [N+B] and an OEP (Bob as
 //     programmer) re-shares the extended vector as z'_k = z_{ξ₁(k)};
-//  3. the parties run PSI where the payload of y_j is the *index*
-//     ξ₁⁻¹(j), programmed into the hint under a per-bin mask, and the
-//     circuit reveals to Alice, per bin i, the value
+//  3. the parties run the per-bin protocol where the payload of y_j is
+//     the *index* ξ₁⁻¹(j), and the receiver learns, per bin i, the value
 //     k_i = ξ₁⁻¹(j) on a match and k_i = ξ₁⁻¹(N+i) otherwise — a uniform
 //     sample of distinct values that carries no information;
 //  4. a second OEP (Alice as programmer, ξ₂(i) = k_i) maps the z' shares
 //     to per-bin payload shares z''_i, which equal z_j on a match and 0
 //     otherwise.
 //
-// The intersection indicator is still produced in shared form as in the
-// plain protocol.
+// The intersection indicator is produced in shared form exactly as in
+// RunReceiver/RunSender.
 
 // idxWidth returns the circuit width for clear index outputs over [0, n).
 func idxWidth(n int) int {
@@ -44,36 +43,17 @@ func RunSharedPayloadReceiver(p *mpc.Party, xs []uint64, nSender int, myPayShare
 	if len(myPayShares) != nSender {
 		return nil, fmt.Errorf("psi: receiver holds %d payload shares, want %d", len(myPayShares), nSender)
 	}
-	return runIndexedReceiver(p, xs, nSender, myPayShares, false)
-}
-
-// RunIndexedPlainReceiver is the receiver side of the plain-payload
-// variant of the indexed construction (§6.5 fast path): the sender knows
-// his payloads, so the first OEP is replaced by a free local shuffle on
-// his side; the receiver holds zero shares throughout.
-func RunIndexedPlainReceiver(p *mpc.Party, xs []uint64, nSender int) (*Result, error) {
-	return runIndexedReceiver(p, xs, nSender, nil, true)
-}
-
-func runIndexedReceiver(p *mpc.Party, xs []uint64, nSender int, myPayShares []uint64, plain bool) (*Result, error) {
 	pr := NewParams(len(xs), nSender)
 	sp := kIndexedRecv.Begin()
 	defer sp.EndN(int64(pr.B))
 	npb := pr.N + pr.B
 
-	// Step 1-2: extend with zero shares; Bob permutes — via OEP when the
-	// payloads are shared, locally (free) when he knows them.
-	var zp []uint64
-	if plain {
-		zp = make([]uint64, npb)
-	} else {
-		ext := make([]uint64, npb)
-		copy(ext, myPayShares)
-		var err error
-		zp, err = oep.RunPermuteHelper(p, npb, ext)
-		if err != nil {
-			return nil, fmt.Errorf("psi: ξ1 OEP: %w", err)
-		}
+	// Steps 1-2: extend with zero shares; Bob permutes them by ξ₁.
+	ext := make([]uint64, npb)
+	copy(ext, myPayShares)
+	zp, err := oep.RunPermuteHelper(p, npb, ext)
+	if err != nil {
+		return nil, fmt.Errorf("psi: ξ1 OEP: %w", err)
 	}
 
 	// Step 3: PSI whose per-bin output is the selected index, in the clear.
@@ -112,33 +92,12 @@ func RunSharedPayloadSender(p *mpc.Party, ys []uint64, myPayShares []uint64, mRe
 		}
 		seen[y] = struct{}{}
 	}
-	return runIndexedSender(p, ys, myPayShares, mReceiver, false)
-}
-
-// RunIndexedPlainSender is the sender side of the plain-payload variant:
-// payloads are this party's plaintext values. Duplicates in ys sum their
-// payloads, as in RunSender.
-func RunIndexedPlainSender(p *mpc.Party, ys []uint64, payloads []uint64, mReceiver int) (*Result, error) {
-	if len(ys) != len(payloads) {
-		return nil, fmt.Errorf("psi: %d elements with %d payloads", len(ys), len(payloads))
-	}
-	return runIndexedSender(p, ys, payloads, mReceiver, true)
-}
-
-func runIndexedSender(p *mpc.Party, ys []uint64, myPayShares []uint64, mReceiver int, plain bool) (*Result, error) {
 	pr := NewParams(mReceiver, len(ys))
 	sp := kIndexedSend.Begin()
 	defer sp.EndN(int64(pr.B))
 	npb := pr.N + pr.B
-	if plain {
-		// Merged duplicates leave the tail of the N payload slots zero and
-		// unreferenced; the public sizes do not move.
-		ys, myPayShares = mergeDuplicates(p.Ring, ys, myPayShares)
-	}
 
-	// Steps 1-2: extend and permute by a fresh random ξ₁ — obliviously
-	// when the payloads are shared; as a free local shuffle when this
-	// party knows them (its "share" is the value, the peer's is zero).
+	// Steps 1-2: extend and permute obliviously by a fresh random ξ₁.
 	xi1 := p.PRG.Perm(npb)
 	inv := make([]uint64, npb)
 	for k, src := range xi1 {
@@ -146,18 +105,9 @@ func runIndexedSender(p *mpc.Party, ys []uint64, myPayShares []uint64, mReceiver
 	}
 	ext := make([]uint64, npb)
 	copy(ext, myPayShares)
-	var zp []uint64
-	if plain {
-		zp = make([]uint64, npb)
-		for k := range zp {
-			zp[k] = ext[xi1[k]]
-		}
-	} else {
-		var err error
-		zp, err = oep.RunPermuteProgrammer(p, xi1, ext)
-		if err != nil {
-			return nil, fmt.Errorf("psi: ξ1 OEP: %w", err)
-		}
+	zp, err := oep.RunPermuteProgrammer(p, xi1, ext)
+	if err != nil {
+		return nil, fmt.Errorf("psi: ξ1 OEP: %w", err)
 	}
 
 	// Step 3: PSI with index payloads ξ₁⁻¹(j) and per-bin defaults

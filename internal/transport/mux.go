@@ -12,24 +12,26 @@ package transport
 //   - Ordering: one reader goroutine drains the underlying conn into
 //     per-stream FIFO queues, so each logical stream preserves the
 //     send order of its peer exactly like a dedicated connection.
-//   - Backpressure: receive queues are bounded (MuxConfig.QueueCap)
-//     with credit-based flow control. A sender starts with QueueCap
-//     credits per stream, spends one per message, and regains them as
-//     the peer's consumer drains the queue (credits are granted in
-//     batches to halve the control-frame overhead). A stream whose
-//     consumer stalls blocks only its own senders; siblings proceed.
+//   - Backpressure: receive queues hold at most queueCap messages, with
+//     credit-based flow control. A sender starts with queueCap credits
+//     per stream, spends one per message, and regains them as the
+//     peer's consumer drains the queue (credits are granted in batches
+//     to halve the control-frame overhead). A stream whose consumer
+//     stalls blocks only its own senders; siblings proceed.
 //   - Liveness: optional idle heartbeats (ping/pong answered by the
 //     peer's reader goroutine, independent of protocol progress). A
-//     session that hears nothing for PeerTimeout fails with
+//     session that hears nothing for three heartbeats fails with
 //     ErrPeerTimeout.
-//   - Deadlines: a session deadline bounds the whole Mux; per-stream
-//     deadlines bound one logical conn. Both surface as
-//     context.DeadlineExceeded so errors.Is works uniformly with
-//     context-scoped cancellation.
+//   - Bounded state: a stream's record is released when it is closed
+//     locally or the session fails, and later frames for its id are
+//     dropped. Frames for an id not yet opened here are buffered (the
+//     peer may open first), in at most queueCap such records. Deadlines
+//     are the caller's: a context around the stream (WithContext).
 //   - Error propagation: a stream failing, closing, or being
 //     cancelled never poisons its siblings; every stream error is
 //     wrapped in a StreamError carrying the stream ID, with Unwrap
-//     preserving errors.Is(err, ErrClosed) / errors.Is(err, ctx.Err()).
+//     preserving errors.Is(err, ErrClosed). A peer that breaks the
+//     frame protocol fails the session with ErrProtocol.
 //   - Accounting: each logical stream counts payload bytes, messages
 //     and rounds exactly like a dedicated Conn (mux headers and
 //     control frames are excluded), so per-stream Stats are
@@ -37,7 +39,6 @@ package transport
 //     Control-plane overhead is reported separately in SessionStats.
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -61,21 +62,32 @@ const (
 // layer: 1 type byte plus the 4-byte stream id.
 const muxHeaderSize = 5
 
+// queueCap is the per-stream receive-queue bound in messages, the
+// initial send credit, and the bound on streams holding frames this
+// endpoint has not opened yet. The protocols in this repository are
+// lockstep — a party never streams more than a few messages ahead of its
+// peer's reads — so the bounds exist to contain misbehaving or faulty
+// peers, not to throttle healthy ones.
+const queueCap = 64
+
 // Session-layer errors.
 var (
 	// ErrPeerTimeout reports a peer that stopped responding to
-	// heartbeats within MuxConfig.PeerTimeout.
+	// heartbeats for three heartbeat intervals.
 	ErrPeerTimeout = errors.New("transport: peer liveness timeout")
 	// ErrStreamInUse reports an Open of a stream id this session
 	// already opened; stream ids are single-use.
 	ErrStreamInUse = errors.New("transport: stream id already open")
+	// ErrProtocol reports a peer that broke the mux frame protocol: a
+	// malformed frame, a receive queue past its credit window, or frames
+	// for more streams than this endpoint buffers before their Open.
+	ErrProtocol = errors.New("transport: peer broke the mux protocol")
 )
 
 // StreamError labels a failure with the logical stream it happened on,
 // so one of N concurrent protocol runs can be identified from the error
 // alone. Unwrap exposes the cause for errors.Is/errors.As — in
-// particular errors.Is(err, ErrClosed) and
-// errors.Is(err, context.DeadlineExceeded) see through the label.
+// particular errors.Is(err, ErrClosed) sees through the label.
 type StreamError struct {
 	Stream uint32
 	Err    error
@@ -87,34 +99,17 @@ func (e *StreamError) Error() string {
 
 func (e *StreamError) Unwrap() error { return e.Err }
 
-// MuxConfig tunes a session. The zero value is usable: no heartbeats,
-// no deadline, and DefaultQueueCap message queues.
+// MuxConfig tunes a session. The zero value is usable: no heartbeats.
 type MuxConfig struct {
-	// QueueCap bounds each stream's receive queue in messages and is
-	// the initial per-stream send credit. 0 means DefaultQueueCap.
-	QueueCap int
-	// Heartbeat, when positive, sends a ping on this interval and
-	// enables peer-liveness detection.
+	// Heartbeat, when positive, sends a ping on this interval and fails
+	// the session when nothing (data or control) has been heard from the
+	// peer for three intervals.
 	Heartbeat time.Duration
-	// PeerTimeout fails the session when nothing (data or control) has
-	// been heard from the peer for this long. 0 defaults to
-	// 3×Heartbeat; ignored when Heartbeat is 0.
-	PeerTimeout time.Duration
-	// Deadline, when positive, bounds the whole session from NewMux;
-	// on expiry every stream fails with context.DeadlineExceeded.
-	Deadline time.Duration
 	// SID is the observability session ID stamped on the mux's fault
 	// and heartbeat events (obs.Events). Process-local bookkeeping
 	// only; it never appears in any frame.
 	SID uint64
 }
-
-// DefaultQueueCap is the per-stream receive-queue bound (in messages)
-// when MuxConfig.QueueCap is 0. The protocols in this repository are
-// lockstep — a party never streams more than a few messages ahead of
-// its peer's reads — so the bound exists to contain misbehaving or
-// faulty peers, not to throttle healthy ones.
-const DefaultQueueCap = 64
 
 // Session-layer metrics (off until obs.Enable, like all obs counters).
 var (
@@ -128,7 +123,7 @@ var (
 	mMuxCreditsSent   = obs.NewCounter("secyan_mux_credit_msgs_sent_total", "Flow-control credit messages sent.")
 	mMuxControlBytes  = obs.NewCounter("secyan_mux_control_bytes_total", "Control-plane bytes sent (headers of control frames plus payloads).")
 	mMuxPeerTimeouts  = obs.NewCounter("secyan_mux_peer_timeouts_total", "Sessions failed by peer-liveness timeout.")
-	mMuxStreamsFailed = obs.NewCounter("secyan_mux_streams_failed_total", "Streams that ended with an error (session failure, deadline, or peer reset).")
+	mMuxStreamsFailed = obs.NewCounter("secyan_mux_streams_failed_total", "Streams still open or buffering when their session failed.")
 )
 
 // SessionStats is the rolled-up view of one Mux endpoint: the sum of
@@ -139,12 +134,13 @@ type SessionStats struct {
 	// counts those not yet closed.
 	Streams     int
 	OpenStreams int
-	// Data aggregates the per-stream payload Stats (bytes, messages;
-	// Rounds is the sum of per-stream rounds, not a session-level
-	// direction-switch count).
+	// Data counts the payload traffic of every stream, open or released
+	// (Rounds is the sum of per-stream rounds, not a session-level
+	// direction-switch count; a stream's ResetStats does not subtract).
 	Data Stats
 	// Control counts session-layer frames that carry no protocol
-	// payload: pings, pongs and credit grants, in both directions.
+	// payload: pings, pongs, credit grants and close frames, in both
+	// directions.
 	ControlMsgsSent int64
 	ControlMsgsRecv int64
 	// OverheadBytesSent is the framing overhead this endpoint added on
@@ -153,21 +149,23 @@ type SessionStats struct {
 }
 
 // Mux multiplexes logical streams over one underlying Conn. Both
-// endpoints must wrap their conn ends with compatible configs (the
-// queue capacity is the flow-control window and must match). Streams
-// are identified by caller-chosen ids: the two parties open matching
-// ids for the protocol runs they want paired, exactly as they already
-// agree on the query each run executes.
+// endpoints must wrap their conn ends with a Mux. Streams are identified
+// by caller-chosen ids: the two parties open matching ids for the
+// protocol runs they want paired, exactly as they already agree on the
+// query each run executes.
 type Mux struct {
 	base Conn
 	cfg  MuxConfig
 
 	sendMu sync.Mutex // serializes writes to base
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// streams holds the live records: streams opened and not yet closed,
+	// and the unopened ones holding frames for an id not yet opened here.
 	streams  map[uint32]*muxStream
-	opened   map[uint32]bool // ids Open has handed out (single-use)
-	err      error           // session-fatal error, sticky
+	unopened int
+	opened   idSet // ids Open has handed out (single-use)
+	err      error // session-fatal error, sticky
 	closed   bool
 	nStreams int
 
@@ -176,23 +174,37 @@ type Mux struct {
 	liveMu    sync.Mutex
 	lastHeard time.Time
 
+	data                                   Stats // under mu
 	ctlMsgsSent, ctlMsgsRecv, ovhBytesSent int64 // under mu
+}
+
+// idSet is the set of stream ids Open has handed out. Ids are single-use
+// and callers allocate them in sequence, so it keeps a floor below which
+// every id is taken plus the ids taken above it: its size is the
+// out-of-order window, not the session's history.
+type idSet struct {
+	floor uint32
+	above map[uint32]bool
+}
+
+func (s *idSet) has(id uint32) bool { return id < s.floor || s.above[id] }
+
+func (s *idSet) add(id uint32) {
+	s.above[id] = true
+	for s.above[s.floor] {
+		delete(s.above, s.floor)
+		s.floor++
+	}
 }
 
 // NewMux starts a session over base. The Mux owns base: closing the
 // Mux closes it, and no other reader may touch it.
 func NewMux(base Conn, cfg MuxConfig) *Mux {
-	if cfg.QueueCap <= 0 {
-		cfg.QueueCap = DefaultQueueCap
-	}
-	if cfg.Heartbeat > 0 && cfg.PeerTimeout <= 0 {
-		cfg.PeerTimeout = 3 * cfg.Heartbeat
-	}
 	m := &Mux{
 		base:    base,
 		cfg:     cfg,
 		streams: make(map[uint32]*muxStream),
-		opened:  make(map[uint32]bool),
+		opened:  idSet{above: make(map[uint32]bool)},
 		done:    make(chan struct{}),
 	}
 	m.liveMu.Lock()
@@ -204,24 +216,7 @@ func NewMux(base Conn, cfg MuxConfig) *Mux {
 	if cfg.Heartbeat > 0 {
 		go m.heartbeatLoop()
 	}
-	if cfg.Deadline > 0 {
-		t := time.AfterFunc(cfg.Deadline, func() {
-			m.fail(fmt.Errorf("transport: session deadline: %w", context.DeadlineExceeded))
-		})
-		go func() {
-			<-m.done
-			t.Stop()
-		}()
-	}
 	return m
-}
-
-// StreamOptions configure one logical stream.
-type StreamOptions struct {
-	// Deadline, when positive, bounds the stream's lifetime from Open;
-	// on expiry its operations fail with context.DeadlineExceeded and
-	// the peer's half is released.
-	Deadline time.Duration
 }
 
 // Open returns the logical Conn for stream id. Ids are single-use per
@@ -229,10 +224,7 @@ type StreamOptions struct {
 // same id yields the other end of the stream. Messages that arrived
 // before the local Open are buffered (within the queue bound) and
 // delivered in order.
-func (m *Mux) Open(id uint32) (Conn, error) { return m.OpenStream(id, StreamOptions{}) }
-
-// OpenStream is Open with per-stream options.
-func (m *Mux) OpenStream(id uint32, opts StreamOptions) (Conn, error) {
+func (m *Mux) Open(id uint32) (Conn, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.err != nil {
@@ -241,22 +233,22 @@ func (m *Mux) OpenStream(id uint32, opts StreamOptions) (Conn, error) {
 	if m.closed {
 		return nil, ErrClosed
 	}
-	if m.opened[id] {
+	if m.opened.has(id) {
 		return nil, &StreamError{Stream: id, Err: ErrStreamInUse}
 	}
-	m.opened[id] = true
-	s := m.streamLocked(id)
+	m.opened.add(id)
+	s := m.streams[id]
+	if s == nil {
+		s = m.newStreamLocked(id)
+	} else {
+		m.unopened-- // the record already holds the peer's early frames
+	}
 	s.mu.Lock()
 	s.handedOut = true
 	s.mu.Unlock()
 	m.nStreams++
 	mMuxStreams.Inc()
 	mMuxOpenStreams.Add(1)
-	if opts.Deadline > 0 {
-		s.deadlineTimer = time.AfterFunc(opts.Deadline, func() {
-			s.fail(fmt.Errorf("stream deadline: %w", context.DeadlineExceeded))
-		})
-	}
 	return s, nil
 }
 
@@ -274,30 +266,15 @@ func (m *Mux) Done() <-chan struct{} { return m.done }
 // SessionStats snapshots the rolled-up traffic of this endpoint.
 func (m *Mux) SessionStats() SessionStats {
 	m.mu.Lock()
-	st := SessionStats{
+	defer m.mu.Unlock()
+	return SessionStats{
 		Streams:           m.nStreams,
+		OpenStreams:       len(m.streams) - m.unopened,
+		Data:              m.data,
 		ControlMsgsSent:   m.ctlMsgsSent,
 		ControlMsgsRecv:   m.ctlMsgsRecv,
 		OverheadBytesSent: m.ovhBytesSent,
 	}
-	streams := make([]*muxStream, 0, len(m.streams))
-	for _, s := range m.streams {
-		streams = append(streams, s)
-	}
-	m.mu.Unlock()
-	for _, s := range streams {
-		s.mu.Lock()
-		if s.handedOut && !s.localClosed {
-			st.OpenStreams++
-		}
-		st.Data.BytesSent += s.stats.BytesSent
-		st.Data.BytesReceived += s.stats.BytesReceived
-		st.Data.MessagesSent += s.stats.MessagesSent
-		st.Data.MessagesRecv += s.stats.MessagesRecv
-		st.Data.Rounds += s.stats.Rounds
-		s.mu.Unlock()
-	}
-	return st
 }
 
 // Close ends the session: every stream fails with ErrClosed and the
@@ -314,8 +291,8 @@ func (m *Mux) Close() error {
 	return nil
 }
 
-// fail makes err the sticky session error, wakes every blocked stream
-// operation, and tears down the underlying conn.
+// fail makes err the sticky session error, releases every record, wakes
+// every blocked stream operation, and tears down the underlying conn.
 func (m *Mux) fail(err error) {
 	m.mu.Lock()
 	if m.err != nil {
@@ -323,10 +300,8 @@ func (m *Mux) fail(err error) {
 		return
 	}
 	m.err = err
-	streams := make([]*muxStream, 0, len(m.streams))
-	for _, s := range m.streams {
-		streams = append(streams, s)
-	}
+	streams := m.streams
+	m.streams, m.unopened = nil, 0
 	m.mu.Unlock()
 	// Session faults land in the event log; orderly Close (ErrClosed)
 	// and the already-evented peer timeout do not double-report.
@@ -341,29 +316,54 @@ func (m *Mux) fail(err error) {
 	mMuxOpenSessions.Add(-1)
 }
 
-// streamLocked returns the state record for id, creating it if needed.
-// Caller holds m.mu.
-func (m *Mux) streamLocked(id uint32) *muxStream {
-	s := m.streams[id]
-	if s == nil {
-		s = &muxStream{id: id, m: m, credit: m.cfg.QueueCap}
-		s.cond = sync.NewCond(&s.mu)
-		m.streams[id] = s
-	}
+// newStreamLocked creates and registers the record for id. Caller holds
+// m.mu.
+func (m *Mux) newStreamLocked(id uint32) *muxStream {
+	s := &muxStream{id: id, m: m, credit: queueCap}
+	s.cond = sync.NewCond(&s.mu)
+	m.streams[id] = s
 	return s
 }
 
-// stream returns the state record for id, creating it if needed.
-func (m *Mux) stream(id uint32) *muxStream {
+// inbound returns the record a data or close frame for id goes to: the
+// stream's own, a new one buffering an id not yet opened here, or nil
+// when the frame is to be dropped (the id was released, or the session
+// is down). A record past queueCap unopened ones is a protocol error.
+func (m *Mux) inbound(id uint32) (*muxStream, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.streamLocked(id)
+	if s := m.streams[id]; s != nil || m.err != nil || m.opened.has(id) {
+		return s, nil
+	}
+	if m.unopened == queueCap {
+		return nil, fmt.Errorf("%w: frames for more than %d streams not opened here", ErrProtocol, queueCap)
+	}
+	m.unopened++
+	return m.newStreamLocked(id), nil
 }
 
-// sendFrame writes one mux frame to the underlying conn. control
-// marks frames that carry no protocol payload, for overhead
-// accounting.
-func (m *Mux) sendFrame(typ byte, id uint32, payload []byte, control bool) error {
+// release drops a closed stream's record; later frames for its id are
+// dropped.
+func (m *Mux) release(s *muxStream) {
+	m.mu.Lock()
+	delete(m.streams, s.id)
+	m.mu.Unlock()
+}
+
+// addData counts one stream message in the session's payload totals.
+func (m *Mux) addData(d Stats) {
+	m.mu.Lock()
+	m.data.BytesSent += d.BytesSent
+	m.data.BytesReceived += d.BytesReceived
+	m.data.MessagesSent += d.MessagesSent
+	m.data.MessagesRecv += d.MessagesRecv
+	m.data.Rounds += d.Rounds
+	m.mu.Unlock()
+}
+
+// sendFrame writes one mux frame to the underlying conn and accounts its
+// overhead: the header of a data frame, all of a control frame.
+func (m *Mux) sendFrame(typ byte, id uint32, payload []byte) error {
 	buf := make([]byte, muxHeaderSize+len(payload))
 	buf[0] = typ
 	binary.LittleEndian.PutUint32(buf[1:], id)
@@ -374,22 +374,23 @@ func (m *Mux) sendFrame(typ byte, id uint32, payload []byte, control bool) error
 	if err != nil {
 		return err
 	}
+	ovh := len(buf)
 	m.mu.Lock()
-	if control {
-		m.ctlMsgsSent++
-		m.ovhBytesSent += int64(len(buf))
-		mMuxControlBytes.Add(int64(len(buf)))
+	if typ == muxData {
+		ovh = muxHeaderSize
 	} else {
-		m.ovhBytesSent += muxHeaderSize
-		mMuxControlBytes.Add(muxHeaderSize)
+		m.ctlMsgsSent++
 	}
+	m.ovhBytesSent += int64(ovh)
 	m.mu.Unlock()
+	mMuxControlBytes.Add(int64(ovh))
 	return nil
 }
 
 // readLoop is the session's single reader: it drains the underlying
 // conn and dispatches frames to streams. It exits when the conn fails
-// (peer gone, session closed) and propagates that to every stream.
+// (peer gone, session closed) or the peer breaks the frame protocol,
+// and propagates that to every stream.
 func (m *Mux) readLoop() {
 	for {
 		buf, err := m.base.Recv()
@@ -397,57 +398,64 @@ func (m *Mux) readLoop() {
 			m.fail(err)
 			return
 		}
-		if len(buf) < muxHeaderSize {
-			m.fail(fmt.Errorf("transport: mux frame of %d bytes is shorter than the %d-byte header", len(buf), muxHeaderSize))
-			return
-		}
-		m.liveMu.Lock()
-		m.lastHeard = time.Now()
-		m.liveMu.Unlock()
-		typ, id, payload := buf[0], binary.LittleEndian.Uint32(buf[1:]), buf[muxHeaderSize:]
-		switch typ {
-		case muxData:
-			if err := m.stream(id).deliver(payload); err != nil {
-				m.fail(err)
-				return
-			}
-		case muxClose:
-			m.stream(id).peerClose()
-			m.noteControlRecv()
-		case muxPing:
-			m.noteControlRecv()
-			if err := m.sendFrame(muxPong, 0, nil, true); err != nil {
-				m.fail(err)
-				return
-			}
-		case muxPong:
-			mMuxPongsRecv.Inc()
-			m.noteControlRecv()
-		case muxCredit:
-			if len(payload) != 4 {
-				m.fail(fmt.Errorf("transport: mux credit frame with %d-byte payload", len(payload)))
-				return
-			}
-			m.stream(id).addCredit(int(binary.LittleEndian.Uint32(payload)))
-			m.noteControlRecv()
-		default:
-			m.fail(fmt.Errorf("transport: unknown mux frame type %d", typ))
+		if err := m.dispatch(buf); err != nil {
+			m.fail(err)
 			return
 		}
 	}
 }
 
-func (m *Mux) noteControlRecv() {
-	m.mu.Lock()
-	m.ctlMsgsRecv++
-	m.mu.Unlock()
+// dispatch handles one frame from the peer.
+func (m *Mux) dispatch(buf []byte) error {
+	if len(buf) < muxHeaderSize {
+		return fmt.Errorf("%w: frame of %d bytes is shorter than the %d-byte header", ErrProtocol, len(buf), muxHeaderSize)
+	}
+	m.liveMu.Lock()
+	m.lastHeard = time.Now()
+	m.liveMu.Unlock()
+	typ, id, payload := buf[0], binary.LittleEndian.Uint32(buf[1:]), buf[muxHeaderSize:]
+	if typ != muxData {
+		m.mu.Lock()
+		m.ctlMsgsRecv++
+		m.mu.Unlock()
+	}
+	switch typ {
+	case muxData, muxClose:
+		s, err := m.inbound(id)
+		if err != nil || s == nil {
+			return err
+		}
+		if typ == muxClose {
+			s.peerClose()
+			return nil
+		}
+		return s.deliver(payload)
+	case muxPing:
+		return m.sendFrame(muxPong, 0, nil)
+	case muxPong:
+		mMuxPongsRecv.Inc()
+	case muxCredit:
+		if len(payload) != 4 {
+			return fmt.Errorf("%w: credit frame with %d-byte payload", ErrProtocol, len(payload))
+		}
+		m.mu.Lock()
+		s := m.streams[id]
+		m.mu.Unlock()
+		if s != nil {
+			s.addCredit(int(binary.LittleEndian.Uint32(payload)))
+		}
+	default:
+		return fmt.Errorf("%w: unknown frame type %d", ErrProtocol, typ)
+	}
+	return nil
 }
 
 // heartbeatLoop pings the peer every Heartbeat and fails the session
-// when nothing has been heard for PeerTimeout. Pongs come from the
+// when nothing has been heard for three of them. Pongs come from the
 // peer's reader goroutine, so liveness detection keeps working while
 // the peer's protocol goroutines are deep in local compute.
 func (m *Mux) heartbeatLoop() {
+	limit := 3 * m.cfg.Heartbeat
 	t := time.NewTicker(m.cfg.Heartbeat)
 	defer t.Stop()
 	for {
@@ -458,17 +466,17 @@ func (m *Mux) heartbeatLoop() {
 			m.liveMu.Lock()
 			silent := time.Since(m.lastHeard)
 			m.liveMu.Unlock()
-			if silent > m.cfg.PeerTimeout {
+			if silent > limit {
 				mMuxPeerTimeouts.Inc()
 				if obs.Enabled() {
 					obs.Events().Emit("heartbeat.timeout", obs.QueryTag{SID: m.cfg.SID},
-						slog.Duration("silent", silent), slog.Duration("limit", m.cfg.PeerTimeout))
+						slog.Duration("silent", silent), slog.Duration("limit", limit))
 				}
 				m.fail(fmt.Errorf("%w: nothing heard for %v", ErrPeerTimeout, silent.Round(time.Millisecond)))
 				return
 			}
 			mMuxPingsSent.Inc()
-			if err := m.sendFrame(muxPing, 0, nil, true); err != nil {
+			if err := m.sendFrame(muxPing, 0, nil); err != nil {
 				m.fail(err)
 				return
 			}
@@ -493,8 +501,6 @@ type muxStream struct {
 	peerClosed  bool
 	failErr     error
 
-	deadlineTimer *time.Timer
-
 	stats    Stats
 	lastRecv bool
 	started  bool
@@ -510,8 +516,8 @@ func (s *muxStream) deliver(payload []byte) error {
 		// Stream already gone locally; drop late data.
 		return nil
 	}
-	if len(s.queue) >= s.m.cfg.QueueCap {
-		return fmt.Errorf("transport: stream %d receive queue overflow (%d messages, credit window %d)", s.id, len(s.queue)+1, s.m.cfg.QueueCap)
+	if len(s.queue) >= queueCap {
+		return fmt.Errorf("%w: stream %d receive queue overflow (%d messages, credit window %d)", ErrProtocol, s.id, len(s.queue)+1, queueCap)
 	}
 	s.queue = append(s.queue, payload)
 	s.cond.Broadcast()
@@ -535,36 +541,27 @@ func (s *muxStream) addCredit(n int) {
 	s.mu.Unlock()
 }
 
-// fail terminates the stream with err (session failure, stream
-// deadline): blocked operations wake and report it.
+// fail terminates the stream with the session's error: blocked
+// operations wake and report it once the queue is drained.
 func (s *muxStream) fail(err error) {
 	s.mu.Lock()
-	already := s.failErr != nil
-	if !already {
-		s.failErr = err
-	}
+	s.failErr = err
 	handed := s.handedOut
-	closed := s.localClosed
 	s.cond.Broadcast()
 	s.mu.Unlock()
-	if already {
-		return
-	}
 	mMuxStreamsFailed.Inc()
 	if obs.Enabled() {
 		obs.Events().Emit("stream.fail", obs.QueryTag{SID: s.m.cfg.SID},
 			slog.Uint64("stream", uint64(s.id)), slog.String("error", err.Error()))
 	}
-	if handed && !closed {
-		// Release the peer's half: without this, a stream failed by
-		// its own deadline would leave the peer blocked forever.
-		_ = s.m.sendFrame(muxClose, s.id, nil, true)
+	if handed {
 		s.markClosed()
 	}
 }
 
-// markClosed flips localClosed once and updates the open-streams gauge.
-func (s *muxStream) markClosed() {
+// markClosed flips localClosed once, updating the open-streams gauge,
+// and reports whether this call flipped it.
+func (s *muxStream) markClosed() bool {
 	s.mu.Lock()
 	was := s.localClosed
 	s.localClosed = true
@@ -573,6 +570,7 @@ func (s *muxStream) markClosed() {
 	if !was {
 		mMuxOpenStreams.Add(-1)
 	}
+	return !was
 }
 
 // labeled wraps an error with the stream id, collapsing double labels.
@@ -609,36 +607,27 @@ func (s *muxStream) Send(data []byte) error {
 	s.credit--
 	s.mu.Unlock()
 
-	if err := s.m.sendFrame(muxData, s.id, data, false); err != nil {
+	if err := s.m.sendFrame(muxData, s.id, data); err != nil {
 		return s.labeled(err)
 	}
+	d := Stats{BytesSent: int64(len(data)), MessagesSent: 1}
 	s.mu.Lock()
-	s.stats.BytesSent += int64(len(data))
-	s.stats.MessagesSent++
-	round := s.lastRecv || !s.started
-	if round {
-		s.stats.Rounds++
+	if s.lastRecv || !s.started {
+		d.Rounds = 1
 	}
+	s.stats.BytesSent += d.BytesSent
+	s.stats.MessagesSent++
+	s.stats.Rounds += d.Rounds
 	s.lastRecv = false
 	s.started = true
 	s.mu.Unlock()
-	mBytesSent.Add(int64(len(data)))
+	s.m.addData(d)
+	mBytesSent.Add(d.BytesSent)
 	mMsgsSent.Inc()
-	if round {
+	if d.Rounds > 0 {
 		mRounds.Inc()
 	}
 	return nil
-}
-
-// creditGrantThreshold returns how many consumed messages accumulate
-// before a credit frame is sent. Batching halves the control traffic;
-// the sender never starves because it starts with a full window.
-func (s *muxStream) creditGrantThreshold() int {
-	t := s.m.cfg.QueueCap / 2
-	if t < 1 {
-		t = 1
-	}
-	return t
 }
 
 func (s *muxStream) Recv() ([]byte, error) {
@@ -661,8 +650,9 @@ func (s *muxStream) Recv() ([]byte, error) {
 	s.queue[0] = nil // the backing array must not keep a consumed message alive
 	s.queue = s.queue[1:]
 	s.unacked++
+	// Credits go back in batches of half the window.
 	grant := 0
-	if s.unacked >= s.creditGrantThreshold() {
+	if s.unacked >= queueCap/2 {
 		grant = s.unacked
 		s.unacked = 0
 	}
@@ -672,6 +662,7 @@ func (s *muxStream) Recv() ([]byte, error) {
 	s.started = true
 	dead := s.failErr != nil || s.localClosed
 	s.mu.Unlock()
+	s.m.addData(Stats{BytesReceived: int64(len(msg)), MessagesRecv: 1})
 	mBytesRecv.Add(int64(len(msg)))
 	mMsgsRecv.Inc()
 	if grant > 0 && !dead {
@@ -680,7 +671,7 @@ func (s *muxStream) Recv() ([]byte, error) {
 		mMuxCreditsSent.Inc()
 		// A failed credit send means the session is going down; the
 		// session error will surface on the next blocking operation.
-		_ = s.m.sendFrame(muxCredit, s.id, pay[:], true)
+		_ = s.m.sendFrame(muxCredit, s.id, pay[:])
 	}
 	return msg, nil
 }
@@ -699,24 +690,17 @@ func (s *muxStream) ResetStats() {
 	s.mu.Unlock()
 }
 
-// Close releases this half of the stream. The peer can drain messages
-// already sent, then sees ErrClosed. Siblings and the session itself
-// are untouched — this is what lets one cancelled query leave N-1
-// others running.
+// Close releases this half of the stream and its record. The peer can
+// drain messages already sent, then sees ErrClosed. Siblings and the
+// session itself are untouched — this is what lets one cancelled query
+// leave N-1 others running.
 func (s *muxStream) Close() error {
-	s.mu.Lock()
-	if s.localClosed {
-		s.mu.Unlock()
+	if !s.markClosed() {
 		return nil
 	}
-	s.mu.Unlock()
-	if s.deadlineTimer != nil {
-		s.deadlineTimer.Stop()
-	}
-	sessionDown := s.m.Err() != nil
-	s.markClosed()
-	if !sessionDown {
-		_ = s.m.sendFrame(muxClose, s.id, nil, true)
+	s.m.release(s)
+	if s.m.Err() == nil {
+		_ = s.m.sendFrame(muxClose, s.id, nil)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -221,8 +222,8 @@ func TestMuxSiblingIsolation(t *testing.T) {
 // consumer blocks at the credit window and resumes once the consumer
 // drains, without disturbing other streams.
 func TestMuxBackpressure(t *testing.T) {
-	const cap = 4
-	ma, mb := muxPair(MuxConfig{QueueCap: cap})
+	const cap = queueCap
+	ma, mb := muxPair(MuxConfig{})
 	defer ma.Close()
 	defer mb.Close()
 	ca, cb := mustOpen(t, ma, 1), mustOpen(t, mb, 1)
@@ -270,7 +271,8 @@ func TestMuxBackpressure(t *testing.T) {
 
 // TestMuxHeartbeatDetectsDeadPeer puts a blackhole between the
 // parties: Alice's frames vanish and Bob goes silent, so Alice's
-// liveness timer must fail her session with ErrPeerTimeout.
+// liveness timer must fail her session with ErrPeerTimeout after three
+// heartbeats.
 func TestMuxHeartbeatDetectsDeadPeer(t *testing.T) {
 	a, b := Pair()
 	// Blackhole: drop everything Bob would send, so Alice hears nothing.
@@ -281,7 +283,7 @@ func TestMuxHeartbeatDetectsDeadPeer(t *testing.T) {
 		}
 		return fs
 	}()...)
-	ma := NewMux(a, MuxConfig{Heartbeat: 20 * time.Millisecond, PeerTimeout: 80 * time.Millisecond})
+	ma := NewMux(a, MuxConfig{Heartbeat: 20 * time.Millisecond})
 	mb := NewMux(silent, MuxConfig{})
 	defer ma.Close()
 	defer mb.Close()
@@ -302,11 +304,12 @@ func TestMuxHeartbeatDetectsDeadPeer(t *testing.T) {
 }
 
 // TestMuxHeartbeatKeepsHealthySessionAlive runs a session with fast
-// heartbeats over a window several timeouts long and checks nothing
-// fails while the peer is responsive (even though no data flows).
+// heartbeats on one side only over a window several timeouts long: no
+// data flows and the peer never pings, so the session lives on the
+// pongs its reader returns.
 func TestMuxHeartbeatKeepsHealthySessionAlive(t *testing.T) {
-	cfg := MuxConfig{Heartbeat: 10 * time.Millisecond, PeerTimeout: 40 * time.Millisecond}
-	ma, mb := muxPair(cfg)
+	a, b := Pair()
+	ma, mb := NewMux(a, MuxConfig{Heartbeat: 15 * time.Millisecond}), NewMux(b, MuxConfig{})
 	defer ma.Close()
 	defer mb.Close()
 	time.Sleep(200 * time.Millisecond)
@@ -318,30 +321,25 @@ func TestMuxHeartbeatKeepsHealthySessionAlive(t *testing.T) {
 	}
 }
 
-// TestMuxStreamDeadline bounds one stream; its expiry must fail that
-// stream with context.DeadlineExceeded on both endpoints and leave the
-// sibling alone.
+// TestMuxStreamDeadline bounds one stream by a context deadline
+// (WithContext): its expiry fails that stream with
+// context.DeadlineExceeded and closes it, so the peer's half is
+// released rather than hung, and the sibling carries on.
 func TestMuxStreamDeadline(t *testing.T) {
 	eachTransport(t, MuxConfig{}, func(t *testing.T, ma, mb *Mux) {
-		ca, err := ma.OpenStream(1, StreamOptions{Deadline: 30 * time.Millisecond})
-		if err != nil {
-			t.Fatal(err)
-		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+		defer cancel()
+		ca, release := WithContext(ctx, mustOpen(t, ma, 1))
+		defer release()
 		cb := mustOpen(t, mb, 1)
 		sibA, sibB := mustOpen(t, ma, 2), mustOpen(t, mb, 2)
 
 		if _, err := ca.Recv(); !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("deadline stream error: %v", err)
 		}
-		var se *StreamError
-		if _, err := ca.Recv(); !errors.As(err, &se) || se.Stream != 1 {
-			t.Fatalf("deadline error not labeled: %v", err)
+		if _, err := cb.Recv(); !errors.Is(err, ErrClosed) {
+			t.Fatalf("peer of expired stream: %v", err)
 		}
-		// Peer's half is released (close frame), not hung.
-		if _, err := cb.Recv(); err == nil {
-			t.Fatal("peer of expired stream kept waiting")
-		}
-		// Sibling unaffected.
 		if err := sibA.Send([]byte("x")); err != nil {
 			t.Fatal(err)
 		}
@@ -349,24 +347,6 @@ func TestMuxStreamDeadline(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-}
-
-// TestMuxSessionDeadline bounds the whole session.
-func TestMuxSessionDeadline(t *testing.T) {
-	a, b := Pair()
-	ma := NewMux(a, MuxConfig{Deadline: 30 * time.Millisecond})
-	mb := NewMux(b, MuxConfig{})
-	defer ma.Close()
-	defer mb.Close()
-	ca := mustOpen(t, ma, 1)
-	select {
-	case <-ma.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("session deadline did not fire")
-	}
-	if _, err := ca.Recv(); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("stream error after session deadline: %v", err)
-	}
 }
 
 // TestMuxStreamIDReuseRejected: ids are single-use.
@@ -422,12 +402,12 @@ func TestMuxEarlyDataBuffered(t *testing.T) {
 // TestMuxSessionStatsOverhead: control traffic (credits) is accounted
 // separately from payload stats.
 func TestMuxSessionStatsOverhead(t *testing.T) {
-	const cap = 2
-	ma, mb := muxPair(MuxConfig{QueueCap: cap})
+	const n = queueCap
+	ma, mb := muxPair(MuxConfig{})
 	defer ma.Close()
 	defer mb.Close()
 	ca, cb := mustOpen(t, ma, 1), mustOpen(t, mb, 1)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < n; i++ {
 		if err := ca.Send([]byte("pp")); err != nil {
 			t.Fatal(err)
 		}
@@ -435,15 +415,132 @@ func TestMuxSessionStatsOverhead(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	bst := mb.SessionStats()
-	if bst.ControlMsgsSent == 0 {
-		t.Fatal("no credit frames were sent despite a tiny window")
+	if bst := mb.SessionStats(); bst.ControlMsgsSent != 2 {
+		t.Fatalf("%d credit frames for a full window drained, want 2", bst.ControlMsgsSent)
 	}
 	ast := ma.SessionStats()
-	if ast.Data.BytesSent != 20 || ast.Data.MessagesSent != 10 {
+	if ast.Data.BytesSent != 2*n || ast.Data.MessagesSent != n {
 		t.Fatalf("payload rollup wrong: %+v", ast.Data)
 	}
-	if ast.OverheadBytesSent != 10*muxHeaderSize {
-		t.Fatalf("overhead bytes: %d want %d", ast.OverheadBytesSent, 10*muxHeaderSize)
+	if ast.OverheadBytesSent != n*muxHeaderSize {
+		t.Fatalf("overhead bytes: %d want %d", ast.OverheadBytesSent, n*muxHeaderSize)
+	}
+}
+
+// rawMux returns a Mux over one end of a pipe and the other end bare, so
+// a test can speak the frame protocol as the peer.
+func rawMux() (*Mux, Conn) {
+	a, b := Pair()
+	return NewMux(a, MuxConfig{}), b
+}
+
+func frame(typ byte, id uint32, payload []byte) []byte {
+	buf := make([]byte, muxHeaderSize+len(payload))
+	buf[0] = typ
+	binary.LittleEndian.PutUint32(buf[1:], id)
+	copy(buf[muxHeaderSize:], payload)
+	return buf
+}
+
+// syncPeer sends a ping from the bare peer and reads until the pong:
+// frames reach the Mux in order, so every earlier frame has been handled
+// by then. It returns early if the Mux closes the conn.
+func syncPeer(peer Conn) {
+	if peer.Send(frame(muxPing, 0, nil)) != nil {
+		return
+	}
+	for {
+		buf, err := peer.Recv()
+		if err != nil || buf[0] == muxPong {
+			return
+		}
+	}
+}
+
+// muxRecords returns how many stream records m holds and how many ids
+// above its floor the opened-id set keeps.
+func muxRecords(m *Mux) (records, ids int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.streams), len(m.opened.above)
+}
+
+// TestMuxReleasesClosedStreams runs many open/use/close cycles, each
+// followed by late data and a close frame from the peer: no stream record
+// and no opened id above the floor survives, nothing fails, reusing an
+// id is still refused, and SessionStats keeps the released streams'
+// traffic.
+func TestMuxReleasesClosedStreams(t *testing.T) {
+	const cycles = 2000
+	m, peer := rawMux()
+	defer m.Close()
+	for id := uint32(0); id < cycles; id++ {
+		c := mustOpen(t, m, id)
+		if err := peer.Send(frame(muxData, id, []byte("x"))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Recv(); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Send([]byte("yy")); err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+		peer.Send(frame(muxData, id, []byte("late")))
+		peer.Send(frame(muxClose, id, nil))
+	}
+	syncPeer(peer)
+	if err := m.Err(); err != nil {
+		t.Fatalf("late frames for released streams failed the session: %v", err)
+	}
+	if records, ids := muxRecords(m); records != 0 || ids != 0 {
+		t.Fatalf("after %d closed streams: %d records, %d ids above the floor; want 0 and 0", cycles, records, ids)
+	}
+	st := m.SessionStats()
+	if st.Streams != cycles || st.OpenStreams != 0 ||
+		st.Data.BytesReceived != cycles || st.Data.BytesSent != 2*cycles || st.Data.Rounds != cycles {
+		t.Fatalf("session stats after release: %+v", st)
+	}
+	if _, err := m.Open(cycles / 2); !errors.Is(err, ErrStreamInUse) {
+		t.Fatalf("reopening a released id: %v, want ErrStreamInUse", err)
+	}
+}
+
+// TestMuxBoundsUnopenedStreams: frames for ids not opened here are
+// buffered in at most queueCap records, and an Open delivers its early
+// data; a frame for one more such id fails the session with ErrProtocol
+// and the records go with it.
+func TestMuxBoundsUnopenedStreams(t *testing.T) {
+	m, peer := rawMux()
+	defer m.Close()
+	for i := uint32(0); i < queueCap; i++ {
+		peer.Send(frame(muxData, 1000+i, []byte{byte(i)}))
+	}
+	syncPeer(peer)
+	if err := m.Err(); err != nil {
+		t.Fatalf("%d buffered streams failed the session: %v", queueCap, err)
+	}
+	c := mustOpen(t, m, 1000)
+	if got, err := c.Recv(); err != nil || got[0] != 0 {
+		t.Fatalf("early data: %v, %v", got, err)
+	}
+	// The opened stream no longer counts against the bound.
+	peer.Send(frame(muxData, 2000, nil))
+	syncPeer(peer)
+	if err := m.Err(); err != nil {
+		t.Fatalf("session failed within the bound: %v", err)
+	}
+	peer.Send(frame(muxData, 2001, nil))
+	select {
+	case <-m.Done():
+	case <-time.After(5 * time.Second):
+		records, _ := muxRecords(m)
+		t.Fatalf("%d unopened streams did not fail the session (%d records)", queueCap+1, records)
+	}
+	if err := m.Err(); !errors.Is(err, ErrProtocol) {
+		t.Fatalf("session error %v, want ErrProtocol", err)
+	}
+	if records, _ := muxRecords(m); records != 0 {
+		t.Fatalf("%d records after the session failed", records)
 	}
 }

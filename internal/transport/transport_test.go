@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestPairRoundTrip(t *testing.T) {
@@ -192,11 +193,13 @@ func TestTCPTransport(t *testing.T) {
 	}()
 	var client Conn
 	var err error
+	// The listener comes up on another goroutine: retry for up to ~1 s.
 	for i := 0; i < 100; i++ {
 		client, err = Dial("127.0.0.1:39451")
 		if err == nil {
 			break
 		}
+		time.Sleep(10 * time.Millisecond)
 	}
 	if err != nil {
 		t.Fatalf("Dial: %v", err)

@@ -3,9 +3,9 @@ package secyan
 // The Session API is the package's one way to run a protocol: one
 // Session per party multiplexes any number of executions — online
 // queries, shared-result compositions, SQL statements, background
-// Precompute passes — over a single connection, with deadlines,
-// heartbeats and per-stream fault isolation provided by the transport
-// session layer.
+// Precompute passes — over a single connection, with heartbeats and
+// per-stream fault isolation provided by the transport session layer
+// and per-execution deadlines by each call's context.
 
 import (
 	"context"
@@ -48,11 +48,8 @@ var ErrPeerTimeout = transport.ErrPeerTimeout
 type config struct {
 	ring           Ring
 	tracer         *Tracer
-	deadline       time.Duration
 	streamDeadline time.Duration
 	heartbeat      time.Duration
-	peerTimeout    time.Duration
-	queueCap       int
 	estOut         int
 	backend        core.BackendID
 	tenant         string
@@ -71,9 +68,9 @@ func (c *config) plan() core.Options {
 // default; the options that describe a single execution — WithBackend,
 // WithEstOut, WithTenant, WithStreamDeadline, WithSharedResult — may
 // also be given to Query, Precompute, RevealRatio, ExecSQL and Explain,
-// where they override that default for the one call. Options that shape the connection (WithRing on a
-// Session, WithHeartbeat, WithQueueCap, ...) are fixed at Open and
-// ignored per call.
+// where they override that default for the one call. Options that
+// shape the connection (WithRing on a Session, WithHeartbeat,
+// WithStreamWrapper) are fixed at Open and ignored per call.
 type Option func(*config)
 
 // WithRing selects the annotation ring (default: DefaultRing, the
@@ -84,10 +81,6 @@ func WithRing(r Ring) Option { return func(c *config) { c.ring = r } }
 // execution on the session, one track per party and stream.
 func WithTracer(tr *Tracer) Option { return func(c *config) { c.tracer = tr } }
 
-// WithDeadline bounds the whole session: when it expires, every stream
-// fails with context.DeadlineExceeded.
-func WithDeadline(d time.Duration) Option { return func(c *config) { c.deadline = d } }
-
 // WithStreamDeadline bounds each individual protocol execution: it runs
 // under a context that expires after d, so it fails with
 // context.DeadlineExceeded (wrapped in the execution's StreamError)
@@ -95,18 +88,9 @@ func WithDeadline(d time.Duration) Option { return func(c *config) { c.deadline 
 func WithStreamDeadline(d time.Duration) Option { return func(c *config) { c.streamDeadline = d } }
 
 // WithHeartbeat enables idle heartbeats on the session: pings every
-// interval, with peer-liveness failure after WithPeerTimeout (default
-// 3× the interval).
+// interval, and failure with ErrPeerTimeout once the peer has been
+// silent for three intervals.
 func WithHeartbeat(interval time.Duration) Option { return func(c *config) { c.heartbeat = interval } }
-
-// WithPeerTimeout sets how long the session tolerates total silence
-// from the peer before failing with ErrPeerTimeout (requires
-// WithHeartbeat).
-func WithPeerTimeout(d time.Duration) Option { return func(c *config) { c.peerTimeout = d } }
-
-// WithQueueCap bounds each stream's receive queue (in messages); it is
-// the flow-control window and must match between the two endpoints.
-func WithQueueCap(n int) Option { return func(c *config) { c.queueCap = n } }
 
 // WithEstOut sets the assumed output size that prices the join-phase
 // steps of multi-survivor queries. The join-tree root is chosen by
@@ -184,8 +168,7 @@ type stagedParty struct {
 
 // Open starts a session over conn for the given role. The session owns
 // conn: close the session, not the conn. Both parties must open
-// compatible sessions (same ring, same queue capacity) over the two
-// ends of one connection.
+// compatible sessions (same ring) over the two ends of one connection.
 func Open(role Role, conn Conn, opts ...Option) (*Session, error) {
 	if role != Alice && role != Bob {
 		return nil, fmt.Errorf("secyan: invalid role %d", role)
@@ -197,12 +180,9 @@ func Open(role Role, conn Conn, opts ...Option) (*Session, error) {
 		role: role,
 		sid:  sid,
 		sess: mpc.NewSession(role, conn, cfg.ring, mpc.SessionConfig{
-			QueueCap:    cfg.queueCap,
-			Heartbeat:   cfg.heartbeat,
-			PeerTimeout: cfg.peerTimeout,
-			Deadline:    cfg.deadline,
-			WrapStream:  cfg.wrapStream,
-			SID:         sid,
+			Heartbeat:  cfg.heartbeat,
+			WrapStream: cfg.wrapStream,
+			SID:        sid,
 		}),
 	}
 	if obs.Enabled() {
