@@ -60,8 +60,10 @@ race-daemon:
 
 # The crypto-kernel packages under the race detector, repeated: the
 # fixed-key AES hash layer (batched MMO, the 8-wide AESENC kernel, the
-# noescape scratch laundering), the IKNP extension that hashes matrix
-# rows through it, the slot-parallel garbling kernel whose workers share
+# noescape scratch laundering), the keyed AES-CTR keystream that runs the
+# same kernel under per-column round keys (prf.CTR), the IKNP extension
+# whose workers read it column by column and hash matrix rows through
+# the MMO layer, its derived second direction, the slot-parallel garbling kernel whose workers share
 # one message buffer (DESIGN.md §7), PSI/cuckoo bin sweeps, and the
 # packed bit-matrix plumbing underneath (see DESIGN.md §14).
 race-kernels:
@@ -86,10 +88,12 @@ vet:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 
-# Short fuzz bursts for the transpose involution, the TCP framing
+# Short fuzz bursts for the transpose involution, the keyed AES-CTR
+# keystream at any offset and length against crypto/cipher, the TCP framing
 # decoder, arbitrary frame sequences into one mux endpoint, the SQL
 # front end (seeded with the TPC-H query strings), the
-# sorted view by permutation, both base-OT message decoders, the
+# sorted view by permutation, both base-OT message decoders and the
+# derived direction's correction matrix, the
 # evaluator's view of the garbler's message (keyed payloads and selects
 # included) and both sides of the label OT (corrections, label shifts,
 # derandomization bits), the PSI's hint and OPRF-correction decoders and
@@ -99,6 +103,7 @@ vet:
 # hello); extend -fuzztime locally for real fuzzing sessions.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTranspose -fuzztime 10s ./internal/bitutil
+	$(GO) test -run '^$$' -fuzz FuzzKeyStream -fuzztime 10s ./internal/prf
 	$(GO) test -run '^$$' -fuzz FuzzRecvFraming -fuzztime 10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz FuzzMuxFrames -fuzztime 10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/sqlfront

@@ -537,16 +537,22 @@ func compileTree(q *Query, tree *jointree.Tree, ringBits int, opts Options) (*Pl
 }
 
 // seal prepends the base-OT setup steps for every OT direction the plan
-// uses and totals the estimates. Setup is priced per direction; when a
-// composed query reuses a party's existing OT sessions the setup steps
-// execute as free cache hits.
+// uses and totals the estimates. The first direction runs the public-key
+// base OTs (ot.SetupCost); a second is derived from it (ot.DeriveCost,
+// mpc.Party.OTSender). When a composed query reuses a party's existing
+// OT sessions the setup steps execute as free cache hits.
 func (p *Plan) seal(steps []PlanStep, needOT [2]bool) *Plan {
 	all := make([]PlanStep, 0, 2+len(steps))
 	for _, r := range []mpc.Role{mpc.Alice, mpc.Bob} {
-		if needOT[r] {
-			all = append(all, PlanStep{Phase: "setup", Op: "base-ot", Node: r.String() + " sends",
-				EstBytes: ot.SetupCost(), kind: stepOTSetup, sender: r})
+		if !needOT[r] {
+			continue
 		}
+		node, est := r.String()+" sends", ot.SetupCost()
+		if len(all) > 0 {
+			node, est = node+" (derived)", ot.DeriveCost()
+		}
+		all = append(all, PlanStep{Phase: "setup", Op: "base-ot", Node: node,
+			EstBytes: est, kind: stepOTSetup, sender: r})
 	}
 	p.Steps = append(all, steps...)
 	p.EstBytes = 0

@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"secyan/internal/mpc"
+	"secyan/internal/obs"
+	"secyan/internal/ot"
 	"secyan/internal/relation"
 )
 
@@ -125,6 +127,73 @@ func TestTraceMatchesPlan(t *testing.T) {
 			}
 			if tr.TotalBytes() != plan.EstBytes {
 				t.Errorf("total: measured %d, estimated %d", tr.TotalBytes(), plan.EstBytes)
+			}
+		})
+	}
+}
+
+// TestBaseOTStepsMeasureTheirEstimates runs a plan that needs both OT
+// directions and one that needs only Bob's. The two-direction plan runs
+// the P-256 batch once — one ot.base.send and one ot.base.recv of κ
+// instances — and derives the second direction, and each setup step
+// moves exactly its estimate: ot.SetupCost, then ot.DeriveCost. The
+// one-direction plan keeps its single P-256 step.
+func TestBaseOTStepsMeasureTheirEstimates(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	for _, tc := range []struct {
+		name   string
+		owners [2]mpc.Role
+		nodes  []string
+		est    []int64
+	}{
+		{"two-direction", [2]mpc.Role{mpc.Alice, mpc.Bob},
+			[]string{"Alice sends", "Bob sends (derived)"}, []int64{ot.SetupCost(), ot.DeriveCost()}},
+		{"one-direction", [2]mpc.Role{mpc.Alice, mpc.Alice},
+			[]string{"Bob sends"}, []int64{ot.SetupCost()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r1 := relation.New(relation.MustSchema("a", "k"))
+			r2 := relation.New(relation.MustSchema("k", "b"))
+			for i := 0; i < 6; i++ {
+				r1.Append([]uint64{uint64(i % 3), uint64(i)}, uint64(i+1))
+				r2.Append([]uint64{uint64(i + 2), uint64(i % 2)}, uint64(2*i+1))
+			}
+			q := &Query{
+				Inputs: []Input{
+					{Name: "R1", Owner: tc.owners[0], Schema: r1.Schema, N: r1.Len()},
+					{Name: "R2", Owner: tc.owners[1], Schema: r2.Schema, N: r2.Len()},
+				},
+				Output: []relation.Attr{"a"},
+			}
+			rels := []*relation.Relation{r1, r2}
+			send0, _ := obs.KernelTotal("ot.base.send")
+			recv0, _ := obs.KernelTotal("ot.base.recv")
+			got, tr, aerr, berr := runTraced(context.Background(), q, rels)
+			if aerr != nil || berr != nil {
+				t.Fatalf("run: alice %v, bob %v", aerr, berr)
+			}
+			compareResults(t, tc.name, got, plaintextReference(t, q, rels))
+			send1, _ := obs.KernelTotal("ot.base.send")
+			recv1, _ := obs.KernelTotal("ot.base.recv")
+			if send1-send0 != 128 || recv1-recv0 != 128 {
+				t.Fatalf("base OTs: %d sent and %d received instances, want one batch of 128 each",
+					send1-send0, recv1-recv0)
+			}
+			var setup []TraceStep
+			for _, s := range tr.Steps {
+				if s.Op == "base-ot" {
+					setup = append(setup, s)
+				}
+			}
+			if len(setup) != len(tc.nodes) {
+				t.Fatalf("%d base-ot steps, want %d", len(setup), len(tc.nodes))
+			}
+			for i, s := range setup {
+				if s.Node != tc.nodes[i] || s.EstBytes != tc.est[i] || s.Bytes != tc.est[i] {
+					t.Errorf("base-ot step %d: %q estimated %d, measured %d; want %q at %d",
+						i, s.Node, s.EstBytes, s.Bytes, tc.nodes[i], tc.est[i])
+				}
 			}
 		})
 	}

@@ -128,12 +128,20 @@ func (p *Party) state() *session {
 }
 
 // OTSender returns this party's sending OT-extension session, creating it
-// (together with its base OTs) on first use. The peer must call OTReceiver
-// at the matching point of the protocol.
+// on first use. The peer must call OTReceiver at the matching point of the
+// protocol. The first direction a party pair sets up runs the public-key
+// base OTs; the second is derived from the first (ot.Receiver.Reverse),
+// so a pair never runs a second P-256 batch.
 func (p *Party) OTSender() (*ot.Sender, error) {
 	st := p.state()
 	if st.otSend == nil {
-		s, err := ot.NewSender(st.raw)
+		var s *ot.Sender
+		var err error
+		if st.otRecv != nil {
+			s, err = st.otRecv.Reverse()
+		} else {
+			s, err = ot.NewSender(st.raw)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("mpc: %v OT sender setup: %w", p.Role, err)
 		}
@@ -143,11 +151,18 @@ func (p *Party) OTSender() (*ot.Sender, error) {
 }
 
 // OTReceiver returns this party's receiving OT-extension session, creating
-// it on first use.
+// it on first use: by base OTs, or derived from the sending session when
+// that exists (ot.Sender.Reverse).
 func (p *Party) OTReceiver() (*ot.Receiver, error) {
 	st := p.state()
 	if st.otRecv == nil {
-		r, err := ot.NewReceiver(st.raw)
+		var r *ot.Receiver
+		var err error
+		if st.otSend != nil {
+			r, err = st.otSend.Reverse()
+		} else {
+			r, err = ot.NewReceiver(st.raw)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("mpc: %v OT receiver setup: %w", p.Role, err)
 		}

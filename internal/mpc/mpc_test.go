@@ -6,6 +6,7 @@ import (
 
 	"secyan/internal/gc"
 	"secyan/internal/obs"
+	"secyan/internal/ot"
 	"secyan/internal/share"
 	"secyan/internal/transport"
 )
@@ -114,6 +115,79 @@ func TestOTSessionsAreCached(t *testing.T) {
 	)
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSecondOTDirectionIsDerived sets up both OT directions, either one
+// first: the pair runs one P-256 batch — ot.base.send and ot.base.recv
+// once each — and derives the other direction for ot.DeriveCost bytes,
+// and chosen-message OTs then work both ways.
+func TestSecondOTDirectionIsDerived(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	for _, first := range []Role{Alice, Bob} {
+		alice, bob := Pair(share.Ring{})
+		send0, _ := obs.KernelTotal("ot.base.send")
+		recv0, _ := obs.KernelTotal("ot.base.recv")
+		setup := func(p *Party) (any, error) {
+			if p.Role == first {
+				if _, err := p.OTSender(); err != nil {
+					return nil, err
+				}
+				return p.OTReceiver()
+			}
+			if _, err := p.OTReceiver(); err != nil {
+				return nil, err
+			}
+			return p.OTSender()
+		}
+		if _, _, err := Run2PC(alice, bob, setup, setup); err != nil {
+			t.Fatalf("%v first: %v", first, err)
+		}
+		send1, _ := obs.KernelTotal("ot.base.send")
+		recv1, _ := obs.KernelTotal("ot.base.recv")
+		if send1-send0 != 128 || recv1-recv0 != 128 {
+			t.Fatalf("%v first: %d/%d base-OT instances sent/received, want one batch of 128", first, send1-send0, recv1-recv0)
+		}
+		if got, want := alice.Conn.Stats().TotalBytes(), ot.SetupCost()+ot.DeriveCost(); got != want {
+			t.Fatalf("%v first: setup moved %d bytes, want %d", first, got, want)
+		}
+		for _, sender := range []Role{Alice, Bob} {
+			pairs := [][2][]byte{{[]byte("zero-0"), []byte("one--0")}, {[]byte("zero-1"), []byte("one--1")}}
+			choices := []bool{true, false}
+			snd := func(p *Party) (any, error) {
+				s, err := p.OTSender()
+				if err != nil {
+					return nil, err
+				}
+				return nil, s.Send(pairs)
+			}
+			rcv := func(p *Party) (any, error) {
+				r, err := p.OTReceiver()
+				if err != nil {
+					return nil, err
+				}
+				return r.Receive(choices, 6)
+			}
+			fa, fb := snd, rcv
+			if sender == Bob {
+				fa, fb = rcv, snd
+			}
+			a, b, err := Run2PC(alice, bob, fa, fb)
+			if err != nil {
+				t.Fatalf("%v first, %v sends: %v", first, sender, err)
+			}
+			got := b
+			if sender == Bob {
+				got = a
+			}
+			msgs := got.([][]byte)
+			if string(msgs[0]) != "one--0" || string(msgs[1]) != "zero-1" {
+				t.Fatalf("%v first, %v sends: received %q", first, sender, msgs)
+			}
+		}
+		alice.Conn.Close()
+		bob.Conn.Close()
 	}
 }
 

@@ -43,7 +43,7 @@ func extAllocsPerRun(t *testing.T, snd *Sender, rcv *Receiver, m, msgLen int) fl
 
 // TestExtOTAllocsDoNotScaleWithBatchSize pins the satellite optimization:
 // pad derivation and output buffers no longer allocate per OT instance,
-// so batch cost is a fixed overhead (matrix, transpose, per-column PRG
+// so batch cost is a fixed overhead (matrix, transpose, per-worker keystream
 // reads, framing) plus O(1) amortized growth per instance. Before the
 // scratch-buffer rework the per-instance cost was ≥ 3 allocations
 // (sender pads, receiver pad and message), i.e. ≥ 3.0 on this metric.
@@ -59,6 +59,25 @@ func TestExtOTAllocsDoNotScaleWithBatchSize(t *testing.T) {
 	if perOT > 0.05 {
 		t.Fatalf("extension OT allocates per instance: %.3f allocs/OT (small batch %.0f, large batch %.0f)",
 			perOT, small, large)
+	}
+}
+
+// TestExtBatchAllocsFarBelowKappa pins the column expansion: a batch
+// reads every column's keystream from round keys expanded at setup into
+// one reused row buffer per worker, so one Send/Receive round trip (both
+// endpoints) allocates a fixed number of objects whatever its size —
+// 35 at the time of writing — where one PRG or keystream temporary per
+// column would add at least κ = 128 (the per-column PRG.Bytes reads this
+// replaced made it 422).
+func TestExtBatchAllocsFarBelowKappa(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	snd, rcv, done := newExtPair(t)
+	defer done()
+	const limit = 48
+	for _, m := range []int{1, 256, 2048} {
+		if got := extAllocsPerRun(t, snd, rcv, m, 16); got > limit {
+			t.Fatalf("one batch of %d OTs allocates %.0f objects, want at most %d (κ = %d)", m, got, limit, kappa)
+		}
 	}
 }
 

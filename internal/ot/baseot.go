@@ -9,7 +9,10 @@
 // The base OT is a *random* OT: the protocol itself produces the sender's
 // two seeds per instance and the receiver's chosen one — which is all
 // IKNP needs — in two messages (one curve point from the sender, one
-// point per instance back) and no ciphertexts; see DESIGN.md §16.
+// point per instance back) and no ciphertexts; see DESIGN.md §16. A
+// party pair runs it once: the opposite direction's κ base OTs are κ
+// random OTs of the first direction's extension (Receiver.Reverse,
+// Sender.Reverse).
 //
 // All protocols here are semi-honest, matching the paper's security model
 // (§4). Malformed peer messages are still rejected with a *MessageError

@@ -207,7 +207,9 @@ func TestBaseOTRejectsMalformedMessages(t *testing.T) {
 // FuzzBaseOTMessages hands arbitrary bytes to both decoders of the
 // base OT through an in-memory transport: as the setup point BaseRecv
 // reads and as the point list BaseSend reads. Either they are accepted
-// and the outputs are well-formed, or the error is a *MessageError.
+// and the outputs are well-formed, or the error is a *MessageError. The
+// same bytes are also the correction matrix of a derived direction's
+// setup (Sender.Reverse): accepted, or a *transport.SizeError.
 func FuzzBaseOTMessages(f *testing.F) {
 	good := randomPoints(f, 4)
 	f.Add(good[:pointLen])
@@ -217,6 +219,7 @@ func FuzzBaseOTMessages(f *testing.F) {
 	f.Add(make([]byte, pointLen))
 	f.Add([]byte{0})
 	f.Add([]byte{})
+	f.Add(make([]byte, DeriveCost()))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		check := func(err error) bool {
 			var me *MessageError
@@ -257,6 +260,19 @@ func FuzzBaseOTMessages(f *testing.F) {
 					t.Fatalf("OT %d: both seeds equal", i)
 				}
 			}
+		}
+
+		snd, peer := reverseVictim(t)
+		if err := peer.Send(data); err != nil {
+			t.Fatal(err)
+		}
+		r, err := snd.Reverse()
+		var se *transport.SizeError
+		switch {
+		case err == nil && (r == nil || len(data) != int(DeriveCost())):
+			t.Fatalf("accepted a %d-byte matrix (receiver %v)", len(data), r)
+		case err != nil && !errors.As(err, &se):
+			t.Fatalf("derived setup: got %v, want nil or a *transport.SizeError", err)
 		}
 	})
 }

@@ -15,6 +15,12 @@ func SetupCost() int64 {
 	return int64(1+kappa) * pointLen
 }
 
+// DeriveCost returns the bytes that set up the opposite direction of an
+// established session (Receiver.Reverse/Sender.Reverse): one direct
+// batch of κ random OTs, i.e. the first direction's receiver's κ×κ
+// correction matrix.
+func DeriveCost() int64 { return RandomCost(kappa) }
+
 // ExtCost returns the total bytes (both directions) of one direct
 // chosen-message batch (Send/Receive) of m OTs with msgLen-byte messages:
 // the receiver's κ×mPad correction matrix plus the sender's reply, one

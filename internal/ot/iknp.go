@@ -13,48 +13,71 @@ import (
 const kappa = 128
 
 // Sender is the message-sending endpoint of an IKNP OT-extension session.
-// After a one-time Setup (κ base OTs in the reverse direction), every
+// After a one-time setup (κ base OTs in the reverse direction), every
 // batch — random, correlated or chosen-message (correlated.go) — uses
 // only symmetric cryptography and at most one round trip.
 type Sender struct {
-	conn    transport.Conn
-	s       *bitutil.Vector // the κ secret selection bits
-	sRow    [kappa / 8]byte // s packed, XORed into q-rows for pad 1
-	streams []*prf.PRG      // PRG(k_i^{s_i}), one per column
-	idx     uint64          // global OT counter, for hash tweak freshness
-	pool    Pool            // precomputed random-OT batches (random.go)
+	conn transport.Conn
+	s    *bitutil.Vector // the κ secret selection bits
+	sRow [kappa / 8]byte // s packed, XORed into q-rows for pad 1
+	cols [kappa]prf.CTR  // AES-CTR under k_i^{s_i}, one per column
+	off  uint64          // byte offset of the next batch in every column's stream
+	idx  uint64          // global OT counter, for hash tweak freshness
+	pool Pool            // precomputed random-OT batches (random.go)
 }
 
 // Receiver is the choosing endpoint of an IKNP OT-extension session.
 type Receiver struct {
-	conn     transport.Conn
-	streams0 []*prf.PRG
-	streams1 []*prf.PRG
-	idx      uint64
-	pool     Pool
+	conn  transport.Conn
+	cols0 [kappa]prf.CTR // AES-CTR under k_i^0, one per column
+	cols1 [kappa]prf.CTR // AES-CTR under k_i^1
+	off   uint64         // byte offset of the next batch in every column's stream
+	idx   uint64         // global OT counter, equal to the sender's
+	pool  Pool
+}
+
+// newSender builds an extension sender from its κ base OTs: the secret
+// choice bits s and the seed k_i^{s_i} each one selected.
+func newSender(conn transport.Conn, s []bool, seeds []prf.Seed) *Sender {
+	snd := &Sender{conn: conn, s: bitutil.NewVector(kappa)}
+	for i, c := range s {
+		snd.s.Set(i, c)
+		snd.cols[i] = prf.NewCTR(seeds[i])
+	}
+	copy(snd.sRow[:], snd.s.Bytes())
+	return snd
+}
+
+// newReceiver builds an extension receiver from the κ seed pairs of its
+// base OTs.
+func newReceiver(conn transport.Conn, pairs [][2]prf.Seed) *Receiver {
+	r := &Receiver{conn: conn}
+	for i, p := range pairs {
+		r.cols0[i] = prf.NewCTR(p[0])
+		r.cols1[i] = prf.NewCTR(p[1])
+	}
+	return r
+}
+
+// randomBits draws n uniform bits from a fresh seed.
+func randomBits(n int) []bool {
+	g := prf.NewPRG(prf.RandomSeed())
+	bits := make([]bool, n)
+	for i := range bits {
+		bits[i] = g.Bool()
+	}
+	return bits
 }
 
 // NewSender runs the base-OT setup (acting as base-OT *receiver* with κ
 // random choice bits) and returns a ready extension sender.
 func NewSender(conn transport.Conn) (*Sender, error) {
-	g := prf.NewPRG(prf.RandomSeed())
-	choices := make([]bool, kappa)
-	s := bitutil.NewVector(kappa)
-	for i := range choices {
-		choices[i] = g.Bool()
-		s.Set(i, choices[i])
-	}
-	seeds, err := BaseRecv(conn, choices)
+	s := randomBits(kappa)
+	seeds, err := BaseRecv(conn, s)
 	if err != nil {
 		return nil, fmt.Errorf("ot: sender setup: %w", err)
 	}
-	snd := &Sender{conn: conn, s: s}
-	copy(snd.sRow[:], s.Bytes())
-	snd.streams = make([]*prf.PRG, kappa)
-	for i, sd := range seeds {
-		snd.streams[i] = prf.NewPRG(sd)
-	}
-	return snd, nil
+	return newSender(conn, s, seeds), nil
 }
 
 // NewReceiver runs the base-OT setup (acting as base-OT *sender*; the
@@ -65,14 +88,43 @@ func NewReceiver(conn transport.Conn) (*Receiver, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ot: receiver setup: %w", err)
 	}
-	r := &Receiver{conn: conn}
-	r.streams0 = make([]*prf.PRG, kappa)
-	r.streams1 = make([]*prf.PRG, kappa)
-	for i := range pairs {
-		r.streams0[i] = prf.NewPRG(pairs[i][0])
-		r.streams1[i] = prf.NewPRG(pairs[i][1])
+	return newReceiver(conn, pairs), nil
+}
+
+// Reverse sets up the opposite direction on r's connection without
+// public-key work: κ direct random OTs of this direction serve as its
+// base OTs (DESIGN.md §16). r draws uniform choice bits, which become
+// the new sender's secret s, and the pads they select become its column
+// seeds. The peer calls Sender.Reverse at the same protocol point. The
+// batch never comes from the pool, so precomputed batches stay aligned;
+// it costs DeriveCost, one message from r to the peer.
+func (r *Receiver) Reverse() (*Sender, error) {
+	s := randomBits(kappa)
+	pads, err := r.randomPads(s, prf.SeedSize)
+	if err != nil {
+		return nil, fmt.Errorf("ot: derived sender setup: %w", err)
 	}
-	return r, nil
+	seeds := make([]prf.Seed, kappa)
+	for i := range seeds {
+		copy(seeds[i][:], pads[i*prf.SeedSize:])
+	}
+	return newSender(r.conn, s, seeds), nil
+}
+
+// Reverse is the peer's half of Receiver.Reverse: both pads of each of
+// the κ random OTs become the seed pairs of a receiver for the opposite
+// direction.
+func (s *Sender) Reverse() (*Receiver, error) {
+	r0, r1, err := s.randomPads(kappa, prf.SeedSize)
+	if err != nil {
+		return nil, fmt.Errorf("ot: derived receiver setup: %w", err)
+	}
+	pairs := make([][2]prf.Seed, kappa)
+	for i := range pairs {
+		copy(pairs[i][0][:], r0[i*prf.SeedSize:])
+		copy(pairs[i][1][:], r1[i*prf.SeedSize:])
+	}
+	return newReceiver(s.conn, pairs), nil
 }
 
 // padBatch is the number of OT instances whose pads are hashed per
@@ -140,14 +192,15 @@ func hashRowPads(dst []byte, rows *bitutil.Matrix, mask *[kappa / 8]byte, idx ui
 // 64-bit words, the unit both of the transpose and of the idx counter.
 func padTo64(m int) uint64 { return uint64(m+63) &^ 63 }
 
-// expandColumns derives the T matrix of one batch from the base-OT
-// streams, sends the correction matrix u_i = t_i ⊕ PRG(k_i^1) ⊕ r for
-// the choice vector r, and returns Tᵀ whose rows are the per-instance
-// keys. The batch is padded to whole words with random choice bits:
-// they belong to discarded OT instances.
+// expandColumns derives the T matrix of one batch from the column
+// streams, sends the correction matrix u_i = t_i ⊕ G(k_i^1) ⊕ r for the
+// choice vector r, and returns Tᵀ whose rows are the per-instance keys.
+// The batch is padded to whole words with random choice bits: they
+// belong to discarded OT instances.
 //
-// Each column owns its two PRG streams and a disjoint slice of uMsg, so
-// the expansion parallelizes with byte-identical output.
+// Each column reads its two streams at the batch's shared offset and
+// writes a disjoint slice of uMsg, so the expansion parallelizes with
+// byte-identical output; each worker reuses one row buffer.
 func (r *Receiver) expandColumns(choices []bool) (*bitutil.Matrix, error) {
 	m := len(choices)
 	mPad := int(padTo64(m))
@@ -163,16 +216,19 @@ func (r *Receiver) expandColumns(choices []bool) (*bitutil.Matrix, error) {
 	rBytes := rv.Bytes()
 	tm := bitutil.NewMatrix(kappa, mPad)
 	uMsg := make([]byte, kappa*rowBytes)
+	off := r.off
 	parallel.For(kappa, 8, func(lo, hi int) {
+		t := make([]byte, rowBytes)
 		for i := lo; i < hi; i++ {
-			t := r.streams0[i].Bytes(rowBytes)
-			tm.SetRowBytes(i, t)
-			p1 := r.streams1[i].Bytes(rowBytes)
 			u := uMsg[i*rowBytes : (i+1)*rowBytes]
-			prf.XORBytes(u, t, p1)
+			r.cols0[i].KeyStream(t, off)
+			r.cols1[i].KeyStream(u, off)
+			tm.SetRowBytes(i, t)
+			prf.XORBytes(u, u, t)
 			prf.XORBytes(u, u, rBytes)
 		}
 	})
+	r.off += uint64(rowBytes)
 	if err := r.conn.Send(uMsg); err != nil {
 		return nil, err
 	}
@@ -181,8 +237,8 @@ func (r *Receiver) expandColumns(choices []bool) (*bitutil.Matrix, error) {
 
 // expandColumns receives the peer's correction matrix for a batch of m
 // OTs, applies the secret s correction per column, and returns Qᵀ whose
-// rows are the instance keys. Column i owns stream i and writes only row
-// i of the Q matrix.
+// rows are the instance keys. Column i reads stream i and writes only
+// row i of the Q matrix.
 func (s *Sender) expandColumns(m int) (*bitutil.Matrix, error) {
 	mPad := int(padTo64(m))
 	rowBytes := mPad / 8
@@ -191,17 +247,17 @@ func (s *Sender) expandColumns(m int) (*bitutil.Matrix, error) {
 		return nil, err
 	}
 	qm := bitutil.NewMatrix(kappa, mPad)
+	off := s.off
 	parallel.For(kappa, 8, func(lo, hi int) {
-		tmp := make([]byte, rowBytes)
+		q := make([]byte, rowBytes)
 		for i := lo; i < hi; i++ {
-			q := s.streams[i].Bytes(rowBytes)
+			s.cols[i].KeyStream(q, off)
 			if s.s.Get(i) {
-				prf.XORBytes(tmp, q, uMsg[i*rowBytes:(i+1)*rowBytes])
-				qm.SetRowBytes(i, tmp)
-			} else {
-				qm.SetRowBytes(i, q)
+				prf.XORBytes(q, q, uMsg[i*rowBytes:(i+1)*rowBytes])
 			}
+			qm.SetRowBytes(i, q)
 		}
 	})
+	s.off += uint64(rowBytes)
 	return qm.Transpose(), nil
 }

@@ -7,7 +7,6 @@ import (
 	"secyan/internal/bitutil"
 	"secyan/internal/obs"
 	"secyan/internal/parallel"
-	"secyan/internal/prf"
 	"secyan/internal/transport"
 )
 
@@ -188,11 +187,7 @@ func (r *Receiver) FillRandom(m, msgLen int) error {
 	}
 	sp := obs.Begin("ot", "ot.pool.fill.recv")
 	defer sp.EndN(int64(m))
-	g := prf.NewPRG(prf.RandomSeed())
-	bits := make([]bool, m)
-	for i := range bits {
-		bits[i] = g.Bool()
-	}
+	bits := randomBits(m)
 	rc, err := r.randomPads(bits, msgLen)
 	if err != nil {
 		return err

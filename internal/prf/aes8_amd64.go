@@ -5,12 +5,9 @@ package prf
 // hasAES8 reports whether the batched 8-wide AESENC kernel is usable.
 // AES-NI has been ubiquitous on x86-64 since ~2010, but the check keeps
 // the package correct under emulators and stripped-down VMs, where
-// HashBlocks simply stays on the per-block cipher path.
+// HashBlocks and CTR simply stay on the per-block cipher path. It is a
+// variable so the tests can force that path.
 var hasAES8 = cpuHasAES()
-
-// fixedRoundKeys is the expanded schedule of the fixed MMO key, consumed
-// by the assembly kernel.
-var fixedRoundKeys = expandAESKey128([16]byte([]byte(fixedKeyMaterial)))
 
 // cpuHasAES reports the CPUID AES-NI feature bit (leaf 1, ECX bit 25).
 func cpuHasAES() bool
@@ -23,7 +20,8 @@ func cpuHasAES() bool
 //go:noescape
 func encryptBlocks8Asm(rk *byte, dst, src *Block)
 
-// encryptBlocks8 is the typed wrapper the hash paths call.
-func encryptBlocks8(dst, src *[8]Block) {
-	encryptBlocks8Asm(&fixedRoundKeys[0], &dst[0], &src[0])
+// encryptBlocks8 is the typed wrapper the hash and keystream paths call:
+// the fixed MMO key's schedule or a CTR's.
+func encryptBlocks8(rk *[176]byte, dst, src *[8]Block) {
+	encryptBlocks8Asm(&rk[0], &dst[0], &src[0])
 }

@@ -20,10 +20,15 @@ const fixedKeyMaterial = "secure-yannakaki" // 16 bytes
 // hashing and on architectures without the batched AESENC kernel.
 var fixedAES cipher.Block
 
+// fixedRoundKeys is the expanded schedule of π, consumed by the batched
+// AESENC kernel.
+var fixedRoundKeys = expandAESKey128([16]byte([]byte(fixedKeyMaterial)))
+
 func init() {
 	var err error
 	fixedAES, err = aes.NewCipher([]byte(fixedKeyMaterial))
 	if err != nil {
+		// The key is a 16-byte constant; aes.NewCipher cannot reject it.
 		panic("prf: fixed-key AES init: " + err.Error())
 	}
 }
@@ -118,6 +123,8 @@ func HashBlock(x Block, tweak uint64) Block {
 // allocation.
 func HashBlocks(dst, src []Block, tweak, step uint64) {
 	if len(dst) != len(src) {
+		// Both are the caller's own buffers, sized by its batch, not by
+		// a peer message.
 		panic("prf: HashBlocks length mismatch")
 	}
 	t := tweak
@@ -134,7 +141,7 @@ func HashBlocks(dst, src []Block, tweak, step uint64) {
 				binary.LittleEndian.PutUint64(db[k][8:], binary.LittleEndian.Uint64(db[k][8:])^t)
 				t += step
 			}
-			encryptBlocks8(&eb, &db)
+			encryptBlocks8(&fixedRoundKeys, &eb, &db)
 			for k := range db {
 				XORBlock(&dst[i+k], eb[k], db[k])
 			}
@@ -202,6 +209,9 @@ func BlockBytes(bs []Block) []byte {
 // The view aliases b; it does not copy.
 func BlocksOf(b []byte) []Block {
 	if len(b)%16 != 0 {
+		// Callers view their own buffers or slice a peer message at
+		// offsets of whole blocks after checking its length, so the
+		// length a peer chooses never reaches this check.
 		panic("prf: BlocksOf length not a multiple of 16")
 	}
 	if len(b) == 0 {

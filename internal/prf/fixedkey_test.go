@@ -211,7 +211,7 @@ func TestEncryptBlocks8MatchesCipher(t *testing.T) {
 	for trial := 0; trial < 32; trial++ {
 		var src, dst [8]Block
 		g.Read(BlockBytes(src[:]))
-		encryptBlocks8(&dst, &src)
+		encryptBlocks8(&fixedRoundKeys, &dst, &src)
 		for i := range src {
 			var want Block
 			fixedAES.Encrypt(want[:], src[i][:])

@@ -16,8 +16,6 @@
 package prf
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
 	"crypto/rand"
 	"crypto/sha256"
 	"crypto/subtle"
@@ -35,58 +33,65 @@ type Seed [SeedSize]byte
 func RandomSeed() Seed {
 	var s Seed
 	if _, err := rand.Read(s[:]); err != nil {
+		// Local entropy, not peer input: crypto/rand.Read does not fail
+		// on supported platforms, and no protocol is sound without it.
 		panic("prf: system entropy source failed: " + err.Error())
 	}
 	return s
 }
 
 // PRG is a deterministic pseudorandom generator: AES-128 in counter mode
-// keyed by a seed. Distinct seeds yield computationally independent
-// streams.
+// keyed by a seed (a CTR read sequentially). Distinct seeds yield
+// computationally independent streams.
 type PRG struct {
-	stream cipher.Stream
-	buf    [8]byte
+	key CTR
+	off uint64    // stream offset just past buf: the next byte not yet buffered
+	n   int       // unread bytes at the end of buf
+	buf [128]byte // one 8-block kernel call of keystream
 }
 
 // NewPRG returns a generator producing the stream determined by seed.
 func NewPRG(seed Seed) *PRG {
-	block, err := aes.NewCipher(seed[:])
-	if err != nil {
-		panic("prf: aes.NewCipher: " + err.Error())
-	}
-	var iv [aes.BlockSize]byte
-	return &PRG{stream: cipher.NewCTR(block, iv[:])}
+	return &PRG{key: NewCTR(seed)}
 }
 
-// Read fills p with pseudorandom bytes. It never fails.
+// Read fills p with the next len(p) bytes of the stream. It never fails.
 func (g *PRG) Read(p []byte) (int, error) {
-	for i := range p {
-		p[i] = 0
+	k := copy(p, g.buf[len(g.buf)-g.n:])
+	g.n -= k
+	rest := p[k:]
+	if len(rest) >= len(g.buf) {
+		g.key.KeyStream(rest, g.off)
+		g.off += uint64(len(rest))
+	} else if len(rest) > 0 {
+		g.key.KeyStream(g.buf[:], g.off)
+		g.off += uint64(len(g.buf))
+		g.n = len(g.buf) - copy(rest, g.buf[:])
 	}
-	g.stream.XORKeyStream(p, p)
 	return len(p), nil
 }
 
 // Bytes returns n fresh pseudorandom bytes.
 func (g *PRG) Bytes(n int) []byte {
 	p := make([]byte, n)
-	g.stream.XORKeyStream(p, p)
+	g.Read(p)
 	return p
 }
 
 // Uint64 returns a fresh pseudorandom 64-bit value.
 func (g *PRG) Uint64() uint64 {
-	for i := range g.buf {
-		g.buf[i] = 0
-	}
-	g.stream.XORKeyStream(g.buf[:], g.buf[:])
-	return binary.LittleEndian.Uint64(g.buf[:])
+	var b [8]byte
+	g.Read(b[:])
+	return binary.LittleEndian.Uint64(b[:])
 }
 
 // Uint64n returns a pseudorandom value in [0, n) with negligible bias.
 // It panics if n is zero.
 func (g *PRG) Uint64n(n uint64) uint64 {
 	if n == 0 {
+		// Every bound comes from the caller's own sizes or constants (a
+		// permutation length, a hash count, a data generator's range);
+		// none is read off the wire.
 		panic("prf: Uint64n(0)")
 	}
 	// Rejection sampling over the largest multiple of n.
@@ -105,8 +110,7 @@ func (g *PRG) Bool() bool { return g.Uint64()&1 == 1 }
 // Seed derives a fresh child seed from the stream.
 func (g *PRG) Seed() Seed {
 	var s Seed
-	g.stream.XORKeyStream(s[:], s[:])
-	// The all-zero keystream block would only occur with probability 2^-128.
+	g.Read(s[:])
 	return s
 }
 
@@ -145,6 +149,8 @@ func Hash(domain uint64, data ...[]byte) [32]byte {
 // (≤ 64 bytes) to fit the inline buffer — deliberately, since calling
 // Hash here would make every caller's data argument escape.
 func HashInto(dst []byte, domain uint64, data []byte) {
+	// Both bounds are on the caller's own fixed-size buffers, never on
+	// the length of a peer message.
 	if len(dst) > 32 {
 		panic("prf: HashInto destination exceeds one digest")
 	}
@@ -171,6 +177,9 @@ func HashToWidth(domain uint64, n int, data ...[]byte) []byte {
 // XORBytes sets dst = a ^ b elementwise. All three must have equal length.
 func XORBytes(dst, a, b []byte) {
 	if len(a) != len(b) || len(dst) != len(a) {
+		// Callers XOR a peer's bytes only after transport.RecvSized (or
+		// an explicit length check) has matched them to their own
+		// buffers, so a mismatch is a local bug, not a hostile message.
 		panic("prf: XORBytes length mismatch")
 	}
 	subtle.XORBytes(dst, a, b)
