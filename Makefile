@@ -63,7 +63,9 @@ race-daemon:
 # noescape scratch laundering), the keyed AES-CTR keystream that runs the
 # same kernel under per-column round keys (prf.CTR), the IKNP extension
 # whose workers read it column by column and hash matrix rows through
-# the MMO layer, its derived second direction, the slot-parallel garbling kernel whose workers share
+# the MMO layer, its derived second direction, the KKRT extension whose
+# 512 column workers share one matrix (the TestKKRT* tests of
+# internal/ot, the PSIs above them), the slot-parallel garbling kernel whose workers share
 # one message buffer (DESIGN.md §7), PSI/cuckoo bin sweeps, and the
 # packed bit-matrix plumbing underneath (see DESIGN.md §14).
 race-kernels:
@@ -93,10 +95,10 @@ vet:
 # decoder, arbitrary frame sequences into one mux endpoint, the SQL
 # front end (seeded with the TPC-H query strings), the
 # sorted view by permutation, both base-OT message decoders and the
-# derived direction's correction matrix, the
+# derived direction's and the KKRT setup's correction matrices, the
 # evaluator's view of the garbler's message (keyed payloads and selects
 # included) and both sides of the label OT (corrections, label shifts,
-# derandomization bits), the PSI's hint and OPRF-correction decoders and
+# derandomization bits), the PSI's hint and KKRT-matrix decoders and
 # both halves of its ρ-OT (opening, direct and pooled, and
 # corrections), a whole OEP, direct and pooled, against a
 # hostile peer, and the daemon's control line (any bytes, also as the

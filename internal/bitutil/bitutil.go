@@ -74,16 +74,6 @@ func VectorFromBytes(data []byte, n int) *Vector {
 	return v
 }
 
-// XorInto sets dst = a ^ b for equal-length vectors.
-func XorInto(dst, a, b *Vector) {
-	if a.n != b.n || dst.n != a.n {
-		panic("bitutil: XorInto length mismatch")
-	}
-	for i := range dst.bits {
-		dst.bits[i] = a.bits[i] ^ b.bits[i]
-	}
-}
-
 // transpose64 transposes a 64×64 bit matrix held as 64 words in place.
 // It is the little-endian adaptation of the recursive delta-swap from
 // "Hacker's Delight" §7-3: word k is row k and bit b is column b.

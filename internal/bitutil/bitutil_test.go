@@ -51,16 +51,6 @@ func TestFromBools(t *testing.T) {
 	}
 }
 
-func TestXorInto(t *testing.T) {
-	a := FromBools([]bool{true, true, false})
-	b := FromBools([]bool{true, false, false})
-	dst := NewVector(3)
-	XorInto(dst, a, b)
-	if dst.Get(0) || !dst.Get(1) || dst.Get(2) {
-		t.Fatal("xor mismatch")
-	}
-}
-
 func naiveTranspose(m *Matrix) *Matrix {
 	t := NewMatrix(m.Cols, m.Rows)
 	for r := 0; r < m.Rows; r++ {

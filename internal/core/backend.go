@@ -64,11 +64,13 @@ type BackendChoice struct {
 // backendBid is one applicable backend's offer for a plan step: the
 // byte estimate, the OT-extension directions it needs (indexed by
 // sending role — copied from the operator dispatch, never derived from
-// the batch list), and the precompute demands in execution order.
+// the batch list), the PSI orientation whose KKRT extension it runs
+// (indexed by PSI sender), and the precompute demands in execution order.
 type backendBid struct {
 	id    BackendID
 	cost  int64
 	needs [2]bool
+	kkrt  [2]bool
 	ots   []preOT
 	circs []preCirc
 }
@@ -174,9 +176,9 @@ func semijoinBids(par, child nodeState, ell int) []backendBid {
 	// Cross-party alignment: the contested case. A plain child's PSI
 	// carries the annotation as its payload (direct); a shared child's
 	// carries an index (§5.5) and adds two OEPs around the bins. Either
-	// runs one OPRF batch and one per-bin circuit with the child holder as
-	// OT sender, and between them the ρ-OT with the parent holder as OT
-	// sender.
+	// runs one KKRT batch with the child holder as PSI sender (online:
+	// it is not pooled), the ρ-OT with the parent holder as OT sender,
+	// and one per-bin circuit with the child holder as OT sender.
 	var bids []backendBid
 	{
 		pr := psi.NewParams(par.n, child.n)
@@ -184,6 +186,7 @@ func semijoinBids(par, child nodeState, ell int) []backendBid {
 		b := backendBid{id: BackendPSIOEP, cost: psiCost(par.n, child.n, ell, child.plain)}
 		b.needs[child.holder] = true
 		b.needs[par.holder] = true
+		b.kkrt[child.holder] = true
 		if !child.plain {
 			// ξ1 runs with reversed roles: the child holder programs the
 			// permutation, so the parent holder is the OT sender.
@@ -192,7 +195,6 @@ func semijoinBids(par, child nodeState, ell int) []backendBid {
 		d := pr.Demands(ell, !child.plain)
 		b.circs = append(b.circs, preCirc{child.holder, d.Circuit})
 		b.ots = append(b.ots,
-			preOT{sender: child.holder, m: d.OPRF, msgLen: 16, kind: otRandom},
 			preOT{sender: par.holder, m: d.Rho, msgLen: d.RhoLen},
 			labelOTs(child.holder, d.Labels))
 		if !child.plain {

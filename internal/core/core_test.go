@@ -319,18 +319,24 @@ func TestCrossPartyPlainSemijoinIsDirect(t *testing.T) {
 	}
 }
 
-// warmOTs creates both of a party's OT-extension sessions, so that a
-// later exchange's stats exclude base-OT setup.
+// warmOTs creates both of a party's OT-extension sessions and the KKRT
+// extension of the PSIs Bob sends in, so that a later exchange's stats
+// exclude setup.
 func warmOTs(p *mpc.Party) (any, error) {
 	send := func() error { _, err := p.OTSender(); return err }
 	recv := func() error { _, err := p.OTReceiver(); return err }
+	kkrt := func() error { _, err := p.KKRTReceiver(); return err }
 	if p.Role == mpc.Bob {
 		send, recv = recv, send
+		kkrt = func() error { _, err := p.KKRTSender(); return err }
 	}
 	if err := send(); err != nil {
 		return nil, err
 	}
-	return nil, recv()
+	if err := recv(); err != nil {
+		return nil, err
+	}
+	return nil, kkrt()
 }
 
 func TestSemijoinGeneral(t *testing.T) {

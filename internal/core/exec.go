@@ -341,17 +341,12 @@ type executor struct {
 func (ex *executor) exec(st *PlanStep) error {
 	p := ex.p
 	switch st.kind {
-	case stepOTSetup:
-		// Both parties establish the direction eagerly and in plan order,
+	case stepOTSetup, stepOPRFSetup:
+		// Both parties establish the extension eagerly and in plan order,
 		// so setup traffic lands on this step rather than inside whichever
 		// operator first needs it. A cache hit (composed queries reusing a
 		// party) costs nothing.
-		if p.Role == st.sender {
-			_, err := p.OTSender()
-			return err
-		}
-		_, err := p.OTReceiver()
-		return err
+		return establish(p, st)
 	case stepShareInput, stepPlainInput:
 		in := ex.q.Inputs[st.node]
 		var sr *SharedRelation

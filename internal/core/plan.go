@@ -30,6 +30,7 @@ type stepKind int
 
 const (
 	stepOTSetup stepKind = iota
+	stepOPRFSetup
 	stepShareInput
 	stepPlainInput
 	stepAggregate
@@ -43,9 +44,9 @@ const (
 	stepRevealAnnotations
 )
 
-// preOT is one OT-extension batch a plan step will run, identified by
-// the sending role, the batch size, the message width and the kind of
-// batch. The sequence of preOTs across a plan's steps is exactly the
+// preOT is one IKNP batch a plan step will run, identified by the
+// sending role, the batch size, the message width and the kind of batch.
+// The sequence of preOTs across a plan's steps is exactly the
 // sequence of batches the executor issues per direction, which is what
 // lets Precompute fill the random-OT pools so every online batch
 // derandomizes a pooled one.
@@ -61,10 +62,9 @@ type preOT struct {
 type otKind uint8
 
 const (
-	// otCorrelated is a correlated batch: OEP switches, Gilboa products.
+	// otCorrelated is a correlated batch: OEP switches, Gilboa products,
+	// the PSI's ρ-OT.
 	otCorrelated otKind = iota
-	// otRandom is a random batch with no reply: the PSI's OPRF.
-	otRandom
 	// otLabels is a garbled circuit's input-label batch: correlated when
 	// direct, chosen-message (corrections plus label shifts) when pooled.
 	otLabels
@@ -82,20 +82,12 @@ func oepOTs(sender mpc.Role, m, n, ell int, bijection bool) preOT {
 
 // direct returns the batch's bytes when it runs direct, as the step's
 // EstBytes prices it.
-func (d preOT) direct() int64 {
-	if d.kind == otRandom {
-		return ot.RandomCost(d.m)
-	}
-	return ot.CorrelatedCost(d.m, d.msgLen)
-}
+func (d preOT) direct() int64 { return ot.CorrelatedCost(d.m, d.msgLen) }
 
 // online returns the batch's online bytes when it derandomizes a pooled
 // batch; ot.ExtOfflineCost(m) moved offline.
 func (d preOT) online() int64 {
-	switch d.kind {
-	case otRandom:
-		return ot.RandomOnlineCost(d.m)
-	case otLabels:
+	if d.kind == otLabels {
 		return ot.ExtOnlineCost(d.m, d.msgLen)
 	}
 	return ot.CorrelatedOnlineCost(d.m, d.msgLen)
@@ -141,7 +133,7 @@ type PlanStep struct {
 	node        int             // primary node (input/aggregate/reveal steps)
 	parent      int             // semijoin-into target node
 	attrs       []relation.Attr // aggregation/projection attributes
-	sender      mpc.Role        // OT-setup direction: the role acting as OT sender
+	sender      mpc.Role        // setup steps: base-ot's OT sender, oprf-base's PSI sender
 	intoPending bool            // aggregate result feeds the next semijoin-into
 	final       bool            // reveal step skipped by RunShared
 
@@ -151,6 +143,10 @@ type PlanStep struct {
 	preOTs   []preOT
 	preCircs []preCirc
 }
+
+// setup reports whether the step establishes an OT extension (base-ot,
+// oprf-base) rather than running an operator.
+func (s *PlanStep) setup() bool { return s.kind == stepOTSetup || s.kind == stepOPRFSetup }
 
 // Estimate returns the step's predicted communication in bytes (both
 // directions), derived from the circuit builders and switching-network
@@ -307,8 +303,9 @@ func compileTree(q *Query, tree *jointree.Tree, ringBits int, opts Options) (*Pl
 	steps := make([]PlanStep, 0, 10*len(q.Inputs)+3)
 	add := func(s PlanStep) { steps = append(steps, s) }
 	// needOT tracks which OT-extension directions the plan uses, indexed
-	// by the sending role; matching setup steps are prepended at the end.
-	var needOT [2]bool
+	// by the sending role, and needKKRT which PSI orientations, indexed by
+	// the PSI sender; matching setup steps are prepended at the end.
+	var needOT, needKKRT [2]bool
 
 	outSet := map[relation.Attr]bool{}
 	for _, a := range q.Output {
@@ -333,7 +330,8 @@ func compileTree(q *Query, tree *jointree.Tree, ringBits int, opts Options) (*Pl
 	// replay the exact dispatch logic of the operators (aggregate.go,
 	// semijoin.go), so Precompute can garble and fill pools from the
 	// plan alone. chooseAgg and chooseSemijoin merge the winner's
-	// OT-extension directions into needOT.
+	// OT-extension directions into needOT, and its PSI orientation into
+	// needKKRT.
 	chooseAgg := func(st nodeState, kind mergeKind) (backendBid, []BackendChoice) {
 		bid, alts := pickBackend(aggBids(st, kind, ell), opts.Backend)
 		needOT[0] = needOT[0] || bid.needs[0]
@@ -342,8 +340,10 @@ func compileTree(q *Query, tree *jointree.Tree, ringBits int, opts Options) (*Pl
 	}
 	chooseSemijoin := func(par, child nodeState) (backendBid, []BackendChoice) {
 		bid, alts := pickBackend(semijoinBids(par, child, ell), opts.Backend)
-		needOT[0] = needOT[0] || bid.needs[0]
-		needOT[1] = needOT[1] || bid.needs[1]
+		for r := range needOT {
+			needOT[r] = needOT[r] || bid.needs[r]
+			needKKRT[r] = needKKRT[r] || bid.kkrt[r]
+		}
 		return bid, alts
 	}
 	// revealRowsCost prices the §6.3 step-1 reveal of one relation.
@@ -474,7 +474,7 @@ func compileTree(q *Query, tree *jointree.Tree, ringBits int, opts Options) (*Pl
 			N: state[r].n, EstBytes: cost + int64(8*state[r].n),
 			kind: stepRevealRelation, node: r, final: true,
 			preOTs: ots, preCircs: circs})
-		return plan.seal(steps, needOT), nil
+		return plan.seal(steps, needOT, needKKRT), nil
 	}
 
 	// Phase 2: Semijoin — π¹ on the filter side plus the semijoin itself.
@@ -533,16 +533,20 @@ func compileTree(q *Query, tree *jointree.Tree, ringBits int, opts Options) (*Pl
 		N: estOut, EstBytes: productTreeCost(estOut, len(order), ell), kind: stepAnnotationProduct})
 	add(PlanStep{Phase: "reveal", Op: "reveal-annotations", Node: "result",
 		N: estOut, EstBytes: int64(8 * estOut), kind: stepRevealAnnotations, final: true})
-	return plan.seal(steps, needOT), nil
+	return plan.seal(steps, needOT, needKKRT), nil
 }
 
-// seal prepends the base-OT setup steps for every OT direction the plan
-// uses and totals the estimates. The first direction runs the public-key
-// base OTs (ot.SetupCost); a second is derived from it (ot.DeriveCost,
-// mpc.Party.OTSender). When a composed query reuses a party's existing
-// OT sessions the setup steps execute as free cache hits.
-func (p *Plan) seal(steps []PlanStep, needOT [2]bool) *Plan {
-	all := make([]PlanStep, 0, 2+len(steps))
+// seal prepends the setup steps and totals the estimates. Every OT
+// direction the plan uses gets a base-ot step: the first runs the
+// public-key base OTs (ot.SetupCost), a second is derived from it
+// (ot.DeriveCost, mpc.Party.OTSender). Then every PSI orientation gets an
+// oprf-base step: the PSI sender sets up its KKRT extension from random
+// OTs of the direction in which it is the OT receiver, the one the PSI's
+// ρ-OT runs in (ot.KKRTSetupCost, mpc.Party.KKRTSender), and sends the
+// step's one message. When a composed query reuses a party's existing
+// sessions the setup steps execute as free cache hits.
+func (p *Plan) seal(steps []PlanStep, needOT, needKKRT [2]bool) *Plan {
+	all := make([]PlanStep, 0, 4+len(steps))
 	for _, r := range []mpc.Role{mpc.Alice, mpc.Bob} {
 		if !needOT[r] {
 			continue
@@ -554,15 +558,21 @@ func (p *Plan) seal(steps []PlanStep, needOT [2]bool) *Plan {
 		all = append(all, PlanStep{Phase: "setup", Op: "base-ot", Node: node,
 			EstBytes: est, kind: stepOTSetup, sender: r})
 	}
+	for _, r := range []mpc.Role{mpc.Alice, mpc.Bob} {
+		if needKKRT[r] {
+			all = append(all, PlanStep{Phase: "setup", Op: "oprf-base", Node: r.String() + " sends (KKRT)",
+				EstBytes: ot.KKRTSetupCost(), kind: stepOPRFSetup, sender: r})
+		}
+	}
 	p.Steps = append(all, steps...)
 	p.EstBytes = 0
 	for i := range p.Steps {
 		s := &p.Steps[i]
 		p.EstBytes += s.EstBytes
-		// Phase split: base OTs move entirely offline; for every other
-		// step, offline carries its OT batches' correction matrices and
-		// online keeps the remainder plus the derandomization bits.
-		if s.kind == stepOTSetup {
+		// Phase split: setup steps move entirely offline; for every
+		// other step, offline carries its OT batches' correction matrices
+		// and online keeps the remainder plus the derandomization bits.
+		if s.setup() {
 			s.EstOfflineBytes = s.EstBytes
 		} else {
 			// A pooled batch trades its correction matrix for one

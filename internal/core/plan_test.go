@@ -199,6 +199,66 @@ func TestBaseOTStepsMeasureTheirEstimates(t *testing.T) {
 	}
 }
 
+// TestOPRFSetupStepsMeasureTheirEstimates runs a two-party join whose
+// cross-party PSIs go one way (one output attribute: the reduce phase's
+// semijoin only) and one whose PSIs go both ways (both relations survive:
+// the semijoin phase runs one PSI in each orientation). Each orientation
+// gets one oprf-base step, sent by the PSI sender, that moves exactly
+// ot.KKRTSetupCost (8 192 B) as estimated, and every setup, reduce and
+// semijoin step moves its estimate. 70 rows a side keep the gc backend
+// from bidding, so every semijoin is a PSI.
+func TestOPRFSetupStepsMeasureTheirEstimates(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		output []relation.Attr
+		nodes  []string
+	}{
+		{"one-orientation", []relation.Attr{"a"}, []string{"Bob sends (KKRT)"}},
+		{"two-orientations", []relation.Attr{"a", "k", "b"}, []string{"Alice sends (KKRT)", "Bob sends (KKRT)"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const n = 70
+			r1 := relation.New(relation.MustSchema("a", "k"))
+			r2 := relation.New(relation.MustSchema("k", "b"))
+			for i := 0; i < n; i++ {
+				r1.Append([]uint64{uint64(i % 3), uint64(i)}, uint64(i+1))
+				r2.Append([]uint64{uint64(2 * i), uint64(i % 4)}, uint64(2*i+1))
+			}
+			q := &Query{
+				Inputs: []Input{
+					{Name: "R1", Owner: mpc.Alice, Schema: r1.Schema, N: n},
+					{Name: "R2", Owner: mpc.Bob, Schema: r2.Schema, N: n},
+				},
+				Output: tc.output,
+			}
+			rels := []*relation.Relation{r1, r2}
+			got, tr, aerr, berr := runTraced(context.Background(), q, rels)
+			if aerr != nil || berr != nil {
+				t.Fatalf("run: alice %v, bob %v", aerr, berr)
+			}
+			compareResults(t, tc.name, got, plaintextReference(t, q, rels))
+			var setup []TraceStep
+			for _, s := range tr.Steps {
+				if s.Op == "oprf-base" {
+					setup = append(setup, s)
+				}
+				if s.Phase != "join" && s.Phase != "reveal" && s.Bytes != s.EstBytes {
+					t.Errorf("%s %s %s: moved %d bytes, estimated %d", s.Phase, s.Op, s.Node, s.Bytes, s.EstBytes)
+				}
+			}
+			if len(setup) != len(tc.nodes) {
+				t.Fatalf("%d oprf-base steps, want %d", len(setup), len(tc.nodes))
+			}
+			for i, s := range setup {
+				if s.Phase != "setup" || s.Node != tc.nodes[i] || s.EstBytes != ot.KKRTSetupCost() || s.Bytes != 8192 {
+					t.Errorf("oprf-base step %d: %s %q estimated %d, measured %d; want setup %q at 8192",
+						i, s.Phase, s.Node, s.EstBytes, s.Bytes, tc.nodes[i])
+				}
+			}
+		})
+	}
+}
+
 // TestRunMatchesExplainWithoutEstOut asserts the step *sequence* is
 // independent of the estOut assumption, so Run's estOut=0 compilation
 // matches any Explain of the same query.

@@ -32,7 +32,7 @@ import (
 // and always run direct.
 
 // PrecomputeOpts executes the offline phase of q's plan on party p:
-// base-OT setup, one random-OT pool fill per planned OT batch, and
+// base-OT and KKRT setup, one random-OT pool fill per planned OT batch, and
 // ahead-of-time garbling of every planned circuit this party garbles. Both
 // parties must call it concurrently — the offline phase has its own
 // traffic — and the next protocol run on this party pair should execute
@@ -112,14 +112,15 @@ func PrecomputeOpts(ctx context.Context, p *mpc.Party, q *Query, opts Options) (
 		}
 		return stepErr(st, err)
 	}
-	// The base OTs, then the pool fills in one sweep over the plan per OT
-	// direction. In a fill sweep one party sends every correction matrix
-	// and the other only receives, so the fills cost a round per direction
-	// however often the steps' directions alternate (a PSI's ρ-OT runs
-	// against the rest of its step). Each direction's pools still fill in
-	// plan order, the order the online run drains them. A step's record
-	// sums its parts of the sweeps; steps without offline traffic get none
-	// (their circuits, if any, are still staged by the background build).
+	// The setup steps (base OTs, KKRT setups), then the pool fills in one
+	// sweep over the plan per OT direction. In a fill sweep one party
+	// sends every correction matrix and the other only receives, so the
+	// fills cost a round per direction however often the steps'
+	// directions alternate (a PSI's ρ-OT runs against the rest of its
+	// step). Each direction's pools still fill in plan order, the order
+	// the online run drains them. A step's record sums its parts of the
+	// sweeps; steps without offline traffic get none (their circuits, if
+	// any, are still staged by the background build).
 	recs := make([]TraceStep, len(plan.Steps))
 	flush := func() {
 		for si := range recs {
@@ -184,6 +185,24 @@ func PrecomputeOpts(ctx context.Context, p *mpc.Party, q *Query, opts Options) (
 	return tr, nil
 }
 
+// establish sets up the extension of setup step st on p, or finds it
+// already set up: the IKNP direction st.sender sends in (base-ot), or the
+// KKRT extension of the PSIs st.sender sends in (oprf-base).
+func establish(p *mpc.Party, st *PlanStep) error {
+	var err error
+	switch {
+	case st.kind == stepOTSetup && p.Role == st.sender:
+		_, err = p.OTSender()
+	case st.kind == stepOTSetup:
+		_, err = p.OTReceiver()
+	case p.Role == st.sender:
+		_, err = p.KKRTSender()
+	default:
+		_, err = p.KKRTReceiver()
+	}
+	return err
+}
+
 // hasCircuits reports whether any step declares a garbled circuit, on
 // either side — a property of the plan, so both parties agree on it.
 func (pl *Plan) hasCircuits() bool {
@@ -195,9 +214,9 @@ func (pl *Plan) hasCircuits() bool {
 	return false
 }
 
-// sweep is one pass of the offline phase over the plan: the base-OT
-// setup steps, or the pool fills of one OT direction, named by its OT
-// sender.
+// sweep is one pass of the offline phase over the plan: the setup steps
+// (base-ot, oprf-base), or the pool fills of one OT direction, named by
+// its OT sender.
 type sweep struct {
 	setup  bool
 	sender mpc.Role
@@ -206,7 +225,7 @@ type sweep struct {
 // has reports whether step st has a part in the sweep.
 func (sw sweep) has(st *PlanStep) bool {
 	if sw.setup {
-		return st.kind == stepOTSetup
+		return st.setup()
 	}
 	for _, d := range st.preOTs {
 		if d.m > 0 && d.sender == sw.sender {
@@ -217,18 +236,13 @@ func (sw sweep) has(st *PlanStep) bool {
 }
 
 // ex1Offline performs step st's part of sweep sw: establishing the
-// base-OT session of a setup step, or one pool fill per declared batch of
+// extension of a setup step, or one pool fill per declared batch of
 // the sweep's direction. Both parties walk identical plans, so the fills
 // proceed in lockstep (a fill is half a round: the receiver sends its
 // correction matrix, the sender only receives).
 func ex1Offline(pp *mpc.Party, st *PlanStep, sw sweep) error {
 	if sw.setup {
-		if pp.Role == st.sender {
-			_, err := pp.OTSender()
-			return err
-		}
-		_, err := pp.OTReceiver()
-		return err
+		return establish(pp, st)
 	}
 	for _, d := range st.preOTs {
 		if d.m <= 0 || d.sender != sw.sender {

@@ -1,7 +1,7 @@
 // Package mpc holds the per-party session context shared by every 2PC
 // protocol in this repository: the connection to the peer, the party's
 // role, the annotation ring, local randomness, and lazily established
-// OT-extension sessions in both directions.
+// OT-extension sessions in both directions, IKNP and KKRT.
 //
 // The convention throughout the repository follows the paper: the two
 // parties are Alice (role 0, the designated receiver of query results)
@@ -87,6 +87,11 @@ type session struct {
 	otSend *ot.Sender   // this party as OT sender
 	otRecv *ot.Receiver // this party as OT receiver
 
+	// KKRT extensions of the PSI's OPRF, one per orientation: this party
+	// as PSI sender (KKRT sender) and as PSI receiver.
+	kkrtSend *ot.KKRTSender
+	kkrtRecv *ot.KKRTReceiver
+
 	// FIFO queue of ahead-of-time garbled material, consumed by
 	// RunCircuit in plan order. No mutex: the protocol itself is
 	// single-threaded per party, and Precompute joins its background
@@ -169,6 +174,47 @@ func (p *Party) OTReceiver() (*ot.Receiver, error) {
 		st.otRecv = r
 	}
 	return st.otRecv, nil
+}
+
+// KKRTSender returns this party's KKRT sender — the OPRF key holder of
+// every PSI this party sends in — creating it on first use from
+// ot.KKRTWidth random OTs of the IKNP direction in which this party is
+// the OT receiver (ot.NewKKRTSender): no public-key work, and never from
+// the pool. The peer must call KKRTReceiver at the matching point.
+func (p *Party) KKRTSender() (*ot.KKRTSender, error) {
+	st := p.state()
+	if st.kkrtSend == nil {
+		rcv, err := p.OTReceiver()
+		if err != nil {
+			return nil, err
+		}
+		k, err := ot.NewKKRTSender(rcv)
+		if err != nil {
+			return nil, fmt.Errorf("mpc: %v KKRT sender setup: %w", p.Role, err)
+		}
+		st.kkrtSend = k
+	}
+	return st.kkrtSend, nil
+}
+
+// KKRTReceiver returns this party's KKRT receiver — the OPRF input holder
+// of every PSI this party receives in — creating it on first use from the
+// IKNP direction in which this party is the OT sender
+// (ot.NewKKRTReceiver).
+func (p *Party) KKRTReceiver() (*ot.KKRTReceiver, error) {
+	st := p.state()
+	if st.kkrtRecv == nil {
+		snd, err := p.OTSender()
+		if err != nil {
+			return nil, err
+		}
+		k, err := ot.NewKKRTReceiver(snd)
+		if err != nil {
+			return nil, fmt.Errorf("mpc: %v KKRT receiver setup: %w", p.Role, err)
+		}
+		st.kkrtRecv = k
+	}
+	return st.kkrtRecv, nil
 }
 
 // Circuit-queue metrics, mirroring the OT pool's fill/hit/miss triple.

@@ -14,6 +14,10 @@
 // random OTs of the first direction's extension (Receiver.Reverse,
 // Sender.Reverse).
 //
+// Next to IKNP sits the KKRT 1-of-∞ extension (kkrt.go), the PSI's
+// batched OPRF, whose 512 base OTs are derived the same way from an
+// IKNP direction (NewKKRTSender, NewKKRTReceiver).
+//
 // All protocols here are semi-honest, matching the paper's security model
 // (§4). Malformed peer messages are still rejected with a *MessageError
 // rather than a panic: semi-honest is the privacy model, not the
@@ -33,8 +37,8 @@ import (
 
 // The OT kernels, measured in OT instances per call: base OTs (public-key
 // operations, the setup) and the online extension batches (symmetric
-// only, the bulk workload) — direct, derandomized from a pool, and
-// random.
+// only, the bulk workload) — direct and derandomized from a pool — and
+// the KKRT batches of the PSI's OPRF (kkrt.go).
 var (
 	kBaseSend   = obs.NewKernel("ot.base.send")
 	kBaseRecv   = obs.NewKernel("ot.base.recv")
@@ -42,8 +46,8 @@ var (
 	kExtRecv    = obs.NewKernel("ot.ext.recv")
 	kDerandSend = obs.NewKernel("ot.ext.derand.send")
 	kDerandRecv = obs.NewKernel("ot.ext.derand.recv")
-	kRandomSend = obs.NewKernel("ot.ext.random.send")
-	kRandomRecv = obs.NewKernel("ot.ext.random.recv")
+	kKKRTSend   = obs.NewKernel("ot.kkrt.send")
+	kKKRTRecv   = obs.NewKernel("ot.kkrt.recv")
 )
 
 // curve is the group of the base OTs: NIST P-256, prime order, ≈128-bit

@@ -209,7 +209,8 @@ func TestBaseOTRejectsMalformedMessages(t *testing.T) {
 // reads and as the point list BaseSend reads. Either they are accepted
 // and the outputs are well-formed, or the error is a *MessageError. The
 // same bytes are also the correction matrix of a derived direction's
-// setup (Sender.Reverse): accepted, or a *transport.SizeError.
+// setup (Sender.Reverse) and of a KKRT setup (NewKKRTReceiver): each
+// accepted, or a *transport.SizeError.
 func FuzzBaseOTMessages(f *testing.F) {
 	good := randomPoints(f, 4)
 	f.Add(good[:pointLen])
@@ -220,6 +221,7 @@ func FuzzBaseOTMessages(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{})
 	f.Add(make([]byte, DeriveCost()))
+	f.Add(make([]byte, KKRTSetupCost()))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		check := func(err error) bool {
 			var me *MessageError
@@ -273,6 +275,18 @@ func FuzzBaseOTMessages(f *testing.F) {
 			t.Fatalf("accepted a %d-byte matrix (receiver %v)", len(data), r)
 		case err != nil && !errors.As(err, &se):
 			t.Fatalf("derived setup: got %v, want nil or a *transport.SizeError", err)
+		}
+
+		snd, peer = reverseVictim(t)
+		if err := peer.Send(data); err != nil {
+			t.Fatal(err)
+		}
+		kr, err := NewKKRTReceiver(snd)
+		switch {
+		case err == nil && (kr == nil || len(data) != int(KKRTSetupCost())):
+			t.Fatalf("accepted a %d-byte KKRT setup matrix (receiver %v)", len(data), kr)
+		case err != nil && !errors.As(err, &se):
+			t.Fatalf("KKRT setup: got %v, want nil or a *transport.SizeError", err)
 		}
 	})
 }

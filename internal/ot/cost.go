@@ -19,7 +19,19 @@ func SetupCost() int64 {
 // established session (Receiver.Reverse/Sender.Reverse): one direct
 // batch of κ random OTs, i.e. the first direction's receiver's κ×κ
 // correction matrix.
-func DeriveCost() int64 { return RandomCost(kappa) }
+func DeriveCost() int64 { return ExtOfflineCost(kappa) }
+
+// KKRTSetupCost returns the bytes that set up a KKRT extension on an
+// established IKNP direction (NewKKRTSender/NewKKRTReceiver): one direct
+// batch of KKRTWidth random OTs, i.e. its κ×KKRTWidth correction matrix.
+func KKRTSetupCost() int64 { return ExtOfflineCost(KKRTWidth) }
+
+// KKRTCost returns the bytes of one KKRT batch of m instances
+// (KKRTReceiver.Receive/KKRTSender.Send): the receiver's correction
+// matrix of KKRTWidth columns of ⌈m/8⌉ bytes and nothing else, i.e.
+// KKRTCodeBytes per instance in groups of eight. A batch of zero
+// instances exchanges nothing.
+func KKRTCost(m int) int64 { return int64(KKRTWidth) * int64((m+7)/8) }
 
 // ExtCost returns the total bytes (both directions) of one direct
 // chosen-message batch (Send/Receive) of m OTs with msgLen-byte messages:
@@ -37,17 +49,11 @@ func CorrelatedCost(m, msgLen int) int64 {
 	return ExtOfflineCost(m) + int64(m)*int64(msgLen)
 }
 
-// RandomCost returns the total bytes of one direct SendRandom/
-// ReceiveRandom batch of m random OTs: the receiver's κ×mPad correction
-// matrix and nothing else — the pads are the outputs, so no ciphertext
-// follows. It is what FillRandom moves for a batch of the same size; a
-// pooled batch costs RandomOnlineCost instead.
-func RandomCost(m int) int64 { return ExtOfflineCost(m) }
-
 // ExtOfflineCost returns the bytes a precomputed (FillRandom) batch of m
 // OTs moves during the offline phase: only the receiver's κ×mPad
 // correction matrix. Message width is irrelevant offline — pads are
-// derived locally and kept.
+// derived locally and kept. It is also the whole of a direct random-OT
+// batch, which is what the derived setups run.
 func ExtOfflineCost(m int) int64 {
 	if m == 0 {
 		return 0
@@ -57,7 +63,8 @@ func ExtOfflineCost(m int) int64 {
 }
 
 // RandomOnlineCost returns the online bytes of a pooled random-OT batch:
-// the receiver's ⌈m/8⌉ packed derandomization bits.
+// the receiver's ⌈m/8⌉ packed derandomization bits, the opening message
+// of every batch served from the pool.
 func RandomOnlineCost(m int) int64 { return int64((m + 7) / 8) }
 
 // CorrelatedOnlineCost returns the online bytes of a pooled correlated-OT

@@ -189,7 +189,7 @@ func TestReverseLeavesPoolsAligned(t *testing.T) {
 
 // reverseVictim returns an extension sender built from random base-OT
 // output (no public-key work) and the connection its peer writes on, for
-// FuzzBaseOTMessages to feed the derived setup arbitrary matrices.
+// FuzzBaseOTMessages to feed the derived setups arbitrary matrices.
 func reverseVictim(t testing.TB) (*Sender, transport.Conn) {
 	a, b := transport.Pair()
 	t.Cleanup(func() { a.Close(); b.Close() })

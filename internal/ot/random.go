@@ -25,11 +25,12 @@ import (
 // first), it costs ⌈m/8⌉ bytes instead of the matrix, and it uses no
 // cryptography beyond XOR.
 //
-// SendRandom/ReceiveRandom expose the random OTs themselves, with the
+// sendRandom/receiveRandom serve the random OTs themselves, with the
 // receiver choosing its bits: the pads are the outputs, so a direct batch
 // is the matrix and nothing else, and a pooled one is the correction bits
-// and nothing else. The PSI's per-bin OPRF is built on them; correlated
-// and chosen-message batches (correlated.go) add the sender's one reply.
+// and nothing else. Correlated and chosen-message batches (correlated.go)
+// add the sender's one reply; the derived setups (Reverse, kkrt.go) take
+// their random OTs direct, from randomPads.
 
 // Pool metrics: how online batches were served (a miss is any batch
 // that ran the direct protocol, whether the pool was empty or held
@@ -196,21 +197,6 @@ func (r *Receiver) FillRandom(m, msgLen int) error {
 	return nil
 }
 
-// SendRandom performs m random OTs as the sender: it returns both pads
-// of every instance, flat m×msgLen each, and the peer's matching
-// ReceiveRandom learns the pad its choice bit selects. No ciphertext
-// crosses the wire — the IKNP pads are the outputs — so a direct batch
-// costs the correction matrix alone (RandomCost) and the sender sends
-// nothing; a matching pooled batch costs the derandomization bits alone.
-func (s *Sender) SendRandom(m, msgLen int) (r0, r1 []byte, err error) {
-	if m == 0 {
-		return nil, nil, nil
-	}
-	sp := kRandomSend.Begin()
-	defer sp.EndN(int64(m))
-	return s.sendRandom(s.pool.take(m, msgLen), m, msgLen)
-}
-
 // sendRandom serves m random OTs from the pool batch b — receive the
 // derandomization bits and swap the pads of every instance whose bit is
 // set — or, when b is nil, from a direct extension batch.
@@ -232,19 +218,6 @@ func (s *Sender) sendRandom(b *randBatch, m, msgLen int) (r0, r1 []byte, err err
 		}
 	}
 	return b.r0, b.r1, nil
-}
-
-// ReceiveRandom performs len(choices) random OTs as the receiver and
-// returns pad choices[j] of every instance j of the peer's SendRandom,
-// flat m×msgLen.
-func (r *Receiver) ReceiveRandom(choices []bool, msgLen int) ([]byte, error) {
-	m := len(choices)
-	if m == 0 {
-		return nil, nil
-	}
-	sp := kRandomRecv.Begin()
-	defer sp.EndN(int64(m))
-	return r.receiveRandom(r.pool.take(m, msgLen), choices, msgLen)
 }
 
 // receiveRandom is the receiver half of sendRandom: it sends the

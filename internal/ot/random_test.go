@@ -200,7 +200,8 @@ func TestPoolClear(t *testing.T) {
 	runBatch(t, snd, rcv, rng, 9, 16)
 }
 
-// runRandomBatch executes one SendRandom/ReceiveRandom pair and checks
+// runRandomBatch executes one sendRandom/receiveRandom pair, from the
+// pool when its head matches and direct otherwise, and checks
 // the random-OT contract: the receiver holds exactly the pad its choice
 // bit selects of every instance, and the two pads of an instance differ.
 func runRandomBatch(t *testing.T, snd *Sender, rcv *Receiver, rng *rand.Rand, m, msgLen int) {
@@ -215,16 +216,16 @@ func runRandomBatch(t *testing.T, snd *Sender, rcv *Receiver, rng *rand.Rand, m,
 	}
 	ch := make(chan pads, 1)
 	go func() {
-		r0, r1, err := snd.SendRandom(m, msgLen)
+		r0, r1, err := snd.sendRandom(snd.pool.take(m, msgLen), m, msgLen)
 		ch <- pads{r0, r1, err}
 	}()
-	rc, err := rcv.ReceiveRandom(choices, msgLen)
+	rc, err := rcv.receiveRandom(rcv.pool.take(m, msgLen), choices, msgLen)
 	if err != nil {
-		t.Fatalf("ReceiveRandom: %v", err)
+		t.Fatalf("receiveRandom: %v", err)
 	}
 	s := <-ch
 	if s.err != nil {
-		t.Fatalf("SendRandom: %v", s.err)
+		t.Fatalf("sendRandom: %v", s.err)
 	}
 	if len(rc) != m*msgLen || len(s.r0) != m*msgLen || len(s.r1) != m*msgLen {
 		t.Fatalf("pad lengths %d/%d/%d, want %d", len(rc), len(s.r0), len(s.r1), m*msgLen)
@@ -243,11 +244,11 @@ func runRandomBatch(t *testing.T, snd *Sender, rcv *Receiver, rng *rand.Rand, m,
 	}
 }
 
-// TestRandomOTPooledMatchesDirect runs SendRandom/ReceiveRandom on both
+// TestRandomOTPooledMatchesDirect runs sendRandom/receiveRandom on both
 // paths — direct (the correction matrix carries the choices) and pooled
 // (one derandomization bit per instance) — interleaved with chosen-message
 // batches, over the padding grid: both must satisfy the same contract,
-// move exactly RandomCost resp. ⌈m/8⌉ bytes, and leave the two endpoints'
+// move exactly ExtOfflineCost resp. ⌈m/8⌉ bytes, and leave the two endpoints'
 // idx counters equal.
 func TestRandomOTPooledMatchesDirect(t *testing.T) {
 	snd, rcv, done := newExtPair(t)
@@ -258,8 +259,8 @@ func TestRandomOTPooledMatchesDirect(t *testing.T) {
 		for _, msgLen := range []int{4, 16, 40} {
 			before := moved()
 			runRandomBatch(t, snd, rcv, rng, m, msgLen) // direct
-			if got := moved() - before; got != RandomCost(m) {
-				t.Fatalf("direct m=%d: moved %d bytes, RandomCost predicts %d", m, got, RandomCost(m))
+			if got := moved() - before; got != ExtOfflineCost(m) {
+				t.Fatalf("direct m=%d: moved %d bytes, ExtOfflineCost predicts %d", m, got, ExtOfflineCost(m))
 			}
 			if m > 0 {
 				fillBoth(t, snd, rcv, m, msgLen)
@@ -305,17 +306,15 @@ func TestExtensionMessagesAreSizeChecked(t *testing.T) {
 	for name, call := range map[string]func() error{
 		"Send":           func() error { return snd.Send(pairs) },
 		"FillRandom":     func() error { return snd.FillRandom(m, msgLen) },
-		"SendRandom":     func() error { _, _, err := snd.SendRandom(m, msgLen); return err },
 		"SendCorrelated": sendCorrelated,
 	} {
 		if err := rcv.conn.Send(bogus); err != nil {
 			t.Fatal(err)
 		}
-		expect(name+" matrix", call(), int(RandomCost(m)))
+		expect(name+" matrix", call(), int(ExtOfflineCost(m)))
 	}
 	for name, call := range map[string]func() error{
 		"Send":           func() error { return snd.Send(pairs) },
-		"SendRandom":     func() error { _, _, err := snd.SendRandom(m, msgLen); return err },
 		"SendCorrelated": sendCorrelated,
 	} {
 		fillBoth(t, snd, rcv, m, msgLen)

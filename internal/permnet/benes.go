@@ -35,6 +35,8 @@ func CeilPow2(n int) int {
 // be a power of two.
 func New(size int) *Network {
 	if size < 1 || size&(size-1) != 0 {
+		// Every size is CeilPow2 of public set sizes (oep.buildPlan) or a
+		// caller's constant; none is read off the wire.
 		panic(fmt.Sprintf("permnet: size %d is not a power of two", size))
 	}
 	nw := &Network{Size: size}
@@ -83,6 +85,8 @@ func (nw *Network) Route(dest []int) ([]bool, error) {
 // evaluation.
 func (nw *Network) Apply(bits []bool, vec []uint64) {
 	if len(bits) != len(nw.Swaps) || len(vec) != nw.Size {
+		// Apply is the plaintext reference: its bits are a Program this
+		// party routed for this network, never a peer's message.
 		panic("permnet: Apply size mismatch")
 	}
 	for i, sw := range nw.Swaps {

@@ -59,8 +59,12 @@ func init() {
 //	         q_j ⊕ s) deliberately share one tweak — that pair is
 //	         exactly the correlation-robustness game.
 //	SitePSI: cuckoo/PSI hashing; the low bits carry the hash-function
-//	         index (0..2) for bin assignment, 3 for the PSI's OPRF
-//	         output hash and 4 for its hint-row derivation.
+//	         index (0..2) for bin assignment, 4 for the PSI's hint-row
+//	         derivation and 5 for its KKRT code word C(x) (the first
+//	         block of a HashToWidthAES expansion). 3 is retired: it
+//	         keyed the output hash of the IKNP-pad OPRF the KKRT one
+//	         replaced, whose output is now SHA-256 (prf.HashInto) over
+//	         the whole 512-bit row, outside π.
 //	SiteKDF: wide-output expansion inside HashToWidthAES; the low bits
 //	         carry the block counter of the expanded stream.
 const (

@@ -9,24 +9,24 @@ import (
 
 // Wire-cost predictors for the two PSIs, used by the plan compiler in
 // internal/core: closed forms over the public parameters. Each composes
-// the per-bin protocol — hash seed, OPRF batch, hint, ρ-OT and the
+// the per-bin protocol — hash seed, KKRT batch, hint, ρ-OT and the
 // comparison circuit (built outright: it is one bin's gadget and a bin
 // count) — with, for the indexed PSI, its two OEPs. cost_test.go pins
 // them to measured traffic.
 
 // binsCost is the traffic of recvBins/sendBins for w-bit payloads.
 func binsCost(pr Params, w, ell int) int64 {
-	return int64(prf.SeedSize) + ot.RandomCost(pr.B*keyBits) + int64(pr.B*pr.hint(w).binBytes()) +
+	return int64(prf.SeedSize) + ot.KKRTCost(pr.B) + int64(pr.B*pr.hint(w).binBytes()) +
 		ot.CorrelatedCost(pr.B, rhoBytes(w)) + gc.DimsOf(buildCircuit(pr, w, ell)).MessageCost()
 }
 
 // Demand is what one execution — direct, or indexed (§5.5) — asks of an
-// offline phase: its three OT batches, in the order it runs them, and
-// the circuit it garbles. The PSI sender is the OT sender of the OPRF and
-// label batches and garbles the circuit; the PSI receiver is the OT
-// sender of the ρ-OT.
+// offline phase: its two IKNP batches, in the order it runs them, and
+// the circuit it garbles. The PSI receiver is the OT sender of the ρ-OT;
+// the PSI sender is the OT sender of the label batch and garbles the
+// circuit. The KKRT batch before them (oprf.go) is not pooled: it is
+// one row per bin, online.
 type Demand struct {
-	OPRF    int // random OTs of 16-byte pads
 	Rho     int // correlated OTs of RhoLen-byte messages
 	RhoLen  int
 	Labels  int // the circuit's evaluator inputs: what the receiver's hint decoded to
@@ -39,7 +39,7 @@ func (pr Params) Demands(ell int, indexed bool) Demand {
 	if indexed {
 		w = idxWidth(pr.N + pr.B)
 	}
-	return Demand{OPRF: pr.B * keyBits, Rho: pr.B, RhoLen: rhoBytes(w), Labels: pr.B * pr.tau(),
+	return Demand{Rho: pr.B, RhoLen: rhoBytes(w), Labels: pr.B * pr.tau(),
 		Circuit: func() *gc.Circuit { return buildCircuit(pr, w, ell) }}
 }
 

@@ -9,8 +9,9 @@ import (
 	"secyan/internal/share"
 )
 
-// warmOT forces both OT-extension sessions into existence so that the
-// measured PSI traffic excludes one-time base-OT setup.
+// warmOT forces both OT-extension sessions and the KKRT extension of
+// Alice-receives PSIs into existence so that the measured PSI traffic
+// excludes one-time setup.
 func warmOT(t testing.TB, alice, bob *mpc.Party) {
 	t.Helper()
 	done := make(chan error, 1)
@@ -19,7 +20,11 @@ func warmOT(t testing.TB, alice, bob *mpc.Party) {
 			done <- err
 			return
 		}
-		_, err := bob.OTSender()
+		if _, err := bob.OTSender(); err != nil {
+			done <- err
+			return
+		}
+		_, err := bob.KKRTSender()
 		done <- err
 	}()
 	if _, err := alice.OTSender(); err != nil {
@@ -27,6 +32,9 @@ func warmOT(t testing.TB, alice, bob *mpc.Party) {
 	}
 	if _, err := alice.OTReceiver(); err != nil {
 		t.Fatalf("alice OTReceiver: %v", err)
+	}
+	if _, err := alice.KKRTReceiver(); err != nil {
+		t.Fatalf("alice KKRTReceiver: %v", err)
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("bob OT setup: %v", err)
@@ -104,7 +112,7 @@ func TestCircuitDimsMatchBuiltCircuits(t *testing.T) {
 					pr.N = 1<<11 - bins // so that idxWidth(N+B) is the 11 bits built above
 				}
 				d := pr.Demands(ell, name == "clear-index")
-				if d.OPRF != bins*keyBits || d.Rho != bins || d.RhoLen != (w+7)/8 ||
+				if d.Rho != bins || d.RhoLen != (w+7)/8 ||
 					d.Labels != gc.DimsOf(c).EvalInputs || gc.DimsOf(d.Circuit()) != gc.DimsOf(c) {
 					t.Fatalf("%s B=%d: demands %+v with circuit %+v, built %+v",
 						name, bins, d, gc.DimsOf(d.Circuit()), gc.DimsOf(c))

@@ -13,9 +13,8 @@ import (
 
 // FuzzPSIMessages feeds the decoders this package owns hostile peer
 // messages. The receiver reads the sender's hint through views of the
-// peer's bytes, the sender sizes its OPRF keys from the receiver's
-// correction message (the IKNP matrix on the direct path, one bit per OT
-// on the pooled one), and the ρ-OT runs the other way: the receiver, as
+// peer's bytes, the sender sizes its OPRF keys from the receiver's KKRT
+// matrix, and the ρ-OT runs the other way: the receiver, as
 // OT sender, reads the sender's opening message (matrix or bits), and the
 // sender reads her corrections. Every length is fixed by the public
 // parameters, so a truncated or oversized message must be a typed error
@@ -24,10 +23,10 @@ import (
 // never size an allocation. The untouched hint must still decode to what
 // was programmed.
 //
-// what selects the message (0 hint, 1 direct OPRF correction, 2 pooled
-// OPRF correction, 3 direct ρ-OT opening, 4 pooled ρ-OT opening, 5 ρ-OT
-// corrections), mode the mutation (0 none, 1 truncate by cut bytes, 2
-// append cut bytes, 3 flip bit `bit`).
+// what selects the message (0 hint, 1 KKRT matrix, 2 direct ρ-OT
+// opening, 3 pooled ρ-OT opening, 4 ρ-OT corrections), mode the mutation
+// (0 none, 1 truncate by cut bytes, 2 append cut bytes, 3 flip bit
+// `bit`).
 func FuzzPSIMessages(f *testing.F) {
 	pr := NewParams(5, 9)
 	h := pr.hint(32)
@@ -57,7 +56,6 @@ func FuzzPSIMessages(f *testing.F) {
 	alice, bob := mpc.Pair(share.Ring{Bits: 32})
 	f.Cleanup(func() { alice.Conn.Close(); bob.Conn.Close() })
 	warmOT(f, alice, bob)
-	m := pr.B * keyBits
 	const w = 32
 	us := make([]uint64, pr.B)
 	for bin := range us {
@@ -65,21 +63,28 @@ func FuzzPSIMessages(f *testing.F) {
 	}
 	goods := [][]byte{
 		goodHint,
-		make([]byte, ot.RandomCost(m)), // OPRF matrix
-		make([]byte, (m+7)/8),          // OPRF bits
-		make([]byte, ot.RandomCost(pr.B)),
+		make([]byte, ot.KKRTCost(pr.B)),
+		make([]byte, ot.ExtOfflineCost(pr.B)),
 		make([]byte, (pr.B+7)/8),
 		make([]byte, pr.B*rhoBytes(w)),
 	}
 
-	for what := uint8(0); what < 6; what++ {
+	for what := uint8(0); what < 5; what++ {
 		for mode := uint8(0); mode < 4; mode++ {
 			f.Add(what, mode, uint32(1), uint32(77))
 			f.Add(what, mode, uint32(len(goodHint)), uint32(len(goodHint)*8-1))
 		}
 	}
+	// The KKRT matrix replaced two arms (the direct and the pooled IKNP
+	// OPRF correction) and keeps their seed budget: every mutation again,
+	// in the middle and in the last column of its 512.
+	kkrtLen := uint32(len(goods[1]))
+	for mode := uint8(0); mode < 4; mode++ {
+		f.Add(uint8(1), mode, kkrtLen/2, kkrtLen*4)
+		f.Add(uint8(1), mode, kkrtLen-1, kkrtLen*8-1)
+	}
 	f.Fuzz(func(t *testing.T, what, mode uint8, cut, bit uint32) {
-		what %= 6
+		what %= 5
 		good := goods[what]
 		msg := append([]byte(nil), good...)
 		switch mode % 4 {
@@ -114,17 +119,12 @@ func FuzzPSIMessages(f *testing.F) {
 				t.Fatalf("%s of %d bytes (want %d): %v, want a *transport.SizeError", what, len(msg), len(good), err)
 			}
 		}
-		switch what {
-		case 2:
-			snd, _ := bob.OTSender()
-			rcv, _ := alice.OTReceiver()
-			pool(snd, rcv, m, padLen)
-		case 4:
+		if what == 3 {
 			snd, _ := alice.OTSender()
 			rcv, _ := bob.OTReceiver()
 			pool(snd, rcv, pr.B, rhoBytes(w))
 		}
-		if what == 3 || what == 4 {
+		if what == 2 || what == 3 {
 			// Bob's opening, read by Alice's half; a well-sized one draws
 			// her corrections, which the fuzzer drains as Bob.
 			if err := bob.Conn.Send(msg); err != nil {
@@ -145,7 +145,7 @@ func FuzzPSIMessages(f *testing.F) {
 		if err := alice.Conn.Send(msg); err != nil {
 			t.Fatal(err)
 		}
-		if what == 5 {
+		if what == 4 {
 			// Alice's corrections, read by Bob's half after it sends its
 			// (direct) opening, which the fuzzer drains as Alice.
 			rho, x, err := rhoReceive(bob, pr.B, w)
@@ -176,9 +176,11 @@ func FuzzPSIMessages(f *testing.F) {
 			return
 		}
 
-		keysOut, err := oprfSend(bob, h, pr.B)
-		if check(err, "OPRF correction"); sized && len(keysOut.r0) != m {
-			t.Fatalf("OPRF returned %d pads, want %d", len(keysOut.r0), m)
+		o, err := oprfSend(bob, h, seed, pr.B)
+		if check(err, "KKRT matrix"); sized {
+			for bin := 0; bin < pr.B; bin++ {
+				o.eval(bin, uint64(bin)<<2)
+			}
 		}
 	})
 }

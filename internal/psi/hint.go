@@ -74,7 +74,7 @@ func (h hintDims) slot(src []byte) value {
 
 // rowTweak is the hint-row derivation's tweak in the PSI domain of the
 // fixed-key permutation; 0..2 are the cuckoo hash functions and
-// oprfTweak the OPRF output.
+// codeTweak the OPRF's code (oprf.go).
 const rowTweak = prf.SitePSI | 4
 
 // hintCoder derives rows and encodes or decodes bins under one seed. It

@@ -3,93 +3,96 @@ package psi
 import (
 	"encoding/binary"
 
-	"secyan/internal/gc"
+	"secyan/internal/cuckoo"
 	"secyan/internal/mpc"
+	"secyan/internal/ot"
 	"secyan/internal/prf"
 )
 
-// This file is the per-bin oblivious PRF under the hint (hint.go): the
-// OT-based construction in which bin b's key is keyBits pairs of random
-// pads, the receiver obtains by random OT the pad each bit of her
-// composed key selects, and
+// This file is the per-bin oblivious PRF under the hint (hint.go): one
+// KKRT batch (ot/kkrt.go) over the bins, the construction of paper §5.3.
+// The receiver's input in bin b is her composed key x, encoded as the
+// pseudorandom code word
 //
-//	F_b(x) = H(⊕ᵢ pad_{b,i}^{xᵢ})
+//	C(x) = HashToWidthAES(KeyBlock(seed, x), SitePSI|5)
 //
-// with H the fixed-key hash under oprfTweak. The sender holds both pads
-// of every pair and evaluates F_b anywhere; the receiver holds one pad
-// per pair, so for any y ≠ x the XOR includes a pad she never saw
-// (DESIGN.md §14). The pads are the IKNP outputs themselves
-// (ot.SendRandom): keyBits OTs per bin, no ciphertexts, servable from a
-// precomputed pool at one bit each.
+// of ot.KKRTWidth bits under the PSI's cuckoo seed, and
+//
+//	F_b(y) = SHA-256(b, q_b ⊕ (C(y) ∧ s))
+//
+// over the whole 512-bit row, which the sender evaluates at every key of
+// his bin and the receiver learns at hers. For y ≠ x the hash input
+// carries the ≈ 256 bits of s where C(x) and C(y) differ (at least κ:
+// TestKKRTCodeMinDistance), so F_b(y) is pseudorandom to her (DESIGN.md
+// §4, §14). The batch is one KKRTCodeBytes row per bin, ot.KKRTCost,
+// online: nothing of it is pooled, and its base OTs are the per-query
+// KKRT setup (mpc.Party.KKRTSender).
 
-// oprfTweak is the OPRF output hash's tweak in the PSI tweak domain.
-const oprfTweak = prf.SitePSI | 3
+// codeTweak is the KKRT code's tweak in the PSI tweak domain.
+const codeTweak = prf.SitePSI | 5
 
-// padLen is the random-OT pad width: one block.
-const padLen = 16
-
-// oprfValue hashes a bin's XORed pads into the OPRF output, cut to the
+// oprfLen is the byte width of an OPRF output: two words, cut to the
 // hint's value widths.
-func (h hintDims) oprfValue(k prf.Block) value {
-	d := prf.HashBlock(k, oprfTweak)
-	return h.mask(value{binary.LittleEndian.Uint64(d[:8]), binary.LittleEndian.Uint64(d[8:])})
+const oprfLen = 16
+
+// codeWord writes C(x) under the cuckoo seed into dst.
+func codeWord(dst *[ot.KKRTCodeBytes]byte, seed prf.Seed, x uint64) {
+	prf.HashToWidthAES(dst[:], cuckoo.KeyBlock(seed, x), codeTweak)
+}
+
+// oprfValue cuts an OPRF output to the hint's value widths.
+func (h hintDims) oprfValue(d []byte) value {
+	return h.mask(value{binary.LittleEndian.Uint64(d[:8]), binary.LittleEndian.Uint64(d[8:16])})
 }
 
 // oprfReceive runs the OPRF as the receiver on one composed key per bin
 // and returns F_b(keys[b]) for every bin.
-func oprfReceive(p *mpc.Party, h hintDims, keys []uint64) ([]value, error) {
-	rcv, err := p.OTReceiver()
+func oprfReceive(p *mpc.Party, h hintDims, seed prf.Seed, keys []uint64) ([]value, error) {
+	rcv, err := p.KKRTReceiver()
 	if err != nil {
 		return nil, err
 	}
-	choices := make([]bool, 0, len(keys)*keyBits)
-	for _, k := range keys {
-		choices = gc.AppendBits(choices, k, keyBits)
+	codes := make([]byte, len(keys)*ot.KKRTCodeBytes)
+	for b, k := range keys {
+		codeWord((*[ot.KKRTCodeBytes]byte)(codes[b*ot.KKRTCodeBytes:]), seed, k)
 	}
-	pads, err := rcv.ReceiveRandom(choices, padLen)
+	fs, err := rcv.Receive(codes, oprfLen)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]value, len(keys))
-	blocks := prf.BlocksOf(pads)
 	for b := range out {
-		var k prf.Block
-		for _, pad := range blocks[b*keyBits : (b+1)*keyBits] {
-			prf.XORBlock(&k, k, pad)
-		}
-		out[b] = h.oprfValue(k)
+		out[b] = h.oprfValue(fs[b*oprfLen:])
 	}
 	return out, nil
 }
 
-// oprfKeys are the sender's OPRF keys: both pads of every (bin, key bit).
-type oprfKeys struct {
-	h      hintDims
-	r0, r1 []prf.Block
+// oprfSender is the sender's side of one OPRF batch: the KKRT keys of
+// every bin and what evaluating them needs.
+type oprfSender struct {
+	h    hintDims
+	seed prf.Seed
+	keys *ot.KKRTKeys
 }
 
 // oprfSend runs the OPRF as the sender for the given number of bins.
-func oprfSend(p *mpc.Party, h hintDims, bins int) (*oprfKeys, error) {
-	snd, err := p.OTSender()
+func oprfSend(p *mpc.Party, h hintDims, seed prf.Seed, bins int) (*oprfSender, error) {
+	snd, err := p.KKRTSender()
 	if err != nil {
 		return nil, err
 	}
-	r0, r1, err := snd.SendRandom(bins*keyBits, padLen)
+	keys, err := snd.Send(bins)
 	if err != nil {
 		return nil, err
 	}
-	return &oprfKeys{h, prf.BlocksOf(r0), prf.BlocksOf(r1)}, nil
+	return &oprfSender{h, seed, keys}, nil
 }
 
 // eval returns F_bin(key).
-func (o *oprfKeys) eval(bin int, key uint64) value {
-	var k prf.Block
-	for i := 0; i < keyBits; i++ {
-		pad := o.r0[bin*keyBits+i]
-		if key>>uint(i)&1 == 1 {
-			pad = o.r1[bin*keyBits+i]
-		}
-		prf.XORBlock(&k, k, pad)
-	}
-	return o.h.oprfValue(k)
+func (o *oprfSender) eval(bin int, key uint64) value {
+	var c [ot.KKRTCodeBytes]byte
+	var d [oprfLen]byte
+	codeWord(&c, o.seed, key)
+	o.keys.Eval(d[:], bin, &c)
+	return o.h.oprfValue(d[:])
 }

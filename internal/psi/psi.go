@@ -16,7 +16,9 @@
 // cuckoo-hashes her set into B = 1.27·M bins using 3 hash functions; the
 // sender (Bob) simple-hashes every element of his set into all 3
 // candidate bins, at most L per bin except with probability 2^-σ. Per
-// bin the parties run an oblivious PRF on Alice's one item (oprf.go);
+// bin the parties run an oblivious PRF on Alice's one item: one KKRT
+// batch over all bins (oprf.go), 64 bytes per bin, whose base OTs are
+// random OTs of the parties' IKNP session (mpc.Party.KKRTSender);
 // Bob draws a random τ-bit target t_b and sends a fixed-size hint
 // (hint.go) that, unmasked with the PRF, decodes at each of his keys of
 // the bin to t_b and a masked payload u′, and to noise elsewhere. A
@@ -67,9 +69,6 @@ const Sigma = 40
 // MaxElement is the largest set element representable: two bits are
 // reserved for the hash-function tag.
 const MaxElement = uint64(1)<<62 - 1
-
-// keyBits is the width of composed keys, the OPRF's input.
-const keyBits = 64
 
 // receiverDummyKey fills the receiver's empty cuckoo bins. It carries tag
 // 3, which no composed key has, so the sender never programs it.
@@ -253,7 +252,7 @@ func recvBins(p *mpc.Party, pr Params, w int, xs []uint64) (*cuckoo.Table, []uin
 		return nil, nil, nil, err
 	}
 	h := pr.hint(w)
-	fs, err := oprfReceive(p, h, akeys)
+	fs, err := oprfReceive(p, h, table.Seed, akeys)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -353,7 +352,7 @@ func sendBins(p *mpc.Party, pr Params, w int, ys []uint64, target func(j, bin in
 		return nil, err
 	}
 	h := pr.hint(w)
-	oprf, err := oprfSend(p, h, pr.B)
+	oprf, err := oprfSend(p, h, seed, pr.B)
 	if err != nil {
 		return nil, err
 	}

@@ -77,6 +77,8 @@ func (r Ring) SplitSlice(g *prf.PRG, vs []uint64) (s1, s2 []uint64) {
 // CombineSlice reconstructs a slice of values from aligned share slices.
 func (r Ring) CombineSlice(s1, s2 []uint64) []uint64 {
 	if len(s1) != len(s2) {
+		// The one caller holding a peer's shares, mpc.RecvReveal, sizes
+		// them to its own with transport.RecvUint64s first.
 		panic("share: CombineSlice length mismatch")
 	}
 	out := make([]uint64, len(s1))
@@ -90,6 +92,8 @@ func (r Ring) CombineSlice(s1, s2 []uint64) []uint64 {
 // communication-free local addition of shared values (§5.1).
 func (r Ring) AddSlices(a, b []uint64) []uint64 {
 	if len(a) != len(b) {
+		// Both operands are this party's own share vectors, never a
+		// message sized by the peer.
 		panic("share: AddSlices length mismatch")
 	}
 	out := make([]uint64, len(a))
