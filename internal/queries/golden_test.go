@@ -3,6 +3,7 @@ package queries
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,7 +19,10 @@ var update = flag.Bool("update", false, "rewrite the golden plan files under tes
 const goldenEstOut = 16
 
 // TestGoldenPlans pins the rendered execution plan of every TPC-H query
-// at the shared test scale. Any change to the plan compiler — step
+// at the shared test scale, and, in whole bytes, every step's estimates
+// and every auction bid (the rendered plan rounds to 0.1 KB/MB, which
+// hides drifts of many KB) — also with the gc backend forced and with
+// every input secret-shared. Any change to the plan compiler — step
 // order, operator naming, cost model — shows up as a readable diff
 // here; regenerate with `go test ./internal/queries -run Golden -update`
 // after reviewing it.
@@ -34,23 +38,67 @@ func TestGoldenPlans(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var buf bytes.Buffer
-			plan.Format(&buf)
-			path := filepath.Join("testdata", strings.ToLower(spec.Name)+".plan.txt")
-			if *update {
-				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
+			var plain, exact bytes.Buffer
+			plan.Format(&plain)
+			formatBytes(&exact, plan)
+			// The whole-byte listing also pins the plans that take the
+			// other operator paths: every step on the gc backend where it
+			// bids, and every input secret-shared.
+			forced, err := core.ExplainOpts(q, 32, core.Options{EstOut: goldenEstOut, Backend: core.BackendGC})
 			if err != nil {
-				t.Fatalf("missing golden file (run with -update to create): %v", err)
+				t.Fatal(err)
 			}
-			if !bytes.Equal(buf.Bytes(), want) {
-				t.Errorf("%s plan drifted from %s (re-run with -update after review):\ngot:\n%swant:\n%s",
-					spec.Name, path, buf.String(), want)
+			fmt.Fprintf(&exact, "\nbackend gc:\n")
+			formatBytes(&exact, forced)
+			shared := *q
+			shared.NoLocalOptimizations = true
+			noOpt, err := core.ExplainOpts(&shared, 32, core.Options{EstOut: goldenEstOut})
+			if err != nil {
+				t.Fatal(err)
 			}
+			fmt.Fprintf(&exact, "\nno local optimizations:\n")
+			formatBytes(&exact, noOpt)
+			base := filepath.Join("testdata", strings.ToLower(spec.Name))
+			compareGolden(t, spec.Name, base+".plan.txt", plain.Bytes())
+			compareGolden(t, spec.Name, base+".bytes.txt", exact.Bytes())
 		})
+	}
+}
+
+// formatBytes lists plan's estimates in whole bytes: per step its
+// EstBytes, EstOfflineBytes and EstOnlineBytes, then every bid of its
+// backend auction (* marks the winner), then the plan totals.
+func formatBytes(buf *bytes.Buffer, plan *core.Plan) {
+	for i, s := range plan.Steps {
+		fmt.Fprintf(buf, "%2d %s/%s[%s] est=%d offline=%d online=%d\n",
+			i, s.Phase, s.Op, s.Node, s.EstBytes, s.EstOfflineBytes, s.EstOnlineBytes)
+		for _, a := range s.Alternatives {
+			mark := " "
+			if a.Chosen {
+				mark = "*"
+			}
+			fmt.Fprintf(buf, "   %s%s=%d\n", mark, a.Backend, a.EstBytes)
+		}
+	}
+	fmt.Fprintf(buf, "total est=%d offline=%d online=%d\n", plan.EstBytes, plan.EstOfflineBytes, plan.EstOnlineBytes)
+}
+
+// compareGolden compares got against the golden file at path, or
+// rewrites the file under -update.
+func compareGolden(t *testing.T, name, path string, got []byte) {
+	t.Helper()
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s plan drifted from %s (re-run with -update after review):\ngot:\n%swant:\n%s",
+			name, path, got, want)
 	}
 }
