@@ -6,17 +6,16 @@ import (
 
 	"secyan/internal/gc"
 	"secyan/internal/gcbaseline"
-	"secyan/internal/oep"
-	"secyan/internal/ot"
+	"secyan/internal/mpc"
 	"secyan/internal/psi"
 )
 
 // This file is the backend mechanism behind the plan compiler's
 // semijoin and aggregate steps. Each applicable backend submits a bid —
-// its byte estimate plus the precompute demands (OT batches, circuits)
-// and OT-extension directions it would consume — and the compiler picks
-// the cheapest bid (or the forced one, where applicable), recording the
-// rejected alternatives on the step for Explain.
+// the exchanges its operator would run, priced by their direct bytes —
+// and the compiler picks the cheapest bid (or the forced one, where
+// applicable), recording the rejected alternatives on the step for
+// Explain.
 
 // BackendID names a secure-join backend. The empty ID means "choose by
 // cost" in options; on a compiled PlanStep the ID is always concrete.
@@ -62,17 +61,10 @@ type BackendChoice struct {
 }
 
 // backendBid is one applicable backend's offer for a plan step: the
-// byte estimate, the OT-extension directions it needs (indexed by
-// sending role — copied from the operator dispatch, never derived from
-// the batch list), the PSI orientation whose KKRT extension it runs
-// (indexed by PSI sender), and the precompute demands in execution order.
+// exchanges it would run, in execution order.
 type backendBid struct {
-	id    BackendID
-	cost  int64
-	needs [2]bool
-	kkrt  [2]bool
-	ots   []preOT
-	circs []preCirc
+	id        BackendID
+	exchanges []exchange
 }
 
 // gcAlignMaxCombos caps the parent·child comparison pairs at which the
@@ -85,27 +77,21 @@ const gcAlignMaxCombos = 1 << 12
 // are enumerated psi-oep first, so ties preserve the default path). It
 // returns the winner and the full pricing table.
 func pickBackend(bids []backendBid, forced BackendID) (backendBid, []BackendChoice) {
-	sel := -1
-	if forced != "" {
-		for i := range bids {
-			if bids[i].id == forced {
-				sel = i
-				break
-			}
-		}
-	}
-	if sel < 0 {
-		sel = 0
-		for i := 1; i < len(bids); i++ {
-			if bids[i].cost < bids[sel].cost {
-				sel = i
-			}
-		}
-	}
 	alts := make([]BackendChoice, len(bids))
+	sel := 0
 	for i, b := range bids {
-		alts[i] = BackendChoice{Backend: b.id, EstBytes: b.cost, Chosen: i == sel}
+		alts[i] = BackendChoice{Backend: b.id, EstBytes: directCost(b.exchanges)}
+		if alts[i].EstBytes < alts[sel].EstBytes {
+			sel = i
+		}
 	}
+	for i := range bids {
+		if forced != "" && bids[i].id == forced {
+			sel = i
+			break
+		}
+	}
+	alts[sel].Chosen = true
 	return bids[sel], alts
 }
 
@@ -119,154 +105,121 @@ func aggBids(st nodeState, kind mergeKind, ell int) []backendBid {
 	}
 	n := st.n
 	// The holder programs both OEPs and evaluates π¹'s circuit, so the
-	// other party sends every batch: one OT per gate of the sort OEP,
-	// then for π^⊕ one per gate of the group-shift OEP, for π¹ the
-	// circuit's n·ℓ share bits and n−1 group-boundary bits.
+	// other party sends every batch: the sort OEP, then for π^⊕ the
+	// group-shift OEP, for π¹ the merge circuit's label batch.
 	helper := st.holder.Other()
-	sortOEP := oepOTs(helper, n, n, ell, true)
-	b := backendBid{id: BackendPSIOEP, cost: oep.Cost(n, n, ell, true), ots: []preOT{sortOEP}}
-	b.needs[helper] = true
-	switch kind {
-	case mergeSum:
-		b.cost += oep.Cost(n, n, ell, true)
-		b.ots = append(b.ots, sortOEP)
-	case mergeOr:
-		b.cost += projectOneCost(n, ell)
-		b.ots = append(b.ots, labelOTs(helper, n*(ell+1)-1))
-		b.circs = []preCirc{{garbler: helper,
-			build: func() *gc.Circuit { return buildProjectOneCircuit(n, ell) }}}
+	sortOEP := oepBatch(helper, n, n, ell, true)
+	ex := []exchange{sortOEP, sortOEP}
+	if kind == mergeOr {
+		ex[1] = circuit(helper, projectOneDims(n, ell),
+			func() *gc.Circuit { return buildProjectOneCircuit(n, ell) })
 	}
-	return []backendBid{b}
+	return []backendBid{{id: BackendPSIOEP, exchanges: ex}}
 }
 
 // semijoinBids prices every backend applicable to parent ⋈^⊗ child.
-// Every bid includes the common annotation-multiplication tail, which
-// is backend-independent.
+// Every bid ends in the common annotation multiplication, which is
+// backend-independent: one mulShares batch the parent's other party
+// sends.
 func semijoinBids(par, child nodeState, ell int) []backendBid {
-	finish := func(b backendBid) backendBid {
-		b.cost += mulCost(par.n, ell)
+	finish := func(id BackendID, ex ...exchange) backendBid {
 		if par.n > 0 {
-			b.needs[par.holder.Other()] = true
-			b.ots = append(b.ots, preOT{sender: par.holder.Other(), m: mulOTs(par.n, ell), msgLen: mulMsgLen(ell)})
+			ex = append(ex, mulBatch(par.holder.Other(), par.n, ell))
 		}
-		return b
+		return backendBid{id: id, exchanges: ex}
 	}
 	switch {
 	case child.n == 0:
 		// The aligned annotations are all-zero locally; only the common
 		// multiplication runs.
-		return []backendBid{finish(backendBid{id: BackendLocal})}
+		return []backendBid{finish(BackendLocal)}
 	case len(child.schema.Attrs) == 0:
 		// Scalar child: a single extended permutation broadcasts the one
 		// annotation; no alternative alignment exists.
-		b := backendBid{id: BackendPSIOEP,
-			cost: oep.Cost(child.n, par.n, ell, false),
-			ots:  []preOT{oepOTs(par.holder.Other(), child.n, par.n, ell, false)}}
-		b.needs[par.holder.Other()] = true
-		return []backendBid{finish(b)}
+		return []backendBid{finish(BackendPSIOEP, oepBatch(par.holder.Other(), child.n, par.n, ell, false))}
 	case par.holder == child.holder:
 		// Same-party alignment is one OEP over the holder's local index
 		// map; PSI and gc address the cross-party case only.
-		b := backendBid{id: BackendPSIOEP,
-			cost: oep.Cost(child.n+1, par.n, ell, false),
-			ots:  []preOT{oepOTs(par.holder.Other(), child.n+1, par.n, ell, false)}}
-		b.needs[par.holder.Other()] = true
-		return []backendBid{finish(b)}
+		return []backendBid{finish(BackendPSIOEP, oepBatch(par.holder.Other(), child.n+1, par.n, ell, false))}
 	}
 	// Cross-party alignment: the contested case. A plain child's PSI
 	// carries the annotation as its payload (direct); a shared child's
-	// carries an index (§5.5) and adds two OEPs around the bins. Either
-	// runs one KKRT batch with the child holder as PSI sender (online:
-	// it is not pooled), the ρ-OT with the parent holder as OT sender,
-	// and one per-bin circuit with the child holder as OT sender.
-	var bids []backendBid
-	{
-		pr := psi.NewParams(par.n, child.n)
-		npb := pr.N + pr.B
-		b := backendBid{id: BackendPSIOEP, cost: psiCost(par.n, child.n, ell, child.plain)}
-		b.needs[child.holder] = true
-		b.needs[par.holder] = true
-		b.kkrt[child.holder] = true
-		if !child.plain {
-			// ξ1 runs with reversed roles: the child holder programs the
-			// permutation, so the parent holder is the OT sender.
-			b.ots = append(b.ots, oepOTs(par.holder, npb, npb, ell, true))
-		}
-		d := pr.Demands(ell, !child.plain)
-		b.circs = append(b.circs, preCirc{child.holder, d.Circuit})
-		b.ots = append(b.ots,
-			preOT{sender: par.holder, m: d.Rho, msgLen: d.RhoLen},
-			labelOTs(child.holder, d.Labels))
-		if !child.plain {
-			b.ots = append(b.ots, oepOTs(child.holder, npb, pr.B, ell, false))
-		}
-		b.cost += oep.Cost(pr.B, par.n, ell, false)
-		b.ots = append(b.ots, oepOTs(child.holder, pr.B, par.n, ell, false))
-		bids = append(bids, finish(b))
+	// carries an index (§5.5) and runs two OEPs around the bins: ξ1 with
+	// reversed roles (the child holder programs it, so the parent holder
+	// is the OT sender), ξ2 after them. Then one OEP aligns the bins to
+	// the parent's tuples.
+	pr := psi.NewParams(par.n, child.n)
+	npb := pr.N + pr.B
+	ex := make([]exchange, 0, 9)
+	if !child.plain {
+		ex = append(ex, oepBatch(par.holder, npb, npb, ell, true))
 	}
+	ex = appendPSIBins(ex, pr, child.holder, ell, !child.plain)
+	if !child.plain {
+		ex = append(ex, oepBatch(child.holder, npb, pr.B, ell, false))
+	}
+	bids := []backendBid{finish(BackendPSIOEP, append(ex, oepBatch(child.holder, pr.B, par.n, ell, false))...)}
 	// gc: one monolithic circuit comparing every parent key against
 	// every child key — quadratic, priced only at tiny cardinalities.
-	// Evaluator inputs: the child-share words then the parent keys.
 	if par.n > 0 && child.n > 0 && par.n*child.n <= gcAlignMaxCombos {
 		m, n := par.n, child.n
-		b := backendBid{id: BackendGC,
-			cost: gcAlignCost(m, n, ell),
-			ots:  []preOT{labelOTs(child.holder, n*ell+m*64)},
-			circs: []preCirc{{child.holder,
-				func() *gc.Circuit { return gcbaseline.AlignCircuit(m, n, ell) }}}}
-		b.needs[par.holder.Other()] = true
-		bids = append(bids, finish(b))
+		bids = append(bids, finish(BackendGC, circuit(child.holder, gcAlignDims(m, n, ell),
+			func() *gc.Circuit { return gcbaseline.AlignCircuit(m, n, ell) })))
 	}
 	return bids
 }
 
-// costCache memoizes the circuit-dimension predictors: candidate-tree
-// enumeration in ExplainOpts prices the same (size, width) pairs
-// repeatedly, and interpolation garbles probe circuits.
-var costCache sync.Map
+// appendPSIBins appends the bins of one PSI execution with the given PSI
+// sender (psi.Demand) to ex: the seed, the KKRT batch, the hint, the ρ-OT
+// the PSI receiver sends, and the comparison circuit the sender garbles.
+func appendPSIBins(ex []exchange, pr psi.Params, sender mpc.Role, ell int, indexed bool) []exchange {
+	d := pr.Demands(ell, indexed)
+	v := 0
+	if indexed {
+		v = 1
+	}
+	dims := cachedDims(dimsKey{op: "psi", m: pr.M, n: pr.N, ell: ell, variant: v}, func() gc.Dims {
+		return gc.DimsOf(d.Circuit())
+	})
+	return append(ex, plainBytes(d.Seed), exchange{kind: exKKRT, sender: sender, m: pr.B}, plainBytes(d.Hint),
+		otBatch(sender.Other(), pr.B, d.RhoLen), circuit(sender, dims, d.Circuit))
+}
 
-type costKey struct {
+// dimsCache memoizes the circuit dimensions: candidate-tree enumeration
+// in ExplainOpts prices the same (size, width) pairs repeatedly, and
+// interpolation garbles probe circuits.
+var dimsCache sync.Map
+
+type dimsKey struct {
 	op      string
 	m, n    int
 	ell     int
 	variant int
 }
 
-func cachedCost(k costKey, f func() int64) int64 {
-	if v, ok := costCache.Load(k); ok {
-		return v.(int64)
+func cachedDims(k dimsKey, f func() gc.Dims) *gc.Dims {
+	if v, ok := dimsCache.Load(k); ok {
+		return v.(*gc.Dims)
 	}
 	v := f()
-	costCache.Store(k, v)
-	return v
+	dimsCache.Store(k, &v)
+	return &v
 }
 
-func projectOneCost(n, ell int) int64 {
-	return cachedCost(costKey{op: "project-one", n: n, ell: ell}, func() int64 {
-		// The merge chain threads a running indicator through every
-		// tuple, so it is one slot of n tuples, affine in n from n = 1.
-		return gc.InterpolateDims(func(m int) *gc.Circuit { return buildProjectOneCircuit(m, ell) }, n).MessageCost()
+// projectOneDims returns the dimensions of π¹'s merge circuit. The merge
+// chain threads a running indicator through every tuple, so it is one
+// slot of n tuples, affine in n from n = 1.
+func projectOneDims(n, ell int) *gc.Dims {
+	return cachedDims(dimsKey{op: "project-one", n: n, ell: ell}, func() gc.Dims {
+		return gc.InterpolateDims(func(m int) *gc.Circuit { return buildProjectOneCircuit(m, ell) }, n)
 	})
 }
 
-// mulCost prices mulShares: one correlated-OT batch (see semijoin.go).
-func mulCost(n, ell int) int64 { return ot.CorrelatedCost(mulOTs(n, ell), mulMsgLen(ell)) }
-
-// psiCost prices a semijoin's cross-party PSI: the direct one for a
-// plain child (§6.5), the indexed one for a secret-shared child (§5.5).
-func psiCost(m, n, ell int, plain bool) int64 {
-	if plain {
-		return cachedCost(costKey{op: "psi-direct", m: m, n: n, ell: ell}, func() int64 {
-			return psi.DirectCost(m, n, ell)
-		})
-	}
-	return cachedCost(costKey{op: "psi-indexed", m: m, n: n, ell: ell}, func() int64 {
-		return psi.IndexedCost(m, n, ell)
-	})
-}
-
-func gcAlignCost(m, n, ell int) int64 {
-	return cachedCost(costKey{op: "gc-align", m: m, n: n, ell: ell}, func() int64 {
-		return gcbaseline.AlignCost(m, n, ell)
+// gcAlignDims returns the dimensions of the gc backend's alignment
+// circuit. The per-parent gadget is fixed by the child count, so Dims is
+// affine in the parent count m and interpolation over it is exact.
+func gcAlignDims(m, n, ell int) *gc.Dims {
+	return cachedDims(dimsKey{op: "gc-align", m: m, n: n, ell: ell}, func() gc.Dims {
+		return gc.InterpolateDims(func(mm int) *gc.Circuit { return gcbaseline.AlignCircuit(mm, n, ell) }, m)
 	})
 }

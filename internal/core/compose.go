@@ -191,7 +191,16 @@ func (r *SharedResult) Reveal(p *mpc.Party, output []relation.Attr) (*relation.R
 		}
 		return normalizeResult(res, output)
 	}
-	jr := r.Join
+	res, err := r.Join.reveal(p)
+	if err != nil || p.Role != mpc.Alice {
+		return nil, err
+	}
+	return normalizeResult(res, output)
+}
+
+// reveal reveals the join annotations to Alice and returns the result
+// rows with a nonzero annotation, in join order; Bob receives nil.
+func (jr *JoinResult) reveal(p *mpc.Party) (*relation.Relation, error) {
 	if p.Role != mpc.Alice {
 		return nil, p.RevealToPeer(jr.Annot)
 	}
@@ -205,5 +214,5 @@ func (r *SharedResult) Reveal(p *mpc.Party, output []relation.Attr) (*relation.R
 			res.Append(jr.Rows.Tuples[i], vals[i])
 		}
 	}
-	return normalizeResult(res, output)
+	return res, nil
 }

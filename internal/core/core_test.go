@@ -8,7 +8,6 @@ import (
 
 	"secyan/internal/mpc"
 	"secyan/internal/obs"
-	"secyan/internal/ot"
 	"secyan/internal/relation"
 	"secyan/internal/share"
 )
@@ -276,7 +275,7 @@ func TestCrossPartyPlainSemijoinIsDirect(t *testing.T) {
 		for _, b := range semijoinBids(nodeState{schema: parent.Schema, n: sz.m, holder: mpc.Alice},
 			nodeState{schema: child.Schema, n: sz.n, plain: true, holder: mpc.Bob}, ring.Bits) {
 			if b.id == BackendPSIOEP {
-				est = b.cost
+				est = directCost(b.exchanges)
 			}
 		}
 
@@ -404,11 +403,15 @@ func TestRevealRelation(t *testing.T) {
 
 // TestProductTree multiplies k = 1 … 5 shared factors elementwise and
 // checks the reconstruction against the product of the reconstructed
-// factors, with values that overflow the ring.
+// factors, with values that overflow the ring, and the traffic against
+// productBatches, the annotation-product step's exchanges.
 func TestProductTree(t *testing.T) {
 	alice, bob := mpc.Pair(testRing)
 	defer alice.Conn.Close()
 	defer bob.Conn.Close()
+	if _, _, err := mpc.Run2PC(alice, bob, warmOTs, warmOTs); err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(18))
 	const n = 6
 	for k := 1; k <= 5; k++ {
@@ -425,11 +428,15 @@ func TestProductTree(t *testing.T) {
 				want[i] = testRing.Mask(want[i] * v)
 			}
 		}
+		before := alice.Conn.Stats().TotalBytes()
 		pa, pb, err := mpc.Run2PC(alice, bob,
 			func(p *mpc.Party) ([]uint64, error) { return productTree(p, fa) },
 			func(p *mpc.Party) ([]uint64, error) { return productTree(p, fb) })
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
+		}
+		if got, want := alice.Conn.Stats().TotalBytes()-before, directCost(productBatches(n, k, testRing.Bits)); got != want {
+			t.Fatalf("k=%d: moved %d bytes, productBatches predict %d", k, got, want)
 		}
 		if got := testRing.CombineSlice(pa, pb); !reflect.DeepEqual(got, want) {
 			t.Fatalf("k=%d: product %v, want %v", k, got, want)
@@ -438,8 +445,9 @@ func TestProductTree(t *testing.T) {
 }
 
 // TestMulSharesOneRoundTrip pins Gilboa's batch, direct and pooled: the
-// products reconstruct, the traffic is mulCost resp. the pooled
-// correlated-OT closed form, and it is one round trip.
+// products reconstruct, the traffic is the direct resp. online bytes of
+// the mulBatch exchange the plan declares for it, and it is one round
+// trip.
 func TestMulSharesOneRoundTrip(t *testing.T) {
 	alice, bob := mpc.Pair(testRing)
 	defer alice.Conn.Close()
@@ -455,7 +463,7 @@ func TestMulSharesOneRoundTrip(t *testing.T) {
 		}
 		aA, aB := testRing.SplitSlice(alice.PRG, a)
 		bA, bB := testRing.SplitSlice(alice.PRG, b)
-		want := mulCost(n, ell)
+		want, _, online := mulBatch(mpc.Bob, n, ell).cost()
 		if pooled {
 			if _, _, err := mpc.Run2PC(alice, bob,
 				func(p *mpc.Party) (any, error) { r, _ := p.OTReceiver(); return nil, r.FillRandom(m, msgLen) },
@@ -463,7 +471,7 @@ func TestMulSharesOneRoundTrip(t *testing.T) {
 			); err != nil {
 				t.Fatal(err)
 			}
-			want = ot.CorrelatedOnlineCost(m, msgLen)
+			want = online
 		}
 		before := alice.Conn.Stats()
 		pa, pb, err := mpc.Run2PC(alice, bob,

@@ -409,7 +409,9 @@ func (ex *executor) exec(st *PlanStep) error {
 	case stepAnnotationProduct:
 		return ex.annotationProduct()
 	case stepRevealAnnotations:
-		return ex.revealJoin()
+		var err error
+		ex.result, err = ex.jr.reveal(p)
+		return err
 	}
 	return fmt.Errorf("core: unknown plan step kind %d", st.kind)
 }
@@ -539,34 +541,12 @@ func productTree(p *mpc.Party, factors [][]uint64) ([]uint64, error) {
 	return factors[0], nil
 }
 
-// productTreeCost prices productTree over k vectors of n shares: one
-// mulShares batch per level.
-func productTreeCost(n, k, ell int) int64 {
-	var cost int64
+// productBatches declares productTree's exchanges over k vectors of n
+// shares: one mulShares batch per level, Bob sending.
+func productBatches(n, k, ell int) []exchange {
+	var ex []exchange
 	for ; k > 1; k = (k + 1) / 2 {
-		cost += mulCost(n*(k/2), ell)
+		ex = append(ex, mulBatch(mpc.Bob, n*(k/2), ell))
 	}
-	return cost
-}
-
-// revealJoin reveals the join annotations to Alice and filters the
-// result rows, mirroring SharedResult.Reveal for the join case.
-func (ex *executor) revealJoin() error {
-	p := ex.p
-	jr := ex.jr
-	if p.Role != mpc.Alice {
-		return p.RevealToPeer(jr.Annot)
-	}
-	vals, err := p.RecvReveal(jr.Annot)
-	if err != nil {
-		return err
-	}
-	res := relation.New(jr.Schema)
-	for i := range jr.Rows.Tuples {
-		if vals[i] != 0 {
-			res.Append(jr.Rows.Tuples[i], vals[i])
-		}
-	}
-	ex.result = res
-	return nil
+	return ex
 }

@@ -44,61 +44,99 @@ const (
 	stepRevealAnnotations
 )
 
-// preOT is one IKNP batch a plan step will run, identified by the
-// sending role, the batch size, the message width and the kind of batch.
-// The sequence of preOTs across a plan's steps is exactly the
-// sequence of batches the executor issues per direction, which is what
-// lets Precompute fill the random-OT pools so every online batch
-// derandomizes a pooled one.
-type preOT struct {
-	sender mpc.Role
-	m      int
-	msgLen int
-	kind   otKind
+// exchange is one unit of a plan step's traffic: an IKNP OT batch, a
+// garbled circuit, a KKRT batch or plain bytes. Each step declares its
+// exchanges once, in execution order; its estimates, its backend's bid,
+// the setup steps and the precompute sweeps are all sums or filters over
+// that list. A circuit exchange stands for the circuit's messages and its
+// input-label batch, an OT batch of Dims.EvalInputs labels with the
+// garbler as OT sender.
+type exchange struct {
+	kind   exchangeKind
+	sender mpc.Role // OT sender, garbler, or PSI sender of a KKRT batch
+	m      int      // OTs, KKRT bins, or plain bytes
+	msgLen int      // OT message bytes
+	dims   *gc.Dims // circuit dimensions, known without building it
+	// build defers construction to Precompute: planning stays cheap, and
+	// circuits are only materialized when ahead-of-time garbling wants
+	// them.
+	build func() *gc.Circuit
 }
 
-// otKind is what an OT batch's reply carries, which fixes its bytes on
-// both paths.
-type otKind uint8
+type exchangeKind uint8
 
 const (
-	// otCorrelated is a correlated batch: OEP switches, Gilboa products,
-	// the PSI's ρ-OT.
-	otCorrelated otKind = iota
-	// otLabels is a garbled circuit's input-label batch: correlated when
-	// direct, chosen-message (corrections plus label shifts) when pooled.
-	otLabels
+	exOT exchangeKind = iota
+	exCircuit
+	exKKRT
+	exPlain
 )
 
-// labelOTs is the label batch of a circuit with m evaluator inputs.
-func labelOTs(sender mpc.Role, m int) preOT {
-	return preOT{sender: sender, m: m, msgLen: 16, kind: otLabels}
+// labelLen is the message width of a circuit's label batch: one wire
+// label.
+const labelLen = 16
+
+func otBatch(sender mpc.Role, m, msgLen int) exchange {
+	return exchange{kind: exOT, sender: sender, m: m, msgLen: msgLen}
 }
 
-// oepOTs is the switch batch of an OEP from m to n ell-bit shares.
-func oepOTs(sender mpc.Role, m, n, ell int, bijection bool) preOT {
-	return preOT{sender: sender, m: oep.Gates(m, n, bijection), msgLen: oep.MsgLen(ell)}
+// oepBatch is the one OT batch of an OEP from m to n ell-bit shares.
+func oepBatch(sender mpc.Role, m, n, ell int, bijection bool) exchange {
+	return otBatch(sender, oep.Gates(m, n, bijection), oep.MsgLen(ell))
 }
 
-// direct returns the batch's bytes when it runs direct, as the step's
-// EstBytes prices it.
-func (d preOT) direct() int64 { return ot.CorrelatedCost(d.m, d.msgLen) }
+// mulBatch is the one OT batch of mulShares over n shares.
+func mulBatch(sender mpc.Role, n, ell int) exchange {
+	return otBatch(sender, mulOTs(n, ell), mulMsgLen(ell))
+}
 
-// online returns the batch's online bytes when it derandomizes a pooled
-// batch; ot.ExtOfflineCost(m) moved offline.
-func (d preOT) online() int64 {
-	if d.kind == otLabels {
-		return ot.ExtOnlineCost(d.m, d.msgLen)
+func circuit(garbler mpc.Role, dims *gc.Dims, build func() *gc.Circuit) exchange {
+	return exchange{kind: exCircuit, sender: garbler, dims: dims, build: build}
+}
+
+func plainBytes(n int) exchange { return exchange{kind: exPlain, m: n} }
+
+// iknp returns the IKNP batch the exchange runs — its own, or a
+// circuit's label batch — with x.sender as OT sender; ok is false for a
+// KKRT batch and plain bytes.
+func (x exchange) iknp() (m, msgLen int, ok bool) {
+	switch x.kind {
+	case exOT:
+		return x.m, x.msgLen, true
+	case exCircuit:
+		return x.dims.EvalInputs, labelLen, true
 	}
-	return ot.CorrelatedOnlineCost(d.m, d.msgLen)
+	return 0, 0, false
 }
 
-// preCirc is one garbled circuit a plan step will run. The build closure
-// defers construction to Precompute: planning stays cheap, and circuits
-// are only materialized when ahead-of-time garbling actually wants them.
-type preCirc struct {
-	garbler mpc.Role
-	build   func() *gc.Circuit
+// cost returns the exchange's bytes (both directions) when it runs
+// direct, and its offline and online bytes when its IKNP batch
+// derandomizes a pooled one: the batch's correction matrix moves offline
+// and ⌈m/8⌉ derandomization bits join the online rest (a pooled label
+// batch also carries one label shift per OT). A KKRT batch is not
+// pooled.
+func (x exchange) cost() (direct, offline, online int64) {
+	switch x.kind {
+	case exOT:
+		return ot.CorrelatedCost(x.m, x.msgLen), ot.ExtOfflineCost(x.m), ot.CorrelatedOnlineCost(x.m, x.msgLen)
+	case exCircuit:
+		msgs, l := x.dims.MessageCost(), x.dims.EvalInputs
+		return msgs + ot.CorrelatedCost(l, labelLen), ot.ExtOfflineCost(l), msgs + ot.ExtOnlineCost(l, labelLen)
+	case exKKRT:
+		c := ot.KKRTCost(x.m)
+		return c, 0, c
+	}
+	return int64(x.m), 0, int64(x.m)
+}
+
+// directCost is the bytes of exs when every exchange runs direct.
+func directCost(exs []exchange) int64 {
+	var sum int64
+	for _, x := range exs {
+		d, _, _ := x.cost()
+		sum += d
+	}
+	return sum
 }
 
 // PlanStep is one operator invocation in the plan.
@@ -108,8 +146,8 @@ type PlanStep struct {
 	Node  string // relation involved (or "→parent" notation)
 	N     int    // primary size
 	// EstBytes estimates the step's total communication (both
-	// directions). Join-phase steps scale with the (unknown) output size
-	// and use EstOut.
+	// directions): the direct bytes of its exchanges, or a setup step's
+	// base OTs. Steps sized by the join's output (outSized) use EstOut.
 	EstBytes int64
 	// EstOfflineBytes and EstOnlineBytes split the step's traffic under
 	// the precomputed schedule: offline moves the base OTs and the
@@ -137,16 +175,25 @@ type PlanStep struct {
 	intoPending bool            // aggregate result feeds the next semijoin-into
 	final       bool            // reveal step skipped by RunShared
 
-	// Precompute demands: the OT batches and circuits this step will
-	// run, in execution order. Join-phase steps scale with the unknown
-	// output size and declare none.
-	preOTs   []preOT
-	preCircs []preCirc
+	// exchanges is the step's traffic in execution order (see exchange).
+	exchanges []exchange
 }
 
 // setup reports whether the step establishes an OT extension (base-ot,
 // oprf-base) rather than running an operator.
 func (s *PlanStep) setup() bool { return s.kind == stepOTSetup || s.kind == stepOPRFSetup }
+
+// outSized reports whether the step scales with the join's output size,
+// which only the run learns: its exchanges are priced at EstOut, run
+// direct, and take no part in the setup steps or the precompute sweeps.
+// A run with an empty join executes none of them.
+func (s *PlanStep) outSized() bool {
+	switch s.kind {
+	case stepLocalJoin, stepAlignAnnotations, stepAnnotationProduct, stepRevealAnnotations:
+		return true
+	}
+	return false
+}
 
 // Estimate returns the step's predicted communication in bytes (both
 // directions), derived from the circuit builders and switching-network
@@ -267,24 +314,16 @@ type nodeState struct {
 	holder mpc.Role
 }
 
-// circuitCost prices the messages of one slot-built garbled circuit; an
-// empty relation runs no circuit at all. The operator circuits are one
-// gadget and a slot count, so building one to read its dimensions costs
-// the same at any size.
-func circuitCost(c *gc.Circuit) int64 {
-	if c.Slots == 0 {
-		return 0
-	}
-	return gc.DimsOf(c).MessageCost()
-}
-
-func revealCost(n, cols, ell int, withRows bool) int64 {
+// revealDims returns the dimensions of the reveal circuit of n rows.
+// It is slot-built: one gadget and a slot count, so building it to read
+// its dimensions costs the same at any size.
+func revealDims(n, cols, ell int, withRows bool) *gc.Dims {
 	v := 0
 	if withRows {
 		v = 1
 	}
-	return cachedCost(costKey{op: "reveal", m: cols, n: n, ell: ell, variant: v}, func() int64 {
-		return circuitCost(buildRevealCircuit(n, cols, ell, withRows))
+	return cachedDims(dimsKey{op: "reveal", m: cols, n: n, ell: ell, variant: v}, func() gc.Dims {
+		return gc.DimsOf(buildRevealCircuit(n, cols, ell, withRows))
 	})
 }
 
@@ -302,10 +341,6 @@ func compileTree(q *Query, tree *jointree.Tree, ringBits int, opts Options) (*Pl
 	// plan mostly costs.
 	steps := make([]PlanStep, 0, 10*len(q.Inputs)+3)
 	add := func(s PlanStep) { steps = append(steps, s) }
-	// needOT tracks which OT-extension directions the plan uses, indexed
-	// by the sending role, and needKKRT which PSI orientations, indexed by
-	// the PSI sender; matching setup steps are prepended at the end.
-	var needOT, needKKRT [2]bool
 
 	outSet := map[relation.Attr]bool{}
 	for _, a := range q.Output {
@@ -316,7 +351,7 @@ func compileTree(q *Query, tree *jointree.Tree, ringBits int, opts Options) (*Pl
 		state[i] = nodeState{schema: in.Schema, n: in.N, plain: !q.NoLocalOptimizations, holder: in.Owner}
 		if q.NoLocalOptimizations {
 			add(PlanStep{Phase: "input", Op: "share-annotations", Node: in.Name, N: in.N,
-				EstBytes: int64(8 * in.N), kind: stepShareInput, node: i})
+				kind: stepShareInput, node: i, exchanges: []exchange{plainBytes(8 * in.N)}})
 		} else {
 			add(PlanStep{Phase: "input", Op: "plain-input", Node: in.Name, N: in.N,
 				kind: stepPlainInput, node: i})
@@ -324,47 +359,24 @@ func compileTree(q *Query, tree *jointree.Tree, ringBits int, opts Options) (*Pl
 	}
 
 	// Semijoin and aggregate steps are priced by a backend auction (see
-	// backend.go): every applicable backend bids its byte estimate plus
-	// precompute demands — every OT batch (in execution order) and every
-	// garbled circuit the operator will run — and the winner's demands
-	// replay the exact dispatch logic of the operators (aggregate.go,
-	// semijoin.go), so Precompute can garble and fill pools from the
-	// plan alone. chooseAgg and chooseSemijoin merge the winner's
-	// OT-extension directions into needOT, and its PSI orientation into
-	// needKKRT.
-	chooseAgg := func(st nodeState, kind mergeKind) (backendBid, []BackendChoice) {
-		bid, alts := pickBackend(aggBids(st, kind, ell), opts.Backend)
-		needOT[0] = needOT[0] || bid.needs[0]
-		needOT[1] = needOT[1] || bid.needs[1]
-		return bid, alts
-	}
-	chooseSemijoin := func(par, child nodeState) (backendBid, []BackendChoice) {
-		bid, alts := pickBackend(semijoinBids(par, child, ell), opts.Backend)
-		for r := range needOT {
-			needOT[r] = needOT[r] || bid.needs[r]
-			needKKRT[r] = needKKRT[r] || bid.kkrt[r]
+	// backend.go): every applicable backend bids the exchanges its
+	// operator will run, which replay the exact dispatch logic of the
+	// operators (aggregate.go, semijoin.go), so Precompute can garble and
+	// fill pools from the plan alone.
+	// revealRows declares the §6.3 step-1 reveal of one relation: Bob
+	// garbles the reveal circuit, or a plain relation's rows go to Alice
+	// in the clear.
+	revealRows := func(st nodeState) []exchange {
+		n, cols := st.n, len(st.schema.Attrs)
+		switch {
+		case n == 0 || st.plain && st.holder == mpc.Alice:
+			return nil
+		case st.plain:
+			return []exchange{plainBytes(8 * n * cols)}
 		}
-		return bid, alts
-	}
-	// revealRowsCost prices the §6.3 step-1 reveal of one relation.
-	revealRowsCost := func(st nodeState) (int64, []preOT, []preCirc) {
-		if st.n == 0 {
-			return 0, nil, nil
-		}
-		cols := len(st.schema.Attrs)
-		if st.plain {
-			if st.holder == mpc.Bob {
-				return int64(8 * st.n * cols), nil, nil
-			}
-			return 0, nil, nil
-		}
-		needOT[mpc.Bob] = true
-		n := st.n
 		withRows := st.holder == mpc.Bob
-		circs := []preCirc{{mpc.Bob,
-			func() *gc.Circuit { return buildRevealCircuit(n, cols, ell, withRows) }}}
-		ots := []preOT{labelOTs(mpc.Bob, n*ell)}
-		return revealCost(n, cols, ell, withRows), ots, circs
+		return []exchange{circuit(mpc.Bob, revealDims(n, cols, ell, withRows),
+			func() *gc.Circuit { return buildRevealCircuit(n, cols, ell, withRows) })}
 	}
 
 	// Phase 1: Reduce (§6.4 step 1), replayed on public state.
@@ -392,18 +404,16 @@ func compileTree(q *Query, tree *jointree.Tree, ringBits int, opts Options) (*Pl
 				break
 			}
 		}
-		bid, alts := chooseAgg(state[i], mergeSum)
+		bid, alts := pickBackend(aggBids(state[i], mergeSum, ell), opts.Backend)
 		add(PlanStep{Phase: "reduce", Op: "aggregate", Node: q.Inputs[i].Name,
-			N: state[i].n, EstBytes: bid.cost, Backend: bid.id, Alternatives: alts,
-			kind: stepAggregate, node: i, attrs: fPrime, intoPending: subset,
-			preOTs: bid.ots, preCircs: bid.circs})
+			N: state[i].n, Backend: bid.id, Alternatives: alts,
+			kind: stepAggregate, node: i, attrs: fPrime, intoPending: subset, exchanges: bid.exchanges})
 		state[i].schema = relation.MustSchema(fPrime...)
 		if subset {
-			bid, alts := chooseSemijoin(state[parent], state[i])
+			bid, alts := pickBackend(semijoinBids(state[parent], state[i], ell), opts.Backend)
 			add(PlanStep{Phase: "reduce", Op: "semijoin-into", Node: q.Inputs[i].Name + "→" + q.Inputs[parent].Name,
-				N: state[parent].n, EstBytes: bid.cost, Backend: bid.id, Alternatives: alts,
-				kind: stepSemijoinInto, parent: parent,
-				preOTs: bid.ots, preCircs: bid.circs})
+				N: state[parent].n, Backend: bid.id, Alternatives: alts,
+				kind: stepSemijoinInto, parent: parent, exchanges: bid.exchanges})
 			state[parent].plain = false
 			removed[i] = true
 			childrenLeft[parent]--
@@ -457,11 +467,10 @@ func compileTree(q *Query, tree *jointree.Tree, ringBits int, opts Options) (*Pl
 				keep = append(keep, a)
 			}
 		}
-		bid, alts := chooseAgg(state[i], mergeSum)
+		bid, alts := pickBackend(aggBids(state[i], mergeSum, ell), opts.Backend)
 		add(PlanStep{Phase: "aggregate", Op: "aggregate", Node: q.Inputs[i].Name,
-			N: state[i].n, EstBytes: bid.cost, Backend: bid.id, Alternatives: alts,
-			kind: stepAggregate, node: i, attrs: keep,
-			preOTs: bid.ots, preCircs: bid.circs})
+			N: state[i].n, Backend: bid.id, Alternatives: alts,
+			kind: stepAggregate, node: i, attrs: keep, exchanges: bid.exchanges})
 		state[i].schema = relation.MustSchema(keep...)
 	}
 
@@ -469,29 +478,25 @@ func compileTree(q *Query, tree *jointree.Tree, ringBits int, opts Options) (*Pl
 		// Single-survivor shortcut (§8.1): reveal rows and annotations.
 		r := remaining[0]
 		plan.singleNode = r
-		cost, ots, circs := revealRowsCost(state[r])
 		add(PlanStep{Phase: "reveal", Op: "reveal-relation", Node: q.Inputs[r].Name,
-			N: state[r].n, EstBytes: cost + int64(8*state[r].n),
-			kind: stepRevealRelation, node: r, final: true,
-			preOTs: ots, preCircs: circs})
-		return plan.seal(steps, needOT, needKKRT), nil
+			N: state[r].n, kind: stepRevealRelation, node: r, final: true,
+			exchanges: append(revealRows(state[r]), plainBytes(8*state[r].n))})
+		return plan.seal(steps), nil
 	}
 
 	// Phase 2: Semijoin — π¹ on the filter side plus the semijoin itself.
 	semijoin := func(target, by int) {
 		shared := state[target].schema.Intersect(state[by].schema)
-		bid, alts := chooseAgg(state[by], mergeOr)
+		bid, alts := pickBackend(aggBids(state[by], mergeOr, ell), opts.Backend)
 		add(PlanStep{Phase: "semijoin", Op: "project-one", Node: q.Inputs[by].Name,
-			N: state[by].n, EstBytes: bid.cost, Backend: bid.id, Alternatives: alts,
-			kind: stepProjectOne, node: by, attrs: shared,
-			preOTs: bid.ots, preCircs: bid.circs})
+			N: state[by].n, Backend: bid.id, Alternatives: alts,
+			kind: stepProjectOne, node: by, attrs: shared, exchanges: bid.exchanges})
 		ind := nodeState{schema: relation.MustSchema(shared...), n: state[by].n,
 			plain: state[by].plain, holder: state[by].holder}
-		bid, alts = chooseSemijoin(state[target], ind)
+		bid, alts = pickBackend(semijoinBids(state[target], ind, ell), opts.Backend)
 		add(PlanStep{Phase: "semijoin", Op: "semijoin-into", Node: q.Inputs[by].Name + "→" + q.Inputs[target].Name,
-			N: state[target].n, EstBytes: bid.cost, Backend: bid.id, Alternatives: alts,
-			kind: stepSemijoinInto, parent: target,
-			preOTs: bid.ots, preCircs: bid.circs})
+			N: state[target].n, Backend: bid.id, Alternatives: alts,
+			kind: stepSemijoinInto, parent: target, exchanges: bid.exchanges})
 		state[target].plain = false
 	}
 	for _, i := range remaining {
@@ -513,42 +518,55 @@ func compileTree(q *Query, tree *jointree.Tree, ringBits int, opts Options) (*Pl
 	plan.joinOrder = order
 	joinLabel := strings.Join(plan.Remaining, "⋈")
 	for _, i := range order {
-		cost, ots, circs := revealRowsCost(state[i])
 		add(PlanStep{Phase: "join", Op: "reveal-rows", Node: q.Inputs[i].Name,
-			N: state[i].n, EstBytes: cost,
-			kind: stepRevealRows, node: i,
-			preOTs: ots, preCircs: circs})
+			N: state[i].n, kind: stepRevealRows, node: i, exchanges: revealRows(state[i])})
 	}
+	// Alice programs every alignment OEP, so Bob is its OT sender.
 	add(PlanStep{Phase: "join", Op: "local-join", Node: joinLabel,
-		N: estOut, EstBytes: 8, kind: stepLocalJoin})
+		N: estOut, kind: stepLocalJoin, exchanges: []exchange{plainBytes(8)}})
 	for _, i := range order {
-		var est int64
+		var align []exchange
 		if estOut > 0 {
-			est = oep.Cost(state[i].n, estOut, ell, false)
+			align = []exchange{oepBatch(mpc.Bob, state[i].n, estOut, ell, false)}
 		}
 		add(PlanStep{Phase: "join", Op: "align-annotations", Node: q.Inputs[i].Name,
-			N: estOut, EstBytes: est, kind: stepAlignAnnotations, node: i})
+			N: estOut, kind: stepAlignAnnotations, node: i, exchanges: align})
 	}
 	add(PlanStep{Phase: "join", Op: "annotation-product", Node: joinLabel,
-		N: estOut, EstBytes: productTreeCost(estOut, len(order), ell), kind: stepAnnotationProduct})
+		N: estOut, kind: stepAnnotationProduct, exchanges: productBatches(estOut, len(order), ell)})
 	add(PlanStep{Phase: "reveal", Op: "reveal-annotations", Node: "result",
-		N: estOut, EstBytes: int64(8 * estOut), kind: stepRevealAnnotations, final: true})
-	return plan.seal(steps, needOT, needKKRT), nil
+		N: estOut, kind: stepRevealAnnotations, final: true, exchanges: []exchange{plainBytes(8 * estOut)}})
+	return plan.seal(steps), nil
 }
 
 // seal prepends the setup steps and totals the estimates. Every OT
-// direction the plan uses gets a base-ot step: the first runs the
-// public-key base OTs (ot.SetupCost), a second is derived from it
+// direction the plan's exchanges use gets a base-ot step: the first runs
+// the public-key base OTs (ot.SetupCost), a second is derived from it
 // (ot.DeriveCost, mpc.Party.OTSender). Then every PSI orientation gets an
 // oprf-base step: the PSI sender sets up its KKRT extension from random
 // OTs of the direction in which it is the OT receiver, the one the PSI's
 // ρ-OT runs in (ot.KKRTSetupCost, mpc.Party.KKRTSender), and sends the
 // step's one message. When a composed query reuses a party's existing
 // sessions the setup steps execute as free cache hits.
-func (p *Plan) seal(steps []PlanStep, needOT, needKKRT [2]bool) *Plan {
+func (p *Plan) seal(steps []PlanStep) *Plan {
+	// iknp[r] and kkrt[r]: whether an exchange runs an IKNP batch with OT
+	// sender r, or a KKRT batch with PSI sender r.
+	var iknp, kkrt [2]bool
+	for i := range steps {
+		if steps[i].outSized() {
+			continue
+		}
+		for _, x := range steps[i].exchanges {
+			if _, _, ok := x.iknp(); ok {
+				iknp[x.sender] = true
+			} else if x.kind == exKKRT {
+				kkrt[x.sender] = true
+			}
+		}
+	}
 	all := make([]PlanStep, 0, 4+len(steps))
 	for _, r := range []mpc.Role{mpc.Alice, mpc.Bob} {
-		if !needOT[r] {
+		if !iknp[r] {
 			continue
 		}
 		node, est := r.String()+" sends", ot.SetupCost()
@@ -556,34 +574,28 @@ func (p *Plan) seal(steps []PlanStep, needOT, needKKRT [2]bool) *Plan {
 			node, est = node+" (derived)", ot.DeriveCost()
 		}
 		all = append(all, PlanStep{Phase: "setup", Op: "base-ot", Node: node,
-			EstBytes: est, kind: stepOTSetup, sender: r})
+			EstBytes: est, EstOfflineBytes: est, kind: stepOTSetup, sender: r})
 	}
 	for _, r := range []mpc.Role{mpc.Alice, mpc.Bob} {
-		if needKKRT[r] {
+		if kkrt[r] {
+			est := ot.KKRTSetupCost()
 			all = append(all, PlanStep{Phase: "setup", Op: "oprf-base", Node: r.String() + " sends (KKRT)",
-				EstBytes: ot.KKRTSetupCost(), kind: stepOPRFSetup, sender: r})
+				EstBytes: est, EstOfflineBytes: est, kind: stepOPRFSetup, sender: r})
 		}
 	}
 	p.Steps = append(all, steps...)
-	p.EstBytes = 0
 	for i := range p.Steps {
 		s := &p.Steps[i]
-		p.EstBytes += s.EstBytes
-		// Phase split: setup steps move entirely offline; for every
-		// other step, offline carries its OT batches' correction matrices
-		// and online keeps the remainder plus the derandomization bits.
-		if s.setup() {
-			s.EstOfflineBytes = s.EstBytes
-		} else {
-			// A pooled batch trades its correction matrix for one
-			// derandomization bit per OT; a pooled label batch also
-			// carries one label shift per OT.
-			s.EstOnlineBytes = s.EstBytes
-			for _, d := range s.preOTs {
-				s.EstOfflineBytes += ot.ExtOfflineCost(d.m)
-				s.EstOnlineBytes += d.online() - d.direct()
+		for _, x := range s.exchanges {
+			direct, offline, online := x.cost()
+			if s.outSized() {
+				offline, online = 0, direct
 			}
+			s.EstBytes += direct
+			s.EstOfflineBytes += offline
+			s.EstOnlineBytes += online
 		}
+		p.EstBytes += s.EstBytes
 		p.EstOfflineBytes += s.EstOfflineBytes
 		p.EstOnlineBytes += s.EstOnlineBytes
 	}

@@ -13,23 +13,24 @@ import (
 // runs, but instead of executing operators it stages their expensive
 // ingredients ahead of time:
 //
-//   - every OT batch a step declares (PlanStep.preOTs) becomes a
-//     random-OT pool fill: the IKNP matrix expansion, transposition and
-//     pad derivation — and the matrix transmission — happen now, and the
-//     online batch derandomizes the pooled randomness with a few
-//     correction bytes (internal/ot);
-//   - every circuit a step declares (PlanStep.preCircs) and this party
-//     garbles is built and garbled in a background goroutine,
-//     overlapping the pure compute with the pool fills' network traffic;
+//   - every IKNP batch a step declares (an OT batch, or a circuit's
+//     label batch; see exchange) becomes a random-OT pool fill: the IKNP
+//     matrix expansion, transposition and pad derivation — and the
+//     matrix transmission — happen now, and the online batch
+//     derandomizes the pooled randomness with a few correction bytes
+//     (internal/ot);
+//   - every circuit a step declares and this party garbles is built and
+//     garbled in a background goroutine, overlapping the pure compute
+//     with the pool fills' network traffic;
 //     RunCircuit later recognizes the staged material by shape
 //     (internal/gc, internal/mpc). Circuits this party only evaluates
 //     need nothing ahead of time.
 //
 // The online run needs no flag: the session queues and pools make the
 // fast path transparent, and any divergence from the plan falls back to
-// the direct protocols, which remain correct (only slower). Join-phase
-// steps scale with the data-dependent output size, declare no demands,
-// and always run direct.
+// the direct protocols, which remain correct (only slower). Steps sized
+// by the join's output (PlanStep.outSized) scale with the data-dependent
+// output size and always run direct.
 
 // PrecomputeOpts executes the offline phase of q's plan on party p:
 // base-OT and KKRT setup, one random-OT pool fill per planned OT batch, and
@@ -77,9 +78,9 @@ func PrecomputeOpts(ctx context.Context, p *mpc.Party, q *Query, opts Options) (
 	go func() {
 		defer close(done)
 		for si := range plan.Steps {
-			for _, d := range plan.Steps[si].preCircs {
-				if d.garbler == p.Role {
-					staged = append(staged, gc.GarbleAhead(d.build()))
+			for _, x := range plan.Steps[si].exchanges {
+				if x.kind == exCircuit && x.sender == p.Role {
+					staged = append(staged, gc.GarbleAhead(x.build()))
 				}
 			}
 		}
@@ -207,8 +208,10 @@ func establish(p *mpc.Party, st *PlanStep) error {
 // either side — a property of the plan, so both parties agree on it.
 func (pl *Plan) hasCircuits() bool {
 	for si := range pl.Steps {
-		if len(pl.Steps[si].preCircs) > 0 {
-			return true
+		for _, x := range pl.Steps[si].exchanges {
+			if x.kind == exCircuit {
+				return true
+			}
 		}
 	}
 	return false
@@ -227,12 +230,22 @@ func (sw sweep) has(st *PlanStep) bool {
 	if sw.setup {
 		return st.setup()
 	}
-	for _, d := range st.preOTs {
-		if d.m > 0 && d.sender == sw.sender {
-			return true
+	return len(sw.fills(st)) > 0
+}
+
+// fills returns the exchanges of step st whose IKNP batches the sweep
+// fills pools for: the non-empty ones with the sweep's OT sender, in
+// execution order. Steps sized by the join's output have none.
+func (sw sweep) fills(st *PlanStep) (fills []exchange) {
+	if st.outSized() {
+		return nil
+	}
+	for _, x := range st.exchanges {
+		if m, _, ok := x.iknp(); ok && m > 0 && x.sender == sw.sender {
+			fills = append(fills, x)
 		}
 	}
-	return false
+	return fills
 }
 
 // ex1Offline performs step st's part of sweep sw: establishing the
@@ -244,16 +257,14 @@ func ex1Offline(pp *mpc.Party, st *PlanStep, sw sweep) error {
 	if sw.setup {
 		return establish(pp, st)
 	}
-	for _, d := range st.preOTs {
-		if d.m <= 0 || d.sender != sw.sender {
-			continue
-		}
-		if d.sender == pp.Role {
+	for _, x := range sw.fills(st) {
+		m, msgLen, _ := x.iknp()
+		if sw.sender == pp.Role {
 			snd, err := pp.OTSender()
 			if err != nil {
 				return err
 			}
-			if err := snd.FillRandom(d.m, d.msgLen); err != nil {
+			if err := snd.FillRandom(m, msgLen); err != nil {
 				return err
 			}
 		} else {
@@ -261,7 +272,7 @@ func ex1Offline(pp *mpc.Party, st *PlanStep, sw sweep) error {
 			if err != nil {
 				return err
 			}
-			if err := rcv.FillRandom(d.m, d.msgLen); err != nil {
+			if err := rcv.FillRandom(m, msgLen); err != nil {
 				return err
 			}
 		}

@@ -174,13 +174,54 @@ func requireSamePlan(t *testing.T, name string, a, b *Plan) {
 	}
 }
 
+// requireExactEstimates fails unless every reduce and semijoin step of
+// a run measured its estimate: EstBytes on a cold run; after Precompute
+// (off non-nil), EstOnlineBytes online, and EstOfflineBytes in its
+// offline record, which carries that estimate as its EstBytes.
+func requireExactEstimates(t *testing.T, name string, plan *Plan, off, on *Trace) {
+	t.Helper()
+	if len(on.Steps) != len(plan.Steps) {
+		t.Fatalf("%s: plan has %d steps, trace %d", name, len(plan.Steps), len(on.Steps))
+	}
+	var recs []TraceStep
+	if off != nil {
+		recs = off.Steps
+	}
+	for i := range plan.Steps {
+		ps, s := &plan.Steps[i], on.Steps[i]
+		// Offline records follow plan order, one per step with offline
+		// traffic, then the staging and rendezvous records.
+		var offBytes, offEst int64
+		if len(recs) > 0 && recs[0].Op == ps.Op && recs[0].Node == ps.Node {
+			offBytes, offEst, recs = recs[0].Bytes, recs[0].EstBytes, recs[1:]
+		}
+		if ps.Phase != "reduce" && ps.Phase != "semijoin" {
+			continue
+		}
+		want := ps.EstBytes
+		if off != nil {
+			want = ps.EstOnlineBytes
+			if offBytes != ps.EstOfflineBytes || offEst != ps.EstOfflineBytes {
+				t.Errorf("%s: step %s %s (%s): offline measured %d bytes, record estimates %d, EstOfflineBytes %d",
+					name, ps.Op, ps.Node, ps.Backend, offBytes, offEst, ps.EstOfflineBytes)
+			}
+		}
+		if s.Bytes != want {
+			t.Errorf("%s: step %s %s (%s): estimated %d bytes, measured %d",
+				name, ps.Op, ps.Node, ps.Backend, want, s.Bytes)
+		}
+	}
+}
+
 // TestPropertySecureMatchesPlaintext draws, per seed, a query and two
 // databases of its public shape — equal cardinalities and owners, fresh
 // keys, match patterns, dummies and annotations — and runs both under
 // backend ∈ {cost-chosen, psi-oep, gc} × {cold, precomputed}, each
 // database on its own party pair. It requires
 //   - the plaintext engine's result on every run, and byte-exact
-//     reduce- and semijoin-phase estimates on the cold runs;
+//     reduce- and semijoin-phase estimates: EstBytes on the cold runs,
+//     EstOfflineBytes offline and EstOnlineBytes online on the
+//     precomputed ones;
 //   - planning reads public data only (ROADMAP 7(b)): both databases,
 //     seen from either party, compile to the same root, digest and
 //     per-step pricing tables;
@@ -205,8 +246,8 @@ func TestPropertySecureMatchesPlaintext(t *testing.T) {
 		}
 		for _, backend := range []BackendID{"", BackendPSIOEP, BackendGC} {
 			opts := Options{Backend: backend}
+			var plans [2]*Plan
 			for _, role := range []mpc.Role{mpc.Alice, mpc.Bob} {
-				var plans [2]*Plan
 				for d := range dbs {
 					pl, err := ExplainOpts(splitQuery(q, dbs[d], role), testRing.Bits, opts)
 					if err != nil {
@@ -220,8 +261,10 @@ func TestPropertySecureMatchesPlaintext(t *testing.T) {
 				var views [2][][2][]int // per database: (offline,) online
 				for d := range dbs {
 					name := fmt.Sprintf("seed %d db %d backend=%q precomputed=%v", seed, d, backend, pre)
+					var offTr *Trace
 					if pre {
-						_, _, off := pairs[d].run(t, name+" (offline)", q, dbs[d], func(p *mpc.Party, q *Query) (*relation.Relation, *Trace, error) {
+						var off [2][]int
+						_, offTr, off = pairs[d].run(t, name+" (offline)", q, dbs[d], func(p *mpc.Party, q *Query) (*relation.Relation, *Trace, error) {
 							tr, err := PrecomputeOpts(ctx, p, q, opts)
 							return nil, tr, err
 						})
@@ -232,12 +275,7 @@ func TestPropertySecureMatchesPlaintext(t *testing.T) {
 					})
 					views[d] = append(views[d], view)
 					compareResults(t, name, got, want[d])
-					for _, s := range tr.Steps {
-						if !pre && (s.Phase == "reduce" || s.Phase == "semijoin") && s.EstBytes != s.Bytes {
-							t.Errorf("%s: step %s %s (%s): estimated %d bytes, measured %d",
-								name, s.Op, s.Node, s.Backend, s.EstBytes, s.Bytes)
-						}
-					}
+					requireExactEstimates(t, name, plans[d], offTr, tr)
 				}
 				if !reflect.DeepEqual(views[0], views[1]) {
 					t.Errorf("seed %d backend=%q precomputed=%v: message lengths depend on data ([alice bob] per run):\n%v\nvs\n%v\nquery: %+v",

@@ -1,7 +1,5 @@
 package gc
 
-import "secyan/internal/ot"
-
 // Dims summarizes the size-determining dimensions of a circuit: exactly
 // the quantities that appear in the protocol's message lengths. The
 // plan compiler in internal/core predicts operator traffic from Dims
@@ -29,15 +27,15 @@ func DimsOf(c *Circuit) Dims {
 	}
 }
 
-// MessageCost returns the total bytes (both directions) that
-// RunGarbler/RunEvaluator exchange for a circuit with these dimensions on
-// the direct path: the garbled-tables message (payload ciphertexts
-// included), the evaluator-input label batch (a correlated OT of 16-byte
-// labels), and the masked garbler-output bits if any. A pooled label
-// batch moves ot.ExtOnlineCost online instead.
+// MessageCost returns the total bytes (both directions) of the messages
+// RunGarbler/RunEvaluator exchange for a circuit with these dimensions,
+// besides the evaluator-input label batch: the garbled-tables message
+// (payload ciphertexts included) and the masked garbler-output bits if
+// any. The label batch is an OT batch of EvalInputs 16-byte labels,
+// priced by ot's closed forms like every other: ot.CorrelatedCost direct,
+// ot.ExtOnlineCost online when pooled.
 func (d Dims) MessageCost() int64 {
 	cost := int64(16*d.TableBlocks + 16 + 16*d.GarblerInputs + (d.EvalOutputs+7)/8 + d.PayloadBytes)
-	cost += ot.CorrelatedCost(d.EvalInputs, 16)
 	if d.GarblerOutputs > 0 {
 		cost += int64((d.GarblerOutputs + 7) / 8)
 	}

@@ -52,9 +52,10 @@ func TestInterpolateDimsExact(t *testing.T) {
 }
 
 // TestMessageCostExact runs the real protocol and compares measured
-// traffic (minus the one-time base-OT setup) to Dims.MessageCost, and a
-// pre-garbled run over a pooled label batch to the same cost with the
-// batch priced online: the bits, corrections and label shifts.
+// traffic (minus the one-time base-OT setup) to Dims.MessageCost plus a
+// direct label batch of EvalInputs 16-byte OTs, and a pre-garbled run
+// over a pooled label batch to the same messages with the batch priced
+// online: the bits, corrections and label shifts.
 func TestMessageCostExact(t *testing.T) {
 	a, b := transport.Pair()
 	defer a.Close()
@@ -96,11 +97,11 @@ func TestMessageCostExact(t *testing.T) {
 		if r := <-ch; r.err != nil {
 			t.Fatalf("n=%d: RunGarbler: %v", n, r.err)
 		}
-		if got, want := a.Stats().TotalBytes(), DimsOf(c).MessageCost(); got != want {
-			t.Fatalf("n=%d: protocol moved %d bytes, MessageCost predicts %d", n, got, want)
+		nE := DimsOf(c).EvalInputs
+		if got, want := a.Stats().TotalBytes(), DimsOf(c).MessageCost()+ot.CorrelatedCost(nE, 16); got != want {
+			t.Fatalf("n=%d: protocol moved %d bytes, MessageCost and the label batch predict %d", n, got, want)
 		}
 
-		nE := len(eIn)
 		go func() { ch <- res{snd.FillRandom(nE, 16)} }()
 		if err := rcv.FillRandom(nE, 16); err != nil {
 			t.Fatal(err)
@@ -120,7 +121,7 @@ func TestMessageCostExact(t *testing.T) {
 		if r := <-ch; r.err != nil {
 			t.Fatalf("n=%d: RunOnline: %v", n, r.err)
 		}
-		want := DimsOf(c).MessageCost() - ot.CorrelatedCost(nE, 16) + ot.ExtOnlineCost(nE, 16)
+		want := DimsOf(c).MessageCost() + ot.ExtOnlineCost(nE, 16)
 		if got := a.Stats().TotalBytes(); got != want {
 			t.Fatalf("n=%d: pooled protocol moved %d bytes, want %d", n, got, want)
 		}

@@ -107,15 +107,3 @@ func RunAlignGarbler(p *mpc.Party, childKeys, childShares []uint64, m int) ([]ui
 	}
 	return res, nil
 }
-
-// AlignCost predicts the total bytes (both directions) of one
-// RunAlignEvaluator/RunAlignGarbler execution. The per-parent gadget is
-// fixed by the child count, so Dims is affine in m and interpolation
-// over the parent side is exact.
-func AlignCost(m, n, ell int) int64 {
-	if m == 0 {
-		return 0
-	}
-	d := gc.InterpolateDims(func(mm int) *gc.Circuit { return AlignCircuit(mm, n, ell) }, m)
-	return d.MessageCost()
-}

@@ -6,6 +6,7 @@ import (
 
 	"secyan/internal/gc"
 	"secyan/internal/mpc"
+	"secyan/internal/ot"
 	"secyan/internal/share"
 )
 
@@ -58,8 +59,10 @@ func TestAlignSharesCombine(t *testing.T) {
 	}
 }
 
-// TestBackendCostExact pins AlignCost to measured traffic — the plan
-// compiler prices the gc semijoin bid with this predictor.
+// TestBackendCostExact pins the gc semijoin's measured traffic to what
+// the plan compiler prices its bid at: the alignment circuit's messages
+// (Dims.MessageCost) plus its direct label batch of EvalInputs 16-byte
+// OTs.
 func TestBackendCostExact(t *testing.T) {
 	ring := share.Ring{Bits: 32}
 	rng := rand.New(rand.NewSource(3))
@@ -95,7 +98,8 @@ func TestBackendCostExact(t *testing.T) {
 		got := measure(
 			func(p *mpc.Party) error { _, err := RunAlignEvaluator(p, parentKeys, make([]uint64, tc.n)); return err },
 			func(p *mpc.Party) error { _, err := RunAlignGarbler(p, childKeys, shares, tc.m); return err })
-		if want := AlignCost(tc.m, tc.n, ring.Bits); got != want {
+		d := gc.DimsOf(AlignCircuit(tc.m, tc.n, ring.Bits))
+		if want := d.MessageCost() + ot.CorrelatedCost(d.EvalInputs, 16); got != want {
 			t.Fatalf("align m=%d n=%d moved %d bytes, predictor says %d", tc.m, tc.n, got, want)
 		}
 	}
@@ -125,9 +129,10 @@ func warmOT(t *testing.T, alice, bob *mpc.Party) {
 	}
 }
 
-// TestCostsMatchBuiltCircuits pins the interpolated AlignCost against
-// circuits built outright, for every size up to 64 and a handful of
-// larger ones.
+// TestCostsMatchBuiltCircuits pins the alignment circuit's dimensions
+// interpolated over the parent count, as the plan compiler prices the gc
+// bid, against circuits built outright, for every size up to 64 and a
+// handful of larger ones.
 func TestCostsMatchBuiltCircuits(t *testing.T) {
 	const ell = 32
 	sizes := []int{97, 128, 256}
@@ -136,8 +141,9 @@ func TestCostsMatchBuiltCircuits(t *testing.T) {
 	}
 	for _, n := range sizes {
 		for _, children := range []int{1, 7} {
-			if got, want := AlignCost(n, children, ell), gc.DimsOf(AlignCircuit(n, children, ell)).MessageCost(); got != want {
-				t.Fatalf("align m=%d n=%d: predicted %d bytes, built circuit costs %d", n, children, got, want)
+			interp := gc.InterpolateDims(func(m int) *gc.Circuit { return AlignCircuit(m, children, ell) }, n)
+			if got, want := interp, gc.DimsOf(AlignCircuit(n, children, ell)); got != want {
+				t.Fatalf("align m=%d n=%d: interpolated %+v, built circuit %+v", n, children, got, want)
 			}
 		}
 	}

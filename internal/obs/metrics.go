@@ -110,6 +110,8 @@ func (r *Registry) register(typ, name, help string, keys []string) *Metric {
 	defer r.mu.Unlock()
 	for _, o := range r.metrics {
 		if o.name == name {
+			// Families are package-level variables registered once at
+			// init under literal names; no peer input reaches here.
 			panic("obs: duplicate metric " + name)
 		}
 	}
@@ -120,6 +122,9 @@ func (r *Registry) register(typ, name, help string, keys []string) *Metric {
 // key returns the series map key of vals.
 func (m *Metric) key(vals []string) string {
 	if len(vals) != len(m.keys) {
+		// Every call site passes its family's label values as literal
+		// arguments; a peer can choose a value (a tenant name), never
+		// how many there are.
 		panic(fmt.Sprintf("obs: metric %s takes %d label values, got %d", m.name, len(m.keys), len(vals)))
 	}
 	return strings.Join(vals, labelSep)

@@ -1,14 +1,13 @@
 package oep
 
-import (
-	"secyan/internal/ot"
-	"secyan/internal/permnet"
-)
+import "secyan/internal/permnet"
 
-// Gate-count and wire-cost closed forms for the OEP protocols. The plan
-// compiler in internal/core predicts OEP traffic from these without
-// materializing switching networks; cost_test.go pins them to the gate
-// sequences buildPlan actually produces.
+// Gate-count closed forms for the OEP protocols. An OEP is exactly one
+// correlated-OT batch with a MsgLen(ell)-byte message per gate, so the
+// plan compiler in internal/core predicts its traffic from Gates and
+// ot's closed forms without materializing switching networks;
+// cost_test.go pins Gates to the gate sequences buildPlan actually
+// produces, and the traffic to ot's closed forms.
 
 // benesSwaps returns the swap-gate count of a Beneš network of width w
 // (a power of two ≥ 2): w·log₂w − w/2.
@@ -29,11 +28,4 @@ func Gates(m, n int, bijection bool) int {
 	}
 	w := permnet.CeilPow2(maxInt(maxInt(m, n), 2))
 	return 2*benesSwaps(w) + (w - 1)
-}
-
-// Cost returns the total bytes (both directions) of one OEP execution
-// over ell-bit shares: the protocol is exactly one correlated-OT batch
-// with a MsgLen(ell)-byte message per gate.
-func Cost(m, n, ell int, bijection bool) int64 {
-	return ot.CorrelatedCost(Gates(m, n, bijection), MsgLen(ell))
 }

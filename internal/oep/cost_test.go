@@ -36,8 +36,9 @@ func TestGatesMatchesBuildPlan(t *testing.T) {
 // TestCostExactAtRingWidths runs both OEP variants at ring widths that
 // pack a gate's two halves into whole bytes (32, 64) and into a ragged
 // last byte (13), checks the reconstructed outputs modulo 2^ℓ and pins
-// the measured traffic, direct and pooled, to Cost and to the pooled
-// closed form, in one round trip: two messages.
+// the measured traffic, direct and pooled, to one correlated-OT batch
+// of MsgLen-byte messages per gate, direct and pooled, in one round
+// trip: two messages.
 func TestCostExactAtRingWidths(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for _, ell := range []int{13, 32, 64} {
@@ -92,7 +93,7 @@ func TestCostExactAtRingWidths(t *testing.T) {
 						t.Fatalf("ℓ=%d %+v pooled=%v: out[%d] = %d, want %d", ell, sh, pooled, i, got, vals[src])
 					}
 				}
-				want := Cost(sh.m, sh.n, ell, sh.bijection)
+				want := ot.CorrelatedCost(gates, MsgLen(ell))
 				if pooled {
 					want = ot.CorrelatedOnlineCost(gates, MsgLen(ell))
 				}

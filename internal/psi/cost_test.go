@@ -6,6 +6,8 @@ import (
 
 	"secyan/internal/gc"
 	"secyan/internal/mpc"
+	"secyan/internal/oep"
+	"secyan/internal/ot"
 	"secyan/internal/share"
 )
 
@@ -41,8 +43,18 @@ func warmOT(t testing.TB, alice, bob *mpc.Party) {
 	}
 }
 
-// TestCostExact pins DirectCost/IndexedCost to the measured traffic of
-// real executions across set sizes.
+// demandBytes is the direct traffic of one execution's bins as the plan
+// compiler prices them from Demand: the seed, the KKRT batch of B bins,
+// the hint, the ρ-OT, and the circuit's messages and label batch.
+func demandBytes(pr Params, d Demand) int64 {
+	c := gc.DimsOf(d.Circuit())
+	return int64(d.Seed) + ot.KKRTCost(pr.B) + int64(d.Hint) + ot.CorrelatedCost(pr.B, d.RhoLen) +
+		c.MessageCost() + ot.CorrelatedCost(c.EvalInputs, 16)
+}
+
+// TestCostExact pins the measured traffic of real executions across set
+// sizes to their Demand — for the indexed PSI, plus its two OEPs, one
+// correlated-OT batch of oep.MsgLen-byte messages per gate each.
 func TestCostExact(t *testing.T) {
 	ring := share.Ring{Bits: 32}
 	rng := rand.New(rand.NewSource(7))
@@ -73,12 +85,16 @@ func TestCostExact(t *testing.T) {
 			}
 		}
 
-		run("direct", DirectCost(sz.m, sz.n, ring.Bits),
+		pr := NewParams(sz.m, sz.n)
+		npb := pr.N + pr.B
+		run("direct", demandBytes(pr, pr.Demands(ring.Bits, false)),
 			func(a *mpc.Party) error { _, err := RunReceiver(a, xs, sz.n); return err },
 			func(b *mpc.Party) error { _, err := RunSender(b, ys, payloads, sz.m); return err })
 
 		zeroShares := make([]uint64, sz.n)
-		run("indexed", IndexedCost(sz.m, sz.n, ring.Bits),
+		oeps := ot.CorrelatedCost(oep.Gates(npb, npb, true), oep.MsgLen(ring.Bits)) +
+			ot.CorrelatedCost(oep.Gates(npb, pr.B, false), oep.MsgLen(ring.Bits))
+		run("indexed", demandBytes(pr, pr.Demands(ring.Bits, true))+oeps,
 			func(a *mpc.Party) error { _, err := RunSharedPayloadReceiver(a, xs, sz.n, zeroShares); return err },
 			func(b *mpc.Party) error { _, err := RunSharedPayloadSender(b, ys, payloads, sz.m); return err })
 	}
@@ -112,8 +128,7 @@ func TestCircuitDimsMatchBuiltCircuits(t *testing.T) {
 					pr.N = 1<<11 - bins // so that idxWidth(N+B) is the 11 bits built above
 				}
 				d := pr.Demands(ell, name == "clear-index")
-				if d.Rho != bins || d.RhoLen != (w+7)/8 ||
-					d.Labels != gc.DimsOf(c).EvalInputs || gc.DimsOf(d.Circuit()) != gc.DimsOf(c) {
+				if d.RhoLen != (w+7)/8 || d.Hint != bins*pr.hint(w).binBytes() || gc.DimsOf(d.Circuit()) != gc.DimsOf(c) {
 					t.Fatalf("%s B=%d: demands %+v with circuit %+v, built %+v",
 						name, bins, d, gc.DimsOf(d.Circuit()), gc.DimsOf(c))
 				}

@@ -55,6 +55,9 @@ func maskProject(src *relation.Relation, cols []Attr, pred func(row []uint64) bo
 	annot func(row []uint64) uint64, dg *relation.DummyGen) *relation.Relation {
 	idx, err := src.Schema.Positions(cols)
 	if err != nil {
+		// cols are literal attribute names of the generated TPC-H
+		// schemas, fixed by the query builders of this package; no peer
+		// input reaches here.
 		panic(err)
 	}
 	out := relation.New(relation.MustSchema(cols...))
