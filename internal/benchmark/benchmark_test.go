@@ -2,6 +2,7 @@ package benchmark
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -129,6 +130,64 @@ func TestPrintFigureRendersBothPanels(t *testing.T) {
 	for _, want := range []string{"Figure 2", "running time", "communication", "non-private", "secure-yannakakis", "garbled-circuit", "0.02MB"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("figure output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestWriteJSONSchema pins the machine-readable figure: WriteJSON emits
+// only the documented keys, every scale carries all three methods, and
+// secure points up to SecureCapMB are measured traffic, not estimates.
+func TestWriteJSONSchema(t *testing.T) {
+	if testing.Short() {
+		t.Skip("secure TPC-H figure run skipped in -short mode")
+	}
+	opt := tinyOptions()
+	pts, err := RunFigure(queries.Q3(), opt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteJSON(&buf, pts); err != nil {
+		t.Fatal(err)
+	}
+	var objs []map[string]interface{}
+	if err := json.Unmarshal(buf.Bytes(), &objs); err != nil {
+		t.Fatal(err)
+	}
+	allowed := map[string]bool{
+		"query": true, "scale_mb": true, "effective_bytes": true, "method": true,
+		"seconds": true, "bytes": true, "extrapolated": true, "output_rows": true,
+	}
+	methods := map[float64]map[string]bool{}
+	for _, o := range objs {
+		for k := range o {
+			if !allowed[k] {
+				t.Errorf("unexpected key %q in %v", k, o)
+			}
+		}
+		scale, _ := o["scale_mb"].(float64)
+		method, _ := o["method"].(string)
+		if methods[scale] == nil {
+			methods[scale] = map[string]bool{}
+		}
+		methods[scale][method] = true
+		if method == string(MethodSecure) && scale <= opt.SecureCapMB {
+			if o["extrapolated"] == true {
+				t.Errorf("secure point at %gMB is extrapolated, want measured", scale)
+			}
+			if b, _ := o["bytes"].(float64); b <= 0 {
+				t.Errorf("secure point at %gMB has bytes %v, want > 0", scale, o["bytes"])
+			}
+		}
+	}
+	if len(methods) != len(opt.ScalesMB) {
+		t.Fatalf("JSON covers scales %v, want %v", methods, opt.ScalesMB)
+	}
+	for scale, ms := range methods {
+		for _, m := range []Method{MethodPlain, MethodSecure, MethodGC} {
+			if !ms[string(m)] {
+				t.Errorf("scale %gMB lacks method %s", scale, m)
+			}
 		}
 	}
 }

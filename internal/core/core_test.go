@@ -10,6 +10,7 @@ import (
 	"secyan/internal/obs"
 	"secyan/internal/relation"
 	"secyan/internal/share"
+	"secyan/internal/transport"
 )
 
 type A = relation.Attr
@@ -225,8 +226,7 @@ func TestCrossPartySemijoinRounds(t *testing.T) {
 		if _, _, err := mpc.Run2PC(alice, bob, warmOTs, warmOTs); err != nil {
 			t.Fatal(err)
 		}
-		alice.Conn.ResetStats()
-		bob.Conn.ResetStats()
+		a0, b0 := statsAfterTurn(t, alice, bob)
 		var dgA, dgB relation.DummyGen
 		oa, ob, err := mpc.Run2PC(alice, bob,
 			func(p *mpc.Party) (*SharedRelation, error) { return SemijoinInto(p, &dgA, pa, ca, "") },
@@ -240,7 +240,7 @@ func TestCrossPartySemijoinRounds(t *testing.T) {
 		if got := reconstruct(oa, ob); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: annotations %v, want %v", tc.name, got, want)
 		}
-		if got := max(alice.Conn.Stats().Rounds, bob.Conn.Stats().Rounds); got != tc.rounds {
+		if got := max(alice.Conn.Stats().Rounds-a0.Rounds, bob.Conn.Stats().Rounds-b0.Rounds); got != tc.rounds {
 			t.Fatalf("%s: %d rounds, want %d", tc.name, got, tc.rounds)
 		}
 	}
@@ -286,8 +286,7 @@ func TestCrossPartyPlainSemijoinIsDirect(t *testing.T) {
 		if _, _, err := mpc.Run2PC(alice, bob, warmOTs, warmOTs); err != nil {
 			t.Fatal(err)
 		}
-		alice.Conn.ResetStats()
-		bob.Conn.ResetStats()
+		a0, b0 := statsAfterTurn(t, alice, bob)
 		direct0, _ := obs.KernelTotal("psi.recv")
 		indexed0, _ := obs.KernelTotal("psi.indexed.")
 		var dgA, dgB relation.DummyGen
@@ -303,10 +302,10 @@ func TestCrossPartyPlainSemijoinIsDirect(t *testing.T) {
 		if got := ring.CombineSlice(oa.Annot, ob.Annot); !reflect.DeepEqual(got, want) {
 			t.Fatalf("m=%d n=%d: annotations %v, want %v", sz.m, sz.n, got, want)
 		}
-		if got := alice.Conn.Stats().TotalBytes(); got != est {
+		if got := alice.Conn.Stats().TotalBytes() - a0.TotalBytes(); got != est {
 			t.Fatalf("m=%d n=%d: moved %d bytes, the psi-oep bid estimates %d", sz.m, sz.n, got, est)
 		}
-		if got := max(alice.Conn.Stats().Rounds, bob.Conn.Stats().Rounds); got != 4 {
+		if got := max(alice.Conn.Stats().Rounds-a0.Rounds, bob.Conn.Stats().Rounds-b0.Rounds); got != 4 {
 			t.Fatalf("m=%d n=%d: %d rounds, want the direct path's 4", sz.m, sz.n, got)
 		}
 		if direct, _ := obs.KernelTotal("psi.recv"); direct == direct0 {
@@ -316,6 +315,24 @@ func TestCrossPartyPlainSemijoinIsDirect(t *testing.T) {
 			t.Fatalf("m=%d n=%d: an indexed PSI kernel ran", sz.m, sz.n)
 		}
 	}
+}
+
+// statsAfterTurn exchanges one byte each way, so that each end's next
+// send opens a round as it would on a fresh connection, and returns both
+// ends' stats: a later exchange's bytes and rounds are deltas from them.
+func statsAfterTurn(t *testing.T, alice, bob *mpc.Party) (a0, b0 transport.Stats) {
+	t.Helper()
+	for _, c := range []transport.Conn{alice.Conn, bob.Conn} {
+		if err := c.Send([]byte{0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []transport.Conn{alice.Conn, bob.Conn} {
+		if _, err := c.Recv(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return alice.Conn.Stats(), bob.Conn.Stats()
 }
 
 // warmOTs creates both of a party's OT-extension sessions and the KKRT

@@ -104,16 +104,11 @@ func runPlan(ctx context.Context, p *mpc.Party, q *Query, shared bool, opts Opti
 	}
 	live := obs.Enabled()
 
-	// Query-scoped observability: resolve the tag (explicit option wins
-	// over the party's session tag), minting a query ID for untagged
-	// runs so every record is addressable. Like span tracing, all of it
-	// reads clocks and process-local memory only — never the connection.
-	tag := opts.Tag
-	if tag == (obs.QueryTag{}) {
-		tag = p.Tag
-	} else if tag.Tenant == "" {
-		tag.Tenant = p.Tag.Tenant
-	}
+	// Query-scoped observability: the party's tag, minting a query ID
+	// for untagged runs so every record is addressable. Like span
+	// tracing, all of it reads clocks and process-local memory only —
+	// never the connection.
+	tag := p.Tag
 	lg := obs.Events()
 	var shape string
 	var blame string

@@ -336,8 +336,9 @@ func TestObsStatusConcurrentQueries(t *testing.T) {
 			_, _, err := Run(ctx, pb, splitQuery(q, rels, mpc.Bob), Options{})
 			h.done <- err
 		}()
+		pa.Tag.QID = h.qid
 		go func() {
-			_, _, err := Run(ctx, pa, splitQuery(q, rels, mpc.Alice), Options{Tag: obs.QueryTag{QID: h.qid}})
+			_, _, err := Run(ctx, pa, splitQuery(q, rels, mpc.Alice), Options{})
 			h.done <- err
 		}()
 		return h

@@ -10,7 +10,6 @@ import (
 	"secyan/internal/gc"
 	"secyan/internal/jointree"
 	"secyan/internal/mpc"
-	"secyan/internal/obs"
 	"secyan/internal/oep"
 	"secyan/internal/ot"
 	"secyan/internal/relation"
@@ -195,11 +194,6 @@ func (s *PlanStep) outSized() bool {
 	return false
 }
 
-// Estimate returns the step's predicted communication in bytes (both
-// directions), derived from the circuit builders and switching-network
-// closed forms the executor actually uses.
-func (s *PlanStep) Estimate() int64 { return s.EstBytes }
-
 // Plan is the physical plan of a query: the ordered operator DAG that
 // Explain renders and the executor runs.
 type Plan struct {
@@ -261,12 +255,6 @@ type Options struct {
 	// choice. Empty means cost-based selection everywhere. This changes
 	// the transcript: both parties must pass the same value.
 	Backend BackendID
-	// Tag carries the session/query IDs minted by the session layer, so
-	// events, labeled metrics and flight records attribute to the right
-	// query. Zero falls back to Party.Tag, and a fresh query ID is
-	// minted if observation is active with neither set. Tags are
-	// process-local bookkeeping only — never on the wire.
-	Tag obs.QueryTag
 }
 
 // ExecOptions and PlanOptions are the names the frozen bench/adapt.go

@@ -120,9 +120,9 @@ func TestTraceMatchesPlan(t *testing.T) {
 					t.Fatalf("step %d: plan %s/%s[%s] N=%d, trace %s/%s[%s] N=%d",
 						i, ps.Phase, ps.Op, ps.Node, ps.N, ts.Phase, ts.Op, ts.Node, ts.N)
 				}
-				if ts.Bytes != ps.Estimate() {
+				if ts.Bytes != ps.EstBytes {
 					t.Errorf("step %d (%s/%s[%s]): measured %d bytes, estimate %d",
-						i, ps.Phase, ps.Op, ps.Node, ts.Bytes, ps.Estimate())
+						i, ps.Phase, ps.Op, ps.Node, ts.Bytes, ps.EstBytes)
 				}
 			}
 			if tr.TotalBytes() != plan.EstBytes {

@@ -82,8 +82,7 @@ func TestMessageCostExact(t *testing.T) {
 		if err := c.Validate(); err != nil {
 			t.Fatalf("n=%d: invalid circuit: %v", n, err)
 		}
-		a.ResetStats()
-		b.ResetStats()
+		before := a.Stats().TotalBytes()
 		gIn := make([]bool, len(c.GarblerInputs))
 		eIn := make([]bool, len(c.EvalInputs))
 		priv := make([]bool, c.NumPrivate)
@@ -98,7 +97,7 @@ func TestMessageCostExact(t *testing.T) {
 			t.Fatalf("n=%d: RunGarbler: %v", n, r.err)
 		}
 		nE := DimsOf(c).EvalInputs
-		if got, want := a.Stats().TotalBytes(), DimsOf(c).MessageCost()+ot.CorrelatedCost(nE, 16); got != want {
+		if got, want := a.Stats().TotalBytes()-before, DimsOf(c).MessageCost()+ot.CorrelatedCost(nE, 16); got != want {
 			t.Fatalf("n=%d: protocol moved %d bytes, MessageCost and the label batch predict %d", n, got, want)
 		}
 
@@ -110,7 +109,7 @@ func TestMessageCostExact(t *testing.T) {
 			t.Fatal(r.err)
 		}
 		pg := GarbleAhead(c)
-		a.ResetStats()
+		before = a.Stats().TotalBytes()
 		go func() {
 			_, err := pg.RunOnline(a, snd, gIn, priv)
 			ch <- res{err}
@@ -122,7 +121,7 @@ func TestMessageCostExact(t *testing.T) {
 			t.Fatalf("n=%d: RunOnline: %v", n, r.err)
 		}
 		want := DimsOf(c).MessageCost() + ot.ExtOnlineCost(nE, 16)
-		if got := a.Stats().TotalBytes(); got != want {
+		if got := a.Stats().TotalBytes() - before; got != want {
 			t.Fatalf("n=%d: pooled protocol moved %d bytes, want %d", n, got, want)
 		}
 	}

@@ -72,7 +72,7 @@ func TestBackendCostExact(t *testing.T) {
 		defer alice.Conn.Close()
 		defer bob.Conn.Close()
 		warmOT(t, alice, bob)
-		alice.Conn.ResetStats()
+		before := alice.Conn.Stats().TotalBytes()
 		done := make(chan error, 1)
 		go func() { done <- fb(bob) }()
 		if err := fa(alice); err != nil {
@@ -81,7 +81,7 @@ func TestBackendCostExact(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
-		return alice.Conn.Stats().TotalBytes()
+		return alice.Conn.Stats().TotalBytes() - before
 	}
 
 	for _, tc := range []struct{ m, n int }{{3, 2}, {60, 10}} {

@@ -223,7 +223,7 @@ func Run(p *mpc.Party, rels []Relation, conds []Cond) (uint64, Cost, error) {
 	}
 
 	start := time.Now()
-	p.Conn.ResetStats()
+	before := p.Conn.Stats().TotalBytes()
 	var result uint64
 	if p.Role == mpc.Alice {
 		out, err := p.RunCircuit(circ, evalBits, nil, mpc.Bob)
@@ -236,11 +236,10 @@ func Run(p *mpc.Party, rels []Relation, conds []Cond) (uint64, Cost, error) {
 			return 0, Cost{}, err
 		}
 	}
-	st := p.Conn.Stats()
 	cost := Cost{
 		AndGates: float64(circ.NumAnd) + float64(circ.NumAndG)/2,
 		Seconds:  time.Since(start).Seconds(),
-		Bytes:    float64(st.TotalBytes()),
+		Bytes:    float64(p.Conn.Stats().TotalBytes() - before),
 	}
 	return result, cost, nil
 }

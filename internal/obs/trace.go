@@ -222,9 +222,10 @@ func (k *Kernel) Begin() Span {
 }
 
 // KernelTotal returns the units processed and nanoseconds spent, while
-// obs was enabled, by the kernels whose name starts with prefix.
-// Benchmark drivers difference two snapshots around a measured run to
-// report per-query kernel rates.
+// obs was enabled, by the kernels whose name starts with prefix. Tests
+// difference two snapshots around a run to assert which kernels it used
+// (a derived OT direction runs no base OT, a plain semijoin no indexed
+// PSI).
 func KernelTotal(prefix string) (units, ns int64) {
 	for _, s := range kernelNs.sorted() {
 		if name := s.vals[0]; strings.HasPrefix(name, prefix) {

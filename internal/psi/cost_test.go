@@ -70,8 +70,7 @@ func TestCostExact(t *testing.T) {
 			defer alice.Conn.Close()
 			defer bob.Conn.Close()
 			warmOT(t, alice, bob)
-			alice.Conn.ResetStats()
-			bob.Conn.ResetStats()
+			before := alice.Conn.Stats().TotalBytes()
 			done := make(chan error, 1)
 			go func() { done <- send(bob) }()
 			if err := recv(alice); err != nil {
@@ -80,7 +79,7 @@ func TestCostExact(t *testing.T) {
 			if err := <-done; err != nil {
 				t.Fatalf("%s m=%d n=%d sender: %v", name, sz.m, sz.n, err)
 			}
-			if got := alice.Conn.Stats().TotalBytes(); got != want {
+			if got := alice.Conn.Stats().TotalBytes() - before; got != want {
 				t.Fatalf("%s m=%d n=%d moved %d bytes, predictor says %d", name, sz.m, sz.n, got, want)
 			}
 		}

@@ -406,12 +406,18 @@ func TestTranscriptDependsOnSizesOnly(t *testing.T) {
 		for i, in := range ins {
 			alice, bob := mpc.Pair(ring)
 			warmOT(t, alice, bob)
-			alice.Conn.ResetStats()
-			bob.Conn.ResetStats()
+			before := alice.Conn.Stats()
 			_, _, err := mpc.Run2PC(alice, bob,
 				func(p *mpc.Party) (*Result, error) { return v.recv(p, in) },
 				func(p *mpc.Party) (*Result, error) { return v.send(p, in) })
-			got := alice.Conn.Stats()
+			after := alice.Conn.Stats()
+			got := transport.Stats{
+				BytesSent:     after.BytesSent - before.BytesSent,
+				BytesReceived: after.BytesReceived - before.BytesReceived,
+				MessagesSent:  after.MessagesSent - before.MessagesSent,
+				MessagesRecv:  after.MessagesRecv - before.MessagesRecv,
+				Rounds:        after.Rounds - before.Rounds,
+			}
 			alice.Conn.Close()
 			bob.Conn.Close()
 			if err != nil {

@@ -67,7 +67,7 @@ func TestTraceMatchesEstimates(t *testing.T) {
 					t.Fatalf("step %d: plan %s/%s[%s], trace %s/%s[%s]",
 						i, ps.Phase, ps.Op, ps.Node, ts.Phase, ts.Op, ts.Node)
 				}
-				est := ps.Estimate()
+				est := ps.EstBytes
 				diff := ts.Bytes - est
 				if diff < 0 {
 					diff = -diff

@@ -79,7 +79,6 @@ func (w *ctxConn) Recv() ([]byte, error) {
 }
 
 func (w *ctxConn) Stats() Stats { return w.c.Stats() }
-func (w *ctxConn) ResetStats()  { w.c.ResetStats() }
 func (w *ctxConn) Close() error {
 	w.release()
 	return w.c.Close()

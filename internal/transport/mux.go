@@ -136,7 +136,7 @@ type SessionStats struct {
 	OpenStreams int
 	// Data counts the payload traffic of every stream, open or released
 	// (Rounds is the sum of per-stream rounds, not a session-level
-	// direction-switch count; a stream's ResetStats does not subtract).
+	// direction-switch count).
 	Data Stats
 	// Control counts session-layer frames that carry no protocol
 	// payload: pings, pongs, credit grants and close frames, in both
@@ -680,14 +680,6 @@ func (s *muxStream) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.stats
-}
-
-func (s *muxStream) ResetStats() {
-	s.mu.Lock()
-	s.stats = Stats{}
-	s.lastRecv = false
-	s.started = false
-	s.mu.Unlock()
 }
 
 // Close releases this half of the stream and its record. The peer can

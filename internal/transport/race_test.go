@@ -11,7 +11,7 @@ import (
 
 // raceHammer drives one sender and one receiver (the concurrency the
 // Conn contract promises) across a connection while extra goroutines
-// hammer Stats and ResetStats on both endpoints, with metrics collection
+// hammer Stats on both endpoints, with metrics collection
 // enabled and payloads produced under the parallel worker pool. Run
 // under -race (see `make race`) this catches unsynchronized access to
 // the per-connection counters, the process-wide obs counters, and the
@@ -27,7 +27,7 @@ func raceHammer(t *testing.T, a, b Conn) {
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for _, c := range []Conn{a, b} {
-		wg.Add(2)
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
@@ -36,17 +36,6 @@ func raceHammer(t *testing.T, a, b Conn) {
 					return
 				default:
 					_ = c.Stats().TotalBytes()
-				}
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					c.ResetStats()
 				}
 			}
 		}()
@@ -81,6 +70,12 @@ func raceHammer(t *testing.T, a, b Conn) {
 	}
 	close(stop)
 	wg.Wait()
+	if got := a.Stats().BytesSent; got != msgs*msgLen {
+		t.Fatalf("sender counted %d bytes, want %d", got, msgs*msgLen)
+	}
+	if got := b.Stats().BytesReceived; got != msgs*msgLen {
+		t.Fatalf("receiver counted %d bytes, want %d", got, msgs*msgLen)
+	}
 }
 
 // TestStatsRacePipe hammers the in-memory pipe transport.

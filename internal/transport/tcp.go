@@ -195,14 +195,6 @@ func (t *tcpConn) Stats() Stats {
 	return t.stats
 }
 
-func (t *tcpConn) ResetStats() {
-	t.mu.Lock()
-	t.stats = Stats{}
-	t.lastRecv = false
-	t.started = false
-	t.mu.Unlock()
-}
-
 func (t *tcpConn) Close() error {
 	t.mu.Lock()
 	if t.closed {

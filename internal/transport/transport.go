@@ -67,8 +67,6 @@ type Conn interface {
 	Recv() ([]byte, error)
 	// Stats returns a snapshot of the traffic counters.
 	Stats() Stats
-	// ResetStats zeroes the traffic counters.
-	ResetStats()
 	// Close releases the connection. Pending and future calls fail with
 	// ErrClosed.
 	Close() error
@@ -185,14 +183,6 @@ func (p *pipeEnd) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.stats
-}
-
-func (p *pipeEnd) ResetStats() {
-	p.mu.Lock()
-	p.stats = Stats{}
-	p.lastRecv = false
-	p.started = false
-	p.mu.Unlock()
 }
 
 func (p *pipeEnd) Close() error {

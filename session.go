@@ -265,7 +265,7 @@ func (s *Session) admit(ctx context.Context, cfg config, kind string, fresh bool
 			slog.String("role", s.role.String()),
 			slog.Uint64("stream", uint64(sp.id)))
 	}
-	x.p.Tag, x.opts.Tag = tag, tag
+	x.p.Tag = tag
 	return x, nil
 }
 
