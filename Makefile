@@ -62,14 +62,17 @@ race-daemon:
 # fixed-key AES hash layer (batched MMO, the 8-wide AESENC kernel, the
 # noescape scratch laundering), the keyed AES-CTR keystream that runs the
 # same kernel under per-column round keys (prf.CTR), the IKNP extension
-# whose workers read it column by column and hash matrix rows through
-# the MMO layer, its derived second direction, the KKRT extension whose
-# 512 column workers share one matrix (the TestKKRT* tests of
-# internal/ot, the PSIs above them), the slot-parallel garbling kernel whose workers share
-# one message buffer (DESIGN.md §7), PSI/cuckoo bin sweeps, and the
-# packed bit-matrix plumbing underneath (see DESIGN.md §14).
+# whose tile workers read it and hash rows straight out of 64×64
+# transpose blocks through the MMO layer, its derived second direction,
+# the KKRT extension whose 512 column workers share one matrix (the
+# TestKKRT* tests of internal/ot, the PSIs above them), the slot-parallel
+# garbling kernel whose workers share one message buffer (DESIGN.md §7),
+# PSI/cuckoo bin sweeps, the packed bit-matrix plumbing underneath (see
+# DESIGN.md §14), and the pipe, whose messages cross goroutines without
+# a copy (Conn.Send takes ownership), with the OEP and its switching
+# networks that send over it.
 race-kernels:
-	$(GO) test -race -count=3 -timeout 30m ./internal/prf ./internal/bitutil ./internal/ot ./internal/gc ./internal/cuckoo ./internal/psi
+	$(GO) test -race -count=3 -timeout 30m ./internal/prf ./internal/bitutil ./internal/ot ./internal/gc ./internal/cuckoo ./internal/psi ./internal/transport ./internal/oep ./internal/permnet
 
 # The canonical benchmark (bench/README.md): four workloads, one child
 # process each, every result checked against the plaintext engine;

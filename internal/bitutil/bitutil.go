@@ -1,7 +1,8 @@
 // Package bitutil provides packed bit vectors and the cache-friendly
-// bit-matrix transpose required by the IKNP oblivious-transfer extension,
-// where a k×m bit matrix held column-wise by one party must be consumed
-// row-wise.
+// bit-matrix transpose required by the OT extensions, where a k×m bit
+// matrix held column-wise by one party must be consumed row-wise: whole
+// matrices for KKRT, and the 64×64 block kernel itself for IKNP, which
+// transposes its columns block by block without building a matrix.
 package bitutil
 
 import (
@@ -74,10 +75,12 @@ func VectorFromBytes(data []byte, n int) *Vector {
 	return v
 }
 
-// transpose64 transposes a 64×64 bit matrix held as 64 words in place.
+// Transpose64 transposes a 64×64 bit matrix held as 64 words in place.
 // It is the little-endian adaptation of the recursive delta-swap from
 // "Hacker's Delight" §7-3: word k is row k and bit b is column b.
-func transpose64(a *[64]uint64) {
+// Matrix.Transpose is this kernel over every block; the IKNP tile
+// expansion (package ot) calls it directly.
+func Transpose64(a *[64]uint64) {
 	m := uint64(0x00000000FFFFFFFF)
 	for j := uint(32); j != 0; {
 		for k := uint(0); k < 64; k = (k + j + 1) &^ j {
@@ -192,7 +195,7 @@ func (m *Matrix) Transpose() *Matrix {
 						blk[i] = 0
 					}
 				}
-				transpose64(&blk)
+				Transpose64(&blk)
 				// blk is now column-major for the original block: blk[j] holds
 				// original column cb+j across rows rb..rb+63, i.e. row cb+j of
 				// the transpose at word rb/64.

@@ -37,8 +37,9 @@ func TestTransposeByteIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// BenchmarkTransposeWorkers measures the κ×m transpose of the IKNP hot
-// path at pinned worker counts.
+// BenchmarkTransposeWorkers measures a whole κ×m transpose — the KKRT
+// path's, and the work IKNP's tile kernel does block by block — at
+// pinned worker counts.
 func BenchmarkTransposeWorkers(b *testing.B) {
 	const rows, cols = 128, 1 << 16
 	m := NewMatrix(rows, cols)

@@ -9,23 +9,13 @@ import "secyan/internal/permnet"
 // cost_test.go pins Gates to the gate sequences buildPlan actually
 // produces, and the traffic to ot's closed forms.
 
-// benesSwaps returns the swap-gate count of a Beneš network of width w
-// (a power of two ≥ 2): w·log₂w − w/2.
-func benesSwaps(w int) int {
-	k := 0
-	for 1<<k < w {
-		k++
-	}
-	return w*k - w/2
-}
-
 // Gates returns the oblivious-gate count of an OEP from m inputs to n
 // outputs: one Beneš network for a bijection, or Pre ‖ duplication
 // chain ‖ Post for a general extended permutation.
 func Gates(m, n int, bijection bool) int {
 	if bijection {
-		return benesSwaps(permnet.CeilPow2(maxInt(m, 2)))
+		return permnet.BenesSwaps(permnet.CeilPow2(maxInt(m, 2)))
 	}
 	w := permnet.CeilPow2(maxInt(maxInt(m, n), 2))
-	return 2*benesSwaps(w) + (w - 1)
+	return 2*permnet.BenesSwaps(w) + (w - 1)
 }

@@ -33,6 +33,31 @@ func TestGatesMatchesBuildPlan(t *testing.T) {
 	}
 }
 
+// TestBuildPlanPresized pins the gate list to its closed form in
+// capacity as well as length: buildPlan allocates it once, at the size
+// Gates predicts, and never grows it.
+func TestBuildPlanPresized(t *testing.T) {
+	sizes := []int{1, 2, 3, 63, 64, 65, 1000, 4096}
+	for _, m := range sizes {
+		for _, n := range sizes {
+			for _, bijection := range []bool{false, true} {
+				if bijection && m != n {
+					continue
+				}
+				pl, _, err := buildPlan(m, n, bijection)
+				if err != nil {
+					t.Fatalf("buildPlan(%d, %d, %v): %v", m, n, bijection, err)
+				}
+				want := Gates(m, n, bijection)
+				if len(pl.gates) != want || cap(pl.gates) != want {
+					t.Fatalf("buildPlan(%d, %d, %v): len %d, cap %d, want both %d",
+						m, n, bijection, len(pl.gates), cap(pl.gates), want)
+				}
+			}
+		}
+	}
+}
+
 // TestCostExactAtRingWidths runs both OEP variants at ring widths that
 // pack a gate's two halves into whole bytes (32, 64) and into a ragged
 // last byte (13), checks the reconstructed outputs modulo 2^ℓ and pins

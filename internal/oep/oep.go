@@ -77,7 +77,7 @@ const (
 // gate is one oblivious gate over working-vector positions.
 type gate struct {
 	kind gateKind
-	p, q int // swap: positions; dup: q = target, p = source (q-1)
+	p, q int32 // swap: positions; dup: q = target, p = source (q-1)
 }
 
 // plan lists the gates of an extended (or plain) permutation network in
@@ -100,22 +100,22 @@ func buildPlan(m, n int, bijection bool) (*plan, *permnet.Extended, error) {
 		}
 		w := permnet.CeilPow2(maxInt(m, 2))
 		net := permnet.New(w)
-		pl := &plan{width: w}
+		pl := &plan{width: w, gates: make([]gate, 0, Gates(m, n, true))}
 		for _, sw := range net.Swaps {
-			pl.gates = append(pl.gates, gate{gateSwap, int(sw[0]), int(sw[1])})
+			pl.gates = append(pl.gates, gate{gateSwap, sw[0], sw[1]})
 		}
 		return pl, &permnet.Extended{M: m, N: n, W: w, Pre: net}, nil
 	}
 	ext := permnet.NewExtended(m, n)
-	pl := &plan{width: ext.W}
+	pl := &plan{width: ext.W, gates: make([]gate, 0, Gates(m, n, false))}
 	for _, sw := range ext.Pre.Swaps {
-		pl.gates = append(pl.gates, gate{gateSwap, int(sw[0]), int(sw[1])})
+		pl.gates = append(pl.gates, gate{gateSwap, sw[0], sw[1]})
 	}
 	for j := 1; j < ext.W; j++ {
-		pl.gates = append(pl.gates, gate{gateDup, j - 1, j})
+		pl.gates = append(pl.gates, gate{gateDup, int32(j - 1), int32(j)})
 	}
 	for _, sw := range ext.Post.Swaps {
-		pl.gates = append(pl.gates, gate{gateSwap, int(sw[0]), int(sw[1])})
+		pl.gates = append(pl.gates, gate{gateSwap, sw[0], sw[1]})
 	}
 	return pl, ext, nil
 }

@@ -43,10 +43,11 @@ func extAllocsPerRun(t *testing.T, snd *Sender, rcv *Receiver, m, msgLen int) fl
 
 // TestExtOTAllocsDoNotScaleWithBatchSize pins the satellite optimization:
 // pad derivation and output buffers no longer allocate per OT instance,
-// so batch cost is a fixed overhead (matrix, transpose, per-worker keystream
-// reads, framing) plus O(1) amortized growth per instance. Before the
-// scratch-buffer rework the per-instance cost was ≥ 3 allocations
-// (sender pads, receiver pad and message), i.e. ≥ 3.0 on this metric.
+// so batch cost is a fixed overhead (the wire messages, the pads, the
+// receiver's choice-bit row, worker closures) plus O(1) amortized growth
+// per instance. Before the scratch-buffer rework the per-instance cost
+// was ≥ 3 allocations (sender pads, receiver pad and message), i.e.
+// ≥ 3.0 on this metric.
 func TestExtOTAllocsDoNotScaleWithBatchSize(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	snd, rcv, done := newExtPair(t)
@@ -77,6 +78,59 @@ func TestExtBatchAllocsFarBelowKappa(t *testing.T) {
 	for _, m := range []int{1, 256, 2048} {
 		if got := extAllocsPerRun(t, snd, rcv, m, 16); got > limit {
 			t.Fatalf("one batch of %d OTs allocates %.0f objects, want at most %d (κ = %d)", m, got, limit, kappa)
+		}
+	}
+}
+
+// TestExtBatchAllocBytesNearWire pins the tiled expansion in bytes: a
+// direct correlated batch allocates, over both endpoints, its two wire
+// messages (the κ×mPad correction matrix and the sender's corrections,
+// CorrelatedCost), its three flat pad arrays (the sender's two, the
+// receiver's one) and at most 64 KiB besides — whatever the batch size
+// and worker count. Neither end builds a κ×m matrix or its transpose,
+// and the pipe hands messages over without copying them; either would
+// add at least one more wire matrix.
+func TestExtBatchAllocBytesNearWire(t *testing.T) {
+	const msgLen = 16
+	rng := rand.New(rand.NewSource(11))
+	corr := func(_ int, x0, x1 []byte) { copy(x1, x0) }
+	for _, workers := range []int{1, 2} {
+		for _, m := range []int{1024, 11520} {
+			func() {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+				snd, rcv, done := newExtPair(t)
+				defer done()
+				choices := make([]bool, m)
+				for j := range choices {
+					choices[j] = rng.Intn(2) == 1
+				}
+				batch := func() {
+					errCh := make(chan error, 1)
+					go func() {
+						_, err := snd.SendCorrelated(m, msgLen, corr)
+						errCh <- err
+					}()
+					if _, err := rcv.ReceiveCorrelated(choices, msgLen); err != nil {
+						t.Fatalf("ReceiveCorrelated: %v", err)
+					}
+					if err := <-errCh; err != nil {
+						t.Fatalf("SendCorrelated: %v", err)
+					}
+				}
+				batch() // the receiver's T buffer grows once per session
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				batch()
+				runtime.ReadMemStats(&after)
+				got := after.TotalAlloc - before.TotalAlloc
+				wire := uint64(CorrelatedCost(m, msgLen))
+				pads := uint64(3 * m * msgLen)
+				if limit := wire + pads + 64<<10; got > limit {
+					t.Fatalf("workers=%d m=%d: one batch allocates %d B, want at most %d (wire %d + pads %d + 64 KiB)",
+						workers, m, got, limit, wire, pads)
+				}
+				t.Logf("workers=%d m=%d: %d B allocated, wire %d B, pads %d B", workers, m, got, wire, pads)
+			}()
 		}
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 
+	"secyan/internal/bitutil"
+	"secyan/internal/prf"
 	"secyan/internal/transport"
 )
 
@@ -132,6 +134,7 @@ func TestExtensionTranscriptEquivalenceAcrossWorkers(t *testing.T) {
 	for _, cfg := range []struct{ m, msgLen int }{
 		{m: 333, msgLen: 16},
 		{m: 64, msgLen: 33},
+		{m: 5000, msgLen: 16}, // five tiles, the last one partial
 	} {
 		t.Run(fmt.Sprintf("m=%d/len=%d", cfg.m, cfg.msgLen), func(t *testing.T) {
 			ref := runExtensionAt(t, 1, cfg.m, cfg.msgLen, 99)
@@ -157,6 +160,98 @@ func TestExtensionTranscriptEquivalenceAcrossWorkers(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestTiledExpansionMatchesMatrixPath pins the tile kernel to the
+// matrix formulation of IKNP: from fixed base-OT seeds, the receiver's
+// pad of instance j is the hash of row j of Tᵀ, for T built as a
+// bitutil.Matrix from the column streams and transposed whole, and the
+// sender's pads are the hashes of q_j = t_j ⊕ c_j·s and q_j ⊕ s. Batch
+// sizes fall on and across block (64) and tile (1 024) boundaries, run
+// back to back so later batches start at nonzero stream offsets, at one
+// and four workers.
+func TestTiledExpansionMatchesMatrixPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	sBits := make([]bool, kappa)
+	pairs := make([][2]prf.Seed, kappa)
+	seeds := make([]prf.Seed, kappa)
+	for i := range pairs {
+		rng.Read(pairs[i][0][:])
+		rng.Read(pairs[i][1][:])
+		sBits[i] = rng.Intn(2) == 1
+		seeds[i] = pairs[i][0]
+		if sBits[i] {
+			seeds[i] = pairs[i][1]
+		}
+	}
+	sRow := bitutil.FromBools(sBits).Bytes()
+	for _, workers := range []int{1, 4} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+			a, b := transport.Pair()
+			defer a.Close()
+			defer b.Close()
+			snd, rcv := newSender(a, sBits, seeds), newReceiver(b, pairs)
+			for _, cfg := range []struct{ m, msgLen int }{
+				{1, 16}, {64, 5}, {1000, 16}, {1024, 33}, {1025, 16}, {3000, 7},
+			} {
+				m, msgLen := cfg.m, cfg.msgLen
+				choices := make([]bool, m)
+				for j := range choices {
+					choices[j] = rng.Intn(2) == 1
+				}
+				off, idx := rcv.off, rcv.idx
+				type sent struct {
+					r0, r1 []byte
+					err    error
+				}
+				ch := make(chan sent, 1)
+				go func() {
+					r0, r1, err := snd.randomPads(m, msgLen)
+					ch <- sent{r0, r1, err}
+				}()
+				rc, err := rcv.randomPads(choices, msgLen)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := <-ch
+				if got.err != nil {
+					t.Fatal(got.err)
+				}
+
+				mPad := int(padTo64(m))
+				tm := bitutil.NewMatrix(kappa, mPad)
+				col := make([]byte, mPad/8)
+				for i := range pairs {
+					ctr := prf.NewCTR(pairs[i][0])
+					ctr.KeyStream(col, off)
+					tm.SetRowBytes(i, col)
+				}
+				tt := tm.Transpose()
+				want := make([]byte, msgLen)
+				for j, c := range choices {
+					var row prf.Block
+					tt.RowBytesInto(row[:], j)
+					derivePad(want, idx+uint64(j), row)
+					if !bytes.Equal(rc[j*msgLen:(j+1)*msgLen], want) {
+						t.Fatalf("workers=%d m=%d len=%d: receiver pad %d differs from the matrix path", workers, m, msgLen, j)
+					}
+					if c {
+						prf.XORBytes(row[:], row[:], sRow)
+					}
+					derivePad(want, idx+uint64(j), row)
+					if !bytes.Equal(got.r0[j*msgLen:(j+1)*msgLen], want) {
+						t.Fatalf("workers=%d m=%d len=%d: sender pad 0 of %d differs from the matrix path", workers, m, msgLen, j)
+					}
+					prf.XORBytes(row[:], row[:], sRow)
+					derivePad(want, idx+uint64(j), row)
+					if !bytes.Equal(got.r1[j*msgLen:(j+1)*msgLen], want) {
+						t.Fatalf("workers=%d m=%d len=%d: sender pad 1 of %d differs from the matrix path", workers, m, msgLen, j)
+					}
+				}
+			}
+		}()
 	}
 }
 

@@ -1,6 +1,7 @@
 package ot
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"secyan/internal/bitutil"
@@ -33,6 +34,7 @@ type Receiver struct {
 	cols1 [kappa]prf.CTR // AES-CTR under k_i^1
 	off   uint64         // byte offset of the next batch in every column's stream
 	idx   uint64         // global OT counter, equal to the sender's
+	t     []byte         // the last batch's T, column-major; grow-only
 	pool  Pool
 }
 
@@ -128,8 +130,14 @@ func (s *Sender) Reverse() (*Receiver, error) {
 }
 
 // padBatch is the number of OT instances whose pads are hashed per
-// HashBlocks call in the batched break-correlation path.
+// HashBlocks call: one 64×64 transpose block of the extension matrix.
 const padBatch = 64
+
+// tileBytes is the width of one expansion tile in bytes of every
+// column: 1 024 instances, one 8-block KeyStream call per column. A
+// sender tile of all κ columns is 16 KiB, small enough to live on its
+// worker's stack.
+const tileBytes = 128
 
 // otTweak maps the session-global OT instance counter into the OT
 // extension's tweak domain of the fixed-key permutation (see the Site*
@@ -151,40 +159,45 @@ func derivePad(dst []byte, idx uint64, row prf.Block) {
 	prf.HashToWidthAES(dst, row, otTweak(idx))
 }
 
-// hashRowPads derives the pads of OT instances [lo, hi) in bulk:
-// instance j's key is row j of rows (XORed with mask when non-nil),
-// hashed under tweak idx+j, and its pad lands at
-// dst[j·msgLen : (j+1)·msgLen]. Pads of at most one block — the 16-byte
-// labels, the ⌈2ℓ/8⌉-byte switch payloads, the ℓ/8-byte products of
-// share multiplication — run the batched HashBlocks kernel, one row
-// gather and one AES sweep per padBatch instances, truncated to msgLen;
-// wider ones fall back to per-instance derivation. Zero heap allocations
-// either way.
-func hashRowPads(dst []byte, rows *bitutil.Matrix, mask *[kappa / 8]byte, idx uint64, lo, hi, msgLen int) {
-	var src, out [padBatch]prf.Block
-	for base := lo; base < hi; base += padBatch {
-		n := hi - base
-		if n > padBatch {
-			n = padBatch
+// blockRows transposes one 64-instance block of a column-major κ-row bit
+// matrix into the instances' κ-bit rows: column i's 64 bits of the block
+// are the little-endian word at cols[i·stride+off:], and row j gets bit
+// j of every column, column i at bit i — the rows bitutil.Matrix's
+// Transpose would give.
+func blockRows(rows *[padBatch]prf.Block, cols []byte, stride, off int) {
+	var blk [64]uint64
+	for g := 0; g < kappa/64; g++ {
+		for k := range blk {
+			blk[k] = binary.LittleEndian.Uint64(cols[(64*g+k)*stride+off:])
 		}
+		bitutil.Transpose64(&blk)
+		for j := range blk {
+			binary.LittleEndian.PutUint64(rows[j][8*g:], blk[j])
+		}
+	}
+}
+
+// hashPads derives the pads of the n ≤ padBatch instances [base,
+// base+n) of a batch from their rows: instance base+k's key is rows[k],
+// hashed under tweak idx+base+k, and its pad lands at
+// dst[(base+k)·msgLen:]. Pads of at most one block — the 16-byte labels,
+// the ⌈2ℓ/8⌉-byte switch payloads, the ℓ/8-byte products of share
+// multiplication — run the batched HashBlocks kernel, one AES sweep per
+// block of instances, truncated to msgLen; wider ones fall back to
+// per-instance derivation. Zero heap allocations either way.
+func hashPads(dst []byte, rows *[padBatch]prf.Block, n, base int, idx uint64, msgLen int) {
+	if msgLen > 16 {
 		for k := 0; k < n; k++ {
-			rows.RowBytesInto(src[k][:], base+k)
-			if mask != nil {
-				prf.XORBytes(src[k][:], src[k][:], mask[:])
-			}
+			off := (base + k) * msgLen
+			derivePad(dst[off:off+msgLen], idx+uint64(base+k), rows[k])
 		}
-		if msgLen <= 16 {
-			prf.HashBlocks(out[:n], src[:n], otTweak(idx+uint64(base)), 1)
-			for k := 0; k < n; k++ {
-				off := (base + k) * msgLen
-				copy(dst[off:off+msgLen], out[k][:])
-			}
-		} else {
-			for k := 0; k < n; k++ {
-				off := (base + k) * msgLen
-				derivePad(dst[off:off+msgLen], idx+uint64(base+k), src[k])
-			}
-		}
+		return
+	}
+	var out [padBatch]prf.Block
+	prf.HashBlocks(out[:n], rows[:n], otTweak(idx+uint64(base)), 1)
+	for k := 0; k < n; k++ {
+		off := (base + k) * msgLen
+		copy(dst[off:off+msgLen], out[k][:])
 	}
 }
 
@@ -192,38 +205,54 @@ func hashRowPads(dst []byte, rows *bitutil.Matrix, mask *[kappa / 8]byte, idx ui
 // 64-bit words, the unit both of the transpose and of the idx counter.
 func padTo64(m int) uint64 { return uint64(m+63) &^ 63 }
 
-// expandColumns derives the T matrix of one batch from the column
-// streams, sends the correction matrix u_i = t_i ⊕ G(k_i^1) ⊕ r for the
-// choice vector r, and returns Tᵀ whose rows are the per-instance keys.
-// The batch is padded to whole words with random choice bits: they
-// belong to discarded OT instances.
+// eachTile runs fn over the expansion tiles of a batch whose columns are
+// rowBytes long: tile t covers column bytes [c0, c0+n), c0 = t·tileBytes,
+// i.e. instances [8·c0, 8·(c0+n)). The partition is a function of the
+// batch size alone and every tile writes only its own instances' pads,
+// so the pads are byte-identical at every worker count.
+func eachTile(rowBytes int, fn func(c0, n int)) {
+	parallel.For((rowBytes+tileBytes-1)/tileBytes, 1, func(lo, hi int) {
+		for t := lo; t < hi; t++ {
+			c0 := t * tileBytes
+			fn(c0, min(tileBytes, rowBytes-c0))
+		}
+	})
+}
+
+// expandColumns writes the T matrix of one batch column-major into the
+// receiver's grow-only buffer — column i, t_i = G(k_i^0), at
+// [i·rowBytes, (i+1)·rowBytes) — sends the correction matrix u_i = t_i ⊕
+// G(k_i^1) ⊕ r for the choice vector r, and returns T, valid until the
+// next batch. The batch is padded to whole words with random choice
+// bits: they belong to discarded OT instances.
 //
 // Each column reads its two streams at the batch's shared offset and
-// writes a disjoint slice of uMsg, so the expansion parallelizes with
-// byte-identical output; each worker reuses one row buffer.
-func (r *Receiver) expandColumns(choices []bool) (*bitutil.Matrix, error) {
+// writes disjoint slices of T and uMsg, so the expansion parallelizes
+// with byte-identical output. u leaves before anything is hashed, so the
+// peer's expansion overlaps this end's hashing.
+func (r *Receiver) expandColumns(choices []bool) ([]byte, error) {
 	m := len(choices)
-	mPad := int(padTo64(m))
-	rowBytes := mPad / 8
-	g := prf.NewPRG(prf.RandomSeed())
-	rv := bitutil.NewVector(mPad)
-	for i, c := range choices {
-		rv.Set(i, c)
+	rowBytes := int(padTo64(m)) / 8
+	rBytes := make([]byte, rowBytes)
+	prf.NewPRG(prf.RandomSeed()).Read(rBytes)
+	for j, c := range choices {
+		if bit := byte(1) << (j % 8); c {
+			rBytes[j/8] |= bit
+		} else {
+			rBytes[j/8] &^= bit
+		}
 	}
-	for i := m; i < mPad; i++ {
-		rv.Set(i, g.Bool())
+	if cap(r.t) < kappa*rowBytes {
+		r.t = make([]byte, kappa*rowBytes)
 	}
-	rBytes := rv.Bytes()
-	tm := bitutil.NewMatrix(kappa, mPad)
+	tm := r.t[:kappa*rowBytes]
 	uMsg := make([]byte, kappa*rowBytes)
 	off := r.off
 	parallel.For(kappa, 8, func(lo, hi int) {
-		t := make([]byte, rowBytes)
 		for i := lo; i < hi; i++ {
-			u := uMsg[i*rowBytes : (i+1)*rowBytes]
+			t, u := tm[i*rowBytes:(i+1)*rowBytes], uMsg[i*rowBytes:(i+1)*rowBytes]
 			r.cols0[i].KeyStream(t, off)
 			r.cols1[i].KeyStream(u, off)
-			tm.SetRowBytes(i, t)
 			prf.XORBytes(u, u, t)
 			prf.XORBytes(u, u, rBytes)
 		}
@@ -232,32 +261,5 @@ func (r *Receiver) expandColumns(choices []bool) (*bitutil.Matrix, error) {
 	if err := r.conn.Send(uMsg); err != nil {
 		return nil, err
 	}
-	return tm.Transpose(), nil
-}
-
-// expandColumns receives the peer's correction matrix for a batch of m
-// OTs, applies the secret s correction per column, and returns Qᵀ whose
-// rows are the instance keys. Column i reads stream i and writes only
-// row i of the Q matrix.
-func (s *Sender) expandColumns(m int) (*bitutil.Matrix, error) {
-	mPad := int(padTo64(m))
-	rowBytes := mPad / 8
-	uMsg, err := transport.RecvSized(s.conn, "ot: extension matrix", kappa*rowBytes)
-	if err != nil {
-		return nil, err
-	}
-	qm := bitutil.NewMatrix(kappa, mPad)
-	off := s.off
-	parallel.For(kappa, 8, func(lo, hi int) {
-		q := make([]byte, rowBytes)
-		for i := lo; i < hi; i++ {
-			s.cols[i].KeyStream(q, off)
-			if s.s.Get(i) {
-				prf.XORBytes(q, q, uMsg[i*rowBytes:(i+1)*rowBytes])
-			}
-			qm.SetRowBytes(i, q)
-		}
-	})
-	s.off += uint64(rowBytes)
-	return qm.Transpose(), nil
+	return tm, nil
 }

@@ -6,7 +6,7 @@ import (
 
 	"secyan/internal/bitutil"
 	"secyan/internal/obs"
-	"secyan/internal/parallel"
+	"secyan/internal/prf"
 	"secyan/internal/transport"
 )
 
@@ -123,39 +123,73 @@ func (r *Receiver) Pool() *Pool { return &r.pool }
 // OTs as the sender — receive the correction matrix, expand, hash — and
 // returns both pads of every instance, flat m×msgLen each. Nothing is
 // sent: the pads themselves are the sender's random-OT outputs.
+//
+// The expansion runs tile by tile (eachTile): a worker XORs each
+// column's keystream with s_i·u_i into a κ×tileBytes scratch on its
+// stack and hashes the rows q_j and q_j ⊕ s straight out of its 64×64
+// transpose blocks, so no κ×m matrix and no transpose of one is ever
+// built. The pads and the wire message are the only O(m) allocations.
 func (s *Sender) randomPads(m, msgLen int) (r0, r1 []byte, err error) {
 	if msgLen <= 0 {
 		return nil, nil, fmt.Errorf("ot: random-OT message length %d", msgLen)
 	}
-	qt, err := s.expandColumns(m)
+	rowBytes := int(padTo64(m)) / 8
+	uMsg, err := transport.RecvSized(s.conn, "ot: extension matrix", kappa*rowBytes)
 	if err != nil {
 		return nil, nil, err
 	}
 	r0 = make([]byte, m*msgLen)
 	r1 = make([]byte, m*msgLen)
-	parallel.For(m, 32, func(lo, hi int) {
-		hashRowPads(r0, qt, nil, s.idx, lo, hi, msgLen)
-		hashRowPads(r1, qt, &s.sRow, s.idx, lo, hi, msgLen)
+	off, idx := s.off, s.idx
+	eachTile(rowBytes, func(c0, n int) {
+		var q [kappa * tileBytes]byte
+		var rows [padBatch]prf.Block
+		for i := 0; i < kappa; i++ {
+			col := q[i*tileBytes : i*tileBytes+n]
+			s.cols[i].KeyStream(col, off+uint64(c0))
+			if s.s.Get(i) {
+				prf.XORBytes(col, col, uMsg[i*rowBytes+c0:i*rowBytes+c0+n])
+			}
+		}
+		for b := 0; b < n && 8*(c0+b) < m; b += 8 {
+			base := 8 * (c0 + b)
+			k := min(padBatch, m-base)
+			blockRows(&rows, q[:], tileBytes, b)
+			hashPads(r0, &rows, k, base, idx, msgLen)
+			for j := range rows[:k] {
+				prf.XORBytes(rows[j][:], rows[j][:], s.sRow[:])
+			}
+			hashPads(r1, &rows, k, base, idx, msgLen)
+		}
 	})
+	s.off += uint64(rowBytes)
 	s.idx += padTo64(m)
 	return r0, r1, nil
 }
 
 // randomPads is the receiver half: it sends the correction matrix for
 // the given choice bits and returns the chosen-side pad of every
-// instance, flat m×msgLen.
+// instance, flat m×msgLen, hashing the rows of T tile by tile straight
+// out of its column-major buffer.
 func (r *Receiver) randomPads(choices []bool, msgLen int) ([]byte, error) {
 	if msgLen <= 0 {
 		return nil, fmt.Errorf("ot: random-OT message length %d", msgLen)
 	}
 	m := len(choices)
-	tt, err := r.expandColumns(choices)
+	tm, err := r.expandColumns(choices)
 	if err != nil {
 		return nil, err
 	}
+	rowBytes := len(tm) / kappa
 	rc := make([]byte, m*msgLen)
-	parallel.For(m, 32, func(lo, hi int) {
-		hashRowPads(rc, tt, nil, r.idx, lo, hi, msgLen)
+	idx := r.idx
+	eachTile(rowBytes, func(c0, n int) {
+		var rows [padBatch]prf.Block
+		for b := c0; b < c0+n && 8*b < m; b += 8 {
+			k := min(padBatch, m-8*b)
+			blockRows(&rows, tm, rowBytes, b)
+			hashPads(rc, &rows, k, 8*b, idx, msgLen)
+		}
 	})
 	r.idx += padTo64(m)
 	return rc, nil

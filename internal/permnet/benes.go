@@ -31,6 +31,17 @@ func CeilPow2(n int) int {
 	return p
 }
 
+// BenesSwaps returns the swap-gate count of a Beneš network of width w
+// (a power of two): w·log₂w − w/2, zero for w = 1. New presizes its gate
+// list from it, and package oep's closed-form gate counts build on it.
+func BenesSwaps(w int) int {
+	k := 0
+	for 1<<k < w {
+		k++
+	}
+	return w*k - w/2
+}
+
 // New builds the Beneš network topology for a width-size vector; size must
 // be a power of two.
 func New(size int) *Network {
@@ -39,16 +50,30 @@ func New(size int) *Network {
 		// caller's constant; none is read off the wire.
 		panic(fmt.Sprintf("permnet: size %d is not a power of two", size))
 	}
-	nw := &Network{Size: size}
-	id := make([]int, size)
-	for i := range id {
-		id[i] = i
+	return &Network{Size: size, Swaps: appendGates(make([][2]int32, 0, BenesSwaps(size)), size, 0)}
+}
+
+// appendGates appends the gates of the Beneš subnetwork over positions
+// [off, off+n) in the order walk emits them: the input layer, the top
+// and bottom subnetworks, the output layer. The positions depend on n
+// alone, so no permutation is routed to find them.
+func appendGates(swaps [][2]int32, n, off int) [][2]int32 {
+	if n == 1 {
+		return swaps
 	}
-	// Walk once with the identity permutation to record gate positions.
-	walk(size, 0, id, func(p, q int, bit bool) {
-		nw.Swaps = append(nw.Swaps, [2]int32{int32(p), int32(q)})
-	})
-	return nw
+	half := n / 2
+	for k := 0; k < half; k++ {
+		swaps = append(swaps, [2]int32{int32(off + k), int32(off + k + half)})
+	}
+	if n == 2 {
+		return swaps
+	}
+	swaps = appendGates(swaps, half, off)
+	swaps = appendGates(swaps, half, off+half)
+	for k := 0; k < half; k++ {
+		swaps = append(swaps, [2]int32{int32(off + k), int32(off + k + half)})
+	}
+	return swaps
 }
 
 // NumSwaps returns the gate count.

@@ -2,6 +2,7 @@ package permnet
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -61,15 +62,42 @@ func TestBenesIdentityAndReversal(t *testing.T) {
 }
 
 func TestBenesGateCount(t *testing.T) {
-	// Beneš of width n=2^k has n·k - n/2 switches.
-	for _, size := range []int{2, 4, 8, 16, 1024} {
+	// Beneš of width n=2^k has n·k - n/2 switches; New allocates room
+	// for exactly those.
+	for _, size := range []int{1, 2, 4, 8, 16, 1024} {
 		k := 0
 		for 1<<k < size {
 			k++
 		}
 		want := size*k - size/2
-		if got := New(size).NumSwaps(); got != want {
+		nw := New(size)
+		if got := nw.NumSwaps(); got != want {
 			t.Errorf("size %d: %d swaps, want %d", size, got, want)
+		}
+		if got := BenesSwaps(size); got != want {
+			t.Errorf("BenesSwaps(%d) = %d, want %d", size, got, want)
+		}
+		if cap(nw.Swaps) != want {
+			t.Errorf("size %d: gate list has capacity %d for %d gates", size, cap(nw.Swaps), want)
+		}
+	}
+}
+
+// TestTopologyMatchesRoutingOrder pins New's gate list, generated from
+// the size alone, to the positions routing emits, gate for gate: the
+// control bits of Route line up with Swaps only if the two agree.
+func TestTopologyMatchesRoutingOrder(t *testing.T) {
+	for size := 1; size <= 1024; size *= 2 {
+		dest := make([]int, size)
+		for i := range dest {
+			dest[i] = (i*5 + 3) % size
+		}
+		var routed [][2]int32
+		walk(size, 0, dest, func(p, q int, _ bool) {
+			routed = append(routed, [2]int32{int32(p), int32(q)})
+		})
+		if got := New(size).Swaps; !slices.Equal(got, routed) {
+			t.Fatalf("size %d: New's gates differ from the routed positions", size)
 		}
 	}
 }

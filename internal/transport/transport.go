@@ -61,9 +61,13 @@ func (s Stats) TotalBytes() int64 { return s.BytesSent + s.BytesReceived }
 // Implementations must be safe for one concurrent sender and one
 // concurrent receiver, which is all the protocols in this repository need.
 type Conn interface {
-	// Send transmits one message. The data is copied before Send returns.
+	// Send transmits one message and takes ownership of data: the caller
+	// must neither modify nor reuse it once Send is called, and the peer
+	// may receive the very same slice (the in-memory pipe hands it over;
+	// TCP and mux frames copy it onto the wire).
 	Send(data []byte) error
-	// Recv blocks until the next message arrives and returns it.
+	// Recv blocks until the next message arrives and returns it. The
+	// message belongs to the caller, who may modify it in place.
 	Recv() ([]byte, error)
 	// Stats returns a snapshot of the traffic counters.
 	Stats() Stats
@@ -77,7 +81,8 @@ type Conn interface {
 type unboundedQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	items  [][]byte
+	items  [][]byte // queued messages from items[head] on
+	head   int
 	closed bool
 }
 
@@ -93,6 +98,13 @@ func (q *unboundedQueue) push(m []byte) error {
 	if q.closed {
 		return ErrClosed
 	}
+	if q.head > 0 && len(q.items) == cap(q.items) {
+		// Slide the live messages down instead of growing past slots
+		// already consumed.
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
 	q.items = append(q.items, m)
 	q.cond.Signal()
 	return nil
@@ -101,15 +113,19 @@ func (q *unboundedQueue) push(m []byte) error {
 func (q *unboundedQueue) pop() ([]byte, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.items) == 0 && !q.closed {
+	for q.head == len(q.items) && !q.closed {
 		q.cond.Wait()
 	}
-	if len(q.items) == 0 {
+	if q.head == len(q.items) {
 		return nil, ErrClosed
 	}
-	m := q.items[0]
-	q.items[0] = nil // the backing array must not keep a consumed message alive
-	q.items = q.items[1:]
+	m := q.items[q.head]
+	q.items[q.head] = nil // the backing array must not keep a consumed message alive
+	q.head++
+	if q.head == len(q.items) {
+		// Drained: the next push reuses the backing array from its start.
+		q.items, q.head = q.items[:0], 0
+	}
 	return m, nil
 }
 
@@ -139,10 +155,10 @@ func Pair() (alice, bob Conn) {
 	return &pipeEnd{in: ba, out: ab}, &pipeEnd{in: ab, out: ba}
 }
 
+// Send hands data itself to the peer's queue: under the Conn contract it
+// is the peer's from here on, so the pipe copies nothing.
 func (p *pipeEnd) Send(data []byte) error {
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	if err := p.out.push(cp); err != nil {
+	if err := p.out.push(data); err != nil {
 		return err
 	}
 	p.mu.Lock()

@@ -46,21 +46,41 @@ func TestPairPreservesOrder(t *testing.T) {
 	}
 }
 
-func TestPairSendCopiesData(t *testing.T) {
+// TestPairSendHandsOverBuffer pins the Conn contract on the pipe: Send
+// takes ownership, so the peer receives the sent bytes without a copy,
+// and a 1 MiB message crosses the pipe without allocating.
+func TestPairSendHandsOverBuffer(t *testing.T) {
 	a, b := Pair()
 	defer a.Close()
 	defer b.Close()
-	msg := []byte{1, 2, 3}
+	msg := make([]byte, 1<<20)
+	for i := range msg {
+		msg[i] = byte(i * 7)
+	}
+	want := bytes.Clone(msg)
 	if err := a.Send(msg); err != nil {
 		t.Fatal(err)
 	}
-	msg[0] = 99 // mutate after send; receiver must see the original
 	got, err := b.Recv()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0] != 1 {
-		t.Fatalf("send did not copy: got %v", got)
+	if !bytes.Equal(got, want) {
+		t.Fatal("received bytes differ from the sent ones")
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := a.Send(got); err != nil {
+			t.Fatal(err)
+		}
+		if got, err = b.Recv(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a 1 MiB Send + Recv allocates %.1f objects, want 0", allocs)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("bytes changed in transit")
 	}
 }
 
