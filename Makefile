@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all test short race race-sessions race-backends race-obs race-kernels race-daemon bench bench-check vet fuzz
+.PHONY: all test short race race-sessions race-obs race-kernels race-daemon bench bench-check vet fuzz
 
 all: vet test
 
@@ -29,14 +29,6 @@ race:
 # injection, and the concurrent-session transcript-equivalence tests.
 race-sessions:
 	$(GO) test -race -count=3 -timeout 30m -run 'Mux|Fault|Session' ./internal/transport ./internal/mpc ./internal/core .
-
-# The backend-equivalence suites under the race detector, repeated:
-# every secure-join backend (psi-oep, gc) must produce the results of
-# the cost-based default, win its auctions when forced, and keep
-# transcripts deterministic and oblivious (see DESIGN.md §13).
-race-backends:
-	$(GO) test -race -count=3 -timeout 30m -run 'Backend|PlanCosted' ./internal/core ./internal/jointree
-	$(GO) test -race -count=3 -timeout 30m ./internal/gcbaseline
 
 # The observability suites under the race detector, repeated: all of
 # internal/obs (metric families, the goroutine-to-track binding map,

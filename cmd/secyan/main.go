@@ -56,19 +56,12 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /debug/vars, /debug/pprof and /debug/step on this address (enables metrics collection)")
 	debugLinger := flag.Duration("debug-linger", 0, "keep the debug server (and process) alive this long after the run finishes, so the final metrics can still be scraped")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON of the run to this file (open in chrome://tracing or ui.perfetto.dev)")
-	backendName := flag.String("backend", "auto", "secure-join backend for every applicable semijoin/aggregate step: auto (cost-based per step), psi-oep or gc; this changes the transcript, so both parties must agree")
-	logJSON := flag.Bool("log-json", false, "emit the structured observability event log (session/query lifecycle, backend auctions, precompute hits, transport faults) as JSON lines on stderr")
+	logJSON := flag.Bool("log-json", false, "emit the structured observability event log (session/query lifecycle, plan steps, precompute hits, transport faults) as JSON lines on stderr")
 	flightN := flag.Int("flight", 0, "retain the last N completed-query flight records, print them as a table after the run, and serve them at /debug/queries with -debug-addr (0 = off)")
 	daemonAddr := flag.String("daemon", "", "run as a client of a secyand daemon at this address (plays alice; -role/-listen/-connect are ignored); the daemon must serve a catalog generated with the same -scale and -seed")
 	tenant := flag.String("tenant", "default", "daemon mode: tenant name to run queries as")
 	count := flag.Int("count", 1, "daemon mode: run the query this many times sequentially")
 	flag.Parse()
-
-	backend, err := core.ParseBackend(*backendName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "secyan: %v\n", err)
-		os.Exit(2)
-	}
 
 	var spec queries.Spec
 	switch *queryName {
@@ -88,7 +81,7 @@ func main() {
 	}
 
 	// The one options value explain, precompute and run all see.
-	opts := core.Options{Backend: backend}
+	opts := core.Options{}
 	db := tpch.Generate(tpch.Config{ScaleMB: *scale, Seed: *seed})
 	fmt.Printf("dataset: %.3g MB (%d tuples total), query %s\n", *scale, db.TotalRows(), spec.Name)
 	ring := share.Ring{Bits: 32}
@@ -123,7 +116,7 @@ func main() {
 
 	switch {
 	case *daemonAddr != "":
-		runDaemonClient(spec, db, ring, *backendName, *daemonAddr, *tenant, *count, *maxRows, *heartbeat, *deadline)
+		runDaemonClient(spec, db, ring, *daemonAddr, *tenant, *count, *maxRows, *heartbeat, *deadline)
 	case *role == "":
 		runInProcess(spec, db, ring, opts, *maxRows, *analyze, *precompute, tracer)
 	default:
@@ -345,7 +338,7 @@ func runDistributed(spec queries.Spec, db *tpch.DB, ring share.Ring, opts core.O
 // runDaemonClient executes the query through a secyand daemon: this
 // process plays Alice under the daemon's admission control and fair
 // scheduler, and receives the results from its own protocol runs.
-func runDaemonClient(spec queries.Spec, db *tpch.DB, ring share.Ring, backend, addr, tenant string, count, maxRows int, heartbeat, deadline time.Duration) {
+func runDaemonClient(spec queries.Spec, db *tpch.DB, ring share.Ring, addr, tenant string, count, maxRows int, heartbeat, deadline time.Duration) {
 	catalog := daemon.TPCHCatalog(db)
 	c, err := daemon.Dial(addr, tenant, catalog, daemon.ClientConfig{Ring: ring, Heartbeat: heartbeat})
 	if err != nil {
@@ -357,7 +350,7 @@ func runDaemonClient(spec queries.Spec, db *tpch.DB, ring share.Ring, backend, a
 	for i := 0; i < count; i++ {
 		start := time.Now()
 		res, err := c.Run(context.Background(), daemon.RunSpec{
-			Name: spec.Name, Backend: backend, Deadline: deadline,
+			Name: spec.Name, Deadline: deadline,
 		})
 		switch {
 		case errors.Is(err, daemon.ErrQuotaExceeded):

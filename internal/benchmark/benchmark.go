@@ -188,7 +188,7 @@ func calibrateGC(ring share.Ring) (gcbaseline.Calibration, error) {
 	return cal, err
 }
 
-// runSecure executes the full protocol once, with cost-based backends,
+// runSecure executes the full protocol once with default options
 // and returns its wall time, Alice's total traffic and the output rows.
 func runSecure(spec queries.Spec, db *tpch.DB, ring share.Ring) (seconds float64, bytes int64, rows int, err error) {
 	alice, bob := mpc.Pair(ring)

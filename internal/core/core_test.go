@@ -171,8 +171,8 @@ func TestSemijoinIntoCrossAndSameParty(t *testing.T) {
 		ca, cb := shareBoth(t, alice, bob, tc.childOwner, child)
 		var dgA, dgB relation.DummyGen
 		oa, ob, err := mpc.Run2PC(alice, bob,
-			func(p *mpc.Party) (*SharedRelation, error) { return SemijoinInto(p, &dgA, pa, ca, "") },
-			func(p *mpc.Party) (*SharedRelation, error) { return SemijoinInto(p, &dgB, pb, cb, "") },
+			func(p *mpc.Party) (*SharedRelation, error) { return SemijoinInto(p, &dgA, pa, ca) },
+			func(p *mpc.Party) (*SharedRelation, error) { return SemijoinInto(p, &dgB, pb, cb) },
 		)
 		alice.Conn.Close()
 		bob.Conn.Close()
@@ -229,8 +229,8 @@ func TestCrossPartySemijoinRounds(t *testing.T) {
 		a0, b0 := statsAfterTurn(t, alice, bob)
 		var dgA, dgB relation.DummyGen
 		oa, ob, err := mpc.Run2PC(alice, bob,
-			func(p *mpc.Party) (*SharedRelation, error) { return SemijoinInto(p, &dgA, pa, ca, "") },
-			func(p *mpc.Party) (*SharedRelation, error) { return SemijoinInto(p, &dgB, pb, cb, "") },
+			func(p *mpc.Party) (*SharedRelation, error) { return SemijoinInto(p, &dgA, pa, ca) },
+			func(p *mpc.Party) (*SharedRelation, error) { return SemijoinInto(p, &dgB, pb, cb) },
 		)
 		alice.Conn.Close()
 		bob.Conn.Close()
@@ -250,7 +250,7 @@ func TestCrossPartySemijoinRounds(t *testing.T) {
 // plain child at ℓ = 64 on tiny sizes, where a PSI carrying an index
 // instead of the annotation would be a few percent cheaper: the plain
 // child still takes the direct PSI, whose result matches plaintext, whose
-// traffic equals its bid's estimate to the byte, and whose rounds are the
+// traffic equals its declared exchanges to the byte, and whose rounds are the
 // direct path's 4; no indexed PSI kernel runs.
 func TestCrossPartyPlainSemijoinIsDirect(t *testing.T) {
 	ring := share.Ring{Bits: 64}
@@ -271,13 +271,8 @@ func TestCrossPartyPlainSemijoinIsDirect(t *testing.T) {
 				want[i] = ring.Mask(parent.Annot[i] * child.Annot[b/2])
 			}
 		}
-		var est int64 = -1
-		for _, b := range semijoinBids(nodeState{schema: parent.Schema, n: sz.m, holder: mpc.Alice},
-			nodeState{schema: child.Schema, n: sz.n, plain: true, holder: mpc.Bob}, ring.Bits) {
-			if b.id == BackendPSIOEP {
-				est = directCost(b.exchanges)
-			}
-		}
+		est := directCost(semijoinExchanges(nodeState{schema: parent.Schema, n: sz.m, holder: mpc.Alice},
+			nodeState{schema: child.Schema, n: sz.n, plain: true, holder: mpc.Bob}, ring.Bits))
 
 		alice, bob := mpc.Pair(ring)
 		pa, pb := shareBoth(t, alice, bob, mpc.Alice, parent)
@@ -291,8 +286,8 @@ func TestCrossPartyPlainSemijoinIsDirect(t *testing.T) {
 		indexed0, _ := obs.KernelTotal("psi.indexed.")
 		var dgA, dgB relation.DummyGen
 		oa, ob, err := mpc.Run2PC(alice, bob,
-			func(p *mpc.Party) (*SharedRelation, error) { return SemijoinInto(p, &dgA, pa, ca, "") },
-			func(p *mpc.Party) (*SharedRelation, error) { return SemijoinInto(p, &dgB, pb, cb, "") },
+			func(p *mpc.Party) (*SharedRelation, error) { return SemijoinInto(p, &dgA, pa, ca) },
+			func(p *mpc.Party) (*SharedRelation, error) { return SemijoinInto(p, &dgB, pb, cb) },
 		)
 		alice.Conn.Close()
 		bob.Conn.Close()
@@ -303,7 +298,7 @@ func TestCrossPartyPlainSemijoinIsDirect(t *testing.T) {
 			t.Fatalf("m=%d n=%d: annotations %v, want %v", sz.m, sz.n, got, want)
 		}
 		if got := alice.Conn.Stats().TotalBytes() - a0.TotalBytes(); got != est {
-			t.Fatalf("m=%d n=%d: moved %d bytes, the psi-oep bid estimates %d", sz.m, sz.n, got, est)
+			t.Fatalf("m=%d n=%d: moved %d bytes, the plan estimates %d", sz.m, sz.n, got, est)
 		}
 		if got := max(alice.Conn.Stats().Rounds-a0.Rounds, bob.Conn.Stats().Rounds-b0.Rounds); got != 4 {
 			t.Fatalf("m=%d n=%d: %d rounds, want the direct path's 4", sz.m, sz.n, got)
@@ -513,4 +508,14 @@ func TestMulSharesOneRoundTrip(t *testing.T) {
 			t.Fatalf("pooled=%v: %d messages, want one round trip", pooled, got)
 		}
 	}
+}
+
+// directCost is the bytes of exs when every exchange runs direct.
+func directCost(exs []exchange) int64 {
+	var sum int64
+	for _, x := range exs {
+		d, _, _ := x.cost()
+		sum += d
+	}
+	return sum
 }

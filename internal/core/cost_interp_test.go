@@ -4,14 +4,13 @@ import (
 	"testing"
 
 	"secyan/internal/gc"
-	"secyan/internal/gcbaseline"
 	"secyan/internal/ot"
 )
 
 // TestOperatorCostsMatchBuiltCircuits pins the circuit dimensions every
 // operator's exchanges carry, for every n up to 64 and a handful of
-// larger sizes: the π¹ merge chain's and the gc alignment's interpolation
-// against circuits built outright, and each slot-built reveal circuit
+// larger sizes: the π¹ merge chain's interpolation against circuits
+// built outright, and each slot-built reveal circuit
 // (with and without the keyed row payload) against the same per-tuple
 // gadget looped n times in one builder — how it was built before
 // circuits had slots. A circuit exchange prices its label batch from
@@ -27,9 +26,6 @@ func TestOperatorCostsMatchBuiltCircuits(t *testing.T) {
 	for _, n := range sizes {
 		if got, want := *projectOneDims(n, ell), gc.DimsOf(buildProjectOneCircuit(n, ell)); got != want {
 			t.Fatalf("project-one n=%d: predicted %+v, built circuit %+v", n, got, want)
-		}
-		if got, want := *gcAlignDims(n, 3, ell), gc.DimsOf(gcbaseline.AlignCircuit(n, 3, ell)); got != want {
-			t.Fatalf("gc-align m=%d: predicted %+v, built circuit %+v", n, got, want)
 		}
 		// Pairs multiplied per tree level, for k = 2 … 5 factors.
 		for k, levels := range map[int][]int{2: {1}, 3: {1, 1}, 4: {2, 1}, 5: {2, 1, 1}} {

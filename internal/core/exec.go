@@ -14,14 +14,13 @@ import (
 )
 
 // Executor metrics, labeled with bounded cardinality (DESIGN.md §9):
-// per-phase/backend step attribution, and per-shape runs and latency
-// SLO histograms keyed by "root:digest". Σ steps_by_label is the step
-// count, and its backend label the per-backend one.
+// per-phase step attribution, and per-shape runs and latency SLO
+// histograms keyed by "root:digest". Σ steps_by_label is the step count.
 var (
 	mStepsByLabel = obs.NewCounter("secyan_core_steps_by_label_total",
-		"Plan steps executed, by protocol phase and serving backend.", "phase", "backend")
+		"Plan steps executed, by protocol phase.", "phase")
 	mStepBytesByLabel = obs.NewCounter("secyan_core_step_bytes_by_label_total",
-		"Measured per-step communication in bytes (both directions), by protocol phase and serving backend.", "phase", "backend")
+		"Measured per-step communication in bytes (both directions), by protocol phase.", "phase")
 	mQueryLatency = obs.NewHistogram("secyan_core_query_latency_ns",
 		"Wall time of completed plan executions in nanoseconds, by query shape (root:digest).", "query")
 	mQueryRuns = obs.NewCounter("secyan_core_query_runs_by_shape_total",
@@ -125,20 +124,6 @@ func runPlan(ctx context.Context, p *mpc.Party, q *Query, shared bool, opts Opti
 			slog.Int("steps", len(plan.Steps)),
 			slog.String("plan_digest", plan.DigestString()),
 			slog.Bool("shared", shared))
-		for si := range plan.Steps {
-			st := &plan.Steps[si]
-			if len(st.Alternatives) < 2 {
-				continue
-			}
-			attrs := make([]slog.Attr, 0, 2+len(st.Alternatives))
-			attrs = append(attrs,
-				slog.String("step", st.Op+"["+st.Node+"]"),
-				slog.String("chosen", string(st.Backend)))
-			for _, alt := range st.Alternatives {
-				attrs = append(attrs, slog.Int64("bid_"+string(alt.Backend), alt.EstBytes))
-			}
-			lg.Emit("backend.auction", tag, attrs...)
-		}
 	}
 	defer func() {
 		if !live {
@@ -199,7 +184,7 @@ func runPlan(ctx context.Context, p *mpc.Party, q *Query, shared bool, opts Opti
 		start := time.Now()
 		err := ex.exec(st)
 		after := pp.Conn.Stats()
-		rec := TraceStep{Phase: st.Phase, Op: st.Op, Node: st.Node, Backend: string(st.Backend),
+		rec := TraceStep{Phase: st.Phase, Op: st.Op, Node: st.Node,
 			N: st.N, EstBytes: st.EstBytes,
 			Bytes:    after.TotalBytes() - before.TotalBytes(),
 			Messages: (after.MessagesSent + after.MessagesRecv) - (before.MessagesSent + before.MessagesRecv),
@@ -215,18 +200,13 @@ func runPlan(ctx context.Context, p *mpc.Party, q *Query, shared bool, opts Opti
 			pp.Observer(rec)
 		}
 		if live {
-			backendLbl := string(st.Backend)
-			if backendLbl == "" {
-				backendLbl = "none"
-			}
-			mStepsByLabel.Add(1, st.Phase, backendLbl)
-			mStepBytesByLabel.Add(rec.Bytes, st.Phase, backendLbl)
+			mStepsByLabel.Add(1, st.Phase)
+			mStepBytesByLabel.Add(rec.Bytes, st.Phase)
 			lg.Emit("query.step", tag,
 				slog.String("party", p.Role.String()),
 				slog.String("phase", st.Phase),
 				slog.String("op", st.Op),
 				slog.String("node", st.Node),
-				slog.String("backend", string(st.Backend)),
 				slog.Int64("bytes", rec.Bytes),
 				slog.Int64("rounds", rec.Rounds),
 				slog.Duration("elapsed", rec.Elapsed))
@@ -274,7 +254,6 @@ func flightRecord(p *mpc.Party, plan *Plan, tag obs.QueryTag, tr *Trace, rows in
 		StartUnixNano: start.UnixNano(),
 		Seconds:       elapsed.Seconds(),
 		OutputRows:    rows,
-		Auctions:      planAuctions(plan),
 	}
 	if tr != nil {
 		rec.Bytes = tr.TotalBytes()
@@ -286,28 +265,6 @@ func flightRecord(p *mpc.Party, plan *Plan, tag obs.QueryTag, tr *Trace, rows in
 		rec.Blame = blame
 	}
 	return rec
-}
-
-// planAuctions extracts the contested backend auctions (steps where
-// more than one backend bid) with their full pricing tables.
-func planAuctions(plan *Plan) []obs.AuctionOutcome {
-	var out []obs.AuctionOutcome
-	for i := range plan.Steps {
-		st := &plan.Steps[i]
-		if len(st.Alternatives) < 2 {
-			continue
-		}
-		bids := make(map[string]int64, len(st.Alternatives))
-		for _, alt := range st.Alternatives {
-			bids[string(alt.Backend)] = alt.EstBytes
-		}
-		out = append(out, obs.AuctionOutcome{
-			Step:   st.Op + "[" + st.Node + "]",
-			Chosen: string(st.Backend),
-			Bids:   bids,
-		})
-	}
-	return out
 }
 
 // stepErr labels an operator error with its plan coordinates, e.g.
@@ -377,7 +334,7 @@ func (ex *executor) exec(st *PlanStep) error {
 	case stepSemijoinInto:
 		child := ex.pending
 		ex.pending = nil
-		joined, err := SemijoinInto(p, ex.dg, ex.srs[st.parent], child, st.Backend)
+		joined, err := SemijoinInto(p, ex.dg, ex.srs[st.parent], child)
 		if err != nil {
 			return err
 		}

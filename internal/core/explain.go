@@ -18,41 +18,14 @@ import (
 func (p *Plan) Format(w io.Writer) {
 	fmt.Fprintf(w, "root: %s; surviving nodes: %s; assumed OUT = %d\n",
 		p.Root, strings.Join(p.Remaining, ", "), p.EstOut)
-	fmt.Fprintf(w, "%-10s %-20s %-28s %-8s %10s %14s %14s %14s\n",
-		"phase", "operator", "relation", "backend", "rows", "est. comm", "est. offline", "est. online")
+	fmt.Fprintf(w, "%-10s %-20s %-28s %10s %14s %14s %14s\n",
+		"phase", "operator", "relation", "rows", "est. comm", "est. offline", "est. online")
 	for _, s := range p.Steps {
-		fmt.Fprintf(w, "%-10s %-20s %-28s %-8s %10d %14s %14s %14s\n", s.Phase, s.Op, s.Node,
-			string(s.Backend), s.N,
+		fmt.Fprintf(w, "%-10s %-20s %-28s %10d %14s %14s %14s\n", s.Phase, s.Op, s.Node, s.N,
 			fmtBytes(s.EstBytes), fmtBytes(s.EstOfflineBytes), fmtBytes(s.EstOnlineBytes))
 	}
 	fmt.Fprintf(w, "total estimated communication: %s (precomputed: %s offline + %s online)\n",
 		fmtBytes(p.EstBytes), fmtBytes(p.EstOfflineBytes), fmtBytes(p.EstOnlineBytes))
-	p.formatChoices(w)
-}
-
-// formatChoices renders the backend auction behind every semijoin and
-// aggregate step: the chosen backend and each rejected alternative with
-// its estimate.
-func (p *Plan) formatChoices(w io.Writer) {
-	any := false
-	for _, s := range p.Steps {
-		if len(s.Alternatives) == 0 {
-			continue
-		}
-		if !any {
-			fmt.Fprintf(w, "backend choices:\n")
-			any = true
-		}
-		parts := make([]string, 0, len(s.Alternatives))
-		for _, a := range s.Alternatives {
-			mark := ""
-			if a.Chosen {
-				mark = "*"
-			}
-			parts = append(parts, fmt.Sprintf("%s%s=%s", mark, a.Backend, fmtBytes(a.EstBytes)))
-		}
-		fmt.Fprintf(w, "  %-10s %-20s %-28s %s\n", s.Phase, s.Op, s.Node, strings.Join(parts, "  "))
-	}
 }
 
 func fmtBytes(b int64) string {

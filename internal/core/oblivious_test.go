@@ -68,7 +68,7 @@ func TestOperatorTranscriptsDataIndependent(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			joined, err := SemijoinInto(p, &dg, agg, ind, "")
+			joined, err := SemijoinInto(p, &dg, agg, ind)
 			if err != nil {
 				return nil, err
 			}

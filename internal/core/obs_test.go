@@ -98,9 +98,9 @@ func TestObsFlightRecordFromRun(t *testing.T) {
 	}
 }
 
-// TestObsStepMetricLabels checks the per-phase/backend labeled step
-// counters advance by exactly the trace's step and byte counts (times
-// two: both parties execute every step).
+// TestObsStepMetricLabels checks the per-phase labeled step counters
+// advance by exactly the trace's step and byte counts (times two: both
+// parties execute every step).
 func TestObsStepMetricLabels(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
@@ -108,17 +108,12 @@ func TestObsStepMetricLabels(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	q, rels := multiNodeQuery(rng)
 
-	type key struct{ phase, backend string }
-	before := map[key]int64{}
-	beforeBytes := map[key]int64{}
-	snapshot := func(dst, dstBytes map[key]int64, steps []TraceStep) {
+	before := map[string]int64{}
+	beforeBytes := map[string]int64{}
+	snapshot := func(dst, dstBytes map[string]int64, steps []TraceStep) {
 		for _, s := range steps {
-			k := key{s.Phase, string(s.Backend)}
-			if k.backend == "" {
-				k.backend = "none"
-			}
-			dst[k] = mStepsByLabel.Value(k.phase, k.backend)
-			dstBytes[k] = mStepBytesByLabel.Value(k.phase, k.backend)
+			dst[s.Phase] = mStepsByLabel.Value(s.Phase)
+			dstBytes[s.Phase] = mStepBytesByLabel.Value(s.Phase)
 		}
 	}
 
@@ -133,22 +128,18 @@ func TestObsStepMetricLabels(t *testing.T) {
 		t.Fatalf("second run: alice %v, bob %v", aerr, berr)
 	}
 
-	wantSteps := map[key]int64{}
-	wantBytes := map[key]int64{}
+	wantSteps := map[string]int64{}
+	wantBytes := map[string]int64{}
 	for _, s := range tr2.Steps {
-		k := key{s.Phase, string(s.Backend)}
-		if k.backend == "" {
-			k.backend = "none"
-		}
-		wantSteps[k] += 2 // both parties execute the step
-		wantBytes[k] += 2 * s.Bytes
+		wantSteps[s.Phase] += 2 // both parties execute the step
+		wantBytes[s.Phase] += 2 * s.Bytes
 	}
-	for k, want := range wantSteps {
-		if got := mStepsByLabel.Value(k.phase, k.backend) - before[k]; got != want {
-			t.Errorf("steps{phase=%s,backend=%s} advanced %d, want %d", k.phase, k.backend, got, want)
+	for phase, want := range wantSteps {
+		if got := mStepsByLabel.Value(phase) - before[phase]; got != want {
+			t.Errorf("steps{phase=%s} advanced %d, want %d", phase, got, want)
 		}
-		if got := mStepBytesByLabel.Value(k.phase, k.backend) - beforeBytes[k]; got != wantBytes[k] {
-			t.Errorf("bytes{phase=%s,backend=%s} advanced %d, want %d", k.phase, k.backend, got, wantBytes[k])
+		if got := mStepBytesByLabel.Value(phase) - beforeBytes[phase]; got != wantBytes[phase] {
+			t.Errorf("bytes{phase=%s} advanced %d, want %d", phase, got, wantBytes[phase])
 		}
 	}
 }

@@ -45,11 +45,11 @@ const (
 
 // exchange is one unit of a plan step's traffic: an IKNP OT batch, a
 // garbled circuit, a KKRT batch or plain bytes. Each step declares its
-// exchanges once, in execution order; its estimates, its backend's bid,
-// the setup steps and the precompute sweeps are all sums or filters over
-// that list. A circuit exchange stands for the circuit's messages and its
-// input-label batch, an OT batch of Dims.EvalInputs labels with the
-// garbler as OT sender.
+// exchanges once, in execution order; its estimates, the setup steps and
+// the precompute sweeps are all sums or filters over that list. A
+// circuit exchange stands for the circuit's messages and its input-label
+// batch, an OT batch of Dims.EvalInputs labels with the garbler as OT
+// sender.
 type exchange struct {
 	kind   exchangeKind
 	sender mpc.Role // OT sender, garbler, or PSI sender of a KKRT batch
@@ -128,16 +128,6 @@ func (x exchange) cost() (direct, offline, online int64) {
 	return int64(x.m), 0, int64(x.m)
 }
 
-// directCost is the bytes of exs when every exchange runs direct.
-func directCost(exs []exchange) int64 {
-	var sum int64
-	for _, x := range exs {
-		d, _, _ := x.cost()
-		sum += d
-	}
-	return sum
-}
-
 // PlanStep is one operator invocation in the plan.
 type PlanStep struct {
 	Phase string // setup | input | reduce | aggregate | semijoin | join | reveal
@@ -156,13 +146,6 @@ type PlanStep struct {
 	// whole step is online and EstBytes alone applies.
 	EstOfflineBytes int64
 	EstOnlineBytes  int64
-	// Backend is the secure-join backend serving this step. Semijoin and
-	// aggregate steps carry the winner of the per-node backend auction
-	// (see backend.go); every other step is empty.
-	Backend BackendID
-	// Alternatives is the step's full pricing table: every backend that
-	// bid, its estimate, and which one won. Explain renders it.
-	Alternatives []BackendChoice
 
 	// Executor fields, invisible to plan consumers: the step's action and
 	// its operands as node indices into the query's inputs.
@@ -215,9 +198,9 @@ type Plan struct {
 }
 
 // Digest is a stable 64-bit fingerprint of the plan's operator
-// structure: root plus the step sequence's phases, operators, node
-// labels and chosen backends — but not input sizes — so runs of the
-// same query shape share a digest across dataset scales. Both parties
+// structure: root plus the step sequence's phases, operators and node
+// labels — but not input sizes — so runs of the same query shape share a
+// digest across dataset scales. Both parties
 // compile identical plans, so both compute the same digest; the flight
 // recorder and the per-shape SLO histograms key on it.
 func (p *Plan) Digest() uint64 {
@@ -232,7 +215,6 @@ func (p *Plan) Digest() uint64 {
 		io.WriteString(h, "[")
 		io.WriteString(h, s.Node)
 		io.WriteString(h, "]")
-		io.WriteString(h, string(s.Backend))
 	}
 	return h.Sum64()
 }
@@ -250,11 +232,6 @@ type Options struct {
 	// join-tree root is chosen by total estimate, both parties must pass
 	// the same value.
 	EstOut int
-	// Backend forces every semijoin/aggregate step onto one backend
-	// wherever it is applicable; inapplicable steps keep the cost-based
-	// choice. Empty means cost-based selection everywhere. This changes
-	// the transcript: both parties must pass the same value.
-	Backend BackendID
 }
 
 // ExecOptions and PlanOptions are the names the frozen bench/adapt.go
@@ -267,16 +244,10 @@ type (
 // ExplainOpts compiles q into its physical plan: the same object the
 // executor runs — Run differs only in feeding it data. The join-tree
 // root is itself chosen by cost: every candidate rooted tree the
-// planner accepts is compiled (with the same options, including any
-// forced backend) and the one with the smallest total estimate wins;
-// ties keep the planner's first candidate, which is the tree the
-// pre-costing planner would have picked.
+// planner accepts is compiled (with the same options) and the one with
+// the smallest total estimate wins; ties keep the planner's first
+// candidate, which is the tree the pre-costing planner would have picked.
 func ExplainOpts(q *Query, ringBits int, opts Options) (*Plan, error) {
-	switch opts.Backend {
-	case "", BackendPSIOEP, BackendGC:
-	default:
-		return nil, fmt.Errorf("core: unknown backend %q (want auto, psi-oep or gc)", opts.Backend)
-	}
 	plans := map[*jointree.Tree]*Plan{}
 	tree, err := q.Hypergraph().PlanCosted(q.Output, func(t *jointree.Tree) (int64, error) {
 		pl, err := compileTree(q, t, ringBits, opts)
@@ -346,11 +317,9 @@ func compileTree(q *Query, tree *jointree.Tree, ringBits int, opts Options) (*Pl
 		}
 	}
 
-	// Semijoin and aggregate steps are priced by a backend auction (see
-	// backend.go): every applicable backend bids the exchanges its
-	// operator will run, which replay the exact dispatch logic of the
-	// operators (aggregate.go, semijoin.go), so Precompute can garble and
-	// fill pools from the plan alone.
+	// Semijoin and aggregate steps declare the exchanges their operators
+	// will run (exchanges.go), so Precompute can garble and fill pools
+	// from the plan alone.
 	// revealRows declares the §6.3 step-1 reveal of one relation: Bob
 	// garbles the reveal circuit, or a plain relation's rows go to Alice
 	// in the clear.
@@ -392,16 +361,14 @@ func compileTree(q *Query, tree *jointree.Tree, ringBits int, opts Options) (*Pl
 				break
 			}
 		}
-		bid, alts := pickBackend(aggBids(state[i], mergeSum, ell), opts.Backend)
-		add(PlanStep{Phase: "reduce", Op: "aggregate", Node: q.Inputs[i].Name,
-			N: state[i].n, Backend: bid.id, Alternatives: alts,
-			kind: stepAggregate, node: i, attrs: fPrime, intoPending: subset, exchanges: bid.exchanges})
+		add(PlanStep{Phase: "reduce", Op: "aggregate", Node: q.Inputs[i].Name, N: state[i].n,
+			kind: stepAggregate, node: i, attrs: fPrime, intoPending: subset,
+			exchanges: aggExchanges(state[i], mergeSum, ell)})
 		state[i].schema = relation.MustSchema(fPrime...)
 		if subset {
-			bid, alts := pickBackend(semijoinBids(state[parent], state[i], ell), opts.Backend)
 			add(PlanStep{Phase: "reduce", Op: "semijoin-into", Node: q.Inputs[i].Name + "→" + q.Inputs[parent].Name,
-				N: state[parent].n, Backend: bid.id, Alternatives: alts,
-				kind: stepSemijoinInto, parent: parent, exchanges: bid.exchanges})
+				N: state[parent].n, kind: stepSemijoinInto, parent: parent,
+				exchanges: semijoinExchanges(state[parent], state[i], ell)})
 			state[parent].plain = false
 			removed[i] = true
 			childrenLeft[parent]--
@@ -455,10 +422,8 @@ func compileTree(q *Query, tree *jointree.Tree, ringBits int, opts Options) (*Pl
 				keep = append(keep, a)
 			}
 		}
-		bid, alts := pickBackend(aggBids(state[i], mergeSum, ell), opts.Backend)
-		add(PlanStep{Phase: "aggregate", Op: "aggregate", Node: q.Inputs[i].Name,
-			N: state[i].n, Backend: bid.id, Alternatives: alts,
-			kind: stepAggregate, node: i, attrs: keep, exchanges: bid.exchanges})
+		add(PlanStep{Phase: "aggregate", Op: "aggregate", Node: q.Inputs[i].Name, N: state[i].n,
+			kind: stepAggregate, node: i, attrs: keep, exchanges: aggExchanges(state[i], mergeSum, ell)})
 		state[i].schema = relation.MustSchema(keep...)
 	}
 
@@ -475,16 +440,13 @@ func compileTree(q *Query, tree *jointree.Tree, ringBits int, opts Options) (*Pl
 	// Phase 2: Semijoin — π¹ on the filter side plus the semijoin itself.
 	semijoin := func(target, by int) {
 		shared := state[target].schema.Intersect(state[by].schema)
-		bid, alts := pickBackend(aggBids(state[by], mergeOr, ell), opts.Backend)
-		add(PlanStep{Phase: "semijoin", Op: "project-one", Node: q.Inputs[by].Name,
-			N: state[by].n, Backend: bid.id, Alternatives: alts,
-			kind: stepProjectOne, node: by, attrs: shared, exchanges: bid.exchanges})
+		add(PlanStep{Phase: "semijoin", Op: "project-one", Node: q.Inputs[by].Name, N: state[by].n,
+			kind: stepProjectOne, node: by, attrs: shared, exchanges: aggExchanges(state[by], mergeOr, ell)})
 		ind := nodeState{schema: relation.MustSchema(shared...), n: state[by].n,
 			plain: state[by].plain, holder: state[by].holder}
-		bid, alts = pickBackend(semijoinBids(state[target], ind, ell), opts.Backend)
 		add(PlanStep{Phase: "semijoin", Op: "semijoin-into", Node: q.Inputs[by].Name + "→" + q.Inputs[target].Name,
-			N: state[target].n, Backend: bid.id, Alternatives: alts,
-			kind: stepSemijoinInto, parent: target, exchanges: bid.exchanges})
+			N: state[target].n, kind: stepSemijoinInto, parent: target,
+			exchanges: semijoinExchanges(state[target], ind, ell)})
 		state[target].plain = false
 	}
 	for _, i := range remaining {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"secyan/internal/obs"
 	"secyan/internal/ot"
 	"secyan/internal/relation"
+	"secyan/internal/transport"
 )
 
 // splitQuery attaches each input relation on its owner's side only.
@@ -76,7 +78,7 @@ func multiNodeQuery(rng *rand.Rand) (*Query, []*relation.Relation) {
 // TestTraceMatchesPlan asserts the central plan-IR contract: the trace
 // of an execution is, step for step, the plan Explain renders — same
 // phases, operators and nodes in the same order — and each step's
-// measured traffic matches its Estimate byte-exactly once the plan is
+// measured traffic matches its estimate byte-exactly once the plan is
 // compiled with the true output size.
 func TestTraceMatchesPlan(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -127,6 +129,92 @@ func TestTraceMatchesPlan(t *testing.T) {
 			}
 			if tr.TotalBytes() != plan.EstBytes {
 				t.Errorf("total: measured %d, estimated %d", tr.TotalBytes(), plan.EstBytes)
+			}
+		})
+	}
+}
+
+// equivalenceFixtures are the driver shapes the equivalence and
+// determinism tests run: a reduce-only query, a multi-survivor query with
+// semijoin and join phases, and the no-local-optimizations variant whose
+// inputs are all secret-shared.
+func equivalenceFixtures() []struct {
+	name string
+	q    *Query
+	rels []*relation.Relation
+} {
+	rng := rand.New(rand.NewSource(19))
+	single, singleRels := example11Query(rng, 12, 18)
+	multi, multiRels := multiNodeQuery(rng)
+	raw, rawRels := example11Query(rng, 9, 14)
+	raw.NoLocalOptimizations = true
+	return []struct {
+		name string
+		q    *Query
+		rels []*relation.Relation
+	}{
+		{"single-survivor", single, singleRels},
+		{"multi-node", multi, multiRels},
+		{"no-local-opt", raw, rawRels},
+	}
+}
+
+// runWithStats executes q on a fresh party pair and returns Alice's
+// result and trace and both transports' stats.
+func runWithStats(t *testing.T, q *Query, rels []*relation.Relation) (*relation.Relation, *Trace, transport.Stats, transport.Stats) {
+	t.Helper()
+	alice, bob := mpc.Pair(testRing)
+	defer alice.Conn.Close()
+	defer bob.Conn.Close()
+	ctx := context.Background()
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := Run(ctx, bob, splitQuery(q, rels, mpc.Bob), Options{})
+		if err != nil {
+			bob.Conn.Close()
+		}
+		done <- err
+	}()
+	rel, tr, err := Run(ctx, alice, splitQuery(q, rels, mpc.Alice), Options{})
+	if err != nil {
+		alice.Conn.Close()
+	}
+	if berr := <-done; err != nil || berr != nil {
+		t.Fatalf("run: alice %v, bob %v", err, berr)
+	}
+	return rel, tr, alice.Conn.Stats(), bob.Conn.Stats()
+}
+
+// TestBackendForcedEquivalence is the exchangeability contract of the
+// secure-join protocol: on every fixture the secure result equals the
+// plaintext engine's. (Its name dates from when a second backend could
+// be forced; PSI + OEP is now the only one.)
+func TestBackendForcedEquivalence(t *testing.T) {
+	for _, tc := range equivalenceFixtures() {
+		t.Run(tc.name, func(t *testing.T) {
+			got, _, _, _ := runWithStats(t, tc.q, tc.rels)
+			compareResults(t, tc.name, got, plaintextReference(t, tc.q, tc.rels))
+		})
+	}
+}
+
+// TestBackendTranscriptDeterminism runs each fixture twice over identical
+// inputs and requires identical results, identical traces (modulo wall
+// time) and identical per-connection transport stats.
+func TestBackendTranscriptDeterminism(t *testing.T) {
+	for _, tc := range equivalenceFixtures() {
+		t.Run(tc.name, func(t *testing.T) {
+			r1, t1, a1, b1 := runWithStats(t, tc.q, tc.rels)
+			r2, t2, a2, b2 := runWithStats(t, tc.q, tc.rels)
+			if !relsEqual(r1, r2) {
+				t.Fatal("results differ across identical runs")
+			}
+			if !reflect.DeepEqual(traceShape(t1), traceShape(t2)) {
+				t.Fatalf("trace differs across identical runs:\n%+v\nvs\n%+v", traceShape(t1), traceShape(t2))
+			}
+			if a1 != a2 || b1 != b2 {
+				t.Fatalf("transport stats differ across identical runs:\nalice %+v vs %+v\nbob %+v vs %+v",
+					a1, a2, b1, b2)
 			}
 		})
 	}
@@ -205,8 +293,7 @@ func TestBaseOTStepsMeasureTheirEstimates(t *testing.T) {
 // the semijoin phase runs one PSI in each orientation). Each orientation
 // gets one oprf-base step, sent by the PSI sender, that moves exactly
 // ot.KKRTSetupCost (8 192 B) as estimated, and every setup, reduce and
-// semijoin step moves its estimate. 70 rows a side keep the gc backend
-// from bidding, so every semijoin is a PSI.
+// semijoin step moves its estimate.
 func TestOPRFSetupStepsMeasureTheirEstimates(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -333,4 +420,15 @@ func TestCancellationMidProtocol(t *testing.T) {
 			t.Fatal("cancellation did not unblock the parties")
 		}
 	}
+}
+
+// traceShape strips the only nondeterministic field (Elapsed), keeping
+// phase, operator, node, size and the measured bytes/messages/rounds.
+func traceShape(tr *Trace) []TraceStep {
+	steps := make([]TraceStep, len(tr.Steps))
+	for i, s := range tr.Steps {
+		s.Elapsed = 0
+		steps[i] = s
+	}
+	return steps
 }

@@ -14,7 +14,7 @@ import (
 
 // Property-based safety net for the secure operators (ROADMAP 5c, 7(a),
 // 7(b)): seeded random free-connex queries the suite did not hand-write,
-// run through every surviving backend and the cold / precomputed paths
+// run through the cold and precomputed paths
 // over two databases of the same public shape, each run checked against
 // the plaintext engine and the two databases' plans and transcripts
 // checked against each other. The PSI and the share multiplication sit
@@ -158,7 +158,7 @@ func (lp *lenPair) run(t *testing.T, name string, q *Query, rels []*relation.Rel
 }
 
 // requireSamePlan fails unless the two plans agree on everything the
-// planner decides: root, digest, and every step's pricing table.
+// planner decides: root, digest, and every step's estimates.
 func requireSamePlan(t *testing.T, name string, a, b *Plan) {
 	t.Helper()
 	if a.Root != b.Root || a.Digest() != b.Digest() || len(a.Steps) != len(b.Steps) {
@@ -167,9 +167,9 @@ func requireSamePlan(t *testing.T, name string, a, b *Plan) {
 	}
 	for i := range a.Steps {
 		sa, sb := &a.Steps[i], &b.Steps[i]
-		if sa.EstBytes != sb.EstBytes || !reflect.DeepEqual(sa.Alternatives, sb.Alternatives) {
-			t.Fatalf("%s: step %s %s priced differently across databases: %d %+v vs %d %+v",
-				name, sa.Op, sa.Node, sa.EstBytes, sa.Alternatives, sb.EstBytes, sb.Alternatives)
+		if sa.EstBytes != sb.EstBytes || sa.EstOfflineBytes != sb.EstOfflineBytes || sa.EstOnlineBytes != sb.EstOnlineBytes {
+			t.Fatalf("%s: step %s %s priced differently across databases: %d/%d/%d vs %d/%d/%d", name, sa.Op, sa.Node,
+				sa.EstBytes, sa.EstOfflineBytes, sa.EstOnlineBytes, sb.EstBytes, sb.EstOfflineBytes, sb.EstOnlineBytes)
 		}
 	}
 }
@@ -202,29 +202,28 @@ func requireExactEstimates(t *testing.T, name string, plan *Plan, off, on *Trace
 		if off != nil {
 			want = ps.EstOnlineBytes
 			if offBytes != ps.EstOfflineBytes || offEst != ps.EstOfflineBytes {
-				t.Errorf("%s: step %s %s (%s): offline measured %d bytes, record estimates %d, EstOfflineBytes %d",
-					name, ps.Op, ps.Node, ps.Backend, offBytes, offEst, ps.EstOfflineBytes)
+				t.Errorf("%s: step %s %s: offline measured %d bytes, record estimates %d, EstOfflineBytes %d",
+					name, ps.Op, ps.Node, offBytes, offEst, ps.EstOfflineBytes)
 			}
 		}
 		if s.Bytes != want {
-			t.Errorf("%s: step %s %s (%s): estimated %d bytes, measured %d",
-				name, ps.Op, ps.Node, ps.Backend, want, s.Bytes)
+			t.Errorf("%s: step %s %s: estimated %d bytes, measured %d",
+				name, ps.Op, ps.Node, want, s.Bytes)
 		}
 	}
 }
 
 // TestPropertySecureMatchesPlaintext draws, per seed, a query and two
 // databases of its public shape — equal cardinalities and owners, fresh
-// keys, match patterns, dummies and annotations — and runs both under
-// backend ∈ {cost-chosen, psi-oep, gc} × {cold, precomputed}, each
-// database on its own party pair. It requires
+// keys, match patterns, dummies and annotations — and runs both cold and
+// precomputed, each database on its own party pair. It requires
 //   - the plaintext engine's result on every run, and byte-exact
 //     reduce- and semijoin-phase estimates: EstBytes on the cold runs,
 //     EstOfflineBytes offline and EstOnlineBytes online on the
 //     precomputed ones;
 //   - planning reads public data only (ROADMAP 7(b)): both databases,
 //     seen from either party, compile to the same root, digest and
-//     per-step pricing tables;
+//     per-step estimates;
 //   - obliviousness (ROADMAP 7(a)): on every run, offline and online,
 //     both parties send the same sequence of message lengths on both
 //     databases, through the local-join step.
@@ -244,43 +243,40 @@ func TestPropertySecureMatchesPlaintext(t *testing.T) {
 			want[d] = plaintextReference(t, q, dbs[d])
 			pairs[d] = newLenPair()
 		}
-		for _, backend := range []BackendID{"", BackendPSIOEP, BackendGC} {
-			opts := Options{Backend: backend}
-			var plans [2]*Plan
-			for _, role := range []mpc.Role{mpc.Alice, mpc.Bob} {
-				for d := range dbs {
-					pl, err := ExplainOpts(splitQuery(q, dbs[d], role), testRing.Bits, opts)
-					if err != nil {
-						t.Fatalf("seed %d backend=%q: explain: %v", seed, backend, err)
-					}
-					plans[d] = pl
+		var plans [2]*Plan
+		for _, role := range []mpc.Role{mpc.Alice, mpc.Bob} {
+			for d := range dbs {
+				pl, err := ExplainOpts(splitQuery(q, dbs[d], role), testRing.Bits, Options{})
+				if err != nil {
+					t.Fatalf("seed %d: explain: %v", seed, err)
 				}
-				requireSamePlan(t, fmt.Sprintf("seed %d backend=%q %v", seed, backend, role), plans[0], plans[1])
+				plans[d] = pl
 			}
-			for _, pre := range []bool{false, true} {
-				var views [2][][2][]int // per database: (offline,) online
-				for d := range dbs {
-					name := fmt.Sprintf("seed %d db %d backend=%q precomputed=%v", seed, d, backend, pre)
-					var offTr *Trace
-					if pre {
-						var off [2][]int
-						_, offTr, off = pairs[d].run(t, name+" (offline)", q, dbs[d], func(p *mpc.Party, q *Query) (*relation.Relation, *Trace, error) {
-							tr, err := PrecomputeOpts(ctx, p, q, opts)
-							return nil, tr, err
-						})
-						views[d] = append(views[d], off)
-					}
-					got, tr, view := pairs[d].run(t, name, q, dbs[d], func(p *mpc.Party, q *Query) (*relation.Relation, *Trace, error) {
-						return Run(ctx, p, q, opts)
+			requireSamePlan(t, fmt.Sprintf("seed %d %v", seed, role), plans[0], plans[1])
+		}
+		for _, pre := range []bool{false, true} {
+			var views [2][][2][]int // per database: (offline,) online
+			for d := range dbs {
+				name := fmt.Sprintf("seed %d db %d precomputed=%v", seed, d, pre)
+				var offTr *Trace
+				if pre {
+					var off [2][]int
+					_, offTr, off = pairs[d].run(t, name+" (offline)", q, dbs[d], func(p *mpc.Party, q *Query) (*relation.Relation, *Trace, error) {
+						tr, err := PrecomputeOpts(ctx, p, q, Options{})
+						return nil, tr, err
 					})
-					views[d] = append(views[d], view)
-					compareResults(t, name, got, want[d])
-					requireExactEstimates(t, name, plans[d], offTr, tr)
+					views[d] = append(views[d], off)
 				}
-				if !reflect.DeepEqual(views[0], views[1]) {
-					t.Errorf("seed %d backend=%q precomputed=%v: message lengths depend on data ([alice bob] per run):\n%v\nvs\n%v\nquery: %+v",
-						seed, backend, pre, views[0], views[1], q)
-				}
+				got, tr, view := pairs[d].run(t, name, q, dbs[d], func(p *mpc.Party, q *Query) (*relation.Relation, *Trace, error) {
+					return Run(ctx, p, q, Options{})
+				})
+				views[d] = append(views[d], view)
+				compareResults(t, name, got, want[d])
+				requireExactEstimates(t, name, plans[d], offTr, tr)
+			}
+			if !reflect.DeepEqual(views[0], views[1]) {
+				t.Errorf("seed %d precomputed=%v: message lengths depend on data ([alice bob] per run):\n%v\nvs\n%v\nquery: %+v",
+					seed, pre, views[0], views[1], q)
 			}
 		}
 		for _, lp := range pairs {

@@ -14,9 +14,7 @@ import (
 
 // TestConstantRounds checks the paper's round-complexity claim (§1.2):
 // the number of communication rounds depends only on the query, not on
-// the data size. The backend is pinned because cost-based selection may
-// legitimately switch protocols between public sizes; the claim is
-// per-protocol.
+// the data size.
 func TestConstantRounds(t *testing.T) {
 	rounds := func(scaleRows int) int64 {
 		rng := rand.New(rand.NewSource(5))
@@ -38,7 +36,7 @@ func TestConstantRounds(t *testing.T) {
 			return cq
 		}
 		run := func(p *mpc.Party, q *Query) (*relation.Relation, error) {
-			rel, _, err := Run(context.Background(), p, q, Options{Backend: BackendPSIOEP})
+			rel, _, err := Run(context.Background(), p, q, Options{})
 			return rel, err
 		}
 		_, _, err := mpc.Run2PC(alice, bob,
@@ -164,7 +162,7 @@ func TestSemijoinIntoSchemaValidation(t *testing.T) {
 	parent := &SharedRelation{Schema: relation.MustSchema("a"), N: 1, Annot: []uint64{0}}
 	child := &SharedRelation{Schema: relation.MustSchema("zzz"), N: 1, Annot: []uint64{0}}
 	var dg relation.DummyGen
-	if _, err := SemijoinInto(alice, &dg, parent, child, ""); err == nil {
+	if _, err := SemijoinInto(alice, &dg, parent, child); err == nil {
 		t.Fatal("child attrs outside parent accepted")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"secyan/internal/gc"
-	"secyan/internal/gcbaseline"
 	"secyan/internal/mpc"
 	"secyan/internal/oep"
 	"secyan/internal/psi"
@@ -138,11 +137,8 @@ func childKeys(rel *relation.Relation) ([]uint64, error) {
 
 // SemijoinInto computes parent ⋈^⊗ child with child.Schema ⊆
 // parent.Schema (paper §6.2). The result keeps the parent's tuples and
-// holder; only the annotation shares change. The backend selects the
-// cross-party alignment protocol only; the degenerate and same-party
-// cases have a single implementation, and an empty backend means the
-// default PSI pipeline.
-func SemijoinInto(p *mpc.Party, dg *relation.DummyGen, parent, child *SharedRelation, backend BackendID) (*SharedRelation, error) {
+// holder; only the annotation shares change.
+func SemijoinInto(p *mpc.Party, dg *relation.DummyGen, parent, child *SharedRelation) (*SharedRelation, error) {
 	for _, a := range child.Schema.Attrs {
 		if !parent.Schema.Has(a) {
 			return nil, fmt.Errorf("core: SemijoinInto requires child attrs ⊆ parent attrs (missing %q)", a)
@@ -162,8 +158,6 @@ func SemijoinInto(p *mpc.Party, dg *relation.DummyGen, parent, child *SharedRela
 		zShares, err = alignScalar(p, parent, child)
 	case parent.Holder == child.Holder:
 		zShares, err = alignSameParty(p, dg, parent, child)
-	case backend == BackendGC:
-		zShares, err = alignGC(p, parent, child)
 	default:
 		zShares, err = alignCrossParty(p, dg, parent, child)
 	}
@@ -269,31 +263,6 @@ func binAlignment(p *mpc.Party, res *psi.Result, keyOf []uint64) ([]uint64, erro
 	return oep.RunProgrammer(p, xi, res.Params.B, res.PayShares)
 }
 
-// alignGC is the monolithic-GC backend's cross-party alignment: a
-// single quadratic circuit compares every parent key against every
-// child key and emits fresh shares of the matching child annotation per
-// parent tuple. Works for plain and shared child annotations alike —
-// each side feeds its Annot vector (the non-holder's is all zeros when
-// the child is plain), and the circuit reconstructs the sum.
-func alignGC(p *mpc.Party, parent, child *SharedRelation) ([]uint64, error) {
-	if p.Role != parent.Holder {
-		keys, err := childKeys(child.Rel)
-		if err != nil {
-			return nil, err
-		}
-		return gcbaseline.RunAlignGarbler(p, keys, child.Annot, parent.N)
-	}
-	cols, err := parent.Schema.Positions(child.Schema.Attrs)
-	if err != nil {
-		return nil, err
-	}
-	parentKeys := make([]uint64, parent.N)
-	for j := range parentKeys {
-		parentKeys[j] = parent.Rel.Key(j, cols)
-	}
-	return gcbaseline.RunAlignEvaluator(p, parentKeys, child.Annot)
-}
-
 // alignCrossParty aligns child annotation shares to parent tuples across
 // parties: a PSI delivers per-bin shares of the matching child
 // annotation, and an extended OEP programmed by the parent holder maps
@@ -348,5 +317,5 @@ func Semijoin(p *mpc.Party, dg *relation.DummyGen, target, by *SharedRelation) (
 	if err != nil {
 		return nil, err
 	}
-	return SemijoinInto(p, dg, target, ind, "")
+	return SemijoinInto(p, dg, target, ind)
 }

@@ -64,8 +64,8 @@ func (t *Trace) PhaseStats() []obs.PhaseStat {
 // Format renders the trace as an EXPLAIN ANALYZE-style table: the plan
 // columns plus measured bytes, messages, rounds and wall time per step.
 func (t *Trace) Format(w io.Writer) {
-	fmt.Fprintf(w, "%-10s %-20s %-28s %-8s %10s %14s %14s %6s %7s %12s\n",
-		"phase", "operator", "relation", "backend", "rows", "est. comm", "meas. comm", "msgs", "rounds", "time")
+	fmt.Fprintf(w, "%-10s %-20s %-28s %10s %14s %14s %6s %7s %12s\n",
+		"phase", "operator", "relation", "rows", "est. comm", "meas. comm", "msgs", "rounds", "time")
 	var est, meas, msgs int64
 	var elapsed time.Duration
 	for _, s := range t.Steps {
@@ -73,8 +73,8 @@ func (t *Trace) Format(w io.Writer) {
 		meas += s.Bytes
 		msgs += s.Messages
 		elapsed += s.Elapsed
-		fmt.Fprintf(w, "%-10s %-20s %-28s %-8s %10d %14s %14s %6d %7d %12s\n",
-			s.Phase, s.Op, s.Node, s.Backend, s.N, fmtBytes(s.EstBytes), fmtBytes(s.Bytes),
+		fmt.Fprintf(w, "%-10s %-20s %-28s %10d %14s %14s %6d %7d %12s\n",
+			s.Phase, s.Op, s.Node, s.N, fmtBytes(s.EstBytes), fmtBytes(s.Bytes),
 			s.Messages, s.Rounds, s.Elapsed.Round(time.Microsecond))
 	}
 	fmt.Fprintf(w, "total: estimated %s, measured %s, %d messages, elapsed %s\n",

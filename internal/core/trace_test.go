@@ -16,17 +16,17 @@ func TestTraceFormatGolden(t *testing.T) {
 		{Phase: "share", Op: "share-input", Node: "R", N: 128,
 			EstBytes: 1024, Bytes: 1032, Messages: 1, Rounds: 1,
 			Elapsed: 250 * time.Microsecond},
-		{Phase: "reduce", Op: "psi-payload", Node: "S→R", Backend: "psi-oep", N: 163,
+		{Phase: "reduce", Op: "psi-payload", Node: "S→R", N: 163,
 			EstBytes: 2240512, Bytes: 2273664, Messages: 9, Rounds: 4,
 			Elapsed: 120 * time.Millisecond},
 	}}
 	var sb strings.Builder
 	tr.Format(&sb)
 	want := "" +
-		"phase      operator             relation                     backend        rows      est. comm     meas. comm   msgs  rounds         time\n" +
-		"setup      ot-setup             Alice→Bob                                      0        75.0 KB        75.5 KB      3       2      1.503ms\n" +
-		"share      share-input          R                                            128         1.0 KB         1.0 KB      1       1        250µs\n" +
-		"reduce     psi-payload          S→R                          psi-oep         163         2.1 MB         2.2 MB      9       4        120ms\n" +
+		"phase      operator             relation                           rows      est. comm     meas. comm   msgs  rounds         time\n" +
+		"setup      ot-setup             Alice→Bob                             0        75.0 KB        75.5 KB      3       2      1.503ms\n" +
+		"share      share-input          R                                   128         1.0 KB         1.0 KB      1       1        250µs\n" +
+		"reduce     psi-payload          S→R                                 163         2.1 MB         2.2 MB      9       4        120ms\n" +
 		"total: estimated 2.2 MB, measured 2.2 MB, 13 messages, elapsed 121.753ms\n"
 	if got := sb.String(); got != want {
 		t.Errorf("Trace.Format drifted.\ngot:\n%s\nwant:\n%s", got, want)

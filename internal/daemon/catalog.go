@@ -69,15 +69,15 @@ func TPCHCatalog(db *tpch.DB) Catalog {
 	return cat
 }
 
-// shapeDigest compiles the runner's shape under opts and returns the
+// shapeDigest compiles the runner's shape and returns the
 // plan, its shape digest and estimated total communication — the
 // admission cost the scheduler charges.
-func shapeDigest(r Runner, ringBits int, opts core.Options) (*core.Query, *core.Plan, error) {
+func shapeDigest(r Runner, ringBits int) (*core.Query, *core.Plan, error) {
 	shape, err := r.Shape()
 	if err != nil {
 		return nil, nil, fmt.Errorf("secyand: catalog shape: %w", err)
 	}
-	plan, err := core.ExplainOpts(shape, ringBits, opts)
+	plan, err := core.ExplainOpts(shape, ringBits, core.Options{})
 	if err != nil {
 		return nil, nil, fmt.Errorf("secyand: catalog plan: %w", err)
 	}

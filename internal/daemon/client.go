@@ -133,9 +133,6 @@ func (c *Client) connErr() error {
 type RunSpec struct {
 	// Name selects the catalog entry (must exist on both ends).
 	Name string
-	// Backend forces the secure-join backend ("" or "auto" keeps the
-	// cost-based choice); agreed with the daemon via the request.
-	Backend string
 	// Deadline bounds the query's wall time on the daemon (and is a
 	// good idea on ctx too).
 	Deadline time.Duration
@@ -151,11 +148,6 @@ func (c *Client) Run(ctx context.Context, spec RunSpec) (*relation.Relation, err
 	if !ok {
 		return nil, fmt.Errorf("secyand: query %q not in client catalog", spec.Name)
 	}
-	backend, err := core.ParseBackend(spec.Backend)
-	if err != nil {
-		return nil, err
-	}
-	opts := core.Options{Backend: backend}
 	shape, err := runner.Shape()
 	if err != nil {
 		return nil, err
@@ -177,7 +169,7 @@ func (c *Client) Run(ctx context.Context, spec RunSpec) (*relation.Relation, err
 	}()
 
 	if err := sendCtrl(&c.sendMu, c.ctrl, &ctrlMsg{
-		Type: msgQuery, ID: id, Name: spec.Name, Backend: spec.Backend,
+		Type: msgQuery, ID: id, Name: spec.Name,
 		DeadlineMS: spec.Deadline.Milliseconds(),
 	}); err != nil {
 		return nil, err
@@ -213,7 +205,7 @@ func (c *Client) Run(ctx context.Context, spec RunSpec) (*relation.Relation, err
 				continue // daemon's half fails too; it falls back
 			}
 			p.Tag.Tenant = c.tenant
-			if _, err := core.PrecomputeOpts(ctx, p, shape, opts); err != nil {
+			if _, err := core.PrecomputeOpts(ctx, p, shape, core.Options{}); err != nil {
 				p.Conn.Close()
 				continue
 			}
@@ -236,7 +228,7 @@ func (c *Client) Run(ctx context.Context, spec RunSpec) (*relation.Relation, err
 				p.Tag.Tenant = c.tenant
 			}
 			defer p.Conn.Close()
-			return runner.Run(ctx, p, opts)
+			return runner.Run(ctx, p, core.Options{})
 
 		default:
 			return nil, fmt.Errorf("secyand: unexpected control message %q", m.Type)

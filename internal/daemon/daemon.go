@@ -344,7 +344,6 @@ type queryState struct {
 	id     uint64 // client request id
 	runner Runner
 	shape  *core.Query
-	opts   core.Options // resolved once at admission; explain, warm and run all see it
 	ctx    context.Context
 	cancel context.CancelFunc
 
@@ -381,13 +380,7 @@ func (cc *clientConn) handleQuery(m *ctrlMsg) {
 		reject(codeUnknownQuery, fmt.Sprintf("query %q not in catalog", m.Name))
 		return
 	}
-	backend, err := core.ParseBackend(m.Backend)
-	if err != nil {
-		reject(codeBadRequest, err.Error())
-		return
-	}
-	opts := core.Options{Backend: backend}
-	shape, plan, err := shapeDigest(runner, d.ring.Bits, opts)
+	shape, plan, err := shapeDigest(runner, d.ring.Bits)
 	if err != nil {
 		reject(codeInternal, err.Error())
 		return
@@ -400,7 +393,7 @@ func (cc *clientConn) handleQuery(m *ctrlMsg) {
 		ctx, cancel = context.WithCancel(context.Background())
 	}
 	qs := &queryState{
-		cc: cc, id: m.ID, runner: runner, shape: shape, opts: opts,
+		cc: cc, id: m.ID, runner: runner, shape: shape,
 		ctx: ctx, cancel: cancel,
 	}
 	t := d.sched.tenantRef(cc.tenant)
@@ -452,7 +445,7 @@ func (cc *clientConn) handleQuery(m *ctrlMsg) {
 				return
 			}
 			p.Tag = obs.QueryTag{SID: cc.sid, QID: j.qid, Tenant: cc.tenant}
-			if _, err := core.PrecomputeOpts(qs.ctx, p, qs.shape, qs.opts); err != nil {
+			if _, err := core.PrecomputeOpts(qs.ctx, p, qs.shape, core.Options{}); err != nil {
 				p.Conn.Close()
 				return
 			}
@@ -528,7 +521,7 @@ func (qs *queryState) exec(j *job) {
 	}
 
 	before := p.Conn.Stats().TotalBytes()
-	_, err := qs.runner.Run(qs.ctx, p, qs.opts)
+	_, err := qs.runner.Run(qs.ctx, p, core.Options{})
 	bytes := p.Conn.Stats().TotalBytes() - before
 	p.Conn.Close()
 	d.sched.complete(j, err, bytes)

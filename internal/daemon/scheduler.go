@@ -13,7 +13,7 @@ import (
 //
 // where V is the scheduler's virtual time (advanced to the start tag of
 // each dispatched job) and cost is the plan's estimated total bytes —
-// the same currency the backend auctions already price in. Dispatch
+// the same currency the planner already prices in. Dispatch
 // picks the eligible head-of-queue job with the smallest finish tag, so
 // a heavy tenant's backlog cannot starve a light tenant: the light
 // tenant's next job carries a smaller finish tag and wins the next

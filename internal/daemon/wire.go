@@ -16,7 +16,7 @@ import (
 //
 //	client → daemon   hello{tenant, proto, ring_bits}
 //	daemon → client   welcome{proto, ring_bits}   | error{code, detail}
-//	client → daemon   query{id, name, backend, deadline_ms}
+//	client → daemon   query{id, name, deadline_ms}
 //	daemon → client   warm{id, name, stream}          (the query will
 //	                  wait: co-run Precompute for name on stream)
 //	daemon → client   admitted{id, stream, warm}      (run on stream;
@@ -31,7 +31,10 @@ import (
 // *transport.SizeError before anything is decoded.
 
 // protoVersion is the control protocol version; both ends must match.
-const protoVersion = 1
+// Version 2 dropped the query's backend field: a version-1 client that
+// forced a backend would run another transcript than the daemon, so it
+// is refused at hello instead.
+const protoVersion = 2
 
 // ctrlStream is the logical stream id of the control channel.
 const ctrlStream = 0
@@ -66,7 +69,6 @@ type ctrlMsg struct {
 	// request id every daemon reply echoes.
 	ID         uint64 `json:"id,omitempty"`
 	Name       string `json:"name,omitempty"`
-	Backend    string `json:"backend,omitempty"`
 	DeadlineMS int64  `json:"deadline_ms,omitempty"`
 
 	// warm / admitted

@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
+	"sync"
 	"testing"
 
 	"secyan/internal/mpc"
@@ -29,7 +31,7 @@ func FuzzControlMessage(f *testing.F) {
 	hello, _ := json.Marshal(&ctrlMsg{Type: msgHello, Proto: protoVersion, Tenant: "acme", RingBits: d.ring.Bits})
 	f.Add(hello)
 	f.Add(bytes.Replace(hello, []byte("acme"), []byte("mallory"), 1))
-	f.Add([]byte(`{"type":"hello","proto":2,"tenant":"acme","ring_bits":32}`))
+	f.Add([]byte(`{"type":"hello","proto":1,"tenant":"acme","ring_bits":32}`))
 	f.Add([]byte(`{"type":"query","id":1,"name":"example"}`))
 	f.Add([]byte(`{"type":7}`))
 	f.Add([]byte(`null`))
@@ -91,4 +93,49 @@ func FuzzControlMessage(f *testing.F) {
 			t.Fatalf("connection still open after rejecting hello %q", data)
 		}
 	})
+}
+
+// TestHelloOtherProtocolVersion sends hellos one version below and one
+// above the daemon's: each gets a bad-request error naming both
+// versions, and the connection then admits no query.
+func TestHelloOtherProtocolVersion(t *testing.T) {
+	q, rels := testQuery(47, 4, 6)
+	dcat, _ := sideCatalogs("example", q, rels)
+	d, err := New(Config{Catalog: dcat, Tenants: map[string]Quota{"acme": {}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Shutdown(context.Background())
+	for _, proto := range []int{protoVersion - 1, protoVersion + 1} {
+		server, client := net.Pipe()
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			d.handleConn(server)
+		}()
+		sess := mpc.NewSession(mpc.Alice, transport.NewConn(client), d.ring, mpc.SessionConfig{})
+		ctrl, err := sess.OpenStream(ctrlStream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mu sync.Mutex
+		if err := sendCtrl(&mu, ctrl, &ctrlMsg{Type: msgHello, Proto: proto, Tenant: "acme", RingBits: d.ring.Bits}); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := recvCtrl(ctrl)
+		if err != nil {
+			t.Fatalf("proto %d: no reply to hello: %v", proto, err)
+		}
+		want := fmt.Sprintf("protocol version %d, want %d", proto, protoVersion)
+		if reply.Type != msgError || reply.Code != codeBadRequest || reply.Detail != want {
+			t.Fatalf("proto %d: hello got %+v, want a %s error %q", proto, reply, codeBadRequest, want)
+		}
+		// A query sent anyway is never admitted: the daemon has hung up.
+		sendCtrl(&mu, ctrl, &ctrlMsg{Type: msgQuery, ID: 1, Name: "example"})
+		if m, err := recvCtrl(ctrl); err == nil {
+			t.Fatalf("proto %d: connection answered a query after a refused hello: %+v", proto, m)
+		}
+		sess.Close()
+		<-served
+	}
 }

@@ -13,13 +13,9 @@ type StepTrace struct {
 	Phase string
 	Op    string
 	Node  string
-	// Backend names the secure-join backend serving the step (semijoin
-	// and aggregate steps only; empty elsewhere). Typed as a string to
-	// keep this package free of core's BackendID.
-	Backend string
-	N       int // public size the step operates on
+	N     int // public size the step operates on
 
-	EstBytes int64 // planned cost from PlanStep.Estimate
+	EstBytes int64 // planned cost: the plan step's EstBytes
 	Bytes    int64 // measured, both directions
 	Messages int64 // measured, both directions
 	Rounds   int64 // measured round count on this party's side

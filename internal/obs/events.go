@@ -10,8 +10,8 @@ import (
 )
 
 // Structured event log: a ring-buffered stream of lifecycle events —
-// session open/close, query admit/start/step/finish, backend auctions,
-// precompute hits/misses, mux faults, daemon scheduling. Every event
+// session open/close, query admit/start/step/finish, precompute
+// hits/misses, mux faults, daemon scheduling. Every event
 // carries the query-scoped tag minted in the root session layer, so one
 // query's life can be reconstructed across layers. An optional log/slog
 // JSON sink mirrors the stream to a writer (the CLIs' -log-json flag).

@@ -76,8 +76,8 @@ func TestEventJSONSinkLines(t *testing.T) {
 
 func TestEventMarshalJSONFlattens(t *testing.T) {
 	l := NewLogger(4)
-	l.Emit("backend.auction", QueryTag{SID: 1, QID: 2},
-		slog.String("step", "join[orders]"), slog.Int64("bid_psi", 100))
+	l.Emit("query.step", QueryTag{SID: 1, QID: 2},
+		slog.String("step", "join[orders]"), slog.Int64("bytes", 100))
 	ev := l.Recent(1)[0]
 	b, err := json.Marshal(ev)
 	if err != nil {
@@ -87,10 +87,10 @@ func TestEventMarshalJSONFlattens(t *testing.T) {
 	if err := json.Unmarshal(b, &m); err != nil {
 		t.Fatalf("marshaled event is not valid JSON: %v", err)
 	}
-	if m["kind"] != "backend.auction" || m["sid"] != float64(1) || m["qid"] != float64(2) {
+	if m["kind"] != "query.step" || m["sid"] != float64(1) || m["qid"] != float64(2) {
 		t.Errorf("fixed fields wrong: %v", m)
 	}
-	if m["step"] != "join[orders]" || m["bid_psi"] != float64(100) {
+	if m["step"] != "join[orders]" || m["bytes"] != float64(100) {
 		t.Errorf("attrs not flattened: %v", m)
 	}
 	if _, ok := m["time"]; !ok {

@@ -8,9 +8,9 @@ import (
 
 // Flight recorder: a fixed-size ring of completed-query records. Where
 // the event log answers "what is happening", the recorder answers "what
-// did query 17 cost": plan digest, backend auctions, per-phase
-// bytes/rounds/wall time from the measured Trace, peer and error blame. Served at /debug/queries and attached to secyan-bench's
-// -json points. The executor only assembles records while obs is
+// did query 17 cost": plan digest, per-phase bytes/rounds/wall time
+// from the measured Trace, peer and error blame. Served at
+// /debug/queries and attached to secyan-bench's -json points. The executor only assembles records while obs is
 // enabled.
 
 // PhaseStat aggregates a query's measured per-step trace over one
@@ -20,14 +20,6 @@ type PhaseStat struct {
 	Bytes   int64   `json:"bytes"`
 	Rounds  int64   `json:"rounds"`
 	Seconds float64 `json:"seconds"`
-}
-
-// AuctionOutcome records one backend auction on a plan step: every bid
-// (estimated on-wire bytes by backend) and the winner actually run.
-type AuctionOutcome struct {
-	Step   string           `json:"step"`   // the plan step's "op[node]" label
-	Chosen string           `json:"chosen"` // the backend that won (or was forced)
-	Bids   map[string]int64 `json:"bids"`   // estimated total bytes by backend
 }
 
 // QueryRecord is one completed plan execution as retained by the flight
@@ -48,8 +40,7 @@ type QueryRecord struct {
 	Rounds        int64   `json:"rounds"`
 	OutputRows    int     `json:"output_rows,omitempty"`
 
-	Phases   []PhaseStat      `json:"phases,omitempty"`
-	Auctions []AuctionOutcome `json:"auctions,omitempty"`
+	Phases []PhaseStat `json:"phases,omitempty"`
 
 	// Error is the execution error, if any; Blame is the failing plan
 	// step's "phase/op[node]" label when one is known.
@@ -122,9 +113,6 @@ func WriteFlightTable(w io.Writer, recs []QueryRecord) {
 		for _, p := range phases {
 			fmt.Fprintf(w, "       phase   %-12s %8.3fs %11dB %7d rounds\n",
 				p.Phase, p.Seconds, p.Bytes, p.Rounds)
-		}
-		for _, a := range r.Auctions {
-			fmt.Fprintf(w, "       auction %s -> %s %v\n", a.Step, a.Chosen, a.Bids)
 		}
 	}
 }

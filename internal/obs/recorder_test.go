@@ -40,8 +40,7 @@ func TestFlightRecordJSONShape(t *testing.T) {
 		QID: 7, SID: 2, Party: "Alice", Peer: "Bob", Query: "Q3",
 		PlanDigest: "deadbeef01234567", Steps: 12,
 		Seconds: 1.5, Bytes: 1 << 20, Rounds: 40, OutputRows: 10,
-		Phases:   []PhaseStat{{Phase: "join", Bytes: 100, Rounds: 3, Seconds: 0.5}},
-		Auctions: []AuctionOutcome{{Step: "join[orders]", Chosen: "psi", Bids: map[string]int64{"psi": 100, "gc": 900}}},
+		Phases: []PhaseStat{{Phase: "join", Bytes: 100, Rounds: 3, Seconds: 0.5}},
 	}
 	b, err := json.Marshal(r)
 	if err != nil {
@@ -50,7 +49,6 @@ func TestFlightRecordJSONShape(t *testing.T) {
 	for _, want := range []string{
 		`"qid":7`, `"sid":2`, `"plan_digest":"deadbeef01234567"`,
 		`"steps":12`, `"output_rows":10`, `"phases":[{"phase":"join"`,
-		`"chosen":"psi"`,
 	} {
 		if !strings.Contains(string(b), want) {
 			t.Errorf("record JSON missing %q:\n%s", want, b)
@@ -58,7 +56,7 @@ func TestFlightRecordJSONShape(t *testing.T) {
 	}
 	// Zero-valued optional fields stay out of the wire format.
 	b2, _ := json.Marshal(QueryRecord{QID: 1, Party: "Bob", Peer: "Alice", Query: "Q8"})
-	for _, absent := range []string{"sid", "output_rows", "error", "blame", "phases", "auctions"} {
+	for _, absent := range []string{"sid", "output_rows", "error", "blame", "phases"} {
 		if strings.Contains(string(b2), `"`+absent+`"`) {
 			t.Errorf("minimal record JSON should omit %q:\n%s", absent, b2)
 		}
@@ -69,8 +67,7 @@ func TestFlightTableRendering(t *testing.T) {
 	recs := []QueryRecord{
 		{QID: 2, SID: 1, Party: "Alice", Query: "Q10", PlanDigest: "0011223344556677",
 			Steps: 9, Seconds: 0.25, Bytes: 2048, Rounds: 12,
-			Phases:   []PhaseStat{{Phase: "reveal", Bytes: 48, Rounds: 2, Seconds: 0.01}},
-			Auctions: []AuctionOutcome{{Step: "semijoin[c]", Chosen: "gc", Bids: map[string]int64{"gc": 10}}}},
+			Phases: []PhaseStat{{Phase: "reveal", Bytes: 48, Rounds: 2, Seconds: 0.01}}},
 		{QID: 1, Party: "Bob", Query: "Q3", PlanDigest: "aabbccddeeff0011",
 			Steps: 4, Error: "peer timeout", Blame: "join/psi[orders]"},
 	}
@@ -81,7 +78,6 @@ func TestFlightTableRendering(t *testing.T) {
 		"flight recorder (2 records, newest first):",
 		"Q10", "0011223344556677",
 		"phase   reveal",
-		"auction semijoin[c] -> gc",
 		"error: peer timeout @ join/psi[orders]",
 	} {
 		if !strings.Contains(out, want) {

@@ -104,7 +104,7 @@ func TestCostExact(t *testing.T) {
 // bin count up to 64 and a handful of larger ones, and pins the gadget
 // itself to one comparison per bin: τ − 1 AND gates, no ANDG, τ evaluator
 // inputs and one select of two w + ℓ + 1-bit words, whatever the sender's
-// load bound L — the planner prices every PSI bid from these dimensions.
+// load bound L — the planner prices every PSI step from these dimensions.
 func TestCircuitDimsMatchBuiltCircuits(t *testing.T) {
 	const ell = 32
 	sizes := []int{97, 200, 333}

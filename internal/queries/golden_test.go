@@ -20,9 +20,8 @@ const goldenEstOut = 16
 
 // TestGoldenPlans pins the rendered execution plan of every TPC-H query
 // at the shared test scale, and, in whole bytes, every step's estimates
-// and every auction bid (the rendered plan rounds to 0.1 KB/MB, which
-// hides drifts of many KB) — also with the gc backend forced and with
-// every input secret-shared. Any change to the plan compiler — step
+// (the rendered plan rounds to 0.1 KB/MB, which hides drifts of many
+// KB) — also with every input secret-shared. Any change to the plan compiler — step
 // order, operator naming, cost model — shows up as a readable diff
 // here; regenerate with `go test ./internal/queries -run Golden -update`
 // after reviewing it.
@@ -41,15 +40,8 @@ func TestGoldenPlans(t *testing.T) {
 			var plain, exact bytes.Buffer
 			plan.Format(&plain)
 			formatBytes(&exact, plan)
-			// The whole-byte listing also pins the plans that take the
-			// other operator paths: every step on the gc backend where it
-			// bids, and every input secret-shared.
-			forced, err := core.ExplainOpts(q, 32, core.Options{EstOut: goldenEstOut, Backend: core.BackendGC})
-			if err != nil {
-				t.Fatal(err)
-			}
-			fmt.Fprintf(&exact, "\nbackend gc:\n")
-			formatBytes(&exact, forced)
+			// The whole-byte listing also pins the plan that takes the
+			// shared-input operator paths: every input secret-shared.
 			shared := *q
 			shared.NoLocalOptimizations = true
 			noOpt, err := core.ExplainOpts(&shared, 32, core.Options{EstOut: goldenEstOut})
@@ -66,19 +58,11 @@ func TestGoldenPlans(t *testing.T) {
 }
 
 // formatBytes lists plan's estimates in whole bytes: per step its
-// EstBytes, EstOfflineBytes and EstOnlineBytes, then every bid of its
-// backend auction (* marks the winner), then the plan totals.
+// EstBytes, EstOfflineBytes and EstOnlineBytes, then the plan totals.
 func formatBytes(buf *bytes.Buffer, plan *core.Plan) {
 	for i, s := range plan.Steps {
 		fmt.Fprintf(buf, "%2d %s/%s[%s] est=%d offline=%d online=%d\n",
 			i, s.Phase, s.Op, s.Node, s.EstBytes, s.EstOfflineBytes, s.EstOnlineBytes)
-		for _, a := range s.Alternatives {
-			mark := " "
-			if a.Chosen {
-				mark = "*"
-			}
-			fmt.Fprintf(buf, "   %s%s=%d\n", mark, a.Backend, a.EstBytes)
-		}
 	}
 	fmt.Fprintf(buf, "total est=%d offline=%d online=%d\n", plan.EstBytes, plan.EstOfflineBytes, plan.EstOnlineBytes)
 }

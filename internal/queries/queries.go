@@ -32,7 +32,7 @@ type Spec struct {
 	Figure      int // paper figure number reproducing this query
 	Description string
 	// SecureOpts executes the 2PC protocol under opts; Alice receives
-	// the results. Both parties must pass the same backend.
+	// the results. Both parties must pass the same options.
 	SecureOpts func(p *mpc.Party, db *tpch.DB, opts core.Options) (*relation.Relation, error)
 	// Plain evaluates the query in the clear with the plaintext
 	// Yannakakis engine over the same ring.

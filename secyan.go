@@ -88,9 +88,6 @@ type (
 	// Trace is the per-step record of a protocol run (or of an offline
 	// Precompute pass).
 	Trace = core.Trace
-	// BackendID names a secure-join backend; see WithBackend and the
-	// Backend* constants.
-	BackendID = core.BackendID
 )
 
 // Party roles.
@@ -100,22 +97,6 @@ const (
 	// Bob is the other party.
 	Bob = mpc.Bob
 )
-
-// Secure-join backends selectable with WithBackend. The zero BackendID
-// keeps per-step cost-based selection.
-const (
-	// BackendPSIOEP is the paper's protocol stack: PSI payload sharing
-	// composed with oblivious extended permutations.
-	BackendPSIOEP = core.BackendPSIOEP
-	// BackendGC runs the step as one monolithic garbled circuit — the
-	// baseline the paper compares against, practical at small sizes.
-	BackendGC = core.BackendGC
-)
-
-// ParseBackend maps a command-line backend name to a BackendID. It
-// accepts "auto" (or the empty string) for cost-based selection and the
-// Backend* constant names.
-func ParseBackend(s string) (BackendID, error) { return core.ParseBackend(s) }
 
 // DefaultRing is the 32-bit annotation ring used in the paper's
 // experiments (ℓ = 32, §8.2).
@@ -180,9 +161,9 @@ type Plan = core.Plan
 // Explain derives the execution plan and a communication estimate for a
 // query from public parameters only (both parties compute identical
 // plans — a restatement of obliviousness), without a session. Options:
-// WithRing selects the annotation ring (default DefaultRing), WithEstOut
+// WithRing selects the annotation ring (default DefaultRing) and WithEstOut
 // the assumed output size for the join-phase steps of multi-survivor
-// queries, and WithBackend a forced secure-join backend.
+// queries.
 func Explain(q *Query, opts ...Option) (*Plan, error) {
 	cfg := buildConfig(opts)
 	return core.ExplainOpts(q, cfg.ring.Bits, cfg.plan())
@@ -195,8 +176,8 @@ func Explain(q *Query, opts ...Option) (*Plan, error) {
 // observed run is byte-identical on the wire to an unobserved one.
 
 // QueryRecord is one completed execution's flight-recorder record:
-// plan digest, chosen-vs-rejected backends, per-phase bytes/rounds/wall
-// time, peer, and error/fault blame.
+// plan digest, per-phase bytes/rounds/wall time, peer, and error/fault
+// blame.
 type QueryRecord = obs.QueryRecord
 
 // Event is one structured lifecycle event retained by the event log.
@@ -215,7 +196,7 @@ func SetFlightCapacity(n int) {
 }
 
 // LogEventsJSON mirrors the structured event log to w as JSON lines
-// (session/query lifecycle, backend auctions, precompute pool hits,
+// (session/query lifecycle, precompute pool hits,
 // transport faults) and enables observation. A nil w detaches the sink.
 func LogEventsJSON(w io.Writer) { obs.Events().SetJSONSink(w) }
 

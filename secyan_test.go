@@ -2,7 +2,9 @@ package secyan
 
 import (
 	"context"
+	"net"
 	"testing"
+	"time"
 )
 
 // exampleQuery reproduces the quickstart (paper Example 1.1) through the
@@ -141,7 +143,14 @@ func TestCheckFreeConnexErrors(t *testing.T) {
 
 func TestPublicAPIOverTCP(t *testing.T) {
 	_, _, _, build := exampleQuery()
-	const addr = "127.0.0.1:39613"
+	// Take a port the kernel reports free instead of a fixed one, which
+	// any other process on the host may hold.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
 	type ares struct {
 		s   *Session
 		err error
@@ -151,11 +160,13 @@ func TestPublicAPIOverTCP(t *testing.T) {
 		s, err := ListenSession(addr, Alice)
 		ch <- ares{s, err}
 	}()
+	// Dial until the listener is up, pacing the attempts so that a
+	// loaded machine that schedules the listening goroutine late still
+	// gets it bound in time.
 	var bob *Session
-	var err error
-	for i := 0; i < 200; i++ {
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
 		bob, err = DialSession(addr, Bob)
-		if err == nil {
+		if err == nil || time.Now().After(deadline) {
 			break
 		}
 	}

@@ -51,7 +51,6 @@ type config struct {
 	streamDeadline time.Duration
 	heartbeat      time.Duration
 	estOut         int
-	backend        core.BackendID
 	tenant         string
 	shared         bool
 	wrapStream     func(id uint32, c Conn) Conn
@@ -60,13 +59,13 @@ type config struct {
 // plan is the config's view of one query: the core.Options that
 // Explain, Precompute and Query all compile the same plan from.
 func (c *config) plan() core.Options {
-	return core.Options{EstOut: c.estOut, Backend: c.backend}
+	return core.Options{EstOut: c.estOut}
 }
 
 // Option configures a session and the executions on it. Given to Open
 // (OpenLocal, ListenSession, DialSession) an option sets the session's
-// default; the options that describe a single execution — WithBackend,
-// WithEstOut, WithTenant, WithStreamDeadline, WithSharedResult — may
+// default; the options that describe a single execution — WithEstOut,
+// WithTenant, WithStreamDeadline, WithSharedResult — may
 // also be given to Query, Precompute, RevealRatio, ExecSQL and Explain,
 // where they override that default for the one call. Options that
 // shape the connection (WithRing on a Session, WithHeartbeat,
@@ -96,12 +95,6 @@ func WithHeartbeat(interval time.Duration) Option { return func(c *config) { c.h
 // steps of multi-survivor queries. The join-tree root is chosen by
 // total estimate, so both parties must configure the same value.
 func WithEstOut(n int) Option { return func(c *config) { c.estOut = n } }
-
-// WithBackend forces every semijoin/aggregate step onto one secure-join
-// backend wherever it is applicable (BackendPSIOEP, BackendGC); steps where it does not apply keep the cost-based choice.
-// The zero value selects the cheapest applicable backend per step. Both
-// parties must configure the same backend: it changes the transcript.
-func WithBackend(b BackendID) Option { return func(c *config) { c.backend = b } }
 
 // WithTenant labels queries with a tenant — the billing/scheduling
 // principal carried on events, labeled metrics and flight records (and
@@ -341,7 +334,7 @@ func (s *Session) Precompute(ctx context.Context, q *Query, opts ...Option) (*Tr
 // fresh stream — the composition used for AVG and market-share style
 // aggregates over two WithSharedResult results.
 func (s *Session) RevealRatio(ctx context.Context, num, den *SharedResult, scale uint64, opts ...Option) (*Relation, error) {
-	x, err := s.admit(ctx, s.cfg.with(opts), "reveal-ratio", false)
+	x, err := s.admit(ctx, s.cfg.with(opts), "reveal-ratio", true)
 	if err != nil {
 		return nil, err
 	}

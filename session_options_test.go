@@ -44,10 +44,10 @@ func TestQueryUnifiedAPI(t *testing.T) {
 
 // TestOptionPrecedence pins the one rule of the options model — options
 // given at Open are defaults, the same options given per call override
-// them — over {backend, tenant, deadline}, and that Explain, Precompute
-// and Query of one call all see the same resolved values: the plan's
-// step backends, the offline trace's bytes, the online trace's step
-// backends, and the flight record's plan digest and tenant.
+// them — over {assumed output size, tenant, deadline}, and that Explain,
+// Precompute and Query of one call all see the same resolved values: the
+// plan's EstOut, the offline trace's bytes, the online trace's steps and
+// estimates, and the flight record's plan digest and tenant.
 func TestOptionPrecedence(t *testing.T) {
 	q, rels := sessionExampleQuery(13, 8, 14)
 
@@ -60,21 +60,21 @@ func TestOptionPrecedence(t *testing.T) {
 		obs.Flight().Reset()
 	}()
 
-	session := []Option{WithBackend(BackendGC), WithTenant("session-tenant"), WithStreamDeadline(time.Minute)}
+	session := []Option{WithEstOut(7), WithTenant("session-tenant"), WithStreamDeadline(time.Minute)}
 	for _, tc := range []struct {
 		name       string
 		open, call []Option
 		// The resolved values every layer must see.
-		backend BackendID
+		estOut  int
 		tenant  string
 		expired bool
 	}{
 		{name: "built-in defaults"},
 		{name: "session default", open: session,
-			backend: BackendGC, tenant: "session-tenant"},
+			estOut: 7, tenant: "session-tenant"},
 		{name: "per-call override", open: session,
-			call:    []Option{WithBackend(BackendPSIOEP), WithTenant("call-tenant")},
-			backend: BackendPSIOEP, tenant: "call-tenant"},
+			call:   []Option{WithEstOut(3), WithTenant("call-tenant")},
+			estOut: 3, tenant: "call-tenant"},
 		{name: "session deadline", open: []Option{WithStreamDeadline(time.Nanosecond)},
 			expired: true},
 		{name: "per-call deadline tightens", open: session,
@@ -105,33 +105,13 @@ func TestOptionPrecedence(t *testing.T) {
 				t.Fatalf("Precompute %v, Query %v", preErr, runErr)
 			}
 
-			// Explain: the resolved backend, in the plan.
+			// Explain: the resolved output size, in the plan.
 			plan, err := alice.Explain(viewFor(q, rels, Alice), tc.call...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			secure := map[BackendID]bool{}
-			gcLost := 0 // steps gc bid for but did not serve
-			for _, st := range plan.Steps {
-				if st.Backend != "" && st.Backend != "local" {
-					secure[st.Backend] = true
-				}
-				for _, alt := range st.Alternatives {
-					if alt.Backend == BackendGC && st.Backend != BackendGC {
-						gcLost++
-					}
-				}
-			}
-			switch tc.backend {
-			case BackendGC:
-				// gc bids for semijoins only; aggregations keep psi-oep.
-				if !secure[BackendGC] || gcLost > 0 {
-					t.Errorf("forced gc not honored: plan step backends %v, %d steps lost by gc", secure, gcLost)
-				}
-			case BackendPSIOEP:
-				if secure[BackendGC] {
-					t.Errorf("forced psi-oep did not displace gc: plan step backends %v", secure)
-				}
+			if plan.EstOut != tc.estOut {
+				t.Errorf("plan assumes OUT = %d, want %d", plan.EstOut, tc.estOut)
 			}
 
 			// Precompute staged that plan: its offline estimate, exactly.
@@ -157,15 +137,16 @@ func TestOptionPrecedence(t *testing.T) {
 				t.Errorf("Precompute admitted under tenant %q, want %q", preTenant, tc.tenant)
 			}
 
-			// Query ran that plan: the same backend step by step, the staged
+			// Query ran that plan: the same steps and estimates, the staged
 			// material consumed, and the flight record carrying the plan's
 			// digest and the tenant.
 			if len(res.Trace.Steps) != len(plan.Steps) {
 				t.Fatalf("Query ran %d steps, Explain plans %d", len(res.Trace.Steps), len(plan.Steps))
 			}
 			for i, st := range res.Trace.Steps {
-				if st.Backend != string(plan.Steps[i].Backend) {
-					t.Errorf("step %d (%s): Query ran backend %q, Explain plans %q", i, st.Op, st.Backend, plan.Steps[i].Backend)
+				if ps := plan.Steps[i]; st.Op != ps.Op || st.Node != ps.Node || st.EstBytes != ps.EstBytes {
+					t.Errorf("step %d: Query ran %s[%s] estimated at %d B, Explain plans %s[%s] at %d B",
+						i, st.Op, st.Node, st.EstBytes, ps.Op, ps.Node, ps.EstBytes)
 				}
 			}
 			if got := res.Trace.TotalBytes(); got != plan.EstOnlineBytes {

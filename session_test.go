@@ -243,6 +243,67 @@ func TestSessionSharedComposition(t *testing.T) {
 	}
 }
 
+// TestRevealRatioLeavesPrecomputeParked runs a shared sum and count,
+// parks a precompute of q, reveals their ratio, then queries q. The
+// ratio runs on a fresh stream, so the parked stream survives it and
+// the query runs warm: it moves exactly the plan's online estimate.
+func TestRevealRatioLeavesPrecomputeParked(t *testing.T) {
+	q, rels := sessionExampleQuery(19, 10, 16)
+	cntRels := make([]*Relation, len(rels))
+	for i, r := range rels {
+		c := NewRelation(r.Schema.Attrs...)
+		for j := range r.Tuples {
+			c.Append(r.Tuples[j], 1)
+		}
+		cntRels[i] = c
+	}
+
+	alice, bob := OpenLocal()
+	defer alice.Close()
+	defer bob.Close()
+	ctx := context.Background()
+
+	shared := func(rs []*Relation) (a, b *SharedResult) {
+		t.Helper()
+		ra, rb, err := both(alice, bob, func(s *Session) (*Result, error) {
+			return s.Query(ctx, viewFor(q, rs, s.role), WithSharedResult())
+		})
+		if err != nil {
+			t.Fatalf("shared query: %v", err)
+		}
+		return ra.Shared, rb.Shared
+	}
+	numA, numB := shared(rels)
+	denA, denB := shared(cntRels)
+	if _, _, err := both(alice, bob, func(s *Session) (*Trace, error) {
+		return s.Precompute(ctx, viewFor(q, nil, Role(255)))
+	}); err != nil {
+		t.Fatalf("precompute: %v", err)
+	}
+	if _, _, err := both(alice, bob, func(s *Session) (*Relation, error) {
+		if s.role == Alice {
+			return s.RevealRatio(ctx, numA, denA, 1)
+		}
+		return s.RevealRatio(ctx, numB, denB, 1)
+	}); err != nil {
+		t.Fatalf("reveal ratio: %v", err)
+	}
+	res, _, err := both(alice, bob, func(s *Session) (*Result, error) {
+		return s.Query(ctx, viewFor(q, rels, s.role))
+	})
+	if err != nil {
+		t.Fatalf("query: %v", err)
+	}
+	plan, err := Explain(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Trace.TotalBytes(); got != plan.EstOnlineBytes {
+		t.Errorf("query after RevealRatio moved %d bytes, want the precomputed online estimate %d (cold: %d)",
+			got, plan.EstOnlineBytes, plan.EstBytes)
+	}
+}
+
 // TestSessionExplain checks that the options-based Explain agrees
 // between the top-level function and the session method, and that both
 // parties derive identical plans from public parameters.
