@@ -95,7 +95,8 @@ vet:
 # included) and both sides of the label OT (corrections, label shifts,
 # derandomization bits), the PSI's hint and KKRT-matrix decoders and
 # both halves of its ρ-OT (opening, direct and pooled, and
-# corrections), a whole OEP, direct and pooled, against a
+# corrections), the PSI's OKVS (encode at any distinct keys, values and
+# widths, decode each back, refuse a hint of the wrong length), a whole OEP, direct and pooled, against a
 # hostile peer, and the daemon's control line (any bytes, also as the
 # hello); extend -fuzztime locally for real fuzzing sessions.
 fuzz:
@@ -108,5 +109,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzBaseOTMessages -fuzztime 10s ./internal/ot
 	$(GO) test -run '^$$' -fuzz FuzzGarbledMessage -fuzztime 10s ./internal/gc
 	$(GO) test -run '^$$' -fuzz FuzzPSIMessages -fuzztime 10s ./internal/psi
+	$(GO) test -run '^$$' -fuzz FuzzOKVS -fuzztime 10s ./internal/psi
 	$(GO) test -run '^$$' -fuzz FuzzOEPMessages -fuzztime 10s ./internal/oep
 	$(GO) test -run '^$$' -fuzz FuzzControlMessage -fuzztime 10s ./internal/daemon

@@ -1,8 +1,7 @@
 // Package cuckoo implements the hashing substrate of the circuit-based PSI
 // protocol (paper §5.3): 3-function cuckoo hashing with B = 1.27·M bins
-// for the receiver, and the binomial bin-load bound used to pad the
-// sender's simple-hashed bins so that overflow probability stays below
-// 2^-σ.
+// for the receiver, and the bin assignment the sender uses to
+// simple-hash each of his elements into its three candidate bins.
 package cuckoo
 
 import (
@@ -198,38 +197,4 @@ func (t *Table) BinHash(b int) int {
 // BinOfItem returns the bin occupied by Items[i].
 func (t *Table) BinOfItem(i int) int {
 	return BinOf(t.Seed, t.B, t.Items[i], int(t.WhichHash[i]))
-}
-
-// MaxBinLoad returns the smallest per-bin capacity L such that throwing
-// nBalls balls independently into b bins exceeds L in some bin with
-// probability below 2^-sigma. It uses the multiplicative Chernoff bound
-//
-//	P[Bin(n, 1/b) ≥ L] ≤ exp(-μ) (eμ/L)^L,  μ = n/b,
-//
-// union-bounded over the b bins. The sender of the PSI protocol pads every
-// bin to exactly L entries so that its message sizes depend only on public
-// parameters.
-func MaxBinLoad(nBalls, b, sigma int) int {
-	if nBalls == 0 || b == 0 {
-		return 1
-	}
-	mu := float64(nBalls) / float64(b)
-	target := -float64(sigma)*math.Ln2 - math.Log(float64(b))
-	l := int(math.Ceil(mu))
-	if l < 1 {
-		l = 1
-	}
-	for ; ; l++ {
-		fl := float64(l)
-		if fl <= mu {
-			continue
-		}
-		logBound := -mu + fl*(1+math.Log(mu)-math.Log(fl))
-		if logBound <= target {
-			return l
-		}
-		if l > nBalls {
-			return nBalls // can never exceed the total number of balls
-		}
-	}
 }

@@ -104,47 +104,6 @@ func TestBinOfInRangeAndDeterministic(t *testing.T) {
 	}
 }
 
-func TestMaxBinLoadMonotonicAndSane(t *testing.T) {
-	// More balls in the same bins → larger bound.
-	l1 := MaxBinLoad(300, 127, 40)
-	l2 := MaxBinLoad(3000, 127, 40)
-	if l1 > l2 {
-		t.Fatalf("MaxBinLoad not monotone: %d > %d", l1, l2)
-	}
-	// The bound must be at least the mean load.
-	if float64(l2) < 3000.0/127 {
-		t.Fatalf("bound %d below mean", l2)
-	}
-	// Degenerate inputs.
-	if MaxBinLoad(0, 10, 40) != 1 || MaxBinLoad(10, 0, 40) != 1 {
-		t.Fatal("degenerate cases")
-	}
-	// And never exceeds the ball count.
-	if MaxBinLoad(5, 1, 40) > 5 {
-		t.Fatal("bound exceeds ball count")
-	}
-}
-
-// TestMaxBinLoadEmpirical throws balls many times and checks the bound is
-// never exceeded (a much weaker event than the 2^-40 bound, but a sanity
-// check that the formula is not wildly off).
-func TestMaxBinLoadEmpirical(t *testing.T) {
-	const balls, bins = 3000, 1270
-	l := MaxBinLoad(balls, bins, 40)
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 50; trial++ {
-		counts := make([]int, bins)
-		for i := 0; i < balls; i++ {
-			counts[rng.Intn(bins)]++
-		}
-		for b, c := range counts {
-			if c > l {
-				t.Fatalf("trial %d: bin %d has %d > bound %d", trial, b, c, l)
-			}
-		}
-	}
-}
-
 // TestPropertyBuildAlwaysSucceedsOnRandomSets: with B = 1.27·m and three
 // hash functions, building should essentially never fail for random
 // distinct inputs (failure probability < 2^-σ per attempt, with rehash

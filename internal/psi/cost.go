@@ -25,6 +25,6 @@ func (pr Params) Demands(ell int, indexed bool) Demand {
 	if indexed {
 		w = idxWidth(pr.N + pr.B)
 	}
-	return Demand{Seed: prf.SeedSize, Hint: pr.B * pr.hint(w).binBytes(), RhoLen: rhoBytes(w),
+	return Demand{Seed: prf.SeedSize, Hint: pr.hint(w).bytes(), RhoLen: rhoBytes(w),
 		Circuit: func() *gc.Circuit { return buildCircuit(pr, w, ell) }}
 }

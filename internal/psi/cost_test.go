@@ -104,7 +104,8 @@ func TestCostExact(t *testing.T) {
 // bin count up to 64 and a handful of larger ones, and pins the gadget
 // itself to one comparison per bin: τ − 1 AND gates, no ANDG, τ evaluator
 // inputs and one select of two w + ℓ + 1-bit words, whatever the sender's
-// load bound L — the planner prices every PSI step from these dimensions.
+// set size N — the planner prices every PSI step from these dimensions,
+// and the hint from the store's m(3N) slots.
 func TestCircuitDimsMatchBuiltCircuits(t *testing.T) {
 	const ell = 32
 	sizes := []int{97, 200, 333}
@@ -112,29 +113,29 @@ func TestCircuitDimsMatchBuiltCircuits(t *testing.T) {
 		sizes = append(sizes, b)
 	}
 	for name, w := range map[string]int{"direct": ell, "clear-index": 11} {
-		for _, l := range []int{1, 5, 44} {
+		for _, n := range []int{1, 5, 44} {
 			for _, bins := range sizes {
-				pr := Params{B: bins, L: l}
+				pr := Params{B: bins, N: n}
 				looped := gc.NewBuilder()
 				for i := 0; i < bins; i++ {
 					binGadget(looped, pr.tau(), w, ell)
 				}
 				c := buildCircuit(pr, w, ell)
 				if got, want := gc.DimsOf(c), gc.DimsOf(looped.Build()); got != want {
-					t.Fatalf("%s B=%d L=%d: slot-built %+v, looped %+v", name, bins, l, got, want)
+					t.Fatalf("%s B=%d N=%d: slot-built %+v, looped %+v", name, bins, n, got, want)
 				}
 				if name == "clear-index" {
 					pr.N = 1<<11 - bins // so that idxWidth(N+B) is the 11 bits built above
 				}
 				d := pr.Demands(ell, name == "clear-index")
-				if d.RhoLen != (w+7)/8 || d.Hint != bins*pr.hint(w).binBytes() || gc.DimsOf(d.Circuit()) != gc.DimsOf(c) {
+				if d.RhoLen != (w+7)/8 || d.Hint != okvsSlots(3*pr.N, bandBits)*pr.hint(w).slotBytes() || gc.DimsOf(d.Circuit()) != gc.DimsOf(c) {
 					t.Fatalf("%s B=%d: demands %+v with circuit %+v, built %+v",
 						name, bins, d, gc.DimsOf(d.Circuit()), gc.DimsOf(c))
 				}
 				if c.NumAnd != pr.tau()-1 || c.NumAndG != 0 || len(c.EvalInputs) != pr.tau() ||
 					len(c.GarblerInputs) != 0 || len(c.EvalOutputs) != 0 {
-					t.Fatalf("%s B=%d L=%d: bin gadget has %d AND, %d ANDG, %d evaluator inputs, %d outputs",
-						name, bins, l, c.NumAnd, c.NumAndG, len(c.EvalInputs), len(c.EvalOutputs))
+					t.Fatalf("%s B=%d N=%d: bin gadget has %d AND, %d ANDG, %d evaluator inputs, %d outputs",
+						name, bins, n, c.NumAnd, c.NumAndG, len(c.EvalInputs), len(c.EvalOutputs))
 				}
 				if dims := gc.DimsOf(c); dims.PayloadBytes != bins*2*((w+ell+1+7)/8) {
 					t.Fatalf("%s B=%d: %d select bytes, want two %d-bit words per bin", name, bins, dims.PayloadBytes, w+ell+1)

@@ -1,6 +1,7 @@
 package psi
 
 import (
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -33,19 +34,15 @@ func FuzzPSIMessages(f *testing.F) {
 	g := prf.NewPRG(prf.Seed{0xf5})
 	seed := g.Seed()
 
-	// A well-formed hint: every bin programmed at load bin % (L+1).
-	enc := newHintCoder(h, seed, pr.L)
-	bb := h.binBytes()
-	goodHint := make([]byte, pr.B*bb)
-	keys, vals := make([][]uint64, pr.B), make([][]value, pr.B)
-	for bin := range keys {
-		for i := 0; i < bin%(pr.L+1); i++ {
-			keys[bin] = append(keys[bin], uint64(bin*64+i)<<2)
-			vals[bin] = append(vals[bin], h.mask(value{g.Uint64(), g.Uint64()}))
-		}
-		if err := enc.encode(goodHint[bin*bb:(bin+1)*bb], keys[bin], vals[bin], g); err != nil {
-			f.Fatal(err)
-		}
+	// A well-formed hint: the store programmed at all 3N keys.
+	keys, vals := make([]uint64, 3*pr.N), make([]value, 3*pr.N)
+	for i := range keys {
+		keys[i] = uint64(i)<<2 | uint64(i%3)
+		vals[i] = h.mask(value{g.Uint64(), g.Uint64()})
+	}
+	goodHint, err := encodeKeys(h, seed, keys, vals, g)
+	if err != nil {
+		f.Fatal(err)
 	}
 
 	// One party pair for the whole run: the fuzzer plays one party's
@@ -160,17 +157,14 @@ func FuzzPSIMessages(f *testing.F) {
 		}
 
 		if what == 0 {
-			hint, err := transport.RecvSized(bob.Conn, "psi: hint", pr.B*bb)
+			hint, err := transport.RecvSized(bob.Conn, "psi: hint", h.bytes())
 			if check(err, "hint"); !sized {
 				return
 			}
-			dec := newHintCoder(h, seed, 0)
-			for bin := range keys {
-				dec.decode(hint[bin*bb:(bin+1)*bb], receiverDummyKey)
-				for i, k := range keys[bin] {
-					if got := dec.decode(hint[bin*bb:(bin+1)*bb], k); mode%4 == 0 && got != vals[bin][i] {
-						t.Fatalf("untouched hint: bin %d key %d decodes to %+v, programmed %+v", bin, i, got, vals[bin][i])
-					}
+			h.decode(hint, seed, receiverDummyKey)
+			for i, k := range keys {
+				if got := h.decode(hint, seed, k); mode%4 == 0 && got != vals[i] {
+					t.Fatalf("untouched hint: key %d decodes to %+v, programmed %+v", i, got, vals[i])
 				}
 			}
 			return
@@ -181,6 +175,79 @@ func FuzzPSIMessages(f *testing.F) {
 			for bin := 0; bin < pr.B; bin++ {
 				o.eval(bin, uint64(bin)<<2)
 			}
+		}
+	})
+}
+
+// FuzzOKVS programs the store at fuzzer-chosen distinct keys, values and
+// widths, and decodes every programmed key back to its value; the hint
+// it sends must reach the receiver only at its exact public length —
+// RecvSized refuses a truncated or extended one before allocating a
+// payload-sized buffer. raw holds 8 bytes per key (duplicates are
+// dropped, as the senders merge or refuse them), n pads the set with
+// small counting keys up to n mod 4096, vseed draws the values and
+// resize cuts or extends the sent hint.
+func FuzzOKVS(f *testing.F) {
+	f.Add([]byte("\x01\x00\x00\x00\x00\x00\x00\x00"), uint16(0), uint8(32), uint8(7), uint64(1), int16(0))
+	f.Add([]byte{}, uint16(0), uint8(1), uint8(1), uint64(2), int16(-3))
+	f.Add([]byte("abcdefghABCDEFGH"), uint16(2000), uint8(64), uint8(64), uint64(3), int16(5))
+	f.Add([]byte("\xff\xff\xff\xff\xff\xff\xff\xff"), uint16(300), uint8(11), uint8(40), uint64(4), int16(1))
+	alice, bob := mpc.Pair(share.Ring{Bits: 32})
+	f.Cleanup(func() { alice.Conn.Close(); bob.Conn.Close() })
+	f.Fuzz(func(t *testing.T, raw []byte, n uint16, w, tau uint8, vseed uint64, resize int16) {
+		seen := map[uint64]bool{}
+		var keys []uint64
+		for ; len(raw) >= 8; raw = raw[8:] {
+			if k := binary.LittleEndian.Uint64(raw); !seen[k] {
+				seen[k] = true
+				keys = append(keys, k)
+			}
+		}
+		for k := uint64(len(keys)); len(keys) < int(n%4096); k++ {
+			if !seen[k] {
+				seen[k] = true
+				keys = append(keys, k)
+			}
+		}
+		h := hintDims{slots: okvsSlots(len(keys), bandBits), band: bandBits,
+			tau: 1 + int(tau)%64, width: 1 + int(w)%64}
+		g := prf.NewPRG(prf.Seed{byte(vseed), byte(vseed >> 8), byte(vseed >> 16)})
+		vals := make([]value, len(keys))
+		for i := range vals {
+			vals[i] = h.mask(value{g.Uint64(), g.Uint64()})
+		}
+		seed := g.Seed()
+		hint, err := encodeKeys(h, seed, keys, vals, g)
+		if err != nil {
+			t.Fatalf("%d keys: %v", len(keys), err)
+		}
+		msg := hint
+		if resize > 0 {
+			msg = append(hint[:len(hint):len(hint)], make([]byte, int(resize))...)
+		} else if resize < 0 {
+			msg = hint[:max(0, len(hint)+int(resize))]
+		}
+		if err := alice.Conn.Send(append([]byte(nil), msg...)); err != nil {
+			t.Fatal(err)
+		}
+		got, err := transport.RecvSized(bob.Conn, "psi: hint", h.bytes())
+		var se *transport.SizeError
+		if resize != 0 {
+			if !errors.As(err, &se) {
+				t.Fatalf("hint of %d bytes (want %d): %v, want a *transport.SizeError", len(msg), h.bytes(), err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, k := range keys {
+			if v := h.decode(got, seed, k); v != vals[i] {
+				t.Fatalf("%d keys, w=%d τ=%d: key %#x decodes to %+v, programmed %+v", len(keys), h.width, h.tau, k, v, vals[i])
+			}
+		}
+		if v := h.decode(got, seed, receiverDummyKey); v != h.mask(v) {
+			t.Fatalf("decoded value %+v exceeds the slot widths", v)
 		}
 	})
 }

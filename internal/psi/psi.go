@@ -15,13 +15,13 @@
 // says which of its building blocks are substituted). The receiver (Alice)
 // cuckoo-hashes her set into B = 1.27·M bins using 3 hash functions; the
 // sender (Bob) simple-hashes every element of his set into all 3
-// candidate bins, at most L per bin except with probability 2^-σ. Per
-// bin the parties run an oblivious PRF on Alice's one item: one KKRT
-// batch over all bins (oprf.go), 64 bytes per bin, whose base OTs are
-// random OTs of the parties' IKNP session (mpc.Party.KKRTSender);
-// Bob draws a random τ-bit target t_b and sends a fixed-size hint
-// (hint.go) that, unmasked with the PRF, decodes at each of his keys of
-// the bin to t_b and a masked payload u′, and to noise elsewhere. A
+// candidate bins. Per bin the parties run an oblivious PRF on Alice's
+// one item: one KKRT batch over all bins (oprf.go), 64 bytes per bin,
+// whose base OTs are random OTs of the parties' IKNP session
+// (mpc.Party.KKRTSender). Bob draws a random τ-bit target t_b per bin
+// and sends one hint for all bins, an OKVS of public size (hint.go),
+// that, unmasked with a bin's PRF, decodes at each of his keys of the
+// bin to t_b and a masked payload u′, and to noise elsewhere. A
 // garbled circuit then does ONE comparison per bin — Alice's decoded
 // target against t_b — and nothing else: the comparison bit keys a
 // garbled select (gc.Builder.OutputSelect) that hands Alice her
@@ -62,8 +62,8 @@ var (
 )
 
 // Sigma is the statistical security parameter (paper §4: σ = 40): it
-// bounds the sender's bin overflow, the hint's rank failure and the
-// false-positive rate of the per-bin comparison.
+// bounds the hint's encoding failure and the false-positive rate of the
+// per-bin comparison.
 const Sigma = 40
 
 // MaxElement is the largest set element representable: two bits are
@@ -94,14 +94,12 @@ type Params struct {
 	M int // receiver set size
 	N int // sender set size
 	B int // bins
-	L int // sender per-bin capacity
 }
 
 // NewParams computes the public parameters for set sizes m (receiver) and
 // n (sender).
 func NewParams(m, n int) Params {
-	b := cuckoo.NumBins(m)
-	return Params{M: m, N: n, B: b, L: cuckoo.MaxBinLoad(cuckoo.NumHashes*n, b, Sigma)}
+	return Params{M: m, N: n, B: cuckoo.NumBins(m)}
 }
 
 // tau is the width of the per-bin target: σ + ⌈log₂B⌉ bits, so that a
@@ -121,32 +119,31 @@ type Result struct {
 	Table     *cuckoo.Table // receiver side only
 }
 
+// binKey is one key the sender programs: a composed key, the receiver
+// bin it falls into and the index of the element it came from.
+type binKey struct {
+	key       uint64
+	bin, elem int
+}
+
 // senderBins simple-hashes the sender's elements into the receiver's bin
-// space: per bin, the composed keys that fall into it and the index of
-// the element each came from. Bin indices are computed per hash function
-// in batched AES sweeps (cuckoo.BinsOf).
-func senderBins(seed prf.Seed, pr Params, ys []uint64) (keys [][]uint64, elem [][]int, err error) {
-	keys = make([][]uint64, pr.B)
-	elem = make([][]int, pr.B)
+// space: every element under each of the three hash functions, as one
+// binKey each. Bin indices are computed per hash function in batched
+// AES sweeps (cuckoo.BinsOf).
+func senderBins(seed prf.Seed, pr Params, ys []uint64) ([]binKey, error) {
+	out := make([]binKey, 0, cuckoo.NumHashes*len(ys))
 	bins := make([]int, len(ys))
 	for which := 0; which < cuckoo.NumHashes; which++ {
 		cuckoo.BinsOf(seed, pr.B, ys, which, bins)
 		for j, y := range ys {
 			k, err := Compose(y, which)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			b := bins[j]
-			if len(keys[b]) >= pr.L {
-				// Statistical failure (probability < 2^-σ), permitted by
-				// the model (§4) but surfaced as an error.
-				return nil, nil, fmt.Errorf("psi: sender bin %d exceeded load bound %d", b, pr.L)
-			}
-			keys[b] = append(keys[b], k)
-			elem[b] = append(elem[b], j)
+			out = append(out, binKey{k, bins[j], j})
 		}
 	}
-	return keys, elem, nil
+	return out, nil
 }
 
 // receiverKeys maps the receiver's cuckoo table to one composed key per
@@ -256,16 +253,14 @@ func recvBins(p *mpc.Party, pr Params, w int, xs []uint64) (*cuckoo.Table, []uin
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	bb := h.binBytes()
-	hint, err := transport.RecvSized(p.Conn, "psi: hint", pr.B*bb)
+	hint, err := transport.RecvSized(p.Conn, "psi: hint", h.bytes())
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	coder := newHintCoder(h, table.Seed, 0)
 	evalBits := make([]bool, 0, pr.B*h.tau)
 	us := make([]uint64, pr.B)
 	for bin, k := range akeys {
-		v := coder.decode(hint[bin*bb:(bin+1)*bb], k).xor(fs[bin])
+		v := h.decode(hint, table.Seed, k).xor(fs[bin])
 		evalBits = gc.AppendBits(evalBits, v.t, h.tau)
 		us[bin] = v.u
 	}
@@ -337,9 +332,9 @@ func rhoReceive(p *mpc.Party, bins, w int) ([]bool, []uint64, error) {
 
 // sendBins is the sender's half for distinct elements ys: per bin it
 // draws the target and the mask, programs the hint so that element j
-// delivers target(j, bin), runs the ρ-OT and garbles the comparison
-// circuit with def[bin] as the no-match output. It returns his indicator
-// shares.
+// delivers target(j, bin) in each of its three bins, runs the ρ-OT and
+// garbles the comparison circuit with def[bin] as the no-match output. It
+// returns his indicator shares.
 func sendBins(p *mpc.Party, pr Params, w int, ys []uint64, target func(j, bin int) uint64, def []uint64) ([]uint64, error) {
 	seedMsg, err := transport.RecvSized(p.Conn, "psi: hash seed", prf.SeedSize)
 	if err != nil {
@@ -347,7 +342,7 @@ func sendBins(p *mpc.Party, pr Params, w int, ys []uint64, target func(j, bin in
 	}
 	var seed prf.Seed
 	copy(seed[:], seedMsg)
-	keys, elem, err := senderBins(seed, pr, ys)
+	bks, err := senderBins(seed, pr, ys)
 	if err != nil {
 		return nil, err
 	}
@@ -356,19 +351,18 @@ func sendBins(p *mpc.Party, pr Params, w int, ys []uint64, target func(j, bin in
 	if err != nil {
 		return nil, err
 	}
-	bb := h.binBytes()
-	hint := make([]byte, pr.B*bb)
-	coder := newHintCoder(h, seed, pr.L)
-	vals := make([]value, pr.L)
 	ts, cs := make([]uint64, pr.B), make([]uint64, pr.B)
 	for bin := range ts {
 		ts[bin], cs[bin] = p.PRG.Uint64()&lowBits(h.tau), p.PRG.Uint64()&lowBits(w)
-		for i, k := range keys[bin] {
-			vals[i] = value{ts[bin], target(elem[bin][i], bin) ^ cs[bin] ^ def[bin]}.xor(oprf.eval(bin, k))
-		}
-		if err := coder.encode(hint[bin*bb:(bin+1)*bb], keys[bin], vals[:len(keys[bin])], p.PRG); err != nil {
-			return nil, err
-		}
+	}
+	eqs := make([]equation, len(bks))
+	for i, k := range bks {
+		v := value{ts[k.bin], target(k.elem, k.bin) ^ cs[k.bin] ^ def[k.bin]}
+		eqs[i] = h.equation(seed, k.key, v.xor(oprf.eval(k.bin, k.key)))
+	}
+	hint := make([]byte, h.bytes())
+	if err := h.encode(hint, eqs, p.PRG); err != nil {
+		return nil, err
 	}
 	if err := p.Conn.Send(hint); err != nil {
 		return nil, err

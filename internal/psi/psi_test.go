@@ -2,10 +2,10 @@ package psi
 
 import (
 	"errors"
-	"math/bits"
 	"math/rand"
 	"testing"
 
+	"secyan/internal/cuckoo"
 	"secyan/internal/mpc"
 	"secyan/internal/prf"
 	"secyan/internal/share"
@@ -184,8 +184,8 @@ func TestParamsPublicAndMonotone(t *testing.T) {
 	if p1.B != 127 {
 		t.Fatalf("B = %d, want 127", p1.B)
 	}
-	if NewParams(100, 500).L < p1.L {
-		t.Fatal("L must grow with the sender set")
+	if NewParams(100, 500).hint(32).bytes() <= p1.hint(32).bytes() {
+		t.Fatal("the hint must grow with the sender set")
 	}
 }
 
@@ -223,37 +223,39 @@ func TestIdxWidth(t *testing.T) {
 	}
 }
 
-// TestHintRoundTrip programs one bin at every load 0…L and decodes it:
-// each programmed key must decode to its value, whatever the free slots
-// drew, at hint shapes from the smallest table (B = 4) up to a wide
-// multi-word row.
+// TestHintRoundTrip programs one store of n keys and decodes it: each
+// programmed key must decode to its value, whatever the free slots drew,
+// and an unprogrammed key to a value within the slot widths, from the
+// empty store (its W slots alone) to 2^16 keys, at every payload width.
 func TestHintRoundTrip(t *testing.T) {
 	g := prf.NewPRG(prf.Seed{7})
-	for _, pr := range []Params{{B: 4, L: 1}, {B: 4, L: 9}, {B: 229, L: 44}, {B: 1 << 20, L: 130}} {
+	for _, n := range []int{0, 1, 54, 2160, 1 << 16} {
 		for _, w := range []int{1, 10, 32, 64} {
-			h := pr.hint(w)
-			if h.slots != pr.L+pr.tau() || h.tau != Sigma+bits.Len(uint(pr.B-1)) {
-				t.Fatalf("%+v: hint dims %+v", pr, h)
+			pr := Params{N: n / 3, B: 1 << 20}
+			h := hintDims{slots: okvsSlots(n, bandBits), band: bandBits, tau: pr.tau(), width: w}
+			if n%3 == 0 && pr.hint(w) != h {
+				t.Fatalf("n=%d: hint dims %+v, want %+v", n, pr.hint(w), h)
 			}
-			coder := newHintCoder(h, g.Seed(), pr.L)
-			bin := make([]byte, h.binBytes())
-			for load := 0; load <= pr.L; load++ {
-				keys, vals := make([]uint64, load), make([]value, load)
-				for i := range keys {
-					keys[i] = uint64(i)<<2 | uint64(i%3) // distinct composed keys
-					vals[i] = h.mask(value{g.Uint64(), g.Uint64()})
+			if h.slots != n+(n+3)/4+128 || h.tau != Sigma+20 {
+				t.Fatalf("n=%d: hint dims %+v", n, h)
+			}
+			keys, vals := make([]uint64, n), make([]value, n)
+			for i := range keys {
+				keys[i] = uint64(i)<<2 | uint64(i%3) // distinct composed keys
+				vals[i] = h.mask(value{g.Uint64(), g.Uint64()})
+			}
+			seed := g.Seed()
+			hint, err := encodeKeys(h, seed, keys, vals, g)
+			if err != nil {
+				t.Fatalf("n=%d w=%d: %v", n, w, err)
+			}
+			for i, k := range keys {
+				if got := h.decode(hint, seed, k); got != vals[i] {
+					t.Fatalf("n=%d w=%d: key %d decodes to %+v, programmed %+v", n, w, i, got, vals[i])
 				}
-				if err := coder.encode(bin, keys, vals, g); err != nil {
-					t.Fatalf("%+v w=%d load=%d: %v", pr, w, load, err)
-				}
-				for i, k := range keys {
-					if got := coder.decode(bin, k); got != vals[i] {
-						t.Fatalf("%+v w=%d load=%d: key %d decodes to %+v, programmed %+v", pr, w, load, i, got, vals[i])
-					}
-				}
-				if v := coder.decode(bin, receiverDummyKey); v != h.mask(v) {
-					t.Fatalf("%+v w=%d: decoded value %+v exceeds the slot widths", pr, w, v)
-				}
+			}
+			if v := h.decode(hint, seed, receiverDummyKey); v != h.mask(v) {
+				t.Fatalf("n=%d w=%d: decoded value %+v exceeds the slot widths", n, w, v)
 			}
 		}
 	}
@@ -262,12 +264,52 @@ func TestHintRoundTrip(t *testing.T) {
 // TestHintRejectsEqualKeys pins why the senders merge or refuse
 // duplicates: one key programmed twice is a rank-deficient system.
 func TestHintRejectsEqualKeys(t *testing.T) {
-	h := Params{B: 4, L: 3}.hint(32)
-	coder := newHintCoder(h, prf.Seed{1}, 3)
-	err := coder.encode(make([]byte, h.binBytes()), []uint64{8, 8}, []value{{1, 2}, {3, 4}}, prf.NewPRG(prf.Seed{2}))
-	if err == nil {
+	h := Params{N: 3, B: 4}.hint(32)
+	if _, err := encodeKeys(h, prf.Seed{1}, []uint64{4, 8, 8}, []value{{1, 2}, {3, 4}, {5, 6}}, prf.NewPRG(prf.Seed{2})); err == nil {
 		t.Fatal("a key programmed twice was accepted")
 	}
+}
+
+// TestSkewedSenderSetIntersects runs a sender set whose every element
+// the first hash function puts into one receiver bin under the seed the
+// receiver is about to draw. The hint is sized by the number of keys
+// alone, with no per-bin capacity, so the PSI must run and intersect
+// correctly however the sender's keys fall into bins.
+func TestSkewedSenderSetIntersects(t *testing.T) {
+	ring := share.Ring{Bits: 32}
+	const m, n = 100, 40
+	alice, bob := mpc.Pair(ring)
+	defer alice.Conn.Close()
+	defer bob.Conn.Close()
+	// cuckoo.Build draws the table's seed first from the receiver's PRG.
+	probe := *alice.PRG
+	seed := probe.Seed()
+	b := NewParams(m, n).B
+	rng := rand.New(rand.NewSource(5))
+	var ys []uint64
+	for len(ys) < n {
+		if y := rng.Uint64() & MaxElement; cuckoo.BinOf(seed, b, y, 0) == 0 {
+			ys = append(ys, y)
+		}
+	}
+	xs := append([]uint64(nil), ys[:10]...)
+	for len(xs) < m {
+		xs = append(xs, rng.Uint64()&MaxElement)
+	}
+	payloads := make([]uint64, n)
+	for i := range payloads {
+		payloads[i] = uint64(rng.Intn(1 << 20))
+	}
+	ra, rb, err := mpc.Run2PC(alice, bob,
+		func(p *mpc.Party) (*Result, error) { return RunReceiver(p, xs, n) },
+		func(p *mpc.Party) (*Result, error) { return RunSender(p, ys, payloads, m) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ra.Table.Seed != seed {
+		t.Fatal("the receiver drew a different cuckoo seed; the sender set is no longer skewed")
+	}
+	checkPSIResult(t, ring, xs, ys, payloads, ra, rb)
 }
 
 // TestReceiverDummyBinsNeverMatch runs receiver sets that leave most of
