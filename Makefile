@@ -53,13 +53,14 @@ race-daemon:
 # The crypto-kernel packages under the race detector, repeated: the
 # fixed-key AES hash layer (batched MMO, the 8-wide AESENC kernel, the
 # noescape scratch laundering), the keyed AES-CTR keystream that runs the
-# same kernel under per-column round keys (prf.CTR), the IKNP extension
-# whose tile workers read it and hash rows straight out of 64×64
-# transpose blocks through the MMO layer, its derived second direction,
-# the KKRT extension whose 512 column workers share one matrix (the
-# TestKKRT* tests of internal/ot, the PSIs above them), the slot-parallel
+# same kernel under per-column round keys (prf.CTR), the OT-extension
+# kernel whose column workers expand into one shared buffer and whose
+# block workers hash rows straight out of 64×64 transpose blocks — IKNP
+# through the MMO layer, its derived second direction, and KKRT at 512
+# columns, the sender deriving Q in the received matrix (the TestKKRT*
+# tests of internal/ot, the PSIs above them) — the slot-parallel
 # garbling kernel whose workers share one message buffer (DESIGN.md §7),
-# PSI/cuckoo bin sweeps, the packed bit-matrix plumbing underneath (see
+# PSI/cuckoo bin sweeps, the reference bit-matrix transpose underneath (see
 # DESIGN.md §14), and the pipe, whose messages cross goroutines without
 # a copy (Conn.Send takes ownership), with the OEP and its switching
 # networks that send over it.
@@ -90,7 +91,9 @@ vet:
 # decoder, arbitrary frame sequences into one mux endpoint, the SQL
 # front end (seeded with the TPC-H query strings), the
 # sorted view by permutation, both base-OT message decoders and the
-# derived direction's and the KKRT setup's correction matrices, the
+# derived direction's and the KKRT setup's correction matrices, a KKRT
+# batch on any code words (Eval agrees with the receiver) and its
+# correction matrix at any length, the
 # evaluator's view of the garbler's message (keyed payloads and selects
 # included) and both sides of the label OT (corrections, label shifts,
 # derandomization bits), the PSI's hint and KKRT-matrix decoders and
@@ -107,6 +110,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/sqlfront
 	$(GO) test -run '^$$' -fuzz FuzzSortPermWalk -fuzztime 10s ./internal/relation
 	$(GO) test -run '^$$' -fuzz FuzzBaseOTMessages -fuzztime 10s ./internal/ot
+	$(GO) test -run '^$$' -fuzz FuzzKKRT -fuzztime 10s ./internal/ot
 	$(GO) test -run '^$$' -fuzz FuzzGarbledMessage -fuzztime 10s ./internal/gc
 	$(GO) test -run '^$$' -fuzz FuzzPSIMessages -fuzztime 10s ./internal/psi
 	$(GO) test -run '^$$' -fuzz FuzzOKVS -fuzztime 10s ./internal/psi

@@ -1,8 +1,9 @@
-// Package bitutil provides packed bit vectors and the cache-friendly
-// bit-matrix transpose required by the OT extensions, where a k×m bit
-// matrix held column-wise by one party must be consumed row-wise: whole
-// matrices for KKRT, and the 64×64 block kernel itself for IKNP, which
-// transposes its columns block by block without building a matrix.
+// Package bitutil provides the bit-matrix transpose the OT extensions
+// need, where a w×m bit matrix held column-wise by one party must be
+// consumed row-wise. Both extensions, IKNP and KKRT, call the 64×64
+// block kernel Transpose64 directly and build no matrix; Matrix and its
+// whole-matrix Transpose are the reference formulation the tiled kernel
+// is tested against.
 package bitutil
 
 import (
@@ -11,75 +12,11 @@ import (
 	"secyan/internal/parallel"
 )
 
-// Vector is a packed little-endian bit vector: bit i lives at
-// word i/64, position i%64.
-type Vector struct {
-	bits []uint64
-	n    int
-}
-
-// NewVector returns an all-zero vector of n bits.
-func NewVector(n int) *Vector {
-	return &Vector{bits: make([]uint64, (n+63)/64), n: n}
-}
-
-// FromBools packs a []bool into a Vector.
-func FromBools(bs []bool) *Vector {
-	v := NewVector(len(bs))
-	for i, b := range bs {
-		if b {
-			v.Set(i, true)
-		}
-	}
-	return v
-}
-
-// Len returns the number of bits.
-func (v *Vector) Len() int { return v.n }
-
-// Get returns bit i.
-func (v *Vector) Get(i int) bool { return v.bits[i/64]>>(uint(i)%64)&1 == 1 }
-
-// Set assigns bit i.
-func (v *Vector) Set(i int, b bool) {
-	if b {
-		v.bits[i/64] |= 1 << (uint(i) % 64)
-	} else {
-		v.bits[i/64] &^= 1 << (uint(i) % 64)
-	}
-}
-
-// Words exposes the underlying packed words.
-func (v *Vector) Words() []uint64 { return v.bits }
-
-// Bytes serializes the vector to ceil(n/8) little-endian bytes.
-func (v *Vector) Bytes() []byte {
-	out := make([]byte, (v.n+7)/8)
-	for i := range out {
-		w := v.bits[i/8]
-		out[i] = byte(w >> (8 * (uint(i) % 8)))
-	}
-	return out
-}
-
-// VectorFromBytes parses n bits from little-endian bytes.
-func VectorFromBytes(data []byte, n int) *Vector {
-	v := NewVector(n)
-	for i := 0; i < (n+7)/8; i++ {
-		v.bits[i/8] |= uint64(data[i]) << (8 * (uint(i) % 8))
-	}
-	// Clear any slack bits beyond n.
-	if n%64 != 0 {
-		v.bits[len(v.bits)-1] &= (1 << (uint(n) % 64)) - 1
-	}
-	return v
-}
-
 // Transpose64 transposes a 64×64 bit matrix held as 64 words in place.
 // It is the little-endian adaptation of the recursive delta-swap from
 // "Hacker's Delight" §7-3: word k is row k and bit b is column b.
-// Matrix.Transpose is this kernel over every block; the IKNP tile
-// expansion (package ot) calls it directly.
+// Matrix.Transpose is this kernel over every block; the OT extensions'
+// block kernel (package ot) calls it directly.
 func Transpose64(a *[64]uint64) {
 	m := uint64(0x00000000FFFFFFFF)
 	for j := uint(32); j != 0; {

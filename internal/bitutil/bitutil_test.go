@@ -3,53 +3,7 @@ package bitutil
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
-
-func TestVectorGetSet(t *testing.T) {
-	v := NewVector(130)
-	v.Set(0, true)
-	v.Set(64, true)
-	v.Set(129, true)
-	for i := 0; i < 130; i++ {
-		want := i == 0 || i == 64 || i == 129
-		if v.Get(i) != want {
-			t.Fatalf("bit %d: got %v", i, v.Get(i))
-		}
-	}
-	v.Set(64, false)
-	if v.Get(64) {
-		t.Fatal("clear failed")
-	}
-}
-
-func TestVectorBytesRoundTrip(t *testing.T) {
-	f := func(seed int64, nRaw uint16) bool {
-		n := int(nRaw%500) + 1
-		rng := rand.New(rand.NewSource(seed))
-		v := NewVector(n)
-		for i := 0; i < n; i++ {
-			v.Set(i, rng.Intn(2) == 1)
-		}
-		w := VectorFromBytes(v.Bytes(), n)
-		for i := 0; i < n; i++ {
-			if v.Get(i) != w.Get(i) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFromBools(t *testing.T) {
-	v := FromBools([]bool{true, false, true})
-	if !v.Get(0) || v.Get(1) || !v.Get(2) || v.Len() != 3 {
-		t.Fatal("FromBools mismatch")
-	}
-}
 
 func naiveTranspose(m *Matrix) *Matrix {
 	t := NewMatrix(m.Cols, m.Rows)

@@ -104,8 +104,9 @@ func lsbs(ls []prf.Block) (m byte) {
 	return m
 }
 
-// Packed slot-major bit vectors use the layout of bitutil.Vector.Bytes:
-// bit i at byte i/8, position i%8.
+// Packed slot-major bit vectors are little-endian within each byte, as
+// every packed bit string on the wire (the OT choice and correction
+// bits): bit i at byte i/8, position i%8.
 func getBit(v []byte, i int) bool { return v[i>>3]>>(i&7)&1 == 1 }
 
 func orBit(v []byte, i int, b uint8) { v[i>>3] |= b << (i & 7) }

@@ -135,6 +135,38 @@ func TestExtBatchAllocBytesNearWire(t *testing.T) {
 	}
 }
 
+// TestKKRTBatchAllocBytesNearWire pins the KKRT batch in bytes: a
+// second batch of m = 4 096 instances allocates, over both endpoints, at
+// most 3.5 × KKRTCost(m) + 64 KiB at one and two workers — the wire
+// matrix, which the sender turns into Q in place, the kept rows q_j (as
+// many bytes again), the receiver's outputs and, were it to grow, its
+// column buffer. Building the 512×m code, T or Q matrix or a transpose
+// of one adds at least one more wire each.
+func TestKKRTBatchAllocBytesNearWire(t *testing.T) {
+	const m, outLen = 4096, 16
+	codes := make([]byte, m*KKRTCodeBytes)
+	rand.New(rand.NewSource(12)).Read(codes)
+	for _, workers := range []int{1, 2} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+			snd, rcv, done := newExtPair(t)
+			defer done()
+			ks, kr := kkrtPair(t, snd, rcv)
+			kkrtBatch(t, ks, kr, codes, outLen) // the receiver's T buffer grows once per session
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			kkrtBatch(t, ks, kr, codes, outLen)
+			runtime.ReadMemStats(&after)
+			got, wire := after.TotalAlloc-before.TotalAlloc, uint64(KKRTCost(m))
+			if limit := 7*wire/2 + 64<<10; got > limit {
+				t.Fatalf("workers=%d: one KKRT batch of %d allocates %d B, want at most %d (3.5 × wire %d + 64 KiB)",
+					workers, m, got, limit, wire)
+			}
+			t.Logf("workers=%d m=%d: %d B allocated, %.2f × the wire's %d B", workers, m, got, float64(got)/float64(wire), wire)
+		}()
+	}
+}
+
 func BenchmarkExtOT(b *testing.B) {
 	a, c := transport.Pair()
 	defer a.Close()

@@ -134,7 +134,7 @@ func TestExtensionTranscriptEquivalenceAcrossWorkers(t *testing.T) {
 	for _, cfg := range []struct{ m, msgLen int }{
 		{m: 333, msgLen: 16},
 		{m: 64, msgLen: 33},
-		{m: 5000, msgLen: 16}, // five tiles, the last one partial
+		{m: 5000, msgLen: 16}, // five 1 024-instance chunks, the last one partial
 	} {
 		t.Run(fmt.Sprintf("m=%d/len=%d", cfg.m, cfg.msgLen), func(t *testing.T) {
 			ref := runExtensionAt(t, 1, cfg.m, cfg.msgLen, 99)
@@ -185,7 +185,8 @@ func TestTiledExpansionMatchesMatrixPath(t *testing.T) {
 			seeds[i] = pairs[i][1]
 		}
 	}
-	sRow := bitutil.FromBools(sBits).Bytes()
+	var sRow [kappa / 8]byte
+	packBits(sRow[:], sBits)
 	for _, workers := range []int{1, 4} {
 		func() {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
@@ -238,16 +239,108 @@ func TestTiledExpansionMatchesMatrixPath(t *testing.T) {
 						t.Fatalf("workers=%d m=%d len=%d: receiver pad %d differs from the matrix path", workers, m, msgLen, j)
 					}
 					if c {
-						prf.XORBytes(row[:], row[:], sRow)
+						prf.XORBytes(row[:], row[:], sRow[:])
 					}
 					derivePad(want, idx+uint64(j), row)
 					if !bytes.Equal(got.r0[j*msgLen:(j+1)*msgLen], want) {
 						t.Fatalf("workers=%d m=%d len=%d: sender pad 0 of %d differs from the matrix path", workers, m, msgLen, j)
 					}
-					prf.XORBytes(row[:], row[:], sRow)
+					prf.XORBytes(row[:], row[:], sRow[:])
 					derivePad(want, idx+uint64(j), row)
 					if !bytes.Equal(got.r1[j*msgLen:(j+1)*msgLen], want) {
 						t.Fatalf("workers=%d m=%d len=%d: sender pad 1 of %d differs from the matrix path", workers, m, msgLen, j)
+					}
+				}
+			}
+		}()
+	}
+}
+
+// copyingConn keeps a copy of the last message sent through it: the peer
+// owns what it receives and may overwrite it (the KKRT sender derives Q
+// in place in the matrix).
+type copyingConn struct {
+	transport.Conn
+	last []byte
+}
+
+func (c *copyingConn) Send(data []byte) error {
+	c.last = bytes.Clone(data)
+	return c.Conn.Send(data)
+}
+
+// TestKKRTMatchesMatrixPath pins the KKRT batch to its whole-matrix
+// formulation: from fixed base-OT seeds and code words, the code matrix
+// is built as a bitutil.Matrix and transposed whole, u_i = t_i ⊕
+// G(k_i^1) ⊕ (column i of the codes) cut to ⌈m/8⌉ bytes, the receiver's
+// output is the hash of row j of Tᵀ and the sender's Q is built from the
+// column streams and transposed whole. The u message, the receiver's
+// outputs and the sender's Eval at the programmed code words must be
+// byte-equal to it. Batch sizes fall on and across byte, block (64) and
+// chunk (1 024) boundaries, run back to back so later batches start at
+// nonzero stream offsets, at one and four workers.
+func TestKKRTMatchesMatrixPath(t *testing.T) {
+	const outLen = 16
+	for _, workers := range []int{1, 4} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+			rng := rand.New(rand.NewSource(43))
+			ks, kr := kkrtFromSeeds(t, rng)
+			cc := &copyingConn{Conn: kr.conn}
+			kr.conn = cc
+			for _, m := range []int{1, 7, 8, 9, 63, 64, 65, 1000, 1024, 1025, 3000} {
+				codes := make([]byte, m*KKRTCodeBytes)
+				rng.Read(codes)
+				off, idx := kr.off, kr.idx
+				out, keys := kkrtBatch(t, ks, kr, codes, outLen)
+
+				mPad, colBytes := int(padTo64(m)), (m+7)/8
+				cm := bitutil.NewMatrix(mPad, KKRTWidth)
+				for j := 0; j < m; j++ {
+					cm.SetRowBytes(j, codes[j*KKRTCodeBytes:(j+1)*KKRTCodeBytes])
+				}
+				ct := cm.Transpose()
+				tm := bitutil.NewMatrix(KKRTWidth, mPad)
+				qm := bitutil.NewMatrix(KKRTWidth, mPad)
+				wantU := make([]byte, KKRTWidth*colBytes)
+				t0, t1, c := make([]byte, colBytes), make([]byte, colBytes), make([]byte, mPad/8)
+				for i, p := range kr.pairs {
+					g0, g1 := prf.NewCTR(p[0]), prf.NewCTR(p[1])
+					g0.KeyStream(t0, off)
+					g1.KeyStream(t1, off)
+					ct.RowBytesInto(c, i)
+					u := wantU[i*colBytes : (i+1)*colBytes]
+					prf.XORBytes(u, t0, t1)
+					prf.XORBytes(u, u, c[:colBytes])
+					tm.SetRowBytes(i, t0)
+					if ks.s[i/8]>>(i%8)&1 == 1 {
+						prf.XORBytes(t1, t1, u) // q_i = G(k_i^1) ⊕ u_i
+						qm.SetRowBytes(i, t1)
+					} else {
+						qm.SetRowBytes(i, t0)
+					}
+				}
+				if !bytes.Equal(cc.last, wantU) {
+					t.Fatalf("workers=%d m=%d: u differs from the matrix path", workers, m)
+				}
+				rows, qrows := tm.Transpose(), qm.Transpose()
+				var row [KKRTCodeBytes]byte
+				var code [KKRTCodeBytes]byte
+				want, got := make([]byte, outLen), make([]byte, outLen)
+				for j := 0; j < m; j++ {
+					rows.RowBytesInto(row[:], j)
+					kkrtHash(want, idx+uint64(j), row[:])
+					if !bytes.Equal(out[j*outLen:(j+1)*outLen], want) {
+						t.Fatalf("workers=%d m=%d: receiver output %d differs from the matrix path", workers, m, j)
+					}
+					copy(code[:], codes[j*KKRTCodeBytes:])
+					qrows.RowBytesInto(row[:], j)
+					for b := range row {
+						row[b] ^= code[b] & ks.s[b]
+					}
+					kkrtHash(want, idx+uint64(j), row[:])
+					if keys.Eval(got, j, &code); !bytes.Equal(got, want) {
+						t.Fatalf("workers=%d m=%d: sender Eval %d differs from the matrix path", workers, m, j)
 					}
 				}
 			}

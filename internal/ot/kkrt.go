@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"secyan/internal/bitutil"
-	"secyan/internal/parallel"
 	"secyan/internal/prf"
 	"secyan/internal/transport"
 )
@@ -28,6 +26,11 @@ import (
 // (DESIGN.md §4). H is SHA-256 over the whole row under a domain that
 // carries the instance index (kkrtDomain): folding the row to 128 bits
 // first would leave only ≈ κ/4 of those unknown bits in the hash input.
+//
+// A batch runs on IKNP's kernel (iknp.go) at width KKRTWidth, with
+// columns cut to whole bytes, ⌈m/8⌉, not to IKNP's whole words; no
+// KKRTWidth×m matrix is built. KKRT's own are the choice input (the code
+// words' columns), the per-batch key expansion, the rows and the hash.
 //
 // The code is the caller's: the PSI uses a pseudorandom code
 // (psi/oprf.go), so C and the minimum distance are pinned there. The
@@ -52,26 +55,27 @@ const kkrtDomain = uint64(1) << 63
 // PSI sender, who evaluates F_j at every key of his bin.
 type KKRTSender struct {
 	conn  transport.Conn
-	s     [KKRTWidth / 64]uint64 // the KKRTWidth secret choice bits of the base OTs
-	seeds [KKRTWidth]prf.Seed    // k_i^{s_i}, one AES-CTR key per column
-	off   uint64                 // byte offset of the next batch in every column's stream
-	idx   uint64                 // extension-global instance counter, for the hash domain
+	s     [KKRTCodeBytes]byte // the KKRTWidth secret choice bits of the base OTs, packed
+	seeds []prf.Seed          // k_i^{s_i}, one AES-CTR key per column
+	off   uint64              // byte offset of the next batch in every column's stream
+	idx   uint64              // extension-global instance counter, for the hash domain
 }
 
 // KKRTReceiver is the input-holding endpoint: the PSI receiver, who
 // learns F_j(x_j) for her one input per instance and nothing else.
 type KKRTReceiver struct {
-	conn   transport.Conn
-	seeds0 [KKRTWidth]prf.Seed // k_i^0, one AES-CTR key per column
-	seeds1 [KKRTWidth]prf.Seed // k_i^1
-	off    uint64
-	idx    uint64
+	conn  transport.Conn
+	pairs [][2]prf.Seed // (k_i^0, k_i^1), one AES-CTR key pair per column
+	off   uint64
+	idx   uint64
+	t     []byte // the last batch's T, column-major; grow-only
 }
 
-// The column keys are kept as seeds and expanded per batch (on the
-// stack), unlike IKNP's κ columns, whose round keys are expanded once:
-// a query runs one or two KKRT batches per orientation, and 3·KKRTWidth
-// schedules held per party pair would outweigh the batches themselves.
+// The column keys are kept as seeds and expanded once per batch inside
+// the column's worker (on the stack), unlike IKNP's κ columns, whose
+// round keys are expanded once: a query runs one or two KKRT batches
+// per orientation, and 3·KKRTWidth schedules held per party pair would
+// outweigh the batches themselves.
 
 // NewKKRTSender sets up a KKRT sender on r's connection from KKRTWidth
 // direct random OTs in which r is the receiver: its uniform choice bits
@@ -81,32 +85,23 @@ type KKRTReceiver struct {
 // batches stay aligned; it costs KKRTSetupCost, one message from r's end
 // to the peer.
 func NewKKRTSender(r *Receiver) (*KKRTSender, error) {
-	choices := randomBits(KKRTWidth)
-	pads, err := r.randomPads(choices, prf.SeedSize)
+	s, seeds, err := r.derivedBase(KKRTWidth)
 	if err != nil {
 		return nil, fmt.Errorf("ot: KKRT sender setup: %w", err)
 	}
-	k := &KKRTSender{conn: r.conn}
-	copy(k.s[:], bitutil.FromBools(choices).Words())
-	for i := range k.seeds {
-		k.seeds[i] = prf.Seed(pads[i*prf.SeedSize:])
-	}
+	k := &KKRTSender{conn: r.conn, seeds: seeds}
+	packBits(k.s[:], s)
 	return k, nil
 }
 
 // NewKKRTReceiver is the peer's half of NewKKRTSender: both pads of each
 // of the KKRTWidth random OTs become a column's seed pair.
 func NewKKRTReceiver(s *Sender) (*KKRTReceiver, error) {
-	r0, r1, err := s.randomPads(KKRTWidth, prf.SeedSize)
+	pairs, err := s.derivedBase(KKRTWidth)
 	if err != nil {
 		return nil, fmt.Errorf("ot: KKRT receiver setup: %w", err)
 	}
-	k := &KKRTReceiver{conn: s.conn}
-	for i := range k.seeds0 {
-		k.seeds0[i] = prf.Seed(r0[i*prf.SeedSize:])
-		k.seeds1[i] = prf.Seed(r1[i*prf.SeedSize:])
-	}
-	return k, nil
+	return &KKRTReceiver{conn: s.conn, pairs: pairs}, nil
 }
 
 // kkrtHash writes H(idx, row) into dst (at most 32 bytes): SHA-256 over
@@ -119,10 +114,9 @@ func kkrtHash(dst []byte, idx uint64, row []byte) {
 // code words codes (flat, one KKRTCodeBytes word per instance): it sends
 // the correction matrix, KKRTWidth columns of ⌈m/8⌉ bytes, and returns
 // F_j(x_j) of every instance j, outLen (≤ 32) bytes each, flat. The peer
-// runs KKRTSender.Send with the same instance count. A column is cut to
-// whole bytes, not to the whole words IKNP sends: the transposes pad the
-// columns to 64-bit words locally, with all-zero code words on this side
-// and zero bits on the sender's, and those instances are discarded.
+// runs KKRTSender.Send with the same instance count. The code words'
+// columns are written into the grow-only T buffer as the choice input
+// (blockCols), and u leaves before T's rows are hashed.
 func (r *KKRTReceiver) Receive(codes []byte, outLen int) ([]byte, error) {
 	m := len(codes) / KKRTCodeBytes
 	if m == 0 {
@@ -130,42 +124,27 @@ func (r *KKRTReceiver) Receive(codes []byte, outLen int) ([]byte, error) {
 	}
 	sp := kKKRTRecv.Begin()
 	defer sp.EndN(int64(m))
-	mPad := int(padTo64(m))
 	colBytes := (m + 7) / 8
-	cm := bitutil.NewMatrix(mPad, KKRTWidth)
-	for j := 0; j < m; j++ {
-		cm.SetRowBytes(j, codes[j*KKRTCodeBytes:(j+1)*KKRTCodeBytes])
-	}
-	ct := cm.Transpose()
-	tm := bitutil.NewMatrix(KKRTWidth, mPad)
-	uMsg := make([]byte, KKRTWidth*colBytes)
-	off := r.off
-	parallel.For(KKRTWidth, 8, func(lo, hi int) {
-		t := make([]byte, colBytes)
-		c := make([]byte, mPad/8)
-		for i := lo; i < hi; i++ {
-			u := uMsg[i*colBytes : (i+1)*colBytes]
-			g0, g1 := prf.NewCTR(r.seeds0[i]), prf.NewCTR(r.seeds1[i])
-			g0.KeyStream(t, off)
-			g1.KeyStream(u, off)
-			tm.SetRowBytes(i, t)
-			ct.RowBytesInto(c, i)
-			prf.XORBytes(u, u, t)
-			prf.XORBytes(u, u, c[:colBytes])
-		}
+	t := growBytes(&r.t, KKRTWidth*colBytes)
+	eachBlock(m, func(base, n int) {
+		blockCols(t, codes[base*KKRTCodeBytes:(base+n)*KKRTCodeBytes], KKRTWidth, colBytes, base)
+	})
+	u := make([]byte, KKRTWidth*colBytes)
+	expandColumns(t, u, t, colBytes, KKRTWidth, colBytes, r.off, func(i int) (prf.CTR, prf.CTR) {
+		return prf.NewCTR(r.pairs[i][0]), prf.NewCTR(r.pairs[i][1])
 	})
 	r.off += uint64(colBytes)
-	if err := r.conn.Send(uMsg); err != nil {
+	if err := r.conn.Send(u); err != nil {
 		return nil, err
 	}
-	rows := tm.Transpose()
 	out := make([]byte, m*outLen)
 	idx := r.idx
-	parallel.For(m, 32, func(lo, hi int) {
-		var row [KKRTCodeBytes]byte
-		for j := lo; j < hi; j++ {
-			rows.RowBytesInto(row[:], j)
-			kkrtHash(out[j*outLen:(j+1)*outLen], idx+uint64(j), row[:])
+	eachBlock(m, func(base, n int) {
+		var rows [padBatch * KKRTCodeBytes]byte
+		blockRows(rows[:n*KKRTCodeBytes], t, KKRTWidth, colBytes, base)
+		for k := 0; k < n; k++ {
+			j := base + k
+			kkrtHash(out[j*outLen:(j+1)*outLen], idx+uint64(j), rows[k*KKRTCodeBytes:(k+1)*KKRTCodeBytes])
 		}
 	})
 	r.idx += uint64(m)
@@ -175,13 +154,13 @@ func (r *KKRTReceiver) Receive(codes []byte, outLen int) ([]byte, error) {
 // KKRTKeys are the sender's output of one batch: the rows q_j and s,
 // which evaluate F_j at any code word.
 type KKRTKeys struct {
-	q   *bitutil.Matrix // row j is q_j
-	s   *[KKRTWidth / 64]uint64
+	q   []byte // row j is q_j, KKRTCodeBytes at q[j·KKRTCodeBytes:]
+	s   *[KKRTCodeBytes]byte
 	idx uint64 // instance index of row 0
 }
 
-// Send receives the correction matrix of a batch of m instances and
-// returns the batch's keys.
+// Send receives the correction matrix of a batch of m instances, turns
+// it into Q in place and returns Q's rows as the batch's keys.
 func (k *KKRTSender) Send(m int) (*KKRTKeys, error) {
 	if m == 0 {
 		return &KKRTKeys{s: &k.s, idx: k.idx}, nil
@@ -189,25 +168,16 @@ func (k *KKRTSender) Send(m int) (*KKRTKeys, error) {
 	sp := kKKRTSend.Begin()
 	defer sp.EndN(int64(m))
 	colBytes := (m + 7) / 8
-	uMsg, err := transport.RecvSized(k.conn, "ot: KKRT matrix", KKRTWidth*colBytes)
+	q, err := transport.RecvSized(k.conn, "ot: KKRT matrix", KKRTWidth*colBytes)
 	if err != nil {
 		return nil, err
 	}
-	qm := bitutil.NewMatrix(KKRTWidth, int(padTo64(m)))
-	off := k.off
-	parallel.For(KKRTWidth, 8, func(lo, hi int) {
-		q := make([]byte, colBytes)
-		for i := lo; i < hi; i++ {
-			g := prf.NewCTR(k.seeds[i])
-			g.KeyStream(q, off)
-			if k.s[i/64]>>(i%64)&1 == 1 {
-				prf.XORBytes(q, q, uMsg[i*colBytes:(i+1)*colBytes])
-			}
-			qm.SetRowBytes(i, q)
-		}
-	})
+	deriveColumns(q, k.s[:], KKRTWidth, colBytes, k.off, func(i int) prf.CTR { return prf.NewCTR(k.seeds[i]) })
 	k.off += uint64(colBytes)
-	keys := &KKRTKeys{q: qm.Transpose(), s: &k.s, idx: k.idx}
+	keys := &KKRTKeys{q: make([]byte, m*KKRTCodeBytes), s: &k.s, idx: k.idx}
+	eachBlock(m, func(base, n int) {
+		blockRows(keys.q[base*KKRTCodeBytes:(base+n)*KKRTCodeBytes], q, KKRTWidth, colBytes, base)
+	})
 	k.idx += uint64(m)
 	return keys, nil
 }
@@ -218,9 +188,10 @@ func (k *KKRTSender) Send(m int) (*KKRTKeys, error) {
 // concurrently.
 func (ks *KKRTKeys) Eval(dst []byte, j int, c *[KKRTCodeBytes]byte) {
 	var row [KKRTCodeBytes]byte
-	q := ks.q.Row(j)
-	for w := range q {
-		binary.LittleEndian.PutUint64(row[8*w:], q[w]^binary.LittleEndian.Uint64(c[8*w:])&ks.s[w])
+	q := ks.q[j*KKRTCodeBytes : (j+1)*KKRTCodeBytes]
+	le := binary.LittleEndian
+	for w := 0; w < KKRTCodeBytes; w += 8 {
+		le.PutUint64(row[w:], le.Uint64(q[w:])^le.Uint64(c[w:])&le.Uint64(ks.s[w:]))
 	}
 	kkrtHash(dst, ks.idx+uint64(j), row[:])
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"secyan/internal/bitutil"
 	"secyan/internal/obs"
 	"secyan/internal/prf"
 	"secyan/internal/transport"
@@ -124,17 +123,18 @@ func (r *Receiver) Pool() *Pool { return &r.pool }
 // returns both pads of every instance, flat m×msgLen each. Nothing is
 // sent: the pads themselves are the sender's random-OT outputs.
 //
-// The expansion runs tile by tile (eachTile): a worker XORs each
-// column's keystream with s_i·u_i into a κ×tileBytes scratch on its
-// stack and hashes the rows q_j and q_j ⊕ s straight out of its 64×64
-// transpose blocks, so no κ×m matrix and no transpose of one is ever
-// built. The pads and the wire message are the only O(m) allocations.
+// The expansion runs tile by tile (eachTile): a worker derives each
+// column's bytes of its tile into a κ×tileBytes scratch on its stack
+// (deriveColumn) and hashes the rows q_j and q_j ⊕ s straight out of its
+// 64×64 transpose blocks, so no κ×m matrix and no transpose of one is
+// ever built. The pads and the wire message are the only O(m)
+// allocations.
 func (s *Sender) randomPads(m, msgLen int) (r0, r1 []byte, err error) {
 	if msgLen <= 0 {
 		return nil, nil, fmt.Errorf("ot: random-OT message length %d", msgLen)
 	}
 	rowBytes := int(padTo64(m)) / 8
-	uMsg, err := transport.RecvSized(s.conn, "ot: extension matrix", kappa*rowBytes)
+	u, err := transport.RecvSized(s.conn, "ot: extension matrix", kappa*rowBytes)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -145,19 +145,15 @@ func (s *Sender) randomPads(m, msgLen int) (r0, r1 []byte, err error) {
 		var q [kappa * tileBytes]byte
 		var rows [padBatch]prf.Block
 		for i := 0; i < kappa; i++ {
-			col := q[i*tileBytes : i*tileBytes+n]
-			s.cols[i].KeyStream(col, off+uint64(c0))
-			if s.s.Get(i) {
-				prf.XORBytes(col, col, uMsg[i*rowBytes+c0:i*rowBytes+c0+n])
-			}
+			deriveColumn(q[i*tileBytes:i*tileBytes+n], u[i*rowBytes+c0:i*rowBytes+c0+n], &s.cols[i], off+uint64(c0), s.s[:], i)
 		}
 		for b := 0; b < n && 8*(c0+b) < m; b += 8 {
 			base := 8 * (c0 + b)
 			k := min(padBatch, m-base)
-			blockRows(&rows, q[:], tileBytes, b)
+			blockRows(prf.BlockBytes(rows[:]), q[:], kappa, tileBytes, 8*b)
 			hashPads(r0, &rows, k, base, idx, msgLen)
 			for j := range rows[:k] {
-				prf.XORBytes(rows[j][:], rows[j][:], s.sRow[:])
+				prf.XORBytes(rows[j][:], rows[j][:], s.s[:])
 			}
 			hashPads(r1, &rows, k, base, idx, msgLen)
 		}
@@ -169,27 +165,30 @@ func (s *Sender) randomPads(m, msgLen int) (r0, r1 []byte, err error) {
 
 // randomPads is the receiver half: it sends the correction matrix for
 // the given choice bits and returns the chosen-side pad of every
-// instance, flat m×msgLen, hashing the rows of T tile by tile straight
-// out of its column-major buffer.
+// instance, flat m×msgLen. Every column's choice input is the choice
+// vector r, padded to whole words with zero bits, as KKRT pads its
+// codes: those instances are discarded. u leaves before anything is
+// hashed, so the peer's derivation overlaps this end's hashing.
 func (r *Receiver) randomPads(choices []bool, msgLen int) ([]byte, error) {
 	if msgLen <= 0 {
 		return nil, fmt.Errorf("ot: random-OT message length %d", msgLen)
 	}
 	m := len(choices)
-	tm, err := r.expandColumns(choices)
-	if err != nil {
+	rowBytes := int(padTo64(m)) / 8
+	x := make([]byte, rowBytes)
+	packBits(x, choices)
+	t, u := growBytes(&r.t, kappa*rowBytes), make([]byte, kappa*rowBytes)
+	expandColumns(t, u, x, 0, kappa, rowBytes, r.off, func(i int) (prf.CTR, prf.CTR) { return r.cols0[i], r.cols1[i] })
+	r.off += uint64(rowBytes)
+	if err := r.conn.Send(u); err != nil {
 		return nil, err
 	}
-	rowBytes := len(tm) / kappa
 	rc := make([]byte, m*msgLen)
 	idx := r.idx
-	eachTile(rowBytes, func(c0, n int) {
+	eachBlock(m, func(base, n int) {
 		var rows [padBatch]prf.Block
-		for b := c0; b < c0+n && 8*b < m; b += 8 {
-			k := min(padBatch, m-8*b)
-			blockRows(&rows, tm, rowBytes, b)
-			hashPads(rc, &rows, k, 8*b, idx, msgLen)
-		}
+		blockRows(prf.BlockBytes(rows[:]), t, kappa, rowBytes, base)
+		hashPads(rc, &rows, n, base, idx, msgLen)
 	})
 	r.idx += padTo64(m)
 	return rc, nil
@@ -242,9 +241,8 @@ func (s *Sender) sendRandom(b *randBatch, m, msgLen int) (r0, r1 []byte, err err
 	if err != nil {
 		return nil, nil, err
 	}
-	d := bitutil.VectorFromBytes(dMsg, m)
 	for j := 0; j < m; j++ {
-		if d.Get(j) {
+		if dMsg[j/8]>>(j%8)&1 == 1 {
 			a, c := b.r0[j*msgLen:(j+1)*msgLen], b.r1[j*msgLen:(j+1)*msgLen]
 			for k := range a {
 				a[k], c[k] = c[k], a[k]
@@ -262,11 +260,13 @@ func (r *Receiver) receiveRandom(b *randBatch, choices []bool, msgLen int) ([]by
 	if b == nil {
 		return r.randomPads(choices, msgLen)
 	}
-	d := bitutil.NewVector(len(choices))
+	d := make([]byte, (len(choices)+7)/8)
 	for j, c := range choices {
-		d.Set(j, c != b.bits[j])
+		if c != b.bits[j] {
+			d[j/8] |= 1 << (j % 8)
+		}
 	}
-	if err := r.conn.Send(d.Bytes()); err != nil {
+	if err := r.conn.Send(d); err != nil {
 		return nil, err
 	}
 	return b.rc, nil

@@ -44,9 +44,6 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// NumDupGates returns the number of duplication gates (W-1).
-func (e *Extended) NumDupGates() int { return e.W - 1 }
-
 // Route computes the control bits realizing ξ = xi (len N, values in
 // [0,M)).
 func (e *Extended) Route(xi []int) (*Program, error) {
