@@ -100,7 +100,8 @@ vet:
 # both halves of its ρ-OT (opening, direct and pooled, and
 # corrections), the PSI's OKVS (encode at any distinct keys, values and
 # widths, decode each back, refuse a hint of the wrong length), a whole OEP, direct and pooled, against a
-# hostile peer, and the daemon's control line (any bytes, also as the
+# hostile peer, an AS-Waksman network of any size routing any
+# permutation, and the daemon's control line (any bytes, also as the
 # hello); extend -fuzztime locally for real fuzzing sessions.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTranspose -fuzztime 10s ./internal/bitutil
@@ -115,4 +116,5 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzPSIMessages -fuzztime 10s ./internal/psi
 	$(GO) test -run '^$$' -fuzz FuzzOKVS -fuzztime 10s ./internal/psi
 	$(GO) test -run '^$$' -fuzz FuzzOEPMessages -fuzztime 10s ./internal/oep
+	$(GO) test -run '^$$' -fuzz FuzzRoute -fuzztime 10s ./internal/permnet
 	$(GO) test -run '^$$' -fuzz FuzzControlMessage -fuzztime 10s ./internal/daemon

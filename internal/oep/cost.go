@@ -10,12 +10,15 @@ import "secyan/internal/permnet"
 // produces, and the traffic to ot's closed forms.
 
 // Gates returns the oblivious-gate count of an OEP from m inputs to n
-// outputs: one Beneš network for a bijection, or Pre ‖ duplication
-// chain ‖ Post for a general extended permutation.
+// outputs: one AS-Waksman network over m wires for a bijection, or
+// Pre (max(m, n) wires) ‖ duplication chain (n − 1) ‖ Post (n wires) for
+// a general extended permutation, and nothing when there are no outputs.
 func Gates(m, n int, bijection bool) int {
 	if bijection {
-		return permnet.BenesSwaps(permnet.CeilPow2(maxInt(m, 2)))
+		return permnet.Swaps(m)
 	}
-	w := permnet.CeilPow2(maxInt(maxInt(m, n), 2))
-	return 2*permnet.BenesSwaps(w) + (w - 1)
+	if n == 0 {
+		return 0
+	}
+	return permnet.Swaps(max(m, n)) + n - 1 + permnet.Swaps(n)
 }

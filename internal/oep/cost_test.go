@@ -10,26 +10,33 @@ import (
 )
 
 // TestGatesMatchesBuildPlan pins the closed-form gate count to the gate
-// sequence the protocol actually executes.
+// sequence the protocol actually executes: every shape up to 64 × 64,
+// then random shapes up to 10⁵ (skipped under -short).
 func TestGatesMatchesBuildPlan(t *testing.T) {
-	sizes := []int{1, 2, 3, 4, 5, 7, 8, 9, 16, 33, 100}
-	for _, m := range sizes {
-		pl, _, err := buildPlan(m, m, true)
+	check := func(m, n int, bijection bool) {
+		t.Helper()
+		pl, err := buildPlan(m, n, bijection)
 		if err != nil {
-			t.Fatalf("buildPlan(%d, %d, bijection): %v", m, m, err)
+			t.Fatalf("buildPlan(%d, %d, %v): %v", m, n, bijection, err)
 		}
-		if got, want := Gates(m, m, true), len(pl.gates); got != want {
-			t.Fatalf("Gates(%d, %d, bijection) = %d, plan has %d", m, m, got, want)
+		if got, want := Gates(m, n, bijection), len(pl.gates); got != want {
+			t.Fatalf("Gates(%d, %d, %v) = %d, plan has %d", m, n, bijection, got, want)
 		}
-		for _, n := range sizes {
-			pl, _, err := buildPlan(m, n, false)
-			if err != nil {
-				t.Fatalf("buildPlan(%d, %d): %v", m, n, err)
-			}
-			if got, want := Gates(m, n, false), len(pl.gates); got != want {
-				t.Fatalf("Gates(%d, %d) = %d, plan has %d", m, n, got, want)
-			}
+	}
+	for m := 0; m <= 64; m++ {
+		check(m, m, true)
+		for n := 0; n <= 64; n++ {
+			check(m, n, false)
 		}
+	}
+	if testing.Short() {
+		return
+	}
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 8; trial++ {
+		m, n := 1+rng.Intn(100_000), 1+rng.Intn(100_000)
+		check(m, n, false)
+		check(m, m, true)
 	}
 }
 
@@ -37,14 +44,14 @@ func TestGatesMatchesBuildPlan(t *testing.T) {
 // capacity as well as length: buildPlan allocates it once, at the size
 // Gates predicts, and never grows it.
 func TestBuildPlanPresized(t *testing.T) {
-	sizes := []int{1, 2, 3, 63, 64, 65, 1000, 4096}
+	sizes := []int{0, 1, 2, 3, 5, 6, 7, 63, 64, 65, 100, 1000, 4096}
 	for _, m := range sizes {
 		for _, n := range sizes {
 			for _, bijection := range []bool{false, true} {
 				if bijection && m != n {
 					continue
 				}
-				pl, _, err := buildPlan(m, n, bijection)
+				pl, err := buildPlan(m, n, bijection)
 				if err != nil {
 					t.Fatalf("buildPlan(%d, %d, %v): %v", m, n, bijection, err)
 				}

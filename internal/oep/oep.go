@@ -81,11 +81,13 @@ type gate struct {
 }
 
 // plan lists the gates of an extended (or plain) permutation network in
-// evaluation order. Both parties derive the identical plan from public
-// sizes.
+// evaluation order over a working vector of width positions. Both
+// parties derive the identical plan from public sizes.
 type plan struct {
 	width int
 	gates []gate
+	ext   *permnet.Extended // the programmer's router; nil for a bijection
+	net   *permnet.Network  // a bijection's one network
 }
 
 // buildPlan constructs the public gate sequence for an OEP from m inputs
@@ -93,51 +95,28 @@ type plan struct {
 // permutation), the duplication stage and second network are omitted —
 // the optimization used when permuting shares by a random permutation
 // (paper §5.5) or by a sort order (§6.1).
-func buildPlan(m, n int, bijection bool) (*plan, *permnet.Extended, error) {
-	if bijection {
-		if m != n {
-			return nil, nil, fmt.Errorf("oep: bijection requires m == n, got %d and %d", m, n)
-		}
-		w := permnet.CeilPow2(maxInt(m, 2))
-		net := permnet.New(w)
-		pl := &plan{width: w, gates: make([]gate, 0, Gates(m, n, true))}
-		for _, sw := range net.Swaps {
+func buildPlan(m, n int, bijection bool) (*plan, error) {
+	pl := &plan{width: max(m, n), gates: make([]gate, 0, Gates(m, n, bijection))}
+	appendSwaps := func(nw *permnet.Network) {
+		for _, sw := range nw.Swaps {
 			pl.gates = append(pl.gates, gate{gateSwap, sw[0], sw[1]})
 		}
-		return pl, &permnet.Extended{M: m, N: n, W: w, Pre: net}, nil
 	}
-	ext := permnet.NewExtended(m, n)
-	pl := &plan{width: ext.W, gates: make([]gate, 0, Gates(m, n, false))}
-	for _, sw := range ext.Pre.Swaps {
-		pl.gates = append(pl.gates, gate{gateSwap, sw[0], sw[1]})
+	if bijection {
+		if m != n {
+			return nil, fmt.Errorf("oep: bijection requires m == n, got %d and %d", m, n)
+		}
+		pl.net = permnet.New(m)
+		appendSwaps(pl.net)
+		return pl, nil
 	}
-	for j := 1; j < ext.W; j++ {
+	pl.ext = permnet.NewExtended(m, n)
+	appendSwaps(pl.ext.Pre)
+	for j := 1; j < n; j++ {
 		pl.gates = append(pl.gates, gate{gateDup, int32(j - 1), int32(j)})
 	}
-	for _, sw := range ext.Post.Swaps {
-		pl.gates = append(pl.gates, gate{gateSwap, sw[0], sw[1]})
-	}
-	return pl, ext, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// programBits flattens the control bits of an extended-permutation
-// program in plan order.
-func programBits(pl *plan, prog *permnet.Program, bijection bool) []bool {
-	if bijection {
-		return prog.PreBits
-	}
-	bits := make([]bool, 0, len(pl.gates))
-	bits = append(bits, prog.PreBits...)
-	bits = append(bits, prog.DupBits...)
-	bits = append(bits, prog.PostBits...)
-	return bits
+	appendSwaps(pl.ext.Post)
+	return pl, nil
 }
 
 // RunProgrammer executes the OEP as the party holding ξ. xi[i] ∈ [0,m) is
@@ -169,36 +148,30 @@ func runProgrammer(p *mpc.Party, xi []int, m, n int, myShares []uint64, bijectio
 	if len(myShares) != m {
 		return nil, fmt.Errorf("oep: programmer has %d shares, want %d", len(myShares), m)
 	}
-	pl, ext, err := buildPlan(m, n, bijection)
+	pl, err := buildPlan(m, n, bijection)
 	if err != nil {
 		return nil, err
 	}
 	var bits []bool
 	if bijection {
-		// Embed xi into the padded width with identity on the padding.
-		dest := make([]int, pl.width)
+		// xi maps output i ← input s; the network routes input s to
+		// position i, i.e. dest[s] = i.
+		dest := make([]int, m)
 		for i := range dest {
-			dest[i] = i
+			dest[i] = -1 // a source xi never names fails Route
 		}
 		for i, s := range xi {
-			// xi maps output i ← input s; the network routes input s to
-			// position i, i.e. dest[s] = i.
 			if s < 0 || s >= m {
 				return nil, fmt.Errorf("oep: xi[%d] = %d out of range", i, s)
 			}
 			dest[s] = i
 		}
-		bs, err := ext.Pre.Route(dest)
-		if err != nil {
-			return nil, err
-		}
-		bits = bs
+		bits, err = pl.net.Route(dest)
 	} else {
-		prog, err := ext.Route(xi)
-		if err != nil {
-			return nil, err
-		}
-		bits = programBits(pl, prog, false)
+		bits, err = pl.ext.Route(xi)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if len(bits) != len(pl.gates) {
 		return nil, fmt.Errorf("oep: %d control bits for %d gates", len(bits), len(pl.gates))
@@ -246,7 +219,7 @@ func runHelper(p *mpc.Party, m, n int, myShares []uint64, bijection bool) ([]uin
 	if len(myShares) != m {
 		return nil, fmt.Errorf("oep: helper has %d shares, want %d", len(myShares), m)
 	}
-	pl, _, err := buildPlan(m, n, bijection)
+	pl, err := buildPlan(m, n, bijection)
 	if err != nil {
 		return nil, err
 	}

@@ -1,145 +1,131 @@
 package permnet
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Extended is the Mohassel–Sadeghian decomposition of an extended
 // permutation ξ:[N]→[M] (output i receives input ξ(i), inputs may be
 // duplicated or dropped) into
 //
-//	Pre (Beneš) → duplication chain → Post (Beneš)
+//	Pre (max(M,N) wires) → duplication chain (N wires) → Post (N wires)
 //
-// over a working vector of width W = 2^⌈log₂ max(M,N,2)⌉. The duplication
-// chain has one gate per position j ≥ 1: out[j] = b_j ? out[j-1] : in[j].
+// over a working vector of max(M, N) positions, of which the first N
+// are the outputs. The duplication chain has one gate per wire j in
+// [1, N): out[j] = b_j ? out[j-1] : in[j]. An extended permutation with
+// no outputs has no gates at all.
 type Extended struct {
 	M, N int // inputs, outputs
-	W    int // working width (power of two)
 	Pre  *Network
 	Post *Network
-}
-
-// Program is the set of control bits realizing one concrete ξ on an
-// Extended network. DupBits[j-1] controls duplication gate j.
-type Program struct {
-	PreBits  []bool
-	DupBits  []bool
-	PostBits []bool
 }
 
 // NewExtended builds the (public) topology for extended permutations from
 // M inputs to N outputs.
 func NewExtended(m, n int) *Extended {
-	w := CeilPow2(maxInt(maxInt(m, n), 2))
-	net := New(w)
-	// Pre and Post have identical topology; they are shared read-only.
-	return &Extended{M: m, N: n, W: w, Pre: net, Post: net}
+	k := max(m, n)
+	if n == 0 {
+		k = 0
+	}
+	pre, post := New(k), New(n)
+	if k == n {
+		post = pre // identical topology, shared read-only
+	}
+	return &Extended{M: m, N: n, Pre: pre, Post: post}
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+// NumGates returns the length of a program: Pre ‖ duplication ‖ Post.
+func (e *Extended) NumGates() int {
+	return len(e.Pre.Swaps) + max(e.N-1, 0) + len(e.Post.Swaps)
 }
 
 // Route computes the control bits realizing ξ = xi (len N, values in
-// [0,M)).
-func (e *Extended) Route(xi []int) (*Program, error) {
-	if len(xi) != e.N {
-		return nil, fmt.Errorf("permnet: extended route got %d outputs, want %d", len(xi), e.N)
+// [0,M)), in gate order: Pre's, then duplication gate j at index
+// len(Pre.Swaps)+j−1, then Post's.
+func (e *Extended) Route(xi []int) ([]bool, error) {
+	m, n, k := e.M, e.N, e.Pre.Size
+	if len(xi) != n {
+		return nil, fmt.Errorf("permnet: extended route got %d outputs, want %d", len(xi), n)
 	}
 	for _, s := range xi {
-		if s < 0 || s >= e.M {
-			return nil, fmt.Errorf("permnet: extended route source %d out of [0,%d)", s, e.M)
+		if s < 0 || s >= m {
+			return nil, fmt.Errorf("permnet: extended route source %d out of [0,%d)", s, m)
 		}
 	}
-	// Sort output indices by (source, index): duplicates of the same
-	// source become consecutive wires so the duplication chain can copy.
-	seq := make([]int, e.N)
-	for i := range seq {
-		seq[i] = i
+	out := make([]bool, e.NumGates())
+	if n == 0 {
+		return out, nil
 	}
-	sort.Slice(seq, func(a, b int) bool {
-		if xi[seq[a]] != xi[seq[b]] {
-			return xi[seq[a]] < xi[seq[b]]
-		}
-		return seq[a] < seq[b]
-	})
+	pre := len(e.Pre.Swaps)
+	preBits, dup, postBits := out[:pre], out[pre:pre+n-1], out[pre+n-1:]
 
-	dup := make([]bool, e.W-1)
-	preDest := make([]int, e.W)
-	for i := range preDest {
-		preDest[i] = -1
+	// Counting-sort the outputs by (source, index): duplicates of one
+	// source become consecutive wires so the duplication chain can copy.
+	// start[s] is the wire of source s's first copy.
+	start := make([]int32, m+1)
+	for _, s := range xi {
+		start[s+1]++
 	}
-	wireUsed := make([]bool, e.W)
-	for j := 0; j < e.N; j++ {
-		if j == 0 || xi[seq[j]] != xi[seq[j-1]] {
-			// First copy of this source: the Pre network must deliver the
-			// source input to wire j; the duplication gate takes the fresh
-			// value.
-			preDest[xi[seq[j]]] = j
-			wireUsed[j] = true
-		} else {
-			dup[j-1] = true // copy from the previous wire
+	for s := 0; s < m; s++ {
+		start[s+1] += start[s]
+	}
+	r := newRouter(k)
+	preDest := r.dest[:k]
+	for s := range preDest {
+		preDest[s] = -1
+		if s < m && start[s+1] > start[s] {
+			// Pre delivers source s to its first copy's wire; the
+			// duplication gates after it copy from the previous wire.
+			preDest[s] = start[s]
+			for j := start[s] + 1; j < start[s+1]; j++ {
+				dup[j-1] = true
+			}
 		}
 	}
 	// Route unused inputs (sources never referenced, plus padding inputs
-	// M..W-1) to the remaining wires in order.
-	free := 0
-	for p := 0; p < e.W; p++ {
-		if preDest[p] != -1 {
+	// M..N-1) to the remaining wires in order: the copies, then the wires
+	// past N.
+	free := 1
+	for s, d := range preDest {
+		if d >= 0 {
 			continue
 		}
-		for wireUsed[free] {
+		for free < n && !dup[free-1] {
 			free++
 		}
-		preDest[p] = free
-		wireUsed[free] = true
+		preDest[s] = int32(free)
+		free++
 	}
+	r.route(preBits, preDest)
 
-	postDest := make([]int, e.W)
-	outUsed := make([]bool, e.W)
-	for j := 0; j < e.N; j++ {
-		postDest[j] = seq[j]
-		outUsed[seq[j]] = true
+	// Post routes sorted wire j to the output it feeds.
+	postDest := r.dest[:n]
+	for i, s := range xi {
+		postDest[start[s]] = int32(i)
+		start[s]++
 	}
-	free = 0
-	for j := e.N; j < e.W; j++ {
-		for outUsed[free] {
-			free++
-		}
-		postDest[j] = free
-		outUsed[free] = true
-	}
-
-	preBits, err := e.Pre.Route(preDest)
-	if err != nil {
-		return nil, fmt.Errorf("permnet: pre stage: %w", err)
-	}
-	postBits, err := e.Post.Route(postDest)
-	if err != nil {
-		return nil, fmt.Errorf("permnet: post stage: %w", err)
-	}
-	return &Program{PreBits: preBits, DupBits: dup, PostBits: postBits}, nil
+	r.route(postBits, postDest)
+	return out, nil
 }
 
-// Apply evaluates the extended network in plaintext: input is padded to W,
-// the three stages run in order, and the first N positions are returned.
-// Used by tests as the reference semantics for the oblivious protocol.
-func (e *Extended) Apply(p *Program, input []uint64) ([]uint64, error) {
+// Apply evaluates the extended network in plaintext: input is padded to
+// max(M, N), the three stages run in order, and the first N positions are
+// returned. Used by tests as the reference semantics for the oblivious
+// protocol.
+func (e *Extended) Apply(bits []bool, input []uint64) ([]uint64, error) {
 	if len(input) != e.M {
 		return nil, fmt.Errorf("permnet: Apply got %d inputs, want %d", len(input), e.M)
 	}
-	vec := make([]uint64, e.W)
+	if len(bits) != e.NumGates() {
+		return nil, fmt.Errorf("permnet: Apply got %d bits for %d gates", len(bits), e.NumGates())
+	}
+	vec := make([]uint64, max(e.M, e.N))
 	copy(vec, input)
-	e.Pre.Apply(p.PreBits, vec)
-	for j := 1; j < e.W; j++ {
-		if p.DupBits[j-1] {
+	pre := len(e.Pre.Swaps)
+	e.Pre.Apply(bits[:pre], vec[:e.Pre.Size])
+	for j := 1; j < e.N; j++ {
+		if bits[pre+j-1] {
 			vec[j] = vec[j-1]
 		}
 	}
-	e.Post.Apply(p.PostBits, vec)
+	e.Post.Apply(bits[pre+max(e.N-1, 0):], vec[:e.N])
 	return vec[:e.N], nil
 }
