@@ -91,7 +91,8 @@ vet:
 # decoder, arbitrary frame sequences into one mux endpoint, the SQL
 # front end (seeded with the TPC-H query strings), the
 # sorted view by permutation, both base-OT message decoders and the
-# derived direction's and the KKRT setup's correction matrices, a KKRT
+# derived direction's and the KKRT setup's correction matrices, the
+# extension receiver's GGM corrections at any length and content, a KKRT
 # batch on any code words (Eval agrees with the receiver) and its
 # correction matrix at any length, the
 # evaluator's view of the garbler's message (keyed payloads and selects
@@ -111,6 +112,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/sqlfront
 	$(GO) test -run '^$$' -fuzz FuzzSortPermWalk -fuzztime 10s ./internal/relation
 	$(GO) test -run '^$$' -fuzz FuzzBaseOTMessages -fuzztime 10s ./internal/ot
+	$(GO) test -run '^$$' -fuzz FuzzSoftSpokenSetup -fuzztime 10s ./internal/ot
 	$(GO) test -run '^$$' -fuzz FuzzKKRT -fuzztime 10s ./internal/ot
 	$(GO) test -run '^$$' -fuzz FuzzGarbledMessage -fuzztime 10s ./internal/gc
 	$(GO) test -run '^$$' -fuzz FuzzPSIMessages -fuzztime 10s ./internal/psi

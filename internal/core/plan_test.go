@@ -292,7 +292,7 @@ func TestBaseOTStepsMeasureTheirEstimates(t *testing.T) {
 // semijoin only) and one whose PSIs go both ways (both relations survive:
 // the semijoin phase runs one PSI in each orientation). Each orientation
 // gets one oprf-base step, sent by the PSI sender, that moves exactly
-// ot.KKRTSetupCost (8 192 B) as estimated, and every setup, reduce and
+// ot.KKRTSetupCost (2 048 B) as estimated, and every setup, reduce and
 // semijoin step moves its estimate.
 func TestOPRFSetupStepsMeasureTheirEstimates(t *testing.T) {
 	for _, tc := range []struct {
@@ -337,8 +337,8 @@ func TestOPRFSetupStepsMeasureTheirEstimates(t *testing.T) {
 				t.Fatalf("%d oprf-base steps, want %d", len(setup), len(tc.nodes))
 			}
 			for i, s := range setup {
-				if s.Phase != "setup" || s.Node != tc.nodes[i] || s.EstBytes != ot.KKRTSetupCost() || s.Bytes != 8192 {
-					t.Errorf("oprf-base step %d: %s %q estimated %d, measured %d; want setup %q at 8192",
+				if s.Phase != "setup" || s.Node != tc.nodes[i] || s.EstBytes != ot.KKRTSetupCost() || s.Bytes != 2048 {
+					t.Errorf("oprf-base step %d: %s %q estimated %d, measured %d; want setup %q at 2048",
 						i, s.Phase, s.Node, s.EstBytes, s.Bytes, tc.nodes[i])
 				}
 			}

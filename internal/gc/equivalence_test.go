@@ -194,7 +194,7 @@ func TestSlotCircuitEqualsLoopedGadget(t *testing.T) {
 			}
 
 			gseed := prf.Seed{byte(seed), byte(n), 0x51}
-			sameGarbling(t, name, garble(sc, prf.NewPRG(gseed), priv, false, nil), garble(lc, prf.NewPRG(gseed), priv, false, nil))
+			sameGarbling(t, name, garble(sc, prf.NewPRG(gseed), priv, false, nil, nil), garble(lc, prf.NewPRG(gseed), priv, false, nil, nil))
 
 			e, g := run2PC(t, sc, gbits, ebits, priv)
 			if !reflect.DeepEqual(e, wantE) || !reflect.DeepEqual(g, wantG) {
@@ -232,7 +232,7 @@ func TestGarbleByteIdenticalAcrossWorkers(t *testing.T) {
 		seed := prf.Seed{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
 		for _, keep := range []bool{false, true} {
 			garbleAt := func(workers int) *garbled {
-				return atWorkers(workers, func() *garbled { return garble(c, prf.NewPRG(seed), priv, keep, nil) })
+				return atWorkers(workers, func() *garbled { return garble(c, prf.NewPRG(seed), priv, keep, nil, nil) })
 			}
 			ref := garbleAt(1)
 			for _, workers := range []int{2, 4} {
@@ -249,7 +249,7 @@ func TestGarbleByteIdenticalAcrossWorkers(t *testing.T) {
 func TestEvaluateByteIdenticalAcrossWorkers(t *testing.T) {
 	for name, c := range equivalenceCircuits() {
 		gbits, ebits, priv := randomInputs(rand.New(rand.NewSource(6)), c)
-		gb := garble(c, prf.NewPRG(prf.Seed{42}), priv, false, nil)
+		gb := garble(c, prf.NewPRG(prf.Seed{42}), priv, false, nil, nil)
 		msg, labels := activate(c, gb, gbits), activeLabels(gb, ebits)
 
 		type result struct {
@@ -380,7 +380,7 @@ func TestKernelAllocationIndependentOfSlots(t *testing.T) {
 		scratch := int64(16 * c.stride() * c.NumWires)
 
 		var gb *garbled
-		got := allocated(func() { gb = garble(c, prf.NewPRG(prf.Seed{7}), priv, true, nil) })
+		got := allocated(func() { gb = garble(c, prf.NewPRG(prf.Seed{7}), priv, true, nil, nil) })
 		kept := int64(cap(gb.msg) + 16*len(gb.evalIn) + len(gb.outPerm) + len(gb.perm) + len(gb.payFlip))
 		if limit := kept + scratch + slack; got > limit {
 			t.Fatalf("garble, %d slots: allocated %d bytes, want ≤ %d (kept %d + scratch %d)", n, got, limit, kept, scratch)
@@ -447,7 +447,7 @@ func BenchmarkGarbleWorkers(b *testing.B) {
 				b.ReportMetric(float64(c.Slots*c.NumAnd), "and_gates")
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					_ = garble(c, prf.NewPRG(seed), priv, false, nil)
+					_ = garble(c, prf.NewPRG(seed), priv, false, nil, nil)
 				}
 			})
 		}
@@ -459,7 +459,7 @@ func BenchmarkGarbleWorkers(b *testing.B) {
 func BenchmarkEvaluateWorkers(b *testing.B) {
 	for name, c := range map[string]*Circuit{"tree": benchTree(), "slots": benchSlots()} {
 		priv := make([]bool, c.Slots*c.NumPrivate)
-		gb := garble(c, prf.NewPRG(prf.Seed{9}), priv, false, nil)
+		gb := garble(c, prf.NewPRG(prf.Seed{9}), priv, false, nil, nil)
 		labels := activeLabels(gb, make([]bool, len(gb.evalIn)))
 		for _, workers := range []int{1, 2, 4} {
 			b.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(b *testing.B) {

@@ -33,7 +33,7 @@ import (
 func FuzzGarbledMessage(f *testing.F) {
 	c := slotted(correctionGadget, 11)
 	gbits, ebits, priv := randomInputs(rand.New(rand.NewSource(12)), c)
-	gb := garble(c, prf.NewPRG(prf.Seed{0xf2}), priv, false, nil)
+	gb := garble(c, prf.NewPRG(prf.Seed{0xf2}), priv, false, nil, nil)
 	good, labels := activate(c, gb, gbits), activeLabels(gb, ebits)
 	want, _, err := c.EvalPlain(gbits, ebits, priv)
 	if err != nil {

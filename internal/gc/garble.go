@@ -117,7 +117,9 @@ func orBit(v []byte, i int, b uint8) { v[i>>3] |= b << (i & 7) }
 // slot-major. keepPerm retains the per-gate permute bits applyPrivate
 // needs. evalIn, when non-nil, supplies the evaluator-input zero labels
 // (a direct label OT's x0, which need no shift); otherwise they are drawn
-// from g and the message keeps room for the pooled path's shifts.
+// from g and the message keeps room for the pooled path's shifts. msg,
+// when non-nil, is the message buffer, at least the message long, and
+// what lies past the message is the caller's; otherwise it is allocated.
 //
 // All randomness — Δ, the Const0 label, every input zero label — is
 // drawn before the sweep, in an order that does not depend on priv or
@@ -130,7 +132,7 @@ func orBit(v []byte, i int, b uint8) { v[i>>3] |= b << (i & 7) }
 // that same offset — what a serial sweep over the gadget looped Slots
 // times would assign — so labels and tables are byte-identical at any
 // worker count.
-func garble(c *Circuit, g *prf.PRG, priv []bool, keepPerm bool, evalIn []prf.Block) *garbled {
+func garble(c *Circuit, g *prf.PRG, priv []bool, keepPerm bool, evalIn []prf.Block, msg []byte) *garbled {
 	sp := kGarble.Begin()
 	defer sp.EndN(int64(c.NumGates()))
 	labelsOff, decodeOff, payOff, total := c.msgLayout()
@@ -138,8 +140,11 @@ func garble(c *Circuit, g *prf.PRG, priv []bool, keepPerm bool, evalIn []prf.Blo
 	nEO, nGO := len(c.EvalOutputs), len(c.GarblerOutputs)
 	sb, stride := c.slotBlocks(), c.stride()
 	_, pb := c.payloadShape()
+	if msg == nil {
+		msg = make([]byte, total, total+labelTail(c.Slots*nE, evalIn == nil))
+	}
 	gb := &garbled{
-		msg:     make([]byte, total, total+labelTail(c.Slots*nE, evalIn == nil)),
+		msg:     msg[:total],
 		evalIn:  evalIn,
 		outPerm: make([]byte, (c.Slots*nGO+7)/8),
 	}

@@ -299,7 +299,7 @@ func TestOutputSelect2PC(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gb := garble(c, prf.NewPRG(prf.Seed{byte(bits), byte(trial)}), priv, false, nil)
+			gb := garble(c, prf.NewPRG(prf.Seed{byte(bits), byte(trial)}), priv, false, nil, nil)
 			got, _, err := evaluate(c, gb.msg, activeLabels(gb, ebits))
 			if err != nil {
 				t.Fatal(err)

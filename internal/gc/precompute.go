@@ -47,7 +47,7 @@ type PreGarbled struct {
 // of the interior wires.
 func GarbleAhead(c *Circuit) *PreGarbled {
 	zero := make([]bool, c.Slots*c.NumPrivate)
-	return &PreGarbled{C: c, gb: garble(c, prf.NewPRG(prf.RandomSeed()), zero, true, nil)}
+	return &PreGarbled{C: c, gb: garble(c, prf.NewPRG(prf.RandomSeed()), zero, true, nil, nil)}
 }
 
 // SameShape reports whether two circuits have identical dimensions. The

@@ -59,10 +59,10 @@ func TestAppliedCorrectionsMatchDirectGarble(t *testing.T) {
 		for trial := 0; trial < 10; trial++ {
 			priv := randBits(rng, c.Slots*c.NumPrivate)
 			seed := prf.Seed{byte(trial), 0x5e}
-			direct := garble(c, prf.NewPRG(seed), priv, false, nil)
+			direct := garble(c, prf.NewPRG(seed), priv, false, nil, nil)
 			for _, workers := range []int{1, 4} {
 				off := atWorkers(workers, func() *garbled {
-					off := garble(c, prf.NewPRG(seed), make([]bool, len(priv)), true, nil)
+					off := garble(c, prf.NewPRG(seed), make([]bool, len(priv)), true, nil, nil)
 					applyPrivate(c, off, priv)
 					return off
 				})

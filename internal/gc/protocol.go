@@ -52,29 +52,36 @@ func (c *Circuit) checkGarblerBits(inputs, priv []bool) error {
 // (or a circuit without evaluator inputs); on a direct batch the labels
 // must be the OT's, so pre is dropped and the circuit garbled afresh. The
 // wire format follows the pool, which both parties agree on, never the
-// garbler's queue. gb.msg has the wire layout and room for the OT tail,
-// so the table region — nearly all of the bytes — is sent from the buffer
-// it was garbled into.
+// garbler's queue. The message is one buffer in the wire layout with
+// room for the OT tail, so the table region — nearly all of the bytes —
+// is sent from the buffer it was garbled into. A direct batch's buffer
+// is allocated before the batch opens and the OT hashes its r¹ pads
+// straight into the tail, where the corrections are then built in place.
 func runGarbler(conn transport.Conn, otSend *ot.Sender, c *Circuit, pre *garbled, inputs, priv []bool) ([]bool, error) {
 	nE := c.Slots * len(c.EvalInputs)
+	labelsOff, decodeOff, _, total := c.msgLayout()
 	var cot *ot.SendBatch
+	var buf, tail []byte // a direct batch's message: tables ‖ corrections
 	if nE > 0 {
+		if !otSend.Pool().Ready(nE, 16) {
+			buf = make([]byte, total+labelTail(nE, false))
+			tail = buf[total:]
+		}
 		var err error
-		if cot, err = otSend.BeginCorrelated(nE, 16); err != nil {
+		if cot, err = otSend.BeginCorrelated(nE, 16, tail); err != nil {
 			return nil, err
 		}
 	}
 	var gb *garbled
 	switch {
 	case cot != nil && !cot.Pooled:
-		gb = garble(c, prf.NewPRG(prf.RandomSeed()), priv, false, prf.BlocksOf(cot.X0))
+		gb = garble(c, prf.NewPRG(prf.RandomSeed()), priv, false, prf.BlocksOf(cot.X0), buf)
 	case pre != nil:
 		applyPrivate(c, pre, priv)
 		gb = pre
 	default:
-		gb = garble(c, prf.NewPRG(prf.RandomSeed()), priv, false, nil)
+		gb = garble(c, prf.NewPRG(prf.RandomSeed()), priv, false, nil, nil)
 	}
-	labelsOff, decodeOff, _, _ := c.msgLayout()
 	gIn := prf.BlocksOf(gb.msg[labelsOff+16 : decodeOff])
 	for i, v := range inputs {
 		if v {
@@ -85,7 +92,9 @@ func runGarbler(conn transport.Conn, otSend *ot.Sender, c *Circuit, pre *garbled
 	switch {
 	case cot == nil:
 	case !cot.Pooled:
-		msg = cot.AppendCorrections(msg, func(_ int, x0, x1 []byte) { prf.XORBytes(x1, x0, gb.delta[:]) })
+		// Corrections builds the reply over r¹ in buf's tail, right after
+		// gb.msg, so the append only extends msg over it.
+		msg = append(msg, cot.Corrections(func(_ int, x0, x1 []byte) { prf.XORBytes(x1, x0, gb.delta[:]) })...)
 	default:
 		var l1 prf.Block
 		msg = cot.AppendChosen(msg, func(j int) ([]byte, []byte) {

@@ -2,10 +2,12 @@ package oep
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"secyan/internal/mpc"
 	"secyan/internal/ot"
+	"secyan/internal/permnet"
 	"secyan/internal/share"
 )
 
@@ -19,7 +21,7 @@ func TestGatesMatchesBuildPlan(t *testing.T) {
 		if err != nil {
 			t.Fatalf("buildPlan(%d, %d, %v): %v", m, n, bijection, err)
 		}
-		if got, want := Gates(m, n, bijection), len(pl.gates); got != want {
+		if got, want := Gates(m, n, bijection), pl.gates(); got != want {
 			t.Fatalf("Gates(%d, %d, %v) = %d, plan has %d", m, n, bijection, got, want)
 		}
 	}
@@ -40,9 +42,10 @@ func TestGatesMatchesBuildPlan(t *testing.T) {
 	}
 }
 
-// TestBuildPlanPresized pins the gate list to its closed form in
-// capacity as well as length: buildPlan allocates it once, at the size
-// Gates predicts, and never grows it.
+// TestBuildPlanPresized pins the gate lists to their closed form in
+// capacity as well as length: buildPlan allocates each network's swaps
+// once, at the size permnet.Swaps predicts, and never grows them, and
+// the plan's gates add up to Gates.
 func TestBuildPlanPresized(t *testing.T) {
 	sizes := []int{0, 1, 2, 3, 5, 6, 7, 63, 64, 65, 100, 1000, 4096}
 	for _, m := range sizes {
@@ -55,13 +58,52 @@ func TestBuildPlanPresized(t *testing.T) {
 				if err != nil {
 					t.Fatalf("buildPlan(%d, %d, %v): %v", m, n, bijection, err)
 				}
-				want := Gates(m, n, bijection)
-				if len(pl.gates) != want || cap(pl.gates) != want {
-					t.Fatalf("buildPlan(%d, %d, %v): len %d, cap %d, want both %d",
-						m, n, bijection, len(pl.gates), cap(pl.gates), want)
+				if got, want := pl.gates(), Gates(m, n, bijection); got != want {
+					t.Fatalf("buildPlan(%d, %d, %v): %d gates, want %d", m, n, bijection, got, want)
+				}
+				for _, nw := range []*permnet.Network{pl.pre, pl.post} {
+					if nw != nil && (len(nw.Swaps) != permnet.Swaps(nw.Size) || cap(nw.Swaps) != len(nw.Swaps)) {
+						t.Fatalf("buildPlan(%d, %d, %v): a %d-wire network has len %d, cap %d, want both %d",
+							m, n, bijection, nw.Size, len(nw.Swaps), cap(nw.Swaps), permnet.Swaps(nw.Size))
+					}
 				}
 			}
 		}
+	}
+}
+
+// TestBuildPlanAllocatesOneGateList pins what a party allocates for a
+// plan: its networks' swap lists, 8 B per gate (one list when Pre and
+// Post share a width), plus at most one 8 KiB page of size-class
+// rounding per list and 512 B of structs — no second, per-gate copy of
+// the sequence, no network built twice and no router state, which only
+// the programmer's route builds. A copy of 12 B per gate, or a router's
+// 13 B per wire, exceeds the bound at these sizes.
+func TestBuildPlanAllocatesOneGateList(t *testing.T) {
+	for _, c := range []struct {
+		m, n      int
+		bijection bool
+	}{{1024, 1024, true}, {3000, 1000, false}, {1000, 3000, false}, {2048, 2048, false}} {
+		want, lists := 8*permnet.Swaps(c.m), 1
+		if !c.bijection {
+			want = 8 * permnet.Swaps(max(c.m, c.n))
+			if c.m != c.n {
+				want, lists = want+8*permnet.Swaps(c.n), 2
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		pl, err := buildPlan(c.m, c.n, c.bijection)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := after.TotalAlloc - before.TotalAlloc
+		if limit := uint64(want + lists*8<<10 + 512); got > limit {
+			t.Fatalf("buildPlan(%d, %d, %v) allocated %d B for %d gates, want at most %d (8 B per listed swap + 8 KiB per list + 512 B)",
+				c.m, c.n, c.bijection, got, pl.gates(), limit)
+		}
+		t.Logf("buildPlan(%d, %d, %v): %d B for %d gates", c.m, c.n, c.bijection, got, pl.gates())
 	}
 }
 

@@ -66,28 +66,17 @@ func pack(msg []byte, ring share.Ring, a, b uint64) {
 	copy(msg, w[:len(msg)])
 }
 
-// gateKind distinguishes the two oblivious gate types.
-type gateKind uint8
-
-const (
-	gateSwap gateKind = iota
-	gateDup
-)
-
-// gate is one oblivious gate over working-vector positions.
-type gate struct {
-	kind gateKind
-	p, q int32 // swap: positions; dup: q = target, p = source (q-1)
-}
-
-// plan lists the gates of an extended (or plain) permutation network in
-// evaluation order over a working vector of width positions. Both
-// parties derive the identical plan from public sizes.
+// plan is the public gate sequence of an extended (or plain)
+// permutation network over a working vector of width positions: pre's
+// swaps, then dups duplication gates — gate j copies position j into
+// j + 1 when chosen — then post's swaps. Both parties derive the
+// identical plan from public sizes, and the networks' swap lists are
+// its only gate list: the programmer routes them, the helper only walks
+// them.
 type plan struct {
-	width int
-	gates []gate
-	ext   *permnet.Extended // the programmer's router; nil for a bijection
-	net   *permnet.Network  // a bijection's one network
+	width     int
+	pre, post *permnet.Network // post is nil for a bijection
+	dups      int
 }
 
 // buildPlan constructs the public gate sequence for an OEP from m inputs
@@ -96,27 +85,59 @@ type plan struct {
 // the optimization used when permuting shares by a random permutation
 // (paper §5.5) or by a sort order (§6.1).
 func buildPlan(m, n int, bijection bool) (*plan, error) {
-	pl := &plan{width: max(m, n), gates: make([]gate, 0, Gates(m, n, bijection))}
-	appendSwaps := func(nw *permnet.Network) {
-		for _, sw := range nw.Swaps {
-			pl.gates = append(pl.gates, gate{gateSwap, sw[0], sw[1]})
-		}
-	}
 	if bijection {
 		if m != n {
 			return nil, fmt.Errorf("oep: bijection requires m == n, got %d and %d", m, n)
 		}
-		pl.net = permnet.New(m)
-		appendSwaps(pl.net)
-		return pl, nil
+		return &plan{width: m, pre: permnet.New(m)}, nil
 	}
-	pl.ext = permnet.NewExtended(m, n)
-	appendSwaps(pl.ext.Pre)
-	for j := 1; j < n; j++ {
-		pl.gates = append(pl.gates, gate{gateDup, int32(j - 1), int32(j)})
+	ext := permnet.NewExtended(m, n)
+	return &plan{width: max(m, n), pre: ext.Pre, post: ext.Post, dups: max(n-1, 0)}, nil
+}
+
+// gates returns the plan's gate count, Gates(m, n, bijection).
+func (pl *plan) gates() int {
+	n := len(pl.pre.Swaps) + pl.dups
+	if pl.post != nil {
+		n += len(pl.post.Swaps)
 	}
-	appendSwaps(pl.ext.Post)
-	return pl, nil
+	return n
+}
+
+// gate returns gate gi's positions: a swap of p and q, or, when dup is
+// set, the duplication that writes p into q = p + 1 when chosen.
+func (pl *plan) gate(gi int) (p, q int32, dup bool) {
+	if gi < len(pl.pre.Swaps) {
+		sw := pl.pre.Swaps[gi]
+		return sw[0], sw[1], false
+	}
+	if gi -= len(pl.pre.Swaps); gi < pl.dups {
+		return int32(gi), int32(gi + 1), true
+	}
+	sw := pl.post.Swaps[gi-pl.dups]
+	return sw[0], sw[1], false
+}
+
+// route computes the programmer's control bits for ξ = xi, in gate
+// order; only the programmer builds router state.
+func (pl *plan) route(xi []int, m int) ([]bool, error) {
+	if pl.post != nil {
+		ext := &permnet.Extended{M: m, N: len(xi), Pre: pl.pre, Post: pl.post}
+		return ext.Route(xi)
+	}
+	// xi maps output i ← input s; the network routes input s to
+	// position i, i.e. dest[s] = i.
+	dest := make([]int, m)
+	for i := range dest {
+		dest[i] = -1 // a source xi never names fails Route
+	}
+	for i, s := range xi {
+		if s < 0 || s >= m {
+			return nil, fmt.Errorf("oep: xi[%d] = %d out of range", i, s)
+		}
+		dest[s] = i
+	}
+	return pl.pre.Route(dest)
 }
 
 // RunProgrammer executes the OEP as the party holding ξ. xi[i] ∈ [0,m) is
@@ -152,29 +173,12 @@ func runProgrammer(p *mpc.Party, xi []int, m, n int, myShares []uint64, bijectio
 	if err != nil {
 		return nil, err
 	}
-	var bits []bool
-	if bijection {
-		// xi maps output i ← input s; the network routes input s to
-		// position i, i.e. dest[s] = i.
-		dest := make([]int, m)
-		for i := range dest {
-			dest[i] = -1 // a source xi never names fails Route
-		}
-		for i, s := range xi {
-			if s < 0 || s >= m {
-				return nil, fmt.Errorf("oep: xi[%d] = %d out of range", i, s)
-			}
-			dest[s] = i
-		}
-		bits, err = pl.net.Route(dest)
-	} else {
-		bits, err = pl.ext.Route(xi)
-	}
+	bits, err := pl.route(xi, m)
 	if err != nil {
 		return nil, err
 	}
-	if len(bits) != len(pl.gates) {
-		return nil, fmt.Errorf("oep: %d control bits for %d gates", len(bits), len(pl.gates))
+	if len(bits) != pl.gates() {
+		return nil, fmt.Errorf("oep: %d control bits for %d gates", len(bits), pl.gates())
 	}
 
 	recv, err := p.OTReceiver()
@@ -194,23 +198,19 @@ func runProgrammer(p *mpc.Party, xi []int, m, n int, myShares []uint64, bijectio
 	for i, v := range myShares {
 		state[i] = ring.Mask(v)
 	}
-	for gi, g := range pl.gates {
+	for gi, c := range bits {
 		a, b := unpack(msgs[gi*msgLen:(gi+1)*msgLen], ring)
-		switch g.kind {
-		case gateSwap:
-			sp, sq := state[g.p], state[g.q]
-			if bits[gi] {
-				sp, sq = sq, sp
-			}
-			state[g.p] = ring.Add(sp, a)
-			state[g.q] = ring.Add(sq, b)
-		case gateDup:
-			src := state[g.q]
-			if bits[gi] {
-				src = state[g.p]
-			}
-			state[g.q] = ring.Add(src, a)
+		p, q, dup := pl.gate(gi)
+		sp, sq := state[p], state[q]
+		if c {
+			sp, sq = sq, sp
 		}
+		if dup {
+			state[q] = ring.Add(sq, a) // q's own share, or p's when chosen
+			continue
+		}
+		state[p] = ring.Add(sp, a)
+		state[q] = ring.Add(sq, b)
 	}
 	return state[:n], nil
 }
@@ -237,18 +237,17 @@ func runHelper(p *mpc.Party, m, n int, myShares []uint64, bijection bool) ([]uin
 	for i, v := range myShares {
 		state[i] = ring.Mask(v)
 	}
-	_, err = snd.SendCorrelated(len(pl.gates), MsgLen(ring.Bits), func(gi int, x0, x1 []byte) {
-		g := pl.gates[gi]
+	_, err = snd.SendCorrelated(pl.gates(), MsgLen(ring.Bits), func(gi int, x0, x1 []byte) {
+		p, q, dup := pl.gate(gi)
 		a, b := unpack(x0, ring)
-		sp, sq := state[g.p], state[g.q]
-		switch g.kind {
-		case gateSwap:
-			pack(x1, ring, a+sq-sp, b+sp-sq)
-			state[g.p], state[g.q] = ring.Sub(sp, a), ring.Sub(sq, b)
-		case gateDup:
+		sp, sq := state[p], state[q]
+		if dup {
 			pack(x1, ring, a+sp-sq, b)
-			state[g.q] = ring.Sub(sq, a)
+			state[q] = ring.Sub(sq, a)
+			return
 		}
+		pack(x1, ring, a+sq-sp, b+sp-sq)
+		state[p], state[q] = ring.Sub(sp, a), ring.Sub(sq, b)
 	})
 	if err != nil {
 		return nil, err

@@ -63,11 +63,12 @@ func TestExtOTAllocsDoNotScaleWithBatchSize(t *testing.T) {
 	}
 }
 
-// TestExtBatchAllocsFarBelowKappa pins the column expansion: a batch
-// reads every column's keystream from round keys expanded at setup into
-// one reused row buffer per worker, so one Send/Receive round trip (both
-// endpoints) allocates a fixed number of objects whatever its size —
-// 35 at the time of writing — where one PRG or keystream temporary per
+// TestExtBatchAllocsFarBelowKappa pins the chunk expansion: a batch
+// reads every leaf's keystream from round keys expanded at setup (the
+// sender's) or on the worker's stack (the receiver's) into stack scratch,
+// so one Send/Receive round trip (both endpoints) allocates a fixed
+// number of objects whatever its size —
+// 23–31 at the time of writing — where one PRG or keystream temporary per
 // column would add at least κ = 128 (the per-column PRG.Bytes reads this
 // replaced made it 422).
 func TestExtBatchAllocsFarBelowKappa(t *testing.T) {
@@ -84,12 +85,13 @@ func TestExtBatchAllocsFarBelowKappa(t *testing.T) {
 
 // TestExtBatchAllocBytesNearWire pins the tiled expansion in bytes: a
 // direct correlated batch allocates, over both endpoints, its two wire
-// messages (the κ×mPad correction matrix and the sender's corrections,
-// CorrelatedCost), its three flat pad arrays (the sender's two, the
-// receiver's one) and at most 64 KiB besides — whatever the batch size
-// and worker count. Neither end builds a κ×m matrix or its transpose,
-// and the pipe hands messages over without copying them; either would
-// add at least one more wire matrix.
+// messages (the correction message and the sender's corrections,
+// CorrelatedCost), its two flat pad arrays (the sender's x0, the
+// receiver's chosen pads) and at most 64 KiB besides — whatever the
+// batch size and worker count. The sender hashes r¹ straight into its
+// reply, neither end builds a κ×m matrix or its transpose, and the pipe
+// hands messages over without copying them; any of these would add at
+// least one more pad array or wire matrix.
 func TestExtBatchAllocBytesNearWire(t *testing.T) {
 	const msgLen = 16
 	rng := rand.New(rand.NewSource(11))
@@ -124,7 +126,7 @@ func TestExtBatchAllocBytesNearWire(t *testing.T) {
 				runtime.ReadMemStats(&after)
 				got := after.TotalAlloc - before.TotalAlloc
 				wire := uint64(CorrelatedCost(m, msgLen))
-				pads := uint64(3 * m * msgLen)
+				pads := uint64(2 * m * msgLen)
 				if limit := wire + pads + 64<<10; got > limit {
 					t.Fatalf("workers=%d m=%d: one batch allocates %d B, want at most %d (wire %d + pads %d + 64 KiB)",
 						workers, m, got, limit, wire, pads)

@@ -1,27 +1,31 @@
 // Package ot implements 1-out-of-2 oblivious transfer: the Chou–Orlandi
-// "simplest OT" over the NIST P-256 curve as the base OT, and the IKNP'03
-// extension that turns κ=128 base OTs into an effectively unlimited stream
-// of fast OTs built from symmetric primitives only. Oblivious transfer is
-// the root primitive of this repository: garbled-circuit input labels,
-// oblivious switching networks (OEP), and hence PSI and every secure
-// Yannakakis operator are built on top of it.
+// "simplest OT" over the NIST P-256 curve as the base OT, and the
+// SoftSpoken OT extension (Roy 2022, at k = 4, softspoken.go) that turns
+// κ=128 base OTs into an effectively unlimited stream of fast OTs built
+// from symmetric primitives only — IKNP'03's correlation from a quarter of
+// IKNP's correction matrix. Oblivious transfer is the root primitive of
+// this repository: garbled-circuit input labels, oblivious switching
+// networks (OEP), and hence PSI and every secure Yannakakis operator are
+// built on top of it.
 //
 // The base OT is a *random* OT: the protocol itself produces the sender's
 // two seeds per instance and the receiver's chosen one — which is all
-// IKNP needs — in two messages (one curve point from the sender, one
-// point per instance back) and no ciphertexts; see DESIGN.md §16. A
-// party pair runs it once: the opposite direction's κ base OTs are κ
-// random OTs of the first direction's extension (Receiver.Reverse,
-// Sender.Reverse).
+// the extension needs — in two messages (one curve point from the
+// sender, one point per instance back) and no ciphertexts; see DESIGN.md
+// §16. The extension's receiver then sends one message of GGM
+// corrections that punctures the sender's trees. A party pair runs the
+// base OTs once: the opposite direction's κ base OTs are κ random OTs of
+// the first direction's extension (Receiver.Reverse, Sender.Reverse).
 //
-// Next to IKNP sits the KKRT 1-of-∞ extension (kkrt.go), the PSI's
+// Next to it sits the KKRT 1-of-∞ extension (kkrt.go), the PSI's
 // batched OPRF, whose 512 base OTs are derived the same way from an
-// IKNP direction (NewKKRTSender, NewKKRTReceiver).
+// extension direction (NewKKRTSender, NewKKRTReceiver), and whose batch
+// runs the same chunk kernel at k = 1.
 //
 // All protocols here are semi-honest, matching the paper's security model
 // (§4). Malformed peer messages are still rejected with a *MessageError
-// rather than a panic: semi-honest is the privacy model, not the
-// availability model.
+// or a *transport.SizeError rather than a panic: semi-honest is the
+// privacy model, not the availability model.
 package ot
 
 import (

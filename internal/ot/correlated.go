@@ -50,17 +50,23 @@ type SendBatch struct {
 	X0 []byte
 	// Pooled reports that the batch derandomized a pooled one. The peer's
 	// RecvBatch agrees: the pools are filled and drained in lockstep.
-	Pooled    bool
-	pad       []byte // r¹ⱼ, flat: what a receiver choosing 1 holds
+	Pooled bool
+	// pad is r¹ⱼ, flat: what a receiver choosing 1 holds. A direct batch
+	// hashes it into the reply buffer BeginCorrelated was given (or one
+	// it allocated), a pooled one keeps the pool's.
+	pad       []byte
 	m, msgLen int
 }
 
 // BeginCorrelated opens a batch of m correlated OTs with msgLen-byte
 // messages: it takes the matching pool batch if there is one, receives
 // the peer's opening message and derives both pads of every instance.
-// The peer runs Receiver.BeginCorrelated with m choices. A batch of zero
-// OTs exchanges nothing and leaves the pool alone.
-func (s *Sender) BeginCorrelated(m, msgLen int) (*SendBatch, error) {
+// reply, when not nil, is the m·msgLen bytes the corrections will be
+// sent from: a direct batch hashes r¹ straight into it, so Corrections
+// fills it in place (a pooled batch ignores it). The peer runs
+// Receiver.BeginCorrelated with m choices. A batch of zero OTs exchanges
+// nothing and leaves the pool alone.
+func (s *Sender) BeginCorrelated(m, msgLen int, reply []byte) (*SendBatch, error) {
 	if m == 0 {
 		return &SendBatch{msgLen: msgLen}, nil
 	}
@@ -71,24 +77,26 @@ func (s *Sender) BeginCorrelated(m, msgLen int) (*SendBatch, error) {
 	}
 	sp := k.Begin()
 	defer sp.EndN(int64(m))
-	r0, r1, err := s.sendRandom(b, m, msgLen)
+	r0, r1, err := s.sendRandom(b, m, msgLen, reply)
 	if err != nil {
 		return nil, err
 	}
 	return &SendBatch{X0: r0, Pooled: b != nil, pad: r1, m: m, msgLen: msgLen}, nil
 }
 
-// AppendCorrections appends the batch's m·msgLen-byte reply to dst: the
-// correction f(j, x0ⱼ) ⊕ r¹ⱼ of every instance, in order.
-func (b *SendBatch) AppendCorrections(dst []byte, f Correlation) []byte {
-	n, m := b.msgLen, b.m
-	base := len(dst)
-	dst = slices.Grow(dst, m*n)[:base+m*n]
-	for j := 0; j < m; j++ {
-		f(j, b.X0[j*n:(j+1)*n], dst[base+j*n:base+(j+1)*n])
+// Corrections consumes the batch and returns its m·msgLen-byte reply:
+// the correction f(j, x0ⱼ) ⊕ r¹ⱼ of every instance, in order, computed
+// in place over r¹ — the reply buffer of a direct batch, the pooled pads
+// of a pooled one.
+func (b *SendBatch) Corrections(f Correlation) []byte {
+	n := b.msgLen
+	x1 := make([]byte, n)
+	for j := 0; j < b.m; j++ {
+		f(j, b.X0[j*n:(j+1)*n], x1)
+		y := b.pad[j*n : (j+1)*n]
+		prf.XORBytes(y, y, x1)
 	}
-	prf.XORBytes(dst[base:], dst[base:], b.pad)
-	return dst
+	return b.pad
 }
 
 // AppendChosen appends the reply of a chosen-message batch to dst: the
@@ -115,11 +123,11 @@ func (b *SendBatch) AppendChosen(dst []byte, pair func(j int) (m0, m1 []byte)) [
 // learns f(j, x0ⱼ) where it chose 1 and x0ⱼ where it chose 0. It returns
 // X0, flat m×msgLen.
 func (s *Sender) SendCorrelated(m, msgLen int, f Correlation) ([]byte, error) {
-	b, err := s.BeginCorrelated(m, msgLen)
+	b, err := s.BeginCorrelated(m, msgLen, nil)
 	if err != nil || m == 0 {
 		return nil, err
 	}
-	return b.X0, s.conn.Send(b.AppendCorrections(make([]byte, 0, m*msgLen), f))
+	return b.X0, s.conn.Send(b.Corrections(f))
 }
 
 // Send performs len(pairs) chosen-message OTs as sender; pairs[j][c] is
@@ -137,7 +145,7 @@ func (s *Sender) Send(pairs [][2][]byte) error {
 			return fmt.Errorf("ot: all messages must have length %d", msgLen)
 		}
 	}
-	b, err := s.BeginCorrelated(m, msgLen)
+	b, err := s.BeginCorrelated(m, msgLen, nil)
 	if err != nil {
 		return err
 	}

@@ -138,7 +138,8 @@ func TestCorrelatedOT(t *testing.T) {
 }
 
 // TestChosenOTIsCorrelatedPlusWord pins the chosen-message closed forms
-// on both paths: 48 B per 16-byte OT direct (ExtCost), the bits plus two
+// on both paths: 36 B per 16-byte OT direct (ExtCost: 4 B of correction
+// message and two words), the bits plus two
 // words pooled (ExtOnlineCost).
 func TestChosenOTIsCorrelatedPlusWord(t *testing.T) {
 	snd, rcv, done := newExtPair(t)
@@ -148,7 +149,7 @@ func TestChosenOTIsCorrelatedPlusWord(t *testing.T) {
 	const m, msgLen = 640, 16
 	before := moved()
 	runBatch(t, snd, rcv, rng, m, msgLen)
-	if got := moved() - before; got != ExtCost(m, msgLen) || got != 48*m {
+	if got := moved() - before; got != ExtCost(m, msgLen) || got != 36*m {
 		t.Fatalf("direct chosen batch moved %d bytes, ExtCost predicts %d", got, ExtCost(m, msgLen))
 	}
 	fillBoth(t, snd, rcv, m, msgLen)

@@ -7,23 +7,29 @@ package ot
 
 // SetupCost returns the total bytes (both directions) exchanged by the
 // base OTs that bootstrap one OT-extension session, i.e. one
-// NewSender/NewReceiver pair:
+// NewSender/NewReceiver pair, and the receiver's GGM corrections:
 //
 //	NewReceiver runs BaseSend:  the setup point S
 //	NewSender runs BaseRecv:    κ points R_i
+//	NewReceiver sends:          the GGM corrections, treeBytes
+//
+// The corrections are, per chunk of SoftSpoken's k base OTs, k − 1
+// levels of one left and one right κ-bit sum: 3 072 B at k = 4.
 func SetupCost() int64 {
-	return int64(1+kappa) * pointLen
+	return int64(1+kappa)*pointLen + treeBytes
 }
 
 // DeriveCost returns the bytes that set up the opposite direction of an
 // established session (Receiver.Reverse/Sender.Reverse): one direct
-// batch of κ random OTs, i.e. the first direction's receiver's κ×κ
-// correction matrix.
-func DeriveCost() int64 { return ExtOfflineCost(kappa) }
+// batch of κ random OTs, i.e. the first direction's receiver's
+// correction message for κ instances, and the new receiver's GGM
+// corrections back.
+func DeriveCost() int64 { return ExtOfflineCost(kappa) + treeBytes }
 
 // KKRTSetupCost returns the bytes that set up a KKRT extension on an
 // established IKNP direction (NewKKRTSender/NewKKRTReceiver): one direct
-// batch of KKRTWidth random OTs, i.e. its κ×KKRTWidth correction matrix.
+// batch of KKRTWidth random OTs, i.e. its correction message for
+// KKRTWidth instances.
 func KKRTSetupCost() int64 { return ExtOfflineCost(KKRTWidth) }
 
 // KKRTCost returns the bytes of one KKRT batch of m instances
@@ -35,7 +41,7 @@ func KKRTCost(m int) int64 { return int64(KKRTWidth) * int64((m+7)/8) }
 
 // ExtCost returns the total bytes (both directions) of one direct
 // chosen-message batch (Send/Receive) of m OTs with msgLen-byte messages:
-// the receiver's κ×mPad correction matrix plus the sender's reply, one
+// the receiver's correction message plus the sender's reply, one
 // correction and one word per instance. A batch of zero OTs exchanges
 // nothing.
 func ExtCost(m, msgLen int) int64 {
@@ -44,22 +50,24 @@ func ExtCost(m, msgLen int) int64 {
 
 // CorrelatedCost returns the total bytes of one direct correlated-OT
 // batch (SendCorrelated/ReceiveCorrelated) of m OTs: the receiver's
-// κ×mPad correction matrix plus one msgLen-byte correction per instance.
+// correction message plus one msgLen-byte correction per instance.
 func CorrelatedCost(m, msgLen int) int64 {
 	return ExtOfflineCost(m) + int64(m)*int64(msgLen)
 }
 
 // ExtOfflineCost returns the bytes a precomputed (FillRandom) batch of m
-// OTs moves during the offline phase: only the receiver's κ×mPad
-// correction matrix. Message width is irrelevant offline — pads are
-// derived locally and kept. It is also the whole of a direct random-OT
-// batch, which is what the derived setups run.
+// OTs moves during the offline phase: only the receiver's correction
+// message, one mPad-bit column per SoftSpoken chunk (κ/k bits per
+// instance, a k-th of IKNP's κ×mPad matrix). Message width is
+// irrelevant offline — pads are derived locally and kept. It is also
+// the whole of a direct random-OT batch, which is what the derived
+// setups run.
 func ExtOfflineCost(m int) int64 {
 	if m == 0 {
 		return 0
 	}
 	mPad := (m + 63) &^ 63
-	return int64(kappa/8) * int64(mPad)
+	return int64(chunks/8) * int64(mPad)
 }
 
 // RandomOnlineCost returns the online bytes of a pooled random-OT batch:

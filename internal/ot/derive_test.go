@@ -3,6 +3,7 @@ package ot
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"secyan/internal/obs"
@@ -11,39 +12,49 @@ import (
 )
 
 // reverse derives the opposite direction of a P-256 pair: rcv's end
-// becomes the sender, snd's end the receiver. senderEndFirst starts
-// Sender.Reverse (which waits for the matrix) before Receiver.Reverse
-// sends it; otherwise Receiver.Reverse runs to completion first.
+// becomes the sender, snd's end the receiver. Each end waits for the
+// other's message (the matrix one way, the GGM corrections back), so
+// both run at once: senderEndFirst starts Sender.Reverse, which waits for
+// the matrix, before Receiver.Reverse; otherwise Receiver.Reverse has
+// sent its matrix before Sender.Reverse starts.
 func reverse(t *testing.T, snd *Sender, rcv *Receiver, senderEndFirst bool) (*Sender, *Receiver) {
 	t.Helper()
 	type res struct {
-		r   *Receiver
+		s   *Sender
 		err error
 	}
 	ch := make(chan res, 1)
-	run := func() { r, err := snd.Reverse(); ch <- res{r, err} }
-	if senderEndFirst {
-		go run()
-	}
-	s, err := rcv.Reverse()
-	if err != nil {
-		t.Fatalf("Receiver.Reverse: %v", err)
-	}
 	if !senderEndFirst {
-		run()
+		sent := rcv.conn.Stats().MessagesSent
+		go func() { s, err := rcv.Reverse(); ch <- res{s, err} }()
+		for rcv.conn.Stats().MessagesSent == sent {
+			runtime.Gosched()
+		}
 	}
-	rr := <-ch
-	if rr.err != nil {
-		t.Fatalf("Sender.Reverse: %v", rr.err)
+	done := make(chan struct{})
+	var r *Receiver
+	var rerr error
+	go func() { defer close(done); r, rerr = snd.Reverse() }()
+	if senderEndFirst {
+		s, err := rcv.Reverse()
+		ch <- res{s, err}
 	}
-	return s, rr.r
+	<-done
+	if rerr != nil {
+		t.Fatalf("Sender.Reverse: %v", rerr)
+	}
+	rs := <-ch
+	if rs.err != nil {
+		t.Fatalf("Receiver.Reverse: %v", rs.err)
+	}
+	return rs.s, r
 }
 
 // TestReverseDerivesWorkingDirection runs a P-256 pair and derives the
 // opposite direction from it, with either end's Reverse called first and
 // both on a fresh pair and after first-direction batches (so the
 // bootstrap OTs are not instances 0–127). The setup moves exactly
-// DeriveCost bytes in one message and runs no base-OT kernel; the
+// DeriveCost bytes in one message each way and runs no base-OT kernel; the
 // derived direction's chosen, correlated and random OTs are correct; and
 // the first direction keeps working afterwards.
 func TestReverseDerivesWorkingDirection(t *testing.T) {
@@ -70,11 +81,11 @@ func TestReverseDerivesWorkingDirection(t *testing.T) {
 			base0, _ := obs.KernelTotal("ot.base.")
 			s2, r2 := reverse(t, snd, rcv, tc.senderEndFirst)
 			after := rcv.conn.Stats()
-			if got := after.TotalBytes() - before.TotalBytes(); got != DeriveCost() || got != 2048 {
+			if got := after.TotalBytes() - before.TotalBytes(); got != DeriveCost() || got != 3584 {
 				t.Fatalf("derivation moved %d bytes, DeriveCost predicts %d", got, DeriveCost())
 			}
-			if sent, recvd := after.MessagesSent-before.MessagesSent, after.MessagesRecv-before.MessagesRecv; sent != 1 || recvd != 0 {
-				t.Fatalf("derivation: the first receiver sent %d and received %d messages, want 1 and 0", sent, recvd)
+			if sent, recvd := after.MessagesSent-before.MessagesSent, after.MessagesRecv-before.MessagesRecv; sent != 1 || recvd != 1 {
+				t.Fatalf("derivation: the first receiver sent %d and received %d messages, want 1 and 1", sent, recvd)
 			}
 			if base, _ := obs.KernelTotal("ot.base."); base != base0 {
 				t.Fatalf("derivation ran %d base-OT instances", base-base0)
@@ -154,7 +165,7 @@ func TestReverseLeavesPoolsAligned(t *testing.T) {
 			err error
 		}
 		ch := make(chan res, 1)
-		go func() { b, err := snd.BeginCorrelated(d.m, d.msgLen); ch <- res{b, err} }()
+		go func() { b, err := snd.BeginCorrelated(d.m, d.msgLen, nil); ch <- res{b, err} }()
 		rb, err := rcv.BeginCorrelated(choices, d.msgLen)
 		if err != nil {
 			t.Fatal(err)
@@ -169,7 +180,7 @@ func TestReverseLeavesPoolsAligned(t *testing.T) {
 		// Finish the batch so the two ends stay in lockstep.
 		zero := make([]byte, d.m*d.msgLen)
 		want := sb.b.X0
-		if err := snd.conn.Send(sb.b.AppendCorrections(nil, func(j int, x0, x1 []byte) { copy(x1, x0) })); err != nil {
+		if err := snd.conn.Send(sb.b.Corrections(func(j int, x0, x1 []byte) { copy(x1, x0) })); err != nil {
 			t.Fatal(err)
 		}
 		corr, err := rcv.conn.Recv()
@@ -188,8 +199,9 @@ func TestReverseLeavesPoolsAligned(t *testing.T) {
 }
 
 // reverseVictim returns an extension sender built from random base-OT
-// output (no public-key work) and the connection its peer writes on, for
-// FuzzBaseOTMessages to feed the derived setups arbitrary matrices.
+// output and GGM corrections (no public-key work) and the connection its
+// peer writes on, for FuzzBaseOTMessages to feed the derived setups
+// arbitrary matrices.
 func reverseVictim(t testing.TB) (*Sender, transport.Conn) {
 	a, b := transport.Pair()
 	t.Cleanup(func() { a.Close(); b.Close() })
@@ -197,5 +209,5 @@ func reverseVictim(t testing.TB) (*Sender, transport.Conn) {
 	for i := range seeds {
 		seeds[i] = prf.RandomSeed()
 	}
-	return newSender(a, randomBits(kappa), seeds), b
+	return newSender(a, randomBits(kappa), seeds, make([]byte, treeBytes)), b
 }

@@ -163,37 +163,81 @@ func TestExtensionTranscriptEquivalenceAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestTiledExpansionMatchesMatrixPath pins the tile kernel to the
-// matrix formulation of IKNP: from fixed base-OT seeds, the receiver's
-// pad of instance j is the hash of row j of Tᵀ, for T built as a
-// bitutil.Matrix from the column streams and transposed whole, and the
-// sender's pads are the hashes of q_j = t_j ⊕ c_j·s and q_j ⊕ s. Batch
+// ggmLeaf is the reference for leaf x of chunk j's tree, walked root to
+// leaf rather than level by level: the level-1 node is base OT kj's seed
+// x_0, and each further bit x_ℓ picks child x_ℓ, bytes [16·x_ℓ, 16·x_ℓ +
+// 16) of AES-CTR under the parent.
+func ggmLeaf(pairs [][2]prf.Seed, j, x int) prf.Seed {
+	node := pairs[j*chunkBits][x&1]
+	for l := 1; l < chunkBits; l++ {
+		var b [2 * prf.SeedSize]byte
+		g := prf.NewCTR(node)
+		g.KeyStream(b[:], 0)
+		node = prf.Seed(b[(x>>l&1)*prf.SeedSize:])
+	}
+	return node
+}
+
+// TestTiledExpansionMatchesMatrixPath pins the chunk kernel and the
+// tiled sender to the whole-matrix formulation of SoftSpoken: from fixed
+// base-OT seeds, the receiver holds every leaf of every chunk's tree
+// (ggmLeaf) and the sender every leaf but Δ_j = ¬c_j, with Δ as its s;
+// T is built as a bitutil.Matrix whose column kj+b is the XOR of the
+// streams of chunk j's leaves with bit b set and transposed whole; the
+// message is every chunk's XOR of all its leaves' streams ⊕ r; the
+// receiver's pad of instance j is the hash of row j of Tᵀ, and the
+// sender's pads are the hashes of q_j = t_j ⊕ r_j·Δ and q_j ⊕ Δ. Batch
 // sizes fall on and across block (64) and tile (1 024) boundaries, run
 // back to back so later batches start at nonzero stream offsets, at one
 // and four workers.
 func TestTiledExpansionMatchesMatrixPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
-	sBits := make([]bool, kappa)
+	cBits := make([]bool, kappa)
 	pairs := make([][2]prf.Seed, kappa)
 	seeds := make([]prf.Seed, kappa)
+	var delta [kappa / 8]byte
 	for i := range pairs {
 		rng.Read(pairs[i][0][:])
 		rng.Read(pairs[i][1][:])
-		sBits[i] = rng.Intn(2) == 1
+		cBits[i] = rng.Intn(2) == 1
 		seeds[i] = pairs[i][0]
-		if sBits[i] {
+		if cBits[i] {
 			seeds[i] = pairs[i][1]
+		} else {
+			delta[i/8] |= 1 << (i % 8)
 		}
 	}
-	var sRow [kappa / 8]byte
-	packBits(sRow[:], sBits)
 	for _, workers := range []int{1, 4} {
 		func() {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 			a, b := transport.Pair()
 			defer a.Close()
 			defer b.Close()
-			snd, rcv := newSender(a, sBits, seeds), newReceiver(b, pairs)
+			cc := &copyingConn{Conn: b}
+			rcv, corr := newReceiver(cc, pairs)
+			snd := newSender(a, cBits, seeds, corr)
+			if snd.s != delta {
+				t.Fatalf("workers=%d: sender's Δ %x, want ¬c = %x", workers, snd.s, delta)
+			}
+			var want, got [prf.SeedSize]byte
+			for j := 0; j < chunks; j++ {
+				dj := int(delta[j/2]>>(4*(j%2))) & (chunkLeaves - 1)
+				for x := 0; x < chunkLeaves; x++ {
+					leaf := ggmLeaf(pairs, j, x)
+					if rcv.leaves[j][x] != leaf {
+						t.Fatalf("chunk %d: receiver's leaf %d differs from the reference tree", j, x)
+					}
+					if x == dj {
+						continue
+					}
+					g := prf.NewCTR(leaf)
+					g.KeyStream(want[:], 0)
+					snd.leaves[j*(chunkLeaves-1)+(x^dj)-1].KeyStream(got[:], 0)
+					if got != want {
+						t.Fatalf("chunk %d: sender's leaf %d differs from the reference tree", j, x)
+					}
+				}
+			}
 			for _, cfg := range []struct{ m, msgLen int }{
 				{1, 16}, {64, 5}, {1000, 16}, {1024, 33}, {1025, 16}, {3000, 7},
 			} {
@@ -209,45 +253,67 @@ func TestTiledExpansionMatchesMatrixPath(t *testing.T) {
 				}
 				ch := make(chan sent, 1)
 				go func() {
-					r0, r1, err := snd.randomPads(m, msgLen)
+					r0, r1, err := snd.randomPads(m, msgLen, nil)
 					ch <- sent{r0, r1, err}
 				}()
 				rc, err := rcv.randomPads(choices, msgLen)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := <-ch
-				if got.err != nil {
-					t.Fatal(got.err)
+				res := <-ch
+				if res.err != nil {
+					t.Fatal(res.err)
 				}
 
 				mPad := int(padTo64(m))
+				rowBytes := mPad / 8
+				r := make([]byte, rowBytes)
+				packBits(r, choices)
 				tm := bitutil.NewMatrix(kappa, mPad)
-				col := make([]byte, mPad/8)
-				for i := range pairs {
-					ctr := prf.NewCTR(pairs[i][0])
-					ctr.KeyStream(col, off)
-					tm.SetRowBytes(i, col)
+				wantU := make([]byte, chunks*rowBytes)
+				stream, col := make([]byte, rowBytes), make([]byte, rowBytes)
+				for j := 0; j < chunks; j++ {
+					u := wantU[j*rowBytes : (j+1)*rowBytes]
+					copy(u, r)
+					for x := 0; x < chunkLeaves; x++ {
+						g := prf.NewCTR(ggmLeaf(pairs, j, x))
+						g.KeyStream(stream, off)
+						prf.XORBytes(u, u, stream)
+					}
+					for bit := 0; bit < chunkBits; bit++ {
+						clear(col)
+						for x := 0; x < chunkLeaves; x++ {
+							if x>>bit&1 == 1 {
+								g := prf.NewCTR(ggmLeaf(pairs, j, x))
+								g.KeyStream(stream, off)
+								prf.XORBytes(col, col, stream)
+							}
+						}
+						tm.SetRowBytes(j*chunkBits+bit, col)
+					}
+				}
+				if !bytes.Equal(cc.last, wantU) {
+					t.Fatalf("workers=%d m=%d: the correction message differs from the matrix path", workers, m)
 				}
 				tt := tm.Transpose()
-				want := make([]byte, msgLen)
+				pad := make([]byte, msgLen)
 				for j, c := range choices {
 					var row prf.Block
 					tt.RowBytesInto(row[:], j)
-					derivePad(want, idx+uint64(j), row)
-					if !bytes.Equal(rc[j*msgLen:(j+1)*msgLen], want) {
+					derivePad(pad, idx+uint64(j), row)
+					if !bytes.Equal(rc[j*msgLen:(j+1)*msgLen], pad) {
 						t.Fatalf("workers=%d m=%d len=%d: receiver pad %d differs from the matrix path", workers, m, msgLen, j)
 					}
 					if c {
-						prf.XORBytes(row[:], row[:], sRow[:])
+						prf.XORBytes(row[:], row[:], delta[:])
 					}
-					derivePad(want, idx+uint64(j), row)
-					if !bytes.Equal(got.r0[j*msgLen:(j+1)*msgLen], want) {
+					derivePad(pad, idx+uint64(j), row)
+					if !bytes.Equal(res.r0[j*msgLen:(j+1)*msgLen], pad) {
 						t.Fatalf("workers=%d m=%d len=%d: sender pad 0 of %d differs from the matrix path", workers, m, msgLen, j)
 					}
-					prf.XORBytes(row[:], row[:], sRow[:])
-					derivePad(want, idx+uint64(j), row)
-					if !bytes.Equal(got.r1[j*msgLen:(j+1)*msgLen], want) {
+					prf.XORBytes(row[:], row[:], delta[:])
+					derivePad(pad, idx+uint64(j), row)
+					if !bytes.Equal(res.r1[j*msgLen:(j+1)*msgLen], pad) {
 						t.Fatalf("workers=%d m=%d len=%d: sender pad 1 of %d differs from the matrix path", workers, m, msgLen, j)
 					}
 				}

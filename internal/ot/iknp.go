@@ -10,53 +10,39 @@ import (
 	"secyan/internal/transport"
 )
 
-// kappa is the number of base OTs / the width of the IKNP matrix.
+// kappa is the number of base OTs and the width of the extension's
+// correlation: every OT instance is one κ-bit row t_j, and its sender
+// holds q_j = t_j ⊕ (r_j ∧ s).
 const kappa = 128
 
-// Sender is the message-sending endpoint of an IKNP OT-extension session.
-// After a one-time setup (κ base OTs in the reverse direction), every
-// batch — random, correlated or chosen-message (correlated.go) — uses
-// only symmetric cryptography and at most one round trip.
+// Sender is the message-sending endpoint of an OT-extension session
+// (SoftSpoken over IKNP's correlation, softspoken.go). After a one-time
+// setup (κ base OTs in the reverse direction and the receiver's GGM
+// corrections), every batch — random, correlated or chosen-message
+// (correlated.go) — uses only symmetric cryptography and at most one
+// round trip.
 type Sender struct {
 	conn transport.Conn
-	s    [kappa / 8]byte // the κ secret selection bits, packed; XORed into q-rows for pad 1
-	cols [kappa]prf.CTR  // AES-CTR under k_i^{s_i}, one per column
-	off  uint64          // byte offset of the next batch in every column's stream
-	idx  uint64          // global OT counter, for hash tweak freshness
-	pool Pool            // precomputed random-OT batches (random.go)
+	s    [kappa / 8]byte // Δ: every chunk's punctured leaf, packed, chunk j at bits [kj, kj+k); XORed into q-rows for pad 1
+	// leaves holds the AES-CTR schedules of the 2^k − 1 leaves every
+	// chunk's punctured tree reveals, expanded once at setup: chunk j's
+	// leaf x at index j·(2^k − 1) + (x ⊕ Δ_j) − 1.
+	leaves [chunks * (chunkLeaves - 1)]prf.CTR
+	off    uint64 // byte offset of the next batch in every leaf's stream
+	idx    uint64 // global OT counter, for hash tweak freshness
+	pool   Pool   // precomputed random-OT batches (random.go)
 }
 
-// Receiver is the choosing endpoint of an IKNP OT-extension session.
+// Receiver is the choosing endpoint of an OT-extension session. It
+// keeps every leaf seed of every chunk's tree and expands a chunk's
+// schedules per batch, inside the chunk's worker.
 type Receiver struct {
-	conn  transport.Conn
-	cols0 [kappa]prf.CTR // AES-CTR under k_i^0, one per column
-	cols1 [kappa]prf.CTR // AES-CTR under k_i^1
-	off   uint64         // byte offset of the next batch in every column's stream
-	idx   uint64         // global OT counter, equal to the sender's
-	t     []byte         // the last batch's T, column-major; grow-only
-	pool  Pool
-}
-
-// newSender builds an extension sender from its κ base OTs: the secret
-// choice bits s and the seed k_i^{s_i} each one selected.
-func newSender(conn transport.Conn, s []bool, seeds []prf.Seed) *Sender {
-	snd := &Sender{conn: conn}
-	packBits(snd.s[:], s)
-	for i := range snd.cols {
-		snd.cols[i] = prf.NewCTR(seeds[i])
-	}
-	return snd
-}
-
-// newReceiver builds an extension receiver from the κ seed pairs of its
-// base OTs.
-func newReceiver(conn transport.Conn, pairs [][2]prf.Seed) *Receiver {
-	r := &Receiver{conn: conn}
-	for i, p := range pairs {
-		r.cols0[i] = prf.NewCTR(p[0])
-		r.cols1[i] = prf.NewCTR(p[1])
-	}
-	return r
+	conn   transport.Conn
+	leaves [chunks][chunkLeaves]prf.Seed // chunk j's leaf x
+	off    uint64                        // byte offset of the next batch in every leaf's stream
+	idx    uint64                        // global OT counter, equal to the sender's
+	t      []byte                        // the last batch's T, column-major; grow-only
+	pool   Pool
 }
 
 // randomBits draws n uniform bits from a fresh seed.
@@ -79,25 +65,47 @@ func packBits(dst []byte, bits []bool) {
 }
 
 // NewSender runs the base-OT setup (acting as base-OT *receiver* with κ
-// random choice bits) and returns a ready extension sender.
+// random choice bits), receives the peer's GGM corrections and returns
+// a ready extension sender.
 func NewSender(conn transport.Conn) (*Sender, error) {
-	s := randomBits(kappa)
-	seeds, err := BaseRecv(conn, s)
+	c := randomBits(kappa)
+	seeds, err := BaseRecv(conn, c)
 	if err != nil {
 		return nil, fmt.Errorf("ot: sender setup: %w", err)
 	}
-	return newSender(conn, s, seeds), nil
+	return recvTrees(conn, c, seeds)
 }
 
 // NewReceiver runs the base-OT setup (acting as base-OT *sender*; the
-// random OTs return the κ seed pairs) and returns a ready extension
-// receiver.
+// random OTs return the κ seed pairs), sends the GGM corrections that
+// puncture the peer's trees and returns a ready extension receiver.
 func NewReceiver(conn transport.Conn) (*Receiver, error) {
 	pairs, err := BaseSend(conn, kappa)
 	if err != nil {
 		return nil, fmt.Errorf("ot: receiver setup: %w", err)
 	}
-	return newReceiver(conn, pairs), nil
+	return sendTrees(conn, pairs)
+}
+
+// recvTrees receives the GGM corrections of a new direction, exactly
+// treeBytes, and builds its sender from the base OTs' choice bits c
+// and chosen seeds.
+func recvTrees(conn transport.Conn, c []bool, seeds []prf.Seed) (*Sender, error) {
+	corr, err := transport.RecvSized(conn, "ot: GGM corrections", treeBytes)
+	if err != nil {
+		return nil, err
+	}
+	return newSender(conn, c, seeds, corr), nil
+}
+
+// sendTrees builds a new direction's receiver from the base OTs' seed
+// pairs and sends the GGM corrections its peer's sender needs.
+func sendTrees(conn transport.Conn, pairs [][2]prf.Seed) (*Receiver, error) {
+	r, corr := newReceiver(conn, pairs)
+	if err := conn.Send(corr); err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
 // derivedBase runs w direct random OTs as their receiver, on uniform
@@ -120,7 +128,7 @@ func (r *Receiver) derivedBase(w int) (s []bool, seeds []prf.Seed, err error) {
 // derivedBase is the peer's half of Receiver.derivedBase: both pads of
 // each of the w random OTs become one seed pair.
 func (s *Sender) derivedBase(w int) ([][2]prf.Seed, error) {
-	r0, r1, err := s.randomPads(w, prf.SeedSize)
+	r0, r1, err := s.randomPads(w, prf.SeedSize, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -133,37 +141,45 @@ func (s *Sender) derivedBase(w int) ([][2]prf.Seed, error) {
 
 // Reverse sets up the opposite direction on r's connection without
 // public-key work: κ direct random OTs of this direction serve as its
-// base OTs (DESIGN.md §16). r's uniform choice bits become the new
-// sender's secret s, and the pads they select become its column seeds.
-// The peer calls Sender.Reverse at the same protocol point; it costs
-// DeriveCost, one message from r to the peer.
+// base OTs (DESIGN.md §16). r's uniform choice bits and the pads they
+// select become the new sender's base-OT output, and the peer, the new
+// receiver, answers with its GGM corrections. The peer calls
+// Sender.Reverse at the same protocol point; it costs DeriveCost, one
+// message each way.
 func (r *Receiver) Reverse() (*Sender, error) {
-	s, seeds, err := r.derivedBase(kappa)
+	c, seeds, err := r.derivedBase(kappa)
 	if err != nil {
 		return nil, fmt.Errorf("ot: derived sender setup: %w", err)
 	}
-	return newSender(r.conn, s, seeds), nil
+	s, err := recvTrees(r.conn, c, seeds)
+	if err != nil {
+		return nil, fmt.Errorf("ot: derived sender setup: %w", err)
+	}
+	return s, nil
 }
 
 // Reverse is the peer's half of Receiver.Reverse: both pads of each of
 // the κ random OTs become the seed pairs of a receiver for the opposite
-// direction.
+// direction, which sends its GGM corrections back.
 func (s *Sender) Reverse() (*Receiver, error) {
 	pairs, err := s.derivedBase(kappa)
 	if err != nil {
 		return nil, fmt.Errorf("ot: derived receiver setup: %w", err)
 	}
-	return newReceiver(s.conn, pairs), nil
+	r, err := sendTrees(s.conn, pairs)
+	if err != nil {
+		return nil, fmt.Errorf("ot: derived receiver setup: %w", err)
+	}
+	return r, nil
 }
 
 // padBatch is the number of OT instances whose pads are hashed per
 // HashBlocks call: one 64×64 transpose block of the extension matrix.
 const padBatch = 64
 
-// tileBytes is the width of one expansion tile in bytes of every
-// column: 1 024 instances, one 8-block KeyStream call per column. A
-// sender tile of all κ columns is 16 KiB, small enough to live on its
-// worker's stack.
+// tileBytes is the width of one sender tile in bytes of every column:
+// 1 024 instances, one 8-block KeyStream call per leaf. A tile of all κ
+// columns is 16 KiB, small enough to live on its worker's stack.
 const tileBytes = 128
 
 // otTweak maps the session-global OT instance counter into the OT
@@ -210,14 +226,15 @@ func hashPads(dst []byte, rows *[padBatch]prf.Block, n, base int, idx uint64, ms
 	}
 }
 
-// padTo64 rounds a batch size up to the matrix width IKNP expands: whole
-// 64-bit words, the unit both of the transpose and of the idx counter.
+// padTo64 rounds a batch size up to the width the extension expands:
+// whole 64-bit words, the unit both of the transpose and of the idx
+// counter.
 func padTo64(m int) uint64 { return uint64(m+63) &^ 63 }
 
-// The kernel below runs both extensions on a w-column bit matrix, one
-// bit per instance in every column: IKNP at w = κ with columns of
-// padTo64(m)/8 bytes, KKRT at w = KKRTWidth with columns of ⌈m/8⌉. No
-// transpose of the matrix is built: rows come out of 64×64 blocks.
+// streamAdvance is how far a batch of rowBytes bytes per column moves
+// the leaf streams: whole AES blocks, so every sender tile starts on a
+// block boundary and is one 8-block keystream call per leaf.
+func streamAdvance(rowBytes int) uint64 { return uint64(rowBytes+15) &^ 15 }
 
 // growBytes returns (*buf)[:n], reallocating only when n exceeds its
 // capacity: a receiver's column buffer grows once per session.
@@ -226,54 +243,6 @@ func growBytes(buf *[]byte, n int) []byte {
 		*buf = make([]byte, n)
 	}
 	return (*buf)[:n]
-}
-
-// expandColumns is the receiver's half of a batch's expansion over w
-// columns of colBytes bytes from byte off of each column's streams
-// keys(i): column i gets t_i = G(k_i^0) in t and u_i = t_i ⊕ G(k_i^1) ⊕
-// x_i in u, for the choice input x_i at x[i·xStride:] — stride 0 when
-// every column has the same (IKNP's r), and x may be t itself (KKRT's
-// code columns): x_i is read before t_i is written. A column writes only
-// its own slices, so the output is the same at any worker count.
-func expandColumns(t, u, x []byte, xStride, w, colBytes int, off uint64, keys func(i int) (g0, g1 prf.CTR)) {
-	parallel.For(w, 8, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ti, ui := t[i*colBytes:(i+1)*colBytes], u[i*colBytes:(i+1)*colBytes]
-			g0, g1 := keys(i)
-			g1.KeyStream(ui, off)
-			prf.XORBytes(ui, ui, x[i*xStride:i*xStride+colBytes])
-			g0.KeyStream(ti, off)
-			prf.XORBytes(ui, ui, ti)
-		}
-	})
-}
-
-// deriveColumn writes bytes [off, off+len(q)) of the sender's column i,
-// q_i = G(k_i^{s_i}) ⊕ s_i·u_i, into q, for g the stream under k_i^{s_i},
-// u those bytes of u_i and s the secret bits packed. Row j of Q is then
-// t_j ⊕ (x_j ∧ s).
-func deriveColumn(q, u []byte, g *prf.CTR, off uint64, s []byte, i int) {
-	g.KeyStream(q, off)
-	if s[i/8]>>(i%8)&1 == 1 {
-		prf.XORBytes(q, q, u)
-	}
-}
-
-// deriveColumns turns a whole received matrix u of w columns into Q in
-// place, one column per index of a parallel.For, with column i's stream
-// key(i) — KKRT's sender, which expands each column's key once per
-// batch. The IKNP sender instead derives tile by tile into its worker's
-// stack (randomPads), so each tile is hashed while it is in cache. The
-// message is the sender's to write: Conn.Send hands it over.
-func deriveColumns(u, s []byte, w, colBytes int, off uint64, key func(i int) prf.CTR) {
-	parallel.For(w, 8, func(lo, hi int) {
-		q := make([]byte, colBytes)
-		for i := lo; i < hi; i++ {
-			g, ui := key(i), u[i*colBytes:(i+1)*colBytes]
-			deriveColumn(q, ui, &g, off, s, i)
-			copy(ui, q)
-		}
-	})
 }
 
 // eachTile runs fn over the tiles of a batch whose columns are colBytes

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"secyan/internal/parallel"
 	"secyan/internal/prf"
 	"secyan/internal/transport"
 )
@@ -27,16 +28,18 @@ import (
 // carries the instance index (kkrtDomain): folding the row to 128 bits
 // first would leave only ≈ κ/4 of those unknown bits in the hash input.
 //
-// A batch runs on IKNP's kernel (iknp.go) at width KKRTWidth, with
-// columns cut to whole bytes, ⌈m/8⌉, not to IKNP's whole words; no
-// KKRTWidth×m matrix is built. KKRT's own are the choice input (the code
-// words' columns), the per-batch key expansion, the rows and the hash.
+// A batch runs on the extension's chunk kernel (softspoken.go) at k = 1
+// — KKRTWidth chunks of one base OT, whose two seeds are its leaves — with
+// columns cut to whole bytes, ⌈m/8⌉, not to the whole words of an
+// extension batch; no KKRTWidth×m matrix is built. KKRT's own are the
+// choice input (the code words' columns), the per-batch key expansion,
+// the rows and the hash.
 //
 // The code is the caller's: the PSI uses a pseudorandom code
 // (psi/oprf.go), so C and the minimum distance are pinned there. The
-// KKRTWidth base OTs are random OTs of an established IKNP direction
-// (NewKKRTSender, NewKKRTReceiver), as Reverse derives the opposite
-// direction's: no public-key work, one KKRTSetupCost message.
+// KKRTWidth base OTs are random OTs of an established extension
+// direction (NewKKRTSender, NewKKRTReceiver), as Reverse derives the
+// opposite direction's: no public-key work, one KKRTSetupCost message.
 
 // KKRTWidth is the code width k of the KKRT extension in bits: four AES
 // blocks, so a 128-bit security level survives a pseudorandom code's
@@ -72,10 +75,10 @@ type KKRTReceiver struct {
 }
 
 // The column keys are kept as seeds and expanded once per batch inside
-// the column's worker (on the stack), unlike IKNP's κ columns, whose
-// round keys are expanded once: a query runs one or two KKRT batches
-// per orientation, and 3·KKRTWidth schedules held per party pair would
-// outweigh the batches themselves.
+// the column's worker (on the stack), as the extension receiver's leaves
+// are: a query runs one or two KKRT batches per orientation, and
+// 3·KKRTWidth schedules held per party pair would outweigh the batches
+// themselves.
 
 // NewKKRTSender sets up a KKRT sender on r's connection from KKRTWidth
 // direct random OTs in which r is the receiver: its uniform choice bits
@@ -130,9 +133,7 @@ func (r *KKRTReceiver) Receive(codes []byte, outLen int) ([]byte, error) {
 		blockCols(t, codes[base*KKRTCodeBytes:(base+n)*KKRTCodeBytes], KKRTWidth, colBytes, base)
 	})
 	u := make([]byte, KKRTWidth*colBytes)
-	expandColumns(t, u, t, colBytes, KKRTWidth, colBytes, r.off, func(i int) (prf.CTR, prf.CTR) {
-		return prf.NewCTR(r.pairs[i][0]), prf.NewCTR(r.pairs[i][1])
-	})
+	expandChunks(t, u, t, colBytes, KKRTWidth, 1, colBytes, r.off, func(i, x int) prf.Seed { return r.pairs[i][1-x] })
 	r.off += uint64(colBytes)
 	if err := r.conn.Send(u); err != nil {
 		return nil, err
@@ -172,7 +173,23 @@ func (k *KKRTSender) Send(m int) (*KKRTKeys, error) {
 	if err != nil {
 		return nil, err
 	}
-	deriveColumns(q, k.s[:], KKRTWidth, colBytes, k.off, func(i int) prf.CTR { return prf.NewCTR(k.seeds[i]) })
+	parallel.For(KKRTWidth, 8, func(lo, hi int) {
+		var g leafTiles
+		var sum [pieceBytes]byte
+		for i := lo; i < hi; i++ {
+			keys := [1]prf.CTR{prf.NewCTR(k.seeds[i])}
+			qi, set := q[i*colBytes:(i+1)*colBytes], k.s[i/8]>>(i%8)&1 == 1
+			for c, n := 0, 0; c < colBytes; c += n {
+				n = pieceLen(colBytes-c, k.off+uint64(c))
+				chunkTile(sum[:], pieceBytes, &g, 1, n, k.off+uint64(c), keys[:], 1)
+				if set { // q_i = G(k_i^{s_i}) ⊕ u_i
+					prf.XORBytes(qi[c:c+n], qi[c:c+n], sum[:n])
+				} else {
+					copy(qi[c:c+n], sum[:n])
+				}
+			}
+		}
+	})
 	k.off += uint64(colBytes)
 	keys := &KKRTKeys{q: make([]byte, m*KKRTCodeBytes), s: &k.s, idx: k.idx}
 	eachBlock(m, func(base, n int) {

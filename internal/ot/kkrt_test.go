@@ -116,7 +116,7 @@ func runKKRT(t *testing.T, ks *KKRTSender, kr *KKRTReceiver, rng *rand.Rand, m i
 // TestKKRTDerivesWorkingOPRF derives a KKRT extension from an IKNP pair,
 // both fresh and after IKNP batches, and runs batches across the byte
 // and word padding boundaries. The setup moves exactly KKRTSetupCost
-// (8 192 B) in one message from the IKNP receiver's end and runs no
+// (2 048 B) in one message from the IKNP receiver's end and runs no
 // base-OT kernel, every batch satisfies the OPRF contract, and the IKNP
 // pair keeps working afterwards.
 func TestKKRTDerivesWorkingOPRF(t *testing.T) {
@@ -132,7 +132,7 @@ func TestKKRTDerivesWorkingOPRF(t *testing.T) {
 		base0, _ := obs.KernelTotal("ot.base.")
 		ks, kr := kkrtPair(t, snd, rcv)
 		after := rcv.conn.Stats()
-		if got := after.TotalBytes() - before.TotalBytes(); got != KKRTSetupCost() || got != 8192 {
+		if got := after.TotalBytes() - before.TotalBytes(); got != KKRTSetupCost() || got != 2048 {
 			t.Fatalf("KKRT setup moved %d bytes, KKRTSetupCost predicts %d", got, KKRTSetupCost())
 		}
 		if sent, recvd := after.MessagesSent-before.MessagesSent, after.MessagesRecv-before.MessagesRecv; sent != 1 || recvd != 0 {

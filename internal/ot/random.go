@@ -9,13 +9,14 @@ import (
 	"secyan/internal/transport"
 )
 
-// This file implements Beaver-style OT precomputation on top of the IKNP
+// This file implements Beaver-style OT precomputation on top of the OT
 // extension, and the random OT every other batch kind is built on.
 // FillRandom runs the input-independent half of an extension batch ahead
 // of time: the receiver draws random choice bits, both sides expand the
-// matrix and derive the per-instance pads, and only the κ×mPad correction
-// matrix crosses the wire. The resulting random OTs — the sender holds
-// pads (r⁰ⱼ, r¹ⱼ), the receiver holds (bⱼ, r^{bⱼ}ⱼ) — wait in a Pool. A
+// leaf streams and derive the per-instance pads, and only the correction
+// message (one column per chunk, ExtOfflineCost) crosses the wire. The
+// resulting random OTs — the sender holds pads (r⁰ⱼ, r¹ⱼ), the receiver
+// holds (bⱼ, r^{bⱼ}ⱼ) — wait in a Pool. A
 // later batch of matching dimensions is then served by derandomization
 // (Beaver 1995): the receiver sends one correction bit dⱼ = cⱼ ⊕ bⱼ per
 // instance and the sender swaps the pads of every instance whose bit is
@@ -119,33 +120,45 @@ func (s *Sender) Pool() *Pool { return &s.pool }
 func (r *Receiver) Pool() *Pool { return &r.pool }
 
 // randomPads runs the input-independent half of one extension batch of m
-// OTs as the sender — receive the correction matrix, expand, hash — and
-// returns both pads of every instance, flat m×msgLen each. Nothing is
-// sent: the pads themselves are the sender's random-OT outputs.
+// OTs as the sender — receive the correction message, expand, hash — and
+// returns both pads of every instance, flat m×msgLen each. r1, when not
+// nil, is where the second pads go (a correlated batch's reply buffer);
+// otherwise they are allocated. Nothing is sent: the pads themselves are
+// the sender's random-OT outputs.
 //
-// The expansion runs tile by tile (eachTile): a worker derives each
-// column's bytes of its tile into a κ×tileBytes scratch on its stack
-// (deriveColumn) and hashes the rows q_j and q_j ⊕ s straight out of its
-// 64×64 transpose blocks, so no κ×m matrix and no transpose of one is
-// ever built. The pads and the wire message are the only O(m)
-// allocations.
-func (s *Sender) randomPads(m, msgLen int) (r0, r1 []byte, err error) {
+// The expansion runs tile by tile (eachTile): a worker derives every
+// chunk's columns of its tile into a κ×tileBytes scratch on its stack
+// (chunkTile, from the leaf schedules expanded at setup) and hashes the
+// rows q_j and q_j ⊕ s straight out of its 64×64 transpose blocks, so no
+// κ×m matrix and no transpose of one is ever built. The pads and the
+// wire message are the only O(m) allocations.
+func (s *Sender) randomPads(m, msgLen int, r1 []byte) ([]byte, []byte, error) {
 	if msgLen <= 0 {
 		return nil, nil, fmt.Errorf("ot: random-OT message length %d", msgLen)
 	}
 	rowBytes := int(padTo64(m)) / 8
-	u, err := transport.RecvSized(s.conn, "ot: extension matrix", kappa*rowBytes)
+	u, err := transport.RecvSized(s.conn, "ot: extension matrix", chunks*rowBytes)
 	if err != nil {
 		return nil, nil, err
 	}
-	r0 = make([]byte, m*msgLen)
-	r1 = make([]byte, m*msgLen)
+	r0 := make([]byte, m*msgLen)
+	if r1 == nil {
+		r1 = make([]byte, m*msgLen)
+	}
 	off, idx := s.off, s.idx
 	eachTile(rowBytes, func(c0, n int) {
 		var q [kappa * tileBytes]byte
+		var g leafTiles
 		var rows [padBatch]prf.Block
-		for i := 0; i < kappa; i++ {
-			deriveColumn(q[i*tileBytes:i*tileBytes+n], u[i*rowBytes+c0:i*rowBytes+c0+n], &s.cols[i], off+uint64(c0), s.s[:], i)
+		for j := 0; j < chunks; j++ {
+			chunkTile(q[j*chunkBits*tileBytes:], tileBytes, &g, chunkBits, n, off+uint64(c0), s.leaves[j*(chunkLeaves-1):(j+1)*(chunkLeaves-1)], 1)
+			uj := u[j*rowBytes+c0 : j*rowBytes+c0+n]
+			for i := j * chunkBits; i < (j+1)*chunkBits; i++ {
+				if s.s[i/8]>>(i%8)&1 == 1 {
+					qi := q[i*tileBytes : i*tileBytes+n]
+					prf.XORBytes(qi, qi, uj)
+				}
+			}
 		}
 		for b := 0; b < n && 8*(c0+b) < m; b += 8 {
 			base := 8 * (c0 + b)
@@ -158,14 +171,14 @@ func (s *Sender) randomPads(m, msgLen int) (r0, r1 []byte, err error) {
 			hashPads(r1, &rows, k, base, idx, msgLen)
 		}
 	})
-	s.off += uint64(rowBytes)
+	s.off += streamAdvance(rowBytes)
 	s.idx += padTo64(m)
 	return r0, r1, nil
 }
 
-// randomPads is the receiver half: it sends the correction matrix for
+// randomPads is the receiver half: it sends the correction message for
 // the given choice bits and returns the chosen-side pad of every
-// instance, flat m×msgLen. Every column's choice input is the choice
+// instance, flat m×msgLen. Every chunk's choice input is the choice
 // vector r, padded to whole words with zero bits, as KKRT pads its
 // codes: those instances are discarded. u leaves before anything is
 // hashed, so the peer's derivation overlaps this end's hashing.
@@ -177,9 +190,9 @@ func (r *Receiver) randomPads(choices []bool, msgLen int) ([]byte, error) {
 	rowBytes := int(padTo64(m)) / 8
 	x := make([]byte, rowBytes)
 	packBits(x, choices)
-	t, u := growBytes(&r.t, kappa*rowBytes), make([]byte, kappa*rowBytes)
-	expandColumns(t, u, x, 0, kappa, rowBytes, r.off, func(i int) (prf.CTR, prf.CTR) { return r.cols0[i], r.cols1[i] })
-	r.off += uint64(rowBytes)
+	t, u := growBytes(&r.t, kappa*rowBytes), make([]byte, chunks*rowBytes)
+	expandChunks(t, u, x, 0, chunks, chunkBits, rowBytes, r.off, func(j, x int) prf.Seed { return r.leaves[j][x] })
+	r.off += streamAdvance(rowBytes)
 	if err := r.conn.Send(u); err != nil {
 		return nil, err
 	}
@@ -205,7 +218,7 @@ func (s *Sender) FillRandom(m, msgLen int) error {
 	}
 	sp := obs.Begin("ot", "ot.pool.fill.send")
 	defer sp.EndN(int64(m))
-	r0, r1, err := s.randomPads(m, msgLen)
+	r0, r1, err := s.randomPads(m, msgLen, nil)
 	if err != nil {
 		return err
 	}
@@ -232,10 +245,11 @@ func (r *Receiver) FillRandom(m, msgLen int) error {
 
 // sendRandom serves m random OTs from the pool batch b — receive the
 // derandomization bits and swap the pads of every instance whose bit is
-// set — or, when b is nil, from a direct extension batch.
-func (s *Sender) sendRandom(b *randBatch, m, msgLen int) (r0, r1 []byte, err error) {
+// set — or, when b is nil, from a direct extension batch whose second
+// pads go to r1 (allocated when nil).
+func (s *Sender) sendRandom(b *randBatch, m, msgLen int, r1 []byte) ([]byte, []byte, error) {
 	if b == nil {
-		return s.randomPads(m, msgLen)
+		return s.randomPads(m, msgLen, r1)
 	}
 	dMsg, err := transport.RecvSized(s.conn, "ot: derandomization corrections", (m+7)/8)
 	if err != nil {

@@ -216,7 +216,7 @@ func runRandomBatch(t *testing.T, snd *Sender, rcv *Receiver, rng *rand.Rand, m,
 	}
 	ch := make(chan pads, 1)
 	go func() {
-		r0, r1, err := snd.sendRandom(snd.pool.take(m, msgLen), m, msgLen)
+		r0, r1, err := snd.sendRandom(snd.pool.take(m, msgLen), m, msgLen, nil)
 		ch <- pads{r0, r1, err}
 	}()
 	rc, err := rcv.receiveRandom(rcv.pool.take(m, msgLen), choices, msgLen)

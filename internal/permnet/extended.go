@@ -25,9 +25,10 @@ func NewExtended(m, n int) *Extended {
 	if n == 0 {
 		k = 0
 	}
-	pre, post := New(k), New(n)
-	if k == n {
-		post = pre // identical topology, shared read-only
+	pre := New(k)
+	post := pre // an equal width shares the topology, read-only
+	if k != n {
+		post = New(n)
 	}
 	return &Extended{M: m, N: n, Pre: pre, Post: post}
 }

@@ -13,3 +13,9 @@ func encryptBlocks8(rk *[176]byte, dst, src *[8]Block) {
 	// same condition. Nothing a peer sends selects the path.
 	panic("prf: encryptBlocks8 without hardware support")
 }
+
+func expandKey128(key *Seed, rk *[176]byte) {
+	// Unreachable for the same reason: NewCTR expands a schedule only
+	// when hasAES8 is set.
+	panic("prf: expandKey128 without hardware support")
+}

@@ -19,9 +19,10 @@ type CTR struct {
 }
 
 // NewCTR expands key for KeyStream.
-func NewCTR(key Seed) CTR {
+func NewCTR(key Seed) (c CTR) {
 	if hasAES8 {
-		return CTR{rk: expandAESKey128(key)}
+		expandKey128(&key, &c.rk)
+		return c
 	}
 	// aes.NewCipher fails only for a key length other than 16, 24 or 32
 	// bytes, and a Seed is 16.
@@ -32,7 +33,8 @@ func NewCTR(key Seed) CTR {
 // KeyStream writes the keystream bytes at offsets [off, off+len(dst))
 // into dst. It allocates nothing: the counter and output blocks live on
 // the stack, laundered through noescape for the cipher.Block fallback
-// exactly as the MMO hash paths do (fixedkey.go).
+// exactly as the MMO hash paths do (fixedkey.go). Eight whole blocks
+// from a block boundary are encrypted straight into dst.
 func (c *CTR) KeyStream(dst []byte, off uint64) {
 	var scratch [2][8]Block
 	s := (*[2][8]Block)(noescape(unsafe.Pointer(&scratch)))
@@ -43,6 +45,11 @@ func (c *CTR) KeyStream(dst []byte, off uint64) {
 			binary.BigEndian.PutUint64(ctr[k][8:], b+uint64(k))
 		}
 		if c.block == nil {
+			if skip == 0 && len(dst) >= len(ks)*len(ks[0]) {
+				encryptBlocks8(&c.rk, (*[8]Block)(unsafe.Pointer(&dst[0])), ctr)
+				dst = dst[len(ks)*len(ks[0]):]
+				continue
+			}
 			encryptBlocks8(&c.rk, ks, ctr)
 		} else {
 			for k := range ctr {
