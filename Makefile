@@ -35,7 +35,7 @@ race-sessions:
 # kernel spans, the event log, the flight recorder, the live step
 # status, the debug server), then the executor's and the root's
 # fully-observed transcript-neutrality and Chrome-trace tests (see
-# DESIGN.md §9).
+# DESIGN.md §12).
 race-obs:
 	$(GO) test -race -count=3 -timeout 30m ./internal/obs
 	$(GO) test -race -count=3 -timeout 30m -run 'Obs|Event|Flight|Label|Status|Prom|Shutdown|Chrome' ./internal/core .
@@ -45,7 +45,7 @@ race-obs:
 # cancel-on-disconnect, the precompute farm's warm pass, graceful drain
 # — all over real TCP — the scheduler's refill timer, per-tenant
 # concurrency and FIFO release without TCP, plus the root options
-# model's precedence tests (see DESIGN.md §15).
+# model's precedence tests (see DESIGN.md §11).
 race-daemon:
 	$(GO) test -race -count=3 -timeout 30m ./internal/daemon
 	$(GO) test -race -count=3 -timeout 30m -run 'QueryUnifiedAPI|OptionPrecedence' .
@@ -59,13 +59,20 @@ race-daemon:
 # through the MMO layer, its derived second direction, and KKRT at 512
 # columns, the sender deriving Q in the received matrix (the TestKKRT*
 # tests of internal/ot, the PSIs above them) — the slot-parallel
-# garbling kernel whose workers share one message buffer (DESIGN.md §7),
+# garbling kernel whose workers share one message buffer (DESIGN.md §4),
 # PSI/cuckoo bin sweeps, the reference bit-matrix transpose underneath (see
-# DESIGN.md §14), and the pipe, whose messages cross goroutines without
+# DESIGN.md §13), and the pipe, whose messages cross goroutines without
 # a copy (Conn.Send takes ownership), with the OEP and its switching
 # networks that send over it.
+#
+# -skip 'FailureRate$' leaves out psi's TestOKVSFailureRate and
+# cuckoo's TestCuckooFailureRate: seeded statistical fits that start no
+# goroutine, so the race detector has nothing to find in them. Repeated
+# three times under -race they took most of the job: on a 2-vCPU host
+# the target ran 512 s with them and 140 s without. `make test` still
+# runs each of them once.
 race-kernels:
-	$(GO) test -race -count=3 -timeout 30m ./internal/prf ./internal/bitutil ./internal/ot ./internal/gc ./internal/cuckoo ./internal/psi ./internal/transport ./internal/oep ./internal/permnet
+	$(GO) test -race -count=3 -timeout 30m -skip 'FailureRate$$' ./internal/prf ./internal/bitutil ./internal/ot ./internal/gc ./internal/cuckoo ./internal/psi ./internal/transport ./internal/oep ./internal/permnet
 
 # The canonical benchmark (bench/README.md): four workloads, one child
 # process each, every result checked against the plaintext engine;

@@ -32,10 +32,12 @@ import (
 
 // benchOptions returns the default figure options for in-tree benchmarks.
 func benchOptions() benchmark.Options {
-	opt := benchmark.DefaultOptions()
-	opt.ScalesMB = []float64{0.02, 0.06, 0.12}
-	opt.SecureCapMB = 0.12
-	return opt
+	return benchmark.Options{
+		ScalesMB:    []float64{0.02, 0.06, 0.12},
+		SecureCapMB: 0.12,
+		Ring:        share.Ring{Bits: 32},
+		Seed:        1,
+	}
 }
 
 // runFigure executes one figure benchmark and reports headline metrics.

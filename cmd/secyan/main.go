@@ -347,11 +347,28 @@ func runDaemonClient(spec queries.Spec, db *tpch.DB, ring share.Ring, addr, tena
 	}
 	defer c.Close()
 	fmt.Printf("connected to secyand at %s as tenant %q\n", addr, tenant)
+	// run bounds one run by -deadline, and names it when it ended the
+	// run. The client sends the context's deadline with the query, so it
+	// bounds the daemon's half as well.
+	run := func() (*relation.Relation, error) {
+		ctx := context.Background()
+		if deadline > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, deadline)
+			defer cancel()
+		}
+		res, err := c.Run(ctx, daemon.RunSpec{Name: spec.Name})
+		if err != nil && ctx.Err() != nil {
+			if !errors.Is(err, ctx.Err()) {
+				err = fmt.Errorf("%w: %v", ctx.Err(), err)
+			}
+			err = fmt.Errorf("-deadline %v: %w", deadline, err)
+		}
+		return res, err
+	}
 	for i := 0; i < count; i++ {
 		start := time.Now()
-		res, err := c.Run(context.Background(), daemon.RunSpec{
-			Name: spec.Name, Deadline: deadline,
-		})
+		res, err := run()
 		switch {
 		case errors.Is(err, daemon.ErrQuotaExceeded):
 			fmt.Fprintf(os.Stderr, "secyan: shed by tenant quota: %v\n", err)

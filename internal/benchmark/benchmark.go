@@ -80,16 +80,6 @@ type Options struct {
 	Seed int64
 }
 
-// DefaultOptions mirror the paper's setup at laptop-friendly scales.
-func DefaultOptions() Options {
-	return Options{
-		ScalesMB:    []float64{0.05, 0.15, 0.5},
-		SecureCapMB: 0.5,
-		Ring:        share.Ring{Bits: 32},
-		Seed:        1,
-	}
-}
-
 // queryRelationSizes returns the masked relation cardinalities feeding
 // the garbled-circuit baseline's Cartesian product for each query.
 func queryRelationSizes(spec queries.Spec, db *tpch.DB) []int {

@@ -86,13 +86,6 @@ func (m *Matrix) SetRowBytes(r int, data []byte) {
 	}
 }
 
-// RowBytes serializes row r to ceil(cols/8) little-endian bytes.
-func (m *Matrix) RowBytes(r int) []byte {
-	out := make([]byte, (m.Cols+7)/8)
-	m.RowBytesInto(out, r)
-	return out
-}
-
 // RowBytesInto serializes row r into dst, which must hold at least
 // ceil(cols/8) bytes. It allocates nothing, so per-row loops can reuse a
 // stack buffer.

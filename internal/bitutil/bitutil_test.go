@@ -65,7 +65,7 @@ func TestMatrixRowBytesRoundTrip(t *testing.T) {
 		m.Set(0, c, rng.Intn(2) == 1)
 	}
 	m2 := NewMatrix(2, 70)
-	m2.SetRowBytes(0, m.RowBytes(0))
+	m2.SetRowBytes(0, rowBytes(m, 0))
 	for c := 0; c < 70; c++ {
 		if m.Get(0, c) != m2.Get(0, c) {
 			t.Fatalf("col %d mismatch", c)
@@ -85,4 +85,11 @@ func BenchmarkTranspose128xM(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = m.Transpose()
 	}
+}
+
+// rowBytes serializes row r of m to ceil(cols/8) little-endian bytes.
+func rowBytes(m *Matrix, r int) []byte {
+	out := make([]byte, (m.Cols+7)/8)
+	m.RowBytesInto(out, r)
+	return out
 }

@@ -29,7 +29,7 @@ func TestTransposeByteIdenticalAcrossWorkers(t *testing.T) {
 		for _, workers := range []int{2, 4} {
 			got := transposeAt(workers)
 			for r := 0; r < ref.Rows; r++ {
-				if !bytes.Equal(got.RowBytes(r), ref.RowBytes(r)) {
+				if !bytes.Equal(rowBytes(got, r), rowBytes(ref, r)) {
 					t.Fatalf("%dx%d workers=%d: transpose row %d differs", rows, cols, workers, r)
 				}
 			}

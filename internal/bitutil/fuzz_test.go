@@ -34,7 +34,7 @@ func FuzzTranspose(f *testing.F) {
 			t.Fatalf("double transpose dims = %dx%d, want %dx%d", back.Rows, back.Cols, r, c)
 		}
 		for i := 0; i < r; i++ {
-			if !bytes.Equal(back.RowBytes(i), m.RowBytes(i)) {
+			if !bytes.Equal(rowBytes(back, i), rowBytes(m, i)) {
 				t.Fatalf("row %d differs after double transpose", i)
 			}
 		}

@@ -345,7 +345,9 @@ func holderRel(p *mpc.Party, s *SharedRelation, rel *relation.Relation) *relatio
 
 // Aggregate computes the oblivious projection-aggregation π^⊕_groupBy(s)
 // (paper §6.1). The output has the same public size as the input; dummy
-// positions carry shares of zero.
+// positions carry shares of zero. The executor calls runMerge itself;
+// this entry point is kept for the root package's
+// BenchmarkSecureAggregate.
 func Aggregate(p *mpc.Party, dg *relation.DummyGen, s *SharedRelation, groupBy []relation.Attr) (*SharedRelation, error) {
 	return runMerge(p, dg, s, groupBy, mergeSum)
 }

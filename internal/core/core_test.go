@@ -494,7 +494,7 @@ func TestMulSharesOneRoundTrip(t *testing.T) {
 		}
 		after := alice.Conn.Stats()
 		for i := range a {
-			if got := testRing.Combine(pa[i], pb[i]); got != testRing.Mul(a[i], b[i]) {
+			if got := testRing.Add(pa[i], pb[i]); got != testRing.Mul(a[i], b[i]) {
 				t.Fatalf("pooled=%v: product %d = %d, want %d", pooled, i, got, testRing.Mul(a[i], b[i]))
 			}
 		}

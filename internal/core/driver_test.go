@@ -192,7 +192,14 @@ func TestSecureWithDummyPaddedSelections(t *testing.T) {
 		r1.Append([]uint64{uint64(rng.Intn(6)), uint64(rng.Intn(2))}, uint64(1+rng.Intn(9)))
 		r2.Append([]uint64{uint64(rng.Intn(6))}, 1)
 	}
-	filtered := r1.ReplaceWithDummies(func(row []uint64) bool { return row[1] == 1 }, &dg)
+	filtered := relation.New(r1.Schema)
+	for i, row := range r1.Tuples {
+		if row[1] == 1 {
+			filtered.Append(row, r1.Annot[i])
+		} else {
+			filtered.Append([]uint64{dg.Next(), dg.Next()}, 0)
+		}
+	}
 	q := &Query{
 		Inputs: []Input{
 			{Name: "R1", Owner: mpc.Bob, Schema: filtered.Schema, N: filtered.Len()},

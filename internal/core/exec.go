@@ -13,7 +13,7 @@ import (
 	"secyan/internal/yannakakis"
 )
 
-// Executor metrics, labeled with bounded cardinality (DESIGN.md §9):
+// Executor metrics, labeled with bounded cardinality (DESIGN.md §12):
 // per-phase step attribution, and per-shape runs and latency SLO
 // histograms keyed by "root:digest". Σ steps_by_label is the step count.
 var (

@@ -93,7 +93,7 @@ func TestObsFlightRecordFromRun(t *testing.T) {
 	if got := mQueryRuns.Value(shape, "ok"); got < 2 {
 		t.Errorf("per-shape run counter %s/ok = %d, want >= 2", shape, got)
 	}
-	if got := mQueryLatency.Count(shape); got < 2 {
+	if got := mQueryLatency.Value(shape); got < 2 {
 		t.Errorf("per-shape latency histogram %s count = %d, want >= 2", shape, got)
 	}
 }

@@ -95,10 +95,10 @@ func circuit(garbler mpc.Role, dims *gc.Dims, build func() *gc.Circuit) exchange
 
 func plainBytes(n int) exchange { return exchange{kind: exPlain, m: n} }
 
-// iknp returns the IKNP batch the exchange runs — its own, or a
-// circuit's label batch — with x.sender as OT sender; ok is false for a
-// KKRT batch and plain bytes.
-func (x exchange) iknp() (m, msgLen int, ok bool) {
+// extBatch returns the OT-extension batch the exchange runs — its own,
+// or a circuit's label batch — with x.sender as OT sender; ok is false
+// for a KKRT batch and plain bytes.
+func (x exchange) extBatch() (m, msgLen int, ok bool) {
 	switch x.kind {
 	case exOT:
 		return x.m, x.msgLen, true
@@ -109,7 +109,7 @@ func (x exchange) iknp() (m, msgLen int, ok bool) {
 }
 
 // cost returns the exchange's bytes (both directions) when it runs
-// direct, and its offline and online bytes when its IKNP batch
+// direct, and its offline and online bytes when its extension batch
 // derandomizes a pooled one: the batch's correction matrix moves offline
 // and ⌈m/8⌉ derandomization bits join the online rest (a pooled label
 // batch also carries one label shift per OT). A KKRT batch is not
@@ -499,16 +499,16 @@ func compileTree(q *Query, tree *jointree.Tree, ringBits int, opts Options) (*Pl
 // step's one message. When a composed query reuses a party's existing
 // sessions the setup steps execute as free cache hits.
 func (p *Plan) seal(steps []PlanStep) *Plan {
-	// iknp[r] and kkrt[r]: whether an exchange runs an IKNP batch with OT
-	// sender r, or a KKRT batch with PSI sender r.
-	var iknp, kkrt [2]bool
+	// extBatch[r] and kkrt[r]: whether an exchange runs an extension
+	// batch with OT sender r, or a KKRT batch with PSI sender r.
+	var extBatch, kkrt [2]bool
 	for i := range steps {
 		if steps[i].outSized() {
 			continue
 		}
 		for _, x := range steps[i].exchanges {
-			if _, _, ok := x.iknp(); ok {
-				iknp[x.sender] = true
+			if _, _, ok := x.extBatch(); ok {
+				extBatch[x.sender] = true
 			} else if x.kind == exKKRT {
 				kkrt[x.sender] = true
 			}
@@ -516,7 +516,7 @@ func (p *Plan) seal(steps []PlanStep) *Plan {
 	}
 	all := make([]PlanStep, 0, 4+len(steps))
 	for _, r := range []mpc.Role{mpc.Alice, mpc.Bob} {
-		if !iknp[r] {
+		if !extBatch[r] {
 			continue
 		}
 		node, est := r.String()+" sends", ot.SetupCost()

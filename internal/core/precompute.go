@@ -13,10 +13,10 @@ import (
 // runs, but instead of executing operators it stages their expensive
 // ingredients ahead of time:
 //
-//   - every IKNP batch a step declares (an OT batch, or a circuit's
-//     label batch; see exchange) becomes a random-OT pool fill: the IKNP
-//     matrix expansion, transposition and pad derivation — and the
-//     matrix transmission — happen now, and the online batch
+//   - every extension batch a step declares (an OT batch, or a circuit's
+//     label batch; see exchange) becomes a random-OT pool fill: the
+//     chunk expansion, transposition and pad derivation — and the
+//     receiver's correction message — happen now, and the online batch
 //     derandomizes the pooled randomness with a few correction bytes
 //     (internal/ot);
 //   - every circuit a step declares and this party garbles is built and
@@ -46,10 +46,7 @@ import (
 //
 // Staged material is single-use and plan-shaped. Running a different
 // query next is safe but wasteful: the first mismatching step drops the
-// local circuit queue and OT pools fall back batch by batch. Use
-// Party.ClearPrecomputed to discard staged material deliberately — on
-// both parties at the same protocol point, since pooled OT batches must
-// stay symmetric.
+// local circuit queue and OT pools fall back batch by batch.
 func PrecomputeOpts(ctx context.Context, p *mpc.Party, q *Query, opts Options) (*Trace, error) {
 	// No Validate: the offline phase is data-independent, so q may be a
 	// bare query shape (schemas, owners, sizes) with no relations
@@ -187,8 +184,8 @@ func PrecomputeOpts(ctx context.Context, p *mpc.Party, q *Query, opts Options) (
 }
 
 // establish sets up the extension of setup step st on p, or finds it
-// already set up: the IKNP direction st.sender sends in (base-ot), or the
-// KKRT extension of the PSIs st.sender sends in (oprf-base).
+// already set up: the extension direction st.sender sends in (base-ot),
+// or the KKRT extension of the PSIs st.sender sends in (oprf-base).
 func establish(p *mpc.Party, st *PlanStep) error {
 	var err error
 	switch {
@@ -233,7 +230,7 @@ func (sw sweep) has(st *PlanStep) bool {
 	return len(sw.fills(st)) > 0
 }
 
-// fills returns the exchanges of step st whose IKNP batches the sweep
+// fills returns the exchanges of step st whose extension batches the sweep
 // fills pools for: the non-empty ones with the sweep's OT sender, in
 // execution order. Steps sized by the join's output have none.
 func (sw sweep) fills(st *PlanStep) (fills []exchange) {
@@ -241,7 +238,7 @@ func (sw sweep) fills(st *PlanStep) (fills []exchange) {
 		return nil
 	}
 	for _, x := range st.exchanges {
-		if m, _, ok := x.iknp(); ok && m > 0 && x.sender == sw.sender {
+		if m, _, ok := x.extBatch(); ok && m > 0 && x.sender == sw.sender {
 			fills = append(fills, x)
 		}
 	}
@@ -252,13 +249,13 @@ func (sw sweep) fills(st *PlanStep) (fills []exchange) {
 // extension of a setup step, or one pool fill per declared batch of
 // the sweep's direction. Both parties walk identical plans, so the fills
 // proceed in lockstep (a fill is half a round: the receiver sends its
-// correction matrix, the sender only receives).
+// correction message, the sender only receives).
 func ex1Offline(pp *mpc.Party, st *PlanStep, sw sweep) error {
 	if sw.setup {
 		return establish(pp, st)
 	}
 	for _, x := range sw.fills(st) {
-		m, msgLen, _ := x.iknp()
+		m, msgLen, _ := x.extBatch()
 		if sw.sender == pp.Role {
 			snd, err := pp.OTSender()
 			if err != nil {

@@ -240,53 +240,3 @@ func TestPrecomputeFallback(t *testing.T) {
 			got.Tuples, got.Annot, want.Tuples, want.Annot)
 	}
 }
-
-// TestClearPrecomputed drops staged material on both parties; the
-// subsequent run must take the direct path and still be correct.
-func TestClearPrecomputed(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	q, rels := example11Query(rng, 12, 18)
-
-	want, _, aerr, berr := runTraced(context.Background(), q, rels)
-	if aerr != nil || berr != nil {
-		t.Fatalf("direct run: alice %v, bob %v", aerr, berr)
-	}
-
-	alice, bob := mpc.Pair(testRing)
-	defer alice.Conn.Close()
-	defer bob.Conn.Close()
-	ctx := context.Background()
-
-	offErr := make(chan error, 1)
-	go func() {
-		_, err := PrecomputeOpts(ctx, bob, splitQuery(q, rels, mpc.Bob), Options{})
-		offErr <- err
-	}()
-	if _, err := PrecomputeOpts(ctx, alice, splitQuery(q, rels, mpc.Alice), Options{}); err != nil {
-		t.Fatalf("alice precompute: %v", err)
-	}
-	if berr := <-offErr; berr != nil {
-		t.Fatalf("bob precompute: %v", berr)
-	}
-	alice.ClearPrecomputed()
-	bob.ClearPrecomputed()
-
-	onErr := make(chan error, 1)
-	go func() {
-		_, _, err := Run(ctx, bob, splitQuery(q, rels, mpc.Bob), Options{})
-		if err != nil {
-			bob.Conn.Close()
-		}
-		onErr <- err
-	}()
-	got, _, err := Run(ctx, alice, splitQuery(q, rels, mpc.Alice), Options{})
-	if err != nil {
-		t.Fatalf("alice run: %v", err)
-	}
-	if berr := <-onErr; berr != nil {
-		t.Fatalf("bob run: %v", berr)
-	}
-	if !relsEqual(got, want) {
-		t.Fatal("post-clear result differs from direct run")
-	}
-}

@@ -87,7 +87,9 @@ func randomData(rng *rand.Rand, q *Query) []*relation.Relation {
 		}
 		if rng.Intn(8) == 0 {
 			var dg relation.DummyGen
-			rel = rel.ReplaceWithDummies(func([]uint64) bool { return false }, &dg)
+			// No row passes, so only the width of cols matters.
+			allDummies := func([]uint64) bool { return false }
+			rel = rel.Mask(in.Schema, make([]int, len(in.Schema.Attrs)), allDummies, nil, &dg)
 		}
 		rels[i] = rel
 	}

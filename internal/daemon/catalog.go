@@ -33,23 +33,6 @@ type Runner struct {
 // with matching shapes for the names they use.
 type Catalog map[string]Runner
 
-// RunnerForQuery adapts a concrete core.Query — with this party's
-// relations attached — into a catalog entry.
-func RunnerForQuery(q *core.Query) Runner {
-	shape := &core.Query{Output: q.Output, NoLocalOptimizations: q.NoLocalOptimizations}
-	for _, in := range q.Inputs {
-		in.Rel = nil
-		shape.Inputs = append(shape.Inputs, in)
-	}
-	return Runner{
-		Shape: func() (*core.Query, error) { return shape, nil },
-		Run: func(ctx context.Context, p *mpc.Party, opts core.Options) (*relation.Relation, error) {
-			rel, _, err := core.Run(ctx, p, q, opts)
-			return rel, err
-		},
-	}
-}
-
 // TPCHCatalog serves the paper's TPC-H queries from db. Both endpoints
 // must generate db with the same scale and seed — the daemon deployment
 // analogue of the benchmark's shared data convention.

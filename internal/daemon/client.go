@@ -133,16 +133,14 @@ func (c *Client) connErr() error {
 type RunSpec struct {
 	// Name selects the catalog entry (must exist on both ends).
 	Name string
-	// Deadline bounds the query's wall time on the daemon (and is a
-	// good idea on ctx too).
-	Deadline time.Duration
 }
 
 // Run executes one named query through the daemon and returns its
 // revealed result rows. Shed queries return typed errors:
 // errors.Is(err, ErrOverloaded / ErrQuotaExceeded). Run blocks through
 // admission (including a cooperative warm pass if the daemon asks for
-// one) and the protocol execution itself.
+// one) and the protocol execution itself. A deadline on ctx bounds the
+// daemon's half too: it travels as the query's deadline_ms.
 func (c *Client) Run(ctx context.Context, spec RunSpec) (*relation.Relation, error) {
 	runner, ok := c.catalog[spec.Name]
 	if !ok {
@@ -168,16 +166,17 @@ func (c *Client) Run(ctx context.Context, spec RunSpec) (*relation.Relation, err
 		c.mu.Unlock()
 	}()
 
-	if err := sendCtrl(&c.sendMu, c.ctrl, &ctrlMsg{
-		Type: msgQuery, ID: id, Name: spec.Name,
-		DeadlineMS: spec.Deadline.Milliseconds(),
-	}); err != nil {
+	q := &ctrlMsg{Type: msgQuery, ID: id, Name: spec.Name}
+	if dl, ok := ctx.Deadline(); ok {
+		// Whole milliseconds, rounded up: a deadline never reads as none.
+		q.DeadlineMS = max(1, (time.Until(dl) + time.Millisecond - 1).Milliseconds())
+	}
+	if err := sendCtrl(&c.sendMu, c.ctrl, q); err != nil {
 		return nil, err
 	}
 
 	// Admission dialogue: an optional warm, then admitted or rejected.
 	var warmParty *mpc.Party
-	var warmStream uint32
 	dropWarm := func() {
 		if warmParty != nil {
 			warmParty.Conn.Close()
@@ -209,14 +208,16 @@ func (c *Client) Run(ctx context.Context, spec RunSpec) (*relation.Relation, err
 				p.Conn.Close()
 				continue
 			}
-			warmParty, warmStream = p, m.Stream
+			warmParty = p
 
 		case msgRejected:
 			return nil, &RejectedError{Tenant: c.tenant, Query: spec.Name, Code: m.Code, Detail: m.Detail}
 
 		case msgAdmitted:
 			var p *mpc.Party
-			if m.Warm && warmParty != nil && warmStream == m.Stream {
+			// A warm admission runs on the warm stream; any other runs
+			// cold on a fresh one.
+			if m.Warm && warmParty != nil {
 				p, warmParty = warmParty, nil
 			} else {
 				dropWarm()

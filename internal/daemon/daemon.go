@@ -109,29 +109,16 @@ func (d *Daemon) Serve(ln net.Listener) error {
 	}
 }
 
-// ListenAndServe listens on addr and serves.
-func (d *Daemon) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return d.Serve(ln)
-}
-
 // Shutdown drains the daemon: readiness drops, new and queued queries
 // shed with ErrOverloaded (typed, over still-open control streams),
 // running queries finish (bounded by ctx), then sessions and the
-// listener close.
+// listener close. A second call finds nothing left to drain.
 func (d *Daemon) Shutdown(ctx context.Context) error {
 	obs.SetReady(false)
 	d.mu.Lock()
-	alreadyClosed := d.closed
 	d.closed = true
 	ln := d.ln
 	d.mu.Unlock()
-	if alreadyClosed {
-		return nil
-	}
 	if ln != nil {
 		ln.Close()
 	}
@@ -218,6 +205,7 @@ type clientConn struct {
 	sess   *mpc.Session
 	sid    uint64
 	tenant string
+	t      *tenant // the scheduler's state for tenant, resolved at hello
 	ctrl   transport.Conn
 	sendMu sync.Mutex
 
@@ -267,7 +255,8 @@ func (d *Daemon) handleConn(nc net.Conn) {
 	case hello.Tenant == "":
 		cc.send(&ctrlMsg{Type: msgError, Code: codeBadRequest, Detail: "hello needs a tenant"})
 		return
-	case !d.sched.knownTenant(hello.Tenant):
+	}
+	if cc.t = d.sched.tenantRef(hello.Tenant); cc.t == nil {
 		cc.send(&ctrlMsg{Type: msgError, Code: codeQuota,
 			Detail: fmt.Sprintf("unknown tenant %q", hello.Tenant)})
 		return
@@ -396,14 +385,8 @@ func (cc *clientConn) handleQuery(m *ctrlMsg) {
 		cc: cc, id: m.ID, runner: runner, shape: shape,
 		ctx: ctx, cancel: cancel,
 	}
-	t := d.sched.tenantRef(cc.tenant)
-	if t == nil {
-		cancel()
-		reject(codeQuota, fmt.Sprintf("unknown tenant %q", cc.tenant))
-		return
-	}
 	j := &job{
-		tenant: t,
+		tenant: cc.t,
 		qid:    obs.NextQueryID(),
 		name:   m.Name,
 		cost:   plan.EstBytes,

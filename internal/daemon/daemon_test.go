@@ -98,11 +98,28 @@ func gotByClass(r *relation.Relation) map[uint64]uint64 {
 	return got
 }
 
+// runnerForQuery adapts a concrete core.Query — with this party's
+// relations attached — into a catalog entry.
+func runnerForQuery(q *core.Query) Runner {
+	shape := &core.Query{Output: q.Output, NoLocalOptimizations: q.NoLocalOptimizations}
+	for _, in := range q.Inputs {
+		in.Rel = nil
+		shape.Inputs = append(shape.Inputs, in)
+	}
+	return Runner{
+		Shape: func() (*core.Query, error) { return shape, nil },
+		Run: func(ctx context.Context, p *mpc.Party, opts core.Options) (*relation.Relation, error) {
+			rel, _, err := core.Run(ctx, p, q, opts)
+			return rel, err
+		},
+	}
+}
+
 // sideCatalogs builds matching daemon (Bob) and client (Alice) catalogs
 // for one synthetic query under the given name.
 func sideCatalogs(name string, q *core.Query, rels []*relation.Relation) (daemonCat, clientCat Catalog) {
-	return Catalog{name: RunnerForQuery(viewFor(q, rels, mpc.Bob))},
-		Catalog{name: RunnerForQuery(viewFor(q, rels, mpc.Alice))}
+	return Catalog{name: runnerForQuery(viewFor(q, rels, mpc.Bob))},
+		Catalog{name: runnerForQuery(viewFor(q, rels, mpc.Alice))}
 }
 
 // slowed wraps a runner with a daemon-side pre-run delay, keeping
@@ -231,6 +248,9 @@ func TestDaemonTwoTenantsConcurrent(t *testing.T) {
 	snap := settled(t, d)
 	if snap.Sessions != 2 {
 		t.Fatalf("sessions = %d, want 2", snap.Sessions)
+	}
+	if len(snap.Tenants) != 2 || snap.Tenants[0].Name != "acme" || snap.Tenants[1].Name != "globex" {
+		t.Fatalf("snapshot tenants not sorted by name: %+v", snap.Tenants)
 	}
 	var completed int64
 	for _, ts := range snap.Tenants {
@@ -440,7 +460,11 @@ func TestDaemonOverloaded(t *testing.T) {
 	run()
 	waitFor(t, "first query running", func() bool { return d.Snapshot().Running == 1 })
 	run()
-	waitFor(t, "second query queued", func() bool { return d.Snapshot().Queued == 1 })
+	// The scheduler's gauges on /metrics agree with its snapshot.
+	waitFor(t, "second query queued", func() bool {
+		return d.Snapshot().Queued == 1 && mQueued.Value("acme") == 1 &&
+			mQueueDepth.Value() == 1 && mRunning.Value("acme") == 1
+	})
 	run()
 	wg.Wait()
 	close(results)
@@ -464,7 +488,8 @@ func TestDaemonOverloaded(t *testing.T) {
 // TestDaemonFarmCooperativeWarm pins the precompute farm: when a query
 // waits for a slot, daemon and client co-run its offline phase on the
 // assigned stream and the dispatch consumes it ("hit-offline"), with
-// correct results and the hit visible in /debug/tenants.
+// correct results and the hit visible in /debug/tenants, on /metrics
+// and in the event log.
 func TestDaemonFarmCooperativeWarm(t *testing.T) {
 	q, rels := testQuery(29, 16, 28)
 	want := wantByClass(rels)
@@ -477,7 +502,10 @@ func TestDaemonFarmCooperativeWarm(t *testing.T) {
 		Slots:        1,
 		DefaultQuota: &Quota{},
 	})
-	c := dialTenant(t, addr, "acme", ccat)
+	hitsBefore := mFarm.Value("hit-offline")
+	waitsBefore := mQueueWait.Value("warmer")
+	bytesBefore := mQueryBytes.Value("warmer")
+	c := dialTenant(t, addr, "warmer", ccat)
 
 	check := func(res *relation.Relation, err error) error {
 		if err != nil {
@@ -502,6 +530,9 @@ func TestDaemonFarmCooperativeWarm(t *testing.T) {
 		errs <- check(c.Run(context.Background(), RunSpec{Name: "warm"}))
 	}()
 	waitFor(t, "first query running", func() bool { return d.Snapshot().Running == 1 })
+	if mSessions.Value() < 1 {
+		t.Errorf("secyan_daemon_sessions = %d with a client connected", mSessions.Value())
+	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -539,13 +570,40 @@ func TestDaemonFarmCooperativeWarm(t *testing.T) {
 	}
 	foundTenant := false
 	for _, ts := range snap.Tenants {
-		if ts.Name == "acme" && ts.Completed >= 2 {
+		if ts.Name == "warmer" && ts.Completed >= 2 {
 			foundTenant = true
 		}
 	}
 	if !foundTenant {
-		t.Fatalf("/debug/tenants lacks tenant acme with >=2 completions: %+v", snap.Tenants)
+		t.Fatalf("/debug/tenants lacks tenant warmer with >=2 completions: %+v", snap.Tenants)
 	}
+
+	if got := mFarm.Value("hit-offline") - hitsBefore; got < 1 {
+		t.Errorf("secyan_daemon_farm_events_total{hit-offline} moved by %d, want >= 1", got)
+	}
+	if got := mQueueWait.Value("warmer") - waitsBefore; got != 2 {
+		t.Errorf("secyan_daemon_queue_wait_ns observed %d waits, want 2", got)
+	}
+	if got := mQueryBytes.Value("warmer") - bytesBefore; got <= 0 {
+		t.Errorf("secyan_daemon_query_bytes_total moved by %d, want > 0", got)
+	}
+	c.Close()
+	kinds := []string{"daemon.session.open", "daemon.enqueue", "daemon.warm", "daemon.dispatch",
+		"daemon.complete", "daemon.session.close"}
+	waitFor(t, "every event of the farm path", func() bool {
+		seen := map[string]bool{}
+		for _, e := range obs.Events().Recent(256) {
+			if e.Tenant == "warmer" {
+				seen[e.Kind] = true
+			}
+		}
+		for _, k := range kinds {
+			if !seen[k] {
+				return false
+			}
+		}
+		return true
+	})
 }
 
 // TestDaemonCancelOnDisconnect pins cancel-on-disconnect: when a client
@@ -673,11 +731,13 @@ func TestDaemonGracefulDrain(t *testing.T) {
 
 // TestDaemonRejectsUnknowns pins hello/admission validation: an
 // unlisted tenant is rejected at hello (when no default quota admits
-// strangers), and a query name missing from the daemon's catalog is
-// rejected per-query with the connection intact.
+// strangers), and a query name missing from the daemon's catalog, or one
+// whose shape fails to plan, is rejected per-query with the connection
+// intact.
 func TestDaemonRejectsUnknowns(t *testing.T) {
 	q, rels := testQuery(37, 8, 12)
 	dcat, ccat := sideCatalogs("example", q, rels)
+	dcat["broken"] = Runner{Shape: func() (*core.Query, error) { return nil, errors.New("no shape") }}
 	_, addr := startDaemon(t, Config{
 		Catalog: dcat,
 		Tenants: map[string]Quota{"acme": {}},
@@ -692,14 +752,102 @@ func TestDaemonRejectsUnknowns(t *testing.T) {
 		}
 	}
 
-	ghost := Catalog{"example": ccat["example"], "ghost": ccat["example"]}
+	ghost := Catalog{"example": ccat["example"], "ghost": ccat["example"], "broken": ccat["example"]}
 	c := dialTenant(t, addr, "acme", ghost)
 	_, err := c.Run(context.Background(), RunSpec{Name: "ghost"})
 	var re *RejectedError
 	if !errors.As(err, &re) || re.Code != codeUnknownQuery {
 		t.Fatalf("unknown query: got %v, want RejectedError{Code: unknown-query}", err)
 	}
+	// A daemon-side catalog entry that cannot price its query.
+	_, err = c.Run(context.Background(), RunSpec{Name: "broken"})
+	if !errors.As(err, &re) || re.Code != codeInternal {
+		t.Fatalf("unpriceable query: got %v, want RejectedError{Code: internal}", err)
+	}
 	if _, err := c.Run(context.Background(), RunSpec{Name: "example"}); err != nil {
 		t.Fatalf("run after unknown-query rejection: %v", err)
+	}
+}
+
+// TestDaemonDeadlineFromContext pins that a client's ctx deadline bounds
+// the daemon's half: the client sends it as the query's deadline_ms, and
+// the daemon's run, which would otherwise wait until the test ends, stops
+// at it and is booked failed.
+func TestDaemonDeadlineFromContext(t *testing.T) {
+	q, rels := testQuery(53, 4, 6)
+	dcat, ccat := sideCatalogs("example", q, rels)
+	release := make(chan struct{})
+	for name, r := range dcat {
+		dcat[name] = Runner{
+			Shape: r.Shape,
+			Run: func(ctx context.Context, p *mpc.Party, opts core.Options) (*relation.Relation, error) {
+				select {
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				case <-release:
+					return nil, errors.New("released at cleanup")
+				}
+			},
+		}
+	}
+	d, addr := startDaemon(t, Config{Catalog: dcat, DefaultQuota: &Quota{}})
+	t.Cleanup(func() { close(release) }) // runs before the daemon's shutdown
+	c := dialTenant(t, addr, "late", ccat)
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	if _, err := c.Run(ctx, RunSpec{Name: "example"}); err == nil {
+		t.Fatal("a run whose peer never answers succeeded")
+	}
+	waitFor(t, "the daemon's half booked failed", func() bool {
+		for _, ts := range d.Snapshot().Tenants {
+			if ts.Name == "late" && ts.Failed == 1 {
+				return true
+			}
+		}
+		return false
+	})
+}
+
+// TestDaemonShutdownBoundedByContext pins the bound on a drain: a query
+// that never finishes holds Shutdown only until ctx ends, and a daemon
+// that is shut down serves no listener.
+func TestDaemonShutdownBoundedByContext(t *testing.T) {
+	q, rels := testQuery(61, 4, 6)
+	dcat, ccat := sideCatalogs("example", q, rels)
+	release := make(chan struct{})
+	for name, r := range dcat {
+		dcat[name] = Runner{
+			Shape: r.Shape,
+			Run: func(ctx context.Context, p *mpc.Party, opts core.Options) (*relation.Relation, error) {
+				<-release
+				return nil, errors.New("released at cleanup")
+			},
+		}
+	}
+	d, addr := startDaemon(t, Config{Catalog: dcat, DefaultQuota: &Quota{}})
+	t.Cleanup(func() { close(release) }) // runs before the daemon's shutdown
+	c := dialTenant(t, addr, "stuck", ccat)
+	go c.Run(context.Background(), RunSpec{Name: "example"})
+	waitFor(t, "the query running", func() bool { return d.Snapshot().Running == 1 })
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- d.Shutdown(ctx) }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("Shutdown past its context returned %v, want context.DeadlineExceeded", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Shutdown ignored its context")
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	if err := d.Serve(ln); err == nil {
+		t.Fatal("a shut-down daemon served a listener")
 	}
 }

@@ -6,7 +6,7 @@
 // whose budget; per-tenant quotas shed load with typed errors instead
 // of dropped connections; and the precompute farm spends a queued
 // query's wait on that query's own offline phase, co-run with its
-// client. See DESIGN.md §15.
+// client. See DESIGN.md §11.
 package daemon
 
 import (

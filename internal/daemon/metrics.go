@@ -4,7 +4,7 @@ import "secyan/internal/obs"
 
 // Daemon metrics: per-tenant admission outcomes, live scheduler gauges,
 // measured per-tenant communication, queue-wait latency and farm
-// effectiveness. Bounded-cardinality labeled families (DESIGN.md §9) —
+// effectiveness. Bounded-cardinality labeled families (DESIGN.md §12) —
 // tenant names are operator-configured, not attacker-controlled.
 var (
 	mQueries = obs.NewCounter("secyan_daemon_queries_total",

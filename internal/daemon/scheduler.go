@@ -115,18 +115,6 @@ func (s *scheduler) tenantRef(name string) *tenant {
 	return s.tenantFor(name)
 }
 
-// knownTenant reports whether name would be admitted (without creating
-// state).
-func (s *scheduler) knownTenant(name string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.tenants[name]; ok {
-		return true
-	}
-	_, ok := s.quotas[name]
-	return ok || s.fallback != nil
-}
-
 // enqueue admits j or sheds it with a typed error. On success it
 // reports whether the job will (likely) wait for a slot — the signal
 // the connection uses to decide on a cooperative warm pass. The job is

@@ -102,3 +102,41 @@ func TestSchedulerReleasesJobs(t *testing.T) {
 		})
 	}
 }
+
+// TestSchedulerSkipsUnreadyHead pins the ready gate: a job whose warm
+// pass has not landed holds no slot, so another tenant's ready job runs
+// first although its finish tag is larger, and the first job runs once
+// it is marked ready.
+func TestSchedulerSkipsUnreadyHead(t *testing.T) {
+	s := newScheduler(1, 0, nil, &Quota{})
+	defer s.shutdown()
+	started := make(chan string, 2)
+	exec := func(j *job) {
+		started <- j.name
+		s.complete(j, nil, 0)
+	}
+	warming := &job{tenant: s.tenantRef("acme"), name: "warming", cost: 1, exec: exec}
+	ready := &job{tenant: s.tenantRef("globex"), name: "ready", cost: 1000, exec: exec}
+	for _, j := range []*job{warming, ready} {
+		if _, err := s.enqueue(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := func() string {
+		select {
+		case name := <-started:
+			return name
+		case <-time.After(time.Second):
+			t.Fatal("no job dispatched within 1s")
+			return ""
+		}
+	}
+	s.markReady(ready)
+	if got := next(); got != "ready" {
+		t.Fatalf("dispatched %q first, want the ready job", got)
+	}
+	s.markReady(warming)
+	if got := next(); got != "warming" {
+		t.Fatalf("dispatched %q second, want the job marked ready", got)
+	}
+}

@@ -95,6 +95,41 @@ func FuzzControlMessage(f *testing.F) {
 	})
 }
 
+// refusedHello runs d's handler for one connection, sends h as the
+// hello and returns the daemon's reply. It then checks that the daemon
+// has hung up: a query sent anyway gets no answer.
+func refusedHello(t *testing.T, d *Daemon, h *ctrlMsg) *ctrlMsg {
+	t.Helper()
+	server, client := net.Pipe()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		d.handleConn(server)
+	}()
+	sess := mpc.NewSession(mpc.Alice, transport.NewConn(client), d.ring, mpc.SessionConfig{})
+	defer func() {
+		sess.Close()
+		<-served
+	}()
+	ctrl, err := sess.OpenStream(ctrlStream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	if err := sendCtrl(&mu, ctrl, h); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := recvCtrl(ctrl)
+	if err != nil {
+		t.Fatalf("no reply to hello %+v: %v", h, err)
+	}
+	sendCtrl(&mu, ctrl, &ctrlMsg{Type: msgQuery, ID: 1, Name: "example"})
+	if m, err := recvCtrl(ctrl); err == nil {
+		t.Fatalf("connection answered a query after hello %+v got %+v: %+v", h, reply, m)
+	}
+	return reply
+}
+
 // TestHelloOtherProtocolVersion sends hellos one version below and one
 // above the daemon's: each gets a bad-request error naming both
 // versions, and the connection then admits no query.
@@ -107,35 +142,49 @@ func TestHelloOtherProtocolVersion(t *testing.T) {
 	}
 	defer d.Shutdown(context.Background())
 	for _, proto := range []int{protoVersion - 1, protoVersion + 1} {
-		server, client := net.Pipe()
-		served := make(chan struct{})
-		go func() {
-			defer close(served)
-			d.handleConn(server)
-		}()
-		sess := mpc.NewSession(mpc.Alice, transport.NewConn(client), d.ring, mpc.SessionConfig{})
-		ctrl, err := sess.OpenStream(ctrlStream)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var mu sync.Mutex
-		if err := sendCtrl(&mu, ctrl, &ctrlMsg{Type: msgHello, Proto: proto, Tenant: "acme", RingBits: d.ring.Bits}); err != nil {
-			t.Fatal(err)
-		}
-		reply, err := recvCtrl(ctrl)
-		if err != nil {
-			t.Fatalf("proto %d: no reply to hello: %v", proto, err)
-		}
+		reply := refusedHello(t, d, &ctrlMsg{Type: msgHello, Proto: proto, Tenant: "acme", RingBits: d.ring.Bits})
 		want := fmt.Sprintf("protocol version %d, want %d", proto, protoVersion)
 		if reply.Type != msgError || reply.Code != codeBadRequest || reply.Detail != want {
 			t.Fatalf("proto %d: hello got %+v, want a %s error %q", proto, reply, codeBadRequest, want)
 		}
-		// A query sent anyway is never admitted: the daemon has hung up.
-		sendCtrl(&mu, ctrl, &ctrlMsg{Type: msgQuery, ID: 1, Name: "example"})
-		if m, err := recvCtrl(ctrl); err == nil {
-			t.Fatalf("proto %d: connection answered a query after a refused hello: %+v", proto, m)
-		}
-		sess.Close()
-		<-served
+	}
+}
+
+// TestHelloRefusals sends the hellos that pass the version check but
+// must still be refused, each with its typed code: another ring width,
+// no tenant, and any hello once the daemon drains.
+func TestHelloRefusals(t *testing.T) {
+	q, rels := testQuery(59, 4, 6)
+	dcat, _ := sideCatalogs("example", q, rels)
+	d, err := New(Config{Catalog: dcat, DefaultQuota: &Quota{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Shutdown(context.Background())
+	hello := func(tenant string, ringBits int) *ctrlMsg {
+		return &ctrlMsg{Type: msgHello, Proto: protoVersion, Tenant: tenant, RingBits: ringBits}
+	}
+	for _, tc := range []struct {
+		name         string
+		hello        *ctrlMsg
+		drain        bool
+		code, detail string
+	}{
+		{"ring mismatch", hello("acme", d.ring.Bits+1), false, codeBadRequest,
+			fmt.Sprintf("ring mismatch: client %d bits, daemon %d", d.ring.Bits+1, d.ring.Bits)},
+		{"empty tenant", hello("", d.ring.Bits), false, codeBadRequest, "hello needs a tenant"},
+		{"draining", hello("acme", d.ring.Bits), true, codeOverloaded, "draining"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.drain {
+				if err := d.Shutdown(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			reply := refusedHello(t, d, tc.hello)
+			if reply.Type != msgError || reply.Code != tc.code || reply.Detail != tc.detail {
+				t.Fatalf("hello %+v got %+v, want a %s error %q", tc.hello, reply, tc.code, tc.detail)
+			}
+		})
 	}
 }

@@ -7,8 +7,8 @@
 // The garbling scheme is the modern standard: free-XOR, point-and-permute,
 // and half-gates (two ciphertexts per AND gate, zero per XOR/NOT gate),
 // over 128-bit wire labels hashed with a fixed-key AES MMO hash. The
-// evaluator obtains its input labels through the IKNP OT extension of
-// package ot. Evaluating a circuit takes a constant number of
+// evaluator obtains its input labels through the SoftSpoken OT extension
+// of package ot. Evaluating a circuit takes a constant number of
 // communication rounds regardless of its depth, the property the paper
 // relies on for its constant-round operator protocols.
 //
@@ -349,15 +349,6 @@ func (b *Builder) XORGWord(x Word, ps []PBit) Word {
 	out := make(Word, len(x))
 	for i := range x {
 		out[i] = b.XORG(x[i], ps[i])
-	}
-	return out
-}
-
-// ANDGWordBit masks a garbler-private word with wire s: out_i = s & ps_i.
-func (b *Builder) ANDGWordBit(ps []PBit, s Wire) Word {
-	out := make(Word, len(ps))
-	for i := range ps {
-		out[i] = b.ANDG(s, ps[i])
 	}
 	return out
 }

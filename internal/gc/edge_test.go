@@ -29,7 +29,7 @@ func TestWordOpsAtExtremeWidths(t *testing.T) {
 		f := func(xv, yv uint64) bool {
 			xv &= mask
 			yv &= mask
-			out, _, err := c.EvalPlain(BitsOfUint(xv, n), BitsOfUint(yv, n), nil)
+			out, _, err := c.EvalPlain(bitsOfUint(xv, n), bitsOfUint(yv, n), nil)
 			if err != nil {
 				return false
 			}
@@ -56,9 +56,9 @@ func TestZeroExtendAndTrees(t *testing.T) {
 	b.OutputWordToEval(wide)
 	b.OutputWordToEval(narrow)
 	b.OutputToEval(b.AndTree(nil)) // empty tree = const 1
-	b.OutputToEval(b.OrTree(nil))  // empty tree = const 0
+	b.OutputToEval(orTree(b, nil)) // empty tree = const 0
 	c := b.Build()
-	out, _, err := c.EvalPlain(nil, BitsOfUint(0b1010, 4), nil)
+	out, _, err := c.EvalPlain(nil, bitsOfUint(0b1010, 4), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,9 +59,9 @@ func randomGadget(seed int64) func(b *Builder) {
 			case 4:
 				z = b.AddPrivate(x, b.PrivateWord(w))
 			case 5:
-				z = b.ANDGWordBit(b.PrivateWord(w), b.Eq(x, y))
+				z = andgWordBit(b, b.PrivateWord(w), b.Eq(x, y))
 			case 6:
-				z = b.XORWord(x, b.ConstWord(rng.Uint64(), w))
+				z = xorWord(b, x, b.ConstWord(rng.Uint64(), w))
 			case 7:
 				z = b.ZeroExtend(Word{b.NonZero(x)}, w)
 			}

@@ -122,7 +122,7 @@ func checkWordOpPlain(t *testing.T, name string, build func(b *Builder, x, y Wor
 	f := func(xv, yv uint64) bool {
 		xv &= mask
 		yv &= mask
-		out, _, err := c.EvalPlain(BitsOfUint(xv, n), BitsOfUint(yv, n), nil)
+		out, _, err := c.EvalPlain(bitsOfUint(xv, n), bitsOfUint(yv, n), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -175,7 +175,7 @@ func TestMulGateCount(t *testing.T) {
 		mask := ^uint64(0) >> uint(64-n)
 		for i := 0; i < 20; i++ {
 			xv, yv := rng.Uint64()&mask, rng.Uint64()&mask
-			out, _, err := c.EvalPlain(BitsOfUint(xv, n), BitsOfUint(yv, n), nil)
+			out, _, err := c.EvalPlain(bitsOfUint(xv, n), bitsOfUint(yv, n), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -217,7 +217,7 @@ func TestAddPrivateGateCount(t *testing.T) {
 				if ext {
 					in &= 1
 				}
-				out, _, err := c.EvalPlain(nil, BitsOfUint(xv, n), BitsOfUint(pv, n))
+				out, _, err := c.EvalPlain(nil, bitsOfUint(xv, n), bitsOfUint(pv, n))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -358,7 +358,7 @@ func TestDivMod(t *testing.T) {
 	check := func(xv, yv uint64) {
 		xv &= mask
 		yv &= mask
-		out, _, err := c.EvalPlain(BitsOfUint(xv, n), BitsOfUint(yv, n), nil)
+		out, _, err := c.EvalPlain(bitsOfUint(xv, n), bitsOfUint(yv, n), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -398,7 +398,7 @@ func TestComparisons(t *testing.T) {
 	f := func(xv, yv uint64) bool {
 		xv &= mask
 		yv &= mask
-		out, _, err := c.EvalPlain(BitsOfUint(xv, n), BitsOfUint(yv, n), nil)
+		out, _, err := c.EvalPlain(bitsOfUint(xv, n), bitsOfUint(yv, n), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -424,8 +424,8 @@ func TestMuxWord(t *testing.T) {
 	b.OutputWordToEval(b.MuxWord(sel, x, y))
 	c := b.Build()
 	for _, s := range []bool{false, true} {
-		gBits := append([]bool{s}, BitsOfUint(0x1234, n)...)
-		out, _, err := c.EvalPlain(gBits, BitsOfUint(0x5678, n), nil)
+		gBits := append([]bool{s}, bitsOfUint(0x1234, n)...)
+		out, _, err := c.EvalPlain(gBits, bitsOfUint(0x5678, n), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -456,7 +456,7 @@ func TestArithmetic2PC(t *testing.T) {
 		xv := rng.Uint64() & (1<<n - 1)
 		yv := rng.Uint64() & (1<<n - 1)
 		want := (xv*yv + xv - yv) & (1<<n - 1)
-		eOut, gOut := run2PC(t, c, BitsOfUint(xv, n), BitsOfUint(yv, n))
+		eOut, gOut := run2PC(t, c, bitsOfUint(xv, n), bitsOfUint(yv, n))
 		if UintOfBits(eOut) != want || UintOfBits(gOut) != want {
 			t.Fatalf("2PC arith: eval=%d garbler=%d want=%d", UintOfBits(eOut), UintOfBits(gOut), want)
 		}
@@ -593,7 +593,7 @@ func BenchmarkGarbleAND(b *testing.B) {
 
 // TestPrivateBitGates2PC exercises XORG/ANDG (garbler-private constants)
 // through the real protocol on all bit combinations, plus the word-level
-// helpers EqPrivate and ANDGWordBit.
+// helpers EqPrivate and andgWordBit.
 func TestPrivateBitGates2PC(t *testing.T) {
 	b := NewBuilder()
 	x := b.EvalInput()
@@ -622,7 +622,7 @@ func TestEqPrivateAndMaskedWord2PC(t *testing.T) {
 	pay := b.PrivateWord(n)
 	sel := b.EqPrivate(x, key)
 	b.OutputToEval(sel)
-	b.OutputWordToEval(b.ANDGWordBit(pay, sel))
+	b.OutputWordToEval(andgWordBit(b, pay, sel))
 	c := b.Build()
 
 	cases := []struct{ x, key, pay uint64 }{
@@ -634,7 +634,7 @@ func TestEqPrivateAndMaskedWord2PC(t *testing.T) {
 	for _, tc := range cases {
 		priv := AppendBits(nil, tc.key, n)
 		priv = AppendBits(priv, tc.pay, n)
-		eOut, _ := run2PC(t, c, nil, BitsOfUint(tc.x, n), priv)
+		eOut, _ := run2PC(t, c, nil, bitsOfUint(tc.x, n), priv)
 		wantSel := tc.x == tc.key
 		wantPay := uint64(0)
 		if wantSel {
@@ -673,7 +673,7 @@ func TestAddPrivate(t *testing.T) {
 	f := func(xv, pv uint64) bool {
 		xv &= mask
 		pv &= mask
-		out, _, err := c.EvalPlain(nil, BitsOfUint(xv, n), BitsOfUint(pv, n))
+		out, _, err := c.EvalPlain(nil, bitsOfUint(xv, n), bitsOfUint(pv, n))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -688,8 +688,53 @@ func TestAddPrivate(t *testing.T) {
 		}
 	}
 	// And through the real protocol once.
-	eOut, _ := run2PC(t, c, nil, BitsOfUint(1000, n), BitsOfUint(234, n))
+	eOut, _ := run2PC(t, c, nil, bitsOfUint(1000, n), bitsOfUint(234, n))
 	if UintOfBits(eOut) != 1234 {
 		t.Fatalf("2PC AddPrivate: %d", UintOfBits(eOut))
 	}
+}
+
+// bitsOfUint expands the low n bits of v, little-endian.
+func bitsOfUint(v uint64, n int) []bool {
+	out := make([]bool, n)
+	for i := range out {
+		out[i] = v>>uint(i)&1 == 1
+	}
+	return out
+}
+
+// andgWordBit masks a garbler-private word with wire s: out_i = s & ps_i.
+func andgWordBit(b *Builder, ps []PBit, s Wire) Word {
+	out := make(Word, len(ps))
+	for i := range ps {
+		out[i] = b.ANDG(s, ps[i])
+	}
+	return out
+}
+
+// xorWord returns the bitwise XOR of equal-width words (free).
+func xorWord(b *Builder, x, y Word) Word {
+	out := make(Word, len(x))
+	for i := range x {
+		out[i] = b.XOR(x[i], y[i])
+	}
+	return out
+}
+
+// orTree reduces wires with a balanced OR tree.
+func orTree(b *Builder, bits []Wire) Wire {
+	if len(bits) == 0 {
+		return b.Const0()
+	}
+	for len(bits) > 1 {
+		tmp := make([]Wire, 0, (len(bits)+1)/2)
+		for i := 0; i+1 < len(bits); i += 2 {
+			tmp = append(tmp, b.OR(bits[i], bits[i+1]))
+		}
+		if len(bits)%2 == 1 {
+			tmp = append(tmp, bits[len(bits)-1])
+		}
+		bits = tmp
+	}
+	return bits[0]
 }

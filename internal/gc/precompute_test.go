@@ -22,7 +22,7 @@ func correctionGadget(b *Builder) {
 	p := b.PrivateWord(8)
 	q := b.PrivateWord(8)
 	eq := b.EqPrivate(e, p)           // XORG into an AND tree
-	sel := b.ANDGWordBit(q, eq)       // ANDG off a deep wire
+	sel := andgWordBit(b, q, eq)      // ANDG off a deep wire
 	sum := b.Add(b.XORGWord(e, p), g) // XORG into ripple-carry ANDs
 	prod := b.Mul(sum, b.Add(sel, e))
 	out := b.Add(prod, b.MuxWord(eq, sum, sel))

@@ -14,8 +14,9 @@ import (
 // The protocol is:
 //
 //  1. evaluator → garbler: the opening message of one correlated-OT batch
-//     over the evaluator's input bits — the IKNP matrix, or one
-//     derandomization bit per input when the batch is pooled
+//     over the evaluator's input bits — the extension's correction
+//     columns (4 B per OT, ot.ExtOfflineCost), or one derandomization bit
+//     per input when the batch is pooled
 //  2. garbler → evaluator: AND tables ‖ const label ‖ active garbler input
 //     labels ‖ evaluator-output decode bits ‖ payload ciphertexts ‖ one
 //     16-byte OT correction per evaluator input (‖ one 16-byte label

@@ -48,16 +48,6 @@ func (b *Builder) OutputWordToGarbler(w Word) {
 	}
 }
 
-// XORWord returns the bitwise XOR of equal-width words (free).
-func (b *Builder) XORWord(x, y Word) Word {
-	mustSameLen(x, y)
-	out := make(Word, len(x))
-	for i := range x {
-		out[i] = b.XOR(x[i], y[i])
-	}
-	return out
-}
-
 // ANDWordBit masks every bit of x with the single wire s.
 func (b *Builder) ANDWordBit(x Word, s Wire) Word {
 	out := make(Word, len(x))
@@ -192,24 +182,6 @@ func (b *Builder) AndTree(bits []Wire) Wire {
 	return bits[0]
 }
 
-// OrTree reduces wires with a balanced OR tree.
-func (b *Builder) OrTree(bits []Wire) Wire {
-	if len(bits) == 0 {
-		return b.Const0()
-	}
-	for len(bits) > 1 {
-		tmp := make([]Wire, 0, (len(bits)+1)/2)
-		for i := 0; i+1 < len(bits); i += 2 {
-			tmp = append(tmp, b.OR(bits[i], bits[i+1]))
-		}
-		if len(bits)%2 == 1 {
-			tmp = append(tmp, bits[len(bits)-1])
-		}
-		bits = tmp
-	}
-	return bits[0]
-}
-
 // GreaterThan returns 1 iff x > y (unsigned). It computes the final borrow
 // of y - x: borrow set means y < x.
 func (b *Builder) GreaterThan(x, y Word) Wire {
@@ -292,15 +264,6 @@ func mustSameLen(x, y Word) {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("gc: word width mismatch: %d vs %d", len(x), len(y)))
 	}
-}
-
-// BitsOfUint expands the low n bits of v, little-endian.
-func BitsOfUint(v uint64, n int) []bool {
-	out := make([]bool, n)
-	for i := range out {
-		out[i] = v>>uint(i)&1 == 1
-	}
-	return out
 }
 
 // UintOfBits packs little-endian bits into a uint64 (n ≤ 64).

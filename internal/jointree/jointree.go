@@ -73,88 +73,12 @@ func (h *Hypergraph) AllAttrs() []relation.Attr {
 	return out
 }
 
-// IsAcyclic runs the GYO reduction: repeatedly remove an "ear" — an edge
-// whose attributes are each either exclusive to it or contained in some
-// other single edge — until one edge remains.
-func (h *Hypergraph) IsAcyclic() bool {
-	return gyo(edgeSets(h.Edges))
-}
-
 func edgeSets(edges []Edge) []attrSet {
 	sets := make([]attrSet, len(edges))
 	for i, e := range edges {
 		sets[i] = toSet(e.Attrs)
 	}
 	return sets
-}
-
-func gyo(sets []attrSet) bool {
-	alive := make([]bool, len(sets))
-	nAlive := 0
-	for i := range sets {
-		alive[i] = true
-		nAlive++
-	}
-	for nAlive > 1 {
-		removed := false
-		for i := range sets {
-			if !alive[i] {
-				continue
-			}
-			// Attributes of i shared with some other living edge.
-			shared := attrSet{}
-			for a := range sets[i] {
-				for j := range sets {
-					if j != i && alive[j] && sets[j][a] {
-						shared[a] = true
-						break
-					}
-				}
-			}
-			// i is an ear if some other edge contains all its shared attrs.
-			for j := range sets {
-				if j == i || !alive[j] {
-					continue
-				}
-				ok := true
-				for a := range shared {
-					if !sets[j][a] {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					alive[i] = false
-					nAlive--
-					removed = true
-					break
-				}
-			}
-			if removed {
-				break
-			}
-		}
-		if !removed {
-			return false
-		}
-	}
-	return true
-}
-
-// IsFreeConnex reports whether the query with the given output attributes
-// is free-connex: the hypergraph must be acyclic and remain acyclic after
-// adding the output set as an extra hyperedge (Bagan, Durand and
-// Grandjean 2007, reference [4] of the paper). This test works for any
-// number of edges; Plan additionally constructs a witness tree.
-func (h *Hypergraph) IsFreeConnex(output []relation.Attr) bool {
-	if !h.IsAcyclic() {
-		return false
-	}
-	if len(output) == 0 {
-		return true
-	}
-	augmented := append(edgeSets(h.Edges), toSet(output))
-	return gyo(augmented)
 }
 
 // Plan finds a rooted join tree satisfying the free-connex condition for
@@ -534,13 +458,4 @@ func newTree(h *Hypergraph, root int, parent []int) (*Tree, error) {
 		return nil, fmt.Errorf("jointree: tree does not span all nodes")
 	}
 	return t, nil
-}
-
-// Depth returns the depth of node i (root = 0).
-func (t *Tree) Depth(i int) int {
-	d := 0
-	for v := i; t.Parent[v] != -1; v = t.Parent[v] {
-		d++
-	}
-	return d
 }

@@ -23,7 +23,7 @@ func paperExample() *Hypergraph {
 }
 
 func TestAcyclicity(t *testing.T) {
-	if !paperExample().IsAcyclic() {
+	if !isAcyclic(paperExample()) {
 		t.Error("Figure 1 query must be acyclic")
 	}
 	// Example 1.1: R1(person,coins,state) ⋈ R2(person,disease,cost) ⋈ R3(disease,class)
@@ -32,7 +32,7 @@ func TestAcyclicity(t *testing.T) {
 		Edge{"R2", []A{"person", "disease", "cost"}},
 		Edge{"R3", []A{"disease", "class"}},
 	)
-	if !ex11.IsAcyclic() {
+	if !isAcyclic(ex11) {
 		t.Error("Example 1.1 must be acyclic")
 	}
 	// Triangle join is the canonical cyclic query (§3.1).
@@ -41,18 +41,18 @@ func TestAcyclicity(t *testing.T) {
 		Edge{"R2", []A{"B", "C"}},
 		Edge{"R3", []A{"A", "C"}},
 	)
-	if tri.IsAcyclic() {
+	if isAcyclic(tri) {
 		t.Error("triangle join must be cyclic")
 	}
 	single := edges(Edge{"R", []A{"X"}})
-	if !single.IsAcyclic() {
+	if !isAcyclic(single) {
 		t.Error("single edge is acyclic")
 	}
 }
 
 func TestFreeConnexPaperExamples(t *testing.T) {
 	// Figure 1 with O = {B,D,E,F} is free-connex (the tree of Fig. 1b).
-	if !paperExample().IsFreeConnex([]A{"B", "D", "E", "F"}) {
+	if !isFreeConnex(paperExample(), []A{"B", "D", "E", "F"}) {
 		t.Error("Figure 1 query with O={B,D,E,F} must be free-connex")
 	}
 	// Example 1.1: group by class is free-connex...
@@ -61,15 +61,15 @@ func TestFreeConnexPaperExamples(t *testing.T) {
 		Edge{"R2", []A{"person", "disease", "cost"}},
 		Edge{"R3", []A{"disease", "class"}},
 	)
-	if !ex11.IsFreeConnex([]A{"class"}) {
+	if !isFreeConnex(ex11, []A{"class"}) {
 		t.Error("Example 1.1 grouped by class must be free-connex")
 	}
 	// ...but group by {class, coinsurance} is not (§3.1).
-	if ex11.IsFreeConnex([]A{"class", "coinsurance"}) {
+	if isFreeConnex(ex11, []A{"class", "coinsurance"}) {
 		t.Error("Example 1.1 grouped by {class,coinsurance} must not be free-connex")
 	}
 	// O = ∅ (full aggregation) is always free-connex for acyclic queries.
-	if !paperExample().IsFreeConnex(nil) {
+	if !isFreeConnex(paperExample(), nil) {
 		t.Error("empty output must be free-connex")
 	}
 }
@@ -209,11 +209,11 @@ func TestDepth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tree.Depth(tree.Root) != 0 {
+	if depth(tree, tree.Root) != 0 {
 		t.Fatal("root depth must be 0")
 	}
 	for i := range tree.Parent {
-		if i != tree.Root && tree.Depth(i) != tree.Depth(tree.Parent[i])+1 {
+		if i != tree.Root && depth(tree, i) != depth(tree, tree.Parent[i])+1 {
 			t.Fatal("depth inconsistent with parent")
 		}
 	}

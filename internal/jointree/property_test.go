@@ -49,7 +49,7 @@ func TestPropertyAcyclicConstructionsAreAcyclic(t *testing.T) {
 	f := func(seed int64, kRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		k := int(kRaw%6) + 1
-		return randomAcyclicHypergraph(rng, k).IsAcyclic()
+		return isAcyclic(randomAcyclicHypergraph(rng, k))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func TestPropertyIsFreeConnexAgreesWithPlan(t *testing.T) {
 			}
 		}
 		_, err := h.Plan(output)
-		gyoSaysYes := h.IsFreeConnex(output)
+		gyoSaysYes := isFreeConnex(h, output)
 		planSaysYes := err == nil
 		return gyoSaysYes == planSaysYes
 	}
@@ -128,7 +128,7 @@ func TestPropertyIsFreeConnexAgreesWithPlan(t *testing.T) {
 // deterministic synthetic cost function, the tree PlanCosted returns
 // must cost no more than every candidate Candidates enumerates — the
 // contract the core compiler's root selection relies on (DESIGN.md
-// §13). With a constant cost it must degenerate to Plan's pick.
+// §7). With a constant cost it must degenerate to Plan's pick.
 func TestPropertyPlanCostedIsArgmin(t *testing.T) {
 	f := func(seed int64, kRaw uint8, weight uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -151,7 +151,7 @@ func TestPropertyPlanCostedIsArgmin(t *testing.T) {
 		cost := func(tr *Tree) (int64, error) {
 			c := int64(tr.Root) * int64(weight%7+1)
 			for i := range tr.PostOrder {
-				c += int64(tr.Depth(i))
+				c += int64(depth(tr, i))
 			}
 			return c, nil
 		}

@@ -249,20 +249,6 @@ func (p *Party) EnqueuePreGarbled(pg *gc.PreGarbled) {
 	st.preGarb = append(st.preGarb, pg)
 }
 
-// ClearPrecomputed drops all staged circuits and both OT pools. Both
-// parties must clear at the same protocol point, or pooled OT batches
-// will desynchronize.
-func (p *Party) ClearPrecomputed() {
-	st := p.state()
-	st.preGarb = nil
-	if st.otSend != nil {
-		st.otSend.Pool().Clear()
-	}
-	if st.otRecv != nil {
-		st.otRecv.Pool().Clear()
-	}
-}
-
 // RunCircuit evaluates circuit c with the given party acting as garbler.
 // myInputs are this party's input bits (garbler inputs if this party
 // garbles, evaluator inputs otherwise); the returned bits are the outputs

@@ -25,7 +25,7 @@ func TestShareRevealRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, v := range vals {
-		if alice.Ring.Combine(aShares[i], bShares[i]) != alice.Ring.Mask(v) {
+		if alice.Ring.Add(aShares[i], bShares[i]) != alice.Ring.Mask(v) {
 			t.Fatalf("index %d does not reconstruct", i)
 		}
 	}
@@ -65,8 +65,8 @@ func TestRunCircuitBothGarblerRoles(t *testing.T) {
 
 		alice, bob := Pair(share.Ring{Bits: 16})
 		aOut, bOut, err := Run2PC(alice, bob,
-			func(p *Party) ([]bool, error) { return p.RunCircuit(c, gc.BitsOfUint(1200, 16), nil, garbler) },
-			func(p *Party) ([]bool, error) { return p.RunCircuit(c, gc.BitsOfUint(34, 16), nil, garbler) },
+			func(p *Party) ([]bool, error) { return p.RunCircuit(c, bits16(1200), nil, garbler) },
+			func(p *Party) ([]bool, error) { return p.RunCircuit(c, bits16(34), nil, garbler) },
 		)
 		alice.Conn.Close()
 		bob.Conn.Close()
@@ -372,4 +372,13 @@ func TestRunCircuitMessageCount(t *testing.T) {
 			t.Fatalf("%+v: %d messages, want %d", tc, got, tc.msgs)
 		}
 	}
+}
+
+// bits16 expands the low 16 bits of v, little-endian.
+func bits16(v uint64) []bool {
+	out := make([]bool, 16)
+	for i := range out {
+		out[i] = v>>uint(i)&1 == 1
+	}
+	return out
 }

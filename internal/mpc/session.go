@@ -59,8 +59,8 @@ func NewSession(role Role, conn transport.Conn, ring share.Ring, cfg SessionConf
 	}
 }
 
-// SessionPair returns two connected in-memory sessions, for tests and
-// in-process benchmarks.
+// SessionPair returns two connected in-memory sessions. Only tests call
+// it, core's among them.
 func SessionPair(ring share.Ring, cfg SessionConfig) (alice, bob *Session) {
 	ca, cb := transport.Pair()
 	return NewSession(Alice, ca, ring, cfg), NewSession(Bob, cb, ring, cfg)

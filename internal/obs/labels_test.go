@@ -63,7 +63,7 @@ func TestLabelVecHistogramExposition(t *testing.T) {
 			t.Errorf("exposition missing %q in:\n%s", want, out)
 		}
 	}
-	if got := hv.Count("Q3"); got != 2 {
+	if got := hv.Value("Q3"); got != 2 {
 		t.Errorf("Count(Q3) = %d, want 2", got)
 	}
 }
@@ -105,10 +105,10 @@ func TestLabelCardinalityCap(t *testing.T) {
 	hv.Observe(10, "a")
 	hv.Observe(10, "b")
 	hv.Observe(10, "c")
-	if got := hv.Count("a"); got != 1 {
+	if got := hv.Value("a"); got != 1 {
 		t.Errorf("hist Count(a) = %d, want 1", got)
 	}
-	if got := hv.Count(OverflowValue); got != 2 {
+	if got := hv.Value(OverflowValue); got != 2 {
 		t.Errorf("hist Count(overflow) = %d, want 2", got)
 	}
 }

@@ -11,7 +11,7 @@ import (
 	"sync/atomic"
 )
 
-// Metric naming scheme (see DESIGN.md §9): secyan_<package>_<what>_<unit>,
+// Metric naming scheme (see DESIGN.md §12): secyan_<package>_<what>_<unit>,
 // counters suffixed _total, durations in nanoseconds with the _ns
 // suffix. Every instrument is a Metric — a family of series keyed by
 // label values — created at package init time in the default registry.
@@ -208,9 +208,6 @@ func (m *Metric) Value(vals ...string) int64 {
 	}
 	return 0
 }
-
-// Count is Value, spelled for histograms.
-func (m *Metric) Count(vals ...string) int64 { return m.Value(vals...) }
 
 // Sum returns the sum of a histogram series' observations (0 if absent).
 func (m *Metric) Sum(vals ...string) int64 {

@@ -35,6 +35,7 @@ var enabled atomic.Bool
 func Enable() { enabled.Store(true) }
 
 // Disable turns observation back off. Accumulated values are retained.
+// Only tests call it, in every package that measures a run both ways.
 func Disable() { enabled.Store(false) }
 
 // Enabled reports whether observation is on. Instrumentation sites use

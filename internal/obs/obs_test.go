@@ -46,8 +46,8 @@ func TestHistogramBuckets(t *testing.T) {
 	for _, v := range []int64{1, 1, 3, 1000} {
 		h.Observe(v)
 	}
-	if h.Count() != 4 || h.Sum() != 1005 {
-		t.Fatalf("count=%d sum=%d, want 4 and 1005", h.Count(), h.Sum())
+	if h.Value() != 4 || h.Sum() != 1005 {
+		t.Fatalf("count=%d sum=%d, want 4 and 1005", h.Value(), h.Sum())
 	}
 	var sb strings.Builder
 	r.WritePrometheus(&sb)

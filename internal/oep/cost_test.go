@@ -163,7 +163,7 @@ func TestCostExactAtRingWidths(t *testing.T) {
 					t.Fatalf("ℓ=%d %+v: %v", ell, sh, err)
 				}
 				for i, src := range xi {
-					if got := ring.Combine(outA[i], outB[i]); got != vals[src] {
+					if got := ring.Add(outA[i], outB[i]); got != vals[src] {
 						t.Fatalf("ℓ=%d %+v pooled=%v: out[%d] = %d, want %d", ell, sh, pooled, i, got, vals[src])
 					}
 				}

@@ -128,7 +128,7 @@ func TestOEPOutputSharesAreFresh(t *testing.T) {
 		if outA[i] == sA[i] {
 			same++
 		}
-		if ring.Combine(outA[i], outB[i]) != vals[i] {
+		if ring.Add(outA[i], outB[i]) != vals[i] {
 			t.Fatalf("identity perm broke value %d", i)
 		}
 	}

@@ -12,7 +12,7 @@
 // two seeds per instance and the receiver's chosen one — which is all
 // the extension needs — in two messages (one curve point from the
 // sender, one point per instance back) and no ciphertexts; see DESIGN.md
-// §16. The extension's receiver then sends one message of GGM
+// §3. The extension's receiver then sends one message of GGM
 // corrections that punctures the sender's trees. A party pair runs the
 // base OTs once: the opposite direction's κ base OTs are κ random OTs of
 // the first direction's extension (Receiver.Reverse, Sender.Reverse).
@@ -79,7 +79,7 @@ func (e *MessageError) Error() string {
 
 // keySeed hashes the compressed encoding of instance i's shared point
 // into a seed. SHA-256 as a random oracle over the group element is what
-// the protocol's CDH argument needs (DESIGN.md §14, §16).
+// the protocol's CDH argument needs (DESIGN.md §13, §3).
 func keySeed(i int, point []byte) (s prf.Seed) {
 	h := prf.Hash(uint64(i), point)
 	copy(s[:], h[:])

@@ -133,7 +133,8 @@ func (s *Sender) SendCorrelated(m, msgLen int, f Correlation) ([]byte, error) {
 // Send performs len(pairs) chosen-message OTs as sender; pairs[j][c] is
 // delivered iff the receiver chose c. All messages must have equal
 // length. It is a correlated batch whose reply carries the second word
-// (AppendChosen), so it costs ExtCost direct and ExtOnlineCost pooled.
+// (AppendChosen), so it costs CorrelatedCost plus a word per OT direct
+// and ExtOnlineCost pooled.
 func (s *Sender) Send(pairs [][2][]byte) error {
 	m := len(pairs)
 	if m == 0 {

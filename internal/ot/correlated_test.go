@@ -138,7 +138,7 @@ func TestCorrelatedOT(t *testing.T) {
 }
 
 // TestChosenOTIsCorrelatedPlusWord pins the chosen-message closed forms
-// on both paths: 36 B per 16-byte OT direct (ExtCost: 4 B of correction
+// on both paths: 36 B per 16-byte OT direct (extCost: 4 B of correction
 // message and two words), the bits plus two
 // words pooled (ExtOnlineCost).
 func TestChosenOTIsCorrelatedPlusWord(t *testing.T) {
@@ -149,8 +149,8 @@ func TestChosenOTIsCorrelatedPlusWord(t *testing.T) {
 	const m, msgLen = 640, 16
 	before := moved()
 	runBatch(t, snd, rcv, rng, m, msgLen)
-	if got := moved() - before; got != ExtCost(m, msgLen) || got != 36*m {
-		t.Fatalf("direct chosen batch moved %d bytes, ExtCost predicts %d", got, ExtCost(m, msgLen))
+	if got := moved() - before; got != extCost(m, msgLen) || got != 36*m {
+		t.Fatalf("direct chosen batch moved %d bytes, extCost predicts %d", got, extCost(m, msgLen))
 	}
 	fillBoth(t, snd, rcv, m, msgLen)
 	before = moved()

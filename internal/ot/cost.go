@@ -27,8 +27,8 @@ func SetupCost() int64 {
 func DeriveCost() int64 { return ExtOfflineCost(kappa) + treeBytes }
 
 // KKRTSetupCost returns the bytes that set up a KKRT extension on an
-// established IKNP direction (NewKKRTSender/NewKKRTReceiver): one direct
-// batch of KKRTWidth random OTs, i.e. its correction message for
+// established extension direction (NewKKRTSender/NewKKRTReceiver): one
+// direct batch of KKRTWidth random OTs, i.e. its correction message for
 // KKRTWidth instances.
 func KKRTSetupCost() int64 { return ExtOfflineCost(KKRTWidth) }
 
@@ -38,15 +38,6 @@ func KKRTSetupCost() int64 { return ExtOfflineCost(KKRTWidth) }
 // KKRTCodeBytes per instance in groups of eight. A batch of zero
 // instances exchanges nothing.
 func KKRTCost(m int) int64 { return int64(KKRTWidth) * int64((m+7)/8) }
-
-// ExtCost returns the total bytes (both directions) of one direct
-// chosen-message batch (Send/Receive) of m OTs with msgLen-byte messages:
-// the receiver's correction message plus the sender's reply, one
-// correction and one word per instance. A batch of zero OTs exchanges
-// nothing.
-func ExtCost(m, msgLen int) int64 {
-	return CorrelatedCost(m, msgLen) + int64(m)*int64(msgLen)
-}
 
 // CorrelatedCost returns the total bytes of one direct correlated-OT
 // batch (SendCorrelated/ReceiveCorrelated) of m OTs: the receiver's

@@ -30,7 +30,7 @@ func TestSetupCostExact(t *testing.T) {
 	}
 }
 
-// TestExtCostExact checks ExtCost against measured per-batch traffic
+// TestExtCostExact checks extCost against measured per-batch traffic
 // across padding boundaries and message lengths.
 func TestExtCostExact(t *testing.T) {
 	a, b := transport.Pair()
@@ -77,9 +77,18 @@ func TestExtCostExact(t *testing.T) {
 				t.Fatalf("Send(m=%d): %v", m, err)
 			}
 			wg.Wait()
-			if got, want := a.Stats().TotalBytes()-before, ExtCost(m, msgLen); got != want {
-				t.Fatalf("batch m=%d msgLen=%d moved %d bytes, ExtCost predicts %d", m, msgLen, got, want)
+			if got, want := a.Stats().TotalBytes()-before, extCost(m, msgLen); got != want {
+				t.Fatalf("batch m=%d msgLen=%d moved %d bytes, extCost predicts %d", m, msgLen, got, want)
 			}
 		}
 	}
+}
+
+// extCost returns the total bytes (both directions) of one direct
+// chosen-message batch (Send/Receive) of m OTs with msgLen-byte messages:
+// the receiver's correction message plus the sender's reply, one
+// correction and one word per instance. A batch of zero OTs exchanges
+// nothing.
+func extCost(m, msgLen int) int64 {
+	return CorrelatedCost(m, msgLen) + int64(m)*int64(msgLen)
 }

@@ -141,7 +141,7 @@ func (s *Sender) derivedBase(w int) ([][2]prf.Seed, error) {
 
 // Reverse sets up the opposite direction on r's connection without
 // public-key work: κ direct random OTs of this direction serve as its
-// base OTs (DESIGN.md §16). r's uniform choice bits and the pads they
+// base OTs (DESIGN.md §3). r's uniform choice bits and the pads they
 // select become the new sender's base-OT output, and the peer, the new
 // receiver, answers with its GGM corrections. The peer calls
 // Sender.Reverse at the same protocol point; it costs DeriveCost, one

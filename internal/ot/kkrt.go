@@ -24,7 +24,7 @@ import (
 // output is H(j, t_j) = F_j(x_j). For y ≠ x_j the argument of H differs
 // from t_j by (C(x_j) ⊕ C(y)) ∧ s, which has as many unknown bits of s
 // as the codes differ in, at least κ when the code's minimum distance is
-// (DESIGN.md §4). H is SHA-256 over the whole row under a domain that
+// (DESIGN.md §5). H is SHA-256 over the whole row under a domain that
 // carries the instance index (kkrtDomain): folding the row to 128 bits
 // first would leave only ≈ κ/4 of those unknown bits in the hash input.
 //

@@ -9,10 +9,10 @@ import (
 	"secyan/internal/transport"
 )
 
-// TestExtensionPaddingBoundaries exercises the IKNP padding logic at the
-// 64-instance block boundaries and across the pad() hash-vs-HashToWidth
-// branch (msgLen 32 is the last direct-hash width, 33 the first expanded
-// one). All batches run through one session so the test also verifies
+// TestExtensionPaddingBoundaries exercises the extension's padding logic
+// at the 64-instance block boundaries and across derivePad's
+// truncate-vs-expand branch (msgLen 16 is the last one-block width, 32
+// and 33 are KDF-expanded). All batches run through one session so the test also verifies
 // that the global idx counter advances by mPad — not m — per batch on
 // both endpoints, keeping the hash tweaks in sync.
 func TestExtensionPaddingBoundaries(t *testing.T) {

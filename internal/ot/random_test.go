@@ -186,7 +186,8 @@ func TestPoolMismatchFallsBack(t *testing.T) {
 	}
 }
 
-// TestPoolClear pins the explicit Clear used by ClearPrecomputed.
+// TestPoolClear pins Clear, with which the fuzzers of psi and oep stand
+// in for a pooled batch.
 func TestPoolClear(t *testing.T) {
 	snd, rcv, done := newExtPair(t)
 	defer done()

@@ -166,8 +166,7 @@ func HashBlocks(dst, src []Block, tweak, step uint64) {
 // caller's tweak: the first block is H(x, tweak), and block k ≥ 1 is
 // H(h₀ ⊕ k, SiteKDF | k) — a KDF chain re-keyed by the first digest, so
 // the caller's tweak space is consumed exactly once per call no matter
-// how wide the output. It is the AES replacement for the SHA-256 →
-// AES-CTR expansion of HashToWidth and performs no heap allocation.
+// how wide the output. It performs no heap allocation.
 func HashToWidthAES(dst []byte, x Block, tweak uint64) {
 	h0 := HashBlock(x, tweak)
 	n := copy(dst, h0[:])

@@ -164,16 +164,6 @@ func HashInto(dst []byte, domain uint64, data []byte) {
 	copy(dst, h[:len(dst)])
 }
 
-// HashToWidth expands Hash(domain, data...) to n bytes using the digest as
-// an AES-CTR seed. It is used to derive one-time pads of arbitrary length
-// from OT instances.
-func HashToWidth(domain uint64, n int, data ...[]byte) []byte {
-	d := Hash(domain, data...)
-	var seed Seed
-	copy(seed[:], d[:SeedSize])
-	return NewPRG(seed).Bytes(n)
-}
-
 // XORBytes sets dst = a ^ b elementwise. All three must have equal length.
 func XORBytes(dst, a, b []byte) {
 	if len(a) != len(b) || len(dst) != len(a) {

@@ -97,18 +97,6 @@ func TestHashDomainSeparation(t *testing.T) {
 	}
 }
 
-func TestHashToWidth(t *testing.T) {
-	p := HashToWidth(3, 100, []byte("payload"))
-	q := HashToWidth(3, 100, []byte("payload"))
-	if len(p) != 100 || !bytes.Equal(p, q) {
-		t.Fatal("HashToWidth must be deterministic with requested length")
-	}
-	r := HashToWidth(4, 100, []byte("payload"))
-	if bytes.Equal(p, r) {
-		t.Fatal("HashToWidth must separate domains")
-	}
-}
-
 func TestXORBytes(t *testing.T) {
 	a := []byte{0xFF, 0x0F}
 	b := []byte{0x0F, 0x0F}

@@ -27,7 +27,7 @@ import (
 // and like a cuckoo failure it is surfaced as an error. The hint's size
 // depends on (M, N) alone. The sender programs (t_b, u′) ⊕ F_b(k) at
 // each key k of bin b (oprf.go), so the receiver recovers them at a key
-// they share and noise at any other; DESIGN.md §4 argues why the hint itself is uniform to her.
+// they share and noise at any other; DESIGN.md §5 argues why the hint itself is uniform to her.
 
 // value is one programmed or decoded OPPRF output: the τ-bit target t
 // and the w-bit masked payload (or index) u, each in the low bits.
@@ -40,7 +40,7 @@ const (
 	bandBits = 128
 	// okvsInvEps is 1/ε: a hint has ⌈(1 + ε)·n⌉ + W slots for n keys.
 	// ε = 0.25; at 0.2 the failure fit (TestOKVSFailureRate) lands too
-	// close to 2^-σ at n = 2^23 to ship (DESIGN.md §4).
+	// close to 2^-σ at n = 2^23 to ship (DESIGN.md §5).
 	okvsInvEps = 4
 )
 

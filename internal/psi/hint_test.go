@@ -22,7 +22,7 @@ func encodeKeys(h hintDims, seed prf.Seed, keys []uint64, vals []value, g *prf.P
 // count, fits log₂ of the rate against the width and the number of keys,
 // and checks that the shipped (ε, W) extrapolates to at most 2^-σ at
 // n = 2^23 keys. Rows are drawn from a seeded PRG: the rank argument
-// models the row hash as uniform (DESIGN.md §14), so this measures the
+// models the row hash as uniform (DESIGN.md §13), so this measures the
 // structure, not the hash.
 //
 // The fit, per set size, is a weighted line log₂λ = a − b·w through the

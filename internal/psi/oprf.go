@@ -24,7 +24,7 @@ import (
 // his bin and the receiver learns at hers. For y ≠ x the hash input
 // carries the ≈ 256 bits of s where C(x) and C(y) differ (at least κ:
 // TestKKRTCodeMinDistance), so F_b(y) is pseudorandom to her (DESIGN.md
-// §4, §14). The batch is one KKRTCodeBytes row per bin, ot.KKRTCost,
+// §5, §13). The batch is one KKRTCodeBytes row per bin, ot.KKRTCost,
 // online: nothing of it is pooled, and its base OTs are the per-query
 // KKRT setup (mpc.Party.KKRTSender).
 

@@ -12,7 +12,7 @@ import (
 // TestKKRTCodeMinDistance checks the property the KKRT OPRF's security
 // rests on: any two code words the PSI uses differ in at least κ = 128 of
 // their ot.KKRTWidth = 512 bits, so F_b(y) for y ≠ x hashes at least κ
-// bits of s the receiver does not know (DESIGN.md §4). The code is
+// bits of s the receiver does not know (DESIGN.md §5). The code is
 // pseudorandom, so the distance of a pair is Binomial(512, 1/2): mean
 // 256, σ = √512/2 ≈ 11.3. Over the ≈ 2²³ pairs of 2¹² composed keys the
 // minimum lands 5–6σ below the mean, near 256 − 6σ ≈ 188 (198 with this

@@ -11,7 +11,7 @@
 // secret-shared child. Both run the same bins; cost.go prices each.
 //
 // The per-bin construction is the paper's: the OPPRF-based circuit PSI
-// of Pinkas, Schneider, Tkachenko and Yanai (reference [27]; DESIGN.md §4
+// of Pinkas, Schneider, Tkachenko and Yanai (reference [27]; DESIGN.md §5
 // says which of its building blocks are substituted). The receiver (Alice)
 // cuckoo-hashes her set into B = 1.27·M bins using 3 hash functions; the
 // sender (Bob) simple-hashes every element of his set into all 3
@@ -191,7 +191,7 @@ func receiverKeys(t *cuckoo.Table) ([]uint64, error) {
 // from her; the sender sees x_ρ, uniform because s is. The ρ-OT's opening
 // message follows the hint and its corrections precede the label-OT
 // matrix, each in the same flight, so the bin keeps its round count.
-// DESIGN.md §4 has the simulator argument.
+// DESIGN.md §5 has the simulator argument.
 
 // binGadget emits the circuit of one bin: the evaluator's τ-bit target
 // t′ against the sender's garbler-private t, and one select keyed to the

@@ -51,8 +51,8 @@ func checkPSIResult(t *testing.T, ring share.Ring, xs, ys, payloads []uint64, ra
 	table := ra.Table
 	matched := 0
 	for b := 0; b < ra.Params.B; b++ {
-		ind := ring.Combine(ra.IndShares[b], rb.IndShares[b])
-		pay := ring.Combine(ra.PayShares[b], rb.PayShares[b])
+		ind := ring.Add(ra.IndShares[b], rb.IndShares[b])
+		pay := ring.Add(ra.PayShares[b], rb.PayShares[b])
 		if v, ok := table.BinItem(b); ok {
 			if inY[v] {
 				matched++

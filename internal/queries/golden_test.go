@@ -27,7 +27,7 @@ const goldenEstOut = 16
 // after reviewing it.
 func TestGoldenPlans(t *testing.T) {
 	db := testDB(t)
-	for _, spec := range []Spec{Q3(), Q10(), Q18WithThreshold(120), Q8(), Q9(2)} {
+	for _, spec := range []Spec{Q3(), Q10(), q18WithThreshold(120), Q8(), Q9(2)} {
 		t.Run(spec.Name, func(t *testing.T) {
 			q, err := PlanFor(spec, db)
 			if err != nil {

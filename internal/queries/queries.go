@@ -60,24 +60,7 @@ func maskProject(src *relation.Relation, cols []Attr, pred func(row []uint64) bo
 		// input reaches here.
 		panic(err)
 	}
-	out := relation.New(relation.MustSchema(cols...))
-	for i := range src.Tuples {
-		row := src.Tuples[i]
-		if pred == nil || pred(row) {
-			proj := make([]uint64, len(idx))
-			for c, cc := range idx {
-				proj[c] = row[cc]
-			}
-			out.Append(proj, annot(row))
-			continue
-		}
-		d := make([]uint64, len(idx))
-		for c := range d {
-			d[c] = dg.Next()
-		}
-		out.Append(d, 0)
-	}
-	return out
+	return src.Mask(relation.MustSchema(cols...), idx, pred, annot, dg)
 }
 
 // one is the constant-1 annotation.
@@ -269,10 +252,6 @@ var q18Output = []Attr{"c_name", "custkey", "orderkey", "orderdate", "totalprice
 // reduce phase leaves two nodes, exercising the semijoin and oblivious
 // join phases.
 func Q18() Spec { return q18WithThreshold(Q18Threshold) }
-
-// Q18WithThreshold allows tests to lower the having-constant so that the
-// output is non-empty at tiny scales.
-func Q18WithThreshold(threshold uint64) Spec { return q18WithThreshold(threshold) }
 
 func q18WithThreshold(threshold uint64) Spec {
 	return Spec{

@@ -93,7 +93,7 @@ func TestQ10SecureMatchesPlain(t *testing.T) {
 func TestQ18SecureMatchesPlain(t *testing.T) {
 	db := testDB(t)
 	// Lower the threshold so the subquery matches at the tiny test scale.
-	spec := Q18WithThreshold(120)
+	spec := q18WithThreshold(120)
 	secure, plain := runSpec(t, spec, db)
 	compare(t, "Q18", secure, plain)
 	if plain.Len() == 0 {

@@ -41,7 +41,7 @@ func runSpecTraced(t *testing.T, spec Spec, db *tpch.DB) []core.TraceStep {
 // the relative bound.)
 func TestTraceMatchesEstimates(t *testing.T) {
 	db := testDB(t)
-	for _, spec := range []Spec{Q3(), Q10(), Q18WithThreshold(120)} {
+	for _, spec := range []Spec{Q3(), Q10(), q18WithThreshold(120)} {
 		t.Run(spec.Name, func(t *testing.T) {
 			steps := runSpecTraced(t, spec, db)
 			q, err := PlanFor(spec, db)

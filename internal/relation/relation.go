@@ -231,7 +231,8 @@ func HashKey(row []uint64, cols []int) uint64 {
 
 // SortByColumns stably sorts tuples (with annotations) lexicographically
 // by the given columns and returns the permutation applied: perm[newPos] =
-// oldPos.
+// oldPos. The program walks SortPermByColumns instead; this materialized
+// sort is the reference that tests, benchmark's among them, compare it to.
 func (r *Relation) SortByColumns(cols []int) []int {
 	idx := make([]int, r.Len())
 	for i := range idx {
@@ -554,17 +555,6 @@ func (r *Relation) Semijoin(s *Relation, sr Semiring) (*Relation, error) {
 	return out, nil
 }
 
-// Filter returns the tuples satisfying pred, annotations preserved.
-func (r *Relation) Filter(pred func(row []uint64) bool) *Relation {
-	out := New(r.Schema)
-	for i := range r.Tuples {
-		if pred(r.Tuples[i]) {
-			out.Append(r.Tuples[i], r.Annot[i])
-		}
-	}
-	return out
-}
-
 // DropZeroAnnotated returns the tuples with nonzero annotation and no
 // dummy values; used when presenting final results.
 func (r *Relation) DropZeroAnnotated() *Relation {
@@ -577,22 +567,29 @@ func (r *Relation) DropZeroAnnotated() *Relation {
 	return out
 }
 
-// ReplaceWithDummies returns a copy where every tuple failing pred is
-// replaced by a zero-annotated dummy tuple — the paper's treatment of
-// private selection conditions (§7, option 2): the relation size stays
-// unchanged so the selectivity is not revealed.
-func (r *Relation) ReplaceWithDummies(pred func(row []uint64) bool, dg *DummyGen) *Relation {
-	out := New(r.Schema)
-	for i := range r.Tuples {
-		if pred(r.Tuples[i]) {
-			out.Append(r.Tuples[i], r.Annot[i])
+// Mask builds a query input from r without revealing its selectivity
+// (paper §7, option 2): each row satisfying pred (every row when pred is
+// nil) is projected to r's columns cols and annotated by annot, and
+// every other row becomes a zero-annotated dummy of fresh dg values. The
+// result has the given schema, one attribute per column, and r.Len()
+// rows.
+func (r *Relation) Mask(schema Schema, cols []int, pred func(row []uint64) bool,
+	annot func(row []uint64) uint64, dg *DummyGen) *Relation {
+	out := New(schema)
+	for _, row := range r.Tuples {
+		if pred == nil || pred(row) {
+			proj := make([]uint64, len(cols))
+			for c, cc := range cols {
+				proj[c] = row[cc]
+			}
+			out.Append(proj, annot(row))
 			continue
 		}
-		row := make([]uint64, len(r.Tuples[i]))
-		for c := range row {
-			row[c] = dg.Next()
+		d := make([]uint64, len(cols))
+		for c := range d {
+			d[c] = dg.Next()
 		}
-		out.Append(row, 0)
+		out.Append(d, 0)
 	}
 	return out
 }

@@ -257,37 +257,45 @@ func TestGroupIndexCollisions(t *testing.T) {
 	}
 }
 
+// TestReplaceWithDummies pins Mask: rows that pass are projected and
+// annotated, rows that fail become zero-annotated dummies, and the size
+// stays.
 func TestReplaceWithDummies(t *testing.T) {
 	var dg DummyGen
-	r := New(MustSchema("a"))
-	r.Append([]uint64{1}, 5)
-	r.Append([]uint64{2}, 6)
-	r.Append([]uint64{3}, 7)
-	out := r.ReplaceWithDummies(func(row []uint64) bool { return row[0] != 2 }, &dg)
-	if out.Len() != 3 {
+	r := New(MustSchema("a", "b"))
+	r.Append([]uint64{1, 10}, 5)
+	r.Append([]uint64{2, 20}, 6)
+	r.Append([]uint64{3, 30}, 7)
+	out := r.Mask(MustSchema("y"), []int{1}, func(row []uint64) bool { return row[0] != 2 },
+		func(row []uint64) uint64 { return row[0] + 100 }, &dg)
+	if out.Len() != 3 || len(out.Schema.Attrs) != 1 {
 		t.Fatal("size must be preserved")
 	}
 	if !out.IsDummy(1) || out.Annot[1] != 0 {
 		t.Fatal("failing tuple must become a zero-annotated dummy")
 	}
-	if out.IsDummy(0) || out.Annot[0] != 5 {
-		t.Fatal("passing tuples must be preserved")
+	if out.IsDummy(0) || out.Tuples[0][0] != 10 || out.Annot[0] != 101 ||
+		out.Tuples[2][0] != 30 || out.Annot[2] != 103 {
+		t.Fatalf("passing tuples must be projected and annotated: %v", out)
 	}
 }
 
+// TestFilterAndDropZero: DropZeroAnnotated removes zero-annotated and
+// dummy rows, so after Mask only the rows that passed remain.
 func TestFilterAndDropZero(t *testing.T) {
 	r := New(MustSchema("a"))
 	r.Append([]uint64{1}, 5)
 	r.Append([]uint64{2}, 0)
 	var dg DummyGen
 	r.Append([]uint64{dg.Next()}, 3)
-	f := r.Filter(func(row []uint64) bool { return row[0] == 1 })
-	if f.Len() != 1 {
-		t.Fatal("Filter")
-	}
 	d := r.DropZeroAnnotated()
 	if d.Len() != 1 || d.Tuples[0][0] != 1 {
 		t.Fatalf("DropZeroAnnotated: %v", d)
+	}
+	five := func([]uint64) uint64 { return 5 }
+	f := r.Mask(r.Schema, []int{0}, func(row []uint64) bool { return row[0] == 2 }, five, &dg).DropZeroAnnotated()
+	if f.Len() != 1 || f.Tuples[0][0] != 2 || f.Annot[0] != 5 {
+		t.Fatalf("Mask, then DropZeroAnnotated: %v", f)
 	}
 }
 

@@ -58,9 +58,6 @@ func (r Ring) Split(g *prf.PRG, v uint64) (s1, s2 uint64) {
 	return
 }
 
-// Combine reconstructs the value from its two shares.
-func (r Ring) Combine(s1, s2 uint64) uint64 { return r.Add(s1, s2) }
-
 // Random returns a uniform ring element.
 func (r Ring) Random(g *prf.PRG) uint64 { return r.Mask(g.Uint64()) }
 

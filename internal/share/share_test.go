@@ -14,7 +14,7 @@ func TestSplitCombineRoundTrip(t *testing.T) {
 		f := func(v uint64) bool {
 			v = r.Mask(v)
 			s1, s2 := r.Split(g, v)
-			return r.Combine(s1, s2) == v && s1 == r.Mask(s1) && s2 == r.Mask(s2)
+			return r.Add(s1, s2) == v && s1 == r.Mask(s1) && s2 == r.Mask(s2)
 		}
 		if err := quick.Check(f, nil); err != nil {
 			t.Fatalf("bits=%d: %v", bits, err)

@@ -172,10 +172,10 @@ func Compile(st *Statement, cat *Catalog) (*Compiled, error) {
 			if err != nil {
 				return nil, err
 			}
-			ct.rel[0] = maskRelation(def.Rel, schema, srcCols, pred, main)
+			ct.rel[0] = def.Rel.Mask(schema, srcCols, pred, main, new(relation.DummyGen))
 			if comp.Avg {
 				// The COUNT side: every annotation is 1 (same masking).
-				ct.rel[1] = maskRelation(def.Rel, schema, srcCols, pred, func([]uint64) uint64 { return 1 })
+				ct.rel[1] = def.Rel.Mask(schema, srcCols, pred, func([]uint64) uint64 { return 1 }, new(relation.DummyGen))
 			}
 		}
 		comp.tables = append(comp.tables, ct)
@@ -308,30 +308,6 @@ func buildAnnot(rel *relation.Relation, factors []Factor) (func([]uint64) uint64
 		}
 		return v
 	}, nil
-}
-
-// maskRelation projects, renames, filters-to-dummies and annotates.
-func maskRelation(src *relation.Relation, schema relation.Schema, srcCols []int,
-	pred func([]uint64) bool, annot func([]uint64) uint64) *relation.Relation {
-	var dg relation.DummyGen
-	out := relation.New(schema)
-	for i := range src.Tuples {
-		row := src.Tuples[i]
-		if pred == nil || pred(row) {
-			proj := make([]uint64, len(srcCols))
-			for c, cc := range srcCols {
-				proj[c] = row[cc]
-			}
-			out.Append(proj, annot(row))
-			continue
-		}
-		d := make([]uint64, len(srcCols))
-		for c := range d {
-			d[c] = dg.Next()
-		}
-		out.Append(d, 0)
-	}
-	return out
 }
 
 // query builds the core query for one annotation variant.

@@ -80,7 +80,8 @@ func InjectFaults(c Conn, faults ...Fault) Conn {
 // SeededFaults derives a reproducible schedule of n faults over the
 // first span sends from seed: same seed, same chaos. Modes cycle
 // through drop, delay, partial write and close; send indices are drawn
-// without replacement so no message is hit twice.
+// without replacement so no message is hit twice. It is a fault
+// injector for tests, the root package's included.
 func SeededFaults(seed uint64, n, span int) []Fault {
 	var s prf.Seed
 	binary.LittleEndian.PutUint64(s[:], seed)

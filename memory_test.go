@@ -16,7 +16,7 @@ import (
 // traffic: one TPC-H Q3 run on the in-memory pipe — base OTs, planning,
 // both parties' kernels — allocates at most 4.5 times the bytes Alice
 // moves. The kernel plane allocates little beyond its wire messages and
-// output pads (DESIGN §12); a κ×m matrix per OT batch, or a pipe that
+// output pads (DESIGN §3); a κ×m matrix per OT batch, or a pipe that
 // copies every message, breaks the bound. It runs at 0.06 MB, and also
 // at 0.12 MB outside -short, with the lineitem table fixed at four rows
 // per order as the benchmark's workloads have it.

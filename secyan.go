@@ -169,7 +169,7 @@ func Explain(q *Query, opts ...Option) (*Plan, error) {
 	return core.ExplainOpts(q, cfg.ring.Bits, cfg.plan())
 }
 
-// Query-scoped observability (see DESIGN.md §9): every execution on a
+// Query-scoped observability (see DESIGN.md §12): every execution on a
 // Session carries a process-local session ID and query ID; the event
 // log streams its lifecycle and the flight recorder retains one record
 // per completed run. All of it is process-local bookkeeping — a fully
