@@ -239,7 +239,7 @@ func projectOneGarbler(p *mpc.Party, sorted []uint64, holder mpc.Role) ([]uint64
 // "Last" looks one row ahead, so each row is emitted when its successor
 // arrives.
 func mergeOutputRel(s *SharedRelation, perm, cols []int, outSchema relation.Schema, dg *relation.DummyGen) *relation.Relation {
-	res := relation.New(outSchema)
+	res := relation.NewCap(outSchema, len(perm))
 	emit := func(held []uint64, last bool) {
 		row := make([]uint64, len(cols))
 		if last {
@@ -284,7 +284,7 @@ func localMerge(p *mpc.Party, dg *relation.DummyGen, s *SharedRelation, groupBy 
 	}
 	perm := relation.SortPermByColumns(s.Rel, cols)
 
-	res := relation.New(outSchema)
+	res := relation.NewCap(outSchema, n)
 	annot := make([]uint64, n)
 	var run uint64
 	var held []uint64

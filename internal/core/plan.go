@@ -43,12 +43,12 @@ const (
 	stepRevealAnnotations
 )
 
-// exchange is one unit of a plan step's traffic: an IKNP OT batch, a
-// garbled circuit, a KKRT batch or plain bytes. Each step declares its
+// exchange is one unit of a plan step's traffic: an OT-extension batch,
+// a garbled circuit, a KKRT batch or plain bytes. Each step declares its
 // exchanges once, in execution order; its estimates, the setup steps and
 // the precompute sweeps are all sums or filters over that list. A
 // circuit exchange stands for the circuit's messages and its input-label
-// batch, an OT batch of Dims.EvalInputs labels with the garbler as OT
+// batch, a Δ-OT batch of Dims.EvalInputs labels with the garbler as OT
 // sender.
 type exchange struct {
 	kind   exchangeKind
@@ -71,9 +71,10 @@ const (
 	exPlain
 )
 
-// labelLen is the message width of a circuit's label batch: one wire
-// label.
-const labelLen = 16
+// labelBatch is the message width extBatch reports for a circuit's label
+// batch: Δ-OTs, whose rows are the labels and which hash no pad
+// (ot.DeltaBatch).
+const labelBatch = 0
 
 func otBatch(sender mpc.Role, m, msgLen int) exchange {
 	return exchange{kind: exOT, sender: sender, m: m, msgLen: msgLen}
@@ -96,31 +97,31 @@ func circuit(garbler mpc.Role, dims *gc.Dims, build func() *gc.Circuit) exchange
 func plainBytes(n int) exchange { return exchange{kind: exPlain, m: n} }
 
 // extBatch returns the OT-extension batch the exchange runs — its own,
-// or a circuit's label batch — with x.sender as OT sender; ok is false
-// for a KKRT batch and plain bytes.
+// or a circuit's label batch (msgLen labelBatch) — with x.sender as OT
+// sender; ok is false for a KKRT batch and plain bytes.
 func (x exchange) extBatch() (m, msgLen int, ok bool) {
 	switch x.kind {
 	case exOT:
 		return x.m, x.msgLen, true
 	case exCircuit:
-		return x.dims.EvalInputs, labelLen, true
+		return x.dims.EvalInputs, labelBatch, true
 	}
 	return 0, 0, false
 }
 
 // cost returns the exchange's bytes (both directions) when it runs
 // direct, and its offline and online bytes when its extension batch
-// derandomizes a pooled one: the batch's correction matrix moves offline
-// and ⌈m/8⌉ derandomization bits join the online rest (a pooled label
-// batch also carries one label shift per OT). A KKRT batch is not
-// pooled.
+// derandomizes a pooled one: the batch's correction message moves
+// offline and ⌈m/8⌉ derandomization bits join the online rest. A
+// circuit's label batch is its correction message alone, or its
+// derandomization bits alone. A KKRT batch is not pooled.
 func (x exchange) cost() (direct, offline, online int64) {
 	switch x.kind {
 	case exOT:
 		return ot.CorrelatedCost(x.m, x.msgLen), ot.ExtOfflineCost(x.m), ot.CorrelatedOnlineCost(x.m, x.msgLen)
 	case exCircuit:
 		msgs, l := x.dims.MessageCost(), x.dims.EvalInputs
-		return msgs + ot.CorrelatedCost(l, labelLen), ot.ExtOfflineCost(l), msgs + ot.ExtOnlineCost(l, labelLen)
+		return msgs + ot.ExtOfflineCost(l), ot.ExtOfflineCost(l), msgs + ot.RandomOnlineCost(l)
 	case exKKRT:
 		c := ot.KKRTCost(x.m)
 		return c, 0, c
@@ -142,7 +143,8 @@ type PlanStep struct {
 	// the precomputed schedule: offline moves the base OTs and the
 	// OT-extension correction matrices, online keeps everything else
 	// plus ⌈m/8⌉ derandomization bits per pooled batch (so the two may
-	// sum to slightly more than EstBytes). Without precomputation the
+	// sum to slightly more than EstBytes, while online alone never
+	// exceeds it). Without precomputation the
 	// whole step is online and EstBytes alone applies.
 	EstOfflineBytes int64
 	EstOnlineBytes  int64

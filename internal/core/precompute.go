@@ -6,6 +6,7 @@ import (
 
 	"secyan/internal/gc"
 	"secyan/internal/mpc"
+	"secyan/internal/ot"
 )
 
 // This file implements the offline phase of the plan-driven
@@ -14,15 +15,17 @@ import (
 // ingredients ahead of time:
 //
 //   - every extension batch a step declares (an OT batch, or a circuit's
-//     label batch; see exchange) becomes a random-OT pool fill: the
-//     chunk expansion, transposition and pad derivation — and the
-//     receiver's correction message — happen now, and the online batch
-//     derandomizes the pooled randomness with a few correction bytes
+//     label batch of Δ-OTs; see exchange) becomes a pool fill: the chunk
+//     expansion, transposition and pad derivation — and the receiver's
+//     correction message — happen now, and the online batch
+//     derandomizes the pooled randomness with a bit per OT
 //     (internal/ot);
 //   - every circuit a step declares and this party garbles is built and
-//     garbled in a background goroutine, overlapping the pure compute
-//     with the pool fills' network traffic;
-//     RunCircuit later recognizes the staged material by shape
+//     garbled over the rows of its own label batch's fill, under this
+//     party's OT-extension Δ, in a background goroutine that takes each
+//     circuit as soon as its fill lands, overlapping the pure compute
+//     with the remaining fills' network traffic; RunCircuit later
+//     recognizes the staged material by shape and by its batch
 //     (internal/gc, internal/mpc). Circuits this party only evaluates
 //     need nothing ahead of time.
 //
@@ -33,8 +36,9 @@ import (
 // output size and always run direct.
 
 // PrecomputeOpts executes the offline phase of q's plan on party p:
-// base-OT and KKRT setup, one random-OT pool fill per planned OT batch, and
-// ahead-of-time garbling of every planned circuit this party garbles. Both
+// base-OT and KKRT setup, one pool fill per planned OT batch, and
+// ahead-of-time garbling of every planned circuit this party garbles over
+// a filled label batch. Both
 // parties must call it concurrently — the offline phase has its own
 // traffic — and the next protocol run on this party pair should execute
 // the same query under the same opts, which then consumes the staged
@@ -66,22 +70,49 @@ func PrecomputeOpts(ctx context.Context, p *mpc.Party, q *Query, opts Options) (
 	}
 
 	// Circuit building and garbling are pure compute — no network — so
-	// they run in the background, overlapping the pool fills' traffic.
-	// The channel is closed when every planned circuit is staged; the
-	// foreground joins before enqueueing so the queue is complete and
-	// in plan order.
+	// they run in the background. The circuits this party garbles over
+	// its label fills are built from the start, in fill order; each is
+	// garbled as soon as the fill sweep hands over its label batch, so
+	// the garbles, in plan order, overlap the fills that follow. The
+	// foreground joins before enqueueing, so the queue is complete and in
+	// plan order.
+	var builds []exchange
+	for si := range plan.Steps {
+		for _, x := range (sweep{sender: p.Role}).fills(&plan.Steps[si]) {
+			if x.kind == exCircuit {
+				builds = append(builds, x)
+			}
+		}
+	}
+	type labels struct {
+		snd *ot.Sender
+		b   *ot.DeltaBatch
+	}
+	built := make(chan *gc.Circuit, len(builds))
+	filled := make(chan labels, len(builds))
+	go func() {
+		for _, x := range builds {
+			built <- x.build()
+		}
+		close(built)
+	}()
 	var staged []*gc.PreGarbled
+	var stageErr error
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for si := range plan.Steps {
-			for _, x := range plan.Steps[si].exchanges {
-				if x.kind == exCircuit && x.sender == p.Role {
-					staged = append(staged, gc.GarbleAhead(x.build()))
-				}
+		for c := range built { // drained to the end, so done waits for the builder
+			l, ok := <-filled
+			if !ok || stageErr != nil {
+				continue
+			}
+			var pg *gc.PreGarbled
+			if pg, stageErr = gc.GarbleOver(c, l.snd, l.b); stageErr == nil {
+				staged = append(staged, pg)
 			}
 		}
 	}()
+	stage := func(snd *ot.Sender, b *ot.DeltaBatch) { filled <- labels{snd, b} }
 
 	tr := &Trace{}
 	record := func(rec TraceStep) {
@@ -137,9 +168,10 @@ func PrecomputeOpts(ctx context.Context, p *mpc.Party, q *Query, opts Options) (
 			if err != nil {
 				err = stepErr(st, err)
 			} else {
-				err = measure(st, &recs[si], func() error { return ex1Offline(pp, st, sw) })
+				err = measure(st, &recs[si], func() error { return ex1Offline(pp, st, sw, stage) })
 			}
 			if err != nil {
+				close(filled)
 				<-done
 				flush()
 				return tr, err
@@ -152,7 +184,11 @@ func PrecomputeOpts(ctx context.Context, p *mpc.Party, q *Query, opts Options) (
 	// pool fills usually finish first and the caller pays this wait; the
 	// trace shows it as an offline step of its own.
 	start := time.Now()
+	close(filled)
 	<-done
+	if stageErr != nil {
+		return tr, stageErr
+	}
 	if !plan.hasCircuits() && len(tr.Steps) == 0 {
 		return tr, nil // nothing to precompute, nothing to wait for
 	}
@@ -247,10 +283,11 @@ func (sw sweep) fills(st *PlanStep) (fills []exchange) {
 
 // ex1Offline performs step st's part of sweep sw: establishing the
 // extension of a setup step, or one pool fill per declared batch of
-// the sweep's direction. Both parties walk identical plans, so the fills
-// proceed in lockstep (a fill is half a round: the receiver sends its
-// correction message, the sender only receives).
-func ex1Offline(pp *mpc.Party, st *PlanStep, sw sweep) error {
+// the sweep's direction, a circuit's label batch as Δ-OTs. Both parties
+// walk identical plans, so the fills proceed in lockstep (a fill is half
+// a round: the receiver sends its correction message, the sender only
+// receives). The garbler hands each filled label batch to stage.
+func ex1Offline(pp *mpc.Party, st *PlanStep, sw sweep, stage func(*ot.Sender, *ot.DeltaBatch)) error {
 	if sw.setup {
 		return establish(pp, st)
 	}
@@ -261,7 +298,15 @@ func ex1Offline(pp *mpc.Party, st *PlanStep, sw sweep) error {
 			if err != nil {
 				return err
 			}
-			if err := snd.FillRandom(m, msgLen); err != nil {
+			if msgLen == labelBatch {
+				var b *ot.DeltaBatch
+				if b, err = snd.FillDelta(m); err == nil {
+					stage(snd, b)
+				}
+			} else {
+				err = snd.FillRandom(m, msgLen)
+			}
+			if err != nil {
 				return err
 			}
 		} else {
@@ -269,7 +314,12 @@ func ex1Offline(pp *mpc.Party, st *PlanStep, sw sweep) error {
 			if err != nil {
 				return err
 			}
-			if err := rcv.FillRandom(m, msgLen); err != nil {
+			if msgLen == labelBatch {
+				err = rcv.FillDelta(m)
+			} else {
+				err = rcv.FillRandom(m, msgLen)
+			}
+			if err != nil {
 				return err
 			}
 		}

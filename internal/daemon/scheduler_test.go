@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"secyan/internal/obs"
 )
 
 // TestSchedulerDispatchGates drives the scheduler directly (no TCP)
@@ -138,5 +140,25 @@ func TestSchedulerSkipsUnreadyHead(t *testing.T) {
 	s.markReady(warming)
 	if got := next(); got != "warming" {
 		t.Fatalf("dispatched %q second, want the job marked ready", got)
+	}
+}
+
+// TestSchedulerGaugesCountWarmingJobs pins the queue gauges at
+// admission: jobs whose warm passes have not landed wake no dispatch
+// pass, yet secyan_daemon_queued and secyan_daemon_queue_depth count
+// them from the moment they are admitted.
+func TestSchedulerGaugesCountWarmingJobs(t *testing.T) {
+	obs.Enable()
+	s := newScheduler(1, 0, nil, &Quota{})
+	defer s.shutdown()
+	mQueueDepth.Set(0) // process-wide: start from a known value
+	for _, name := range []string{"gauge-a", "gauge-b", "gauge-b"} {
+		j := &job{tenant: s.tenantRef(name), name: "warming", cost: 1, exec: func(*job) {}}
+		if _, err := s.enqueue(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a, b, depth := mQueued.Value("gauge-a"), mQueued.Value("gauge-b"), mQueueDepth.Value(); a != 1 || b != 2 || depth != 3 {
+		t.Fatalf("queued gauges %d and %d, depth %d; want 1, 2 and 3", a, b, depth)
 	}
 }

@@ -7,8 +7,8 @@
 // The garbling scheme is the modern standard: free-XOR, point-and-permute,
 // and half-gates (two ciphertexts per AND gate, zero per XOR/NOT gate),
 // over 128-bit wire labels hashed with a fixed-key AES MMO hash. The
-// evaluator obtains its input labels through the SoftSpoken OT extension
-// of package ot. Evaluating a circuit takes a constant number of
+// free-XOR offset is the garbler's SoftSpoken OT-extension Δ (package
+// ot), so the evaluator's input labels are the rows of one Δ-OT batch. Evaluating a circuit takes a constant number of
 // communication rounds regardless of its depth, the property the paper
 // relies on for its constant-round operator protocols.
 //
@@ -182,8 +182,9 @@ const lanes = 8
 // from one chunk of batches to the next — a used scratch is as good as a
 // fresh one, since a kernel writes a wire before reading it or, like
 // applyPrivate's input wires, never writes it at all — so a call
-// allocates O(workers) scratches, however many slots there are.
-func forBatches[T any](c *Circuit, scratch func() T, body func(w T, s0, k int)) {
+// allocates O(workers) scratches, however many slots there are. release,
+// when not nil, takes back the scratches the call kept at its end.
+func forBatches[T any](c *Circuit, scratch func() T, release func(T), body func(w T, s0, k int)) {
 	// About Workers() chunks run at once, so that many scratches exist;
 	// neither side of the free list blocks should the pool be resized.
 	free := make(chan T, parallel.Workers())
@@ -203,6 +204,9 @@ func forBatches[T any](c *Circuit, scratch func() T, body func(w T, s0, k int)) 
 		default:
 		}
 	})
+	for release != nil && len(free) > 0 {
+		release(<-free)
+	}
 }
 
 // Builder constructs circuits. The zero value is not usable; call
@@ -522,7 +526,7 @@ func (c *Circuit) EvalPlain(garblerBits, evalBits, privBits []bool) (evalOut, ga
 	nEO, nGO := c.evalOutBits(), len(c.GarblerOutputs)
 	evalOut = make([]bool, c.Slots*nEO)
 	garblerOut = make([]bool, c.Slots*nGO)
-	forBatches(c, func() []bool { return make([]bool, c.NumWires) }, func(vals []bool, s0, k int) {
+	forBatches(c, func() []bool { return make([]bool, c.NumWires) }, nil, func(vals []bool, s0, k int) {
 		for s := s0; s < s0+k; s++ {
 			for i, w := range c.GarblerInputs {
 				vals[w] = garblerBits[s*nG+i]

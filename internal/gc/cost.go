@@ -31,9 +31,9 @@ func DimsOf(c *Circuit) Dims {
 // RunGarbler/RunEvaluator exchange for a circuit with these dimensions,
 // besides the evaluator-input label batch: the garbled-tables message
 // (payload ciphertexts included) and the masked garbler-output bits if
-// any. The label batch is an OT batch of EvalInputs 16-byte labels,
-// priced by ot's closed forms like every other: ot.CorrelatedCost direct,
-// ot.ExtOnlineCost online when pooled.
+// any. The label batch is a Δ-OT batch of EvalInputs labels, priced by
+// ot's closed forms like every other: ot.ExtOfflineCost direct,
+// ot.RandomOnlineCost online when pooled.
 func (d Dims) MessageCost() int64 {
 	cost := int64(16*d.TableBlocks + 16 + 16*d.GarblerInputs + (d.EvalOutputs+7)/8 + d.PayloadBytes)
 	if d.GarblerOutputs > 0 {

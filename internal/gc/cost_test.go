@@ -53,9 +53,10 @@ func TestInterpolateDimsExact(t *testing.T) {
 
 // TestMessageCostExact runs the real protocol and compares measured
 // traffic (minus the one-time base-OT setup) to Dims.MessageCost plus a
-// direct label batch of EvalInputs 16-byte OTs, and a pre-garbled run
-// over a pooled label batch to the same messages with the batch priced
-// online: the bits, corrections and label shifts.
+// direct label batch of EvalInputs Δ-OTs, exactly its correction message
+// (ot.ExtOfflineCost), and a pre-garbled run over a pooled label batch to
+// the same messages plus the batch's ⌈m/8⌉ derandomization bytes
+// (ot.RandomOnlineCost) — the fill's own bytes priced at ExtOfflineCost.
 func TestMessageCostExact(t *testing.T) {
 	a, b := transport.Pair()
 	defer a.Close()
@@ -97,18 +98,28 @@ func TestMessageCostExact(t *testing.T) {
 			t.Fatalf("n=%d: RunGarbler: %v", n, r.err)
 		}
 		nE := DimsOf(c).EvalInputs
-		if got, want := a.Stats().TotalBytes()-before, DimsOf(c).MessageCost()+ot.CorrelatedCost(nE, 16); got != want {
+		if got, want := a.Stats().TotalBytes()-before, DimsOf(c).MessageCost()+ot.ExtOfflineCost(nE); got != want {
 			t.Fatalf("n=%d: protocol moved %d bytes, MessageCost and the label batch predict %d", n, got, want)
 		}
 
-		go func() { ch <- res{snd.FillRandom(nE, 16)} }()
-		if err := rcv.FillRandom(nE, 16); err != nil {
+		before = a.Stats().TotalBytes()
+		var pg *PreGarbled
+		go func() {
+			batch, err := snd.FillDelta(nE)
+			if err == nil {
+				pg, err = GarbleOver(c, snd, batch)
+			}
+			ch <- res{err}
+		}()
+		if err := rcv.FillDelta(nE); err != nil {
 			t.Fatal(err)
 		}
 		if r := <-ch; r.err != nil {
 			t.Fatal(r.err)
 		}
-		pg := GarbleAhead(c)
+		if got, want := a.Stats().TotalBytes()-before, ot.ExtOfflineCost(nE); got != want {
+			t.Fatalf("n=%d: label fill moved %d bytes, want %d", n, got, want)
+		}
 		before = a.Stats().TotalBytes()
 		go func() {
 			_, err := pg.RunOnline(a, snd, gIn, priv)
@@ -120,7 +131,7 @@ func TestMessageCostExact(t *testing.T) {
 		if r := <-ch; r.err != nil {
 			t.Fatalf("n=%d: RunOnline: %v", n, r.err)
 		}
-		want := DimsOf(c).MessageCost() + ot.ExtOnlineCost(nE, 16)
+		want := DimsOf(c).MessageCost() + ot.RandomOnlineCost(nE)
 		if got := a.Stats().TotalBytes() - before; got != want {
 			t.Fatalf("n=%d: pooled protocol moved %d bytes, want %d", n, got, want)
 		}

@@ -100,6 +100,10 @@ func randomInputs(rng *rand.Rand, c *Circuit) (gbits, ebits, priv []bool) {
 		randBits(rng, c.Slots*c.NumPrivate)
 }
 
+// testKey is the key the kernel tests garble under: a fixed Δ with
+// lsb(Δ) = 1 and tweak base 0, what a session's first circuit gets.
+var testKey = circuitKey{delta: prf.Block{0x3c, 0xa5, 7: 0x81, 15: 0x0f}}
+
 // sameGarbling fails unless two garblings are byte-identical in
 // everything the garbler keeps.
 func sameGarbling(t *testing.T, what string, got, want *garbled) {
@@ -194,7 +198,7 @@ func TestSlotCircuitEqualsLoopedGadget(t *testing.T) {
 			}
 
 			gseed := prf.Seed{byte(seed), byte(n), 0x51}
-			sameGarbling(t, name, garble(sc, prf.NewPRG(gseed), priv, false, nil, nil), garble(lc, prf.NewPRG(gseed), priv, false, nil, nil))
+			sameGarbling(t, name, garble(sc, testKey, prf.NewPRG(gseed), priv, false, nil), garble(lc, testKey, prf.NewPRG(gseed), priv, false, nil))
 
 			e, g := run2PC(t, sc, gbits, ebits, priv)
 			if !reflect.DeepEqual(e, wantE) || !reflect.DeepEqual(g, wantG) {
@@ -232,7 +236,7 @@ func TestGarbleByteIdenticalAcrossWorkers(t *testing.T) {
 		seed := prf.Seed{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
 		for _, keep := range []bool{false, true} {
 			garbleAt := func(workers int) *garbled {
-				return atWorkers(workers, func() *garbled { return garble(c, prf.NewPRG(seed), priv, keep, nil, nil) })
+				return atWorkers(workers, func() *garbled { return garble(c, testKey, prf.NewPRG(seed), priv, keep, nil) })
 			}
 			ref := garbleAt(1)
 			for _, workers := range []int{2, 4} {
@@ -249,7 +253,7 @@ func TestGarbleByteIdenticalAcrossWorkers(t *testing.T) {
 func TestEvaluateByteIdenticalAcrossWorkers(t *testing.T) {
 	for name, c := range equivalenceCircuits() {
 		gbits, ebits, priv := randomInputs(rand.New(rand.NewSource(6)), c)
-		gb := garble(c, prf.NewPRG(prf.Seed{42}), priv, false, nil, nil)
+		gb := garble(c, testKey, prf.NewPRG(prf.Seed{42}), priv, false, nil)
 		msg, labels := activate(c, gb, gbits), activeLabels(gb, ebits)
 
 		type result struct {
@@ -258,7 +262,7 @@ func TestEvaluateByteIdenticalAcrossWorkers(t *testing.T) {
 		}
 		evalAt := func(workers int) result {
 			return atWorkers(workers, func() result {
-				out, masked, err := evaluate(c, msg, labels)
+				out, masked, err := evaluate(c, 0, msg, labels)
 				if err != nil {
 					t.Fatalf("%s workers=%d: evaluate: %v", name, workers, err)
 				}
@@ -380,7 +384,7 @@ func TestKernelAllocationIndependentOfSlots(t *testing.T) {
 		scratch := int64(16 * c.stride() * c.NumWires)
 
 		var gb *garbled
-		got := allocated(func() { gb = garble(c, prf.NewPRG(prf.Seed{7}), priv, true, nil, nil) })
+		got := allocated(func() { gb = garble(c, testKey, prf.NewPRG(prf.Seed{7}), priv, true, nil) })
 		kept := int64(cap(gb.msg) + 16*len(gb.evalIn) + len(gb.outPerm) + len(gb.perm) + len(gb.payFlip))
 		if limit := kept + scratch + slack; got > limit {
 			t.Fatalf("garble, %d slots: allocated %d bytes, want ≤ %d (kept %d + scratch %d)", n, got, limit, kept, scratch)
@@ -391,7 +395,7 @@ func TestKernelAllocationIndependentOfSlots(t *testing.T) {
 		var masked []byte
 		got = allocated(func() {
 			var err error
-			if out, masked, err = evaluate(c, msg, labels); err != nil {
+			if out, masked, err = evaluate(c, 0, msg, labels); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -399,7 +403,7 @@ func TestKernelAllocationIndependentOfSlots(t *testing.T) {
 			t.Fatalf("evaluate, %d slots: allocated %d bytes, want ≤ %d (message is %d)", n, got, limit, len(msg))
 		}
 
-		got = allocated(func() { applyPrivate(c, gb, priv) })
+		got = allocated(func() { applyPrivate(c, gb, priv, nil) })
 		if limit := int64(c.NumWires) + slack; got > limit {
 			t.Fatalf("applyPrivate, %d slots: allocated %d bytes, want ≤ %d", n, got, limit)
 		}
@@ -447,7 +451,7 @@ func BenchmarkGarbleWorkers(b *testing.B) {
 				b.ReportMetric(float64(c.Slots*c.NumAnd), "and_gates")
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					_ = garble(c, prf.NewPRG(seed), priv, false, nil, nil)
+					_ = garble(c, testKey, prf.NewPRG(seed), priv, false, nil)
 				}
 			})
 		}
@@ -459,7 +463,7 @@ func BenchmarkGarbleWorkers(b *testing.B) {
 func BenchmarkEvaluateWorkers(b *testing.B) {
 	for name, c := range map[string]*Circuit{"tree": benchTree(), "slots": benchSlots()} {
 		priv := make([]bool, c.Slots*c.NumPrivate)
-		gb := garble(c, prf.NewPRG(prf.Seed{9}), priv, false, nil, nil)
+		gb := garble(c, testKey, prf.NewPRG(prf.Seed{9}), priv, false, nil)
 		labels := activeLabels(gb, make([]bool, len(gb.evalIn)))
 		for _, workers := range []int{1, 2, 4} {
 			b.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(b *testing.B) {
@@ -467,7 +471,7 @@ func BenchmarkEvaluateWorkers(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, _, err := evaluate(c, gb.msg, labels); err != nil {
+					if _, _, err := evaluate(c, 0, gb.msg, labels); err != nil {
 						b.Fatal(err)
 					}
 				}

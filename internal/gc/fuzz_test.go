@@ -24,16 +24,15 @@ import (
 // truncate to cut bytes, 2 append cut bytes, 3 flip bit `bit`, 4 drop the
 // last cut%n labels, 5 shorten one label. The others run the whole
 // protocol with one message rewritten in flight, mode%4 being none,
-// truncate, append or flip: 1 the garbler's reply to a direct label
-// batch (flips land in its correction vector), 2 its reply to a pooled
-// batch (corrections and label shifts), 3 the evaluator's
+// truncate, append or flip: 1 the garbler's message over a direct label
+// batch, 2 its message over a pooled batch, 3 the evaluator's
 // derandomization bits. A rewrite to the wrong length must fail with a
 // *transport.SizeError on the receiving side. The 11-slot circuit spans
 // two batches, the second partial.
 func FuzzGarbledMessage(f *testing.F) {
 	c := slotted(correctionGadget, 11)
 	gbits, ebits, priv := randomInputs(rand.New(rand.NewSource(12)), c)
-	gb := garble(c, prf.NewPRG(prf.Seed{0xf2}), priv, false, nil, nil)
+	gb := garble(c, testKey, prf.NewPRG(prf.Seed{0xf2}), priv, false, nil)
 	good, labels := activate(c, gb, gbits), activeLabels(gb, ebits)
 	want, _, err := c.EvalPlain(gbits, ebits, priv)
 	if err != nil {
@@ -75,7 +74,7 @@ func FuzzGarbledMessage(f *testing.F) {
 			ls = ls[:len(ls)-16+int(bit)%16]
 		}
 
-		out, _, err := evaluate(c, msg, ls)
+		out, _, err := evaluate(c, 0, msg, ls)
 		switch {
 		case mustFail && err == nil:
 			t.Fatalf("mode %d: evaluate accepted a malformed input", mode%6)
@@ -125,15 +124,14 @@ func fuzzLabelOT(t *testing.T, c *Circuit, gbits, ebits, priv, want []bool, wher
 	}
 	nE := c.Slots * len(c.EvalInputs)
 	if where > 1 {
-		go func() { setup <- snd.FillRandom(nE, 16) }()
-		if err := rcv.FillRandom(nE, 16); err != nil {
+		go func() { _, err := snd.FillDelta(nE); setup <- err }()
+		if err := rcv.FillDelta(nE); err != nil {
 			t.Fatal(err)
 		}
 		if err := <-setup; err != nil {
 			t.Fatal(err)
 		}
 	}
-	_, _, _, total := c.msgLayout()
 	rewrite := func(msg []byte) []byte {
 		switch mode {
 		case 1:
@@ -141,11 +139,7 @@ func fuzzLabelOT(t *testing.T, c *Circuit, gbits, ebits, priv, want []bool, wher
 		case 2:
 			return append(msg, make([]byte, 1+cut%4096)...)
 		case 3:
-			off := 0
-			if where < 3 {
-				off = total // the OT tail: corrections, then label shifts
-			}
-			msg[off+int(bit/8)%(len(msg)-off)] ^= 1 << (bit % 8)
+			msg[int(bit/8)%len(msg)] ^= 1 << (bit % 8)
 		}
 		return msg
 	}

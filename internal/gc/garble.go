@@ -2,8 +2,10 @@ package gc
 
 import (
 	"fmt"
+	"sync"
 
 	"secyan/internal/obs"
+	"secyan/internal/parallel"
 	"secyan/internal/prf"
 )
 
@@ -15,19 +17,48 @@ var (
 	kEvaluate = obs.NewKernel("gc.evaluate")
 )
 
+// circuitKey is what a circuit is garbled under: the free-XOR offset Δ — the
+// garbler's OT-extension Δ (ot.Sender.Delta), so that the label batch
+// needs no correction — and the base of the circuit's hash tweaks
+// (tweakBase), which the evaluator keys its hashes with too.
+type circuitKey struct {
+	delta prf.Block
+	base  uint64
+}
+
+// tweakBits is the width of a circuit's own hash tweaks. A circuit's gate
+// tweaks (slot·slotBlocks + t) and payload tweaks (slot·payloads + j) stay
+// below 2^tweakBits — 2^36 table blocks would be a terabyte of message —
+// and its label batch's serial k sits above them: under one Δ, circuit k
+// owns gate tweaks [k·2^36, (k+1)·2^36) of prf.SiteGC and the same range
+// ORed into prf.SitePay, so no two circuits a party garbles in a session
+// hash under the same tweak. 2^25 serials fit below bit 61, where SitePay
+// begins.
+const tweakBits = 36
+
+// tweakBase returns the tweak base of c garbled over the label batch with
+// the given serial.
+func (c *Circuit) tweakBase(serial uint64) (uint64, error) {
+	if serial >= 1<<(61-tweakBits) {
+		return 0, fmt.Errorf("gc: label batch serial %d: the session has garbled its 2^%d circuits", serial, 61-tweakBits)
+	}
+	if uint64(c.TableBlocks()) >= 1<<tweakBits || uint64(c.Slots*len(c.Payloads)) >= 1<<tweakBits {
+		return 0, fmt.Errorf("gc: circuit has more than 2^%d hash tweaks", tweakBits)
+	}
+	return serial << tweakBits, nil
+}
+
 // garbled is what the garbler keeps of a garbled circuit — only what the
 // message exchange reads afterwards, never a label per wire.
 type garbled struct {
 	delta prf.Block
 	// msg is the garbler's message, built in place: tables ‖ Const0 label
 	// ‖ garbler-input zero labels ‖ evaluator-output decode bits ‖
-	// payload ciphertexts, all slot-major, with capacity for the
-	// input-label OT's tail (labelTail). runGarbler turns the zero labels
-	// into active ones, appends the tail and sends the buffer.
+	// payload ciphertexts, all slot-major. runGarbler turns the zero
+	// labels into active ones and sends the buffer.
 	msg []byte
 	// evalIn holds the zero labels of the evaluator's inputs, slot-major:
-	// the OT's x0 when garbled for a direct label batch, drawn from the
-	// PRG otherwise.
+	// the label batch's rows, or drawn from the PRG when there is none.
 	evalIn []prf.Block
 	// outPerm packs the permute bits (zero-label LSBs) of the garbler's
 	// outputs, slot-major; they unmask what the evaluator returns.
@@ -58,11 +89,12 @@ func (c *Circuit) msgLayout() (labels, decode, payload, total int) {
 	return labels, decode, payload, payload + c.Slots*perSlot
 }
 
-// payTweak is the pad tweak of payload j of slot s: unique per payload
-// across the circuit, and disjoint from every gate tweak. A select's two
-// pads share it, as a half gate's two hashes share theirs.
-func (c *Circuit) payTweak(s, j int) uint64 {
-	return prf.SitePay | uint64(s*len(c.Payloads)+j)
+// payTweak is the pad tweak of payload j of slot s under tweak base
+// base: unique per payload across the circuit, and disjoint from every
+// gate tweak. A select's two pads share it, as a half gate's two hashes
+// share theirs.
+func (c *Circuit) payTweak(base uint64, s, j int) uint64 {
+	return prf.SitePay | base | uint64(s*len(c.Payloads)+j)
 }
 
 // selectCts splits a select's ciphertexts, two of n bytes in colour
@@ -90,10 +122,58 @@ func xorPayload(dst []byte, bits []PBit, priv []bool) {
 // scratch is one label per wire.
 func (c *Circuit) stride() int { return min(lanes, c.Slots) }
 
-// labelScratch allocates one worker's label scratch, wire-major: the
-// lanes of wire x are w[x·stride : x·stride+k], contiguous so that they
-// hash in one prf.HashBlocks call.
-func (c *Circuit) labelScratch() []prf.Block { return make([]prf.Block, c.NumWires*c.stride()) }
+// labelScratch returns one worker's label scratch, wire-major: the lanes
+// of wire x are w[x·stride : x·stride+k], contiguous so that they hash in
+// one prf.HashBlocks call. It reuses a scratch an earlier circuit gave
+// back (releaseScratch) when one is large enough: a query garbles and
+// evaluates its circuits one after another.
+func (c *Circuit) labelScratch() []prf.Block {
+	n := c.NumWires * c.stride()
+	scratchCache.Lock()
+	free := scratchCache.free
+	for i, w := range free {
+		if cap(w) >= n {
+			free[i], free[len(free)-1] = free[len(free)-1], nil
+			scratchCache.free = free[:len(free)-1]
+			scratchCache.Unlock()
+			return w[:n]
+		}
+	}
+	scratchCache.Unlock()
+	return make([]prf.Block, n)
+}
+
+// scratchCache holds label scratches between circuits: at most one per
+// worker, and none larger than maxCachedScratch labels — a slot-built
+// circuit's scratch is a few dozen KiB at any size — so what it keeps
+// alive stays small and does not depend on the garbage collector.
+var scratchCache struct {
+	sync.Mutex
+	free [][]prf.Block
+}
+
+const maxCachedScratch = 256 << 10 / 16
+
+// releaseScratch gives w back to scratchCache, in place of a smaller one
+// when the cache is full.
+func releaseScratch(w []prf.Block) {
+	if cap(w) > maxCachedScratch {
+		return
+	}
+	scratchCache.Lock()
+	defer scratchCache.Unlock()
+	free := scratchCache.free
+	if len(free) < parallel.Workers() {
+		scratchCache.free = append(free, w)
+		return
+	}
+	for i := range free {
+		if cap(free[i]) < cap(w) {
+			free[i] = w
+			return
+		}
+	}
+}
 
 // lsbs packs the point-and-permute bits of up to lanes labels, lane l at
 // bit l.
@@ -111,28 +191,25 @@ func getBit(v []byte, i int) bool { return v[i>>3]>>(i&7)&1 == 1 }
 
 func orBit(v []byte, i int, b uint8) { v[i>>3] |= b << (i & 7) }
 
-// garble garbles c using randomness from g. The point-and-permute
+// garble garbles c under ck using randomness from g. The point-and-permute
 // invariant lsb(Δ)=1 makes a label's LSB a masked truth value. priv
 // supplies the garbler-private bits consumed by XORG/ANDG gates,
 // slot-major. keepPerm retains the per-gate permute bits applyPrivate
 // needs. evalIn, when non-nil, supplies the evaluator-input zero labels
-// (a direct label OT's x0, which need no shift); otherwise they are drawn
-// from g and the message keeps room for the pooled path's shifts. msg,
-// when non-nil, is the message buffer, at least the message long, and
-// what lies past the message is the caller's; otherwise it is allocated.
+// (the label batch's rows); otherwise they are drawn from g.
 //
-// All randomness — Δ, the Const0 label, every input zero label — is
+// All randomness — the Const0 label, every garbler-input zero label — is
 // drawn before the sweep, in an order that does not depend on priv or
 // on the worker count. The sweep itself is the slot kernel (forBatches):
 // a worker takes a batch of slots and walks the slot's gate list once
 // over a scratch of NumWires×stride labels, wire-major so that the lanes
 // of one wire are contiguous and each of the four half-gate hashes of an
 // AND is one prf.HashBlocks call. The gate with running tweak index t in
-// slot s hashes under tweak s·slotBlocks+t and owns table blocks from
-// that same offset — what a serial sweep over the gadget looped Slots
-// times would assign — so labels and tables are byte-identical at any
-// worker count.
-func garble(c *Circuit, g *prf.PRG, priv []bool, keepPerm bool, evalIn []prf.Block, msg []byte) *garbled {
+// slot s hashes under tweak ck.base + s·slotBlocks+t and owns table blocks
+// from offset s·slotBlocks+t — what a serial sweep over the gadget looped
+// Slots times would assign — so labels and tables are byte-identical at
+// any worker count.
+func garble(c *Circuit, ck circuitKey, g *prf.PRG, priv []bool, keepPerm bool, evalIn []prf.Block) *garbled {
 	sp := kGarble.Begin()
 	defer sp.EndN(int64(c.NumGates()))
 	labelsOff, decodeOff, payOff, total := c.msgLayout()
@@ -140,11 +217,9 @@ func garble(c *Circuit, g *prf.PRG, priv []bool, keepPerm bool, evalIn []prf.Blo
 	nEO, nGO := len(c.EvalOutputs), len(c.GarblerOutputs)
 	sb, stride := c.slotBlocks(), c.stride()
 	_, pb := c.payloadShape()
-	if msg == nil {
-		msg = make([]byte, total, total+labelTail(c.Slots*nE, evalIn == nil))
-	}
 	gb := &garbled{
-		msg:     msg[:total],
+		delta:   ck.delta,
+		msg:     make([]byte, total),
 		evalIn:  evalIn,
 		outPerm: make([]byte, (c.Slots*nGO+7)/8),
 	}
@@ -152,8 +227,6 @@ func garble(c *Circuit, g *prf.PRG, priv []bool, keepPerm bool, evalIn []prf.Blo
 		gb.perm = make([]byte, (c.Slots+lanes-1)/lanes*sb)
 		gb.payFlip = make([]byte, total-payOff)
 	}
-	g.Read(gb.delta[:])
-	gb.delta[15] |= 1 // lsb(Δ) = 1 for point-and-permute
 	g.Read(gb.msg[labelsOff:decodeOff])
 	if evalIn == nil {
 		gb.evalIn = make([]prf.Block, c.Slots*nE)
@@ -166,7 +239,7 @@ func garble(c *Circuit, g *prf.PRG, priv []bool, keepPerm bool, evalIn []prf.Blo
 	gIn := labels[1:]
 	decode := gb.msg[decodeOff:payOff]
 	pay := gb.msg[payOff:]
-	forBatches(c, c.labelScratch, func(w []prf.Block, s0, k int) {
+	forBatches(c, c.labelScratch, releaseScratch, func(w []prf.Block, s0, k int) {
 		lane := func(x Wire) []prf.Block { return w[int(x)*stride:][:k] }
 		for l := 0; l < k; l++ {
 			w[int(c.Const0)*stride+l] = labels[0]
@@ -211,7 +284,7 @@ func garble(c *Circuit, g *prf.PRG, priv []bool, keepPerm bool, evalIn []prf.Blo
 					prf.XORBlock(&a1[l], a[l], delta)
 					prf.XORBlock(&b1[l], b[l], delta)
 				}
-				tw := uint64(s0*sb + t)
+				tw := ck.base + uint64(s0*sb+t)
 				prf.HashBlocks(ha0[:k], a, tw, step)
 				prf.HashBlocks(ha1[:k], a1[:k], tw, step)
 				prf.HashBlocks(hb0[:k], b, tw+1, step)
@@ -248,7 +321,7 @@ func garble(c *Circuit, g *prf.PRG, priv []bool, keepPerm bool, evalIn []prf.Blo
 				for l := range a {
 					prf.XORBlock(&a1[l], a[l], delta)
 				}
-				tw := uint64(s0*sb + t)
+				tw := ck.base + uint64(s0*sb+t)
 				prf.HashBlocks(ha0[:k], a, tw, step)
 				prf.HashBlocks(ha1[:k], a1[:k], tw, step)
 				for l := range out {
@@ -283,7 +356,7 @@ func garble(c *Circuit, g *prf.PRG, priv []bool, keepPerm bool, evalIn []prf.Blo
 			s, off := s0+l, (s0+l)*pb
 			for j := range c.Payloads {
 				p := &c.Payloads[j]
-				n, tw := p.ctBytes(), c.payTweak(s, j)
+				n, tw := p.ctBytes(), c.payTweak(ck.base, s, j)
 				ct := pay[off:][:p.bytes()]
 				zero := w[int(p.W)*stride+l]
 				one := prf.XORBlockValue(zero, delta)
@@ -314,12 +387,13 @@ func garble(c *Circuit, g *prf.PRG, priv []bool, keepPerm bool, evalIn []prf.Blo
 
 // evaluate runs the evaluator's side of c over the garbler's message —
 // read in place, tables included — and the active labels of its own
-// inputs, flat and slot-major. It returns the evaluator's output bits (the
+// inputs, flat and slot-major, hashing under the garbler's tweak base. It
+// returns the evaluator's output bits (the
 // payloads' where Circuit.Payloads places them) and the packed masked bits
 // (active-label LSBs) of the garbler's outputs. It is the same slot
 // kernel as garble, with the same determinism guarantee, and it checks
 // every length before the first read: msg comes from the peer.
-func evaluate(c *Circuit, msg []byte, evalIn []byte) (out []bool, masked []byte, err error) {
+func evaluate(c *Circuit, base uint64, msg []byte, evalIn []byte) (out []bool, masked []byte, err error) {
 	labelsOff, decodeOff, payOff, total := c.msgLayout()
 	if len(msg) != total {
 		return nil, nil, fmt.Errorf("gc: garbled message has %d bytes, want %d", len(msg), total)
@@ -341,7 +415,7 @@ func evaluate(c *Circuit, msg []byte, evalIn []byte) (out []bool, masked []byte,
 	pay := msg[payOff:]
 	out = make([]bool, c.Slots*nOut)
 	masked = make([]byte, (c.Slots*nGO+7)/8)
-	forBatches(c, c.labelScratch, func(w []prf.Block, s0, k int) {
+	forBatches(c, c.labelScratch, releaseScratch, func(w []prf.Block, s0, k int) {
 		lane := func(x Wire) []prf.Block { return w[int(x)*stride:][:k] }
 		for l := 0; l < k; l++ {
 			w[int(c.Const0)*stride+l] = labels[0]
@@ -366,7 +440,7 @@ func evaluate(c *Circuit, msg []byte, evalIn []byte) (out []bool, masked []byte,
 			case GateAND:
 				b := lane(gate.B)
 				var hg, he [lanes]prf.Block
-				tw := uint64(s0*sb + t)
+				tw := base + uint64(s0*sb+t)
 				prf.HashBlocks(hg[:k], a, tw, step)
 				prf.HashBlocks(he[:k], b, tw+1, step)
 				for l := range o {
@@ -383,7 +457,7 @@ func evaluate(c *Circuit, msg []byte, evalIn []byte) (out []bool, masked []byte,
 				t += 2
 			case GateANDG:
 				var h [lanes]prf.Block
-				prf.HashBlocks(h[:k], a, uint64(s0*sb+t), step)
+				prf.HashBlocks(h[:k], a, base+uint64(s0*sb+t), step)
 				for l := range o {
 					o[l] = h[l]
 					if a[l].LSB() == 1 {
@@ -424,7 +498,7 @@ func evaluate(c *Circuit, msg []byte, evalIn []byte) (out []bool, masked []byte,
 				}
 				if ct != nil {
 					pad = append(pad[:0], ct...)
-					prf.HashToWidthAES(pad, label, c.payTweak(s, j))
+					prf.HashToWidthAES(pad, label, c.payTweak(base, s, j))
 					prf.XORBytes(pad, pad, ct)
 					for b := range p.P1 {
 						out[o+b] = pad[b>>3]>>(b&7)&1 == 1

@@ -299,8 +299,8 @@ func TestOutputSelect2PC(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gb := garble(c, prf.NewPRG(prf.Seed{byte(bits), byte(trial)}), priv, false, nil, nil)
-			got, _, err := evaluate(c, gb.msg, activeLabels(gb, ebits))
+			gb := garble(c, testKey, prf.NewPRG(prf.Seed{byte(bits), byte(trial)}), priv, false, nil)
+			got, _, err := evaluate(c, 0, gb.msg, activeLabels(gb, ebits))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -32,7 +32,7 @@ func BenchmarkObsDisabled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = garble(c, g, nil, false, nil, nil)
+		_ = garble(c, testKey, g, nil, false, nil)
 	}
 }
 
@@ -50,7 +50,7 @@ func BenchmarkObsEnabled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = garble(c, g, nil, false, nil, nil)
+		_ = garble(c, testKey, g, nil, false, nil)
 	}
 }
 

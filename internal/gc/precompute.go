@@ -27,27 +27,53 @@ import (
 // private bits would have produced; precompute_test.go pins this
 // equality.
 //
-// The evaluator-input labels are fixed offline, so pre-garbled material
-// serves only a pooled label OT, whose online reply shifts each pooled
-// x0 onto its label for the same bytes a chosen-message OT costs
-// (runGarbler). On a direct label batch the OT defines the labels, and
-// the material is dropped in favour of a fresh garble.
+// The evaluator-input labels are fixed offline too: a circuit is garbled
+// ahead of time over the rows of its own pooled label batch
+// (ot.Sender.FillDelta), under the sender's Δ. Online the evaluator's
+// derandomization bits d_j flip the meaning of its input wires exactly as
+// a private bit flips an XORG gate's output, so applyPrivate seeds those
+// wires' flips with d_j and propagates them with the private bits' (the
+// corrected material is a direct garble with zero labels q_j ⊕ d_j·Δ).
+// Material is served only when the pool head is the very batch it was
+// garbled over; otherwise it is dropped in favour of a fresh garble.
 
 // PreGarbled is a circuit garbled ahead of time, waiting for its online
 // inputs. It is single-use: RunOnline consumes the garbled material.
 type PreGarbled struct {
-	C  *Circuit
-	gb *garbled
+	C     *Circuit
+	gb    *garbled
+	batch *ot.DeltaBatch // the label batch gb was garbled over; nil for GarbleAhead's
 }
 
-// GarbleAhead garbles c before its inputs or private bits are known.
-// Pure computation — nothing touches the network until RunOnline. Besides
-// the message-shaped material every garbling keeps, it retains one
-// permute bit per table block (see garbled.perm): all applyPrivate needs
-// of the interior wires.
-func GarbleAhead(c *Circuit) *PreGarbled {
+// GarbleOver garbles c before its inputs or private bits are known, over
+// the pooled label batch b of otSend (FillDelta of c's evaluator-input
+// count). Pure computation — nothing touches the network until RunOnline.
+// Besides the message-shaped material every garbling keeps, it retains
+// one permute bit per table block (see garbled.perm): all applyPrivate
+// needs of the interior wires.
+func GarbleOver(c *Circuit, otSend *ot.Sender, b *ot.DeltaBatch) (*PreGarbled, error) {
+	if nE := c.Slots * len(c.EvalInputs); b == nil || len(b.Q) != nE {
+		return nil, fmt.Errorf("gc: garbling a circuit of %d evaluator inputs over another label batch", nE)
+	}
+	ck, err := keyOver(c, otSend, b)
+	if err != nil {
+		return nil, err
+	}
 	zero := make([]bool, c.Slots*c.NumPrivate)
-	return &PreGarbled{C: c, gb: garble(c, prf.NewPRG(prf.RandomSeed()), zero, true, nil, nil)}
+	return &PreGarbled{C: c, gb: garble(c, ck, prf.NewPRG(prf.RandomSeed()), zero, true, b.Q), batch: b}, nil
+}
+
+// GarbleAhead garbles c with no label batch, under a key of its own and
+// zero labels drawn at random. No online run serves such material — its
+// labels are no OT's — so RunOnline drops it for a fresh garble; it
+// measures the garbling kernel.
+func GarbleAhead(c *Circuit) *PreGarbled {
+	g := prf.NewPRG(prf.RandomSeed())
+	var ck circuitKey
+	g.Read(ck.delta[:])
+	ck.delta[15] |= 1
+	zero := make([]bool, c.Slots*c.NumPrivate)
+	return &PreGarbled{C: c, gb: garble(c, ck, g, zero, true, nil)}
 }
 
 // SameShape reports whether two circuits have identical dimensions. The
@@ -73,17 +99,19 @@ func SameShape(a, b *Circuit) bool {
 }
 
 // applyPrivate specializes zero-private garbled material to the true
-// private bits, in place: it XORs f·Δ into the affected table entries,
+// private bits and the label batch's input flips (packed, slot-major;
+// nil for none), in place: it XORs f·Δ into the affected table entries,
 // flips the decode and output permute bits of the output wires whose
 // label meaning changed and XORs the payloads — re-padded, or for a select
 // swapped between its ciphertexts, where their keying wire flipped — into
 // their ciphertexts, after which gb is what a
 // direct garble with the same randomness would have produced. The slot
 // kernel again, one slot at a time over a scratch of per-wire flip bits
-// f (input wires are never written, so they stay unflipped across
-// slots); each gate sees its input flips resolved because the gate list
-// is topologically ordered.
-func applyPrivate(c *Circuit, gb *garbled, priv []bool) {
+// f (the evaluator-input wires take the slot's flips; the other input
+// wires are never written, so they stay unflipped across slots); each
+// gate sees its input flips resolved because the gate list is
+// topologically ordered.
+func applyPrivate(c *Circuit, gb *garbled, priv []bool, flips []byte) {
 	sp := obs.Begin("gc", "gc.correct")
 	defer sp.EndN(int64(c.NumGates()))
 	labelsOff, decodeOff, payOff, _ := c.msgLayout()
@@ -91,15 +119,22 @@ func applyPrivate(c *Circuit, gb *garbled, priv []bool) {
 	decode := gb.msg[decodeOff:payOff]
 	pay := gb.msg[payOff:]
 	delta := gb.delta
-	sb, nP := c.slotBlocks(), c.NumPrivate
+	sb, nP, nE := c.slotBlocks(), c.NumPrivate, len(c.EvalInputs)
 	nEO, nGO := len(c.EvalOutputs), len(c.GarblerOutputs)
 	_, pb := c.payloadShape()
-	forBatches(c, func() []bool { return make([]bool, c.NumWires) }, func(f []bool, s0, k int) {
+	forBatches(c, func() []bool { return make([]bool, c.NumWires) }, nil, func(f []bool, s0, k int) {
 		perm := gb.perm[s0/lanes*sb:][:sb]
 		for l := 0; l < k; l++ {
 			s := s0 + l
 			p := priv[s*nP:][:nP]
 			tbl := tables[s*sb:][:sb]
+			if flips != nil {
+				for i, x := range c.EvalInputs {
+					if f[x] = getBit(flips, s*nE+i); f[x] {
+						prf.XORBlock(&gb.evalIn[s*nE+i], gb.evalIn[s*nE+i], delta)
+					}
+				}
+			}
 			t := 0
 			for _, gate := range c.Gates {
 				switch gate.Kind {
@@ -169,19 +204,16 @@ func applyPrivate(c *Circuit, gb *garbled, priv []bool) {
 }
 
 // Serves reports whether RunOnline over otSend would use the material:
-// the circuit has no evaluator inputs, or otSend's pool will serve its
-// label batch.
+// the pool head is the label batch it was garbled over.
 func (pg *PreGarbled) Serves(otSend *ot.Sender) bool {
-	nE := pg.C.Slots * len(pg.C.EvalInputs)
-	return nE == 0 || otSend.Pool().Ready(nE, 16)
+	return pg.batch != nil && otSend.NextDelta(len(pg.batch.Q)) == pg.batch
 }
 
 // RunOnline runs the thin online step of a pre-garbled circuit: apply the
-// private-bit corrections, then the garbler message exchange (RunGarbler's
-// protocol). The material serves a pooled label batch or a circuit
-// without evaluator inputs; on a direct label batch it is dropped and the
-// circuit garbled afresh, so the bytes on the wire are always exactly
-// those RunGarbler would send.
+// private bits and the input flips, then the garbler message exchange
+// (RunGarbler's protocol). Material that Serves does not vouch for is
+// dropped and the circuit garbled afresh, so the bytes on the wire are
+// always exactly those RunGarbler would send.
 func (pg *PreGarbled) RunOnline(conn transport.Conn, otSend *ot.Sender, inputs, priv []bool) ([]bool, error) {
 	c := pg.C
 	if pg.gb == nil {
@@ -192,5 +224,8 @@ func (pg *PreGarbled) RunOnline(conn transport.Conn, otSend *ot.Sender, inputs, 
 	}
 	gb := pg.gb
 	pg.gb = nil // single-use: applyPrivate mutates the material
+	if !pg.Serves(otSend) {
+		gb = nil
+	}
 	return runGarbler(conn, otSend, c, gb, inputs, priv)
 }

@@ -46,44 +46,62 @@ func randBits(rng *rand.Rand, n int) []bool {
 }
 
 // TestAppliedCorrectionsMatchDirectGarble pins the core precomputation
-// property: garbling with zero privates and then applying the true
-// private bits yields material byte-identical to a direct garble with
-// the same randomness — the whole message (tables, labels, decode bits),
-// the evaluator-input labels and the garbler-output permute bits — at
-// one slot and across batches, at workers 1 and 4. This is what makes
-// the pre-garbled online path emit the exact bytes RunGarbler would.
+// property: garbling with zero privates over evaluator-input zero labels
+// q and then applying the true private bits and input flips d yields
+// material byte-identical to a direct garble with the same randomness
+// over zero labels q ⊕ d·Δ — the whole message (tables, labels, decode
+// bits), the evaluator-input labels and the garbler-output permute bits —
+// at one slot and across batches, at workers 1 and 4, with and without
+// flips. This is what makes the pre-garbled online path emit the exact
+// bytes RunGarbler would over a pooled label batch.
 func TestAppliedCorrectionsMatchDirectGarble(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{1, 19} {
 		c := slotted(correctionGadget, n)
+		nE := c.Slots * len(c.EvalInputs)
 		for trial := 0; trial < 10; trial++ {
 			priv := randBits(rng, c.Slots*c.NumPrivate)
 			seed := prf.Seed{byte(trial), 0x5e}
-			direct := garble(c, prf.NewPRG(seed), priv, false, nil, nil)
-			for _, workers := range []int{1, 4} {
-				off := atWorkers(workers, func() *garbled {
-					off := garble(c, prf.NewPRG(seed), make([]bool, len(priv)), true, nil, nil)
-					applyPrivate(c, off, priv)
-					return off
-				})
-				sameGarbling(t, fmt.Sprintf("%d slots, trial %d, workers=%d", n, trial, workers), off, direct)
+			q := make([]prf.Block, nE)
+			for j := range q {
+				rng.Read(q[j][:])
+			}
+			for _, flipped := range []bool{false, true} {
+				var flips []byte
+				x0 := append([]prf.Block(nil), q...)
+				if flipped {
+					flips = make([]byte, (nE+7)/8)
+					rng.Read(flips)
+					for j := range x0 {
+						if getBit(flips, j) {
+							prf.XORBlock(&x0[j], x0[j], testKey.delta)
+						}
+					}
+				}
+				direct := garble(c, testKey, prf.NewPRG(seed), priv, false, x0)
+				for _, workers := range []int{1, 4} {
+					off := atWorkers(workers, func() *garbled {
+						off := garble(c, testKey, prf.NewPRG(seed), make([]bool, len(priv)), true, append([]prf.Block(nil), q...))
+						applyPrivate(c, off, priv, flips)
+						return off
+					})
+					sameGarbling(t, fmt.Sprintf("%d slots, trial %d, flips %v, workers=%d", n, trial, flipped, workers), off, direct)
+				}
 			}
 		}
 	}
 }
 
-// run2PCPre mirrors run2PC but garbles ahead of time on the garbler side
-// and fills both OT pools with the label batch, so the online run takes
-// the pooled path the pre-garbled material serves.
+// run2PCPre mirrors run2PC but fills both OT pools with the label batch
+// and garbles ahead of time over it on the garbler side, so the online
+// run takes the pooled path the pre-garbled material serves.
 func run2PCPre(t testing.TB, c *Circuit, garblerBits, evalBits, priv []bool) ([]bool, []bool) {
 	t.Helper()
 	a, b := transport.Pair()
 	defer a.Close()
 	defer b.Close()
 
-	pg := GarbleAhead(c) // offline: before inputs exist
 	nE := c.Slots * len(c.EvalInputs)
-
 	type gres struct {
 		out []bool
 		err error
@@ -91,19 +109,28 @@ func run2PCPre(t testing.TB, c *Circuit, garblerBits, evalBits, priv []bool) ([]
 	ch := make(chan gres, 1)
 	go func() {
 		snd, err := ot.NewSender(a)
-		if err == nil && nE > 0 {
-			err = snd.FillRandom(nE, 16)
+		var batch *ot.DeltaBatch
+		if err == nil {
+			batch, err = snd.FillDelta(nE)
+		}
+		var pg *PreGarbled
+		if err == nil {
+			pg, err = GarbleOver(c, snd, batch) // offline: before inputs exist
 		}
 		if err != nil {
 			ch <- gres{nil, err}
+			return
+		}
+		if !pg.Serves(snd) {
+			ch <- gres{nil, fmt.Errorf("material garbled over the pool head does not serve it")}
 			return
 		}
 		out, err := pg.RunOnline(a, snd, garblerBits, priv)
 		ch <- gres{out, err}
 	}()
 	rcv, err := ot.NewReceiver(b)
-	if err == nil && nE > 0 {
-		err = rcv.FillRandom(nE, 16)
+	if err == nil {
+		err = rcv.FillDelta(nE)
 	}
 	if err != nil {
 		t.Fatalf("ot receiver: %v", err)

@@ -13,24 +13,21 @@ import (
 // both slot-major. It returns the bits of the garbler outputs, slot-major.
 // The protocol is:
 //
-//  1. evaluator → garbler: the opening message of one correlated-OT batch
-//     over the evaluator's input bits — the extension's correction
-//     columns (4 B per OT, ot.ExtOfflineCost), or one derandomization bit
-//     per input when the batch is pooled
+//  1. evaluator → garbler: the opening message of one Δ-OT batch over
+//     the evaluator's input bits (ot.DeltaBatch) — the extension's
+//     correction columns (4 B per OT, ot.ExtOfflineCost), or one
+//     derandomization bit per input when the batch is pooled
 //  2. garbler → evaluator: AND tables ‖ const label ‖ active garbler input
-//     labels ‖ evaluator-output decode bits ‖ payload ciphertexts ‖ one
-//     16-byte OT correction per evaluator input (‖ one 16-byte label
-//     shift per input when pooled)
+//     labels ‖ evaluator-output decode bits ‖ payload ciphertexts
 //  3. evaluator → garbler: masked bits of garbler outputs (if any)
 //
-// On the direct path each evaluator input's zero label is the OT's x0 and
-// the correlation is free-XOR's x1 = x0 ⊕ Δ, so the label pair costs one
-// ciphertext. A pooled batch's x0 is fixed before the circuit is — offline,
-// for a pre-garbled one — so the garbler shifts it onto the zero label
-// (ot.SendBatch.AppendChosen). A circuit without evaluator inputs is the
-// one message of step 2. This is a constant number of rounds regardless of
-// circuit size or depth, the property the paper's operator protocols rely
-// on (§5.2).
+// The circuit is garbled under the garbler's OT-extension Δ, and the zero
+// label of evaluator input j is the batch's row q_j, flipped by d_j·Δ
+// when the batch is pooled: the evaluator's own row t_j is then the label
+// of its bit, and no label crosses the wire. A circuit without evaluator
+// inputs is the one message of step 2. This is a constant number of
+// rounds regardless of circuit size or depth, the property the paper's
+// operator protocols rely on (§5.2).
 func RunGarbler(conn transport.Conn, otSend *ot.Sender, c *Circuit, inputs, priv []bool) ([]bool, error) {
 	if err := c.checkGarblerBits(inputs, priv); err != nil {
 		return nil, err
@@ -49,61 +46,37 @@ func (c *Circuit) checkGarblerBits(inputs, priv []bool) error {
 }
 
 // runGarbler runs the garbler's message exchange. pre is zero-private
-// material garbled ahead of time, or nil. It serves a pooled label batch
-// (or a circuit without evaluator inputs); on a direct batch the labels
-// must be the OT's, so pre is dropped and the circuit garbled afresh. The
-// wire format follows the pool, which both parties agree on, never the
-// garbler's queue. The message is one buffer in the wire layout with
-// room for the OT tail, so the table region — nearly all of the bytes —
-// is sent from the buffer it was garbled into. A direct batch's buffer
-// is allocated before the batch opens and the OT hashes its r¹ pads
-// straight into the tail, where the corrections are then built in place.
+// material garbled ahead of time over the batch that now heads otSend's
+// pool (PreGarbled.RunOnline checks), or nil: then the circuit is
+// garbled here, over whichever batch the label OT opens.
 func runGarbler(conn transport.Conn, otSend *ot.Sender, c *Circuit, pre *garbled, inputs, priv []bool) ([]bool, error) {
-	nE := c.Slots * len(c.EvalInputs)
-	labelsOff, decodeOff, _, total := c.msgLayout()
-	var cot *ot.SendBatch
-	var buf, tail []byte // a direct batch's message: tables ‖ corrections
-	if nE > 0 {
-		if !otSend.Pool().Ready(nE, 16) {
-			buf = make([]byte, total+labelTail(nE, false))
-			tail = buf[total:]
-		}
-		var err error
-		if cot, err = otSend.BeginCorrelated(nE, 16, tail); err != nil {
+	b, err := otSend.BeginDelta(c.Slots * len(c.EvalInputs))
+	if err != nil {
+		return nil, err
+	}
+	gb := pre
+	if pre != nil {
+		applyPrivate(c, pre, priv, b.Flips)
+	} else {
+		ck, err := keyOver(c, otSend, b)
+		if err != nil {
 			return nil, err
 		}
+		for j := range b.Q {
+			if b.Flips != nil && getBit(b.Flips, j) {
+				prf.XORBlock(&b.Q[j], b.Q[j], ck.delta)
+			}
+		}
+		gb = garble(c, ck, prf.NewPRG(prf.RandomSeed()), priv, false, b.Q)
 	}
-	var gb *garbled
-	switch {
-	case cot != nil && !cot.Pooled:
-		gb = garble(c, prf.NewPRG(prf.RandomSeed()), priv, false, prf.BlocksOf(cot.X0), buf)
-	case pre != nil:
-		applyPrivate(c, pre, priv)
-		gb = pre
-	default:
-		gb = garble(c, prf.NewPRG(prf.RandomSeed()), priv, false, nil, nil)
-	}
+	labelsOff, decodeOff, _, _ := c.msgLayout()
 	gIn := prf.BlocksOf(gb.msg[labelsOff+16 : decodeOff])
 	for i, v := range inputs {
 		if v {
 			prf.XORBlock(&gIn[i], gIn[i], gb.delta)
 		}
 	}
-	msg := gb.msg
-	switch {
-	case cot == nil:
-	case !cot.Pooled:
-		// Corrections builds the reply over r¹ in buf's tail, right after
-		// gb.msg, so the append only extends msg over it.
-		msg = append(msg, cot.Corrections(func(_ int, x0, x1 []byte) { prf.XORBytes(x1, x0, gb.delta[:]) })...)
-	default:
-		var l1 prf.Block
-		msg = cot.AppendChosen(msg, func(j int) ([]byte, []byte) {
-			l1 = prf.XORBlockValue(gb.evalIn[j], gb.delta)
-			return gb.evalIn[j][:], l1[:]
-		})
-	}
-	if err := conn.Send(msg); err != nil {
+	if err := conn.Send(gb.msg); err != nil {
 		return nil, err
 	}
 
@@ -124,49 +97,37 @@ func runGarbler(conn transport.Conn, otSend *ot.Sender, c *Circuit, pre *garbled
 	return out, nil
 }
 
-// labelTail returns the bytes of the OT tail after the garbled message of
-// a circuit with nE evaluator inputs: one correction per input, and one
-// label shift more when the batch is pooled.
-func labelTail(nE int, pooled bool) int {
-	if pooled {
-		return 32 * nE
-	}
-	return 16 * nE
+// keyOver returns the key of c garbled over the label batch b of otSend:
+// the sender's Δ and the tweak base of b's serial.
+func keyOver(c *Circuit, otSend *ot.Sender, b *ot.DeltaBatch) (circuitKey, error) {
+	base, err := c.tweakBase(b.Serial)
+	return circuitKey{delta: otSend.Delta(), base: base}, err
 }
 
 // RunEvaluator executes the 2PC evaluation of c as the evaluating party.
 // inputs are the evaluator's private input bits, slot-major. It returns
 // the bits of the evaluator outputs, slot-major, each payload's bits
 // right after its keying wire's. The garbler's message is size-checked
-// against the circuit and the pool state before anything is read from it,
-// and evaluated where it was received; nothing is copied out of it.
+// against the circuit before anything is read from it, and evaluated
+// where it was received; nothing is copied out of it.
 func RunEvaluator(conn transport.Conn, otRecv *ot.Receiver, c *Circuit, inputs []bool) ([]bool, error) {
 	if want := c.Slots * len(c.EvalInputs); len(inputs) != want {
 		return nil, fmt.Errorf("gc: evaluator got %d input bits, want %d", len(inputs), want)
 	}
-	var cot *ot.RecvBatch
-	tail := 0
-	if len(inputs) > 0 {
-		var err error
-		if cot, err = otRecv.BeginCorrelated(inputs, 16); err != nil {
-			return nil, err
-		}
-		tail = labelTail(len(inputs), cot.Pooled)
-	}
-	_, _, _, total := c.msgLayout()
-	msg, err := transport.RecvSized(conn, "gc: garbled message", total+tail)
+	labels, serial, err := otRecv.ReceiveDelta(inputs)
 	if err != nil {
 		return nil, err
 	}
-	var labels []byte
-	switch {
-	case cot == nil:
-	case !cot.Pooled:
-		labels = cot.Open(msg[total:])
-	default:
-		labels = cot.OpenChosen(msg[total:])
+	base, err := c.tweakBase(serial)
+	if err != nil {
+		return nil, err
 	}
-	out, masked, err := evaluate(c, msg[:total], labels)
+	_, _, _, total := c.msgLayout()
+	msg, err := transport.RecvSized(conn, "gc: garbled message", total)
+	if err != nil {
+		return nil, err
+	}
+	out, masked, err := evaluate(c, base, msg, labels)
 	if err != nil {
 		return nil, err
 	}

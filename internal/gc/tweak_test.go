@@ -1,0 +1,140 @@
+package gc
+
+import (
+	"math/rand"
+	"testing"
+
+	"secyan/internal/ot"
+	"secyan/internal/prf"
+	"secyan/internal/transport"
+)
+
+// otPair sets up one OT-extension direction over an in-memory pipe.
+func otPair(t *testing.T) (*ot.Sender, *ot.Receiver, func()) {
+	t.Helper()
+	a, b := transport.Pair()
+	type res struct {
+		s   *ot.Sender
+		err error
+	}
+	ch := make(chan res, 1)
+	go func() { s, err := ot.NewSender(a); ch <- res{s, err} }()
+	rcv, err := ot.NewReceiver(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := <-ch
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	return r.s, rcv, func() { a.Close(); b.Close() }
+}
+
+// TestCircuitsUnderOneDeltaUseDisjointTweaks opens two label batches on
+// one sender — one direct, one pooled — and garbles one circuit over
+// each under the key the protocol derives from it (keyOver). The keys
+// share the sender's Δ, so only the tweaks can tell two circuits apart:
+// their gate-tweak and payload-tweak ranges must be disjoint, and with
+// the same garbling randomness and the same zero labels — the worst case
+// under a shared Δ — no table block and no payload ciphertext of one
+// garbling may equal its counterpart in the other. Dropping the serial
+// from the tweaks makes both garblings byte-identical.
+func TestCircuitsUnderOneDeltaUseDisjointTweaks(t *testing.T) {
+	snd, rcv, done := otPair(t)
+	defer done()
+	c := correctionCircuit()
+	nE := c.Slots * len(c.EvalInputs)
+	rng := rand.New(rand.NewSource(46))
+	choices := randBits(rng, nE)
+
+	var batches []*ot.DeltaBatch
+	for _, pooled := range []bool{false, true} {
+		ch := make(chan error, 1)
+		if pooled {
+			go func() { _, err := snd.FillDelta(nE); ch <- err }()
+			if err := rcv.FillDelta(nE); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-ch; err != nil {
+				t.Fatal(err)
+			}
+		}
+		var b *ot.DeltaBatch
+		go func() { var err error; b, err = snd.BeginDelta(nE); ch <- err }()
+		if _, _, err := rcv.ReceiveDelta(choices); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-ch; err != nil {
+			t.Fatal(err)
+		}
+		batches = append(batches, b)
+	}
+
+	var keys [2]circuitKey
+	for i, b := range batches {
+		var err error
+		if keys[i], err = keyOver(c, snd, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if keys[0].delta != keys[1].delta || keys[0].delta != snd.Delta() {
+		t.Fatal("the two circuits are not garbled under the sender's Δ")
+	}
+	gates := func(k circuitKey) (lo, hi uint64) { return k.base, k.base + uint64(c.TableBlocks()) }
+	pays := func(k circuitKey) (lo, hi uint64) {
+		return c.payTweak(k.base, 0, 0), c.payTweak(k.base, 0, 0) + uint64(c.Slots*len(c.Payloads))
+	}
+	for _, r := range []func(circuitKey) (uint64, uint64){gates, pays} {
+		lo0, hi0 := r(keys[0])
+		lo1, hi1 := r(keys[1])
+		if lo0 < hi1 && lo1 < hi0 {
+			t.Fatalf("tweak ranges [%#x, %#x) and [%#x, %#x) overlap", lo0, hi0, lo1, hi1)
+		}
+	}
+
+	q := make([]prf.Block, nE)
+	for j := range q {
+		rng.Read(q[j][:])
+	}
+	priv := randBits(rng, c.Slots*c.NumPrivate)
+	var gbs [2]*garbled
+	for i, k := range keys {
+		gbs[i] = garble(c, k, prf.NewPRG(prf.Seed{46}), priv, false, append([]prf.Block(nil), q...))
+	}
+	labelsOff, _, payOff, _ := c.msgLayout()
+	t0, t1 := prf.BlocksOf(gbs[0].msg[:labelsOff]), prf.BlocksOf(gbs[1].msg[:labelsOff])
+	for i := range t0 {
+		if t0[i] == t1[i] {
+			t.Fatalf("table block %d is the same in both circuits", i)
+		}
+	}
+	off := 0
+	for j := range c.Payloads {
+		n := c.Payloads[j].bytes()
+		if string(gbs[0].msg[payOff+off:][:n]) == string(gbs[1].msg[payOff+off:][:n]) {
+			t.Fatalf("payload %d's ciphertext is the same in both circuits", j)
+		}
+		off += n
+	}
+}
+
+// TestTweakDomainsAreDisjoint pins the tweak layout at its extremes: the
+// last gate tweak of the last serial stays in prf.SiteGC below SitePay,
+// the last payload tweak in SitePay, and neither reaches prf.SiteOT, the
+// OT pads' domain; one serial more is refused.
+func TestTweakDomainsAreDisjoint(t *testing.T) {
+	c := correctionCircuit()
+	last := uint64(1)<<(61-tweakBits) - 1
+	base, err := c.tweakBase(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := base + 1<<tweakBits - 1
+	pay := c.payTweak(base, 0, 0) + 1<<tweakBits - 1
+	if gate >= prf.SitePay || pay < prf.SitePay || pay >= prf.SiteOT {
+		t.Fatalf("gate tweak %#x, payload tweak %#x outside their sites", gate, pay)
+	}
+	if _, err := c.tweakBase(last + 1); err == nil {
+		t.Fatal("tweakBase accepted a serial whose tweaks reach SitePay")
+	}
+}

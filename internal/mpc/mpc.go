@@ -221,7 +221,7 @@ func (p *Party) KKRTReceiver() (*ot.KKRTReceiver, error) {
 // Only garbling is counted: the evaluating side has no queue to hit.
 var (
 	mPreCircHits   = obs.NewCounter("secyan_mpc_precircuit_hit_total", "Circuits served from the ahead-of-time garbling queue.")
-	mPreCircMisses = obs.NewCounter("secyan_mpc_precircuit_miss_total", "Circuits garbled on the direct path (queue empty, shape mismatch or direct label OT).")
+	mPreCircMisses = obs.NewCounter("secyan_mpc_precircuit_miss_total", "Circuits garbled on the direct path (queue empty, shape mismatch, or material not garbled over the label batch the OT opens).")
 )
 
 // noteCircuit bumps the hit/miss counter and mirrors the outcome into
@@ -256,11 +256,12 @@ func (p *Party) EnqueuePreGarbled(pg *gc.PreGarbled) {
 //
 // When this party garbles and the head of its precomputed queue matches
 // c's shape, the queued material is consumed: it runs on its thin online
-// path (private-bit corrections plus the exchange) when its label OT is
-// pooled, and is dropped for a fresh garble when that batch is direct,
-// because a direct batch defines the labels itself (gc.RunGarbler). The
-// wire format follows the OT pools, which both parties agree on, never
-// the queue, so the queue needs no cross-party agreement. A shape
+// path (private bits and input flips plus the exchange) when the label
+// batch it was garbled over heads the OT pool, and is dropped for a fresh
+// garble otherwise, because the labels are the rows of whichever batch
+// the label OT opens (gc.RunGarbler). The wire format follows the OT
+// pools, which both parties agree on, never the queue, so the queue needs
+// no cross-party agreement. A shape
 // mismatch — execution has diverged from the precomputed plan — drops
 // the rest of the queue and falls back to the direct path, which is
 // always correct.

@@ -210,8 +210,9 @@ func TestDefaultRing(t *testing.T) {
 // shape check against slot replication: material garbled for the same
 // slot repeated a different number of times must be a miss — dropped,
 // with the circuit run on the direct path and still correct — while an
-// equal count is consumed from the queue: served when its label OT is
-// pooled, dropped for a fresh garble when it is direct.
+// equal count is consumed from the queue: served when it was garbled
+// over the pooled label batch that heads the pool, dropped for a fresh
+// garble when it has no batch (GarbleAhead) and the batch runs direct.
 func TestRunCircuitQueueMatchesSlotCount(t *testing.T) {
 	build := func(slots int) *gc.Circuit {
 		b := gc.NewBuilder()
@@ -236,17 +237,31 @@ func TestRunCircuitQueueMatchesSlotCount(t *testing.T) {
 		obs.Enable()
 		hits0, misses0 := mPreCircHits.Value(), mPreCircMisses.Value()
 		alice, bob := Pair(share.Ring{Bits: 8})
-		bob.EnqueuePreGarbled(gc.GarbleAhead(build(tc.staged)))
-		bob.EnqueuePreGarbled(gc.GarbleAhead(build(slots))) // dropped with the queue on a mismatch
-		c := build(slots)
+		staged := build(tc.staged)
+		m := staged.Slots * len(staged.EvalInputs)
 		if tc.pooled {
 			if _, _, err := Run2PC(alice, bob,
-				func(p *Party) (any, error) { r, err := p.OTReceiver(); return nil, fill(r, err, len(eBits)) },
-				func(p *Party) (any, error) { s, err := p.OTSender(); return nil, fill(s, err, len(eBits)) },
+				func(p *Party) (any, error) { _, err := fillLabels(p, m); return nil, err },
+				func(p *Party) (any, error) {
+					batch, err := fillLabels(p, m)
+					if err != nil {
+						return nil, err
+					}
+					snd, _ := p.OTSender()
+					pg, err := gc.GarbleOver(staged, snd, batch)
+					if err == nil {
+						p.EnqueuePreGarbled(pg)
+					}
+					return nil, err
+				},
 			); err != nil {
 				t.Fatal(err)
 			}
+		} else {
+			bob.EnqueuePreGarbled(gc.GarbleAhead(staged))
 		}
+		bob.EnqueuePreGarbled(gc.GarbleAhead(build(slots))) // dropped with the queue on a mismatch
+		c := build(slots)
 		aOut, bOut, err := Run2PC(alice, bob,
 			func(p *Party) ([]bool, error) { return p.RunCircuit(c, eBits, nil, Bob) },
 			func(p *Party) ([]bool, error) { return p.RunCircuit(c, gBits, priv, Bob) },
@@ -276,12 +291,21 @@ func TestRunCircuitQueueMatchesSlotCount(t *testing.T) {
 	}
 }
 
-// fill fills one label batch of m OTs into an OT endpoint's pool.
-func fill(e interface{ FillRandom(m, msgLen int) error }, err error, m int) error {
-	if err != nil {
-		return err
+// fillLabels fills one label batch of m Δ-OTs into the pools of the
+// direction Bob sends in, and returns the batch on Bob's end.
+func fillLabels(p *Party, m int) (*ot.DeltaBatch, error) {
+	if p.Role == Alice {
+		r, err := p.OTReceiver()
+		if err != nil {
+			return nil, err
+		}
+		return nil, r.FillDelta(m)
 	}
-	return e.FillRandom(m, 16)
+	s, err := p.OTSender()
+	if err != nil {
+		return nil, err
+	}
+	return s.FillDelta(m)
 }
 
 // TestShareReceivesAreSizeChecked plays a peer sending a short, a long
@@ -354,8 +378,8 @@ func TestRunCircuitMessageCount(t *testing.T) {
 		eBits := make([]bool, c.Slots*len(c.EvalInputs))
 		if tc.pooled {
 			if _, _, err := Run2PC(alice, bob,
-				func(p *Party) (any, error) { r, err := p.OTReceiver(); return nil, fill(r, err, len(eBits)) },
-				func(p *Party) (any, error) { s, err := p.OTSender(); return nil, fill(s, err, len(eBits)) },
+				func(p *Party) (any, error) { _, err := fillLabels(p, len(eBits)); return nil, err },
+				func(p *Party) (any, error) { _, err := fillLabels(p, len(eBits)); return nil, err },
 			); err != nil {
 				t.Fatal(err)
 			}

@@ -140,7 +140,7 @@ func TestCorrelatedOT(t *testing.T) {
 // TestChosenOTIsCorrelatedPlusWord pins the chosen-message closed forms
 // on both paths: 36 B per 16-byte OT direct (extCost: 4 B of correction
 // message and two words), the bits plus two
-// words pooled (ExtOnlineCost).
+// words pooled (extOnlineCost).
 func TestChosenOTIsCorrelatedPlusWord(t *testing.T) {
 	snd, rcv, done := newExtPair(t)
 	defer done()
@@ -155,7 +155,14 @@ func TestChosenOTIsCorrelatedPlusWord(t *testing.T) {
 	fillBoth(t, snd, rcv, m, msgLen)
 	before = moved()
 	runBatch(t, snd, rcv, rng, m, msgLen)
-	if got := moved() - before; got != ExtOnlineCost(m, msgLen) {
-		t.Fatalf("pooled chosen batch moved %d bytes, ExtOnlineCost predicts %d", got, ExtOnlineCost(m, msgLen))
+	if got := moved() - before; got != extOnlineCost(m, msgLen) {
+		t.Fatalf("pooled chosen batch moved %d bytes, extOnlineCost predicts %d", got, extOnlineCost(m, msgLen))
 	}
+}
+
+// extOnlineCost returns the online bytes of a pooled chosen-message
+// batch: the derandomization bits plus the sender's corrections and
+// words.
+func extOnlineCost(m, msgLen int) int64 {
+	return CorrelatedOnlineCost(m, msgLen) + int64(m)*int64(msgLen)
 }

@@ -52,7 +52,7 @@ func CorrelatedCost(m, msgLen int) int64 {
 // instance, a k-th of IKNP's κ×mPad matrix). Message width is
 // irrelevant offline — pads are derived locally and kept. It is also
 // the whole of a direct random-OT batch, which is what the derived
-// setups run.
+// setups run, and of a direct Δ-OT batch, a garbled circuit's labels.
 func ExtOfflineCost(m int) int64 {
 	if m == 0 {
 		return 0
@@ -63,7 +63,8 @@ func ExtOfflineCost(m int) int64 {
 
 // RandomOnlineCost returns the online bytes of a pooled random-OT batch:
 // the receiver's ⌈m/8⌉ packed derandomization bits, the opening message
-// of every batch served from the pool.
+// of every batch served from the pool, and the whole of a pooled Δ-OT
+// batch (delta.go), whose direct form costs ExtOfflineCost.
 func RandomOnlineCost(m int) int64 { return int64((m + 7) / 8) }
 
 // CorrelatedOnlineCost returns the online bytes of a pooled correlated-OT
@@ -72,11 +73,4 @@ func RandomOnlineCost(m int) int64 { return int64((m + 7) / 8) }
 // bits — the total additive overhead of precomputation.
 func CorrelatedOnlineCost(m, msgLen int) int64 {
 	return RandomOnlineCost(m) + int64(m)*int64(msgLen)
-}
-
-// ExtOnlineCost returns the online bytes of a pooled chosen-message
-// batch: the derandomization bits plus the sender's corrections and
-// words.
-func ExtOnlineCost(m, msgLen int) int64 {
-	return CorrelatedOnlineCost(m, msgLen) + int64(m)*int64(msgLen)
 }

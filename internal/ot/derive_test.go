@@ -156,39 +156,13 @@ func TestReverseLeavesPoolsAligned(t *testing.T) {
 		t.Fatalf("pools after the derivation: sender %d, receiver %d batches, want 2 each", snd.pool.Len(), rcv.pool.Len())
 	}
 	for _, d := range []struct{ m, msgLen int }{{kappa, prf.SeedSize}, {40, 8}} {
-		choices := make([]bool, d.m)
-		for j := range choices {
-			choices[j] = rng.Intn(2) == 1
-		}
-		type res struct {
-			b   *SendBatch
-			err error
-		}
-		ch := make(chan res, 1)
-		go func() { b, err := snd.BeginCorrelated(d.m, d.msgLen, nil); ch <- res{b, err} }()
-		rb, err := rcv.BeginCorrelated(choices, d.msgLen)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sb := <-ch
-		if sb.err != nil {
-			t.Fatal(sb.err)
-		}
-		if !rb.Pooled || !sb.b.Pooled {
-			t.Fatalf("m=%d: batch not served from the pool (receiver %v, sender %v)", d.m, rb.Pooled, sb.b.Pooled)
-		}
-		// Finish the batch so the two ends stay in lockstep.
-		zero := make([]byte, d.m*d.msgLen)
-		want := sb.b.X0
-		if err := snd.conn.Send(sb.b.Corrections(func(j int, x0, x1 []byte) { copy(x1, x0) })); err != nil {
-			t.Fatal(err)
-		}
-		corr, err := rcv.conn.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := rb.Open(corr); !bytes.Equal(got, want) || bytes.Equal(got, zero) {
-			t.Fatalf("m=%d: pooled batch after the derivation delivers wrong messages", d.m)
+		// A batch served from the pool moves its derandomization bits and
+		// corrections only; a direct one would also move its matrix.
+		before := rcv.conn.Stats().TotalBytes()
+		runCorrelated(t, snd, rcv, rng, d.m, d.msgLen, "after the derivation",
+			func(_ int, x0, x1 []byte) { copy(x1, x0) }, func(_ int, x0, x1 []byte) bool { return bytes.Equal(x0, x1) })
+		if got := rcv.conn.Stats().TotalBytes() - before; got != CorrelatedOnlineCost(d.m, d.msgLen) {
+			t.Fatalf("m=%d: batch moved %d bytes, not served from the pool (%d)", d.m, got, CorrelatedOnlineCost(d.m, d.msgLen))
 		}
 	}
 	if snd.pool.Len() != 0 || rcv.pool.Len() != 0 || snd.idx != rcv.idx {

@@ -253,7 +253,7 @@ func TestTiledExpansionMatchesMatrixPath(t *testing.T) {
 				}
 				ch := make(chan sent, 1)
 				go func() {
-					r0, r1, err := snd.randomPads(m, msgLen, nil)
+					r0, r1, err := snd.randomPads(m, msgLen)
 					ch <- sent{r0, r1, err}
 				}()
 				rc, err := rcv.randomPads(choices, msgLen)

@@ -23,13 +23,14 @@ const kappa = 128
 // round trip.
 type Sender struct {
 	conn transport.Conn
-	s    [kappa / 8]byte // Δ: every chunk's punctured leaf, packed, chunk j at bits [kj, kj+k); XORed into q-rows for pad 1
+	s    [kappa / 8]byte // Δ: every chunk's punctured leaf, packed, chunk j at bits [kj, kj+k); XORed into q-rows for pad 1; bit lsbBit is 1
 	// leaves holds the AES-CTR schedules of the 2^k − 1 leaves every
 	// chunk's punctured tree reveals, expanded once at setup: chunk j's
 	// leaf x at index j·(2^k − 1) + (x ⊕ Δ_j) − 1.
 	leaves [chunks * (chunkLeaves - 1)]prf.CTR
 	off    uint64 // byte offset of the next batch in every leaf's stream
 	idx    uint64 // global OT counter, for hash tweak freshness
+	serial uint64 // Δ-OT batches opened so far (delta.go)
 	pool   Pool   // precomputed random-OT batches (random.go)
 }
 
@@ -41,7 +42,8 @@ type Receiver struct {
 	leaves [chunks][chunkLeaves]prf.Seed // chunk j's leaf x
 	off    uint64                        // byte offset of the next batch in every leaf's stream
 	idx    uint64                        // global OT counter, equal to the sender's
-	t      []byte                        // the last batch's T, column-major; grow-only
+	serial uint64                        // Δ-OT batches opened so far, equal to the sender's
+	t      []byte                        // the last batch's T, column-major, and a direct Δ-OT batch's rows; grow-only
 	pool   Pool
 }
 
@@ -64,11 +66,25 @@ func packBits(dst []byte, bits []bool) {
 	}
 }
 
-// NewSender runs the base-OT setup (acting as base-OT *receiver* with κ
-// random choice bits), receives the peer's GGM corrections and returns
-// a ready extension sender.
-func NewSender(conn transport.Conn) (*Sender, error) {
+// lsbBit is the bit of Δ that lands in a row's prf.Block.LSB (byte 15,
+// bit 0): the point-and-permute bit of a garbled circuit whose free-XOR
+// offset is Δ (delta.go).
+const lsbBit = 8 * 15
+
+// senderChoices draws the κ base-OT choice bits c of an extension
+// sender: uniform, but for c[lsbBit] = 0, so that Δ = ¬c has lsb(Δ) = 1.
+// Δ keeps 127 uniform bits.
+func senderChoices() []bool {
 	c := randomBits(kappa)
+	c[lsbBit] = false
+	return c
+}
+
+// NewSender runs the base-OT setup (acting as base-OT *receiver* with κ
+// random choice bits, senderChoices), receives the peer's GGM
+// corrections and returns a ready extension sender.
+func NewSender(conn transport.Conn) (*Sender, error) {
+	c := senderChoices()
 	seeds, err := BaseRecv(conn, c)
 	if err != nil {
 		return nil, fmt.Errorf("ot: sender setup: %w", err)
@@ -108,27 +124,26 @@ func sendTrees(conn transport.Conn, pairs [][2]prf.Seed) (*Receiver, error) {
 	return r, nil
 }
 
-// derivedBase runs w direct random OTs as their receiver, on uniform
-// choice bits s, and returns s and the pads they select as seeds: the
-// base OTs of a Reverse or KKRT sender. The batch never comes from the
-// pool, so precomputed batches stay aligned.
-func (r *Receiver) derivedBase(w int) (s []bool, seeds []prf.Seed, err error) {
-	s = randomBits(w)
+// derivedBase runs len(s) direct random OTs as their receiver, on the
+// choice bits s, and returns the pads they select as seeds: the base OTs
+// of a Reverse or KKRT sender. The batch never comes from the pool, so
+// precomputed batches stay aligned.
+func (r *Receiver) derivedBase(s []bool) ([]prf.Seed, error) {
 	pads, err := r.randomPads(s, prf.SeedSize)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	seeds = make([]prf.Seed, w)
+	seeds := make([]prf.Seed, len(s))
 	for i := range seeds {
 		seeds[i] = prf.Seed(pads[i*prf.SeedSize:])
 	}
-	return s, seeds, nil
+	return seeds, nil
 }
 
 // derivedBase is the peer's half of Receiver.derivedBase: both pads of
 // each of the w random OTs become one seed pair.
 func (s *Sender) derivedBase(w int) ([][2]prf.Seed, error) {
-	r0, r1, err := s.randomPads(w, prf.SeedSize, nil)
+	r0, r1, err := s.randomPads(w, prf.SeedSize)
 	if err != nil {
 		return nil, err
 	}
@@ -141,13 +156,15 @@ func (s *Sender) derivedBase(w int) ([][2]prf.Seed, error) {
 
 // Reverse sets up the opposite direction on r's connection without
 // public-key work: κ direct random OTs of this direction serve as its
-// base OTs (DESIGN.md §3). r's uniform choice bits and the pads they
-// select become the new sender's base-OT output, and the peer, the new
+// base OTs (DESIGN.md §3). r's choice bits (senderChoices, so this
+// sender's lsb(Δ) is 1 too) and the pads they select become the new
+// sender's base-OT output, and the peer, the new
 // receiver, answers with its GGM corrections. The peer calls
 // Sender.Reverse at the same protocol point; it costs DeriveCost, one
 // message each way.
 func (r *Receiver) Reverse() (*Sender, error) {
-	c, seeds, err := r.derivedBase(kappa)
+	c := senderChoices()
+	seeds, err := r.derivedBase(c)
 	if err != nil {
 		return nil, fmt.Errorf("ot: derived sender setup: %w", err)
 	}
@@ -237,7 +254,8 @@ func padTo64(m int) uint64 { return uint64(m+63) &^ 63 }
 func streamAdvance(rowBytes int) uint64 { return uint64(rowBytes+15) &^ 15 }
 
 // growBytes returns (*buf)[:n], reallocating only when n exceeds its
-// capacity: a receiver's column buffer grows once per session.
+// capacity: a receiver's batch scratch grows with the largest batch of
+// its session.
 func growBytes(buf *[]byte, n int) []byte {
 	if cap(*buf) < n {
 		*buf = make([]byte, n)

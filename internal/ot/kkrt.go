@@ -88,7 +88,8 @@ type KKRTReceiver struct {
 // batches stay aligned; it costs KKRTSetupCost, one message from r's end
 // to the peer.
 func NewKKRTSender(r *Receiver) (*KKRTSender, error) {
-	s, seeds, err := r.derivedBase(KKRTWidth)
+	s := randomBits(KKRTWidth)
+	seeds, err := r.derivedBase(s)
 	if err != nil {
 		return nil, fmt.Errorf("ot: KKRT sender setup: %w", err)
 	}

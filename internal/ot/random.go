@@ -30,7 +30,8 @@ import (
 // is the matrix and nothing else, and a pooled one is the correction bits
 // and nothing else. Correlated and chosen-message batches (correlated.go)
 // add the sender's one reply; the derived setups (Reverse, kkrt.go) take
-// their random OTs direct, from randomPads.
+// their random OTs direct, from randomPads. Δ-OT batches (delta.go) share
+// the expansion and the pool, with unhashed rows instead of pads.
 
 // Pool metrics: how online batches were served (a miss is any batch
 // that ran the direct protocol, whether the pool was empty or held
@@ -40,14 +41,17 @@ var (
 	mPoolMisses = obs.NewCounter("secyan_ot_pool_miss_total", "Extension batches that ran the direct protocol (pool empty or mismatched).")
 )
 
-// randBatch is one precomputed random-OT batch. Each endpoint stores only
-// its own half; pads are flat m×msgLen arrays.
+// randBatch is one precomputed batch: random OTs with msgLen-byte pads,
+// or Δ-OTs (msgLen deltaKind, delta.go). Each endpoint stores only its
+// own half; pads and rows are flat m×msgLen (m×16) arrays.
 type randBatch struct {
 	m      int
 	msgLen int
-	r0, r1 []byte // sender: the two random pads per instance
-	bits   []bool // receiver: random choice bits
-	rc     []byte // receiver: the pad of the chosen side, r^{bⱼ}ⱼ
+	r0, r1 []byte      // sender: the two random pads per instance
+	delta  *DeltaBatch // sender of a Δ-OT batch: its rows
+	bits   []bool      // receiver: random choice bits
+	rc     []byte      // receiver: the pad of the chosen side, r^{bⱼ}ⱼ, or a Δ-OT batch's rows t_j
+	serial uint64      // receiver of a Δ-OT batch: its serial
 }
 
 // Pool is a FIFO of precomputed random-OT batches attached to a Sender or
@@ -90,12 +94,14 @@ func (p *Pool) take(m, msgLen int) *randBatch {
 	return head
 }
 
-// Ready reports whether the next batch of m OTs with msgLen-byte messages
-// will be served from the pool. The peer's pool gives the same answer.
-func (p *Pool) Ready(m, msgLen int) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.batches) > 0 && p.batches[0].m == m && p.batches[0].msgLen == msgLen
+// open takes the pool batch that a batch of m OTs of width msgLen
+// derandomizes, nil when it runs direct, and starts the span of the
+// kernel that runs it.
+func (p *Pool) open(m, msgLen int, direct, derand *obs.Kernel) (*randBatch, obs.Span) {
+	if b := p.take(m, msgLen); b != nil {
+		return b, derand.Begin()
+	}
+	return nil, direct.Begin()
 }
 
 // Len reports the number of unconsumed precomputed batches.
@@ -119,33 +125,47 @@ func (s *Sender) Pool() *Pool { return &s.pool }
 // Pool returns the receiver's precomputed random-OT pool.
 func (r *Receiver) Pool() *Pool { return &r.pool }
 
-// randomPads runs the input-independent half of one extension batch of m
-// OTs as the sender — receive the correction message, expand, hash — and
-// returns both pads of every instance, flat m×msgLen each. r1, when not
-// nil, is where the second pads go (a correlated batch's reply buffer);
-// otherwise they are allocated. Nothing is sent: the pads themselves are
-// the sender's random-OT outputs.
+// rowSink is what a sender's batch makes of its rows q_j: both pads of
+// every instance, hashed (a random OT), or the rows themselves (a Δ-OT
+// batch, delta.go). A concrete type rather than a callback, so that a
+// tile's rows stay on its worker's stack.
+type rowSink struct {
+	r0, r1 []byte // the pads, msgLen bytes per instance
+	msgLen int
+	idx    uint64      // the OT index of the batch's first instance
+	q      []prf.Block // a Δ-OT batch's rows; nil for pads
+}
+
+// put takes the rows of the n instances [base, base+n).
+func (o *rowSink) put(rows *[padBatch]prf.Block, n, base int, delta *[kappa / 8]byte) {
+	if o.q != nil {
+		copy(o.q[base:base+n], rows[:n])
+		return
+	}
+	hashPads(o.r0, rows, n, base, o.idx, o.msgLen)
+	for j := range rows[:n] {
+		prf.XORBytes(rows[j][:], rows[j][:], delta[:])
+	}
+	hashPads(o.r1, rows, n, base, o.idx, o.msgLen)
+}
+
+// expand runs the input-independent half of one extension batch of m OTs
+// as the sender: it receives the correction message and hands every row
+// q_j to out. Nothing is sent.
 //
 // The expansion runs tile by tile (eachTile): a worker derives every
 // chunk's columns of its tile into a κ×tileBytes scratch on its stack
-// (chunkTile, from the leaf schedules expanded at setup) and hashes the
-// rows q_j and q_j ⊕ s straight out of its 64×64 transpose blocks, so no
-// κ×m matrix and no transpose of one is ever built. The pads and the
-// wire message are the only O(m) allocations.
-func (s *Sender) randomPads(m, msgLen int, r1 []byte) ([]byte, []byte, error) {
-	if msgLen <= 0 {
-		return nil, nil, fmt.Errorf("ot: random-OT message length %d", msgLen)
-	}
+// (chunkTile, from the leaf schedules expanded at setup) and takes the
+// rows straight out of its 64×64 transpose blocks, so no κ×m matrix and
+// no transpose of one is ever built. The outputs and the wire message
+// are the only O(m) allocations.
+func (s *Sender) expand(m int, out *rowSink) error {
 	rowBytes := int(padTo64(m)) / 8
 	u, err := transport.RecvSized(s.conn, "ot: extension matrix", chunks*rowBytes)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	r0 := make([]byte, m*msgLen)
-	if r1 == nil {
-		r1 = make([]byte, m*msgLen)
-	}
-	off, idx := s.off, s.idx
+	off := s.off
 	eachTile(rowBytes, func(c0, n int) {
 		var q [kappa * tileBytes]byte
 		var g leafTiles
@@ -162,40 +182,59 @@ func (s *Sender) randomPads(m, msgLen int, r1 []byte) ([]byte, []byte, error) {
 		}
 		for b := 0; b < n && 8*(c0+b) < m; b += 8 {
 			base := 8 * (c0 + b)
-			k := min(padBatch, m-base)
 			blockRows(prf.BlockBytes(rows[:]), q[:], kappa, tileBytes, 8*b)
-			hashPads(r0, &rows, k, base, idx, msgLen)
-			for j := range rows[:k] {
-				prf.XORBytes(rows[j][:], rows[j][:], s.s[:])
-			}
-			hashPads(r1, &rows, k, base, idx, msgLen)
+			out.put(&rows, min(padBatch, m-base), base, &s.s)
 		}
 	})
 	s.off += streamAdvance(rowBytes)
-	s.idx += padTo64(m)
-	return r0, r1, nil
+	return nil
 }
 
-// randomPads is the receiver half: it sends the correction message for
-// the given choice bits and returns the chosen-side pad of every
-// instance, flat m×msgLen. Every chunk's choice input is the choice
-// vector r, padded to whole words with zero bits, as KKRT pads its
-// codes: those instances are discarded. u leaves before anything is
-// hashed, so the peer's derivation overlaps this end's hashing.
+// randomPads runs one extension batch of m random OTs as the sender and
+// returns both pads of every instance, H(q_j) and H(q_j ⊕ Δ), flat
+// m×msgLen each: the sender's random-OT outputs.
+func (s *Sender) randomPads(m, msgLen int) ([]byte, []byte, error) {
+	if msgLen <= 0 {
+		return nil, nil, fmt.Errorf("ot: random-OT message length %d", msgLen)
+	}
+	out := rowSink{r0: make([]byte, m*msgLen), r1: make([]byte, m*msgLen), msgLen: msgLen, idx: s.idx}
+	if err := s.expand(m, &out); err != nil {
+		return nil, nil, err
+	}
+	s.idx += padTo64(m)
+	return out.r0, out.r1, nil
+}
+
+// expand is the receiver half of Sender.expand: it sends the correction
+// message for the given choice bits and returns the batch's columns t,
+// rowBytes each, and extra bytes of scratch for the caller, both in the
+// session's grow-only buffer, valid until the next batch. Every chunk's
+// choice input is the choice vector r, padded to whole words with zero
+// bits, as KKRT pads its codes: those instances are discarded. u leaves
+// before the caller reads a row, so the peer's derivation overlaps this
+// end's.
+func (r *Receiver) expand(choices []bool, extra int) (t, scratch []byte, rowBytes int, err error) {
+	rowBytes = int(padTo64(len(choices))) / 8
+	x := make([]byte, rowBytes)
+	packBits(x, choices)
+	buf, u := growBytes(&r.t, kappa*rowBytes+extra), make([]byte, chunks*rowBytes)
+	t, scratch = buf[:kappa*rowBytes], buf[kappa*rowBytes:]
+	expandChunks(t, u, x, 0, chunks, chunkBits, rowBytes, r.off, func(j, x int) prf.Seed { return r.leaves[j][x] })
+	r.off += streamAdvance(rowBytes)
+	return t, scratch, rowBytes, r.conn.Send(u)
+}
+
+// randomPads is the receiver half of Sender.randomPads: it returns the
+// chosen-side pad H(t_j) of every instance, flat m×msgLen.
 func (r *Receiver) randomPads(choices []bool, msgLen int) ([]byte, error) {
 	if msgLen <= 0 {
 		return nil, fmt.Errorf("ot: random-OT message length %d", msgLen)
 	}
-	m := len(choices)
-	rowBytes := int(padTo64(m)) / 8
-	x := make([]byte, rowBytes)
-	packBits(x, choices)
-	t, u := growBytes(&r.t, kappa*rowBytes), make([]byte, chunks*rowBytes)
-	expandChunks(t, u, x, 0, chunks, chunkBits, rowBytes, r.off, func(j, x int) prf.Seed { return r.leaves[j][x] })
-	r.off += streamAdvance(rowBytes)
-	if err := r.conn.Send(u); err != nil {
+	t, _, rowBytes, err := r.expand(choices, 0)
+	if err != nil {
 		return nil, err
 	}
+	m := len(choices)
 	rc := make([]byte, m*msgLen)
 	idx := r.idx
 	eachBlock(m, func(base, n int) {
@@ -218,7 +257,7 @@ func (s *Sender) FillRandom(m, msgLen int) error {
 	}
 	sp := obs.Begin("ot", "ot.pool.fill.send")
 	defer sp.EndN(int64(m))
-	r0, r1, err := s.randomPads(m, msgLen, nil)
+	r0, r1, err := s.randomPads(m, msgLen)
 	if err != nil {
 		return err
 	}
@@ -243,13 +282,15 @@ func (r *Receiver) FillRandom(m, msgLen int) error {
 	return nil
 }
 
-// sendRandom serves m random OTs from the pool batch b — receive the
-// derandomization bits and swap the pads of every instance whose bit is
-// set — or, when b is nil, from a direct extension batch whose second
-// pads go to r1 (allocated when nil).
-func (s *Sender) sendRandom(b *randBatch, m, msgLen int, r1 []byte) ([]byte, []byte, error) {
+// sendRandom serves m random OTs with msgLen-byte pads from the pool
+// head when it matches — receive the derandomization bits and swap the
+// pads of every instance whose bit is set — or else from a direct
+// extension batch.
+func (s *Sender) sendRandom(m, msgLen int) ([]byte, []byte, error) {
+	b, sp := s.pool.open(m, msgLen, kExtSend, kDerandSend)
+	defer sp.EndN(int64(m))
 	if b == nil {
-		return s.randomPads(m, msgLen, r1)
+		return s.randomPads(m, msgLen)
 	}
 	dMsg, err := transport.RecvSized(s.conn, "ot: derandomization corrections", (m+7)/8)
 	if err != nil {
@@ -267,21 +308,28 @@ func (s *Sender) sendRandom(b *randBatch, m, msgLen int, r1 []byte) ([]byte, []b
 }
 
 // receiveRandom is the receiver half of sendRandom: it sends the
-// derandomization bits dⱼ = cⱼ ⊕ bⱼ that turn the pooled choices of b
-// into the wanted ones and returns the stored pads, or runs a direct
-// batch when b is nil.
-func (r *Receiver) receiveRandom(b *randBatch, choices []bool, msgLen int) ([]byte, error) {
+// derandomization bits dⱼ = cⱼ ⊕ bⱼ that turn the pooled choices bⱼ into
+// the wanted ones and returns the stored pads, or runs a direct batch.
+func (r *Receiver) receiveRandom(choices []bool, msgLen int) ([]byte, error) {
+	b, sp := r.pool.open(len(choices), msgLen, kExtRecv, kDerandRecv)
+	defer sp.EndN(int64(len(choices)))
 	if b == nil {
 		return r.randomPads(choices, msgLen)
 	}
-	d := make([]byte, (len(choices)+7)/8)
-	for j, c := range choices {
-		if c != b.bits[j] {
-			d[j/8] |= 1 << (j % 8)
-		}
-	}
-	if err := r.conn.Send(d); err != nil {
+	if err := r.conn.Send(flipBits(choices, b.bits)); err != nil {
 		return nil, err
 	}
 	return b.rc, nil
+}
+
+// flipBits packs the derandomization bits d_j = c_j ⊕ b_j of the wanted
+// choices c against a pooled batch's b.
+func flipBits(c, b []bool) []byte {
+	d := make([]byte, (len(c)+7)/8)
+	for j := range c {
+		if c[j] != b[j] {
+			d[j/8] |= 1 << (j % 8)
+		}
+	}
+	return d
 }

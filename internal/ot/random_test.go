@@ -217,10 +217,10 @@ func runRandomBatch(t *testing.T, snd *Sender, rcv *Receiver, rng *rand.Rand, m,
 	}
 	ch := make(chan pads, 1)
 	go func() {
-		r0, r1, err := snd.sendRandom(snd.pool.take(m, msgLen), m, msgLen, nil)
+		r0, r1, err := snd.sendRandom(m, msgLen)
 		ch <- pads{r0, r1, err}
 	}()
-	rc, err := rcv.receiveRandom(rcv.pool.take(m, msgLen), choices, msgLen)
+	rc, err := rcv.receiveRandom(choices, msgLen)
 	if err != nil {
 		t.Fatalf("receiveRandom: %v", err)
 	}

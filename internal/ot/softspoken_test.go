@@ -41,7 +41,7 @@ func checkRandomOTs(t testing.TB, snd *Sender, rcv *Receiver, rng *rand.Rand, m 
 		err    error
 	}
 	ch := make(chan sent, 1)
-	go func() { r0, r1, err := snd.randomPads(m, 16, nil); ch <- sent{r0, r1, err} }()
+	go func() { r0, r1, err := snd.randomPads(m, 16); ch <- sent{r0, r1, err} }()
 	rc, err := rcv.randomPads(choices, 16)
 	if err != nil {
 		t.Fatalf("receiver batch: %v", err)

@@ -49,7 +49,7 @@ func warmOT(t testing.TB, alice, bob *mpc.Party) {
 func demandBytes(pr Params, d Demand) int64 {
 	c := gc.DimsOf(d.Circuit())
 	return int64(d.Seed) + ot.KKRTCost(pr.B) + int64(d.Hint) + ot.CorrelatedCost(pr.B, d.RhoLen) +
-		c.MessageCost() + ot.CorrelatedCost(c.EvalInputs, 16)
+		c.MessageCost() + ot.ExtOfflineCost(c.EvalInputs)
 }
 
 // TestCostExact pins the measured traffic of real executions across set

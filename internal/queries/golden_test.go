@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"secyan/internal/core"
+	"secyan/internal/tpch"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden plan files under testdata/")
@@ -27,27 +28,12 @@ const goldenEstOut = 16
 // after reviewing it.
 func TestGoldenPlans(t *testing.T) {
 	db := testDB(t)
-	for _, spec := range []Spec{Q3(), Q10(), q18WithThreshold(120), Q8(), Q9(2)} {
+	for _, spec := range goldenSpecs() {
 		t.Run(spec.Name, func(t *testing.T) {
-			q, err := PlanFor(spec, db)
-			if err != nil {
-				t.Fatal(err)
-			}
-			plan, err := core.ExplainOpts(q, 32, core.Options{EstOut: goldenEstOut})
-			if err != nil {
-				t.Fatal(err)
-			}
+			plan, noOpt := goldenPlans(t, spec, db)
 			var plain, exact bytes.Buffer
 			plan.Format(&plain)
 			formatBytes(&exact, plan)
-			// The whole-byte listing also pins the plan that takes the
-			// shared-input operator paths: every input secret-shared.
-			shared := *q
-			shared.NoLocalOptimizations = true
-			noOpt, err := core.ExplainOpts(&shared, 32, core.Options{EstOut: goldenEstOut})
-			if err != nil {
-				t.Fatal(err)
-			}
 			fmt.Fprintf(&exact, "\nno local optimizations:\n")
 			formatBytes(&exact, noOpt)
 			base := filepath.Join("testdata", strings.ToLower(spec.Name))
@@ -55,6 +41,47 @@ func TestGoldenPlans(t *testing.T) {
 			compareGolden(t, spec.Name, base+".bytes.txt", exact.Bytes())
 		})
 	}
+}
+
+// TestOnlineBytesWithinDirect pins what precomputation buys online on
+// the ten golden plans: no step's online bill (its pooled batches'
+// derandomization bits and everything not pooled) exceeds its direct
+// bill.
+func TestOnlineBytesWithinDirect(t *testing.T) {
+	db := testDB(t)
+	for _, spec := range goldenSpecs() {
+		plan, noOpt := goldenPlans(t, spec, db)
+		for _, p := range []*core.Plan{plan, noOpt} {
+			for i, s := range p.Steps {
+				if s.EstOnlineBytes > s.EstBytes {
+					t.Errorf("%s step %d %s[%s]: online %d B > direct %d B", spec.Name, i, s.Op, s.Node, s.EstOnlineBytes, s.EstBytes)
+				}
+			}
+		}
+	}
+}
+
+// goldenSpecs are the queries the golden files pin.
+func goldenSpecs() []Spec { return []Spec{Q3(), Q10(), q18WithThreshold(120), Q8(), Q9(2)} }
+
+// goldenPlans compiles spec's plan on db, and the same plan with every
+// input secret-shared, the one that takes the shared-input operator
+// paths.
+func goldenPlans(t *testing.T, spec Spec, db *tpch.DB) (plan, noOpt *core.Plan) {
+	t.Helper()
+	q, err := PlanFor(spec, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan, err = core.ExplainOpts(q, 32, core.Options{EstOut: goldenEstOut}); err != nil {
+		t.Fatal(err)
+	}
+	shared := *q
+	shared.NoLocalOptimizations = true
+	if noOpt, err = core.ExplainOpts(&shared, 32, core.Options{EstOut: goldenEstOut}); err != nil {
+		t.Fatal(err)
+	}
+	return plan, noOpt
 }
 
 // formatBytes lists plan's estimates in whole bytes: per step its

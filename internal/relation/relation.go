@@ -158,6 +158,11 @@ func New(schema Schema) *Relation {
 	return &Relation{Schema: schema}
 }
 
+// NewCap creates an empty relation with room for n tuples.
+func NewCap(schema Schema, n int) *Relation {
+	return &Relation{Schema: schema, Tuples: make([][]uint64, 0, n), Annot: make([]uint64, 0, n)}
+}
+
 // Append adds one tuple; row length must match the schema. A mismatch is
 // a programming error, unreachable from peer input: rows decoded from
 // peer messages are built at the schema's width from messages whose
@@ -575,21 +580,22 @@ func (r *Relation) DropZeroAnnotated() *Relation {
 // rows.
 func (r *Relation) Mask(schema Schema, cols []int, pred func(row []uint64) bool,
 	annot func(row []uint64) uint64, dg *DummyGen) *Relation {
-	out := New(schema)
-	for _, row := range r.Tuples {
+	n, w := len(r.Tuples), len(cols)
+	out := NewCap(schema, n)
+	flat := make([]uint64, n*w) // one backing array; each row capped at its width
+	for i, row := range r.Tuples {
+		proj := flat[i*w : (i+1)*w : (i+1)*w]
 		if pred == nil || pred(row) {
-			proj := make([]uint64, len(cols))
 			for c, cc := range cols {
 				proj[c] = row[cc]
 			}
 			out.Append(proj, annot(row))
 			continue
 		}
-		d := make([]uint64, len(cols))
-		for c := range d {
-			d[c] = dg.Next()
+		for c := range proj {
+			proj[c] = dg.Next()
 		}
-		out.Append(d, 0)
+		out.Append(proj, 0)
 	}
 	return out
 }
