@@ -18,8 +18,12 @@ import (
 // the O(n) public-size message buffers) are recorded in EXPERIMENTS.md.
 
 // retainedBytes measures the live heap retained by what f returns:
-// settle, snapshot, run f, collect its garbage, snapshot again.
+// settle, snapshot, run f, collect its garbage, snapshot again. Settling
+// takes two collections: the first moves sync.Pool contents to the
+// pools' victim caches and the second frees them, so that no earlier
+// test's pooled buffers are freed during the measurement.
 func retainedBytes(f func() interface{}) int64 {
+	runtime.GC()
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

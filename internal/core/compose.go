@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"secyan/internal/gc"
 	"secyan/internal/mpc"
 	"secyan/internal/relation"
 )
@@ -72,36 +71,12 @@ func (r *SharedResult) Subtract(ring interface{ Sub(a, b uint64) uint64 }, other
 	return &SharedResult{Single: out}, nil
 }
 
-// buildRatioCircuit computes, per row, q = (a·scale)/b over shared a and
-// b, revealing to the evaluator (Alice) the masked quotient nz(b) ? q : 0
-// in the clear and the nz bit, plus — when Bob holds the rows — the row
-// values as a payload keyed to nz (see revealGadget). Division follows
-// the restoring-division circuit; scale is a public constant.
-func buildRatioCircuit(n, cols, ell int, scale uint64, withRows bool) *gc.Circuit {
-	b := gc.NewBuilder()
-	scaleW := b.ConstWord(scale, ell)
-	for i := 0; i < n; i++ {
-		ae := b.EvalInputWord(ell)
-		ag := b.PrivateWord(ell)
-		be := b.EvalInputWord(ell)
-		bg := b.PrivateWord(ell)
-		a := b.AddPrivate(ae, ag)
-		den := b.AddPrivate(be, bg)
-		nz := b.NonZero(den)
-		q, _ := b.DivMod(b.Mul(a, scaleW), den)
-		b.OutputWordToEval(b.ANDWordBit(q, nz))
-		if withRows {
-			b.OutputPayloadIf(nz, b.PrivateWord(cols*attrBits))
-		} else {
-			b.OutputToEval(nz)
-		}
-	}
-	return b.Build()
-}
-
 // RevealRatio composes two aligned shared results as the per-row ratio
 // (num·scale)/den and reveals rows and ratios to Alice for the rows with
 // a nonzero denominator (TPC-H Q8's mkt_share, §8.1). Bob receives nil.
+// The circuit is the reveal circuit over den with its ratio output (see
+// revealGadget); scaling is ring-linear, so each party scales its own
+// numerator shares first, mod 2^ℓ.
 func RevealRatio(p *mpc.Party, num, den *SharedResult, scale uint64) (*relation.Relation, error) {
 	if num.N() != den.N() {
 		return nil, fmt.Errorf("core: ratio of results with different sizes")
@@ -111,73 +86,27 @@ func RevealRatio(p *mpc.Party, num, den *SharedResult, scale uint64) (*relation.
 	if a.Holder != d.Holder {
 		return nil, fmt.Errorf("core: ratio of results with different holders")
 	}
-	n := a.N
-	ell := p.Ring.Bits
-	cols := len(a.Schema.Attrs)
-	withRows := a.Holder == mpc.Bob
-	circ := buildRatioCircuit(n, cols, ell, scale, withRows)
-	if n == 0 {
+	if d.N == 0 {
 		if p.Role == mpc.Alice {
-			return relation.New(a.Schema), nil
+			return relation.New(d.Schema), nil
 		}
 		return nil, nil
 	}
-
-	if p.Role == mpc.Alice {
-		evalBits := make([]bool, 0, 2*n*ell)
-		for i := 0; i < n; i++ {
-			evalBits = gc.AppendBits(evalBits, a.Annot[i], ell)
-			evalBits = gc.AppendBits(evalBits, d.Annot[i], ell)
-		}
-		out, err := p.RunCircuit(circ, evalBits, nil, mpc.Bob)
-		if err != nil {
-			return nil, err
-		}
-		res := relation.New(a.Schema)
-		per := ell + 1
-		if withRows {
-			per += cols * attrBits
-		}
-		for i := 0; i < n; i++ {
-			off := i * per
-			q := gc.UintOfBits(out[off : off+ell])
-			row := make([]uint64, cols)
-			keep := out[off+ell]
-			if withRows {
-				for c := 0; c < cols; c++ {
-					row[c] = gc.UintOfBits(out[off+ell+1+c*attrBits : off+ell+1+(c+1)*attrBits])
-					if relation.IsDummyValue(row[c]) {
-						keep = false
-					}
-				}
-			} else {
-				copy(row, a.Rel.Tuples[i])
-				if a.Rel.IsDummy(i) {
-					keep = false
-				}
-			}
-			if keep {
-				res.Append(row, q)
-			}
-		}
-		return res, nil
+	scaled := make([]uint64, d.N)
+	for i, v := range a.Annot {
+		scaled[i] = p.Ring.Mul(v, scale)
 	}
-
-	// Bob: garbler with private shares (and rows when he holds them).
-	priv := make([]bool, 0, n*(2*ell+cols*attrBits))
-	for i := 0; i < n; i++ {
-		priv = gc.AppendBits(priv, a.Annot[i], ell)
-		priv = gc.AppendBits(priv, d.Annot[i], ell)
-		if withRows {
-			for c := 0; c < cols; c++ {
-				priv = gc.AppendBits(priv, a.Rel.Tuples[i][c], attrBits)
-			}
-		}
-	}
-	if _, err := p.RunCircuit(circ, nil, priv, mpc.Bob); err != nil {
+	rows, quot, err := revealCircuit(p, d, scaled)
+	if err != nil || p.Role != mpc.Alice {
 		return nil, err
 	}
-	return nil, nil
+	res := relation.New(d.Schema)
+	for i, row := range rows.Tuples {
+		if rows.Annot[i] == 1 {
+			res.Append(row, quot[i])
+		}
+	}
+	return res, nil
 }
 
 // Reveal reconstructs the result at Alice: rows plus annotation values,

@@ -2,8 +2,10 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"secyan/internal/gc"
 	"secyan/internal/mpc"
 	"secyan/internal/relation"
 )
@@ -49,7 +51,9 @@ func runComposed(t *testing.T, q *Query, relsA, relsB []*relation.Relation,
 
 // composeQuery builds a two-relation group-by query where the two variants
 // differ only in annotations — the structure of TPC-H Q8/Q9 composition.
-func composeQuery(rng *rand.Rand) (q *Query, relsA, relsB []*relation.Relation, wantNum, wantDen map[uint64]uint64) {
+// The grouped relation belongs to owner, and group 2's denominator is
+// zero.
+func composeQuery(rng *rand.Rand, owner mpc.Role) (q *Query, relsA, relsB []*relation.Relation, wantNum, wantDen map[uint64]uint64) {
 	n := 14
 	base := relation.New(relation.MustSchema("k", "g"))
 	other := relation.New(relation.MustSchema("k"))
@@ -60,13 +64,16 @@ func composeQuery(rng *rand.Rand) (q *Query, relsA, relsB []*relation.Relation, 
 	ra := base.Clone()
 	rb := base.Clone()
 	for i := 0; i < n; i++ {
-		ra.Annot[i] = uint64(rng.Intn(50))
-		rb.Annot[i] = uint64(50 + rng.Intn(50)) // denominator nonzero per tuple
+		ra.Annot[i] = uint64(rng.Intn(1000))
+		rb.Annot[i] = uint64(50 + rng.Intn(50))
+		if base.Tuples[i][1] == 2 {
+			rb.Annot[i] = 0
+		}
 	}
 	q = &Query{
 		Inputs: []Input{
-			{Name: "base", Owner: mpc.Bob, Schema: base.Schema, N: n},
-			{Name: "other", Owner: mpc.Alice, Schema: other.Schema, N: n},
+			{Name: "base", Owner: owner, Schema: base.Schema, N: n},
+			{Name: "other", Owner: 1 - owner, Schema: other.Schema, N: n},
 		},
 		Output: []relation.Attr{"g"},
 	}
@@ -85,31 +92,126 @@ func composeQuery(rng *rand.Rand) (q *Query, relsA, relsB []*relation.Relation, 
 	return q, []*relation.Relation{ra, other}, []*relation.Relation{rb, other}, wantNum, wantDen
 }
 
+// TestComposeRatio reveals a ratio of two shared results with the rows
+// at either party: every group with a nonzero denominator appears once
+// with its quotient, and neither a zero-denominator group nor a dummy row
+// appears.
 func TestComposeRatio(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	q, relsA, relsB, wantNum, wantDen := composeQuery(rng)
-	const scale = 100
-	got := runComposed(t, q, relsA, relsB, func(p *mpc.Party, ra, rb *SharedResult) (*relation.Relation, error) {
-		return RevealRatio(p, ra, rb, scale)
-	})
-	rows := map[uint64]uint64{}
-	for i := range got.Tuples {
-		rows[got.Tuples[i][0]] = got.Annot[i]
+	for _, owner := range []mpc.Role{mpc.Alice, mpc.Bob} {
+		t.Run(owner.String(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(31))
+			q, relsA, relsB, wantNum, wantDen := composeQuery(rng, owner)
+			const scale = 100
+			got := runComposed(t, q, relsA, relsB, func(p *mpc.Party, ra, rb *SharedResult) (*relation.Relation, error) {
+				if h := rb.asShared().Holder; h != owner {
+					t.Errorf("result rows at %v, want %v", h, owner)
+				}
+				return RevealRatio(p, ra, rb, scale)
+			})
+			rows := map[uint64]uint64{}
+			for i, row := range got.Tuples {
+				g := row[0]
+				if relation.IsDummyValue(g) {
+					t.Fatalf("dummy row %v revealed", row)
+				}
+				if _, dup := rows[g]; dup {
+					t.Fatalf("group %d revealed twice", g)
+				}
+				rows[g] = got.Annot[i]
+			}
+			if wantDen[2] != 0 {
+				t.Fatalf("group 2's denominator is %d, want 0", wantDen[2])
+			}
+			for g, den := range wantDen {
+				ratio, ok := rows[g]
+				if den == 0 {
+					if ok {
+						t.Fatalf("group %d has a zero denominator but was revealed as %d", g, ratio)
+					}
+					continue
+				}
+				if want := wantNum[g] * scale / den; !ok || ratio != want {
+					t.Fatalf("group %d: ratio %d (revealed %v), want %d (num=%d den=%d)", g, ratio, ok, want, wantNum[g], den)
+				}
+			}
+			for g := range rows {
+				if wantDen[g] == 0 {
+					t.Fatalf("group %d revealed without a denominator", g)
+				}
+			}
+		})
 	}
-	for g, den := range wantDen {
-		if den == 0 {
-			continue
+}
+
+// TestRatioGadgetZeroDenominator evaluates the ratio circuit in the clear
+// on shares laid out as revealCircuit lays them out: a zero denominator
+// yields nz = 0, zero payload bits and q = 0 (the division alone would
+// give all ones), a nonzero one nz = 1, the row and num/den.
+func TestRatioGadgetZeroDenominator(t *testing.T) {
+	const cols = 2
+	ring, ell := testRing, testRing.Bits
+	rng := rand.New(rand.NewSource(41))
+	row := []uint64{7, 9}
+	in := []struct{ num, den uint64 }{{1234, 5}, {77, 0}, {0, 0}}
+	for _, withRows := range []bool{false, true} {
+		circ := buildRevealCircuit(len(in), cols, ell, withRows, true)
+		var evalBits, priv []bool
+		for _, tu := range in {
+			na, da := ring.Mask(rng.Uint64()), ring.Mask(rng.Uint64())
+			nb, db := ring.Sub(tu.num, na), ring.Sub(tu.den, da)
+			evalBits = gc.AppendBits(gc.AppendBits(evalBits, da, ell), na, ell)
+			priv = gc.AppendBits(priv, ring.Neg(db), ell)
+			if withRows {
+				for _, v := range row {
+					priv = gc.AppendBits(priv, v, attrBits)
+				}
+			}
+			priv = gc.AppendBits(gc.AppendBits(priv, db, ell), nb, ell)
 		}
-		want := wantNum[g] * scale / den
-		if rows[g] != want {
-			t.Fatalf("group %d: ratio %d, want %d (num=%d den=%d)", g, rows[g], want, wantNum[g], den)
+		out, _, err := circ.EvalPlain(nil, evalBits, priv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stride := len(out) / len(in)
+		for i, tu := range in {
+			o := out[i*stride : (i+1)*stride]
+			nz, q := o[0], gc.UintOfBits(o[stride-ell:])
+			payload := o[1 : stride-ell]
+			wantQ := uint64(0)
+			if tu.den != 0 {
+				wantQ = tu.num / tu.den
+			}
+			if nz != (tu.den != 0) || q != wantQ {
+				t.Errorf("withRows=%v num=%d den=%d: nz=%v q=%d, want nz=%v q=%d", withRows, tu.num, tu.den, nz, q, tu.den != 0, wantQ)
+			}
+			for c := 0; withRows && c < cols; c++ {
+				want := row[c]
+				if !nz {
+					want = 0
+				}
+				if got := gc.UintOfBits(payload[c*attrBits : (c+1)*attrBits]); got != want {
+					t.Errorf("withRows num=%d den=%d: column %d reads %d, want %d", tu.num, tu.den, c, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestRatioCircuitIsSlotBuilt pins that the ratio circuit of n rows is
+// one gadget repeated n times: its gate list does not depend on n.
+func TestRatioCircuitIsSlotBuilt(t *testing.T) {
+	one := buildRevealCircuit(1, 3, 32, true, true)
+	for _, n := range []int{2, 17, 1000} {
+		c := buildRevealCircuit(n, 3, 32, true, true)
+		if c.Slots != n || !reflect.DeepEqual(c.Gates, one.Gates) || c.NumPrivate != one.NumPrivate {
+			t.Fatalf("n=%d: %d slots of %d gates, want %d slots of the one-row circuit's %d", n, c.Slots, len(c.Gates), n, len(one.Gates))
 		}
 	}
 }
 
 func TestComposeSubtract(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
-	q, relsA, relsB, wantNum, wantDen := composeQuery(rng)
+	q, relsA, relsB, wantNum, wantDen := composeQuery(rng, mpc.Bob)
 	ring := testRing
 	got := runComposed(t, q, relsA, relsB, func(p *mpc.Party, ra, rb *SharedResult) (*relation.Relation, error) {
 		diff, err := ra.Subtract(ring, rb)

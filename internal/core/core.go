@@ -10,7 +10,6 @@ package core
 import (
 	"fmt"
 
-	"secyan/internal/gc"
 	"secyan/internal/mpc"
 	"secyan/internal/relation"
 	"secyan/internal/transport"
@@ -96,15 +95,6 @@ func RevealAnnotations(p *mpc.Party, s *SharedRelation, receiver mpc.Role) ([]ui
 		return p.RecvReveal(s.Annot)
 	}
 	return nil, p.RevealToPeer(s.Annot)
-}
-
-// appendShareBits appends the low ell bits of each share — the circuit
-// operates modulo 2^ell, and additive shares survive truncation.
-func appendShareBits(dst []bool, shares []uint64, ell int) []bool {
-	for _, s := range shares {
-		dst = gc.AppendBits(dst, s, ell)
-	}
-	return dst
 }
 
 // sendPublicSize / recvPublicSize exchange a size that the model treats

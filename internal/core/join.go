@@ -40,19 +40,31 @@ const attrBits = 64
 // private bits, revealed as a payload keyed to nz: Alice reads the row
 // exactly when its annotation is nonzero, for cols × 8 bytes and no
 // gate. Otherwise Alice already holds the rows and learns nz alone.
-func revealGadget(b *gc.Builder, cols, ell int, withRows bool) {
-	nz := b.Not(b.EqPrivate(b.EvalInputWord(ell), b.PrivateWord(ell)))
-	if !withRows {
+//
+// With ratio the annotation is a denominator (paper §7): Bob also inputs
+// his share of it, both parties input their shares of a numerator, and
+// Alice learns nz ? num/den : 0 (restoring division) after nz and the
+// row.
+func revealGadget(b *gc.Builder, cols, ell int, withRows, ratio bool) {
+	share := b.EvalInputWord(ell)
+	nz := b.Not(b.EqPrivate(share, b.PrivateWord(ell)))
+	if withRows {
+		b.OutputPayloadIf(nz, b.PrivateWord(cols*attrBits))
+	} else {
 		b.OutputToEval(nz)
-		return
 	}
-	b.OutputPayloadIf(nz, b.PrivateWord(cols*attrBits))
+	if ratio {
+		den := b.AddPrivate(share, b.PrivateWord(ell))
+		num := b.AddPrivate(b.EvalInputWord(ell), b.PrivateWord(ell))
+		q, _ := b.DivMod(num, den)
+		b.OutputWordToEval(b.ANDWordBit(q, nz))
+	}
 }
 
 // buildRevealCircuit repeats revealGadget once per tuple.
-func buildRevealCircuit(n, cols, ell int, withRows bool) *gc.Circuit {
+func buildRevealCircuit(n, cols, ell int, withRows, ratio bool) *gc.Circuit {
 	b := gc.NewBuilder()
-	revealGadget(b, cols, ell, withRows)
+	revealGadget(b, cols, ell, withRows, ratio)
 	return b.BuildSlots(n)
 }
 
@@ -61,11 +73,7 @@ func buildRevealCircuit(n, cols, ell int, withRows bool) *gc.Circuit {
 // field is 1 for revealed (real, nonzero) tuples and 0 otherwise; Bob
 // receives nil. Message sizes depend only on public parameters.
 func revealNonzeroRows(p *mpc.Party, s *SharedRelation) (*relation.Relation, error) {
-	n := s.N
-	cols := len(s.Schema.Attrs)
-	ell := p.Ring.Bits
-	withRows := s.Holder == mpc.Bob
-	if n == 0 {
+	if s.N == 0 {
 		if p.Role == mpc.Alice {
 			return relation.New(s.Schema), nil
 		}
@@ -77,59 +85,84 @@ func revealNonzeroRows(p *mpc.Party, s *SharedRelation) (*relation.Relation, err
 		// directly (revealing exactly R*, which the model permits).
 		return revealPlainRows(p, s)
 	}
-	circ := buildRevealCircuit(n, cols, ell, withRows)
+	rows, _, err := revealCircuit(p, s, nil)
+	return rows, err
+}
 
-	if p.Role == mpc.Alice {
-		evalBits := appendShareBits(nil, s.Annot, ell)
-		out, err := p.RunCircuit(circ, evalBits, nil, mpc.Bob)
-		if err != nil {
-			return nil, err
-		}
-		// Per tuple Alice receives nz, then — when Bob holds the rows —
-		// the row's columns, zeros unless nz.
-		stride := 1
-		if withRows {
-			stride += cols * attrBits
-		}
-		res := relation.New(s.Schema)
+// revealCircuit runs the reveal circuit over s's s.N > 0 rows and, with
+// num (this party's shares of a numerator per row), its ratio variant.
+// Alice receives the rows as revealNonzeroRows returns them and, with
+// num, the masked quotients; Bob receives nils.
+func revealCircuit(p *mpc.Party, s *SharedRelation, num []uint64) (*relation.Relation, []uint64, error) {
+	n := s.N
+	cols := len(s.Schema.Attrs)
+	ell := p.Ring.Bits
+	withRows, ratio := s.Holder == mpc.Bob, num != nil
+	circ := buildRevealCircuit(n, cols, ell, withRows, ratio)
+
+	if p.Role == mpc.Bob {
+		// Garbler: per tuple his negated share, the row when he holds
+		// it, then — for a ratio — his shares of den and num.
+		priv := make([]bool, 0, n*circ.NumPrivate)
 		for i := 0; i < n; i++ {
-			var row []uint64
-			dummy := false
+			priv = gc.AppendBits(priv, p.Ring.Neg(s.Annot[i]), ell)
 			if withRows {
-				row = make([]uint64, cols)
-				for c := range row {
-					off := i*stride + 1 + c*attrBits
-					row[c] = gc.UintOfBits(out[off : off+attrBits])
-					dummy = dummy || relation.IsDummyValue(row[c])
+				for _, v := range s.Rel.Tuples[i] {
+					priv = gc.AppendBits(priv, v, attrBits)
 				}
-			} else {
-				row = append(row, s.Rel.Tuples[i]...)
-				dummy = s.Rel.IsDummy(i)
 			}
-			flag := uint64(0)
-			if out[i*stride] && !dummy {
-				flag = 1
+			if ratio {
+				priv = gc.AppendBits(priv, s.Annot[i], ell)
+				priv = gc.AppendBits(priv, num[i], ell)
 			}
-			res.Append(row, flag)
 		}
-		return res, nil
+		_, err := p.RunCircuit(circ, nil, priv, mpc.Bob)
+		return nil, nil, err
 	}
 
-	// Bob's side: garbler with his negated shares (and the rows when he
-	// holds them) as private bits.
-	priv := make([]bool, 0, n*(ell+cols*attrBits))
+	evalBits := make([]bool, 0, n*len(circ.EvalInputs))
 	for i := 0; i < n; i++ {
-		priv = gc.AppendBits(priv, p.Ring.Neg(s.Annot[i]), ell)
-		if withRows {
-			for _, v := range s.Rel.Tuples[i] {
-				priv = gc.AppendBits(priv, v, attrBits)
-			}
+		evalBits = gc.AppendBits(evalBits, s.Annot[i], ell)
+		if ratio {
+			evalBits = gc.AppendBits(evalBits, num[i], ell)
 		}
 	}
-	if _, err := p.RunCircuit(circ, nil, priv, mpc.Bob); err != nil {
-		return nil, err
+	out, err := p.RunCircuit(circ, evalBits, nil, mpc.Bob)
+	if err != nil {
+		return nil, nil, err
 	}
-	return nil, nil
+	// Per tuple Alice receives nz, then — when Bob holds the rows — the
+	// row's columns, zeros unless nz, then the quotient of a ratio.
+	stride := len(out) / n
+	res := relation.New(s.Schema)
+	var quot []uint64
+	if ratio {
+		quot = make([]uint64, n)
+	}
+	for i := 0; i < n; i++ {
+		o := out[i*stride : (i+1)*stride]
+		var row []uint64
+		dummy := false
+		if withRows {
+			row = make([]uint64, cols)
+			for c := range row {
+				row[c] = gc.UintOfBits(o[1+c*attrBits : 1+(c+1)*attrBits])
+				dummy = dummy || relation.IsDummyValue(row[c])
+			}
+		} else {
+			row = append(row, s.Rel.Tuples[i]...)
+			dummy = s.Rel.IsDummy(i)
+		}
+		flag := uint64(0)
+		if o[0] && !dummy {
+			flag = 1
+		}
+		res.Append(row, flag)
+		if ratio {
+			quot[i] = gc.UintOfBits(o[stride-ell:])
+		}
+	}
+	return res, quot, nil
 }
 
 // revealPlainRows is the plaintext-annotation fast path of the reveal

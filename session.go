@@ -46,14 +46,13 @@ var ErrPeerTimeout = transport.ErrPeerTimeout
 // its own copy (defaults, then the call's options on top) exactly once,
 // at admission.
 type config struct {
-	ring           Ring
-	tracer         *Tracer
-	streamDeadline time.Duration
-	heartbeat      time.Duration
-	estOut         int
-	tenant         string
-	shared         bool
-	wrapStream     func(id uint32, c Conn) Conn
+	ring       Ring
+	tracer     *Tracer
+	heartbeat  time.Duration
+	estOut     int
+	tenant     string
+	shared     bool
+	wrapStream func(id uint32, c Conn) Conn
 }
 
 // plan is the config's view of one query: the core.Options that
@@ -65,11 +64,12 @@ func (c *config) plan() core.Options {
 // Option configures a session and the executions on it. Given to Open
 // (OpenLocal, ListenSession, DialSession) an option sets the session's
 // default; the options that describe a single execution — WithEstOut,
-// WithTenant, WithStreamDeadline, WithSharedResult — may
-// also be given to Query, Precompute, RevealRatio, ExecSQL and Explain,
-// where they override that default for the one call. Options that
-// shape the connection (WithRing on a Session, WithHeartbeat,
-// WithStreamWrapper) are fixed at Open and ignored per call.
+// WithTenant, WithSharedResult — may also be given to Query,
+// Precompute, RevealRatio, ExecSQL and Explain, where they override
+// that default for the one call. A call's deadline is its context.
+// Options that shape the connection (WithRing on a Session,
+// WithHeartbeat, WithStreamWrapper) are fixed at Open and ignored per
+// call.
 type Option func(*config)
 
 // WithRing selects the annotation ring (default: DefaultRing, the
@@ -79,12 +79,6 @@ func WithRing(r Ring) Option { return func(c *config) { c.ring = r } }
 // WithTracer records run/phase/step/kernel span timelines of every
 // execution on the session, one track per party and stream.
 func WithTracer(tr *Tracer) Option { return func(c *config) { c.tracer = tr } }
-
-// WithStreamDeadline bounds each individual protocol execution: it runs
-// under a context that expires after d, so it fails with
-// context.DeadlineExceeded (wrapped in the execution's StreamError)
-// when exceeded, and the rest of the session carries on.
-func WithStreamDeadline(d time.Duration) Option { return func(c *config) { c.streamDeadline = d } }
 
 // WithHeartbeat enables idle heartbeats on the session: pings every
 // interval, and failure with ErrPeerTimeout once the peer has been
@@ -212,25 +206,22 @@ func DialSession(addr string, role Role, opts ...Option) (*Session, error) {
 }
 
 // execution is one admitted protocol execution: its stream-scoped
-// party, the context bounded by the resolved per-execution deadline,
-// and the core.Options every core call of the execution receives
+// party and the core.Options every core call of the execution receives
 // unchanged.
 type execution struct {
-	ctx    context.Context
-	cancel context.CancelFunc
-	p      *mpc.Party
-	id     uint32
-	opts   core.Options
+	p    *mpc.Party
+	id   uint32
+	opts core.Options
 }
 
 // admit turns a resolved config into an execution. It obtains the
 // stream — a parked Precompute stream if one is staged and fresh is
-// false, a new one otherwise — arms the deadline, mints the query ID,
-// stamps it on the party's tag (so events emitted below the executor
-// attribute correctly) and emits the query.admit event. Admission is
-// pure process-local bookkeeping: with observation off it is one atomic
+// false, a new one otherwise — mints the query ID, stamps it on the
+// party's tag (so events emitted below the executor attribute
+// correctly) and emits the query.admit event. Admission is pure
+// process-local bookkeeping: with observation off it is one atomic
 // load.
-func (s *Session) admit(ctx context.Context, cfg config, kind string, fresh bool) (*execution, error) {
+func (s *Session) admit(cfg config, kind string, fresh bool) (*execution, error) {
 	var sp stagedParty
 	s.mu.Lock()
 	if !fresh && len(s.staged) > 0 {
@@ -246,10 +237,7 @@ func (s *Session) admit(ctx context.Context, cfg config, kind string, fresh bool
 			sp.p.Track = s.cfg.tracer.Track(fmt.Sprintf("%s/stream-%d", s.role, sp.id))
 		}
 	}
-	x := &execution{ctx: ctx, cancel: func() {}, p: sp.p, id: sp.id, opts: cfg.plan()}
-	if cfg.streamDeadline > 0 {
-		x.ctx, x.cancel = context.WithTimeout(ctx, cfg.streamDeadline)
-	}
+	x := &execution{p: sp.p, id: sp.id, opts: cfg.plan()}
 	tag := obs.QueryTag{SID: s.sid, Tenant: cfg.tenant}
 	if obs.Enabled() {
 		tag.QID = obs.NextQueryID()
@@ -291,16 +279,15 @@ func (s *Session) Query(ctx context.Context, q *Query, opts ...Option) (*Result,
 		kind = "run-shared"
 	}
 	res := &Result{}
-	x, err := s.admit(ctx, cfg, kind, false)
+	x, err := s.admit(cfg, kind, false)
 	if err != nil {
 		return res, err
 	}
-	defer x.cancel()
 	defer x.p.Conn.Close()
 	if cfg.shared {
-		res.Shared, res.Trace, err = core.RunShared(x.ctx, x.p, q, x.opts)
+		res.Shared, res.Trace, err = core.RunShared(ctx, x.p, q, x.opts)
 	} else {
-		res.Relation, res.Trace, err = core.Run(x.ctx, x.p, q, x.opts)
+		res.Relation, res.Trace, err = core.Run(ctx, x.p, q, x.opts)
 	}
 	return res, s.labeled(x.id, err)
 }
@@ -314,12 +301,11 @@ func (s *Session) Query(ctx context.Context, q *Query, opts ...Option) (*Result,
 // consumed by the next execution on this session; both parties must
 // keep their call sequences aligned, as always.
 func (s *Session) Precompute(ctx context.Context, q *Query, opts ...Option) (*Trace, error) {
-	x, err := s.admit(ctx, s.cfg.with(opts), "precompute", true)
+	x, err := s.admit(s.cfg.with(opts), "precompute", true)
 	if err != nil {
 		return nil, err
 	}
-	defer x.cancel()
-	tr, err := core.PrecomputeOpts(x.ctx, x.p, q, x.opts)
+	tr, err := core.PrecomputeOpts(ctx, x.p, q, x.opts)
 	if err != nil {
 		x.p.Conn.Close()
 		return tr, s.labeled(x.id, err)
@@ -334,13 +320,12 @@ func (s *Session) Precompute(ctx context.Context, q *Query, opts ...Option) (*Tr
 // fresh stream — the composition used for AVG and market-share style
 // aggregates over two WithSharedResult results.
 func (s *Session) RevealRatio(ctx context.Context, num, den *SharedResult, scale uint64, opts ...Option) (*Relation, error) {
-	x, err := s.admit(ctx, s.cfg.with(opts), "reveal-ratio", true)
+	x, err := s.admit(s.cfg.with(opts), "reveal-ratio", true)
 	if err != nil {
 		return nil, err
 	}
-	defer x.cancel()
 	defer x.p.Conn.Close()
-	pp, release := x.p.WithContext(x.ctx)
+	pp, release := x.p.WithContext(ctx)
 	defer release()
 	rel, err := core.RevealRatio(pp, num, den, scale)
 	return rel, s.labeled(x.id, err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -245,8 +246,9 @@ func TestSessionSharedComposition(t *testing.T) {
 
 // TestRevealRatioLeavesPrecomputeParked runs a shared sum and count,
 // parks a precompute of q, reveals their ratio, then queries q. The
-// ratio runs on a fresh stream, so the parked stream survives it and
-// the query runs warm: it moves exactly the plan's online estimate.
+// ratio equals the plaintext sum over count per group, and it runs on a
+// fresh stream, so the parked stream survives it and the query runs
+// warm: it moves exactly the plan's online estimate.
 func TestRevealRatioLeavesPrecomputeParked(t *testing.T) {
 	q, rels := sessionExampleQuery(19, 10, 16)
 	cntRels := make([]*Relation, len(rels))
@@ -280,13 +282,35 @@ func TestRevealRatioLeavesPrecomputeParked(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("precompute: %v", err)
 	}
-	if _, _, err := both(alice, bob, func(s *Session) (*Relation, error) {
+	avg, _, err := both(alice, bob, func(s *Session) (*Relation, error) {
 		if s.role == Alice {
 			return s.RevealRatio(ctx, numA, denA, 1)
 		}
 		return s.RevealRatio(ctx, numB, denB, 1)
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatalf("reveal ratio: %v", err)
+	}
+	plainSum := func(rs []*Relation) map[uint64]uint64 {
+		full := &Query{Inputs: append([]Input(nil), q.Inputs...), Output: q.Output}
+		for i := range full.Inputs {
+			full.Inputs[i].Rel = rs[i]
+		}
+		r, err := Plaintext(full, DefaultRing)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sumByClass(r)
+	}
+	sums, counts := plainSum(rels), plainSum(cntRels)
+	want := map[uint64]uint64{}
+	for g, c := range counts {
+		if c != 0 {
+			want[g] = sums[g] / c
+		}
+	}
+	if got := sumByClass(avg); len(avg.Tuples) != len(want) || !maps.Equal(got, want) {
+		t.Errorf("ratio %v over %d rows, plaintext sum/count %v", got, len(avg.Tuples), want)
 	}
 	res, _, err := both(alice, bob, func(s *Session) (*Result, error) {
 		return s.Query(ctx, viewFor(q, rels, s.role))
@@ -379,18 +403,21 @@ func TestMissingRelationErrors(t *testing.T) {
 }
 
 // TestSessionStreamDeadline: a run whose peer never shows up fails
-// with a stream-labeled deadline error; the session itself stays
-// healthy and runs the next query fine.
+// with a stream-labeled deadline error once the caller's context
+// expires; the session itself stays healthy and runs the next query
+// fine.
 func TestSessionStreamDeadline(t *testing.T) {
 	q, rels := sessionExampleQuery(23, 8, 10)
-	alice, bob := OpenLocal(WithStreamDeadline(50 * time.Millisecond))
+	alice, bob := OpenLocal()
 	defer alice.Close()
 	defer bob.Close()
 
 	// Deliberately lonely run: bob issues nothing, so alice times out.
 	// (The deadline fires before any data arrives from the peer.)
 	start := time.Now()
-	_, err := alice.Query(context.Background(), viewFor(q, rels, Alice))
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	_, err := alice.Query(ctx, viewFor(q, rels, Alice))
 	if err == nil {
 		t.Fatal("lonely run succeeded")
 	}
@@ -412,6 +439,9 @@ func TestSessionStreamDeadline(t *testing.T) {
 	// the two endpoints' stream sequences aligned for the next query.
 	if _, err := bob.Query(context.Background(), viewFor(q, rels, Bob)); err == nil {
 		t.Fatal("bob's half of the expired stream succeeded")
+	}
+	if _, _, err := queryBoth(alice, bob, func(r Role) *Query { return viewFor(q, rels, r) }); err != nil {
+		t.Fatalf("query after the expired one: %v", err)
 	}
 }
 

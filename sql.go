@@ -46,13 +46,12 @@ func (s *Session) ExecSQL(ctx context.Context, src string, cat *SQLCatalog, opts
 	if err := c.Check(); err != nil {
 		return nil, err
 	}
-	x, err := s.admit(ctx, s.cfg.with(opts), "sql", false)
+	x, err := s.admit(s.cfg.with(opts), "sql", false)
 	if err != nil {
 		return nil, err
 	}
-	defer x.cancel()
 	defer x.p.Conn.Close()
-	rel, err := c.Exec(x.ctx, x.p, x.opts)
+	rel, err := c.Exec(ctx, x.p, x.opts)
 	return rel, s.labeled(x.id, err)
 }
 
