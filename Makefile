@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all test short race race-sessions race-obs race-kernels race-daemon bench bench-check vet fuzz
+.PHONY: all test short race race-sessions race-obs race-kernels race-daemon bench bench-check vet loc fuzz
 
 all: vet test
 
@@ -92,6 +92,11 @@ vet:
 	$(GO) vet ./...
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
+
+# The code size ROADMAP.md and CHANGES.md quote: non-test Go lines
+# outside bench/.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
 
 # Short fuzz bursts for the transpose involution, the keyed AES-CTR
 # keystream at any offset and length against crypto/cipher, the TCP framing

@@ -56,7 +56,7 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /debug/vars, /debug/pprof and /debug/step on this address (enables metrics collection)")
 	debugLinger := flag.Duration("debug-linger", 0, "keep the debug server (and process) alive this long after the run finishes, so the final metrics can still be scraped")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON of the run to this file (open in chrome://tracing or ui.perfetto.dev)")
-	logJSON := flag.Bool("log-json", false, "emit the structured observability event log (session/query lifecycle, plan steps, precompute hits, transport faults) as JSON lines on stderr")
+	logJSON := flag.Bool("log-json", false, "emit the structured observability event log (session/query lifecycle, plan steps, transport faults) as JSON lines on stderr")
 	flightN := flag.Int("flight", 0, "retain the last N completed-query flight records, print them as a table after the run, and serve them at /debug/queries with -debug-addr (0 = off)")
 	daemonAddr := flag.String("daemon", "", "run as a client of a secyand daemon at this address (plays alice; -role/-listen/-connect are ignored); the daemon must serve a catalog generated with the same -scale and -seed")
 	tenant := flag.String("tenant", "default", "daemon mode: tenant name to run queries as")

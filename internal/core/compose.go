@@ -72,12 +72,14 @@ func (r *SharedResult) Subtract(ring interface{ Sub(a, b uint64) uint64 }, other
 }
 
 // RevealRatio composes two aligned shared results as the per-row ratio
-// (num·scale)/den and reveals rows and ratios to Alice for the rows with
+// ⌊num·scale/den⌋ and reveals rows and ratios to Alice for the rows with
 // a nonzero denominator (TPC-H Q8's mkt_share, §8.1). Bob receives nil.
 // The circuit is the reveal circuit over den with its ratio output (see
-// revealGadget); scaling is ring-linear, so each party scales its own
-// numerator shares first, mod 2^ℓ.
+// revealGadget), which scales num itself, wide enough not to wrap.
 func RevealRatio(p *mpc.Party, num, den *SharedResult, scale uint64) (*relation.Relation, error) {
+	if scale == 0 {
+		return nil, fmt.Errorf("core: ratio scale 0")
+	}
 	if num.N() != den.N() {
 		return nil, fmt.Errorf("core: ratio of results with different sizes")
 	}
@@ -92,11 +94,7 @@ func RevealRatio(p *mpc.Party, num, den *SharedResult, scale uint64) (*relation.
 		}
 		return nil, nil
 	}
-	scaled := make([]uint64, d.N)
-	for i, v := range a.Annot {
-		scaled[i] = p.Ring.Mul(v, scale)
-	}
-	rows, quot, err := revealCircuit(p, d, scaled)
+	rows, quot, err := revealCircuit(p, d, a.Annot, scale)
 	if err != nil || p.Role != mpc.Alice {
 		return nil, err
 	}

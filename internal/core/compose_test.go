@@ -52,7 +52,8 @@ func runComposed(t *testing.T, q *Query, relsA, relsB []*relation.Relation,
 // composeQuery builds a two-relation group-by query where the two variants
 // differ only in annotations — the structure of TPC-H Q8/Q9 composition.
 // The grouped relation belongs to owner, and group 2's denominator is
-// zero.
+// zero. Row 0 joins, in group 0, with a numerator of 2^ℓ/64: group 0's
+// num·scale passes 2^ℓ for any scale ≥ 64.
 func composeQuery(rng *rand.Rand, owner mpc.Role) (q *Query, relsA, relsB []*relation.Relation, wantNum, wantDen map[uint64]uint64) {
 	n := 14
 	base := relation.New(relation.MustSchema("k", "g"))
@@ -61,6 +62,7 @@ func composeQuery(rng *rand.Rand, owner mpc.Role) (q *Query, relsA, relsB []*rel
 		base.Append([]uint64{uint64(rng.Intn(7)), uint64(rng.Intn(3))}, 0)
 		other.Append([]uint64{uint64(rng.Intn(7))}, 1)
 	}
+	base.Tuples[0] = []uint64{other.Tuples[0][0], 0}
 	ra := base.Clone()
 	rb := base.Clone()
 	for i := 0; i < n; i++ {
@@ -70,6 +72,7 @@ func composeQuery(rng *rand.Rand, owner mpc.Role) (q *Query, relsA, relsB []*rel
 			rb.Annot[i] = 0
 		}
 	}
+	ra.Annot[0] = 1 << testRing.Bits / 64
 	q = &Query{
 		Inputs: []Input{
 			{Name: "base", Owner: owner, Schema: base.Schema, N: n},
@@ -94,9 +97,13 @@ func composeQuery(rng *rand.Rand, owner mpc.Role) (q *Query, relsA, relsB []*rel
 
 // TestComposeRatio reveals a ratio of two shared results with the rows
 // at either party: every group with a nonzero denominator appears once
-// with its quotient, and neither a zero-denominator group nor a dummy row
-// appears.
+// with its quotient, ⌊num·scale/den⌋ also where num·scale passes 2^ℓ,
+// and neither a zero-denominator group nor a dummy row appears. A scale
+// of 0 is refused before anything is sent.
 func TestComposeRatio(t *testing.T) {
+	if _, err := RevealRatio(nil, nil, nil, 0); err == nil {
+		t.Fatal("RevealRatio accepted scale 0")
+	}
 	for _, owner := range []mpc.Role{mpc.Alice, mpc.Bob} {
 		t.Run(owner.String(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(31))
@@ -119,8 +126,8 @@ func TestComposeRatio(t *testing.T) {
 				}
 				rows[g] = got.Annot[i]
 			}
-			if wantDen[2] != 0 {
-				t.Fatalf("group 2's denominator is %d, want 0", wantDen[2])
+			if wantDen[2] != 0 || wantNum[0]*scale < 1<<testRing.Bits {
+				t.Fatalf("group 2's denominator is %d, want 0; group 0's num·scale is %d, want ≥ 2^ℓ", wantDen[2], wantNum[0]*scale)
 			}
 			for g, den := range wantDen {
 				ratio, ok := rows[g]
@@ -146,15 +153,20 @@ func TestComposeRatio(t *testing.T) {
 // TestRatioGadgetZeroDenominator evaluates the ratio circuit in the clear
 // on shares laid out as revealCircuit lays them out: a zero denominator
 // yields nz = 0, zero payload bits and q = 0 (the division alone would
-// give all ones), a nonzero one nz = 1, the row and num/den.
+// give all ones), a nonzero one nz = 1, the row and ⌊num·scale/den⌋, at
+// scale 1 and at a scale where num·scale passes 2^ℓ.
 func TestRatioGadgetZeroDenominator(t *testing.T) {
 	const cols = 2
 	ring, ell := testRing, testRing.Bits
 	rng := rand.New(rand.NewSource(41))
 	row := []uint64{7, 9}
-	in := []struct{ num, den uint64 }{{1234, 5}, {77, 0}, {0, 0}}
-	for _, withRows := range []bool{false, true} {
-		circ := buildRevealCircuit(len(in), cols, ell, withRows, true)
+	in := []struct{ num, den uint64 }{{1234, 5}, {77, 0}, {0, 0}, {1 << 30, 1000}}
+	for _, tc := range []struct {
+		withRows bool
+		scale    uint64
+	}{{false, 1}, {true, 1}, {true, 100}} {
+		withRows, scale := tc.withRows, tc.scale
+		circ := buildRevealCircuit(len(in), cols, ell, withRows, scale)
 		var evalBits, priv []bool
 		for _, tu := range in {
 			na, da := ring.Mask(rng.Uint64()), ring.Mask(rng.Uint64())
@@ -179,10 +191,10 @@ func TestRatioGadgetZeroDenominator(t *testing.T) {
 			payload := o[1 : stride-ell]
 			wantQ := uint64(0)
 			if tu.den != 0 {
-				wantQ = tu.num / tu.den
+				wantQ = tu.num * scale / tu.den
 			}
 			if nz != (tu.den != 0) || q != wantQ {
-				t.Errorf("withRows=%v num=%d den=%d: nz=%v q=%d, want nz=%v q=%d", withRows, tu.num, tu.den, nz, q, tu.den != 0, wantQ)
+				t.Errorf("withRows=%v scale=%d num=%d den=%d: nz=%v q=%d, want nz=%v q=%d", withRows, scale, tu.num, tu.den, nz, q, tu.den != 0, wantQ)
 			}
 			for c := 0; withRows && c < cols; c++ {
 				want := row[c]
@@ -200,9 +212,9 @@ func TestRatioGadgetZeroDenominator(t *testing.T) {
 // TestRatioCircuitIsSlotBuilt pins that the ratio circuit of n rows is
 // one gadget repeated n times: its gate list does not depend on n.
 func TestRatioCircuitIsSlotBuilt(t *testing.T) {
-	one := buildRevealCircuit(1, 3, 32, true, true)
+	one := buildRevealCircuit(1, 3, 32, true, 100)
 	for _, n := range []int{2, 17, 1000} {
-		c := buildRevealCircuit(n, 3, 32, true, true)
+		c := buildRevealCircuit(n, 3, 32, true, 100)
 		if c.Slots != n || !reflect.DeepEqual(c.Gates, one.Gates) || c.NumPrivate != one.NumPrivate {
 			t.Fatalf("n=%d: %d slots of %d gates, want %d slots of the one-row circuit's %d", n, c.Slots, len(c.Gates), n, len(one.Gates))
 		}

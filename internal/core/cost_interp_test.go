@@ -44,9 +44,9 @@ func TestOperatorCostsMatchBuiltCircuits(t *testing.T) {
 	}
 	shapes := map[string]shape{
 		"reveal": {func(n int) gc.Dims { return *revealDims(n, 2, ell, false) },
-			func(b *gc.Builder) { revealGadget(b, 2, ell, false, false) }},
+			func(b *gc.Builder) { revealGadget(b, 2, ell, false, 0) }},
 		"reveal-rows": {func(n int) gc.Dims { return *revealDims(n, 2, ell, true) },
-			func(b *gc.Builder) { revealGadget(b, 2, ell, true, false) }},
+			func(b *gc.Builder) { revealGadget(b, 2, ell, true, 0) }},
 	}
 	for name, sh := range shapes {
 		for _, n := range sizes {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"secyan/internal/gc"
 	"secyan/internal/mpc"
 	"secyan/internal/relation"
@@ -41,11 +43,13 @@ const attrBits = 64
 // exactly when its annotation is nonzero, for cols × 8 bytes and no
 // gate. Otherwise Alice already holds the rows and learns nz alone.
 //
-// With ratio the annotation is a denominator (paper §7): Bob also inputs
-// his share of it, both parties input their shares of a numerator, and
-// Alice learns nz ? num/den : 0 (restoring division) after nz and the
-// row.
-func revealGadget(b *gc.Builder, cols, ell int, withRows, ratio bool) {
+// With a scale > 0 the annotation is a denominator (paper §7): Bob also
+// inputs his share of it, both parties input their shares of a
+// numerator, and Alice learns nz ? ⌊num·scale/den⌋ : 0 (restoring
+// division) after nz and the row, the quotient's low ℓ bits. num·scale
+// is formed in a word ⌈log₂ scale⌉ bits wider than the ring, so it does
+// not wrap; at scale 1 the word is the ring's.
+func revealGadget(b *gc.Builder, cols, ell int, withRows bool, scale uint64) {
 	share := b.EvalInputWord(ell)
 	nz := b.Not(b.EqPrivate(share, b.PrivateWord(ell)))
 	if withRows {
@@ -53,18 +57,19 @@ func revealGadget(b *gc.Builder, cols, ell int, withRows, ratio bool) {
 	} else {
 		b.OutputToEval(nz)
 	}
-	if ratio {
+	if scale > 0 {
 		den := b.AddPrivate(share, b.PrivateWord(ell))
 		num := b.AddPrivate(b.EvalInputWord(ell), b.PrivateWord(ell))
-		q, _ := b.DivMod(num, den)
-		b.OutputWordToEval(b.ANDWordBit(q, nz))
+		wide := ell + bits.Len64(scale-1)
+		q, _ := b.DivMod(b.MulConst(b.ZeroExtend(num, wide), scale), den)
+		b.OutputWordToEval(b.ANDWordBit(q[:ell], nz))
 	}
 }
 
 // buildRevealCircuit repeats revealGadget once per tuple.
-func buildRevealCircuit(n, cols, ell int, withRows, ratio bool) *gc.Circuit {
+func buildRevealCircuit(n, cols, ell int, withRows bool, scale uint64) *gc.Circuit {
 	b := gc.NewBuilder()
-	revealGadget(b, cols, ell, withRows, ratio)
+	revealGadget(b, cols, ell, withRows, scale)
 	return b.BuildSlots(n)
 }
 
@@ -85,20 +90,20 @@ func revealNonzeroRows(p *mpc.Party, s *SharedRelation) (*relation.Relation, err
 		// directly (revealing exactly R*, which the model permits).
 		return revealPlainRows(p, s)
 	}
-	rows, _, err := revealCircuit(p, s, nil)
+	rows, _, err := revealCircuit(p, s, nil, 0)
 	return rows, err
 }
 
 // revealCircuit runs the reveal circuit over s's s.N > 0 rows and, with
-// num (this party's shares of a numerator per row), its ratio variant.
-// Alice receives the rows as revealNonzeroRows returns them and, with
-// num, the masked quotients; Bob receives nils.
-func revealCircuit(p *mpc.Party, s *SharedRelation, num []uint64) (*relation.Relation, []uint64, error) {
+// num (this party's shares of a numerator per row) and a scale > 0, its
+// ratio variant. Alice receives the rows as revealNonzeroRows returns
+// them and, with num, the masked quotients; Bob receives nils.
+func revealCircuit(p *mpc.Party, s *SharedRelation, num []uint64, scale uint64) (*relation.Relation, []uint64, error) {
 	n := s.N
 	cols := len(s.Schema.Attrs)
 	ell := p.Ring.Bits
-	withRows, ratio := s.Holder == mpc.Bob, num != nil
-	circ := buildRevealCircuit(n, cols, ell, withRows, ratio)
+	withRows, ratio := s.Holder == mpc.Bob, scale > 0
+	circ := buildRevealCircuit(n, cols, ell, withRows, scale)
 
 	if p.Role == mpc.Bob {
 		// Garbler: per tuple his negated share, the row when he holds

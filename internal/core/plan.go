@@ -284,7 +284,7 @@ func revealDims(n, cols, ell int, withRows bool) *gc.Dims {
 		v = 1
 	}
 	return cachedDims(dimsKey{op: "reveal", m: cols, n: n, ell: ell, variant: v}, func() gc.Dims {
-		return gc.DimsOf(buildRevealCircuit(n, cols, ell, withRows, false))
+		return gc.DimsOf(buildRevealCircuit(n, cols, ell, withRows, 0))
 	})
 }
 
@@ -335,7 +335,7 @@ func compileTree(q *Query, tree *jointree.Tree, ringBits int, opts Options) (*Pl
 		}
 		withRows := st.holder == mpc.Bob
 		return []exchange{circuit(mpc.Bob, revealDims(n, cols, ell, withRows),
-			func() *gc.Circuit { return buildRevealCircuit(n, cols, ell, withRows, false) })}
+			func() *gc.Circuit { return buildRevealCircuit(n, cols, ell, withRows, 0) })}
 	}
 
 	// Phase 1: Reduce (§6.4 step 1), replayed on public state.

@@ -24,13 +24,13 @@ import (
 //     garbled over the rows of its own label batch's fill, under this
 //     party's OT-extension Δ, in a background goroutine that takes each
 //     circuit as soon as its fill lands, overlapping the pure compute
-//     with the remaining fills' network traffic; RunCircuit later
-//     recognizes the staged material by shape and by its batch
-//     (internal/gc, internal/mpc). Circuits this party only evaluates
-//     need nothing ahead of time.
+//     with the remaining fills' network traffic. The material rides in
+//     its batch, and the online garbler serves it when that batch opens
+//     for a circuit of its shape (internal/gc). Circuits this party only
+//     evaluates need nothing ahead of time.
 //
-// The online run needs no flag: the session queues and pools make the
-// fast path transparent, and any divergence from the plan falls back to
+// The online run needs no flag: the session's pools make the fast path
+// transparent, and any divergence from the plan falls back to
 // the direct protocols, which remain correct (only slower). Steps sized
 // by the join's output (PlanStep.outSized) scale with the data-dependent
 // output size and always run direct.
@@ -49,8 +49,9 @@ import (
 // for the peer's), neither with payload bytes.
 //
 // Staged material is single-use and plan-shaped. Running a different
-// query next is safe but wasteful: the first mismatching step drops the
-// local circuit queue and OT pools fall back batch by batch.
+// query next is safe but wasteful: the first mismatching batch drops the
+// rest of its pool, and a circuit of another shape drops the material on
+// the batch it opens.
 func PrecomputeOpts(ctx context.Context, p *mpc.Party, q *Query, opts Options) (*Trace, error) {
 	// No Validate: the offline phase is data-independent, so q may be a
 	// bare query shape (schemas, owners, sizes) with no relations
@@ -73,9 +74,9 @@ func PrecomputeOpts(ctx context.Context, p *mpc.Party, q *Query, opts Options) (
 	// they run in the background. The circuits this party garbles over
 	// its label fills are built from the start, in fill order; each is
 	// garbled as soon as the fill sweep hands over its label batch, so
-	// the garbles, in plan order, overlap the fills that follow. The
-	// foreground joins before enqueueing, so the queue is complete and in
-	// plan order.
+	// the garbles, in plan order, overlap the fills that follow, and each
+	// leaves its material on its batch. The foreground joins before it
+	// returns, so the online run finds every batch's material in place.
 	var builds []exchange
 	for si := range plan.Steps {
 		for _, x := range (sweep{sender: p.Role}).fills(&plan.Steps[si]) {
@@ -96,7 +97,7 @@ func PrecomputeOpts(ctx context.Context, p *mpc.Party, q *Query, opts Options) (
 		}
 		close(built)
 	}()
-	var staged []*gc.PreGarbled
+	var staged int
 	var stageErr error
 	done := make(chan struct{})
 	go func() {
@@ -106,9 +107,8 @@ func PrecomputeOpts(ctx context.Context, p *mpc.Party, q *Query, opts Options) (
 			if !ok || stageErr != nil {
 				continue
 			}
-			var pg *gc.PreGarbled
-			if pg, stageErr = gc.GarbleOver(c, l.snd, l.b); stageErr == nil {
-				staged = append(staged, pg)
+			if _, stageErr = gc.GarbleOver(c, l.snd, l.b); stageErr == nil {
+				staged++
 			}
 		}
 	}()
@@ -192,7 +192,7 @@ func PrecomputeOpts(ctx context.Context, p *mpc.Party, q *Query, opts Options) (
 	if !plan.hasCircuits() && len(tr.Steps) == 0 {
 		return tr, nil // nothing to precompute, nothing to wait for
 	}
-	record(TraceStep{Phase: "offline", Op: "stage-circuits", N: len(staged), Elapsed: time.Since(start)})
+	record(TraceStep{Phase: "offline", Op: "stage-circuits", N: staged, Elapsed: time.Since(start)})
 
 	// Rendezvous. The parties garble different shares of the plan, so
 	// one finishes staging well before the other. An empty message each
@@ -209,14 +209,7 @@ func PrecomputeOpts(ctx context.Context, p *mpc.Party, q *Query, opts Options) (
 		return err
 	})
 	record(rv)
-	if err != nil {
-		return tr, err
-	}
-
-	for _, pg := range staged {
-		p.EnqueuePreGarbled(pg)
-	}
-	return tr, nil
+	return tr, err
 }
 
 // establish sets up the extension of setup step st on p, or finds it

@@ -77,7 +77,7 @@ func counterValue(t *testing.T, name string) int64 {
 // result through the identical online step sequence, every plan-primed
 // step's online traffic lands exactly on EstOnlineBytes, and — for a
 // fully-primed (single-survivor) query — nothing falls back: zero pool
-// and zero circuit-queue misses.
+// and zero circuit misses.
 func TestPrecomputeMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	single, singleRels := example11Query(rng, 12, 18)
@@ -104,8 +104,8 @@ func TestPrecomputeMatchesDirect(t *testing.T) {
 			obs.Enable()
 			defer obs.Disable()
 			poolMiss0 := counterValue(t, "secyan_ot_pool_miss_total")
-			circMiss0 := counterValue(t, "secyan_mpc_precircuit_miss_total")
-			circHit0 := counterValue(t, "secyan_mpc_precircuit_hit_total")
+			circMiss0 := counterValue(t, "secyan_gc_precircuit_miss_total")
+			circHit0 := counterValue(t, "secyan_gc_precircuit_hit_total")
 
 			got, offTr, onTr := runPrecomputed(t, tc.q, tc.rels)
 			if !relsEqual(got, want) {
@@ -176,12 +176,12 @@ func TestPrecomputeMatchesDirect(t *testing.T) {
 				if d := counterValue(t, "secyan_ot_pool_miss_total") - poolMiss0; d != 0 {
 					t.Errorf("fully-primed run recorded %d OT pool misses", d)
 				}
-				if d := counterValue(t, "secyan_mpc_precircuit_miss_total") - circMiss0; d != 0 {
-					t.Errorf("fully-primed run recorded %d circuit-queue misses", d)
+				if d := counterValue(t, "secyan_gc_precircuit_miss_total") - circMiss0; d != 0 {
+					t.Errorf("fully-primed run recorded %d circuit misses", d)
 				}
 			}
-			if d := counterValue(t, "secyan_mpc_precircuit_hit_total") - circHit0; d <= 0 {
-				t.Errorf("precomputed run served no circuits from the queue")
+			if d := counterValue(t, "secyan_gc_precircuit_hit_total") - circHit0; d <= 0 {
+				t.Errorf("precomputed run served no circuits garbled ahead of time")
 			}
 		})
 	}

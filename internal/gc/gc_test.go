@@ -1,6 +1,7 @@
 package gc
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -345,42 +346,55 @@ func TestNeg(t *testing.T) {
 		func(x, y uint64) uint64 { return y - x })
 }
 
+func TestMulConst(t *testing.T) {
+	for _, k := range []uint64{0, 1, 100, 1<<32 - 1, 1 << 40} {
+		checkWordOpPlain(t, fmt.Sprintf("mulconst %d", k), func(b *Builder, x, _ Word) Word { return b.MulConst(x, k) },
+			func(x, _ uint64) uint64 { return x * k })
+	}
+}
+
+// TestDivMod divides a 16-bit dividend by a divisor of its width and by
+// a narrower one, whose remainder is kept at the divisor's width.
 func TestDivMod(t *testing.T) {
 	const n = 16
-	b := NewBuilder()
-	x := b.GarblerInputWord(n)
-	y := b.EvalInputWord(n)
-	q, r := b.DivMod(x, y)
-	b.OutputWordToEval(q)
-	b.OutputWordToEval(r)
-	c := b.Build()
-	mask := uint64(1)<<n - 1
-	check := func(xv, yv uint64) {
-		xv &= mask
-		yv &= mask
-		out, _, err := c.EvalPlain(bitsOfUint(xv, n), bitsOfUint(yv, n), nil)
-		if err != nil {
-			t.Fatal(err)
+	for _, m := range []int{n, 9} {
+		b := NewBuilder()
+		x := b.GarblerInputWord(n)
+		y := b.EvalInputWord(m)
+		q, r := b.DivMod(x, y)
+		b.OutputWordToEval(q)
+		b.OutputWordToEval(r)
+		c := b.Build()
+		mask, ymask := uint64(1)<<n-1, uint64(1)<<m-1
+		check := func(xv, yv uint64) {
+			xv &= mask
+			yv &= ymask
+			out, _, err := c.EvalPlain(bitsOfUint(xv, n), bitsOfUint(yv, m), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q := UintOfBits(out[:n])
+			r := UintOfBits(out[n:])
+			wantQ, wantR := mask, xv&ymask
+			if yv != 0 {
+				wantQ, wantR = xv/yv, xv%yv
+			}
+			if q != wantQ || r != wantR {
+				t.Fatalf("%d / %d (%d-bit divisor): got (%d,%d), want (%d,%d)", xv, yv, m, q, r, wantQ, wantR)
+			}
 		}
-		q := UintOfBits(out[:n])
-		r := UintOfBits(out[n:])
-		wantQ, wantR := mask, xv
-		if yv != 0 {
-			wantQ, wantR = xv/yv, xv%yv
+		rng := rand.New(rand.NewSource(11))
+		for i := 0; i < 100; i++ {
+			check(rng.Uint64(), rng.Uint64())
 		}
-		if q != wantQ || r != wantR {
-			t.Fatalf("%d / %d: got (%d,%d), want (%d,%d)", xv, yv, q, r, wantQ, wantR)
-		}
+		check(100, 7)
+		check(5, 0)
+		check(0, 5)
+		check(mask, 1)
+		check(mask, mask)
+		check(mask, ymask)
+		check(mask, ymask-1)
 	}
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 100; i++ {
-		check(rng.Uint64(), rng.Uint64())
-	}
-	check(100, 7)
-	check(5, 0)
-	check(0, 5)
-	check(mask, 1)
-	check(mask, mask)
 }
 
 func TestComparisons(t *testing.T) {

@@ -34,23 +34,31 @@ import (
 // a private bit flips an XORG gate's output, so applyPrivate seeds those
 // wires' flips with d_j and propagates them with the private bits' (the
 // corrected material is a direct garble with zero labels q_j ⊕ d_j·Δ).
-// Material is served only when the pool head is the very batch it was
-// garbled over; otherwise it is dropped in favour of a fresh garble.
+// GarbleOver leaves the material on its batch, so it goes through the OT
+// pool with the rows it was garbled over, and runGarbler finds it on the
+// batch the label OT opens.
 
 // PreGarbled is a circuit garbled ahead of time, waiting for its online
 // inputs. It is single-use: RunOnline consumes the garbled material.
 type PreGarbled struct {
-	C     *Circuit
-	gb    *garbled
-	batch *ot.DeltaBatch // the label batch gb was garbled over; nil for GarbleAhead's
+	C  *Circuit
+	gb *garbled
 }
+
+// Ahead-of-time garbling metrics, mirroring the OT pool's hit/miss pair:
+// every circuit garbled is one or the other.
+var (
+	mPreCircHits   = obs.NewCounter("secyan_gc_precircuit_hit_total", "Circuits served from material garbled ahead of time over their label batch.")
+	mPreCircMisses = obs.NewCounter("secyan_gc_precircuit_miss_total", "Circuits garbled online (their label batch carried no material, or material of another shape).")
+)
 
 // GarbleOver garbles c before its inputs or private bits are known, over
 // the pooled label batch b of otSend (FillDelta of c's evaluator-input
-// count). Pure computation — nothing touches the network until RunOnline.
-// Besides the message-shaped material every garbling keeps, it retains
-// one permute bit per table block (see garbled.perm): all applyPrivate
-// needs of the interior wires.
+// count) and leaves it on b, for runGarbler to serve when b opens. Pure
+// computation — nothing touches the network until then. Besides the
+// message-shaped material every garbling keeps, it retains one permute
+// bit per table block (see garbled.perm): all applyPrivate needs of the
+// interior wires.
 func GarbleOver(c *Circuit, otSend *ot.Sender, b *ot.DeltaBatch) (*PreGarbled, error) {
 	if nE := c.Slots * len(c.EvalInputs); b == nil || len(b.Q) != nE {
 		return nil, fmt.Errorf("gc: garbling a circuit of %d evaluator inputs over another label batch", nE)
@@ -60,13 +68,15 @@ func GarbleOver(c *Circuit, otSend *ot.Sender, b *ot.DeltaBatch) (*PreGarbled, e
 		return nil, err
 	}
 	zero := make([]bool, c.Slots*c.NumPrivate)
-	return &PreGarbled{C: c, gb: garble(c, ck, prf.NewPRG(prf.RandomSeed()), zero, true, b.Q), batch: b}, nil
+	pg := &PreGarbled{C: c, gb: garble(c, ck, prf.NewPRG(prf.RandomSeed()), zero, true, b.Q)}
+	b.Garbled = pg
+	return pg, nil
 }
 
 // GarbleAhead garbles c with no label batch, under a key of its own and
 // zero labels drawn at random. No online run serves such material — its
-// labels are no OT's — so RunOnline drops it for a fresh garble; it
-// measures the garbling kernel.
+// labels are no OT's, and no batch carries it — so RunOnline drops it for
+// a fresh garble; it measures the garbling kernel.
 func GarbleAhead(c *Circuit) *PreGarbled {
 	g := prf.NewPRG(prf.RandomSeed())
 	var ck circuitKey
@@ -203,29 +213,32 @@ func applyPrivate(c *Circuit, gb *garbled, priv []bool, flips []byte) {
 	gb.perm, gb.payFlip = nil, nil
 }
 
-// Serves reports whether RunOnline over otSend would use the material:
-// the pool head is the label batch it was garbled over.
-func (pg *PreGarbled) Serves(otSend *ot.Sender) bool {
-	return pg.batch != nil && otSend.NextDelta(len(pg.batch.Q)) == pg.batch
+// served takes the material left on the label batch b (GarbleOver) and
+// clears it from b: the garbling to serve when it is c's shape, else nil,
+// and c is garbled afresh over b's rows. This is the one place material
+// is matched and counted.
+func served(b *ot.DeltaBatch, c *Circuit) *garbled {
+	pg, _ := b.Garbled.(*PreGarbled)
+	b.Garbled = nil
+	if pg == nil || pg.gb == nil || !SameShape(pg.C, c) {
+		mPreCircMisses.Inc()
+		return nil
+	}
+	gb := pg.gb
+	pg.gb = nil // single-use: applyPrivate corrects it in place
+	mPreCircHits.Inc()
+	return gb
 }
 
-// RunOnline runs the thin online step of a pre-garbled circuit: apply the
-// private bits and the input flips, then the garbler message exchange
-// (RunGarbler's protocol). Material that Serves does not vouch for is
-// dropped and the circuit garbled afresh, so the bytes on the wire are
-// always exactly those RunGarbler would send.
+// RunOnline runs pg's circuit on the garbler's side (RunGarbler) and
+// consumes pg. Its material is served when the label OT opens the batch
+// it was garbled over (GarbleOver); GarbleAhead's never is. The bytes on
+// the wire are always exactly those RunGarbler sends.
 func (pg *PreGarbled) RunOnline(conn transport.Conn, otSend *ot.Sender, inputs, priv []bool) ([]bool, error) {
-	c := pg.C
 	if pg.gb == nil {
 		return nil, fmt.Errorf("gc: pre-garbled circuit already consumed")
 	}
-	if err := c.checkGarblerBits(inputs, priv); err != nil {
-		return nil, err
-	}
-	gb := pg.gb
-	pg.gb = nil // single-use: applyPrivate mutates the material
-	if !pg.Serves(otSend) {
-		gb = nil
-	}
-	return runGarbler(conn, otSend, c, gb, inputs, priv)
+	out, err := RunGarbler(conn, otSend, pg.C, inputs, priv)
+	pg.gb = nil // single-use: served from its batch, or dropped
+	return out, err
 }

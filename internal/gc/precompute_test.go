@@ -3,8 +3,10 @@ package gc
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"secyan/internal/obs"
 	"secyan/internal/ot"
 	"secyan/internal/prf"
 	"secyan/internal/transport"
@@ -121,8 +123,8 @@ func run2PCPre(t testing.TB, c *Circuit, garblerBits, evalBits, priv []bool) ([]
 			ch <- gres{nil, err}
 			return
 		}
-		if !pg.Serves(snd) {
-			ch <- gres{nil, fmt.Errorf("material garbled over the pool head does not serve it")}
+		if batch.Garbled != pg {
+			ch <- gres{nil, fmt.Errorf("GarbleOver left no material on its batch")}
 			return
 		}
 		out, err := pg.RunOnline(a, snd, garblerBits, priv)
@@ -184,8 +186,112 @@ func TestPreGarbledSingleUse(t *testing.T) {
 	}
 }
 
-// TestSameShape covers the dimension fingerprint used by the session
-// queues to match pre-built circuits to runtime ones.
+// TestServedMatchesShape pins runGarbler's one match rule: material on
+// the label batch the OT opens is served when it has the circuit's shape
+// and otherwise dropped for a fresh garble over the same rows; a direct
+// batch and GarbleAhead's material are misses. Every case clears the
+// batch, counts one hit or miss, and matches EvalPlain.
+func TestServedMatchesShape(t *testing.T) {
+	gadget := func(width int) func(*Builder) {
+		return func(b *Builder) {
+			sum := b.Add(b.GarblerInputWord(width), b.EvalInputWord(width))
+			b.OutputWordToEval(sum)
+			b.OutputWordToGarbler(b.XORGWord(sum, b.PrivateWord(width)))
+		}
+	}
+	// 8 inputs × 9 slots and 24 inputs × 3 slots: one label count, so
+	// either opens the other's pooled batch.
+	c, other := slotted(gadget(8), 9), slotted(gadget(24), 3)
+	m := c.Slots * len(c.EvalInputs)
+	if m != other.Slots*len(other.EvalInputs) || SameShape(c, other) {
+		t.Fatal("the two circuits must differ in shape over one label count")
+	}
+	rng := rand.New(rand.NewSource(11))
+	for _, tc := range []struct {
+		name    string
+		pooled  bool
+		staged  *Circuit // garbled over the pooled batch; nil for none
+		ahead   bool     // run GarbleAhead(c) through RunOnline
+		wantHit bool
+	}{
+		{"own shape", true, c, false, true},
+		{"other shape", true, other, false, false},
+		{"direct batch", false, nil, false, false},
+		{"garbled ahead", true, nil, true, false},
+	} {
+		gBits, eBits, priv := randomInputs(rng, c)
+		wantEval, wantGarb, err := c.EvalPlain(gBits, eBits, priv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		obs.Enable()
+		hits0, misses0 := mPreCircHits.Value(), mPreCircMisses.Value()
+		a, b := transport.Pair()
+		ch := make(chan error, 1)
+		var gotGarb []bool
+		go func() {
+			ch <- func() error {
+				snd, err := ot.NewSender(a)
+				if err != nil {
+					return err
+				}
+				var batch *ot.DeltaBatch
+				if tc.pooled {
+					if batch, err = snd.FillDelta(m); err != nil {
+						return err
+					}
+				}
+				if tc.staged != nil {
+					if _, err := GarbleOver(tc.staged, snd, batch); err != nil {
+						return err
+					}
+				}
+				if tc.ahead {
+					pg := GarbleAhead(c)
+					if gotGarb, err = pg.RunOnline(a, snd, gBits, priv); err == nil {
+						if _, again := pg.RunOnline(a, snd, gBits, priv); again == nil {
+							return fmt.Errorf("RunOnline accepted consumed material")
+						}
+					}
+				} else {
+					gotGarb, err = RunGarbler(a, snd, c, gBits, priv)
+				}
+				if err == nil && batch != nil && batch.Garbled != nil {
+					return fmt.Errorf("the opened batch still carries material")
+				}
+				return err
+			}()
+		}()
+		rcv, err := ot.NewReceiver(b)
+		if err == nil && tc.pooled {
+			err = rcv.FillDelta(m)
+		}
+		var gotEval []bool
+		if err == nil {
+			gotEval, err = RunEvaluator(b, rcv, c, eBits)
+		}
+		if err != nil {
+			b.Close() // unblock the garbler
+		}
+		gerr := <-ch
+		a.Close()
+		b.Close()
+		hits, misses := mPreCircHits.Value()-hits0, mPreCircMisses.Value()-misses0
+		obs.Disable()
+		if err != nil || gerr != nil {
+			t.Fatalf("%s: evaluator %v, garbler %v", tc.name, err, gerr)
+		}
+		if !reflect.DeepEqual(gotEval, wantEval) || !reflect.DeepEqual(gotGarb, wantGarb) {
+			t.Fatalf("%s: outputs differ from EvalPlain", tc.name)
+		}
+		if hits+misses != 1 || tc.wantHit != (hits == 1) {
+			t.Fatalf("%s: %d hits, %d misses; want a hit: %v", tc.name, hits, misses, tc.wantHit)
+		}
+	}
+}
+
+// TestSameShape covers the dimension fingerprint runGarbler matches the
+// material on a label batch against the circuit it opens for.
 func TestSameShape(t *testing.T) {
 	a := correctionCircuit()
 	b := correctionCircuit()
@@ -199,7 +305,7 @@ func TestSameShape(t *testing.T) {
 		t.Fatal("different circuits must not share a shape")
 	}
 	// The same slot repeated a different number of times is a different
-	// circuit: a queue holding one must not be consumed for the other.
+	// circuit: material garbled for one must not serve the other.
 	if !SameShape(slotted(correctionGadget, 5), slotted(correctionGadget, 5)) {
 		t.Fatal("equal slot counts must share a shape")
 	}

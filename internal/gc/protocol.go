@@ -32,7 +32,7 @@ func RunGarbler(conn transport.Conn, otSend *ot.Sender, c *Circuit, inputs, priv
 	if err := c.checkGarblerBits(inputs, priv); err != nil {
 		return nil, err
 	}
-	return runGarbler(conn, otSend, c, nil, inputs, priv)
+	return runGarbler(conn, otSend, c, inputs, priv)
 }
 
 func (c *Circuit) checkGarblerBits(inputs, priv []bool) error {
@@ -45,18 +45,18 @@ func (c *Circuit) checkGarblerBits(inputs, priv []bool) error {
 	return nil
 }
 
-// runGarbler runs the garbler's message exchange. pre is zero-private
-// material garbled ahead of time over the batch that now heads otSend's
-// pool (PreGarbled.RunOnline checks), or nil: then the circuit is
-// garbled here, over whichever batch the label OT opens.
-func runGarbler(conn transport.Conn, otSend *ot.Sender, c *Circuit, pre *garbled, inputs, priv []bool) ([]bool, error) {
+// runGarbler runs the garbler's message exchange. The label batch the
+// OT opens either carries zero-private material of c's shape garbled
+// over its rows (served), which takes the private bits and flips, or c
+// is garbled here over the batch.
+func runGarbler(conn transport.Conn, otSend *ot.Sender, c *Circuit, inputs, priv []bool) ([]bool, error) {
 	b, err := otSend.BeginDelta(c.Slots * len(c.EvalInputs))
 	if err != nil {
 		return nil, err
 	}
-	gb := pre
-	if pre != nil {
-		applyPrivate(c, pre, priv, b.Flips)
+	gb := served(b, c)
+	if gb != nil {
+		applyPrivate(c, gb, priv, b.Flips)
 	} else {
 		ck, err := keyOver(c, otSend, b)
 		if err != nil {

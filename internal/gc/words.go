@@ -218,30 +218,54 @@ func (b *Builder) Mul(x, y Word) Word {
 	return acc
 }
 
-// DivMod returns (x / y, x % y) by restoring division; if y == 0 the
-// quotient is all ones and the remainder is x, mirroring typical hardware
-// semantics. O(n²) AND gates. Used for the avg/ratio query compositions of
-// paper §7 (Query 8).
-func (b *Builder) DivMod(x, y Word) (quot, rem Word) {
-	mustSameLen(x, y)
+// MulConst returns (x · c) mod 2^n for a public constant c: x shifted to
+// each set bit of c, summed with one adder per set bit after the first
+// over the bits that shift leaves significant. No AND for c ≤ 1.
+func (b *Builder) MulConst(x Word, c uint64) Word {
 	n := len(x)
-	rem = b.ConstWord(0, n)
+	acc := b.ConstWord(0, n)
+	first := true
+	for j := 0; j < n; j++ {
+		switch {
+		case c>>j&1 == 0:
+		case first:
+			copy(acc[j:], x[:n-j])
+			first = false
+		default:
+			copy(acc[j:], b.Add(acc[j:], x[:n-j]))
+		}
+	}
+	return acc
+}
+
+// DivMod returns (x / y, x % y) by restoring division, for a divisor no
+// wider than the dividend; if y == 0 the quotient is all ones and the
+// remainder x's low len(y) bits, mirroring typical hardware semantics.
+// O(len(x)·len(y)) AND gates: the remainder stays below y, so each step
+// compares and subtracts in len(y)+1 bits, len(y) when the widths are
+// equal. Used for the avg/ratio query compositions of paper §7 (Query 8).
+func (b *Builder) DivMod(x, y Word) (quot, rem Word) {
+	n, m := len(x), len(y)
+	if m > n {
+		panic(fmt.Sprintf("gc: divisor of %d bits wider than its %d-bit dividend", m, n))
+	}
+	yw := b.ZeroExtend(y, min(m+1, n))
+	rem = b.ConstWord(0, m)
 	quot = make(Word, n)
 	for i := n - 1; i >= 0; i-- {
-		// rem = (rem << 1) | x[i]
-		shifted := make(Word, n)
+		// shifted = (rem << 1) | x[i]
+		shifted := make(Word, len(yw))
 		shifted[0] = x[i]
-		copy(shifted[1:], rem[:n-1])
-		rem = shifted
-		ge := b.GreaterEq(rem, y)
-		rem = b.MuxWord(ge, b.Sub(rem, y), rem)
+		copy(shifted[1:], rem)
+		ge := b.GreaterEq(shifted, yw)
+		rem = b.MuxWord(ge, b.Sub(shifted[:m], y), shifted[:m])
 		quot[i] = ge
 	}
 	// Handle y == 0: quotient all ones, remainder x.
 	yZero := b.IsZero(y)
 	ones := b.ConstWord(^uint64(0), n)
 	quot = b.MuxWord(yZero, ones, quot)
-	rem = b.MuxWord(yZero, x, rem)
+	rem = b.MuxWord(yZero, x[:m], rem)
 	return quot, rem
 }
 

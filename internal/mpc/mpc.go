@@ -13,7 +13,6 @@ package mpc
 import (
 	"context"
 	"fmt"
-	"log/slog"
 
 	"secyan/internal/gc"
 	"secyan/internal/obs"
@@ -79,9 +78,9 @@ type Party struct {
 // are pinned to the raw conn (not a context wrapper) so their stream
 // positions stay aligned with the peer across composed runs; a
 // cancelled context still unblocks them because its watcher closes the
-// underlying conn. The precomputed-circuit queue lives here for the same
-// reason: material staged by core.PrecomputeOpts under one context must
-// be visible to the core.Run that consumes it.
+// underlying conn. Their pools hold what core.PrecomputeOpts stages
+// under one context for the core.Run that consumes it, circuits garbled
+// ahead of time included (on their label batches).
 type session struct {
 	raw    transport.Conn
 	otSend *ot.Sender   // this party as OT sender
@@ -91,13 +90,6 @@ type session struct {
 	// as PSI sender (KKRT sender) and as PSI receiver.
 	kkrtSend *ot.KKRTSender
 	kkrtRecv *ot.KKRTReceiver
-
-	// FIFO queue of ahead-of-time garbled material, consumed by
-	// RunCircuit in plan order. No mutex: the protocol itself is
-	// single-threaded per party, and Precompute joins its background
-	// garbling goroutine before enqueueing. The evaluating side has
-	// nothing to stage: evaluation needs no per-circuit preparation.
-	preGarb []*gc.PreGarbled
 }
 
 // NewParty creates a session context. Ring defaults to share.Default when
@@ -217,54 +209,11 @@ func (p *Party) KKRTReceiver() (*ot.KKRTReceiver, error) {
 	return st.kkrtRecv, nil
 }
 
-// Circuit-queue metrics, mirroring the OT pool's fill/hit/miss triple.
-// Only garbling is counted: the evaluating side has no queue to hit.
-var (
-	mPreCircHits   = obs.NewCounter("secyan_mpc_precircuit_hit_total", "Circuits served from the ahead-of-time garbling queue.")
-	mPreCircMisses = obs.NewCounter("secyan_mpc_precircuit_miss_total", "Circuits garbled on the direct path (queue empty, shape mismatch, or material not garbled over the label batch the OT opens).")
-)
-
-// noteCircuit bumps the hit/miss counter and mirrors the outcome into
-// the structured event log under this party's query tag.
-func (p *Party) noteCircuit(hit bool) {
-	if hit {
-		mPreCircHits.Inc()
-	} else {
-		mPreCircMisses.Inc()
-	}
-	if obs.Enabled() {
-		kind := "precompute.miss"
-		if hit {
-			kind = "precompute.hit"
-		}
-		obs.Events().Emit(kind, p.Tag, slog.String("what", "circuit"))
-	}
-}
-
-// EnqueuePreGarbled appends ahead-of-time garbled material for a circuit
-// this party will garble. Queued entries must arrive in the order the
-// protocol will run the circuits.
-func (p *Party) EnqueuePreGarbled(pg *gc.PreGarbled) {
-	st := p.state()
-	st.preGarb = append(st.preGarb, pg)
-}
-
 // RunCircuit evaluates circuit c with the given party acting as garbler.
 // myInputs are this party's input bits (garbler inputs if this party
 // garbles, evaluator inputs otherwise); the returned bits are the outputs
-// destined to this party.
-//
-// When this party garbles and the head of its precomputed queue matches
-// c's shape, the queued material is consumed: it runs on its thin online
-// path (private bits and input flips plus the exchange) when the label
-// batch it was garbled over heads the OT pool, and is dropped for a fresh
-// garble otherwise, because the labels are the rows of whichever batch
-// the label OT opens (gc.RunGarbler). The wire format follows the OT
-// pools, which both parties agree on, never the queue, so the queue needs
-// no cross-party agreement. A shape
-// mismatch — execution has diverged from the precomputed plan — drops
-// the rest of the queue and falls back to the direct path, which is
-// always correct.
+// destined to this party. The garbler serves material staged ahead of
+// time when its label batch carries it (gc.RunGarbler).
 func (p *Party) RunCircuit(c *gc.Circuit, myInputs, myPriv []bool, garbler Role) ([]bool, error) {
 	if p.Role != garbler {
 		rcv, err := p.OTReceiver()
@@ -277,18 +226,6 @@ func (p *Party) RunCircuit(c *gc.Circuit, myInputs, myPriv []bool, garbler Role)
 	if err != nil {
 		return nil, err
 	}
-	st := p.state()
-	if len(st.preGarb) > 0 {
-		pg := st.preGarb[0]
-		st.preGarb[0] = nil // consumed or dropped, never kept alive by the queue
-		if !gc.SameShape(pg.C, c) {
-			st.preGarb = nil
-		} else if st.preGarb = st.preGarb[1:]; pg.Serves(snd) {
-			p.noteCircuit(true)
-			return pg.RunOnline(p.Conn, snd, myInputs, myPriv)
-		}
-	}
-	p.noteCircuit(false)
 	return gc.RunGarbler(p.Conn, snd, c, myInputs, myPriv)
 }
 

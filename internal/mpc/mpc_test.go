@@ -206,91 +206,6 @@ func TestDefaultRing(t *testing.T) {
 	}
 }
 
-// TestRunCircuitQueueMatchesSlotCount pins the staged-circuit queue's
-// shape check against slot replication: material garbled for the same
-// slot repeated a different number of times must be a miss — dropped,
-// with the circuit run on the direct path and still correct — while an
-// equal count is consumed from the queue: served when it was garbled
-// over the pooled label batch that heads the pool, dropped for a fresh
-// garble when it has no batch (GarbleAhead) and the batch runs direct.
-func TestRunCircuitQueueMatchesSlotCount(t *testing.T) {
-	build := func(slots int) *gc.Circuit {
-		b := gc.NewBuilder()
-		sum := b.Add(b.GarblerInputWord(8), b.EvalInputWord(8))
-		b.OutputWordToEval(sum)
-		b.OutputWordToGarbler(b.XORGWord(sum, b.PrivateWord(8)))
-		return b.BuildSlots(slots)
-	}
-	const slots = 9
-	var gBits, eBits, priv []bool
-	for s := 0; s < slots; s++ {
-		gBits = gc.AppendBits(gBits, uint64(10+s), 8)
-		eBits = gc.AppendBits(eBits, uint64(3*s), 8)
-		priv = gc.AppendBits(priv, 0xF0, 8)
-	}
-	for _, tc := range []struct {
-		staged    int
-		pooled    bool
-		wantHit   bool
-		wantQueue int
-	}{{slots, true, true, 1}, {slots, false, false, 1}, {slots - 1, true, false, 0}, {1, true, false, 0}} {
-		obs.Enable()
-		hits0, misses0 := mPreCircHits.Value(), mPreCircMisses.Value()
-		alice, bob := Pair(share.Ring{Bits: 8})
-		staged := build(tc.staged)
-		m := staged.Slots * len(staged.EvalInputs)
-		if tc.pooled {
-			if _, _, err := Run2PC(alice, bob,
-				func(p *Party) (any, error) { _, err := fillLabels(p, m); return nil, err },
-				func(p *Party) (any, error) {
-					batch, err := fillLabels(p, m)
-					if err != nil {
-						return nil, err
-					}
-					snd, _ := p.OTSender()
-					pg, err := gc.GarbleOver(staged, snd, batch)
-					if err == nil {
-						p.EnqueuePreGarbled(pg)
-					}
-					return nil, err
-				},
-			); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			bob.EnqueuePreGarbled(gc.GarbleAhead(staged))
-		}
-		bob.EnqueuePreGarbled(gc.GarbleAhead(build(slots))) // dropped with the queue on a mismatch
-		c := build(slots)
-		aOut, bOut, err := Run2PC(alice, bob,
-			func(p *Party) ([]bool, error) { return p.RunCircuit(c, eBits, nil, Bob) },
-			func(p *Party) ([]bool, error) { return p.RunCircuit(c, gBits, priv, Bob) },
-		)
-		alice.Conn.Close()
-		bob.Conn.Close()
-		hits, misses := mPreCircHits.Value()-hits0, mPreCircMisses.Value()-misses0
-		obs.Disable()
-		if err != nil {
-			t.Fatalf("staged %d slots: %v", tc.staged, err)
-		}
-		for s := 0; s < slots; s++ {
-			want := uint64(10+s+3*s) & 0xFF
-			if got := gc.UintOfBits(aOut[8*s : 8*s+8]); got != want {
-				t.Fatalf("staged %d slots: evaluator slot %d = %d, want %d", tc.staged, s, got, want)
-			}
-			if got := gc.UintOfBits(bOut[8*s : 8*s+8]); got != want^0xF0 {
-				t.Fatalf("staged %d slots: garbler slot %d = %d, want %d", tc.staged, s, got, want^0xF0)
-			}
-		}
-		if got := len(bob.state().preGarb); got != tc.wantQueue {
-			t.Fatalf("staged %d slots: %d circuits left in the queue, want %d", tc.staged, got, tc.wantQueue)
-		}
-		if tc.wantHit != (hits == 1) || tc.wantHit != (misses == 0) {
-			t.Fatalf("staged %d slots: %d hits, %d misses", tc.staged, hits, misses)
-		}
-	}
-}
-
 // fillLabels fills one label batch of m Δ-OTs into the pools of the
 // direction Bob sends in, and returns the batch on Bob's end.
 func fillLabels(p *Party, m int) (*ot.DeltaBatch, error) {

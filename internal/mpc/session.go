@@ -2,7 +2,7 @@ package mpc
 
 // Session multiplexes independent protocol executions over one
 // connection: each logical stream gets its own Party (own OT-extension
-// state, own PRG, own precomputed-circuit queues), so N queries — or a
+// state, precomputed pools included, and own PRG), so N queries — or a
 // background Precompute filling pools while online queries run — share
 // a single authenticated transport without sharing any cryptographic
 // state. Stream pairing follows the same convention as query

@@ -50,6 +50,9 @@ type DeltaBatch struct {
 	Flips []byte
 	// Serial is the batch's index among its direction's Δ-OT batches.
 	Serial uint64
+	// Garbled is what a garbler left on a pooled batch to serve when the
+	// batch opens (gc's material garbled over Q); ot never reads it.
+	Garbled any
 }
 
 // Delta returns the extension's Δ, the correlation q_j ⊕ t_j = c_j·Δ of
@@ -121,18 +124,6 @@ func (r *Receiver) FillDelta(m int) error {
 	}
 	r.pool.push(&randBatch{m: m, msgLen: deltaKind, bits: bits, rc: t, serial: serial})
 	return nil
-}
-
-// NextDelta returns the pooled batch BeginDelta(m) would open, or nil
-// when it would run a direct one.
-func (s *Sender) NextDelta(m int) *DeltaBatch {
-	p := &s.pool
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.batches) == 0 || p.batches[0].m != m || p.batches[0].msgLen != deltaKind {
-		return nil
-	}
-	return p.batches[0].delta
 }
 
 // BeginDelta opens a batch of m Δ-OTs: the pool head when it is a Δ-OT

@@ -316,9 +316,9 @@ func (s *Session) Precompute(ctx context.Context, q *Query, opts ...Option) (*Tr
 	return tr, nil
 }
 
-// RevealRatio reveals (num·scale)/den per result row to Alice on a
-// fresh stream — the composition used for AVG and market-share style
-// aggregates over two WithSharedResult results.
+// RevealRatio reveals ⌊num·scale/den⌋ (scale ≥ 1) per result row to
+// Alice on a fresh stream — the composition used for AVG and
+// market-share style aggregates over two WithSharedResult results.
 func (s *Session) RevealRatio(ctx context.Context, num, den *SharedResult, scale uint64, opts ...Option) (*Relation, error) {
 	x, err := s.admit(s.cfg.with(opts), "reveal-ratio", true)
 	if err != nil {
