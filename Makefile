@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all test short race race-sessions race-obs race-kernels race-daemon bench bench-check vet loc fuzz
+.PHONY: all test short race race-sessions race-obs race-kernels race-daemon bench bench-check vet loc examples fuzz
 
 all: vet test
 
@@ -97,6 +97,12 @@ vet:
 # outside bench/.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
+
+# Run every example program. Each exits non-zero when its secure result
+# differs from the values it prints as expected; dp_count's count is
+# noisy by design, so there only the exit status counts.
+examples:
+	@for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d || exit 1; done
 
 # Short fuzz bursts for the transpose involution, the keyed AES-CTR
 # keystream at any offset and length against crypto/cipher, the TCP framing

@@ -23,22 +23,15 @@ func Example() {
 	classes.Append([]uint64{100, 1}, 1)
 	classes.Append([]uint64{101, 2}, 1)
 
-	queryFor := func(role secyan.Role) *secyan.Query {
-		q := &secyan.Query{
-			Inputs: []secyan.Input{
-				{Name: "policies", Owner: secyan.Alice, Schema: policies.Schema, N: policies.Len()},
-				{Name: "records", Owner: secyan.Bob, Schema: records.Schema, N: records.Len()},
-				{Name: "classes", Owner: secyan.Alice, Schema: classes.Schema, N: classes.Len()},
-			},
-			Output: []secyan.Attr{"class"},
-		}
-		if role == secyan.Alice {
-			q.Inputs[0].Rel = policies
-			q.Inputs[2].Rel = classes
-		} else {
-			q.Inputs[1].Rel = records
-		}
-		return q
+	// The query is described once; each party runs q.For(role), the view
+	// that carries only its own relations.
+	q := &secyan.Query{
+		Inputs: []secyan.Input{
+			{Name: "policies", Owner: secyan.Alice, Schema: policies.Schema, N: policies.Len(), Rel: policies},
+			{Name: "records", Owner: secyan.Bob, Schema: records.Schema, N: records.Len(), Rel: records},
+			{Name: "classes", Owner: secyan.Alice, Schema: classes.Schema, N: classes.Len(), Rel: classes},
+		},
+		Output: []secyan.Attr{"class"},
 	}
 
 	alice, bob := secyan.OpenLocal()
@@ -47,10 +40,10 @@ func Example() {
 	ctx := context.Background()
 	bobDone := make(chan error, 1)
 	go func() {
-		_, err := bob.Query(ctx, queryFor(secyan.Bob))
+		_, err := bob.Query(ctx, q.For(secyan.Bob))
 		bobDone <- err
 	}()
-	res, err := alice.Query(ctx, queryFor(secyan.Alice))
+	res, err := alice.Query(ctx, q.For(secyan.Alice))
 	if err != nil {
 		log.Fatal(err)
 	}

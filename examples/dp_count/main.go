@@ -32,33 +32,23 @@ func main() {
 	// -> 20 * 3 * 2 = 120.
 	const epsilon = 1.0
 
-	queryFor := func(role secyan.Role) *secyan.Query {
-		q := &secyan.Query{
-			Inputs: []secyan.Input{
-				{Name: "mine", Owner: secyan.Alice, Schema: mine.Schema, N: mine.Len()},
-				{Name: "yours", Owner: secyan.Bob, Schema: yours.Schema, N: yours.Len()},
-			},
-		}
-		if role == secyan.Alice {
-			q.Inputs[0].Rel = mine
-		} else {
-			q.Inputs[1].Rel = yours
-		}
-		return q
+	q := &secyan.Query{
+		Inputs: []secyan.Input{
+			{Name: "mine", Owner: secyan.Alice, Schema: mine.Schema, N: mine.Len(), Rel: mine},
+			{Name: "yours", Owner: secyan.Bob, Schema: yours.Schema, N: yours.Len(), Rel: yours},
+		},
 	}
 
 	alice, bob := mpc.Pair(secyan.DefaultRing)
 	defer alice.Conn.Close()
 	defer bob.Conn.Close()
 	run := func(p *mpc.Party) (uint64, error) {
-		res, _, err := core.RunShared(context.Background(), p, queryFor(p.Role), core.Options{})
+		res, _, err := core.RunShared(context.Background(), p, q.For(p.Role), core.Options{})
 		if err != nil {
 			return 0, err
 		}
-		var ownRel *secyan.Relation
-		if p.Role == mpc.Alice {
-			ownRel = mine
-		} else {
+		ownRel := mine
+		if p.Role == mpc.Bob {
 			ownRel = yours
 		}
 		myMax, err := dp.MaxMultiplicity(ownRel, []secyan.Attr{"k"})

@@ -28,20 +28,12 @@ func main() {
 		yours.Append([]uint64{v}, 1) // multiples of three
 	}
 
-	queryFor := func(role secyan.Role) *secyan.Query {
-		q := &secyan.Query{
-			Inputs: []secyan.Input{
-				{Name: "mine", Owner: secyan.Alice, Schema: mine.Schema, N: mine.Len()},
-				{Name: "yours", Owner: secyan.Bob, Schema: yours.Schema, N: yours.Len()},
-			},
-			Output: nil, // O = ∅: a single grand total
-		}
-		if role == secyan.Alice {
-			q.Inputs[0].Rel = mine
-		} else {
-			q.Inputs[1].Rel = yours
-		}
-		return q
+	q := &secyan.Query{
+		Inputs: []secyan.Input{
+			{Name: "mine", Owner: secyan.Alice, Schema: mine.Schema, N: mine.Len(), Rel: mine},
+			{Name: "yours", Owner: secyan.Bob, Schema: yours.Schema, N: yours.Len(), Rel: yours},
+		},
+		Output: nil, // O = ∅: a single grand total
 	}
 
 	alice, bob := secyan.OpenLocal()
@@ -50,10 +42,10 @@ func main() {
 	ctx := context.Background()
 	bobDone := make(chan error, 1)
 	go func() {
-		_, err := bob.Query(ctx, queryFor(secyan.Bob))
+		_, err := bob.Query(ctx, q.For(secyan.Bob))
 		bobDone <- err
 	}()
-	res, err := alice.Query(ctx, queryFor(secyan.Alice))
+	res, err := alice.Query(ctx, q.For(secyan.Alice))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,5 +56,9 @@ func main() {
 	if res.Relation.Len() == 1 {
 		count = res.Relation.Annot[0]
 	}
-	fmt.Printf("shared accounts: %d (expected: multiples of 6 below 40 = 7)\n", count)
+	const want = 7 // multiples of 6 below 40
+	fmt.Printf("shared accounts: %d (expected: multiples of 6 below 40 = %d)\n", count, want)
+	if count != want {
+		log.Fatalf("secure count %d, want %d", count, want)
+	}
 }

@@ -37,21 +37,16 @@ func main() {
 		cntRel.Append([]uint64{r.person, r.disease}, 1)
 	}
 
-	queryFor := func(role secyan.Role, records *secyan.Relation) *secyan.Query {
-		q := &secyan.Query{
+	query := func(records *secyan.Relation) *secyan.Query {
+		return &secyan.Query{
 			Inputs: []secyan.Input{
-				{Name: "records", Owner: secyan.Bob, Schema: records.Schema, N: records.Len()},
-				{Name: "classes", Owner: secyan.Alice, Schema: classes.Schema, N: classes.Len()},
+				{Name: "records", Owner: secyan.Bob, Schema: records.Schema, N: records.Len(), Rel: records},
+				{Name: "classes", Owner: secyan.Alice, Schema: classes.Schema, N: classes.Len(), Rel: classes},
 			},
 			Output: []secyan.Attr{"class"},
 		}
-		if role == secyan.Bob {
-			q.Inputs[0].Rel = records
-		} else {
-			q.Inputs[1].Rel = classes
-		}
-		return q
 	}
+	sumQ, cntQ := query(sumRel), query(cntRel)
 
 	alice, bob := secyan.OpenLocal()
 	defer alice.Close()
@@ -61,11 +56,11 @@ func main() {
 	run := func(s *secyan.Session, role secyan.Role) (*secyan.Relation, error) {
 		// Two shared runs over the same tuples (different annotations),
 		// then one division circuit: avg = sum / count.
-		sum, err := s.Query(ctx, queryFor(role, sumRel), secyan.WithSharedResult())
+		sum, err := s.Query(ctx, sumQ.For(role), secyan.WithSharedResult())
 		if err != nil {
 			return nil, err
 		}
-		cnt, err := s.Query(ctx, queryFor(role, cntRel), secyan.WithSharedResult())
+		cnt, err := s.Query(ctx, cntQ.For(role), secyan.WithSharedResult())
 		if err != nil {
 			return nil, err
 		}
@@ -85,10 +80,6 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Println("average treatment cost by class (integer division):")
-	for i := range result.Tuples {
-		fmt.Printf("  class %d: avg %d\n", result.Tuples[i][0], result.Annot[i])
-	}
 	// Plaintext check.
 	sums := map[uint64]uint64{}
 	cnts := map[uint64]uint64{}
@@ -96,6 +87,17 @@ func main() {
 		class := r.disease % 2
 		sums[class] += r.cost
 		cnts[class]++
+	}
+	fmt.Println("average treatment cost by class (integer division):")
+	for i := range result.Tuples {
+		class, avg := result.Tuples[i][0], result.Annot[i]
+		fmt.Printf("  class %d: avg %d\n", class, avg)
+		if cnts[class] == 0 || avg != sums[class]/cnts[class] {
+			log.Fatalf("class %d: secure avg %d, expected %d/%d", class, avg, sums[class], cnts[class])
+		}
+	}
+	if result.Len() != len(sums) {
+		log.Fatalf("secure result has %d classes, expected %d", result.Len(), len(sums))
 	}
 	fmt.Println("expected:")
 	for class, s := range sums {

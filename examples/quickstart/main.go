@@ -47,28 +47,19 @@ func main() {
 	records.Append([]uint64{2, 101}, 200_00)
 	records.Append([]uint64{4, 100}, 999_00) // person 4 is uninsured
 
-	// --- The query, as each party describes it -------------------------
-	// Both parties agree on schemas, owners and public sizes; each
-	// attaches only its own relations.
-	queryFor := func(role secyan.Role) *secyan.Query {
-		q := &secyan.Query{
-			Inputs: []secyan.Input{
-				{Name: "policies", Owner: secyan.Alice, Schema: policies.Schema, N: policies.Len()},
-				{Name: "records", Owner: secyan.Bob, Schema: records.Schema, N: records.Len()},
-				{Name: "classes", Owner: secyan.Alice, Schema: classes.Schema, N: classes.Len()},
-			},
-			Output: []secyan.Attr{"class"},
-		}
-		if role == secyan.Alice {
-			q.Inputs[0].Rel = policies
-			q.Inputs[2].Rel = classes
-		} else {
-			q.Inputs[1].Rel = records
-		}
-		return q
+	// --- The query, described once -------------------------------------
+	// Both parties agree on schemas, owners and public sizes; each runs
+	// q.For(role), the view that carries only its own relations.
+	q := &secyan.Query{
+		Inputs: []secyan.Input{
+			{Name: "policies", Owner: secyan.Alice, Schema: policies.Schema, N: policies.Len(), Rel: policies},
+			{Name: "records", Owner: secyan.Bob, Schema: records.Schema, N: records.Len(), Rel: records},
+			{Name: "classes", Owner: secyan.Alice, Schema: classes.Schema, N: classes.Len(), Rel: classes},
+		},
+		Output: []secyan.Attr{"class"},
 	}
 
-	if err := secyan.CheckFreeConnex(queryFor(secyan.Alice), []secyan.Attr{"class"}); err != nil {
+	if err := secyan.CheckFreeConnex(q, q.Output); err != nil {
 		log.Fatalf("query not supported: %v", err)
 	}
 
@@ -84,10 +75,10 @@ func main() {
 	}
 	bobDone := make(chan half, 1)
 	go func() {
-		res, err := bob.Query(ctx, queryFor(secyan.Bob))
+		res, err := bob.Query(ctx, q.For(secyan.Bob))
 		bobDone <- half{res, err}
 	}()
-	res, err := alice.Query(ctx, queryFor(secyan.Alice))
+	res, err := alice.Query(ctx, q.For(secyan.Alice))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -100,9 +91,26 @@ func main() {
 	}
 	result := res.Relation
 
+	// The plaintext engine over the whole description is the reference
+	// (only this demo holds both parties' data).
+	want, err := secyan.Plaintext(q, secyan.DefaultRing)
+	if err != nil {
+		log.Fatal(err)
+	}
+	wantByClass := map[uint64]uint64{}
+	for i := range want.Tuples {
+		wantByClass[want.Tuples[i][0]] = want.Annot[i]
+	}
 	fmt.Println("expected payout by disease class (cents × 100):")
 	for i := range result.Tuples {
-		fmt.Printf("  class %d: %d\n", result.Tuples[i][0], result.Annot[i])
+		class, got := result.Tuples[i][0], result.Annot[i]
+		fmt.Printf("  class %d: %d\n", class, got)
+		if got != wantByClass[class] {
+			log.Fatalf("class %d: secure %d, plaintext %d", class, got, wantByClass[class])
+		}
+	}
+	if result.Len() != want.Len() {
+		log.Fatalf("secure result has %d classes, plaintext %d", result.Len(), want.Len())
 	}
 	st := alice.Stats().Data
 	fmt.Printf("transcript: %d bytes, %d rounds — and nothing about the other party's rows\n",

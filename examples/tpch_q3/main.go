@@ -61,7 +61,10 @@ func main() {
 	}
 
 	st := alice.Conn.Stats()
+	agrees := plain.Len() == secure.Len()
 	fmt.Printf("\nsecure: %.2fs, %.2f MB, %d rounds; plaintext reference agrees on %d rows: %v\n",
-		elapsed.Seconds(), float64(st.TotalBytes())/1e6, st.Rounds,
-		plain.Len(), plain.Len() == secure.Len())
+		elapsed.Seconds(), float64(st.TotalBytes())/1e6, st.Rounds, plain.Len(), agrees)
+	if !agrees {
+		log.Fatal("the secure result disagrees with the plaintext reference")
+	}
 }

@@ -10,33 +10,21 @@ import (
 	"secyan/internal/relation"
 )
 
-// runSharedPair executes RunShared for two annotation variants of the same
-// relations and applies combine to the two shared results.
-func runComposed(t *testing.T, q *Query, relsA, relsB []*relation.Relation,
+// runComposed executes RunShared for two descriptions of one query,
+// differing only in annotations, and applies combine to the two shared
+// results.
+func runComposed(t *testing.T, qa, qb *Query,
 	combine func(p *mpc.Party, ra, rb *SharedResult) (*relation.Relation, error)) *relation.Relation {
 	t.Helper()
 	alice, bob := mpc.Pair(testRing)
 	defer alice.Conn.Close()
 	defer bob.Conn.Close()
-	queryFor := func(role mpc.Role, rels []*relation.Relation) *Query {
-		cq := &Query{Output: q.Output}
-		for i, in := range q.Inputs {
-			ci := in
-			if in.Owner == role {
-				ci.Rel = rels[i]
-			} else {
-				ci.Rel = nil
-			}
-			cq.Inputs = append(cq.Inputs, ci)
-		}
-		return cq
-	}
 	run := func(p *mpc.Party) (*relation.Relation, error) {
-		ra, err := runShared(p, queryFor(p.Role, relsA))
+		ra, err := runShared(p, qa.For(p.Role))
 		if err != nil {
 			return nil, err
 		}
-		rb, err := runShared(p, queryFor(p.Role, relsB))
+		rb, err := runShared(p, qb.For(p.Role))
 		if err != nil {
 			return nil, err
 		}
@@ -49,12 +37,12 @@ func runComposed(t *testing.T, q *Query, relsA, relsB []*relation.Relation,
 	return res
 }
 
-// composeQuery builds a two-relation group-by query where the two variants
-// differ only in annotations — the structure of TPC-H Q8/Q9 composition.
+// composeQuery describes a two-relation group-by query twice, the two
+// variants differing only in annotations — the structure of TPC-H Q8/Q9 composition.
 // The grouped relation belongs to owner, and group 2's denominator is
 // zero. Row 0 joins, in group 0, with a numerator of 2^ℓ/64: group 0's
 // num·scale passes 2^ℓ for any scale ≥ 64.
-func composeQuery(rng *rand.Rand, owner mpc.Role) (q *Query, relsA, relsB []*relation.Relation, wantNum, wantDen map[uint64]uint64) {
+func composeQuery(rng *rand.Rand, owner mpc.Role) (qa, qb *Query, wantNum, wantDen map[uint64]uint64) {
 	n := 14
 	base := relation.New(relation.MustSchema("k", "g"))
 	other := relation.New(relation.MustSchema("k"))
@@ -73,12 +61,14 @@ func composeQuery(rng *rand.Rand, owner mpc.Role) (q *Query, relsA, relsB []*rel
 		}
 	}
 	ra.Annot[0] = 1 << testRing.Bits / 64
-	q = &Query{
-		Inputs: []Input{
-			{Name: "base", Owner: owner, Schema: base.Schema, N: n},
-			{Name: "other", Owner: 1 - owner, Schema: other.Schema, N: n},
-		},
-		Output: []relation.Attr{"g"},
+	query := func(base *relation.Relation) *Query {
+		return &Query{
+			Inputs: []Input{
+				{Name: "base", Owner: owner, Schema: base.Schema, N: n, Rel: base},
+				{Name: "other", Owner: 1 - owner, Schema: other.Schema, N: n, Rel: other},
+			},
+			Output: []relation.Attr{"g"},
+		}
 	}
 	// Plaintext expectations.
 	wantNum = map[uint64]uint64{}
@@ -92,7 +82,7 @@ func composeQuery(rng *rand.Rand, owner mpc.Role) (q *Query, relsA, relsB []*rel
 		wantNum[g] += ra.Annot[i] * inOther[k]
 		wantDen[g] += rb.Annot[i] * inOther[k]
 	}
-	return q, []*relation.Relation{ra, other}, []*relation.Relation{rb, other}, wantNum, wantDen
+	return query(ra), query(rb), wantNum, wantDen
 }
 
 // TestComposeRatio reveals a ratio of two shared results with the rows
@@ -107,9 +97,9 @@ func TestComposeRatio(t *testing.T) {
 	for _, owner := range []mpc.Role{mpc.Alice, mpc.Bob} {
 		t.Run(owner.String(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(31))
-			q, relsA, relsB, wantNum, wantDen := composeQuery(rng, owner)
+			qa, qb, wantNum, wantDen := composeQuery(rng, owner)
 			const scale = 100
-			got := runComposed(t, q, relsA, relsB, func(p *mpc.Party, ra, rb *SharedResult) (*relation.Relation, error) {
+			got := runComposed(t, qa, qb, func(p *mpc.Party, ra, rb *SharedResult) (*relation.Relation, error) {
 				if h := rb.asShared().Holder; h != owner {
 					t.Errorf("result rows at %v, want %v", h, owner)
 				}
@@ -223,14 +213,14 @@ func TestRatioCircuitIsSlotBuilt(t *testing.T) {
 
 func TestComposeSubtract(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
-	q, relsA, relsB, wantNum, wantDen := composeQuery(rng, mpc.Bob)
+	qa, qb, wantNum, wantDen := composeQuery(rng, mpc.Bob)
 	ring := testRing
-	got := runComposed(t, q, relsA, relsB, func(p *mpc.Party, ra, rb *SharedResult) (*relation.Relation, error) {
+	got := runComposed(t, qa, qb, func(p *mpc.Party, ra, rb *SharedResult) (*relation.Relation, error) {
 		diff, err := ra.Subtract(ring, rb)
 		if err != nil {
 			return nil, err
 		}
-		return diff.Reveal(p, q.Output)
+		return diff.Reveal(p, qa.Output)
 	})
 	rows := map[uint64]uint64{}
 	for i := range got.Tuples {

@@ -25,6 +25,11 @@ type Input struct {
 }
 
 // Query is a free-connex join-aggregate query over owned relations.
+//
+// A query is described once, with every relation attached; For gives
+// each party the view it runs (its own relations only) and Shape the
+// public part alone. Everything but Rel is public and the same in
+// every view, as the protocol requires.
 type Query struct {
 	Inputs []Input
 	Output []relation.Attr
@@ -33,6 +38,30 @@ type Query struct {
 	// plaintext to their owner). Both parties must set it identically;
 	// it exists for the ablation benchmarks.
 	NoLocalOptimizations bool
+}
+
+// For returns role's view of q: a copy whose inputs keep Rel only where
+// role is the Owner. q itself is left as it was.
+func (q *Query) For(role mpc.Role) *Query {
+	v := *q
+	v.Inputs = make([]Input, len(q.Inputs))
+	for i, in := range q.Inputs {
+		if in.Owner != role {
+			in.Rel = nil
+		}
+		v.Inputs[i] = in
+	}
+	return &v
+}
+
+// Shape returns q's public shape, no relation attached: what the planner,
+// Explain and Precompute need, and all that both parties share.
+func (q *Query) Shape() *Query {
+	v := q.For(mpc.Alice)
+	for i := range v.Inputs {
+		v.Inputs[i].Rel = nil
+	}
+	return v
 }
 
 // Hypergraph derives the join hypergraph of the query.

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"secyan/internal/jointree"
@@ -14,27 +15,14 @@ import (
 
 // runSecure executes the full secure Yannakakis protocol on fresh parties
 // and returns Alice's result.
-func runSecure(t *testing.T, q *Query, rels []*relation.Relation) *relation.Relation {
+func runSecure(t *testing.T, q *Query) *relation.Relation {
 	t.Helper()
 	alice, bob := mpc.Pair(testRing)
 	defer alice.Conn.Close()
 	defer bob.Conn.Close()
-	queryFor := func(role mpc.Role) *Query {
-		cq := &Query{Output: q.Output}
-		for i, in := range q.Inputs {
-			ci := in
-			if in.Owner == role {
-				ci.Rel = rels[i]
-			} else {
-				ci.Rel = nil
-			}
-			cq.Inputs = append(cq.Inputs, ci)
-		}
-		return cq
-	}
 	res, _, err := mpc.Run2PC(alice, bob,
-		func(p *mpc.Party) (*relation.Relation, error) { return runQuery(p, queryFor(mpc.Alice)) },
-		func(p *mpc.Party) (*relation.Relation, error) { return runQuery(p, queryFor(mpc.Bob)) },
+		func(p *mpc.Party) (*relation.Relation, error) { return runQuery(p, q.For(mpc.Alice)) },
+		func(p *mpc.Party) (*relation.Relation, error) { return runQuery(p, q.For(mpc.Bob)) },
 	)
 	if err != nil {
 		t.Fatalf("secure run: %v", err)
@@ -43,11 +31,15 @@ func runSecure(t *testing.T, q *Query, rels []*relation.Relation) *relation.Rela
 }
 
 // plaintextReference evaluates the same query with the plaintext engine.
-func plaintextReference(t *testing.T, q *Query, rels []*relation.Relation) *relation.Relation {
+func plaintextReference(t *testing.T, q *Query) *relation.Relation {
 	t.Helper()
 	tree, err := q.Hypergraph().Plan(q.Output)
 	if err != nil {
 		t.Fatal(err)
+	}
+	rels := make([]*relation.Relation, len(q.Inputs))
+	for i, in := range q.Inputs {
+		rels[i] = in.Rel
 	}
 	res, err := yannakakis.Run(tree, rels, q.Output, relation.RingSemiring{Bits: testRing.Bits})
 	if err != nil {
@@ -89,7 +81,7 @@ func compareResults(t *testing.T, name string, got, want *relation.Relation) {
 // example11Query is the paper's running example with the relations split
 // between the insurance company (Alice: R1, R3) and the hospital (Bob:
 // R2).
-func example11Query(rng *rand.Rand, nPersons, nRecords int) (*Query, []*relation.Relation) {
+func example11Query(rng *rand.Rand, nPersons, nRecords int) *Query {
 	r1 := relation.New(relation.MustSchema("person", "coinsurance"))
 	for i := 0; i < nPersons; i++ {
 		r1.Append([]uint64{uint64(i), uint64(rng.Intn(100))}, uint64(rng.Intn(100)))
@@ -102,22 +94,21 @@ func example11Query(rng *rand.Rand, nPersons, nRecords int) (*Query, []*relation
 	for d := 0; d < 4; d++ { // disease 4 is unclassified
 		r3.Append([]uint64{uint64(d), uint64(d % 2)}, 1)
 	}
-	q := &Query{
+	return &Query{
 		Inputs: []Input{
-			{Name: "insurance", Owner: mpc.Alice, Schema: r1.Schema, N: r1.Len()},
-			{Name: "records", Owner: mpc.Bob, Schema: r2.Schema, N: r2.Len()},
-			{Name: "classes", Owner: mpc.Alice, Schema: r3.Schema, N: r3.Len()},
+			{Name: "insurance", Owner: mpc.Alice, Schema: r1.Schema, N: r1.Len(), Rel: r1},
+			{Name: "records", Owner: mpc.Bob, Schema: r2.Schema, N: r2.Len(), Rel: r2},
+			{Name: "classes", Owner: mpc.Alice, Schema: r3.Schema, N: r3.Len(), Rel: r3},
 		},
 		Output: []relation.Attr{"class"},
 	}
-	return q, []*relation.Relation{r1, r2, r3}
 }
 
 func TestSecureExample11MatchesPlaintext(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	q, rels := example11Query(rng, 12, 20)
-	got := runSecure(t, q, rels)
-	want := plaintextReference(t, q, rels)
+	q := example11Query(rng, 12, 20)
+	got := runSecure(t, q)
+	want := plaintextReference(t, q)
 	compareResults(t, "example 1.1", got, want)
 }
 
@@ -141,15 +132,14 @@ func TestSecureMultiNodeJoinPhase(t *testing.T) {
 	} {
 		q := &Query{
 			Inputs: []Input{
-				{Name: "R1", Owner: owners[0], Schema: r1.Schema, N: r1.Len()},
-				{Name: "R2", Owner: owners[1], Schema: r2.Schema, N: r2.Len()},
-				{Name: "R3", Owner: owners[2], Schema: r3.Schema, N: r3.Len()},
+				{Name: "R1", Owner: owners[0], Schema: r1.Schema, N: r1.Len(), Rel: r1},
+				{Name: "R2", Owner: owners[1], Schema: r2.Schema, N: r2.Len(), Rel: r2},
+				{Name: "R3", Owner: owners[2], Schema: r3.Schema, N: r3.Len(), Rel: r3},
 			},
 			Output: []relation.Attr{"g1", "k", "m", "g2"},
 		}
-		rels := []*relation.Relation{r1, r2, r3}
-		got := runSecure(t, q, rels)
-		want := plaintextReference(t, q, rels)
+		got := runSecure(t, q)
+		want := plaintextReference(t, q)
 		compareResults(t, "multi-node", got, want)
 	}
 }
@@ -165,14 +155,13 @@ func TestSecureFullAggregate(t *testing.T) {
 	}
 	q := &Query{
 		Inputs: []Input{
-			{Name: "R1", Owner: mpc.Alice, Schema: r1.Schema, N: r1.Len()},
-			{Name: "R2", Owner: mpc.Bob, Schema: r2.Schema, N: r2.Len()},
+			{Name: "R1", Owner: mpc.Alice, Schema: r1.Schema, N: r1.Len(), Rel: r1},
+			{Name: "R2", Owner: mpc.Bob, Schema: r2.Schema, N: r2.Len(), Rel: r2},
 		},
 		Output: nil,
 	}
-	rels := []*relation.Relation{r1, r2}
-	got := runSecure(t, q, rels)
-	want := plaintextReference(t, q, rels)
+	got := runSecure(t, q)
+	want := plaintextReference(t, q)
 	if len(got.Tuples) != len(want.Tuples) {
 		t.Fatalf("join count rows: %d vs %d", got.Len(), want.Len())
 	}
@@ -202,14 +191,13 @@ func TestSecureWithDummyPaddedSelections(t *testing.T) {
 	}
 	q := &Query{
 		Inputs: []Input{
-			{Name: "R1", Owner: mpc.Bob, Schema: filtered.Schema, N: filtered.Len()},
-			{Name: "R2", Owner: mpc.Alice, Schema: r2.Schema, N: r2.Len()},
+			{Name: "R1", Owner: mpc.Bob, Schema: filtered.Schema, N: filtered.Len(), Rel: filtered},
+			{Name: "R2", Owner: mpc.Alice, Schema: r2.Schema, N: r2.Len(), Rel: r2},
 		},
 		Output: []relation.Attr{"k"},
 	}
-	rels := []*relation.Relation{filtered, r2}
-	got := runSecure(t, q, rels)
-	want := plaintextReference(t, q, rels)
+	got := runSecure(t, q)
+	want := plaintextReference(t, q)
 	compareResults(t, "selection", got, want)
 }
 
@@ -241,10 +229,10 @@ func TestSecureFiveRelationChain(t *testing.T) {
 		if i%2 == 1 {
 			owner = mpc.Bob
 		}
-		q.Inputs = append(q.Inputs, Input{Name: names[i], Owner: owner, Schema: schemas[i], N: rels[i].Len()})
+		q.Inputs = append(q.Inputs, Input{Name: names[i], Owner: owner, Schema: schemas[i], N: rels[i].Len(), Rel: rels[i]})
 	}
-	got := runSecure(t, q, rels)
-	want := plaintextReference(t, q, rels)
+	got := runSecure(t, q)
+	want := plaintextReference(t, q)
 	compareResults(t, "figure 1", got, want)
 }
 
@@ -264,32 +252,66 @@ func TestQueryValidation(t *testing.T) {
 	}
 }
 
+// TestQueryViews checks the two ways a party's view is derived from one
+// description: For keeps exactly the role's own relations and Shape
+// none, each a copy that keeps every public field, so writing into a view
+// leaves the description as it was; and only a view, never the full
+// description, passes Validate.
+func TestQueryViews(t *testing.T) {
+	q := example11Query(rand.New(rand.NewSource(2)), 4, 6)
+	q.NoLocalOptimizations = true
+	before := *q
+	before.Inputs = append([]Input(nil), q.Inputs...)
+	for _, role := range []mpc.Role{mpc.Alice, mpc.Bob} {
+		if err := q.Validate(role); err == nil {
+			t.Errorf("%v: the full description passes Validate", role)
+		}
+		if err := q.For(role).Validate(role); err != nil {
+			t.Errorf("%v: its view fails Validate: %v", role, err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		v    *Query
+		owns func(mpc.Role) bool
+	}{
+		{"For(Alice)", q.For(mpc.Alice), func(r mpc.Role) bool { return r == mpc.Alice }},
+		{"For(Bob)", q.For(mpc.Bob), func(r mpc.Role) bool { return r == mpc.Bob }},
+		{"Shape", q.Shape(), func(mpc.Role) bool { return false }},
+	} {
+		v := tc.v
+		if !reflect.DeepEqual(v.Output, q.Output) || v.NoLocalOptimizations != q.NoLocalOptimizations || len(v.Inputs) != len(q.Inputs) {
+			t.Fatalf("%s: view %+v lost the description's public fields", tc.name, v)
+		}
+		for i, in := range v.Inputs {
+			d := q.Inputs[i]
+			if in.Name != d.Name || in.Owner != d.Owner || !reflect.DeepEqual(in.Schema, d.Schema) || in.N != d.N {
+				t.Errorf("%s input %d: %+v, description %+v", tc.name, i, in, d)
+			}
+			if want := tc.owns(d.Owner); (in.Rel != nil) != want || (want && in.Rel != d.Rel) {
+				t.Errorf("%s input %d (%s, owner %v): relation attached %v, want %v", tc.name, i, in.Name, in.Owner, in.Rel != nil, want)
+			}
+		}
+		v.Inputs[0].Rel, v.Inputs[0].N, v.Output = nil, -1, nil
+	}
+	if !reflect.DeepEqual(*q, before) {
+		t.Fatalf("writing into the views changed the description:\n%+v\nwas\n%+v", *q, before)
+	}
+}
+
 // TestTranscriptObliviousness checks the core security property the
 // protocol design enforces: two executions over different private data of
 // identical public dimensions produce byte-identical traffic *sizes*.
 func TestTranscriptObliviousness(t *testing.T) {
 	run := func(seed int64) (sent, recv int64) {
 		rng := rand.New(rand.NewSource(seed))
-		q, rels := example11Query(rng, 10, 16)
+		q := example11Query(rng, 10, 16)
 		alice, bob := mpc.Pair(testRing)
 		defer alice.Conn.Close()
 		defer bob.Conn.Close()
-		queryFor := func(role mpc.Role) *Query {
-			cq := &Query{Output: q.Output}
-			for i, in := range q.Inputs {
-				ci := in
-				if in.Owner == role {
-					ci.Rel = rels[i]
-				} else {
-					ci.Rel = nil
-				}
-				cq.Inputs = append(cq.Inputs, ci)
-			}
-			return cq
-		}
 		_, _, err := mpc.Run2PC(alice, bob,
-			func(p *mpc.Party) (*relation.Relation, error) { return runQuery(p, queryFor(mpc.Alice)) },
-			func(p *mpc.Party) (*relation.Relation, error) { return runQuery(p, queryFor(mpc.Bob)) },
+			func(p *mpc.Party) (*relation.Relation, error) { return runQuery(p, q.For(mpc.Alice)) },
+			func(p *mpc.Party) (*relation.Relation, error) { return runQuery(p, q.For(mpc.Bob)) },
 		)
 		if err != nil {
 			t.Fatal(err)
@@ -308,7 +330,7 @@ func TestTranscriptObliviousness(t *testing.T) {
 // same plan deterministically (a prerequisite for the protocol to stay in
 // lockstep).
 func TestPostOrderPublicAgreement(t *testing.T) {
-	q, _ := example11Query(rand.New(rand.NewSource(1)), 5, 5)
+	q := example11Query(rand.New(rand.NewSource(1)), 5, 5)
 	t1, err := q.Hypergraph().Plan(q.Output)
 	if err != nil {
 		t.Fatal(err)
@@ -334,28 +356,17 @@ func TestPostOrderPublicAgreement(t *testing.T) {
 // run transfers strictly fewer bytes.
 func TestLocalOptimizationEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	q, rels := example11Query(rng, 10, 16)
+	q := example11Query(rng, 10, 16)
 
 	runWith := func(noOpt bool) (*relation.Relation, int64) {
 		alice, bob := mpc.Pair(testRing)
 		defer alice.Conn.Close()
 		defer bob.Conn.Close()
-		queryFor := func(role mpc.Role) *Query {
-			cq := &Query{Output: q.Output, NoLocalOptimizations: noOpt}
-			for i, in := range q.Inputs {
-				ci := in
-				if in.Owner == role {
-					ci.Rel = rels[i]
-				} else {
-					ci.Rel = nil
-				}
-				cq.Inputs = append(cq.Inputs, ci)
-			}
-			return cq
-		}
+		q := *q
+		q.NoLocalOptimizations = noOpt
 		res, _, err := mpc.Run2PC(alice, bob,
-			func(p *mpc.Party) (*relation.Relation, error) { return runQuery(p, queryFor(mpc.Alice)) },
-			func(p *mpc.Party) (*relation.Relation, error) { return runQuery(p, queryFor(mpc.Bob)) },
+			func(p *mpc.Party) (*relation.Relation, error) { return runQuery(p, q.For(mpc.Alice)) },
+			func(p *mpc.Party) (*relation.Relation, error) { return runQuery(p, q.For(mpc.Bob)) },
 		)
 		if err != nil {
 			t.Fatalf("noOpt=%v: %v", noOpt, err)
@@ -470,9 +481,9 @@ func TestBeyondConditionTwoQuery(t *testing.T) {
 	owners := []mpc.Role{mpc.Alice, mpc.Bob, mpc.Alice, mpc.Bob, mpc.Alice}
 	for i := range rels {
 		q.Inputs = append(q.Inputs, Input{
-			Name: fmt.Sprintf("R%d", i), Owner: owners[i], Schema: schemas[i], N: rels[i].Len()})
+			Name: fmt.Sprintf("R%d", i), Owner: owners[i], Schema: schemas[i], N: rels[i].Len(), Rel: rels[i]})
 	}
-	got := runSecure(t, q, rels)
-	want := plaintextReference(t, q, rels)
+	got := runSecure(t, q)
+	want := plaintextReference(t, q)
 	compareResults(t, "beyond-condition-2", got, want)
 }

@@ -40,7 +40,7 @@ var (
 // annotations, dummy and zero-annotated rows removed); Bob receives nil.
 // Both parties must call Run with structurally identical queries (same
 // schemas, owners, sizes, output), differing only in which relations they
-// hold. The returned execution trace (one TraceStep per plan step, in
+// hold: each passes q.For(role) of one description. The returned execution trace (one TraceStep per plan step, in
 // plan order) is valid — as a prefix — even on error.
 func Run(ctx context.Context, p *mpc.Party, q *Query, opts Options) (*relation.Relation, *Trace, error) {
 	_, rel, tr, err := runPlan(ctx, p, q, false, opts)

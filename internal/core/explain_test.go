@@ -10,16 +10,16 @@ import (
 	"secyan/internal/relation"
 )
 
-func explainExampleQuery(t *testing.T, noOpt bool) (*Query, []*relation.Relation) {
+func explainExampleQuery(t *testing.T, noOpt bool) *Query {
 	t.Helper()
 	rng := rand.New(rand.NewSource(3))
-	q, rels := example11Query(rng, 12, 18)
+	q := example11Query(rng, 12, 18)
 	q.NoLocalOptimizations = noOpt
-	return q, rels
+	return q
 }
 
 func TestExplainStructure(t *testing.T) {
-	q, _ := explainExampleQuery(t, false)
+	q := explainExampleQuery(t, false)
 	plan, err := ExplainOpts(q, 32, Options{EstOut: 10})
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestExplainMultiNodeHasJoinPhase(t *testing.T) {
 // factor of 3 of the measured traffic — a sanity band, not an exactness
 // claim (round paddings and OT batching are approximated).
 func TestExplainTracksMeasuredCost(t *testing.T) {
-	q, rels := explainExampleQuery(t, false)
+	q := explainExampleQuery(t, false)
 	plan, err := ExplainOpts(q, testRing.Bits, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -87,22 +87,9 @@ func TestExplainTracksMeasuredCost(t *testing.T) {
 	alice, bob := mpc.Pair(testRing)
 	defer alice.Conn.Close()
 	defer bob.Conn.Close()
-	queryFor := func(role mpc.Role) *Query {
-		cq := &Query{Output: q.Output}
-		for i, in := range q.Inputs {
-			ci := in
-			if in.Owner == role {
-				ci.Rel = rels[i]
-			} else {
-				ci.Rel = nil
-			}
-			cq.Inputs = append(cq.Inputs, ci)
-		}
-		return cq
-	}
 	_, _, err = mpc.Run2PC(alice, bob,
-		func(p *mpc.Party) (*relation.Relation, error) { return runQuery(p, queryFor(mpc.Alice)) },
-		func(p *mpc.Party) (*relation.Relation, error) { return runQuery(p, queryFor(mpc.Bob)) },
+		func(p *mpc.Party) (*relation.Relation, error) { return runQuery(p, q.For(mpc.Alice)) },
+		func(p *mpc.Party) (*relation.Relation, error) { return runQuery(p, q.For(mpc.Bob)) },
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -116,8 +103,8 @@ func TestExplainTracksMeasuredCost(t *testing.T) {
 }
 
 func TestExplainOptimizationVisible(t *testing.T) {
-	qOpt, _ := explainExampleQuery(t, false)
-	qRaw, _ := explainExampleQuery(t, true)
+	qOpt := explainExampleQuery(t, false)
+	qRaw := explainExampleQuery(t, true)
 	pOpt, err := ExplainOpts(qOpt, 32, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +119,7 @@ func TestExplainOptimizationVisible(t *testing.T) {
 }
 
 func TestExplainFormat(t *testing.T) {
-	q, _ := explainExampleQuery(t, false)
+	q := explainExampleQuery(t, false)
 	plan, err := ExplainOpts(q, 32, Options{EstOut: 5})
 	if err != nil {
 		t.Fatal(err)

@@ -22,8 +22,8 @@ func TestObsFlightRecordFromRun(t *testing.T) {
 	}()
 
 	rng := rand.New(rand.NewSource(11))
-	q, rels := multiNodeQuery(rng)
-	rel, tr, aerr, berr := runTraced(context.Background(), q, rels)
+	q := multiNodeQuery(rng)
+	rel, tr, aerr, berr := runTraced(context.Background(), q)
 	if aerr != nil || berr != nil {
 		t.Fatalf("run: alice %v, bob %v", aerr, berr)
 	}
@@ -106,7 +106,7 @@ func TestObsStepMetricLabels(t *testing.T) {
 	defer obs.Disable()
 
 	rng := rand.New(rand.NewSource(13))
-	q, rels := multiNodeQuery(rng)
+	q := multiNodeQuery(rng)
 
 	before := map[string]int64{}
 	beforeBytes := map[string]int64{}
@@ -118,12 +118,12 @@ func TestObsStepMetricLabels(t *testing.T) {
 	}
 
 	// Dry run to learn the step shape, then measure deltas over a second.
-	_, tr, aerr, berr := runTraced(context.Background(), q, rels)
+	_, tr, aerr, berr := runTraced(context.Background(), q)
 	if aerr != nil || berr != nil {
 		t.Fatalf("run: alice %v, bob %v", aerr, berr)
 	}
 	snapshot(before, beforeBytes, tr.Steps)
-	_, tr2, aerr, berr := runTraced(context.Background(), q, rels)
+	_, tr2, aerr, berr := runTraced(context.Background(), q)
 	if aerr != nil || berr != nil {
 		t.Fatalf("second run: alice %v, bob %v", aerr, berr)
 	}
@@ -157,8 +157,8 @@ func TestObsQueryEventLifecycle(t *testing.T) {
 	}()
 
 	rng := rand.New(rand.NewSource(29))
-	q, rels := multiNodeQuery(rng)
-	_, tr, aerr, berr := runTraced(context.Background(), q, rels)
+	q := multiNodeQuery(rng)
+	_, tr, aerr, berr := runTraced(context.Background(), q)
 	if aerr != nil || berr != nil {
 		t.Fatalf("run: alice %v, bob %v", aerr, berr)
 	}
@@ -193,8 +193,8 @@ func TestObsQueryEventLifecycle(t *testing.T) {
 func TestObsTranscriptNeutralityCore(t *testing.T) {
 	run := func() *Trace {
 		rng := rand.New(rand.NewSource(23))
-		q, rels := example11Query(rng, 12, 18)
-		_, tr, aerr, berr := runTraced(context.Background(), q, rels)
+		q := example11Query(rng, 12, 18)
+		_, tr, aerr, berr := runTraced(context.Background(), q)
 		if aerr != nil || berr != nil {
 			t.Fatalf("run: alice %v, bob %v", aerr, berr)
 		}
@@ -240,7 +240,7 @@ func TestObsBlameOnFailure(t *testing.T) {
 	}()
 
 	rng := rand.New(rand.NewSource(31))
-	q, rels := example11Query(rng, 12, 18)
+	q := example11Query(rng, 12, 18)
 	q.NoLocalOptimizations = true // force circuit traffic so the cut lands mid-step
 
 	alice, bob := mpc.Pair(testRing)
@@ -256,10 +256,10 @@ func TestObsBlameOnFailure(t *testing.T) {
 	ctx := context.Background()
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := Run(ctx, bob, splitQuery(q, rels, mpc.Bob), Options{})
+		_, _, err := Run(ctx, bob, q.For(mpc.Bob), Options{})
 		done <- err
 	}()
-	_, _, aerr := Run(ctx, alice, splitQuery(q, rels, mpc.Alice), Options{})
+	_, _, aerr := Run(ctx, alice, q.For(mpc.Alice), Options{})
 	berr := <-done
 	if aerr == nil && berr == nil {
 		t.Fatalf("run succeeded despite severed connection")
@@ -290,7 +290,7 @@ func TestObsStatusConcurrentQueries(t *testing.T) {
 	defer obs.Disable()
 
 	rng := rand.New(rand.NewSource(37))
-	q, rels := example11Query(rng, 8, 12)
+	q := example11Query(rng, 8, 12)
 
 	sa, sb := mpc.SessionPair(testRing, mpc.SessionConfig{})
 	defer sa.Close()
@@ -324,12 +324,12 @@ func TestObsStatusConcurrentQueries(t *testing.T) {
 		}
 		ctx := context.Background()
 		go func() {
-			_, _, err := Run(ctx, pb, splitQuery(q, rels, mpc.Bob), Options{})
+			_, _, err := Run(ctx, pb, q.For(mpc.Bob), Options{})
 			h.done <- err
 		}()
 		pa.Tag.QID = h.qid
 		go func() {
-			_, _, err := Run(ctx, pa, splitQuery(q, rels, mpc.Alice), Options{})
+			_, _, err := Run(ctx, pa, q.For(mpc.Alice), Options{})
 			h.done <- err
 		}()
 		return h

@@ -16,36 +16,21 @@ import (
 	"secyan/internal/transport"
 )
 
-// splitQuery attaches each input relation on its owner's side only.
-func splitQuery(q *Query, rels []*relation.Relation, role mpc.Role) *Query {
-	cq := &Query{Output: q.Output, NoLocalOptimizations: q.NoLocalOptimizations}
-	for i, in := range q.Inputs {
-		ci := in
-		if in.Owner == role {
-			ci.Rel = rels[i]
-		} else {
-			ci.Rel = nil
-		}
-		cq.Inputs = append(cq.Inputs, ci)
-	}
-	return cq
-}
-
 // runTraced executes q on a fresh party pair under ctx and returns
 // Alice's result and trace plus both parties' errors.
-func runTraced(ctx context.Context, q *Query, rels []*relation.Relation) (rel *relation.Relation, tr *Trace, aliceErr, bobErr error) {
+func runTraced(ctx context.Context, q *Query) (rel *relation.Relation, tr *Trace, aliceErr, bobErr error) {
 	alice, bob := mpc.Pair(testRing)
 	defer alice.Conn.Close()
 	defer bob.Conn.Close()
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := Run(ctx, bob, splitQuery(q, rels, mpc.Bob), Options{})
+		_, _, err := Run(ctx, bob, q.For(mpc.Bob), Options{})
 		if err != nil {
 			bob.Conn.Close()
 		}
 		done <- err
 	}()
-	rel, tr, aliceErr = Run(ctx, alice, splitQuery(q, rels, mpc.Alice), Options{})
+	rel, tr, aliceErr = Run(ctx, alice, q.For(mpc.Alice), Options{})
 	if aliceErr != nil {
 		alice.Conn.Close()
 	}
@@ -55,7 +40,7 @@ func runTraced(ctx context.Context, q *Query, rels []*relation.Relation) (rel *r
 
 // multiNodeQuery is a three-way chain join whose attributes are all
 // outputs, so the semijoin and full-join phases run.
-func multiNodeQuery(rng *rand.Rand) (*Query, []*relation.Relation) {
+func multiNodeQuery(rng *rand.Rand) *Query {
 	r1 := relation.New(relation.MustSchema("g1", "k"))
 	r2 := relation.New(relation.MustSchema("k", "m"))
 	r3 := relation.New(relation.MustSchema("m", "g2"))
@@ -64,15 +49,14 @@ func multiNodeQuery(rng *rand.Rand) (*Query, []*relation.Relation) {
 		r2.Append([]uint64{uint64(rng.Intn(5)), uint64(rng.Intn(5))}, uint64(rng.Intn(20)))
 		r3.Append([]uint64{uint64(rng.Intn(5)), uint64(rng.Intn(3))}, uint64(rng.Intn(20)))
 	}
-	q := &Query{
+	return &Query{
 		Inputs: []Input{
-			{Name: "R1", Owner: mpc.Alice, Schema: r1.Schema, N: r1.Len()},
-			{Name: "R2", Owner: mpc.Bob, Schema: r2.Schema, N: r2.Len()},
-			{Name: "R3", Owner: mpc.Bob, Schema: r3.Schema, N: r3.Len()},
+			{Name: "R1", Owner: mpc.Alice, Schema: r1.Schema, N: r1.Len(), Rel: r1},
+			{Name: "R2", Owner: mpc.Bob, Schema: r2.Schema, N: r2.Len(), Rel: r2},
+			{Name: "R3", Owner: mpc.Bob, Schema: r3.Schema, N: r3.Len(), Rel: r3},
 		},
 		Output: []relation.Attr{"g1", "k", "m", "g2"},
 	}
-	return q, []*relation.Relation{r1, r2, r3}
 }
 
 // TestTraceMatchesPlan asserts the central plan-IR contract: the trace
@@ -82,22 +66,21 @@ func multiNodeQuery(rng *rand.Rand) (*Query, []*relation.Relation) {
 // compiled with the true output size.
 func TestTraceMatchesPlan(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	single, singleRels := example11Query(rng, 12, 18)
-	multi, multiRels := multiNodeQuery(rng)
-	raw, rawRels := example11Query(rng, 9, 14)
+	single := example11Query(rng, 12, 18)
+	multi := multiNodeQuery(rng)
+	raw := example11Query(rng, 9, 14)
 	raw.NoLocalOptimizations = true
 
 	for _, tc := range []struct {
 		name string
 		q    *Query
-		rels []*relation.Relation
 	}{
-		{"single-survivor", single, singleRels},
-		{"multi-node", multi, multiRels},
-		{"no-local-opt", raw, rawRels},
+		{"single-survivor", single},
+		{"multi-node", multi},
+		{"no-local-opt", raw},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, tr, aerr, berr := runTraced(context.Background(), tc.q, tc.rels)
+			_, tr, aerr, berr := runTraced(context.Background(), tc.q)
 			if aerr != nil || berr != nil {
 				t.Fatalf("run: alice %v, bob %v", aerr, berr)
 			}
@@ -141,27 +124,25 @@ func TestTraceMatchesPlan(t *testing.T) {
 func equivalenceFixtures() []struct {
 	name string
 	q    *Query
-	rels []*relation.Relation
 } {
 	rng := rand.New(rand.NewSource(19))
-	single, singleRels := example11Query(rng, 12, 18)
-	multi, multiRels := multiNodeQuery(rng)
-	raw, rawRels := example11Query(rng, 9, 14)
+	single := example11Query(rng, 12, 18)
+	multi := multiNodeQuery(rng)
+	raw := example11Query(rng, 9, 14)
 	raw.NoLocalOptimizations = true
 	return []struct {
 		name string
 		q    *Query
-		rels []*relation.Relation
 	}{
-		{"single-survivor", single, singleRels},
-		{"multi-node", multi, multiRels},
-		{"no-local-opt", raw, rawRels},
+		{"single-survivor", single},
+		{"multi-node", multi},
+		{"no-local-opt", raw},
 	}
 }
 
 // runWithStats executes q on a fresh party pair and returns Alice's
 // result and trace and both transports' stats.
-func runWithStats(t *testing.T, q *Query, rels []*relation.Relation) (*relation.Relation, *Trace, transport.Stats, transport.Stats) {
+func runWithStats(t *testing.T, q *Query) (*relation.Relation, *Trace, transport.Stats, transport.Stats) {
 	t.Helper()
 	alice, bob := mpc.Pair(testRing)
 	defer alice.Conn.Close()
@@ -169,13 +150,13 @@ func runWithStats(t *testing.T, q *Query, rels []*relation.Relation) (*relation.
 	ctx := context.Background()
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := Run(ctx, bob, splitQuery(q, rels, mpc.Bob), Options{})
+		_, _, err := Run(ctx, bob, q.For(mpc.Bob), Options{})
 		if err != nil {
 			bob.Conn.Close()
 		}
 		done <- err
 	}()
-	rel, tr, err := Run(ctx, alice, splitQuery(q, rels, mpc.Alice), Options{})
+	rel, tr, err := Run(ctx, alice, q.For(mpc.Alice), Options{})
 	if err != nil {
 		alice.Conn.Close()
 	}
@@ -192,8 +173,8 @@ func runWithStats(t *testing.T, q *Query, rels []*relation.Relation) (*relation.
 func TestBackendForcedEquivalence(t *testing.T) {
 	for _, tc := range equivalenceFixtures() {
 		t.Run(tc.name, func(t *testing.T) {
-			got, _, _, _ := runWithStats(t, tc.q, tc.rels)
-			compareResults(t, tc.name, got, plaintextReference(t, tc.q, tc.rels))
+			got, _, _, _ := runWithStats(t, tc.q)
+			compareResults(t, tc.name, got, plaintextReference(t, tc.q))
 		})
 	}
 }
@@ -204,8 +185,8 @@ func TestBackendForcedEquivalence(t *testing.T) {
 func TestBackendTranscriptDeterminism(t *testing.T) {
 	for _, tc := range equivalenceFixtures() {
 		t.Run(tc.name, func(t *testing.T) {
-			r1, t1, a1, b1 := runWithStats(t, tc.q, tc.rels)
-			r2, t2, a2, b2 := runWithStats(t, tc.q, tc.rels)
+			r1, t1, a1, b1 := runWithStats(t, tc.q)
+			r2, t2, a2, b2 := runWithStats(t, tc.q)
 			if !relsEqual(r1, r2) {
 				t.Fatal("results differ across identical runs")
 			}
@@ -249,19 +230,18 @@ func TestBaseOTStepsMeasureTheirEstimates(t *testing.T) {
 			}
 			q := &Query{
 				Inputs: []Input{
-					{Name: "R1", Owner: tc.owners[0], Schema: r1.Schema, N: r1.Len()},
-					{Name: "R2", Owner: tc.owners[1], Schema: r2.Schema, N: r2.Len()},
+					{Name: "R1", Owner: tc.owners[0], Schema: r1.Schema, N: r1.Len(), Rel: r1},
+					{Name: "R2", Owner: tc.owners[1], Schema: r2.Schema, N: r2.Len(), Rel: r2},
 				},
 				Output: []relation.Attr{"a"},
 			}
-			rels := []*relation.Relation{r1, r2}
 			send0, _ := obs.KernelTotal("ot.base.send")
 			recv0, _ := obs.KernelTotal("ot.base.recv")
-			got, tr, aerr, berr := runTraced(context.Background(), q, rels)
+			got, tr, aerr, berr := runTraced(context.Background(), q)
 			if aerr != nil || berr != nil {
 				t.Fatalf("run: alice %v, bob %v", aerr, berr)
 			}
-			compareResults(t, tc.name, got, plaintextReference(t, q, rels))
+			compareResults(t, tc.name, got, plaintextReference(t, q))
 			send1, _ := obs.KernelTotal("ot.base.send")
 			recv1, _ := obs.KernelTotal("ot.base.recv")
 			if send1-send0 != 128 || recv1-recv0 != 128 {
@@ -313,17 +293,16 @@ func TestOPRFSetupStepsMeasureTheirEstimates(t *testing.T) {
 			}
 			q := &Query{
 				Inputs: []Input{
-					{Name: "R1", Owner: mpc.Alice, Schema: r1.Schema, N: n},
-					{Name: "R2", Owner: mpc.Bob, Schema: r2.Schema, N: n},
+					{Name: "R1", Owner: mpc.Alice, Schema: r1.Schema, N: n, Rel: r1},
+					{Name: "R2", Owner: mpc.Bob, Schema: r2.Schema, N: n, Rel: r2},
 				},
 				Output: tc.output,
 			}
-			rels := []*relation.Relation{r1, r2}
-			got, tr, aerr, berr := runTraced(context.Background(), q, rels)
+			got, tr, aerr, berr := runTraced(context.Background(), q)
 			if aerr != nil || berr != nil {
 				t.Fatalf("run: alice %v, bob %v", aerr, berr)
 			}
-			compareResults(t, tc.name, got, plaintextReference(t, q, rels))
+			compareResults(t, tc.name, got, plaintextReference(t, q))
 			var setup []TraceStep
 			for _, s := range tr.Steps {
 				if s.Op == "oprf-base" {
@@ -351,7 +330,7 @@ func TestOPRFSetupStepsMeasureTheirEstimates(t *testing.T) {
 // matches any Explain of the same query.
 func TestRunMatchesExplainWithoutEstOut(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	q, _ := multiNodeQuery(rng)
+	q := multiNodeQuery(rng)
 	p0, err := ExplainOpts(q, testRing.Bits, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -377,7 +356,7 @@ func TestRunMatchesExplainWithoutEstOut(t *testing.T) {
 // the cancellation.
 func TestCancellationMidProtocol(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	q, rels := example11Query(rng, 12, 18)
+	q := example11Query(rng, 12, 18)
 	q.NoLocalOptimizations = true // force circuit traffic so Bob blocks mid-step
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -397,11 +376,11 @@ func TestCancellationMidProtocol(t *testing.T) {
 	}
 	ch := make(chan res, 2)
 	go func() {
-		_, _, err := Run(ctx, alice, splitQuery(q, rels, mpc.Alice), Options{})
+		_, _, err := Run(ctx, alice, q.For(mpc.Alice), Options{})
 		ch <- res{"alice", err}
 	}()
 	go func() {
-		_, _, err := Run(ctx, bob, splitQuery(q, rels, mpc.Bob), Options{})
+		_, _, err := Run(ctx, bob, q.For(mpc.Bob), Options{})
 		ch <- res{"bob", err}
 	}()
 	for i := 0; i < 2; i++ {

@@ -42,7 +42,8 @@ import (
 // parties must call it concurrently — the offline phase has its own
 // traffic — and the next protocol run on this party pair should execute
 // the same query under the same opts, which then consumes the staged
-// material transparently. It returns the offline trace: one TraceStep
+// material transparently. The offline phase reads only public
+// parameters, so q may be the description's q.Shape(). It returns the offline trace: one TraceStep
 // (Phase "offline") per plan step that did offline work, with EstBytes
 // carrying the step's EstOfflineBytes, then "stage-circuits" (the wait
 // for this party's ahead-of-time garbling) and "rendezvous" (the wait

@@ -14,7 +14,7 @@ import (
 // runPrecomputed mirrors runTraced but executes the offline phase on
 // both parties first. It returns Alice's result plus her offline and
 // online traces.
-func runPrecomputed(t *testing.T, q *Query, rels []*relation.Relation) (*relation.Relation, *Trace, *Trace) {
+func runPrecomputed(t *testing.T, q *Query) (*relation.Relation, *Trace, *Trace) {
 	t.Helper()
 	alice, bob := mpc.Pair(testRing)
 	defer alice.Conn.Close()
@@ -23,13 +23,13 @@ func runPrecomputed(t *testing.T, q *Query, rels []*relation.Relation) (*relatio
 
 	offErr := make(chan error, 1)
 	go func() {
-		_, err := PrecomputeOpts(ctx, bob, splitQuery(q, rels, mpc.Bob), Options{})
+		_, err := PrecomputeOpts(ctx, bob, q.For(mpc.Bob), Options{})
 		if err != nil {
 			bob.Conn.Close()
 		}
 		offErr <- err
 	}()
-	offTr, err := PrecomputeOpts(ctx, alice, splitQuery(q, rels, mpc.Alice), Options{})
+	offTr, err := PrecomputeOpts(ctx, alice, q.For(mpc.Alice), Options{})
 	if err != nil {
 		t.Fatalf("alice precompute: %v", err)
 	}
@@ -39,13 +39,13 @@ func runPrecomputed(t *testing.T, q *Query, rels []*relation.Relation) (*relatio
 
 	onErr := make(chan error, 1)
 	go func() {
-		_, _, err := Run(ctx, bob, splitQuery(q, rels, mpc.Bob), Options{})
+		_, _, err := Run(ctx, bob, q.For(mpc.Bob), Options{})
 		if err != nil {
 			bob.Conn.Close()
 		}
 		onErr <- err
 	}()
-	rel, onTr, err := Run(ctx, alice, splitQuery(q, rels, mpc.Alice), Options{})
+	rel, onTr, err := Run(ctx, alice, q.For(mpc.Alice), Options{})
 	if err != nil {
 		t.Fatalf("alice run: %v", err)
 	}
@@ -80,23 +80,22 @@ func counterValue(t *testing.T, name string) int64 {
 // and zero circuit misses.
 func TestPrecomputeMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	single, singleRels := example11Query(rng, 12, 18)
-	multi, multiRels := multiNodeQuery(rng)
-	raw, rawRels := example11Query(rng, 9, 14)
+	single := example11Query(rng, 12, 18)
+	multi := multiNodeQuery(rng)
+	raw := example11Query(rng, 9, 14)
 	raw.NoLocalOptimizations = true
 
 	for _, tc := range []struct {
 		name       string
 		q          *Query
-		rels       []*relation.Relation
 		fullPrimed bool // every online step with OT/circuit work is plan-primed
 	}{
-		{"single-survivor", single, singleRels, true},
-		{"multi-node", multi, multiRels, false},
-		{"no-local-opt", raw, rawRels, true},
+		{"single-survivor", single, true},
+		{"multi-node", multi, false},
+		{"no-local-opt", raw, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			want, directTr, aerr, berr := runTraced(context.Background(), tc.q, tc.rels)
+			want, directTr, aerr, berr := runTraced(context.Background(), tc.q)
 			if aerr != nil || berr != nil {
 				t.Fatalf("direct run: alice %v, bob %v", aerr, berr)
 			}
@@ -107,7 +106,7 @@ func TestPrecomputeMatchesDirect(t *testing.T) {
 			circMiss0 := counterValue(t, "secyan_gc_precircuit_miss_total")
 			circHit0 := counterValue(t, "secyan_gc_precircuit_hit_total")
 
-			got, offTr, onTr := runPrecomputed(t, tc.q, tc.rels)
+			got, offTr, onTr := runPrecomputed(t, tc.q)
 			if !relsEqual(got, want) {
 				t.Fatalf("precomputed result differs:\ngot  %v %v\nwant %v %v",
 					got.Tuples, got.Annot, want.Tuples, want.Annot)
@@ -192,10 +191,10 @@ func TestPrecomputeMatchesDirect(t *testing.T) {
 // must still produce the correct result.
 func TestPrecomputeFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	primedQ, primedRels := multiNodeQuery(rng)
-	runQ, runRels := example11Query(rng, 12, 18)
+	primedQ := multiNodeQuery(rng)
+	runQ := example11Query(rng, 12, 18)
 
-	want, _, aerr, berr := runTraced(context.Background(), runQ, runRels)
+	want, _, aerr, berr := runTraced(context.Background(), runQ)
 	if aerr != nil || berr != nil {
 		t.Fatalf("direct run: alice %v, bob %v", aerr, berr)
 	}
@@ -207,13 +206,13 @@ func TestPrecomputeFallback(t *testing.T) {
 
 	offErr := make(chan error, 1)
 	go func() {
-		_, err := PrecomputeOpts(ctx, bob, splitQuery(primedQ, primedRels, mpc.Bob), Options{})
+		_, err := PrecomputeOpts(ctx, bob, primedQ.For(mpc.Bob), Options{})
 		if err != nil {
 			bob.Conn.Close()
 		}
 		offErr <- err
 	}()
-	if _, err := PrecomputeOpts(ctx, alice, splitQuery(primedQ, primedRels, mpc.Alice), Options{}); err != nil {
+	if _, err := PrecomputeOpts(ctx, alice, primedQ.For(mpc.Alice), Options{}); err != nil {
 		t.Fatalf("alice precompute: %v", err)
 	}
 	if berr := <-offErr; berr != nil {
@@ -222,13 +221,13 @@ func TestPrecomputeFallback(t *testing.T) {
 
 	onErr := make(chan error, 1)
 	go func() {
-		_, _, err := Run(ctx, bob, splitQuery(runQ, runRels, mpc.Bob), Options{})
+		_, _, err := Run(ctx, bob, runQ.For(mpc.Bob), Options{})
 		if err != nil {
 			bob.Conn.Close()
 		}
 		onErr <- err
 	}()
-	got, _, err := Run(ctx, alice, splitQuery(runQ, runRels, mpc.Alice), Options{})
+	got, _, err := Run(ctx, alice, runQ.For(mpc.Alice), Options{})
 	if err != nil {
 		t.Fatalf("alice run: %v", err)
 	}

@@ -25,7 +25,7 @@ import (
 // attribute shared by its endpoints, some relations with an attribute of
 // their own — with random owners and sizes down to empty, an output set
 // the planner accepts, and a database for it (randomData).
-func randomQuery(rng *rand.Rand) (*Query, []*relation.Relation) {
+func randomQuery(rng *rand.Rand) *Query {
 	for {
 		k := 2 + rng.Intn(3)
 		attrs := make([][]relation.Attr, k)
@@ -59,20 +59,21 @@ func randomQuery(rng *rand.Rand) (*Query, []*relation.Relation) {
 				Schema: relation.MustSchema(attrs[i]...), N: n})
 		}
 		if _, err := q.Hypergraph().Plan(q.Output); err == nil {
-			return q, randomData(rng, q)
+			return randomData(rng, q)
 		}
 	}
 }
 
-// randomData draws a database of q's public shape (schemas, sizes).
+// randomData describes q over a fresh database of its public shape
+// (schemas, sizes).
 // Data varies what the operators are sensitive to: the key domain (from
 // nearly every key colliding to nearly none), relations whose every
 // tuple is a zero-annotated dummy, and annotations that overflow the
 // ring in every product.
-func randomData(rng *rand.Rand, q *Query) []*relation.Relation {
+func randomData(rng *rand.Rand, q *Query) *Query {
 	domain := uint64(2 + rng.Intn(1+rng.Intn(40)))
-	rels := make([]*relation.Relation, len(q.Inputs))
-	for i, in := range q.Inputs {
+	d := q.Shape()
+	for i, in := range d.Inputs {
 		rel := relation.New(in.Schema)
 		for r := 0; r < in.N; r++ {
 			row := make([]uint64, len(in.Schema.Attrs))
@@ -91,9 +92,9 @@ func randomData(rng *rand.Rand, q *Query) []*relation.Relation {
 			allDummies := func([]uint64) bool { return false }
 			rel = rel.Mask(in.Schema, make([]int, len(in.Schema.Attrs)), allDummies, nil, &dg)
 		}
-		rels[i] = rel
+		d.Inputs[i].Rel = rel
 	}
-	return rels
+	return d
 }
 
 // lenPair is a party pair whose every sent message is recorded by
@@ -121,7 +122,7 @@ func (lp *lenPair) close() {
 // and each party's view: the lengths of the messages it sent during the
 // run, through the local-join step when the plan has one. Later
 // join-phase messages scale with OUT, which the reveal makes public.
-func (lp *lenPair) run(t *testing.T, name string, q *Query, rels []*relation.Relation,
+func (lp *lenPair) run(t *testing.T, name string, q *Query,
 	f func(p *mpc.Party, q *Query) (*relation.Relation, *Trace, error)) (*relation.Relation, *Trace, [2][]int) {
 	t.Helper()
 	var start, cut [2]int
@@ -136,13 +137,13 @@ func (lp *lenPair) run(t *testing.T, name string, q *Query, rels []*relation.Rel
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := f(lp.p[mpc.Bob], splitQuery(q, rels, mpc.Bob))
+		_, _, err := f(lp.p[mpc.Bob], q.For(mpc.Bob))
 		if err != nil {
 			lp.lens[mpc.Bob].Close()
 		}
 		done <- err
 	}()
-	rel, tr, err := f(lp.p[mpc.Alice], splitQuery(q, rels, mpc.Alice))
+	rel, tr, err := f(lp.p[mpc.Alice], q.For(mpc.Alice))
 	if err != nil {
 		lp.lens[mpc.Alice].Close()
 	}
@@ -237,18 +238,18 @@ func TestPropertySecureMatchesPlaintext(t *testing.T) {
 	ctx := context.Background()
 	for seed := 0; seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(int64(1000 + seed)))
-		q, rels := randomQuery(rng)
-		dbs := [2][]*relation.Relation{rels, randomData(rng, q)}
+		q := randomQuery(rng)
+		dbs := [2]*Query{q, randomData(rng, q)}
 		var want [2]*relation.Relation
 		var pairs [2]*lenPair
 		for d := range dbs {
-			want[d] = plaintextReference(t, q, dbs[d])
+			want[d] = plaintextReference(t, dbs[d])
 			pairs[d] = newLenPair()
 		}
 		var plans [2]*Plan
 		for _, role := range []mpc.Role{mpc.Alice, mpc.Bob} {
 			for d := range dbs {
-				pl, err := ExplainOpts(splitQuery(q, dbs[d], role), testRing.Bits, Options{})
+				pl, err := ExplainOpts(dbs[d].For(role), testRing.Bits, Options{})
 				if err != nil {
 					t.Fatalf("seed %d: explain: %v", seed, err)
 				}
@@ -263,13 +264,13 @@ func TestPropertySecureMatchesPlaintext(t *testing.T) {
 				var offTr *Trace
 				if pre {
 					var off [2][]int
-					_, offTr, off = pairs[d].run(t, name+" (offline)", q, dbs[d], func(p *mpc.Party, q *Query) (*relation.Relation, *Trace, error) {
+					_, offTr, off = pairs[d].run(t, name+" (offline)", dbs[d], func(p *mpc.Party, q *Query) (*relation.Relation, *Trace, error) {
 						tr, err := PrecomputeOpts(ctx, p, q, Options{})
 						return nil, tr, err
 					})
 					views[d] = append(views[d], off)
 				}
-				got, tr, view := pairs[d].run(t, name, q, dbs[d], func(p *mpc.Party, q *Query) (*relation.Relation, *Trace, error) {
+				got, tr, view := pairs[d].run(t, name, dbs[d], func(p *mpc.Party, q *Query) (*relation.Relation, *Trace, error) {
 					return Run(ctx, p, q, Options{})
 				})
 				views[d] = append(views[d], view)

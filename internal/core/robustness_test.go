@@ -18,30 +18,17 @@ import (
 func TestConstantRounds(t *testing.T) {
 	rounds := func(scaleRows int) int64 {
 		rng := rand.New(rand.NewSource(5))
-		q, rels := example11Query(rng, scaleRows, scaleRows*2)
+		q := example11Query(rng, scaleRows, scaleRows*2)
 		alice, bob := mpc.Pair(testRing)
 		defer alice.Conn.Close()
 		defer bob.Conn.Close()
-		queryFor := func(role mpc.Role) *Query {
-			cq := &Query{Output: q.Output}
-			for i, in := range q.Inputs {
-				ci := in
-				if in.Owner == role {
-					ci.Rel = rels[i]
-				} else {
-					ci.Rel = nil
-				}
-				cq.Inputs = append(cq.Inputs, ci)
-			}
-			return cq
-		}
 		run := func(p *mpc.Party, q *Query) (*relation.Relation, error) {
 			rel, _, err := Run(context.Background(), p, q, Options{})
 			return rel, err
 		}
 		_, _, err := mpc.Run2PC(alice, bob,
-			func(p *mpc.Party) (*relation.Relation, error) { return run(p, queryFor(mpc.Alice)) },
-			func(p *mpc.Party) (*relation.Relation, error) { return run(p, queryFor(mpc.Bob)) },
+			func(p *mpc.Party) (*relation.Relation, error) { return run(p, q.For(mpc.Alice)) },
+			func(p *mpc.Party) (*relation.Relation, error) { return run(p, q.For(mpc.Bob)) },
 		)
 		if err != nil {
 			t.Fatal(err)
@@ -93,24 +80,13 @@ func TestMalformedMessagesErrorNotPanic(t *testing.T) {
 				}
 			}()
 			rng := rand.New(rand.NewSource(11))
-			q, rels := example11Query(rng, 6, 8)
+			q := example11Query(rng, 6, 8)
 			ca, cb := transport.Pair()
 			alice := mpc.NewParty(mpc.Alice, &corruptingConn{Conn: ca, corruptAt: corruptAt, newLen: 7}, testRing)
 			bob := mpc.NewParty(mpc.Bob, cb, testRing)
-			queryFor := func(role mpc.Role) *Query {
-				cq := &Query{Output: q.Output}
-				for i, in := range q.Inputs {
-					ci := in
-					if in.Owner == role {
-						ci.Rel = rels[i]
-					}
-					cq.Inputs = append(cq.Inputs, ci)
-				}
-				return cq
-			}
 			_, _, err := mpc.Run2PC(alice, bob,
-				func(p *mpc.Party) (*relation.Relation, error) { return runQuery(p, queryFor(mpc.Alice)) },
-				func(p *mpc.Party) (*relation.Relation, error) { return runQuery(p, queryFor(mpc.Bob)) },
+				func(p *mpc.Party) (*relation.Relation, error) { return runQuery(p, q.For(mpc.Alice)) },
+				func(p *mpc.Party) (*relation.Relation, error) { return runQuery(p, q.For(mpc.Bob)) },
 			)
 			if err == nil {
 				t.Fatalf("corruption at message %d went unnoticed", corruptAt)

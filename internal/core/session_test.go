@@ -11,22 +11,6 @@ import (
 	"secyan/internal/transport"
 )
 
-// sessionQueryFor strips the peer's relations from a fully-populated
-// query, producing the view one party holds.
-func sessionQueryFor(q *Query, rels []*relation.Relation, role mpc.Role) *Query {
-	cq := &Query{Output: q.Output}
-	for i, in := range q.Inputs {
-		ci := in
-		if in.Owner == role {
-			ci.Rel = rels[i]
-		} else {
-			ci.Rel = nil
-		}
-		cq.Inputs = append(cq.Inputs, ci)
-	}
-	return cq
-}
-
 // TestSessionConcurrentTranscriptEquivalence is the session layer's
 // core correctness claim: a query running on one of several concurrent
 // streams of a multiplexed session produces the exact transcript — the
@@ -36,16 +20,16 @@ func sessionQueryFor(q *Query, rels []*relation.Relation, role mpc.Role) *Query 
 // baseline byte for byte.
 func TestSessionConcurrentTranscriptEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	q, rels := example11Query(rng, 12, 20)
-	want := plaintextReference(t, q, rels)
+	q := example11Query(rng, 12, 20)
+	want := plaintextReference(t, q)
 
 	// Serial baseline on a bare connection pair.
 	alice, bob := mpc.Pair(testRing)
 	res, _, err := mpc.Run2PC(alice, bob,
 		func(p *mpc.Party) (*relation.Relation, error) {
-			return runQuery(p, sessionQueryFor(q, rels, mpc.Alice))
+			return runQuery(p, q.For(mpc.Alice))
 		},
-		func(p *mpc.Party) (*relation.Relation, error) { return runQuery(p, sessionQueryFor(q, rels, mpc.Bob)) },
+		func(p *mpc.Party) (*relation.Relation, error) { return runQuery(p, q.For(mpc.Bob)) },
 	)
 	if err != nil {
 		t.Fatalf("serial baseline: %v", err)
@@ -79,7 +63,7 @@ func TestSessionConcurrentTranscriptEquivalence(t *testing.T) {
 		wg.Add(2)
 		go func(i int, p *mpc.Party) {
 			defer wg.Done()
-			r, err := runQuery(p, sessionQueryFor(q, rels, mpc.Alice))
+			r, err := runQuery(p, q.For(mpc.Alice))
 			resMu.Lock()
 			outs[i], errs[2*i], stats[2*i] = r, err, p.Conn.Stats()
 			resMu.Unlock()
@@ -87,7 +71,7 @@ func TestSessionConcurrentTranscriptEquivalence(t *testing.T) {
 		}(i, pa)
 		go func(i int, p *mpc.Party) {
 			defer wg.Done()
-			_, err := runQuery(p, sessionQueryFor(q, rels, mpc.Bob))
+			_, err := runQuery(p, q.For(mpc.Bob))
 			resMu.Lock()
 			errs[2*i+1], stats[2*i+1] = err, p.Conn.Stats()
 			resMu.Unlock()
@@ -126,19 +110,15 @@ func TestSessionConcurrentTranscriptEquivalence(t *testing.T) {
 // material.
 func TestSessionPrecomputeOverlapsOnlineQuery(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
-	q, rels := example11Query(rng, 10, 16)
-	want := plaintextReference(t, q, rels)
+	q := example11Query(rng, 10, 16)
+	want := plaintextReference(t, q)
 
 	sa, sb := mpc.SessionPair(testRing, mpc.SessionConfig{})
 	defer sa.Close()
 	defer sb.Close()
 
 	// Stream 0: background offline pass over the bare query shape.
-	shape := &Query{Inputs: make([]Input, len(q.Inputs)), Output: q.Output}
-	for i, in := range q.Inputs {
-		in.Rel = nil
-		shape.Inputs[i] = in
-	}
+	shape := q.Shape()
 	pa0, err := sa.PartyOn(0)
 	if err != nil {
 		t.Fatal(err)
@@ -162,10 +142,10 @@ func TestSessionPrecomputeOverlapsOnlineQuery(t *testing.T) {
 	}
 	onlineDone := make(chan error, 1)
 	go func() {
-		_, err := runQuery(pb1, sessionQueryFor(q, rels, mpc.Bob))
+		_, err := runQuery(pb1, q.For(mpc.Bob))
 		onlineDone <- err
 	}()
-	res, err := runQuery(pa1, sessionQueryFor(q, rels, mpc.Alice))
+	res, err := runQuery(pa1, q.For(mpc.Alice))
 	if err != nil {
 		t.Fatalf("online run during precompute: %v", err)
 	}
@@ -184,10 +164,10 @@ func TestSessionPrecomputeOverlapsOnlineQuery(t *testing.T) {
 	// material already in hand.
 	stagedDone := make(chan error, 1)
 	go func() {
-		_, err := runQuery(pb0, sessionQueryFor(q, rels, mpc.Bob))
+		_, err := runQuery(pb0, q.For(mpc.Bob))
 		stagedDone <- err
 	}()
-	res, err = runQuery(pa0, sessionQueryFor(q, rels, mpc.Alice))
+	res, err = runQuery(pa0, q.For(mpc.Alice))
 	if err != nil {
 		t.Fatalf("staged run: %v", err)
 	}

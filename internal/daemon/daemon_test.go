@@ -18,9 +18,9 @@ import (
 	"secyan/internal/relation"
 )
 
-// testQuery builds a small three-relation join-aggregate (the DESIGN.md
-// running example) with deterministic data.
-func testQuery(seed int64, nPersons, nRecords int) (*core.Query, []*relation.Relation) {
+// testQuery describes a small three-relation join-aggregate (the
+// DESIGN.md running example) over deterministic data.
+func testQuery(seed int64, nPersons, nRecords int) *core.Query {
 	rng := rand.New(rand.NewSource(seed))
 	r1 := relation.New(relation.MustSchema("person", "coinsurance"))
 	for i := 0; i < nPersons; i++ {
@@ -34,36 +34,20 @@ func testQuery(seed int64, nPersons, nRecords int) (*core.Query, []*relation.Rel
 	for d := 0; d < 4; d++ {
 		r3.Append([]uint64{uint64(d), uint64(d % 2)}, 1)
 	}
-	q := &core.Query{
+	return &core.Query{
 		Inputs: []core.Input{
-			{Name: "insurance", Owner: mpc.Alice, Schema: r1.Schema, N: r1.Len()},
-			{Name: "records", Owner: mpc.Bob, Schema: r2.Schema, N: r2.Len()},
-			{Name: "classes", Owner: mpc.Alice, Schema: r3.Schema, N: r3.Len()},
+			{Name: "insurance", Owner: mpc.Alice, Schema: r1.Schema, N: r1.Len(), Rel: r1},
+			{Name: "records", Owner: mpc.Bob, Schema: r2.Schema, N: r2.Len(), Rel: r2},
+			{Name: "classes", Owner: mpc.Alice, Schema: r3.Schema, N: r3.Len(), Rel: r3},
 		},
 		Output: []relation.Attr{"class"},
 	}
-	return q, []*relation.Relation{r1, r2, r3}
-}
-
-// viewFor attaches only the relations the role owns.
-func viewFor(q *core.Query, rels []*relation.Relation, role mpc.Role) *core.Query {
-	cq := &core.Query{Output: q.Output}
-	for i, in := range q.Inputs {
-		ci := in
-		if in.Owner == role {
-			ci.Rel = rels[i]
-		} else {
-			ci.Rel = nil
-		}
-		cq.Inputs = append(cq.Inputs, ci)
-	}
-	return cq
 }
 
 // wantByClass computes the plaintext join-aggregate (sum of annotation
 // products grouped by class, zero groups dropped).
-func wantByClass(rels []*relation.Relation) map[uint64]uint64 {
-	r1, r2, r3 := rels[0], rels[1], rels[2]
+func wantByClass(q *core.Query) map[uint64]uint64 {
+	r1, r2, r3 := q.Inputs[0].Rel, q.Inputs[1].Rel, q.Inputs[2].Rel
 	want := map[uint64]uint64{}
 	for i, t1 := range r1.Tuples {
 		for j, t2 := range r2.Tuples {
@@ -101,11 +85,7 @@ func gotByClass(r *relation.Relation) map[uint64]uint64 {
 // runnerForQuery adapts a concrete core.Query — with this party's
 // relations attached — into a catalog entry.
 func runnerForQuery(q *core.Query) Runner {
-	shape := &core.Query{Output: q.Output, NoLocalOptimizations: q.NoLocalOptimizations}
-	for _, in := range q.Inputs {
-		in.Rel = nil
-		shape.Inputs = append(shape.Inputs, in)
-	}
+	shape := q.Shape()
 	return Runner{
 		Shape: func() (*core.Query, error) { return shape, nil },
 		Run: func(ctx context.Context, p *mpc.Party, opts core.Options) (*relation.Relation, error) {
@@ -117,9 +97,9 @@ func runnerForQuery(q *core.Query) Runner {
 
 // sideCatalogs builds matching daemon (Bob) and client (Alice) catalogs
 // for one synthetic query under the given name.
-func sideCatalogs(name string, q *core.Query, rels []*relation.Relation) (daemonCat, clientCat Catalog) {
-	return Catalog{name: runnerForQuery(viewFor(q, rels, mpc.Bob))},
-		Catalog{name: runnerForQuery(viewFor(q, rels, mpc.Alice))}
+func sideCatalogs(name string, q *core.Query) (daemonCat, clientCat Catalog) {
+	return Catalog{name: runnerForQuery(q.For(mpc.Bob))},
+		Catalog{name: runnerForQuery(q.For(mpc.Alice))}
 }
 
 // slowed wraps a runner with a daemon-side pre-run delay, keeping
@@ -202,9 +182,9 @@ func settled(t *testing.T, d *Daemon) Snapshot {
 // over real TCP against one daemon and checks every result against the
 // plaintext engine.
 func TestDaemonTwoTenantsConcurrent(t *testing.T) {
-	q, rels := testQuery(7, 12, 20)
-	want := wantByClass(rels)
-	dcat, ccat := sideCatalogs("example", q, rels)
+	q := testQuery(7, 12, 20)
+	want := wantByClass(q)
+	dcat, ccat := sideCatalogs("example", q)
 	d, addr := startDaemon(t, Config{
 		Catalog:      dcat,
 		Slots:        2,
@@ -272,8 +252,8 @@ func TestDaemonTwoTenantsConcurrent(t *testing.T) {
 // is dispatched ahead of most of the backlog instead of last (as FIFO
 // would).
 func TestDaemonFairnessNoStarvation(t *testing.T) {
-	q, rels := testQuery(11, 10, 16)
-	dcat, ccat := sideCatalogs("example", q, rels)
+	q := testQuery(11, 10, 16)
+	dcat, ccat := sideCatalogs("example", q)
 	for name, r := range dcat {
 		dcat[name] = slowed(r, 100*time.Millisecond)
 	}
@@ -344,8 +324,8 @@ func TestDaemonFairnessNoStarvation(t *testing.T) {
 // (the connection survives), the rejection metric moves, and a
 // daemon.reject event is recorded.
 func TestDaemonQuotaQueueDepth(t *testing.T) {
-	q, rels := testQuery(13, 8, 12)
-	dcat, ccat := sideCatalogs("example", q, rels)
+	q := testQuery(13, 8, 12)
+	dcat, ccat := sideCatalogs("example", q)
 	for name, r := range dcat {
 		dcat[name] = slowed(r, 200*time.Millisecond)
 	}
@@ -415,8 +395,8 @@ func TestDaemonQuotaQueueDepth(t *testing.T) {
 // estimated communication exceeds the tenant's burst capacity is shed
 // immediately with ErrQuotaExceeded.
 func TestDaemonQuotaBytesBurst(t *testing.T) {
-	q, rels := testQuery(17, 8, 12)
-	dcat, ccat := sideCatalogs("example", q, rels)
+	q := testQuery(17, 8, 12)
+	dcat, ccat := sideCatalogs("example", q)
 	_, addr := startDaemon(t, Config{
 		Catalog: dcat,
 		Tenants: map[string]Quota{"tiny": {BytesPerSec: 1, Burst: 1}},
@@ -434,8 +414,8 @@ func TestDaemonQuotaBytesBurst(t *testing.T) {
 // TestDaemonOverloaded pins global load shedding: when the daemon-wide
 // queue bound is hit, excess queries shed with ErrOverloaded.
 func TestDaemonOverloaded(t *testing.T) {
-	q, rels := testQuery(19, 8, 12)
-	dcat, ccat := sideCatalogs("example", q, rels)
+	q := testQuery(19, 8, 12)
+	dcat, ccat := sideCatalogs("example", q)
 	for name, r := range dcat {
 		dcat[name] = slowed(r, 200*time.Millisecond)
 	}
@@ -491,9 +471,9 @@ func TestDaemonOverloaded(t *testing.T) {
 // correct results and the hit visible in /debug/tenants, on /metrics
 // and in the event log.
 func TestDaemonFarmCooperativeWarm(t *testing.T) {
-	q, rels := testQuery(29, 16, 28)
-	want := wantByClass(rels)
-	dcat, ccat := sideCatalogs("warm", q, rels)
+	q := testQuery(29, 16, 28)
+	want := wantByClass(q)
+	dcat, ccat := sideCatalogs("warm", q)
 	for name, r := range dcat {
 		dcat[name] = slowed(r, 250*time.Millisecond)
 	}
@@ -611,8 +591,8 @@ func TestDaemonFarmCooperativeWarm(t *testing.T) {
 // once, while the slot it waited for is still busy, and the books
 // balance once the slot frees.
 func TestDaemonCancelOnDisconnect(t *testing.T) {
-	q, rels := testQuery(41, 8, 12)
-	dcat, ccat := sideCatalogs("example", q, rels)
+	q := testQuery(41, 8, 12)
+	dcat, ccat := sideCatalogs("example", q)
 	release := make(chan struct{})
 	var once sync.Once
 	free := func() { once.Do(func() { close(release) }) }
@@ -679,8 +659,8 @@ func TestDaemonCancelOnDisconnect(t *testing.T) {
 // finish, queued queries shed with typed ErrOverloaded over still-open
 // control streams, and Shutdown returns cleanly.
 func TestDaemonGracefulDrain(t *testing.T) {
-	q, rels := testQuery(31, 8, 12)
-	dcat, ccat := sideCatalogs("example", q, rels)
+	q := testQuery(31, 8, 12)
+	dcat, ccat := sideCatalogs("example", q)
 	for name, r := range dcat {
 		dcat[name] = slowed(r, 200*time.Millisecond)
 	}
@@ -735,8 +715,8 @@ func TestDaemonGracefulDrain(t *testing.T) {
 // whose shape fails to plan, is rejected per-query with the connection
 // intact.
 func TestDaemonRejectsUnknowns(t *testing.T) {
-	q, rels := testQuery(37, 8, 12)
-	dcat, ccat := sideCatalogs("example", q, rels)
+	q := testQuery(37, 8, 12)
+	dcat, ccat := sideCatalogs("example", q)
 	dcat["broken"] = Runner{Shape: func() (*core.Query, error) { return nil, errors.New("no shape") }}
 	_, addr := startDaemon(t, Config{
 		Catalog: dcat,
@@ -774,8 +754,8 @@ func TestDaemonRejectsUnknowns(t *testing.T) {
 // the daemon's run, which would otherwise wait until the test ends, stops
 // at it and is booked failed.
 func TestDaemonDeadlineFromContext(t *testing.T) {
-	q, rels := testQuery(53, 4, 6)
-	dcat, ccat := sideCatalogs("example", q, rels)
+	q := testQuery(53, 4, 6)
+	dcat, ccat := sideCatalogs("example", q)
 	release := make(chan struct{})
 	for name, r := range dcat {
 		dcat[name] = Runner{
@@ -812,8 +792,8 @@ func TestDaemonDeadlineFromContext(t *testing.T) {
 // that never finishes holds Shutdown only until ctx ends, and a daemon
 // that is shut down serves no listener.
 func TestDaemonShutdownBoundedByContext(t *testing.T) {
-	q, rels := testQuery(61, 4, 6)
-	dcat, ccat := sideCatalogs("example", q, rels)
+	q := testQuery(61, 4, 6)
+	dcat, ccat := sideCatalogs("example", q)
 	release := make(chan struct{})
 	for name, r := range dcat {
 		dcat[name] = Runner{

@@ -21,8 +21,8 @@ import (
 // get an error reply and a closed connection, and the daemon's handler
 // must return once the client is gone.
 func FuzzControlMessage(f *testing.F) {
-	q, rels := testQuery(43, 4, 6)
-	dcat, _ := sideCatalogs("example", q, rels)
+	q := testQuery(43, 4, 6)
+	dcat, _ := sideCatalogs("example", q)
 	d, err := New(Config{Catalog: dcat, Tenants: map[string]Quota{"acme": {}}})
 	if err != nil {
 		f.Fatal(err)
@@ -134,8 +134,8 @@ func refusedHello(t *testing.T, d *Daemon, h *ctrlMsg) *ctrlMsg {
 // above the daemon's: each gets a bad-request error naming both
 // versions, and the connection then admits no query.
 func TestHelloOtherProtocolVersion(t *testing.T) {
-	q, rels := testQuery(47, 4, 6)
-	dcat, _ := sideCatalogs("example", q, rels)
+	q := testQuery(47, 4, 6)
+	dcat, _ := sideCatalogs("example", q)
 	d, err := New(Config{Catalog: dcat, Tenants: map[string]Quota{"acme": {}}})
 	if err != nil {
 		t.Fatal(err)
@@ -154,8 +154,8 @@ func TestHelloOtherProtocolVersion(t *testing.T) {
 // must still be refused, each with its typed code: another ring width,
 // no tenant, and any hello once the daemon drains.
 func TestHelloRefusals(t *testing.T) {
-	q, rels := testQuery(59, 4, 6)
-	dcat, _ := sideCatalogs("example", q, rels)
+	q := testQuery(59, 4, 6)
+	dcat, _ := sideCatalogs("example", q)
 	d, err := New(Config{Catalog: dcat, DefaultQuota: &Quota{}})
 	if err != nil {
 		t.Fatal(err)

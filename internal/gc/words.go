@@ -241,6 +241,8 @@ func (b *Builder) MulConst(x Word, c uint64) Word {
 // DivMod returns (x / y, x % y) by restoring division, for a divisor no
 // wider than the dividend; if y == 0 the quotient is all ones and the
 // remainder x's low len(y) bits, mirroring typical hardware semantics.
+// The loop yields that case by itself: every step compares against 0,
+// so every quotient bit is 1 and the remainder shifts x's bits through.
 // O(len(x)·len(y)) AND gates: the remainder stays below y, so each step
 // compares and subtracts in len(y)+1 bits, len(y) when the widths are
 // equal. Used for the avg/ratio query compositions of paper §7 (Query 8).
@@ -261,11 +263,6 @@ func (b *Builder) DivMod(x, y Word) (quot, rem Word) {
 		rem = b.MuxWord(ge, b.Sub(shifted[:m], y), shifted[:m])
 		quot[i] = ge
 	}
-	// Handle y == 0: quotient all ones, remainder x.
-	yZero := b.IsZero(y)
-	ones := b.ConstWord(^uint64(0), n)
-	quot = b.MuxWord(yZero, ones, quot)
-	rem = b.MuxWord(yZero, x[:m], rem)
 	return quot, rem
 }
 

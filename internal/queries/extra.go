@@ -1,9 +1,6 @@
 package queries
 
 import (
-	"context"
-	"fmt"
-
 	"secyan/internal/core"
 	"secyan/internal/mpc"
 	"secyan/internal/relation"
@@ -28,40 +25,28 @@ func Extra() []Spec {
 
 var q1Date = tpch.Day(1998, 8, 1) // shipdate <= maxdate - interval
 
-func q1Relations(db *tpch.DB) *relation.Relation {
+func q1Query(db *tpch.DB) *core.Query {
 	var dg relation.DummyGen
 	shipIdx := db.Lineitem.Schema.Index("shipdate")
-	return maskProject(db.Lineitem, []Attr{"returnflag"},
-		func(row []uint64) bool { return row[shipIdx] <= q1Date }, volume(db.Lineitem), &dg)
+	return &core.Query{
+		Inputs: []core.Input{input("lineitem", mpc.Bob, maskProject(db.Lineitem, []Attr{"returnflag"},
+			func(row []uint64) bool { return row[shipIdx] <= q1Date }, volume(db.Lineitem), &dg))},
+		Output: []Attr{"returnflag"},
+	}
 }
-
-var q1Output = []Attr{"returnflag"}
 
 // Q1 is (a simplified) TPC-H Query 1: revenue grouped by return flag
 // over lineitem alone. With a single relation the protocol reduces to
 // one oblivious aggregation plus the reveal — the engine's base case.
 func Q1() Spec {
-	return Spec{
+	return single(Spec{
 		Name:        "Q1",
 		Figure:      0,
 		Description: "pricing summary: revenue by return flag over lineitem alone (no join)",
-		SecureOpts: func(p *mpc.Party, db *tpch.DB, opts core.Options) (*relation.Relation, error) {
-			li := q1Relations(db)
-			q := &core.Query{
-				Inputs: []core.Input{inputFor(p, "lineitem", mpc.Bob, li)},
-				Output: q1Output,
-			}
-			rel, _, err := core.Run(context.Background(), p, q, opts)
-			return rel, err
-		},
-		Plain: func(db *tpch.DB, bits int) (*relation.Relation, error) {
-			li := q1Relations(db)
-			return plainRun([]*relation.Relation{li}, []string{"lineitem"}, q1Output, bits)
-		},
 		EffectiveBytes: func(db *tpch.DB) int64 {
 			return 4 * int64(4*db.Lineitem.Len())
 		},
-	}
+	}, q1Query)
 }
 
 // ---------------------------------------------------------------------
@@ -73,46 +58,31 @@ var (
 	q12DateHi = tpch.Day(1995, 1, 1)
 )
 
-func q12Relations(db *tpch.DB) (ord, li *relation.Relation) {
+func q12Query(db *tpch.DB) *core.Query {
 	var dgO, dgL relation.DummyGen
-	ord = maskProject(db.Orders, []Attr{"orderkey"}, nil, one, &dgO)
 	shipIdx := db.Lineitem.Schema.Index("shipdate")
-	li = maskProject(db.Lineitem, []Attr{"orderkey", "shipmode"},
-		func(row []uint64) bool { return row[shipIdx] >= q12DateLo && row[shipIdx] < q12DateHi },
-		one, &dgL)
-	return
+	return &core.Query{
+		Inputs: []core.Input{
+			input("orders", mpc.Alice, maskProject(db.Orders, []Attr{"orderkey"}, nil, one, &dgO)),
+			input("lineitem", mpc.Bob, maskProject(db.Lineitem, []Attr{"orderkey", "shipmode"},
+				func(row []uint64) bool { return row[shipIdx] >= q12DateLo && row[shipIdx] < q12DateHi },
+				one, &dgL)),
+		},
+		Output: []Attr{"shipmode"},
+	}
 }
-
-var q12Output = []Attr{"shipmode"}
 
 // Q12 is (a simplified) TPC-H Query 12: line counts by ship mode over
 // orders ⋈ lineitem with a private ship-date window.
 func Q12() Spec {
-	return Spec{
+	return single(Spec{
 		Name:        "Q12",
 		Figure:      0,
 		Description: "shipping modes: counts by shipmode over orders ⋈ lineitem",
-		SecureOpts: func(p *mpc.Party, db *tpch.DB, opts core.Options) (*relation.Relation, error) {
-			ord, li := q12Relations(db)
-			q := &core.Query{
-				Inputs: []core.Input{
-					inputFor(p, "orders", mpc.Alice, ord),
-					inputFor(p, "lineitem", mpc.Bob, li),
-				},
-				Output: q12Output,
-			}
-			rel, _, err := core.Run(context.Background(), p, q, opts)
-			return rel, err
-		},
-		Plain: func(db *tpch.DB, bits int) (*relation.Relation, error) {
-			ord, li := q12Relations(db)
-			return plainRun([]*relation.Relation{ord, li},
-				[]string{"orders", "lineitem"}, q12Output, bits)
-		},
 		EffectiveBytes: func(db *tpch.DB) int64 {
 			return 4 * int64(1*db.Orders.Len()+3*db.Lineitem.Len())
 		},
-	}
+	}, q12Query)
 }
 
 // ---------------------------------------------------------------------
@@ -127,77 +97,40 @@ var (
 	promoTypeMax = uint64(25)
 )
 
-func q14Relations(db *tpch.DB) (partNum, partDen, li *relation.Relation) {
+// q14Queries describes Q14's two queries over part ⋈ lineitem; they
+// differ in the part annotation: Ind(promo) for the numerator, 1 for the
+// denominator. Both aggregate to a single grand total.
+func q14Queries(db *tpch.DB) (num, den *core.Query) {
 	var dgP1, dgP2, dgL relation.DummyGen
 	typeIdx := db.Part.Schema.Index("p_type")
-	partNum = maskProject(db.Part, []Attr{"partkey"}, nil,
+	partNum := maskProject(db.Part, []Attr{"partkey"}, nil,
 		func(row []uint64) uint64 {
 			if row[typeIdx] < promoTypeMax {
 				return 1
 			}
 			return 0
 		}, &dgP1)
-	partDen = maskProject(db.Part, []Attr{"partkey"}, nil, one, &dgP2)
+	partDen := maskProject(db.Part, []Attr{"partkey"}, nil, one, &dgP2)
 	shipIdx := db.Lineitem.Schema.Index("shipdate")
-	li = maskProject(db.Lineitem, []Attr{"partkey"},
+	li := maskProject(db.Lineitem, []Attr{"partkey"},
 		func(row []uint64) bool { return row[shipIdx] >= q14DateLo && row[shipIdx] < q14DateHi },
 		volume(db.Lineitem), &dgL)
-	return
+	query := func(part *relation.Relation) *core.Query {
+		return &core.Query{Inputs: []core.Input{input("part", mpc.Alice, part), input("lineitem", mpc.Bob, li)}}
+	}
+	return query(partNum), query(partDen)
 }
 
 // Q14 is TPC-H Query 14: the share of revenue from promotional parts in
 // one month — sum(promo ? volume : 0) * 100 / sum(volume), composed as
 // two shared runs plus the ratio circuit (§7), like the paper's Q8.
 func Q14() Spec {
-	return Spec{
+	return ratio(Spec{
 		Name:        "Q14",
 		Figure:      0,
 		Description: "promotion effect: promo revenue share over part ⋈ lineitem",
-		SecureOpts: func(p *mpc.Party, db *tpch.DB, opts core.Options) (*relation.Relation, error) {
-			partNum, partDen, li := q14Relations(db)
-			build := func(part *relation.Relation) *core.Query {
-				return &core.Query{
-					Inputs: []core.Input{
-						inputFor(p, "part", mpc.Alice, part),
-						inputFor(p, "lineitem", mpc.Bob, li),
-					},
-					Output: nil, // single grand aggregate
-				}
-			}
-			num, _, err := core.RunShared(context.Background(), p, build(partNum), opts)
-			if err != nil {
-				return nil, fmt.Errorf("q14 numerator: %w", err)
-			}
-			den, _, err := core.RunShared(context.Background(), p, build(partDen), opts)
-			if err != nil {
-				return nil, fmt.Errorf("q14 denominator: %w", err)
-			}
-			return core.RevealRatio(p, num, den, 100)
-		},
-		Plain: func(db *tpch.DB, bits int) (*relation.Relation, error) {
-			partNum, partDen, li := q14Relations(db)
-			names := []string{"part", "lineitem"}
-			num, err := plainRun([]*relation.Relation{partNum, li}, names, nil, bits)
-			if err != nil {
-				return nil, err
-			}
-			den, err := plainRun([]*relation.Relation{partDen, li}, names, nil, bits)
-			if err != nil {
-				return nil, err
-			}
-			out := relation.New(relation.Schema{})
-			if den.Len() == 0 || den.Annot[0] == 0 {
-				return out, nil
-			}
-			var n uint64
-			if num.Len() > 0 {
-				n = num.Annot[0]
-			}
-			out.Append([]uint64{}, n*100/den.Annot[0])
-			return out, nil
-		},
 		EffectiveBytes: func(db *tpch.DB) int64 {
 			return 4 * int64(2*db.Part.Len()+4*db.Lineitem.Len())
 		},
-	}
+	}, 100, q14Queries)
 }

@@ -40,6 +40,10 @@ type Spec struct {
 	// EffectiveBytes is the paper's x-axis: the total size of the columns
 	// involved in the query (4 bytes per value).
 	EffectiveBytes func(db *tpch.DB) int64
+	// parts describes the queries of the spec's first secure pass, in run
+	// order, every relation attached: the one statement of the query that
+	// SecureOpts, Plain and PlanFor all run.
+	parts func(db *tpch.DB) []*core.Query
 }
 
 // All returns the five paper queries in figure order.
@@ -74,27 +78,77 @@ func volume(li *relation.Relation) func(row []uint64) uint64 {
 	return func(row []uint64) uint64 { return row[price] * (100 - row[disc]) }
 }
 
-// inputFor builds a core.Input, attaching the relation only on the
-// owner's side.
-func inputFor(p *mpc.Party, name string, owner mpc.Role, rel *relation.Relation) core.Input {
-	in := core.Input{Name: name, Owner: owner, Schema: rel.Schema, N: rel.Len()}
-	if p.Role == owner {
-		in.Rel = rel
-	}
-	return in
+// input declares one input of a query description, its relation
+// attached; Spec runs give each party its view with core.Query.For.
+func input(name string, owner mpc.Role, rel *relation.Relation) core.Input {
+	return core.Input{Name: name, Owner: owner, Schema: rel.Schema, N: rel.Len(), Rel: rel}
 }
 
-// plainRun evaluates a prepared query in the clear.
-func plainRun(inputs []*relation.Relation, names []string, output []Attr, bits int) (*relation.Relation, error) {
-	h := &core.Query{}
-	for i, r := range inputs {
-		h.Inputs = append(h.Inputs, core.Input{Name: names[i], Schema: r.Schema, N: r.Len(), Rel: r})
+// single completes spec for a query that runs once and is revealed.
+func single(spec Spec, build func(db *tpch.DB) *core.Query) Spec {
+	spec.SecureOpts = func(p *mpc.Party, db *tpch.DB, opts core.Options) (*relation.Relation, error) {
+		rel, _, err := core.Run(context.Background(), p, build(db).For(p.Role), opts)
+		return rel, err
 	}
-	tree, err := h.Hypergraph().Plan(output)
+	spec.Plain = func(db *tpch.DB, bits int) (*relation.Relation, error) { return plainRun(build(db), bits) }
+	spec.parts = func(db *tpch.DB) []*core.Query { return []*core.Query{build(db)} }
+	return spec
+}
+
+// ratio completes spec for a composition of two queries of one shape,
+// run to shares and revealed as ⌊num·scale/den⌋ per row with a nonzero
+// denominator (§7).
+func ratio(spec Spec, scale uint64, build func(db *tpch.DB) (num, den *core.Query)) Spec {
+	spec.SecureOpts = func(p *mpc.Party, db *tpch.DB, opts core.Options) (*relation.Relation, error) {
+		num, den := build(db)
+		ns, _, err := core.RunShared(context.Background(), p, num.For(p.Role), opts)
+		if err != nil {
+			return nil, fmt.Errorf("%s numerator: %w", spec.Name, err)
+		}
+		ds, _, err := core.RunShared(context.Background(), p, den.For(p.Role), opts)
+		if err != nil {
+			return nil, fmt.Errorf("%s denominator: %w", spec.Name, err)
+		}
+		return core.RevealRatio(p, ns, ds, scale)
+	}
+	spec.Plain = func(db *tpch.DB, bits int) (*relation.Relation, error) {
+		numQ, denQ := build(db)
+		num, err := plainRun(numQ, bits)
+		if err != nil {
+			return nil, err
+		}
+		den, err := plainRun(denQ, bits)
+		if err != nil {
+			return nil, err
+		}
+		nm := map[string]uint64{}
+		for i := range num.Tuples {
+			nm[fmt.Sprint(num.Tuples[i])] = num.Annot[i]
+		}
+		out := relation.New(relation.MustSchema(denQ.Output...))
+		for i := range den.Tuples {
+			out.Append(den.Tuples[i], nm[fmt.Sprint(den.Tuples[i])]*scale/den.Annot[i])
+		}
+		return out, nil
+	}
+	spec.parts = func(db *tpch.DB) []*core.Query {
+		num, den := build(db)
+		return []*core.Query{num, den}
+	}
+	return spec
+}
+
+// plainRun evaluates a query description in the clear.
+func plainRun(q *core.Query, bits int) (*relation.Relation, error) {
+	tree, err := q.Hypergraph().Plan(q.Output)
 	if err != nil {
 		return nil, err
 	}
-	res, err := yannakakis.Run(tree, inputs, output, relation.RingSemiring{Bits: bits})
+	rels := make([]*relation.Relation, len(q.Inputs))
+	for i, in := range q.Inputs {
+		rels[i] = in.Rel
+	}
+	res, err := yannakakis.Run(tree, rels, q.Output, relation.RingSemiring{Bits: bits})
 	if err != nil {
 		return nil, err
 	}
@@ -108,52 +162,36 @@ func plainRun(inputs []*relation.Relation, names []string, output []Attr, bits i
 // q3Date is 1995-03-13 (the paper's literal).
 var q3Date = tpch.Day(1995, 3, 13)
 
-// q3Relations prepares the three masked input relations.
-func q3Relations(db *tpch.DB) (cust, ord, li *relation.Relation) {
+// q3Query describes Q3 over the three masked input relations.
+func q3Query(db *tpch.DB) *core.Query {
 	var dgC, dgO, dgL relation.DummyGen
 	segIdx := db.Customer.Schema.Index("mktsegment")
-	cust = maskProject(db.Customer, []Attr{"custkey"},
-		func(row []uint64) bool { return row[segIdx] == tpch.SegmentAutomobile }, one, &dgC)
 	dateIdx := db.Orders.Schema.Index("orderdate")
-	ord = maskProject(db.Orders, []Attr{"orderkey", "custkey", "orderdate", "shippriority"},
-		func(row []uint64) bool { return row[dateIdx] < q3Date }, one, &dgO)
 	shipIdx := db.Lineitem.Schema.Index("shipdate")
-	li = maskProject(db.Lineitem, []Attr{"orderkey"},
-		func(row []uint64) bool { return row[shipIdx] > q3Date }, volume(db.Lineitem), &dgL)
-	return
+	return &core.Query{
+		Inputs: []core.Input{
+			input("customer", mpc.Alice, maskProject(db.Customer, []Attr{"custkey"},
+				func(row []uint64) bool { return row[segIdx] == tpch.SegmentAutomobile }, one, &dgC)),
+			input("orders", mpc.Bob, maskProject(db.Orders, []Attr{"orderkey", "custkey", "orderdate", "shippriority"},
+				func(row []uint64) bool { return row[dateIdx] < q3Date }, one, &dgO)),
+			input("lineitem", mpc.Alice, maskProject(db.Lineitem, []Attr{"orderkey"},
+				func(row []uint64) bool { return row[shipIdx] > q3Date }, volume(db.Lineitem), &dgL)),
+		},
+		Output: []Attr{"orderkey", "orderdate", "shippriority"},
+	}
 }
-
-var q3Output = []Attr{"orderkey", "orderdate", "shippriority"}
 
 // Q3 is TPC-H Query 3: a vanilla free-connex join-aggregate query whose
 // reduce phase collapses the join tree to a single node (paper §8.1).
 func Q3() Spec {
-	return Spec{
+	return single(Spec{
 		Name:        "Q3",
 		Figure:      2,
 		Description: "revenue by order over customer ⋈ orders ⋈ lineitem, private selections",
-		SecureOpts: func(p *mpc.Party, db *tpch.DB, opts core.Options) (*relation.Relation, error) {
-			cust, ord, li := q3Relations(db)
-			q := &core.Query{
-				Inputs: []core.Input{
-					inputFor(p, "customer", mpc.Alice, cust),
-					inputFor(p, "orders", mpc.Bob, ord),
-					inputFor(p, "lineitem", mpc.Alice, li),
-				},
-				Output: q3Output,
-			}
-			rel, _, err := core.Run(context.Background(), p, q, opts)
-			return rel, err
-		},
-		Plain: func(db *tpch.DB, bits int) (*relation.Relation, error) {
-			cust, ord, li := q3Relations(db)
-			return plainRun([]*relation.Relation{cust, ord, li},
-				[]string{"customer", "orders", "lineitem"}, q3Output, bits)
-		},
 		EffectiveBytes: func(db *tpch.DB) int64 {
 			return 4 * int64(2*db.Customer.Len()+4*db.Orders.Len()+4*db.Lineitem.Len())
 		},
-	}
+	}, q3Query)
 }
 
 // ---------------------------------------------------------------------
@@ -165,49 +203,33 @@ var (
 	q10DateHi = tpch.Day(1993, 11, 1)
 )
 
-func q10Relations(db *tpch.DB) (cust, ord, li *relation.Relation) {
+func q10Query(db *tpch.DB) *core.Query {
 	var dgC, dgO, dgL relation.DummyGen
-	cust = maskProject(db.Customer, []Attr{"custkey", "c_name", "c_nationkey"}, nil, one, &dgC)
 	dateIdx := db.Orders.Schema.Index("orderdate")
-	ord = maskProject(db.Orders, []Attr{"orderkey", "custkey"},
-		func(row []uint64) bool { return row[dateIdx] >= q10DateLo && row[dateIdx] < q10DateHi }, one, &dgO)
 	flagIdx := db.Lineitem.Schema.Index("returnflag")
-	li = maskProject(db.Lineitem, []Attr{"orderkey"},
-		func(row []uint64) bool { return row[flagIdx] == tpch.ReturnR }, volume(db.Lineitem), &dgL)
-	return
+	return &core.Query{
+		Inputs: []core.Input{
+			input("customer", mpc.Alice, maskProject(db.Customer, []Attr{"custkey", "c_name", "c_nationkey"}, nil, one, &dgC)),
+			input("orders", mpc.Bob, maskProject(db.Orders, []Attr{"orderkey", "custkey"},
+				func(row []uint64) bool { return row[dateIdx] >= q10DateLo && row[dateIdx] < q10DateHi }, one, &dgO)),
+			input("lineitem", mpc.Alice, maskProject(db.Lineitem, []Attr{"orderkey"},
+				func(row []uint64) bool { return row[flagIdx] == tpch.ReturnR }, volume(db.Lineitem), &dgL)),
+		},
+		Output: []Attr{"custkey", "c_name", "c_nationkey"},
+	}
 }
-
-var q10Output = []Attr{"custkey", "c_name", "c_nationkey"}
 
 // Q10 is TPC-H Query 10 with the nation relation treated as public and
 // the query rewritten to group by c_nationkey (paper §8.1).
 func Q10() Spec {
-	return Spec{
+	return single(Spec{
 		Name:        "Q10",
 		Figure:      3,
 		Description: "revenue by customer over customer ⋈ orders ⋈ lineitem (nation public)",
-		SecureOpts: func(p *mpc.Party, db *tpch.DB, opts core.Options) (*relation.Relation, error) {
-			cust, ord, li := q10Relations(db)
-			q := &core.Query{
-				Inputs: []core.Input{
-					inputFor(p, "customer", mpc.Alice, cust),
-					inputFor(p, "orders", mpc.Bob, ord),
-					inputFor(p, "lineitem", mpc.Alice, li),
-				},
-				Output: q10Output,
-			}
-			rel, _, err := core.Run(context.Background(), p, q, opts)
-			return rel, err
-		},
-		Plain: func(db *tpch.DB, bits int) (*relation.Relation, error) {
-			cust, ord, li := q10Relations(db)
-			return plainRun([]*relation.Relation{cust, ord, li},
-				[]string{"customer", "orders", "lineitem"}, q10Output, bits)
-		},
 		EffectiveBytes: func(db *tpch.DB) int64 {
 			return 4 * int64(3*db.Customer.Len()+3*db.Orders.Len()+4*db.Lineitem.Len())
 		},
-	}
+	}, q10Query)
 }
 
 // ---------------------------------------------------------------------
@@ -217,13 +239,9 @@ func Q10() Spec {
 // Q18Threshold is the having-clause constant (sum(l_quantity) > 300).
 const Q18Threshold = 300
 
-func q18Relations(db *tpch.DB, threshold uint64) (cust, ord, li, sub *relation.Relation) {
+func q18Query(db *tpch.DB, threshold uint64) *core.Query {
 	var dgC, dgO, dgL, dgS relation.DummyGen
-	cust = maskProject(db.Customer, []Attr{"custkey", "c_name"}, nil, one, &dgC)
-	ord = maskProject(db.Orders, []Attr{"orderkey", "custkey", "orderdate", "totalprice"}, nil, one, &dgO)
 	qtyIdx := db.Lineitem.Schema.Index("quantity")
-	li = maskProject(db.Lineitem, []Attr{"orderkey"}, nil,
-		func(row []uint64) uint64 { return row[qtyIdx] }, &dgL)
 
 	// The in-subquery is evaluated locally by the lineitem owner and
 	// padded with dummies to |lineitem| to hide its result size (§8.1).
@@ -232,7 +250,7 @@ func q18Relations(db *tpch.DB, threshold uint64) (cust, ord, li, sub *relation.R
 	for i := range db.Lineitem.Tuples {
 		sums[db.Lineitem.Tuples[i][okIdx]] += db.Lineitem.Tuples[i][qtyIdx]
 	}
-	sub = relation.New(relation.MustSchema("orderkey"))
+	sub := relation.New(relation.MustSchema("orderkey"))
 	for i := range db.Orders.Tuples {
 		ok := db.Orders.Tuples[i][0]
 		if sums[ok] > threshold {
@@ -242,10 +260,17 @@ func q18Relations(db *tpch.DB, threshold uint64) (cust, ord, li, sub *relation.R
 	for sub.Len() < db.Lineitem.Len() {
 		sub.Append([]uint64{dgS.Next()}, 0)
 	}
-	return
+	return &core.Query{
+		Inputs: []core.Input{
+			input("customer", mpc.Bob, maskProject(db.Customer, []Attr{"custkey", "c_name"}, nil, one, &dgC)),
+			input("orders", mpc.Alice, maskProject(db.Orders, []Attr{"orderkey", "custkey", "orderdate", "totalprice"}, nil, one, &dgO)),
+			input("lineitem", mpc.Bob, maskProject(db.Lineitem, []Attr{"orderkey"}, nil,
+				func(row []uint64) uint64 { return row[qtyIdx] }, &dgL)),
+			input("subquery", mpc.Bob, sub),
+		},
+		Output: []Attr{"c_name", "custkey", "orderkey", "orderdate", "totalprice"},
+	}
 }
-
-var q18Output = []Attr{"c_name", "custkey", "orderkey", "orderdate", "totalprice"}
 
 // Q18 is TPC-H Query 18: the large-orders query, whose in-subquery is
 // evaluated locally by the lineitem owner and padded (paper §8.1). Its
@@ -254,33 +279,14 @@ var q18Output = []Attr{"c_name", "custkey", "orderkey", "orderdate", "totalprice
 func Q18() Spec { return q18WithThreshold(Q18Threshold) }
 
 func q18WithThreshold(threshold uint64) Spec {
-	return Spec{
+	return single(Spec{
 		Name:        "Q18",
 		Figure:      4,
 		Description: "large orders: customer ⋈ orders ⋈ lineitem ⋈ (having sum(qty) > threshold)",
-		SecureOpts: func(p *mpc.Party, db *tpch.DB, opts core.Options) (*relation.Relation, error) {
-			cust, ord, li, sub := q18Relations(db, threshold)
-			q := &core.Query{
-				Inputs: []core.Input{
-					inputFor(p, "customer", mpc.Bob, cust),
-					inputFor(p, "orders", mpc.Alice, ord),
-					inputFor(p, "lineitem", mpc.Bob, li),
-					inputFor(p, "subquery", mpc.Bob, sub),
-				},
-				Output: q18Output,
-			}
-			rel, _, err := core.Run(context.Background(), p, q, opts)
-			return rel, err
-		},
-		Plain: func(db *tpch.DB, bits int) (*relation.Relation, error) {
-			cust, ord, li, sub := q18Relations(db, threshold)
-			return plainRun([]*relation.Relation{cust, ord, li, sub},
-				[]string{"customer", "orders", "lineitem", "subquery"}, q18Output, bits)
-		},
 		EffectiveBytes: func(db *tpch.DB) int64 {
 			return 4 * int64(2*db.Customer.Len()+4*db.Orders.Len()+2*db.Lineitem.Len()+2*db.Lineitem.Len())
 		},
-	}
+	}, func(db *tpch.DB) *core.Query { return q18Query(db, threshold) })
 }
 
 // ---------------------------------------------------------------------
@@ -296,24 +302,24 @@ var (
 	q8CustGroup = map[uint64]bool{8: true, 9: true, 12: true, 18: true, 21: true} // AMERICA region
 )
 
-// q8Relations prepares the five masked relations; supplier annotations
-// come in two variants: Ind(s_nationkey = 8) for the numerator query and
-// 1 for the denominator query (paper §8.1).
-func q8Relations(db *tpch.DB) (part, supNum, supDen, li, ord, cust *relation.Relation) {
+// q8Queries describes Q8's two queries over the five masked relations;
+// they differ in the supplier annotation: Ind(s_nationkey = 8) for the
+// numerator and 1 for the denominator (paper §8.1).
+func q8Queries(db *tpch.DB) (num, den *core.Query) {
 	var dgP, dgS1, dgS2, dgL, dgO, dgC relation.DummyGen
 	typeIdx := db.Part.Schema.Index("p_type")
-	part = maskProject(db.Part, []Attr{"partkey"},
+	part := maskProject(db.Part, []Attr{"partkey"},
 		func(row []uint64) bool { return row[typeIdx] == q8PartType }, one, &dgP)
 	natIdx := db.Supplier.Schema.Index("s_nationkey")
-	supNum = maskProject(db.Supplier, []Attr{"suppkey"}, nil,
+	supNum := maskProject(db.Supplier, []Attr{"suppkey"}, nil,
 		func(row []uint64) uint64 {
 			if row[natIdx] == q8Nation {
 				return 1
 			}
 			return 0
 		}, &dgS1)
-	supDen = maskProject(db.Supplier, []Attr{"suppkey"}, nil, one, &dgS2)
-	li = maskProject(db.Lineitem, []Attr{"partkey", "suppkey", "orderkey"}, nil, volume(db.Lineitem), &dgL)
+	supDen := maskProject(db.Supplier, []Attr{"suppkey"}, nil, one, &dgS2)
+	li := maskProject(db.Lineitem, []Attr{"partkey", "suppkey", "orderkey"}, nil, volume(db.Lineitem), &dgL)
 
 	// o_year is a virtual column extracted from o_orderdate (§8.1).
 	dateIdx := db.Orders.Schema.Index("orderdate")
@@ -324,78 +330,40 @@ func q8Relations(db *tpch.DB) (part, supNum, supDen, li, ord, cust *relation.Rel
 		ordBase.Append([]uint64{row[0], row[1], year, row[dateIdx]}, 1)
 	}
 	baseDate := ordBase.Schema.Index("orderdate")
-	ord = maskProject(ordBase, []Attr{"orderkey", "custkey", "o_year"},
+	ord := maskProject(ordBase, []Attr{"orderkey", "custkey", "o_year"},
 		func(row []uint64) bool { return row[baseDate] >= q8DateLo && row[baseDate] <= q8DateHi },
 		one, &dgO)
 	cnIdx := db.Customer.Schema.Index("c_nationkey")
-	cust = maskProject(db.Customer, []Attr{"custkey"},
+	cust := maskProject(db.Customer, []Attr{"custkey"},
 		func(row []uint64) bool { return q8CustGroup[row[cnIdx]] }, one, &dgC)
-	return
+	query := func(sup *relation.Relation) *core.Query {
+		return &core.Query{
+			Inputs: []core.Input{
+				input("part", mpc.Alice, part),
+				input("supplier", mpc.Bob, sup),
+				input("lineitem", mpc.Alice, li),
+				input("orders", mpc.Bob, ord),
+				input("customer", mpc.Alice, cust),
+			},
+			Output: []Attr{"o_year"},
+		}
+	}
+	return query(supNum), query(supDen)
 }
-
-var q8Output = []Attr{"o_year"}
 
 // Q8 is TPC-H Query 8: national market share, composed of two
 // join-aggregate queries whose ratio is taken by a final garbled circuit
 // (paper §7 and §8.1). The revealed value is mkt_share in percent.
 func Q8() Spec {
-	return Spec{
+	return ratio(Spec{
 		Name:        "Q8",
 		Figure:      5,
 		Description: "market share by year: ratio of two sums over a 5-relation join",
-		SecureOpts: func(p *mpc.Party, db *tpch.DB, opts core.Options) (*relation.Relation, error) {
-			part, supNum, supDen, li, ord, cust := q8Relations(db)
-			build := func(sup *relation.Relation) *core.Query {
-				return &core.Query{
-					Inputs: []core.Input{
-						inputFor(p, "part", mpc.Alice, part),
-						inputFor(p, "supplier", mpc.Bob, sup),
-						inputFor(p, "lineitem", mpc.Alice, li),
-						inputFor(p, "orders", mpc.Bob, ord),
-						inputFor(p, "customer", mpc.Alice, cust),
-					},
-					Output: q8Output,
-				}
-			}
-			num, _, err := core.RunShared(context.Background(), p, build(supNum), opts)
-			if err != nil {
-				return nil, fmt.Errorf("q8 numerator: %w", err)
-			}
-			den, _, err := core.RunShared(context.Background(), p, build(supDen), opts)
-			if err != nil {
-				return nil, fmt.Errorf("q8 denominator: %w", err)
-			}
-			return core.RevealRatio(p, num, den, 100)
-		},
-		Plain: func(db *tpch.DB, bits int) (*relation.Relation, error) {
-			part, supNum, supDen, li, ord, cust := q8Relations(db)
-			names := []string{"part", "supplier", "lineitem", "orders", "customer"}
-			num, err := plainRun([]*relation.Relation{part, supNum, li, ord, cust}, names, q8Output, bits)
-			if err != nil {
-				return nil, err
-			}
-			den, err := plainRun([]*relation.Relation{part, supDen, li, ord, cust}, names, q8Output, bits)
-			if err != nil {
-				return nil, err
-			}
-			nm := map[uint64]uint64{}
-			for i := range num.Tuples {
-				nm[num.Tuples[i][0]] = num.Annot[i]
-			}
-			out := relation.New(relation.MustSchema(q8Output...))
-			for i := range den.Tuples {
-				if den.Annot[i] == 0 {
-					continue
-				}
-				out.Append(den.Tuples[i], nm[den.Tuples[i][0]]*100/den.Annot[i])
-			}
-			return out, nil
-		},
 		EffectiveBytes: func(db *tpch.DB) int64 {
 			return 4 * int64(2*db.Part.Len()+2*db.Supplier.Len()+5*db.Lineitem.Len()+
 				3*db.Orders.Len()+2*db.Customer.Len())
 		},
-	}
+	}, 100, q8Queries)
 }
 
 // ---------------------------------------------------------------------
@@ -409,12 +377,13 @@ func Q8() Spec {
 // numNations limits the decomposition for cheaper benchmark runs; pass
 // tpch.NumNations for the paper's full query.
 func Q9(numNations int) Spec {
+	outSchema := relation.MustSchema("s_nationkey", "o_year")
 	return Spec{
 		Name:        "Q9",
 		Figure:      6,
 		Description: "profit by nation and year: 25 × 2 decomposed join-aggregate queries",
 		SecureOpts: func(p *mpc.Party, db *tpch.DB, opts core.Options) (*relation.Relation, error) {
-			out := relation.New(relation.MustSchema("s_nationkey", "o_year"))
+			out := relation.New(outSchema)
 			for nation := 0; nation < numNations; nation++ {
 				rel, err := q9Nation(p, db, uint64(nation), opts)
 				if err != nil {
@@ -433,15 +402,14 @@ func Q9(numNations int) Spec {
 		},
 		Plain: func(db *tpch.DB, bits int) (*relation.Relation, error) {
 			ring := relation.RingSemiring{Bits: bits}
-			out := relation.New(relation.MustSchema("s_nationkey", "o_year"))
-			names := []string{"part", "supplier", "lineitem", "partsupp", "orders"}
+			out := relation.New(outSchema)
 			for nation := 0; nation < numNations; nation++ {
-				part, sup, liV, liQ, psOne, psCost, ord := q9Relations(db, uint64(nation))
-				rev, err := plainRun([]*relation.Relation{part, sup, liV, psOne, ord}, names, q9Output, bits)
+				revQ, costQ := q9Queries(db, uint64(nation))
+				rev, err := plainRun(revQ, bits)
 				if err != nil {
 					return nil, err
 				}
-				cost, err := plainRun([]*relation.Relation{part, sup, liQ, psCost, ord}, names, q9Output, bits)
+				cost, err := plainRun(costQ, bits)
 				if err != nil {
 					return nil, err
 				}
@@ -471,29 +439,31 @@ func Q9(numNations int) Spec {
 			return 4 * int64(2*db.Part.Len()+2*db.Supplier.Len()+6*db.Lineitem.Len()+
 				3*db.PartSupp.Len()+2*db.Orders.Len())
 		},
+		parts: func(db *tpch.DB) []*core.Query {
+			rev, cost := q9Queries(db, 0)
+			return []*core.Query{rev, cost}
+		},
 	}
 }
 
-var q9Output = []Attr{"o_year"}
-
-// q9Relations prepares the per-nation masked relations and the two
-// annotation variants (volume vs quantity on lineitem, 1 vs supplycost on
-// partsupp).
-func q9Relations(db *tpch.DB, nation uint64) (part, sup, liV, liQ, psOne, psCost, ord *relation.Relation) {
+// q9Queries describes one nation's pair of queries: the revenue and the
+// cost sum, which differ in their annotations (volume vs quantity on
+// lineitem, 1 vs supplycost on partsupp).
+func q9Queries(db *tpch.DB, nation uint64) (rev, cost *core.Query) {
 	var dgP, dgS, dgL1, dgL2, dgPS1, dgPS2, dgO relation.DummyGen
 	greenIdx := db.Part.Schema.Index("p_green")
-	part = maskProject(db.Part, []Attr{"partkey"},
+	part := maskProject(db.Part, []Attr{"partkey"},
 		func(row []uint64) bool { return row[greenIdx] == 1 }, one, &dgP)
 	natIdx := db.Supplier.Schema.Index("s_nationkey")
-	sup = maskProject(db.Supplier, []Attr{"suppkey"},
+	sup := maskProject(db.Supplier, []Attr{"suppkey"},
 		func(row []uint64) bool { return row[natIdx] == nation }, one, &dgS)
 	qtyIdx := db.Lineitem.Schema.Index("quantity")
-	liV = maskProject(db.Lineitem, []Attr{"partkey", "suppkey", "orderkey"}, nil, volume(db.Lineitem), &dgL1)
-	liQ = maskProject(db.Lineitem, []Attr{"partkey", "suppkey", "orderkey"}, nil,
+	liV := maskProject(db.Lineitem, []Attr{"partkey", "suppkey", "orderkey"}, nil, volume(db.Lineitem), &dgL1)
+	liQ := maskProject(db.Lineitem, []Attr{"partkey", "suppkey", "orderkey"}, nil,
 		func(row []uint64) uint64 { return row[qtyIdx] * 100 }, &dgL2)
 	costIdx := db.PartSupp.Schema.Index("supplycost")
-	psOne = maskProject(db.PartSupp, []Attr{"partkey", "suppkey"}, nil, one, &dgPS1)
-	psCost = maskProject(db.PartSupp, []Attr{"partkey", "suppkey"}, nil,
+	psOne := maskProject(db.PartSupp, []Attr{"partkey", "suppkey"}, nil, one, &dgPS1)
+	psCost := maskProject(db.PartSupp, []Attr{"partkey", "suppkey"}, nil,
 		func(row []uint64) uint64 { return row[costIdx] }, &dgPS2)
 	dateIdx := db.Orders.Schema.Index("orderdate")
 	ordBase := relation.New(relation.MustSchema("orderkey", "o_year"))
@@ -502,31 +472,31 @@ func q9Relations(db *tpch.DB, nation uint64) (part, sup, liV, liQ, psOne, psCost
 		year := uint64(tpch.Epoch.AddDate(0, 0, int(row[dateIdx])).Year())
 		ordBase.Append([]uint64{row[0], year}, 1)
 	}
-	ord = maskProject(ordBase, []Attr{"orderkey", "o_year"}, nil, one, &dgO)
-	return
-}
-
-// q9Nation runs the two shared queries for one nation and reveals the
-// difference.
-func q9Nation(p *mpc.Party, db *tpch.DB, nation uint64, opts core.Options) (*relation.Relation, error) {
-	part, sup, liV, liQ, psOne, psCost, ord := q9Relations(db, nation)
-	build := func(li, ps *relation.Relation) *core.Query {
+	ord := maskProject(ordBase, []Attr{"orderkey", "o_year"}, nil, one, &dgO)
+	query := func(li, ps *relation.Relation) *core.Query {
 		return &core.Query{
 			Inputs: []core.Input{
-				inputFor(p, "part", mpc.Alice, part),
-				inputFor(p, "supplier", mpc.Bob, sup),
-				inputFor(p, "lineitem", mpc.Alice, li),
-				inputFor(p, "partsupp", mpc.Bob, ps),
-				inputFor(p, "orders", mpc.Bob, ord),
+				input("part", mpc.Alice, part),
+				input("supplier", mpc.Bob, sup),
+				input("lineitem", mpc.Alice, li),
+				input("partsupp", mpc.Bob, ps),
+				input("orders", mpc.Bob, ord),
 			},
-			Output: q9Output,
+			Output: []Attr{"o_year"},
 		}
 	}
-	rev, _, err := core.RunShared(context.Background(), p, build(liV, psOne), opts)
+	return query(liV, psOne), query(liQ, psCost)
+}
+
+// q9Nation runs one nation's two queries to shares and reveals their
+// difference.
+func q9Nation(p *mpc.Party, db *tpch.DB, nation uint64, opts core.Options) (*relation.Relation, error) {
+	revQ, costQ := q9Queries(db, nation)
+	rev, _, err := core.RunShared(context.Background(), p, revQ.For(p.Role), opts)
 	if err != nil {
 		return nil, fmt.Errorf("revenue: %w", err)
 	}
-	cost, _, err := core.RunShared(context.Background(), p, build(liQ, psCost), opts)
+	cost, _, err := core.RunShared(context.Background(), p, costQ.For(p.Role), opts)
 	if err != nil {
 		return nil, fmt.Errorf("cost: %w", err)
 	}
@@ -534,5 +504,5 @@ func q9Nation(p *mpc.Party, db *tpch.DB, nation uint64, opts core.Options) (*rel
 	if err != nil {
 		return nil, err
 	}
-	return diff.Reveal(p, q9Output)
+	return diff.Reveal(p, revQ.Output)
 }

@@ -33,15 +33,17 @@ func runSpecTraced(t *testing.T, spec Spec, db *tpch.DB) []core.TraceStep {
 	return steps
 }
 
-// TestTraceMatchesEstimates checks the ISSUE acceptance criterion on the
-// real TPC-H queries: the executed trace follows the compiled plan step
-// for step, and measured per-step communication stays within 15% of the
-// plan's Estimate once the true output size is plugged in. (Tiny steps
-// get a small absolute slack so fixed protocol framing cannot dominate
-// the relative bound.)
+// TestTraceMatchesEstimates checks, on every TPC-H spec, that PlanFor
+// is the shape the spec's first secure run executes: the trace follows
+// the compiled plan step for step, and measured per-step communication
+// stays within 15% of the plan's Estimate once the true output size is
+// plugged in. (Tiny steps get a small absolute slack so fixed protocol
+// framing cannot dominate the relative bound.) A composed spec (Q8, Q9,
+// Q14) runs its first query to shares, not to a reveal, so there the
+// plan's steps but its final one are the trace's first.
 func TestTraceMatchesEstimates(t *testing.T) {
 	db := testDB(t)
-	for _, spec := range []Spec{Q3(), Q10(), q18WithThreshold(120)} {
+	for _, spec := range append(goldenSpecs(), Extra()...) {
 		t.Run(spec.Name, func(t *testing.T) {
 			steps := runSpecTraced(t, spec, db)
 			q, err := PlanFor(spec, db)
@@ -58,10 +60,18 @@ func TestTraceMatchesEstimates(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(plan.Steps) != len(steps) {
-				t.Fatalf("plan has %d steps, trace has %d", len(plan.Steps), len(steps))
+			want := plan.Steps
+			if len(spec.parts(db)) > 1 {
+				want = want[:len(want)-1]
+				if len(steps) < len(want) {
+					t.Fatalf("plan's first run has %d steps, trace has %d", len(want), len(steps))
+				}
+				steps = steps[:len(want)]
 			}
-			for i, ps := range plan.Steps {
+			if len(want) != len(steps) {
+				t.Fatalf("plan has %d steps, trace has %d", len(want), len(steps))
+			}
+			for i, ps := range want {
 				ts := steps[i]
 				if ps.Phase != ts.Phase || ps.Op != ts.Op || ps.Node != ts.Node {
 					t.Fatalf("step %d: plan %s/%s[%s], trace %s/%s[%s]",

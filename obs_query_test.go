@@ -25,7 +25,7 @@ func TestObsSessionEventPlumbing(t *testing.T) {
 		obs.Flight().Reset()
 	}()
 
-	q, rels := sessionExampleQuery(17, 10, 16)
+	q := sessionExampleQuery(17, 10, 16)
 	alice, bob := OpenLocal()
 	if alice.SID() == 0 || bob.SID() == 0 || alice.SID() == bob.SID() {
 		t.Fatalf("session IDs not minted distinctly: alice %d, bob %d", alice.SID(), bob.SID())
@@ -37,9 +37,9 @@ func TestObsSessionEventPlumbing(t *testing.T) {
 	var berr error
 	go func() {
 		defer wg.Done()
-		_, berr = bob.Query(ctx, viewFor(q, rels, Bob))
+		_, berr = bob.Query(ctx, q.For(Bob))
 	}()
-	res, aerr := alice.Query(ctx, viewFor(q, rels, Alice))
+	res, aerr := alice.Query(ctx, q.For(Alice))
 	wg.Wait()
 	if aerr != nil || berr != nil {
 		t.Fatalf("run: alice %v, bob %v", aerr, berr)

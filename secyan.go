@@ -29,10 +29,10 @@
 //		},
 //		Output: []secyan.Attr{"class"},
 //	}
-//	// Both parties run their half concurrently; each party's query
-//	// carries only its own relations (peer Inputs have Rel = nil).
-//	go bob.Query(ctx, qBob)
-//	res, err := alice.Query(ctx, qAlice) // res.Relation: Alice's rows
+//	// Both parties run their half concurrently; q.For(role) is the
+//	// party's view of the one description, its own relations only.
+//	go bob.Query(ctx, q.For(secyan.Bob))
+//	res, err := alice.Query(ctx, q.For(secyan.Alice)) // res.Relation: Alice's rows
 //
 // For two processes, open the session over a TCP conn (ListenSession /
 // DialSession) and add WithHeartbeat for peer-liveness detection.

@@ -20,23 +20,15 @@ func exampleQuery() (policies, records, classes *Relation, build func(Role) *Que
 	classes = NewRelation("disease", "class")
 	classes.Append([]uint64{100, 7}, 1)
 	classes.Append([]uint64{101, 8}, 1)
-	build = func(role Role) *Query {
-		q := &Query{
-			Inputs: []Input{
-				{Name: "policies", Owner: Alice, Schema: policies.Schema, N: policies.Len()},
-				{Name: "records", Owner: Bob, Schema: records.Schema, N: records.Len()},
-				{Name: "classes", Owner: Alice, Schema: classes.Schema, N: classes.Len()},
-			},
-			Output: []Attr{"class"},
-		}
-		if role == Alice {
-			q.Inputs[0].Rel = policies
-			q.Inputs[2].Rel = classes
-		} else {
-			q.Inputs[1].Rel = records
-		}
-		return q
+	q := &Query{
+		Inputs: []Input{
+			{Name: "policies", Owner: Alice, Schema: policies.Schema, N: policies.Len(), Rel: policies},
+			{Name: "records", Owner: Bob, Schema: records.Schema, N: records.Len(), Rel: records},
+			{Name: "classes", Owner: Alice, Schema: classes.Schema, N: classes.Len(), Rel: classes},
+		},
+		Output: []Attr{"class"},
 	}
+	build = q.For
 	return
 }
 

@@ -297,7 +297,7 @@ func (s *Session) Query(ctx context.Context, q *Query, opts ...Option) (*Result,
 // queries running on other streams — under the same resolved options
 // the query itself must then run with. The offline phase is
 // data-independent: q may be a bare query shape (schemas, owners,
-// sizes) with no relations attached. The staged material is parked and
+// sizes) with no relations attached, such as q.Shape(). The staged material is parked and
 // consumed by the next execution on this session; both parties must
 // keep their call sequences aligned, as always.
 func (s *Session) Precompute(ctx context.Context, q *Query, opts ...Option) (*Trace, error) {

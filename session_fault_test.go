@@ -47,12 +47,8 @@ func tcpConnPair(t *testing.T) (Conn, Conn) {
 // itself stays healthy, and (c) a subsequent query on the same session
 // runs to completion with the right answer.
 func TestSessionFaultMatrix(t *testing.T) {
-	q, rels := sessionExampleQuery(31, 8, 12)
-	full := viewFor(q, rels, Alice)
-	for i := range full.Inputs {
-		full.Inputs[i].Rel = rels[i]
-	}
-	want, err := Plaintext(full, DefaultRing)
+	q := sessionExampleQuery(31, 8, 12)
+	want, err := Plaintext(q, DefaultRing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,10 +97,10 @@ func TestSessionFaultMatrix(t *testing.T) {
 					defer cancel()
 					bobErr := make(chan error, 1)
 					go func() {
-						_, err := bob.Query(ctx, viewFor(q, rels, Bob))
+						_, err := bob.Query(ctx, q.For(Bob))
 						bobErr <- err
 					}()
-					_, errA := alice.Query(ctx, viewFor(q, rels, Alice))
+					_, errA := alice.Query(ctx, q.For(Alice))
 					errB := <-bobErr
 					if errA == nil && errB == nil {
 						t.Fatalf("fault %v at send %d went unnoticed by both parties", mode, at)
@@ -136,10 +132,10 @@ func TestSessionFaultMatrix(t *testing.T) {
 					ctx2, cancel2 := context.WithTimeout(context.Background(), 30*time.Second)
 					defer cancel2()
 					go func() {
-						_, err := bob.Query(ctx2, viewFor(q, rels, Bob))
+						_, err := bob.Query(ctx2, q.For(Bob))
 						bobErr <- err
 					}()
-					res, err := alice.Query(ctx2, viewFor(q, rels, Alice))
+					res, err := alice.Query(ctx2, q.For(Alice))
 					if err != nil {
 						t.Fatalf("query after fault: %v", err)
 					}
@@ -159,7 +155,7 @@ func TestSessionFaultMatrix(t *testing.T) {
 // connection mid-protocol and checks that every in-flight execution
 // fails promptly with a labeled, ErrClosed-compatible error.
 func TestSessionFaultCloseMidProtocol(t *testing.T) {
-	q, rels := sessionExampleQuery(37, 8, 12)
+	q := sessionExampleQuery(37, 8, 12)
 	ca, cb := transport.Pair()
 	// The 4th frame Alice's mux writes (data or control) tears down the
 	// transport under the whole session.
@@ -178,10 +174,10 @@ func TestSessionFaultCloseMidProtocol(t *testing.T) {
 	defer cancel()
 	bobErr := make(chan error, 1)
 	go func() {
-		_, err := bob.Query(ctx, viewFor(q, rels, Bob))
+		_, err := bob.Query(ctx, q.For(Bob))
 		bobErr <- err
 	}()
-	_, errA := alice.Query(ctx, viewFor(q, rels, Alice))
+	_, errA := alice.Query(ctx, q.For(Alice))
 	errB := <-bobErr
 	if errA == nil || errB == nil {
 		t.Fatalf("mid-protocol close unnoticed: alice %v bob %v", errA, errB)
@@ -203,7 +199,7 @@ func TestSessionFaultCloseMidProtocol(t *testing.T) {
 // the right answer or fails cleanly — no hangs, no panics, no
 // cross-stream blame.
 func TestSeededFaultCampaign(t *testing.T) {
-	q, rels := sessionExampleQuery(41, 8, 12)
+	q := sessionExampleQuery(41, 8, 12)
 	for seed := uint64(1); seed <= 4; seed++ {
 		faults := transport.SeededFaults(seed, 2, 40)
 		ca, cb := transport.Pair()
@@ -224,10 +220,10 @@ func TestSeededFaultCampaign(t *testing.T) {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		bobErr := make(chan error, 1)
 		go func() {
-			_, err := bob.Query(ctx, viewFor(q, rels, Bob))
+			_, err := bob.Query(ctx, q.For(Bob))
 			bobErr <- err
 		}()
-		_, errA := alice.Query(ctx, viewFor(q, rels, Alice))
+		_, errA := alice.Query(ctx, q.For(Alice))
 		errB := <-bobErr
 		cancel()
 		for who, err := range map[string]error{"alice": errA, "bob": errB} {

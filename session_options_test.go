@@ -11,14 +11,14 @@ import (
 // revealing Query fills Result.Relation and Result.Trace, and
 // WithSharedResult fills Result.Shared instead.
 func TestQueryUnifiedAPI(t *testing.T) {
-	q, rels := sessionExampleQuery(11, 10, 18)
+	q := sessionExampleQuery(11, 10, 18)
 
 	run := func(opts ...Option) *Result {
 		alice, bob := OpenLocal()
 		defer alice.Close()
 		defer bob.Close()
 		res, _, err := both(alice, bob, func(s *Session) (*Result, error) {
-			return s.Query(context.Background(), viewFor(q, rels, s.role), opts...)
+			return s.Query(context.Background(), q.For(s.role), opts...)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -47,7 +47,7 @@ func TestQueryUnifiedAPI(t *testing.T) {
 // plan's EstOut, the offline trace's bytes, the online trace's steps and
 // estimates, and the flight record's plan digest and tenant.
 func TestOptionPrecedence(t *testing.T) {
-	q, rels := sessionExampleQuery(13, 8, 14)
+	q := sessionExampleQuery(13, 8, 14)
 
 	lg := obs.Events()
 	lg.Reset()
@@ -80,17 +80,17 @@ func TestOptionPrecedence(t *testing.T) {
 			ctx := context.Background()
 
 			pre, _, preErr := both(alice, bob, func(s *Session) (*Trace, error) {
-				return s.Precompute(ctx, viewFor(q, nil, Role(255)), tc.call...)
+				return s.Precompute(ctx, q.Shape(), tc.call...)
 			})
 			res, _, runErr := both(alice, bob, func(s *Session) (*Result, error) {
-				return s.Query(ctx, viewFor(q, rels, s.role), tc.call...)
+				return s.Query(ctx, q.For(s.role), tc.call...)
 			})
 			if preErr != nil || runErr != nil {
 				t.Fatalf("Precompute %v, Query %v", preErr, runErr)
 			}
 
 			// Explain: the resolved output size, in the plan.
-			plan, err := alice.Explain(viewFor(q, rels, Alice), tc.call...)
+			plan, err := alice.Explain(q.For(Alice), tc.call...)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -17,7 +17,7 @@ import (
 // exampleQuery builds the paper's running example (insurance ⋈ records
 // ⋈ classes, aggregate by class) with deterministic random data, fully
 // populated.
-func sessionExampleQuery(seed int64, nPersons, nRecords int) (*Query, []*Relation) {
+func sessionExampleQuery(seed int64, nPersons, nRecords int) *Query {
 	rng := rand.New(rand.NewSource(seed))
 	r1 := NewRelation("person", "coinsurance")
 	for i := 0; i < nPersons; i++ {
@@ -31,30 +31,28 @@ func sessionExampleQuery(seed int64, nPersons, nRecords int) (*Query, []*Relatio
 	for d := 0; d < 4; d++ {
 		r3.Append([]uint64{uint64(d), uint64(d % 2)}, 1)
 	}
-	q := &Query{
+	return &Query{
 		Inputs: []Input{
-			{Name: "insurance", Owner: Alice, Schema: r1.Schema, N: r1.Len()},
-			{Name: "records", Owner: Bob, Schema: r2.Schema, N: r2.Len()},
-			{Name: "classes", Owner: Alice, Schema: r3.Schema, N: r3.Len()},
+			{Name: "insurance", Owner: Alice, Schema: r1.Schema, N: r1.Len(), Rel: r1},
+			{Name: "records", Owner: Bob, Schema: r2.Schema, N: r2.Len(), Rel: r2},
+			{Name: "classes", Owner: Alice, Schema: r3.Schema, N: r3.Len(), Rel: r3},
 		},
 		Output: []Attr{"class"},
 	}
-	return q, []*Relation{r1, r2, r3}
 }
 
-// viewFor strips the peer's relations, producing one party's query.
-func viewFor(q *Query, rels []*Relation, role Role) *Query {
-	cq := &Query{Output: q.Output}
+// countQuery describes q with every annotation 1: the count that an
+// AVG divides by.
+func countQuery(q *Query) *Query {
+	c := q.Shape()
 	for i, in := range q.Inputs {
-		ci := in
-		if in.Owner == role {
-			ci.Rel = rels[i]
-		} else {
-			ci.Rel = nil
+		r := NewRelation(in.Schema.Attrs...)
+		for j := range in.Rel.Tuples {
+			r.Append(in.Rel.Tuples[j], 1)
 		}
-		cq.Inputs = append(cq.Inputs, ci)
+		c.Inputs[i].Rel = r
 	}
-	return cq
+	return c
 }
 
 func sumByClass(r *Relation) map[uint64]uint64 {
@@ -69,16 +67,8 @@ func sumByClass(r *Relation) map[uint64]uint64 {
 // one OpenLocal session pair and checks each against the plaintext
 // engine.
 func TestSessionConcurrentRuns(t *testing.T) {
-	q, rels := sessionExampleQuery(7, 12, 20)
-	want, err := Plaintext(viewFor(q, rels, Alice), DefaultRing)
-	if err == nil {
-		t.Fatal("plaintext over a partial view should fail") // guard: viewFor must strip
-	}
-	full := &Query{Inputs: append([]Input(nil), q.Inputs...), Output: q.Output}
-	for i := range full.Inputs {
-		full.Inputs[i].Rel = rels[i]
-	}
-	want, err = Plaintext(full, DefaultRing)
+	q := sessionExampleQuery(7, 12, 20)
+	want, err := Plaintext(q, DefaultRing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,11 +86,11 @@ func TestSessionConcurrentRuns(t *testing.T) {
 		wg.Add(2)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[2*i+1] = bob.Query(ctx, viewFor(q, rels, Bob))
+			_, errs[2*i+1] = bob.Query(ctx, q.For(Bob))
 		}(i)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[2*i] = alice.Query(ctx, viewFor(q, rels, Alice))
+			results[i], errs[2*i] = alice.Query(ctx, q.For(Alice))
 		}(i)
 	}
 	wg.Wait()
@@ -131,7 +121,7 @@ func TestSessionConcurrentRuns(t *testing.T) {
 // query shape on a background stream, then runs the query online,
 // consuming the staged material.
 func TestSessionPrecomputeThenRun(t *testing.T) {
-	q, rels := sessionExampleQuery(11, 10, 16)
+	q := sessionExampleQuery(11, 10, 16)
 	// Pings exercise the heartbeat plumbing alongside real protocol
 	// traffic; the interval is long enough that its 3× liveness timeout
 	// holds on starved schedulers (race detector, single-core CI).
@@ -140,7 +130,7 @@ func TestSessionPrecomputeThenRun(t *testing.T) {
 	defer bob.Close()
 
 	ctx := context.Background()
-	shape := viewFor(q, nil, Role(255)) // no relations attached anywhere
+	shape := q.Shape()
 	preDone := make(chan error, 1)
 	go func() {
 		_, err := bob.Precompute(ctx, shape)
@@ -159,21 +149,17 @@ func TestSessionPrecomputeThenRun(t *testing.T) {
 
 	runDone := make(chan error, 1)
 	go func() {
-		_, err := bob.Query(ctx, viewFor(q, rels, Bob))
+		_, err := bob.Query(ctx, q.For(Bob))
 		runDone <- err
 	}()
-	res, err := alice.Query(ctx, viewFor(q, rels, Alice))
+	res, err := alice.Query(ctx, q.For(Alice))
 	if err != nil {
 		t.Fatalf("staged run: %v", err)
 	}
 	if err := <-runDone; err != nil {
 		t.Fatalf("staged run (bob): %v", err)
 	}
-	full := viewFor(q, rels, Alice)
-	for i := range full.Inputs {
-		full.Inputs[i].Rel = rels[i]
-	}
-	want, err := Plaintext(full, DefaultRing)
+	want, err := Plaintext(q, DefaultRing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,18 +177,8 @@ func TestSessionPrecomputeThenRun(t *testing.T) {
 // through the Session API: two WithSharedResult results combined by
 // RevealRatio on a third stream.
 func TestSessionSharedComposition(t *testing.T) {
-	q, rels := sessionExampleQuery(13, 10, 16)
-	sum := viewFor(q, rels, Alice)
-	// The count query re-annotates every tuple with 1.
-	cntRels := make([]*Relation, len(rels))
-	for i, r := range rels {
-		c := NewRelation(r.Schema.Attrs...)
-		for j := range r.Tuples {
-			c.Append(r.Tuples[j], 1)
-		}
-		cntRels[i] = c
-	}
-	cnt := viewFor(q, cntRels, Alice)
+	q := sessionExampleQuery(13, 10, 16)
+	cnt := countQuery(q)
 
 	alice, bob := OpenLocal()
 	defer alice.Close()
@@ -211,12 +187,12 @@ func TestSessionSharedComposition(t *testing.T) {
 
 	bobDone := make(chan error, 1)
 	go func() {
-		numB, err := bob.Query(ctx, viewFor(q, rels, Bob), WithSharedResult())
+		numB, err := bob.Query(ctx, q.For(Bob), WithSharedResult())
 		if err != nil {
 			bobDone <- err
 			return
 		}
-		denB, err := bob.Query(ctx, viewFor(q, cntRels, Bob), WithSharedResult())
+		denB, err := bob.Query(ctx, cnt.For(Bob), WithSharedResult())
 		if err != nil {
 			bobDone <- err
 			return
@@ -224,11 +200,11 @@ func TestSessionSharedComposition(t *testing.T) {
 		_, err = bob.RevealRatio(ctx, numB.Shared, denB.Shared, 1)
 		bobDone <- err
 	}()
-	num, err := alice.Query(ctx, sum, WithSharedResult())
+	num, err := alice.Query(ctx, q.For(Alice), WithSharedResult())
 	if err != nil {
 		t.Fatalf("shared sum: %v", err)
 	}
-	den, err := alice.Query(ctx, cnt, WithSharedResult())
+	den, err := alice.Query(ctx, cnt.For(Alice), WithSharedResult())
 	if err != nil {
 		t.Fatalf("shared count: %v", err)
 	}
@@ -250,35 +226,28 @@ func TestSessionSharedComposition(t *testing.T) {
 // fresh stream, so the parked stream survives it and the query runs
 // warm: it moves exactly the plan's online estimate.
 func TestRevealRatioLeavesPrecomputeParked(t *testing.T) {
-	q, rels := sessionExampleQuery(19, 10, 16)
-	cntRels := make([]*Relation, len(rels))
-	for i, r := range rels {
-		c := NewRelation(r.Schema.Attrs...)
-		for j := range r.Tuples {
-			c.Append(r.Tuples[j], 1)
-		}
-		cntRels[i] = c
-	}
+	q := sessionExampleQuery(19, 10, 16)
+	cnt := countQuery(q)
 
 	alice, bob := OpenLocal()
 	defer alice.Close()
 	defer bob.Close()
 	ctx := context.Background()
 
-	shared := func(rs []*Relation) (a, b *SharedResult) {
+	shared := func(q *Query) (a, b *SharedResult) {
 		t.Helper()
 		ra, rb, err := both(alice, bob, func(s *Session) (*Result, error) {
-			return s.Query(ctx, viewFor(q, rs, s.role), WithSharedResult())
+			return s.Query(ctx, q.For(s.role), WithSharedResult())
 		})
 		if err != nil {
 			t.Fatalf("shared query: %v", err)
 		}
 		return ra.Shared, rb.Shared
 	}
-	numA, numB := shared(rels)
-	denA, denB := shared(cntRels)
+	numA, numB := shared(q)
+	denA, denB := shared(cnt)
 	if _, _, err := both(alice, bob, func(s *Session) (*Trace, error) {
-		return s.Precompute(ctx, viewFor(q, nil, Role(255)))
+		return s.Precompute(ctx, q.Shape())
 	}); err != nil {
 		t.Fatalf("precompute: %v", err)
 	}
@@ -291,18 +260,14 @@ func TestRevealRatioLeavesPrecomputeParked(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reveal ratio: %v", err)
 	}
-	plainSum := func(rs []*Relation) map[uint64]uint64 {
-		full := &Query{Inputs: append([]Input(nil), q.Inputs...), Output: q.Output}
-		for i := range full.Inputs {
-			full.Inputs[i].Rel = rs[i]
-		}
-		r, err := Plaintext(full, DefaultRing)
+	plainSum := func(q *Query) map[uint64]uint64 {
+		r, err := Plaintext(q, DefaultRing)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return sumByClass(r)
 	}
-	sums, counts := plainSum(rels), plainSum(cntRels)
+	sums, counts := plainSum(q), plainSum(cnt)
 	want := map[uint64]uint64{}
 	for g, c := range counts {
 		if c != 0 {
@@ -313,7 +278,7 @@ func TestRevealRatioLeavesPrecomputeParked(t *testing.T) {
 		t.Errorf("ratio %v over %d rows, plaintext sum/count %v", got, len(avg.Tuples), want)
 	}
 	res, _, err := both(alice, bob, func(s *Session) (*Result, error) {
-		return s.Query(ctx, viewFor(q, rels, s.role))
+		return s.Query(ctx, q.For(s.role))
 	})
 	if err != nil {
 		t.Fatalf("query: %v", err)
@@ -332,7 +297,7 @@ func TestRevealRatioLeavesPrecomputeParked(t *testing.T) {
 // between the top-level function and the session method, and that both
 // parties derive identical plans from public parameters.
 func TestSessionExplain(t *testing.T) {
-	q, rels := sessionExampleQuery(17, 12, 18)
+	q := sessionExampleQuery(17, 12, 18)
 	alice, bob := OpenLocal()
 	defer alice.Close()
 	defer bob.Close()
@@ -348,25 +313,25 @@ func TestSessionExplain(t *testing.T) {
 		return s
 	}
 
-	pa, err := alice.Explain(viewFor(q, rels, Alice))
+	pa, err := alice.Explain(q.For(Alice))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, err := bob.Explain(viewFor(q, rels, Bob))
+	pb, err := bob.Explain(q.For(Bob))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if publicView(pa) != publicView(pb) {
 		t.Fatalf("parties derived different plans from public parameters:\n%s\nvs\n%s", publicView(pa), publicView(pb))
 	}
-	free, err := Explain(viewFor(q, rels, Alice), WithRing(DefaultRing))
+	free, err := Explain(q.For(Alice), WithRing(DefaultRing))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if publicView(pa) != publicView(free) {
 		t.Fatal("session Explain disagrees with package Explain")
 	}
-	if _, err := Explain(viewFor(q, rels, Alice), WithEstOut(64)); err != nil {
+	if _, err := Explain(q.For(Alice), WithEstOut(64)); err != nil {
 		t.Fatalf("explain with estOut: %v", err)
 	}
 }
@@ -374,11 +339,10 @@ func TestSessionExplain(t *testing.T) {
 // TestMissingRelationErrors checks the typed missing-relation error
 // through both evaluators.
 func TestMissingRelationErrors(t *testing.T) {
-	q, rels := sessionExampleQuery(19, 8, 10)
+	q := sessionExampleQuery(19, 8, 10)
 
 	// Plaintext with a hole.
-	partial := viewFor(q, rels, Alice) // Bob's records stripped
-	_, err := Plaintext(partial, DefaultRing)
+	_, err := Plaintext(q.For(Alice), DefaultRing) // Bob's records stripped
 	if !errors.Is(err, ErrMissingRelation) {
 		t.Fatalf("plaintext hole: got %v, want ErrMissingRelation", err)
 	}
@@ -391,8 +355,7 @@ func TestMissingRelationErrors(t *testing.T) {
 	alice, bob := OpenLocal()
 	defer alice.Close()
 	defer bob.Close()
-	hole := viewFor(q, nil, Role(255))
-	_, err = alice.Query(context.Background(), hole)
+	_, err = alice.Query(context.Background(), q.Shape())
 	if !errors.Is(err, ErrMissingRelation) {
 		t.Fatalf("secure hole: got %v, want ErrMissingRelation", err)
 	}
@@ -407,7 +370,7 @@ func TestMissingRelationErrors(t *testing.T) {
 // expires; the session itself stays healthy and runs the next query
 // fine.
 func TestSessionStreamDeadline(t *testing.T) {
-	q, rels := sessionExampleQuery(23, 8, 10)
+	q := sessionExampleQuery(23, 8, 10)
 	alice, bob := OpenLocal()
 	defer alice.Close()
 	defer bob.Close()
@@ -417,7 +380,7 @@ func TestSessionStreamDeadline(t *testing.T) {
 	start := time.Now()
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	_, err := alice.Query(ctx, viewFor(q, rels, Alice))
+	_, err := alice.Query(ctx, q.For(Alice))
 	if err == nil {
 		t.Fatal("lonely run succeeded")
 	}
@@ -437,10 +400,10 @@ func TestSessionStreamDeadline(t *testing.T) {
 
 	// Bob opens his half of the expired stream and fails fast, keeping
 	// the two endpoints' stream sequences aligned for the next query.
-	if _, err := bob.Query(context.Background(), viewFor(q, rels, Bob)); err == nil {
+	if _, err := bob.Query(context.Background(), q.For(Bob)); err == nil {
 		t.Fatal("bob's half of the expired stream succeeded")
 	}
-	if _, _, err := queryBoth(alice, bob, func(r Role) *Query { return viewFor(q, rels, r) }); err != nil {
+	if _, _, err := queryBoth(alice, bob, q.For); err != nil {
 		t.Fatalf("query after the expired one: %v", err)
 	}
 }
@@ -448,13 +411,13 @@ func TestSessionStreamDeadline(t *testing.T) {
 // TestSessionContextCancel: a canceled context aborts the run with a
 // context-compatible, stream-labeled error.
 func TestSessionContextCancel(t *testing.T) {
-	q, rels := sessionExampleQuery(29, 8, 10)
+	q := sessionExampleQuery(29, 8, 10)
 	alice, bob := OpenLocal()
 	defer alice.Close()
 	defer bob.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	_, err := alice.Query(ctx, viewFor(q, rels, Alice))
+	_, err := alice.Query(ctx, q.For(Alice))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("canceled run: got %v", err)
 	}
