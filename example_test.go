@@ -71,18 +71,10 @@ func ExampleSession_ExecSQL() {
 	classes := secyan.NewRelation("disease", "class")
 	classes.Append([]uint64{100, 1}, 1)
 
-	catalogFor := func(role secyan.Role) *secyan.SQLCatalog {
-		give := func(owner secyan.Role, r *secyan.Relation) *secyan.Relation {
-			if role == owner {
-				return r
-			}
-			return nil
-		}
-		return &secyan.SQLCatalog{Tables: map[string]*secyan.SQLTable{
-			"records": secyan.NewSQLTable(secyan.Bob, records.Schema.Attrs, records.Len(), give(secyan.Bob, records)),
-			"classes": secyan.NewSQLTable(secyan.Alice, classes.Schema.Attrs, classes.Len(), give(secyan.Alice, classes)),
-		}}
-	}
+	cat := &secyan.SQLCatalog{Tables: map[string]*secyan.SQLTable{
+		"records": secyan.NewSQLTable(secyan.Bob, records.Schema.Attrs, records.Len(), records),
+		"classes": secyan.NewSQLTable(secyan.Alice, classes.Schema.Attrs, classes.Len(), classes),
+	}}
 	const query = `SELECT classes.class, SUM(records.cost)
 		FROM records, classes WHERE records.disease = classes.disease
 		GROUP BY classes.class`
@@ -93,10 +85,10 @@ func ExampleSession_ExecSQL() {
 	ctx := context.Background()
 	bobDone := make(chan error, 1)
 	go func() {
-		_, err := bob.ExecSQL(ctx, query, catalogFor(secyan.Bob))
+		_, err := bob.ExecSQL(ctx, query, cat.For(secyan.Bob))
 		bobDone <- err
 	}()
-	res, err := alice.ExecSQL(ctx, query, catalogFor(secyan.Alice))
+	res, err := alice.ExecSQL(ctx, query, cat.For(secyan.Alice))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -33,19 +33,13 @@ func main() {
 	classes.Append([]uint64{100, 1}, 1)
 	classes.Append([]uint64{101, 2}, 1)
 
-	catalogFor := func(role secyan.Role) *secyan.SQLCatalog {
-		give := func(owner secyan.Role, r *secyan.Relation) *secyan.Relation {
-			if role == owner {
-				return r
-			}
-			return nil
-		}
-		return &secyan.SQLCatalog{Tables: map[string]*secyan.SQLTable{
-			"policies": secyan.NewSQLTable(secyan.Alice, policies.Schema.Attrs, policies.Len(), give(secyan.Alice, policies)),
-			"records":  secyan.NewSQLTable(secyan.Bob, records.Schema.Attrs, records.Len(), give(secyan.Bob, records)),
-			"classes":  secyan.NewSQLTable(secyan.Alice, classes.Schema.Attrs, classes.Len(), give(secyan.Alice, classes)),
-		}}
-	}
+	// One catalog describes every table; For gives each party its view,
+	// the data of its own tables only.
+	cat := &secyan.SQLCatalog{Tables: map[string]*secyan.SQLTable{
+		"policies": secyan.NewSQLTable(secyan.Alice, policies.Schema.Attrs, policies.Len(), policies),
+		"records":  secyan.NewSQLTable(secyan.Bob, records.Schema.Attrs, records.Len(), records),
+		"classes":  secyan.NewSQLTable(secyan.Alice, classes.Schema.Attrs, classes.Len(), classes),
+	}}
 
 	alice, bob := secyan.OpenLocal()
 	defer alice.Close()
@@ -53,10 +47,10 @@ func main() {
 	ctx := context.Background()
 	bobDone := make(chan error, 1)
 	go func() {
-		_, err := bob.ExecSQL(ctx, query, catalogFor(secyan.Bob))
+		_, err := bob.ExecSQL(ctx, query, cat.For(secyan.Bob))
 		bobDone <- err
 	}()
-	res, err := alice.ExecSQL(ctx, query, catalogFor(secyan.Alice))
+	res, err := alice.ExecSQL(ctx, query, cat.For(secyan.Alice))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -68,5 +62,16 @@ func main() {
 	fmt.Println("result:")
 	for i := range res.Tuples {
 		fmt.Printf("  class %d  ->  %d\n", res.Tuples[i][0], res.Annot[i])
+	}
+	// Class 1: person 1 pays 1200·(100−20), person 2 pays 2000·(100−50);
+	// class 2's only record fails cost > 500.
+	want := map[uint64]uint64{1: 1200*80 + 2000*50}
+	if res.Len() != len(want) {
+		log.Fatalf("secure result has %d classes, expected %d", res.Len(), len(want))
+	}
+	for i := range res.Tuples {
+		if class := res.Tuples[i][0]; res.Annot[i] != want[class] {
+			log.Fatalf("class %d: secure sum %d, expected %d", class, res.Annot[i], want[class])
+		}
 	}
 }

@@ -28,12 +28,14 @@ func (p *Plan) Format(w io.Writer) {
 		fmtBytes(p.EstBytes), fmtBytes(p.EstOfflineBytes), fmtBytes(p.EstOnlineBytes))
 }
 
+// fmtBytes prints a byte count in decimal units (1 kB = 1 000 B), as
+// -analyze's totals, the benchmark and EXPERIMENTS do.
 func fmtBytes(b int64) string {
 	f := float64(b)
-	units := []string{"B", "KB", "MB", "GB", "TB"}
+	units := []string{"B", "kB", "MB", "GB", "TB"}
 	i := 0
-	for f >= 1024 && i < len(units)-1 {
-		f /= 1024
+	for f >= 1000 && i < len(units)-1 {
+		f /= 1000
 		i++
 	}
 	return fmt.Sprintf("%.1f %s", f, units[i])

@@ -24,10 +24,10 @@ func TestTraceFormatGolden(t *testing.T) {
 	tr.Format(&sb)
 	want := "" +
 		"phase      operator             relation                           rows      est. comm     meas. comm   msgs  rounds         time\n" +
-		"setup      ot-setup             Alice→Bob                             0        75.0 KB        75.5 KB      3       2      1.503ms\n" +
-		"share      share-input          R                                   128         1.0 KB         1.0 KB      1       1        250µs\n" +
-		"reduce     psi-payload          S→R                                 163         2.1 MB         2.2 MB      9       4        120ms\n" +
-		"total: estimated 2.2 MB, measured 2.2 MB, 13 messages, elapsed 121.753ms\n"
+		"setup      ot-setup             Alice→Bob                             0        76.8 kB        77.3 kB      3       2      1.503ms\n" +
+		"share      share-input          R                                   128         1.0 kB         1.0 kB      1       1        250µs\n" +
+		"reduce     psi-payload          S→R                                 163         2.2 MB         2.3 MB      9       4        120ms\n" +
+		"total: estimated 2.3 MB, measured 2.4 MB, 13 messages, elapsed 121.753ms\n"
 	if got := sb.String(); got != want {
 		t.Errorf("Trace.Format drifted.\ngot:\n%s\nwant:\n%s", got, want)
 	}

@@ -4,9 +4,10 @@
 // semijoins, zero tests in the oblivious join, and the final division of
 // composed queries (paper §5.2, §6, §7).
 //
-// The garbling scheme is the modern standard: free-XOR, point-and-permute,
-// and half-gates (two ciphertexts per AND gate, zero per XOR/NOT gate),
-// over 128-bit wire labels hashed with a fixed-key AES MMO hash. The
+// The garbling scheme is free-XOR, point-and-permute and three-halves
+// garbling (Rosulek–Roy, CRYPTO 2021: three 64-bit half-ciphertexts and 5
+// control bits per AND gate, nothing per XOR/NOT gate; andgate.go), over
+// 128-bit wire labels hashed with a fixed-key AES MMO hash. The
 // free-XOR offset is the garbler's SoftSpoken OT-extension Δ (package
 // ot), so the evaluator's input labels are the rows of one Δ-OT batch. Evaluating a circuit takes a constant number of
 // communication rounds regardless of its depth, the property the paper
@@ -29,7 +30,7 @@ type Wire int32
 
 // GateKind enumerates the gate types of a circuit. NOT gates are free
 // (label-flip); XOR gates are free under free-XOR; only AND gates cost
-// communication (two 128-bit ciphertexts each).
+// communication (AndTableBits each), and ANDG gates (AndGTableBits).
 type GateKind uint8
 
 const (
@@ -44,7 +45,8 @@ const (
 	// evaluator passes the label through. The evaluator never learns p.
 	GateXORG
 	// GateANDG computes Out = A & p for garbler-private bit index B, as a
-	// single-ciphertext garbler half-gate.
+	// single-ciphertext garbler half gate: the evaluator knows nothing of
+	// p, so one 128-bit ciphertext under A's labels suffices.
 	GateANDG
 )
 
@@ -87,8 +89,7 @@ type Circuit struct {
 	EvalOutputs    []Wire
 	GarblerOutputs []Wire
 	// NumAnd is the number of AND gates in a slot; NumAndG the number of
-	// ANDG gates. Together they determine the table size (2 blocks per
-	// AND, 1 per ANDG).
+	// ANDG gates. Together they determine the table size (tableLayout).
 	NumAnd  int
 	NumAndG int
 	// NumPrivate is the number of garbler-private bits a slot's XORG/ANDG
@@ -149,14 +150,35 @@ func (c *Circuit) evalOutBits() int {
 	return len(c.EvalOutputs) + bits
 }
 
-// slotBlocks is the number of table ciphertexts — equally, of hash
-// tweaks — one slot consumes: an AND gate takes two of each, an ANDG
-// gate one, so a gate's tweak index and table offset coincide.
-func (c *Circuit) slotBlocks() int { return 2*c.NumAnd + c.NumAndG }
+// AndTableBits and AndGTableBits are what one gate adds to a garbled
+// table: an AND's three 64-bit half-ciphertexts and 5 control bits, an
+// ANDG's one 128-bit ciphertext. The control bits of a circuit are packed
+// together, so only the circuit's table rounds up to whole bytes.
+const (
+	AndTableBits  = 3*64 + 5
+	AndGTableBits = 128
+)
 
-// TableBlocks returns the number of 128-bit ciphertexts in the garbled
-// tables of the whole circuit.
-func (c *Circuit) TableBlocks() int { return c.Slots * c.slotBlocks() }
+// tableLayout returns the byte offsets, within a circuit's garbled tables
+// of ands ANDs and andGs ANDGs (whole-circuit totals), of the packed
+// control bits and of the ANDG ciphertexts, and the tables' length: the
+// ANDs' half-ciphertexts come first, 24 bytes per AND, slot-major.
+func tableLayout(ands, andGs int) (ctl, andg, end int) {
+	ctl = 24 * ands
+	andg = ctl + (5*ands+7)/8
+	return ctl, andg, andg + 16*andGs
+}
+
+// slotTweaks is the number of hash tweaks one slot consumes: three per
+// AND gate (its hashes of A, B and A⊕B), one per ANDG gate.
+func (c *Circuit) slotTweaks() int { return 3*c.NumAnd + c.NumAndG }
+
+// TableBlocks returns the length of the whole circuit's garbled tables in
+// 16-byte units, rounded up.
+func (c *Circuit) TableBlocks() int {
+	_, _, end := tableLayout(c.Slots*c.NumAnd, c.Slots*c.NumAndG)
+	return (end + 15) / 16
+}
 
 // NumGates returns the number of gates of the whole circuit (all kinds,
 // free gates included).
@@ -168,10 +190,11 @@ func (c *Circuit) NumGates() int { return c.Slots * len(c.Gates) }
 func (c *Circuit) Prepare() {}
 
 // lanes is the number of consecutive slots a worker sweeps together,
-// gate by gate, so that each half-gate hash of a gate fills the 8-wide
-// AES pipeline of prf.HashBlocks once. It also makes every batch own
-// whole bytes of the slot-major packed bit vectors (8·k bits per batch),
-// which is what lets workers write decode bits without synchronisation.
+// gate by gate, so that each hash of a gate fills the 8-wide AES
+// pipeline of prf.HashBlocks once. It also makes every batch own whole
+// bytes of the slot-major packed bit vectors (8·k bits per batch, 40 per
+// AND of the control bits), which is what lets workers write decode and
+// control bits without synchronisation.
 const lanes = 8
 
 // forBatches partitions the slots into batches of up to lanes consecutive

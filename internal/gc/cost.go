@@ -5,7 +5,10 @@ package gc
 // plan compiler in internal/core predicts operator traffic from Dims
 // without garbling anything.
 type Dims struct {
-	TableBlocks    int
+	// Ands and AndGs count the AND and ANDG gates, which the garbled
+	// tables are made of (AndTableBits, AndGTableBits).
+	Ands           int
+	AndGs          int
 	GarblerInputs  int
 	EvalInputs     int
 	EvalOutputs    int
@@ -18,7 +21,8 @@ type Dims struct {
 func DimsOf(c *Circuit) Dims {
 	_, pb := c.payloadShape()
 	return Dims{
-		TableBlocks:    c.TableBlocks(),
+		Ands:           c.Slots * c.NumAnd,
+		AndGs:          c.Slots * c.NumAndG,
 		GarblerInputs:  c.Slots * len(c.GarblerInputs),
 		EvalInputs:     c.Slots * len(c.EvalInputs),
 		EvalOutputs:    c.Slots * len(c.EvalOutputs),
@@ -35,7 +39,8 @@ func DimsOf(c *Circuit) Dims {
 // ot's closed forms like every other: ot.ExtOfflineCost direct,
 // ot.RandomOnlineCost online when pooled.
 func (d Dims) MessageCost() int64 {
-	cost := int64(16*d.TableBlocks + 16 + 16*d.GarblerInputs + (d.EvalOutputs+7)/8 + d.PayloadBytes)
+	_, _, tables := tableLayout(d.Ands, d.AndGs)
+	cost := int64(tables + 16 + 16*d.GarblerInputs + (d.EvalOutputs+7)/8 + d.PayloadBytes)
 	if d.GarblerOutputs > 0 {
 		cost += int64((d.GarblerOutputs + 7) / 8)
 	}
@@ -44,7 +49,8 @@ func (d Dims) MessageCost() int64 {
 
 func (d Dims) sub(o Dims) Dims {
 	return Dims{
-		TableBlocks:    d.TableBlocks - o.TableBlocks,
+		Ands:           d.Ands - o.Ands,
+		AndGs:          d.AndGs - o.AndGs,
 		GarblerInputs:  d.GarblerInputs - o.GarblerInputs,
 		EvalInputs:     d.EvalInputs - o.EvalInputs,
 		EvalOutputs:    d.EvalOutputs - o.EvalOutputs,
@@ -55,7 +61,8 @@ func (d Dims) sub(o Dims) Dims {
 
 func (d Dims) add(o Dims, k int) Dims {
 	return Dims{
-		TableBlocks:    d.TableBlocks + k*o.TableBlocks,
+		Ands:           d.Ands + k*o.Ands,
+		AndGs:          d.AndGs + k*o.AndGs,
 		GarblerInputs:  d.GarblerInputs + k*o.GarblerInputs,
 		EvalInputs:     d.EvalInputs + k*o.EvalInputs,
 		EvalOutputs:    d.EvalOutputs + k*o.EvalOutputs,

@@ -83,17 +83,25 @@ func TestNotCacheReusesGates(t *testing.T) {
 }
 
 // TestTableBlocksAccounting cross-checks the size formula used by the
-// wire protocol and the cost estimator.
+// wire protocol and the cost estimator: an AND's three 8-byte halves,
+// its 5 control bits rounded up with the circuit's others, an ANDG's
+// 16-byte block, and TableBlocks rounding the whole up to 16 bytes.
 func TestTableBlocksAccounting(t *testing.T) {
 	b := NewBuilder()
 	x := b.EvalInput()
 	p := b.PrivateBit()
-	b.OutputToEval(b.AND(x, x))  // 2 blocks
-	b.OutputToEval(b.ANDG(x, p)) // 1 block
+	b.OutputToEval(b.AND(x, x))  // 24 B and 5 bits
+	b.OutputToEval(b.ANDG(x, p)) // 16 B
 	b.OutputToEval(b.XOR(x, x))  // 0
 	c := b.Build()
 	if c.TableBlocks() != 3 || c.NumAnd != 1 || c.NumAndG != 1 || c.NumPrivate != 1 {
 		t.Fatalf("accounting: %+v", c)
+	}
+	if ctl, andg, end := tableLayout(c.NumAnd, c.NumAndG); ctl != 24 || andg != 25 || end != 41 {
+		t.Fatalf("table layout (%d, %d, %d), want (24, 25, 41)", ctl, andg, end)
+	}
+	if ctl, andg, end := tableLayout(8, 0); ctl != 192 || andg != 197 || end != 197 {
+		t.Fatalf("8 ANDs: table layout (%d, %d, %d), want (192, 197, 197)", ctl, andg, end)
 	}
 }
 

@@ -123,6 +123,9 @@ func sameGarbling(t *testing.T, what string, got, want *garbled) {
 	if !bytes.Equal(got.perm, want.perm) {
 		t.Fatalf("%s: retained gate permute bits differ", what)
 	}
+	if !reflect.DeepEqual(got.corr, want.corr) {
+		t.Fatalf("%s: retained colour-0 label halves differ", what)
+	}
 	if !bytes.Equal(got.payFlip, want.payFlip) {
 		t.Fatalf("%s: retained payload pad corrections differ", what)
 	}
@@ -371,9 +374,9 @@ func allocated(f func()) int64 {
 
 // TestKernelAllocationIndependentOfSlots pins the memory contract of the
 // slot kernel: garbling allocates its message (with room for the label
-// OT's tail), the evaluator-input labels the OTs need and the packed
-// permute bits, plus one
-// lanes × slot-wires scratch per worker chunk — nothing else that grows
+// OT's tail), the evaluator-input labels the OTs need, the packed
+// permute bits and, ahead of time, two colour-0 label halves per AND,
+// plus one lanes × slot-wires scratch per worker chunk — nothing else that grows
 // with the slot count. Evaluating allocates its output bits and scratch
 // only: the message is read where it was received.
 func TestKernelAllocationIndependentOfSlots(t *testing.T) {
@@ -385,7 +388,7 @@ func TestKernelAllocationIndependentOfSlots(t *testing.T) {
 
 		var gb *garbled
 		got := allocated(func() { gb = garble(c, testKey, prf.NewPRG(prf.Seed{7}), priv, true, nil) })
-		kept := int64(cap(gb.msg) + 16*len(gb.evalIn) + len(gb.outPerm) + len(gb.perm) + len(gb.payFlip))
+		kept := int64(cap(gb.msg) + 16*len(gb.evalIn) + len(gb.outPerm) + len(gb.perm) + 8*len(gb.corr) + len(gb.payFlip))
 		if limit := kept + scratch + slack; got > limit {
 			t.Fatalf("garble, %d slots: allocated %d bytes, want ≤ %d (kept %d + scratch %d)", n, got, limit, kept, scratch)
 		}
@@ -438,7 +441,7 @@ func benchSlots() *Circuit {
 	return bd.BuildSlots(256)
 }
 
-// BenchmarkGarbleWorkers measures half-gates garbling of a single-slot
+// BenchmarkGarbleWorkers measures three-halves garbling of a single-slot
 // tree and of a 256-slot gadget at pinned worker counts.
 func BenchmarkGarbleWorkers(b *testing.B) {
 	for name, c := range map[string]*Circuit{"tree": benchTree(), "slots": benchSlots()} {

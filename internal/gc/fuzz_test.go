@@ -13,11 +13,11 @@ import (
 
 // FuzzGarbledMessage feeds the evaluator hostile garbler messages and the
 // garbler hostile label-OT messages. The evaluator evaluates the message
-// where it was received — tables, labels and decode bits are read through
-// views of the peer's bytes — so a message or label vector of the wrong
-// length must be rejected before the first read, and a message of the
-// right length with flipped bits must evaluate to garbage, never panic or
-// read past the buffer. Untouched messages must still decode to the
+// where it was received — half-ciphertexts, control bits, labels and
+// decode bits are read through views of the peer's bytes — so a message
+// or label vector of the wrong length must be rejected before the first
+// read, and a message of the right length with flipped bits must evaluate
+// to garbage, never panic or read past the buffer. Untouched messages must still decode to the
 // plaintext result.
 //
 // where selects the target. 0 is evaluate itself: mode 0 none, 1
@@ -39,10 +39,16 @@ func FuzzGarbledMessage(f *testing.F) {
 		f.Fatal(err)
 	}
 
+	// Flips land in every region of the message: the ANDs'
+	// half-ciphertexts, their packed control bits, the ANDG ciphertexts
+	// and the labels after them.
+	ctlOff, andgOff, labelsOff := tableLayout(c.Slots*c.NumAnd, c.Slots*c.NumAndG)
 	for mode := uint8(0); mode < 6; mode++ {
 		f.Add(uint8(0), mode, uint32(1), uint32(len(good)*8-1))
 		f.Add(uint8(0), mode, uint32(len(good)-1), uint32(0))
-		f.Add(uint8(0), mode, uint32(16), uint32(16*c.TableBlocks()*8+3))
+		for _, off := range []int{ctlOff, andgOff, labelsOff} {
+			f.Add(uint8(0), mode, uint32(16), uint32(8*off+3))
+		}
 	}
 	for where := uint8(1); where < 4; where++ {
 		for mode := uint8(0); mode < 4; mode++ {

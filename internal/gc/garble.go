@@ -27,8 +27,8 @@ type circuitKey struct {
 }
 
 // tweakBits is the width of a circuit's own hash tweaks. A circuit's gate
-// tweaks (slot·slotBlocks + t) and payload tweaks (slot·payloads + j) stay
-// below 2^tweakBits — 2^36 table blocks would be a terabyte of message —
+// tweaks (slot·slotTweaks + t) and payload tweaks (slot·payloads + j) stay
+// below 2^tweakBits — 2^36 gate tweaks would be a terabyte of tables —
 // and its label batch's serial k sits above them: under one Δ, circuit k
 // owns gate tweaks [k·2^36, (k+1)·2^36) of prf.SiteGC and the same range
 // ORed into prf.SitePay, so no two circuits a party garbles in a session
@@ -42,7 +42,7 @@ func (c *Circuit) tweakBase(serial uint64) (uint64, error) {
 	if serial >= 1<<(61-tweakBits) {
 		return 0, fmt.Errorf("gc: label batch serial %d: the session has garbled its 2^%d circuits", serial, 61-tweakBits)
 	}
-	if uint64(c.TableBlocks()) >= 1<<tweakBits || uint64(c.Slots*len(c.Payloads)) >= 1<<tweakBits {
+	if uint64(c.Slots*c.slotTweaks()) >= 1<<tweakBits || uint64(c.Slots*len(c.Payloads)) >= 1<<tweakBits {
 		return 0, fmt.Errorf("gc: circuit has more than 2^%d hash tweaks", tweakBits)
 	}
 	return serial << tweakBits, nil
@@ -63,12 +63,14 @@ type garbled struct {
 	// outPerm packs the permute bits (zero-label LSBs) of the garbler's
 	// outputs, slot-major; they unmask what the evaluator returns.
 	outPerm []byte
-	// perm is kept only for ahead-of-time garbling: for batch b and tweak
-	// index t, byte b·slotBlocks+t packs over the batch's lanes the
-	// permute bit of the gate input hashed under that tweak (input A at an
-	// AND's first tweak and at an ANDG's only one, input B at an AND's
-	// second). applyPrivate needs nothing else of the interior wires.
+	// perm and corr are kept only for ahead-of-time garbling. For batch b,
+	// byte b·slotPerms+k of perm packs over the batch's lanes a permute
+	// bit (zero-label colour): an AND's inputs A and B at k and k+1, an
+	// ANDG's input at k, k running over the slot's gates. corr holds, per
+	// AND of each slot, w of its colour-0 input labels (colourW).
+	// applyPrivate needs nothing else of the interior wires.
 	perm []byte
+	corr []uint64
 	// payFlip is kept only for ahead-of-time garbling, laid out like the
 	// message's payload region: per keyed payload, pad(zero label) ⊕
 	// pad(one label) of its keying wire — what applyPrivate XORs in when a
@@ -82,7 +84,7 @@ type garbled struct {
 // then garbler-input labels), of the decode bits and of the payload
 // ciphertexts in the garbler's message, and its total length.
 func (c *Circuit) msgLayout() (labels, decode, payload, total int) {
-	labels = 16 * c.TableBlocks()
+	_, _, labels = tableLayout(c.Slots*c.NumAnd, c.Slots*c.NumAndG)
 	decode = labels + 16 + 16*c.Slots*len(c.GarblerInputs)
 	payload = decode + (c.Slots*len(c.EvalOutputs)+7)/8
 	_, perSlot := c.payloadShape()
@@ -91,8 +93,8 @@ func (c *Circuit) msgLayout() (labels, decode, payload, total int) {
 
 // payTweak is the pad tweak of payload j of slot s under tweak base
 // base: unique per payload across the circuit, and disjoint from every
-// gate tweak. A select's two pads share it, as a half gate's two hashes
-// share theirs.
+// gate tweak. A select's two pads share it, as the garbler's two hashes
+// of an AND input's labels share theirs.
 func (c *Circuit) payTweak(base uint64, s, j int) uint64 {
 	return prf.SitePay | base | uint64(s*len(c.Payloads)+j)
 }
@@ -191,31 +193,37 @@ func getBit(v []byte, i int) bool { return v[i>>3]>>(i&7)&1 == 1 }
 
 func orBit(v []byte, i int, b uint8) { v[i>>3] |= b << (i & 7) }
 
+// slotPerms is the number of permute bits one slot keeps for
+// applyPrivate: two per AND, one per ANDG.
+func (c *Circuit) slotPerms() int { return 2*c.NumAnd + c.NumAndG }
+
 // garble garbles c under ck using randomness from g. The point-and-permute
 // invariant lsb(Δ)=1 makes a label's LSB a masked truth value. priv
 // supplies the garbler-private bits consumed by XORG/ANDG gates,
-// slot-major. keepPerm retains the per-gate permute bits applyPrivate
-// needs. evalIn, when non-nil, supplies the evaluator-input zero labels
-// (the label batch's rows); otherwise they are drawn from g.
+// slot-major. keepPerm retains the per-gate permute bits and colour-0
+// label halves applyPrivate needs. evalIn, when non-nil, supplies the
+// evaluator-input zero labels (the label batch's rows); otherwise they
+// are drawn from g.
 //
 // All randomness — the Const0 label, every garbler-input zero label — is
 // drawn before the sweep, in an order that does not depend on priv or
-// on the worker count. The sweep itself is the slot kernel (forBatches):
+// on the worker count; an AND's control randomness comes from its own
+// hashes (andgate.go). The sweep itself is the slot kernel (forBatches):
 // a worker takes a batch of slots and walks the slot's gate list once
 // over a scratch of NumWires×stride labels, wire-major so that the lanes
-// of one wire are contiguous and each of the four half-gate hashes of an
-// AND is one prf.HashBlocks call. The gate with running tweak index t in
-// slot s hashes under tweak ck.base + s·slotBlocks+t and owns table blocks
-// from offset s·slotBlocks+t — what a serial sweep over the gadget looped
-// Slots times would assign — so labels and tables are byte-identical at
-// any worker count.
+// of one wire are contiguous and each of the six hashes of an AND is one
+// prf.HashBlocks call. The gate with running tweak index t in slot s
+// hashes under tweak ck.base + s·slotTweaks+t, and the q-th AND (ANDG) of
+// slot s owns the table entries of AND (ANDG) s·NumAnd+q (s·NumAndG+q) —
+// what a serial sweep over the gadget looped Slots times would assign —
+// so labels and tables are byte-identical at any worker count.
 func garble(c *Circuit, ck circuitKey, g *prf.PRG, priv []bool, keepPerm bool, evalIn []prf.Block) *garbled {
 	sp := kGarble.Begin()
 	defer sp.EndN(int64(c.NumGates()))
 	labelsOff, decodeOff, payOff, total := c.msgLayout()
 	nG, nE, nP := len(c.GarblerInputs), len(c.EvalInputs), c.NumPrivate
 	nEO, nGO := len(c.EvalOutputs), len(c.GarblerOutputs)
-	sb, stride := c.slotBlocks(), c.stride()
+	st, sperm, stride := c.slotTweaks(), c.slotPerms(), c.stride()
 	_, pb := c.payloadShape()
 	gb := &garbled{
 		delta:   ck.delta,
@@ -224,7 +232,8 @@ func garble(c *Circuit, ck circuitKey, g *prf.PRG, priv []bool, keepPerm bool, e
 		outPerm: make([]byte, (c.Slots*nGO+7)/8),
 	}
 	if keepPerm {
-		gb.perm = make([]byte, (c.Slots+lanes-1)/lanes*sb)
+		gb.perm = make([]byte, (c.Slots+lanes-1)/lanes*sperm)
+		gb.corr = make([]uint64, 2*c.Slots*c.NumAnd)
 		gb.payFlip = make([]byte, total-payOff)
 	}
 	g.Read(gb.msg[labelsOff:decodeOff])
@@ -234,7 +243,9 @@ func garble(c *Circuit, ck circuitKey, g *prf.PRG, priv []bool, keepPerm bool, e
 	}
 
 	delta := gb.delta
-	tables := prf.BlocksOf(gb.msg[:labelsOff])
+	ctlOff, andgOff, _ := tableLayout(c.Slots*c.NumAnd, c.Slots*c.NumAndG)
+	halvesCt, ctl := gb.msg[:ctlOff], gb.msg[ctlOff:andgOff]
+	andgCt := prf.BlocksOf(gb.msg[andgOff:labelsOff])
 	labels := prf.BlocksOf(gb.msg[labelsOff:decodeOff])
 	gIn := labels[1:]
 	decode := gb.msg[decodeOff:payOff]
@@ -252,9 +263,14 @@ func garble(c *Circuit, ck circuitKey, g *prf.PRG, priv []bool, keepPerm bool, e
 		}
 		var perm []byte
 		if keepPerm {
-			perm = gb.perm[s0/lanes*sb:][:sb]
+			perm = gb.perm[s0/lanes*sperm:][:sperm]
 		}
-		t, step := 0, uint64(sb)
+		// An AND's colour-ordered inputs and their hashes, per lane; the
+		// arrays live across gates, as each AND writes what it reads.
+		var in, hs [6][lanes]prf.Block
+		// The running counts of ANDs and ANDGs give a gate's tweak index
+		// (3 per AND, 1 per ANDG), table entry and permute-bit index.
+		nAnd, nAndG, step := 0, 0, uint64(st)
 		for _, gate := range c.Gates {
 			a, out := lane(gate.A), lane(gate.Out)
 			switch gate.Kind {
@@ -278,50 +294,49 @@ func garble(c *Circuit, ck circuitKey, g *prf.PRG, priv []bool, keepPerm bool, e
 					}
 				}
 			case GateAND:
+				// Colour-ordered labels of A, B and A⊕B, hashed under the
+				// gate's three tweaks.
 				b := lane(gate.B)
-				var a1, b1, ha0, ha1, hb0, hb1 [lanes]prf.Block
-				for l := range a {
-					prf.XORBlock(&a1[l], a[l], delta)
-					prf.XORBlock(&b1[l], b[l], delta)
-				}
-				tw := ck.base + uint64(s0*sb+t)
-				prf.HashBlocks(ha0[:k], a, tw, step)
-				prf.HashBlocks(ha1[:k], a1[:k], tw, step)
-				prf.HashBlocks(hb0[:k], b, tw+1, step)
-				prf.HashBlocks(hb1[:k], b1[:k], tw+1, step)
 				for l := range out {
-					pa, pb := a[l].LSB(), b[l].LSB()
-					// Garbler half-gate.
-					tg := prf.XORBlockValue(ha0[l], ha1[l])
-					if pb == 1 {
-						prf.XORBlock(&tg, tg, delta)
+					in[0][l], in[2][l] = a[l], b[l]
+					if a[l].LSB() == 1 {
+						prf.XORBlock(&in[0][l], a[l], delta)
 					}
-					wg := ha0[l]
-					if pa == 1 {
-						prf.XORBlock(&wg, wg, tg)
+					if b[l].LSB() == 1 {
+						prf.XORBlock(&in[2][l], b[l], delta)
 					}
-					// Evaluator half-gate.
-					te := prf.XORBlockValue(prf.XORBlockValue(hb0[l], hb1[l]), a[l])
-					we := hb0[l]
-					if pb == 1 {
-						prf.XORBlock(&we, we, prf.XORBlockValue(te, a[l]))
+					prf.XORBlock(&in[4][l], in[0][l], in[2][l])
+					for m := 0; m < 6; m += 2 {
+						prf.XORBlock(&in[m+1][l], in[m][l], delta)
 					}
-					prf.XORBlock(&out[l], wg, we)
-					ti := (s0+l)*sb + t
-					tables[ti], tables[ti+1] = tg, te
+				}
+				tw := ck.base + uint64(s0*st+3*nAnd+nAndG)
+				for m := range hs {
+					prf.HashBlocks(hs[m][:k], in[m][:k], tw+uint64(m/2), step)
+				}
+				for l := range out {
+					h := andHashes{hs[0][l], hs[1][l], hs[2][l], hs[3][l], hs[4][l], hs[5][l]}
+					q := (s0+l)*c.NumAnd + nAnd
+					var bits uint8
+					out[l], bits = garbleAND(&in[0][l], &in[2][l], &delta, a[l].LSB(), b[l].LSB(), &h, halvesCt[24*q:][:24])
+					xorCtl(ctl, q, bits)
+					if keepPerm {
+						gb.corr[2*q], gb.corr[2*q+1] = colourW(&in[0][l], &in[2][l])
+					}
 				}
 				if keepPerm {
-					perm[t], perm[t+1] = lsbs(a), lsbs(b)
+					pi := 2*nAnd + nAndG
+					perm[pi], perm[pi+1] = lsbs(a), lsbs(b)
 				}
-				t += 2
+				nAnd++
 			case GateANDG:
 				// AND with a garbler-private constant: a single garbler
-				// half-gate (one ciphertext).
+				// half gate (one ciphertext).
 				var a1, ha0, ha1 [lanes]prf.Block
 				for l := range a {
 					prf.XORBlock(&a1[l], a[l], delta)
 				}
-				tw := ck.base + uint64(s0*sb+t)
+				tw := ck.base + uint64(s0*st+3*nAnd+nAndG)
 				prf.HashBlocks(ha0[:k], a, tw, step)
 				prf.HashBlocks(ha1[:k], a1[:k], tw, step)
 				for l := range out {
@@ -333,12 +348,12 @@ func garble(c *Circuit, ck circuitKey, g *prf.PRG, priv []bool, keepPerm bool, e
 					if a[l].LSB() == 1 {
 						prf.XORBlock(&out[l], ha0[l], tg)
 					}
-					tables[(s0+l)*sb+t] = tg
+					andgCt[(s0+l)*c.NumAndG+nAndG] = tg
 				}
 				if keepPerm {
-					perm[t] = lsbs(a)
+					perm[2*nAnd+nAndG] = lsbs(a)
 				}
-				t++
+				nAndG++
 			}
 		}
 		// A batch of lanes slots owns whole bytes of both packed vectors.
@@ -407,8 +422,10 @@ func evaluate(c *Circuit, base uint64, msg []byte, evalIn []byte) (out []bool, m
 	eIn := prf.BlocksOf(evalIn)
 	sp := kEvaluate.Begin()
 	defer sp.EndN(int64(c.NumGates()))
-	sb, stride := c.slotBlocks(), c.stride()
-	tables := prf.BlocksOf(msg[:labelsOff])
+	st, stride := c.slotTweaks(), c.stride()
+	ctlOff, andgOff, _ := tableLayout(c.Slots*c.NumAnd, c.Slots*c.NumAndG)
+	halvesCt, ctl := msg[:ctlOff], msg[ctlOff:andgOff]
+	andgCt := prf.BlocksOf(msg[andgOff:labelsOff])
 	labels := prf.BlocksOf(msg[labelsOff:decodeOff])
 	gIn := labels[1:]
 	decode := msg[decodeOff:payOff]
@@ -426,7 +443,10 @@ func evaluate(c *Circuit, base uint64, msg []byte, evalIn []byte) (out []bool, m
 				w[int(x)*stride+l] = eIn[(s0+l)*nE+i]
 			}
 		}
-		t, step := 0, uint64(sb)
+		// An AND's input XOR and its three hashes, per lane; the arrays
+		// live across gates, as each AND writes what it reads.
+		var x, ha, hb, hx [lanes]prf.Block
+		nAnd, nAndG, step := 0, 0, uint64(st)
 		for _, gate := range c.Gates {
 			a, o := lane(gate.A), lane(gate.Out)
 			switch gate.Kind {
@@ -439,32 +459,28 @@ func evaluate(c *Circuit, base uint64, msg []byte, evalIn []byte) (out []bool, m
 				copy(o, a)
 			case GateAND:
 				b := lane(gate.B)
-				var hg, he [lanes]prf.Block
-				tw := base + uint64(s0*sb+t)
-				prf.HashBlocks(hg[:k], a, tw, step)
-				prf.HashBlocks(he[:k], b, tw+1, step)
 				for l := range o {
-					ti := (s0+l)*sb + t
-					wg, we := hg[l], he[l]
-					if a[l].LSB() == 1 {
-						prf.XORBlock(&wg, wg, tables[ti])
-					}
-					if b[l].LSB() == 1 {
-						prf.XORBlock(&we, we, prf.XORBlockValue(tables[ti+1], a[l]))
-					}
-					prf.XORBlock(&o[l], wg, we)
+					prf.XORBlock(&x[l], a[l], b[l])
 				}
-				t += 2
+				tw := base + uint64(s0*st+3*nAnd+nAndG)
+				prf.HashBlocks(ha[:k], a, tw, step)
+				prf.HashBlocks(hb[:k], b, tw+1, step)
+				prf.HashBlocks(hx[:k], x[:k], tw+2, step)
+				for l := range o {
+					q := (s0+l)*c.NumAnd + nAnd
+					o[l] = evalAND(&a[l], &b[l], &ha[l], &hb[l], &hx[l], halvesCt[24*q:][:24], ctlAt(ctl, q))
+				}
+				nAnd++
 			case GateANDG:
 				var h [lanes]prf.Block
-				prf.HashBlocks(h[:k], a, base+uint64(s0*sb+t), step)
+				prf.HashBlocks(h[:k], a, base+uint64(s0*st+3*nAnd+nAndG), step)
 				for l := range o {
 					o[l] = h[l]
 					if a[l].LSB() == 1 {
-						prf.XORBlock(&o[l], h[l], tables[(s0+l)*sb+t])
+						prf.XORBlock(&o[l], h[l], andgCt[(s0+l)*c.NumAndG+nAndG])
 					}
 				}
-				t++
+				nAndG++
 			}
 		}
 		var pad []byte

@@ -13,19 +13,23 @@ import (
 // known from the plan is garbled offline with every garbler-private bit
 // set to zero; when the real private bits arrive, applyPrivate rewrites
 // the garbled material in place with XORs only — no re-hashing — so the
-// expensive 4-hashes-per-AND garbling kernel moves entirely off the
+// expensive 6-hashes-per-AND garbling kernel moves entirely off the
 // online critical path.
 //
 // Why this is possible: free-XOR garbling represents the one-label of a
 // wire as zeroLabel ⊕ Δ. Flipping a private bit only swaps which of the
 // two labels is "zero" on the wires it feeds (a flip that propagates
-// through the circuit as f_out = f_a ⊕ f_b for XOR and so on), and the
-// half-gates table entries change by exactly f·Δ. Both effects are
-// computable from the offline labels alone, and — because garble() draws
-// its randomness in a private-independent order — the corrected material
-// is byte-identical to what a direct garble of the same seed and true
-// private bits would have produced; precompute_test.go pins this
-// equality.
+// through the circuit as f_out = f_a ⊕ f_b for XOR and so on). In colour
+// coordinates nothing moves but the zero labels' colours λ: the colour-0
+// labels, and with them every hash an AND gate makes, stay. An ANDG
+// ciphertext changes by p·Δ; an AND's half-ciphertexts and control bits
+// change by what the new λ asks of its control values (andgate.go), a
+// function of Δ and of two halves of its colour-0 labels that the offline
+// garbling keeps. All of it is computable from the offline material
+// alone, and — because garble() draws its randomness in a
+// private-independent order — the corrected material is byte-identical
+// to what a direct garble of the same seed and true private bits would
+// have produced; precompute_test.go pins this equality.
 //
 // The evaluator-input labels are fixed offline too: a circuit is garbled
 // ahead of time over the rows of its own pooled label batch
@@ -56,9 +60,10 @@ var (
 // the pooled label batch b of otSend (FillDelta of c's evaluator-input
 // count) and leaves it on b, for runGarbler to serve when b opens. Pure
 // computation — nothing touches the network until then. Besides the
-// message-shaped material every garbling keeps, it retains one permute
-// bit per table block (see garbled.perm): all applyPrivate needs of the
-// interior wires.
+// message-shaped material every garbling keeps, it retains two permute
+// bits and two colour-0 label halves per AND and one permute bit per ANDG
+// (garbled.perm, garbled.corr): all applyPrivate needs of the interior
+// wires.
 func GarbleOver(c *Circuit, otSend *ot.Sender, b *ot.DeltaBatch) (*PreGarbled, error) {
 	if nE := c.Slots * len(c.EvalInputs); b == nil || len(b.Q) != nE {
 		return nil, fmt.Errorf("gc: garbling a circuit of %d evaluator inputs over another label batch", nE)
@@ -110,12 +115,13 @@ func SameShape(a, b *Circuit) bool {
 
 // applyPrivate specializes zero-private garbled material to the true
 // private bits and the label batch's input flips (packed, slot-major;
-// nil for none), in place: it XORs f·Δ into the affected table entries,
-// flips the decode and output permute bits of the output wires whose
-// label meaning changed and XORs the payloads — re-padded, or for a select
-// swapped between its ciphertexts, where their keying wire flipped — into
-// their ciphertexts, after which gb is what a
-// direct garble with the same randomness would have produced. The slot
+// nil for none), in place: it moves the tables of the gates whose input
+// colours changed (correctAND for an AND, p·Δ for an ANDG), flips the
+// decode and output permute bits of the output wires whose label meaning
+// changed and XORs the payloads — re-padded, or for a select swapped
+// between its ciphertexts, where their keying wire flipped — into their
+// ciphertexts, after which gb is what a direct garble with the same
+// randomness would have produced. The slot
 // kernel again, one slot at a time over a scratch of per-wire flip bits
 // f (the evaluator-input wires take the slot's flips; the other input
 // wires are never written, so they stay unflipped across slots); each
@@ -125,19 +131,20 @@ func applyPrivate(c *Circuit, gb *garbled, priv []bool, flips []byte) {
 	sp := obs.Begin("gc", "gc.correct")
 	defer sp.EndN(int64(c.NumGates()))
 	labelsOff, decodeOff, payOff, _ := c.msgLayout()
-	tables := prf.BlocksOf(gb.msg[:labelsOff])
+	ctlOff, andgOff, _ := tableLayout(c.Slots*c.NumAnd, c.Slots*c.NumAndG)
+	halvesCt, ctl := gb.msg[:ctlOff], gb.msg[ctlOff:andgOff]
+	andgCt := prf.BlocksOf(gb.msg[andgOff:labelsOff])
 	decode := gb.msg[decodeOff:payOff]
 	pay := gb.msg[payOff:]
 	delta := gb.delta
-	sb, nP, nE := c.slotBlocks(), c.NumPrivate, len(c.EvalInputs)
+	sperm, nP, nE := c.slotPerms(), c.NumPrivate, len(c.EvalInputs)
 	nEO, nGO := len(c.EvalOutputs), len(c.GarblerOutputs)
 	_, pb := c.payloadShape()
 	forBatches(c, func() []bool { return make([]bool, c.NumWires) }, nil, func(f []bool, s0, k int) {
-		perm := gb.perm[s0/lanes*sb:][:sb]
+		perm := gb.perm[s0/lanes*sperm:][:sperm]
 		for l := 0; l < k; l++ {
 			s := s0 + l
 			p := priv[s*nP:][:nP]
-			tbl := tables[s*sb:][:sb]
 			if flips != nil {
 				for i, x := range c.EvalInputs {
 					if f[x] = getBit(flips, s*nE+i); f[x] {
@@ -145,7 +152,7 @@ func applyPrivate(c *Circuit, gb *garbled, priv []bool, flips []byte) {
 					}
 				}
 			}
-			t := 0
+			nAnd, nAndG := 0, 0
 			for _, gate := range c.Gates {
 				switch gate.Kind {
 				case GateXOR:
@@ -155,23 +162,23 @@ func applyPrivate(c *Circuit, gb *garbled, priv []bool, flips []byte) {
 				case GateXORG:
 					f[gate.Out] = f[gate.A] != p[gate.B]
 				case GateAND:
-					alpha, beta := f[gate.A], f[gate.B]
-					pa, pb := perm[t]>>l&1 == 1, perm[t+1]>>l&1 == 1
-					if beta {
-						prf.XORBlock(&tbl[t], tbl[t], delta)
+					fa, fb := b2u(f[gate.A]), b2u(f[gate.B])
+					pi := 2*nAnd + nAndG
+					la, lb := perm[pi]>>l&1, perm[pi+1]>>l&1
+					if fa|fb != 0 {
+						q := s*c.NumAnd + nAnd
+						xorCtl(ctl, q, correctAND(gb.corr[2*q], gb.corr[2*q+1], &delta, la, lb, fa, fb, halvesCt[24*q:][:24]))
 					}
-					if alpha {
-						prf.XORBlock(&tbl[t+1], tbl[t+1], delta)
-					}
-					f[gate.Out] = (pa && beta) != (alpha && (pb != beta))
-					t += 2
+					f[gate.Out] = la&lb != (la^fa)&(lb^fb)
+					nAnd++
 				case GateANDG:
 					pv, alpha := p[gate.B], f[gate.A]
 					if pv {
-						prf.XORBlock(&tbl[t], tbl[t], delta)
+						ct := &andgCt[s*c.NumAndG+nAndG]
+						prf.XORBlock(ct, *ct, delta)
 					}
-					f[gate.Out] = pv && (perm[t]>>l&1 == 1) != alpha
-					t++
+					f[gate.Out] = pv && (perm[2*nAnd+nAndG]>>l&1 == 1) != alpha
+					nAndG++
 				}
 			}
 			for i, x := range c.EvalOutputs {
@@ -210,7 +217,7 @@ func applyPrivate(c *Circuit, gb *garbled, priv []bool, flips []byte) {
 			}
 		}
 	})
-	gb.perm, gb.payFlip = nil, nil
+	gb.perm, gb.corr, gb.payFlip = nil, nil, nil
 }
 
 // served takes the material left on the label batch b (GarbleOver) and

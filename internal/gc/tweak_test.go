@@ -36,9 +36,10 @@ func otPair(t *testing.T) (*ot.Sender, *ot.Receiver, func()) {
 // share the sender's Δ, so only the tweaks can tell two circuits apart:
 // their gate-tweak and payload-tweak ranges must be disjoint, and with
 // the same garbling randomness and the same zero labels — the worst case
-// under a shared Δ — no table block and no payload ciphertext of one
-// garbling may equal its counterpart in the other. Dropping the serial
-// from the tweaks makes both garblings byte-identical.
+// under a shared Δ — no AND's half-ciphertexts, no ANDG ciphertext and no
+// payload ciphertext of one garbling may equal its counterpart in the
+// other, nor may the control bits. Dropping the serial from the tweaks
+// makes both garblings byte-identical.
 func TestCircuitsUnderOneDeltaUseDisjointTweaks(t *testing.T) {
 	snd, rcv, done := otPair(t)
 	defer done()
@@ -80,7 +81,7 @@ func TestCircuitsUnderOneDeltaUseDisjointTweaks(t *testing.T) {
 	if keys[0].delta != keys[1].delta || keys[0].delta != snd.Delta() {
 		t.Fatal("the two circuits are not garbled under the sender's Δ")
 	}
-	gates := func(k circuitKey) (lo, hi uint64) { return k.base, k.base + uint64(c.TableBlocks()) }
+	gates := func(k circuitKey) (lo, hi uint64) { return k.base, k.base + uint64(c.Slots*c.slotTweaks()) }
 	pays := func(k circuitKey) (lo, hi uint64) {
 		return c.payTweak(k.base, 0, 0), c.payTweak(k.base, 0, 0) + uint64(c.Slots*len(c.Payloads))
 	}
@@ -102,10 +103,19 @@ func TestCircuitsUnderOneDeltaUseDisjointTweaks(t *testing.T) {
 		gbs[i] = garble(c, k, prf.NewPRG(prf.Seed{46}), priv, false, append([]prf.Block(nil), q...))
 	}
 	labelsOff, _, payOff, _ := c.msgLayout()
-	t0, t1 := prf.BlocksOf(gbs[0].msg[:labelsOff]), prf.BlocksOf(gbs[1].msg[:labelsOff])
-	for i := range t0 {
-		if t0[i] == t1[i] {
-			t.Fatalf("table block %d is the same in both circuits", i)
+	ctlOff, andgOff, _ := tableLayout(c.Slots*c.NumAnd, c.Slots*c.NumAndG)
+	same := func(lo, hi int) bool { return string(gbs[0].msg[lo:hi]) == string(gbs[1].msg[lo:hi]) }
+	for q := 0; q < c.Slots*c.NumAnd; q++ {
+		if same(24*q, 24*q+24) {
+			t.Fatalf("AND %d's half-ciphertexts are the same in both circuits", q)
+		}
+	}
+	if same(ctlOff, andgOff) {
+		t.Fatal("the control bits are the same in both circuits")
+	}
+	for off := andgOff; off < labelsOff; off += 16 {
+		if same(off, off+16) {
+			t.Fatalf("ANDG ciphertext %d is the same in both circuits", (off-andgOff)/16)
 		}
 	}
 	off := 0

@@ -77,9 +77,10 @@ type Calibration struct {
 }
 
 // DefaultCalibration is used when no measurement is available: ~10M
-// garbled AND gates per second and 32 bytes per gate (two 128-bit
-// ciphertexts), typical for fixed-key AES garbling on one core.
-var DefaultCalibration = Calibration{SecondsPerGate: 1e-7, BytesPerGate: 32}
+// garbled AND gates per second, typical for fixed-key AES garbling on one
+// core, and an AND's table bytes (three 64-bit half-ciphertexts and 5
+// control bits, gc.AndTableBits).
+var DefaultCalibration = Calibration{SecondsPerGate: 1e-7, BytesPerGate: gc.AndTableBits / 8.0}
 
 // Estimate extrapolates the baseline cost for spec.
 func Estimate(spec JoinSpec, cal Calibration) Cost {
@@ -237,7 +238,8 @@ func Run(p *mpc.Party, rels []Relation, conds []Cond) (uint64, Cost, error) {
 		}
 	}
 	cost := Cost{
-		AndGates: float64(circ.NumAnd) + float64(circ.NumAndG)/2,
+		// An ANDG counts by its table bytes against an AND's.
+		AndGates: float64(circ.NumAnd) + float64(circ.NumAndG)*gc.AndGTableBits/gc.AndTableBits,
 		Seconds:  time.Since(start).Seconds(),
 		Bytes:    float64(p.Conn.Stats().TotalBytes() - before),
 	}

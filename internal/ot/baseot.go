@@ -33,6 +33,7 @@ import (
 	"crypto/elliptic"
 	"crypto/rand"
 	"fmt"
+	"math/big"
 
 	"secyan/internal/obs"
 	"secyan/internal/prf"
@@ -77,11 +78,21 @@ func (e *MessageError) Error() string {
 	return fmt.Sprintf("ot: base OT %d: %s", e.Index, e.Reason)
 }
 
+// putCompressed writes the SEC 1 compressed encoding of the affine point
+// (x, y) to dst[:pointLen] — elliptic.MarshalCompressed's bytes, without
+// its allocation per point.
+func putCompressed(dst []byte, x, y *big.Int) {
+	dst[0] = 2 | byte(y.Bit(0))
+	x.FillBytes(dst[1:pointLen])
+}
+
 // keySeed hashes the compressed encoding of instance i's shared point
-// into a seed. SHA-256 as a random oracle over the group element is what
-// the protocol's CDH argument needs (DESIGN.md §13, §3).
-func keySeed(i int, point []byte) (s prf.Seed) {
-	h := prf.Hash(uint64(i), point)
+// (x, y) into a seed. SHA-256 as a random oracle over the group element
+// is what the protocol's CDH argument needs (DESIGN.md §13, §3).
+func keySeed(i int, x, y *big.Int) (s prf.Seed) {
+	var enc [pointLen]byte
+	putCompressed(enc[:], x, y)
+	h := prf.Hash(uint64(i), enc[:])
 	copy(s[:], h[:])
 	return s
 }
@@ -129,9 +140,9 @@ func BaseSend(conn transport.Conn, n int) ([][2]prf.Seed, error) {
 			return nil, &MessageError{i, "receiver point equals the setup point (key at infinity)"}
 		}
 		kx, ky := curve.ScalarMult(rx, ry, y)
-		pairs[i][0] = keySeed(i, elliptic.MarshalCompressed(curve, kx, ky))
+		pairs[i][0] = keySeed(i, kx, ky)
 		kx, ky = curve.Add(kx, ky, ntx, nty)
-		pairs[i][1] = keySeed(i, elliptic.MarshalCompressed(curve, kx, ky))
+		pairs[i][1] = keySeed(i, kx, ky)
 	}
 	return pairs, nil
 }
@@ -154,7 +165,7 @@ func BaseRecv(conn transport.Conn, choices []bool) ([]prf.Seed, error) {
 		return nil, &MessageError{-1, "setup point is not a compressed P-256 point"}
 	}
 	xs := make([][]byte, n)
-	msg := make([]byte, 0, n*pointLen)
+	msg := make([]byte, n*pointLen)
 	for i, c := range choices {
 		x, rx, ry, err := elliptic.GenerateKey(curve, rand.Reader)
 		if err != nil {
@@ -165,7 +176,7 @@ func BaseRecv(conn transport.Conn, choices []bool) ([]prf.Seed, error) {
 		if c {
 			rx, ry = ax, ay
 		}
-		msg = append(msg, elliptic.MarshalCompressed(curve, rx, ry)...)
+		putCompressed(msg[i*pointLen:], rx, ry)
 		xs[i] = x
 	}
 	if err := conn.Send(msg); err != nil {
@@ -176,7 +187,7 @@ func BaseRecv(conn transport.Conn, choices []bool) ([]prf.Seed, error) {
 	seeds := make([]prf.Seed, n)
 	for i, x := range xs {
 		kx, ky := curve.ScalarMult(sx, sy, x)
-		seeds[i] = keySeed(i, elliptic.MarshalCompressed(curve, kx, ky))
+		seeds[i] = keySeed(i, kx, ky)
 	}
 	return seeds, nil
 }

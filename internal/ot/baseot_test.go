@@ -65,6 +65,25 @@ func checkBaseOT(t *testing.T, pairs [][2]prf.Seed, got []prf.Seed, choices []bo
 	}
 }
 
+// TestPutCompressedMatchesMarshal pins the hand encoding of base-OT
+// points to SEC 1's, as crypto/elliptic writes it: both parities of y,
+// and x-coordinates with leading zero bytes.
+func TestPutCompressedMatchesMarshal(t *testing.T) {
+	var odd, even, short bool
+	for i := 0; i < 200 || !(odd && even && short); i++ {
+		_, x, y, err := elliptic.GenerateKey(curve, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		odd, even, short = odd || y.Bit(0) == 1, even || y.Bit(0) == 0, short || x.BitLen() <= 248
+		var got [pointLen]byte
+		putCompressed(got[:], x, y)
+		if want := elliptic.MarshalCompressed(curve, x, y); !bytes.Equal(got[:], want) {
+			t.Fatalf("point %d: encoded %x, want %x", i, got, want)
+		}
+	}
+}
+
 func TestBaseOT(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(1))
 	patterns := map[string]func() bool{

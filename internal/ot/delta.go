@@ -35,14 +35,17 @@ const deltaKind = 0
 
 // keptRows is the largest direct Δ-OT batch whose receiver writes its
 // rows into the batch scratch its T already lives in (1 MiB of rows),
-// for the next batch to reuse: small circuits follow one another, while
+// and whose sender into a grow-only scratch of its own, for the next
+// batch to reuse: small circuits follow one another, while
 // a large batch's rows are garbage once its circuit is evaluated and are
 // not kept alive for the session.
 const keptRows = 1 << 16
 
 // DeltaBatch is one batch of Δ-OTs as its sender holds it.
 type DeltaBatch struct {
-	// Q holds the rows q_j, one per instance.
+	// Q holds the rows q_j, one per instance. A direct batch of up to
+	// keptRows rows holds them in the sender's scratch, valid until its
+	// next direct batch.
 	Q []prf.Block
 	// Flips packs d_j (bit j at byte j/8, bit j%8) once a pooled batch is
 	// open; it is nil for a direct batch and while the batch waits in the
@@ -59,9 +62,18 @@ type DeltaBatch struct {
 // every OT of the direction, with lsb(Δ) = 1.
 func (s *Sender) Delta() prf.Block { return prf.Block(s.s) }
 
-// deltaRows runs a Δ-OT batch of m > 0 instances as the sender.
-func (s *Sender) deltaRows(m int) (*DeltaBatch, error) {
-	b := &DeltaBatch{Q: make([]prf.Block, m), Serial: s.serial}
+// deltaRows runs a Δ-OT batch of m > 0 instances as the sender, into
+// the sender's row scratch when kept, else into rows of its own.
+func (s *Sender) deltaRows(m int, kept bool) (*DeltaBatch, error) {
+	b := &DeltaBatch{Serial: s.serial}
+	if kept {
+		if cap(s.q) < m {
+			s.q = make([]prf.Block, m)
+		}
+		b.Q = s.q[:m]
+	} else {
+		b.Q = make([]prf.Block, m)
+	}
 	if err := s.expand(m, &rowSink{q: b.Q}); err != nil {
 		return nil, err
 	}
@@ -102,7 +114,7 @@ func (s *Sender) FillDelta(m int) (*DeltaBatch, error) {
 	}
 	sp := obs.Begin("ot", "ot.pool.fill.send")
 	defer sp.EndN(int64(m))
-	b, err := s.deltaRows(m)
+	b, err := s.deltaRows(m, false)
 	if err != nil {
 		return nil, err
 	}
@@ -139,7 +151,7 @@ func (s *Sender) BeginDelta(m int) (*DeltaBatch, error) {
 	pb, sp := s.pool.open(m, deltaKind, kExtSend, kDerandSend)
 	defer sp.EndN(int64(m))
 	if pb == nil {
-		return s.deltaRows(m)
+		return s.deltaRows(m, m <= keptRows)
 	}
 	flips, err := transport.RecvSized(s.conn, "ot: derandomization corrections", (m+7)/8)
 	if err != nil {

@@ -28,10 +28,11 @@ type Sender struct {
 	// chunk's punctured tree reveals, expanded once at setup: chunk j's
 	// leaf x at index j·(2^k − 1) + (x ⊕ Δ_j) − 1.
 	leaves [chunks * (chunkLeaves - 1)]prf.CTR
-	off    uint64 // byte offset of the next batch in every leaf's stream
-	idx    uint64 // global OT counter, for hash tweak freshness
-	serial uint64 // Δ-OT batches opened so far (delta.go)
-	pool   Pool   // precomputed random-OT batches (random.go)
+	off    uint64      // byte offset of the next batch in every leaf's stream
+	idx    uint64      // global OT counter, for hash tweak freshness
+	serial uint64      // Δ-OT batches opened so far (delta.go)
+	q      []prf.Block // a direct Δ-OT batch's rows (delta.go); grow-only
+	pool   Pool        // precomputed random-OT batches (random.go)
 }
 
 // Receiver is the choosing endpoint of an OT-extension session. It

@@ -127,23 +127,29 @@ type binKey struct {
 }
 
 // senderBins simple-hashes the sender's elements into the receiver's bin
-// space: every element under each of the three hash functions, as one
-// binKey each. Bin indices are computed per hash function in batched
-// AES sweeps (cuckoo.BinsOf).
-func senderBins(seed prf.Seed, pr Params, ys []uint64) ([]binKey, error) {
-	out := make([]binKey, 0, cuckoo.NumHashes*len(ys))
+// space: every element under each of the three hash functions, handed to
+// put as one binKey each, so that no list of them is built. Bin indices
+// are computed per hash function in batched AES sweeps (cuckoo.BinsOf).
+// The elements must already have passed checkElements.
+func senderBins(seed prf.Seed, pr Params, ys []uint64, put func(binKey)) {
 	bins := make([]int, len(ys))
 	for which := 0; which < cuckoo.NumHashes; which++ {
 		cuckoo.BinsOf(seed, pr.B, ys, which, bins)
 		for j, y := range ys {
-			k, err := Compose(y, which)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, binKey{k, bins[j], j})
+			k, _ := Compose(y, which) // checked by checkElements
+			put(binKey{k, bins[j], j})
 		}
 	}
-	return out, nil
+}
+
+// checkElements fails if an element does not fit Compose's domain.
+func checkElements(ys []uint64) error {
+	for _, y := range ys {
+		if _, err := Compose(y, 0); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // receiverKeys maps the receiver's cuckoo table to one composed key per
@@ -342,8 +348,7 @@ func sendBins(p *mpc.Party, pr Params, w int, ys []uint64, target func(j, bin in
 	}
 	var seed prf.Seed
 	copy(seed[:], seedMsg)
-	bks, err := senderBins(seed, pr, ys)
-	if err != nil {
+	if err := checkElements(ys); err != nil {
 		return nil, err
 	}
 	h := pr.hint(w)
@@ -355,11 +360,11 @@ func sendBins(p *mpc.Party, pr Params, w int, ys []uint64, target func(j, bin in
 	for bin := range ts {
 		ts[bin], cs[bin] = p.PRG.Uint64()&lowBits(h.tau), p.PRG.Uint64()&lowBits(w)
 	}
-	eqs := make([]equation, len(bks))
-	for i, k := range bks {
+	eqs := make([]equation, 0, cuckoo.NumHashes*len(ys))
+	senderBins(seed, pr, ys, func(k binKey) {
 		v := value{ts[k.bin], target(k.elem, k.bin) ^ cs[k.bin] ^ def[k.bin]}
-		eqs[i] = h.equation(seed, k.key, v.xor(oprf.eval(k.bin, k.key)))
-	}
+		eqs = append(eqs, h.equation(seed, k.key, v.xor(oprf.eval(k.bin, k.key))))
+	})
 	hint := make([]byte, h.bytes())
 	if err := h.encode(hint, eqs, p.PRG); err != nil {
 		return nil, err

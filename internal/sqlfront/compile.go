@@ -17,6 +17,21 @@ type Catalog struct {
 	Tables map[string]*TableDef
 }
 
+// For returns role's view of c: a copy whose tables keep Rel only where
+// role is the Owner, as core.Query.For does for a query. c itself is
+// left as it was.
+func (c *Catalog) For(role mpc.Role) *Catalog {
+	v := &Catalog{Tables: make(map[string]*TableDef, len(c.Tables))}
+	for name, t := range c.Tables {
+		d := *t
+		if d.Owner != role {
+			d.Rel = nil
+		}
+		v.Tables[name] = &d
+	}
+	return v
+}
+
 // TableDef is one catalog entry. Rel may be nil on the non-owner's side;
 // Columns and N are public.
 type TableDef struct {

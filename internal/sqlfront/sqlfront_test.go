@@ -82,19 +82,42 @@ func TestParseErrors(t *testing.T) {
 }
 
 // catalogFor builds the Example 1.1 catalog on one party's side.
+// catalogFor is role's view of the example's catalog.
 func catalogFor(role mpc.Role, r1, r2, r3 *relation.Relation) *Catalog {
 	def := func(owner mpc.Role, rel *relation.Relation) *TableDef {
-		d := &TableDef{Owner: owner, Columns: rel.Schema.Attrs, N: rel.Len()}
-		if role == owner {
-			d.Rel = rel
-		}
-		return d
+		return &TableDef{Owner: owner, Columns: rel.Schema.Attrs, N: rel.Len(), Rel: rel}
 	}
-	return &Catalog{Tables: map[string]*TableDef{
+	return (&Catalog{Tables: map[string]*TableDef{
 		"r1": def(mpc.Alice, r1),
 		"r2": def(mpc.Bob, r2),
 		"r3": def(mpc.Alice, r3),
+	}}).For(role)
+}
+
+// TestCatalogForKeepsOwnData checks a party's catalog view: its own
+// tables' data, none of the other's, every table's public columns and
+// size, and the catalog it came from left whole.
+func TestCatalogForKeepsOwnData(t *testing.T) {
+	r1, r2, _ := example11Data()
+	full := &Catalog{Tables: map[string]*TableDef{
+		"r1": {Owner: mpc.Alice, Columns: r1.Schema.Attrs, N: r1.Len(), Rel: r1},
+		"r2": {Owner: mpc.Bob, Columns: r2.Schema.Attrs, N: r2.Len(), Rel: r2},
 	}}
+	for _, role := range []mpc.Role{mpc.Alice, mpc.Bob} {
+		v := full.For(role)
+		for name, d := range v.Tables {
+			orig := full.Tables[name]
+			if d == orig || d.Owner != orig.Owner || d.N != orig.N || len(d.Columns) != len(orig.Columns) {
+				t.Fatalf("%v's view of %s: %+v, from %+v", role, name, d, orig)
+			}
+			if (d.Rel != nil) != (d.Owner == role) {
+				t.Fatalf("%v's view of %s (owner %v) has data %v", role, name, d.Owner, d.Rel != nil)
+			}
+		}
+	}
+	if full.Tables["r1"].Rel != r1 || full.Tables["r2"].Rel != r2 || len(full.Tables) != 2 {
+		t.Fatal("For changed the catalog it was called on")
+	}
 }
 
 func example11Data() (r1, r2, r3 *relation.Relation) {

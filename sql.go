@@ -32,8 +32,8 @@ type (
 // ExecSQL parses src, type-checks it against this party's catalog and
 // runs it on its own stream. Both parties execute the same statement
 // against their own catalog views (identical apart from which tables
-// carry data) concurrently. Alice receives the result relation; Bob
-// receives nil.
+// carry data; SQLCatalog.For derives a party's view) concurrently. Alice
+// receives the result relation; Bob receives nil.
 func (s *Session) ExecSQL(ctx context.Context, src string, cat *SQLCatalog, opts ...Option) (*Relation, error) {
 	st, err := sqlfront.Parse(src)
 	if err != nil {
@@ -55,7 +55,8 @@ func (s *Session) ExecSQL(ctx context.Context, src string, cat *SQLCatalog, opts
 	return rel, s.labeled(x.id, err)
 }
 
-// NewSQLTable builds a catalog entry. Pass rel only on the owner's side.
+// NewSQLTable builds a catalog entry; SQLCatalog.For keeps rel on the
+// owner's side only.
 func NewSQLTable(owner Role, columns []Attr, n int, rel *Relation) *SQLTable {
 	return &sqlfront.TableDef{Owner: owner, Columns: columns, N: n, Rel: rel}
 }
