@@ -261,11 +261,13 @@ func humanB(p Point) string {
 	return humanBytes(p.Bytes) + star
 }
 
+// humanBytes prints b in decimal units (1 kB = 1 000 B), as -explain,
+// -analyze, bench/ and EXPERIMENTS.md do.
 func humanBytes(b float64) string {
-	units := []string{"B", "KB", "MB", "GB", "TB", "PB", "EB", "ZB"}
+	units := []string{"B", "kB", "MB", "GB", "TB", "PB", "EB", "ZB"}
 	i := 0
-	for b >= 1024 && i < len(units)-1 {
-		b /= 1024
+	for b >= 1000 && i < len(units)-1 {
+		b /= 1000
 		i++
 	}
 	return fmt.Sprintf("%.1f %s", b, units[i])

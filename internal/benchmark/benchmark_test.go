@@ -195,11 +195,11 @@ func TestWriteJSONSchema(t *testing.T) {
 func TestHumanFormatting(t *testing.T) {
 	cases := map[float64]string{
 		500:         "500.0 B",
-		2048:        "2.0 KB",
-		3 * 1 << 20: "3.0 MB",
-		1 << 40:     "1.0 TB",
-		1.2e18:      "1.0 EB",
-		9e21:        "7.6 ZB",
+		2048:        "2.0 kB",
+		3 * 1 << 20: "3.1 MB",
+		1 << 40:     "1.1 TB",
+		1.2e18:      "1.2 EB",
+		9e21:        "9.0 ZB",
 	}
 	for in, want := range cases {
 		if got := humanBytes(in); got != want {

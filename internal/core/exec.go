@@ -62,7 +62,7 @@ func runPlan(ctx context.Context, p *mpc.Party, q *Query, shared bool, opts Opti
 	if err := q.Validate(p.Role); err != nil {
 		return nil, nil, nil, err
 	}
-	plan, err := ExplainOpts(q, p.Ring.Bits, opts)
+	plan, err := explainFor(p, q, opts)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -224,6 +224,24 @@ func (p *Plan) Digest() uint64 {
 // DigestString renders Digest as 16 hex digits.
 func (p *Plan) DigestString() string { return fmt.Sprintf("%016x", p.Digest()) }
 
+// OnSession prices p for a stream of an mpc.Session and returns it: the
+// setup steps derive the stream's extensions from the session's root
+// (mpc.Party.OnSession), which moves nothing on the stream, so they cost
+// 0 B. The root's own traffic is the session's, once, and no query's.
+// The join tree stays the one the full prices chose, so a stream runs
+// the plan a party with no session runs, less the setup.
+func (p *Plan) OnSession() *Plan {
+	for i := range p.Steps {
+		if s := &p.Steps[i]; s.setup() {
+			p.EstBytes -= s.EstBytes
+			p.EstOfflineBytes -= s.EstOfflineBytes
+			p.EstOnlineBytes -= s.EstOnlineBytes
+			s.EstBytes, s.EstOfflineBytes, s.EstOnlineBytes = 0, 0, 0
+		}
+	}
+	return p
+}
+
 // Options is the one configuration value of a query: Explain, Precompute
 // and Run compile the same plan from the same Options, so a holder keeps
 // a single value and passes it unchanged to all three.
@@ -263,6 +281,16 @@ func ExplainOpts(q *Query, ringBits int, opts Options) (*Plan, error) {
 		return nil, err
 	}
 	return plans[tree], nil
+}
+
+// explainFor is the plan party p runs q by: ExplainOpts, priced for a
+// session stream when p runs on one.
+func explainFor(p *mpc.Party, q *Query, opts Options) (*Plan, error) {
+	plan, err := ExplainOpts(q, p.Ring.Bits, opts)
+	if err == nil && p.OnSession() {
+		plan.OnSession()
+	}
+	return plan, err
 }
 
 // nodeState is the public protocol state of one tree node during
@@ -499,7 +527,8 @@ func compileTree(q *Query, tree *jointree.Tree, ringBits int, opts Options) (*Pl
 // OTs of the direction in which it is the OT receiver, the one the PSI's
 // ρ-OT runs in (ot.KKRTSetupCost, mpc.Party.KKRTSender), and sends the
 // step's one message. When a composed query reuses a party's existing
-// sessions the setup steps execute as free cache hits.
+// sessions the setup steps execute as free cache hits; on a stream of a
+// session they are priced at 0 B (OnSession).
 func (p *Plan) seal(steps []PlanStep) *Plan {
 	// extBatch[r] and kkrt[r]: whether an exchange runs an extension
 	// batch with OT sender r, or a KKRT batch with PSI sender r.

@@ -57,7 +57,7 @@ func PrecomputeOpts(ctx context.Context, p *mpc.Party, q *Query, opts Options) (
 	// No Validate: the offline phase is data-independent, so q may be a
 	// bare query shape (schemas, owners, sizes) with no relations
 	// attached — e.g. queries.PlanFor output.
-	plan, err := ExplainOpts(q, p.Ring.Bits, opts)
+	plan, err := explainFor(p, q, opts)
 	if err != nil {
 		return nil, err
 	}

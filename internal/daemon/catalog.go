@@ -54,7 +54,8 @@ func TPCHCatalog(db *tpch.DB) Catalog {
 
 // shapeDigest compiles the runner's shape and returns the
 // plan, its shape digest and estimated total communication — the
-// admission cost the scheduler charges.
+// admission cost the scheduler charges — priced for the session stream
+// the query runs on.
 func shapeDigest(r Runner, ringBits int) (*core.Query, *core.Plan, error) {
 	shape, err := r.Shape()
 	if err != nil {
@@ -64,5 +65,5 @@ func shapeDigest(r Runner, ringBits int) (*core.Query, *core.Plan, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("secyand: catalog plan: %w", err)
 	}
-	return shape, plan, nil
+	return shape, plan.OnSession(), nil
 }

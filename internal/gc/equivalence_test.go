@@ -265,7 +265,7 @@ func TestEvaluateByteIdenticalAcrossWorkers(t *testing.T) {
 		}
 		evalAt := func(workers int) result {
 			return atWorkers(workers, func() result {
-				out, masked, err := evaluate(c, 0, msg, labels)
+				out, masked, err := evaluate(c, 0, 0, msg, labels)
 				if err != nil {
 					t.Fatalf("%s workers=%d: evaluate: %v", name, workers, err)
 				}
@@ -398,7 +398,7 @@ func TestKernelAllocationIndependentOfSlots(t *testing.T) {
 		var masked []byte
 		got = allocated(func() {
 			var err error
-			if out, masked, err = evaluate(c, 0, msg, labels); err != nil {
+			if out, masked, err = evaluate(c, 0, 0, msg, labels); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -474,7 +474,7 @@ func BenchmarkEvaluateWorkers(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, _, err := evaluate(c, 0, gb.msg, labels); err != nil {
+					if _, _, err := evaluate(c, 0, 0, gb.msg, labels); err != nil {
 						b.Fatal(err)
 					}
 				}

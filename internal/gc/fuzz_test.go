@@ -80,7 +80,7 @@ func FuzzGarbledMessage(f *testing.F) {
 			ls = ls[:len(ls)-16+int(bit)%16]
 		}
 
-		out, _, err := evaluate(c, 0, msg, ls)
+		out, _, err := evaluate(c, 0, 0, msg, ls)
 		switch {
 		case mustFail && err == nil:
 			t.Fatalf("mode %d: evaluate accepted a malformed input", mode%6)

@@ -19,10 +19,13 @@ var (
 
 // circuitKey is what a circuit is garbled under: the free-XOR offset Δ — the
 // garbler's OT-extension Δ (ot.Sender.Delta), so that the label batch
-// needs no correction — and the base of the circuit's hash tweaks
-// (tweakBase), which the evaluator keys its hashes with too.
+// needs no correction — and its hash tweaks, which the evaluator keys
+// its hashes with too: the high word, the stream word of the label
+// batch's extension (ot.Sender.Word), and the base of the low words
+// (tweakBase).
 type circuitKey struct {
 	delta prf.Block
+	word  prf.Word
 	base  uint64
 }
 
@@ -31,9 +34,9 @@ type circuitKey struct {
 // below 2^tweakBits — 2^36 gate tweaks would be a terabyte of tables —
 // and its label batch's serial k sits above them: under one Δ, circuit k
 // owns gate tweaks [k·2^36, (k+1)·2^36) of prf.SiteGC and the same range
-// ORed into prf.SitePay, so no two circuits a party garbles in a session
-// hash under the same tweak. 2^25 serials fit below bit 61, where SitePay
-// begins.
+// ORed into prf.SitePay, so no two circuits a party garbles on a stream
+// hash under the same tweak, and the stream word keeps two streams that
+// share Δ apart. 2^25 serials fit below bit 61, where SitePay begins.
 const tweakBits = 36
 
 // tweakBase returns the tweak base of c garbled over the label batch with
@@ -312,7 +315,7 @@ func garble(c *Circuit, ck circuitKey, g *prf.PRG, priv []bool, keepPerm bool, e
 				}
 				tw := ck.base + uint64(s0*st+3*nAnd+nAndG)
 				for m := range hs {
-					prf.HashBlocks(hs[m][:k], in[m][:k], tw+uint64(m/2), step)
+					ck.word.HashBlocks(hs[m][:k], in[m][:k], tw+uint64(m/2), step)
 				}
 				for l := range out {
 					h := andHashes{hs[0][l], hs[1][l], hs[2][l], hs[3][l], hs[4][l], hs[5][l]}
@@ -337,8 +340,8 @@ func garble(c *Circuit, ck circuitKey, g *prf.PRG, priv []bool, keepPerm bool, e
 					prf.XORBlock(&a1[l], a[l], delta)
 				}
 				tw := ck.base + uint64(s0*st+3*nAnd+nAndG)
-				prf.HashBlocks(ha0[:k], a, tw, step)
-				prf.HashBlocks(ha1[:k], a1[:k], tw, step)
+				ck.word.HashBlocks(ha0[:k], a, tw, step)
+				ck.word.HashBlocks(ha1[:k], a1[:k], tw, step)
 				for l := range out {
 					tg := prf.XORBlockValue(ha0[l], ha1[l])
 					if priv[(s0+l)*nP+int(gate.B)] {
@@ -377,18 +380,18 @@ func garble(c *Circuit, ck circuitKey, g *prf.PRG, priv []bool, keepPerm bool, e
 				one := prf.XORBlockValue(zero, delta)
 				if p.Select {
 					under0, under1 := selectCts(ct, n, zero.LSB())
-					prf.HashToWidthAES(under0, zero, tw)
-					prf.HashToWidthAES(under1, one, tw)
+					ck.word.HashToWidthAES(under0, zero, tw)
+					ck.word.HashToWidthAES(under1, one, tw)
 					xorPayload(under0, p.P0, priv[s*nP:])
 					xorPayload(under1, p.P1, priv[s*nP:])
 					if keepPerm {
 						gb.payFlip[off] = zero.LSB()
 					}
 				} else {
-					prf.HashToWidthAES(ct, one, tw)
+					ck.word.HashToWidthAES(ct, one, tw)
 					if keepPerm {
 						fl := gb.payFlip[off:][:n]
-						prf.HashToWidthAES(fl, zero, tw)
+						ck.word.HashToWidthAES(fl, zero, tw)
 						prf.XORBytes(fl, fl, ct)
 					}
 					xorPayload(ct, p.P1, priv[s*nP:])
@@ -402,13 +405,13 @@ func garble(c *Circuit, ck circuitKey, g *prf.PRG, priv []bool, keepPerm bool, e
 
 // evaluate runs the evaluator's side of c over the garbler's message —
 // read in place, tables included — and the active labels of its own
-// inputs, flat and slot-major, hashing under the garbler's tweak base. It
-// returns the evaluator's output bits (the
+// inputs, flat and slot-major, hashing under the garbler's tweaks: word
+// and base. It returns the evaluator's output bits (the
 // payloads' where Circuit.Payloads places them) and the packed masked bits
 // (active-label LSBs) of the garbler's outputs. It is the same slot
 // kernel as garble, with the same determinism guarantee, and it checks
 // every length before the first read: msg comes from the peer.
-func evaluate(c *Circuit, base uint64, msg []byte, evalIn []byte) (out []bool, masked []byte, err error) {
+func evaluate(c *Circuit, word prf.Word, base uint64, msg []byte, evalIn []byte) (out []bool, masked []byte, err error) {
 	labelsOff, decodeOff, payOff, total := c.msgLayout()
 	if len(msg) != total {
 		return nil, nil, fmt.Errorf("gc: garbled message has %d bytes, want %d", len(msg), total)
@@ -463,9 +466,9 @@ func evaluate(c *Circuit, base uint64, msg []byte, evalIn []byte) (out []bool, m
 					prf.XORBlock(&x[l], a[l], b[l])
 				}
 				tw := base + uint64(s0*st+3*nAnd+nAndG)
-				prf.HashBlocks(ha[:k], a, tw, step)
-				prf.HashBlocks(hb[:k], b, tw+1, step)
-				prf.HashBlocks(hx[:k], x[:k], tw+2, step)
+				word.HashBlocks(ha[:k], a, tw, step)
+				word.HashBlocks(hb[:k], b, tw+1, step)
+				word.HashBlocks(hx[:k], x[:k], tw+2, step)
 				for l := range o {
 					q := (s0+l)*c.NumAnd + nAnd
 					o[l] = evalAND(&a[l], &b[l], &ha[l], &hb[l], &hx[l], halvesCt[24*q:][:24], ctlAt(ctl, q))
@@ -473,7 +476,7 @@ func evaluate(c *Circuit, base uint64, msg []byte, evalIn []byte) (out []bool, m
 				nAnd++
 			case GateANDG:
 				var h [lanes]prf.Block
-				prf.HashBlocks(h[:k], a, base+uint64(s0*st+3*nAnd+nAndG), step)
+				word.HashBlocks(h[:k], a, base+uint64(s0*st+3*nAnd+nAndG), step)
 				for l := range o {
 					o[l] = h[l]
 					if a[l].LSB() == 1 {
@@ -514,7 +517,7 @@ func evaluate(c *Circuit, base uint64, msg []byte, evalIn []byte) (out []bool, m
 				}
 				if ct != nil {
 					pad = append(pad[:0], ct...)
-					prf.HashToWidthAES(pad, label, c.payTweak(base, s, j))
+					word.HashToWidthAES(pad, label, c.payTweak(base, s, j))
 					prf.XORBytes(pad, pad, ct)
 					for b := range p.P1 {
 						out[o+b] = pad[b>>3]>>(b&7)&1 == 1

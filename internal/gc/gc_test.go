@@ -301,7 +301,7 @@ func TestOutputSelect2PC(t *testing.T) {
 				t.Fatal(err)
 			}
 			gb := garble(c, testKey, prf.NewPRG(prf.Seed{byte(bits), byte(trial)}), priv, false, nil)
-			got, _, err := evaluate(c, 0, gb.msg, activeLabels(gb, ebits))
+			got, _, err := evaluate(c, 0, 0, gb.msg, activeLabels(gb, ebits))
 			if err != nil {
 				t.Fatal(err)
 			}

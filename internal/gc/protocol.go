@@ -98,10 +98,10 @@ func runGarbler(conn transport.Conn, otSend *ot.Sender, c *Circuit, inputs, priv
 }
 
 // keyOver returns the key of c garbled over the label batch b of otSend:
-// the sender's Δ and the tweak base of b's serial.
+// the sender's Δ, its stream word and the tweak base of b's serial.
 func keyOver(c *Circuit, otSend *ot.Sender, b *ot.DeltaBatch) (circuitKey, error) {
 	base, err := c.tweakBase(b.Serial)
-	return circuitKey{delta: otSend.Delta(), base: base}, err
+	return circuitKey{delta: otSend.Delta(), word: otSend.Word(), base: base}, err
 }
 
 // RunEvaluator executes the 2PC evaluation of c as the evaluating party.
@@ -127,7 +127,7 @@ func RunEvaluator(conn transport.Conn, otRecv *ot.Receiver, c *Circuit, inputs [
 	if err != nil {
 		return nil, err
 	}
-	out, masked, err := evaluate(c, base, msg, labels)
+	out, masked, err := evaluate(c, otRecv.Word(), base, msg, labels)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,9 @@
 // Package mpc holds the per-party session context shared by every 2PC
 // protocol in this repository: the connection to the peer, the party's
 // role, the annotation ring, local randomness, and lazily established
-// OT-extension sessions in both directions, IKNP and KKRT.
+// OT-extension sessions in both directions, IKNP and KKRT — set up on
+// the party's own connection, or, for a stream of a Session, derived
+// from the session's one root.
 //
 // The convention throughout the repository follows the paper: the two
 // parties are Alice (role 0, the designated receiver of query results)
@@ -72,6 +74,10 @@ type Party struct {
 	// party: derived parties made by WithContext share it, so OT
 	// extension set up under one context keeps serving later runs.
 	sess *session
+
+	// ctx is the context of a WithContext view: it bounds the wait for
+	// a session's root.
+	ctx context.Context
 }
 
 // session is the context-independent part of a Party. The OT sessions
@@ -85,6 +91,13 @@ type session struct {
 	raw    transport.Conn
 	otSend *ot.Sender   // this party as OT sender
 	otRecv *ot.Receiver // this party as OT receiver
+
+	// root is the OT root of the Session whose stream the party runs on,
+	// nil for a party with no session; stream is that stream's id, and
+	// ended its transport.Ended.
+	root   *root
+	stream uint32
+	ended  <-chan struct{}
 
 	// KKRT extensions of the PSI's OPRF, one per orientation: this party
 	// as PSI sender (KKRT sender) and as PSI receiver.
@@ -111,8 +124,34 @@ func (p *Party) WithContext(ctx context.Context) (*Party, func()) {
 		return p, release
 	}
 	cp := *p
-	cp.Conn = wrapped
+	cp.Conn, cp.ctx = wrapped, ctx
 	return &cp, release
+}
+
+// OnSession reports whether p runs on a stream of a Session: its OT
+// extensions then come from the session's root, and its plan's setup
+// steps move nothing on its own connection (core.Plan.OnSession).
+func (p *Party) OnSession() bool { return p.state().root != nil }
+
+// ends returns p's extension state. On a stream of a Session, the first
+// OT need derives all four of the party's ends from the session's root,
+// waiting for the root first: they share its keys and run in the window
+// and under the word of the party's stream (ot.Sender.Stream), so the
+// derivation exchanges nothing.
+func (p *Party) ends() (*session, error) {
+	st := p.state()
+	if st.root == nil || st.otSend != nil {
+		return st, nil
+	}
+	r, err := st.root.wait(p.ctx, st.ended)
+	if err != nil {
+		return nil, fmt.Errorf("mpc: %v stream %d: %w", p.Role, st.stream, err)
+	}
+	st.otSend = r.otSend.Stream(st.raw, st.stream)
+	st.otRecv = r.otRecv.Stream(st.raw, st.stream)
+	st.kkrtSend = r.kkrtSend.Stream(st.raw, st.stream)
+	st.kkrtRecv = r.kkrtRecv.Stream(st.raw, st.stream)
+	return st, nil
 }
 
 // state returns the shared session, initializing it for parties built
@@ -128,12 +167,15 @@ func (p *Party) state() *session {
 // on first use. The peer must call OTReceiver at the matching point of the
 // protocol. The first direction a party pair sets up runs the public-key
 // base OTs; the second is derived from the first (ot.Receiver.Reverse),
-// so a pair never runs a second P-256 batch.
+// so a pair never runs a second P-256 batch. A stream of a Session
+// derives every end from the session's root instead (ends).
 func (p *Party) OTSender() (*ot.Sender, error) {
-	st := p.state()
+	st, err := p.ends()
+	if err != nil {
+		return nil, err
+	}
 	if st.otSend == nil {
 		var s *ot.Sender
-		var err error
 		if st.otRecv != nil {
 			s, err = st.otRecv.Reverse()
 		} else {
@@ -151,10 +193,12 @@ func (p *Party) OTSender() (*ot.Sender, error) {
 // it on first use: by base OTs, or derived from the sending session when
 // that exists (ot.Sender.Reverse).
 func (p *Party) OTReceiver() (*ot.Receiver, error) {
-	st := p.state()
+	st, err := p.ends()
+	if err != nil {
+		return nil, err
+	}
 	if st.otRecv == nil {
 		var r *ot.Receiver
-		var err error
 		if st.otSend != nil {
 			r, err = st.otSend.Reverse()
 		} else {
@@ -174,7 +218,10 @@ func (p *Party) OTReceiver() (*ot.Receiver, error) {
 // the OT receiver (ot.NewKKRTSender): no public-key work, and never from
 // the pool. The peer must call KKRTReceiver at the matching point.
 func (p *Party) KKRTSender() (*ot.KKRTSender, error) {
-	st := p.state()
+	st, err := p.ends()
+	if err != nil {
+		return nil, err
+	}
 	if st.kkrtSend == nil {
 		rcv, err := p.OTReceiver()
 		if err != nil {
@@ -194,7 +241,10 @@ func (p *Party) KKRTSender() (*ot.KKRTSender, error) {
 // IKNP direction in which this party is the OT sender
 // (ot.NewKKRTReceiver).
 func (p *Party) KKRTReceiver() (*ot.KKRTReceiver, error) {
-	st := p.state()
+	st, err := p.ends()
+	if err != nil {
+		return nil, err
+	}
 	if st.kkrtRecv == nil {
 		snd, err := p.OTSender()
 		if err != nil {

@@ -300,19 +300,19 @@ func TestTiledExpansionMatchesMatrixPath(t *testing.T) {
 				for j, c := range choices {
 					var row prf.Block
 					tt.RowBytesInto(row[:], j)
-					derivePad(pad, idx+uint64(j), row)
+					derivePad(pad, 0, idx+uint64(j), row)
 					if !bytes.Equal(rc[j*msgLen:(j+1)*msgLen], pad) {
 						t.Fatalf("workers=%d m=%d len=%d: receiver pad %d differs from the matrix path", workers, m, msgLen, j)
 					}
 					if c {
 						prf.XORBytes(row[:], row[:], delta[:])
 					}
-					derivePad(pad, idx+uint64(j), row)
+					derivePad(pad, 0, idx+uint64(j), row)
 					if !bytes.Equal(res.r0[j*msgLen:(j+1)*msgLen], pad) {
 						t.Fatalf("workers=%d m=%d len=%d: sender pad 0 of %d differs from the matrix path", workers, m, msgLen, j)
 					}
 					prf.XORBytes(row[:], row[:], delta[:])
-					derivePad(pad, idx+uint64(j), row)
+					derivePad(pad, 0, idx+uint64(j), row)
 					if !bytes.Equal(res.r1[j*msgLen:(j+1)*msgLen], pad) {
 						t.Fatalf("workers=%d m=%d len=%d: sender pad 1 of %d differs from the matrix path", workers, m, msgLen, j)
 					}
@@ -395,7 +395,7 @@ func TestKKRTMatchesMatrixPath(t *testing.T) {
 				want, got := make([]byte, outLen), make([]byte, outLen)
 				for j := 0; j < m; j++ {
 					rows.RowBytesInto(row[:], j)
-					kkrtHash(want, idx+uint64(j), row[:])
+					kkrtHash(want, 0, idx+uint64(j), row[:])
 					if !bytes.Equal(out[j*outLen:(j+1)*outLen], want) {
 						t.Fatalf("workers=%d m=%d: receiver output %d differs from the matrix path", workers, m, j)
 					}
@@ -404,7 +404,7 @@ func TestKKRTMatchesMatrixPath(t *testing.T) {
 					for b := range row {
 						row[b] ^= code[b] & ks.s[b]
 					}
-					kkrtHash(want, idx+uint64(j), row[:])
+					kkrtHash(want, 0, idx+uint64(j), row[:])
 					if keys.Eval(got, j, &code); !bytes.Equal(got, want) {
 						t.Fatalf("workers=%d m=%d: sender Eval %d differs from the matrix path", workers, m, j)
 					}

@@ -20,19 +20,27 @@ const kappa = 128
 // setup (κ base OTs in the reverse direction and the receiver's GGM
 // corrections), every batch — random, correlated or chosen-message
 // (correlated.go) — uses only symmetric cryptography and at most one
-// round trip.
+// round trip. The keys the setup produced may serve many streams
+// (Sender.Stream); the rest is the stream's own.
 type Sender struct {
 	conn transport.Conn
-	s    [kappa / 8]byte // Δ: every chunk's punctured leaf, packed, chunk j at bits [kj, kj+k); XORed into q-rows for pad 1; bit lsbBit is 1
+	*senderKeys
+	stream uint32      // the stream this end serves: its keystream window and hash word
+	off    uint64      // byte offset of the next batch in every leaf's stream, inside the window
+	idx    uint64      // the stream's OT counter, for hash tweak freshness
+	serial uint64      // Δ-OT batches opened so far (delta.go)
+	q      []prf.Block // a direct Δ-OT batch's rows (delta.go); grow-only
+	pool   Pool        // precomputed random-OT batches (random.go)
+}
+
+// senderKeys is what a direction's setup gives its sender, read-only
+// afterwards.
+type senderKeys struct {
+	s [kappa / 8]byte // Δ: every chunk's punctured leaf, packed, chunk j at bits [kj, kj+k); XORed into q-rows for pad 1; bit lsbBit is 1
 	// leaves holds the AES-CTR schedules of the 2^k − 1 leaves every
 	// chunk's punctured tree reveals, expanded once at setup: chunk j's
 	// leaf x at index j·(2^k − 1) + (x ⊕ Δ_j) − 1.
 	leaves [chunks * (chunkLeaves - 1)]prf.CTR
-	off    uint64      // byte offset of the next batch in every leaf's stream
-	idx    uint64      // global OT counter, for hash tweak freshness
-	serial uint64      // Δ-OT batches opened so far (delta.go)
-	q      []prf.Block // a direct Δ-OT batch's rows (delta.go); grow-only
-	pool   Pool        // precomputed random-OT batches (random.go)
 }
 
 // Receiver is the choosing endpoint of an OT-extension session. It
@@ -40,12 +48,67 @@ type Sender struct {
 // schedules per batch, inside the chunk's worker.
 type Receiver struct {
 	conn   transport.Conn
-	leaves [chunks][chunkLeaves]prf.Seed // chunk j's leaf x
-	off    uint64                        // byte offset of the next batch in every leaf's stream
-	idx    uint64                        // global OT counter, equal to the sender's
-	serial uint64                        // Δ-OT batches opened so far, equal to the sender's
-	t      []byte                        // the last batch's T, column-major, and a direct Δ-OT batch's rows; grow-only
+	leaves *[chunks][chunkLeaves]prf.Seed // chunk j's leaf x; read-only after setup
+	stream uint32
+	off    uint64 // byte offset of the next batch in every leaf's stream, inside the window
+	idx    uint64 // the stream's OT counter, equal to the sender's
+	serial uint64 // Δ-OT batches opened so far, equal to the sender's
+	t      []byte // the last batch's T, column-major, and a direct Δ-OT batch's rows; grow-only
 	pool   Pool
+}
+
+// Stream returns an end of s's extension for stream id on conn: it
+// shares s's keys and owns its counters, pool and scratch. Its batches
+// expand the keystream window of id (windowStart) and hash under the
+// word id, so no two streams of one set of keys ever expand the same
+// keystream bytes or query π at the same (input, tweak) (DESIGN.md §3).
+// The peer calls Receiver.Stream with the same id.
+func (s *Sender) Stream(conn transport.Conn, id uint32) *Sender {
+	return &Sender{conn: conn, senderKeys: s.senderKeys, stream: id, off: windowStart(id)}
+}
+
+// Stream is Sender.Stream's peer: an end of r's extension for stream id.
+func (r *Receiver) Stream(conn transport.Conn, id uint32) *Receiver {
+	return &Receiver{conn: conn, leaves: r.leaves, stream: id, off: windowStart(id)}
+}
+
+// Word returns the stream word the sender's Δ-correlated hashes carry:
+// its stream id. A garbler keys its circuits' hashes with it (gc).
+func (s *Sender) Word() prf.Word { return prf.Word(s.stream) }
+
+// Word returns the receiver's stream word, the sender's.
+func (r *Receiver) Word() prf.Word { return prf.Word(r.stream) }
+
+// windowBytes is the length of a stream's window in every leaf's (and
+// every KKRT column's) keystream: stream id owns bytes [id·2^32,
+// (id+1)·2^32), 2^35 OTs.
+const windowBytes = 1 << 32
+
+// windowStart returns the first keystream byte of stream id's window.
+func windowStart(id uint32) uint64 { return uint64(id) << 32 }
+
+// WindowError reports a batch that would run past the end of its
+// stream's keystream window. A stream never wraps into the next one's
+// window: its batches would repeat another stream's OTs.
+type WindowError struct {
+	Stream uint32
+	Need   uint64 // keystream bytes the batch needs
+	Left   uint64 // bytes left in the window
+}
+
+func (e *WindowError) Error() string {
+	return fmt.Sprintf("ot: stream %d has %d bytes of keystream window left, a batch needs %d", e.Stream, e.Left, e.Need)
+}
+
+// fits reports, as a *WindowError, a batch of n keystream bytes that
+// does not fit in the rest of stream id's window from off. Both ends
+// check before a batch's first message, so they refuse the same batch.
+func fits(off uint64, id uint32, n uint64) error {
+	// Modulo 2^64, which the last window's end reaches.
+	if left := windowStart(id) + windowBytes - off; n > left {
+		return &WindowError{Stream: id, Need: n, Left: left}
+	}
+	return nil
 }
 
 // randomBits draws n uniform bits from a fresh seed.
@@ -90,7 +153,7 @@ func NewSender(conn transport.Conn) (*Sender, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ot: sender setup: %w", err)
 	}
-	return recvTrees(conn, c, seeds)
+	return recvTrees(conn, 0, c, seeds)
 }
 
 // NewReceiver runs the base-OT setup (acting as base-OT *sender*; the
@@ -101,24 +164,28 @@ func NewReceiver(conn transport.Conn) (*Receiver, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ot: receiver setup: %w", err)
 	}
-	return sendTrees(conn, pairs)
+	return sendTrees(conn, 0, pairs)
 }
 
 // recvTrees receives the GGM corrections of a new direction, exactly
-// treeBytes, and builds its sender from the base OTs' choice bits c
-// and chosen seeds.
-func recvTrees(conn transport.Conn, c []bool, seeds []prf.Seed) (*Sender, error) {
+// treeBytes, and builds its sender for stream id from the base OTs'
+// choice bits c and chosen seeds.
+func recvTrees(conn transport.Conn, id uint32, c []bool, seeds []prf.Seed) (*Sender, error) {
 	corr, err := transport.RecvSized(conn, "ot: GGM corrections", treeBytes)
 	if err != nil {
 		return nil, err
 	}
-	return newSender(conn, c, seeds, corr), nil
+	s := newSender(conn, c, seeds, corr)
+	s.stream, s.off = id, windowStart(id)
+	return s, nil
 }
 
-// sendTrees builds a new direction's receiver from the base OTs' seed
-// pairs and sends the GGM corrections its peer's sender needs.
-func sendTrees(conn transport.Conn, pairs [][2]prf.Seed) (*Receiver, error) {
+// sendTrees builds a new direction's receiver for stream id from the
+// base OTs' seed pairs and sends the GGM corrections its peer's sender
+// needs.
+func sendTrees(conn transport.Conn, id uint32, pairs [][2]prf.Seed) (*Receiver, error) {
 	r, corr := newReceiver(conn, pairs)
+	r.stream, r.off = id, windowStart(id)
 	if err := conn.Send(corr); err != nil {
 		return nil, err
 	}
@@ -162,14 +229,14 @@ func (s *Sender) derivedBase(w int) ([][2]prf.Seed, error) {
 // sender's base-OT output, and the peer, the new
 // receiver, answers with its GGM corrections. The peer calls
 // Sender.Reverse at the same protocol point; it costs DeriveCost, one
-// message each way.
+// message each way. The new direction serves r's stream.
 func (r *Receiver) Reverse() (*Sender, error) {
 	c := senderChoices()
 	seeds, err := r.derivedBase(c)
 	if err != nil {
 		return nil, fmt.Errorf("ot: derived sender setup: %w", err)
 	}
-	s, err := recvTrees(r.conn, c, seeds)
+	s, err := recvTrees(r.conn, r.stream, c, seeds)
 	if err != nil {
 		return nil, fmt.Errorf("ot: derived sender setup: %w", err)
 	}
@@ -184,7 +251,7 @@ func (s *Sender) Reverse() (*Receiver, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ot: derived receiver setup: %w", err)
 	}
-	r, err := sendTrees(s.conn, pairs)
+	r, err := sendTrees(s.conn, s.stream, pairs)
 	if err != nil {
 		return nil, fmt.Errorf("ot: derived receiver setup: %w", err)
 	}
@@ -200,44 +267,46 @@ const padBatch = 64
 // columns is 16 KiB, small enough to live on its worker's stack.
 const tileBytes = 128
 
-// otTweak maps the session-global OT instance counter into the OT
+// otTweak maps the stream's OT instance counter into the OT
 // extension's tweak domain of the fixed-key permutation (see the Site*
-// scheme in prf/fixedkey.go). The two pads of one instance — rows q_j
-// and q_j ⊕ s — share the tweak by design: that correlated pair is the
-// correlation-robustness game the MMO hash is assumed to win.
+// scheme in prf/fixedkey.go); the stream word is the tweak's high
+// word. The two pads of one instance — rows q_j and q_j ⊕ s — share the
+// tweak by design: that correlated pair is the correlation-robustness
+// game the MMO hash is assumed to win.
 func otTweak(idx uint64) uint64 { return prf.SiteOT | idx }
 
-// derivePad writes the len(dst)-byte pad of OT instance idx into dst:
-// the fixed-key AES MMO hash of the instance's κ-bit row, truncated for
-// narrower messages and KDF-expanded (HashToWidthAES) for wider ones.
-// Every branch is allocation-free, so callers can pass stack buffers.
-func derivePad(dst []byte, idx uint64, row prf.Block) {
+// derivePad writes the len(dst)-byte pad of OT instance idx of the
+// stream with word w into dst: the fixed-key AES MMO hash of the
+// instance's κ-bit row, truncated for narrower messages and
+// KDF-expanded (HashToWidthAES) for wider ones. Every branch is
+// allocation-free, so callers can pass stack buffers.
+func derivePad(dst []byte, w prf.Word, idx uint64, row prf.Block) {
 	if len(dst) <= 16 {
-		h := prf.HashBlock(row, otTweak(idx))
+		h := w.HashBlock(row, otTweak(idx))
 		copy(dst, h[:len(dst)])
 		return
 	}
-	prf.HashToWidthAES(dst, row, otTweak(idx))
+	w.HashToWidthAES(dst, row, otTweak(idx))
 }
 
 // hashPads derives the pads of the n ≤ padBatch instances [base,
 // base+n) of a batch from their rows: instance base+k's key is rows[k],
-// hashed under tweak idx+base+k, and its pad lands at
+// hashed under tweak (w, idx+base+k), and its pad lands at
 // dst[(base+k)·msgLen:]. Pads of at most one block — the 16-byte labels,
 // the ⌈2ℓ/8⌉-byte switch payloads, the ℓ/8-byte products of share
 // multiplication — run the batched HashBlocks kernel, one AES sweep per
 // block of instances, truncated to msgLen; wider ones fall back to
 // per-instance derivation. Zero heap allocations either way.
-func hashPads(dst []byte, rows *[padBatch]prf.Block, n, base int, idx uint64, msgLen int) {
+func hashPads(dst []byte, rows *[padBatch]prf.Block, n, base int, w prf.Word, idx uint64, msgLen int) {
 	if msgLen > 16 {
 		for k := 0; k < n; k++ {
 			off := (base + k) * msgLen
-			derivePad(dst[off:off+msgLen], idx+uint64(base+k), rows[k])
+			derivePad(dst[off:off+msgLen], w, idx+uint64(base+k), rows[k])
 		}
 		return
 	}
 	var out [padBatch]prf.Block
-	prf.HashBlocks(out[:n], rows[:n], otTweak(idx+uint64(base)), 1)
+	w.HashBlocks(out[:n], rows[:n], otTweak(idx+uint64(base)), 1)
 	for k := 0; k < n; k++ {
 		off := (base + k) * msgLen
 		copy(dst[off:off+msgLen], out[k][:])

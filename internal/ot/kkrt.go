@@ -50,28 +50,44 @@ const KKRTWidth = 512
 const KKRTCodeBytes = KKRTWidth / 8
 
 // kkrtDomain is the SHA-256 domain of the KKRT output hash; the low bits
-// carry the extension-global instance index. The base OTs' seed hash
-// (keySeed) uses domains below their batch size, so the two never meet.
+// carry the stream's instance index, and the stream word follows the
+// row (prf.Word.HashInto). The base OTs' seed hash (keySeed) uses
+// domains below their batch size, so the two never meet.
 const kkrtDomain = uint64(1) << 63
 
 // KKRTSender is the OPRF-key-holding endpoint of a KKRT extension: the
 // PSI sender, who evaluates F_j at every key of his bin.
 type KKRTSender struct {
-	conn  transport.Conn
-	s     [KKRTCodeBytes]byte // the KKRTWidth secret choice bits of the base OTs, packed
-	seeds []prf.Seed          // k_i^{s_i}, one AES-CTR key per column
-	off   uint64              // byte offset of the next batch in every column's stream
-	idx   uint64              // extension-global instance counter, for the hash domain
+	conn   transport.Conn
+	s      [KKRTCodeBytes]byte // the KKRTWidth secret choice bits of the base OTs, packed
+	seeds  []prf.Seed          // k_i^{s_i}, one AES-CTR key per column; read-only after setup
+	stream uint32              // the stream this end serves: its keystream window and hash word
+	off    uint64              // byte offset of the next batch in every column's stream, inside the window
+	idx    uint64              // the stream's instance counter, for the hash domain
 }
 
 // KKRTReceiver is the input-holding endpoint: the PSI receiver, who
 // learns F_j(x_j) for her one input per instance and nothing else.
 type KKRTReceiver struct {
-	conn  transport.Conn
-	pairs [][2]prf.Seed // (k_i^0, k_i^1), one AES-CTR key pair per column
-	off   uint64
-	idx   uint64
-	t     []byte // the last batch's T, column-major; grow-only
+	conn   transport.Conn
+	pairs  [][2]prf.Seed // (k_i^0, k_i^1), one AES-CTR key pair per column; read-only after setup
+	stream uint32
+	off    uint64
+	idx    uint64
+	t      []byte // the last batch's T, column-major; grow-only
+}
+
+// Stream returns an end of k's extension for stream id on conn, as
+// Sender.Stream does: k's column keys and s, its own counters and
+// scratch, the keystream window of id and the hash word id. The peer
+// calls KKRTReceiver.Stream with the same id.
+func (k *KKRTSender) Stream(conn transport.Conn, id uint32) *KKRTSender {
+	return &KKRTSender{conn: conn, s: k.s, seeds: k.seeds, stream: id, off: windowStart(id)}
+}
+
+// Stream is KKRTSender.Stream's peer.
+func (r *KKRTReceiver) Stream(conn transport.Conn, id uint32) *KKRTReceiver {
+	return &KKRTReceiver{conn: conn, pairs: r.pairs, stream: id, off: windowStart(id)}
 }
 
 // The column keys are kept as seeds and expanded once per batch inside
@@ -86,14 +102,14 @@ type KKRTReceiver struct {
 // NewKKRTReceiver on its Sender at the same protocol point. Like
 // Receiver.Reverse, the batch never comes from the pool, so precomputed
 // batches stay aligned; it costs KKRTSetupCost, one message from r's end
-// to the peer.
+// to the peer. The new extension serves r's stream.
 func NewKKRTSender(r *Receiver) (*KKRTSender, error) {
 	s := randomBits(KKRTWidth)
 	seeds, err := r.derivedBase(s)
 	if err != nil {
 		return nil, fmt.Errorf("ot: KKRT sender setup: %w", err)
 	}
-	k := &KKRTSender{conn: r.conn, seeds: seeds}
+	k := &KKRTSender{conn: r.conn, seeds: seeds, stream: r.stream, off: windowStart(r.stream)}
 	packBits(k.s[:], s)
 	return k, nil
 }
@@ -105,13 +121,14 @@ func NewKKRTReceiver(s *Sender) (*KKRTReceiver, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ot: KKRT receiver setup: %w", err)
 	}
-	return &KKRTReceiver{conn: s.conn, pairs: pairs}, nil
+	return &KKRTReceiver{conn: s.conn, pairs: pairs, stream: s.stream, off: windowStart(s.stream)}, nil
 }
 
 // kkrtHash writes H(idx, row) into dst (at most 32 bytes): SHA-256 over
-// the whole KKRTWidth-bit row under the instance's domain.
-func kkrtHash(dst []byte, idx uint64, row []byte) {
-	prf.HashInto(dst, kkrtDomain|idx, row)
+// the whole KKRTWidth-bit row under the instance's domain and the
+// stream word w.
+func kkrtHash(dst []byte, w prf.Word, idx uint64, row []byte) {
+	w.HashInto(dst, kkrtDomain|idx, row)
 }
 
 // Receive runs one batch of len(codes)/KKRTCodeBytes instances on the
@@ -126,9 +143,12 @@ func (r *KKRTReceiver) Receive(codes []byte, outLen int) ([]byte, error) {
 	if m == 0 {
 		return nil, nil
 	}
+	colBytes := (m + 7) / 8
+	if err := fits(r.off, r.stream, uint64(colBytes)); err != nil {
+		return nil, err
+	}
 	sp := kKKRTRecv.Begin()
 	defer sp.EndN(int64(m))
-	colBytes := (m + 7) / 8
 	t := growBytes(&r.t, KKRTWidth*colBytes)
 	eachBlock(m, func(base, n int) {
 		blockCols(t, codes[base*KKRTCodeBytes:(base+n)*KKRTCodeBytes], KKRTWidth, colBytes, base)
@@ -146,7 +166,7 @@ func (r *KKRTReceiver) Receive(codes []byte, outLen int) ([]byte, error) {
 		blockRows(rows[:n*KKRTCodeBytes], t, KKRTWidth, colBytes, base)
 		for k := 0; k < n; k++ {
 			j := base + k
-			kkrtHash(out[j*outLen:(j+1)*outLen], idx+uint64(j), rows[k*KKRTCodeBytes:(k+1)*KKRTCodeBytes])
+			kkrtHash(out[j*outLen:(j+1)*outLen], prf.Word(r.stream), idx+uint64(j), rows[k*KKRTCodeBytes:(k+1)*KKRTCodeBytes])
 		}
 	})
 	r.idx += uint64(m)
@@ -156,20 +176,24 @@ func (r *KKRTReceiver) Receive(codes []byte, outLen int) ([]byte, error) {
 // KKRTKeys are the sender's output of one batch: the rows q_j and s,
 // which evaluate F_j at any code word.
 type KKRTKeys struct {
-	q   []byte // row j is q_j, KKRTCodeBytes at q[j·KKRTCodeBytes:]
-	s   *[KKRTCodeBytes]byte
-	idx uint64 // instance index of row 0
+	q    []byte // row j is q_j, KKRTCodeBytes at q[j·KKRTCodeBytes:]
+	s    *[KKRTCodeBytes]byte
+	word prf.Word // the stream word of the output hash
+	idx  uint64   // instance index of row 0
 }
 
 // Send receives the correction matrix of a batch of m instances, turns
 // it into Q in place and returns Q's rows as the batch's keys.
 func (k *KKRTSender) Send(m int) (*KKRTKeys, error) {
 	if m == 0 {
-		return &KKRTKeys{s: &k.s, idx: k.idx}, nil
+		return &KKRTKeys{s: &k.s, word: prf.Word(k.stream), idx: k.idx}, nil
+	}
+	colBytes := (m + 7) / 8
+	if err := fits(k.off, k.stream, uint64(colBytes)); err != nil {
+		return nil, err
 	}
 	sp := kKKRTSend.Begin()
 	defer sp.EndN(int64(m))
-	colBytes := (m + 7) / 8
 	q, err := transport.RecvSized(k.conn, "ot: KKRT matrix", KKRTWidth*colBytes)
 	if err != nil {
 		return nil, err
@@ -192,7 +216,7 @@ func (k *KKRTSender) Send(m int) (*KKRTKeys, error) {
 		}
 	})
 	k.off += uint64(colBytes)
-	keys := &KKRTKeys{q: make([]byte, m*KKRTCodeBytes), s: &k.s, idx: k.idx}
+	keys := &KKRTKeys{q: make([]byte, m*KKRTCodeBytes), s: &k.s, word: prf.Word(k.stream), idx: k.idx}
 	eachBlock(m, func(base, n int) {
 		blockRows(keys.q[base*KKRTCodeBytes:(base+n)*KKRTCodeBytes], q, KKRTWidth, colBytes, base)
 	})
@@ -211,5 +235,5 @@ func (ks *KKRTKeys) Eval(dst []byte, j int, c *[KKRTCodeBytes]byte) {
 	for w := 0; w < KKRTCodeBytes; w += 8 {
 		le.PutUint64(row[w:], le.Uint64(q[w:])^le.Uint64(c[w:])&le.Uint64(ks.s[w:]))
 	}
-	kkrtHash(dst, ks.idx+uint64(j), row[:])
+	kkrtHash(dst, ks.word, ks.idx+uint64(j), row[:])
 }

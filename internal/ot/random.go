@@ -132,6 +132,7 @@ func (r *Receiver) Pool() *Pool { return &r.pool }
 type rowSink struct {
 	r0, r1 []byte // the pads, msgLen bytes per instance
 	msgLen int
+	word   prf.Word    // the stream word of the pads' tweaks
 	idx    uint64      // the OT index of the batch's first instance
 	q      []prf.Block // a Δ-OT batch's rows; nil for pads
 }
@@ -142,11 +143,11 @@ func (o *rowSink) put(rows *[padBatch]prf.Block, n, base int, delta *[kappa / 8]
 		copy(o.q[base:base+n], rows[:n])
 		return
 	}
-	hashPads(o.r0, rows, n, base, o.idx, o.msgLen)
+	hashPads(o.r0, rows, n, base, o.word, o.idx, o.msgLen)
 	for j := range rows[:n] {
 		prf.XORBytes(rows[j][:], rows[j][:], delta[:])
 	}
-	hashPads(o.r1, rows, n, base, o.idx, o.msgLen)
+	hashPads(o.r1, rows, n, base, o.word, o.idx, o.msgLen)
 }
 
 // expand runs the input-independent half of one extension batch of m OTs
@@ -158,9 +159,13 @@ func (o *rowSink) put(rows *[padBatch]prf.Block, n, base int, delta *[kappa / 8]
 // (chunkTile, from the leaf schedules expanded at setup) and takes the
 // rows straight out of its 64×64 transpose blocks, so no κ×m matrix and
 // no transpose of one is ever built. The outputs and the wire message
-// are the only O(m) allocations.
+// are the only O(m) allocations. A batch past the stream's keystream
+// window is a *WindowError, before anything is received.
 func (s *Sender) expand(m int, out *rowSink) error {
 	rowBytes := int(padTo64(m)) / 8
+	if err := fits(s.off, s.stream, streamAdvance(rowBytes)); err != nil {
+		return err
+	}
 	u, err := transport.RecvSized(s.conn, "ot: extension matrix", chunks*rowBytes)
 	if err != nil {
 		return err
@@ -197,7 +202,7 @@ func (s *Sender) randomPads(m, msgLen int) ([]byte, []byte, error) {
 	if msgLen <= 0 {
 		return nil, nil, fmt.Errorf("ot: random-OT message length %d", msgLen)
 	}
-	out := rowSink{r0: make([]byte, m*msgLen), r1: make([]byte, m*msgLen), msgLen: msgLen, idx: s.idx}
+	out := rowSink{r0: make([]byte, m*msgLen), r1: make([]byte, m*msgLen), msgLen: msgLen, word: s.Word(), idx: s.idx}
 	if err := s.expand(m, &out); err != nil {
 		return nil, nil, err
 	}
@@ -212,9 +217,13 @@ func (s *Sender) randomPads(m, msgLen int) ([]byte, []byte, error) {
 // choice input is the choice vector r, padded to whole words with zero
 // bits, as KKRT pads its codes: those instances are discarded. u leaves
 // before the caller reads a row, so the peer's derivation overlaps this
-// end's.
+// end's. A batch past the stream's keystream window is a *WindowError,
+// before anything is sent.
 func (r *Receiver) expand(choices []bool, extra int) (t, scratch []byte, rowBytes int, err error) {
 	rowBytes = int(padTo64(len(choices))) / 8
+	if err := fits(r.off, r.stream, streamAdvance(rowBytes)); err != nil {
+		return nil, nil, 0, err
+	}
 	x := make([]byte, rowBytes)
 	packBits(x, choices)
 	buf, u := growBytes(&r.t, kappa*rowBytes+extra), make([]byte, chunks*rowBytes)
@@ -240,7 +249,7 @@ func (r *Receiver) randomPads(choices []bool, msgLen int) ([]byte, error) {
 	eachBlock(m, func(base, n int) {
 		var rows [padBatch]prf.Block
 		blockRows(prf.BlockBytes(rows[:]), t, kappa, rowBytes, base)
-		hashPads(rc, &rows, n, base, idx, msgLen)
+		hashPads(rc, &rows, n, base, r.Word(), idx, msgLen)
 	})
 	r.idx += padTo64(m)
 	return rc, nil

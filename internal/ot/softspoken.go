@@ -74,7 +74,7 @@ func xorSeed(a, b prf.Seed) prf.Seed {
 // ℓ's node p (an ℓ-bit prefix of a leaf index, first level in bit 0)
 // sits at index p, and its children at p and p + 2^ℓ.
 func newReceiver(conn transport.Conn, pairs [][2]prf.Seed) (*Receiver, []byte) {
-	r := &Receiver{conn: conn}
+	r := &Receiver{conn: conn, leaves: new([chunks][chunkLeaves]prf.Seed)}
 	corr := make([]byte, 0, treeBytes)
 	for j := range r.leaves {
 		nodes := &r.leaves[j]
@@ -104,7 +104,7 @@ func newReceiver(conn transport.Conn, pairs [][2]prf.Seed) (*Receiver, []byte) {
 // sibling of the path from base OT ℓ's chosen seed, the corrections and
 // the known nodes of that side.
 func newSender(conn transport.Conn, c []bool, seeds []prf.Seed, corr []byte) *Sender {
-	s := &Sender{conn: conn}
+	s := &Sender{conn: conn, senderKeys: new(senderKeys)}
 	for j := 0; j < chunks; j++ {
 		base, bits := seeds[j*chunkBits:(j+1)*chunkBits], c[j*chunkBits:(j+1)*chunkBits]
 		delta := 0

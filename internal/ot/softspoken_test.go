@@ -77,7 +77,7 @@ func TestSoftSpokenSetupIsSizeChecked(t *testing.T) {
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		snd, err := recvTrees(a, c, seeds)
+		snd, err := recvTrees(a, 0, c, seeds)
 		runtime.ReadMemStats(&after)
 		var se *transport.SizeError
 		if snd != nil || !errors.As(err, &se) || se.Got != n || se.Want != treeBytes {
@@ -130,7 +130,7 @@ func FuzzSoftSpokenSetup(f *testing.F) {
 		if err := b.Send(bytes.Clone(data)); err != nil {
 			t.Fatal(err)
 		}
-		snd, err := recvTrees(a, c, seeds)
+		snd, err := recvTrees(a, 0, c, seeds)
 		if len(data) != treeBytes {
 			var se *transport.SizeError
 			if snd != nil || !errors.As(err, &se) || se.Got != len(data) || se.Want != treeBytes {

@@ -34,16 +34,17 @@ func init() {
 }
 
 // Tweak-site constants. One fixed permutation π serves every MMO-style
-// hash in the repository, so the 64-bit tweak space is partitioned by
-// its top two bits into per-call-site domains; no two sites can ever
-// issue the same (input, tweak) query to π. Within a site the low 62
-// bits are owned by the caller:
+// hash in the repository. A tweak is 128 bits: a low word, whose 64-bit
+// space is partitioned by its top two bits into per-call-site domains,
+// and a high word, the stream word (Word). No two sites can ever issue
+// the same (input, tweak) query to π. Within a site the low 62 bits are
+// owned by the caller:
 //
-//	SiteGC:  the half-gates garbler/evaluator; the tweak of a gate is
+//	SiteGC:  the garbler/evaluator; the tweak of a gate is
 //	         its circuit slot's index times the tweaks one slot consumes,
-//	         plus the gate's running count within the slot (AND gates
-//	         consume two consecutive tweaks, ANDG one) — unique per gate
-//	         half across the circuit. Kept at prefix 0 so garbled tables
+//	         plus the gate's running count within the slot (an AND gate
+//	         consumes three consecutive tweaks, an ANDG one) — unique per
+//	         hash across the circuit. Kept at prefix 0 so garbled tables
 //	         are bit-identical to the pre-partition scheme. Gate tweaks
 //	         stay below 2^61, so the upper half of the site is free:
 //	SitePay: the payloads of a garbled circuit (gc.Builder's
@@ -54,10 +55,10 @@ func init() {
 //	         1-label, and a select's second pad that of its 0-label under
 //	         the same tweak, as a half gate hashes both labels of a wire.
 //	SiteOT:  IKNP break-correlation hashing and random-OT pad
-//	         derivation; the low bits carry the session-global OT
-//	         instance index. The two pads of instance j (rows q_j and
-//	         q_j ⊕ s) deliberately share one tweak — that pair is
-//	         exactly the correlation-robustness game.
+//	         derivation; the low bits carry the stream's OT instance
+//	         index. The two pads of instance j (rows q_j and q_j ⊕ s)
+//	         deliberately share one tweak — that pair is exactly the
+//	         correlation-robustness game.
 //	SitePSI: cuckoo/PSI hashing; the low bits carry the hash-function
 //	         index (0..2) for bin assignment, 4 for the PSI's hint-row
 //	         derivation and 5 for its KKRT code word C(x) (the first
@@ -67,6 +68,15 @@ func init() {
 //	         the whole 512-bit row, outside π.
 //	SiteKDF: wide-output expansion inside HashToWidthAES; the low bits
 //	         carry the block counter of the expanded stream.
+//
+// The high word is the stream word of the hashes whose inputs are
+// correlated under a secret that the streams of one session share: the
+// OT pads (SiteOT) and the gate and payload hashes (SiteGC, SitePay),
+// all keyed by an extension's Δ. Each stream counts its OT instances and
+// label batches from 0, so the word — the stream's id — is what keeps
+// two streams' queries apart. Every other site, and every hash outside
+// a session, uses word 0, under which a hash equals the 64-bit-tweak
+// hash it was before the word existed.
 const (
 	SiteGC  uint64 = 0 << 62
 	SiteOT  uint64 = 1 << 62
@@ -100,23 +110,38 @@ func Double(x Block) Block {
 	return out
 }
 
-// HashBlock is the MMO-style hash H(X, t) = π(2X ⊕ t) ⊕ 2X ⊕ t with the
-// tweak t encoded into the low 8 bytes. It is modeled as a circular
-// correlation-robust hash, the assumption required by free-XOR and
-// half-gates garbling and by the IKNP break-correlation step.
-func HashBlock(x Block, tweak uint64) Block {
+// Word is the high 64 bits of a 128-bit MMO tweak: the stream word (see
+// the site table above). Its methods are the hash kernels; the
+// package-level HashBlock, HashBlocks and HashToWidthAES are word 0.
+type Word uint64
+
+// tweak XORs the 128-bit tweak (w, lo) into d: lo into the low 8 bytes,
+// the word into the high 8.
+func (w Word) tweak(d *Block, lo uint64) {
+	binary.LittleEndian.PutUint64(d[8:], binary.LittleEndian.Uint64(d[8:])^lo)
+	binary.LittleEndian.PutUint64(d[:8], binary.LittleEndian.Uint64(d[:8])^uint64(w))
+}
+
+// HashBlock is the MMO-style hash H(X, t) = π(2X ⊕ t) ⊕ 2X ⊕ t for the
+// 128-bit tweak t = (w, tweak): GKWY20's tweakable
+// circular-correlation-robust form, the assumption required by free-XOR
+// and half-gates garbling and by the IKNP break-correlation step.
+func (w Word) HashBlock(x Block, tweak uint64) Block {
 	var scratch mmoScratch
 	s := (*mmoScratch)(noescape(unsafe.Pointer(&scratch)))
 	s.d = Double(x)
-	binary.LittleEndian.PutUint64(s.d[8:], binary.LittleEndian.Uint64(s.d[8:])^tweak)
+	w.tweak(&s.d, tweak)
 	fixedAES.Encrypt(s.e[:], s.d[:])
 	XORBlock(&s.e, s.e, s.d)
 	return s.e
 }
 
+// HashBlock is Word(0).HashBlock.
+func HashBlock(x Block, tweak uint64) Block { return Word(0).HashBlock(x, tweak) }
+
 // HashBlocks is the batched form of HashBlock: it sets
 //
-//	dst[i] = HashBlock(src[i], tweak + uint64(i)·step)
+//	dst[i] = w.HashBlock(src[i], tweak + uint64(i)·step)
 //
 // for every i, amortizing the doubling/tweak setup and bounds checks of
 // the per-call path across a whole IKNP column or PSI bin sweep. step 1
@@ -125,7 +150,7 @@ func HashBlock(x Block, tweak uint64) Block {
 // sweep). dst and src must have equal length and may be the same slice
 // (each block is read before it is written); the call performs no heap
 // allocation.
-func HashBlocks(dst, src []Block, tweak, step uint64) {
+func (w Word) HashBlocks(dst, src []Block, tweak, step uint64) {
 	if len(dst) != len(src) {
 		// Both are the caller's own buffers, sized by its batch, not by
 		// a peer message.
@@ -142,7 +167,7 @@ func HashBlocks(dst, src []Block, tweak, step uint64) {
 		for ; i+8 <= len(src); i += 8 {
 			for k := range db {
 				db[k] = Double(src[i+k])
-				binary.LittleEndian.PutUint64(db[k][8:], binary.LittleEndian.Uint64(db[k][8:])^t)
+				w.tweak(&db[k], t)
 				t += step
 			}
 			encryptBlocks8(&fixedRoundKeys, &eb, &db)
@@ -155,28 +180,35 @@ func HashBlocks(dst, src []Block, tweak, step uint64) {
 	s := (*mmoScratch)(noescape(unsafe.Pointer(&scratch)))
 	for ; i < len(src); i++ {
 		s.d = Double(src[i])
-		binary.LittleEndian.PutUint64(s.d[8:], binary.LittleEndian.Uint64(s.d[8:])^t)
+		w.tweak(&s.d, t)
 		fixedAES.Encrypt(s.e[:], s.d[:])
 		XORBlock(&dst[i], s.e, s.d)
 		t += step
 	}
 }
 
+// HashBlocks is Word(0).HashBlocks.
+func HashBlocks(dst, src []Block, tweak, step uint64) { Word(0).HashBlocks(dst, src, tweak, step) }
+
 // HashToWidthAES fills dst with the wide-output expansion of x under the
-// caller's tweak: the first block is H(x, tweak), and block k ≥ 1 is
-// H(h₀ ⊕ k, SiteKDF | k) — a KDF chain re-keyed by the first digest, so
-// the caller's tweak space is consumed exactly once per call no matter
-// how wide the output. It performs no heap allocation.
-func HashToWidthAES(dst []byte, x Block, tweak uint64) {
-	h0 := HashBlock(x, tweak)
+// caller's tweak: the first block is w.HashBlock(x, tweak), and block
+// k ≥ 1 is w.HashBlock(h₀ ⊕ k, SiteKDF | k) — a KDF chain re-keyed by
+// the first digest, so the caller's tweak space is consumed exactly once
+// per call no matter how wide the output. It performs no heap
+// allocation.
+func (w Word) HashToWidthAES(dst []byte, x Block, tweak uint64) {
+	h0 := w.HashBlock(x, tweak)
 	n := copy(dst, h0[:])
 	for k := uint64(1); n < len(dst); k++ {
 		in := h0
 		binary.LittleEndian.PutUint64(in[:8], binary.LittleEndian.Uint64(in[:8])^k)
-		h := HashBlock(in, SiteKDF|k)
+		h := w.HashBlock(in, SiteKDF|k)
 		n += copy(dst[n:], h[:])
 	}
 }
+
+// HashToWidthAES is Word(0).HashToWidthAES.
+func HashToWidthAES(dst []byte, x Block, tweak uint64) { Word(0).HashToWidthAES(dst, x, tweak) }
 
 // XORBlock sets *dst = a ^ b, as two 64-bit words: the free gates of a
 // garbled circuit are nothing but this.

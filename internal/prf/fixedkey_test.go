@@ -2,6 +2,7 @@ package prf
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"testing"
 )
@@ -291,4 +292,52 @@ func BenchmarkHashAES(b *testing.B) {
 			HashBlocks(dst, src, SiteOT|uint64(i), 1)
 		}
 	})
+}
+
+// TestWordIsTheTweaksHighLane pins the 128-bit tweak (w, t): the word
+// lands in the high 8 bytes of the doubled input exactly as t lands in
+// the low 8 — so w.HashBlock(x, t) is the word-0 hash of x with the
+// word folded into 2x's high lane — and word 0 is the package-level
+// hash. The batched and the width-expanding paths agree with the
+// per-block one under any word, and the SHA-256 path appends a nonzero
+// word after the data.
+func TestWordIsTheTweaksHighLane(t *testing.T) {
+	g := NewPRG(Seed{8})
+	x := g.Seed()
+	const w = Word(0x0123456789abcdef)
+	d := Double(Block(x))
+	binary.LittleEndian.PutUint64(d[:8], binary.LittleEndian.Uint64(d[:8])^uint64(w))
+	binary.LittleEndian.PutUint64(d[8:], binary.LittleEndian.Uint64(d[8:])^(SiteOT|9))
+	var e Block
+	fixedAES.Encrypt(e[:], d[:])
+	XORBlock(&e, e, d)
+	if got := w.HashBlock(Block(x), SiteOT|9); got != e {
+		t.Fatalf("w.HashBlock = %x, want π(2x ⊕ t) ⊕ 2x ⊕ t = %x", got, e)
+	}
+	if Word(0).HashBlock(Block(x), 9) != HashBlock(Block(x), 9) || w.HashBlock(Block(x), 9) == HashBlock(Block(x), 9) {
+		t.Fatal("word 0 is not the package-level hash, or a word changes nothing")
+	}
+	src := make([]Block, 19)
+	g.Read(BlockBytes(src))
+	dst := make([]Block, len(src))
+	w.HashBlocks(dst, src, SiteGC|5, 3)
+	for i := range src {
+		if dst[i] != w.HashBlock(src[i], SiteGC|5+uint64(3*i)) {
+			t.Fatalf("block %d: batched and per-block hashes differ under word %#x", i, uint64(w))
+		}
+	}
+	wide := make([]byte, 40)
+	w.HashToWidthAES(wide, Block(x), SitePay|2)
+	if h := w.HashBlock(Block(x), SitePay|2); !bytes.Equal(wide[:16], h[:]) {
+		t.Fatal("HashToWidthAES's first block is not the word's HashBlock")
+	}
+	var got, got0 [32]byte
+	data := g.Bytes(64)
+	w.HashInto(got[:], 1<<63|4, data)
+	Word(0).HashInto(got0[:], 1<<63|4, data)
+	var wb [8]byte
+	binary.LittleEndian.PutUint64(wb[:], uint64(w))
+	if got != Hash(1<<63|4, data, wb[:]) || got0 != Hash(1<<63|4, data) {
+		t.Fatal("HashInto does not append the nonzero word after the data")
+	}
 }

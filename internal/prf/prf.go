@@ -9,8 +9,9 @@
 // correlation-robustness model).
 //
 // Every MMO call site shares one public fixed-key permutation π; the
-// 64-bit tweak space is partitioned between them by the Site* constants
-// (see fixedkey.go for the scheme). The computational security
+// low 64-bit word of its 128-bit tweak is partitioned between them by
+// the Site* constants, and the high word is a stream's (Word; see
+// fixedkey.go for the scheme). The computational security
 // parameter κ is 128 bits throughout, matching the paper's experimental
 // setup (§8.2).
 package prf
@@ -143,26 +144,35 @@ func Hash(domain uint64, data ...[]byte) [32]byte {
 }
 
 // HashInto writes the first len(dst) bytes (at most 32) of
-// Hash(domain, data) into dst. It produces exactly the same digest as
-// Hash but avoids the streaming interface, so the OT pad-derivation hot
-// loop runs without heap allocations; data must also be small enough
-// (≤ 64 bytes) to fit the inline buffer — deliberately, since calling
-// Hash here would make every caller's data argument escape.
-func HashInto(dst []byte, domain uint64, data []byte) {
+// Hash(domain, data, w) into dst, where a word of 0 is left out: word 0
+// is exactly Hash(domain, data). Callers hash data of one fixed length
+// per domain, so the encoding stays injective. It avoids the streaming
+// interface, so the KKRT output hash runs without heap allocations;
+// data must also be small enough (≤ 64 bytes) to fit the inline buffer
+// — deliberately, since calling Hash here would make every caller's
+// data argument escape.
+func (w Word) HashInto(dst []byte, domain uint64, data []byte) {
 	// Both bounds are on the caller's own fixed-size buffers, never on
 	// the length of a peer message.
 	if len(dst) > 32 {
 		panic("prf: HashInto destination exceeds one digest")
 	}
-	var buf [72]byte
-	if 8+len(data) > len(buf) {
+	var buf [80]byte
+	if 16+len(data) > len(buf) {
 		panic("prf: HashInto input exceeds inline buffer")
 	}
 	binary.LittleEndian.PutUint64(buf[:8], domain)
 	n := 8 + copy(buf[8:], data)
+	if w != 0 {
+		binary.LittleEndian.PutUint64(buf[n:], uint64(w))
+		n += 8
+	}
 	h := sha256.Sum256(buf[:n])
 	copy(dst, h[:len(dst)])
 }
+
+// HashInto is Word(0).HashInto.
+func HashInto(dst []byte, domain uint64, data []byte) { Word(0).HashInto(dst, domain, data) }
 
 // XORBytes sets dst = a ^ b elementwise. All three must have equal length.
 func XORBytes(dst, a, b []byte) {

@@ -319,7 +319,7 @@ func (m *Mux) fail(err error) {
 // newStreamLocked creates and registers the record for id. Caller holds
 // m.mu.
 func (m *Mux) newStreamLocked(id uint32) *muxStream {
-	s := &muxStream{id: id, m: m, credit: queueCap}
+	s := &muxStream{id: id, m: m, credit: queueCap, ended: make(chan struct{})}
 	s.cond = sync.NewCond(&s.mu)
 	m.streams[id] = s
 	return s
@@ -493,6 +493,11 @@ type muxStream struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
+	// ended is closed once the stream has ended: closed here or by the
+	// peer, or failed (Ended).
+	ended   chan struct{}
+	endOnce sync.Once
+
 	queue       [][]byte
 	credit      int // messages we may still send before the peer drains
 	unacked     int // messages consumed locally but not yet credited back
@@ -531,6 +536,21 @@ func (s *muxStream) peerClose() {
 	s.peerClosed = true
 	s.cond.Broadcast()
 	s.mu.Unlock()
+	s.end()
+}
+
+// end closes s.ended, once.
+func (s *muxStream) end() { s.endOnce.Do(func() { close(s.ended) }) }
+
+// Ended returns a channel that is closed once the mux stream c has
+// ended — closed on either side, or failed with its session — so that a
+// party waiting on something other than its stream learns that its run
+// is over. It is nil, never closed, for any other Conn.
+func Ended(c Conn) <-chan struct{} {
+	if s, ok := c.(*muxStream); ok {
+		return s.ended
+	}
+	return nil
 }
 
 // addCredit returns flow-control window to the sender side.
@@ -549,6 +569,7 @@ func (s *muxStream) fail(err error) {
 	handed := s.handedOut
 	s.cond.Broadcast()
 	s.mu.Unlock()
+	s.end()
 	mMuxStreamsFailed.Inc()
 	if obs.Enabled() {
 		obs.Events().Emit("stream.fail", obs.QueryTag{SID: s.m.cfg.SID},
@@ -567,6 +588,7 @@ func (s *muxStream) markClosed() bool {
 	s.localClosed = true
 	s.cond.Broadcast()
 	s.mu.Unlock()
+	s.end()
 	if !was {
 		mMuxOpenStreams.Add(-1)
 	}

@@ -333,10 +333,16 @@ func (s *Session) RevealRatio(ctx context.Context, num, den *SharedResult, scale
 
 // Explain derives the execution plan and communication estimate for q
 // from public parameters only, under the same resolved options a Query
-// with the same opts would run with.
+// with the same opts would run with. It is priced as the session's
+// streams run it: the setup steps cost 0 B, since every stream derives
+// its OT extensions from the session's one setup (core.Plan.OnSession).
 func (s *Session) Explain(q *Query, opts ...Option) (*Plan, error) {
 	cfg := s.cfg.with(opts)
-	return core.ExplainOpts(q, cfg.ring.OrDefault().Bits, cfg.plan())
+	plan, err := core.ExplainOpts(q, cfg.ring.OrDefault().Bits, cfg.plan())
+	if err != nil {
+		return nil, err
+	}
+	return plan.OnSession(), nil
 }
 
 // Stats snapshots the session's rolled-up traffic.

@@ -105,9 +105,10 @@ func TestSessionConcurrentRuns(t *testing.T) {
 			t.Fatalf("run %d: %v want %v", i, got, wantSums)
 		}
 	}
+	// The n query streams and the one the session's OT root ran on.
 	st := alice.Stats()
-	if st.Streams != n || st.OpenStreams != 0 {
-		t.Fatalf("streams %d open %d; want %d and 0", st.Streams, st.OpenStreams, n)
+	if st.Streams != n+1 || st.OpenStreams != 0 {
+		t.Fatalf("streams %d open %d; want %d and 0", st.Streams, st.OpenStreams, n+1)
 	}
 	if st.Data.BytesSent == 0 || st.OverheadBytesSent == 0 {
 		t.Fatalf("stats rollup missing traffic: %+v", st)
@@ -167,8 +168,9 @@ func TestSessionPrecomputeThenRun(t *testing.T) {
 		t.Fatalf("staged result %v want %v", got, w)
 	}
 	// The staged stream was consumed: both endpoints opened exactly two
-	// streams (precompute + nothing new for the run).
-	if st := alice.Stats(); st.Streams != 1 {
+	// streams (the precompute's, and the one the session's OT root ran
+	// on), nothing new for the run.
+	if st := alice.Stats(); st.Streams != 2 {
 		t.Fatalf("run after precompute opened a fresh stream: %d streams", st.Streams)
 	}
 }
@@ -294,8 +296,9 @@ func TestRevealRatioLeavesPrecomputeParked(t *testing.T) {
 }
 
 // TestSessionExplain checks that the options-based Explain agrees
-// between the top-level function and the session method, and that both
-// parties derive identical plans from public parameters.
+// between the top-level function and the session method — which prices
+// the setup steps at 0 B, as a session's streams run them — and that
+// both parties derive identical plans from public parameters.
 func TestSessionExplain(t *testing.T) {
 	q := sessionExampleQuery(17, 12, 18)
 	alice, bob := OpenLocal()
@@ -328,7 +331,7 @@ func TestSessionExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if publicView(pa) != publicView(free) {
+	if publicView(pa) != publicView(free.OnSession()) {
 		t.Fatal("session Explain disagrees with package Explain")
 	}
 	if _, err := Explain(q.For(Alice), WithEstOut(64)); err != nil {
