@@ -112,7 +112,8 @@ examples:
 # derived direction's and the KKRT setup's correction matrices, the
 # extension receiver's GGM corrections at any length and content, a KKRT
 # batch on any code words (Eval agrees with the receiver) and its
-# correction matrix at any length, the
+# correction matrix at any length, a product batch's packed reply at any
+# length and content, direct and pooled, the
 # evaluator's view of the garbler's message (keyed payloads and selects
 # included) and both sides of the label OT (corrections, label shifts,
 # derandomization bits), the PSI's hint and KKRT-matrix decoders and
@@ -132,6 +133,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzBaseOTMessages -fuzztime 10s ./internal/ot
 	$(GO) test -run '^$$' -fuzz FuzzSoftSpokenSetup -fuzztime 10s ./internal/ot
 	$(GO) test -run '^$$' -fuzz FuzzKKRT -fuzztime 10s ./internal/ot
+	$(GO) test -run '^$$' -fuzz FuzzProductReply -fuzztime 10s ./internal/ot
 	$(GO) test -run '^$$' -fuzz FuzzGarbledMessage -fuzztime 10s ./internal/gc
 	$(GO) test -run '^$$' -fuzz FuzzPSIMessages -fuzztime 10s ./internal/psi
 	$(GO) test -run '^$$' -fuzz FuzzOKVS -fuzztime 10s ./internal/psi

@@ -8,6 +8,7 @@ import (
 
 	"secyan/internal/mpc"
 	"secyan/internal/obs"
+	"secyan/internal/ot"
 	"secyan/internal/relation"
 	"secyan/internal/share"
 	"secyan/internal/transport"
@@ -456,10 +457,11 @@ func TestProductTree(t *testing.T) {
 	}
 }
 
-// TestMulSharesOneRoundTrip pins Gilboa's batch, direct and pooled: the
-// products reconstruct, the traffic is the direct resp. online bytes of
-// the mulBatch exchange the plan declares for it, and it is one round
-// trip.
+// TestMulSharesOneRoundTrip pins the product batch, direct and pooled,
+// with a shared and with a plain first factor: the products reconstruct,
+// the traffic is the direct resp. online bytes of the productBatch
+// exchange the plan declares for it (two terms, or one for a plain
+// factor), and it is one round trip.
 func TestMulSharesOneRoundTrip(t *testing.T) {
 	alice, bob := mpc.Pair(testRing)
 	defer alice.Conn.Close()
@@ -467,45 +469,55 @@ func TestMulSharesOneRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	const n = 7
 	ell := testRing.Bits
-	m, msgLen := mulOTs(n, ell), mulMsgLen(ell)
-	for _, pooled := range []bool{false, true, false} {
-		a, b := make([]uint64, n), make([]uint64, n)
-		for i := range a {
-			a[i], b[i] = rng.Uint64(), rng.Uint64()
+	for _, plain := range []bool{false, true} {
+		terms := 2
+		if plain {
+			terms = 1
 		}
-		aA, aB := testRing.SplitSlice(alice.PRG, a)
-		bA, bB := testRing.SplitSlice(alice.PRG, b)
-		want, _, online := mulBatch(mpc.Bob, n, ell).cost()
-		if pooled {
-			if _, _, err := mpc.Run2PC(alice, bob,
-				func(p *mpc.Party) (any, error) { r, _ := p.OTReceiver(); return nil, r.FillRandom(m, msgLen) },
-				func(p *mpc.Party) (any, error) { s, _ := p.OTSender(); return nil, s.FillRandom(m, msgLen) },
-			); err != nil {
+		m, msgLen := ot.ProductBatch(n, ell, terms)
+		for _, pooled := range []bool{false, true, false} {
+			a, b := make([]uint64, n), make([]uint64, n)
+			for i := range a {
+				a[i], b[i] = testRing.Mask(rng.Uint64()), rng.Uint64()
+			}
+			aA, aB := testRing.SplitSlice(alice.PRG, a)
+			if plain {
+				// §6.5: the receiver holds the value, the peer a zero share.
+				aA, aB = a, make([]uint64, n)
+			}
+			bA, bB := testRing.SplitSlice(alice.PRG, b)
+			want, _, online := productBatch(mpc.Bob, n, ell, terms).cost()
+			if pooled {
+				if _, _, err := mpc.Run2PC(alice, bob,
+					func(p *mpc.Party) (any, error) { r, _ := p.OTReceiver(); return nil, r.FillRandom(m, msgLen) },
+					func(p *mpc.Party) (any, error) { s, _ := p.OTSender(); return nil, s.FillRandom(m, msgLen) },
+				); err != nil {
+					t.Fatal(err)
+				}
+				want = online
+			}
+			before := alice.Conn.Stats()
+			pa, pb, err := mpc.Run2PC(alice, bob,
+				func(p *mpc.Party) ([]uint64, error) { return mulShares(p, aA, bA, mpc.Alice, plain) },
+				func(p *mpc.Party) ([]uint64, error) { return mulShares(p, aB, bB, mpc.Alice, plain) })
+			if err != nil {
 				t.Fatal(err)
 			}
-			want = online
-		}
-		before := alice.Conn.Stats()
-		pa, pb, err := mpc.Run2PC(alice, bob,
-			func(p *mpc.Party) ([]uint64, error) { return mulShares(p, aA, bA, mpc.Alice) },
-			func(p *mpc.Party) ([]uint64, error) { return mulShares(p, aB, bB, mpc.Alice) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		after := alice.Conn.Stats()
-		for i := range a {
-			if got := testRing.Add(pa[i], pb[i]); got != testRing.Mul(a[i], b[i]) {
-				t.Fatalf("pooled=%v: product %d = %d, want %d", pooled, i, got, testRing.Mul(a[i], b[i]))
+			after := alice.Conn.Stats()
+			for i := range a {
+				if got := testRing.Add(pa[i], pb[i]); got != testRing.Mul(a[i], b[i]) {
+					t.Fatalf("plain=%v pooled=%v: product %d = %d, want %d", plain, pooled, i, got, testRing.Mul(a[i], b[i]))
+				}
 			}
-		}
-		if before.MessagesSent+before.MessagesRecv == 0 {
-			continue // the first run also set up the OT sessions
-		}
-		if got := after.TotalBytes() - before.TotalBytes(); got != want {
-			t.Fatalf("pooled=%v: moved %d bytes, closed form %d", pooled, got, want)
-		}
-		if got := after.MessagesSent + after.MessagesRecv - before.MessagesSent - before.MessagesRecv; got != 2 {
-			t.Fatalf("pooled=%v: %d messages, want one round trip", pooled, got)
+			if before.MessagesSent+before.MessagesRecv == 0 {
+				continue // the first run also set up the OT sessions
+			}
+			if got := after.TotalBytes() - before.TotalBytes(); got != want {
+				t.Fatalf("plain=%v pooled=%v: moved %d bytes, closed form %d", plain, pooled, got, want)
+			}
+			if got := after.MessagesSent + after.MessagesRecv - before.MessagesSent - before.MessagesRecv; got != 2 {
+				t.Fatalf("plain=%v pooled=%v: %d messages, want one round trip", plain, pooled, got)
+			}
 		}
 	}
 }

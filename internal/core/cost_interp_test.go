@@ -14,9 +14,9 @@ import (
 // (with and without the keyed row payload) against the same per-tuple
 // gadget looped n times in one builder — how it was built before
 // circuits had slots. A circuit exchange prices its label batch from
-// Dims.EvalInputs; the share multiplication is no circuit but one OT
-// batch per product-tree level, pinned here to the OT layer's own
-// predictor.
+// Dims.EvalInputs; the share multiplication is no circuit but one
+// two-term product batch per product-tree level, pinned here to the OT
+// layer's own predictor.
 func TestOperatorCostsMatchBuiltCircuits(t *testing.T) {
 	const ell = 32
 	sizes := []int{97, 200}
@@ -31,7 +31,7 @@ func TestOperatorCostsMatchBuiltCircuits(t *testing.T) {
 		for k, levels := range map[int][]int{2: {1}, 3: {1, 1}, 4: {2, 1}, 5: {2, 1, 1}} {
 			var want int64
 			for _, pairs := range levels {
-				want += ot.CorrelatedCost(2*pairs*n*ell, ell/8)
+				want += ot.ProductCost(pairs*n, ell, 2)
 			}
 			if got := directCost(productBatches(n, k, ell)); got != want {
 				t.Fatalf("product n=%d k=%d: predicted %d bytes, its batches cost %d", n, k, got, want)

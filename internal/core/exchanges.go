@@ -35,7 +35,7 @@ func aggExchanges(st nodeState, kind mergeKind, ell int) []exchange {
 
 // semijoinExchanges declares parent ⋈^⊗ child. Every case ends in the
 // annotation multiplication: one mulShares batch the parent's other party
-// sends.
+// sends, of one term per product while the parent is plain.
 func semijoinExchanges(par, child nodeState, ell int) []exchange {
 	var ex []exchange
 	switch {
@@ -70,7 +70,11 @@ func semijoinExchanges(par, child nodeState, ell int) []exchange {
 		ex = append(ex, oepBatch(child.holder, pr.B, par.n, ell, false))
 	}
 	if par.n > 0 {
-		ex = append(ex, mulBatch(par.holder.Other(), par.n, ell))
+		terms := 2
+		if par.plain {
+			terms = 1
+		}
+		ex = append(ex, productBatch(par.holder.Other(), par.n, ell, terms))
 	}
 	return ex
 }

@@ -480,7 +480,7 @@ func productTree(p *mpc.Party, factors [][]uint64) ([]uint64, error) {
 			a = append(a, factors[2*i]...)
 			b = append(b, factors[2*i+1]...)
 		}
-		prod, err := mulShares(p, a, b, mpc.Alice)
+		prod, err := mulShares(p, a, b, mpc.Alice, false)
 		if err != nil {
 			return nil, err
 		}
@@ -494,11 +494,11 @@ func productTree(p *mpc.Party, factors [][]uint64) ([]uint64, error) {
 }
 
 // productBatches declares productTree's exchanges over k vectors of n
-// shares: one mulShares batch per level, Bob sending.
+// shares: one two-term mulShares batch per level, Bob sending.
 func productBatches(n, k, ell int) []exchange {
 	var ex []exchange
 	for ; k > 1; k = (k + 1) / 2 {
-		ex = append(ex, mulBatch(mpc.Bob, n*(k/2), ell))
+		ex = append(ex, productBatch(mpc.Bob, n*(k/2), ell, 2))
 	}
 	return ex
 }

@@ -44,18 +44,21 @@ const (
 )
 
 // exchange is one unit of a plan step's traffic: an OT-extension batch,
-// a garbled circuit, a KKRT batch or plain bytes. Each step declares its
-// exchanges once, in execution order; its estimates, the setup steps and
-// the precompute sweeps are all sums or filters over that list. A
-// circuit exchange stands for the circuit's messages and its input-label
-// batch, a Δ-OT batch of Dims.EvalInputs labels with the garbler as OT
-// sender.
+// a product batch, a garbled circuit, a KKRT batch or plain bytes. Each
+// step declares its exchanges once, in execution order; its estimates,
+// the setup steps and the precompute sweeps are all sums or filters over
+// that list. A circuit exchange stands for the circuit's messages and
+// its input-label batch, a Δ-OT batch of Dims.EvalInputs labels with the
+// garbler as OT sender.
 type exchange struct {
-	kind   exchangeKind
-	sender mpc.Role // OT sender, garbler, or PSI sender of a KKRT batch
-	m      int      // OTs, KKRT bins, or plain bytes
-	msgLen int      // OT message bytes
-	dims   *gc.Dims // circuit dimensions, known without building it
+	kind exchangeKind
+	// A product batch's width in bits and terms per product, small
+	// enough to share kind's word: planning builds many exchanges.
+	ell, terms uint8
+	sender     mpc.Role // OT sender, garbler, or PSI sender of a KKRT batch
+	m          int      // OTs, KKRT bins, products, or plain bytes
+	msgLen     int      // OT message bytes
+	dims       *gc.Dims // circuit dimensions, known without building it
 	// build defers construction to Precompute: planning stays cheap, and
 	// circuits are only materialized when ahead-of-time garbling wants
 	// them.
@@ -66,6 +69,7 @@ type exchangeKind uint8
 
 const (
 	exOT exchangeKind = iota
+	exProduct
 	exCircuit
 	exKKRT
 	exPlain
@@ -85,9 +89,10 @@ func oepBatch(sender mpc.Role, m, n, ell int, bijection bool) exchange {
 	return otBatch(sender, oep.Gates(m, n, bijection), oep.MsgLen(ell))
 }
 
-// mulBatch is the one OT batch of mulShares over n shares.
-func mulBatch(sender mpc.Role, n, ell int) exchange {
-	return otBatch(sender, mulOTs(n, ell), mulMsgLen(ell))
+// productBatch is the one batch of mulShares over n products of `terms`
+// terms each (ot.SendProducts).
+func productBatch(sender mpc.Role, n, ell, terms int) exchange {
+	return exchange{kind: exProduct, sender: sender, m: n, ell: uint8(ell), terms: uint8(terms)}
 }
 
 func circuit(garbler mpc.Role, dims *gc.Dims, build func() *gc.Circuit) exchange {
@@ -97,12 +102,16 @@ func circuit(garbler mpc.Role, dims *gc.Dims, build func() *gc.Circuit) exchange
 func plainBytes(n int) exchange { return exchange{kind: exPlain, m: n} }
 
 // extBatch returns the OT-extension batch the exchange runs — its own,
-// or a circuit's label batch (msgLen labelBatch) — with x.sender as OT
-// sender; ok is false for a KKRT batch and plain bytes.
+// a product batch's random OTs, or a circuit's label batch (msgLen
+// labelBatch) — with x.sender as OT sender; ok is false for a KKRT batch
+// and plain bytes.
 func (x exchange) extBatch() (m, msgLen int, ok bool) {
 	switch x.kind {
 	case exOT:
 		return x.m, x.msgLen, true
+	case exProduct:
+		m, msgLen = ot.ProductBatch(x.m, int(x.ell), int(x.terms))
+		return m, msgLen, true
 	case exCircuit:
 		return x.dims.EvalInputs, labelBatch, true
 	}
@@ -119,6 +128,10 @@ func (x exchange) cost() (direct, offline, online int64) {
 	switch x.kind {
 	case exOT:
 		return ot.CorrelatedCost(x.m, x.msgLen), ot.ExtOfflineCost(x.m), ot.CorrelatedOnlineCost(x.m, x.msgLen)
+	case exProduct:
+		ell, terms := int(x.ell), int(x.terms)
+		m, _ := ot.ProductBatch(x.m, ell, terms)
+		return ot.ProductCost(x.m, ell, terms), ot.ExtOfflineCost(m), ot.ProductOnlineCost(x.m, ell, terms)
 	case exCircuit:
 		msgs, l := x.dims.MessageCost(), x.dims.EvalInputs
 		return msgs + ot.ExtOfflineCost(l), ot.ExtOfflineCost(l), msgs + ot.RandomOnlineCost(l)

@@ -1,12 +1,11 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 
-	"secyan/internal/gc"
 	"secyan/internal/mpc"
 	"secyan/internal/oep"
+	"secyan/internal/ot"
 	"secyan/internal/psi"
 	"secyan/internal/relation"
 )
@@ -30,88 +29,50 @@ import (
 // Semijoin computes the general R_F ⋉^⊗ R_{F'} by first applying the
 // oblivious π¹ to the child (§6.2: R_F ⋈^⊗ π¹_{F∩F'}(R_{F'})).
 
-// mulOTs and mulMsgLen are the dimensions of mulShares' one OT batch: a
-// correlated OT per bit of both of the receiver's shares of every pair,
-// with ℓ-bit messages.
-func mulOTs(n, ell int) int { return 2 * n * ell }
-func mulMsgLen(ell int) int { return (ell + 7) / 8 }
-
 // mulShares multiplies aligned share vectors: the result is a fresh
 // sharing of a_i ⊗ b_i. Each party multiplies its own two shares
-// locally; the two cross terms of (a₀+a₁)(b₀+b₁) go through one
-// correlated-OT batch (Gilboa): for bit k of recvRole's share of b the
-// other party's OT offers (r, r + a·2^k), where r is the OT's own first
-// message, so the chosen messages sum to a·b_recv + Σr while the sender
-// keeps −Σr, and likewise for the bits of recvRole's share of a against
-// the sender's b. The r's are pads the receiver never sees unless it
-// chose 0, which makes the sender's output share uniform, hence the
+// locally, and one product batch (ot.SendProducts, Gilboa's OT product at
+// ℓ − k bits for bit k) adds the cross terms of (a₀+a₁)(b₀+b₁): recvRole's
+// b times the other party's a, and recvRole's a times its b. When a is
+// plain (§6.5) the other party's a is the public zero, so only the second
+// term runs. The sender's share of the batch is uniform, which makes the
 // sharing fresh.
-func mulShares(p *mpc.Party, aShares, bShares []uint64, recvRole mpc.Role) ([]uint64, error) {
+func mulShares(p *mpc.Party, aShares, bShares []uint64, recvRole mpc.Role, aPlain bool) ([]uint64, error) {
 	if len(aShares) != len(bShares) {
 		return nil, fmt.Errorf("core: mulShares length mismatch %d vs %d", len(aShares), len(bShares))
 	}
-	n := len(aShares)
-	if n == 0 {
+	if len(aShares) == 0 {
 		return nil, nil
 	}
-	ring := p.Ring
-	ell, msgLen := ring.Bits, mulMsgLen(ring.Bits)
-	word := func(b []byte) uint64 {
-		var w [8]byte
-		copy(w[:], b)
-		return binary.LittleEndian.Uint64(w[:])
-	}
-	res := make([]uint64, n)
+	// The party's factors, term by term: the receiver's b meets the
+	// sender's a, then the receiver's a the sender's b.
+	terms := [][]uint64{aShares, bShares}
 	if p.Role == recvRole {
-		rcv, err := p.OTReceiver()
-		if err != nil {
-			return nil, err
-		}
-		choices := make([]bool, 0, mulOTs(n, ell))
-		for i := range bShares {
-			choices = gc.AppendBits(choices, bShares[i], ell)
-			choices = gc.AppendBits(choices, aShares[i], ell)
-		}
-		msgs, err := rcv.ReceiveCorrelated(choices, msgLen)
-		if err != nil {
-			return nil, err
-		}
-		for i := range res {
-			sum := aShares[i] * bShares[i]
-			for j := 2 * ell * i; j < 2*ell*(i+1); j++ {
-				sum += word(msgs[j*msgLen : (j+1)*msgLen])
-			}
-			res[i] = ring.Mask(sum)
-		}
-		return res, nil
+		terms = [][]uint64{bShares, aShares}
 	}
-	snd, err := p.OTSender()
+	if aPlain {
+		terms = terms[1:]
+	}
+	var cross []uint64
+	var err error
+	if p.Role == recvRole {
+		var rcv *ot.Receiver
+		if rcv, err = p.OTReceiver(); err == nil {
+			cross, err = rcv.ReceiveProducts(p.Ring.Bits, terms...)
+		}
+	} else {
+		var snd *ot.Sender
+		if snd, err = p.OTSender(); err == nil {
+			cross, err = snd.SendProducts(p.Ring.Bits, terms...)
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
-	// OT j multiplies bit k = j mod ℓ of the receiver's share by x, the
-	// sender's a for j in the first ℓ of pair i and its b in the second.
-	x0s, err := snd.SendCorrelated(mulOTs(n, ell), msgLen, func(j int, x0, x1 []byte) {
-		i, half, k := j/(2*ell), j/ell%2, j%ell
-		x := aShares[i]
-		if half == 1 {
-			x = bShares[i]
-		}
-		var w [8]byte
-		binary.LittleEndian.PutUint64(w[:], word(x0)+x<<uint(k))
-		copy(x1, w[:])
-	})
-	if err != nil {
-		return nil, err
+	for i := range cross {
+		cross[i] = p.Ring.Mask(cross[i] + aShares[i]*bShares[i])
 	}
-	for i := range res {
-		sum := aShares[i] * bShares[i]
-		for j := 2 * ell * i; j < 2*ell*(i+1); j++ {
-			sum -= word(x0s[j*msgLen : (j+1)*msgLen])
-		}
-		res[i] = ring.Mask(sum)
-	}
-	return res, nil
+	return cross, nil
 }
 
 // childKeys extracts the child relation's single-uint64 keys over all its
@@ -164,7 +125,7 @@ func SemijoinInto(p *mpc.Party, dg *relation.DummyGen, parent, child *SharedRela
 	if err != nil {
 		return nil, err
 	}
-	newAnnot, err := mulShares(p, parent.Annot, zShares, parent.Holder)
+	newAnnot, err := mulShares(p, parent.Annot, zShares, parent.Holder, parent.Plain)
 	if err != nil {
 		return nil, err
 	}

@@ -108,21 +108,76 @@ func openCorrelated(pads, corr []byte, choices []bool, msgLen int) []byte {
 
 // ReceiveCorrelated runs a whole batch as the receiver of the peer's
 // SendCorrelated and returns, flat, x1ⱼ where choice j is set and x0ⱼ
-// elsewhere.
+// elsewhere. A direct batch hashes its pads straight into the received
+// corrections, so the output is the reply's own buffer.
 func (r *Receiver) ReceiveCorrelated(choices []bool, msgLen int) ([]byte, error) {
 	m := len(choices)
 	if m == 0 {
 		return nil, nil
 	}
-	pads, err := r.receiveRandom(choices, msgLen)
+	if msgLen <= 0 {
+		return nil, fmt.Errorf("ot: correlated-OT message length %d", msgLen)
+	}
+	b, sp := r.pool.open(m, msgLen, kExtRecv, kDerandRecv)
+	defer sp.EndN(int64(m))
+	if b != nil {
+		if err := r.conn.Send(flipBits(choices, b.bits)); err != nil {
+			return nil, err
+		}
+		corr, err := recvCorrections(r.conn, m, msgLen)
+		if err != nil {
+			return nil, err
+		}
+		return openCorrelated(b.rc, corr, choices, msgLen), nil
+	}
+	t, _, rowBytes, err := r.expand(choices, 0)
 	if err != nil {
 		return nil, err
 	}
-	corr, err := transport.RecvSized(r.conn, "ot: correlated-OT corrections", m*msgLen)
+	idx := r.idx
+	r.idx += padTo64(m)
+	corr, err := recvCorrections(r.conn, m, msgLen)
 	if err != nil {
 		return nil, err
 	}
-	return openCorrelated(pads, corr, choices, msgLen), nil
+	w := r.Word()
+	eachBlock(m, func(base, n int) {
+		var rows [padBatch]prf.Block
+		blockRows(prf.BlockBytes(rows[:]), t, kappa, rowBytes, base)
+		openPads(corr, &rows, n, base, w, idx, msgLen, choices)
+	})
+	return corr, nil
+}
+
+// recvCorrections receives a correlated batch's m corrections.
+func recvCorrections(c transport.Conn, m, msgLen int) ([]byte, error) {
+	return transport.RecvSized(c, "ot: correlated-OT corrections", m*msgLen)
+}
+
+// openPads is hashPads for a receiver that holds the sender's
+// corrections in dst: instance base+k's pad replaces its correction
+// where its choice is 0 and is XORed into it where it is 1.
+func openPads(dst []byte, rows *[padBatch]prf.Block, n, base int, w prf.Word, idx uint64, msgLen int, choices []bool) {
+	var out [padBatch]prf.Block
+	var wide []byte // a pad wider than a block, derived per instance
+	if msgLen <= 16 {
+		w.HashBlocks(out[:n], rows[:n], otTweak(idx+uint64(base)), 1)
+	} else {
+		wide = make([]byte, msgLen)
+	}
+	for k := 0; k < n; k++ {
+		pad, y := wide, dst[(base+k)*msgLen:(base+k+1)*msgLen]
+		if wide == nil {
+			pad = out[k][:msgLen]
+		} else {
+			derivePad(wide, w, idx+uint64(base+k), rows[k])
+		}
+		if choices[base+k] {
+			prf.XORBytes(y, y, pad)
+		} else {
+			copy(y, pad)
+		}
+	}
 }
 
 // Receive performs len(choices) chosen-message OTs, returning the chosen

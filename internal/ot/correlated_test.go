@@ -73,7 +73,7 @@ func TestCorrelatedOT(t *testing.T) {
 	moved := func() int64 { return rcv.conn.Stats().TotalBytes() }
 	for _, pooled := range []bool{false, true} {
 		for _, m := range []int{1, 63, 64, 65, 4096} {
-			for _, msgLen := range []int{4, 8, 16} {
+			for _, msgLen := range []int{4, 8, 16, 40} {
 				for name, corr := range correlations(rng, m, msgLen) {
 					t.Run(fmt.Sprintf("pooled=%v/m=%d/len=%d/%s", pooled, m, msgLen, name), func(t *testing.T) {
 						want := CorrelatedCost(m, msgLen)

@@ -74,3 +74,19 @@ func RandomOnlineCost(m int) int64 { return int64((m + 7) / 8) }
 func CorrelatedOnlineCost(m, msgLen int) int64 {
 	return RandomOnlineCost(m) + int64(m)*int64(msgLen)
 }
+
+// ProductCost returns the total bytes of one direct product batch
+// (SendProducts/ReceiveProducts) of n products of `terms` terms at width
+// ell: the correction message of its terms·n·ell OTs, and the sender's
+// reply, ell − k bits for OT k, ⌈terms·n·ell(ell+1)/16⌉ bytes.
+func ProductCost(n, ell, terms int) int64 {
+	m, _ := ProductBatch(n, ell, terms)
+	return ExtOfflineCost(m) + productReplyBytes(n, ell, terms)
+}
+
+// ProductOnlineCost returns the online bytes of a pooled product batch:
+// the derandomization bits of its OTs plus the same reply.
+func ProductOnlineCost(n, ell, terms int) int64 {
+	m, _ := ProductBatch(n, ell, terms)
+	return RandomOnlineCost(m) + productReplyBytes(n, ell, terms)
+}

@@ -126,21 +126,27 @@ func (s *Sender) Pool() *Pool { return &s.pool }
 func (r *Receiver) Pool() *Pool { return &r.pool }
 
 // rowSink is what a sender's batch makes of its rows q_j: both pads of
-// every instance, hashed (a random OT), or the rows themselves (a Δ-OT
-// batch, delta.go). A concrete type rather than a callback, so that a
-// tile's rows stay on its worker's stack.
+// every instance, hashed (a random OT), the rows themselves (a Δ-OT
+// batch, delta.go), or a product batch's sums and reply (product.go). A
+// concrete type rather than a callback, so that a tile's rows stay on
+// its worker's stack.
 type rowSink struct {
 	r0, r1 []byte // the pads, msgLen bytes per instance
 	msgLen int
-	word   prf.Word    // the stream word of the pads' tweaks
-	idx    uint64      // the OT index of the batch's first instance
-	q      []prf.Block // a Δ-OT batch's rows; nil for pads
+	word   prf.Word     // the stream word of the pads' tweaks
+	idx    uint64       // the OT index of the batch's first instance
+	q      []prf.Block  // a Δ-OT batch's rows; nil for pads
+	prod   *productSend // a product batch, which hashes its own pads (product.go)
 }
 
 // put takes the rows of the n instances [base, base+n).
 func (o *rowSink) put(rows *[padBatch]prf.Block, n, base int, delta *[kappa / 8]byte) {
 	if o.q != nil {
 		copy(o.q[base:base+n], rows[:n])
+		return
+	}
+	if o.prod != nil {
+		o.prod.put(rows, n, base, delta, o.word, o.idx)
 		return
 	}
 	hashPads(o.r0, rows, n, base, o.word, o.idx, o.msgLen)
@@ -220,12 +226,18 @@ func (s *Sender) randomPads(m, msgLen int) ([]byte, []byte, error) {
 // end's. A batch past the stream's keystream window is a *WindowError,
 // before anything is sent.
 func (r *Receiver) expand(choices []bool, extra int) (t, scratch []byte, rowBytes int, err error) {
-	rowBytes = int(padTo64(len(choices))) / 8
+	x := make([]byte, padTo64(len(choices))/8)
+	packBits(x, choices)
+	return r.expandBits(x, extra)
+}
+
+// expandBits is expand on choices packed into x, bit j of byte j/8 for
+// instance j, len(x) a multiple of 8.
+func (r *Receiver) expandBits(x []byte, extra int) (t, scratch []byte, rowBytes int, err error) {
+	rowBytes = len(x)
 	if err := fits(r.off, r.stream, streamAdvance(rowBytes)); err != nil {
 		return nil, nil, 0, err
 	}
-	x := make([]byte, rowBytes)
-	packBits(x, choices)
 	buf, u := growBytes(&r.t, kappa*rowBytes+extra), make([]byte, chunks*rowBytes)
 	t, scratch = buf[:kappa*rowBytes], buf[kappa*rowBytes:]
 	expandChunks(t, u, x, 0, chunks, chunkBits, rowBytes, r.off, func(j, x int) prf.Seed { return r.leaves[j][x] })

@@ -157,7 +157,8 @@ type Mux struct {
 	base Conn
 	cfg  MuxConfig
 
-	sendMu sync.Mutex // serializes writes to base
+	sendMu sync.Mutex          // serializes writes to base
+	hdr    [muxHeaderSize]byte // the frame header being sent, under sendMu
 
 	mu sync.Mutex
 	// streams holds the live records: streams opened and not yet closed,
@@ -361,20 +362,35 @@ func (m *Mux) addData(d Stats) {
 	m.mu.Unlock()
 }
 
+// partsSender is a Conn that sends a message given as a head and a body
+// without joining them (tcpConn, whose writer copies both anyway). Like
+// Send, it is done with both when it returns.
+type partsSender interface {
+	sendParts(head, body []byte) error
+}
+
 // sendFrame writes one mux frame to the underlying conn and accounts its
-// overhead: the header of a data frame, all of a control frame.
+// overhead: the header of a data frame, all of a control frame. A conn
+// that sends in parts gets the header and the payload apart; any other
+// conn a joined copy, which it then owns.
 func (m *Mux) sendFrame(typ byte, id uint32, payload []byte) error {
-	buf := make([]byte, muxHeaderSize+len(payload))
-	buf[0] = typ
-	binary.LittleEndian.PutUint32(buf[1:], id)
-	copy(buf[muxHeaderSize:], payload)
 	m.sendMu.Lock()
-	err := m.base.Send(buf)
+	m.hdr[0] = typ
+	binary.LittleEndian.PutUint32(m.hdr[1:], id)
+	var err error
+	if ps, ok := m.base.(partsSender); ok {
+		err = ps.sendParts(m.hdr[:], payload)
+	} else {
+		buf := make([]byte, muxHeaderSize+len(payload))
+		copy(buf, m.hdr[:])
+		copy(buf[muxHeaderSize:], payload)
+		err = m.base.Send(buf)
+	}
 	m.sendMu.Unlock()
 	if err != nil {
 		return err
 	}
-	ovh := len(buf)
+	ovh := muxHeaderSize + len(payload)
 	m.mu.Lock()
 	if typ == muxData {
 		ovh = muxHeaderSize

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -17,9 +18,8 @@ func muxPair(cfg MuxConfig) (*Mux, *Mux) {
 	return NewMux(a, cfg), NewMux(b, cfg)
 }
 
-// muxPairTCP returns two connected Mux endpoints over a real loopback
-// TCP connection.
-func muxPairTCP(t *testing.T, cfg MuxConfig) (*Mux, *Mux) {
+// tcpPair returns the two ends of a real loopback TCP connection.
+func tcpPair(t *testing.T) (Conn, Conn) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -47,7 +47,15 @@ func muxPairTCP(t *testing.T, cfg MuxConfig) (*Mux, *Mux) {
 	if r.err != nil {
 		t.Fatal(r.err)
 	}
-	return NewMux(r.c, cfg), NewMux(NewConn(nc), cfg)
+	return r.c, NewConn(nc)
+}
+
+// muxPairTCP returns two connected Mux endpoints over a real loopback
+// TCP connection.
+func muxPairTCP(t *testing.T, cfg MuxConfig) (*Mux, *Mux) {
+	t.Helper()
+	a, b := tcpPair(t)
+	return NewMux(a, cfg), NewMux(b, cfg)
 }
 
 // eachTransport runs the test body over both the pipe and TCP
@@ -424,6 +432,46 @@ func TestMuxSessionStatsOverhead(t *testing.T) {
 	}
 	if ast.OverheadBytesSent != n*muxHeaderSize {
 		t.Fatalf("overhead bytes: %d want %d", ast.OverheadBytesSent, n*muxHeaderSize)
+	}
+}
+
+// TestMuxTCPFramesWithoutCopy pins the mux's send path over TCP: a
+// frame's header and payload go to the conn's writer apart, so a run of
+// 256 KiB messages through a stream allocates per message what the bare
+// conn does (the receiving end's buffer) plus far less than a payload; a
+// sender that joins header and payload first adds a whole one.
+func TestMuxTCPFramesWithoutCopy(t *testing.T) {
+	const n, size = 16, 256 << 10
+	perMessage := func(send, recv Conn) float64 {
+		msgs := make([][]byte, n)
+		for i := range msgs {
+			msgs[i] = make([]byte, size)
+			msgs[i][i] = byte(i + 1)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i, msg := range msgs {
+			if err := send.Send(msg); err != nil {
+				t.Fatal(err)
+			}
+			got, err := recv.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != size || got[i] != byte(i+1) {
+				t.Fatalf("message %d: %d bytes, byte %d = %d", i, len(got), i, got[i])
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / n
+	}
+	a, b := tcpPair(t)
+	bare := perMessage(a, b)
+	ma, mb := NewMux(a, MuxConfig{}), NewMux(b, MuxConfig{})
+	defer ma.Close()
+	defer mb.Close()
+	if muxed := perMessage(mustOpen(t, ma, 1), mustOpen(t, mb, 1)); muxed > bare+size/2 {
+		t.Fatalf("%.0f B allocated per %d B message through the mux, %.0f B on the bare conn", muxed, size, bare)
 	}
 }
 

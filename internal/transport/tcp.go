@@ -67,25 +67,29 @@ func NewConn(nc net.Conn) Conn {
 	}
 }
 
-func (t *tcpConn) Send(data []byte) error {
-	if int64(len(data)) > MaxMessageSize {
-		return fmt.Errorf("transport: message of %d bytes exceeds limit %d", len(data), MaxMessageSize)
+func (t *tcpConn) Send(data []byte) error { return t.sendParts(nil, data) }
+
+// sendParts sends the message head ‖ body. The writer copies both, so a
+// caller that frames a payload (Mux) need not join them first.
+func (t *tcpConn) sendParts(head, body []byte) error {
+	n := len(head) + len(body)
+	if int64(n) > MaxMessageSize {
+		return fmt.Errorf("transport: message of %d bytes exceeds limit %d", n, MaxMessageSize)
 	}
 	t.sendMu.Lock()
 	defer t.sendMu.Unlock()
 	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(data)))
-	if _, err := t.w.Write(hdr[:]); err != nil {
-		return t.mapErr(err)
-	}
-	if _, err := t.w.Write(data); err != nil {
-		return t.mapErr(err)
+	binary.LittleEndian.PutUint32(hdr[:], uint32(n))
+	for _, b := range [][]byte{hdr[:], head, body} {
+		if _, err := t.w.Write(b); err != nil {
+			return t.mapErr(err)
+		}
 	}
 	if err := t.w.Flush(); err != nil {
 		return t.mapErr(err)
 	}
 	t.mu.Lock()
-	t.stats.BytesSent += int64(len(data))
+	t.stats.BytesSent += int64(n)
 	t.stats.MessagesSent++
 	round := t.lastRecv || !t.started
 	if round {
@@ -94,7 +98,7 @@ func (t *tcpConn) Send(data []byte) error {
 	t.lastRecv = false
 	t.started = true
 	t.mu.Unlock()
-	mBytesSent.Add(int64(len(data)))
+	mBytesSent.Add(int64(n))
 	mMsgsSent.Inc()
 	if round {
 		mRounds.Inc()
