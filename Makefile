@@ -105,7 +105,9 @@ examples:
 	@for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d || exit 1; done
 
 # Short fuzz bursts for the transpose involution, the keyed AES-CTR
-# keystream at any offset and length against crypto/cipher, the TCP framing
+# keystream at any offset and length against crypto/cipher, the fused MMO
+# kernel on any blocks, tweak, step and word against the per-block
+# crypto/aes path, the TCP framing
 # decoder, arbitrary frame sequences into one mux endpoint, the SQL
 # front end (seeded with the TPC-H query strings), the
 # sorted view by permutation, both base-OT message decoders and the
@@ -126,6 +128,7 @@ examples:
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTranspose -fuzztime 10s ./internal/bitutil
 	$(GO) test -run '^$$' -fuzz FuzzKeyStream -fuzztime 10s ./internal/prf
+	$(GO) test -run '^$$' -fuzz FuzzHashBlocks -fuzztime 10s ./internal/prf
 	$(GO) test -run '^$$' -fuzz FuzzRecvFraming -fuzztime 10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz FuzzMuxFrames -fuzztime 10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/sqlfront

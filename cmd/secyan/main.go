@@ -49,7 +49,7 @@ func main() {
 	q9nations := flag.Int("q9nations", 2, "nations in the Q9 decomposition (paper: 25)")
 	maxRows := flag.Int("maxrows", 20, "result rows to print")
 	explain := flag.Bool("explain", false, "print the execution plan and cost estimate instead of running")
-	analyze := flag.Bool("analyze", false, "run the query and print the per-step trace (plan columns plus measured bytes, messages, rounds, wall time)")
+	analyze := flag.Bool("analyze", false, "run the query and print the per-step trace (plan columns plus measured bytes, messages, rounds, wall time and time blocked on the peer)")
 	precompute := flag.Bool("precompute", false, "run the plan-driven offline phase (OT pools, ahead-of-time garbling) first and report the offline/online split; in distributed mode both parties must pass it (the offline phase has its own traffic)")
 	heartbeat := flag.Duration("heartbeat", 0, "distributed mode: session heartbeat interval for peer-liveness detection (0 = off); the run fails cleanly if the peer goes silent for 3x this interval")
 	deadline := flag.Duration("deadline", 0, "distributed and daemon mode: bound on the query's wall time, precompute included (0 = none)")

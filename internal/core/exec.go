@@ -10,6 +10,7 @@ import (
 	"secyan/internal/obs"
 	"secyan/internal/oep"
 	"secyan/internal/relation"
+	"secyan/internal/transport"
 	"secyan/internal/yannakakis"
 )
 
@@ -180,7 +181,7 @@ func runPlan(ctx context.Context, p *mpc.Party, q *Query, shared bool, opts Opti
 				N: st.N, Step: si + 1, Steps: len(plan.Steps),
 				StartedUnixNano: time.Now().UnixNano()})
 		}
-		before := pp.Conn.Stats()
+		before, waited := pp.Conn.Stats(), transport.RecvWait(pp.Conn)
 		start := time.Now()
 		err := ex.exec(st)
 		after := pp.Conn.Stats()
@@ -189,6 +190,7 @@ func runPlan(ctx context.Context, p *mpc.Party, q *Query, shared bool, opts Opti
 			Bytes:    after.TotalBytes() - before.TotalBytes(),
 			Messages: (after.MessagesSent + after.MessagesRecv) - (before.MessagesSent + before.MessagesRecv),
 			Rounds:   after.Rounds - before.Rounds,
+			Blocked:  transport.RecvWait(pp.Conn) - waited,
 			Elapsed:  time.Since(start)}
 		if st.kind == stepLocalJoin || st.kind == stepAlignAnnotations ||
 			st.kind == stepAnnotationProduct || st.kind == stepRevealAnnotations {

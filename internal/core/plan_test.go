@@ -401,12 +401,13 @@ func TestCancellationMidProtocol(t *testing.T) {
 	}
 }
 
-// traceShape strips the only nondeterministic field (Elapsed), keeping
-// phase, operator, node, size and the measured bytes/messages/rounds.
+// traceShape strips the nondeterministic fields (Elapsed, Blocked),
+// keeping phase, operator, node, size and the measured
+// bytes/messages/rounds.
 func traceShape(tr *Trace) []TraceStep {
 	steps := make([]TraceStep, len(tr.Steps))
 	for i, s := range tr.Steps {
-		s.Elapsed = 0
+		s.Elapsed, s.Blocked = 0, 0
 		steps[i] = s
 	}
 	return steps

@@ -7,6 +7,7 @@ import (
 	"secyan/internal/gc"
 	"secyan/internal/mpc"
 	"secyan/internal/ot"
+	"secyan/internal/transport"
 )
 
 // This file implements the offline phase of the plan-driven
@@ -125,10 +126,11 @@ func PrecomputeOpts(ctx context.Context, p *mpc.Party, q *Query, opts Options) (
 	// measure runs one offline exchange of step st and adds what it moved
 	// to st's record rec.
 	measure := func(st *PlanStep, rec *TraceStep, f func() error) error {
-		before := pp.Conn.Stats()
+		before, waited := pp.Conn.Stats(), transport.RecvWait(pp.Conn)
 		start := time.Now()
 		err := f()
 		after := pp.Conn.Stats()
+		rec.Blocked += transport.RecvWait(pp.Conn) - waited
 		rec.Phase, rec.Op, rec.Node, rec.N, rec.EstBytes = "offline", st.Op, st.Node, st.N, st.EstOfflineBytes
 		rec.Bytes += after.TotalBytes() - before.TotalBytes()
 		rec.Messages += (after.MessagesSent + after.MessagesRecv) - (before.MessagesSent + before.MessagesRecv)

@@ -62,21 +62,23 @@ func (t *Trace) PhaseStats() []obs.PhaseStat {
 }
 
 // Format renders the trace as an EXPLAIN ANALYZE-style table: the plan
-// columns plus measured bytes, messages, rounds and wall time per step.
+// columns plus measured bytes, messages, rounds, wall time per step and
+// the part of it this party spent blocked on the peer.
 func (t *Trace) Format(w io.Writer) {
-	fmt.Fprintf(w, "%-10s %-20s %-28s %10s %14s %14s %6s %7s %12s\n",
-		"phase", "operator", "relation", "rows", "est. comm", "meas. comm", "msgs", "rounds", "time")
+	fmt.Fprintf(w, "%-10s %-20s %-28s %10s %14s %14s %6s %7s %12s %12s\n",
+		"phase", "operator", "relation", "rows", "est. comm", "meas. comm", "msgs", "rounds", "time", "blocked")
 	var est, meas, msgs int64
-	var elapsed time.Duration
+	var elapsed, blocked time.Duration
 	for _, s := range t.Steps {
 		est += s.EstBytes
 		meas += s.Bytes
 		msgs += s.Messages
 		elapsed += s.Elapsed
-		fmt.Fprintf(w, "%-10s %-20s %-28s %10d %14s %14s %6d %7d %12s\n",
+		blocked += s.Blocked
+		fmt.Fprintf(w, "%-10s %-20s %-28s %10d %14s %14s %6d %7d %12s %12s\n",
 			s.Phase, s.Op, s.Node, s.N, fmtBytes(s.EstBytes), fmtBytes(s.Bytes),
-			s.Messages, s.Rounds, s.Elapsed.Round(time.Microsecond))
+			s.Messages, s.Rounds, s.Elapsed.Round(time.Microsecond), s.Blocked.Round(time.Microsecond))
 	}
-	fmt.Fprintf(w, "total: estimated %s, measured %s, %d messages, elapsed %s\n",
-		fmtBytes(est), fmtBytes(meas), msgs, elapsed.Round(time.Microsecond))
+	fmt.Fprintf(w, "total: estimated %s, measured %s, %d messages, elapsed %s, blocked %s\n",
+		fmtBytes(est), fmtBytes(meas), msgs, elapsed.Round(time.Microsecond), blocked.Round(time.Microsecond))
 }

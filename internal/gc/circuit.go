@@ -190,8 +190,8 @@ func (c *Circuit) NumGates() int { return c.Slots * len(c.Gates) }
 func (c *Circuit) Prepare() {}
 
 // lanes is the number of consecutive slots a worker sweeps together,
-// gate by gate, so that each hash of a gate fills the 8-wide AES
-// pipeline of prf.HashBlocks once. It also makes every batch own whole
+// gate by gate, so that each hash of a gate fills the fused MMO kernel's
+// eight lanes once (prf.HashTweaks). It also makes every batch own whole
 // bytes of the slot-major packed bit vectors (8·k bits per batch, 40 per
 // AND of the control bits), which is what lets workers write decode and
 // control bits without synchronisation.

@@ -128,8 +128,8 @@ func xorPayload(dst []byte, bits []PBit, priv []bool) {
 func (c *Circuit) stride() int { return min(lanes, c.Slots) }
 
 // labelScratch returns one worker's label scratch, wire-major: the lanes
-// of wire x are w[x·stride : x·stride+k], contiguous so that they hash in
-// one prf.HashBlocks call. It reuses a scratch an earlier circuit gave
+// of wire x are w[x·stride : x·stride+k], contiguous so that they copy
+// and hash as one run. It reuses a scratch an earlier circuit gave
 // back (releaseScratch) when one is large enough: a query garbles and
 // evaluates its circuits one after another.
 func (c *Circuit) labelScratch() []prf.Block {
@@ -214,8 +214,9 @@ func (c *Circuit) slotPerms() int { return 2*c.NumAnd + c.NumAndG }
 // hashes (andgate.go). The sweep itself is the slot kernel (forBatches):
 // a worker takes a batch of slots and walks the slot's gate list once
 // over a scratch of NumWires×stride labels, wire-major so that the lanes
-// of one wire are contiguous and each of the six hashes of an AND is one
-// prf.HashBlocks call. The gate with running tweak index t in slot s
+// of one wire are contiguous, and the six hashes of an AND over all the
+// batch's lanes are one prf.HashTweaks call — one kernel pass even for
+// a batch of one slot. The gate with running tweak index t in slot s
 // hashes under tweak ck.base + s·slotTweaks+t, and the q-th AND (ANDG) of
 // slot s owns the table entries of AND (ANDG) s·NumAnd+q (s·NumAndG+q) —
 // what a serial sweep over the gadget looped Slots times would assign —
@@ -268,9 +269,18 @@ func garble(c *Circuit, ck circuitKey, g *prf.PRG, priv []bool, keepPerm bool, e
 		if keepPerm {
 			perm = gb.perm[s0/lanes*sperm:][:sperm]
 		}
-		// An AND's colour-ordered inputs and their hashes, per lane; the
-		// arrays live across gates, as each AND writes what it reads.
-		var in, hs [6][lanes]prf.Block
+		// An AND's colour-ordered inputs and their hashes, input m of
+		// lane l at m·k+l, so that the six hashes of all k lanes are one
+		// prf.HashTweaks call; the arrays live across gates, as each AND
+		// writes what it reads. tws[m·k+l] is that hash's tweak less the
+		// gate's base tweak: m/2 + l·slotTweaks.
+		var in, hs [6 * lanes]prf.Block
+		var off, tws [6 * lanes]uint64
+		for m := 0; m < 6; m++ {
+			for l := 0; l < k; l++ {
+				off[m*k+l] = uint64(m/2 + l*st)
+			}
+		}
 		// The running counts of ANDs and ANDGs give a gate's tweak index
 		// (3 per AND, 1 per ANDG), table entry and permute-bit index.
 		nAnd, nAndG, step := 0, 0, uint64(st)
@@ -300,31 +310,33 @@ func garble(c *Circuit, ck circuitKey, g *prf.PRG, priv []bool, keepPerm bool, e
 				// Colour-ordered labels of A, B and A⊕B, hashed under the
 				// gate's three tweaks.
 				b := lane(gate.B)
+				a0, a1, b0, b1, x0, x1 := in[:k], in[k:2*k], in[2*k:3*k], in[3*k:4*k], in[4*k:5*k], in[5*k:6*k]
 				for l := range out {
-					in[0][l], in[2][l] = a[l], b[l]
+					a0[l], b0[l] = a[l], b[l]
 					if a[l].LSB() == 1 {
-						prf.XORBlock(&in[0][l], a[l], delta)
+						prf.XORBlock(&a0[l], a[l], delta)
 					}
 					if b[l].LSB() == 1 {
-						prf.XORBlock(&in[2][l], b[l], delta)
+						prf.XORBlock(&b0[l], b[l], delta)
 					}
-					prf.XORBlock(&in[4][l], in[0][l], in[2][l])
-					for m := 0; m < 6; m += 2 {
-						prf.XORBlock(&in[m+1][l], in[m][l], delta)
-					}
+					prf.XORBlock(&x0[l], a0[l], b0[l])
+					prf.XORBlock(&a1[l], a0[l], delta)
+					prf.XORBlock(&b1[l], b0[l], delta)
+					prf.XORBlock(&x1[l], x0[l], delta)
 				}
 				tw := ck.base + uint64(s0*st+3*nAnd+nAndG)
-				for m := range hs {
-					ck.word.HashBlocks(hs[m][:k], in[m][:k], tw+uint64(m/2), step)
+				for i := range 6 * k {
+					tws[i] = tw + off[i]
 				}
+				ck.word.HashTweaks(hs[:6*k], in[:6*k], tws[:6*k])
 				for l := range out {
-					h := andHashes{hs[0][l], hs[1][l], hs[2][l], hs[3][l], hs[4][l], hs[5][l]}
+					h := andHashes{hs[l], hs[k+l], hs[2*k+l], hs[3*k+l], hs[4*k+l], hs[5*k+l]}
 					q := (s0+l)*c.NumAnd + nAnd
 					var bits uint8
-					out[l], bits = garbleAND(&in[0][l], &in[2][l], &delta, a[l].LSB(), b[l].LSB(), &h, halvesCt[24*q:][:24])
+					out[l], bits = garbleAND(&a0[l], &b0[l], &delta, a[l].LSB(), b[l].LSB(), &h, halvesCt[24*q:][:24])
 					xorCtl(ctl, q, bits)
 					if keepPerm {
-						gb.corr[2*q], gb.corr[2*q+1] = colourW(&in[0][l], &in[2][l])
+						gb.corr[2*q], gb.corr[2*q+1] = colourW(&a0[l], &b0[l])
 					}
 				}
 				if keepPerm {
@@ -334,14 +346,17 @@ func garble(c *Circuit, ck circuitKey, g *prf.PRG, priv []bool, keepPerm bool, e
 				nAnd++
 			case GateANDG:
 				// AND with a garbler-private constant: a single garbler
-				// half gate (one ciphertext).
-				var a1, ha0, ha1 [lanes]prf.Block
-				for l := range a {
-					prf.XORBlock(&a1[l], a[l], delta)
-				}
+				// half gate (one ciphertext). Both labels of the input
+				// hash in one call, under the gate's one tweak per lane.
+				a01, ha0, ha1 := in[:2*k], hs[:k], hs[k:2*k]
+				copy(a01, a)
 				tw := ck.base + uint64(s0*st+3*nAnd+nAndG)
-				ck.word.HashBlocks(ha0[:k], a, tw, step)
-				ck.word.HashBlocks(ha1[:k], a1[:k], tw, step)
+				for l := range a {
+					prf.XORBlock(&a01[k+l], a[l], delta)
+					tws[l] = tw + uint64(l)*step
+					tws[k+l] = tws[l]
+				}
+				ck.word.HashTweaks(hs[:2*k], a01, tws[:2*k])
 				for l := range out {
 					tg := prf.XORBlockValue(ha0[l], ha1[l])
 					if priv[(s0+l)*nP+int(gate.B)] {
@@ -446,9 +461,18 @@ func evaluate(c *Circuit, word prf.Word, base uint64, msg []byte, evalIn []byte)
 				w[int(x)*stride+l] = eIn[(s0+l)*nE+i]
 			}
 		}
-		// An AND's input XOR and its three hashes, per lane; the arrays
-		// live across gates, as each AND writes what it reads.
-		var x, ha, hb, hx [lanes]prf.Block
+		// An AND's three hash inputs and their hashes — A, B and A⊕B of
+		// lane l at l, k+l and 2k+l — so that the gate's hashes over all k
+		// lanes are one prf.HashTweaks call; the arrays live across gates,
+		// as each AND writes what it reads. tws[m·k+l] is that hash's
+		// tweak less the gate's base tweak: m + l·slotTweaks.
+		var in, hs [3 * lanes]prf.Block
+		var off, tws [3 * lanes]uint64
+		for m := 0; m < 3; m++ {
+			for l := 0; l < k; l++ {
+				off[m*k+l] = uint64(m + l*st)
+			}
+		}
 		nAnd, nAndG, step := 0, 0, uint64(st)
 		for _, gate := range c.Gates {
 			a, o := lane(gate.A), lane(gate.Out)
@@ -462,16 +486,20 @@ func evaluate(c *Circuit, word prf.Word, base uint64, msg []byte, evalIn []byte)
 				copy(o, a)
 			case GateAND:
 				b := lane(gate.B)
+				x := in[2*k : 3*k]
+				copy(in[:k], a)
+				copy(in[k:2*k], b)
 				for l := range o {
 					prf.XORBlock(&x[l], a[l], b[l])
 				}
 				tw := base + uint64(s0*st+3*nAnd+nAndG)
-				word.HashBlocks(ha[:k], a, tw, step)
-				word.HashBlocks(hb[:k], b, tw+1, step)
-				word.HashBlocks(hx[:k], x[:k], tw+2, step)
+				for i := range 3 * k {
+					tws[i] = tw + off[i]
+				}
+				word.HashTweaks(hs[:3*k], in[:3*k], tws[:3*k])
 				for l := range o {
 					q := (s0+l)*c.NumAnd + nAnd
-					o[l] = evalAND(&a[l], &b[l], &ha[l], &hb[l], &hx[l], halvesCt[24*q:][:24], ctlAt(ctl, q))
+					o[l] = evalAND(&a[l], &b[l], &hs[l], &hs[k+l], &hs[2*k+l], halvesCt[24*q:][:24], ctlAt(ctl, q))
 				}
 				nAnd++
 			case GateANDG:

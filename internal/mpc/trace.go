@@ -6,7 +6,8 @@ import "time"
 // executor in internal/core: one entry per plan step, carrying the
 // step's identity (phase/op/node, mirroring the plan), its public size,
 // the predicted cost, and the measured traffic and wall time scoped to
-// the step via transport.Stats snapshots. It lives in this package so
+// the step via transport.Stats snapshots, with the part of that time the
+// party spent blocked on the peer (transport.RecvWait). It lives in this package so
 // that any layer holding a *Party can subscribe through Party.Observer
 // without importing the core planner.
 type StepTrace struct {
@@ -20,4 +21,8 @@ type StepTrace struct {
 	Messages int64 // measured, both directions
 	Rounds   int64 // measured round count on this party's side
 	Elapsed  time.Duration
+	// Blocked is the part of Elapsed this party's receives spent
+	// waiting for the peer's messages; Elapsed − Blocked is its own
+	// work.
+	Blocked time.Duration
 }

@@ -33,9 +33,12 @@ import (
 	"crypto/elliptic"
 	"crypto/rand"
 	"fmt"
+	"io"
 	"math/big"
+	"sync"
 
 	"secyan/internal/obs"
+	"secyan/internal/parallel"
 	"secyan/internal/prf"
 	"secyan/internal/transport"
 )
@@ -97,21 +100,71 @@ func keySeed(i int, x, y *big.Int) (s prf.Seed) {
 	return s
 }
 
+// baseEntropy is the reader the base OTs draw their scalars from:
+// crypto/rand, replaced only by tests that pin the messages under a
+// fixed stream.
+var baseEntropy io.Reader = rand.Reader
+
+// drawScalars draws n scalars uniformly from [1, N) of P-256, by
+// rejection, in index order from baseEntropy. The draws are serial and
+// come before any parallel section, so with a fixed entropy stream the
+// scalars — and with them every message and seed — are the same at any
+// worker count (DESIGN.md §2).
+func drawScalars(n int) ([][]byte, error) {
+	order := curve.Params().N
+	buf := make([]byte, 32*n)
+	xs := make([][]byte, n)
+	var k big.Int
+	for i := range xs {
+		x := buf[32*i : 32*(i+1)]
+		for {
+			if _, err := io.ReadFull(baseEntropy, x); err != nil {
+				return nil, fmt.Errorf("ot: base OT entropy: %w", err)
+			}
+			if k.SetBytes(x); k.Sign() > 0 && k.Cmp(order) < 0 {
+				break
+			}
+		}
+		xs[i] = x
+	}
+	return xs, nil
+}
+
+// firstBad keeps the *MessageError of the lowest OT index any worker
+// rejected, so that a parallel decode reports what a serial one would.
+type firstBad struct {
+	mu  sync.Mutex
+	err *MessageError
+}
+
+func (f *firstBad) report(i int, reason string) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.err == nil || i < f.err.Index {
+		f.err = &MessageError{i, reason}
+	}
+}
+
 // BaseSend runs n random OTs as the sender and returns the seed pair of
 // each instance; the receiver learns exactly one seed of every pair.
 //
 // The sender publishes S = y·G, receives R_i = c_i·S + x_i·G and derives
 // seed0 = H(i, y·R_i), seed1 = H(i, y·R_i − y·S): whichever of the two
 // equals the receiver's H(i, x_i·S), the other is y·(x_i ∓ y)·G, a CDH
-// instance in (S, R_i) for the receiver.
+// instance in (S, R_i) for the receiver. The per-instance keys run on
+// the worker pool; a malformed point is reported for the lowest bad
+// index, as a serial decode would.
 func BaseSend(conn transport.Conn, n int) ([][2]prf.Seed, error) {
 	sp := kBaseSend.Begin()
 	defer sp.EndN(int64(n))
-	y, sx, sy, err := elliptic.GenerateKey(curve, rand.Reader)
+	ys, err := drawScalars(1)
 	if err != nil {
-		return nil, fmt.Errorf("ot: base OT entropy: %w", err)
+		return nil, err
 	}
-	sEnc := elliptic.MarshalCompressed(curve, sx, sy)
+	y := ys[0]
+	sx, sy := curve.ScalarBaseMult(y)
+	sEnc := make([]byte, pointLen)
+	putCompressed(sEnc, sx, sy)
 	if err := conn.Send(sEnc); err != nil {
 		return nil, err
 	}
@@ -130,25 +183,35 @@ func BaseSend(conn transport.Conn, n int) ([][2]prf.Seed, error) {
 		return nil, &MessageError{-1, fmt.Sprintf("receiver points: got %d bytes, want %d", len(msg), n*pointLen)}
 	}
 	pairs := make([][2]prf.Seed, n)
-	for i := range pairs {
-		enc := msg[i*pointLen : (i+1)*pointLen]
-		rx, ry := elliptic.UnmarshalCompressed(curve, enc)
-		if rx == nil {
-			return nil, &MessageError{i, "receiver point is not a compressed P-256 point"}
+	var bad firstBad
+	parallel.For(n, 1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			enc := msg[i*pointLen : (i+1)*pointLen]
+			rx, ry := elliptic.UnmarshalCompressed(curve, enc)
+			if rx == nil {
+				bad.report(i, "receiver point is not a compressed P-256 point")
+				return
+			}
+			if bytes.Equal(enc, sEnc) {
+				bad.report(i, "receiver point equals the setup point (key at infinity)")
+				return
+			}
+			kx, ky := curve.ScalarMult(rx, ry, y)
+			pairs[i][0] = keySeed(i, kx, ky)
+			kx, ky = curve.Add(kx, ky, ntx, nty)
+			pairs[i][1] = keySeed(i, kx, ky)
 		}
-		if bytes.Equal(enc, sEnc) {
-			return nil, &MessageError{i, "receiver point equals the setup point (key at infinity)"}
-		}
-		kx, ky := curve.ScalarMult(rx, ry, y)
-		pairs[i][0] = keySeed(i, kx, ky)
-		kx, ky = curve.Add(kx, ky, ntx, nty)
-		pairs[i][1] = keySeed(i, kx, ky)
+	})
+	if bad.err != nil {
+		return nil, bad.err
 	}
 	return pairs, nil
 }
 
 // BaseRecv runs len(choices) random OTs as the receiver and returns the
 // chosen seed of each instance: seed choices[i] of the sender's pair i.
+// Its points and its keys each run on the worker pool, over scalars
+// drawn serially before either.
 func BaseRecv(conn transport.Conn, choices []bool) ([]prf.Seed, error) {
 	n := len(choices)
 	sp := kBaseRecv.Begin()
@@ -164,30 +227,33 @@ func BaseRecv(conn transport.Conn, choices []bool) ([]prf.Seed, error) {
 	if sx == nil {
 		return nil, &MessageError{-1, "setup point is not a compressed P-256 point"}
 	}
-	xs := make([][]byte, n)
-	msg := make([]byte, n*pointLen)
-	for i, c := range choices {
-		x, rx, ry, err := elliptic.GenerateKey(curve, rand.Reader)
-		if err != nil {
-			return nil, fmt.Errorf("ot: base OT entropy: %w", err)
-		}
-		// Add unconditionally so the work does not depend on the choice.
-		ax, ay := curve.Add(rx, ry, sx, sy)
-		if c {
-			rx, ry = ax, ay
-		}
-		putCompressed(msg[i*pointLen:], rx, ry)
-		xs[i] = x
+	xs, err := drawScalars(n)
+	if err != nil {
+		return nil, err
 	}
+	msg := make([]byte, n*pointLen)
+	parallel.For(n, 1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			rx, ry := curve.ScalarBaseMult(xs[i])
+			// Add unconditionally so the work does not depend on the choice.
+			ax, ay := curve.Add(rx, ry, sx, sy)
+			if choices[i] {
+				rx, ry = ax, ay
+			}
+			putCompressed(msg[i*pointLen:], rx, ry)
+		}
+	})
 	if err := conn.Send(msg); err != nil {
 		return nil, err
 	}
 	// The keys come after the points are on their way: this half of the
 	// receiver's work overlaps the sender's.
 	seeds := make([]prf.Seed, n)
-	for i, x := range xs {
-		kx, ky := curve.ScalarMult(sx, sy, x)
-		seeds[i] = keySeed(i, kx, ky)
-	}
+	parallel.For(n, 1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			kx, ky := curve.ScalarMult(sx, sy, xs[i])
+			seeds[i] = keySeed(i, kx, ky)
+		}
+	})
 	return seeds, nil
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	mrand "math/rand"
+	"runtime"
 	"testing"
 
 	"secyan/internal/prf"
@@ -220,6 +221,116 @@ func TestBaseOTRejectsMalformedMessages(t *testing.T) {
 			_, err := BaseSend(a, n)
 			wantErr(t, err, tc.index)
 		})
+	}
+}
+
+// wireConn records a copy of every message sent through it.
+type wireConn struct {
+	transport.Conn
+	sent [][]byte
+}
+
+func (w *wireConn) Send(data []byte) error {
+	w.sent = append(w.sent, bytes.Clone(data))
+	return w.Conn.Send(data)
+}
+
+// TestBaseOTSameAtAnyWorkerCount runs the base OTs under a fixed entropy
+// stream at 1, 2 and 4 workers: both messages (33 B and 4 224 B) and
+// both parties' seeds must be the same bytes every time, as the scalars
+// are drawn serially before each parallel section. The sender draws y
+// before it sends S and the receiver draws its scalars after it receives
+// S, so one stream serves both in a fixed order.
+func TestBaseOTSameAtAnyWorkerCount(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(4))
+	choices := make([]bool, kappa)
+	for i := range choices {
+		choices[i] = rng.Intn(2) == 1
+	}
+	type run struct {
+		setup, points []byte
+		pairs         [][2]prf.Seed
+		seeds         []prf.Seed
+	}
+	saved := baseEntropy
+	defer func() { baseEntropy = saved }()
+	var first *run
+	for _, workers := range []int{1, 2, 4} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+			baseEntropy = prf.NewPRG(prf.Seed{5})
+			a, b := transport.Pair()
+			defer a.Close()
+			defer b.Close()
+			wa, wb := &wireConn{Conn: a}, &wireConn{Conn: b}
+			pairs, seeds := runBaseOT(t, wa, wb, choices)
+			checkBaseOT(t, pairs, seeds, choices)
+			if len(wa.sent) != 1 || len(wb.sent) != 1 || len(wa.sent[0]) != pointLen || len(wb.sent[0]) != kappa*pointLen {
+				t.Fatalf("%d workers: messages of the wrong shape", workers)
+			}
+			r := &run{wa.sent[0], wb.sent[0], pairs, seeds}
+			if first == nil {
+				first = r
+				return
+			}
+			if !bytes.Equal(r.setup, first.setup) || !bytes.Equal(r.points, first.points) {
+				t.Fatalf("%d workers: wire bytes differ from 1 worker's", workers)
+			}
+			for i := range r.pairs {
+				if r.pairs[i] != first.pairs[i] || r.seeds[i] != first.seeds[i] {
+					t.Fatalf("%d workers: OT %d's seeds differ from 1 worker's", workers, i)
+				}
+			}
+		}()
+	}
+}
+
+// TestBaseOTReportsLowestBadPoint gives the sender κ points with one or
+// two bad ones, far apart so that they fall in different workers'
+// chunks, and requires the *MessageError of the lowest bad index at 1, 2
+// and 4 workers.
+func TestBaseOTReportsLowestBadPoint(t *testing.T) {
+	good := randomPoints(t, kappa)
+	offCurve := offCurvePoint(t)
+	for _, tc := range []struct {
+		name  string
+		bad   []int // off-curve points
+		echo  int   // the setup point echoed back, or -1
+		index int
+	}{
+		{"one", []int{3}, -1, 3},
+		{"two", []int{5, 100}, -1, 5},
+		{"last", []int{kappa - 1}, -1, kappa - 1},
+		{"echo-then-off-curve", []int{90}, 40, 40},
+		{"off-curve-then-echo", []int{17}, 120, 17},
+	} {
+		for _, workers := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+				a, b := transport.Pair()
+				defer a.Close()
+				defer b.Close()
+				go func() {
+					s, err := b.Recv()
+					if err != nil {
+						return
+					}
+					msg := bytes.Clone(good)
+					for _, i := range tc.bad {
+						copy(msg[i*pointLen:], offCurve)
+					}
+					if tc.echo >= 0 {
+						copy(msg[tc.echo*pointLen:], s)
+					}
+					b.Send(msg)
+				}()
+				_, err := BaseSend(a, kappa)
+				var me *MessageError
+				if !errors.As(err, &me) || me.Index != tc.index {
+					t.Fatalf("got %v, want a *MessageError for OT %d", err, tc.index)
+				}
+			})
+		}
 	}
 }
 

@@ -2,15 +2,32 @@
 
 package prf
 
-// hasAES8 reports whether the batched 8-wide AESENC kernel is usable.
-// AES-NI has been ubiquitous on x86-64 since ~2010, but the check keeps
-// the package correct under emulators and stripped-down VMs, where
-// HashBlocks and CTR simply stay on the per-block cipher path. It is a
-// variable so the tests can force that path.
+// hasAES8 reports whether the 8-wide AESENC kernels — the fused MMO
+// kernel and CTR's — are usable. AES-NI has been ubiquitous on x86-64
+// since ~2010, but the check keeps the package correct under emulators
+// and stripped-down VMs, where the MMO hashes and CTR simply stay on the
+// per-block cipher path. It is a variable so the tests can force that
+// path.
 var hasAES8 = cpuHasAES()
 
-// cpuHasAES reports the CPUID AES-NI feature bit (leaf 1, ECX bit 25).
+// cpuHasAES reports the CPUID AES-NI and SSSE3 feature bits (leaf 1,
+// ECX bits 25 and 9): the kernels below need both.
 func cpuHasAES() bool
+
+// mmoBlocksAsm is the fused MMO kernel: for the n blocks at src (n a
+// positive multiple of 8) it writes dst[i] = π(d) ⊕ d, d = 2·src[i] ⊕
+// (w, lo[i]), under the expanded key rk — the doubling, the tweak XOR, the
+// ten rounds and the feed-forward of eight lanes at a time, in registers.
+// dst may equal src.
+//
+//go:noescape
+func mmoBlocksAsm(rk *byte, dst, src *Block, lo *uint64, w uint64, n int)
+
+// mmoBlocks runs the fused kernel under π on n blocks, n a positive
+// multiple of 8.
+func mmoBlocks(dst, src *Block, lo *uint64, w Word, n int) {
+	mmoBlocksAsm(&fixedRoundKeys[0], dst, src, lo, uint64(w), n)
+}
 
 // encryptBlocks8Asm applies ten AESENC rounds of the expanded key rk to
 // the eight consecutive blocks at src, writing the eight blocks at dst

@@ -16,12 +16,12 @@ type Block [16]byte
 // PSI binning.
 const fixedKeyMaterial = "secure-yannakaki" // 16 bytes
 
-// fixedAES is π behind the cipher.Block interface, used for single-block
-// hashing and on architectures without the batched AESENC kernel.
+// fixedAES is π behind the cipher.Block interface: the per-block path
+// (mmoRef) on machines without the fused AES-NI kernel.
 var fixedAES cipher.Block
 
-// fixedRoundKeys is the expanded schedule of π, consumed by the batched
-// AESENC kernel.
+// fixedRoundKeys is the expanded schedule of π, consumed by the fused
+// MMO kernel.
 var fixedRoundKeys = expandAESKey128([16]byte([]byte(fixedKeyMaterial)))
 
 func init() {
@@ -85,12 +85,12 @@ const (
 	SitePay        = SiteGC | 1<<61
 )
 
-// mmoScratch is the two-block workspace of one MMO evaluation: the
-// doubled-and-tweaked input d and the cipher output e. Hash call sites
-// declare it on the stack and launder its address through noescape once
-// per call, so the slices handed to the cipher.Block interface (whose
-// arguments the compiler must otherwise assume escape) never force a
-// heap allocation.
+// mmoScratch is the two-block workspace of one per-block MMO
+// evaluation: the doubled-and-tweaked input d and the cipher output e.
+// The per-block path declares it on the stack and launders its address
+// through noescape once per call, so the slices handed to the
+// cipher.Block interface (whose arguments the compiler must otherwise
+// assume escape) never force a heap allocation.
 type mmoScratch struct{ d, e Block }
 
 // Double multiplies a 128-bit block by 2 in GF(2^128) (the "doubling"
@@ -122,68 +122,107 @@ func (w Word) tweak(d *Block, lo uint64) {
 	binary.LittleEndian.PutUint64(d[:8], binary.LittleEndian.Uint64(d[:8])^uint64(w))
 }
 
+// mmoRef is the per-block MMO path: dst[i] = π(d) ⊕ d, d = 2·src[i] ⊕
+// (w, lo[i]), one crypto/aes call per block. It runs where the fused
+// kernel cannot (no AES-NI), and the tests pin the kernel to it.
+func (w Word) mmoRef(dst, src []Block, lo []uint64) {
+	var scratch mmoScratch
+	s := (*mmoScratch)(noescape(unsafe.Pointer(&scratch)))
+	for i := range src {
+		s.d = Double(src[i])
+		w.tweak(&s.d, lo[i])
+		fixedAES.Encrypt(s.e[:], s.d[:])
+		XORBlock(&dst[i], s.e, s.d)
+	}
+}
+
+// lanes hashes the first m of the eight blocks b in place, block i under
+// the low tweak lo[i]: one pass of the fused kernel, whose spare lanes
+// hash whatever they hold (eight lanes cost about what one does, as the
+// AES rounds pipeline), or the per-block path on m blocks.
+func (w Word) lanes(b *[8]Block, lo *[8]uint64, m int) {
+	if hasAES8 {
+		mmoBlocks(&b[0], &b[0], &lo[0], w, 8)
+		return
+	}
+	w.mmoRef(b[:m], b[:m], lo[:m])
+}
+
+// HashTweaks is the MMO hash under per-block tweaks: it sets
+//
+//	dst[i] = w.HashBlock(src[i], tweaks[i])
+//
+// for every i. Whole groups of eight run in place through the fused
+// kernel and a last partial group through its stack lanes, so a caller
+// that packs several hashes into one call — a garbled AND's six, or
+// three at the evaluator — pays one kernel pass per eight blocks. dst and
+// src may be the same slice; the call performs no heap allocation.
+func (w Word) HashTweaks(dst, src []Block, tweaks []uint64) {
+	if len(dst) != len(src) || len(tweaks) != len(src) {
+		// All three are the caller's own buffers, sized by its batch,
+		// not by a peer message.
+		panic("prf: HashTweaks length mismatch")
+	}
+	if !hasAES8 {
+		w.mmoRef(dst, src, tweaks)
+		return
+	}
+	n := len(src) &^ 7
+	if n > 0 {
+		mmoBlocks(&dst[0], &src[0], &tweaks[0], w, n)
+	}
+	if m := len(src) - n; m > 0 {
+		var b [8]Block
+		var lo [8]uint64
+		copy(b[:], src[n:])
+		copy(lo[:], tweaks[n:])
+		w.lanes(&b, &lo, m)
+		copy(dst[n:], b[:m])
+	}
+}
+
 // HashBlock is the MMO-style hash H(X, t) = π(2X ⊕ t) ⊕ 2X ⊕ t for the
 // 128-bit tweak t = (w, tweak): GKWY20's tweakable
 // circular-correlation-robust form, the assumption required by free-XOR
 // and half-gates garbling and by the IKNP break-correlation step.
 func (w Word) HashBlock(x Block, tweak uint64) Block {
-	var scratch mmoScratch
-	s := (*mmoScratch)(noescape(unsafe.Pointer(&scratch)))
-	s.d = Double(x)
-	w.tweak(&s.d, tweak)
-	fixedAES.Encrypt(s.e[:], s.d[:])
-	XORBlock(&s.e, s.e, s.d)
-	return s.e
+	b := [8]Block{x}
+	lo := [8]uint64{tweak}
+	w.lanes(&b, &lo, 1)
+	return b[0]
 }
 
 // HashBlock is Word(0).HashBlock.
 func HashBlock(x Block, tweak uint64) Block { return Word(0).HashBlock(x, tweak) }
 
+// hashChunk is how many tweaks HashBlocks lays out per kernel call.
+const hashChunk = 64
+
 // HashBlocks is the batched form of HashBlock: it sets
 //
 //	dst[i] = w.HashBlock(src[i], tweak + uint64(i)·step)
 //
-// for every i, amortizing the doubling/tweak setup and bounds checks of
-// the per-call path across a whole IKNP column or PSI bin sweep. step 1
-// gives each block a fresh consecutive tweak (OT instance indices);
-// step 0 hashes every block under one tweak (a PSI hash-function
-// sweep). dst and src must have equal length and may be the same slice
-// (each block is read before it is written); the call performs no heap
-// allocation.
+// for every i, through HashTweaks a chunk at a time: an IKNP column or a
+// PSI bin sweep runs at the fused kernel's speed. step 1 gives each block
+// a fresh consecutive tweak (OT instance indices); step 0 hashes every
+// block under one tweak (a PSI hash-function sweep). dst and src must
+// have equal length and may be the same slice (each block is read before
+// it is written); the call performs no heap allocation.
 func (w Word) HashBlocks(dst, src []Block, tweak, step uint64) {
 	if len(dst) != len(src) {
 		// Both are the caller's own buffers, sized by its batch, not by
 		// a peer message.
 		panic("prf: HashBlocks length mismatch")
 	}
-	t := tweak
-	i := 0
-	if hasAES8 {
-		// Eight MMO inputs in flight per AESENC round: the batched kernel
-		// hides the AES instruction latency that the one-block cipher.Block
-		// path serializes on. db/eb stay on the stack — the kernel is
-		// declared //go:noescape.
-		var db, eb [8]Block
-		for ; i+8 <= len(src); i += 8 {
-			for k := range db {
-				db[k] = Double(src[i+k])
-				w.tweak(&db[k], t)
-				t += step
-			}
-			encryptBlocks8(&fixedRoundKeys, &eb, &db)
-			for k := range db {
-				XORBlock(&dst[i+k], eb[k], db[k])
-			}
+	var lo [hashChunk]uint64
+	for len(src) > 0 {
+		n := min(len(src), hashChunk)
+		for i := range n {
+			lo[i] = tweak
+			tweak += step
 		}
-	}
-	var scratch mmoScratch
-	s := (*mmoScratch)(noescape(unsafe.Pointer(&scratch)))
-	for ; i < len(src); i++ {
-		s.d = Double(src[i])
-		w.tweak(&s.d, t)
-		fixedAES.Encrypt(s.e[:], s.d[:])
-		XORBlock(&dst[i], s.e, s.d)
-		t += step
+		w.HashTweaks(dst[:n], src[:n], lo[:n])
+		dst, src = dst[n:], src[n:]
 	}
 }
 
@@ -194,16 +233,23 @@ func HashBlocks(dst, src []Block, tweak, step uint64) { Word(0).HashBlocks(dst, 
 // caller's tweak: the first block is w.HashBlock(x, tweak), and block
 // k ≥ 1 is w.HashBlock(h₀ ⊕ k, SiteKDF | k) — a KDF chain re-keyed by
 // the first digest, so the caller's tweak space is consumed exactly once
-// per call no matter how wide the output. It performs no heap
-// allocation.
+// per call no matter how wide the output. The blocks after the first
+// hash eight to a kernel pass. It performs no heap allocation.
 func (w Word) HashToWidthAES(dst []byte, x Block, tweak uint64) {
 	h0 := w.HashBlock(x, tweak)
 	n := copy(dst, h0[:])
-	for k := uint64(1); n < len(dst); k++ {
-		in := h0
-		binary.LittleEndian.PutUint64(in[:8], binary.LittleEndian.Uint64(in[:8])^k)
-		h := w.HashBlock(in, SiteKDF|k)
-		n += copy(dst[n:], h[:])
+	var b [8]Block
+	var lo [8]uint64
+	for k := uint64(1); n < len(dst); {
+		m := 0
+		for ; m < len(b) && n+16*m < len(dst); m++ {
+			b[m] = h0
+			binary.LittleEndian.PutUint64(b[m][:8], binary.LittleEndian.Uint64(h0[:8])^k)
+			lo[m] = SiteKDF | k
+			k++
+		}
+		w.lanes(&b, &lo, m)
+		n += copy(dst[n:], BlockBytes(b[:m]))
 	}
 }
 

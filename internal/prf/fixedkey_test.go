@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"testing"
 )
 
@@ -246,6 +247,123 @@ func TestBatchedHashZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("HashBlock allocates %.1f times per call, want 0", n)
 	}
+	tweaks := make([]uint64, 13)
+	if n := testing.AllocsPerRun(100, func() {
+		Word(7).HashTweaks(dst[:13], src[:13], tweaks)
+		Word(7).HashTweaks(dst[:5], dst[:5], tweaks[:5])
+	}); n != 0 {
+		t.Errorf("HashTweaks allocates %.1f times per call, want 0", n)
+	}
+}
+
+// onReferencePath runs f with the fused kernel switched off, so every MMO
+// hash takes the per-block crypto/aes path.
+func onReferencePath(f func()) {
+	saved := hasAES8
+	defer func() { hasAES8 = saved }()
+	hasAES8 = false
+	f()
+}
+
+// TestFusedKernelMatchesReference pins the fused MMO kernel to the
+// per-block crypto/aes path through every entry point: HashTweaks and
+// HashBlocks at 0–17 blocks (each partial lane count, alone and after
+// whole groups), under per-lane tweaks, step 0, and tweaks that wrap
+// past 2^64, out of place and with dst == src, under word 0 and a
+// nonzero word; HashBlock; and HashToWidthAES at widths across one and
+// two kernel passes.
+func TestFusedKernelMatchesReference(t *testing.T) {
+	if !hasAES8 {
+		t.Skip("no fused kernel on this machine: both paths are the reference")
+	}
+	g := NewPRG(Seed{11})
+	type pattern struct {
+		name        string
+		tweak, step uint64
+	}
+	patterns := []pattern{
+		{"step1", SiteOT | 17, 1},
+		{"step0", SitePSI | 2, 0},
+		{"step-slot", SiteGC | 5, 13},
+		{"wrap", 1<<64 - 5, 1},
+		{"wrap-wide", 1<<64 - 3*977, 977},
+	}
+	check := func(t *testing.T, what string, got, want []Block) {
+		t.Helper()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: block %d: kernel %x, reference %x", what, i, got[i], want[i])
+			}
+		}
+	}
+	for _, w := range []Word{0, 0x0123456789abcdef} {
+		for n := 0; n <= 17; n++ {
+			src := make([]Block, n)
+			g.Read(BlockBytes(src))
+			lanes := make([]uint64, n)
+			for i := range lanes {
+				lanes[i] = g.Uint64()
+			}
+			if n > 0 {
+				lanes[0] = 1<<64 - 1
+			}
+			hash := func(dst, in []Block) { w.HashTweaks(dst, in, lanes) }
+			run := func(name string, hash func(dst, in []Block)) {
+				want := make([]Block, n)
+				onReferencePath(func() { hash(want, src) })
+				got := make([]Block, n)
+				hash(got, src)
+				check(t, fmt.Sprintf("word %#x n=%d %s", uint64(w), n, name), got, want)
+				inPlace := append([]Block(nil), src...)
+				hash(inPlace, inPlace)
+				check(t, fmt.Sprintf("word %#x n=%d %s in place", uint64(w), n, name), inPlace, want)
+			}
+			run("per-lane", hash)
+			for _, p := range patterns {
+				run(p.name, func(dst, in []Block) { w.HashBlocks(dst, in, p.tweak, p.step) })
+			}
+		}
+		x := Block(g.Seed())
+		for _, tw := range []uint64{0, SiteGC | 3, 1<<64 - 1} {
+			var want Block
+			onReferencePath(func() { want = w.HashBlock(x, tw) })
+			if got := w.HashBlock(x, tw); got != want {
+				t.Fatalf("word %#x HashBlock(tweak %#x): kernel %x, reference %x", uint64(w), tw, got, want)
+			}
+		}
+		for _, width := range []int{0, 1, 16, 17, 64, 100, 144, 145, 300} {
+			want := make([]byte, width)
+			onReferencePath(func() { w.HashToWidthAES(want, x, SitePay|9) })
+			got := make([]byte, width)
+			w.HashToWidthAES(got, x, SitePay|9)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("word %#x HashToWidthAES width %d: kernel %x, reference %x", uint64(w), width, got, want)
+			}
+		}
+	}
+}
+
+// FuzzHashBlocks feeds the fused kernel any blocks, tweak, step and word,
+// and requires HashBlocks — in place and not — to equal the per-block
+// crypto/aes path.
+func FuzzHashBlocks(f *testing.F) {
+	f.Add(make([]byte, 16*9), uint64(SiteOT|1), uint64(1), uint64(0))
+	f.Add(make([]byte, 16*3), uint64(1<<64-2), uint64(0), uint64(5))
+	f.Add(make([]byte, 16*16), uint64(1<<64-1), uint64(1<<63), uint64(1<<64-1))
+	f.Fuzz(func(t *testing.T, data []byte, tweak, step, word uint64) {
+		src := BlocksOf(bytes.Clone(data[:len(data)&^15]))
+		w := Word(word)
+		want := make([]Block, len(src))
+		onReferencePath(func() { w.HashBlocks(want, src, tweak, step) })
+		got := make([]Block, len(src))
+		w.HashBlocks(got, src, tweak, step)
+		w.HashBlocks(src, src, tweak, step)
+		for i := range want {
+			if got[i] != want[i] || src[i] != want[i] {
+				t.Fatalf("block %d of %d: kernel %x, in place %x, reference %x", i, len(want), got[i], src[i], want[i])
+			}
+		}
+	})
 }
 
 // The before/after benchmark pair of the SHA→AES switch: BenchmarkHashSHA

@@ -25,12 +25,12 @@ func Extra() []Spec {
 
 var q1Date = tpch.Day(1998, 8, 1) // shipdate <= maxdate - interval
 
-func q1Query(db *tpch.DB) *core.Query {
+func q1Query(db *tpch.DB, v view) *core.Query {
 	var dg relation.DummyGen
 	shipIdx := db.Lineitem.Schema.Index("shipdate")
 	return &core.Query{
-		Inputs: []core.Input{input("lineitem", mpc.Bob, maskProject(db.Lineitem, []Attr{"returnflag"},
-			func(row []uint64) bool { return row[shipIdx] <= q1Date }, volume(db.Lineitem), &dg))},
+		Inputs: []core.Input{v.masked("lineitem", mpc.Bob, db.Lineitem, []Attr{"returnflag"},
+			func(row []uint64) bool { return row[shipIdx] <= q1Date }, volume(db.Lineitem), &dg)},
 		Output: []Attr{"returnflag"},
 	}
 }
@@ -58,15 +58,15 @@ var (
 	q12DateHi = tpch.Day(1995, 1, 1)
 )
 
-func q12Query(db *tpch.DB) *core.Query {
+func q12Query(db *tpch.DB, v view) *core.Query {
 	var dgO, dgL relation.DummyGen
 	shipIdx := db.Lineitem.Schema.Index("shipdate")
 	return &core.Query{
 		Inputs: []core.Input{
-			input("orders", mpc.Alice, maskProject(db.Orders, []Attr{"orderkey"}, nil, one, &dgO)),
-			input("lineitem", mpc.Bob, maskProject(db.Lineitem, []Attr{"orderkey", "shipmode"},
+			v.masked("orders", mpc.Alice, db.Orders, []Attr{"orderkey"}, nil, one, &dgO),
+			v.masked("lineitem", mpc.Bob, db.Lineitem, []Attr{"orderkey", "shipmode"},
 				func(row []uint64) bool { return row[shipIdx] >= q12DateLo && row[shipIdx] < q12DateHi },
-				one, &dgL)),
+				one, &dgL),
 		},
 		Output: []Attr{"shipmode"},
 	}
@@ -100,23 +100,23 @@ var (
 // q14Queries describes Q14's two queries over part ⋈ lineitem; they
 // differ in the part annotation: Ind(promo) for the numerator, 1 for the
 // denominator. Both aggregate to a single grand total.
-func q14Queries(db *tpch.DB) (num, den *core.Query) {
+func q14Queries(db *tpch.DB, v view) (num, den *core.Query) {
 	var dgP1, dgP2, dgL relation.DummyGen
 	typeIdx := db.Part.Schema.Index("p_type")
-	partNum := maskProject(db.Part, []Attr{"partkey"}, nil,
+	partNum := v.masked("part", mpc.Alice, db.Part, []Attr{"partkey"}, nil,
 		func(row []uint64) uint64 {
 			if row[typeIdx] < promoTypeMax {
 				return 1
 			}
 			return 0
 		}, &dgP1)
-	partDen := maskProject(db.Part, []Attr{"partkey"}, nil, one, &dgP2)
+	partDen := v.masked("part", mpc.Alice, db.Part, []Attr{"partkey"}, nil, one, &dgP2)
 	shipIdx := db.Lineitem.Schema.Index("shipdate")
-	li := maskProject(db.Lineitem, []Attr{"partkey"},
+	li := v.masked("lineitem", mpc.Bob, db.Lineitem, []Attr{"partkey"},
 		func(row []uint64) bool { return row[shipIdx] >= q14DateLo && row[shipIdx] < q14DateHi },
 		volume(db.Lineitem), &dgL)
-	query := func(part *relation.Relation) *core.Query {
-		return &core.Query{Inputs: []core.Input{input("part", mpc.Alice, part), input("lineitem", mpc.Bob, li)}}
+	query := func(part core.Input) *core.Query {
+		return &core.Query{Inputs: []core.Input{part, li}}
 	}
 	return query(partNum), query(partDen)
 }

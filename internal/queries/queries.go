@@ -42,7 +42,8 @@ type Spec struct {
 	EffectiveBytes func(db *tpch.DB) int64
 	// parts describes the queries of the spec's first secure pass, in run
 	// order, every relation attached: the one statement of the query that
-	// SecureOpts, Plain and PlanFor all run.
+	// Plain and PlanFor read whole, and SecureOpts runs as each party's
+	// view.
 	parts func(db *tpch.DB) []*core.Query
 }
 
@@ -78,41 +79,69 @@ func volume(li *relation.Relation) func(row []uint64) uint64 {
 	return func(row []uint64) uint64 { return row[price] * (100 - row[disc]) }
 }
 
-// input declares one input of a query description, its relation
-// attached; Spec runs give each party its view with core.Query.For.
-func input(name string, owner mpc.Role, rel *relation.Relation) core.Input {
-	return core.Input{Name: name, Owner: owner, Schema: rel.Schema, N: rel.Len(), Rel: rel}
+// view is which relations a query description attaches: every one
+// (whole: what Plain and PlanFor read) or one party's own, as
+// core.Query.For leaves them. A party's view builds no relation of its
+// peer's: their masks never run.
+type view struct {
+	whole bool
+	role  mpc.Role
+}
+
+// whole is the description with every relation attached.
+var whole = view{whole: true}
+
+// viewOf is role's view of a description.
+func viewOf(role mpc.Role) view { return view{role: role} }
+
+// input declares one input of a query: its schema and size are public,
+// and rel builds its relation, called only when v attaches owner's
+// relations.
+func (v view) input(name string, owner mpc.Role, schema relation.Schema, n int, rel func() *relation.Relation) core.Input {
+	in := core.Input{Name: name, Owner: owner, Schema: schema, N: n}
+	if v.whole || v.role == owner {
+		in.Rel = rel()
+	}
+	return in
+}
+
+// masked declares an input that maskProject builds from src.
+func (v view) masked(name string, owner mpc.Role, src *relation.Relation, cols []Attr,
+	pred func(row []uint64) bool, annot func(row []uint64) uint64, dg *relation.DummyGen) core.Input {
+	return v.input(name, owner, relation.MustSchema(cols...), src.Len(), func() *relation.Relation {
+		return maskProject(src, cols, pred, annot, dg)
+	})
 }
 
 // single completes spec for a query that runs once and is revealed.
-func single(spec Spec, build func(db *tpch.DB) *core.Query) Spec {
+func single(spec Spec, build func(db *tpch.DB, v view) *core.Query) Spec {
 	spec.SecureOpts = func(p *mpc.Party, db *tpch.DB, opts core.Options) (*relation.Relation, error) {
-		rel, _, err := core.Run(context.Background(), p, build(db).For(p.Role), opts)
+		rel, _, err := core.Run(context.Background(), p, build(db, viewOf(p.Role)), opts)
 		return rel, err
 	}
-	spec.Plain = func(db *tpch.DB, bits int) (*relation.Relation, error) { return plainRun(build(db), bits) }
-	spec.parts = func(db *tpch.DB) []*core.Query { return []*core.Query{build(db)} }
+	spec.Plain = func(db *tpch.DB, bits int) (*relation.Relation, error) { return plainRun(build(db, whole), bits) }
+	spec.parts = func(db *tpch.DB) []*core.Query { return []*core.Query{build(db, whole)} }
 	return spec
 }
 
 // ratio completes spec for a composition of two queries of one shape,
 // run to shares and revealed as ⌊num·scale/den⌋ per row with a nonzero
 // denominator (§7).
-func ratio(spec Spec, scale uint64, build func(db *tpch.DB) (num, den *core.Query)) Spec {
+func ratio(spec Spec, scale uint64, build func(db *tpch.DB, v view) (num, den *core.Query)) Spec {
 	spec.SecureOpts = func(p *mpc.Party, db *tpch.DB, opts core.Options) (*relation.Relation, error) {
-		num, den := build(db)
-		ns, _, err := core.RunShared(context.Background(), p, num.For(p.Role), opts)
+		num, den := build(db, viewOf(p.Role))
+		ns, _, err := core.RunShared(context.Background(), p, num, opts)
 		if err != nil {
 			return nil, fmt.Errorf("%s numerator: %w", spec.Name, err)
 		}
-		ds, _, err := core.RunShared(context.Background(), p, den.For(p.Role), opts)
+		ds, _, err := core.RunShared(context.Background(), p, den, opts)
 		if err != nil {
 			return nil, fmt.Errorf("%s denominator: %w", spec.Name, err)
 		}
 		return core.RevealRatio(p, ns, ds, scale)
 	}
 	spec.Plain = func(db *tpch.DB, bits int) (*relation.Relation, error) {
-		numQ, denQ := build(db)
+		numQ, denQ := build(db, whole)
 		num, err := plainRun(numQ, bits)
 		if err != nil {
 			return nil, err
@@ -132,7 +161,7 @@ func ratio(spec Spec, scale uint64, build func(db *tpch.DB) (num, den *core.Quer
 		return out, nil
 	}
 	spec.parts = func(db *tpch.DB) []*core.Query {
-		num, den := build(db)
+		num, den := build(db, whole)
 		return []*core.Query{num, den}
 	}
 	return spec
@@ -163,19 +192,19 @@ func plainRun(q *core.Query, bits int) (*relation.Relation, error) {
 var q3Date = tpch.Day(1995, 3, 13)
 
 // q3Query describes Q3 over the three masked input relations.
-func q3Query(db *tpch.DB) *core.Query {
+func q3Query(db *tpch.DB, v view) *core.Query {
 	var dgC, dgO, dgL relation.DummyGen
 	segIdx := db.Customer.Schema.Index("mktsegment")
 	dateIdx := db.Orders.Schema.Index("orderdate")
 	shipIdx := db.Lineitem.Schema.Index("shipdate")
 	return &core.Query{
 		Inputs: []core.Input{
-			input("customer", mpc.Alice, maskProject(db.Customer, []Attr{"custkey"},
-				func(row []uint64) bool { return row[segIdx] == tpch.SegmentAutomobile }, one, &dgC)),
-			input("orders", mpc.Bob, maskProject(db.Orders, []Attr{"orderkey", "custkey", "orderdate", "shippriority"},
-				func(row []uint64) bool { return row[dateIdx] < q3Date }, one, &dgO)),
-			input("lineitem", mpc.Alice, maskProject(db.Lineitem, []Attr{"orderkey"},
-				func(row []uint64) bool { return row[shipIdx] > q3Date }, volume(db.Lineitem), &dgL)),
+			v.masked("customer", mpc.Alice, db.Customer, []Attr{"custkey"},
+				func(row []uint64) bool { return row[segIdx] == tpch.SegmentAutomobile }, one, &dgC),
+			v.masked("orders", mpc.Bob, db.Orders, []Attr{"orderkey", "custkey", "orderdate", "shippriority"},
+				func(row []uint64) bool { return row[dateIdx] < q3Date }, one, &dgO),
+			v.masked("lineitem", mpc.Alice, db.Lineitem, []Attr{"orderkey"},
+				func(row []uint64) bool { return row[shipIdx] > q3Date }, volume(db.Lineitem), &dgL),
 		},
 		Output: []Attr{"orderkey", "orderdate", "shippriority"},
 	}
@@ -203,17 +232,17 @@ var (
 	q10DateHi = tpch.Day(1993, 11, 1)
 )
 
-func q10Query(db *tpch.DB) *core.Query {
+func q10Query(db *tpch.DB, v view) *core.Query {
 	var dgC, dgO, dgL relation.DummyGen
 	dateIdx := db.Orders.Schema.Index("orderdate")
 	flagIdx := db.Lineitem.Schema.Index("returnflag")
 	return &core.Query{
 		Inputs: []core.Input{
-			input("customer", mpc.Alice, maskProject(db.Customer, []Attr{"custkey", "c_name", "c_nationkey"}, nil, one, &dgC)),
-			input("orders", mpc.Bob, maskProject(db.Orders, []Attr{"orderkey", "custkey"},
-				func(row []uint64) bool { return row[dateIdx] >= q10DateLo && row[dateIdx] < q10DateHi }, one, &dgO)),
-			input("lineitem", mpc.Alice, maskProject(db.Lineitem, []Attr{"orderkey"},
-				func(row []uint64) bool { return row[flagIdx] == tpch.ReturnR }, volume(db.Lineitem), &dgL)),
+			v.masked("customer", mpc.Alice, db.Customer, []Attr{"custkey", "c_name", "c_nationkey"}, nil, one, &dgC),
+			v.masked("orders", mpc.Bob, db.Orders, []Attr{"orderkey", "custkey"},
+				func(row []uint64) bool { return row[dateIdx] >= q10DateLo && row[dateIdx] < q10DateHi }, one, &dgO),
+			v.masked("lineitem", mpc.Alice, db.Lineitem, []Attr{"orderkey"},
+				func(row []uint64) bool { return row[flagIdx] == tpch.ReturnR }, volume(db.Lineitem), &dgL),
 		},
 		Output: []Attr{"custkey", "c_name", "c_nationkey"},
 	}
@@ -239,34 +268,39 @@ func Q10() Spec {
 // Q18Threshold is the having-clause constant (sum(l_quantity) > 300).
 const Q18Threshold = 300
 
-func q18Query(db *tpch.DB, threshold uint64) *core.Query {
+func q18Query(db *tpch.DB, threshold uint64, v view) *core.Query {
 	var dgC, dgO, dgL, dgS relation.DummyGen
 	qtyIdx := db.Lineitem.Schema.Index("quantity")
 
 	// The in-subquery is evaluated locally by the lineitem owner and
 	// padded with dummies to |lineitem| to hide its result size (§8.1).
-	okIdx := db.Lineitem.Schema.Index("orderkey")
-	sums := map[uint64]uint64{}
-	for i := range db.Lineitem.Tuples {
-		sums[db.Lineitem.Tuples[i][okIdx]] += db.Lineitem.Tuples[i][qtyIdx]
-	}
-	sub := relation.New(relation.MustSchema("orderkey"))
-	for i := range db.Orders.Tuples {
-		ok := db.Orders.Tuples[i][0]
-		if sums[ok] > threshold {
-			sub.Append([]uint64{ok}, 1)
+	sub := func() *relation.Relation {
+		okIdx := db.Lineitem.Schema.Index("orderkey")
+		sums := map[uint64]uint64{}
+		for i := range db.Lineitem.Tuples {
+			sums[db.Lineitem.Tuples[i][okIdx]] += db.Lineitem.Tuples[i][qtyIdx]
 		}
-	}
-	for sub.Len() < db.Lineitem.Len() {
-		sub.Append([]uint64{dgS.Next()}, 0)
+		sub := relation.New(relation.MustSchema("orderkey"))
+		for i := range db.Orders.Tuples {
+			ok := db.Orders.Tuples[i][0]
+			if sums[ok] > threshold {
+				sub.Append([]uint64{ok}, 1)
+			}
+		}
+		for sub.Len() < db.Lineitem.Len() {
+			sub.Append([]uint64{dgS.Next()}, 0)
+		}
+		return sub
 	}
 	return &core.Query{
 		Inputs: []core.Input{
-			input("customer", mpc.Bob, maskProject(db.Customer, []Attr{"custkey", "c_name"}, nil, one, &dgC)),
-			input("orders", mpc.Alice, maskProject(db.Orders, []Attr{"orderkey", "custkey", "orderdate", "totalprice"}, nil, one, &dgO)),
-			input("lineitem", mpc.Bob, maskProject(db.Lineitem, []Attr{"orderkey"}, nil,
-				func(row []uint64) uint64 { return row[qtyIdx] }, &dgL)),
-			input("subquery", mpc.Bob, sub),
+			v.masked("customer", mpc.Bob, db.Customer, []Attr{"custkey", "c_name"}, nil, one, &dgC),
+			v.masked("orders", mpc.Alice, db.Orders, []Attr{"orderkey", "custkey", "orderdate", "totalprice"}, nil, one, &dgO),
+			v.masked("lineitem", mpc.Bob, db.Lineitem, []Attr{"orderkey"}, nil,
+				func(row []uint64) uint64 { return row[qtyIdx] }, &dgL),
+			// An order passes only through its line items, so the
+			// subquery never outgrows |lineitem|.
+			v.input("subquery", mpc.Bob, relation.MustSchema("orderkey"), db.Lineitem.Len(), sub),
 		},
 		Output: []Attr{"c_name", "custkey", "orderkey", "orderdate", "totalprice"},
 	}
@@ -286,7 +320,7 @@ func q18WithThreshold(threshold uint64) Spec {
 		EffectiveBytes: func(db *tpch.DB) int64 {
 			return 4 * int64(2*db.Customer.Len()+4*db.Orders.Len()+2*db.Lineitem.Len()+2*db.Lineitem.Len())
 		},
-	}, func(db *tpch.DB) *core.Query { return q18Query(db, threshold) })
+	}, func(db *tpch.DB, v view) *core.Query { return q18Query(db, threshold, v) })
 }
 
 // ---------------------------------------------------------------------
@@ -305,46 +339,43 @@ var (
 // q8Queries describes Q8's two queries over the five masked relations;
 // they differ in the supplier annotation: Ind(s_nationkey = 8) for the
 // numerator and 1 for the denominator (paper §8.1).
-func q8Queries(db *tpch.DB) (num, den *core.Query) {
+func q8Queries(db *tpch.DB, v view) (num, den *core.Query) {
 	var dgP, dgS1, dgS2, dgL, dgO, dgC relation.DummyGen
 	typeIdx := db.Part.Schema.Index("p_type")
-	part := maskProject(db.Part, []Attr{"partkey"},
+	part := v.masked("part", mpc.Alice, db.Part, []Attr{"partkey"},
 		func(row []uint64) bool { return row[typeIdx] == q8PartType }, one, &dgP)
 	natIdx := db.Supplier.Schema.Index("s_nationkey")
-	supNum := maskProject(db.Supplier, []Attr{"suppkey"}, nil,
+	supNum := v.masked("supplier", mpc.Bob, db.Supplier, []Attr{"suppkey"}, nil,
 		func(row []uint64) uint64 {
 			if row[natIdx] == q8Nation {
 				return 1
 			}
 			return 0
 		}, &dgS1)
-	supDen := maskProject(db.Supplier, []Attr{"suppkey"}, nil, one, &dgS2)
-	li := maskProject(db.Lineitem, []Attr{"partkey", "suppkey", "orderkey"}, nil, volume(db.Lineitem), &dgL)
+	supDen := v.masked("supplier", mpc.Bob, db.Supplier, []Attr{"suppkey"}, nil, one, &dgS2)
+	li := v.masked("lineitem", mpc.Alice, db.Lineitem, []Attr{"partkey", "suppkey", "orderkey"}, nil, volume(db.Lineitem), &dgL)
 
 	// o_year is a virtual column extracted from o_orderdate (§8.1).
-	dateIdx := db.Orders.Schema.Index("orderdate")
-	ordBase := relation.New(relation.MustSchema("orderkey", "custkey", "o_year", "orderdate"))
-	for i := range db.Orders.Tuples {
-		row := db.Orders.Tuples[i]
-		year := uint64(tpch.Epoch.AddDate(0, 0, int(row[dateIdx])).Year())
-		ordBase.Append([]uint64{row[0], row[1], year, row[dateIdx]}, 1)
-	}
-	baseDate := ordBase.Schema.Index("orderdate")
-	ord := maskProject(ordBase, []Attr{"orderkey", "custkey", "o_year"},
-		func(row []uint64) bool { return row[baseDate] >= q8DateLo && row[baseDate] <= q8DateHi },
-		one, &dgO)
+	ordCols := []Attr{"orderkey", "custkey", "o_year"}
+	ord := v.input("orders", mpc.Bob, relation.MustSchema(ordCols...), db.Orders.Len(), func() *relation.Relation {
+		dateIdx := db.Orders.Schema.Index("orderdate")
+		ordBase := relation.New(relation.MustSchema("orderkey", "custkey", "o_year", "orderdate"))
+		for i := range db.Orders.Tuples {
+			row := db.Orders.Tuples[i]
+			year := uint64(tpch.Epoch.AddDate(0, 0, int(row[dateIdx])).Year())
+			ordBase.Append([]uint64{row[0], row[1], year, row[dateIdx]}, 1)
+		}
+		baseDate := ordBase.Schema.Index("orderdate")
+		return maskProject(ordBase, ordCols,
+			func(row []uint64) bool { return row[baseDate] >= q8DateLo && row[baseDate] <= q8DateHi },
+			one, &dgO)
+	})
 	cnIdx := db.Customer.Schema.Index("c_nationkey")
-	cust := maskProject(db.Customer, []Attr{"custkey"},
+	cust := v.masked("customer", mpc.Alice, db.Customer, []Attr{"custkey"},
 		func(row []uint64) bool { return q8CustGroup[row[cnIdx]] }, one, &dgC)
-	query := func(sup *relation.Relation) *core.Query {
+	query := func(sup core.Input) *core.Query {
 		return &core.Query{
-			Inputs: []core.Input{
-				input("part", mpc.Alice, part),
-				input("supplier", mpc.Bob, sup),
-				input("lineitem", mpc.Alice, li),
-				input("orders", mpc.Bob, ord),
-				input("customer", mpc.Alice, cust),
-			},
+			Inputs: []core.Input{part, sup, li, ord, cust},
 			Output: []Attr{"o_year"},
 		}
 	}
@@ -404,7 +435,7 @@ func Q9(numNations int) Spec {
 			ring := relation.RingSemiring{Bits: bits}
 			out := relation.New(outSchema)
 			for nation := 0; nation < numNations; nation++ {
-				revQ, costQ := q9Queries(db, uint64(nation))
+				revQ, costQ := q9Queries(db, uint64(nation), whole)
 				rev, err := plainRun(revQ, bits)
 				if err != nil {
 					return nil, err
@@ -440,7 +471,7 @@ func Q9(numNations int) Spec {
 				3*db.PartSupp.Len()+2*db.Orders.Len())
 		},
 		parts: func(db *tpch.DB) []*core.Query {
-			rev, cost := q9Queries(db, 0)
+			rev, cost := q9Queries(db, 0, whole)
 			return []*core.Query{rev, cost}
 		},
 	}
@@ -449,39 +480,36 @@ func Q9(numNations int) Spec {
 // q9Queries describes one nation's pair of queries: the revenue and the
 // cost sum, which differ in their annotations (volume vs quantity on
 // lineitem, 1 vs supplycost on partsupp).
-func q9Queries(db *tpch.DB, nation uint64) (rev, cost *core.Query) {
+func q9Queries(db *tpch.DB, nation uint64, v view) (rev, cost *core.Query) {
 	var dgP, dgS, dgL1, dgL2, dgPS1, dgPS2, dgO relation.DummyGen
 	greenIdx := db.Part.Schema.Index("p_green")
-	part := maskProject(db.Part, []Attr{"partkey"},
+	part := v.masked("part", mpc.Alice, db.Part, []Attr{"partkey"},
 		func(row []uint64) bool { return row[greenIdx] == 1 }, one, &dgP)
 	natIdx := db.Supplier.Schema.Index("s_nationkey")
-	sup := maskProject(db.Supplier, []Attr{"suppkey"},
+	sup := v.masked("supplier", mpc.Bob, db.Supplier, []Attr{"suppkey"},
 		func(row []uint64) bool { return row[natIdx] == nation }, one, &dgS)
 	qtyIdx := db.Lineitem.Schema.Index("quantity")
-	liV := maskProject(db.Lineitem, []Attr{"partkey", "suppkey", "orderkey"}, nil, volume(db.Lineitem), &dgL1)
-	liQ := maskProject(db.Lineitem, []Attr{"partkey", "suppkey", "orderkey"}, nil,
+	liV := v.masked("lineitem", mpc.Alice, db.Lineitem, []Attr{"partkey", "suppkey", "orderkey"}, nil, volume(db.Lineitem), &dgL1)
+	liQ := v.masked("lineitem", mpc.Alice, db.Lineitem, []Attr{"partkey", "suppkey", "orderkey"}, nil,
 		func(row []uint64) uint64 { return row[qtyIdx] * 100 }, &dgL2)
 	costIdx := db.PartSupp.Schema.Index("supplycost")
-	psOne := maskProject(db.PartSupp, []Attr{"partkey", "suppkey"}, nil, one, &dgPS1)
-	psCost := maskProject(db.PartSupp, []Attr{"partkey", "suppkey"}, nil,
+	psOne := v.masked("partsupp", mpc.Bob, db.PartSupp, []Attr{"partkey", "suppkey"}, nil, one, &dgPS1)
+	psCost := v.masked("partsupp", mpc.Bob, db.PartSupp, []Attr{"partkey", "suppkey"}, nil,
 		func(row []uint64) uint64 { return row[costIdx] }, &dgPS2)
-	dateIdx := db.Orders.Schema.Index("orderdate")
-	ordBase := relation.New(relation.MustSchema("orderkey", "o_year"))
-	for i := range db.Orders.Tuples {
-		row := db.Orders.Tuples[i]
-		year := uint64(tpch.Epoch.AddDate(0, 0, int(row[dateIdx])).Year())
-		ordBase.Append([]uint64{row[0], year}, 1)
-	}
-	ord := maskProject(ordBase, []Attr{"orderkey", "o_year"}, nil, one, &dgO)
-	query := func(li, ps *relation.Relation) *core.Query {
+	ordCols := []Attr{"orderkey", "o_year"}
+	ord := v.input("orders", mpc.Bob, relation.MustSchema(ordCols...), db.Orders.Len(), func() *relation.Relation {
+		dateIdx := db.Orders.Schema.Index("orderdate")
+		ordBase := relation.New(relation.MustSchema(ordCols...))
+		for i := range db.Orders.Tuples {
+			row := db.Orders.Tuples[i]
+			year := uint64(tpch.Epoch.AddDate(0, 0, int(row[dateIdx])).Year())
+			ordBase.Append([]uint64{row[0], year}, 1)
+		}
+		return maskProject(ordBase, ordCols, nil, one, &dgO)
+	})
+	query := func(li, ps core.Input) *core.Query {
 		return &core.Query{
-			Inputs: []core.Input{
-				input("part", mpc.Alice, part),
-				input("supplier", mpc.Bob, sup),
-				input("lineitem", mpc.Alice, li),
-				input("partsupp", mpc.Bob, ps),
-				input("orders", mpc.Bob, ord),
-			},
+			Inputs: []core.Input{part, sup, li, ps, ord},
 			Output: []Attr{"o_year"},
 		}
 	}
@@ -491,12 +519,12 @@ func q9Queries(db *tpch.DB, nation uint64) (rev, cost *core.Query) {
 // q9Nation runs one nation's two queries to shares and reveals their
 // difference.
 func q9Nation(p *mpc.Party, db *tpch.DB, nation uint64, opts core.Options) (*relation.Relation, error) {
-	revQ, costQ := q9Queries(db, nation)
-	rev, _, err := core.RunShared(context.Background(), p, revQ.For(p.Role), opts)
+	revQ, costQ := q9Queries(db, nation, viewOf(p.Role))
+	rev, _, err := core.RunShared(context.Background(), p, revQ, opts)
 	if err != nil {
 		return nil, fmt.Errorf("revenue: %w", err)
 	}
-	cost, _, err := core.RunShared(context.Background(), p, costQ.For(p.Role), opts)
+	cost, _, err := core.RunShared(context.Background(), p, costQ, opts)
 	if err != nil {
 		return nil, fmt.Errorf("cost: %w", err)
 	}

@@ -2,6 +2,7 @@ package queries
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -199,5 +200,66 @@ func TestPlanForCoversAllSpecs(t *testing.T) {
 	}
 	if _, err := PlanFor(Spec{Name: "nope"}, db); err == nil {
 		t.Error("unknown spec accepted")
+	}
+}
+
+// TestPartyViewMasksOnlyOwnRelations builds each party's view of Q3, Q10
+// and Q18: the view attaches exactly the party's own relations, each
+// equal to the whole description's, and building it must not run the
+// peer's masks. A nil Rel could hide a mask that ran and was dropped, so
+// the test also bounds what the view allocates: the whole description
+// less at least 90 % of the peer's masks.
+func TestPartyViewMasksOnlyOwnRelations(t *testing.T) {
+	db := testDB(t)
+	alloc := func(f func()) int64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc - before.TotalAlloc)
+	}
+	builders := map[string]func(*tpch.DB, view) *core.Query{
+		"Q3":  q3Query,
+		"Q10": q10Query,
+		"Q18": func(db *tpch.DB, v view) *core.Query { return q18Query(db, Q18Threshold, v) },
+	}
+	for name, build := range builders {
+		full := build(db, whole)
+		for _, role := range []mpc.Role{mpc.Alice, mpc.Bob} {
+			own := build(db, viewOf(role))
+			want := full.For(role)
+			for i, in := range own.Inputs {
+				w := want.Inputs[i]
+				if in.Name != w.Name || in.Owner != w.Owner || in.N != w.N || !slices.Equal(in.Schema.Attrs, w.Schema.Attrs) {
+					t.Fatalf("%s %v input %d: %+v, want %+v", name, role, i, in, w)
+				}
+				if (in.Rel == nil) != (w.Rel == nil) {
+					t.Fatalf("%s %v input %s: attached %v, want %v", name, role, in.Name, in.Rel != nil, w.Rel != nil)
+				}
+				if in.Rel != nil && !slices.Equal(rowsOf(in.Rel), rowsOf(w.Rel)) {
+					t.Fatalf("%s %v input %s: relation differs from the whole description's", name, role, in.Name)
+				}
+			}
+		}
+	}
+
+	// Q3: Alice owns customer and lineitem, Bob orders.
+	var dg relation.DummyGen
+	ordersMask := alloc(func() {
+		maskProject(db.Orders, []Attr{"orderkey", "custkey", "orderdate", "shippriority"}, nil, one, &dg)
+	})
+	aliceMasks := alloc(func() {
+		maskProject(db.Customer, []Attr{"custkey"}, nil, one, &dg)
+		maskProject(db.Lineitem, []Attr{"orderkey"}, nil, one, &dg)
+	})
+	wholeQ3 := alloc(func() { q3Query(db, whole) })
+	for _, c := range []struct {
+		role mpc.Role
+		peer int64
+	}{{mpc.Alice, ordersMask}, {mpc.Bob, aliceMasks}} {
+		got := alloc(func() { q3Query(db, viewOf(c.role)) })
+		if limit := wholeQ3 - c.peer*9/10; got > limit {
+			t.Errorf("Q3 %v view allocates %d B, want ≤ %d B (whole %d B, peer's masks %d B)", c.role, got, limit, wholeQ3, c.peer)
+		}
 	}
 }

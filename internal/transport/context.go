@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"sync"
+	"time"
 )
 
 // WithContext wraps c so that Send/Recv fail once ctx is cancelled or
@@ -79,6 +80,8 @@ func (w *ctxConn) Recv() ([]byte, error) {
 }
 
 func (w *ctxConn) Stats() Stats { return w.c.Stats() }
+
+func (w *ctxConn) RecvWait() time.Duration { return RecvWait(w.c) }
 func (w *ctxConn) Close() error {
 	w.release()
 	return w.c.Close()

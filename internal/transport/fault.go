@@ -107,6 +107,8 @@ func SeededFaults(seed uint64, n, span int) []Fault {
 	return fs
 }
 
+func (f *faultConn) RecvWait() time.Duration { return RecvWait(f.Conn) }
+
 func (f *faultConn) Send(data []byte) error {
 	f.mu.Lock()
 	f.sends++

@@ -525,6 +525,7 @@ type muxStream struct {
 	stats    Stats
 	lastRecv bool
 	started  bool
+	waitClock
 }
 
 // deliver enqueues an inbound payload. A queue past its bound means
@@ -669,10 +670,12 @@ func (s *muxStream) Send(data []byte) error {
 }
 
 func (s *muxStream) Recv() ([]byte, error) {
+	start := time.Now()
 	s.mu.Lock()
 	for len(s.queue) == 0 && s.failErr == nil && !s.peerClosed && !s.localClosed {
 		s.cond.Wait()
 	}
+	s.since(start)
 	if len(s.queue) == 0 {
 		var err error
 		switch {

@@ -592,3 +592,64 @@ func TestMuxBoundsUnopenedStreams(t *testing.T) {
 		t.Fatalf("%d records after the session failed", records)
 	}
 }
+
+// TestRecvWaitCountsBlockedReceives checks the Recv-wait clock on every
+// conn that keeps one — the pipe, TCP and a mux stream over each — and
+// through the context and fault wrappers: a Recv that waits for a
+// delayed Send adds at least the delay, a Send adds nothing, and the
+// wait leaves Stats as it was.
+func TestRecvWaitCountsBlockedReceives(t *testing.T) {
+	const delay = 20 * time.Millisecond
+	check := func(t *testing.T, a, b Conn) {
+		t.Helper()
+		w0, s0 := RecvWait(b), b.Stats()
+		go func() {
+			time.Sleep(delay)
+			a.Send([]byte{1, 2, 3})
+		}()
+		if _, err := b.Recv(); err != nil {
+			t.Fatal(err)
+		}
+		if w := RecvWait(b) - w0; w < delay {
+			t.Fatalf("Recv waited ≥ %v but RecvWait grew %v", delay, w)
+		}
+		if s := b.Stats(); s.MessagesRecv != s0.MessagesRecv+1 || s.BytesReceived != s0.BytesReceived+3 {
+			t.Fatalf("stats %+v after one 3-byte message on %+v", s, s0)
+		}
+		sent := RecvWait(b)
+		if err := b.Send([]byte{4}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Recv(); err != nil {
+			t.Fatal(err)
+		}
+		if RecvWait(b) != sent {
+			t.Fatal("a Send moved the Recv-wait clock")
+		}
+	}
+	t.Run("pipe", func(t *testing.T) {
+		a, b := Pair()
+		defer a.Close()
+		defer b.Close()
+		check(t, a, b)
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		cb, release := WithContext(ctx, InjectFaults(b))
+		defer release()
+		check(t, a, cb)
+	})
+	t.Run("tcp", func(t *testing.T) {
+		a, b := tcpPair(t)
+		defer a.Close()
+		defer b.Close()
+		check(t, a, b)
+	})
+	t.Run("mux", func(t *testing.T) {
+		eachTransport(t, MuxConfig{}, func(t *testing.T, ma, mb *Mux) {
+			check(t, mustOpen(t, ma, 1), mustOpen(t, mb, 1))
+		})
+	})
+	if RecvWait(struct{ Conn }{}) != 0 {
+		t.Fatal("a conn without a wait clock must read 0")
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"net"
 	"sync"
 	"syscall"
+	"time"
 )
 
 // tcpConn frames messages over a net.Conn with a 4-byte little-endian
@@ -28,6 +29,7 @@ type tcpConn struct {
 	lastRecv bool
 	started  bool
 	closed   bool
+	waitClock
 }
 
 // Listen accepts a single inbound connection on addr and returns it as a
@@ -109,7 +111,9 @@ func (t *tcpConn) sendParts(head, body []byte) error {
 func (t *tcpConn) Recv() ([]byte, error) {
 	t.recvMu.Lock()
 	defer t.recvMu.Unlock()
+	start := time.Now()
 	buf, err := readFrame(t.r)
+	t.since(start)
 	if err != nil {
 		return nil, t.mapErr(err)
 	}

@@ -15,6 +15,8 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"secyan/internal/obs"
 )
@@ -56,6 +58,28 @@ type Stats struct {
 
 // TotalBytes returns the bytes transferred in both directions.
 func (s Stats) TotalBytes() int64 { return s.BytesSent + s.BytesReceived }
+
+// RecvWait returns how long c's Recv calls have spent blocked so far,
+// waiting for the peer's messages: a cumulative wall time, whose
+// difference over a protocol step is the step's time blocked on the
+// peer. It lives outside Stats, whose values the equivalence suites
+// compare whole: a wait is a timing, not a transcript. The pipe, TCP and
+// mux-stream conns count it, and the wrappers of this package pass it
+// through; any other Conn reads 0.
+func RecvWait(c Conn) time.Duration {
+	if w, ok := c.(interface{ RecvWait() time.Duration }); ok {
+		return w.RecvWait()
+	}
+	return 0
+}
+
+// waitClock accumulates the time a conn's Recv calls block.
+type waitClock struct{ ns atomic.Int64 }
+
+// since adds the time from start to now.
+func (w *waitClock) since(start time.Time) { w.ns.Add(int64(time.Since(start))) }
+
+func (w *waitClock) RecvWait() time.Duration { return time.Duration(w.ns.Load()) }
 
 // Conn is a message-oriented duplex channel between the two parties.
 // Implementations must be safe for one concurrent sender and one
@@ -145,6 +169,7 @@ type pipeEnd struct {
 	stats    Stats
 	lastRecv bool // true if the last counted operation was a receive
 	started  bool
+	waitClock
 }
 
 // Pair returns the two connected endpoints of an in-memory transport.
@@ -180,7 +205,9 @@ func (p *pipeEnd) Send(data []byte) error {
 }
 
 func (p *pipeEnd) Recv() ([]byte, error) {
+	start := time.Now()
 	m, err := p.in.pop()
+	p.since(start)
 	if err != nil {
 		return nil, err
 	}
