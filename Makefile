@@ -53,7 +53,8 @@ race-daemon:
 # The crypto-kernel packages under the race detector, repeated: the
 # fixed-key AES hash layer (batched MMO, the 8-wide AESENC kernel, the
 # noescape scratch laundering), the keyed AES-CTR keystream that runs the
-# same kernel under per-column round keys (prf.CTR), the OT-extension
+# same kernel under per-column round keys (prf.CTR) and the lane kernels
+# that run eight keys a pass (prf.LeafSums, prf.KeyBlocks), the OT-extension
 # kernel whose column workers expand into one shared buffer and whose
 # block workers hash rows straight out of 64×64 transpose blocks — IKNP
 # through the MMO layer, its derived second direction, and KKRT at 512
@@ -107,7 +108,8 @@ examples:
 # Short fuzz bursts for the transpose involution, the keyed AES-CTR
 # keystream at any offset and length against crypto/cipher, the fused MMO
 # kernel on any blocks, tweak, step and word against the per-block
-# crypto/aes path, the TCP framing
+# crypto/aes path, the OT extension's lane kernel on any chunk shape,
+# keys, offset and length against the one-key chunkTile, the TCP framing
 # decoder, arbitrary frame sequences into one mux endpoint, the SQL
 # front end (seeded with the TPC-H query strings), the
 # sorted view by permutation, both base-OT message decoders and the
@@ -135,6 +137,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSortPermWalk -fuzztime 10s ./internal/relation
 	$(GO) test -run '^$$' -fuzz FuzzBaseOTMessages -fuzztime 10s ./internal/ot
 	$(GO) test -run '^$$' -fuzz FuzzSoftSpokenSetup -fuzztime 10s ./internal/ot
+	$(GO) test -run '^$$' -fuzz FuzzChunkKernel -fuzztime 10s ./internal/ot
 	$(GO) test -run '^$$' -fuzz FuzzKKRT -fuzztime 10s ./internal/ot
 	$(GO) test -run '^$$' -fuzz FuzzProductReply -fuzztime 10s ./internal/ot
 	$(GO) test -run '^$$' -fuzz FuzzGarbledMessage -fuzztime 10s ./internal/gc

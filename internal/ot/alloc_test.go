@@ -189,7 +189,10 @@ func BenchmarkExtOT(b *testing.B) {
 	}
 	snd := <-sndCh
 
-	for _, m := range []int{256, 4096} {
+	// m = 64 and 128 are the batch sizes q10_small mostly runs: there a
+	// batch's fixed leaf cost (key schedules, short keystream pieces)
+	// outweighs its per-OT work.
+	for _, m := range []int{64, 128, 256, 4096} {
 		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
 			pairs, choices := makeBatch(int64(m), m, 16)
 			b.ReportAllocs()
@@ -206,5 +209,20 @@ func BenchmarkExtOT(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkKKRT runs one KKRT batch of 256 instances, both ends: 512
+// columns of 32 B, the size of a small query's PSI batch, where the
+// per-column key schedules and keystream pieces are most of the work.
+func BenchmarkKKRT(b *testing.B) {
+	const m = 256
+	ks, kr := kkrtFromSeeds(b, rand.New(rand.NewSource(3)))
+	codes := make([]byte, m*KKRTCodeBytes)
+	rand.New(rand.NewSource(4)).Read(codes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		kkrtBatch(b, ks, kr, codes, 16)
 	}
 }

@@ -219,21 +219,20 @@ func TestTiledExpansionMatchesMatrixPath(t *testing.T) {
 			if snd.s != delta {
 				t.Fatalf("workers=%d: sender's Δ %x, want ¬c = %x", workers, snd.s, delta)
 			}
-			var want, got [prf.SeedSize]byte
 			for j := 0; j < chunks; j++ {
 				dj := int(delta[j/2]>>(4*(j%2))) & (chunkLeaves - 1)
+				if snd.leaves[j*chunkLeaves] != (prf.Seed{}) {
+					t.Fatalf("chunk %d: sender's punctured slot holds a nonzero seed", j)
+				}
 				for x := 0; x < chunkLeaves; x++ {
 					leaf := ggmLeaf(pairs, j, x)
-					if rcv.leaves[j][x] != leaf {
+					if rcv.leaves[j*chunkLeaves+x] != leaf {
 						t.Fatalf("chunk %d: receiver's leaf %d differs from the reference tree", j, x)
 					}
 					if x == dj {
 						continue
 					}
-					g := prf.NewCTR(leaf)
-					g.KeyStream(want[:], 0)
-					snd.leaves[j*(chunkLeaves-1)+(x^dj)-1].KeyStream(got[:], 0)
-					if got != want {
+					if snd.leaves[j*chunkLeaves+(x^dj)] != leaf {
 						t.Fatalf("chunk %d: sender's leaf %d differs from the reference tree", j, x)
 					}
 				}
@@ -370,8 +369,8 @@ func TestKKRTMatchesMatrixPath(t *testing.T) {
 				qm := bitutil.NewMatrix(KKRTWidth, mPad)
 				wantU := make([]byte, KKRTWidth*colBytes)
 				t0, t1, c := make([]byte, colBytes), make([]byte, colBytes), make([]byte, mPad/8)
-				for i, p := range kr.pairs {
-					g0, g1 := prf.NewCTR(p[0]), prf.NewCTR(p[1])
+				for i := 0; i < KKRTWidth; i++ {
+					g0, g1 := prf.NewCTR(kr.leaves[2*i+1]), prf.NewCTR(kr.leaves[2*i]) // k_i^0, k_i^1
 					g0.KeyStream(t0, off)
 					g1.KeyStream(t1, off)
 					ct.RowBytesInto(c, i)

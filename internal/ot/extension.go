@@ -37,10 +37,13 @@ type Sender struct {
 // afterwards.
 type senderKeys struct {
 	s [kappa / 8]byte // Δ: every chunk's punctured leaf, packed, chunk j at bits [kj, kj+k); XORed into q-rows for pad 1; bit lsbBit is 1
-	// leaves holds the AES-CTR schedules of the 2^k − 1 leaves every
-	// chunk's punctured tree reveals, expanded once at setup: chunk j's
-	// leaf x at index j·(2^k − 1) + (x ⊕ Δ_j) − 1.
-	leaves [chunks * (chunkLeaves - 1)]prf.CTR
+	// leaves holds the seeds of the 2^k − 1 leaves every chunk's
+	// punctured tree reveals: chunk j's leaf x at index j·2^k + (x ⊕ Δ_j).
+	// Index j·2^k, the punctured leaf, holds the zero seed, so a chunk's
+	// sixteen schedules, expanded per tile on the worker's stack, are one
+	// LeafSums call. Held schedules would be 96 KiB a direction against
+	// these 8 KiB, for 5 µs a tile.
+	leaves [chunks * chunkLeaves]prf.Seed
 }
 
 // Receiver is the choosing endpoint of an OT-extension session. It
@@ -48,7 +51,7 @@ type senderKeys struct {
 // schedules per batch, inside the chunk's worker.
 type Receiver struct {
 	conn   transport.Conn
-	leaves *[chunks][chunkLeaves]prf.Seed // chunk j's leaf x; read-only after setup
+	leaves *[chunks * chunkLeaves]prf.Seed // chunk j's leaf x at j·2^k + x; read-only after setup
 	stream uint32
 	off    uint64 // byte offset of the next batch in every leaf's stream, inside the window
 	idx    uint64 // the stream's OT counter, equal to the sender's
@@ -263,7 +266,7 @@ func (s *Sender) Reverse() (*Receiver, error) {
 const padBatch = 64
 
 // tileBytes is the width of one sender tile in bytes of every column:
-// 1 024 instances, one 8-block KeyStream call per leaf. A tile of all κ
+// 1 024 instances, eight counter blocks of every leaf. A tile of all κ
 // columns is 16 KiB, small enough to live on its worker's stack.
 const tileBytes = 128
 

@@ -70,7 +70,7 @@ type KKRTSender struct {
 // learns F_j(x_j) for her one input per instance and nothing else.
 type KKRTReceiver struct {
 	conn   transport.Conn
-	pairs  [][2]prf.Seed // (k_i^0, k_i^1), one AES-CTR key pair per column; read-only after setup
+	leaves []prf.Seed // column i's seeds as its chunk's leaves: leaf y is k_i^{1−y}, at 2i + y; read-only after setup
 	stream uint32
 	off    uint64
 	idx    uint64
@@ -87,13 +87,15 @@ func (k *KKRTSender) Stream(conn transport.Conn, id uint32) *KKRTSender {
 
 // Stream is KKRTSender.Stream's peer.
 func (r *KKRTReceiver) Stream(conn transport.Conn, id uint32) *KKRTReceiver {
-	return &KKRTReceiver{conn: conn, pairs: r.pairs, stream: id, off: windowStart(id)}
+	return &KKRTReceiver{conn: conn, leaves: r.leaves, stream: id, off: windowStart(id)}
 }
 
-// The column keys are kept as seeds and expanded once per batch inside
-// the column's worker (on the stack), as the extension receiver's leaves
-// are: a query runs one or two KKRT batches per orientation, and
-// 3·KKRTWidth schedules held per party pair would outweigh the batches
+// The column keys are kept as seeds, and each batch expands them in the
+// workers, on their stacks, four schedules at a time (prf.NewCTRs) for
+// the eight keys of one lane-kernel call — four receiver columns' pairs
+// or eight sender columns — as the extension's leaves are: a
+// query runs one or two KKRT batches per orientation, and 3·KKRTWidth
+// schedules held per party pair (288 KiB) would outweigh the batches
 // themselves.
 
 // NewKKRTSender sets up a KKRT sender on r's connection from KKRTWidth
@@ -117,11 +119,23 @@ func NewKKRTSender(r *Receiver) (*KKRTSender, error) {
 // NewKKRTReceiver is the peer's half of NewKKRTSender: both pads of each
 // of the KKRTWidth random OTs become a column's seed pair.
 func NewKKRTReceiver(s *Sender) (*KKRTReceiver, error) {
-	pairs, err := s.derivedBase(KKRTWidth)
+	r0, r1, err := s.randomPads(KKRTWidth, prf.SeedSize)
 	if err != nil {
 		return nil, fmt.Errorf("ot: KKRT receiver setup: %w", err)
 	}
-	return &KKRTReceiver{conn: s.conn, pairs: pairs, stream: s.stream, off: windowStart(s.stream)}, nil
+	return &KKRTReceiver{conn: s.conn, leaves: kkrtLeaves(r0, r1), stream: s.stream, off: windowStart(s.stream)}, nil
+}
+
+// kkrtLeaves lays the seed pairs of the setup's random OTs, k_i^0 and
+// k_i^1 at r0[i·SeedSize:] and r1[i·SeedSize:], out as the leaves of
+// one-bit chunks, swapped: leaf y of column i is k_i^{1−y}, so the
+// chunk's one sum is t_i = G(k_i^0).
+func kkrtLeaves(r0, r1 []byte) []prf.Seed {
+	leaves := make([]prf.Seed, 2*len(r0)/prf.SeedSize)
+	for i := 0; i < len(leaves)/2; i++ {
+		leaves[2*i], leaves[2*i+1] = prf.Seed(r1[i*prf.SeedSize:]), prf.Seed(r0[i*prf.SeedSize:])
+	}
+	return leaves
 }
 
 // kkrtHash writes H(idx, row) into dst (at most 32 bytes): SHA-256 over
@@ -154,7 +168,7 @@ func (r *KKRTReceiver) Receive(codes []byte, outLen int) ([]byte, error) {
 		blockCols(t, codes[base*KKRTCodeBytes:(base+n)*KKRTCodeBytes], KKRTWidth, colBytes, base)
 	})
 	u := make([]byte, KKRTWidth*colBytes)
-	expandChunks(t, u, t, colBytes, KKRTWidth, 1, colBytes, r.off, func(i, x int) prf.Seed { return r.pairs[i][1-x] })
+	expandChunks(t, u, t, colBytes, KKRTWidth, 1, colBytes, r.off, r.leaves)
 	r.off += uint64(colBytes)
 	if err := r.conn.Send(u); err != nil {
 		return nil, err
@@ -198,6 +212,41 @@ func (k *KKRTSender) Send(m int) (*KKRTKeys, error) {
 	if err != nil {
 		return nil, err
 	}
+	k.columns(q, colBytes)
+	k.off += uint64(colBytes)
+	keys := &KKRTKeys{q: make([]byte, m*KKRTCodeBytes), s: &k.s, word: prf.Word(k.stream), idx: k.idx}
+	eachBlock(m, func(base, n int) {
+		blockRows(keys.q[base*KKRTCodeBytes:(base+n)*KKRTCodeBytes], q, KKRTWidth, colBytes, base)
+	})
+	k.idx += uint64(m)
+	return keys, nil
+}
+
+// columns turns the correction matrix q, KKRTWidth columns of colBytes,
+// into Q in place: q_i = G(k_i^{s_i}) ⊕ s_i·u_i. On the lane kernel a
+// call runs eight columns' keys, expanded four at a time in the worker.
+func (k *KKRTSender) columns(q []byte, colBytes int) {
+	if !leafKernel {
+		k.columnsRef(q, colBytes)
+		return
+	}
+	parallel.For(KKRTWidth/8, 1, func(lo, hi int) {
+		var keys [8]prf.CTR
+		var g laneScratch
+		for gi := lo; gi < hi; gi++ {
+			prf.NewCTRs(keys[:], k.seeds[8*gi:8*gi+8])
+			for i := 8 * gi; i < 8*gi+8; i++ {
+				if k.s[i/8]>>(i%8)&1 == 0 { // q_i = G(k_i^0): drop u_i
+					clear(q[i*colBytes : (i+1)*colBytes])
+				}
+			}
+			chunkLanes(&g, q[8*gi*colBytes:], nil, colBytes, 1, colBytes, k.off, keys[:], 1)
+		}
+	})
+}
+
+// columnsRef is columns one key at a time (chunkTile).
+func (k *KKRTSender) columnsRef(q []byte, colBytes int) {
 	parallel.For(KKRTWidth, 8, func(lo, hi int) {
 		var g leafTiles
 		var sum [pieceBytes]byte
@@ -215,13 +264,6 @@ func (k *KKRTSender) Send(m int) (*KKRTKeys, error) {
 			}
 		}
 	})
-	k.off += uint64(colBytes)
-	keys := &KKRTKeys{q: make([]byte, m*KKRTCodeBytes), s: &k.s, word: prf.Word(k.stream), idx: k.idx}
-	eachBlock(m, func(base, n int) {
-		blockRows(keys.q[base*KKRTCodeBytes:(base+n)*KKRTCodeBytes], q, KKRTWidth, colBytes, base)
-	})
-	k.idx += uint64(m)
-	return keys, nil
 }
 
 // Eval writes F_j(y) for the code word c = C(y) into dst (at most 32

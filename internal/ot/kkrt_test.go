@@ -40,13 +40,14 @@ func kkrtFromSeeds(t testing.TB, rng *rand.Rand) (*KKRTSender, *KKRTReceiver) {
 	a, b := transport.Pair()
 	t.Cleanup(func() { a.Close(); b.Close() })
 	ks := &KKRTSender{conn: a, seeds: make([]prf.Seed, KKRTWidth)}
-	kr := &KKRTReceiver{conn: b, pairs: make([][2]prf.Seed, KKRTWidth)}
-	for i := range kr.pairs {
-		rng.Read(kr.pairs[i][0][:])
-		rng.Read(kr.pairs[i][1][:])
+	kr := &KKRTReceiver{conn: b, leaves: make([]prf.Seed, 2*KKRTWidth)}
+	for i := 0; i < KKRTWidth; i++ {
+		k0, k1 := &kr.leaves[2*i+1], &kr.leaves[2*i] // leaf y is k_i^{1−y}
+		rng.Read(k0[:])
+		rng.Read(k1[:])
 		c := rng.Intn(2)
 		ks.s[i/8] |= byte(c) << (i % 8)
-		ks.seeds[i] = kr.pairs[i][c]
+		ks.seeds[i] = kr.leaves[2*i+1-c]
 	}
 	return ks, kr
 }

@@ -162,9 +162,9 @@ func (o *rowSink) put(rows *[padBatch]prf.Block, n, base int, delta *[kappa / 8]
 //
 // The expansion runs tile by tile (eachTile): a worker derives every
 // chunk's columns of its tile into a κ×tileBytes scratch on its stack
-// (chunkTile, from the leaf schedules expanded at setup) and takes the
-// rows straight out of its 64×64 transpose blocks, so no κ×m matrix and
-// no transpose of one is ever built. The outputs and the wire message
+// (tileSums, from the leaf seeds of setup) and takes the rows straight
+// out of its 64×64 transpose blocks, so no κ×m matrix and no transpose
+// of one is ever built. The outputs and the wire message
 // are the only O(m) allocations. A batch past the stream's keystream
 // window is a *WindowError, before anything is received.
 func (s *Sender) expand(m int, out *rowSink) error {
@@ -179,10 +179,9 @@ func (s *Sender) expand(m int, out *rowSink) error {
 	off := s.off
 	eachTile(rowBytes, func(c0, n int) {
 		var q [kappa * tileBytes]byte
-		var g leafTiles
 		var rows [padBatch]prf.Block
+		s.tileSums(&q, n, off+uint64(c0))
 		for j := 0; j < chunks; j++ {
-			chunkTile(q[j*chunkBits*tileBytes:], tileBytes, &g, chunkBits, n, off+uint64(c0), s.leaves[j*(chunkLeaves-1):(j+1)*(chunkLeaves-1)], 1)
 			uj := u[j*rowBytes+c0 : j*rowBytes+c0+n]
 			for i := j * chunkBits; i < (j+1)*chunkBits; i++ {
 				if s.s[i/8]>>(i%8)&1 == 1 {
@@ -199,6 +198,27 @@ func (s *Sender) expand(m int, out *rowSink) error {
 	})
 	s.off += streamAdvance(rowBytes)
 	return nil
+}
+
+// tileSums writes every chunk's k columns of one tile into q, n bytes of
+// the leaf streams from offset at: column kj + b, at q[(kj+b)·tileBytes:],
+// is ⊕_{y_b = 1} G(leaf y) over chunk j's leaves y ≠ 0. A chunk's
+// schedules are expanded here, sixteen at a time.
+func (s *senderKeys) tileSums(q *[kappa * tileBytes]byte, n int, at uint64) {
+	var keys [chunkLeaves]prf.CTR
+	if !leafKernel {
+		var g leafTiles
+		for j := 0; j < chunks; j++ {
+			prf.NewCTRs(keys[1:], s.leaves[j*chunkLeaves+1:(j+1)*chunkLeaves])
+			chunkTile(q[j*chunkBits*tileBytes:], tileBytes, &g, chunkBits, n, at, keys[1:], 1)
+		}
+		return
+	}
+	var g laneScratch
+	for j := 0; j < chunks; j++ {
+		prf.NewCTRs(keys[:], s.leaves[j*chunkLeaves:(j+1)*chunkLeaves])
+		chunkLanes(&g, q[j*chunkBits*tileBytes:], nil, tileBytes, chunkBits, n, at, keys[:], 1)
+	}
 }
 
 // randomPads runs one extension batch of m random OTs as the sender and
@@ -240,7 +260,7 @@ func (r *Receiver) expandBits(x []byte, extra int) (t, scratch []byte, rowBytes 
 	}
 	buf, u := growBytes(&r.t, kappa*rowBytes+extra), make([]byte, chunks*rowBytes)
 	t, scratch = buf[:kappa*rowBytes], buf[kappa*rowBytes:]
-	expandChunks(t, u, x, 0, chunks, chunkBits, rowBytes, r.off, func(j, x int) prf.Seed { return r.leaves[j][x] })
+	expandChunks(t, u, x, 0, chunks, chunkBits, rowBytes, r.off, r.leaves[:])
 	r.off += streamAdvance(rowBytes)
 	return t, scratch, rowBytes, r.conn.Send(u)
 }

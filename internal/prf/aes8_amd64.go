@@ -2,6 +2,8 @@
 
 package prf
 
+import "unsafe"
+
 // hasAES8 reports whether the 8-wide AESENC kernels — the fused MMO
 // kernel and CTR's — are usable. AES-NI has been ubiquitous on x86-64
 // since ~2010, but the check keeps the package correct under emulators
@@ -55,3 +57,41 @@ func expandKey128Asm(key, rk *byte)
 // expandKey128 is NewCTR's key schedule on AES-NI, which hasAES8
 // guarantees whenever a schedule is expanded.
 func expandKey128(key *Seed, rk *[176]byte) { expandKey128Asm(&key[0], &rk[0]) }
+
+// ctrBytes is the size of a CTR, the distance between consecutive lanes'
+// schedules in the lane kernels (aes8_amd64.s hard-codes it); the two
+// array lengths below fail to compile if the size changes.
+const ctrBytes = 192
+
+var (
+	_ [ctrBytes - unsafe.Sizeof(CTR{})]byte
+	_ [unsafe.Sizeof(CTR{}) - ctrBytes]byte
+)
+
+// expandKeys4Asm writes the schedules of the four keys at keys into the
+// four CTRs at rk: expandKey128Asm with the four keys' AESENCLAST S-boxes
+// interleaved, so they pipeline (≈ 10.5 ns a key against 21–25 ns one
+// at a time, BenchmarkLanes).
+//
+//go:noescape
+func expandKeys4Asm(keys *Seed, rk *CTR)
+
+func expandKeys4(keys *[4]Seed, rk *[4]CTR) { expandKeys4Asm(&keys[0], &rk[0]) }
+
+// leafSumsAsm is LeafSums' kernel; stride is in bytes.
+//
+//go:noescape
+func leafSumsAsm(keys *CTR, dst *Block, stride int, ctr uint64, n int)
+
+func leafSums(keys *[16]CTR, dst *Block, stride int, ctr uint64, n int) {
+	leafSumsAsm(&keys[0], dst, stride*len(Block{}), ctr, n)
+}
+
+// keyBlocksAsm is KeyBlocks' kernel; stride is in bytes.
+//
+//go:noescape
+func keyBlocksAsm(keys *CTR, dst *Block, stride int, ctr uint64, n int, pairs bool)
+
+func keyBlocks(keys *[8]CTR, dst *Block, stride int, ctr uint64, n int, pairs bool) {
+	keyBlocksAsm(&keys[0], dst, stride*len(Block{}), ctr, n, pairs)
+}

@@ -296,3 +296,240 @@ loop:
 	SUBQ $8, CX
 	JNZ  loop
 	RET
+
+// The lane kernels below run AES-128 under a different key in each of
+// eight lanes: the keys are consecutive CTRs, their schedules ctrBytes
+// apart (the Go side pins CTR's size), so lane l's round r key sits at
+// l·192 + r·16 from the first.
+
+// KEYROUND4 is KEYROUND on the four keys in X0..X3 at once, whose
+// schedules are stored ctrBytes apart from off(DI): one AESENCLAST
+// S-box per key, independent, so the four overlap in the pipeline. X12
+// holds rotWord, X13 the round constant; X4..X11 are clobbered.
+#define KEYROUND4(rc, off) \
+	MOVOU      rc(SI), X13  \
+	MOVOU      X0, X4       \
+	PSHUFB     X12, X4      \
+	AESENCLAST X13, X4      \
+	MOVOU      X1, X5       \
+	PSHUFB     X12, X5      \
+	AESENCLAST X13, X5      \
+	MOVOU      X2, X6       \
+	PSHUFB     X12, X6      \
+	AESENCLAST X13, X6      \
+	MOVOU      X3, X7       \
+	PSHUFB     X12, X7      \
+	AESENCLAST X13, X7      \
+	MOVOU      X0, X8       \
+	MOVOU      X1, X9       \
+	MOVOU      X2, X10      \
+	MOVOU      X3, X11      \
+	PSLLO      $4, X8       \
+	PSLLO      $4, X9       \
+	PSLLO      $4, X10      \
+	PSLLO      $4, X11      \
+	PXOR       X8, X0       \
+	PXOR       X9, X1       \
+	PXOR       X10, X2      \
+	PXOR       X11, X3      \
+	MOVOU      X0, X8       \
+	MOVOU      X1, X9       \
+	MOVOU      X2, X10      \
+	MOVOU      X3, X11      \
+	PSLLO      $8, X8       \
+	PSLLO      $8, X9       \
+	PSLLO      $8, X10      \
+	PSLLO      $8, X11      \
+	PXOR       X8, X0       \
+	PXOR       X9, X1       \
+	PXOR       X10, X2      \
+	PXOR       X11, X3      \
+	PXOR       X4, X0       \
+	PXOR       X5, X1       \
+	PXOR       X6, X2       \
+	PXOR       X7, X3       \
+	MOVUPS     X0, off(DI)  \
+	MOVUPS     X1, 192+off(DI) \
+	MOVUPS     X2, 384+off(DI) \
+	MOVUPS     X3, 576+off(DI)
+
+// func expandKeys4Asm(keys *Seed, rk *CTR)
+//
+// The schedules of the four consecutive keys at keys, into the four
+// consecutive CTRs at rk: expandKey128Asm four keys abreast.
+TEXT ·expandKeys4Asm(SB), NOSPLIT, $0-16
+	MOVQ   keys+0(FP), AX
+	MOVQ   rk+8(FP), DI
+	MOVOU  rotWord<>(SB), X12
+	LEAQ   rcon<>(SB), SI
+	MOVUPS 0(AX), X0
+	MOVUPS 16(AX), X1
+	MOVUPS 32(AX), X2
+	MOVUPS 48(AX), X3
+	MOVUPS X0, 0(DI)
+	MOVUPS X1, 192(DI)
+	MOVUPS X2, 384(DI)
+	MOVUPS X3, 576(DI)
+	KEYROUND4(0x00, 16)
+	KEYROUND4(0x10, 32)
+	KEYROUND4(0x20, 48)
+	KEYROUND4(0x30, 64)
+	KEYROUND4(0x40, 80)
+	KEYROUND4(0x50, 96)
+	KEYROUND4(0x60, 112)
+	KEYROUND4(0x70, 128)
+	KEYROUND4(0x80, 144)
+	KEYROUND4(0x90, 160)
+	RET
+
+// COUNTER sets X14 to CTR's counter block number DX: bytes 0..7 zero,
+// bytes 8..15 DX big-endian. R12 is clobbered.
+#define COUNTER \
+	MOVQ   DX, R12  \
+	BSWAPQ R12      \
+	MOVQ   R12, X14 \
+	PSLLO  $8, X14
+
+// LANEKEY applies round key off of each of the eight lanes' schedules
+// at R to X0..X7 with op (AESENC or AESENCLAST). X8 is clobbered.
+#define LANEKEY(op, R, off) \
+	MOVUPS off(R), X8      \
+	op     X8, X0          \
+	MOVUPS 192+off(R), X8  \
+	op     X8, X1          \
+	MOVUPS 384+off(R), X8  \
+	op     X8, X2          \
+	MOVUPS 576+off(R), X8  \
+	op     X8, X3          \
+	MOVUPS 768+off(R), X8  \
+	op     X8, X4          \
+	MOVUPS 960+off(R), X8  \
+	op     X8, X5          \
+	MOVUPS 1152+off(R), X8 \
+	op     X8, X6          \
+	MOVUPS 1344+off(R), X8 \
+	op     X8, X7
+
+// LANES8 encrypts the counter block X14 under the eight schedules at R
+// into X0..X7.
+#define LANES8(R) \
+	MOVOU X14, X0            \
+	MOVOU X14, X1            \
+	MOVOU X14, X2            \
+	MOVOU X14, X3            \
+	MOVOU X14, X4            \
+	MOVOU X14, X5            \
+	MOVOU X14, X6            \
+	MOVOU X14, X7            \
+	LANEKEY(PXOR, R, 0)      \
+	LANEKEY(AESENC, R, 16)   \
+	LANEKEY(AESENC, R, 32)   \
+	LANEKEY(AESENC, R, 48)   \
+	LANEKEY(AESENC, R, 64)   \
+	LANEKEY(AESENC, R, 80)   \
+	LANEKEY(AESENC, R, 96)   \
+	LANEKEY(AESENC, R, 112)  \
+	LANEKEY(AESENC, R, 128)  \
+	LANEKEY(AESENC, R, 144)  \
+	LANEKEY(AESENCLAST, R, 160)
+
+// FOLD8 folds lanes l0..l7 in X0..X7 into their leaf sums by index bit:
+// X1 = l1⊕l3⊕l5⊕l7 (bit 0), X2 = l2⊕l3⊕l6⊕l7 (bit 1), X4 = l4⊕…⊕l7
+// (bit 2) and X0 = l0⊕…⊕l7, in eleven XORs (chunkTile's g[x] ⊕= g[x+2^b]
+// in registers). X3, X5, X6 and X7 are clobbered.
+#define FOLD8 \
+	PXOR X1, X0 \
+	PXOR X3, X2 \
+	PXOR X5, X4 \
+	PXOR X7, X6 \
+	PXOR X3, X1 \
+	PXOR X7, X5 \
+	PXOR X5, X1 \
+	PXOR X2, X0 \
+	PXOR X6, X4 \
+	PXOR X6, X2 \
+	PXOR X4, X0
+
+// func leafSumsAsm(keys *CTR, dst *Block, stride int, ctr uint64, n int)
+//
+// For each of the n counter blocks c = ctr, ctr+1, …: the sixteen leaves
+// of one chunk, keys[y], encrypt c in two eight-lane passes, folded in
+// registers into the chunk's total ⊕_y AES_y(c), stored at dst, and its
+// four bit sums ⊕_{y_b = 1} AES_y(c), stored at dst + (1+b)·stride.
+// dst advances one block per counter.
+TEXT ·leafSumsAsm(SB), NOSPLIT, $0-40
+	MOVQ keys+0(FP), AX
+	MOVQ dst+8(FP), DI
+	MOVQ stride+16(FP), BX
+	MOVQ ctr+24(FP), DX
+	MOVQ n+32(FP), CX
+	LEAQ 1536(AX), SI      // leaves 8..15
+	LEAQ (BX)(BX*2), R8    // 3·stride
+
+sumsLoop:
+	COUNTER
+	LANES8(AX)
+	FOLD8
+	MOVOU X0, X9           // total
+	MOVOU X1, X10          // bit 0
+	MOVOU X2, X11          // bit 1
+	MOVOU X4, X13          // bit 2
+	LANES8(SI)
+	FOLD8
+	PXOR  X0, X9
+	PXOR  X1, X10
+	PXOR  X2, X11
+	PXOR  X4, X13
+	MOVUPS X9, (DI)
+	MOVUPS X10, (DI)(BX*1)
+	MOVUPS X11, (DI)(BX*2)
+	MOVUPS X13, (DI)(R8*1)
+	MOVUPS X0, (DI)(BX*4)  // bit 3: every leaf of the second pass
+	ADDQ $16, DI
+	INCQ DX
+	DECQ CX
+	JNZ  sumsLoop
+	RET
+
+// func keyBlocksAsm(keys *CTR, dst *Block, stride int, ctr uint64, n int, pairs bool)
+//
+// For each of the n counter blocks c = ctr, ctr+1, …: the eight keys
+// encrypt c in one pass, lane l stored at dst + l·stride; with pairs,
+// lane 2p holds lanes 2p ⊕ 2p+1 instead (a k = 1 chunk's total beside
+// its one sum). dst advances one block per counter.
+TEXT ·keyBlocksAsm(SB), NOSPLIT, $0-41
+	MOVQ    keys+0(FP), AX
+	MOVQ    dst+8(FP), DI
+	MOVQ    stride+16(FP), BX
+	MOVQ    ctr+24(FP), DX
+	MOVQ    n+32(FP), CX
+	MOVBLZX pairs+40(FP), R13
+	LEAQ    (BX)(BX*2), R8   // 3·stride
+	LEAQ    (BX)(BX*4), R9   // 5·stride
+	LEAQ    (R8)(R8*1), R10  // 6·stride
+	LEAQ    (R10)(BX*1), R11 // 7·stride
+
+blocksLoop:
+	COUNTER
+	LANES8(AX)
+	TESTQ R13, R13
+	JZ    blocksStore
+	PXOR  X1, X0
+	PXOR  X3, X2
+	PXOR  X5, X4
+	PXOR  X7, X6
+
+blocksStore:
+	MOVUPS X0, (DI)
+	MOVUPS X1, (DI)(BX*1)
+	MOVUPS X2, (DI)(BX*2)
+	MOVUPS X3, (DI)(R8*1)
+	MOVUPS X4, (DI)(BX*4)
+	MOVUPS X5, (DI)(R9*1)
+	MOVUPS X6, (DI)(R10*1)
+	MOVUPS X7, (DI)(R11*1)
+	ADDQ $16, DI
+	INCQ DX
+	DECQ CX
+	JNZ  blocksLoop
+	RET

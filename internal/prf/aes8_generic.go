@@ -25,3 +25,19 @@ func mmoBlocks(dst, src *Block, lo *uint64, w Word, n int) {
 	// per-block path unless hasAES8 is set.
 	panic("prf: mmoBlocks without hardware support")
 }
+
+func expandKeys4(keys *[4]Seed, rk *[4]CTR) {
+	// Unreachable for the same reason: NewCTRs expands four at a time
+	// only when hasAES8 is set.
+	panic("prf: expandKeys4 without hardware support")
+}
+
+func leafSums(keys *[16]CTR, dst *Block, stride int, ctr uint64, n int) {
+	// Unreachable: the lane kernels' callers check Lanes first.
+	panic("prf: LeafSums without hardware support")
+}
+
+func keyBlocks(keys *[8]CTR, dst *Block, stride int, ctr uint64, n int, pairs bool) {
+	// Unreachable: the lane kernels' callers check Lanes first.
+	panic("prf: KeyBlocks without hardware support")
+}

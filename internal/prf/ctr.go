@@ -11,8 +11,9 @@ import (
 // big-endian 128-bit block counter of crypto/cipher's CTR: keystream
 // block b is AES_k(b). The key is expanded once, and the stream is
 // random-access: KeyStream writes the bytes at any offset without
-// carrying stream state, so one CTR serves every batch of an IKNP column
-// and concurrent readers of disjoint columns share nothing mutable.
+// carrying stream state, so one CTR serves every batch of a leaf stream
+// and concurrent readers share nothing mutable. The lane kernels
+// (lanes.go) read the same schedules, eight CTRs at a time.
 type CTR struct {
 	rk    [176]byte    // the expanded schedule, for the 8-wide AESENC kernel
 	block cipher.Block // the same key behind crypto/aes; set only without AES-NI
@@ -34,7 +35,9 @@ func NewCTR(key Seed) (c CTR) {
 // into dst. It allocates nothing: the counter and output blocks live on
 // the stack, laundered through noescape for the cipher.Block fallback
 // exactly as the MMO hash paths do (fixedkey.go). Eight whole blocks
-// from a block boundary are encrypted straight into dst.
+// from a block boundary are encrypted straight into dst; any shorter
+// read still costs a whole 8-block pass, so a reader of a few blocks
+// under many keys belongs on the lane kernels (LeafSums, KeyBlocks).
 func (c *CTR) KeyStream(dst []byte, off uint64) {
 	var scratch [2][8]Block
 	s := (*[2][8]Block)(noescape(unsafe.Pointer(&scratch)))

@@ -14,6 +14,12 @@ import (
 // engine's exercise surface and serve as extra correctness fixtures;
 // they do not correspond to paper figures.
 
+// The extra queries' Output lists, package variables as in queries.go.
+var (
+	q1Output  = []Attr{"returnflag"}
+	q12Output = []Attr{"shipmode"}
+)
+
 // Extra returns the additional queries.
 func Extra() []Spec {
 	return []Spec{Q1(), Q12(), Q14()}
@@ -31,7 +37,7 @@ func q1Query(db *tpch.DB, v view) *core.Query {
 	return &core.Query{
 		Inputs: []core.Input{v.masked("lineitem", mpc.Bob, db.Lineitem, []Attr{"returnflag"},
 			func(row []uint64) bool { return row[shipIdx] <= q1Date }, volume(db.Lineitem), &dg)},
-		Output: []Attr{"returnflag"},
+		Output: q1Output,
 	}
 }
 
@@ -68,7 +74,7 @@ func q12Query(db *tpch.DB, v view) *core.Query {
 				func(row []uint64) bool { return row[shipIdx] >= q12DateLo && row[shipIdx] < q12DateHi },
 				one, &dgL),
 		},
-		Output: []Attr{"shipmode"},
+		Output: q12Output,
 	}
 }
 

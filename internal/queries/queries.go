@@ -26,6 +26,17 @@ import (
 // Attr aliases the relation attribute type for brevity.
 type Attr = relation.Attr
 
+// The queries' Output lists are package variables, not literals built
+// per run: a revealed result's schema aliases its query's Output (core's
+// normalizeResult), so results a caller holds share one list instead of
+// each keeping its own.
+var (
+	q3Output   = []Attr{"orderkey", "orderdate", "shippriority"}
+	q10Output  = []Attr{"custkey", "c_name", "c_nationkey"}
+	q18Output  = []Attr{"c_name", "custkey", "orderkey", "orderdate", "totalprice"}
+	yearOutput = []Attr{"o_year"} // Q8's and Q9's
+)
+
 // Spec describes one evaluation query.
 type Spec struct {
 	Name        string
@@ -206,7 +217,7 @@ func q3Query(db *tpch.DB, v view) *core.Query {
 			v.masked("lineitem", mpc.Alice, db.Lineitem, []Attr{"orderkey"},
 				func(row []uint64) bool { return row[shipIdx] > q3Date }, volume(db.Lineitem), &dgL),
 		},
-		Output: []Attr{"orderkey", "orderdate", "shippriority"},
+		Output: q3Output,
 	}
 }
 
@@ -244,7 +255,7 @@ func q10Query(db *tpch.DB, v view) *core.Query {
 			v.masked("lineitem", mpc.Alice, db.Lineitem, []Attr{"orderkey"},
 				func(row []uint64) bool { return row[flagIdx] == tpch.ReturnR }, volume(db.Lineitem), &dgL),
 		},
-		Output: []Attr{"custkey", "c_name", "c_nationkey"},
+		Output: q10Output,
 	}
 }
 
@@ -302,7 +313,7 @@ func q18Query(db *tpch.DB, threshold uint64, v view) *core.Query {
 			// subquery never outgrows |lineitem|.
 			v.input("subquery", mpc.Bob, relation.MustSchema("orderkey"), db.Lineitem.Len(), sub),
 		},
-		Output: []Attr{"c_name", "custkey", "orderkey", "orderdate", "totalprice"},
+		Output: q18Output,
 	}
 }
 
@@ -376,7 +387,7 @@ func q8Queries(db *tpch.DB, v view) (num, den *core.Query) {
 	query := func(sup core.Input) *core.Query {
 		return &core.Query{
 			Inputs: []core.Input{part, sup, li, ord, cust},
-			Output: []Attr{"o_year"},
+			Output: yearOutput,
 		}
 	}
 	return query(supNum), query(supDen)
@@ -510,7 +521,7 @@ func q9Queries(db *tpch.DB, nation uint64, v view) (rev, cost *core.Query) {
 	query := func(li, ps core.Input) *core.Query {
 		return &core.Query{
 			Inputs: []core.Input{part, sup, li, ps, ord},
-			Output: []Attr{"o_year"},
+			Output: yearOutput,
 		}
 	}
 	return query(liV, psOne), query(liQ, psCost)
