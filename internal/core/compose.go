@@ -88,13 +88,16 @@ func RevealRatio(p *mpc.Party, num, den *SharedResult, scale uint64) (*relation.
 	if a.Holder != d.Holder {
 		return nil, fmt.Errorf("core: ratio of results with different holders")
 	}
-	if d.N == 0 {
-		if p.Role == mpc.Alice {
+	// A shared relation's reveal: the circuit, or nothing without rows.
+	v, ex := revealStep(nodeState{schema: d.Schema, n: d.N, holder: d.Holder}, p.Ring.Bits, scale)
+	var quot []uint64
+	rows, err := runOp(p, "reveal-ratio", v, ex, func(c *cursor) (rows *relation.Relation, err error) {
+		if v == varLocal {
 			return relation.New(d.Schema), nil
 		}
-		return nil, nil
-	}
-	rows, quot, err := revealCircuit(p, d, a.Annot, scale)
+		rows, quot, err = revealCircuit(c, d, a.Annot, scale)
+		return rows, err
+	})
 	if err != nil || p.Role != mpc.Alice {
 		return nil, err
 	}
@@ -111,18 +114,15 @@ func RevealRatio(p *mpc.Party, num, den *SharedResult, scale uint64) (*relation.
 // with dummy and zero-annotated rows removed and columns ordered as
 // `output`.
 func (r *SharedResult) Reveal(p *mpc.Party, output []relation.Attr) (*relation.Relation, error) {
+	reveal := r.Join.reveal
 	if r.Single != nil {
-		res, err := RevealRelation(p, r.Single)
-		if err != nil || p.Role != mpc.Alice {
-			return nil, err
-		}
-		return normalizeResult(res, output)
+		reveal = func(p *mpc.Party) (*relation.Relation, error) { return RevealRelation(p, r.Single) }
 	}
-	res, err := r.Join.reveal(p)
+	res, err := reveal(p)
 	if err != nil || p.Role != mpc.Alice {
 		return nil, err
 	}
-	return normalizeResult(res, output)
+	return reorder(res.DropZeroAnnotated(), output)
 }
 
 // reveal reveals the join annotations to Alice and returns the result

@@ -38,33 +38,17 @@ type SharedRelation struct {
 	Plain bool
 }
 
-// IsHolder reports whether party p holds the tuples.
-func (s *SharedRelation) IsHolder(p *mpc.Party) bool { return p.Role == s.Holder }
+// state is s's public protocol state, all the decision functions read.
+func (s *SharedRelation) state() nodeState {
+	return nodeState{schema: s.Schema, n: s.N, plain: s.Plain, holder: s.Holder}
+}
 
 // ShareInput turns an owner's plaintext annotated relation into a
 // SharedRelation: the owner keeps the tuples and secret-shares the
 // annotations with the peer. The non-owner calls it with rel == nil and
 // the public schema and size.
 func ShareInput(p *mpc.Party, owner mpc.Role, rel *relation.Relation, schema relation.Schema, n int) (*SharedRelation, error) {
-	if p.Role == owner {
-		if rel == nil {
-			return nil, fmt.Errorf("core: owner must supply the relation")
-		}
-		masked := make([]uint64, rel.Len())
-		for i, v := range rel.Annot {
-			masked[i] = p.Ring.Mask(v)
-		}
-		mine, err := p.ShareToPeer(masked)
-		if err != nil {
-			return nil, err
-		}
-		return &SharedRelation{Holder: owner, Schema: rel.Schema, N: rel.Len(), Rel: rel, Annot: mine}, nil
-	}
-	shares, err := p.RecvShares(n)
-	if err != nil {
-		return nil, err
-	}
-	return &SharedRelation{Holder: owner, Schema: schema, N: n, Annot: shares}, nil
+	return input(p, owner, rel, schema, n, false)
 }
 
 // NewPlainInput wraps an owner's relation without sharing its
@@ -72,19 +56,33 @@ func ShareInput(p *mpc.Party, owner mpc.Role, rel *relation.Relation, schema rel
 // communication happens: the holder's share vector carries the plaintext
 // values and the peer's is all zeros.
 func NewPlainInput(p *mpc.Party, owner mpc.Role, rel *relation.Relation, schema relation.Schema, n int) (*SharedRelation, error) {
-	if p.Role == owner {
-		if rel == nil {
-			return nil, fmt.Errorf("core: owner must supply the relation")
-		}
-		vals := make([]uint64, rel.Len())
+	return input(p, owner, rel, schema, n, true)
+}
+
+// input is NewPlainInput when plain, else ShareInput.
+func input(p *mpc.Party, owner mpc.Role, rel *relation.Relation, schema relation.Schema, n int, plain bool) (*SharedRelation, error) {
+	s := &SharedRelation{Holder: owner, Schema: schema, N: n, Plain: plain}
+	var err error
+	switch {
+	case p.Role != owner && plain:
+		s.Annot = make([]uint64, n)
+	case p.Role != owner:
+		s.Annot, err = p.RecvShares(n)
+	case rel == nil:
+		return nil, fmt.Errorf("core: owner must supply the relation")
+	default:
+		s.Schema, s.N, s.Rel, s.Annot = rel.Schema, rel.Len(), rel, make([]uint64, rel.Len())
 		for i, v := range rel.Annot {
-			vals[i] = p.Ring.Mask(v)
+			s.Annot[i] = p.Ring.Mask(v)
 		}
-		return &SharedRelation{Holder: owner, Schema: rel.Schema, N: rel.Len(), Rel: rel,
-			Annot: vals, Plain: true}, nil
+		if !plain {
+			s.Annot, err = p.ShareToPeer(s.Annot)
+		}
 	}
-	return &SharedRelation{Holder: owner, Schema: schema, N: n,
-		Annot: make([]uint64, n), Plain: true}, nil
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // RevealAnnotations reconstructs the annotation values at the designated
@@ -98,16 +96,17 @@ func RevealAnnotations(p *mpc.Party, s *SharedRelation, receiver mpc.Role) ([]ui
 }
 
 // sendPublicSize / recvPublicSize exchange a size that the model treats
-// as public (e.g. the output size OUT in §6.3).
+// as public (e.g. the output size OUT in §6.3); the receiver rejects one
+// above bound.
 func sendPublicSize(c transport.Conn, n int) error { return transport.SendUint64(c, uint64(n)) }
 
-func recvPublicSize(c transport.Conn) (int, error) {
+func recvPublicSize(c transport.Conn, bound int) (int, error) {
 	v, err := transport.RecvUint64(c, "core: public size")
 	if err != nil {
 		return 0, err
 	}
-	if v > uint64(1)<<40 {
-		return 0, fmt.Errorf("core: implausible public size %d", v)
+	if v > uint64(bound) {
+		return 0, fmt.Errorf("core: implausible public size %d, above its bound %d", v, bound)
 	}
 	return int(v), nil
 }

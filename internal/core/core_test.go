@@ -123,8 +123,8 @@ func TestObliviousProjectOne(t *testing.T) {
 	sa, sb := shareBoth(t, alice, bob, mpc.Bob, rel)
 	var dgA, dgB relation.DummyGen
 	oa, ob, err := mpc.Run2PC(alice, bob,
-		func(p *mpc.Party) (*SharedRelation, error) { return ProjectOne(p, &dgA, sa, []A{"g"}) },
-		func(p *mpc.Party) (*SharedRelation, error) { return ProjectOne(p, &dgB, sb, []A{"g"}) },
+		func(p *mpc.Party) (*SharedRelation, error) { return merge(p, &dgA, sa, []A{"g"}, mergeOr) },
+		func(p *mpc.Party) (*SharedRelation, error) { return merge(p, &dgB, sb, []A{"g"}, mergeOr) },
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -272,8 +272,9 @@ func TestCrossPartyPlainSemijoinIsDirect(t *testing.T) {
 				want[i] = ring.Mask(parent.Annot[i] * child.Annot[b/2])
 			}
 		}
-		est := directCost(semijoinExchanges(nodeState{schema: parent.Schema, n: sz.m, holder: mpc.Alice},
-			nodeState{schema: child.Schema, n: sz.n, plain: true, holder: mpc.Bob}, ring.Bits))
+		_, ex := semijoinStep(nodeState{schema: parent.Schema, n: sz.m, holder: mpc.Alice},
+			nodeState{schema: child.Schema, n: sz.n, plain: true, holder: mpc.Bob}, ring.Bits)
+		est := directCost(ex)
 
 		alice, bob := mpc.Pair(ring)
 		pa, pb := shareBoth(t, alice, bob, mpc.Alice, parent)
@@ -367,11 +368,18 @@ func TestSemijoinGeneral(t *testing.T) {
 
 	ta, tb := shareBoth(t, alice, bob, mpc.Alice, target)
 	ba, bb := shareBoth(t, alice, bob, mpc.Bob, by)
+	// target ⋉ by is target ⋈^⊗ π¹_{k}(by) (§6.2).
+	semijoin := func(dg *relation.DummyGen, target, by *SharedRelation) func(*mpc.Party) (*SharedRelation, error) {
+		return func(p *mpc.Party) (*SharedRelation, error) {
+			ind, err := merge(p, dg, by, target.Schema.Intersect(by.Schema), mergeOr)
+			if err != nil {
+				return nil, err
+			}
+			return SemijoinInto(p, dg, target, ind)
+		}
+	}
 	var dgA, dgB relation.DummyGen
-	oa, ob, err := mpc.Run2PC(alice, bob,
-		func(p *mpc.Party) (*SharedRelation, error) { return Semijoin(p, &dgA, ta, ba) },
-		func(p *mpc.Party) (*SharedRelation, error) { return Semijoin(p, &dgB, tb, bb) },
-	)
+	oa, ob, err := mpc.Run2PC(alice, bob, semijoin(&dgA, ta, ba), semijoin(&dgB, tb, bb))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,8 +451,8 @@ func TestProductTree(t *testing.T) {
 		}
 		before := alice.Conn.Stats().TotalBytes()
 		pa, pb, err := mpc.Run2PC(alice, bob,
-			func(p *mpc.Party) ([]uint64, error) { return productTree(p, fa) },
-			func(p *mpc.Party) ([]uint64, error) { return productTree(p, fb) })
+			func(p *mpc.Party) ([]uint64, error) { return productTreeOf(p, fa) },
+			func(p *mpc.Party) ([]uint64, error) { return productTreeOf(p, fb) })
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -498,8 +506,8 @@ func TestMulSharesOneRoundTrip(t *testing.T) {
 			}
 			before := alice.Conn.Stats()
 			pa, pb, err := mpc.Run2PC(alice, bob,
-				func(p *mpc.Party) ([]uint64, error) { return mulShares(p, aA, bA, mpc.Alice, plain) },
-				func(p *mpc.Party) ([]uint64, error) { return mulShares(p, aB, bB, mpc.Alice, plain) })
+				func(p *mpc.Party) ([]uint64, error) { return productsOf(p, aA, bA, terms) },
+				func(p *mpc.Party) ([]uint64, error) { return productsOf(p, aB, bB, terms) })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -520,6 +528,27 @@ func TestMulSharesOneRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// productsOf runs one product batch of a ⊗ b with Alice receiving, of
+// the given terms per product.
+func productsOf(p *mpc.Party, a, b []uint64, terms int) ([]uint64, error) {
+	ex := []exchange{productBatch(mpc.Bob, len(a), p.Ring.Bits, terms)}
+	return runOp(p, "products", varOblivious, ex, func(c *cursor) ([]uint64, error) { return c.products(a, b, mpc.Alice) })
+}
+
+// revealRowsOf and productTreeOf run revealRows and productTree on the
+// steps their decision functions declare, as the executor does.
+func revealRowsOf(p *mpc.Party, s *SharedRelation) (*relation.Relation, error) {
+	v, ex := revealStep(s.state(), p.Ring.Bits, 0)
+	return runOp(p, "reveal-rows", v, ex, func(c *cursor) (*relation.Relation, error) { return revealRows(c, s) })
+}
+
+func productTreeOf(p *mpc.Party, factors [][]uint64) ([]uint64, error) {
+	ex := productBatches(len(factors[0]), len(factors), p.Ring.Bits)
+	return runOp(p, "annotation-product", varOblivious, ex, func(c *cursor) ([]uint64, error) {
+		return productTree(c, factors)
+	})
 }
 
 // directCost is the bytes of exs when every exchange runs direct.

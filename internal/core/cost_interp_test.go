@@ -43,9 +43,9 @@ func TestOperatorCostsMatchBuiltCircuits(t *testing.T) {
 		gadget func(b *gc.Builder)
 	}
 	shapes := map[string]shape{
-		"reveal": {func(n int) gc.Dims { return *revealDims(n, 2, ell, false) },
+		"reveal": {func(n int) gc.Dims { return *revealDims(n, 2, ell, false, 0) },
 			func(b *gc.Builder) { revealGadget(b, 2, ell, false, 0) }},
-		"reveal-rows": {func(n int) gc.Dims { return *revealDims(n, 2, ell, true) },
+		"reveal-rows": {func(n int) gc.Dims { return *revealDims(n, 2, ell, true, 0) },
 			func(b *gc.Builder) { revealGadget(b, 2, ell, true, 0) }},
 	}
 	for name, sh := range shapes {

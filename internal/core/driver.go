@@ -93,21 +93,20 @@ func (q *Query) Validate(role mpc.Role) error {
 	return nil
 }
 
-// normalizeResult reorders columns to the requested output order and
-// drops dummy rows.
-func normalizeResult(res *relation.Relation, output []relation.Attr) (*relation.Relation, error) {
-	clean := res.DropZeroAnnotated()
-	cols, err := clean.Schema.Positions(output)
+// reorder returns rel's rows and annotations with their columns in the
+// order of attrs; the result's schema keeps attrs itself.
+func reorder(rel *relation.Relation, attrs []relation.Attr) (*relation.Relation, error) {
+	cols, err := rel.Schema.Positions(attrs)
 	if err != nil {
 		return nil, err
 	}
-	out := relation.New(relation.MustSchema(output...))
-	for i := range clean.Tuples {
+	out := relation.NewCap(relation.MustSchema(attrs...), rel.Len())
+	for i, t := range rel.Tuples {
 		row := make([]uint64, len(cols))
 		for c, cc := range cols {
-			row[c] = clean.Tuples[i][cc]
+			row[c] = t[cc]
 		}
-		out.Append(row, clean.Annot[i])
+		out.Append(row, rel.Annot[i])
 	}
 	return out, nil
 }

@@ -384,7 +384,7 @@ func TestLocalOptimizationEquivalence(t *testing.T) {
 		optBytes, rawBytes, float64(rawBytes)/float64(optBytes))
 }
 
-// TestPlainOperatorsMatchShared exercises Aggregate and ProjectOne on a
+// TestPlainOperatorsMatchShared exercises π^⊕ and π¹ (merge) on a
 // plain-annotation relation against the share-based path.
 func TestPlainOperatorsMatchShared(t *testing.T) {
 	rel := relation.New(relation.MustSchema("g"))
@@ -410,7 +410,7 @@ func TestPlainOperatorsMatchShared(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		ind, err := ProjectOne(p, &dg, sr, []A{"g"})
+		ind, err := merge(p, &dg, sr, []A{"g"}, mergeOr)
 		if err != nil {
 			return nil, err
 		}

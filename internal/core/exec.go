@@ -8,7 +8,6 @@ import (
 
 	"secyan/internal/mpc"
 	"secyan/internal/obs"
-	"secyan/internal/oep"
 	"secyan/internal/relation"
 	"secyan/internal/transport"
 	"secyan/internal/yannakakis"
@@ -29,11 +28,11 @@ var (
 )
 
 // This file is the plan executor: Run and RunShared compile the query
-// into the same Plan that Explain renders (plan.go) and walk its steps
-// in order. Every step runs under the caller's context — cancellation
-// unblocks in-flight transport operations via transport.WithContext —
-// and is measured individually (bytes, messages, rounds, wall time)
-// through transport.Stats snapshots, producing a Trace and feeding
+// into the same Plan that Explain renders (plan.go) and run its steps in
+// order, each through a cursor over its exchanges (exchanges.go). Every
+// step runs under the caller's context — cancellation unblocks in-flight
+// transport operations via transport.WithContext — and is measured
+// (bytes, messages, rounds, wall time), producing a Trace and feeding
 // Party.Observer. Errors are labeled with the step's phase/op/node.
 
 // Run executes the secure Yannakakis protocol for q. Alice receives the
@@ -41,8 +40,9 @@ var (
 // annotations, dummy and zero-annotated rows removed); Bob receives nil.
 // Both parties must call Run with structurally identical queries (same
 // schemas, owners, sizes, output), differing only in which relations they
-// hold: each passes q.For(role) of one description. The returned execution trace (one TraceStep per plan step, in
-// plan order) is valid — as a prefix — even on error.
+// hold: each passes q.For(role) of one description. The returned trace
+// (one TraceStep per plan step, in plan order) is valid — as a prefix —
+// even on error.
 func Run(ctx context.Context, p *mpc.Party, q *Query, opts Options) (*relation.Relation, *Trace, error) {
 	_, rel, tr, err := runPlan(ctx, p, q, false, opts)
 	return rel, tr, err
@@ -56,10 +56,8 @@ func RunShared(ctx context.Context, p *mpc.Party, q *Query, opts Options) (*Shar
 	return res, tr, err
 }
 
-// runPlan compiles q and executes the plan step by step. When shared is
-// true the final reveal steps are skipped and the shared result
-// returned; otherwise the result relation is revealed to Alice.
-func runPlan(ctx context.Context, p *mpc.Party, q *Query, shared bool, opts Options) (res *SharedResult, rel *relation.Relation, tr *Trace, err error) {
+// runPlan compiles q and executes its plan.
+func runPlan(ctx context.Context, p *mpc.Party, q *Query, shared bool, opts Options) (*SharedResult, *relation.Relation, *Trace, error) {
 	if err := q.Validate(p.Role); err != nil {
 		return nil, nil, nil, err
 	}
@@ -67,6 +65,13 @@ func runPlan(ctx context.Context, p *mpc.Party, q *Query, shared bool, opts Opti
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	return execPlan(ctx, p, q, plan, shared)
+}
+
+// execPlan executes q's plan. When shared is true the final reveal steps
+// are skipped and the shared result returned; otherwise the result
+// relation is revealed to Alice.
+func execPlan(ctx context.Context, p *mpc.Party, q *Query, plan *Plan, shared bool) (res *SharedResult, rel *relation.Relation, tr *Trace, err error) {
 	pp, release := p.WithContext(ctx)
 	defer release()
 
@@ -82,8 +87,8 @@ func runPlan(ctx context.Context, p *mpc.Party, q *Query, shared bool, opts Opti
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	ex := &executor{p: pp, q: q, plan: plan, dg: dg,
-		srs: make([]*SharedRelation, len(q.Inputs)), revealed: map[int]*relation.Relation{}}
+	ex := &executor{q: q, plan: plan, dg: dg,
+		srs: make([]*SharedRelation, len(q.Inputs)), revealed: make([]*relation.Relation, len(q.Inputs))}
 
 	// Span tracing: the whole run is one span, each plan phase and step a
 	// child, and Track.Bind routes kernel spans (gc, ot, psi) under the
@@ -162,7 +167,7 @@ func runPlan(ctx context.Context, p *mpc.Party, q *Query, shared bool, opts Opti
 			continue
 		}
 		if cerr := ctx.Err(); cerr != nil {
-			blame = st.Phase + "/" + st.Op + "[" + st.Node + "]"
+			blame = st.label()
 			return nil, nil, tr, stepErr(st, cerr)
 		}
 		var stepSpan obs.Span
@@ -181,9 +186,19 @@ func runPlan(ctx context.Context, p *mpc.Party, q *Query, shared bool, opts Opti
 				N: st.N, Step: si + 1, Steps: len(plan.Steps),
 				StartedUnixNano: time.Now().UnixNano()})
 		}
+		c := &cursor{p: pp, st: st}
+		if st.outSized() {
+			// Run at the true OUT, which local-join has learned by now.
+			at := *st
+			at.variant, at.exchanges = joinStep(st.kind, ex.srs[st.node].N, len(plan.joinOrder), ex.out, pp.Ring.Bits)
+			c.st = &at
+		}
 		before, waited := pp.Conn.Stats(), transport.RecvWait(pp.Conn)
 		start := time.Now()
-		err := ex.exec(st)
+		err := ex.exec(c)
+		if err == nil {
+			err = c.done()
+		}
 		after := pp.Conn.Stats()
 		rec := TraceStep{Phase: st.Phase, Op: st.Op, Node: st.Node,
 			N: st.N, EstBytes: st.EstBytes,
@@ -192,8 +207,7 @@ func runPlan(ctx context.Context, p *mpc.Party, q *Query, shared bool, opts Opti
 			Rounds:   after.Rounds - before.Rounds,
 			Blocked:  transport.RecvWait(pp.Conn) - waited,
 			Elapsed:  time.Since(start)}
-		if st.kind == stepLocalJoin || st.kind == stepAlignAnnotations ||
-			st.kind == stepAnnotationProduct || st.kind == stepRevealAnnotations {
+		if st.outSized() {
 			rec.N = ex.out // the true output size, known after the local join
 		}
 		stepSpan.EndN(int64(rec.N))
@@ -219,7 +233,7 @@ func runPlan(ctx context.Context, p *mpc.Party, q *Query, shared bool, opts Opti
 			if cerr := ctx.Err(); cerr != nil {
 				err = cerr
 			}
-			blame = st.Phase + "/" + st.Op + "[" + st.Node + "]"
+			blame = st.label()
 			return nil, nil, tr, stepErr(st, err)
 		}
 	}
@@ -233,7 +247,7 @@ func runPlan(ctx context.Context, p *mpc.Party, q *Query, shared bool, opts Opti
 	if p.Role != mpc.Alice {
 		return nil, nil, tr, nil
 	}
-	out, err := normalizeResult(ex.result, q.Output)
+	out, err := reorder(ex.result.DropZeroAnnotated(), q.Output)
 	if err != nil {
 		return nil, nil, tr, err
 	}
@@ -272,28 +286,28 @@ func flightRecord(p *mpc.Party, plan *Plan, tag obs.QueryTag, tr *Trace, rows in
 // stepErr labels an operator error with its plan coordinates, e.g.
 // "reduce/psi-payload[lineitem→orders]: ...".
 func stepErr(st *PlanStep, err error) error {
-	return fmt.Errorf("%s/%s[%s]: %w", st.Phase, st.Op, st.Node, err)
+	return fmt.Errorf("%s: %w", st.label(), err)
 }
 
 // executor is the mutable state of one plan execution on one party.
 type executor struct {
-	p    *mpc.Party
 	q    *Query
 	plan *Plan
 	dg   *relation.DummyGen
 
-	srs      []*SharedRelation          // per tree node, updated in place
-	pending  *SharedRelation            // aggregate/π¹ result feeding the next semijoin-into
-	revealed map[int]*relation.Relation // join-phase revealed relations (Alice)
-	prov     *yannakakis.Provenance     // Alice only
-	out      int                        // true output size, set by local-join
-	factors  [][]uint64                 // aligned annotation shares, join order
+	srs      []*SharedRelation      // per tree node, updated in place
+	pending  *SharedRelation        // aggregate/π¹ result feeding the next semijoin-into
+	revealed []*relation.Relation   // join-phase revealed relations (Alice), per node
+	prov     *yannakakis.Provenance // Alice only
+	out      int                    // true output size, set by local-join
+	factors  [][]uint64             // aligned annotation shares, join order
 	jr       *JoinResult
 	result   *relation.Relation // Alice: revealed result rows before normalization
 }
 
-func (ex *executor) exec(st *PlanStep) error {
-	p := ex.p
+// exec runs c's step.
+func (ex *executor) exec(c *cursor) (err error) {
+	p, st := c.p, c.st
 	switch st.kind {
 	case stepOTSetup, stepOPRFSetup:
 		// Both parties establish the extension eagerly and in plan order,
@@ -301,117 +315,93 @@ func (ex *executor) exec(st *PlanStep) error {
 		// operator first needs it. A cache hit (composed queries reusing a
 		// party) costs nothing.
 		return establish(p, st)
-	case stepShareInput, stepPlainInput:
+	case stepInput:
 		in := ex.q.Inputs[st.node]
-		var sr *SharedRelation
-		var err error
-		if st.kind == stepShareInput {
-			sr, err = ShareInput(p, in.Owner, in.Rel, in.Schema, in.N)
-		} else {
-			sr, err = NewPlainInput(p, in.Owner, in.Rel, in.Schema, in.N)
+		if st.variant == varPlain {
+			if _, err = c.take(plainBytes(8 * in.N)); err != nil {
+				return err
+			}
 		}
-		if err != nil {
-			return err
+		ex.srs[st.node], err = input(p, in.Owner, in.Rel, in.Schema, in.N, st.variant == varLocal)
+	case stepAggregate, stepProjectOne:
+		kind, into := mergeSum, &ex.srs[st.node]
+		if st.kind == stepProjectOne || st.intoPending {
+			into = &ex.pending
 		}
-		ex.srs[st.node] = sr
-		return nil
-	case stepAggregate:
-		agg, err := runMerge(p, ex.dg, ex.srs[st.node], st.attrs, mergeSum)
-		if err != nil {
-			return err
+		if st.kind == stepProjectOne {
+			kind = mergeOr
 		}
-		if st.intoPending {
-			ex.pending = agg
-		} else {
-			ex.srs[st.node] = agg
-		}
-		return nil
-	case stepProjectOne:
-		ind, err := runMerge(p, ex.dg, ex.srs[st.node], st.attrs, mergeOr)
-		if err != nil {
-			return err
-		}
-		ex.pending = ind
-		return nil
+		*into, err = runMerge(c, ex.dg, ex.srs[st.node], st.attrs, kind)
 	case stepSemijoinInto:
-		child := ex.pending
+		ex.srs[st.parent], err = semijoinInto(c, ex.dg, ex.srs[st.parent], ex.pending)
 		ex.pending = nil
-		joined, err := SemijoinInto(p, ex.dg, ex.srs[st.parent], child)
-		if err != nil {
-			return err
-		}
-		ex.srs[st.parent] = joined
-		return nil
 	case stepRevealRelation:
-		res, err := RevealRelation(p, ex.srs[st.node])
-		if err != nil {
-			return err
-		}
-		ex.result = res
-		return nil
+		ex.result, err = revealRelation(c, ex.srs[st.node])
 	case stepRevealRows:
-		r, err := revealNonzeroRows(p, ex.srs[st.node])
-		if err != nil {
-			return err
-		}
-		ex.revealed[st.node] = r
-		return nil
+		ex.revealed[st.node], err = revealRows(c, ex.srs[st.node])
 	case stepLocalJoin:
-		return ex.localJoin()
+		err = ex.localJoin(c)
 	case stepAlignAnnotations:
-		return ex.alignNode(st.node)
+		err = ex.alignNode(c)
 	case stepAnnotationProduct:
-		return ex.annotationProduct()
+		err = ex.annotationProduct(c)
 	case stepRevealAnnotations:
-		var err error
-		ex.result, err = ex.jr.reveal(p)
-		return err
+		if _, err = c.take(plainBytes(8 * ex.jr.N)); err == nil {
+			ex.result, err = ex.jr.reveal(p)
+		}
+	default:
+		err = fmt.Errorf("core: unknown plan step kind %d", st.kind)
 	}
-	return fmt.Errorf("core: unknown plan step kind %d", st.kind)
+	return err
 }
 
 // localJoin is §6.3 step 2: Alice joins the revealed relations with the
-// plaintext Yannakakis engine, tracking provenance, and shares OUT.
-func (ex *executor) localJoin() error {
-	p := ex.p
-	if p.Role != mpc.Alice {
-		out, err := recvPublicSize(p.Conn)
-		if err != nil {
-			return err
-		}
-		ex.out = out
-		return nil
-	}
-	rels := make([]*relation.Relation, len(ex.srs))
-	for i, s := range ex.srs {
-		if r := ex.revealed[i]; r != nil {
-			rels[i] = r
-		} else {
-			rels[i] = relation.New(s.Schema)
-		}
-	}
-	prov, err := yannakakis.JoinProvenance(ex.plan.tree, rels, ex.plan.joinOrder)
-	if err != nil {
+// plaintext Yannakakis engine, tracking provenance, and shares OUT. Bob
+// accepts no OUT above the product of the joined relations' sizes
+// (maxOut), before anything is sized by it.
+func (ex *executor) localJoin(c *cursor) (err error) {
+	if _, err = c.take(plainBytes(8)); err != nil {
 		return err
 	}
-	ex.prov = prov
-	ex.out = prov.Result.Len()
-	return sendPublicSize(p.Conn, ex.out)
+	if c.p.Role != mpc.Alice {
+		ex.out, err = recvPublicSize(c.p.Conn, ex.maxOut())
+		return err
+	}
+	if ex.prov, err = yannakakis.JoinProvenance(ex.plan.tree, ex.revealed, ex.plan.joinOrder); err != nil {
+		return err
+	}
+	ex.out = ex.prov.Result.Len()
+	return sendPublicSize(c.p.Conn, ex.out)
+}
+
+// maxOut is the largest join size OUT the peer may claim: the product of
+// the joined relations' public sizes, saturating at 2^40.
+func (ex *executor) maxOut() int {
+	const limit = 1 << 40
+	bound := 1
+	for _, i := range ex.plan.joinOrder {
+		if n := ex.srs[i].N; n > 0 && bound > limit/n {
+			bound = limit
+		} else {
+			bound *= n
+		}
+	}
+	return bound
 }
 
 // alignNode is §6.3 step 3a for one relation: an OEP programmed by
 // Alice's provenance re-aligns its annotation shares to the join rows.
-// With an empty join it is a recorded no-op on both sides.
-func (ex *executor) alignNode(node int) error {
-	if ex.out == 0 {
+// With an empty join (variant local) it is a recorded no-op on both
+// sides.
+func (ex *executor) alignNode(c *cursor) error {
+	if c.st.variant == varLocal {
 		return nil
 	}
-	p := ex.p
+	node := c.st.node
 	s := ex.srs[node]
-	var f []uint64
-	var err error
-	if p.Role == mpc.Alice {
-		xi := make([]int, ex.out)
+	var xi []int
+	if c.p.Role == mpc.Alice {
+		xi = make([]int, ex.out)
 		for row := range xi {
 			src := ex.prov.Sources[row][node]
 			if src < 0 {
@@ -419,10 +409,8 @@ func (ex *executor) alignNode(node int) error {
 			}
 			xi[row] = src
 		}
-		f, err = oep.RunProgrammer(p, xi, s.N, s.Annot)
-	} else {
-		f, err = oep.RunHelper(p, s.N, ex.out, s.Annot)
 	}
+	f, err := c.oep(xi, s.N, ex.out, s.Annot, false)
 	if err != nil {
 		return err
 	}
@@ -432,49 +420,29 @@ func (ex *executor) alignNode(node int) error {
 
 // annotationProduct is §6.3 step 3b: productTree multiplies the aligned
 // factors per join row, yielding shared result annotations, and
-// assembles the JoinResult (rows on Alice's side).
-func (ex *executor) annotationProduct() error {
-	p := ex.p
+// assembles the JoinResult (rows on Alice's side). An empty join
+// (variant local) multiplies nothing.
+func (ex *executor) annotationProduct(c *cursor) (err error) {
 	schema := unionSchema(ex.srs, ex.plan.joinOrder)
-	out := ex.out
-	if out == 0 {
-		ex.jr = &JoinResult{N: 0, Schema: schema}
-		if p.Role == mpc.Alice {
-			ex.jr.Rows = relation.New(schema)
-		}
-		return nil
-	}
-	annot, err := productTree(p, ex.factors)
-	if err != nil {
-		return err
-	}
-	ex.jr = &JoinResult{N: out, Schema: schema, Annot: annot}
-	if p.Role == mpc.Alice {
-		// Reorder the provenance result columns to the union schema.
-		rows := relation.New(schema)
-		cols, err := ex.prov.Result.Schema.Positions(schema.Attrs)
-		if err != nil {
+	ex.jr = &JoinResult{N: ex.out, Schema: schema}
+	if c.st.variant != varLocal {
+		if ex.jr.Annot, err = productTree(c, ex.factors); err != nil {
 			return err
 		}
-		for i := range ex.prov.Result.Tuples {
-			row := make([]uint64, len(cols))
-			for c, cc := range cols {
-				row[c] = ex.prov.Result.Tuples[i][cc]
-			}
-			rows.Append(row, 0)
-		}
-		ex.jr.Rows = rows
 	}
-	return nil
+	if c.p.Role == mpc.Alice {
+		ex.jr.Rows, err = reorder(ex.prov.Result, schema.Attrs)
+	}
+	return err
 }
 
-// productTree multiplies equal-length share vectors elementwise. Each
-// level of a balanced tree multiplies adjacent pairs in one mulShares
-// batch over their concatenation — an odd vector out waits for the next
-// level — so k factors take ⌈log₂k⌉ batches. Bob sends every batch: the
-// OT direction the join's alignment OEPs already use.
-func productTree(p *mpc.Party, factors [][]uint64) ([]uint64, error) {
-	for len(factors) > 1 {
+// productTree multiplies equal-length share vectors elementwise, a
+// declared product batch (productBatches) a level: each level multiplies
+// adjacent pairs in one batch over their concatenation — an odd vector
+// out waits for the next — so k factors take ⌈log₂k⌉ batches. Bob sends
+// every batch: the OT direction the join's alignment OEPs already use.
+func productTree(c *cursor, factors [][]uint64) ([]uint64, error) {
+	for c.i < len(c.st.exchanges) && len(factors) > 1 {
 		pairs, n := len(factors)/2, len(factors[0])
 		a := make([]uint64, 0, pairs*n)
 		b := make([]uint64, 0, pairs*n)
@@ -482,7 +450,7 @@ func productTree(p *mpc.Party, factors [][]uint64) ([]uint64, error) {
 			a = append(a, factors[2*i]...)
 			b = append(b, factors[2*i+1]...)
 		}
-		prod, err := mulShares(p, a, b, mpc.Alice, false)
+		prod, err := c.products(a, b, mpc.Alice)
 		if err != nil {
 			return nil, err
 		}
@@ -492,15 +460,8 @@ func productTree(p *mpc.Party, factors [][]uint64) ([]uint64, error) {
 		}
 		factors = append(next, factors[2*pairs:]...)
 	}
-	return factors[0], nil
-}
-
-// productBatches declares productTree's exchanges over k vectors of n
-// shares: one two-term mulShares batch per level, Bob sending.
-func productBatches(n, k, ell int) []exchange {
-	var ex []exchange
-	for ; k > 1; k = (k + 1) / 2 {
-		ex = append(ex, productBatch(mpc.Bob, n*(k/2), ell, 2))
+	if len(factors) != 1 {
+		return nil, c.fail(c.i, "%d factors left after the declared product levels", len(factors))
 	}
-	return ex
+	return factors[0], nil
 }

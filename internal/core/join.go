@@ -21,9 +21,8 @@ import (
 //  2. lets Alice join the revealed relations locally with the plaintext
 //     Yannakakis engine, tracking provenance, and sends |J*| to Bob;
 //  3. re-aligns each relation's annotation shares to the join rows with
-//     an OEP programmed by Alice, and multiplies the factors per row with
-//     OT-based share multiplications (mulShares), pairwise in ⌈log₂k⌉
-//     batches for k relations, yielding shared result annotations.
+//     an OEP programmed by Alice, and multiplies the factors per row,
+//     pairwise in ⌈log₂k⌉ product batches for k relations.
 //
 // The executor (exec.go) runs these as separate plan steps.
 
@@ -73,42 +72,53 @@ func buildRevealCircuit(n, cols, ell int, withRows bool, scale uint64) *gc.Circu
 	return b.BuildSlots(n)
 }
 
-// revealNonzeroRows reveals the nonzero-annotated tuples of s to Alice.
-// On Alice's side it returns a relation with s.N rows whose annotation
-// field is 1 for revealed (real, nonzero) tuples and 0 otherwise; Bob
-// receives nil. Message sizes depend only on public parameters.
-func revealNonzeroRows(p *mpc.Party, s *SharedRelation) (*relation.Relation, error) {
-	if s.N == 0 {
-		if p.Role == mpc.Alice {
-			return relation.New(s.Schema), nil
+// revealRows reveals the nonzero-annotated tuples of s to Alice as the
+// step's variant says. Alice gets s.N rows whose annotation field is 1
+// for revealed (real, nonzero) tuples and 0 otherwise; Bob gets nil.
+func revealRows(c *cursor, s *SharedRelation) (*relation.Relation, error) {
+	switch c.st.variant {
+	case varLocal:
+		// No rows, or Alice holds the plain ones: she filters locally.
+		if c.p.Role != mpc.Alice {
+			return nil, nil
 		}
-		return nil, nil
+		res := relation.New(s.Schema)
+		for i, v := range s.Annot {
+			flag := uint64(1)
+			if v == 0 || s.Rel.IsDummy(i) {
+				flag = 0
+			}
+			res.Append(append([]uint64(nil), s.Rel.Tuples[i]...), flag)
+		}
+		return res, nil
+	case varPlain:
+		return revealPlainRows(c, s)
 	}
-	if s.Plain {
-		// §6.5: the holder knows the zero pattern, so no circuit is
-		// needed — Alice filters locally, or Bob sends rows-or-dummies
-		// directly (revealing exactly R*, which the model permits).
-		return revealPlainRows(p, s)
-	}
-	rows, _, err := revealCircuit(p, s, nil, 0)
+	rows, _, err := revealCircuit(c, s, nil, 0)
 	return rows, err
 }
 
-// revealCircuit runs the reveal circuit over s's s.N > 0 rows and, with
-// num (this party's shares of a numerator per row) and a scale > 0, its
-// ratio variant. Alice receives the rows as revealNonzeroRows returns
-// them and, with num, the masked quotients; Bob receives nils.
-func revealCircuit(p *mpc.Party, s *SharedRelation, num []uint64, scale uint64) (*relation.Relation, []uint64, error) {
-	n := s.N
+// revealCircuit runs the reveal circuit over s's rows, or with num
+// (this party's numerator shares) and a scale > 0 its ratio variant.
+// Alice receives the rows as revealRows returns them and the quotients;
+// Bob receives nils.
+func revealCircuit(c *cursor, s *SharedRelation, num []uint64, scale uint64) (*relation.Relation, []uint64, error) {
+	p, n := c.p, s.N
 	cols := len(s.Schema.Attrs)
 	ell := p.Ring.Bits
 	withRows, ratio := s.Holder == mpc.Bob, scale > 0
-	circ := buildRevealCircuit(n, cols, ell, withRows, scale)
+	rowBits, ratioBits := 0, 0
+	if withRows {
+		rowBits = cols * attrBits
+	}
+	if ratio {
+		ratioBits = ell
+	}
 
 	if p.Role == mpc.Bob {
 		// Garbler: per tuple his negated share, the row when he holds
 		// it, then — for a ratio — his shares of den and num.
-		priv := make([]bool, 0, n*circ.NumPrivate)
+		priv := make([]bool, 0, n*(ell+rowBits+2*ratioBits))
 		for i := 0; i < n; i++ {
 			priv = gc.AppendBits(priv, p.Ring.Neg(s.Annot[i]), ell)
 			if withRows {
@@ -121,18 +131,18 @@ func revealCircuit(p *mpc.Party, s *SharedRelation, num []uint64, scale uint64) 
 				priv = gc.AppendBits(priv, num[i], ell)
 			}
 		}
-		_, err := p.RunCircuit(circ, nil, priv, mpc.Bob)
+		_, err := c.circuit(mpc.Bob, nil, priv)
 		return nil, nil, err
 	}
 
-	evalBits := make([]bool, 0, n*len(circ.EvalInputs))
+	evalBits := make([]bool, 0, n*(ell+ratioBits))
 	for i := 0; i < n; i++ {
 		evalBits = gc.AppendBits(evalBits, s.Annot[i], ell)
 		if ratio {
 			evalBits = gc.AppendBits(evalBits, num[i], ell)
 		}
 	}
-	out, err := p.RunCircuit(circ, evalBits, nil, mpc.Bob)
+	out, err := c.circuit(mpc.Bob, evalBits, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -150,9 +160,9 @@ func revealCircuit(p *mpc.Party, s *SharedRelation, num []uint64, scale uint64) 
 		dummy := false
 		if withRows {
 			row = make([]uint64, cols)
-			for c := range row {
-				row[c] = gc.UintOfBits(o[1+c*attrBits : 1+(c+1)*attrBits])
-				dummy = dummy || relation.IsDummyValue(row[c])
+			for j := range row {
+				row[j] = gc.UintOfBits(o[1+j*attrBits : 1+(j+1)*attrBits])
+				dummy = dummy || relation.IsDummyValue(row[j])
 			}
 		} else {
 			row = append(row, s.Rel.Tuples[i]...)
@@ -170,27 +180,15 @@ func revealCircuit(p *mpc.Party, s *SharedRelation, num []uint64, scale uint64) 
 	return res, quot, nil
 }
 
-// revealPlainRows is the plaintext-annotation fast path of the reveal
-// step: no garbled circuit, at most one direct message.
-func revealPlainRows(p *mpc.Party, s *SharedRelation) (*relation.Relation, error) {
+// revealPlainRows reveals plain rows Bob holds (§6.5) in one message of
+// public size: each real nonzero row, or dummy markers — exactly R*,
+// which the model permits.
+func revealPlainRows(c *cursor, s *SharedRelation) (*relation.Relation, error) {
 	cols := len(s.Schema.Attrs)
-	if s.Holder == mpc.Alice {
-		if p.Role != mpc.Alice {
-			return nil, nil // nothing to do: Alice filters locally
-		}
-		res := relation.New(s.Schema)
-		for i, row := range s.Rel.Tuples {
-			flag := uint64(1)
-			if s.Annot[i] == 0 || s.Rel.IsDummy(i) {
-				flag = 0
-			}
-			res.Append(append([]uint64(nil), row...), flag)
-		}
-		return res, nil
+	if _, err := c.take(plainBytes(8 * s.N * cols)); err != nil {
+		return nil, err
 	}
-	// Bob holds the rows: he sends each real nonzero row, or dummy
-	// markers, in one message of public size.
-	if p.Role == mpc.Bob {
+	if c.p.Role == mpc.Bob {
 		msg := make([]uint64, 0, s.N*cols)
 		for i, row := range s.Rel.Tuples {
 			hide := s.Annot[i] == 0 || s.Rel.IsDummy(i)
@@ -201,9 +199,9 @@ func revealPlainRows(p *mpc.Party, s *SharedRelation) (*relation.Relation, error
 				msg = append(msg, v)
 			}
 		}
-		return nil, transport.SendUint64s(p.Conn, msg)
+		return nil, transport.SendUint64s(c.p.Conn, msg)
 	}
-	vals, err := transport.RecvUint64s(p.Conn, "core: plain reveal rows", s.N*cols)
+	vals, err := transport.RecvUint64s(c.p.Conn, "core: plain reveal rows", s.N*cols)
 	if err != nil {
 		return nil, err
 	}
@@ -247,22 +245,28 @@ func unionSchema(srs []*SharedRelation, order []int) relation.Schema {
 	return relation.MustSchema(attrs...)
 }
 
-// RevealRelation reveals a shared relation's real content to Alice: the
-// rows (via the zero-test circuit) and the annotations (via share
-// exchange). Used as the last step of a query whose reduce phase leaves a
-// single node (e.g. TPC-H Q3, §8.1), where the relation *is* the query
-// result. Alice receives the filtered relation; Bob receives nil.
+// RevealRelation reveals a shared relation's real content to Alice: its
+// rows, then its annotations. It ends a query whose reduce phase leaves
+// a single node (e.g. TPC-H Q3, §8.1), which *is* the query result.
+// Alice receives the filtered relation; Bob receives nil.
 func RevealRelation(p *mpc.Party, s *SharedRelation) (*relation.Relation, error) {
-	revealed, err := revealNonzeroRows(p, s)
+	v, ex := revealStep(s.state(), p.Ring.Bits, 0)
+	return runOp(p, "reveal-relation", v, append(ex, plainBytes(8*s.N)),
+		func(c *cursor) (*relation.Relation, error) { return revealRelation(c, s) })
+}
+
+// revealRelation runs RevealRelation on c's step.
+func revealRelation(c *cursor, s *SharedRelation) (*relation.Relation, error) {
+	revealed, err := revealRows(c, s)
 	if err != nil {
 		return nil, err
 	}
-	vals, err := RevealAnnotations(p, s, mpc.Alice)
-	if err != nil {
+	if _, err := c.take(plainBytes(8 * s.N)); err != nil {
 		return nil, err
 	}
-	if p.Role != mpc.Alice {
-		return nil, nil
+	vals, err := RevealAnnotations(c.p, s, mpc.Alice)
+	if err != nil || c.p.Role != mpc.Alice {
+		return nil, err
 	}
 	out := relation.New(s.Schema)
 	for i := range revealed.Tuples {

@@ -64,7 +64,7 @@ func TestOperatorTranscriptsDataIndependent(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			ind, err := ProjectOne(p, &dg, cs, []A{"k"})
+			ind, err := merge(p, &dg, cs, []A{"k"}, mergeOr)
 			if err != nil {
 				return nil, err
 			}
@@ -73,13 +73,13 @@ func TestOperatorTranscriptsDataIndependent(t *testing.T) {
 				return nil, err
 			}
 			for _, s := range []*SharedRelation{joined, cs} {
-				if _, err := revealNonzeroRows(p, s); err != nil {
+				if _, err := revealRowsOf(p, s); err != nil {
 					return nil, err
 				}
 			}
 			f := [][]uint64{joined.Annot[:9], cs.Annot, agg.Annot[9:18]}
 			for _, k := range []int{2, 3} {
-				if _, err := productTree(p, f[:k]); err != nil {
+				if _, err := productTreeOf(p, f[:k]); err != nil {
 					return nil, fmt.Errorf("product k=%d: %w", k, err)
 				}
 			}

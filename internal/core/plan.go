@@ -7,19 +7,19 @@ import (
 	"sort"
 	"strings"
 
-	"secyan/internal/gc"
 	"secyan/internal/jointree"
 	"secyan/internal/mpc"
-	"secyan/internal/oep"
 	"secyan/internal/ot"
 	"secyan/internal/relation"
 )
 
 // This file is the plan compiler: the single place that decides which
-// operators a query executes. ExplainOpts replays the driver's control
-// flow over public parameters only (schemas, sizes, owners, plainness),
-// so both parties — and Explain — derive the identical Plan; the
-// executor in exec.go then walks the steps without re-deciding anything.
+// operators a query executes and which variant of each. ExplainOpts
+// walks the three Yannakakis phases over public parameters only
+// (schemas, sizes, owners, plainness) and asks each operator's decision
+// function (exchanges.go) for its variant and exchanges, so both
+// parties — and Explain — derive the identical Plan; the executor in
+// exec.go then runs each step's exchanges without re-deciding anything.
 // Per-step estimates come from the cost models of the ot, gc, oep and
 // psi packages, which are pinned byte-exact to measured traffic by their
 // own tests, so EstBytes is a prediction of the wire, not a heuristic.
@@ -30,8 +30,7 @@ type stepKind int
 const (
 	stepOTSetup stepKind = iota
 	stepOPRFSetup
-	stepShareInput
-	stepPlainInput
+	stepInput
 	stepAggregate
 	stepProjectOne
 	stepSemijoinInto
@@ -42,105 +41,6 @@ const (
 	stepAnnotationProduct
 	stepRevealAnnotations
 )
-
-// exchange is one unit of a plan step's traffic: an OT-extension batch,
-// a product batch, a garbled circuit, a KKRT batch or plain bytes. Each
-// step declares its exchanges once, in execution order; its estimates,
-// the setup steps and the precompute sweeps are all sums or filters over
-// that list. A circuit exchange stands for the circuit's messages and
-// its input-label batch, a Δ-OT batch of Dims.EvalInputs labels with the
-// garbler as OT sender.
-type exchange struct {
-	kind exchangeKind
-	// A product batch's width in bits and terms per product, small
-	// enough to share kind's word: planning builds many exchanges.
-	ell, terms uint8
-	sender     mpc.Role // OT sender, garbler, or PSI sender of a KKRT batch
-	m          int      // OTs, KKRT bins, products, or plain bytes
-	msgLen     int      // OT message bytes
-	dims       *gc.Dims // circuit dimensions, known without building it
-	// build defers construction to Precompute: planning stays cheap, and
-	// circuits are only materialized when ahead-of-time garbling wants
-	// them.
-	build func() *gc.Circuit
-}
-
-type exchangeKind uint8
-
-const (
-	exOT exchangeKind = iota
-	exProduct
-	exCircuit
-	exKKRT
-	exPlain
-)
-
-// labelBatch is the message width extBatch reports for a circuit's label
-// batch: Δ-OTs, whose rows are the labels and which hash no pad
-// (ot.DeltaBatch).
-const labelBatch = 0
-
-func otBatch(sender mpc.Role, m, msgLen int) exchange {
-	return exchange{kind: exOT, sender: sender, m: m, msgLen: msgLen}
-}
-
-// oepBatch is the one OT batch of an OEP from m to n ell-bit shares.
-func oepBatch(sender mpc.Role, m, n, ell int, bijection bool) exchange {
-	return otBatch(sender, oep.Gates(m, n, bijection), oep.MsgLen(ell))
-}
-
-// productBatch is the one batch of mulShares over n products of `terms`
-// terms each (ot.SendProducts).
-func productBatch(sender mpc.Role, n, ell, terms int) exchange {
-	return exchange{kind: exProduct, sender: sender, m: n, ell: uint8(ell), terms: uint8(terms)}
-}
-
-func circuit(garbler mpc.Role, dims *gc.Dims, build func() *gc.Circuit) exchange {
-	return exchange{kind: exCircuit, sender: garbler, dims: dims, build: build}
-}
-
-func plainBytes(n int) exchange { return exchange{kind: exPlain, m: n} }
-
-// extBatch returns the OT-extension batch the exchange runs — its own,
-// a product batch's random OTs, or a circuit's label batch (msgLen
-// labelBatch) — with x.sender as OT sender; ok is false for a KKRT batch
-// and plain bytes.
-func (x exchange) extBatch() (m, msgLen int, ok bool) {
-	switch x.kind {
-	case exOT:
-		return x.m, x.msgLen, true
-	case exProduct:
-		m, msgLen = ot.ProductBatch(x.m, int(x.ell), int(x.terms))
-		return m, msgLen, true
-	case exCircuit:
-		return x.dims.EvalInputs, labelBatch, true
-	}
-	return 0, 0, false
-}
-
-// cost returns the exchange's bytes (both directions) when it runs
-// direct, and its offline and online bytes when its extension batch
-// derandomizes a pooled one: the batch's correction message moves
-// offline and ⌈m/8⌉ derandomization bits join the online rest. A
-// circuit's label batch is its correction message alone, or its
-// derandomization bits alone. A KKRT batch is not pooled.
-func (x exchange) cost() (direct, offline, online int64) {
-	switch x.kind {
-	case exOT:
-		return ot.CorrelatedCost(x.m, x.msgLen), ot.ExtOfflineCost(x.m), ot.CorrelatedOnlineCost(x.m, x.msgLen)
-	case exProduct:
-		ell, terms := int(x.ell), int(x.terms)
-		m, _ := ot.ProductBatch(x.m, ell, terms)
-		return ot.ProductCost(x.m, ell, terms), ot.ExtOfflineCost(m), ot.ProductOnlineCost(x.m, ell, terms)
-	case exCircuit:
-		msgs, l := x.dims.MessageCost(), x.dims.EvalInputs
-		return msgs + ot.ExtOfflineCost(l), ot.ExtOfflineCost(l), msgs + ot.RandomOnlineCost(l)
-	case exKKRT:
-		c := ot.KKRTCost(x.m)
-		return c, 0, c
-	}
-	return int64(x.m), 0, int64(x.m)
-}
 
 // PlanStep is one operator invocation in the plan.
 type PlanStep struct {
@@ -154,11 +54,9 @@ type PlanStep struct {
 	EstBytes int64
 	// EstOfflineBytes and EstOnlineBytes split the step's traffic under
 	// the precomputed schedule: offline moves the base OTs and the
-	// OT-extension correction matrices, online keeps everything else
-	// plus ⌈m/8⌉ derandomization bits per pooled batch (so the two may
-	// sum to slightly more than EstBytes, while online alone never
-	// exceeds it). Without precomputation the
-	// whole step is online and EstBytes alone applies.
+	// OT-extension correction matrices, online keeps everything else plus
+	// ⌈m/8⌉ derandomization bits per pooled batch (so the two may sum to
+	// slightly more than EstBytes, while online alone never exceeds it).
 	EstOfflineBytes int64
 	EstOnlineBytes  int64
 
@@ -172,18 +70,23 @@ type PlanStep struct {
 	intoPending bool            // aggregate result feeds the next semijoin-into
 	final       bool            // reveal step skipped by RunShared
 
-	// exchanges is the step's traffic in execution order (see exchange).
+	// variant and exchanges are the operator's decision (exchanges.go):
+	// the protocol it runs and its traffic in execution order.
+	variant   variant
 	exchanges []exchange
 }
+
+// label names the step as its errors do: phase/op[node].
+func (s *PlanStep) label() string { return s.Phase + "/" + s.Op + "[" + s.Node + "]" }
 
 // setup reports whether the step establishes an OT extension (base-ot,
 // oprf-base) rather than running an operator.
 func (s *PlanStep) setup() bool { return s.kind == stepOTSetup || s.kind == stepOPRFSetup }
 
 // outSized reports whether the step scales with the join's output size,
-// which only the run learns: its exchanges are priced at EstOut, run
-// direct, and take no part in the setup steps or the precompute sweeps.
-// A run with an empty join executes none of them.
+// which only the run learns: joinStep declares its exchanges at EstOut
+// and at the true OUT; they run direct, outside the setup steps and the
+// precompute sweeps.
 func (s *PlanStep) outSized() bool {
 	switch s.kind {
 	case stepLocalJoin, stepAlignAnnotations, stepAnnotationProduct, stepRevealAnnotations:
@@ -222,14 +125,7 @@ func (p *Plan) Digest() uint64 {
 	h := fnv.New64a()
 	io.WriteString(h, p.Root)
 	for i := range p.Steps {
-		s := &p.Steps[i]
-		io.WriteString(h, "|")
-		io.WriteString(h, s.Phase)
-		io.WriteString(h, "/")
-		io.WriteString(h, s.Op)
-		io.WriteString(h, "[")
-		io.WriteString(h, s.Node)
-		io.WriteString(h, "]")
+		io.WriteString(h, "|"+p.Steps[i].label())
 	}
 	return h.Sum64()
 }
@@ -306,9 +202,8 @@ func explainFor(p *mpc.Party, q *Query, opts Options) (*Plan, error) {
 	return plan, err
 }
 
-// nodeState is the public protocol state of one tree node during
-// compilation: everything the cost model and operator dispatch depend
-// on, and nothing data-dependent.
+// nodeState is the public protocol state of one tree node: all the
+// operators' decisions depend on, and nothing data-dependent.
 type nodeState struct {
 	schema relation.Schema
 	n      int
@@ -316,31 +211,15 @@ type nodeState struct {
 	holder mpc.Role
 }
 
-// revealDims returns the dimensions of the reveal circuit of n rows.
-// It is slot-built: one gadget and a slot count, so building it to read
-// its dimensions costs the same at any size.
-func revealDims(n, cols, ell int, withRows bool) *gc.Dims {
-	v := 0
-	if withRows {
-		v = 1
-	}
-	return cachedDims(dimsKey{op: "reveal", m: cols, n: n, ell: ell, variant: v}, func() gc.Dims {
-		return gc.DimsOf(buildRevealCircuit(n, cols, ell, withRows, 0))
-	})
-}
-
-// compileTree compiles q over one rooted join tree, mirroring the
-// three-phase driver on nodeState. opts.EstOut sizes the join-phase
-// estimates only; the step sequence is independent of it, so a plan
-// compiled with EstOut=0 produces the same trace shape as one compiled
-// with the true output size.
+// compileTree compiles q over one rooted join tree, running the three
+// phases on nodeState. opts.EstOut sizes the join-phase estimates only;
+// the step sequence is independent of it.
 func compileTree(q *Query, tree *jointree.Tree, ringBits int, opts Options) (*Plan, error) {
 	estOut := opts.EstOut
 	ell := ringBits
 	plan := &Plan{Root: q.Inputs[tree.Root].Name, EstOut: estOut, tree: tree, singleNode: -1}
-	// Room for every step a node can contribute: the candidate trees of
-	// one ExplainOpts are all compiled, so regrowing here is what a warm
-	// plan mostly costs.
+	// Room for every step a node can contribute: every candidate tree is
+	// compiled, so regrowing here is what a warm plan mostly costs.
 	steps := make([]PlanStep, 0, 10*len(q.Inputs)+3)
 	add := func(s PlanStep) { steps = append(steps, s) }
 
@@ -351,35 +230,31 @@ func compileTree(q *Query, tree *jointree.Tree, ringBits int, opts Options) (*Pl
 	state := make([]nodeState, len(q.Inputs))
 	for i, in := range q.Inputs {
 		state[i] = nodeState{schema: in.Schema, n: in.N, plain: !q.NoLocalOptimizations, holder: in.Owner}
+		// Plain (§6.5), moving nothing, or shared by one message.
+		s := PlanStep{Phase: "input", Op: "plain-input", Node: in.Name, N: in.N, kind: stepInput, node: i}
 		if q.NoLocalOptimizations {
-			add(PlanStep{Phase: "input", Op: "share-annotations", Node: in.Name, N: in.N,
-				kind: stepShareInput, node: i, exchanges: []exchange{plainBytes(8 * in.N)}})
-		} else {
-			add(PlanStep{Phase: "input", Op: "plain-input", Node: in.Name, N: in.N,
-				kind: stepPlainInput, node: i})
+			s.Op, s.variant, s.exchanges = "share-annotations", varPlain, []exchange{plainBytes(8 * in.N)}
 		}
+		add(s)
 	}
 
-	// Semijoin and aggregate steps declare the exchanges their operators
-	// will run (exchanges.go), so Precompute can garble and fill pools
-	// from the plan alone.
-	// revealRows declares the §6.3 step-1 reveal of one relation: Bob
-	// garbles the reveal circuit, or a plain relation's rows go to Alice
-	// in the clear.
-	revealRows := func(st nodeState) []exchange {
-		n, cols := st.n, len(st.schema.Attrs)
-		switch {
-		case n == 0 || st.plain && st.holder == mpc.Alice:
-			return nil
-		case st.plain:
-			return []exchange{plainBytes(8 * n * cols)}
-		}
-		withRows := st.holder == mpc.Bob
-		return []exchange{circuit(mpc.Bob, revealDims(n, cols, ell, withRows),
-			func() *gc.Circuit { return buildRevealCircuit(n, cols, ell, withRows, 0) })}
+	// aggregate adds the π^⊕ or π¹ of node i over attrs.
+	aggregate := func(s PlanStep, i int, attrs []relation.Attr, kind mergeKind) {
+		s.N, s.node, s.attrs = state[i].n, i, attrs
+		s.variant, s.exchanges = mergeStep(state[i], kind, ell)
+		add(s)
+	}
+	// semijoinInto adds parent ⋈^⊗ child; the parent's annotations are
+	// shared from then on.
+	semijoinInto := func(phase string, parent int, node string, child nodeState) {
+		s := PlanStep{Phase: phase, Op: "semijoin-into", Node: node + "→" + q.Inputs[parent].Name,
+			N: state[parent].n, kind: stepSemijoinInto, parent: parent}
+		s.variant, s.exchanges = semijoinStep(state[parent], child, ell)
+		add(s)
+		state[parent].plain = false
 	}
 
-	// Phase 1: Reduce (§6.4 step 1), replayed on public state.
+	// Phase 1: Reduce (§6.4 step 1) on public state.
 	removed := make([]bool, len(state))
 	aggregated := make([]bool, len(state))
 	childrenLeft := make([]int, len(state))
@@ -404,15 +279,11 @@ func compileTree(q *Query, tree *jointree.Tree, ringBits int, opts Options) (*Pl
 				break
 			}
 		}
-		add(PlanStep{Phase: "reduce", Op: "aggregate", Node: q.Inputs[i].Name, N: state[i].n,
-			kind: stepAggregate, node: i, attrs: fPrime, intoPending: subset,
-			exchanges: aggExchanges(state[i], mergeSum, ell)})
+		aggregate(PlanStep{Phase: "reduce", Op: "aggregate", Node: q.Inputs[i].Name,
+			kind: stepAggregate, intoPending: subset}, i, fPrime, mergeSum)
 		state[i].schema = relation.MustSchema(fPrime...)
 		if subset {
-			add(PlanStep{Phase: "reduce", Op: "semijoin-into", Node: q.Inputs[i].Name + "→" + q.Inputs[parent].Name,
-				N: state[parent].n, kind: stepSemijoinInto, parent: parent,
-				exchanges: semijoinExchanges(state[parent], state[i], ell)})
-			state[parent].plain = false
+			semijoinInto("reduce", parent, q.Inputs[i].Name, state[i])
 			removed[i] = true
 			childrenLeft[parent]--
 		} else {
@@ -428,10 +299,8 @@ func compileTree(q *Query, tree *jointree.Tree, ringBits int, opts Options) (*Pl
 		}
 	}
 
-	// Soundness guards (see driver.go history: the planner only emits
-	// trees satisfying these, but they are cheap and protect against
-	// planner regressions). They depend only on public schemas, so the
-	// compiler — shared by Explain and the executor — is the right home.
+	// Soundness guards: the planner only emits trees satisfying these,
+	// but they are cheap and catch planner regressions.
 	for _, i := range remaining {
 		if i == tree.Root {
 			continue
@@ -465,8 +334,8 @@ func compileTree(q *Query, tree *jointree.Tree, ringBits int, opts Options) (*Pl
 				keep = append(keep, a)
 			}
 		}
-		add(PlanStep{Phase: "aggregate", Op: "aggregate", Node: q.Inputs[i].Name, N: state[i].n,
-			kind: stepAggregate, node: i, attrs: keep, exchanges: aggExchanges(state[i], mergeSum, ell)})
+		aggregate(PlanStep{Phase: "aggregate", Op: "aggregate", Node: q.Inputs[i].Name, kind: stepAggregate},
+			i, keep, mergeSum)
 		state[i].schema = relation.MustSchema(keep...)
 	}
 
@@ -474,23 +343,22 @@ func compileTree(q *Query, tree *jointree.Tree, ringBits int, opts Options) (*Pl
 		// Single-survivor shortcut (§8.1): reveal rows and annotations.
 		r := remaining[0]
 		plan.singleNode = r
-		add(PlanStep{Phase: "reveal", Op: "reveal-relation", Node: q.Inputs[r].Name,
-			N: state[r].n, kind: stepRevealRelation, node: r, final: true,
-			exchanges: append(revealRows(state[r]), plainBytes(8*state[r].n))})
+		s := PlanStep{Phase: "reveal", Op: "reveal-relation", Node: q.Inputs[r].Name,
+			N: state[r].n, kind: stepRevealRelation, node: r, final: true}
+		s.variant, s.exchanges = revealStep(state[r], ell, 0)
+		s.exchanges = append(s.exchanges, plainBytes(8*state[r].n))
+		add(s)
 		return plan.seal(steps), nil
 	}
 
 	// Phase 2: Semijoin — π¹ on the filter side plus the semijoin itself.
 	semijoin := func(target, by int) {
 		shared := state[target].schema.Intersect(state[by].schema)
-		add(PlanStep{Phase: "semijoin", Op: "project-one", Node: q.Inputs[by].Name, N: state[by].n,
-			kind: stepProjectOne, node: by, attrs: shared, exchanges: aggExchanges(state[by], mergeOr, ell)})
-		ind := nodeState{schema: relation.MustSchema(shared...), n: state[by].n,
-			plain: state[by].plain, holder: state[by].holder}
-		add(PlanStep{Phase: "semijoin", Op: "semijoin-into", Node: q.Inputs[by].Name + "→" + q.Inputs[target].Name,
-			N: state[target].n, kind: stepSemijoinInto, parent: target,
-			exchanges: semijoinExchanges(state[target], ind, ell)})
-		state[target].plain = false
+		aggregate(PlanStep{Phase: "semijoin", Op: "project-one", Node: q.Inputs[by].Name, kind: stepProjectOne},
+			by, shared, mergeOr)
+		ind := state[by]
+		ind.schema = relation.MustSchema(shared...)
+		semijoinInto("semijoin", target, q.Inputs[by].Name, ind)
 	}
 	for _, i := range remaining {
 		if i != tree.Root {
@@ -504,31 +372,31 @@ func compileTree(q *Query, tree *jointree.Tree, ringBits int, opts Options) (*Pl
 	}
 
 	// Phase 3: Full join (§6.3), decomposed into its message-level steps
-	// so each gets its own trace record. The executor visits nodes in
-	// sorted order, matching ObliviousJoin.
+	// so each gets its own trace record, over the nodes in sorted order.
 	order := append([]int(nil), remaining...)
 	sort.Ints(order)
 	plan.joinOrder = order
 	joinLabel := strings.Join(plan.Remaining, "⋈")
 	for _, i := range order {
-		add(PlanStep{Phase: "join", Op: "reveal-rows", Node: q.Inputs[i].Name,
-			N: state[i].n, kind: stepRevealRows, node: i, exchanges: revealRows(state[i])})
+		s := PlanStep{Phase: "join", Op: "reveal-rows", Node: q.Inputs[i].Name,
+			N: state[i].n, kind: stepRevealRows, node: i}
+		s.variant, s.exchanges = revealStep(state[i], ell, 0)
+		add(s)
 	}
-	// Alice programs every alignment OEP, so Bob is its OT sender.
-	add(PlanStep{Phase: "join", Op: "local-join", Node: joinLabel,
-		N: estOut, kind: stepLocalJoin, exchanges: []exchange{plainBytes(8)}})
+	// The steps sized by the output, priced at EstOut.
+	outSized := func(s PlanStep) {
+		s.N = estOut
+		s.variant, s.exchanges = joinStep(s.kind, state[s.node].n, len(order), estOut, ell)
+		add(s)
+	}
+	outSized(PlanStep{Phase: "join", Op: "local-join", Node: joinLabel, kind: stepLocalJoin})
 	for _, i := range order {
-		var align []exchange
-		if estOut > 0 {
-			align = []exchange{oepBatch(mpc.Bob, state[i].n, estOut, ell, false)}
-		}
-		add(PlanStep{Phase: "join", Op: "align-annotations", Node: q.Inputs[i].Name,
-			N: estOut, kind: stepAlignAnnotations, node: i, exchanges: align})
+		outSized(PlanStep{Phase: "join", Op: "align-annotations", Node: q.Inputs[i].Name,
+			kind: stepAlignAnnotations, node: i})
 	}
-	add(PlanStep{Phase: "join", Op: "annotation-product", Node: joinLabel,
-		N: estOut, kind: stepAnnotationProduct, exchanges: productBatches(estOut, len(order), ell)})
-	add(PlanStep{Phase: "reveal", Op: "reveal-annotations", Node: "result",
-		N: estOut, kind: stepRevealAnnotations, final: true, exchanges: []exchange{plainBytes(8 * estOut)}})
+	outSized(PlanStep{Phase: "join", Op: "annotation-product", Node: joinLabel, kind: stepAnnotationProduct})
+	outSized(PlanStep{Phase: "reveal", Op: "reveal-annotations", Node: "result",
+		kind: stepRevealAnnotations, final: true})
 	return plan.seal(steps), nil
 }
 

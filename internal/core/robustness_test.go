@@ -96,17 +96,23 @@ func TestMalformedMessagesErrorNotPanic(t *testing.T) {
 }
 
 // TestImplausiblePublicSizeRejected guards the OUT exchange of the
-// oblivious join against absurd values.
+// oblivious join against absurd values: above 2^40, or above the bound
+// the receiver passes (the product of the joined relations' sizes).
 func TestImplausiblePublicSizeRejected(t *testing.T) {
 	a, b := transport.Pair()
 	defer a.Close()
 	defer b.Close()
-	go func() { _ = transport.SendUint64(a, 1<<50) }()
-	if _, err := recvPublicSize(b); err == nil || !strings.Contains(err.Error(), "implausible") {
-		t.Fatalf("huge size accepted: %v", err)
+	for _, tc := range []struct {
+		v     uint64
+		bound int
+	}{{1 << 50, 1 << 40}, {1<<40 + 1, 1 << 40}, {43, 42}} {
+		go func() { _ = transport.SendUint64(a, tc.v) }()
+		if _, err := recvPublicSize(b, tc.bound); err == nil || !strings.Contains(err.Error(), "implausible") {
+			t.Fatalf("size %d above bound %d accepted: %v", tc.v, tc.bound, err)
+		}
 	}
 	go func() { _ = transport.SendUint64(a, 42) }()
-	n, err := recvPublicSize(b)
+	n, err := recvPublicSize(b, 42)
 	if err != nil || n != 42 {
 		t.Fatalf("valid size rejected: %d %v", n, err)
 	}
@@ -156,7 +162,7 @@ func TestDuplicateChildKeysRejected(t *testing.T) {
 }
 
 // TestPlainRevealRowsSizeChecked plays a Bob whose plain reveal message
-// is short, long or of odd length: Alice's revealPlainRows must fail
+// is short, long or of odd length: Alice's plain reveal must fail
 // with a *transport.SizeError before decoding a row.
 func TestPlainRevealRowsSizeChecked(t *testing.T) {
 	alice, bob := mpc.Pair(testRing)
@@ -173,7 +179,7 @@ func TestPlainRevealRowsSizeChecked(t *testing.T) {
 			t.Fatal(err)
 		}
 		var se *transport.SizeError
-		if _, err := revealPlainRows(alice, s); !errors.As(err, &se) || se.Got != tc.len || se.Want != 8*n*cols {
+		if _, err := revealRowsOf(alice, s); !errors.As(err, &se) || se.Got != tc.len || se.Want != 8*n*cols {
 			t.Fatalf("%s: %v, want a *transport.SizeError{Got: %d, Want: %d}", tc.name, err, tc.len, 8*n*cols)
 		}
 	}

@@ -28,7 +28,7 @@ type Attr = relation.Attr
 
 // The queries' Output lists are package variables, not literals built
 // per run: a revealed result's schema aliases its query's Output (core's
-// normalizeResult), so results a caller holds share one list instead of
+// reorder), so results a caller holds share one list instead of
 // each keeping its own.
 var (
 	q3Output   = []Attr{"orderkey", "orderdate", "shippriority"}
